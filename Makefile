@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race lint-metrics chaos chaos-shard crash explain-smoke fuzz fuzz-store fuzz-wal bench bench-short
+.PHONY: check vet staticcheck build test race lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check fuzz fuzz-store fuzz-wal bench bench-short
 
-check: vet staticcheck build race lint-metrics chaos chaos-shard crash explain-smoke
+check: vet staticcheck build race lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check
 
 vet:
 	$(GO) vet ./...
@@ -66,6 +66,18 @@ explain-smoke:
 	echo "$$out"; \
 	echo "$$out" | grep -q '^until' || { echo "explain-smoke: no until node in output" >&2; exit 1; }; \
 	echo "$$out" | grep -q 'visits=' || { echo "explain-smoke: no per-node stats in output" >&2; exit 1; }
+
+# The end-to-end benchmark harness is its own module (bench/, so that the root
+# `go build ./... && go test ./...` do not see it), which also means an
+# internal/... API change that stops it compiling passes every target above.
+# This one vets and tests the harness, then runs one workload of it for real
+# on the -quick corpus with one-second rounds — the shortest that still
+# completes a unit — so that a harness that no longer builds, fails its oracle
+# or sheds requests fails the gate. Nothing under bench/ is written except
+# the git-ignored bench/out/.
+bench-e2e-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -quick -only serve_cold_mix -seconds 1
 
 # Short parser fuzz session (FuzzParse: parse → print → re-parse is total).
 fuzz:

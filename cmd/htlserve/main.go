@@ -62,6 +62,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -72,6 +73,19 @@ import (
 	"htlvideo/internal/server"
 	"htlvideo/internal/shard"
 )
+
+// admission turns the admission flags into the server's configuration. Both
+// -max-concurrent and -queue document 0 as "GOMAXPROCS"; the server itself
+// clamps 0 to one slot and no queue, so the default has to be resolved here.
+func admission(maxConcurrent, queueLen int, queueWait time.Duration) server.AdmissionConfig {
+	if maxConcurrent == 0 {
+		maxConcurrent = runtime.GOMAXPROCS(0)
+	}
+	if queueLen == 0 {
+		queueLen = runtime.GOMAXPROCS(0)
+	}
+	return server.AdmissionConfig{MaxConcurrent: maxConcurrent, QueueLen: queueLen, QueueWait: queueWait}
+}
 
 func main() {
 	addr := flag.String("addr", ":8321", "listen address")
@@ -119,9 +133,7 @@ func main() {
 	breakerCfg := server.DefaultBreakerConfig()
 	breakerCfg.OpenFor = *breakerOpenFor
 	opts := []server.Option{
-		server.WithAdmission(server.AdmissionConfig{
-			MaxConcurrent: *maxConcurrent, QueueLen: *queueLen, QueueWait: *queueWait,
-		}),
+		server.WithAdmission(admission(*maxConcurrent, *queueLen, *queueWait)),
 		server.WithRetry(retryCfg),
 		server.WithBreaker(breakerCfg),
 		server.WithDefaultTimeout(*defaultTimeout),

@@ -70,7 +70,26 @@ type PNode struct {
 	// nodes keep their kids too: the reference evaluator decomposes atomic
 	// units structurally when the picture layer cannot score them whole.
 	Kids []*PNode
+
+	// atom is the once-slot of a non-temporal node: whatever the source
+	// compiled the node's formula into (see Atom). Like the plan's phys it
+	// lives and dies with the plan and is no part of what the plan means.
+	atom atomic.Value
 }
+
+// Atom returns what StoreAtom kept on the node, or nil. The slot is opaque
+// to this package: a Source that scores a non-temporal node's formula from a
+// compiled form parks that form here, so that it compiles once per plan
+// rather than once per video, child sequence or segment. What is stored must
+// depend on the formula and the source's configuration only — never on video
+// data — and must be safe for concurrent use, because one plan evaluates on
+// many sources at once.
+func (n *PNode) Atom() any { return n.atom.Load() }
+
+// StoreAtom keeps v on the node unless something is kept already; the first
+// store wins. Every value stored on the nodes of one process must have the
+// same concrete type.
+func (n *PNode) StoreAtom(v any) { n.atom.CompareAndSwap(nil, v) }
 
 // CompilePlan compiles f. The cost is one canonical printing per subtree
 // plus the class and free-variable analyses; evaluation never re-walks the

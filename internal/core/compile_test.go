@@ -51,9 +51,9 @@ type countingSource struct {
 	calls map[string]int
 }
 
-func (c *countingSource) EvalAtomic(f htl.Formula) (*simlist.Table, error) {
-	c.calls[f.String()]++
-	return c.stubSource.EvalAtomic(f)
+func (c *countingSource) EvalAtomicNode(n *PNode) (*simlist.Table, error) {
+	c.calls[n.Key]++
+	return c.stubSource.EvalAtomicNode(n)
 }
 
 // TestEvalPlanMemoizesDuplicates: a formula with a duplicated subtree

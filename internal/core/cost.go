@@ -49,6 +49,13 @@ const minCostSamples = 8
 // count as equally expensive and selectivity decides instead.
 const costNoiseBand = 0.25
 
+// costHysteresis widens the band for a decision that would change the order
+// already installed. Wall-time means keep wobbling with the machine's speed,
+// so a pair of children whose cost ratio sits on the band's edge (Query 1's
+// conjuncts on the serving benchmark's corpus do) would otherwise flip the
+// order on every other query; inside this margin the installed order stands.
+const costHysteresis = 0.10
+
 // CostModel accumulates observed per-node cost and selectivity across
 // queries. One model serves a whole store; it is safe for concurrent use.
 type CostModel struct {
@@ -148,7 +155,7 @@ func (p *Plan) Reoptimize(m *CostModel) bool {
 		return false
 	}
 	cur := p.phys.Load()
-	next := p.derivePhys(m)
+	next := p.derivePhys(m, cur)
 	if !physDiverged(cur, next) {
 		return false
 	}
@@ -156,7 +163,10 @@ func (p *Plan) Reoptimize(m *CostModel) bool {
 	return orderChanged(cur, next)
 }
 
-func (p *Plan) derivePhys(m *CostModel) *physPlan {
+// derivePhys builds the physical annotation the model's estimates call for;
+// cur is the installed one (nil before the first), which hysteresis keeps
+// where the evidence for the other order is marginal.
+func (p *Plan) derivePhys(m *CostModel, cur *physPlan) *physPlan {
 	ph := &physPlan{gateFirst: make([]bool, len(p.nodes)), est: make([]NodeCost, len(p.nodes))}
 	for _, n := range p.nodes {
 		ph.est[n.ID] = m.Estimate(n.Key)
@@ -168,7 +178,8 @@ func (p *Plan) derivePhys(m *CostModel) *physPlan {
 			ph.gateFirst[n.ID] = true
 		case htl.And:
 			l, r := m.Estimate(n.Kids[0].Key), m.Estimate(n.Kids[1].Key)
-			ph.gateFirst[n.ID] = cheaperSecond(l, r)
+			installed := cur != nil && n.ID < len(cur.gateFirst) && cur.gateFirst[n.ID]
+			ph.gateFirst[n.ID] = cheaperSecond(l, r, installed)
 		}
 	}
 	return ph
@@ -177,15 +188,25 @@ func (p *Plan) derivePhys(m *CostModel) *physPlan {
 // cheaperSecond reports whether the right conjunct should evaluate first:
 // clearly cheaper by wall time, or — inside the noise band — expected to
 // produce fewer entries, making it the likelier empty-table short-circuit.
-func cheaperSecond(l, r NodeCost) bool {
+// installed is the order in force; it stands unless the other order wins
+// with the band widened by costHysteresis as well.
+func cheaperSecond(l, r NodeCost, installed bool) bool {
 	if l.Samples < minCostSamples || r.Samples < minCostSamples {
 		return false
 	}
+	narrow, wide := rightFirst(l, r, costNoiseBand), rightFirst(l, r, costNoiseBand+costHysteresis)
+	if narrow != wide {
+		return installed
+	}
+	return narrow
+}
+
+func rightFirst(l, r NodeCost, band float64) bool {
 	lc, rc := float64(l.Cost), float64(r.Cost)
-	if rc < lc*(1-costNoiseBand) {
+	if rc < lc*(1-band) {
 		return true
 	}
-	if lc < rc*(1-costNoiseBand) {
+	if lc < rc*(1-band) {
 		return false
 	}
 	return r.Entries < l.Entries

@@ -256,7 +256,49 @@ func TestReoptimizeReordersConjunction(t *testing.T) {
 	if !cheaperSecond(
 		NodeCost{Cost: 1000, Entries: 50, Samples: 10},
 		NodeCost{Cost: 1100, Entries: 5, Samples: 10},
+		false,
 	) {
 		t.Fatal("selectivity tiebreak did not prefer the sparser side")
+	}
+}
+
+// A cost ratio wobbling across the noise band's edge must not flip the order
+// query after query: inside the hysteresis margin the installed order stands,
+// and only evidence beyond the margin moves it.
+func TestReoptimizeHysteresis(t *testing.T) {
+	p := CompilePlan(mustParse(t, "(eventually A) and (eventually B)"))
+	lKey, rKey := p.Root.Kids[0].Key, p.Root.Kids[1].Key
+	// The left side is the sparser one, so inside the band selectivity says
+	// left-first; by wall time alone the right side is about a quarter
+	// cheaper — the edge of the band.
+	model := func(rightNs int64) *CostModel {
+		m := NewCostModel()
+		m.stats[lKey] = &costAgg{samples: 100, timeNs: 100 * 1000, entries: 100 * 5}
+		m.stats[rKey] = &costAgg{samples: 100, timeNs: 100 * rightNs, entries: 100 * 50}
+		return m
+	}
+	p.Reoptimize(model(760))
+	if p.phys.Load().gateFirst[p.Root.ID] {
+		t.Fatal("right-first inside the noise band although the left side is sparser")
+	}
+	flips := 0
+	for i := 0; i < 100; i++ {
+		// 740 is just outside the band (right clearly cheaper), 760 just inside.
+		if p.Reoptimize(model(740 + 20*int64(i%2))) {
+			flips++
+		}
+	}
+	if flips != 0 {
+		t.Fatalf("order flipped %d times on a ratio wobbling across the band's edge", flips)
+	}
+	if !p.Reoptimize(model(600)) || !p.phys.Load().gateFirst[p.Root.ID] {
+		t.Fatal("evidence beyond the hysteresis margin did not flip the order")
+	}
+	// And back only when the ratio is inside the narrow band again.
+	if p.Reoptimize(model(740)) || p.Reoptimize(model(700)) {
+		t.Fatal("order flipped back inside the hysteresis margin")
+	}
+	if !p.Reoptimize(model(800)) {
+		t.Fatal("order did not return once the costs were level again")
 	}
 }

@@ -205,7 +205,7 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 	if n.NonTemporal {
 		e.opts.Obs.AtomicEval()
 		e.opts.Prof.AtomicEval(n)
-		return e.src.EvalAtomic(n.F)
+		return e.src.EvalAtomicNode(n)
 	}
 	switch n.F.(type) {
 	case htl.And:

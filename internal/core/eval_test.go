@@ -48,11 +48,11 @@ func (s stubSource) AtomicMaxSim(f htl.Formula) float64 {
 	}
 }
 
-func (s stubSource) EvalAtomic(f htl.Formula) (*simlist.Table, error) {
-	if t, ok := s.tables[f.String()]; ok {
+func (s stubSource) EvalAtomicNode(n *PNode) (*simlist.Table, error) {
+	if t, ok := s.tables[n.Key]; ok {
 		return t, nil
 	}
-	return simlist.NewTable(nil, nil, s.AtomicMaxSim(f)), nil
+	return simlist.NewTable(nil, nil, s.AtomicMaxSim(n.F)), nil
 }
 
 func (s stubSource) ValueTable(q htl.AttrFn) (*ValueTable, error) {

@@ -59,11 +59,14 @@ type ValueTable struct {
 // retrieval substrate, value tables for freeze operators, and access to the
 // descendant sequences that level-modal operators descend into.
 type Source interface {
-	// EvalAtomic computes the similarity table of a non-temporal formula f
-	// over this sequence. The table's object/attribute variable columns are
-	// exactly the free variables of f; a closed f yields a table with a
-	// single anonymous row (or none, when f is nowhere satisfied).
-	EvalAtomic(f htl.Formula) (*simlist.Table, error)
+	// EvalAtomicNode computes the similarity table of a non-temporal plan
+	// node's formula n.F over this sequence. The table's object/attribute
+	// variable columns are exactly the free variables of n.F; a closed
+	// formula yields a table with a single anonymous row (or none, when it
+	// is nowhere satisfied). The source gets the node rather than the
+	// formula so that it can keep a compiled form on it (PNode.Atom): one
+	// query asks for the same node on every video and child sequence.
+	EvalAtomicNode(n *PNode) (*simlist.Table, error)
 
 	// AtomicMaxSim returns the maximum similarity of a non-temporal formula
 	// (a function of the formula only, §2.5).

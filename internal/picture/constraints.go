@@ -1,89 +1,26 @@
 package picture
 
-import (
-	"htlvideo/internal/core"
-	"htlvideo/internal/htl"
-	"htlvideo/internal/metadata"
-)
-
 // Type-constraint pruning. The underlying picture matchers [27, 2] assign
 // query objects to picture objects: an object is a candidate match for a
 // query variable only when its type is similar to the type the query asks
 // for. Without this, `present(x) and type(x) = 'train'` would partially
 // match every object in every shot through the unconstrained present term.
-// We therefore extract the positive type predicates of an atomic formula and
-// treat a binding of a variable to a type-incompatible object exactly like
-// the absent binding (every term involving the variable scores 0).
-
-// typeConstraints maps each object variable to the types positively asserted
-// for it (type(x) = 'T' outside any negation).
-func typeConstraints(f htl.Formula) map[string][]string {
-	out := map[string][]string{}
-	var walk func(f htl.Formula, neg bool)
-	walk = func(f htl.Formula, neg bool) {
-		switch n := f.(type) {
-		case htl.Cmp:
-			if neg || !isTypeCmp(n) {
-				return
-			}
-			af, lit := n.L, n.R
-			if _, ok := n.L.(htl.StrLit); ok {
-				af, lit = n.R, n.L
-			}
-			v := af.(htl.AttrFn).Of
-			out[v] = append(out[v], lit.(htl.StrLit).S)
-		case htl.And:
-			walk(n.L, neg)
-			walk(n.R, neg)
-		case htl.Not:
-			walk(n.F, !neg)
-		case htl.Exists:
-			walk(n.F, neg)
-		case htl.Freeze:
-			walk(n.F, neg)
-		}
-	}
-	walk(f, false)
-	return out
-}
+// The compiler therefore collects the positive type predicates of an atomic
+// formula per variable name (objVar.cons; negation over object variables is
+// outside the atomic fragment, so every type predicate of a valid formula is
+// positive), and a binding of a variable to a type-incompatible object is
+// treated exactly like the absent binding (every term involving the variable
+// scores 0): quantifiers skip such assignments, and ScoreAtomicAt maps such
+// external bindings to the absent wildcard, which makes the reference
+// evaluator and the SQL baseline agree with the table builder's pruning.
 
 // compatible reports whether an object of the given type can be assigned to
 // a variable with the given positive type constraints.
-func (s *System) compatible(constraints []string, objType string) bool {
-	for _, want := range constraints {
-		if s.tax.Sim(want, objType) <= 0 {
+func compatible(cons []simTable, objType string) bool {
+	for _, sim := range cons {
+		if sim[objType] <= 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// pruneEnv replaces type-incompatible concrete bindings by the absent
-// wildcard, making external evaluations (reference evaluator, SQL baseline)
-// agree with the table builder's assignment pruning.
-func (s *System) pruneEnv(f htl.Formula, id int, env Env) Env {
-	cons := typeConstraints(f)
-	if len(cons) == 0 || id < 1 || id > len(s.seq) {
-		return env
-	}
-	node := s.seq[id-1]
-	out := env
-	copied := false
-	for v, oid := range env.Obj {
-		c, has := cons[v]
-		if !has || oid == core.AnyObject {
-			continue
-		}
-		o := node.Meta.FindObject(metadata.ObjectID(oid))
-		if o == nil || s.compatible(c, o.Type) {
-			continue
-		}
-		if !copied {
-			out = env.withObj(v, core.AnyObject)
-			copied = true
-		} else {
-			out.Obj[v] = core.AnyObject
-		}
-	}
-	return out
 }

@@ -2,7 +2,9 @@ package picture
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"htlvideo/internal/core"
@@ -287,22 +289,75 @@ func TestValueTableSegmentAttr(t *testing.T) {
 	}
 }
 
-func TestScoreAtomicAtMatchesTable(t *testing.T) {
-	s := buildSystem(t)
-	f := htl.MustParse("exists x . present(x) and type(x) = 'man'")
+// atom compiles a formula into the plan node ScoreAtomicAt and EvalAtomicNode
+// take.
+func atom(f htl.Formula) *core.PNode { return core.CompilePlan(f).Root }
+
+// checkScoreMatchesTable holds ScoreAtomicAt to the table EvalAtomic builds
+// for the same formula: at every segment and under every evaluation of the
+// free object variables over the sequence's objects (and "absent"), the
+// direct score must equal — exactly, not within a tolerance: both run one
+// program — the best of the table rows the evaluation selects (a row binds a
+// variable to the evaluation's object or to the wildcard).
+func checkScoreMatchesTable(t *testing.T, s *System, f htl.Formula) {
+	t.Helper()
 	tb, err := s.EvalAtomic(f)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("EvalAtomic(%q): %v", f, err)
 	}
-	list := core.ProjectMax(tb)
-	for id := 1; id <= s.Len(); id++ {
-		sim, err := s.ScoreAtomicAt(f, id, Env{})
-		if err != nil {
-			t.Fatal(err)
+	if len(tb.AttrVars) != 0 {
+		t.Fatalf("%q has free attribute variables", f)
+	}
+	n := atom(f)
+	domain := append([]simlist.ObjectID{core.AnyObject}, s.ObjectIDs()...)
+	binding := make([]simlist.ObjectID, len(tb.ObjVars))
+	var check func(i int)
+	check = func(i int) {
+		if i < len(binding) {
+			for _, id := range domain {
+				binding[i] = id
+				check(i + 1)
+			}
+			return
 		}
-		if math.Abs(sim.Act-list.At(id).Act) > 1e-9 {
-			t.Errorf("ScoreAtomicAt(%d) = %g, table = %g", id, sim.Act, list.At(id).Act)
+		env := Env{Obj: map[string]simlist.ObjectID{}}
+		for c, v := range tb.ObjVars {
+			env.Obj[v] = binding[c]
 		}
+		for id := 1; id <= s.Len(); id++ {
+			want := 0.0
+			for _, r := range tb.Rows {
+				selected := true
+				for c, b := range r.Bindings {
+					selected = selected && (b == core.AnyObject || b == binding[c])
+				}
+				if selected {
+					want = max(want, r.List.At(id).Act)
+				}
+			}
+			got, err := s.ScoreAtomicAt(n, id, env)
+			if err != nil {
+				t.Fatalf("ScoreAtomicAt(%q, %d, %v): %v", f, id, env.Obj, err)
+			}
+			if got.Act != want || got.Max != tb.MaxSim {
+				t.Fatalf("%q at %d under %v: direct %b/%b, table %b/%b", f, id, env.Obj, got.Act, got.Max, want, tb.MaxSim)
+			}
+		}
+	}
+	check(0)
+}
+
+func TestScoreAtomicAtMatchesTable(t *testing.T) {
+	s := buildSystem(t)
+	for _, src := range []string{
+		"exists x . present(x) and type(x) = 'man'",
+		"exists x, y . fires_at(x, y) and present(x)",
+		"exists x . [h <- height(x)] (present(x) and height(x) >= h)",
+	} {
+		f := htl.MustParse(src)
+		checkScoreMatchesTable(t, s, f)
+		// The same formula with its quantifier peeled: free object variables.
+		checkScoreMatchesTable(t, s, f.(htl.Exists).F)
 	}
 }
 
@@ -377,4 +432,66 @@ func TestNewSystemEmptyLevel(t *testing.T) {
 	if _, err := NewSystem(v, 2, testTaxonomy(t), DefaultWeights()); err == nil {
 		t.Fatal("no segments at level 2 should fail")
 	}
+}
+
+// TestProgramIsPerConfiguration: the program a plan node keeps was compiled
+// for one taxonomy and one set of weights. Another system evaluating the same
+// node with other weights, or with the same taxonomy extended since, must
+// score with its own configuration — and concurrent evaluations of one node
+// must not interfere (run under -race).
+func TestProgramIsPerConfiguration(t *testing.T) {
+	f := htl.MustParse("exists x . present(x) and type(x) = 'android'")
+	n := atom(f)
+	v := buildSystem(t).Video()
+	tax := testTaxonomy(t)
+	heavy := DefaultWeights()
+	heavy.Type = 5
+	var systems []*System
+	for _, w := range []Weights{DefaultWeights(), heavy} {
+		s, err := NewSystem(v, 2, tax, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, s)
+	}
+	check := func() {
+		t.Helper()
+		var wg sync.WaitGroup
+		for _, s := range systems {
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					want, err := s.EvalAtomic(f) // compiled for this call alone
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got, err := s.EvalAtomicNode(n)
+					if err != nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("node path (Type weight %g): %v, %v; want %v", s.Weights().Type, got, err, want)
+					}
+				}()
+			}
+		}
+		wg.Wait()
+	}
+	check() // nothing is an android yet
+	if l := core.ProjectMax(mustTable(t, systems[0], n)); !l.IsEmpty() {
+		t.Fatalf("before the taxonomy knows androids: %v", l)
+	}
+	tax.MustAdd("android", "person") // men and women now partially match
+	check()
+	if l := core.ProjectMax(mustTable(t, systems[0], n)); l.IsEmpty() {
+		t.Fatal("the program kept on the node ignored the extended taxonomy")
+	}
+}
+
+func mustTable(t *testing.T, s *System, n *core.PNode) *simlist.Table {
+	t.Helper()
+	tb, err := s.EvalAtomicNode(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
 }

@@ -2,8 +2,9 @@ package picture
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"sync"
 
 	"htlvideo/internal/core"
 	"htlvideo/internal/faultinject"
@@ -21,9 +22,6 @@ import (
 type Env struct {
 	Obj  map[string]simlist.ObjectID
 	Attr map[string]BoundAttr
-	// cons carries the formula's positive type constraints so that nested
-	// quantifiers prune type-incompatible assignments; set at entry points.
-	cons map[string][]string
 }
 
 // BoundAttr is a bound attribute variable: Defined is false when the frozen
@@ -34,11 +32,24 @@ type BoundAttr struct {
 	Val     core.AttrValue
 }
 
-// alt is one scoring alternative: the additive score holds for every
-// evaluation of the free attribute variables inside the ranges.
-type alt struct {
-	score  float64
-	ranges map[string]simlist.Range
+// WithObj returns a copy of the evaluation with an object variable bound.
+func (e Env) WithObj(name string, id simlist.ObjectID) Env {
+	obj := make(map[string]simlist.ObjectID, len(e.Obj)+1)
+	for k, v := range e.Obj {
+		obj[k] = v
+	}
+	obj[name] = id
+	return Env{Obj: obj, Attr: e.Attr}
+}
+
+// WithAttr returns a copy of the evaluation with an attribute variable bound.
+func (e Env) WithAttr(name string, v BoundAttr) Env {
+	attr := make(map[string]BoundAttr, len(e.Attr)+1)
+	for k, b := range e.Attr {
+		attr[k] = b
+	}
+	attr[name] = v
+	return Env{Obj: e.Obj, Attr: attr}
 }
 
 // UnsupportedError marks formulas outside the picture system's atomic
@@ -48,211 +59,544 @@ type UnsupportedError struct{ Msg string }
 
 func (e *UnsupportedError) Error() string { return "picture: unsupported atomic formula: " + e.Msg }
 
-// AtomicMaxSim implements core.Source: the maximum similarity of a
-// non-temporal formula is the sum of its term weights (§2.5: a function of
-// the formula only).
-func (s *System) AtomicMaxSim(f htl.Formula) float64 {
-	switch n := f.(type) {
-	case htl.True:
-		return 1
-	case htl.Present:
-		return s.w.Present
-	case htl.Pred:
-		switch len(n.Args) {
-		case 0:
-			return s.w.SegPred
-		case 1:
-			return s.w.Prop
-		default:
-			return s.w.Rel
+// programFor returns the program of a plan node's formula for this system.
+// The first system to need it compiles it and leaves it on the node, where it
+// lives as long as the plan; a system with another taxonomy or other weights
+// (tests run one plan against several) compiles its own and keeps nothing.
+func (s *System) programFor(n *core.PNode) *program {
+	if p, ok := n.Atom().(*program); ok {
+		if p.builtFor(s) {
+			return p
 		}
-	case htl.Cmp:
-		if isTypeCmp(n) {
-			return s.w.Type
-		}
-		if objAttrInvolved(n) {
-			return s.w.Attr
-		}
-		return s.w.SegAttr
-	case htl.And:
-		return s.AtomicMaxSim(n.L) + s.AtomicMaxSim(n.R)
-	case htl.Not:
-		return s.AtomicMaxSim(n.F)
-	case htl.Exists:
-		return s.AtomicMaxSim(n.F)
-	case htl.Freeze:
-		return s.AtomicMaxSim(n.F)
-	default:
-		return 0
+		return s.compileAtomic(n.F)
 	}
+	p := s.compileAtomic(n.F)
+	n.StoreAtom(p)
+	return p
 }
 
-// isTypeCmp reports whether n is a graded type predicate type(x) = 'T'.
-func isTypeCmp(n htl.Cmp) bool {
-	if n.Op != htl.OpEq {
-		return false
+// fireAtomicEval is the fault-injection hook both entry points share.
+func (s *System) fireAtomicEval() error {
+	if faultinject.Enabled() {
+		return faultinject.Fire(nil, faultinject.SiteAtomicEval, int64(s.video.ID))
 	}
-	l, lok := n.L.(htl.AttrFn)
-	r, rok := n.R.(htl.AttrFn)
-	if lok && l.Of != "" && l.Attr == typeAttr && !rok {
-		_, isStr := n.R.(htl.StrLit)
-		return isStr
-	}
-	if rok && r.Of != "" && r.Attr == typeAttr && !lok {
-		_, isStr := n.L.(htl.StrLit)
-		return isStr
-	}
-	return false
+	return nil
 }
 
-func objAttrInvolved(n htl.Cmp) bool {
-	if a, ok := n.L.(htl.AttrFn); ok && a.Of != "" {
-		return true
-	}
-	if a, ok := n.R.(htl.AttrFn); ok && a.Of != "" {
-		return true
-	}
-	return false
+// EvalAtomic computes the similarity table of a non-temporal formula over
+// the sequence, built through the inverted indices. It compiles f for this
+// one call; the evaluators go through EvalAtomicNode, which compiles once per
+// plan node.
+func (s *System) EvalAtomic(f htl.Formula) (*simlist.Table, error) {
+	return s.evalAtomic(s.compileAtomic(f))
 }
 
-// evalAlts scores a non-temporal formula at one segment under env, returning
-// the scoring alternatives over the remaining free attribute variables.
-func (s *System) evalAlts(f htl.Formula, node *metadata.Node, env Env) ([]alt, error) {
-	switch n := f.(type) {
-	case htl.True:
-		return []alt{{score: 1}}, nil
-	case htl.Present:
-		id, ok := env.Obj[n.X.Name]
+// EvalAtomicNode implements core.Source: EvalAtomic of a plan node's
+// formula, through the program kept on the node.
+func (s *System) EvalAtomicNode(n *core.PNode) (*simlist.Table, error) {
+	return s.evalAtomic(s.programFor(n))
+}
+
+func (s *System) evalAtomic(p *program) (*simlist.Table, error) {
+	if err := s.fireAtomicEval(); err != nil {
+		return nil, err
+	}
+	if p.temporal {
+		return nil, &UnsupportedError{fmt.Sprintf("EvalAtomic requires a non-temporal formula, got %q", p.f)}
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	m := newMachine(p)
+	defer m.release()
+	cands := s.candidates(p, m.lists)
+	for {
+		id, ok := cands.Next()
 		if !ok {
-			return nil, &UnsupportedError{fmt.Sprintf("object variable %q missing from evaluation", n.X.Name)}
+			break
 		}
-		score := 0.0
-		if o := findObj(node, id); o != nil {
-			score = s.w.Present * o.Certainty
-		}
-		return []alt{{score: score}}, nil
-	case htl.Pred:
-		return s.evalPred(n, node, env)
-	case htl.Cmp:
-		return s.evalCmp(n, node, env)
-	case htl.And:
-		left, err := s.evalAlts(n.L, node, env)
-		if err != nil {
+		m.id, m.node = id, s.seq[id-1]
+		if err := m.enumerate(p.free, 0, p.root, true); err != nil {
 			return nil, err
 		}
-		right, err := s.evalAlts(n.R, node, env)
-		if err != nil {
-			return nil, err
-		}
-		return crossAlts(left, right), nil
-	case htl.Not:
-		sub, err := s.evalAlts(n.F, node, env)
-		if err != nil {
-			return nil, err
-		}
-		if len(sub) != 1 || len(sub[0].ranges) != 0 {
-			return nil, &UnsupportedError{"negation over a subformula with free attribute variables"}
-		}
-		return []alt{{score: s.AtomicMaxSim(n.F) - sub[0].score}}, nil
-	case htl.Exists:
-		return s.evalExists(n, node, env)
-	case htl.Freeze:
-		val := s.freezeValue(n.Attr, node, env)
-		inner := env.withAttr(n.Var, val)
-		return s.evalAlts(n.F, node, inner)
-	default:
-		return nil, &UnsupportedError{fmt.Sprintf("temporal operator %T inside an atomic formula", f)}
 	}
+	m.lists = cands.lists
+
+	// The rows' keys move out of the scratch into two arrays of their own,
+	// each row holding its slice of them.
+	table := simlist.NewTable(p.freeObj, p.freeAttr, p.maxSim)
+	if len(m.rows) == 0 {
+		return table, nil
+	}
+	nFree, k := len(p.free), m.k
+	table.Rows = make([]simlist.Row, len(m.rows))
+	objs := append(make([]simlist.ObjectID, 0, len(m.rowObj)), m.rowObj...)
+	rngs := append(make([]simlist.Range, 0, len(m.rowRng)), m.rowRng...)
+	for i := range m.rows {
+		table.Rows[i] = simlist.Row{
+			Bindings: objs[i*nFree : (i+1)*nFree : (i+1)*nFree],
+			Ranges:   rngs[i*k : (i+1)*k : (i+1)*k],
+			List:     simlist.Normalize(p.maxSim, m.rows[i].entries),
+		}
+	}
+	return table, nil
 }
 
-func findObj(node *metadata.Node, id simlist.ObjectID) *metadata.Object {
-	if id == core.AnyObject {
+// ScoreAtomicAt scores a plan node's non-temporal formula at one segment
+// under a full evaluation (every free object and attribute variable bound);
+// the maximum over any remaining internal choices (nested ∃) is returned.
+// This is the entry point the reference evaluator shares with the table
+// builder: it runs the same program, so the two paths cannot diverge on
+// atomic scoring.
+func (s *System) ScoreAtomicAt(n *core.PNode, id int, env Env) (simlist.Sim, error) {
+	if err := s.fireAtomicEval(); err != nil {
+		return simlist.Sim{}, err
+	}
+	p := s.programFor(n)
+	if p.temporal {
+		return simlist.Sim{}, &UnsupportedError{"ScoreAtomicAt requires a non-temporal formula"}
+	}
+	if p.err != nil {
+		return simlist.Sim{}, p.err
+	}
+	if id < 1 || id > len(s.seq) {
+		return simlist.Sim{Max: p.maxSim}, nil
+	}
+	m := newMachine(p)
+	defer m.release()
+	m.node = s.seq[id-1]
+	// Only the formula's own free variables are read from env: bindings of
+	// unrelated outer variables must not participate in this unit's
+	// distinct-objects rule.
+	for i := range p.free {
+		v := &p.free[i]
+		oid, ok := env.Obj[v.name]
+		if !ok {
+			continue
+		}
+		o := findObj(m.node, oid)
+		// A concrete binding to an object of a type the formula rules out
+		// scores as the absent one, which is how the table builder prunes
+		// assignments.
+		if o != nil && !compatible(v.cons, o.Type) {
+			oid, o = core.AnyObject, nil
+		}
+		m.bind(v.slot, oid, o)
+	}
+	for i, v := range p.freeAttr {
+		m.attr[i], m.bound[i] = env.Attr[v]
+	}
+	best := 0.0
+	if err := m.scoreVariants(0, &best); err != nil {
+		return simlist.Sim{}, err
+	}
+	return simlist.Sim{Act: best, Max: p.maxSim}, nil
+}
+
+// scoreVariants raises best to the program's score under the current slots.
+// The picture matchers assign distinct objects to distinct variables of one
+// atomic formula; an external evaluation binding several free variables to
+// the same object therefore scores as the best way of keeping one of them
+// and treating the rest as absent — exactly what the table path's wildcard
+// rows yield at projection. from is the first free slot not yet known to be
+// the only holder of its object.
+func (m *machine) scoreVariants(from int, best *float64) error {
+	nFree := len(m.p.free)
+	for i := from; i < nFree; i++ {
+		id, o := m.obj[i], m.objp[i]
+		if id == core.AnyObject || id == missingObject {
+			continue
+		}
+		var group []int
+		for j := i + 1; j < nFree; j++ {
+			if m.obj[j] == id {
+				group = append(group, j)
+			}
+		}
+		if group == nil {
+			continue
+		}
+		group = append(group, i)
+		for _, keep := range group {
+			for _, j := range group {
+				if j == keep {
+					m.bind(j, id, o)
+				} else {
+					m.bind(j, core.AnyObject, nil)
+				}
+			}
+			// The kept slot now holds id alone, so the rest of the scan
+			// passes over it.
+			if err := m.scoreVariants(i+1, best); err != nil {
+				return err
+			}
+		}
+		for _, j := range group {
+			m.bind(j, id, o)
+		}
 		return nil
 	}
-	return node.Meta.FindObject(metadata.ObjectID(id))
+	lo := len(m.score)
+	if err := m.eval(m.p.root); err != nil {
+		return err
+	}
+	for a := lo; a < len(m.score); a++ {
+		if m.ranged(a) {
+			return &UnsupportedError{"free attribute variable not bound in evaluation"}
+		}
+		*best = max(*best, m.score[a])
+	}
+	m.truncate(lo)
+	return nil
 }
 
-func (s *System) evalPred(n htl.Pred, node *metadata.Node, env Env) ([]alt, error) {
-	switch len(n.Args) {
-	case 0:
-		score := 0.0
-		if v, ok := node.Meta.Attrs[n.Name]; ok && v == metadata.Int(1) {
-			score = s.w.SegPred
-		}
-		return []alt{{score: score}}, nil
-	case 1:
-		x, ok := n.Args[0].(htl.Var)
-		if !ok {
-			return nil, &UnsupportedError{fmt.Sprintf("argument of %s must be an object variable", n.Name)}
-		}
-		score := 0.0
-		if o := findObj(node, env.Obj[x.Name]); o != nil && o.Props[n.Name] {
-			score = s.w.Prop * o.Certainty
-		}
-		return []alt{{score: score}}, nil
-	case 2:
-		x, xok := n.Args[0].(htl.Var)
-		y, yok := n.Args[1].(htl.Var)
-		if !xok || !yok {
-			return nil, &UnsupportedError{fmt.Sprintf("arguments of %s must be object variables", n.Name)}
-		}
-		score := 0.0
-		ox := findObj(node, env.Obj[x.Name])
-		oy := findObj(node, env.Obj[y.Name])
-		if ox != nil && oy != nil && node.Meta.HasRel(n.Name, ox.ID, oy.ID) {
-			score = s.w.Rel * min(ox.Certainty, oy.Certainty)
-		}
-		return []alt{{score: score}}, nil
-	default:
-		return nil, &UnsupportedError{fmt.Sprintf("predicate %s has arity %d (at most 2 supported)", n.Name, len(n.Args))}
+// missingObject fills an object slot nothing has bound: a free variable the
+// evaluation handed to ScoreAtomicAt leaves out. It matches no object, and
+// present() of it is an error rather than a zero.
+const missingObject simlist.ObjectID = -1
+
+// machine runs a program at one segment at a time. The object and attribute
+// slots are plain arrays that quantifiers overwrite as they backtrack; the
+// scoring alternatives of the subformula being evaluated live on a stack
+// (score, with k = len(p.freeAttr) ranges per alternative in rng), so that a
+// scan allocates nothing per segment, assignment or alternative.
+//
+// An alternative is an additive score that holds for every evaluation of the
+// free attribute variables inside its ranges; simlist.AnyRange() in a
+// position means the alternative does not constrain that variable.
+type machine struct {
+	p    *program
+	k    int
+	node *metadata.Node
+
+	obj   []simlist.ObjectID
+	objp  []*metadata.Object // the slot's object in node, nil when absent
+	attr  []BoundAttr
+	bound []bool // whether the attribute slot holds a value (or is free)
+
+	score []float64
+	rng   []simlist.Range
+
+	lists [][]int
+
+	// Table building (EvalAtomic): the rows in first-seen order, their keys
+	// — row i binds the free object variables to rowObj[i*nFree:(i+1)*nFree]
+	// and ranges the free attribute variables over rowRng[i*k:(i+1)*k] — and
+	// their index by key hash.
+	id     int
+	rows   []row
+	rowObj []simlist.ObjectID
+	rowRng []simlist.Range
+	index  map[uint64]int32
+}
+
+// row accumulates one row of the table being built.
+type row struct {
+	entries []simlist.Entry // one point entry per segment, ascending
+	next    int32           // next row with the same key hash, or -1
+}
+
+var machinePool = sync.Pool{New: func() any { return &machine{index: map[uint64]int32{}} }}
+
+// newMachine takes a machine from the pool and sizes it for p.
+func newMachine(p *program) *machine {
+	m := machinePool.Get().(*machine)
+	m.p, m.k = p, len(p.freeAttr)
+	m.obj = m.obj[:0]
+	m.objp = m.objp[:0]
+	for range p.objNames {
+		m.obj = append(m.obj, missingObject)
+		m.objp = append(m.objp, nil)
 	}
+	m.attr = m.attr[:0]
+	m.bound = m.bound[:0]
+	for i := range p.attrNames {
+		m.attr = append(m.attr, BoundAttr{})
+		m.bound = append(m.bound, i >= m.k)
+	}
+	m.score, m.rng = m.score[:0], m.rng[:0]
+	return m
+}
+
+// release returns the machine to the pool; every buffer keeps its capacity
+// for the next scan, and nothing in them reaches a table.
+func (m *machine) release() {
+	m.p, m.node = nil, nil
+	clear(m.objp)
+	clear(m.lists[:cap(m.lists)])
+	m.rows, m.rowObj, m.rowRng = m.rows[:0], m.rowObj[:0], m.rowRng[:0]
+	clear(m.index)
+	machinePool.Put(m)
+}
+
+// bind puts object id (o in the current segment, nil when it is not there)
+// into a slot.
+func (m *machine) bind(slot int, id simlist.ObjectID, o *metadata.Object) {
+	m.obj[slot], m.objp[slot] = id, o
+}
+
+// push adds an alternative that constrains no attribute variable.
+func (m *machine) push(score float64) {
+	m.score = append(m.score, score)
+	for i := 0; i < m.k; i++ {
+		m.rng = append(m.rng, simlist.AnyRange())
+	}
+}
+
+// pushRanged adds an alternative that holds for the free attribute variable
+// in slot within r.
+func (m *machine) pushRanged(score float64, slot int, r simlist.Range) {
+	m.push(score)
+	m.rng[len(m.rng)-m.k+slot] = r
+}
+
+// ranged reports whether alternative a constrains an attribute variable.
+func (m *machine) ranged(a int) bool {
+	for _, r := range m.rng[a*m.k : (a+1)*m.k] {
+		if r.Kind != simlist.RangeAny {
+			return true
+		}
+	}
+	return false
+}
+
+// truncate drops the alternatives from lo up.
+func (m *machine) truncate(lo int) {
+	m.score, m.rng = m.score[:lo], m.rng[:lo*m.k]
+}
+
+// eval pushes the scoring alternatives of e at the current segment under the
+// current slots.
+func (m *machine) eval(e *expr) error {
+	switch e.kind {
+	case exprTrue:
+		m.push(1)
+	case exprPresent:
+		if m.obj[e.x] == missingObject {
+			return &UnsupportedError{fmt.Sprintf("object variable %q missing from evaluation", m.p.objNames[e.x])}
+		}
+		score := 0.0
+		if o := m.objp[e.x]; o != nil {
+			score = e.w * o.Certainty
+		}
+		m.push(score)
+	case exprTag:
+		score := 0.0
+		if v, ok := m.node.Meta.Attrs[e.name]; ok && v == metadata.Int(1) {
+			score = e.w
+		}
+		m.push(score)
+	case exprProp:
+		score := 0.0
+		if o := m.objp[e.x]; o != nil && o.Props[e.name] {
+			score = e.w * o.Certainty
+		}
+		m.push(score)
+	case exprRel:
+		score := 0.0
+		ox, oy := m.objp[e.x], m.objp[e.y]
+		if ox != nil && oy != nil && m.node.Meta.HasRel(e.name, ox.ID, oy.ID) {
+			score = e.w * min(ox.Certainty, oy.Certainty)
+		}
+		m.push(score)
+	case exprType:
+		// Graded: type(x) = 'T' scores the taxonomy similarity.
+		score := 0.0
+		if o := m.objp[e.x]; o != nil {
+			score = e.w * e.sim[o.Type] * o.Certainty
+		}
+		m.push(score)
+	case exprCmp:
+		return m.evalCmp(e)
+	case exprAnd:
+		lo := len(m.score)
+		if err := m.eval(e.a); err != nil {
+			return err
+		}
+		mid := len(m.score)
+		if err := m.eval(e.b); err != nil {
+			return err
+		}
+		m.cross(lo, mid)
+	case exprNot:
+		lo := len(m.score)
+		if err := m.eval(e.a); err != nil {
+			return err
+		}
+		if len(m.score)-lo != 1 || m.ranged(lo) {
+			return &UnsupportedError{"negation over a subformula with free attribute variables"}
+		}
+		m.score[lo] = e.w - m.score[lo]
+	case exprExists:
+		lo := len(m.score)
+		if err := m.enumerate(e.vars, 0, e.a, false); err != nil {
+			return err
+		}
+		if m.k == 0 {
+			m.foldMax(lo)
+		}
+	case exprFreeze:
+		v, _ := m.attrFn(e.frozen)
+		m.attr[e.attr] = v
+		return m.eval(e.a)
+	}
+	return nil
+}
+
+// enumerate assigns vars[i:] to the segment's objects — or to "absent" — in
+// every admissible way: distinct objects for distinct variables, and no
+// object whose type a positive type constraint on the variable rules out
+// (such an assignment scores exactly like the absent one). Under each
+// assignment it evaluates body; the alternatives stay on the stack (their
+// union is what a quantifier denotes — the maximum over evaluations is taken
+// later, at projection) or, with emit, go to the table as rows of the current
+// bindings.
+func (m *machine) enumerate(vars []objVar, i int, body *expr, emit bool) error {
+	if i == len(vars) {
+		lo := len(m.score)
+		if err := m.eval(body); err != nil {
+			return err
+		}
+		if emit {
+			m.record(lo)
+			m.truncate(lo)
+		}
+		return nil
+	}
+	v := &vars[i]
+	// Absent assignment: the variable matches nothing in this segment.
+	m.bind(v.slot, core.AnyObject, nil)
+	if err := m.enumerate(vars, i+1, body, emit); err != nil {
+		return err
+	}
+	objects := m.node.Meta.Objects
+	for oi := range objects {
+		o := &objects[oi]
+		id := simlist.ObjectID(o.ID)
+		if m.taken(v.distinct, id) || !compatible(v.cons, o.Type) {
+			continue
+		}
+		m.bind(v.slot, id, o)
+		if err := m.enumerate(vars, i+1, body, emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// taken reports whether one of the slots holds object id.
+func (m *machine) taken(slots []int, id simlist.ObjectID) bool {
+	for _, s := range slots {
+		if m.obj[s] == id {
+			return true
+		}
+	}
+	return false
+}
+
+// foldMax replaces the alternatives from lo up by one carrying their maximum.
+// Without free attribute variables they all describe the same evaluations,
+// only the best can matter, and addition is monotonic, so the fold is
+// invisible in the result; it keeps a quantifier inside a conjunction from
+// multiplying the alternatives.
+func (m *machine) foldMax(lo int) {
+	m.score[lo] = slices.Max(m.score[lo:])
+	m.score = m.score[:lo+1]
+}
+
+// cross combines the alternatives [lo, mid) and [mid, top) of a conjunction's
+// two sides into their product, left in their place: scores add (left +
+// right, the formula's order, so that sums are reproducible), range
+// constraints intersect, unsatisfiable combinations disappear.
+func (m *machine) cross(lo, mid int) {
+	hi, k := len(m.score), m.k
+	if k == 0 && mid-lo == 1 && hi-mid == 1 {
+		m.score[lo] += m.score[mid]
+		m.score = m.score[:mid]
+		return
+	}
+	for x := lo; x < mid; x++ {
+	next:
+		for y := mid; y < hi; y++ {
+			base := len(m.rng)
+			for i := 0; i < k; i++ {
+				r, o := m.rng[x*k+i], m.rng[y*k+i]
+				switch {
+				case r.Kind == simlist.RangeAny:
+					r = o
+				case o.Kind != simlist.RangeAny:
+					if r = r.Intersect(o); r.IsEmpty() {
+						m.rng = m.rng[:base]
+						continue next
+					}
+				}
+				m.rng = append(m.rng, r)
+			}
+			m.score = append(m.score, m.score[x]+m.score[y])
+		}
+	}
+	n := copy(m.score[lo:], m.score[hi:])
+	copy(m.rng[lo*k:], m.rng[hi*k:])
+	m.truncate(lo + n)
 }
 
 // operand is one resolved side of a comparison.
 type operand struct {
-	isVar   bool   // a free attribute variable
-	varName string // when isVar
-	defined bool   // a value is available (always true for literals)
+	free    bool // an attribute variable without a value: slot is ranged
+	slot    int
+	defined bool // a value is available (always true for literals)
 	val     core.AttrValue
 	cert    float64 // certainty multiplier (1 unless an object attribute)
-	isObj   bool    // references an object attribute
 }
 
-// resolveOperand evaluates a comparison operand at the segment.
-func (s *System) resolveOperand(t htl.Term, node *metadata.Node, env Env) (operand, error) {
-	switch x := t.(type) {
-	case htl.IntLit:
-		return operand{defined: true, val: core.AttrValue{IsInt: true, Int: x.V}, cert: 1}, nil
-	case htl.StrLit:
-		return operand{defined: true, val: core.AttrValue{Str: x.S}, cert: 1}, nil
-	case htl.Var:
-		if b, bound := env.Attr[x.Name]; bound {
-			return operand{defined: b.Defined, val: b.Val, cert: 1}, nil
+// resolve evaluates a comparison operand at the segment.
+func (m *machine) resolve(sp operandSpec) operand {
+	switch sp.kind {
+	case operandLit:
+		return operand{defined: true, val: sp.val, cert: 1}
+	case operandAttrVar:
+		if !m.bound[sp.slot] {
+			return operand{free: true, slot: sp.slot, cert: 1}
 		}
-		return operand{isVar: true, varName: x.Name, cert: 1}, nil
-	case htl.AttrFn:
-		if x.Of == "" {
-			v, ok := node.Meta.Attrs[x.Attr]
-			if !ok {
-				return operand{cert: 1}, nil
-			}
-			return operand{defined: true, val: toAttrValue(v), cert: 1}, nil
-		}
-		o := findObj(node, env.Obj[x.Of])
-		if o == nil {
-			return operand{cert: 0, isObj: true}, nil
-		}
-		if x.Attr == typeAttr {
-			return operand{defined: true, val: core.AttrValue{Str: o.Type}, cert: o.Certainty, isObj: true}, nil
-		}
-		v, ok := o.Attrs[x.Attr]
-		if !ok {
-			return operand{cert: o.Certainty, isObj: true}, nil
-		}
-		return operand{defined: true, val: toAttrValue(v), cert: o.Certainty, isObj: true}, nil
+		b := m.attr[sp.slot]
+		return operand{defined: b.Defined, val: b.Val, cert: 1}
 	default:
-		return operand{}, &UnsupportedError{fmt.Sprintf("comparison operand %s", t)}
+		b, cert := m.attrFn(sp)
+		return operand{defined: b.Defined, val: b.Val, cert: cert}
 	}
+}
+
+// attrFn evaluates an attribute function at the segment: its value, if it
+// has one, and the certainty of the object it was read from (1 for a segment
+// attribute, 0 for an absent object).
+func (m *machine) attrFn(sp operandSpec) (BoundAttr, float64) {
+	if sp.kind == operandSegAttr {
+		return segAttr(m.node, sp.attr), 1
+	}
+	o := m.objp[sp.slot]
+	if o == nil {
+		return BoundAttr{}, 0
+	}
+	return objAttr(o, sp.attr), o.Certainty
+}
+
+func segAttr(node *metadata.Node, attr string) BoundAttr {
+	if v, ok := node.Meta.Attrs[attr]; ok {
+		return BoundAttr{Defined: true, Val: toAttrValue(v)}
+	}
+	return BoundAttr{}
+}
+
+// objAttr reads an attribute of an object occurrence; the reserved attribute
+// "type" is the object's type.
+func objAttr(o *metadata.Object, attr string) BoundAttr {
+	if attr == typeAttr {
+		return BoundAttr{Defined: true, Val: core.AttrValue{Str: o.Type}}
+	}
+	if v, ok := o.Attrs[attr]; ok {
+		return BoundAttr{Defined: true, Val: toAttrValue(v)}
+	}
+	return BoundAttr{}
 }
 
 func toAttrValue(v metadata.Value) core.AttrValue {
@@ -262,119 +606,91 @@ func toAttrValue(v metadata.Value) core.AttrValue {
 	return core.AttrValue{Str: v.Str}
 }
 
-func (s *System) evalCmp(n htl.Cmp, node *metadata.Node, env Env) ([]alt, error) {
-	// Graded type predicate: type(x) = 'T' scores taxonomy similarity.
-	if isTypeCmp(n) {
-		a, lit := n.L, n.R
-		if _, ok := n.L.(htl.StrLit); ok {
-			a, lit = n.R, n.L
-		}
-		af := a.(htl.AttrFn)
-		want := lit.(htl.StrLit).S
-		score := 0.0
-		if o := findObj(node, env.Obj[af.Of]); o != nil {
-			score = s.w.Type * s.tax.Sim(want, o.Type) * o.Certainty
-		}
-		return []alt{{score: score}}, nil
-	}
-
-	weight := s.w.SegAttr
-	if objAttrInvolved(n) {
-		weight = s.w.Attr
-	}
-	l, err := s.resolveOperand(n.L, node, env)
-	if err != nil {
-		return nil, err
-	}
-	r, err := s.resolveOperand(n.R, node, env)
-	if err != nil {
-		return nil, err
-	}
+func (m *machine) evalCmp(e *expr) error {
+	l, r := m.resolve(e.l), m.resolve(e.r)
 	cert := min(l.cert, r.cert)
-	op := n.Op
-
 	switch {
-	case l.isVar && r.isVar:
-		return nil, &UnsupportedError{"comparison of two attribute variables"}
-	case l.isVar:
+	case l.free && r.free:
+		return &UnsupportedError{"comparison of two attribute variables"}
+	case l.free:
 		// Already in the canonical form  var op value.
 		if !r.defined {
-			return []alt{{score: 0}}, nil
+			m.push(0)
+			return nil
 		}
-		return varAlts(l.varName, op, r.val, weight*cert)
-	case r.isVar:
+		return m.pushVarAlts(l.slot, e.op, r.val, e.w*cert)
+	case r.free:
 		// value op var  normalizes to  var flip(op) value.
 		if !l.defined {
-			return []alt{{score: 0}}, nil
+			m.push(0)
+			return nil
 		}
-		return varAlts(r.varName, op.Flip(), l.val, weight*cert)
-	default:
-		if !l.defined || !r.defined {
-			return []alt{{score: 0}}, nil
-		}
-		ok, err := compareValues(op, l.val, r.val)
-		if err != nil {
-			return nil, err
-		}
-		score := 0.0
-		if ok {
-			score = weight * cert
-		}
-		return []alt{{score: score}}, nil
+		return m.pushVarAlts(r.slot, e.op.Flip(), l.val, e.w*cert)
 	}
+	if !l.defined || !r.defined {
+		m.push(0)
+		return nil
+	}
+	ok, err := compareValues(e.op, l.val, r.val)
+	if err != nil {
+		return err
+	}
+	score := 0.0
+	if ok {
+		score = e.w * cert
+	}
+	m.push(score)
+	return nil
 }
 
-// varAlts builds the alternatives for  y op v : the satisfied range with the
-// term's contribution, plus (for integers) the complement ranges with zero
-// contribution, so partially matching evaluations keep their rows (paper
-// §3.3 restricts attribute-variable predicates to ranges for integers and
-// equality for other types).
-func varAlts(varName string, op htl.CmpOp, v core.AttrValue, contribution float64) ([]alt, error) {
-	rng := func(r simlist.Range) map[string]simlist.Range {
-		return map[string]simlist.Range{varName: r}
-	}
+// pushVarAlts pushes the alternatives for  y op v  with y the free attribute
+// variable in slot: the satisfied range with the term's contribution, plus
+// (for integers) the complement ranges with zero contribution, so partially
+// matching evaluations keep their rows (paper §3.3 restricts
+// attribute-variable predicates to ranges for integers and equality for
+// other types).
+func (m *machine) pushVarAlts(slot int, op htl.CmpOp, v core.AttrValue, contribution float64) error {
 	if !v.IsInt {
 		if op != htl.OpEq {
-			return nil, &UnsupportedError{fmt.Sprintf("attribute variable %s compared to a non-integer value with %s (only = supported)", varName, op)}
+			return &UnsupportedError{fmt.Sprintf("attribute variable %s compared to a non-integer value with %s (only = supported)", m.p.attrNames[slot], op)}
 		}
-		return []alt{{score: contribution, ranges: rng(simlist.StrEq(v.Str))}}, nil
+		m.pushRanged(contribution, slot, simlist.StrEq(v.Str))
+		return nil
 	}
 	var sat simlist.Range
-	var comp []simlist.Range
+	var comp [2]simlist.Range
 	switch op {
 	case htl.OpEq:
 		sat = simlist.IntEq(v.Int)
-		comp = []simlist.Range{simlist.IntBelow(v.Int), simlist.IntAbove(v.Int)}
+		comp = [2]simlist.Range{simlist.IntBelow(v.Int), simlist.IntAbove(v.Int)}
 	case htl.OpNe:
-		// Two satisfied ranges; handled by returning both plus complement.
-		return []alt{
-			{score: contribution, ranges: rng(simlist.IntBelow(v.Int))},
-			{score: contribution, ranges: rng(simlist.IntAbove(v.Int))},
-			{score: 0, ranges: rng(simlist.IntEq(v.Int))},
-		}, nil
+		// Two satisfied ranges plus the complement.
+		m.pushRanged(contribution, slot, simlist.IntBelow(v.Int))
+		m.pushRanged(contribution, slot, simlist.IntAbove(v.Int))
+		m.pushRanged(0, slot, simlist.IntEq(v.Int))
+		return nil
 	case htl.OpLt:
 		sat = simlist.IntBelow(v.Int)
-		comp = []simlist.Range{simlist.IntAtLeast(v.Int)}
+		comp = [2]simlist.Range{simlist.IntAtLeast(v.Int), simlist.EmptyRange()}
 	case htl.OpLe:
 		sat = simlist.IntAtMost(v.Int)
-		comp = []simlist.Range{simlist.IntAbove(v.Int)}
+		comp = [2]simlist.Range{simlist.IntAbove(v.Int), simlist.EmptyRange()}
 	case htl.OpGt:
 		sat = simlist.IntAbove(v.Int)
-		comp = []simlist.Range{simlist.IntAtMost(v.Int)}
+		comp = [2]simlist.Range{simlist.IntAtMost(v.Int), simlist.EmptyRange()}
 	default:
 		sat = simlist.IntAtLeast(v.Int)
-		comp = []simlist.Range{simlist.IntBelow(v.Int)}
+		comp = [2]simlist.Range{simlist.IntBelow(v.Int), simlist.EmptyRange()}
 	}
-	out := []alt{}
 	if !sat.IsEmpty() {
-		out = append(out, alt{score: contribution, ranges: rng(sat)})
+		m.pushRanged(contribution, slot, sat)
 	}
 	for _, c := range comp {
 		if !c.IsEmpty() {
-			out = append(out, alt{score: 0, ranges: rng(c)})
+			m.pushRanged(0, slot, c)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // compareValues applies op to two concrete values. Cross-kind comparisons
@@ -409,307 +725,157 @@ func compareValues(op htl.CmpOp, a, b core.AttrValue) (bool, error) {
 	}
 }
 
-// crossAlts combines alternative sets of a conjunction: scores add, range
-// constraints intersect; unsatisfiable combinations disappear.
-func crossAlts(a, b []alt) []alt {
-	out := make([]alt, 0, len(a)*len(b))
-	for _, x := range a {
-		for _, y := range b {
-			ranges, ok := mergeRanges(x.ranges, y.ranges)
-			if !ok {
-				continue
-			}
-			out = append(out, alt{score: x.score + y.score, ranges: ranges})
-		}
-	}
-	return out
-}
-
-func mergeRanges(a, b map[string]simlist.Range) (map[string]simlist.Range, bool) {
-	if len(a) == 0 {
-		return b, true
-	}
-	if len(b) == 0 {
-		return a, true
-	}
-	out := make(map[string]simlist.Range, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		if prev, ok := out[k]; ok {
-			v = prev.Intersect(v)
-			if v.IsEmpty() {
-				return nil, false
-			}
-		}
-		out[k] = v
-	}
-	return out, true
-}
-
-// evalExists enumerates assignments of the quantified object variables to
-// the segment's objects (or to "absent") and unions the alternatives — the
-// maximum over evaluations is taken later, at projection. Distinct variables
-// bind distinct objects within one atomic formula, following the assignment
-// semantics of the underlying picture matchers [27].
-func (s *System) evalExists(n htl.Exists, node *metadata.Node, env Env) ([]alt, error) {
-	used := map[simlist.ObjectID]bool{}
-	for _, id := range env.Obj {
-		if id != core.AnyObject {
-			used[id] = true
-		}
-	}
-	var out []alt
-	var assign func(i int, cur Env) error
-	assign = func(i int, cur Env) error {
-		if i == len(n.Vars) {
-			alts, err := s.evalAlts(n.F, node, cur)
-			if err != nil {
-				return err
-			}
-			out = append(out, alts...)
-			return nil
-		}
-		v := n.Vars[i]
-		// Absent assignment: the variable matches nothing in this segment.
-		if err := assign(i+1, cur.withObj(v, core.AnyObject)); err != nil {
-			return err
-		}
-		for _, o := range node.Meta.Objects {
-			id := simlist.ObjectID(o.ID)
-			if used[id] || !s.compatible(env.cons[v], o.Type) {
-				continue
-			}
-			used[id] = true
-			err := assign(i+1, cur.withObj(v, id))
-			used[id] = false
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := assign(0, env); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// freezeValue evaluates the frozen attribute function at the segment.
-func (s *System) freezeValue(q htl.AttrFn, node *metadata.Node, env Env) BoundAttr {
-	if q.Of == "" {
-		if v, ok := node.Meta.Attrs[q.Attr]; ok {
-			return BoundAttr{Defined: true, Val: toAttrValue(v)}
-		}
-		return BoundAttr{}
-	}
-	o := findObj(node, env.Obj[q.Of])
-	if o == nil {
-		return BoundAttr{}
-	}
-	if q.Attr == typeAttr {
-		return BoundAttr{Defined: true, Val: core.AttrValue{Str: o.Type}}
-	}
-	if v, ok := o.Attrs[q.Attr]; ok {
-		return BoundAttr{Defined: true, Val: toAttrValue(v)}
-	}
-	return BoundAttr{}
-}
-
-func (e Env) withObj(name string, id simlist.ObjectID) Env {
-	obj := make(map[string]simlist.ObjectID, len(e.Obj)+1)
-	for k, v := range e.Obj {
-		obj[k] = v
-	}
-	obj[name] = id
-	return Env{Obj: obj, Attr: e.Attr, cons: e.cons}
-}
-
-func (e Env) withAttr(name string, v BoundAttr) Env {
-	attr := make(map[string]BoundAttr, len(e.Attr)+1)
-	for k, b := range e.Attr {
-		attr[k] = b
-	}
-	attr[name] = v
-	return Env{Obj: e.Obj, Attr: attr, cons: e.cons}
-}
-
-// validateAtomic statically rejects formulas outside the supported atomic
-// fragment, independent of whether any segment is a candidate.
-func validateAtomic(f htl.Formula) error { return validateAtomicIn(f, map[string]bool{}) }
-
-func validateAtomicIn(f htl.Formula, frozen map[string]bool) error {
-	switch n := f.(type) {
-	case htl.True, htl.Present:
-		return nil
-	case htl.Cmp:
-		lv, lIsVar := n.L.(htl.Var)
-		rv, rIsVar := n.R.(htl.Var)
-		if (lIsVar && lv.Kind == htl.ObjectVar) || (rIsVar && rv.Kind == htl.ObjectVar) {
-			return &UnsupportedError{"object variables cannot be compared; compare their attributes"}
-		}
-		// A variable bound by an enclosing freeze is a concrete value here;
-		// two *free* attribute variables cannot both be ranged.
-		if lIsVar && rIsVar && !frozen[lv.Name] && !frozen[rv.Name] {
-			return &UnsupportedError{"comparison of two attribute variables"}
-		}
-		return nil
-	case htl.Pred:
-		if len(n.Args) > 2 {
-			return &UnsupportedError{fmt.Sprintf("predicate %s has arity %d (at most 2 supported)", n.Name, len(n.Args))}
-		}
-		for _, a := range n.Args {
-			if _, ok := a.(htl.Var); !ok {
-				return &UnsupportedError{fmt.Sprintf("argument %s of %s must be an object variable", a, n.Name)}
-			}
-		}
-		return nil
-	case htl.And:
-		if err := validateAtomicIn(n.L, frozen); err != nil {
-			return err
-		}
-		return validateAtomicIn(n.R, frozen)
-	case htl.Not:
-		// Negation over object variables breaks the monotonicity that makes
-		// wildcard rows sound lower bounds (a row for "x absent" would
-		// over-report ¬P(x) for present objects); only segment-level scopes
-		// are negatable here. Full HTL negation is the reference
-		// evaluator's job.
-		if usesObjects(n.F) {
-			return &UnsupportedError{"negation over a subformula with object variables (conjunctive formulas admit no negation; segment-level scopes only)"}
-		}
-		return validateAtomicIn(n.F, frozen)
-	case htl.Exists:
-		return validateAtomicIn(n.F, frozen)
-	case htl.Freeze:
-		inner := make(map[string]bool, len(frozen)+1)
-		for k := range frozen {
-			inner[k] = true
-		}
-		inner[n.Var] = true
-		return validateAtomicIn(n.F, inner)
+// posting resolves a named posting list against this system's indices.
+func (s *System) posting(p posting) []int {
+	switch p.kind {
+	case postType:
+		return s.byType[p.key]
+	case postProp:
+		return s.byProp[p.key]
+	case postRel:
+		return s.byRel[p.key]
+	case postObjAttr:
+		return s.byObjAttr[p.key]
+	case postSegAttr:
+		return s.bySegAttr[p.key]
+	case postTag:
+		return s.byTag[p.key]
 	default:
-		return &UnsupportedError{fmt.Sprintf("temporal operator %T inside an atomic formula", f)}
+		return s.nonEmpty
 	}
 }
 
-// usesObjects reports whether f mentions any object variable or quantifier.
-func usesObjects(f htl.Formula) bool {
-	switch n := f.(type) {
-	case htl.Present, htl.Exists:
-		return true
-	case htl.Pred:
-		return len(n.Args) > 0
-	case htl.Cmp:
-		return objAttrInvolved(n)
-	case htl.And:
-		return usesObjects(n.L) || usesObjects(n.R)
-	case htl.Not:
-		return usesObjects(n.F)
-	case htl.Freeze:
-		return n.Attr.Of != "" || usesObjects(n.F)
-	default:
-		return false
-	}
+// candidates iterates, ascending and each once, over the ids of the segments
+// where a program can score above zero: the union of its posting lists, or
+// every segment of the sequence when one of its terms cannot be pruned.
+type candidates struct {
+	lists [][]int // remaining tails of the posting lists
+	next  int     // all: the next id; 0 when pruning through lists
+	n     int
 }
 
-// ScoreAtomicAt scores a non-temporal formula at one segment under a full
-// evaluation (every free object and attribute variable bound); the maximum
-// over any remaining internal choices (nested ∃) is returned. This is the
-// entry point the reference evaluator shares with the table builder, so the
-// two paths cannot diverge on atomic scoring.
-func (s *System) ScoreAtomicAt(f htl.Formula, id int, env Env) (simlist.Sim, error) {
-	if faultinject.Enabled() {
-		if err := faultinject.Fire(nil, faultinject.SiteAtomicEval, int64(s.video.ID)); err != nil {
-			return simlist.Sim{}, err
+// candidates starts the iteration of p's candidate segments, reusing buf.
+func (s *System) candidates(p *program, buf [][]int) candidates {
+	if p.all {
+		return candidates{next: 1, n: len(s.seq), lists: buf[:0]}
+	}
+	lists := buf[:0]
+	for _, pt := range p.postings {
+		if l := s.posting(pt); len(l) > 0 {
+			lists = append(lists, l)
 		}
 	}
-	if !htl.NonTemporal(f) {
-		return simlist.Sim{}, &UnsupportedError{"ScoreAtomicAt requires a non-temporal formula"}
-	}
-	if err := validateAtomic(f); err != nil {
-		return simlist.Sim{}, err
-	}
-	if id < 1 || id > len(s.seq) {
-		return simlist.Sim{Max: s.AtomicMaxSim(f)}, nil
-	}
-	// Restrict the evaluation to the formula's own free variables: bindings
-	// of unrelated outer variables must not participate in this unit's
-	// distinct-objects rule.
-	freeObj, freeAttr := htl.FreeVars(f)
-	restricted := Env{Obj: map[string]simlist.ObjectID{}, Attr: map[string]BoundAttr{}}
-	for _, v := range freeObj {
-		if id, ok := env.Obj[v]; ok {
-			restricted.Obj[v] = id
-		}
-	}
-	for _, v := range freeAttr {
-		if b, ok := env.Attr[v]; ok {
-			restricted.Attr[v] = b
-		}
-	}
-	env = restricted
-	env.cons = typeConstraints(f)
-	env = s.pruneEnv(f, id, env)
-	best := 0.0
-	// The picture matchers assign distinct objects to distinct variables of
-	// one atomic formula; an external evaluation binding two variables to
-	// the same object therefore scores as the best way of keeping one of
-	// them and treating the rest as absent — exactly what the table path's
-	// wildcard rows yield at projection.
-	for _, variant := range dedupVariants(env) {
-		alts, err := s.evalAlts(f, s.seq[id-1], variant)
-		if err != nil {
-			return simlist.Sim{}, err
-		}
-		for _, a := range alts {
-			if len(a.ranges) != 0 {
-				return simlist.Sim{}, &UnsupportedError{"free attribute variable not bound in evaluation"}
-			}
-			best = max(best, a.score)
-		}
-	}
-	return simlist.Sim{Act: best, Max: s.AtomicMaxSim(f)}, nil
+	return candidates{lists: lists}
 }
 
-// dedupVariants expands an evaluation with duplicate concrete bindings into
-// the evaluations keeping exactly one variable of each duplicate group.
-func dedupVariants(env Env) []Env {
-	byID := map[simlist.ObjectID][]string{}
-	for v, id := range env.Obj {
-		if id != core.AnyObject {
-			byID[id] = append(byID[id], v)
+// Next returns the next candidate id, or false when there is none left.
+func (c *candidates) Next() (int, bool) {
+	if c.next > 0 {
+		if c.next > c.n {
+			return 0, false
+		}
+		c.next++
+		return c.next - 1, true
+	}
+	// A k-way union of sorted lists: the smallest head is next, and every
+	// list holding it moves past it. k is the handful of terms of a formula.
+	const none = int(^uint(0) >> 1)
+	id := none
+	for _, l := range c.lists {
+		if len(l) > 0 && l[0] < id {
+			id = l[0]
 		}
 	}
-	variants := []Env{env}
-	for _, vars := range byID {
-		if len(vars) < 2 {
+	if id == none {
+		return 0, false
+	}
+	for i, l := range c.lists {
+		if len(l) > 0 && l[0] == id {
+			c.lists[i] = l[1:]
+		}
+	}
+	return id, true
+}
+
+// record files the alternatives from lo up as rows of the current segment
+// under the current bindings of the free object variables. Rows come out in
+// first-seen order; a row keeps, per segment, the best of its alternatives.
+func (m *machine) record(lo int) {
+	nFree, k := len(m.p.free), m.k
+	for a := lo; a < len(m.score); a++ {
+		score, ranges := m.score[a], m.rng[a*k:(a+1)*k]
+		// Alternatives with zero score but a range constraint are kept as
+		// empty rows: the rows of a unit partition the attribute-variable
+		// space, so that table joins cover every evaluation (a
+		// partially-covered range would silently drop partial matches).
+		if score <= 0 && !m.ranged(a) {
 			continue
 		}
-		sort.Strings(vars)
-		var next []Env
-		for _, base := range variants {
-			for _, keep := range vars {
-				e := base
-				for _, v := range vars {
-					if v != keep {
-						e = e.withObj(v, core.AnyObject)
-					}
-				}
-				next = append(next, e)
-			}
+		r := m.row(m.obj[:nFree], ranges)
+		if score <= 0 {
+			continue
 		}
-		variants = next
+		if n := len(r.entries); n > 0 && r.entries[n-1].Iv.Beg == m.id {
+			r.entries[n-1].Act = max(r.entries[n-1].Act, score)
+		} else {
+			r.entries = append(r.entries, simlist.Entry{Iv: interval.Point(m.id), Act: score})
+		}
 	}
-	return variants
 }
 
-// WithObj returns a copy of the evaluation with an object variable bound.
-func (e Env) WithObj(name string, id simlist.ObjectID) Env { return e.withObj(name, id) }
+// row finds or starts the row with these bindings and ranges.
+func (m *machine) row(bindings []simlist.ObjectID, ranges []simlist.Range) *row {
+	const offset = 14695981039346656037
+	h := uint64(offset)
+	for _, b := range bindings {
+		h = mix(h, uint64(b))
+	}
+	for _, r := range ranges {
+		h = rangeHash(h, r)
+	}
+	head, ok := m.index[h]
+	if !ok {
+		head = -1
+	}
+	nFree, k := len(bindings), len(ranges)
+	for i := int(head); i >= 0; i = int(m.rows[i].next) {
+		if slices.Equal(m.rowObj[i*nFree:(i+1)*nFree], bindings) && slices.Equal(m.rowRng[i*k:(i+1)*k], ranges) {
+			return &m.rows[i]
+		}
+	}
+	m.index[h] = int32(len(m.rows))
+	m.rowObj = append(m.rowObj, bindings...)
+	m.rowRng = append(m.rowRng, ranges...)
+	if len(m.rows) < cap(m.rows) {
+		m.rows = m.rows[:len(m.rows)+1] // and reuse the entry buffer left there
+	} else {
+		m.rows = append(m.rows, row{})
+	}
+	r := &m.rows[len(m.rows)-1]
+	r.entries, r.next = r.entries[:0], head
+	return r
+}
 
-// WithAttr returns a copy of the evaluation with an attribute variable bound.
-func (e Env) WithAttr(name string, v BoundAttr) Env { return e.withAttr(name, v) }
+// rangeHash folds an attribute range into a row hash.
+func rangeHash(h uint64, r simlist.Range) uint64 {
+	h = mix(h, uint64(r.Kind))
+	h = mix(h, uint64(r.Lo))
+	h = mix(h, uint64(r.Hi))
+	for i := 0; i < len(r.Str); i++ {
+		h = mix(h, uint64(r.Str[i]))
+	}
+	return h
+}
+
+// mix is one FNV-1a step over a 64-bit word.
+func mix(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
+
+func findObj(node *metadata.Node, id simlist.ObjectID) *metadata.Object {
+	if id == core.AnyObject {
+		return nil
+	}
+	return node.Meta.FindObject(metadata.ObjectID(id))
+}
 
 // AttrValueAt evaluates an attribute function at segment id under env —
 // the freeze operator's frozen value (Defined is false when the attribute
@@ -718,7 +884,14 @@ func (s *System) AttrValueAt(q htl.AttrFn, id int, env Env) BoundAttr {
 	if id < 1 || id > len(s.seq) {
 		return BoundAttr{}
 	}
-	return s.freezeValue(q, s.seq[id-1], env)
+	node := s.seq[id-1]
+	if q.Of == "" {
+		return segAttr(node, q.Attr)
+	}
+	if o := findObj(node, env.Obj[q.Of]); o != nil {
+		return objAttr(o, q.Attr)
+	}
+	return BoundAttr{}
 }
 
 // ObjectIDs returns the distinct ids of all objects occurring anywhere in
@@ -737,147 +910,4 @@ func (s *System) ObjectIDs() []simlist.ObjectID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// EvalAtomic implements core.Source: the similarity table of a non-temporal
-// formula over the sequence, built through the inverted indices.
-func (s *System) EvalAtomic(f htl.Formula) (*simlist.Table, error) {
-	if faultinject.Enabled() {
-		if err := faultinject.Fire(nil, faultinject.SiteAtomicEval, int64(s.video.ID)); err != nil {
-			return nil, err
-		}
-	}
-	if !htl.NonTemporal(f) {
-		return nil, &UnsupportedError{fmt.Sprintf("EvalAtomic requires a non-temporal formula, got %q", f)}
-	}
-	if err := validateAtomic(f); err != nil {
-		return nil, err
-	}
-	freeObj, freeAttr := htl.FreeVars(f)
-	maxSim := s.AtomicMaxSim(f)
-	table := simlist.NewTable(freeObj, freeAttr, maxSim)
-
-	type acc struct {
-		bindings []simlist.ObjectID
-		ranges   []simlist.Range
-		scores   map[int]float64
-	}
-	groups := map[string]*acc{}
-	var order []string
-
-	record := func(bindings []simlist.ObjectID, ranges []simlist.Range, id int, score float64) {
-		k := groupKey(bindings, ranges)
-		g := groups[k]
-		if g == nil {
-			g = &acc{bindings: bindings, ranges: ranges, scores: map[int]float64{}}
-			groups[k] = g
-			order = append(order, k)
-		}
-		if score > g.scores[id] {
-			g.scores[id] = score
-		}
-	}
-
-	cons := typeConstraints(f)
-	for _, id := range s.candidates(f) {
-		node := s.seq[id-1]
-		err := s.enumerateBindings(freeObj, node, cons, func(env Env) error {
-			alts, err := s.evalAlts(f, node, env)
-			if err != nil {
-				return err
-			}
-			for _, a := range alts {
-				// Alternatives with zero score but a range constraint are
-				// kept as empty rows: the rows of a unit partition the
-				// attribute-variable space, so that table joins cover every
-				// evaluation (a partially-covered range would silently drop
-				// partial matches).
-				if a.score <= 0 && len(a.ranges) == 0 {
-					continue
-				}
-				bindings := make([]simlist.ObjectID, len(freeObj))
-				for i, v := range freeObj {
-					bindings[i] = env.Obj[v]
-				}
-				ranges := make([]simlist.Range, len(freeAttr))
-				for i, v := range freeAttr {
-					ranges[i] = simlist.AnyRange()
-					if r, ok := a.ranges[v]; ok {
-						ranges[i] = r
-					}
-				}
-				record(bindings, ranges, id, a.score)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	for _, k := range order {
-		g := groups[k]
-		ids := make([]int, 0, len(g.scores))
-		for id := range g.scores {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		entries := make([]simlist.Entry, 0, len(ids))
-		for _, id := range ids {
-			entries = append(entries, simlist.Entry{Iv: interval.Point(id), Act: g.scores[id]})
-		}
-		table.Rows = append(table.Rows, simlist.Row{
-			Bindings: g.bindings,
-			Ranges:   g.ranges,
-			List:     simlist.Normalize(maxSim, entries),
-		})
-	}
-	return table, nil
-}
-
-// enumerateBindings calls fn with every assignment of vars to the segment's
-// objects (plus the absent wildcard), distinct objects for distinct
-// variables, skipping type-incompatible assignments.
-func (s *System) enumerateBindings(vars []string, node *metadata.Node, cons map[string][]string, fn func(Env) error) error {
-	env := Env{Obj: map[string]simlist.ObjectID{}, Attr: map[string]BoundAttr{}, cons: cons}
-	used := map[simlist.ObjectID]bool{}
-	var assign func(i int) error
-	assign = func(i int) error {
-		if i == len(vars) {
-			return fn(env)
-		}
-		v := vars[i]
-		env.Obj[v] = core.AnyObject
-		if err := assign(i + 1); err != nil {
-			return err
-		}
-		for _, o := range node.Meta.Objects {
-			id := simlist.ObjectID(o.ID)
-			if used[id] || !s.compatible(cons[v], o.Type) {
-				continue
-			}
-			used[id] = true
-			env.Obj[v] = id
-			err := assign(i + 1)
-			used[id] = false
-			if err != nil {
-				return err
-			}
-		}
-		delete(env.Obj, v)
-		return nil
-	}
-	return assign(0)
-}
-
-func groupKey(bindings []simlist.ObjectID, ranges []simlist.Range) string {
-	var b strings.Builder
-	for _, v := range bindings {
-		fmt.Fprintf(&b, "%d,", v)
-	}
-	for _, r := range ranges {
-		b.WriteString(r.String())
-		b.WriteByte(';')
-	}
-	return b.String()
 }

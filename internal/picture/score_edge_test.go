@@ -1,6 +1,7 @@
 package picture
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func TestVarAltsAllOperators(t *testing.T) {
 		"[h <- height(x)] (present(x) and height(x) >= h)": 4,
 	} {
 		full := "exists x . " + q
-		sim, err := s.ScoreAtomicAt(htl.MustParse(full), 2, Env{})
+		sim, err := s.ScoreAtomicAt(atom(htl.MustParse(full)), 2, Env{})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -139,7 +140,7 @@ func TestDedupVariantsKeepBest(t *testing.T) {
 	// keep-one variant rather than double-counting him.
 	f := htl.MustParse("exists x, y . present(x) and present(y)").(htl.Exists).F
 	env := Env{Obj: map[string]simlist.ObjectID{"x": 1, "y": 1}}
-	sim, err := s.ScoreAtomicAt(f, 2, env)
+	sim, err := s.ScoreAtomicAt(atom(f), 2, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestDedupVariantsKeepBest(t *testing.T) {
 	}
 	// Distinct objects score both.
 	env2 := Env{Obj: map[string]simlist.ObjectID{"x": 1, "y": 3}}
-	sim2, err := s.ScoreAtomicAt(f, 2, env2)
+	sim2, err := s.ScoreAtomicAt(atom(f), 2, env2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestPruneEnvRemapsIncompatible(t *testing.T) {
 	f := htl.MustParse("exists x . present(x) and type(x) = 'train'").(htl.Exists).F
 	// Binding x to a man: type-incompatible with 'train', scores as absent.
 	env := Env{Obj: map[string]simlist.ObjectID{"x": 1}}
-	sim, err := s.ScoreAtomicAt(f, 1, env)
+	sim, err := s.ScoreAtomicAt(atom(f), 1, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestPruneEnvRemapsIncompatible(t *testing.T) {
 	}
 	// Binding it to the train at segment 3 scores fully.
 	env2 := Env{Obj: map[string]simlist.ObjectID{"x": 4}}
-	sim2, err := s.ScoreAtomicAt(f, 3, env2)
+	sim2, err := s.ScoreAtomicAt(atom(f), 3, env2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +230,93 @@ func TestTypeNeAndCrossKind(t *testing.T) {
 	l3 := evalList(t, s, "exists x . present(x) and height(x) != 'tall'")
 	if got := l3.At(2).Act; got != 4 {
 		t.Fatalf("cross-kind ne at 2 = %g", got)
+	}
+}
+
+// TestDataDependentErrors: three rejections depend on the values a segment
+// holds, so they surface only where a segment triggers them — the reference
+// evaluator falls back to structural decomposition on UnsupportedError, so
+// *when* one fires changes rankings. Static rejections, by contrast, come
+// from compilation and fire even over a sequence with no candidate at all.
+func TestDataDependentErrors(t *testing.T) {
+	s := buildSystem(t)
+	peel := func(src string, n int) htl.Formula {
+		f := htl.MustParse(src)
+		for ; n > 0; n-- {
+			switch b := f.(type) {
+			case htl.Exists:
+				f = b.F
+			case htl.Freeze:
+				f = b.F
+			}
+		}
+		return f
+	}
+	bright := metadata.NewVideo(1, "bright", nil)
+	bright.Root.AppendChild(metadata.Seg().Build())
+	bright.Root.AppendChild(metadata.Seg().Attr("brightness", metadata.Int(7)).Build())
+	sb, err := NewSystem(bright, 2, NewTaxonomy(), DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x1 := Env{Obj: map[string]simlist.ObjectID{"x": 1}}
+	x2 := Env{Obj: map[string]simlist.ObjectID{"x": 2}}
+	for _, tc := range []struct {
+		name    string
+		sys     *System
+		f       htl.Formula
+		env     Env
+		quiet   int    // a segment that does not trigger the error
+		trigger int    // one that does
+		want    string // the error's text
+	}{
+		// man#1 is named at shot 1; woman#2 never is.
+		{"string order", s, peel("exists x . present(x) and name(x) < 'John'", 1), x1, 5, 1, "order comparison < on string values"},
+		{"string order, other object", s, peel("exists x . present(x) and name(x) < 'John'", 1), x2, 1, 0, ""},
+		{"attribute variable against a string", s, peel("[n <- nn] exists x . present(x) and name(x) < n", 2), x1, 5, 1, "only = supported"},
+		{"negated free range", sb, peel("[h <- hh] not (brightness > h)", 1), Env{}, 1, 2, "negation over a subformula with free attribute variables"},
+	} {
+		n := atom(tc.f)
+		if _, err := tc.sys.ScoreAtomicAt(n, tc.quiet, tc.env); err != nil {
+			t.Errorf("%s: segment %d should not trigger: %v", tc.name, tc.quiet, err)
+		}
+		if tc.trigger == 0 {
+			continue
+		}
+		var unsup *UnsupportedError
+		if _, err := tc.sys.ScoreAtomicAt(n, tc.trigger, tc.env); !errors.As(err, &unsup) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ScoreAtomicAt at %d = %v, want %q", tc.name, tc.trigger, err, tc.want)
+		}
+		// The table builder visits the triggering segment too.
+		if _, err := tc.sys.EvalAtomicNode(n); !errors.As(err, &unsup) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: EvalAtomicNode = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// The same negation over a sequence where brightness is never defined
+	// never has a range to negate.
+	if _, err := s.EvalAtomic(peel("[h <- hh] not (brightness > h)", 1)); err != nil {
+		t.Errorf("negated comparison of an undefined attribute: %v", err)
+	}
+
+	// Static: no segment of this one-shot, objectless sequence is a candidate.
+	empty := metadata.NewVideo(1, "empty", nil)
+	empty.Root.AppendChild(metadata.Seg().Build())
+	se, err := NewSystem(empty, 2, NewTaxonomy(), DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := htl.Var{Name: "a", Kind: htl.AttrVar}, htl.Var{Name: "b", Kind: htl.AttrVar}
+	for want, f := range map[string]htl.Formula{
+		"arity 3": htl.Pred{Name: "p", Args: []htl.Term{htl.Var{Name: "x"}, htl.Var{Name: "y"}, htl.Var{Name: "z"}}},
+		"negation over a subformula with object variables": peel("exists x . not moving(x)", 1),
+		"comparison of two attribute variables":            htl.Cmp{Op: htl.OpLt, L: a, R: b},
+		"non-temporal formula":                             htl.And{L: htl.True{}, R: htl.Next{F: htl.True{}}},
+	} {
+		if _, err := se.EvalAtomic(f); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("EvalAtomic(%s) = %v, want an error about %s", f, err, want)
+		}
+		if _, err := se.ScoreAtomicAt(atom(f), 1, Env{}); err == nil {
+			t.Errorf("ScoreAtomicAt(%s) should fail statically", f)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package picture
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"htlvideo/internal/core"
@@ -203,101 +202,6 @@ func (s *System) resolveLevel(n *metadata.Node, ref htl.LevelRef) (int, error) {
 	default:
 		return 0, fmt.Errorf("picture: invalid level reference")
 	}
-}
-
-// candidates returns the sorted ids of segments where f could have a
-// non-zero score, via the inverted indices; ok is false when the formula
-// contains a term that cannot be pruned (negation, true), in which case all
-// segments are candidates.
-func (s *System) candidates(f htl.Formula) []int {
-	set := map[int]bool{}
-	all := false
-	var add func(ids []int)
-	add = func(ids []int) {
-		for _, id := range ids {
-			set[id] = true
-		}
-	}
-	var walk func(htl.Formula)
-	walk = func(f htl.Formula) {
-		if all {
-			return
-		}
-		switch n := f.(type) {
-		case htl.True, htl.Not:
-			all = true
-		case htl.Present:
-			add(s.nonEmpty)
-		case htl.Pred:
-			switch len(n.Args) {
-			case 0:
-				add(s.byTag[n.Name])
-			case 1:
-				add(s.byProp[n.Name])
-			default:
-				add(s.byRel[n.Name])
-			}
-		case htl.Cmp:
-			s.addCmpCandidates(n, add)
-		case htl.And:
-			walk(n.L)
-			walk(n.R)
-		case htl.Exists:
-			walk(n.F)
-		case htl.Freeze:
-			all = true // frozen values may make otherwise-unmatched terms true
-		}
-	}
-	walk(f)
-	if all {
-		ids := make([]int, len(s.seq))
-		for i := range ids {
-			ids[i] = i + 1
-		}
-		return ids
-	}
-	ids := make([]int, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-func (s *System) addCmpCandidates(n htl.Cmp, add func([]int)) {
-	handle := func(t htl.Term) {
-		a, ok := t.(htl.AttrFn)
-		if !ok {
-			return
-		}
-		if a.Of == "" {
-			add(s.bySegAttr[a.Attr])
-			return
-		}
-		if a.Attr == typeAttr {
-			// Expand the queried type through the taxonomy.
-			if lit, ok := otherSide(n, t).(htl.StrLit); ok && n.Op == htl.OpEq {
-				for _, typ := range s.tax.Related(lit.S) {
-					add(s.byType[typ])
-				}
-				return
-			}
-			// type(x) != '...' and friends match almost anything.
-			add(s.nonEmpty)
-			return
-		}
-		add(s.byObjAttr[a.Attr])
-	}
-	handle(n.L)
-	handle(n.R)
-}
-
-// otherSide returns the operand of n that is not t.
-func otherSide(n htl.Cmp, t htl.Term) htl.Term {
-	if n.L == t {
-		return n.R
-	}
-	return n.L
 }
 
 // typeAttr is the reserved object attribute exposing the object's type.

@@ -23,6 +23,9 @@ import (
 // ancestor 'person'.
 type Taxonomy struct {
 	parent map[string]string
+	// version counts the edges added; a compiled atomic program records it
+	// to notice that the taxonomy it resolved has been extended since.
+	version int
 }
 
 // NewTaxonomy returns an empty taxonomy; unknown types only match themselves.
@@ -43,6 +46,7 @@ func (t *Taxonomy) Add(child, parent string) error {
 		}
 	}
 	t.parent[child] = parent
+	t.version++
 	return nil
 }
 
@@ -71,23 +75,11 @@ func (t *Taxonomy) Sim(queryType, objType string) float64 {
 	if queryType == objType {
 		return 1
 	}
-	// Collect the ancestor chain of queryType with depths.
-	anc := map[string]int{}
-	d := 0
-	for a := queryType; ; {
-		anc[a] = d
-		p, ok := t.parent[a]
-		if !ok {
-			break
-		}
-		a = p
-		d++
-	}
 	dq := t.depth(queryType)
 	do := t.depth(objType)
-	// Walk up from objType to the first common ancestor.
+	// Walk up from objType to the first type on queryType's ancestor chain.
 	for a := objType; ; {
-		if up, ok := anc[a]; ok {
+		if up, ok := t.stepsUp(queryType, a); ok {
 			if dq+do == 0 {
 				return 0
 			}
@@ -100,6 +92,22 @@ func (t *Taxonomy) Sim(queryType, objType string) float64 {
 			return 0
 		}
 		a = p
+	}
+}
+
+// stepsUp returns how many parent edges lead from typ up to anc; ok is false
+// when anc is not typ or one of its ancestors.
+func (t *Taxonomy) stepsUp(typ, anc string) (steps int, ok bool) {
+	for {
+		if typ == anc {
+			return steps, true
+		}
+		p, has := t.parent[typ]
+		if !has {
+			return 0, false
+		}
+		typ = p
+		steps++
 	}
 }
 

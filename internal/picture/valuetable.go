@@ -1,7 +1,9 @@
 package picture
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"htlvideo/internal/core"
 	"htlvideo/internal/htl"
@@ -38,36 +40,89 @@ func (s *System) ValueTable(q htl.AttrFn) (*core.ValueTable, error) {
 		return vt, nil
 	}
 
-	type key struct {
-		obj simlist.ObjectID
-		v   core.AttrValue
-	}
-	runs := map[key][]interval.I{}
-	var order []key
+	// Every occurrence of an object that has the attribute, grouped by
+	// sorting: by object, then value, then segment, so that each row's
+	// occurrences are contiguous and ascending.
+	scratch := occurrencePool.Get().(*[]occurrence)
+	occ := (*scratch)[:0]
+	defer func() {
+		clear(occ) // drop the value strings
+		*scratch = occ
+		occurrencePool.Put(scratch)
+	}()
 	for i, n := range s.seq {
-		for _, o := range n.Meta.Objects {
-			var v core.AttrValue
-			if q.Attr == typeAttr {
-				v = core.AttrValue{Str: o.Type}
-			} else {
-				mv, ok := o.Attrs[q.Attr]
-				if !ok {
-					continue
-				}
-				v = toAttrValue(mv)
+		for oi := range n.Meta.Objects {
+			o := &n.Meta.Objects[oi]
+			if b := objAttr(o, q.Attr); b.Defined {
+				occ = append(occ, occurrence{simlist.ObjectID(o.ID), b.Val, i + 1})
 			}
-			k := key{simlist.ObjectID(o.ID), v}
-			if _, seen := runs[k]; !seen {
-				order = append(order, k)
-			}
-			runs[k] = appendIv(runs[k], i+1)
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool { return order[a].obj < order[b].obj })
-	for _, k := range order {
-		vt.Rows = append(vt.Rows, core.ValueRow{Binding: k.obj, Value: k.v, Ivs: runs[k]})
+	slices.SortFunc(occ, func(a, b occurrence) int {
+		return cmp.Or(cmp.Compare(a.obj, b.obj), compareAttrValues(a.val, b.val), cmp.Compare(a.id, b.id))
+	})
+	// A row per run of one (object, value), an interval per run of adjacent
+	// segments inside it; counted first, so that the rows and all their
+	// intervals are two allocations.
+	startsRow := func(i int) bool { return i == 0 || occ[i].obj != occ[i-1].obj || occ[i].val != occ[i-1].val }
+	startsIv := func(i int) bool { return startsRow(i) || occ[i].id != occ[i-1].id+1 }
+	nRows, nIvs := 0, 0
+	for i := range occ {
+		if startsRow(i) {
+			nRows++
+		}
+		if startsIv(i) {
+			nIvs++
+		}
 	}
+	if nRows == 0 {
+		return vt, nil
+	}
+	vt.Rows = make([]core.ValueRow, 0, nRows)
+	ivs := make([]interval.I, 0, nIvs)
+	rowStart := 0
+	for i, oc := range occ {
+		if startsRow(i) {
+			rowStart = len(ivs)
+			vt.Rows = append(vt.Rows, core.ValueRow{Binding: oc.obj, Value: oc.val})
+		}
+		if startsIv(i) {
+			ivs = append(ivs, interval.Point(oc.id))
+		} else {
+			ivs[len(ivs)-1].End = oc.id
+		}
+		vt.Rows[len(vt.Rows)-1].Ivs = ivs[rowStart:len(ivs):len(ivs)]
+	}
+	// Rows are ordered by object, an object's rows by where its values first
+	// appear — a row's first interval begins there.
+	slices.SortFunc(vt.Rows, func(a, b core.ValueRow) int {
+		return cmp.Or(cmp.Compare(a.Binding, b.Binding), cmp.Compare(a.Ivs[0].Beg, b.Ivs[0].Beg), compareAttrValues(a.Value, b.Value))
+	})
 	return vt, nil
+}
+
+// occurrence is one segment where an object carries a value of the attribute
+// a value table is being built for.
+type occurrence struct {
+	obj simlist.ObjectID
+	val core.AttrValue
+	id  int
+}
+
+// occurrencePool recycles ValueTable's sort buffer: the table is rebuilt per
+// query per video for every freeze, and nothing of the buffer reaches it.
+var occurrencePool = sync.Pool{New: func() any { return new([]occurrence) }}
+
+// compareAttrValues is a total order on attribute values (strings before
+// integers), for grouping equal values by sorting.
+func compareAttrValues(a, b core.AttrValue) int {
+	if a.IsInt != b.IsInt {
+		if b.IsInt {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Or(cmp.Compare(a.Int, b.Int), cmp.Compare(a.Str, b.Str))
 }
 
 // appendIv extends the last interval when id is adjacent to it, otherwise

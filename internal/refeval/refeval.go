@@ -176,7 +176,7 @@ func (e *Evaluator) simAtUncached(ctx context.Context, n *core.PNode, u int, env
 	if n.NonTemporal {
 		e.opts.Obs.AtomicEval()
 		e.opts.Prof.AtomicEval(n)
-		sim, err := e.sys.ScoreAtomicAt(n.F, u, env)
+		sim, err := e.sys.ScoreAtomicAt(n, u, env)
 		var unsup *picture.UnsupportedError
 		switch {
 		case err == nil:
@@ -194,7 +194,7 @@ func (e *Evaluator) simAtUncached(ctx context.Context, n *core.PNode, u int, env
 	case htl.True, htl.Present, htl.Cmp, htl.Pred:
 		e.opts.Obs.AtomicEval()
 		e.opts.Prof.AtomicEval(n)
-		sim, err := e.sys.ScoreAtomicAt(n.F, u, env)
+		sim, err := e.sys.ScoreAtomicAt(n, u, env)
 		if err != nil {
 			return 0, err
 		}

@@ -17,7 +17,9 @@
 package simlist
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -175,6 +177,27 @@ var sweepPool = sync.Pool{New: func() any {
 // maximum similarity on the overlap, clamps Act to maxSim, and merges equal
 // adjacent runs. It is intended for ingesting untrusted or generator data.
 func Normalize(maxSim float64, entries []Entry) List {
+	if ordered(entries) {
+		// Nothing to sort and no overlap to resolve — what the picture layer
+		// and the level-modal aggregation hand in (ascending point entries):
+		// clamp and merge equal adjacent runs in one pass.
+		out := List{MaxSim: maxSim}
+		for _, e := range entries {
+			if e.Act <= 0 || !e.Iv.Valid() {
+				continue
+			}
+			e.Act = min(e.Act, maxSim)
+			if out.Entries == nil {
+				out.Entries = make([]Entry, 0, len(entries))
+			}
+			if n := len(out.Entries); n > 0 && out.Entries[n-1].Iv.Adjacent(e.Iv) && out.Entries[n-1].Act == e.Act {
+				out.Entries[n-1].Iv.End = e.Iv.End
+				continue
+			}
+			out.Entries = append(out.Entries, e)
+		}
+		return out
+	}
 	// Sweep line over entry boundaries, keeping the maximum similarity among
 	// the entries covering each elementary run. Overlap resolution uses a
 	// lazy-deletion max-heap, so the whole pass is O(k log k).
@@ -198,7 +221,9 @@ func Normalize(maxSim float64, entries []Entry) List {
 			sweepEvent{pos: e.Iv.End + 1, act: e.Act, enter: false})
 	}
 	sc.events = events
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
+	// Equal positions are consumed as one group below, so the sort need not
+	// be stable.
+	slices.SortFunc(events, func(a, b sweepEvent) int { return cmp.Compare(a.pos, b.pos) })
 
 	sc.heap = sc.heap[:0]
 	heap := &sc.heap
@@ -234,6 +259,22 @@ func Normalize(maxSim float64, entries []Entry) List {
 		}
 	}
 	return out.Canonical()
+}
+
+// ordered reports whether the entries Normalize would keep are ascending and
+// pairwise disjoint.
+func ordered(entries []Entry) bool {
+	end, first := 0, true
+	for _, e := range entries {
+		if e.Act <= 0 || !e.Iv.Valid() {
+			continue
+		}
+		if !first && e.Iv.Beg <= end {
+			return false
+		}
+		end, first = e.Iv.End, false
+	}
+	return true
 }
 
 // maxHeap is a minimal float64 max-heap used by Normalize's sweep.

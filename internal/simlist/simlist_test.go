@@ -2,6 +2,7 @@ package simlist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -192,6 +193,30 @@ func TestNormalizeProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: ascending disjoint entries (which skip the sweep) normalize to
+// exactly what the same entries in reverse order (which take it) do — the
+// same canonical runs, dropped and clamped values included.
+func TestNormalizeOrderedMatchesSweep(t *testing.T) {
+	f := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var es []Entry
+		pos := 0
+		for i := 0; i < int(n%40); i++ {
+			beg := pos + 1 + rng.Intn(2) // adjacent to the previous run or one apart
+			end := beg + rng.Intn(3)
+			es = append(es, Entry{Iv: interval.I{Beg: beg, End: end}, Act: float64(rng.Intn(5)) * 6}) // 0 is dropped, 24 clamped
+			pos = end
+		}
+		rev := slices.Clone(es)
+		slices.Reverse(rev)
+		a, b := Normalize(20, es), Normalize(20, rev)
+		return a.Validate() == nil && a.MaxSim == b.MaxSim && slices.Equal(a.Entries, b.Entries)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
