@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check fuzz fuzz-store fuzz-wal bench bench-short
+.PHONY: check vet staticcheck build test race lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check fuzz fuzz-store fuzz-wal bench bench-short loc
 
 check: vet staticcheck build race lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check
 
@@ -111,3 +111,12 @@ bench:
 bench-short:
 	$(GO) test -short -run '^$$' -bench=. -benchtime=1x -benchmem ./...
 	BENCH_TRACE_GATE=1 BENCH_TRACE_TOLERANCE=0.5 $(GO) test -run '^TestTracePropagationOverhead$$' -count=1 -v .
+
+# The number ROADMAP's design aim tracks: non-test Go lines of the root
+# module (bench/ is its own module), in total and outside the algorithmic
+# core. A simplicity PR reports it before and after.
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
+LOC_CORE = ^\./internal/(core|simlist|interval|htl|picture|relational|sqlgen|refeval)/
+loc:
+	@echo "non-test Go lines: $$($(LOC_FILES) | xargs cat | wc -l) total," \
+		"$$($(LOC_FILES) | grep -Ev '$(LOC_CORE)' | xargs cat | wc -l) outside internal/{core,simlist,interval,htl,picture,relational,sqlgen,refeval}"

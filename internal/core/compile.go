@@ -33,12 +33,6 @@ type Plan struct {
 	// text. Both back the per-node execution profiler (profile.go).
 	nodes []*PNode
 	byKey map[string]*PNode
-
-	// phys is the plan's physical annotation (per-node child evaluation
-	// order; see cost.go). It is a property of *how* the plan evaluates,
-	// never of *what* it computes: Key stays stable while the cost model
-	// swaps phys between evaluations.
-	phys atomic.Pointer[physPlan]
 }
 
 // NodeList returns every plan node in ID order (the profiler's index order).
@@ -72,8 +66,8 @@ type PNode struct {
 	Kids []*PNode
 
 	// atom is the once-slot of a non-temporal node: whatever the source
-	// compiled the node's formula into (see Atom). Like the plan's phys it
-	// lives and dies with the plan and is no part of what the plan means.
+	// compiled the node's formula into (see Atom). It lives and dies with
+	// the plan and is no part of what the plan means.
 	atom atomic.Value
 }
 
@@ -97,7 +91,7 @@ func (n *PNode) StoreAtom(v any) { n.atom.CompareAndSwap(nil, v) }
 func CompilePlan(f htl.Formula) *Plan {
 	c := planCompiler{seen: map[string]*PNode{}}
 	root := c.node(f)
-	p := &Plan{
+	return &Plan{
 		Root:  root,
 		Key:   root.Key,
 		Class: htl.Classify(f),
@@ -105,8 +99,6 @@ func CompilePlan(f htl.Formula) *Plan {
 		nodes: c.list,
 		byKey: c.seen,
 	}
-	p.phys.Store(defaultPhys(p))
-	return p
 }
 
 type planCompiler struct {

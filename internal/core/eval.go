@@ -84,7 +84,6 @@ func EvalPlanCtx(ctx context.Context, src Source, p *Plan, opts Options) (simlis
 		g = g.Kids[0]
 	}
 	e := newPlanEval(src, opts)
-	e.phys = p.phys.Load()
 	var start time.Time
 	if opts.Prof != nil && len(prefix) > 0 {
 		start = time.Now()
@@ -115,10 +114,7 @@ func EvalTable(src Source, f htl.Formula, opts Options) (*simlist.Table, error) 
 
 // EvalTableCtx is EvalTable with cooperative cancellation.
 func EvalTableCtx(ctx context.Context, src Source, f htl.Formula, opts Options) (*simlist.Table, error) {
-	p := CompilePlan(f)
-	e := newPlanEval(src, opts)
-	e.phys = p.phys.Load()
-	return e.eval(ctx, p.Root)
+	return newPlanEval(src, opts).eval(ctx, CompilePlan(f).Root)
 }
 
 // MaxSimOf returns the maximum possible similarity of f, which depends only
@@ -156,20 +152,10 @@ type planEval struct {
 	src  Source
 	opts Options
 	memo map[*PNode]*simlist.Table
-	// phys is the physical annotation loaded once per evaluation (a
-	// mid-query Reoptimize cannot split one video's choices); nil means
-	// syntactic order with no short-circuits beyond until's default.
-	phys *physPlan
 }
 
 func newPlanEval(src Source, opts Options) *planEval {
 	return &planEval{src: src, opts: opts, memo: map[*PNode]*simlist.Table{}}
-}
-
-// gateFirst reports the physical plan's choice to evaluate n's second
-// operand before its first.
-func (e *planEval) gateFirst(n *PNode) bool {
-	return e.phys != nil && n.ID < len(e.phys.gateFirst) && e.phys.gateFirst[n.ID]
 }
 
 func (e *planEval) eval(ctx context.Context, n *PNode) (*simlist.Table, error) {
@@ -210,11 +196,7 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 	switch n.F.(type) {
 	case htl.And:
 		kl, kr := n.Kids[0], n.Kids[1]
-		first, second := kl, kr
-		if e.gateFirst(n) {
-			first, second = second, first
-		}
-		tf, err := e.eval(ctx, first)
+		t1, err := e.eval(ctx, kl)
 		if err != nil {
 			return nil, err
 		}
@@ -224,24 +206,14 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 		// side cannot contribute constrained attribute ranges — an
 		// empty-list row with a constrained range survives the outer join
 		// as a coverage marker, so such a side must still evaluate.
-		if e.opts.And == AndMin && len(tf.Rows) == 0 && len(second.AttrVars) == 0 {
-			e.opts.Prof.SkipTree(second)
-			ms := tf.MaxSim + MaxSimOf(e.src, second.F)
-			if second == kr {
-				return emptyJoin(tf.ObjVars, tf.AttrVars, kr.ObjVars, kr.AttrVars, ms), nil
-			}
-			return emptyJoin(kl.ObjVars, kl.AttrVars, tf.ObjVars, tf.AttrVars, ms), nil
+		if e.opts.And == AndMin && len(t1.Rows) == 0 && len(kr.AttrVars) == 0 {
+			e.opts.Prof.SkipTree(kr)
+			ms := t1.MaxSim + MaxSimOf(e.src, kr.F)
+			return emptyJoin(t1.ObjVars, t1.AttrVars, kr.ObjVars, kr.AttrVars, ms), nil
 		}
-		ts, err := e.eval(ctx, second)
+		t2, err := e.eval(ctx, kr)
 		if err != nil {
 			return nil, err
-		}
-		// Evaluation order is the optimizer's choice; the combine keeps the
-		// syntactic operand order, so output tables are byte-identical
-		// whichever side computed first.
-		t1, t2 := tf, ts
-		if first != kl {
-			t1, t2 = ts, tf
 		}
 		and := func(l1, l2 simlist.List) simlist.List {
 			e.opts.Obs.Merge()
@@ -251,41 +223,31 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 		return CombineTables(t1, t2, and, t1.MaxSim+t2.MaxSim), nil
 	case htl.Until:
 		kg, kh := n.Kids[0], n.Kids[1]
+		// h evaluates first: only the right side gates emptiness, and when
+		// both sides are needed the order does not change the work.
+		th, err := e.eval(ctx, kh)
+		if err != nil {
+			return nil, err
+		}
+		// With no h rows at all, every left row outer-joins against the
+		// empty list and UntilLists yields the empty list, so a row survives
+		// only as a range-constrained coverage marker. When the left side
+		// has no attribute variables it cannot produce such markers and the
+		// whole subtree is skipped.
+		if len(th.Rows) == 0 && len(kg.AttrVars) == 0 {
+			e.opts.Prof.SkipTree(kg)
+			return emptyJoin(kg.ObjVars, kg.AttrVars, th.ObjVars, th.AttrVars, th.MaxSim), nil
+		}
+		tg, err := e.eval(ctx, kg)
+		if err != nil {
+			return nil, err
+		}
 		until := func(l1, l2 simlist.List) simlist.List {
 			e.opts.Obs.Merge()
 			e.opts.Prof.Merge(n)
 			return UntilLists(l1, l2, e.opts.UntilThreshold)
 		}
-		if e.gateFirst(n) {
-			th, err := e.eval(ctx, kh)
-			if err != nil {
-				return nil, err
-			}
-			// Only the right side gates emptiness: with no h rows at all,
-			// every left row outer-joins against the empty list and
-			// UntilLists yields the empty list, so a row survives only as
-			// a range-constrained coverage marker. When the left side has
-			// no attribute variables it cannot produce such markers and
-			// the whole subtree is skipped.
-			if len(th.Rows) == 0 && len(kg.AttrVars) == 0 {
-				e.opts.Prof.SkipTree(kg)
-				return emptyJoin(kg.ObjVars, kg.AttrVars, th.ObjVars, th.AttrVars, th.MaxSim), nil
-			}
-			tg, err := e.eval(ctx, kg)
-			if err != nil {
-				return nil, err
-			}
-			return CombineTables(tg, th, until, th.MaxSim), nil
-		}
-		t1, err := e.eval(ctx, kg)
-		if err != nil {
-			return nil, err
-		}
-		t2, err := e.eval(ctx, kh)
-		if err != nil {
-			return nil, err
-		}
-		return CombineTables(t1, t2, until, t2.MaxSim), nil
+		return CombineTables(tg, th, until, th.MaxSim), nil
 	case htl.Next:
 		return e.mapRows(ctx, n, NextList)
 	case htl.Eventually:
@@ -364,11 +326,8 @@ func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, e
 			continue
 		}
 		// Each child sequence is a fresh source, so the child evaluation
-		// gets its own memo (nodes still dedupe *within* the child tree);
-		// the physical annotation carries through unchanged.
-		ce := newPlanEval(cs, e.opts)
-		ce.phys = e.phys
-		ct, err := ce.eval(ctx, kid)
+		// gets its own memo (nodes still dedupe *within* the child tree).
+		ct, err := newPlanEval(cs, e.opts).eval(ctx, kid)
 		if err != nil {
 			return nil, err
 		}

@@ -124,14 +124,6 @@ func (p *PlanProfile) AddSim(n *PNode) {
 	}
 }
 
-// Skip counts one short-circuited evaluation of n: the optimizer proved
-// n's table unnecessary for the current video without computing it.
-func (p *PlanProfile) Skip(n *PNode) {
-	if s := p.slot(n); s != nil {
-		s.skipped.Add(1)
-	}
-}
-
 // SkipTree records a skip on every node of the subtree rooted at n, each
 // shared node once per call (atomic units count as leaves, matching the
 // explain tree's shape) — so an explain tree distinguishes "never reached"
@@ -217,7 +209,6 @@ func (p *PlanProfile) Tree() *obs.ExplainNode {
 		}
 	}
 	built := make([]*obs.ExplainNode, len(p.plan.nodes))
-	ph := p.plan.phys.Load()
 	var build func(n *PNode) *obs.ExplainNode
 	build = func(n *PNode) *obs.ExplainNode {
 		if e := built[n.ID]; e != nil {
@@ -231,17 +222,6 @@ func (p *PlanProfile) Tree() *obs.ExplainNode {
 			Closed:      n.Closed,
 			Shared:      indeg[n.ID] > 1,
 			Stats:       p.Stats(n),
-		}
-		// Optimizer annotations: the chosen child order and the cost-model
-		// estimates it was derived from (see cost.go).
-		if ph != nil && n.ID < len(ph.gateFirst) {
-			if ph.gateFirst[n.ID] {
-				e.Order = "right-first"
-			}
-			if est := ph.est[n.ID]; est.Known() {
-				e.EstCost = est.Cost
-				e.EstEntries = est.Entries
-			}
 		}
 		built[n.ID] = e
 		if !n.NonTemporal {

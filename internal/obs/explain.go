@@ -36,9 +36,9 @@ type NodeStats struct {
 	// the node and the rows they returned or affected.
 	SQLStmts int64 `json:"sql_stmts,omitempty"`
 	SQLRows  int64 `json:"sql_rows,omitempty"`
-	// Skipped counts evaluations the optimizer short-circuited: a sibling's
-	// empty table proved this node's result unnecessary, so it was never
-	// computed (per video, so one query can both visit and skip a node).
+	// Skipped counts short-circuited evaluations: a sibling's empty table
+	// proved this node's result unnecessary, so it was never computed (per
+	// video, so one query can both visit and skip a node).
 	Skipped int64 `json:"skipped,omitempty"`
 	// Time is the node's inclusive wall time (children included). The
 	// similarity-list and SQL engines record it always; the reference
@@ -66,13 +66,6 @@ type ExplainNode struct {
 	NonTemporal bool `json:"non_temporal,omitempty"`
 	Closed      bool `json:"closed,omitempty"`
 	Shared      bool `json:"shared,omitempty"`
-	// Order is the optimizer's chosen child evaluation order, empty when the
-	// children evaluate in syntactic order ("right-first" otherwise).
-	Order string `json:"order,omitempty"`
-	// EstCost and EstEntries are the cost model's estimates the physical
-	// plan was derived from (zero when the node was never observed).
-	EstCost    time.Duration `json:"est_cost_ns,omitempty"`
-	EstEntries float64       `json:"est_entries,omitempty"`
 	// Stats is the node's accumulated accounting.
 	Stats NodeStats `json:"stats"`
 	// Children are the operand nodes in syntactic order.
@@ -141,9 +134,6 @@ func nodeLine(n *ExplainNode, total time.Duration, showTimes bool) string {
 		b.WriteString("time=-")
 	}
 	fmt.Fprintf(&b, " visits=%d", n.Stats.Visits)
-	if n.Order != "" {
-		fmt.Fprintf(&b, " order=%s", n.Order)
-	}
 	stat := func(name string, v int64) {
 		if v != 0 {
 			fmt.Fprintf(&b, " %s=%d", name, v)
@@ -157,15 +147,6 @@ func nodeLine(n *ExplainNode, total time.Duration, showTimes bool) string {
 	stat("skipped", n.Stats.Skipped)
 	stat("sql_stmts", n.Stats.SQLStmts)
 	stat("sql_rows", n.Stats.SQLRows)
-	// Cost-model annotations: estimated entries are deterministic counts and
-	// render always; estimated wall time is timing-derived, so it obeys
-	// showTimes (goldens stay byte-stable).
-	if n.EstEntries > 0 {
-		fmt.Fprintf(&b, " est_entries=%.1f", n.EstEntries)
-	}
-	if showTimes && n.EstCost > 0 {
-		fmt.Fprintf(&b, " est_cost=%s", n.EstCost.Round(time.Microsecond))
-	}
 	return b.String()
 }
 

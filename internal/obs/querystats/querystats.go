@@ -4,11 +4,11 @@
 // skipped, top-k entries skipped, first/last seen), fed from the same
 // per-query settle hook that feeds the slow log.
 //
-// The plan key — the formula's canonical text, the identity the plan cache,
-// explain output and the cost model already share — is the paper's natural
-// unit of cost: §3 classifies *formula shapes*, not individual queries, so
-// shape-level aggregation is what tells an operator which query classes
-// dominate the workload.
+// The plan key — the formula's canonical text, the identity the plan cache
+// and explain output already share — is the paper's natural unit of cost: §3
+// classifies *formula shapes*, not individual queries, so shape-level
+// aggregation is what tells an operator which query classes dominate the
+// workload.
 //
 // Eviction never loses history silently: the Totals block is monotonic (it
 // accumulates at observation time and is never decremented when an entry is

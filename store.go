@@ -44,10 +44,6 @@ type Store struct {
 
 	// plans caches compiled queries by text (see store_compile.go).
 	plans *cache.LRU[string, *CompiledQuery]
-	// costs folds every evaluated query's profile into per-subformula cost
-	// and selectivity estimates; plans reoptimize against it after each run
-	// (see internal/core/cost.go).
-	costs *core.CostModel
 	// results is the opt-in whole-result cache (see store_cache.go); nil
 	// until EnableResultCache.
 	results atomic.Pointer[resultCache]
@@ -86,7 +82,6 @@ func NewStore(tax *Taxonomy, w Weights) *Store {
 		obs:     newStoreObs(),
 		systems: map[[2]int]*sysEntry{},
 		plans:   cache.New[string, *CompiledQuery](DefaultPlanCacheCapacity, 0),
-		costs:   core.NewCostModel(),
 	}
 }
 
@@ -439,7 +434,7 @@ func (s *Store) QueryFormula(f Formula, opts ...QueryOption) (*Results, error) {
 func (s *Store) QueryFormulaCtx(ctx context.Context, f Formula, opts ...QueryOption) (*Results, error) {
 	cfg := newQueryConfig(opts)
 	cq := s.compileFormula(f, cfg.noCache)
-	return s.queryCompiledCtx(ctx, obs.NewTrace(f.String()), cq, cfg)
+	return s.queryCompiledCtx(ctx, obs.NewTrace(cq.plan.Key), cq, cfg)
 }
 
 // queryCompiledCtx runs a compiled query under an already-started trace
@@ -583,13 +578,6 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	if cfg.rec != nil {
 		cfg.rec.MemoHits = cfg.prof.MemoHits()
 		cfg.rec.VideosEvaluated = int64(len(res.PerVideo))
-	}
-	// Feed the observed per-node statistics back into the cost model and let
-	// the plan re-derive its physical annotation: the next evaluation of this
-	// plan (it stays cached) reorders children cheapest-first.
-	s.costs.Observe(cfg.prof)
-	if cq.plan.Reoptimize(s.costs) {
-		o.planReorders.Inc()
 	}
 
 	if err := ctx.Err(); err != nil {

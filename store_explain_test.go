@@ -81,6 +81,44 @@ func TestExplainGolden(t *testing.T) {
 	}
 }
 
+// TestExplainIndependentOfHistory: explain output is a function of the
+// store's contents, the query and the options, never of what the store served
+// before. Two identical stores — video 1 with two shots, video 2 with six, so
+// their list lengths differ — must render the same tree for video 1 although
+// one of them has already answered the query over both.
+func TestExplainIndependentOfHistory(t *testing.T) {
+	const q = "M1 until M2"
+	build := func() *Store {
+		s := NewStore(nil, DefaultWeights())
+		for i, shots := range []int{2, 6} {
+			v := NewVideo(i+1, "clip", map[string]int{"shot": 2})
+			for j := 0; j < shots; j++ {
+				v.Root.AppendChild(Seg().Attr([]string{"M1", "M2"}[j%2], Int(1)).Build())
+			}
+			if err := s.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	render := func(s *Store) string {
+		er, err := s.Explain(q, OnVideo(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		er.Render(&buf, false)
+		return buf.String()
+	}
+	fresh, used := build(), build()
+	if _, err := used.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := render(fresh), render(used); a != b {
+		t.Errorf("explain depends on what the store served before:\n--- fresh store ---\n%s--- after one query ---\n%s", a, b)
+	}
+}
+
 // TestExplainConsistency proves the per-node statistics are internally
 // consistent on every class: the tree is non-empty, every node was visited,
 // each non-shared child's inclusive time is bounded by its parent's, the
@@ -108,8 +146,8 @@ func TestExplainConsistency(t *testing.T) {
 			}
 			var walk func(n *ExplainNode)
 			walk = func(n *ExplainNode) {
-				// A node the optimizer short-circuited is accounted as
-				// skipped instead of visited.
+				// A short-circuited node is accounted as skipped instead of
+				// visited.
 				if n.Stats.Visits == 0 && n.Stats.Skipped == 0 {
 					t.Errorf("node %q never visited", n.Formula)
 				}

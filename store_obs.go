@@ -63,7 +63,6 @@ type storeObs struct {
 	planMisses   *obs.Counter
 	planSize     *obs.Gauge
 	planMemoHits *obs.Counter
-	planReorders *obs.Counter
 
 	topkEarlyTerm *obs.Counter
 	topkSkipped   *obs.Counter
@@ -158,7 +157,6 @@ func newStoreObs() *storeObs {
 		"query.plan_cache.misses":       "Queries compiled fresh.",
 		"query.plan_cache.size":         "Cached compiled plans.",
 		"query.plan.memo_hits":          "Plan-node evaluations answered from the per-video memo.",
-		"query.plan.reorders":           "Cost-model reoptimizations that changed a plan's child order.",
 		"query.topk.early_terminations": "Pruned top-k scans that stopped before consuming every entry.",
 		"query.topk.entries_skipped":    "Similarity-list entries top-k pruning proved irrelevant unread.",
 		"query.cache.hits":              "Result-cache hits.",
@@ -212,7 +210,6 @@ func newStoreObs() *storeObs {
 		planMisses:   reg.Counter("query.plan_cache.misses"),
 		planSize:     reg.Gauge("query.plan_cache.size"),
 		planMemoHits: reg.Counter("query.plan.memo_hits"),
-		planReorders: reg.Counter("query.plan.reorders"),
 
 		topkEarlyTerm: reg.Counter("query.topk.early_terminations"),
 		topkSkipped:   reg.Counter("query.topk.entries_skipped"),
@@ -418,10 +415,6 @@ type PlanCacheStats struct {
 	// across all queries — the evaluation-time payoff of subformula interning
 	// (explain output shows the per-node breakdown).
 	MemoHits int64 `json:"memo_hits"`
-	// Reorders counts physical-plan installs that changed a cached plan's
-	// child evaluation order — the cost model overriding syntactic order
-	// after observing enough evaluations.
-	Reorders int64 `json:"reorders"`
 }
 
 // ResultCacheStats describes the opt-in whole-result cache (all zero until
@@ -489,7 +482,6 @@ func (s *Store) Stats() Stats {
 			Misses:   o.planMisses.Value(),
 			Size:     o.planSize.Value(),
 			MemoHits: o.planMemoHits.Value(),
-			Reorders: o.planReorders.Value(),
 		},
 		ResultCache: ResultCacheStats{
 			Hits:    o.resHits.Value(),
