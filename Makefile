@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check fuzz fuzz-store fuzz-wal bench bench-short loc
+.PHONY: check vet staticcheck build test race lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle bench bench-short loc
 
 check: vet staticcheck build race lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check
 
@@ -93,6 +93,12 @@ fuzz-store:
 # reports re-replays identically).
 fuzz-wal:
 	$(GO) test -run '^$$' -fuzz=FuzzWALReplay -fuzztime=30s ./internal/wal/
+
+# Short oracle fuzz session (FuzzOracle: on any seed, internal/core's
+# similarity lists equal the reference evaluator's under both conjunction
+# semantics, and every similarity and value table built on the way validates).
+fuzz-oracle:
+	$(GO) test -run '^$$' -fuzz=FuzzOracle -fuzztime=30s ./internal/refeval/
 
 # Benchmarks plus BENCH_obs.json (per-engine query latency from the store's
 # own metrics histograms), BENCH_perf.json (compilation/caching ns/op,

@@ -83,7 +83,7 @@ func EvalPlanCtx(ctx context.Context, src Source, p *Plan, opts Options) (simlis
 		prefix = append(prefix, g)
 		g = g.Kids[0]
 	}
-	e := newPlanEval(src, opts)
+	e := newPlanEval(src, opts, p.Nodes)
 	var start time.Time
 	if opts.Prof != nil && len(prefix) > 0 {
 		start = time.Now()
@@ -114,7 +114,8 @@ func EvalTable(src Source, f htl.Formula, opts Options) (*simlist.Table, error) 
 
 // EvalTableCtx is EvalTable with cooperative cancellation.
 func EvalTableCtx(ctx context.Context, src Source, f htl.Formula, opts Options) (*simlist.Table, error) {
-	return newPlanEval(src, opts).eval(ctx, CompilePlan(f).Root)
+	p := CompilePlan(f)
+	return newPlanEval(src, opts, p.Nodes).eval(ctx, p.Root)
 }
 
 // MaxSimOf returns the maximum possible similarity of f, which depends only
@@ -145,17 +146,19 @@ func MaxSimOf(src Source, f htl.Formula) float64 {
 	}
 }
 
-// planEval evaluates a plan's nodes over one source, memoizing per node.
-// Tables are treated as immutable once computed, so a memoized table may be
-// handed to several parents (and even to both sides of one join).
+// planEval evaluates one plan's nodes over one source, memoizing per node:
+// memo is indexed by PNode.ID, which is dense within a plan. Tables are
+// treated as immutable once computed, so a memoized table may be handed to
+// several parents (and even to both sides of one join); the blocks their
+// rows' slices were cut from die with the planEval.
 type planEval struct {
 	src  Source
 	opts Options
-	memo map[*PNode]*simlist.Table
+	memo []*simlist.Table
 }
 
-func newPlanEval(src Source, opts Options) *planEval {
-	return &planEval{src: src, opts: opts, memo: map[*PNode]*simlist.Table{}}
+func newPlanEval(src Source, opts Options, nodes int) *planEval {
+	return &planEval{src: src, opts: opts, memo: make([]*simlist.Table, nodes)}
 }
 
 func (e *planEval) eval(ctx context.Context, n *PNode) (*simlist.Table, error) {
@@ -163,7 +166,7 @@ func (e *planEval) eval(ctx context.Context, n *PNode) (*simlist.Table, error) {
 		return nil, err
 	}
 	e.opts.Prof.Visit(n)
-	if t, ok := e.memo[n]; ok {
+	if t := e.memo[n.ID]; t != nil {
 		e.opts.Obs.MemoHit()
 		e.opts.Prof.MemoHit(n)
 		return t, nil
@@ -180,7 +183,7 @@ func (e *planEval) eval(ctx context.Context, n *PNode) (*simlist.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.memo[n] = t
+	e.memo[n.ID] = t
 	if e.opts.Prof != nil {
 		e.opts.Prof.Record(n, time.Since(start), t)
 	}
@@ -215,12 +218,9 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 		if err != nil {
 			return nil, err
 		}
-		and := func(l1, l2 simlist.List) simlist.List {
-			e.opts.Obs.Merge()
-			e.opts.Prof.Merge(n)
-			return AndListsMode(l1, l2, e.opts.And)
-		}
-		return CombineTables(t1, t2, and, t1.MaxSim+t2.MaxSim), nil
+		return e.join(n, t1, t2, t1.MaxSim+t2.MaxSim, func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry {
+			return appendPointwise(dst, l1, l2, e.opts.And)
+		}), nil
 	case htl.Until:
 		kg, kh := n.Kids[0], n.Kids[1]
 		// h evaluates first: only the right side gates emptiness, and when
@@ -242,16 +242,13 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 		if err != nil {
 			return nil, err
 		}
-		until := func(l1, l2 simlist.List) simlist.List {
-			e.opts.Obs.Merge()
-			e.opts.Prof.Merge(n)
-			return UntilLists(l1, l2, e.opts.UntilThreshold)
-		}
-		return CombineTables(tg, th, until, th.MaxSim), nil
+		return e.join(n, tg, th, th.MaxSim, func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry {
+			return appendUntil(dst, l1, l2, e.opts.UntilThreshold, 1)
+		}), nil
 	case htl.Next:
-		return e.mapRows(ctx, n, NextList)
+		return e.mapRows(ctx, n, appendNext)
 	case htl.Eventually:
-		return e.mapRows(ctx, n, EventuallyList)
+		return e.mapRows(ctx, n, appendEventually)
 	case htl.Freeze:
 		x := n.F.(htl.Freeze)
 		t1, err := e.eval(ctx, n.Kids[0])
@@ -274,31 +271,65 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 	}
 }
 
+// entryCount is the number of entries in t's lists: what an operator over t
+// reserves for its own.
+func entryCount(t *simlist.Table) int {
+	n := 0
+	for i := range t.Rows {
+		n += len(t.Rows[i].List.Entries)
+	}
+	return n
+}
+
+// join combines two operand tables of n under a list operator in its
+// appending form. The lists of the joined rows share one block, reserved for
+// as many entries as the operands hold — about what a join of mostly one-to-one
+// matches emits; the block grows when there are more.
+func (e *planEval) join(n *PNode, t1, t2 *simlist.Table, maxSim float64, op func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry) *simlist.Table {
+	var blk block[simlist.Entry]
+	blk.reserve(entryCount(t1) + entryCount(t2))
+	return CombineTables(t1, t2, func(l1, l2 simlist.List) simlist.List {
+		e.opts.Obs.Merge()
+		e.opts.Prof.Merge(n)
+		dst := blk.open(len(l1.Entries) + len(l2.Entries))
+		return simlist.List{MaxSim: maxSim, Entries: blk.keep(op(dst, l1, l2))}
+	}, maxSim)
+}
+
 // mapRows evaluates n's operand node and applies a per-list operator
 // (`next`, `eventually`) to every row, dropping rows that become empty.
-func (e *planEval) mapRows(ctx context.Context, n *PNode, op func(simlist.List) simlist.List) (*simlist.Table, error) {
+func (e *planEval) mapRows(ctx context.Context, n *PNode, op func([]simlist.Entry, simlist.List) []simlist.Entry) (*simlist.Table, error) {
 	t, err := e.eval(ctx, n.Kids[0])
 	if err != nil {
 		return nil, err
 	}
+	return e.mapTable(n, t, op), nil
+}
+
+// mapTable is mapRows over the operand's table. Neither operator emits more
+// entries than it reads, so one block of the operand's size holds every list.
+func (e *planEval) mapTable(n *PNode, t *simlist.Table, op func([]simlist.Entry, simlist.List) []simlist.Entry) *simlist.Table {
 	out := simlist.NewTable(t.ObjVars, t.AttrVars, t.MaxSim)
 	out.Rows = make([]simlist.Row, 0, len(t.Rows))
+	var blk block[simlist.Entry]
+	blk.reserve(entryCount(t))
 	for _, r := range t.Rows {
 		e.opts.Obs.Merge()
 		e.opts.Prof.Merge(n)
-		row := simlist.Row{Bindings: r.Bindings, Ranges: r.Ranges, List: op(r.List)}
+		list := simlist.List{MaxSim: r.List.MaxSim, Entries: blk.keep(op(blk.open(len(r.List.Entries)), r.List))}
+		row := simlist.Row{Bindings: r.Bindings, Ranges: r.Ranges, List: list}
 		if keepRow(row) {
 			out.Rows = append(out.Rows, row)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // evalAtLevel evaluates a level-modal operator (§2.5): the similarity of
 // at-L(g) at segment u is the similarity of g at the first element of u's
 // descendant sequence at level L, or 0 when there is none. Free variables of
 // g flow through: each distinct evaluation of g becomes a row over the
-// parent sequence.
+// parent sequence, in first-seen order.
 func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, error) {
 	x := n.F.(htl.AtLevel)
 	kid := n.Kids[0]
@@ -306,14 +337,19 @@ func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, e
 	maxSim := MaxSimOf(e.src, x.F)
 	out := simlist.NewTable(objVars, attrVars, maxSim)
 
-	type acc struct {
-		bindings []simlist.ObjectID
-		ranges   []simlist.Range
-		entries  []simlist.Entry
+	// A hit is one segment's similarity under one evaluation (a row of out):
+	// hits arrive by ascending segment, are counted per row, and are dealt
+	// into one array afterwards.
+	type hit struct {
+		row int32
+		e   simlist.Entry
 	}
-	groups := map[string]*acc{}
-	var order []string
-
+	var (
+		hits     = make([]hit, 0, e.src.Len())
+		rows     = evalSet{nb: len(objVars), nr: len(attrVars)}
+		bindings = make([]simlist.ObjectID, rows.nb)
+		ranges   = make([]simlist.Range, rows.nr)
+	)
 	for id := 1; id <= e.src.Len(); id++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -327,41 +363,53 @@ func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, e
 		}
 		// Each child sequence is a fresh source, so the child evaluation
 		// gets its own memo (nodes still dedupe *within* the child tree).
-		ct, err := newPlanEval(cs, e.opts).eval(ctx, kid)
+		ct, err := newPlanEval(cs, e.opts, len(e.memo)).eval(ctx, kid)
 		if err != nil {
 			return nil, err
 		}
-		for _, row := range ct.Rows {
-			sim := row.List.At(1) // similarity at the first descendant
-			bindings, ranges := remapRow(ct, row, objVars, attrVars)
-			if sim.Act <= 0 && !anyConstrained(ranges) {
+		for _, r := range ct.Rows {
+			sim := r.List.At(1) // similarity at the first descendant
+			// Align the row onto the canonical column order; columns the
+			// child table lacks become wildcards/unconstrained.
+			constrained := false
+			for i, v := range objVars {
+				bindings[i] = AnyObject
+				if c := ct.ObjIndex(v); c >= 0 {
+					bindings[i] = r.Bindings[c]
+				}
+			}
+			for i, v := range attrVars {
+				ranges[i] = simlist.AnyRange()
+				if c := ct.AttrIndex(v); c >= 0 {
+					ranges[i] = r.Ranges[c]
+				}
+				constrained = constrained || ranges[i].Kind != simlist.RangeAny
+			}
+			if sim.Act <= 0 && !constrained {
 				continue
 			}
-			k := rowKey(bindings, ranges)
-			g := groups[k]
-			if g == nil {
-				g = &acc{bindings: bindings, ranges: ranges}
-				groups[k] = g
-				order = append(order, k)
-			}
+			g := rows.index(bindings, ranges)
 			if sim.Act > 0 {
-				g.entries = append(g.entries, simlist.Entry{Iv: interval.Point(id), Act: sim.Act})
+				hits = append(hits, hit{g, simlist.Entry{Iv: interval.Point(id), Act: sim.Act}})
+				rows.entries[g]++
 			}
 		}
 	}
-	for _, k := range order {
-		g := groups[k]
+	out.Rows = rows.rows()
+	for _, h := range hits {
+		l := &out.Rows[h.row].List
+		l.Entries = append(l.Entries, h.e)
+	}
+	kept := out.Rows[:0]
+	for _, row := range out.Rows {
 		e.opts.Obs.Merge()
 		e.opts.Prof.Merge(n)
-		row := simlist.Row{
-			Bindings: g.bindings,
-			Ranges:   g.ranges,
-			List:     simlist.Normalize(maxSim, g.entries).Canonical(),
-		}
+		row.List = simlist.List{MaxSim: maxSim, Entries: simlist.NormalizeInPlace(maxSim, row.List.Entries)}
 		if keepRow(row) {
-			out.Rows = append(out.Rows, row)
+			kept = append(kept, row)
 		}
 	}
+	out.Rows = kept
 	return out, nil
 }
 
@@ -389,35 +437,4 @@ func unionVars(a, b []string) []string {
 		}
 	}
 	return out
-}
-
-func anyConstrained(ranges []simlist.Range) bool {
-	for _, r := range ranges {
-		if r.Kind != simlist.RangeAny {
-			return true
-		}
-	}
-	return false
-}
-
-// remapRow aligns a child table's row onto the canonical column order;
-// columns the child table lacks become wildcards/unconstrained.
-func remapRow(t *simlist.Table, r simlist.Row, objVars, attrVars []string) ([]simlist.ObjectID, []simlist.Range) {
-	bindings := make([]simlist.ObjectID, len(objVars))
-	for i, v := range objVars {
-		if c := t.ObjIndex(v); c >= 0 {
-			bindings[i] = r.Bindings[c]
-		} else {
-			bindings[i] = AnyObject
-		}
-	}
-	ranges := make([]simlist.Range, len(attrVars))
-	for i, v := range attrVars {
-		if c := t.AttrIndex(v); c >= 0 {
-			ranges[i] = r.Ranges[c]
-		} else {
-			ranges[i] = simlist.AnyRange()
-		}
-	}
-	return bindings, ranges
 }

@@ -55,9 +55,12 @@ func (s stubSource) EvalAtomicNode(n *PNode) (*simlist.Table, error) {
 	return simlist.NewTable(nil, nil, s.AtomicMaxSim(n.F)), nil
 }
 
+// ValueTable hands out the scripted table, held to the contract a real source
+// keeps (rows ordered by binding): a test that scripts one FreezeTable would
+// misread fails here instead.
 func (s stubSource) ValueTable(q htl.AttrFn) (*ValueTable, error) {
 	if vt, ok := s.values[q.String()]; ok {
-		return vt, nil
+		return vt, vt.Validate()
 	}
 	return &ValueTable{Var: q.Of}, nil
 }

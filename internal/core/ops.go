@@ -8,11 +8,17 @@
 package core
 
 import (
-	"sort"
+	"math"
 
 	"htlvideo/internal/interval"
 	"htlvideo/internal/simlist"
 )
+
+// Every operator below has one loop, in its appending form: it writes the
+// entries of its result once, in ascending order and canonical as they land
+// (simlist.AppendEntry), onto a slice the caller supplies — the evaluator's
+// per-table block (block.go), or a slice of the right size for the exported
+// allocating forms, which are wrappers and nothing more.
 
 // AndLists combines the similarity lists of g and h into the list of g ∧ h:
 // at every id the actual similarities add (§2.5), so ids on one list only
@@ -21,68 +27,7 @@ import (
 //
 // The implementation is the paper's "modified merge" over the two sorted
 // entry slices and runs in O(len(l1) + len(l2)).
-func AndLists(l1, l2 simlist.List) simlist.List {
-	out := simlist.List{MaxSim: l1.MaxSim + l2.MaxSim}
-	e1, e2 := l1.Entries, l2.Entries
-	if n := len(e1) + len(e2); n > 0 {
-		out.Entries = make([]simlist.Entry, 0, n)
-	}
-	i, j := 0, 0
-	// pos is the next id not yet emitted.
-	pos := minBeg(e1, e2)
-	for i < len(e1) || j < len(e2) {
-		var a, b float64
-		var segEnd int
-		// Advance past entries that ended before pos.
-		if i < len(e1) && e1[i].Iv.End < pos {
-			i++
-			continue
-		}
-		if j < len(e2) && e2[j].Iv.End < pos {
-			j++
-			continue
-		}
-		// Determine the value of each side at pos and the next boundary.
-		segEnd = int(^uint(0) >> 1) // max int
-		if i < len(e1) {
-			if e1[i].Iv.Beg <= pos {
-				a = e1[i].Act
-				segEnd = min(segEnd, e1[i].Iv.End)
-			} else {
-				segEnd = min(segEnd, e1[i].Iv.Beg-1)
-			}
-		}
-		if j < len(e2) {
-			if e2[j].Iv.Beg <= pos {
-				b = e2[j].Act
-				segEnd = min(segEnd, e2[j].Iv.End)
-			} else {
-				segEnd = min(segEnd, e2[j].Iv.Beg-1)
-			}
-		}
-		if a+b > 0 {
-			out.Entries = append(out.Entries, simlist.Entry{
-				Iv:  interval.I{Beg: pos, End: segEnd},
-				Act: a + b,
-			})
-		}
-		pos = segEnd + 1
-	}
-	return out.Canonical()
-}
-
-func minBeg(e1, e2 []simlist.Entry) int {
-	switch {
-	case len(e1) == 0 && len(e2) == 0:
-		return 0
-	case len(e1) == 0:
-		return e2[0].Iv.Beg
-	case len(e2) == 0:
-		return e1[0].Iv.Beg
-	default:
-		return min(e1[0].Iv.Beg, e2[0].Iv.Beg)
-	}
-}
+func AndLists(l1, l2 simlist.List) simlist.List { return AndListsMode(l1, l2, AndSum) }
 
 // AndMode selects the similarity function for conjunction — the paper's §5
 // names "other similarity functions" as future work; both modes keep
@@ -98,23 +43,38 @@ const (
 	// a = min(a1/m1, a2/m2) · (m1+m2). One unsatisfied conjunct zeroes the
 	// whole conjunction.
 	AndMin
+	// pointwiseMax is not a conjunction: max(a1, a2), the existential
+	// collapse of two lists, which shares the merge below.
+	pointwiseMax
 )
 
 // AndListsMode combines two similarity lists under the chosen conjunction
 // semantics.
 func AndListsMode(l1, l2 simlist.List, mode AndMode) simlist.List {
-	if mode == AndSum {
-		return AndLists(l1, l2)
+	dst := make([]simlist.Entry, 0, len(l1.Entries)+len(l2.Entries))
+	return listOf(l1.MaxSim+l2.MaxSim, appendPointwise(dst, l1, l2, mode))
+}
+
+// listOf wraps the entries an operator appended; an empty list holds no slice.
+func listOf(maxSim float64, entries []simlist.Entry) simlist.List {
+	if len(entries) == 0 {
+		entries = nil
 	}
-	m := l1.MaxSim + l2.MaxSim
-	out := simlist.List{MaxSim: m}
+	return simlist.List{MaxSim: maxSim, Entries: entries}
+}
+
+// appendPointwise appends the list whose value at every id is f of the two
+// lists' values there. It can emit up to 2·(len(l1)+len(l2))−1 pieces — every
+// boundary of either list starts one — so len(l1)+len(l2) is the size to
+// expect, not a bound.
+func appendPointwise(dst []simlist.Entry, l1, l2 simlist.List, f AndMode) []simlist.Entry {
 	e1, e2 := l1.Entries, l2.Entries
-	if n := len(e1) + len(e2); n > 0 {
-		out.Entries = make([]simlist.Entry, 0, n)
-	}
-	pos := minBeg(e1, e2)
+	m := l1.MaxSim + l2.MaxSim
 	i, j := 0, 0
+	// pos is the next id not yet emitted.
+	pos := minBeg(e1, e2)
 	for i < len(e1) || j < len(e2) {
+		// Advance past entries that ended before pos.
 		if i < len(e1) && e1[i].Iv.End < pos {
 			i++
 			continue
@@ -123,8 +83,9 @@ func AndListsMode(l1, l2 simlist.List, mode AndMode) simlist.List {
 			j++
 			continue
 		}
+		// Determine the value of each side at pos and the next boundary.
 		var a, b float64
-		segEnd := int(^uint(0) >> 1)
+		segEnd := math.MaxInt
 		if i < len(e1) {
 			if e1[i].Iv.Beg <= pos {
 				a = e1[i].Act
@@ -141,16 +102,36 @@ func AndListsMode(l1, l2 simlist.List, mode AndMode) simlist.List {
 				segEnd = min(segEnd, e2[j].Iv.Beg-1)
 			}
 		}
-		frac := 0.0
-		if l1.MaxSim > 0 && l2.MaxSim > 0 {
-			frac = min(a/l1.MaxSim, b/l2.MaxSim)
+		var v float64
+		switch f {
+		case AndSum:
+			v = a + b
+		case AndMin:
+			if l1.MaxSim > 0 && l2.MaxSim > 0 {
+				v = min(a/l1.MaxSim, b/l2.MaxSim) * m
+			}
+		default:
+			v = max(a, b)
 		}
-		if v := frac * m; v > 0 {
-			out.Entries = append(out.Entries, simlist.Entry{Iv: interval.I{Beg: pos, End: segEnd}, Act: v})
+		if v > 0 {
+			dst = simlist.AppendEntry(dst, simlist.Entry{Iv: interval.I{Beg: pos, End: segEnd}, Act: v})
 		}
 		pos = segEnd + 1
 	}
-	return out.Canonical()
+	return dst
+}
+
+func minBeg(e1, e2 []simlist.Entry) int {
+	switch {
+	case len(e1) == 0 && len(e2) == 0:
+		return 0
+	case len(e1) == 0:
+		return e2[0].Iv.Beg
+	case len(e2) == 0:
+		return e1[0].Iv.Beg
+	default:
+		return min(e1[0].Iv.Beg, e2[0].Iv.Beg)
+	}
 }
 
 // NextList computes the list of `next g` from the list of g: an entry of g
@@ -158,19 +139,16 @@ func AndListsMode(l1, l2 simlist.List, mode AndMode) simlist.List {
 // the sequence; the last segment of the video gets similarity 0 naturally,
 // since g can have no entry beyond the sequence.
 func NextList(l simlist.List) simlist.List {
-	out := simlist.List{MaxSim: l.MaxSim}
-	if len(l.Entries) > 0 {
-		out.Entries = make([]simlist.Entry, 0, len(l.Entries))
-	}
+	return listOf(l.MaxSim, appendNext(make([]simlist.Entry, 0, len(l.Entries)), l))
+}
+
+func appendNext(dst []simlist.Entry, l simlist.List) []simlist.Entry {
 	for _, e := range l.Entries {
-		iv := e.Iv.Shift(-1)
-		clipped, ok := iv.ClampLow(1)
-		if !ok {
-			continue
+		if iv, ok := e.Iv.Shift(-1).ClampLow(1); ok {
+			dst = simlist.AppendEntry(dst, simlist.Entry{Iv: iv, Act: e.Act})
 		}
-		out.Entries = append(out.Entries, simlist.Entry{Iv: clipped, Act: e.Act})
 	}
-	return out
+	return dst
 }
 
 // EventuallyList computes the list of `eventually g`: the similarity at id i
@@ -178,41 +156,37 @@ func NextList(l simlist.List) simlist.List {
 // is non-increasing in i. Segment ids start at 1 (§3.1), so coverage extends
 // down to id 1.
 func EventuallyList(l simlist.List) simlist.List {
-	out := simlist.List{MaxSim: l.MaxSim}
-	if len(l.Entries) == 0 {
-		return out
+	return listOf(l.MaxSim, appendEventually(make([]simlist.Entry, 0, len(l.Entries)), l))
+}
+
+// appendEventually walks g's entries left to right; what it has appended is
+// a stack of pieces with strictly decreasing similarity that tile [1, end of
+// the last entry read]. An entry swallows every piece it is at least as
+// similar as — they lie to its left, so it is their suffix maximum too — and
+// covers from where the first of them began. Each entry is pushed once and
+// popped at most once: O(len(l)), never more pieces than entries.
+func appendEventually(dst []simlist.Entry, l simlist.List) []simlist.Entry {
+	base, beg := len(dst), 1
+	for _, e := range l.Entries {
+		dst, beg = pushSuffixMax(dst, base, beg, e.Iv.End, e.Act)
 	}
-	// Walk entries right to left accumulating the running maximum; emit the
-	// pieces left to right afterwards.
-	type piece struct {
-		iv  interval.I
-		act float64
+	return dst
+}
+
+// pushSuffixMax pushes the piece [beg, end] with similarity act onto the
+// stack dst[base:] of a suffix-maximum scan (see appendEventually; `until`
+// runs the same scan inside every run of its left operand) and returns the
+// id the next piece begins at. A piece that is empty because the entry ends
+// where its predecessor did still swallows what it dominates.
+func pushSuffixMax(dst []simlist.Entry, base, beg, end int, act float64) ([]simlist.Entry, int) {
+	for n := len(dst); n > base && dst[n-1].Act <= act; n = len(dst) {
+		beg = dst[n-1].Iv.Beg
+		dst = dst[:n-1]
 	}
-	rev := make([]piece, 0, len(l.Entries))
-	runMax := 0.0
-	hi := 0 // highest id covered so far (exclusive upper bound of next piece)
-	for k := len(l.Entries) - 1; k >= 0; k-- {
-		e := l.Entries[k]
-		if e.Iv.End > hi {
-			hi = e.Iv.End
-		}
-		// Ids in (prevEnd, hi] see runMax including this entry.
-		lo := 1
-		if k > 0 {
-			lo = l.Entries[k-1].Iv.End + 1
-		}
-		if e.Act > runMax {
-			runMax = e.Act
-		}
-		if lo <= hi {
-			rev = append(rev, piece{iv: interval.I{Beg: lo, End: hi}, act: runMax})
-			hi = lo - 1
-		}
+	if beg <= end {
+		dst = append(dst, simlist.Entry{Iv: interval.I{Beg: beg, End: end}, Act: act})
 	}
-	for k := len(rev) - 1; k >= 0; k-- {
-		out.Entries = append(out.Entries, simlist.Entry{Iv: rev[k].iv, Act: rev[k].act})
-	}
-	return out.Canonical()
+	return dst, end + 1
 }
 
 // DefaultUntilThreshold is the minimum fractional similarity the left side
@@ -231,91 +205,10 @@ const DefaultUntilThreshold = 0.5
 // the exact §2.3 semantics: an h-entry beginning immediately after a g-run
 // ends (u” = I.End+1 needs g only on [i, I.End]). This implementation
 // follows the exact semantics; the worked example of Fig. 2 is unaffected.
-// The algorithm runs in O(len(lg) + len(lh)) plus the final sort of the
-// emitted pieces.
+// The algorithm runs in O(len(lg) + len(lh)), the linear bound of §3.1.
 func UntilLists(lg, lh simlist.List, tau float64) simlist.List {
-	out := simlist.List{MaxSim: lh.MaxSim}
-	// Step 1: keep g-entries at or above the threshold and coalesce adjacent
-	// intervals; actual values of g are not used beyond the threshold test.
-	var gRuns []interval.I
-	for _, e := range lg.Entries {
-		if lg.MaxSim <= 0 || e.Act/lg.MaxSim < tau {
-			continue
-		}
-		gRuns = append(gRuns, e.Iv)
-	}
-	gRuns = interval.Coalesce(gRuns)
-
-	pieces := make([]simlist.Entry, 0, len(lg.Entries)+len(lh.Entries))
-
-	// Step 2a: within each g-run I, the value at i is the maximum act of the
-	// h-entries J reachable from i: J.End >= i and J.Beg <= I.End+1.
-	j := 0
-	for _, I := range gRuns {
-		// Skip h-entries that end before the run begins.
-		for j < len(lh.Entries) && lh.Entries[j].Iv.End < I.Beg {
-			j++
-		}
-		// Qualifying entries, in ascending t = min(J.End, I.End).
-		type reach struct {
-			t   int
-			act float64
-		}
-		var qual []reach
-		k := j
-		for k < len(lh.Entries) && lh.Entries[k].Iv.Beg <= I.End+1 {
-			J := lh.Entries[k]
-			qual = append(qual, reach{t: min(J.Iv.End, I.End), act: J.Act})
-			k++
-		}
-		// Emit pieces right to left: ids in (t_prev, t_cur] see the maximum
-		// act among entries with t >= i.
-		runMax := 0.0
-		hi := 0
-		for q := len(qual) - 1; q >= 0; q-- {
-			if qual[q].t > hi {
-				hi = qual[q].t
-			}
-			lo := I.Beg
-			if q > 0 && qual[q-1].t+1 > lo {
-				lo = qual[q-1].t + 1
-			}
-			if qual[q].act > runMax {
-				runMax = qual[q].act
-			}
-			if lo <= hi {
-				pieces = append(pieces, simlist.Entry{Iv: interval.I{Beg: lo, End: hi}, Act: runMax})
-				hi = lo - 1
-			}
-		}
-	}
-
-	// Step 2b: ids on an h-entry but on no g-run keep h's value there
-	// (u'' = i itself). Subtract the g-runs from each h-entry.
-	g := 0
-	for _, J := range lh.Entries {
-		pos := J.Iv.Beg
-		for g < len(gRuns) && gRuns[g].End < J.Iv.Beg {
-			g++
-		}
-		for k := g; k < len(gRuns) && gRuns[k].Beg <= J.Iv.End; k++ {
-			if gRuns[k].Beg > pos {
-				pieces = append(pieces, simlist.Entry{Iv: interval.I{Beg: pos, End: gRuns[k].Beg - 1}, Act: J.Act})
-			}
-			if gRuns[k].End+1 > pos {
-				pos = gRuns[k].End + 1
-			}
-		}
-		if pos <= J.Iv.End {
-			pieces = append(pieces, simlist.Entry{Iv: interval.I{Beg: pos, End: J.Iv.End}, Act: J.Act})
-		}
-	}
-
-	// Step 3: pieces from 2a lie inside g-runs, pieces from 2b outside, so
-	// they are pairwise disjoint; sort and merge equal neighbours.
-	sort.Slice(pieces, func(a, b int) bool { return pieces[a].Iv.Beg < pieces[b].Iv.Beg })
-	out.Entries = pieces
-	return out.Canonical()
+	dst := make([]simlist.Entry, 0, len(lg.Entries)+len(lh.Entries))
+	return listOf(lh.MaxSim, appendUntil(dst, lg, lh, tau, 1))
 }
 
 // UntilListsPaperRule evaluates until by the paper's literal §3.1 wording:
@@ -325,91 +218,94 @@ func UntilLists(lg, lh simlist.List, tau float64) simlist.List {
 // implements the exact semantics. Kept for the fidelity comparison and the
 // corresponding ablation test/benchmark.
 func UntilListsPaperRule(lg, lh simlist.List, tau float64) simlist.List {
-	out := simlist.List{MaxSim: lh.MaxSim}
-	var gRuns []interval.I
-	for _, e := range lg.Entries {
-		if lg.MaxSim <= 0 || e.Act/lg.MaxSim < tau {
-			continue
-		}
-		gRuns = append(gRuns, e.Iv)
-	}
-	gRuns = interval.Coalesce(gRuns)
-
-	var pieces []simlist.Entry
-	j := 0
-	for _, I := range gRuns {
-		for j < len(lh.Entries) && lh.Entries[j].Iv.End < I.Beg {
-			j++
-		}
-		type reach struct {
-			t   int
-			act float64
-		}
-		var qual []reach
-		k := j
-		for k < len(lh.Entries) && lh.Entries[k].Iv.Beg <= I.End {
-			J := lh.Entries[k]
-			qual = append(qual, reach{t: min(J.Iv.End, I.End), act: J.Act})
-			k++
-		}
-		runMax := 0.0
-		hi := 0
-		for q := len(qual) - 1; q >= 0; q-- {
-			if qual[q].t > hi {
-				hi = qual[q].t
-			}
-			lo := I.Beg
-			if q > 0 && qual[q-1].t+1 > lo {
-				lo = qual[q-1].t + 1
-			}
-			if qual[q].act > runMax {
-				runMax = qual[q].act
-			}
-			if lo <= hi {
-				pieces = append(pieces, simlist.Entry{Iv: interval.I{Beg: lo, End: hi}, Act: runMax})
-				hi = lo - 1
-			}
-		}
-	}
-	g := 0
-	for _, J := range lh.Entries {
-		pos := J.Iv.Beg
-		for g < len(gRuns) && gRuns[g].End < J.Iv.Beg {
-			g++
-		}
-		for k := g; k < len(gRuns) && gRuns[k].Beg <= J.Iv.End; k++ {
-			if gRuns[k].Beg > pos {
-				pieces = append(pieces, simlist.Entry{Iv: interval.I{Beg: pos, End: gRuns[k].Beg - 1}, Act: J.Act})
-			}
-			if gRuns[k].End+1 > pos {
-				pos = gRuns[k].End + 1
-			}
-		}
-		if pos <= J.Iv.End {
-			pieces = append(pieces, simlist.Entry{Iv: interval.I{Beg: pos, End: J.Iv.End}, Act: J.Act})
-		}
-	}
-	sort.Slice(pieces, func(a, b int) bool { return pieces[a].Iv.Beg < pieces[b].Iv.Beg })
-	out.Entries = pieces
-	return normalizeOverlaps(out)
+	dst := make([]simlist.Entry, 0, len(lg.Entries)+len(lh.Entries))
+	return listOf(lh.MaxSim, appendUntil(dst, lg, lh, tau, 0))
 }
 
-// normalizeOverlaps resolves any overlapping pieces by pointwise maximum.
-func normalizeOverlaps(l simlist.List) simlist.List {
-	return simlist.Normalize(l.MaxSim, l.Entries)
+// appendUntil is one left-to-right pass over both lists. g matters only as
+// its runs: maximal stretches of adjacent entries at or above the threshold.
+// Outside the runs the result is h itself (u” = i); inside a run I, the value
+// at i is the maximum similarity of the h-entries J reachable from i — J.End
+// >= i and J.Beg <= I.End+reach (reach is 1 for the exact semantics, 0 for
+// the paper's wording) — a suffix maximum over the entries that qualify,
+// scanned like `eventually`. At most two h-entries (the one straddling the
+// run's end and the one beginning right after it) are looked at again by the
+// next step, so the pass is linear. An h-entry is cut only where a g-run
+// begins or ends; len(lg)+len(lh) pieces is what to expect, not a bound.
+func appendUntil(dst []simlist.Entry, lg, lh simlist.List, tau float64, reach int) []simlist.Entry {
+	start := len(dst)
+	g, h := lg.Entries, lh.Entries
+	above := func(e simlist.Entry) bool { return lg.MaxSim > 0 && e.Act/lg.MaxSim >= tau }
+	// Ids below from are decided; h[hi:] are the h-entries not wholly below it.
+	hi, from := 0, math.MinInt
+	// gap copies the parts of h inside [from, to] and moves from past it.
+	gap := func(to int) {
+		for ; hi < len(h) && h[hi].Iv.Beg <= to; hi++ {
+			if iv, ok := h[hi].Iv.Intersect(interval.I{Beg: from, End: to}); ok {
+				dst = simlist.AppendEntry(dst, simlist.Entry{Iv: iv, Act: h[hi].Act})
+			}
+			if h[hi].Iv.End > to {
+				break // it reaches into the run: the run decides the rest of it
+			}
+		}
+		from = to + 1
+	}
+	for gi := 0; gi < len(g) && hi < len(h); {
+		if !above(g[gi]) {
+			gi++
+			continue
+		}
+		I := g[gi].Iv
+		for gi++; gi < len(g) && above(g[gi]) && g[gi].Iv.Beg <= I.End+1; gi++ {
+			I.End = max(I.End, g[gi].Iv.End)
+		}
+		gap(I.Beg - 1)
+		base, beg := len(dst), I.Beg
+		for k := hi; k < len(h) && h[k].Iv.Beg <= I.End+reach; k++ {
+			dst, beg = pushSuffixMax(dst, base, beg, min(h[k].Iv.End, I.End), h[k].Act)
+		}
+		// The run's first piece may continue the piece that ends right before it.
+		if base > start && len(dst) > base && dst[base-1].Act == dst[base].Act && dst[base-1].Iv.Adjacent(dst[base].Iv) {
+			dst[base-1].Iv.End = dst[base].Iv.End
+			dst = append(dst[:base], dst[base+1:]...)
+		}
+		for hi < len(h) && h[hi].Iv.End <= I.End {
+			hi++
+		}
+		from = I.End + 1
+	}
+	gap(math.MaxInt - 1)
+	return dst
 }
 
 // MaxMergeLists merges m similarity lists into one whose value at each id is
 // the maximum over the lists — the second part of the type (2) algorithm
 // (§3.2), used to existentially project a similarity table onto a list. It
-// works directly on intervals via a boundary sweep (O(l log l) for l total
-// entries, matching the paper's O(l log m) up to the heap base).
+// gathers the entries once and normalizes them where they lie: one pass when
+// they come out ascending and disjoint, otherwise simlist's sort-and-sweep
+// (O(l log l) for l total entries, matching the paper's O(l log m) up to the
+// heap base). The result owns exactly the entries it has — it is what an
+// evaluation returns, and results are retained.
 func MaxMergeLists(maxSim float64, ls ...simlist.List) simlist.List {
-	var all []simlist.Entry
+	n := 0
+	for _, l := range ls {
+		n += len(l.Entries)
+	}
+	all := make([]simlist.Entry, 0, n)
 	for _, l := range ls {
 		all = append(all, l.Entries...)
 	}
-	return simlist.Normalize(maxSim, all)
+	return maxMergeOwned(maxSim, all)
+}
+
+// maxMergeOwned is MaxMergeLists over entries the caller has gathered and
+// gives up.
+func maxMergeOwned(maxSim float64, all []simlist.Entry) simlist.List {
+	merged := simlist.NormalizeInPlace(maxSim, all)
+	if len(merged) < cap(merged) {
+		merged = append(make([]simlist.Entry, 0, len(merged)), merged...)
+	}
+	return simlist.List{MaxSim: maxSim, Entries: merged}
 }
 
 // MaxMergePairwise is the naive alternative to MaxMergeLists that merges the
@@ -418,50 +314,7 @@ func MaxMergeLists(maxSim float64, ls ...simlist.List) simlist.List {
 func MaxMergePairwise(maxSim float64, ls ...simlist.List) simlist.List {
 	out := simlist.Empty(maxSim)
 	for _, l := range ls {
-		out = maxMerge2(out, l, maxSim)
+		out.Entries = appendPointwise(make([]simlist.Entry, 0, len(out.Entries)+len(l.Entries)), out, l, pointwiseMax)
 	}
 	return out
-}
-
-func maxMerge2(l1, l2 simlist.List, maxSim float64) simlist.List {
-	out := simlist.List{MaxSim: maxSim}
-	e1, e2 := l1.Entries, l2.Entries
-	if n := len(e1) + len(e2); n > 0 {
-		out.Entries = make([]simlist.Entry, 0, n)
-	}
-	pos := minBeg(e1, e2)
-	i, j := 0, 0
-	for i < len(e1) || j < len(e2) {
-		if i < len(e1) && e1[i].Iv.End < pos {
-			i++
-			continue
-		}
-		if j < len(e2) && e2[j].Iv.End < pos {
-			j++
-			continue
-		}
-		var a, b float64
-		segEnd := int(^uint(0) >> 1)
-		if i < len(e1) {
-			if e1[i].Iv.Beg <= pos {
-				a = e1[i].Act
-				segEnd = min(segEnd, e1[i].Iv.End)
-			} else {
-				segEnd = min(segEnd, e1[i].Iv.Beg-1)
-			}
-		}
-		if j < len(e2) {
-			if e2[j].Iv.Beg <= pos {
-				b = e2[j].Act
-				segEnd = min(segEnd, e2[j].Iv.End)
-			} else {
-				segEnd = min(segEnd, e2[j].Iv.Beg-1)
-			}
-		}
-		if v := max(a, b); v > 0 {
-			out.Entries = append(out.Entries, simlist.Entry{Iv: interval.I{Beg: pos, End: segEnd}, Act: v})
-		}
-		pos = segEnd + 1
-	}
-	return out.Canonical()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -243,7 +244,7 @@ func TestAndListsModeMinProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randomList(rng, 10), randomList(rng, 14)
 		got := AndListsMode(a, b, AndMin)
-		if got.Validate() != nil || got.MaxSim != 24 {
+		if !wellFormed(got) || got.MaxSim != 24 {
 			return false
 		}
 		da, db := a.Expand(denseN), b.Expand(denseN)
@@ -330,7 +331,7 @@ func TestAndListsProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randomList(rng, 10), randomList(rng, 14)
 		got := AndLists(a, b)
-		if got.Validate() != nil || got.MaxSim != 24 {
+		if !wellFormed(got) || got.MaxSim != 24 {
 			return false
 		}
 		want := denseAnd(a.Expand(denseN), b.Expand(denseN))
@@ -346,7 +347,7 @@ func TestNextListProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomList(rng, 10)
 		got := NextList(a)
-		if got.Validate() != nil {
+		if !wellFormed(got) {
 			return false
 		}
 		return floatsEqual(got.Expand(denseN), denseNext(a.Expand(denseN)))
@@ -361,7 +362,7 @@ func TestEventuallyListProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomList(rng, 10)
 		got := EventuallyList(a)
-		if got.Validate() != nil {
+		if !wellFormed(got) {
 			return false
 		}
 		return floatsEqual(got.Expand(denseN), denseEventually(a.Expand(denseN)))
@@ -377,7 +378,7 @@ func TestUntilListsProperty(t *testing.T) {
 		tau := []float64{0.3, 0.5, 0.9}[int(tauPick)%3]
 		g, h := randomList(rng, 10), randomList(rng, 14)
 		got := UntilLists(g, h, tau)
-		if got.Validate() != nil || got.MaxSim != 14 {
+		if !wellFormed(got) || got.MaxSim != 14 {
 			return false
 		}
 		want := denseUntil(g.Expand(denseN), h.Expand(denseN), 10, tau)
@@ -401,7 +402,7 @@ func TestMaxMergeProperty(t *testing.T) {
 			}
 		}
 		got := MaxMergeLists(10, ls...)
-		if got.Validate() != nil {
+		if !wellFormed(got) {
 			return false
 		}
 		if !floatsEqual(got.Expand(denseN), want) {
@@ -412,6 +413,13 @@ func TestMaxMergeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// wellFormed reports whether an operator's result is valid and canonical as
+// it stands: the operators append their entries canonical, nothing merges
+// equal neighbours after them.
+func wellFormed(l simlist.List) bool {
+	return l.Validate() == nil && slices.Equal(l.Entries, l.Canonical().Entries)
 }
 
 func floatsEqual(a, b []float64) bool {

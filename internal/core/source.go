@@ -48,10 +48,32 @@ type ValueRow struct {
 
 // ValueTable is the paper's §3.3 "value table" R for an attribute function
 // q: where (and for which object) each attribute value holds.
+//
+// Rows are ordered by Binding: the rows of one object are one contiguous
+// run, which FreezeTable finds by binary search instead of scanning the
+// table per similarity-table row. The order within a run is the source's
+// and decides only the order in which equal evaluations are first seen.
+// Validate checks the contract.
 type ValueTable struct {
 	// Var is q's object variable name; empty for segment-level attributes.
 	Var  string
 	Rows []ValueRow
+}
+
+// Validate checks what FreezeTable relies on: rows ordered by binding, and
+// every row's intervals valid, ascending and disjoint.
+func (vt *ValueTable) Validate() error {
+	for i, r := range vt.Rows {
+		if i > 0 && r.Binding < vt.Rows[i-1].Binding {
+			return fmt.Errorf("core: value row %d binds %d after %d: rows must be ordered by binding", i, r.Binding, vt.Rows[i-1].Binding)
+		}
+		for k, iv := range r.Ivs {
+			if !iv.Valid() || (k > 0 && iv.Beg <= r.Ivs[k-1].End) {
+				return fmt.Errorf("core: value row %d: interval %v is invalid, out of order or overlaps its predecessor", i, iv)
+			}
+		}
+	}
+	return nil
 }
 
 // Source supplies the evaluator with everything it needs about one proper

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
+	"testing/quick"
 
 	"htlvideo/internal/interval"
 	"htlvideo/internal/simlist"
@@ -254,5 +259,257 @@ func TestAttrValueInRange(t *testing.T) {
 	}
 	if iv.String() != "7" || sv.String() != `"x"` {
 		t.Fatal("AttrValue strings")
+	}
+}
+
+// freezeTableNaive is FreezeTable the way §3.3 words it, and the way this
+// package computed it before the value rows were searched and the groups
+// carved from one block: every row against every value row, a restricted
+// list per joining pair, pairs grouped under a printed key in first-seen
+// order, a group's lists merged by MaxMergeLists.
+func freezeTableNaive(t1 *simlist.Table, y string, vt *ValueTable, qVar string) *simlist.Table {
+	yIdx := t1.AttrIndex(y)
+	if yIdx < 0 {
+		return t1
+	}
+	zIdx := -1
+	objVars := append([]string(nil), t1.ObjVars...)
+	if qVar != "" {
+		if zIdx = t1.ObjIndex(qVar); zIdx < 0 {
+			objVars = append(objVars, qVar)
+		}
+	}
+	var attrVars []string
+	for _, v := range t1.AttrVars {
+		if v != y {
+			attrVars = append(attrVars, v)
+		}
+	}
+	out := simlist.NewTable(objVars, attrVars, t1.MaxSim)
+	type acc struct {
+		row   simlist.Row
+		lists []simlist.List
+	}
+	groups := map[string]*acc{}
+	var order []string
+	for _, r1 := range t1.Rows {
+		for _, vr := range vt.Rows {
+			if zIdx >= 0 && r1.Bindings[zIdx] != AnyObject && r1.Bindings[zIdx] != vr.Binding {
+				continue
+			}
+			if !vr.Value.InRange(r1.Ranges[yIdx]) {
+				continue
+			}
+			bindings := append([]simlist.ObjectID(nil), r1.Bindings...)
+			if qVar != "" && zIdx >= 0 {
+				bindings[zIdx] = vr.Binding
+			} else if qVar != "" {
+				bindings = append(bindings, vr.Binding)
+			}
+			var ranges []simlist.Range
+			for i, rg := range r1.Ranges {
+				if i != yIdx {
+					ranges = append(ranges, rg)
+				}
+			}
+			k := fmt.Sprint(bindings, ranges)
+			if groups[k] == nil {
+				groups[k] = &acc{row: simlist.Row{Bindings: bindings, Ranges: ranges}}
+				order = append(order, k)
+			}
+			groups[k].lists = append(groups[k].lists, ListRestrict(r1.List, vr.Ivs))
+		}
+	}
+	for _, k := range order {
+		row := groups[k].row
+		row.List = MaxMergeLists(t1.MaxSim, groups[k].lists...)
+		if keepRow(row) {
+			out.Rows = append(out.Rows, row)
+		}
+	}
+	return out
+}
+
+// combineTablesNaive is CombineTables without the hash index: every row of t1
+// tries every row of t2, the rows with a wildcard in a shared column first.
+func combineTablesNaive(t1, t2 *simlist.Table, op listCombiner, maxSim float64) *simlist.Table {
+	s := makeJoinSchema(t1, t2)
+	out := simlist.NewTable(s.objVars, s.attrVars, maxSim)
+	emit := func(row simlist.Row) {
+		if keepRow(row) {
+			row.Bindings, row.Ranges = slices.Clone(row.Bindings), slices.Clone(row.Ranges)
+			out.Rows = append(out.Rows, row)
+		}
+	}
+	matched2 := make([]bool, len(t2.Rows))
+	for _, r1 := range t1.Rows {
+		_, wild1 := s.sharedHash(r1.Bindings, 0)
+		matched1 := false
+		for _, wildPass := range []bool{true, false} {
+			for i2, r2 := range t2.Rows {
+				if _, wild2 := s.sharedHash(r2.Bindings, 1); !wild1 && wild2 != wildPass {
+					continue
+				}
+				if wild1 && !wildPass {
+					continue // a wildcard on our side walks t2 once, in order
+				}
+				if row, ok := joinRows(s, r1, r2, op); ok {
+					matched1, matched2[i2] = true, true
+					emit(row)
+				}
+			}
+		}
+		if !matched1 {
+			emit(outerRow(s, r1, nil, op, simlist.Empty(t2.MaxSim)))
+		}
+	}
+	for i2 := range t2.Rows {
+		if !matched2[i2] {
+			emit(outerRow(s, simlist.Row{}, &t2.Rows[i2], op, simlist.Empty(t1.MaxSim)))
+		}
+	}
+	return out
+}
+
+// randomTable builds a table over the given columns: few distinct objects
+// (so that joins and groups collide), wildcards among them, ranges of every
+// kind, lists that are often a single entry.
+func randomTable(rng *rand.Rand, objVars, attrVars []string, maxSim float64) *simlist.Table {
+	tb := simlist.NewTable(objVars, attrVars, maxSim)
+	for n := rng.Intn(12); n > 0; n-- {
+		bindings := make([]simlist.ObjectID, len(objVars))
+		for i := range bindings {
+			bindings[i] = simlist.ObjectID(rng.Intn(4)) // 0 is the wildcard
+		}
+		ranges := make([]simlist.Range, len(attrVars))
+		for i := range ranges {
+			switch rng.Intn(5) {
+			case 0:
+				ranges[i] = simlist.AnyRange()
+			case 1:
+				ranges[i] = simlist.StrEq([]string{"news", "western"}[rng.Intn(2)])
+			case 2:
+				ranges[i] = simlist.IntAtMost(int64(rng.Intn(5)))
+			case 3:
+				ranges[i] = simlist.IntAbove(int64(rng.Intn(5)))
+			default:
+				lo := int64(rng.Intn(4))
+				ranges[i] = simlist.IntRange(lo, lo+int64(rng.Intn(3)))
+			}
+		}
+		l := randomList(rng, maxSim)
+		if rng.Intn(3) > 0 && len(l.Entries) > 1 {
+			l.Entries = l.Entries[:1]
+		}
+		tb.MustAddRow(bindings, ranges, l)
+	}
+	return tb
+}
+
+func randomValueTable(rng *rand.Rand, qVar string) *ValueTable {
+	vt := &ValueTable{Var: qVar}
+	for n := rng.Intn(10); n > 0; n-- {
+		vr := ValueRow{Value: AttrValue{IsInt: true, Int: int64(rng.Intn(6))}}
+		if rng.Intn(4) == 0 {
+			vr.Value = AttrValue{Str: []string{"news", "western"}[rng.Intn(2)]}
+		}
+		if qVar != "" {
+			vr.Binding = simlist.ObjectID(1 + rng.Intn(4))
+		}
+		for pos := 1 + rng.Intn(6); pos < denseN && len(vr.Ivs) < 4; pos += 2 + rng.Intn(8) {
+			end := pos + rng.Intn(5)
+			vr.Ivs = append(vr.Ivs, interval.I{Beg: pos, End: end})
+			pos = end
+		}
+		vt.Rows = append(vt.Rows, vr)
+	}
+	// Rows by binding, as the contract says; within an object's run the order
+	// the rows were drawn in.
+	sort.SliceStable(vt.Rows, func(i, j int) bool { return vt.Rows[i].Binding < vt.Rows[j].Binding })
+	return vt
+}
+
+// Property: the two-pass FreezeTable returns the naive join's table — rows,
+// their order, their lists' entries — over operand tables with one or two
+// object columns, wildcards in the frozen variable's column or no such column
+// at all, a second range column that survives into the group key, segment and
+// object attributes, string and integer values, and groups whose pieces
+// overlap, interleave or vanish.
+func TestFreezeTableMatchesNaive(t *testing.T) {
+	f := func(seed int64, shape uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		objVars := [][]string{nil, {"z"}, {"w"}, {"w", "z"}, {"z", "w"}}[int(shape)%5]
+		attrVars := [][]string{{"h"}, {"h", "k"}, {"k", "h"}}[int(shape/5)%3]
+		qVar := []string{"z", ""}[int(shape/15)%2]
+		t1 := randomTable(rng, objVars, attrVars, 10)
+		vt := randomValueTable(rng, qVar)
+		if err := vt.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		before := t1.String()
+		got, want := FreezeTable(t1, "h", vt, qVar), freezeTableNaive(t1, "h", vt, qVar)
+		if err := got.Validate(); err != nil {
+			t.Errorf("seed %d shape %d: %v", seed, shape, err)
+			return false
+		}
+		if got.String() != want.String() {
+			t.Errorf("seed %d shape %d:\ngot  %vwant %v", seed, shape, got, want)
+			return false
+		}
+		return t1.String() == before // the operand is shared with other parents: untouched
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the hash-chained join returns the nested-loop join's table, row
+// for row, for both list operators and for shared columns that hold wildcards.
+func TestCombineTablesMatchesNaive(t *testing.T) {
+	f := func(seed int64, shape uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cols := [][2][]string{
+			{{"x"}, {"x"}}, {{"x", "y"}, {"y", "x"}}, {{"x"}, {"y"}}, {nil, {"x"}}, {{"x", "y"}, {"y"}}, {nil, nil},
+		}[int(shape)%6]
+		attrs := [][2][]string{{nil, nil}, {{"h"}, nil}, {{"h"}, {"h"}}, {{"h"}, {"k"}}}[int(shape/6)%4]
+		t1, t2 := randomTable(rng, cols[0], attrs[0], 10), randomTable(rng, cols[1], attrs[1], 14)
+		for _, op := range []struct {
+			f      listCombiner
+			maxSim float64
+		}{{AndLists, 24}, {func(l1, l2 simlist.List) simlist.List { return UntilLists(l1, l2, 0.5) }, 14}} {
+			got, want := CombineTables(t1, t2, op.f, op.maxSim), combineTablesNaive(t1, t2, op.f, op.maxSim)
+			if err := got.Validate(); err != nil {
+				t.Errorf("seed %d shape %d: %v", seed, shape, err)
+				return false
+			}
+			if got.String() != want.String() {
+				t.Errorf("seed %d shape %d:\ngot  %vwant %v", seed, shape, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestValueTableValidate(t *testing.T) {
+	ok := &ValueTable{Var: "z", Rows: []ValueRow{
+		{Binding: 1, Ivs: []interval.I{{Beg: 1, End: 2}, {Beg: 4, End: 4}}},
+		{Binding: 1, Ivs: []interval.I{{Beg: 3, End: 3}}},
+		{Binding: 7},
+	}}
+	if err := ok.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]*ValueTable{
+		"bindings out of order": {Var: "z", Rows: []ValueRow{{Binding: 2}, {Binding: 1}}},
+		"intervals overlap":     {Rows: []ValueRow{{Ivs: []interval.I{{Beg: 1, End: 3}, {Beg: 3, End: 4}}}}},
+		"interval invalid":      {Rows: []ValueRow{{Ivs: []interval.I{{Beg: 2, End: 1}}}}},
+	} {
+		if bad.Validate() == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
 	}
 }

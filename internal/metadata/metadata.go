@@ -226,6 +226,24 @@ func (v *Video) Depth() int {
 // level: all level-l segments in temporal order.
 func (v *Video) Sequence(level int) []*Node { return v.Root.DescendantsAt(level) }
 
+// HasLevel reports whether the video has a segment at the given level:
+// len(v.Sequence(level)) > 0, without building the sequence. It returns at
+// the first segment found and allocates nothing — every query asks it of
+// every video.
+func (v *Video) HasLevel(level int) bool { return v.Root.hasLevel(level) }
+
+func (n *Node) hasLevel(level int) bool {
+	if level <= n.Level {
+		return level == n.Level
+	}
+	for _, c := range n.Children {
+		if c.hasLevel(level) {
+			return true
+		}
+	}
+	return false
+}
+
 // LeafSpan is the contiguous range of leaf positions (1-based, at the
 // deepest level — the playable frames) covered by one segment.
 type LeafSpan struct {

@@ -262,6 +262,9 @@ func TestValueTableObjectAttr(t *testing.T) {
 	if vt.Var != "z" {
 		t.Fatalf("Var = %q", vt.Var)
 	}
+	if err := vt.Validate(); err != nil {
+		t.Fatal(err) // rows ordered by object: core.FreezeTable searches them
+	}
 	// Object 1 has heights 10@1, 20@2, 15@5 — three rows.
 	var got []string
 	for _, r := range vt.Rows {

@@ -122,21 +122,36 @@ func (s *System) evalAtomic(p *program) (*simlist.Table, error) {
 	}
 	m.lists = cands.lists
 
-	// The rows' keys move out of the scratch into two arrays of their own,
-	// each row holding its slice of them.
+	// The rows' keys and entries move out of the scratch into three arrays
+	// of their own, each row holding its slice of them. A row's entries are
+	// positive and ascending, one per segment: clamped and merged as they
+	// are copied, they are a canonical list.
 	table := simlist.NewTable(p.freeObj, p.freeAttr, p.maxSim)
 	if len(m.rows) == 0 {
 		return table, nil
 	}
-	nFree, k := len(p.free), m.k
+	nFree, k, nEntries := len(p.free), m.k, 0
+	for i := range m.rows {
+		nEntries += len(m.rows[i].entries)
+	}
 	table.Rows = make([]simlist.Row, len(m.rows))
 	objs := append(make([]simlist.ObjectID, 0, len(m.rowObj)), m.rowObj...)
 	rngs := append(make([]simlist.Range, 0, len(m.rowRng)), m.rowRng...)
+	entries := make([]simlist.Entry, nEntries)
 	for i := range m.rows {
+		list := entries[:0]
+		for _, e := range m.rows[i].entries {
+			e.Act = min(e.Act, p.maxSim)
+			list = simlist.AppendEntry(list, e)
+		}
+		entries = entries[len(list):]
+		if len(list) == 0 {
+			list = nil
+		}
 		table.Rows[i] = simlist.Row{
 			Bindings: objs[i*nFree : (i+1)*nFree : (i+1)*nFree],
 			Ranges:   rngs[i*k : (i+1)*k : (i+1)*k],
-			List:     simlist.Normalize(p.maxSim, m.rows[i].entries),
+			List:     simlist.List{MaxSim: p.maxSim, Entries: list[:len(list):len(list)]},
 		}
 	}
 	return table, nil

@@ -93,8 +93,9 @@ func (s *System) ValueTable(q htl.AttrFn) (*core.ValueTable, error) {
 		}
 		vt.Rows[len(vt.Rows)-1].Ivs = ivs[rowStart:len(ivs):len(ivs)]
 	}
-	// Rows are ordered by object, an object's rows by where its values first
-	// appear — a row's first interval begins there.
+	// Rows are ordered by object — core.ValueTable's contract, FreezeTable
+	// finds an object's rows by binary search — and an object's rows by where
+	// its values first appear: a row's first interval begins there.
 	slices.SortFunc(vt.Rows, func(a, b core.ValueRow) int {
 		return cmp.Or(cmp.Compare(a.Binding, b.Binding), cmp.Compare(a.Ivs[0].Beg, b.Ivs[0].Beg), compareAttrValues(a.Value, b.Value))
 	})

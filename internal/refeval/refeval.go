@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"htlvideo/internal/core"
@@ -34,17 +35,6 @@ import (
 	"htlvideo/internal/picture"
 	"htlvideo/internal/simlist"
 )
-
-// errorsAs wraps errors.As for readability at the call site.
-func errorsAs(err error, target **picture.UnsupportedError) bool {
-	return errors.As(err, target)
-}
-
-// memoKey identifies one (closed subformula, segment) evaluation.
-type memoKey struct {
-	n *core.PNode
-	u int
-}
 
 // childKey identifies one child evaluator: the descendant sequence of
 // segment u at a level.
@@ -61,12 +51,18 @@ type Evaluator struct {
 	// visits a node per (subformula, segment) pair, so checking the context
 	// on every call would dominate small evaluations.
 	ops uint
-	// memo caches the similarity of closed subformulas per segment; their
-	// value cannot depend on the evaluation environment.
-	memo map[memoKey]float64
-	// maxSim caches core.MaxSimOf per plan node — the And/Not/Until cases
-	// consult it on every visit.
-	maxSim map[*core.PNode]float64
+	// plan is the plan the three caches below are for. memo and maxSim are
+	// indexed by PNode.ID, which is dense within one plan and means nothing in
+	// another: bind drops them when the evaluator is handed another plan.
+	plan *core.Plan
+	// memo[n.ID][u-1] caches the similarity of closed subformula n at
+	// segment u — its value cannot depend on the evaluation environment. A
+	// node's row is made when the node is first scored; NaN marks a segment
+	// not scored yet.
+	memo [][]float64
+	// maxSim[n.ID] caches core.MaxSimOf (NaN until asked for) — the
+	// And/Not/Until cases consult it on every visit.
+	maxSim []float64
 	// children caches one child evaluator per (segment, level), so repeated
 	// level-modal descents reuse the child's memo instead of rebuilding it.
 	children map[childKey]*Evaluator
@@ -75,6 +71,27 @@ type Evaluator struct {
 // New builds an evaluator over the picture system's sequence.
 func New(sys *picture.System, opts core.Options) *Evaluator {
 	return &Evaluator{sys: sys, opts: opts}
+}
+
+// bind readies the evaluator for p's nodes, dropping what it cached for
+// another plan's.
+func (e *Evaluator) bind(p *core.Plan) {
+	if e.plan == p {
+		return
+	}
+	e.plan = p
+	e.memo = make([][]float64, p.Nodes)
+	e.maxSim = unscored(p.Nodes)
+	e.children = nil
+}
+
+// unscored returns n NaNs.
+func unscored(n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = math.NaN()
+	}
+	return s
 }
 
 // List computes the similarity list of a closed formula over the sequence,
@@ -94,6 +111,7 @@ func (e *Evaluator) ListCtx(ctx context.Context, f htl.Formula) (simlist.List, e
 
 // ListPlanCtx evaluates a compiled plan over the sequence, id by id.
 func (e *Evaluator) ListPlanCtx(ctx context.Context, p *core.Plan) (simlist.List, error) {
+	e.bind(p)
 	maxSim := e.maxSimOf(p.Root)
 	dense := make([]float64, e.sys.Len())
 	for u := 1; u <= e.sys.Len(); u++ {
@@ -111,19 +129,18 @@ func (e *Evaluator) ListPlanCtx(ctx context.Context, p *core.Plan) (simlist.List
 
 // SimAt returns the actual similarity of f at segment u under env.
 func (e *Evaluator) SimAt(f htl.Formula, u int, env picture.Env) (float64, error) {
-	return e.simAt(context.Background(), core.CompilePlan(f).Root, u, env)
+	p := core.CompilePlan(f)
+	e.bind(p)
+	return e.simAt(context.Background(), p.Root, u, env)
 }
 
 // maxSimOf caches core.MaxSimOf per node.
 func (e *Evaluator) maxSimOf(n *core.PNode) float64 {
-	if v, ok := e.maxSim[n]; ok {
+	if v := e.maxSim[n.ID]; v == v {
 		return v
 	}
 	v := core.MaxSimOf(e.sys, n.F)
-	if e.maxSim == nil {
-		e.maxSim = map[*core.PNode]float64{}
-	}
-	e.maxSim[n] = v
+	e.maxSim[n.ID] = v
 	return v
 }
 
@@ -138,9 +155,9 @@ func (e *Evaluator) simAt(ctx context.Context, n *core.PNode, u int, env picture
 	// enumeration and the O(n²) temporal loops onto one computation per
 	// (subformula, segment).
 	e.opts.Prof.Visit(n)
-	useMemo := n.Closed
-	if useMemo {
-		if v, ok := e.memo[memoKey{n, u}]; ok {
+	useMemo := n.Closed && u >= 1 && u <= e.sys.Len()
+	if useMemo && e.memo[n.ID] != nil {
+		if v := e.memo[n.ID][u-1]; v == v {
 			e.opts.Obs.MemoHit()
 			e.opts.Prof.MemoHit(n)
 			return v, nil
@@ -164,10 +181,10 @@ func (e *Evaluator) simAt(ctx context.Context, n *core.PNode, u int, env picture
 	}
 	e.opts.Prof.AddSim(n)
 	if useMemo {
-		if e.memo == nil {
-			e.memo = map[memoKey]float64{}
+		if e.memo[n.ID] == nil {
+			e.memo[n.ID] = unscored(e.sys.Len())
 		}
-		e.memo[memoKey{n, u}] = v
+		e.memo[n.ID][u-1] = v
 	}
 	return v, nil
 }
@@ -177,18 +194,19 @@ func (e *Evaluator) simAtUncached(ctx context.Context, n *core.PNode, u int, env
 		e.opts.Obs.AtomicEval()
 		e.opts.Prof.AtomicEval(n)
 		sim, err := e.sys.ScoreAtomicAt(n, u, env)
-		var unsup *picture.UnsupportedError
-		switch {
-		case err == nil:
+		if err == nil {
 			return sim.Act, nil
-		case errorsAs(err, &unsup):
-			// Outside the picture system's atomic fragment (e.g. negation
-			// over object variables): decompose structurally instead. The
-			// distinct-objects rule then applies per atom rather than per
-			// unit — the documented extension semantics for full HTL.
-		default:
+		}
+		// Declared on the error path only: errors.As makes it escape, and
+		// this is the reference evaluator's innermost call.
+		var unsup *picture.UnsupportedError
+		if !errors.As(err, &unsup) {
 			return 0, err
 		}
+		// Outside the picture system's atomic fragment (e.g. negation over
+		// object variables): decompose structurally instead. The
+		// distinct-objects rule then applies per atom rather than per unit —
+		// the documented extension semantics for full HTL.
 	}
 	switch x := n.F.(type) {
 	case htl.True, htl.Present, htl.Cmp, htl.Pred:
@@ -297,7 +315,8 @@ func (e *Evaluator) simAtUncached(ctx context.Context, n *core.PNode, u int, env
 // childAt returns (building and caching if needed) the evaluator over
 // segment u's descendant sequence at the given level, or nil when there is
 // none. Caching the evaluator keeps the child's memo alive across the
-// repeated descents of enclosing temporal scans.
+// repeated descents of enclosing temporal scans; a child evaluates nodes of
+// its parent's plan.
 func (e *Evaluator) childAt(u int, ref htl.LevelRef) (*Evaluator, error) {
 	k := childKey{u: u, ref: ref}
 	if child, ok := e.children[k]; ok {
@@ -314,6 +333,7 @@ func (e *Evaluator) childAt(u int, ref htl.LevelRef) (*Evaluator, error) {
 			return nil, fmt.Errorf("refeval: child source is %T, not a picture system", src)
 		}
 		child = New(cs, e.opts)
+		child.bind(e.plan)
 	}
 	if e.children == nil {
 		e.children = map[childKey]*Evaluator{}

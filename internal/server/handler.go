@@ -498,7 +498,7 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	out := &QueryResponse{Class: fmt.Sprint(htlvideo.Classify(p.Formula))}
 	var eligible []int
 	for _, v := range st.Videos() {
-		if len(v.Sequence(p.Level)) == 0 {
+		if !v.HasLevel(p.Level) {
 			continue
 		}
 		eligible = append(eligible, v.ID)

@@ -133,192 +133,160 @@ func (l List) Clone() List {
 // Canonical returns an equivalent list in canonical form: entries sorted,
 // disjoint, and adjacent entries with equal similarity merged into one.
 // The receiver must already satisfy Validate; canonicalization only merges.
+// It copies: an operator that builds a list appends it canonical in the first
+// place (AppendEntry); Canonical is for callers that do not own their input.
 func (l List) Canonical() List {
 	if len(l.Entries) == 0 {
 		return List{MaxSim: l.MaxSim}
 	}
-	out := List{MaxSim: l.MaxSim, Entries: make([]Entry, 0, len(l.Entries))}
-	cur := l.Entries[0]
-	for _, e := range l.Entries[1:] {
-		if cur.Iv.Adjacent(e.Iv) && cur.Act == e.Act {
-			cur.Iv.End = e.Iv.End
-			continue
-		}
-		out.Entries = append(out.Entries, cur)
-		cur = e
+	out := make([]Entry, 0, len(l.Entries))
+	for _, e := range l.Entries {
+		out = AppendEntry(out, e)
 	}
-	out.Entries = append(out.Entries, cur)
-	return out
+	return List{MaxSim: l.MaxSim, Entries: out}
 }
 
-// sweepEvent is one boundary of Normalize's sweep line.
-type sweepEvent struct {
-	pos   int
-	act   float64
-	enter bool
+// AppendEntry appends e to dst, the entries of one list under construction,
+// and returns the extended slice. e must lie after every entry of dst; it is
+// folded into the last one when the two are adjacent with equal similarity,
+// so a list built through AppendEntry alone is canonical as it stands.
+func AppendEntry(dst []Entry, e Entry) []Entry {
+	if n := len(dst); n > 0 && dst[n-1].Act == e.Act && dst[n-1].Iv.Adjacent(e.Iv) {
+		dst[n-1].Iv.End = e.Iv.End
+		return dst
+	}
+	return append(dst, e)
 }
-
-// sweepScratch pools Normalize's transient state (the event list, the
-// lazy-deletion heap, the alive multiset). Normalize sits under every merge
-// and level-modal aggregation, so these buffers churn hard; nothing in the
-// scratch escapes into the returned list.
-type sweepScratch struct {
-	events []sweepEvent
-	heap   maxHeap
-	alive  map[float64]int
-}
-
-var sweepPool = sync.Pool{New: func() any {
-	return &sweepScratch{alive: map[float64]int{}}
-}}
 
 // Normalize builds a valid list from arbitrary entries: it drops non-positive
 // similarities, sorts by beginning id, resolves overlaps by keeping the
 // maximum similarity on the overlap, clamps Act to maxSim, and merges equal
-// adjacent runs. It is intended for ingesting untrusted or generator data.
+// adjacent runs. It is intended for ingesting untrusted or generator data,
+// and leaves entries as they are.
 func Normalize(maxSim float64, entries []Entry) List {
-	if ordered(entries) {
-		// Nothing to sort and no overlap to resolve — what the picture layer
-		// and the level-modal aggregation hand in (ascending point entries):
-		// clamp and merge equal adjacent runs in one pass.
-		out := List{MaxSim: maxSim}
-		for _, e := range entries {
-			if e.Act <= 0 || !e.Iv.Valid() {
-				continue
-			}
-			e.Act = min(e.Act, maxSim)
-			if out.Entries == nil {
-				out.Entries = make([]Entry, 0, len(entries))
-			}
-			if n := len(out.Entries); n > 0 && out.Entries[n-1].Iv.Adjacent(e.Iv) && out.Entries[n-1].Act == e.Act {
-				out.Entries[n-1].Iv.End = e.Iv.End
-				continue
-			}
-			out.Entries = append(out.Entries, e)
-		}
-		return out
-	}
-	// Sweep line over entry boundaries, keeping the maximum similarity among
-	// the entries covering each elementary run. Overlap resolution uses a
-	// lazy-deletion max-heap, so the whole pass is O(k log k).
-	sc := sweepPool.Get().(*sweepScratch)
-	defer func() {
-		sc.events = sc.events[:0]
-		sc.heap = sc.heap[:0]
-		clear(sc.alive)
-		sweepPool.Put(sc)
-	}()
-	events := sc.events[:0]
-	for _, e := range entries {
-		if e.Act <= 0 || !e.Iv.Valid() {
-			continue
-		}
-		if e.Act > maxSim {
-			e.Act = maxSim
-		}
-		events = append(events,
-			sweepEvent{pos: e.Iv.Beg, act: e.Act, enter: true},
-			sweepEvent{pos: e.Iv.End + 1, act: e.Act, enter: false})
-	}
-	sc.events = events
-	// Equal positions are consumed as one group below, so the sort need not
-	// be stable.
-	slices.SortFunc(events, func(a, b sweepEvent) int { return cmp.Compare(a.pos, b.pos) })
-
-	sc.heap = sc.heap[:0]
-	heap := &sc.heap
-	alive := sc.alive
-	out := List{MaxSim: maxSim}
-	i := 0
-	for i < len(events) {
-		pos := events[i].pos
-		for i < len(events) && events[i].pos == pos {
-			ev := events[i]
-			if ev.enter {
-				alive[ev.act]++
-				heap.push(ev.act)
-			} else {
-				alive[ev.act]--
-			}
-			i++
-		}
-		// Discard heap tops that have fully exited.
-		for heap.len() > 0 && alive[heap.top()] <= 0 {
-			heap.pop()
-		}
-		cur := 0.0
-		if heap.len() > 0 {
-			cur = heap.top()
-		}
-		next := 1<<63 - 1
-		if i < len(events) {
-			next = events[i].pos
-		}
-		if cur > 0 && pos <= next-1 {
-			out.Entries = append(out.Entries, Entry{Iv: interval.I{Beg: pos, End: next - 1}, Act: cur})
-		}
-	}
-	return out.Canonical()
+	return List{MaxSim: maxSim, Entries: NormalizeInPlace(maxSim, slices.Clone(entries))}
 }
 
-// ordered reports whether the entries Normalize would keep are ascending and
-// pairwise disjoint.
-func ordered(entries []Entry) bool {
-	end, first := 0, true
+// NormalizeInPlace is Normalize for a caller that owns entries and gives
+// them up: the result is built in their storage — reordered, overwritten —
+// and is nil when nothing remains. Entries that come ascending and disjoint
+// (what the picture layer and the level-modal aggregation produce) cost one
+// pass; disjoint ones in any order a sort on top; only overlapping ones, which
+// can split into more runs than there were entries, move to a new slice.
+func NormalizeInPlace(maxSim float64, entries []Entry) []Entry {
+	s := entries[:0]
 	for _, e := range entries {
-		if e.Act <= 0 || !e.Iv.Valid() {
-			continue
+		if e.Act > 0 && e.Iv.Valid() {
+			e.Act = min(e.Act, maxSim)
+			s = append(s, e)
 		}
-		if !first && e.Iv.Beg <= end {
+	}
+	if !ascending(s) {
+		slices.SortFunc(s, func(a, b Entry) int { return cmp.Compare(a.Iv.Beg, b.Iv.Beg) })
+		if !ascending(s) {
+			return sweep(s)
+		}
+	}
+	out := s[:0]
+	for _, e := range s {
+		out = AppendEntry(out, e)
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// ascending reports whether every entry begins after its predecessor ends.
+func ascending(s []Entry) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i].Iv.Beg <= s[i-1].Iv.End {
 			return false
 		}
-		end, first = e.Iv.End, false
 	}
 	return true
 }
 
-// maxHeap is a minimal float64 max-heap used by Normalize's sweep.
-type maxHeap []float64
-
-func (h maxHeap) len() int     { return len(h) }
-func (h maxHeap) top() float64 { return h[0] }
-func (h *maxHeap) push(v float64) {
-	*h = append(*h, v)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p] >= (*h)[i] {
-			break
+// sweep resolves the overlaps of s, which is sorted by beginning id, keeping
+// the maximum similarity wherever entries overlap. The entries covering the
+// current position wait in a max-heap on similarity whose expired tops are
+// dropped lazily — O(k log k) — and the heap lives in the prefix of s the
+// sweep has already read. The runs come out on a pooled buffer and move back
+// into s once it is read to the end; only a result with more runs than there
+// were entries needs a slice of its own.
+func sweep(s []Entry) []Entry {
+	buf := sweepPool.Get().(*[]Entry)
+	out := (*buf)[:0]
+	heap, next, pos := s[:0], 0, 0
+	for next < len(s) || len(heap) > 0 {
+		if len(heap) == 0 {
+			pos = s[next].Iv.Beg
 		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
+		for ; next < len(s) && s[next].Iv.Beg <= pos; next++ {
+			heap = pushMax(heap, s[next]) // len(heap) <= next: the slot is free
+		}
+		for len(heap) > 0 && heap[0].Iv.End < pos {
+			heap = popMax(heap)
+		}
+		if len(heap) == 0 {
+			continue
+		}
+		// The top holds until it ends or another entry begins.
+		end := heap[0].Iv.End
+		if next < len(s) && s[next].Iv.Beg <= end {
+			end = s[next].Iv.Beg - 1
+		}
+		out = AppendEntry(out, Entry{Iv: interval.I{Beg: pos, End: end}, Act: heap[0].Act})
+		pos = end + 1
 	}
+	if len(out) <= len(s) {
+		s = s[:copy(s, out)]
+	} else {
+		s = slices.Clone(out)
+	}
+	*buf = out
+	sweepPool.Put(buf)
+	return s
 }
 
-func (h *maxHeap) pop() float64 {
-	s := *h
-	topVal := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
+// sweepPool recycles sweep's output buffer. The existential collapse of a
+// table and most groups of a freeze join overlap, so the sweep runs per video
+// and per group; EXPERIMENTS.md "§3 kernel (PR 23)" has the bytes with and
+// without the pool.
+var sweepPool = sync.Pool{New: func() any { return new([]Entry) }}
+
+// pushMax and popMax keep a max-heap of entries on Act for the sweep.
+func pushMax(h []Entry, e Entry) []Entry {
+	h = append(h, e)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].Act >= h[i].Act {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	return h
+}
+
+func popMax(h []Entry) []Entry {
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
 		big := i
-		if l < n && s[l] > s[big] {
+		if l := 2*i + 1; l < n && h[l].Act > h[big].Act {
 			big = l
 		}
-		if r < n && s[r] > s[big] {
+		if r := 2*i + 2; r < n && h[r].Act > h[big].Act {
 			big = r
 		}
 		if big == i {
-			break
+			return h
 		}
-		s[i], s[big] = s[big], s[i]
+		h[i], h[big] = h[big], h[i]
 		i = big
 	}
-	*h = s
-	return topVal
 }
 
 // Equal reports whether two lists denote the same similarity function, i.e.
@@ -406,20 +374,24 @@ func (l List) Expand(n int) []float64 {
 
 // FromDense builds a canonical list from dense per-id actual similarities
 // (index i holds the similarity of segment id i+1). Zero values are omitted.
+// The runs are counted first, so the list owns exactly the entries it has —
+// the reference evaluator hands it straight to callers that retain it.
 func FromDense(maxSim float64, dense []float64) List {
 	l := List{MaxSim: maxSim}
-	i := 0
-	for i < len(dense) {
-		if dense[i] <= 0 {
-			i++
-			continue
+	runs := 0
+	for i, v := range dense {
+		if v > 0 && (i == 0 || dense[i-1] != v) {
+			runs++
 		}
-		j := i
-		for j+1 < len(dense) && dense[j+1] == dense[i] {
-			j++
+	}
+	if runs == 0 {
+		return l
+	}
+	l.Entries = make([]Entry, 0, runs)
+	for i, v := range dense {
+		if v > 0 {
+			l.Entries = AppendEntry(l.Entries, Entry{Iv: interval.Point(i + 1), Act: v})
 		}
-		l.Entries = append(l.Entries, Entry{Iv: interval.I{Beg: i + 1, End: j + 1}, Act: dense[i]})
-		i = j + 1
 	}
 	return l
 }

@@ -175,8 +175,15 @@ func TestNormalizeProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		es := randomEntries(rng, int(n%25))
+		orig := slices.Clone(es)
 		l := Normalize(20, es)
-		if l.Validate() != nil {
+		if l.Validate() != nil || !slices.Equal(es, orig) {
+			return false // Normalize does not own its input
+		}
+		// NormalizeInPlace does, and builds the same list where the input lay
+		// unless overlaps split it into more runs than there were entries.
+		in := NormalizeInPlace(20, slices.Clone(es))
+		if !slices.Equal(in, l.Entries) || !slices.Equal(l.Entries, l.Canonical().Entries) {
 			return false
 		}
 		for id := 0; id <= 80; id++ {

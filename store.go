@@ -479,7 +479,7 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	// errors, below in queryVideo.
 	var work []*Video
 	for _, v := range videos {
-		if cfg.videoID == nil && len(v.Sequence(cfg.level)) == 0 {
+		if cfg.videoID == nil && !v.HasLevel(cfg.level) {
 			s.obs.videosSkipped.Inc()
 			if cfg.rec != nil {
 				cfg.rec.VideosSkipped++
