@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle bench bench-short loc
+.PHONY: check vet staticcheck build test race budget lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle bench bench-short bench-shapes loc
 
-check: vet staticcheck build race lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check
+check: vet staticcheck build race budget lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check
 
 vet:
 	$(GO) vet ./...
@@ -29,6 +29,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The §3 kernel's allocation budget (allocations and bytes per cold conj and
+# type2 query) and its byte-identity golden, without -race: under the race
+# detector sync.Pool drops puts on purpose and the budget skips itself.
+budget:
+	$(GO) test -run '^(TestColdShapeAllocBudget|TestKernelGolden)$$' -count=1 .
 
 # Metrics-conventions lint: every Prometheus exposition the store, server and
 # shard coordinator serve must pass obs.LintExposition (counter/gauge/
@@ -117,6 +123,12 @@ bench:
 bench-short:
 	$(GO) test -short -run '^$$' -bench=. -benchtime=1x -benchmem ./...
 	BENCH_TRACE_GATE=1 BENCH_TRACE_TOLERANCE=0.5 $(GO) test -run '^TestTracePropagationOverhead$$' -count=1 -v .
+
+# The per-shape table every kernel PR cites (EXPERIMENTS.md): ms, bytes and
+# allocations per cold 64-video query of each MIX6 shape at the Store API,
+# three runs. Not part of `make check`.
+bench-shapes:
+	$(GO) test -run '^$$' -bench StoreColdShape -benchmem -benchtime 20x -count 3 .
 
 # The number ROADMAP's design aim tracks: non-test Go lines of the root
 # module (bench/ is its own module), in total and outside the algorithmic

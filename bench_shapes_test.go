@@ -3,6 +3,7 @@ package htlvideo
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -60,13 +61,18 @@ func BenchmarkStoreColdShape(b *testing.B) {
 	}
 }
 
-// coldShapeAllocs is what one cold query of a table-heavy MIX6 shape over
-// mix6Corpus(8, 4, 10) allocated, in allocations, when the §3 kernel was
-// given its per-table blocks (PR 23; the slice-per-list kernel before it:
-// conj 8 034, type2 1 975). TestColdShapeAllocBudget fails at one and a half
-// times these — a count, so it holds on any machine, and the one guard of that
-// change that needs no benchmark harness.
-var coldShapeAllocs = map[string]float64{"conj": 862, "type2": 591}
+// coldShapeBudget is what one cold query of a table-heavy MIX6 shape over
+// mix6Corpus(8, 4, 10) allocated when the similarity tables became columns
+// (PR 25): allocations, and bytes (runtime.MemStats.TotalAlloc). Before it,
+// with a block per table (PR 23): conj 862 allocations / 345 KB, type2 591 /
+// 133 KB; with a slice per list: conj 8 034, type2 1 975 allocations.
+// TestColdShapeAllocBudget fails at one and a half times the allocations and
+// one and a quarter times the bytes — measures that hold on any machine, and
+// the guard of both changes that needs no benchmark harness (`make budget`).
+var coldShapeBudget = map[string]struct{ allocs, bytes float64 }{
+	"conj":  {allocs: 763, bytes: 195_000},
+	"type2": {allocs: 537, bytes: 85_300},
+}
 
 func TestColdShapeAllocBudget(t *testing.T) {
 	// The race detector's build makes sync.Pool drop a quarter of all puts on
@@ -83,7 +89,7 @@ func TestColdShapeAllocBudget(t *testing.T) {
 	}
 	st := mix6Corpus(t, 8, 4, 10)
 	for _, sh := range mix6Shapes {
-		landed, ok := coldShapeAllocs[sh.name]
+		landed, ok := coldShapeBudget[sh.name]
 		if !ok {
 			continue
 		}
@@ -94,10 +100,21 @@ func TestColdShapeAllocBudget(t *testing.T) {
 			}
 		}
 		query() // build the per-video systems
-		got := testing.AllocsPerRun(20, query)
-		t.Logf("%s: %.0f allocations per cold query (landed %.0f)", sh.name, got, landed)
-		if got > 1.5*landed {
-			t.Errorf("%s: %.0f allocations per cold query, budget %.0f (1.5 × the %.0f the kernel rewrite landed)", sh.name, got, 1.5*landed, landed)
+		allocs := testing.AllocsPerRun(20, query)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			query()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.0f allocations, %.0f bytes per cold query (landed %.0f, %.0f)", sh.name, allocs, bytes, landed.allocs, landed.bytes)
+		if allocs > 1.5*landed.allocs {
+			t.Errorf("%s: %.0f allocations per cold query, budget %.0f (1.5 × the %.0f the columnar tables landed)", sh.name, allocs, 1.5*landed.allocs, landed.allocs)
+		}
+		if bytes > 1.25*landed.bytes {
+			t.Errorf("%s: %.0f bytes per cold query, budget %.0f (1.25 × the %.0f the columnar tables landed)", sh.name, bytes, 1.25*landed.bytes, landed.bytes)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"htlvideo/internal/htl"
@@ -72,6 +73,15 @@ func EvalPlanCtx(ctx context.Context, src Source, p *Plan, opts Options) (simlis
 	if p.Class == htl.ClassGeneral {
 		return simlist.List{}, &ErrNotConjunctive{Formula: p.Root.F, Reason: "negation or quantification over a temporal subformula"}
 	}
+	return newPlanEval(src, opts, p.Nodes).evalPlan(ctx, p)
+}
+
+// evalPlan evaluates p's matrix and projects its table. A table the kernel
+// built is this evaluation's and is consumed: its entry column is normalized
+// in place. An atomic matrix's table is the source's, and is projected by
+// copy. Either way the list that leaves owns exactly its entries and aliases
+// no column, because Results, the result cache and the shard merge retain it.
+func (e *planEval) evalPlan(ctx context.Context, p *Plan) (simlist.List, error) {
 	// Strip the existential prefix; the final projection maximizes over all
 	// evaluations regardless of the prefix variables (§3.2 part two).
 	g := p.Root
@@ -83,7 +93,7 @@ func EvalPlanCtx(ctx context.Context, src Source, p *Plan, opts Options) (simlis
 		prefix = append(prefix, g)
 		g = g.Kids[0]
 	}
-	e := newPlanEval(src, opts, p.Nodes)
+	opts := e.opts
 	var start time.Time
 	if opts.Prof != nil && len(prefix) > 0 {
 		start = time.Now()
@@ -102,7 +112,10 @@ func EvalPlanCtx(ctx context.Context, src Source, p *Plan, opts Options) (simlis
 			opts.Prof.AddTime(n, d)
 		}
 	}
-	return ProjectMax(t), nil
+	if g.NonTemporal {
+		return ProjectMax(t), nil
+	}
+	return simlist.List{MaxSim: t.MaxSim, Entries: owned(simlist.NormalizeInPlace(t.MaxSim, t.Entries))}, nil
 }
 
 // EvalTable computes the similarity table of a (possibly open) extended
@@ -148,13 +161,15 @@ func MaxSimOf(src Source, f htl.Formula) float64 {
 
 // planEval evaluates one plan's nodes over one source, memoizing per node:
 // memo is indexed by PNode.ID, which is dense within a plan. Tables are
-// treated as immutable once computed, so a memoized table may be handed to
-// several parents (and even to both sides of one join); the blocks their
-// rows' slices were cut from die with the planEval.
+// immutable once computed, so a memoized table may be handed to several
+// parents (and even to both sides of one join), and its columns to the tables
+// built from it; they die with the planEval.
 type planEval struct {
 	src  Source
 	opts Options
 	memo []*simlist.Table
+	// scratch is where join counts the entries of its lists.
+	scratch []simlist.Entry
 }
 
 func newPlanEval(src Source, opts Options, nodes int) *planEval {
@@ -209,7 +224,7 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 		// side cannot contribute constrained attribute ranges — an
 		// empty-list row with a constrained range survives the outer join
 		// as a coverage marker, so such a side must still evaluate.
-		if e.opts.And == AndMin && len(t1.Rows) == 0 && len(kr.AttrVars) == 0 {
+		if e.opts.And == AndMin && t1.Len() == 0 && len(kr.AttrVars) == 0 {
 			e.opts.Prof.SkipTree(kr)
 			ms := t1.MaxSim + MaxSimOf(e.src, kr.F)
 			return emptyJoin(t1.ObjVars, t1.AttrVars, kr.ObjVars, kr.AttrVars, ms), nil
@@ -218,7 +233,8 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 		if err != nil {
 			return nil, err
 		}
-		return e.join(n, t1, t2, t1.MaxSim+t2.MaxSim, func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry {
+		// Lists that interleave make `and` emit most of its bound.
+		return e.join(n, t1, t2, t1.MaxSim+t2.MaxSim, 2, func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry {
 			return appendPointwise(dst, l1, l2, e.opts.And)
 		}), nil
 	case htl.Until:
@@ -234,7 +250,7 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 		// only as a range-constrained coverage marker. When the left side
 		// has no attribute variables it cannot produce such markers and the
 		// whole subtree is skipped.
-		if len(th.Rows) == 0 && len(kg.AttrVars) == 0 {
+		if th.Len() == 0 && len(kg.AttrVars) == 0 {
 			e.opts.Prof.SkipTree(kg)
 			return emptyJoin(kg.ObjVars, kg.AttrVars, th.ObjVars, th.AttrVars, th.MaxSim), nil
 		}
@@ -242,7 +258,8 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 		if err != nil {
 			return nil, err
 		}
-		return e.join(n, tg, th, th.MaxSim, func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry {
+		// `until` cuts h's entries only where a run of g begins or ends.
+		return e.join(n, tg, th, th.MaxSim, 1, func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry {
 			return appendUntil(dst, l1, l2, e.opts.UntilThreshold, 1)
 		}), nil
 	case htl.Next:
@@ -271,31 +288,6 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 	}
 }
 
-// entryCount is the number of entries in t's lists: what an operator over t
-// reserves for its own.
-func entryCount(t *simlist.Table) int {
-	n := 0
-	for i := range t.Rows {
-		n += len(t.Rows[i].List.Entries)
-	}
-	return n
-}
-
-// join combines two operand tables of n under a list operator in its
-// appending form. The lists of the joined rows share one block, reserved for
-// as many entries as the operands hold — about what a join of mostly one-to-one
-// matches emits; the block grows when there are more.
-func (e *planEval) join(n *PNode, t1, t2 *simlist.Table, maxSim float64, op func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry) *simlist.Table {
-	var blk block[simlist.Entry]
-	blk.reserve(entryCount(t1) + entryCount(t2))
-	return CombineTables(t1, t2, func(l1, l2 simlist.List) simlist.List {
-		e.opts.Obs.Merge()
-		e.opts.Prof.Merge(n)
-		dst := blk.open(len(l1.Entries) + len(l2.Entries))
-		return simlist.List{MaxSim: maxSim, Entries: blk.keep(op(dst, l1, l2))}
-	}, maxSim)
-}
-
 // mapRows evaluates n's operand node and applies a per-list operator
 // (`next`, `eventually`) to every row, dropping rows that become empty.
 func (e *planEval) mapRows(ctx context.Context, n *PNode, op func([]simlist.Entry, simlist.List) []simlist.Entry) (*simlist.Table, error) {
@@ -307,21 +299,39 @@ func (e *planEval) mapRows(ctx context.Context, n *PNode, op func([]simlist.Entr
 }
 
 // mapTable is mapRows over the operand's table. Neither operator emits more
-// entries than it reads, so one block of the operand's size holds every list.
+// entries than it reads, so an entry column of the operand's size holds every
+// list. Neither changes a key: while every row stays, the output reads the
+// operand's binding and range columns; from the first row that goes, it
+// copies the keys of those that stay.
 func (e *planEval) mapTable(n *PNode, t *simlist.Table, op func([]simlist.Entry, simlist.List) []simlist.Entry) *simlist.Table {
 	out := simlist.NewTable(t.ObjVars, t.AttrVars, t.MaxSim)
-	out.Rows = make([]simlist.Row, 0, len(t.Rows))
-	var blk block[simlist.Entry]
-	blk.reserve(entryCount(t))
-	for _, r := range t.Rows {
+	rows, nb, nr := t.Len(), len(t.ObjVars), len(t.AttrVars)
+	if rows == 0 {
+		return out
+	}
+	out.Entries = make([]simlist.Entry, 0, len(t.Entries))
+	out.Off = make([]int32, 1, rows+1)
+	shared := true
+	for i := range rows {
 		e.opts.Obs.Merge()
 		e.opts.Prof.Merge(n)
-		list := simlist.List{MaxSim: r.List.MaxSim, Entries: blk.keep(op(blk.open(len(r.List.Entries)), r.List))}
-		row := simlist.Row{Bindings: r.Bindings, Ranges: r.Ranges, List: list}
-		if keepRow(row) {
-			out.Rows = append(out.Rows, row)
+		at := len(out.Entries)
+		out.Entries = append(out.Entries, op(out.Entries[at:], t.List(i))...) // onto itself
+		if keepRow(len(out.Entries)-at, constrained(t.Ranges(i))) {
+			if !shared {
+				out.Objs, out.Rngs = append(out.Objs, t.Bindings(i)...), append(out.Rngs, t.Ranges(i)...)
+			}
+			out.Off = append(out.Off, int32(len(out.Entries)))
+		} else if shared {
+			shared = false
+			out.Objs = append(make([]simlist.ObjectID, 0, (rows-1)*nb), t.Objs[:i*nb]...)
+			out.Rngs = append(make([]simlist.Range, 0, (rows-1)*nr), t.Rngs[:i*nr]...)
 		}
 	}
+	if shared {
+		out.Objs, out.Rngs = slices.Clip(t.Objs), slices.Clip(t.Rngs)
+	}
+	out.Entries = slices.Clip(out.Entries)
 	return out
 }
 
@@ -335,11 +345,10 @@ func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, e
 	kid := n.Kids[0]
 	objVars, attrVars := kid.ObjVars, kid.AttrVars
 	maxSim := MaxSimOf(e.src, x.F)
-	out := simlist.NewTable(objVars, attrVars, maxSim)
 
-	// A hit is one segment's similarity under one evaluation (a row of out):
-	// hits arrive by ascending segment, are counted per row, and are dealt
-	// into one array afterwards.
+	// A hit is one segment's similarity under one evaluation (a row of the
+	// output): hits arrive by ascending segment, are counted per row, and are
+	// dealt into a carved column afterwards.
 	type hit struct {
 		row int32
 		e   simlist.Entry
@@ -349,6 +358,10 @@ func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, e
 		rows     = evalSet{nb: len(objVars), nr: len(attrVars)}
 		bindings = make([]simlist.ObjectID, rows.nb)
 		ranges   = make([]simlist.Range, rows.nr)
+		// Each child sequence is a fresh source with a memo of its own (nodes
+		// still dedupe within the child tree). One evaluator serves them all:
+		// a child's table is read to the end before the next child evaluates.
+		child = &planEval{opts: e.opts, memo: make([]*simlist.Table, len(e.memo))}
 	)
 	for id := 1; id <= e.src.Len(); id++ {
 		if err := ctx.Err(); err != nil {
@@ -361,56 +374,48 @@ func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, e
 		if cs == nil || cs.Len() == 0 {
 			continue
 		}
-		// Each child sequence is a fresh source, so the child evaluation
-		// gets its own memo (nodes still dedupe *within* the child tree).
-		ct, err := newPlanEval(cs, e.opts, len(e.memo)).eval(ctx, kid)
+		child.src = cs
+		clear(child.memo)
+		ct, err := child.eval(ctx, kid)
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range ct.Rows {
-			sim := r.List.At(1) // similarity at the first descendant
+		for r := range ct.Len() {
+			sim := ct.List(r).At(1) // similarity at the first descendant
 			// Align the row onto the canonical column order; columns the
 			// child table lacks become wildcards/unconstrained.
-			constrained := false
 			for i, v := range objVars {
 				bindings[i] = AnyObject
 				if c := ct.ObjIndex(v); c >= 0 {
-					bindings[i] = r.Bindings[c]
+					bindings[i] = ct.Bindings(r)[c]
 				}
 			}
 			for i, v := range attrVars {
 				ranges[i] = simlist.AnyRange()
 				if c := ct.AttrIndex(v); c >= 0 {
-					ranges[i] = r.Ranges[c]
+					ranges[i] = ct.Ranges(r)[c]
 				}
-				constrained = constrained || ranges[i].Kind != simlist.RangeAny
 			}
-			if sim.Act <= 0 && !constrained {
+			if sim.Act <= 0 && !constrained(ranges) {
 				continue
 			}
-			g := rows.index(bindings, ranges)
+			g := rows.find(bindings, ranges)
 			if sim.Act > 0 {
 				hits = append(hits, hit{g, simlist.Entry{Iv: interval.Point(id), Act: sim.Act}})
-				rows.entries[g]++
+				rows.count[g]++
 			}
 		}
 	}
-	out.Rows = rows.rows()
-	for _, h := range hits {
-		l := &out.Rows[h.row].List
-		l.Entries = append(l.Entries, h.e)
-	}
-	kept := out.Rows[:0]
-	for _, row := range out.Rows {
+	for range rows.count {
 		e.opts.Obs.Merge()
 		e.opts.Prof.Merge(n)
-		row.List = simlist.List{MaxSim: maxSim, Entries: simlist.NormalizeInPlace(maxSim, row.List.Entries)}
-		if keepRow(row) {
-			kept = append(kept, row)
-		}
 	}
-	out.Rows = kept
-	return out, nil
+	entries, off := rows.carve()
+	for _, h := range hits {
+		entries[rows.count[h.row]] = h.e
+		rows.count[h.row]++
+	}
+	return rows.table(objVars, attrVars, maxSim, entries, off), nil
 }
 
 // emptyJoin builds the zero-row table a short-circuited combine is proven

@@ -207,11 +207,12 @@ func TestEvalAtLevelBindingsFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 2 {
+	if tb.Len() != 2 {
 		t.Fatalf("rows: %v", tb)
 	}
 	byObj := map[simlist.ObjectID]simlist.List{}
-	for _, r := range tb.Rows {
+	for ri := range tb.Len() {
+		r := tb.Row(ri)
 		byObj[r.Bindings[0]] = r.List
 	}
 	if byObj[7].At(1).Act != 2 || byObj[7].At(3).Act != 4 || byObj[8].At(2).Act != 3 {
@@ -233,10 +234,11 @@ func TestCombineTablesTwoSharedVars(t *testing.T) {
 	t2.MustAddRow([]simlist.ObjectID{2, 1}, nil, list(6, entry(1, 1, 6)))
 	out := CombineTables(t1, t2, AndLists, 10)
 	// Only (x=1, y=2) joins; (1,3) survives as a partial outer row.
-	if len(out.Rows) != 2 {
+	if out.Len() != 2 {
 		t.Fatalf("rows: %v", out)
 	}
-	for _, r := range out.Rows {
+	for ri := range out.Len() {
+		r := out.Row(ri)
 		if r.Bindings[0] == 1 && r.Bindings[1] == 2 {
 			if r.List.At(1).Act != 10 {
 				t.Fatalf("joined: %v", r.List)
@@ -286,7 +288,7 @@ func TestEvalTableExposesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 1 || tb.Rows[0].Bindings[0] != 1 {
+	if tb.Len() != 1 || tb.Row(0).Bindings[0] != 1 {
 		t.Fatalf("table: %v", tb)
 	}
 }

@@ -16,9 +16,10 @@ import (
 
 // Every operator below has one loop, in its appending form: it writes the
 // entries of its result once, in ascending order and canonical as they land
-// (simlist.AppendEntry), onto a slice the caller supplies — the evaluator's
-// per-table block (block.go), or a slice of the right size for the exported
-// allocating forms, which are wrappers and nothing more.
+// (simlist.AppendEntry), onto an empty slice the caller supplies — the free
+// tail of the entry column of the table being built (tableops.go), or a
+// slice of the right size for the exported allocating forms, which are
+// wrappers and nothing more.
 
 // AndLists combines the similarity lists of g and h into the list of g ∧ h:
 // at every id the actual similarities add (§2.5), so ids on one list only
@@ -303,9 +304,17 @@ func MaxMergeLists(maxSim float64, ls ...simlist.List) simlist.List {
 func maxMergeOwned(maxSim float64, all []simlist.Entry) simlist.List {
 	merged := simlist.NormalizeInPlace(maxSim, all)
 	if len(merged) < cap(merged) {
-		merged = append(make([]simlist.Entry, 0, len(merged)), merged...)
+		merged = owned(merged)
 	}
 	return simlist.List{MaxSim: maxSim, Entries: merged}
+}
+
+// owned returns a copy of entries that holds exactly them, nil for none.
+func owned(entries []simlist.Entry) []simlist.Entry {
+	if len(entries) == 0 {
+		return nil
+	}
+	return append(make([]simlist.Entry, 0, len(entries)), entries...)
 }
 
 // MaxMergePairwise is the naive alternative to MaxMergeLists that merges the

@@ -98,12 +98,8 @@ func (p *PlanProfile) Record(n *PNode, d time.Duration, t *simlist.Table) {
 	}
 	s.timeNs.Add(int64(d))
 	if t != nil {
-		s.rows.Add(int64(len(t.Rows)))
-		var entries int64
-		for _, r := range t.Rows {
-			entries += int64(len(r.List.Entries))
-		}
-		s.entries.Add(entries)
+		s.rows.Add(int64(t.Len()))
+		s.entries.Add(int64(len(t.Entries)))
 	}
 }
 

@@ -15,16 +15,18 @@ import (
 // freeze-operator join against a value table, and existential projection.
 //
 // These run once per and/until/freeze node per video, over tables of mostly
-// one-entry lists, so what they cost is what they allocate: the slices the
-// output rows retain — bindings, ranges, entries — are cut from one block
-// per table (block.go) sized from the inputs, rows and evaluations are indexed
-// by hash instead of by freshly built string keys, and nothing is pooled
-// across calls.
+// one-entry lists, so what they cost is what they allocate. A table is stored
+// by column (simlist.Table), and every operator here allocates its output's
+// entry column once, at its final size: the join and the freeze walk their
+// input twice — count, then fill — and rows and evaluations are found through
+// an open-addressing index of int32s (slots) instead of maps or string keys.
 
-// listCombiner combines the similarity lists of two joined rows. Where the
-// result's entries live is the combiner's business: the evaluator's append
-// them to the block of the table being joined.
+// listCombiner combines the similarity lists of two joined rows.
 type listCombiner func(l1, l2 simlist.List) simlist.List
+
+// appendCombiner is a listCombiner in appending form: it appends the
+// combined list's entries to dst, which is empty.
+type appendCombiner func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry
 
 // joinSchema precomputes column alignment for a table join.
 type joinSchema struct {
@@ -35,36 +37,24 @@ type joinSchema struct {
 	att1, att2 []int
 	// shared object columns as (col1, col2) index pairs, for hashing.
 	sharedObj [][2]int
-	// The output rows' bindings and ranges.
-	ids block[simlist.ObjectID]
-	rgs block[simlist.Range]
 }
 
-func makeJoinSchema(t1, t2 *simlist.Table) *joinSchema {
-	s := new(joinSchema)
-	s.objVars = append(s.objVars, t1.ObjVars...)
-	for _, v := range t2.ObjVars {
-		if t1.ObjIndex(v) < 0 {
-			s.objVars = append(s.objVars, v)
+func makeJoinSchema(t1, t2 *simlist.Table) joinSchema {
+	var s joinSchema
+	s.objVars = unionVars(t1.ObjVars, t2.ObjVars)
+	s.attrVars = unionVars(t1.AttrVars, t2.AttrVars)
+	cols := make([]int, 2*(len(s.objVars)+len(s.attrVars)))
+	s.obj1, cols = cols[:len(s.objVars)], cols[len(s.objVars):]
+	s.obj2, cols = cols[:len(s.objVars)], cols[len(s.objVars):]
+	s.att1, s.att2 = cols[:len(s.attrVars)], cols[len(s.attrVars):]
+	for c, v := range s.objVars {
+		s.obj1[c], s.obj2[c] = t1.ObjIndex(v), t2.ObjIndex(v)
+		if s.obj1[c] >= 0 && s.obj2[c] >= 0 {
+			s.sharedObj = append(s.sharedObj, [2]int{s.obj1[c], s.obj2[c]})
 		}
 	}
-	s.attrVars = append(s.attrVars, t1.AttrVars...)
-	for _, v := range t2.AttrVars {
-		if t1.AttrIndex(v) < 0 {
-			s.attrVars = append(s.attrVars, v)
-		}
-	}
-	for _, v := range s.objVars {
-		i1, i2 := t1.ObjIndex(v), t2.ObjIndex(v)
-		s.obj1 = append(s.obj1, i1)
-		s.obj2 = append(s.obj2, i2)
-		if i1 >= 0 && i2 >= 0 {
-			s.sharedObj = append(s.sharedObj, [2]int{i1, i2})
-		}
-	}
-	for _, v := range s.attrVars {
-		s.att1 = append(s.att1, t1.AttrIndex(v))
-		s.att2 = append(s.att2, t2.AttrIndex(v))
+	for c, v := range s.attrVars {
+		s.att1[c], s.att2[c] = t1.AttrIndex(v), t2.AttrIndex(v)
 	}
 	return s
 }
@@ -84,6 +74,63 @@ func (s *joinSchema) sharedHash(bindings []simlist.ObjectID, side int) (h uint64
 	return h, false
 }
 
+// sameShared reports whether the bindings b2 of a row of t2 equal, in every
+// shared column, the bindings b of a row of table side.
+func (s *joinSchema) sameShared(b2, b []simlist.ObjectID, side int) bool {
+	for _, p := range s.sharedObj {
+		if b2[p[1]] != b[p[side]] {
+			return false
+		}
+	}
+	return true
+}
+
+// joinable reports whether row i1 of t1 and row i2 of t2 join: no shared
+// binding conflicts (AnyObject matches anything) and every shared attribute
+// range intersection is satisfiable.
+func (s *joinSchema) joinable(t1 *simlist.Table, i1 int, t2 *simlist.Table, i2 int) bool {
+	b1, b2 := t1.Bindings(i1), t2.Bindings(i2)
+	for _, p := range s.sharedObj {
+		if a, b := b1[p[0]], b2[p[1]]; a != AnyObject && b != AnyObject && a != b {
+			return false
+		}
+	}
+	r1, r2 := t1.Ranges(i1), t2.Ranges(i2)
+	for c := range s.attrVars {
+		if s.att1[c] >= 0 && s.att2[c] >= 0 && r1[s.att1[c]].Intersect(r2[s.att2[c]]).IsEmpty() {
+			return false
+		}
+	}
+	return true
+}
+
+// putKeys writes the bindings and ranges of out's row r, the join of row i1
+// of t1 and row i2 of t2; -1 is the side an outer row lacks, which
+// contributes wildcard bindings and unconstrained ranges.
+func (s *joinSchema) putKeys(out *simlist.Table, r int, t1 *simlist.Table, i1 int, t2 *simlist.Table, i2 int) {
+	bindings, ranges := out.Bindings(r), out.Ranges(r)
+	for c := range bindings {
+		v := AnyObject
+		if i1 >= 0 && s.obj1[c] >= 0 {
+			v = t1.Bindings(i1)[s.obj1[c]]
+		}
+		if v == AnyObject && i2 >= 0 && s.obj2[c] >= 0 {
+			v = t2.Bindings(i2)[s.obj2[c]]
+		}
+		bindings[c] = v
+	}
+	for c := range ranges {
+		r := simlist.AnyRange()
+		if i1 >= 0 && s.att1[c] >= 0 {
+			r = r.Intersect(t1.Ranges(i1)[s.att1[c]])
+		}
+		if i2 >= 0 && s.att2[c] >= 0 {
+			r = r.Intersect(t2.Ranges(i2)[s.att2[c]])
+		}
+		ranges[c] = r
+	}
+}
+
 // CombineTables joins two similarity tables on their shared object-variable
 // columns (equality, with AnyObject as wildcard) and shared attribute-
 // variable columns (range intersection), combining the similarity lists of
@@ -95,93 +142,155 @@ func (s *joinSchema) sharedHash(bindings []simlist.ObjectID, side int) (h uint64
 // Rows whose combined list is empty are dropped. maxSim is the maximum
 // similarity of the combined formula.
 func CombineTables(t1, t2 *simlist.Table, op listCombiner, maxSim float64) *simlist.Table {
+	var e planEval
+	return e.join(nil, t1, t2, maxSim, 2, func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry {
+		return append(dst, op(l1, l2).Entries...)
+	})
+}
+
+// join is CombineTables for the evaluator: op appends, and the merges it
+// does are n's. A join cannot know its output's size — `and` emits up to
+// 2·(n₁+n₂)−1 pieces for lists of n₁ and n₂ entries — so it walks its pairs
+// twice: the first walk runs op into e.scratch to count the rows and entries
+// that stay, the second writes them into columns of exactly that size. The
+// scratch holds pieces·(n₁+n₂) entries for the longest lists of t1 and t2,
+// and becomes the entry column instead when the column needs at least half
+// of it: a join of two one-row tables then costs one list, not two.
+func (e *planEval) join(n *PNode, t1, t2 *simlist.Table, maxSim float64, pieces int, op appendCombiner) *simlist.Table {
 	s := makeJoinSchema(t1, t2)
 	out := simlist.NewTable(s.objVars, s.attrVars, maxSim)
-	if n := max(len(t1.Rows), len(t2.Rows)); n > 0 {
-		out.Rows = make([]simlist.Row, 0, n)
-		s.ids.reserve(n * len(s.objVars))
-		s.rgs.reserve(n * len(s.attrVars))
-	}
+	n1, n2 := t1.Len(), t2.Len()
 
-	// Chain t2's rows by the hash of their shared bindings — first[h] is the
-	// first row of a chain, next[i] the row after i, -1 the end — filling from
-	// the back so that every chain ascends. A hash collision only lengthens a
-	// chain: joinRows compares the bindings themselves. Rows with a wildcard
-	// in a shared column chain on their own; every probe walks them first.
-	first := make(map[uint64]int32, len(t2.Rows))
-	next := make([]int32, len(t2.Rows))
+	// Chain t2's rows by their shared bindings — the index holds the first
+	// row of a chain, next[i] the row after i, -1 the end — filling from the
+	// back so that every chain ascends. Rows with a wildcard in a shared
+	// column chain on their own; every probe walks them first. The same
+	// allocation holds whether each row has matched.
+	index, rest := makeSlots(n2, 2*n2)
+	next, matched2 := rest[:n2], rest[n2:]
 	wildFirst := int32(-1)
-	for i := len(t2.Rows) - 1; i >= 0; i-- {
-		if h, wild := s.sharedHash(t2.Rows[i].Bindings, 1); wild {
+	for i := n2 - 1; i >= 0; i-- {
+		b := t2.Bindings(i)
+		if h, wild := s.sharedHash(b, 1); wild {
 			next[i], wildFirst = wildFirst, int32(i)
 		} else {
-			if f, ok := first[h]; ok {
-				next[i] = f
+			at := index.find(h, func(j int32) bool { return s.sameShared(t2.Bindings(int(j)), b, 1) })
+			next[i], index[at] = index[at], int32(i)
+		}
+	}
+
+	// walk visits the output rows in order: t1's rows, each joined with its
+	// partners (or alone), then t2's unmatched rows.
+	walk := func(visit func(i1, i2 int)) {
+		clear(matched2)
+		for i1 := range n1 {
+			matched1 := false
+			probe := func(i2 int) {
+				if s.joinable(t1, i1, t2, i2) {
+					matched1, matched2[i2] = true, 1
+					visit(i1, i2)
+				}
+			}
+			// Candidate rows of t2: everything for a wildcard on our side;
+			// otherwise the wildcard rows, then our chain.
+			b := t1.Bindings(i1)
+			if h, wild := s.sharedHash(b, 0); wild {
+				for i2 := range n2 {
+					probe(i2)
+				}
 			} else {
-				next[i] = -1
-			}
-			first[h] = int32(i)
-		}
-	}
-
-	matched2 := make([]bool, len(t2.Rows))
-	empty1 := simlist.Empty(t1.MaxSim)
-	empty2 := simlist.Empty(t2.MaxSim)
-
-	// A row that stays takes its bindings and ranges off the blocks; one that
-	// is dropped leaves them to the next.
-	emit := func(row simlist.Row) {
-		if keepRow(row) {
-			row.Bindings, row.Ranges = s.ids.keep(row.Bindings), s.rgs.keep(row.Ranges)
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	for _, r1 := range t1.Rows {
-		matched1 := false
-		probe := func(i2 int) {
-			if row, ok := joinRows(s, r1, t2.Rows[i2], op); ok {
-				matched1, matched2[i2] = true, true
-				emit(row)
-			}
-		}
-		// Candidate rows of t2: everything for a wildcard on our side;
-		// otherwise the wildcard rows, then our hash chain.
-		if h, wild := s.sharedHash(r1.Bindings, 0); wild {
-			for i2 := range t2.Rows {
-				probe(i2)
-			}
-		} else {
-			for i2 := wildFirst; i2 >= 0; i2 = next[i2] {
-				probe(int(i2))
-			}
-			if f, ok := first[h]; ok {
-				for i2 := f; i2 >= 0; i2 = next[i2] {
+				for i2 := wildFirst; i2 >= 0; i2 = next[i2] {
+					probe(int(i2))
+				}
+				at := index.find(h, func(j int32) bool { return s.sameShared(t2.Bindings(int(j)), b, 0) })
+				for i2 := index[at]; i2 >= 0; i2 = next[i2] {
 					probe(int(i2))
 				}
 			}
+			if !matched1 {
+				visit(i1, -1)
+			}
 		}
-		if !matched1 {
-			emit(outerRow(s, r1, nil, op, empty2))
+		for i2 := range n2 {
+			if matched2[i2] == 0 {
+				visit(-1, i2)
+			}
 		}
 	}
-	for i2 := range t2.Rows {
-		if !matched2[i2] {
-			emit(outerRow(s, simlist.Row{}, &t2.Rows[i2], op, empty1))
+	lists := func(i1, i2 int) (l1, l2 simlist.List, ranged bool) {
+		l1, l2 = simlist.Empty(t1.MaxSim), simlist.Empty(t2.MaxSim)
+		if i1 >= 0 {
+			l1, ranged = t1.List(i1), constrained(t1.Ranges(i1))
 		}
+		if i2 >= 0 {
+			l2, ranged = t2.List(i2), ranged || constrained(t2.Ranges(i2))
+		}
+		return l1, l2, ranged
 	}
+
+	rows, entries := 0, 0
+	if need := pieces * (longest(t1) + longest(t2)); cap(e.scratch) < need {
+		e.scratch = make([]simlist.Entry, 0, need)
+	}
+	walk(func(i1, i2 int) {
+		e.opts.Obs.Merge()
+		e.opts.Prof.Merge(n)
+		l1, l2, ranged := lists(i1, i2)
+		list := op(e.scratch[:0], l1, l2)
+		e.scratch = list[:0]
+		if keepRow(len(list), ranged) {
+			rows, entries = rows+1, entries+len(list)
+		}
+	})
+	if rows == 0 {
+		return out
+	}
+
+	out.Objs = make([]simlist.ObjectID, rows*len(s.objVars))
+	out.Rngs = make([]simlist.Range, rows*len(s.attrVars))
+	out.Off = make([]int32, rows+1)
+	if entries <= cap(e.scratch) && 2*entries >= cap(e.scratch) {
+		out.Entries, e.scratch = e.scratch[:entries], nil
+	} else {
+		out.Entries = make([]simlist.Entry, entries)
+	}
+	r := 0
+	walk(func(i1, i2 int) {
+		l1, l2, ranged := lists(i1, i2)
+		at := int(out.Off[r])
+		list := op(out.Entries[at:at], l1, l2)
+		if !keepRow(len(list), ranged) {
+			return
+		}
+		if len(list) > 0 && &list[0] != &out.Entries[at] {
+			copy(out.Entries[at:], list) // op outgrew the room on the way, never at the end
+		}
+		s.putKeys(out, r, t1, i1, t2, i2)
+		r++
+		out.Off[r] = int32(at + len(list))
+	})
 	return out
+}
+
+// longest returns the length of t's longest list.
+func longest(t *simlist.Table) int {
+	n := 0
+	for i := range t.Len() {
+		n = max(n, int(t.Off[i+1]-t.Off[i]))
+	}
+	return n
 }
 
 // keepRow decides whether a computed row stays in a table. Rows with empty
 // similarity lists are usually useless, but when they constrain an attribute
-// variable they are coverage markers: a table's rows partition the
+// variable (ranged) they are coverage markers: a table's rows partition the
 // attribute-variable space, and a later join or freeze must be able to land
 // in the zero-similarity part of that partition.
-func keepRow(row simlist.Row) bool {
-	if !row.List.IsEmpty() {
-		return true
-	}
-	for _, r := range row.Ranges {
+func keepRow(entries int, ranged bool) bool { return entries > 0 || ranged }
+
+// constrained reports whether any of ranges constrains its variable.
+func constrained(ranges []simlist.Range) bool {
+	for _, r := range ranges {
 		if r.Kind != simlist.RangeAny {
 			return true
 		}
@@ -189,84 +298,35 @@ func keepRow(row simlist.Row) bool {
 	return false
 }
 
-// joinRows attempts to join one row from each table; ok is false when the
-// shared bindings conflict or a shared attribute range intersection is
-// empty. The row's bindings and ranges lie in the blocks' open room: they are
-// the row's only once CombineTables keeps them.
-func joinRows(s *joinSchema, r1, r2 simlist.Row, op listCombiner) (simlist.Row, bool) {
-	for _, p := range s.sharedObj {
-		a, b := r1.Bindings[p[0]], r2.Bindings[p[1]]
-		if a != AnyObject && b != AnyObject && a != b {
-			return simlist.Row{}, false
-		}
+// slots is an open-addressing hash table of indices, -1 marking an empty
+// slot: a power of two in size, at most half full, probed linearly. What an
+// index stands for — and so when two keys are the same — is the caller's.
+type slots []int32
+
+// makeSlots returns the slots for n indices and, in the same allocation,
+// extra int32s for the caller.
+func makeSlots(n, extra int) (slots, []int32) {
+	size := 4
+	for size < 2*n {
+		size *= 2
 	}
-	bindings := s.ids.open(len(s.objVars))[:len(s.objVars)]
-	for c := range s.objVars {
-		v := AnyObject
-		if s.obj1[c] >= 0 {
-			v = r1.Bindings[s.obj1[c]]
-		}
-		if v == AnyObject && s.obj2[c] >= 0 {
-			v = r2.Bindings[s.obj2[c]]
-		}
-		bindings[c] = v
+	buf := make([]int32, size+extra)
+	s := slots(buf[:size])
+	for i := range s {
+		s[i] = -1
 	}
-	ranges := s.rgs.open(len(s.attrVars))[:len(s.attrVars)]
-	for c := range s.attrVars {
-		r := simlist.AnyRange()
-		if s.att1[c] >= 0 {
-			r = r.Intersect(r1.Ranges[s.att1[c]])
-		}
-		if s.att2[c] >= 0 {
-			r = r.Intersect(r2.Ranges[s.att2[c]])
-		}
-		if r.IsEmpty() {
-			return simlist.Row{}, false
-		}
-		ranges[c] = r
-	}
-	return simlist.Row{Bindings: bindings, Ranges: ranges, List: op(r1.List, r2.List)}, true
+	return s, buf[size:]
 }
 
-// outerRow builds the outer-join row for an unmatched r1 (when r2 == nil) or
-// unmatched r2 (when r2 != nil); the other side contributes the given empty
-// list, wildcard bindings and unconstrained ranges.
-func outerRow(s *joinSchema, r1 simlist.Row, r2 *simlist.Row, op listCombiner, other simlist.List) simlist.Row {
-	bindings := s.ids.open(len(s.objVars))[:len(s.objVars)]
-	ranges := s.rgs.open(len(s.attrVars))[:len(s.attrVars)]
-	for c := range bindings {
-		bindings[c] = AnyObject
+// find returns the position of the slot, probing from hash h, that holds an
+// index for which same is true, or else of the empty slot where it would go.
+func (s slots) find(h uint64, same func(int32) bool) int {
+	mask := uint64(len(s) - 1)
+	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
+		if s[i] < 0 || same(s[i]) {
+			return int(i)
+		}
 	}
-	for c := range ranges {
-		ranges[c] = simlist.AnyRange()
-	}
-	var list simlist.List
-	if r2 == nil {
-		for c := range s.objVars {
-			if s.obj1[c] >= 0 {
-				bindings[c] = r1.Bindings[s.obj1[c]]
-			}
-		}
-		for c := range s.attrVars {
-			if s.att1[c] >= 0 {
-				ranges[c] = r1.Ranges[s.att1[c]]
-			}
-		}
-		list = op(r1.List, other)
-	} else {
-		for c := range s.objVars {
-			if s.obj2[c] >= 0 {
-				bindings[c] = r2.Bindings[s.obj2[c]]
-			}
-		}
-		for c := range s.attrVars {
-			if s.att2[c] >= 0 {
-				ranges[c] = r2.Ranges[s.att2[c]]
-			}
-		}
-		list = op(other, r2.List)
-	}
-	return simlist.Row{Bindings: bindings, Ranges: ranges, List: list}
 }
 
 // ListRestrict keeps only the parts of l that fall inside the sorted
@@ -292,38 +352,20 @@ func appendRestrict(dst, entries []simlist.Entry, ivs []interval.I) []simlist.En
 
 // evalSet collects the distinct evaluations — bindings of the object
 // variables, ranges of the attribute variables — of a table whose rows are
-// being grouped, in first-seen order, with a tally per evaluation of the
-// entries its group will hold. Evaluations are found by hash and compared
-// themselves, so a collision only lengthens a chain.
+// being grouped, in first-seen order, with a count per evaluation of the
+// entries its group will hold. Its key columns become the grouped table's.
 type evalSet struct {
-	nb, nr  int                // columns per evaluation
-	ids     []simlist.ObjectID // evaluation i binds ids[i*nb : (i+1)*nb]
-	rgs     []simlist.Range    // and ranges over rgs[i*nr : (i+1)*nr]
-	entries []int              // per evaluation, the caller's tally
-	first   map[uint64]int32   // by hash, the first evaluation of a chain
-	next    []int32            // per evaluation, the next of its chain or -1
+	nb, nr int                // columns per evaluation
+	ids    []simlist.ObjectID // evaluation i binds ids[i*nb : (i+1)*nb]
+	rgs    []simlist.Range    // and ranges over rgs[i*nr : (i+1)*nr]
+	count  []int32            // per evaluation, the caller's tally of entries; after carve, its region's fill mark
+	index  slots              // the evaluations by hash
 }
 
-// rows returns one row per evaluation, in order: its bindings and ranges,
-// each clipped to itself, and an empty list with room for the entries tallied
-// — a region of one array cut for all of them.
-func (s *evalSet) rows() []simlist.Row {
-	total := 0
-	for _, n := range s.entries {
-		total += n
-	}
-	regions := make([]simlist.Entry, total)
-	rows := make([]simlist.Row, len(s.entries))
-	for i, n := range s.entries {
-		rows[i].Bindings = s.ids[i*s.nb : (i+1)*s.nb : (i+1)*s.nb]
-		rows[i].Ranges = s.rgs[i*s.nr : (i+1)*s.nr : (i+1)*s.nr]
-		rows[i].List.Entries, regions = regions[:0:n], regions[n:]
-	}
-	return rows
-}
+func (s *evalSet) bindings(i int) []simlist.ObjectID { return s.ids[i*s.nb : (i+1)*s.nb] }
+func (s *evalSet) ranges(i int) []simlist.Range      { return s.rgs[i*s.nr : (i+1)*s.nr] }
 
-// index returns the position of the evaluation, which it copies in when new.
-func (s *evalSet) index(bindings []simlist.ObjectID, ranges []simlist.Range) int32 {
+func evalHash(bindings []simlist.ObjectID, ranges []simlist.Range) uint64 {
 	h := uint64(fnvOffset)
 	for _, b := range bindings {
 		h = fnvMix(h, uint64(b))
@@ -334,25 +376,73 @@ func (s *evalSet) index(bindings []simlist.ObjectID, ranges []simlist.Range) int
 			h = fnvMix(h, uint64(r.Str[i]))
 		}
 	}
-	head, ok := s.first[h]
-	if !ok {
-		head = -1
-	}
-	for i := head; i >= 0; i = s.next[i] {
-		if slices.Equal(s.ids[int(i)*s.nb:int(i+1)*s.nb], bindings) && slices.Equal(s.rgs[int(i)*s.nr:int(i+1)*s.nr], ranges) {
-			return i
+	return h
+}
+
+// find returns the position of the evaluation, which it copies in when new.
+func (s *evalSet) find(bindings []simlist.ObjectID, ranges []simlist.Range) int32 {
+	if n := len(s.count); 2*(n+1) > len(s.index) {
+		s.index, _ = makeSlots(2*n, 0)
+		for i := range n {
+			s.index[s.index.find(evalHash(s.bindings(i), s.ranges(i)), func(int32) bool { return false })] = int32(i)
 		}
 	}
-	if s.first == nil {
-		s.first = map[uint64]int32{}
+	at := s.index.find(evalHash(bindings, ranges), func(i int32) bool {
+		return slices.Equal(s.bindings(int(i)), bindings) && slices.Equal(s.ranges(int(i)), ranges)
+	})
+	if s.index[at] >= 0 {
+		return s.index[at]
 	}
-	i := int32(len(s.next))
-	s.first[h] = i
-	s.next = append(s.next, head)
-	s.entries = append(s.entries, 0)
+	i := int32(len(s.count))
+	s.index[at] = i
+	s.count = append(s.count, 0)
 	s.ids = append(s.ids, bindings...)
 	s.rgs = append(s.rgs, ranges...)
 	return i
+}
+
+// carve cuts an entry column with a region per evaluation, as long as its
+// count, and turns the counts into the regions' fill marks; off bounds the
+// regions.
+func (s *evalSet) carve() (entries []simlist.Entry, off []int32) {
+	off = make([]int32, len(s.count)+1)
+	for i, n := range s.count {
+		off[i+1] = off[i] + n
+		s.count[i] = off[i]
+	}
+	return make([]simlist.Entry, off[len(s.count)]), off
+}
+
+// table finishes the table whose row i is evaluation i with the entries in
+// region i of a carved column: in one pass, each region is normalized where
+// it lies and moved down over what the regions before it gave up, and a row
+// keepRow drops gives up its keys the same way.
+func (s *evalSet) table(objVars, attrVars []string, maxSim float64, entries []simlist.Entry, off []int32) *simlist.Table {
+	out := simlist.NewTable(objVars, attrVars, maxSim)
+	col, rows, lo := entries[:0], 0, int32(0)
+	own := false // col has moved off entries' array
+	for i := range s.count {
+		hi := off[i+1]
+		list := simlist.NormalizeInPlace(maxSim, entries[lo:hi])
+		lo = hi
+		if !keepRow(len(list), constrained(s.ranges(i))) {
+			continue
+		}
+		if !own && len(col)+len(list) > int(hi) {
+			// The sweep split a region into more runs than it had entries.
+			col = append(make([]simlist.Entry, 0, len(col)+len(list)+len(entries)-int(hi)), col...)
+			own = true
+		}
+		col = append(col, list...)
+		copy(s.bindings(rows), s.bindings(i))
+		copy(s.ranges(rows), s.ranges(i))
+		rows++
+		off[rows] = int32(len(col))
+	}
+	if rows > 0 {
+		out.Objs, out.Rngs, out.Entries, out.Off = s.ids[:rows*s.nb], s.rgs[:rows*s.nr], col, off[:rows+1]
+	}
+	return out
 }
 
 // One FNV-1a step over a 64-bit word.
@@ -369,18 +459,18 @@ func fnvMix(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
 // a column for qVar is added when t1 lacks it. Rows with identical output
 // evaluations are merged by pointwise maximum, in first-seen order.
 //
+// A freeze whose variable y is not free in the operand is no identity: y is
+// then unconstrained, every value row of the run joins, and the result is
+// the operand restricted to where q is defined (DESIGN.md §7.5).
+//
 // The joining pairs are walked twice. A row's value rows are the one run of
 // the binding-sorted value table its binding of qVar selects (all of it for
 // a wildcard). The first walk files every pair under its output evaluation
-// and counts the entries it will contribute; then one array is cut into a
-// region per evaluation, the second walk restricts the pairs' lists straight
-// into their regions, and every region is normalized where it lies.
+// and counts the entries it will contribute; then one column is carved into
+// a region per evaluation, the second walk restricts the pairs' lists
+// straight into their regions, and evalSet.table normalizes and compacts.
 func FreezeTable(t1 *simlist.Table, y string, vt *ValueTable, qVar string) *simlist.Table {
 	yIdx := t1.AttrIndex(y)
-	if yIdx < 0 {
-		// y is not free in the operand: the freeze is vacuous.
-		return t1
-	}
 	zIdx := -1
 	objVars := append([]string(nil), t1.ObjVars...)
 	if qVar != "" {
@@ -389,13 +479,12 @@ func FreezeTable(t1 *simlist.Table, y string, vt *ValueTable, qVar string) *siml
 			objVars = append(objVars, qVar)
 		}
 	}
-	attrVars := make([]string, 0, len(t1.AttrVars)-1)
+	attrVars := make([]string, 0, len(t1.AttrVars))
 	for _, v := range t1.AttrVars {
 		if v != y {
 			attrVars = append(attrVars, v)
 		}
 	}
-	out := simlist.NewTable(objVars, attrVars, t1.MaxSim)
 	// zCol is the output column the value row's binding lands in.
 	zCol := zIdx
 	if qVar != "" && zIdx < 0 {
@@ -409,36 +498,41 @@ func FreezeTable(t1 *simlist.Table, y string, vt *ValueTable, qVar string) *siml
 		// y-range alone: the object's run and the group are kept.
 		runOf, runLo, runHi := AnyObject, 0, 0
 		g := int32(-1)
-		for ri := range t1.Rows {
-			r1 := &t1.Rows[ri]
+		for ri := range t1.Len() {
+			rb := t1.Bindings(ri)
 			lo, hi := 0, len(vt.Rows)
-			if zIdx >= 0 && r1.Bindings[zIdx] != AnyObject {
-				if b := r1.Bindings[zIdx]; b != runOf {
+			if zIdx >= 0 && rb[zIdx] != AnyObject {
+				if b := rb[zIdx]; b != runOf {
 					runOf = b
 					runLo, runHi = vt.run(b)
 				}
 				lo, hi = runLo, runHi
 			}
-			// r1's output evaluation, but for the value row's binding.
-			if g < 0 || !slices.Equal(bindings[:len(r1.Bindings)], r1.Bindings) ||
-				!slices.Equal(ranges[:yIdx], r1.Ranges[:yIdx]) || !slices.Equal(ranges[yIdx:], r1.Ranges[yIdx+1:]) {
-				copy(bindings, r1.Bindings)
-				copy(ranges, r1.Ranges[:yIdx])
-				copy(ranges[yIdx:], r1.Ranges[yIdx+1:])
+			// The row's ranges before and after y's; with no y, y is free.
+			yr, pre, post := simlist.AnyRange(), t1.Ranges(ri), []simlist.Range(nil)
+			if yIdx >= 0 {
+				yr, post, pre = pre[yIdx], pre[yIdx+1:], pre[:yIdx]
+			}
+			// The row's output evaluation, but for the value row's binding.
+			if g < 0 || !slices.Equal(bindings[:len(rb)], rb) ||
+				!slices.Equal(ranges[:len(pre)], pre) || !slices.Equal(ranges[len(pre):], post) {
+				copy(bindings, rb)
+				copy(ranges, pre)
+				copy(ranges[len(pre):], post)
 				g = -1
 			}
 			for vi := lo; vi < hi; vi++ {
 				vr := &vt.Rows[vi]
-				if !vr.Value.InRange(r1.Ranges[yIdx]) {
+				if !vr.Value.InRange(yr) {
 					continue
 				}
 				if g < 0 || (zCol >= 0 && bindings[zCol] != vr.Binding) {
 					if zCol >= 0 {
 						bindings[zCol] = vr.Binding
 					}
-					g = groups.index(bindings, ranges)
+					g = groups.find(bindings, ranges)
 				}
-				visit(g, r1.List.Entries, vr.Ivs)
+				visit(g, t1.List(ri).Entries, vr.Ivs)
 			}
 		}
 	}
@@ -446,22 +540,14 @@ func FreezeTable(t1 *simlist.Table, y string, vt *ValueTable, qVar string) *siml
 	var scratch []simlist.Entry
 	walk(func(g int32, entries []simlist.Entry, ivs []interval.I) {
 		scratch = appendRestrict(scratch[:0], entries, ivs)
-		groups.entries[g] += len(scratch)
+		groups.count[g] += int32(len(scratch))
 	})
-	out.Rows = groups.rows()
-	walk(func(g int32, entries []simlist.Entry, ivs []interval.I) {
-		l := &out.Rows[g].List
-		l.Entries = appendRestrict(l.Entries, entries, ivs)
+	entries, off := groups.carve()
+	walk(func(g int32, list []simlist.Entry, ivs []interval.I) {
+		at := groups.count[g]
+		groups.count[g] += int32(len(appendRestrict(entries[at:at], list, ivs)))
 	})
-	kept := out.Rows[:0]
-	for _, row := range out.Rows {
-		row.List = simlist.List{MaxSim: t1.MaxSim, Entries: simlist.NormalizeInPlace(t1.MaxSim, row.List.Entries)}
-		if keepRow(row) {
-			kept = append(kept, row)
-		}
-	}
-	out.Rows = kept
-	return out
+	return groups.table(objVars, attrVars, t1.MaxSim, entries, off)
 }
 
 // run returns the half-open range of vt's rows bound to b: rows are sorted by
@@ -475,11 +561,10 @@ func (vt *ValueTable) run(b simlist.ObjectID) (lo, hi int) {
 
 // ProjectMax existentially projects a similarity table onto a single
 // similarity list: at each id the maximum over all evaluations (§2.5's
-// semantics of ∃, §3.2's second part).
+// semantics of ∃, §3.2's second part). It reads t and leaves it as it is;
+// EvalPlanCtx projects the table it built itself in place instead.
 func ProjectMax(t *simlist.Table) simlist.List {
-	all := make([]simlist.Entry, 0, entryCount(t))
-	for i := range t.Rows {
-		all = append(all, t.Rows[i].List.Entries...)
-	}
+	all := make([]simlist.Entry, len(t.Entries))
+	copy(all, t.Entries)
 	return maxMergeOwned(t.MaxSim, all)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -28,11 +27,12 @@ func TestCombineTablesSharedVarJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Row (x=1): joined lists; row (x=2): outer row keeping the partial 4.
-	if len(out.Rows) != 2 {
+	if out.Len() != 2 {
 		t.Fatalf("rows: %v", out)
 	}
 	byBinding := map[simlist.ObjectID]simlist.List{}
-	for _, r := range out.Rows {
+	for ri := range out.Len() {
+		r := out.Row(ri)
 		byBinding[r.Bindings[0]] = r.List
 	}
 	if got := byBinding[1].At(2).Act; got != 8 {
@@ -57,7 +57,7 @@ func TestCombineTablesCrossJoin(t *testing.T) {
 	if len(out.ObjVars) != 2 || out.ObjVars[0] != "x" || out.ObjVars[1] != "y" {
 		t.Fatalf("schema: %v", out.ObjVars)
 	}
-	if len(out.Rows) != 2 {
+	if out.Len() != 2 {
 		t.Fatalf("rows: %v", out)
 	}
 }
@@ -69,18 +69,18 @@ func TestCombineTablesEmptySides(t *testing.T) {
 
 	// t1 empty: t2's row survives as an outer row under AND.
 	out := CombineTables(t1, t2, AndLists, 10)
-	if len(out.Rows) != 1 || out.Rows[0].Bindings[0] != 3 || out.Rows[0].List.At(1).Act != 5 {
+	if out.Len() != 1 || out.Row(0).Bindings[0] != 3 || out.Row(0).List.At(1).Act != 5 {
 		t.Fatalf("out: %v", out)
 	}
 	// Under UNTIL the unmatched right side keeps h pointwise.
 	until := func(a, b simlist.List) simlist.List { return UntilLists(a, b, 0.5) }
 	out2 := CombineTables(t1, t2, until, 6)
-	if len(out2.Rows) != 1 || out2.Rows[0].List.At(1).Act != 5 {
+	if out2.Len() != 1 || out2.Row(0).List.At(1).Act != 5 {
 		t.Fatalf("until out: %v", out2)
 	}
 	// Unmatched LEFT side under UNTIL yields an empty list and is dropped.
 	out3 := CombineTables(t2, t1, until, 6)
-	if len(out3.Rows) != 0 {
+	if out3.Len() != 0 {
 		t.Fatalf("left-only until rows: %v", out3)
 	}
 }
@@ -93,10 +93,11 @@ func TestCombineTablesWildcardMatchesEverything(t *testing.T) {
 	t2.MustAddRow([]simlist.ObjectID{6}, nil, list(6, entry(1, 1, 3)))
 
 	out := CombineTables(t1, t2, AndLists, 10)
-	if len(out.Rows) != 2 {
+	if out.Len() != 2 {
 		t.Fatalf("wildcard join rows: %v", out)
 	}
-	for _, r := range out.Rows {
+	for ri := range out.Len() {
+		r := out.Row(ri)
 		if r.Bindings[0] == AnyObject {
 			t.Fatalf("joined binding should be concrete: %v", r)
 		}
@@ -115,7 +116,8 @@ func TestCombineTablesRangeIntersection(t *testing.T) {
 	// both sides survive as partial outer rows... but the t1 row DID match
 	// the first t2 row, so only the second t2 row is unmatched.
 	var joined, outer int
-	for _, r := range out.Rows {
+	for ri := range out.Len() {
+		r := out.Row(ri)
 		if r.Ranges[0].Equal(simlist.IntRange(5, 10)) {
 			joined++
 			if r.List.At(2).Act != 5 {
@@ -134,15 +136,30 @@ func TestCombineTablesRangeIntersection(t *testing.T) {
 	}
 }
 
+// A list operator may hold more pieces on the way than it returns — until's
+// suffix maximum swallows what it dominates — so the join's exactly sized
+// column can be outgrown while its last list is written; the list is then
+// copied back into its place.
+func TestJoinLastListOutgrowsItsRoom(t *testing.T) {
+	g := closedTable(4, entry(1, 3, 4))
+	h := closedTable(6, entry(1, 1, 3), entry(2, 2, 2), entry(3, 3, 5))
+	var e planEval
+	got := e.join(nil, g, h, 6, 1, func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry {
+		return appendUntil(dst, l1, l2, 0.5, 1)
+	})
+	if want := closedTable(6, entry(1, 3, 5)); got.String() != want.String() || got.Validate() != nil {
+		t.Fatalf("got %vwant %v", got, want)
+	}
+}
+
 func TestKeepRowCoverageMarkers(t *testing.T) {
-	empty := simlist.Empty(5)
-	if keepRow(simlist.Row{List: empty}) {
+	if keepRow(0, constrained(nil)) || keepRow(0, constrained([]simlist.Range{simlist.AnyRange()})) {
 		t.Fatal("all-Any empty row should drop")
 	}
-	if !keepRow(simlist.Row{Ranges: []simlist.Range{simlist.IntAtLeast(3)}, List: empty}) {
+	if !keepRow(0, constrained([]simlist.Range{simlist.IntAtLeast(3)})) {
 		t.Fatal("constrained empty row is a coverage marker")
 	}
-	if !keepRow(simlist.Row{List: list(5, entry(1, 1, 1))}) {
+	if !keepRow(1, constrained(nil)) {
 		t.Fatal("non-empty row stays")
 	}
 }
@@ -174,10 +191,10 @@ func TestFreezeTableJoinsValues(t *testing.T) {
 	if len(out.AttrVars) != 0 || len(out.ObjVars) != 1 {
 		t.Fatalf("schema: %v %v", out.ObjVars, out.AttrVars)
 	}
-	if len(out.Rows) != 1 {
+	if out.Len() != 1 {
 		t.Fatalf("rows: %v", out)
 	}
-	l := out.Rows[0].List
+	l := out.Row(0).List
 	// ids 1-2: h=10 lands in the <20 row (8); ids 3-4: h=30 lands in the
 	// >=20 row (4); id 5: height undefined -> 0.
 	for id, want := range map[int]float64{1: 8, 2: 8, 3: 4, 4: 4, 5: 0} {
@@ -187,12 +204,45 @@ func TestFreezeTableJoinsValues(t *testing.T) {
 	}
 }
 
+// A freeze whose variable the operand does not use still needs q's value
+// (DESIGN.md §7.5): the operand's lists survive where q is defined and are 0
+// elsewhere, and an object attribute adds its variable's column.
 func TestFreezeTableVacuous(t *testing.T) {
-	t1 := simlist.NewTable([]string{"z"}, nil, 8)
-	t1.MustAddRow([]simlist.ObjectID{1}, nil, list(8, entry(1, 2, 3)))
-	out := FreezeTable(t1, "h", &ValueTable{}, "")
-	if out != t1 {
-		t.Fatal("freeze without the variable in scope is the identity")
+	t1 := simlist.NewTable([]string{"x"}, nil, 8)
+	t1.MustAddRow([]simlist.ObjectID{1}, nil, list(8, entry(1, 6, 3)))
+	t1.MustAddRow([]simlist.ObjectID{2}, nil, list(8, entry(2, 3, 5)))
+	// An attribute defined everywhere, with two values: the freeze restricts
+	// to nothing, and the value rows' pieces merge back into one list.
+	always := &ValueTable{Rows: []ValueRow{
+		{Value: AttrValue{IsInt: true, Int: 1}, Ivs: []interval.I{{Beg: 1, End: 3}}},
+		{Value: AttrValue{IsInt: true, Int: 2}, Ivs: []interval.I{{Beg: 4, End: 9}}},
+	}}
+	if got := FreezeTable(t1, "n", always, ""); got.String() != t1.String() {
+		t.Fatalf("over an attribute defined everywhere:\ngot  %vwant %v", got, t1)
+	}
+	// An attribute undefined at 2 and 5: both rows lose those ids.
+	sometimes := &ValueTable{Rows: []ValueRow{
+		{Value: AttrValue{Str: "news"}, Ivs: []interval.I{{Beg: 1, End: 1}, {Beg: 6, End: 6}}},
+		{Value: AttrValue{Str: "western"}, Ivs: []interval.I{{Beg: 3, End: 4}}},
+	}}
+	want := simlist.NewTable([]string{"x"}, nil, 8)
+	want.MustAddRow([]simlist.ObjectID{1}, nil, list(8, entry(1, 1, 3), entry(3, 4, 3), entry(6, 6, 3)))
+	want.MustAddRow([]simlist.ObjectID{2}, nil, list(8, entry(3, 3, 5)))
+	if got := FreezeTable(t1, "n", sometimes, ""); got.String() != want.String() {
+		t.Fatalf("over an attribute undefined at 2 and 5:\ngot  %vwant %v", got, want)
+	}
+	// An object attribute of a variable the operand lacks: every object's
+	// value rows join, each under a row of its own.
+	heights := &ValueTable{Var: "z", Rows: []ValueRow{
+		{Binding: 4, Value: AttrValue{IsInt: true, Int: 7}, Ivs: []interval.I{{Beg: 2, End: 5}}},
+		{Binding: 6, Value: AttrValue{IsInt: true, Int: 1}, Ivs: []interval.I{{Beg: 6, End: 6}}},
+	}}
+	want = simlist.NewTable([]string{"x", "z"}, nil, 8)
+	want.MustAddRow([]simlist.ObjectID{1, 4}, nil, list(8, entry(2, 5, 3)))
+	want.MustAddRow([]simlist.ObjectID{1, 6}, nil, list(8, entry(6, 6, 3)))
+	want.MustAddRow([]simlist.ObjectID{2, 4}, nil, list(8, entry(2, 3, 5)))
+	if got := FreezeTable(t1, "n", heights, "z"); got.String() != want.String() {
+		t.Fatalf("over an object attribute:\ngot  %vwant %v", got, want)
 	}
 }
 
@@ -207,11 +257,11 @@ func TestFreezeTableAddsVarColumn(t *testing.T) {
 	if len(out.ObjVars) != 1 || out.ObjVars[0] != "z" {
 		t.Fatalf("schema: %v", out.ObjVars)
 	}
-	if len(out.Rows) != 1 || out.Rows[0].Bindings[0] != 9 {
+	if out.Len() != 1 || out.Row(0).Bindings[0] != 9 {
 		t.Fatalf("rows: %v", out)
 	}
-	if got := out.Rows[0].List.At(2).Act; got != 2 {
-		t.Fatalf("restricted: %v", out.Rows[0].List)
+	if got := out.Row(0).List.At(2).Act; got != 2 {
+		t.Fatalf("restricted: %v", out.Row(0).List)
 	}
 }
 
@@ -223,10 +273,10 @@ func TestFreezeTableStringValues(t *testing.T) {
 		{Value: AttrValue{Str: "news"}, Ivs: []interval.I{{Beg: 4, End: 9}}},
 	}}
 	out := FreezeTable(t1, "g", vt, "")
-	if len(out.Rows) != 1 {
+	if out.Len() != 1 {
 		t.Fatalf("rows: %v", out)
 	}
-	if got := out.Rows[0].List; got.At(2).Act != 5 || got.At(5).Act != 0 {
+	if got := out.Row(0).List; got.At(2).Act != 5 || got.At(5).Act != 0 {
 		t.Fatalf("list: %v", got)
 	}
 }
@@ -264,14 +314,12 @@ func TestAttrValueInRange(t *testing.T) {
 
 // freezeTableNaive is FreezeTable the way §3.3 words it, and the way this
 // package computed it before the value rows were searched and the groups
-// carved from one block: every row against every value row, a restricted
+// carved from one column: every row against every value row, a restricted
 // list per joining pair, pairs grouped under a printed key in first-seen
-// order, a group's lists merged by MaxMergeLists.
+// order, a group's lists merged by MaxMergeLists. A variable y the operand
+// lacks constrains nothing.
 func freezeTableNaive(t1 *simlist.Table, y string, vt *ValueTable, qVar string) *simlist.Table {
 	yIdx := t1.AttrIndex(y)
-	if yIdx < 0 {
-		return t1
-	}
 	zIdx := -1
 	objVars := append([]string(nil), t1.ObjVars...)
 	if qVar != "" {
@@ -292,12 +340,13 @@ func freezeTableNaive(t1 *simlist.Table, y string, vt *ValueTable, qVar string) 
 	}
 	groups := map[string]*acc{}
 	var order []string
-	for _, r1 := range t1.Rows {
+	for ri := range t1.Len() {
+		r1 := t1.Row(ri)
 		for _, vr := range vt.Rows {
 			if zIdx >= 0 && r1.Bindings[zIdx] != AnyObject && r1.Bindings[zIdx] != vr.Binding {
 				continue
 			}
-			if !vr.Value.InRange(r1.Ranges[yIdx]) {
+			if yIdx >= 0 && !vr.Value.InRange(r1.Ranges[yIdx]) {
 				continue
 			}
 			bindings := append([]simlist.ObjectID(nil), r1.Bindings...)
@@ -322,50 +371,107 @@ func freezeTableNaive(t1 *simlist.Table, y string, vt *ValueTable, qVar string) 
 	}
 	for _, k := range order {
 		row := groups[k].row
-		row.List = MaxMergeLists(t1.MaxSim, groups[k].lists...)
-		if keepRow(row) {
-			out.Rows = append(out.Rows, row)
+		l := MaxMergeLists(t1.MaxSim, groups[k].lists...)
+		if l.Len() > 0 || constrained(row.Ranges) {
+			out.MustAddRow(row.Bindings, row.Ranges, l)
 		}
 	}
 	return out
 }
 
 // combineTablesNaive is CombineTables without the hash index: every row of t1
-// tries every row of t2, the rows with a wildcard in a shared column first.
+// tries every row of t2, the rows with a wildcard in a shared column first,
+// and a joined pair's keys are worked out here, column by column.
 func combineTablesNaive(t1, t2 *simlist.Table, op listCombiner, maxSim float64) *simlist.Table {
-	s := makeJoinSchema(t1, t2)
-	out := simlist.NewTable(s.objVars, s.attrVars, maxSim)
-	emit := func(row simlist.Row) {
-		if keepRow(row) {
-			row.Bindings, row.Ranges = slices.Clone(row.Bindings), slices.Clone(row.Ranges)
-			out.Rows = append(out.Rows, row)
+	objVars, attrVars := unionVars(t1.ObjVars, t2.ObjVars), unionVars(t1.AttrVars, t2.AttrVars)
+	out := simlist.NewTable(objVars, attrVars, maxSim)
+	// row joins r1 and r2 (either may be nil: an outer row); ok is false on
+	// a conflicting shared binding or an empty shared range.
+	row := func(r1, r2 *simlist.Row) (bindings []simlist.ObjectID, ranges []simlist.Range, ok bool) {
+		for _, v := range objVars {
+			b := AnyObject
+			for _, side := range []struct {
+				t *simlist.Table
+				r *simlist.Row
+			}{{t1, r1}, {t2, r2}} {
+				if c := side.t.ObjIndex(v); c >= 0 && side.r != nil {
+					switch o := side.r.Bindings[c]; {
+					case b == AnyObject:
+						b = o
+					case o != AnyObject && o != b:
+						return nil, nil, false
+					}
+				}
+			}
+			bindings = append(bindings, b)
 		}
+		for _, v := range attrVars {
+			rg := simlist.AnyRange()
+			if c := t1.AttrIndex(v); c >= 0 && r1 != nil {
+				rg = rg.Intersect(r1.Ranges[c])
+			}
+			if c := t2.AttrIndex(v); c >= 0 && r2 != nil {
+				rg = rg.Intersect(r2.Ranges[c])
+			}
+			if rg.IsEmpty() {
+				return nil, nil, false
+			}
+			ranges = append(ranges, rg)
+		}
+		return bindings, ranges, true
 	}
-	matched2 := make([]bool, len(t2.Rows))
-	for _, r1 := range t1.Rows {
-		_, wild1 := s.sharedHash(r1.Bindings, 0)
+	emit := func(r1, r2 *simlist.Row) bool {
+		bindings, ranges, ok := row(r1, r2)
+		if !ok {
+			return false
+		}
+		l1, l2 := simlist.Empty(t1.MaxSim), simlist.Empty(t2.MaxSim)
+		if r1 != nil {
+			l1 = r1.List
+		}
+		if r2 != nil {
+			l2 = r2.List
+		}
+		if l := op(l1, l2); l.Len() > 0 || constrained(ranges) {
+			out.MustAddRow(bindings, ranges, simlist.List{MaxSim: maxSim, Entries: l.Entries})
+		}
+		return true
+	}
+	wild := func(t *simlist.Table, r simlist.Row, other *simlist.Table) bool {
+		for c, v := range t.ObjVars {
+			if other.ObjIndex(v) >= 0 && r.Bindings[c] == AnyObject {
+				return true
+			}
+		}
+		return false
+	}
+	matched2 := make([]bool, t2.Len())
+	for i1 := range t1.Len() {
+		r1 := t1.Row(i1)
+		wild1 := wild(t1, r1, t2)
 		matched1 := false
 		for _, wildPass := range []bool{true, false} {
-			for i2, r2 := range t2.Rows {
-				if _, wild2 := s.sharedHash(r2.Bindings, 1); !wild1 && wild2 != wildPass {
+			for i2 := range t2.Len() {
+				r2 := t2.Row(i2)
+				if !wild1 && wild(t2, r2, t1) != wildPass {
 					continue
 				}
 				if wild1 && !wildPass {
 					continue // a wildcard on our side walks t2 once, in order
 				}
-				if row, ok := joinRows(s, r1, r2, op); ok {
+				if emit(&r1, &r2) {
 					matched1, matched2[i2] = true, true
-					emit(row)
 				}
 			}
 		}
 		if !matched1 {
-			emit(outerRow(s, r1, nil, op, simlist.Empty(t2.MaxSim)))
+			emit(&r1, nil)
 		}
 	}
-	for i2 := range t2.Rows {
+	for i2 := range t2.Len() {
 		if !matched2[i2] {
-			emit(outerRow(s, simlist.Row{}, &t2.Rows[i2], op, simlist.Empty(t1.MaxSim)))
+			r2 := t2.Row(i2)
+			emit(nil, &r2)
 		}
 	}
 	return out
@@ -432,15 +538,16 @@ func randomValueTable(rng *rand.Rand, qVar string) *ValueTable {
 // Property: the two-pass FreezeTable returns the naive join's table — rows,
 // their order, their lists' entries — over operand tables with one or two
 // object columns, wildcards in the frozen variable's column or no such column
-// at all, a second range column that survives into the group key, segment and
-// object attributes, string and integer values, and groups whose pieces
-// overlap, interleave or vanish.
+// at all, a second range column that survives into the group key, no column
+// for the frozen variable (a vacuous freeze), segment and object attributes,
+// string and integer values, and groups whose pieces overlap, interleave or
+// vanish.
 func TestFreezeTableMatchesNaive(t *testing.T) {
 	f := func(seed int64, shape uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		objVars := [][]string{nil, {"z"}, {"w"}, {"w", "z"}, {"z", "w"}}[int(shape)%5]
-		attrVars := [][]string{{"h"}, {"h", "k"}, {"k", "h"}}[int(shape/5)%3]
-		qVar := []string{"z", ""}[int(shape/15)%2]
+		attrVars := [][]string{{"h"}, {"h", "k"}, {"k", "h"}, {"k"}, nil}[int(shape/5)%5]
+		qVar := []string{"z", ""}[int(shape/25)%2]
 		t1 := randomTable(rng, objVars, attrVars, 10)
 		vt := randomValueTable(rng, qVar)
 		if err := vt.Validate(); err != nil {

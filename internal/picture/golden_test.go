@@ -263,8 +263,9 @@ func dumpRange(b *bytes.Buffer, r simlist.Range) {
 }
 
 func dumpTable(b *bytes.Buffer, tb *simlist.Table) {
-	fmt.Fprintf(b, "obj=%q attr=%q max=%b rows=%d\n", tb.ObjVars, tb.AttrVars, tb.MaxSim, len(tb.Rows))
-	for _, r := range tb.Rows {
+	fmt.Fprintf(b, "obj=%q attr=%q max=%b rows=%d\n", tb.ObjVars, tb.AttrVars, tb.MaxSim, tb.Len())
+	for ri := range tb.Len() {
+		r := tb.Row(ri)
 		fmt.Fprintf(b, "  b=%v r=[", r.Bindings)
 		for _, rg := range r.Ranges {
 			dumpRange(b, rg)

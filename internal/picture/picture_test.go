@@ -233,7 +233,8 @@ func TestAttrVarRanges(t *testing.T) {
 	}
 	// Row with range h < 20 (i.e. (-inf, 19]) must cover shot 2 at full 4.
 	found := false
-	for _, r := range tb.Rows {
+	for ri := range tb.Len() {
+		r := tb.Row(ri)
 		if r.Ranges[0].ContainsInt(19) && !r.Ranges[0].ContainsInt(20) && r.List.At(2).Act == 4 {
 			found = true
 		}
@@ -329,7 +330,8 @@ func checkScoreMatchesTable(t *testing.T, s *System, f htl.Formula) {
 		}
 		for id := 1; id <= s.Len(); id++ {
 			want := 0.0
-			for _, r := range tb.Rows {
+			for ri := range tb.Len() {
+				r := tb.Row(ri)
 				selected := true
 				for c, b := range r.Bindings {
 					selected = selected && (b == core.AnyObject || b == binding[c])

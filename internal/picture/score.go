@@ -122,37 +122,29 @@ func (s *System) evalAtomic(p *program) (*simlist.Table, error) {
 	}
 	m.lists = cands.lists
 
-	// The rows' keys and entries move out of the scratch into three arrays
-	// of their own, each row holding its slice of them. A row's entries are
-	// positive and ascending, one per segment: clamped and merged as they
-	// are copied, they are a canonical list.
+	// The rows' keys and entries move out of the scratch into the table's
+	// columns. A row's entries are positive and ascending, one per segment:
+	// clamped and merged as they are copied, they are a canonical list.
 	table := simlist.NewTable(p.freeObj, p.freeAttr, p.maxSim)
 	if len(m.rows) == 0 {
 		return table, nil
 	}
-	nFree, k, nEntries := len(p.free), m.k, 0
+	nEntries := 0
 	for i := range m.rows {
 		nEntries += len(m.rows[i].entries)
 	}
-	table.Rows = make([]simlist.Row, len(m.rows))
-	objs := append(make([]simlist.ObjectID, 0, len(m.rowObj)), m.rowObj...)
-	rngs := append(make([]simlist.Range, 0, len(m.rowRng)), m.rowRng...)
-	entries := make([]simlist.Entry, nEntries)
+	table.Objs = append(make([]simlist.ObjectID, 0, len(m.rowObj)), m.rowObj...)
+	table.Rngs = append(make([]simlist.Range, 0, len(m.rowRng)), m.rowRng...)
+	table.Entries = make([]simlist.Entry, 0, nEntries)
+	table.Off = make([]int32, 1, len(m.rows)+1)
 	for i := range m.rows {
-		list := entries[:0]
+		list := table.Entries[len(table.Entries):]
 		for _, e := range m.rows[i].entries {
 			e.Act = min(e.Act, p.maxSim)
 			list = simlist.AppendEntry(list, e)
 		}
-		entries = entries[len(list):]
-		if len(list) == 0 {
-			list = nil
-		}
-		table.Rows[i] = simlist.Row{
-			Bindings: objs[i*nFree : (i+1)*nFree : (i+1)*nFree],
-			Ranges:   rngs[i*k : (i+1)*k : (i+1)*k],
-			List:     simlist.List{MaxSim: p.maxSim, Entries: list[:len(list):len(list)]},
-		}
+		table.Entries = table.Entries[:len(table.Entries)+len(list)]
+		table.Off = append(table.Off, int32(len(table.Entries)))
 	}
 	return table, nil
 }

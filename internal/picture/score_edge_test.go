@@ -50,7 +50,8 @@ func TestAttrVarRangeTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sawMarker := false
-	for _, r := range tb.Rows {
+	for ri := range tb.Len() {
+		r := tb.Row(ri)
 		if r.List.IsEmpty() {
 			sawMarker = true
 		}
@@ -68,7 +69,8 @@ func TestStringAttrVarEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, r := range tb.Rows {
+	for ri := range tb.Len() {
+		r := tb.Row(ri)
 		if r.Ranges[0].ContainsStr("John") && r.List.At(2).Act == 4 {
 			found = true
 		}
@@ -124,7 +126,8 @@ func TestMergeRangesConflict(t *testing.T) {
 	// brightness > h  ⇒ h <= 9 ; duration < h ⇒ h >= 4: both hold for
 	// h in [4, 9] with score 4.
 	best := 0.0
-	for _, r := range tb2.Rows {
+	for ri := range tb2.Len() {
+		r := tb2.Row(ri)
 		if r.Ranges[0].ContainsInt(5) {
 			best = math.Max(best, r.List.At(1).Act)
 		}

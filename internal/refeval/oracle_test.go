@@ -40,9 +40,6 @@ var (
 func randomSegment(rng *rand.Rand) metadata.SegmentMeta {
 	b := metadata.Seg()
 	nObj := rng.Intn(4)
-	// The one attribute every segment has (no draw of its own, so the videos
-	// of old seeds are otherwise what they were): see the vacuous freeze.
-	b.Attr("cast", metadata.Int(int64(nObj)))
 	ids := rng.Perm(6)
 	var added []metadata.ObjectID
 	for i := 0; i < nObj; i++ {
@@ -197,12 +194,10 @@ func randomFormula(rng *rand.Rand, flavour string) string {
 			// A string-valued freeze.
 			return "[g <- genre] (" + randomMatrix(rng, 1, nil) + " and eventually genre = g)"
 		case 5:
-			// A vacuous freeze: the variable is never used, and FreezeTable
-			// hands its operand's table on. Over an attribute that is
-			// always defined: where it is not, the reference evaluator
-			// yields 0 (DESIGN.md §7.5) and core's vacuous freeze does not
-			// look — a disagreement this template found and ROADMAP records.
-			return "[n <- cast] " + randomMatrix(rng, 2, nil)
+			// A vacuous freeze: the variable is never used, but the
+			// attribute is undefined on about half the segments, where the
+			// freeze yields 0 (DESIGN.md §7.5).
+			return "[n <- brightness] " + randomMatrix(rng, 2, nil)
 		default:
 			// Two nested freezes: while the inner one joins, the outer
 			// variable's range is a column of the group key.

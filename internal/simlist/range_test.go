@@ -129,9 +129,52 @@ func TestTableSchema(t *testing.T) {
 
 func TestTableValidateCatchesBadList(t *testing.T) {
 	tb := NewTable([]string{"x"}, nil, 20)
-	tb.Rows = append(tb.Rows, Row{Bindings: []ObjectID{1}, List: List{MaxSim: 5, Entries: []Entry{entry(1, 2, 3)}}})
+	if err := tb.AddRow([]ObjectID{1}, nil, List{MaxSim: 5, Entries: []Entry{entry(1, 2, 3)}}); err == nil {
+		t.Fatal("row list max mismatch should be rejected")
+	}
+	tb.MustAddRow([]ObjectID{1}, nil, NewList(20, entry(1, 2, 3)))
+	tb.MustAddRow([]ObjectID{2}, nil, NewList(20, entry(4, 5, 6)))
+	tb.Entries[1].Iv.Beg = 1 // overlaps row 0's entry: each row's list is its own
+	if err := tb.Validate(); err != nil {
+		t.Fatalf("rows' lists are validated one by one, not as one: %v", err)
+	}
+	tb.Entries[1].Act = 30
 	if err := tb.Validate(); err == nil {
-		t.Fatal("row list max mismatch should fail validation")
+		t.Fatal("an entry above the table max should fail validation")
+	}
+}
+
+// Validate holds the columns to the schema: a value per row and variable in
+// each key column, offsets that ascend from 0 to the end of the entries.
+func TestTableValidateColumns(t *testing.T) {
+	good := func() *Table {
+		tb := NewTable([]string{"x"}, []string{"h"}, 20)
+		tb.MustAddRow([]ObjectID{1}, []Range{IntAtLeast(3)}, NewList(20, entry(1, 2, 3)))
+		tb.MustAddRow([]ObjectID{2}, []Range{AnyRange()}, Empty(20))
+		tb.MustAddRow([]ObjectID{3}, []Range{IntBelow(3)}, NewList(20, entry(1, 1, 2), entry(4, 5, 6)))
+		return tb
+	}
+	if err := good().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewTable([]string{"x"}, nil, 1).Validate(); err != nil {
+		t.Fatalf("a table without rows: %v", err)
+	}
+	for name, corrupt := range map[string]func(*Table){
+		"short binding column": func(tb *Table) { tb.Objs = tb.Objs[:2] },
+		"long range column":    func(tb *Table) { tb.Rngs = append(tb.Rngs, AnyRange()) },
+		"offsets not from 0":   func(tb *Table) { tb.Off[0] = 1 },
+		"offsets short of end": func(tb *Table) { tb.Entries = append(tb.Entries, entry(9, 9, 1)) },
+		"offsets descend":      func(tb *Table) { tb.Off[1], tb.Off[2] = 2, 1 },
+		"empty range":          func(tb *Table) { tb.Rngs[0] = EmptyRange() },
+		"invalid region":       func(tb *Table) { tb.Entries[1], tb.Entries[2] = tb.Entries[2], tb.Entries[1] },
+		"entries, no offsets":  func(tb *Table) { tb.Off, tb.Objs, tb.Rngs = nil, nil, nil },
+	} {
+		tb := good()
+		corrupt(tb)
+		if tb.Validate() == nil {
+			t.Errorf("%s: Validate accepted %v", name, tb)
+		}
 	}
 }
 
@@ -142,8 +185,8 @@ func TestTableSortRows(t *testing.T) {
 	tb.MustAddRow([]ObjectID{5}, nil, Empty(20))
 	tb.SortRows()
 	var got []ObjectID
-	for _, r := range tb.Rows {
-		got = append(got, r.Bindings[0])
+	for i := range tb.Len() {
+		got = append(got, tb.Bindings(i)[0])
 	}
 	if got[0] != 2 || got[1] != 5 || got[2] != 9 {
 		t.Fatalf("SortRows order = %v", got)

@@ -11,11 +11,10 @@ import (
 // object in different pictures is given the same id").
 type ObjectID int64
 
-// Row is one row of a similarity table: an evaluation of the formula's free
-// variables together with the similarity list that holds under it.
-//
-// Bindings are aligned with the owning table's ObjVars, Ranges with its
-// AttrVars.
+// Row is one row of a similarity table as a value: an evaluation of the
+// formula's free variables together with the similarity list that holds
+// under it. Bindings are aligned with the owning table's ObjVars, Ranges with
+// its AttrVars. Table.Row returns one; its slices are the table's columns.
 type Row struct {
 	Bindings []ObjectID
 	Ranges   []Range
@@ -25,11 +24,25 @@ type Row struct {
 // Table is a similarity table (paper §3.2–3.3): the first columns name the
 // free object variables, the next the free attribute variables (constrained
 // to ranges), and the last column is a similarity list per row.
+//
+// It is stored by column, and a row is an index i into them: row i binds
+// ObjVars to Objs[i*len(ObjVars):(i+1)*len(ObjVars)], constrains AttrVars to
+// Rngs[i*len(AttrVars):(i+1)*len(AttrVars)], and carries the list
+// Entries[Off[i]:Off[i+1]] with maximum MaxSim. Off has one element more than
+// the table has rows (or none, for a table without rows), starts at 0 and
+// ends at len(Entries): the lists lie in row order with no gaps, so Entries is
+// also every entry of the table. Whoever built a table owns its columns; a
+// table that is handed on is read, never written — two tables may share a
+// key column (Validate states the rest).
 type Table struct {
 	ObjVars  []string
 	AttrVars []string
 	MaxSim   float64
-	Rows     []Row
+
+	Objs    []ObjectID
+	Rngs    []Range
+	Entries []Entry
+	Off     []int32
 }
 
 // NewTable returns an empty table with the given schema and maximum
@@ -38,7 +51,37 @@ func NewTable(objVars, attrVars []string, maxSim float64) *Table {
 	return &Table{ObjVars: objVars, AttrVars: attrVars, MaxSim: maxSim}
 }
 
+// Len returns the number of rows.
+func (t *Table) Len() int { return max(len(t.Off)-1, 0) }
+
+// Bindings returns row i's object bindings, aligned with ObjVars.
+func (t *Table) Bindings(i int) []ObjectID {
+	n := len(t.ObjVars)
+	return t.Objs[i*n : (i+1)*n : (i+1)*n]
+}
+
+// Ranges returns row i's attribute ranges, aligned with AttrVars.
+func (t *Table) Ranges(i int) []Range {
+	n := len(t.AttrVars)
+	return t.Rngs[i*n : (i+1)*n : (i+1)*n]
+}
+
+// List returns row i's similarity list.
+func (t *Table) List(i int) List {
+	lo, hi := t.Off[i], t.Off[i+1]
+	if lo == hi {
+		return List{MaxSim: t.MaxSim}
+	}
+	return List{MaxSim: t.MaxSim, Entries: t.Entries[lo:hi:hi]}
+}
+
+// Row returns row i as a value.
+func (t *Table) Row(i int) Row {
+	return Row{Bindings: t.Bindings(i), Ranges: t.Ranges(i), List: t.List(i)}
+}
+
 // AddRow appends a row after checking that its shape matches the schema.
+// The row's values are copied into the table's columns.
 func (t *Table) AddRow(bindings []ObjectID, ranges []Range, list List) error {
 	if len(bindings) != len(t.ObjVars) {
 		return fmt.Errorf("simlist: row has %d bindings, table has %d object variables", len(bindings), len(t.ObjVars))
@@ -51,7 +94,16 @@ func (t *Table) AddRow(bindings []ObjectID, ranges []Range, list List) error {
 			return fmt.Errorf("simlist: row carries an unsatisfiable attribute range")
 		}
 	}
-	t.Rows = append(t.Rows, Row{Bindings: bindings, Ranges: ranges, List: list})
+	if list.MaxSim != t.MaxSim {
+		return fmt.Errorf("simlist: row list max %g differs from table max %g", list.MaxSim, t.MaxSim)
+	}
+	if len(t.Off) == 0 {
+		t.Off = append(t.Off, 0)
+	}
+	t.Objs = append(t.Objs, bindings...)
+	t.Rngs = append(t.Rngs, ranges...)
+	t.Entries = append(t.Entries, list.Entries...)
+	t.Off = append(t.Off, int32(len(t.Entries)))
 	return nil
 }
 
@@ -83,19 +135,26 @@ func (t *Table) AttrIndex(name string) int {
 	return -1
 }
 
-// Validate checks every row against the schema and every list's invariants.
+// Validate checks the columns against the schema — a key column holds a
+// value per row and variable, the offsets ascend from 0 to len(Entries) —
+// and every row's list and ranges.
 func (t *Table) Validate() error {
-	for i, r := range t.Rows {
-		if len(r.Bindings) != len(t.ObjVars) || len(r.Ranges) != len(t.AttrVars) {
-			return fmt.Errorf("simlist: row %d shape mismatch", i)
+	n := t.Len()
+	if len(t.Objs) != n*len(t.ObjVars) || len(t.Rngs) != n*len(t.AttrVars) {
+		return fmt.Errorf("simlist: %d rows need %d bindings and %d ranges, the columns hold %d and %d",
+			n, n*len(t.ObjVars), n*len(t.AttrVars), len(t.Objs), len(t.Rngs))
+	}
+	if len(t.Off) > 0 && (t.Off[0] != 0 || int(t.Off[n]) != len(t.Entries)) || len(t.Off) == 0 && len(t.Entries) > 0 {
+		return fmt.Errorf("simlist: offsets %v do not span the %d entries", t.Off, len(t.Entries))
+	}
+	for i := range n {
+		if t.Off[i] > t.Off[i+1] {
+			return fmt.Errorf("simlist: row %d ends at %d before it begins at %d", i, t.Off[i+1], t.Off[i])
 		}
-		if err := r.List.Validate(); err != nil {
+		if err := t.List(i).Validate(); err != nil {
 			return fmt.Errorf("simlist: row %d: %w", i, err)
 		}
-		if r.List.MaxSim != t.MaxSim {
-			return fmt.Errorf("simlist: row %d list max %g differs from table max %g", i, r.List.MaxSim, t.MaxSim)
-		}
-		for _, rg := range r.Ranges {
+		for _, rg := range t.Ranges(i) {
 			if rg.IsEmpty() {
 				return fmt.Errorf("simlist: row %d carries empty attribute range", i)
 			}
@@ -105,31 +164,43 @@ func (t *Table) Validate() error {
 }
 
 // SortRows orders rows deterministically (by bindings, then ranges) so that
-// tables computed along different paths compare reproducibly.
+// tables computed along different paths compare reproducibly. It rebuilds
+// the columns.
 func (t *Table) SortRows() {
-	sort.SliceStable(t.Rows, func(i, j int) bool {
-		a, b := t.Rows[i], t.Rows[j]
-		for k := range a.Bindings {
-			if a.Bindings[k] != b.Bindings[k] {
-				return a.Bindings[k] < b.Bindings[k]
+	order := make([]int, t.Len())
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		ab, bb := t.Bindings(a), t.Bindings(b)
+		for k := range ab {
+			if ab[k] != bb[k] {
+				return ab[k] < bb[k]
 			}
 		}
-		for k := range a.Ranges {
-			as, bs := a.Ranges[k].String(), b.Ranges[k].String()
+		ar, br := t.Ranges(a), t.Ranges(b)
+		for k := range ar {
+			as, bs := ar[k].String(), br[k].String()
 			if as != bs {
 				return as < bs
 			}
 		}
 		return false
 	})
+	sorted := NewTable(t.ObjVars, t.AttrVars, t.MaxSim)
+	for _, i := range order {
+		sorted.MustAddRow(t.Bindings(i), t.Ranges(i), t.List(i))
+	}
+	*t = *sorted
 }
 
 // String renders the table for diagnostics.
 func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "table obj=%v attr=%v max=%g\n", t.ObjVars, t.AttrVars, t.MaxSim)
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "  %v %v -> %v\n", r.Bindings, r.Ranges, r.List)
+	for i := range t.Len() {
+		fmt.Fprintf(&b, "  %v %v -> %v\n", t.Bindings(i), t.Ranges(i), t.List(i))
 	}
 	return b.String()
 }

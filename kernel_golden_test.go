@@ -48,11 +48,18 @@ func dumpKernelList(b *bytes.Buffer, l simlist.List) {
 	b.WriteString(" ]\n")
 }
 
-func dumpKernelTable(b *bytes.Buffer, tb *simlist.Table) {
-	fmt.Fprintf(b, "obj=%q attr=%q max=%b rows=%d\n", tb.ObjVars, tb.AttrVars, tb.MaxSim, len(tb.Rows))
-	for _, r := range tb.Rows {
-		fmt.Fprintf(b, "  b=%v r=%v ", r.Bindings, r.Ranges)
-		dumpKernelList(b, r.List)
+// dumpKernelTable dumps a table it has first held to its invariants
+// (simlist.Table.Validate: the columns, the offsets, every row's list).
+func dumpKernelTable(t *testing.T, b *bytes.Buffer, what string, tb *simlist.Table) {
+	t.Helper()
+	if err := tb.Validate(); err != nil {
+		t.Errorf("%s: %v", what, err)
+	}
+	fmt.Fprintf(b, "## %s\n", what)
+	fmt.Fprintf(b, "obj=%q attr=%q max=%b rows=%d\n", tb.ObjVars, tb.AttrVars, tb.MaxSim, tb.Len())
+	for i := range tb.Len() {
+		fmt.Fprintf(b, "  b=%v r=%v ", tb.Bindings(i), tb.Ranges(i))
+		dumpKernelList(b, tb.List(i))
 	}
 }
 
@@ -124,11 +131,7 @@ func TestKernelGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := tb.Validate(); err != nil {
-					t.Errorf("mix6 %s video %d: %s: %v", sh.name, v.ID, n.Key, err)
-				}
-				fmt.Fprintf(&b, "## mix6 %s | video %d | table of %s\n", sh.name, v.ID, n.Key)
-				dumpKernelTable(&b, tb)
+				dumpKernelTable(t, &b, fmt.Sprintf("mix6 %s | video %d | table of %s", sh.name, v.ID, n.Key), tb)
 			}
 		}
 	}
