@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race budget lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle bench bench-short bench-shapes loc
+.PHONY: check vet staticcheck build test race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle bench bench-short bench-shapes loc
 
-check: vet staticcheck build race budget lint-metrics chaos chaos-shard crash explain-smoke bench-e2e-check
+check: vet staticcheck build race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check
 
 vet:
 	$(GO) vet ./...
@@ -73,6 +73,13 @@ explain-smoke:
 	echo "$$out" | grep -q '^until' || { echo "explain-smoke: no until node in output" >&2; exit 1; }; \
 	echo "$$out" | grep -q 'visits=' || { echo "explain-smoke: no per-node stats in output" >&2; exit 1; }
 
+# Tables 5–6 smoke: the direct-vs-SQL comparison at small sizes, through the
+# binary that regenerates the paper's tables. experiments.Compare fails the
+# run when the direct and SQL similarity lists differ.
+repro-smoke:
+	$(GO) run ./cmd/reprotables -sizes 200,1000 -table 5
+	$(GO) run ./cmd/reprotables -sizes 200,1000 -table 6
+
 # The end-to-end benchmark harness is its own module (bench/, so that the root
 # `go build ./... && go test ./...` do not see it), which also means an
 # internal/... API change that stops it compiling passes every target above.
@@ -132,9 +139,14 @@ bench-shapes:
 
 # The number ROADMAP's design aim tracks: non-test Go lines of the root
 # module (bench/ is its own module), in total and outside the algorithmic
-# core. A simplicity PR reports it before and after.
+# core, then one line per package of the core. A simplicity PR reports it
+# before and after.
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
-LOC_CORE = ^\./internal/(core|simlist|interval|htl|picture|relational|sqlgen|refeval)/
+LOC_PKGS = core simlist interval htl picture relational sqlgen refeval
+LOC_CORE = ^\./internal/($(subst $() ,|,$(LOC_PKGS)))/
 loc:
 	@echo "non-test Go lines: $$($(LOC_FILES) | xargs cat | wc -l) total," \
 		"$$($(LOC_FILES) | grep -Ev '$(LOC_CORE)' | xargs cat | wc -l) outside internal/{core,simlist,interval,htl,picture,relational,sqlgen,refeval}"
+	@for p in $(LOC_PKGS); do \
+		echo "  internal/$$p: $$($(LOC_FILES) | grep -E "^\./internal/$$p/" | xargs cat | wc -l)"; \
+	done

@@ -26,7 +26,7 @@
 //
 // Endpoints:
 //
-//	GET  /query?q=<HTL>[&level=2][&root=1][&engine=auto|direct|sql|reference]
+//	GET  /query?q=<HTL>[&level=2][&root=1][&engine=auto|direct|reference]
 //	              [&tau=0.5][&k=10][&timeout=500ms][&partial=0|1]
 //	GET  /healthz   liveness
 //	GET  /readyz    readiness (503 while draining)

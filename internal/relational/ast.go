@@ -11,29 +11,14 @@ type CreateTable struct {
 	Cols []Column
 }
 
-// DropTable is DROP TABLE [IF EXISTS] name.
-type DropTable struct {
-	Name     string
-	IfExists bool
-}
-
-// Insert is INSERT INTO name VALUES (...), (...) or INSERT INTO name SELECT.
+// Insert is INSERT INTO name SELECT ....
 type Insert struct {
 	Table string
-	Rows  [][]Expr
 	Query *Select
 }
 
-// Delete is DELETE FROM name [WHERE expr].
-type Delete struct {
-	Table string
-	Where Expr
-}
-
 func (*CreateTable) isStmt() {}
-func (*DropTable) isStmt()   {}
 func (*Insert) isStmt()      {}
-func (*Delete) isStmt()      {}
 func (*Select) isStmt()      {}
 
 // Column declares one table column.
@@ -44,22 +29,12 @@ type Column struct {
 
 // Select is one SELECT block, possibly chained with UNION ALL.
 type Select struct {
-	List    []SelItem
+	List    []Expr
 	From    []FromItem
-	Where   Expr
-	GroupBy []Expr
-	Having  Expr
-	OrderBy []OrderItem
-	Limit   int // -1 when absent
+	Where   []Expr // conjuncts: comparisons and BETWEENs
+	GroupBy *ColRef
+	OrderBy string // an output column name; "" when absent
 	Union   *Select
-}
-
-// SelItem is one projection: expression with optional alias, or a star.
-type SelItem struct {
-	Star  bool   // SELECT *  or  SELECT t.*
-	Table string // qualifier of a qualified star
-	Expr  Expr
-	Alias string
 }
 
 // FromItem is a base table or a subquery, with an optional alias.
@@ -75,12 +50,6 @@ func (f FromItem) Name() string {
 		return f.Alias
 	}
 	return f.Table
-}
-
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Expr Expr
-	Desc bool
 }
 
 // Expr is a SQL expression.
@@ -101,26 +70,17 @@ type BinOp uint8
 const (
 	OpAdd BinOp = iota
 	OpSub
-	OpMul
 	OpDiv
 	OpEq
-	OpNe
-	OpLt
 	OpLe
-	OpGt
 	OpGe
-	OpAnd
-	OpOr
 )
 
-// Bin is a binary expression.
+// Bin is a binary expression: arithmetic, or a comparison in WHERE.
 type Bin struct {
 	Op   BinOp
 	L, R Expr
 }
-
-// Not is logical negation.
-type Not struct{ E Expr }
 
 // Neg is arithmetic negation.
 type Neg struct{ E Expr }
@@ -134,30 +94,25 @@ type Between struct {
 type AggFn uint8
 
 const (
-	AggCount AggFn = iota
+	AggCount AggFn = iota // COUNT(*); Arg is nil
 	AggSum
 	AggMax
-	AggMin
-	AggAvg
 )
 
-// Agg is an aggregate call; Star marks COUNT(*).
+// Agg is an aggregate call.
 type Agg struct {
-	Fn   AggFn
-	Arg  Expr
-	Star bool
+	Fn  AggFn
+	Arg Expr
 }
 
-// Subquery is a scalar subquery or EXISTS predicate.
+// Subquery is a scalar subquery.
 type Subquery struct {
-	Sel    *Select
-	Exists bool
+	Sel *Select
 }
 
 func (ColRef) isExpr()    {}
 func (Lit) isExpr()       {}
 func (Bin) isExpr()       {}
-func (Not) isExpr()       {}
 func (Neg) isExpr()       {}
 func (Between) isExpr()   {}
 func (Agg) isExpr()       {}

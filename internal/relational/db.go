@@ -29,7 +29,6 @@ func (t *TableData) colIndex(name string) int {
 // sortedIndex orders row indices by one column's value.
 type sortedIndex struct {
 	version int
-	col     int
 	order   []int
 }
 
@@ -48,43 +47,28 @@ func (t *TableData) sorted(col int) *sortedIndex {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		c, _ := compareValues(t.Rows[order[a]][col], t.Rows[order[b]][col])
-		return c < 0
+		return compareValues(t.Rows[order[a]][col], t.Rows[order[b]][col]) < 0
 	})
-	idx = &sortedIndex{version: t.version, col: col, order: order}
+	idx = &sortedIndex{version: t.version, order: order}
 	t.indexes[key] = idx
 	return idx
 }
 
-// bound is one end of a column range; nil *bound means unbounded.
-type bound struct {
-	v    Value
-	excl bool
-}
-
 // rangeSpan returns the [start, end) positions in the sorted index covering
-// the requested range; O(log n) per call.
-func (t *TableData) rangeSpan(col int, lo, hi *bound) (*sortedIndex, int, int) {
+// lo <= col <= hi, a nil bound being open; O(log n) per call.
+func (t *TableData) rangeSpan(col int, lo, hi *Value) (*sortedIndex, int, int) {
 	idx := t.sorted(col)
 	n := len(idx.order)
 	start := 0
 	if lo != nil {
 		start = sort.Search(n, func(i int) bool {
-			c, _ := compareValues(t.Rows[idx.order[i]][col], lo.v)
-			if lo.excl {
-				return c > 0
-			}
-			return c >= 0
+			return compareValues(t.Rows[idx.order[i]][col], *lo) >= 0
 		})
 	}
 	end := n
 	if hi != nil {
 		end = sort.Search(n, func(i int) bool {
-			c, _ := compareValues(t.Rows[idx.order[i]][col], hi.v)
-			if hi.excl {
-				return c >= 0
-			}
-			return c > 0
+			return compareValues(t.Rows[idx.order[i]][col], *hi) > 0
 		})
 	}
 	if end < start {
@@ -94,13 +78,13 @@ func (t *TableData) rangeSpan(col int, lo, hi *bound) (*sortedIndex, int, int) {
 }
 
 // rangeRows returns the row indices whose col value lies in the range.
-func (t *TableData) rangeRows(col int, lo, hi *bound) []int {
+func (t *TableData) rangeRows(col int, lo, hi *Value) []int {
 	idx, start, end := t.rangeSpan(col, lo, hi)
 	return idx.order[start:end]
 }
 
 // rangeCount counts rows whose col value lies in the range.
-func (t *TableData) rangeCount(col int, lo, hi *bound) int {
+func (t *TableData) rangeCount(col int, lo, hi *Value) int {
 	_, start, end := t.rangeSpan(col, lo, hi)
 	return end - start
 }
@@ -110,11 +94,10 @@ func (t *TableData) rangeCount(col int, lo, hi *bound) int {
 // The §4 comparison ("quite large intermediate relations") becomes visible on
 // live queries through these per-statement row counts.
 type StmtInfo struct {
-	// Kind is the statement keyword: "select", "insert", "delete", "create",
-	// "drop".
+	// Kind is the statement keyword: "select", "insert", "create".
 	Kind string
-	// Rows is the number of rows returned (SELECT) or affected
-	// (INSERT/DELETE); zero for DDL.
+	// Rows is the number of rows returned (SELECT) or inserted (INSERT);
+	// zero for DDL.
 	Rows int
 	// Duration is the statement's execution wall time.
 	Duration time.Duration
@@ -128,8 +111,8 @@ type DB struct {
 	// stmts counts statements executed over the database's lifetime; it
 	// keys the fault-injection hook so tests can target one statement.
 	stmts int64
-	// affected is the row count of the most recent INSERT or DELETE, for
-	// OnStmt reporting.
+	// affected is the row count of the most recent INSERT, for OnStmt
+	// reporting.
 	affected int
 
 	// OnStmt, when set, observes every statement executed through ExecStmt.
@@ -190,16 +173,10 @@ func stmtKind(st Stmt) string {
 	switch st.(type) {
 	case *CreateTable:
 		return "create"
-	case *DropTable:
-		return "drop"
 	case *Insert:
 		return "insert"
-	case *Delete:
-		return "delete"
-	case *Select:
-		return "select"
 	default:
-		return "other"
+		return "select"
 	}
 }
 
@@ -214,24 +191,17 @@ func (db *DB) execStmt(st Stmt) (*Result, error) {
 	switch s := st.(type) {
 	case *CreateTable:
 		return nil, db.CreateTableData(s.Name, s.Cols)
-	case *DropTable:
-		if _, ok := db.tables[s.Name]; !ok {
-			if s.IfExists {
-				return nil, nil
-			}
-			return nil, errf(-1, "table %q does not exist", s.Name)
-		}
-		delete(db.tables, s.Name)
-		return nil, nil
 	case *Insert:
-		return nil, db.execInsert(s)
-	case *Delete:
-		return nil, db.execDelete(s)
-	case *Select:
-		ex := &executor{db: db}
-		return ex.execSelect(s, nil)
+		if db.tables[s.Table] == nil {
+			return nil, errf(-1, "table %q does not exist", s.Table)
+		}
+		res, err := (&executor{db: db}).execSelect(s.Query, nil)
+		if err != nil {
+			return nil, err
+		}
+		return nil, db.InsertRows(s.Table, res.Rows)
 	default:
-		return nil, errf(-1, "unsupported statement %T", st)
+		return (&executor{db: db}).execSelect(st.(*Select), nil)
 	}
 }
 
@@ -253,9 +223,6 @@ func (db *DB) CreateTableData(name string, cols []Column) error {
 	db.tables[name] = &TableData{Cols: append([]Column(nil), cols...)}
 	return nil
 }
-
-// Table returns a stored table by name, or nil.
-func (db *DB) Table(name string) *TableData { return db.tables[name] }
 
 // InsertRows bulk-loads rows into a table, coercing values to the column
 // types; the fast path for benchmark harnesses.
@@ -281,71 +248,4 @@ func (db *DB) InsertRows(name string, rows [][]Value) error {
 	t.version++
 	db.affected += len(rows)
 	return nil
-}
-
-func (db *DB) execInsert(s *Insert) error {
-	t := db.tables[s.Table]
-	if t == nil {
-		return errf(-1, "table %q does not exist", s.Table)
-	}
-	if s.Query != nil {
-		ex := &executor{db: db}
-		res, err := ex.execSelect(s.Query, nil)
-		if err != nil {
-			return err
-		}
-		return db.InsertRows(s.Table, res.Rows)
-	}
-	ex := &executor{db: db}
-	var rows [][]Value
-	for _, re := range s.Rows {
-		row := make([]Value, len(re))
-		for i, e := range re {
-			v, err := ex.eval(e, nil)
-			if err != nil {
-				return err
-			}
-			row[i] = v
-		}
-		rows = append(rows, row)
-	}
-	return db.InsertRows(s.Table, rows)
-}
-
-func (db *DB) execDelete(s *Delete) error {
-	t := db.tables[s.Table]
-	if t == nil {
-		return errf(-1, "table %q does not exist", s.Table)
-	}
-	if s.Where == nil {
-		db.affected += len(t.Rows)
-		t.Rows = nil
-		t.version++
-		return nil
-	}
-	ex := &executor{db: db}
-	kept := t.Rows[:0]
-	for _, row := range t.Rows {
-		sc := &scope{names: []string{s.Table}, cols: [][]Column{t.Cols}, rows: [][]Value{row}}
-		v, err := ex.eval(s.Where, sc)
-		if err != nil {
-			return err
-		}
-		if !v.Truthy() {
-			kept = append(kept, row)
-		}
-	}
-	db.affected += len(t.Rows) - len(kept)
-	t.Rows = kept
-	t.version++
-	return nil
-}
-
-// Stats returns row counts per table, for diagnostics.
-func (db *DB) Stats() map[string]int {
-	out := map[string]int{}
-	for name, t := range db.tables {
-		out[name] = len(t.Rows)
-	}
-	return out
 }

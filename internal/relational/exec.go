@@ -1,27 +1,20 @@
 package relational
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
-	"strings"
 )
 
-// execSelect runs one SELECT (with its UNION ALL chain, ORDER BY and LIMIT).
-// parent is the enclosing scope for correlated subqueries, nil at top level.
-// ORDER BY keys referencing output columns sort on those; other keys are
-// evaluated in each arm's source scope during projection (standard SQL
-// resolution order).
+// execSelect runs one SELECT with its UNION ALL chain and ORDER BY. parent is
+// the enclosing scope for correlated subqueries, nil at top level.
 func (ex *executor) execSelect(sel *Select, parent *scope) (*Result, error) {
-	keys := make([]Expr, len(sel.OrderBy))
-	for i, k := range sel.OrderBy {
-		keys[i] = k.Expr
-	}
-	res, keyVals, err := ex.execCore(sel, parent, keys)
+	res, err := ex.execCore(sel, parent)
 	if err != nil {
 		return nil, err
 	}
 	for u := sel.Union; u != nil; u = u.Union {
-		r2, kv2, err := ex.execCore(u, parent, keys)
+		r2, err := ex.execCore(u, parent)
 		if err != nil {
 			return nil, err
 		}
@@ -29,43 +22,26 @@ func (ex *executor) execSelect(sel *Select, parent *scope) (*Result, error) {
 			return nil, errf(-1, "UNION ALL arms have %d and %d columns", len(res.Cols), len(r2.Cols))
 		}
 		res.Rows = append(res.Rows, r2.Rows...)
-		keyVals = append(keyVals, kv2...)
 	}
-	if len(sel.OrderBy) > 0 {
-		sortByKeys(res, keyVals, sel.OrderBy)
+	if sel.OrderBy == "" {
+		return res, nil
 	}
-	if sel.Limit >= 0 && len(res.Rows) > sel.Limit {
-		res.Rows = res.Rows[:sel.Limit]
-	}
-	return res, nil
-}
-
-// sortByKeys orders res.Rows by the precomputed key vectors.
-func sortByKeys(res *Result, keyVals [][]Value, items []OrderItem) {
-	idx := make([]int, len(res.Rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for j, it := range items {
-			c, err := compareValues(keyVals[idx[a]][j], keyVals[idx[b]][j])
-			if err != nil {
-				return false
+	col := -1
+	for i, name := range res.Cols {
+		if name == sel.OrderBy {
+			if col >= 0 {
+				return nil, errf(-1, "ambiguous ORDER BY column %s", sel.OrderBy)
 			}
-			if c != 0 {
-				if it.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
+			col = i
 		}
-		return false
-	})
-	rows := make([][]Value, len(idx))
-	for i, r := range idx {
-		rows[i] = res.Rows[r]
 	}
-	res.Rows = rows
+	if col < 0 {
+		return nil, errf(-1, "ORDER BY column %s is not in the select list", sel.OrderBy)
+	}
+	sort.SliceStable(res.Rows, func(a, b int) bool {
+		return compareValues(res.Rows[a][col], res.Rows[b][col]) < 0
+	})
+	return res, nil
 }
 
 // binding is one FROM item materialized for joining.
@@ -80,48 +56,43 @@ type tuple [][]Value
 // equiCond is one hash-join condition  outerExpr = innerExpr.
 type equiCond struct{ outer, inner Expr }
 
-// rangeCond is one range condition  innerCol OP outerExpr  (OP normalized to
-// the inner side on the left).
+// rangeCond is one range condition  innerCol OP outerExpr  (OP, <= or >=,
+// normalized to the inner side on the left).
 type rangeCond struct {
 	col   int
 	op    BinOp
 	outer Expr
 }
 
-// execCore runs a single SELECT block (no union/order/limit handling).
-// orderKeys are evaluated per output row in the source scope (or resolved
-// against output columns when they name one); the computed key vectors are
-// returned alongside the result.
-func (ex *executor) execCore(sel *Select, parent *scope, orderKeys []Expr) (*Result, [][]Value, error) {
+// execCore runs a single SELECT block (no union/order handling).
+func (ex *executor) execCore(sel *Select, parent *scope) (*Result, error) {
 	binds := make([]binding, len(sel.From))
 	for i, fi := range sel.From {
 		if fi.Sub != nil {
 			sub, err := ex.execSelect(fi.Sub, parent)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			binds[i] = binding{name: fi.Name(), data: resultToTable(sub)}
 			continue
 		}
 		t := ex.db.tables[fi.Table]
 		if t == nil {
-			return nil, nil, errf(-1, "table %q does not exist", fi.Table)
+			return nil, errf(-1, "table %q does not exist", fi.Table)
 		}
 		binds[i] = binding{name: fi.Name(), data: t}
 	}
 
-	conjs := splitAnd(sel.Where)
-	tuples, residual, err := ex.joinAll(binds, conjs, parent)
+	tuples, residual, err := ex.joinAll(binds, sel.Where, parent)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(residual) > 0 {
 		kept := tuples[:0]
 		for _, tp := range tuples {
-			sc := tupleScope(binds, tp, parent)
-			ok, err := ex.evalAll(residual, sc)
+			ok, err := ex.evalAll(residual, tupleScope(binds, tp, parent))
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if ok {
 				kept = append(kept, tp)
@@ -130,55 +101,18 @@ func (ex *executor) execCore(sel *Select, parent *scope, orderKeys []Expr) (*Res
 		tuples = kept
 	}
 
-	if len(sel.GroupBy) > 0 || sel.Having != nil || selListHasAgg(sel.List) {
-		return ex.projectGrouped(sel, binds, tuples, parent, orderKeys)
+	if sel.GroupBy != nil || hasAgg(sel.List) {
+		return ex.projectGrouped(sel, binds, tuples, parent)
 	}
-	return ex.projectPlain(sel, binds, tuples, parent, orderKeys)
+	return ex.projectPlain(sel, binds, tuples, parent)
 }
 
-// evalOrderKeys computes the order-key vector for one output row: a key that
-// is a bare column reference naming exactly one output column uses the
-// output value; anything else evaluates in the source scope.
-func (ex *executor) evalOrderKeys(orderKeys []Expr, cols []string, out []Value, sc *scope) ([]Value, error) {
-	if len(orderKeys) == 0 {
-		return nil, nil
-	}
-	keys := make([]Value, len(orderKeys))
-	for i, k := range orderKeys {
-		if cr, ok := k.(ColRef); ok && cr.Table == "" {
-			hit := -1
-			dup := false
-			for ci, name := range cols {
-				if name == cr.Col {
-					if hit >= 0 {
-						dup = true
-					}
-					hit = ci
-				}
-			}
-			if hit >= 0 && !dup {
-				keys[i] = out[hit]
-				continue
-			}
-		}
-		v, err := ex.eval(k, sc)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = v
-	}
-	return keys, nil
-}
-
-// evalAll evaluates predicates, reporting whether all hold.
+// evalAll evaluates WHERE conjuncts, reporting whether all hold.
 func (ex *executor) evalAll(preds []Expr, sc *scope) (bool, error) {
 	for _, c := range preds {
-		v, err := ex.eval(c, sc)
-		if err != nil {
+		ok, err := ex.holds(c, sc)
+		if err != nil || !ok {
 			return false, err
-		}
-		if !v.Truthy() {
-			return false, nil
 		}
 	}
 	return true, nil
@@ -219,8 +153,7 @@ func (ex *executor) joinAll(binds []binding, conjs []Expr, parent *scope) ([]tup
 	}
 	var tuples []tuple
 	for _, row := range binds[0].data.Rows {
-		sc := tupleScope(binds, tuple{row}, parent)
-		ok, err := ex.evalAll(first, sc)
+		ok, err := ex.evalAll(first, tupleScope(binds, tuple{row}, parent))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -234,7 +167,7 @@ func (ex *executor) joinAll(binds []binding, conjs []Expr, parent *scope) ([]tup
 		prevNames := append([]string(nil), names...)
 		names = append(names, inner.name)
 
-		equis, ranges, filters := ex.classifyJoinConds(conjs, consumed, inner, prevNames, names, colsOf)
+		equis, ranges, filters := classifyJoinConds(conjs, consumed, inner, prevNames, names, colsOf)
 
 		var out []tuple
 		var err error
@@ -263,7 +196,7 @@ func (ex *executor) joinAll(binds []binding, conjs []Expr, parent *scope) ([]tup
 
 // classifyJoinConds partitions the newly-bound conjuncts into equi-join
 // keys, range bounds on inner columns, and plain join filters.
-func (ex *executor) classifyJoinConds(conjs []Expr, consumed []bool, inner binding, prevNames, names []string, colsOf func(string) []Column) ([]equiCond, []rangeCond, []Expr) {
+func classifyJoinConds(conjs []Expr, consumed []bool, inner binding, prevNames, names []string, colsOf func(string) []Column) ([]equiCond, []rangeCond, []Expr) {
 	innerOnly := func(e Expr) bool { return boundBy(e, []string{inner.name}, colsOf) }
 	outerOnly := func(e Expr) bool { return boundBy(e, prevNames, colsOf) }
 	innerCol := func(e Expr) int {
@@ -303,8 +236,7 @@ func (ex *executor) classifyJoinConds(conjs []Expr, consumed []bool, inner bindi
 					equis = append(equis, equiCond{outer: n.L, inner: n.R})
 					continue
 				}
-			}
-			if n.Op == OpLt || n.Op == OpLe || n.Op == OpGt || n.Op == OpGe {
+			} else {
 				if ci := innerCol(n.L); ci >= 0 && outerOnly(n.R) {
 					ranges = append(ranges, rangeCond{col: ci, op: n.Op, outer: n.R})
 					continue
@@ -327,16 +259,17 @@ func (ex *executor) classifyJoinConds(conjs []Expr, consumed []bool, inner bindi
 	return equis, ranges, filters
 }
 
+// rangeFilter turns a range condition back into an ordinary predicate.
+func rangeFilter(rc rangeCond, inner binding) Expr {
+	return Bin{Op: rc.op, L: ColRef{Table: inner.name, Col: inner.data.Cols[rc.col].Name}, R: rc.outer}
+}
+
 // rangesToFilters turns unused range conditions back into ordinary
 // predicates (when a hash join is chosen instead).
 func rangesToFilters(ranges []rangeCond, inner binding) []Expr {
 	out := make([]Expr, 0, len(ranges))
 	for _, rc := range ranges {
-		out = append(out, Bin{
-			Op: rc.op,
-			L:  ColRef{Table: inner.name, Col: inner.data.Cols[rc.col].Name},
-			R:  rc.outer,
-		})
+		out = append(out, rangeFilter(rc, inner))
 	}
 	return out
 }
@@ -353,8 +286,7 @@ func (ex *executor) hashJoin(binds []binding, tuples []tuple, inner binding, equ
 	}
 	var out []tuple
 	for _, tp := range tuples {
-		outerSc := tupleScope(binds[:len(binds)-1], tp, parent)
-		key, err := ex.joinKey(outerSc, equis, true)
+		key, err := ex.joinKey(tupleScope(binds[:len(binds)-1], tp, parent), equis, true)
 		if err != nil {
 			return nil, err
 		}
@@ -371,10 +303,10 @@ func (ex *executor) hashJoin(binds []binding, tuples []tuple, inner binding, equ
 	return out, nil
 }
 
-// joinKey renders the composite equi key; numeric values hash by their
-// float64 image so INT 5 meets FLOAT 5.0.
+// joinKey renders the composite equi key; values hash by their float64 image
+// so INT 5 meets FLOAT 5.0.
 func (ex *executor) joinKey(sc *scope, equis []equiCond, outer bool) (string, error) {
-	var b strings.Builder
+	var key []byte
 	for _, e := range equis {
 		expr := e.inner
 		if outer {
@@ -384,26 +316,13 @@ func (ex *executor) joinKey(sc *scope, equis []equiCond, outer bool) (string, er
 		if err != nil {
 			return "", err
 		}
-		if v.IsNumeric() {
-			b.WriteByte('n')
-			f := v.AsFloat()
-			for i := 0; i < 8; i++ {
-				b.WriteByte(byte(floatBits(f) >> (8 * i)))
-			}
-		} else {
-			b.WriteByte('s')
-			b.WriteString(v.String())
+		f := v.AsFloat()
+		if f == 0 {
+			f = 0 // normalize -0 to +0 so they hash identically
 		}
-		b.WriteByte(0)
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(f))
 	}
-	return b.String(), nil
-}
-
-func floatBits(f float64) uint64 {
-	if f == 0 {
-		f = 0 // normalize -0 to +0 so they hash identically
-	}
-	return math.Float64bits(f)
+	return string(key), nil
 }
 
 func (ex *executor) rangeJoin(binds []binding, tuples []tuple, inner binding, ranges []rangeCond, filters []Expr, parent *scope) ([]tuple, error) {
@@ -411,30 +330,21 @@ func (ex *executor) rangeJoin(binds []binding, tuples []tuple, inner binding, ra
 	var out []tuple
 	for _, tp := range tuples {
 		outerSc := tupleScope(binds[:len(binds)-1], tp, parent)
-		var lo, hi *bound
+		var lo, hi *Value
 		var extra []Expr
 		for _, rc := range ranges {
 			if rc.col != col {
-				extra = append(extra, Bin{
-					Op: rc.op,
-					L:  ColRef{Table: inner.name, Col: inner.data.Cols[rc.col].Name},
-					R:  rc.outer,
-				})
+				extra = append(extra, rangeFilter(rc, inner))
 				continue
 			}
 			v, err := ex.eval(rc.outer, outerSc)
 			if err != nil {
 				return nil, err
 			}
-			switch rc.op {
-			case OpGe:
-				lo = tighterLo(lo, bound{v: v})
-			case OpGt:
-				lo = tighterLo(lo, bound{v: v, excl: true})
-			case OpLe:
-				hi = tighterHi(hi, bound{v: v})
-			case OpLt:
-				hi = tighterHi(hi, bound{v: v, excl: true})
+			if rc.op == OpGe {
+				lo = tighterLo(lo, v)
+			} else {
+				hi = tighterHi(hi, v)
 			}
 		}
 		allFilters := append(extra, filters...)
@@ -475,78 +385,46 @@ func (ex *executor) extendTuple(binds []binding, tp tuple, row []Value, filters 
 	if len(filters) == 0 {
 		return ntp, true, nil
 	}
-	sc := tupleScope(binds, ntp, parent)
-	ok, err := ex.evalAll(filters, sc)
+	ok, err := ex.evalAll(filters, tupleScope(binds, ntp, parent))
 	if err != nil {
 		return nil, false, err
 	}
 	return ntp, ok, nil
 }
 
+// flipBin mirrors a comparison: a <= b is b >= a.
 func flipBin(op BinOp) BinOp {
 	switch op {
-	case OpLt:
-		return OpGt
 	case OpLe:
 		return OpGe
-	case OpGt:
-		return OpLt
-	default:
+	case OpGe:
 		return OpLe
+	default:
+		return op
 	}
 }
 
-func tighterLo(cur *bound, b bound) *bound {
-	if cur == nil {
-		return &b
-	}
-	c, _ := compareValues(b.v, cur.v)
-	if c > 0 || (c == 0 && b.excl && !cur.excl) {
-		return &b
+func tighterLo(cur *Value, v Value) *Value {
+	if cur == nil || compareValues(v, *cur) > 0 {
+		return &v
 	}
 	return cur
 }
 
-func tighterHi(cur *bound, b bound) *bound {
-	if cur == nil {
-		return &b
-	}
-	c, _ := compareValues(b.v, cur.v)
-	if c < 0 || (c == 0 && b.excl && !cur.excl) {
-		return &b
+func tighterHi(cur *Value, v Value) *Value {
+	if cur == nil || compareValues(v, *cur) < 0 {
+		return &v
 	}
 	return cur
 }
 
-// splitAnd flattens a conjunction into its conjuncts.
-func splitAnd(e Expr) []Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(Bin); ok && b.Op == OpAnd {
-		return append(splitAnd(b.L), splitAnd(b.R)...)
-	}
-	return []Expr{e}
-}
-
-func selListHasAgg(list []SelItem) bool {
-	for _, it := range list {
-		if !it.Star && hasAgg(it.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-// resultToTable materializes a subquery result as a transient table.
+// resultToTable materializes a subquery result as a transient table. Only
+// the column names are set: a column's kind is read only when rows are
+// inserted, and nothing inserts into a derived table.
 func resultToTable(r *Result) *TableData {
 	cols := make([]Column, len(r.Cols))
 	for i, name := range r.Cols {
-		k := KText
-		if len(r.Rows) > 0 {
-			k = r.Rows[0][i].K
-		}
-		cols[i] = Column{Name: name, Type: k}
+		cols[i] = Column{Name: name}
 	}
 	return &TableData{Cols: cols, Rows: r.Rows}
 }

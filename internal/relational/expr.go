@@ -1,8 +1,6 @@
 package relational
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // scope is the row context expressions evaluate in: one current row per
 // FROM binding, chained to the enclosing query's scope for correlated
@@ -56,59 +54,32 @@ type executor struct {
 	aggs map[string]Value
 }
 
-// eval evaluates an expression in the given scope.
+// eval evaluates a value expression in the given scope.
 func (ex *executor) eval(e Expr, sc *scope) (Value, error) {
 	switch n := e.(type) {
 	case Lit:
 		return n.V, nil
 	case ColRef:
-		if sc == nil {
-			return Value{}, errf(-1, "column reference %s outside a row context", refName(n.Table, n.Col))
-		}
 		return sc.lookup(n.Table, n.Col)
 	case Neg:
 		v, err := ex.eval(n.E, sc)
 		if err != nil {
 			return Value{}, err
 		}
-		switch v.K {
-		case KInt:
+		if v.K == KInt {
 			return IntV(-v.I), nil
-		case KFloat:
-			return FloatV(-v.F), nil
-		default:
-			return Value{}, errf(-1, "cannot negate %s value", v.K)
 		}
-	case Not:
-		v, err := ex.eval(n.E, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		return BoolV(!v.Truthy()), nil
-	case Between:
-		v, err := ex.eval(n.E, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		lo, err := ex.eval(n.Lo, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		hi, err := ex.eval(n.Hi, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		c1, err := compareValues(v, lo)
-		if err != nil {
-			return Value{}, err
-		}
-		c2, err := compareValues(v, hi)
-		if err != nil {
-			return Value{}, err
-		}
-		return BoolV(c1 >= 0 && c2 <= 0), nil
+		return FloatV(-v.F), nil
 	case Bin:
-		return ex.evalBin(n, sc)
+		l, err := ex.eval(n.L, sc)
+		if err != nil {
+			return Value{}, err
+		}
+		r, err := ex.eval(n.R, sc)
+		if err != nil {
+			return Value{}, err
+		}
+		return arith(n.Op, l, r)
 	case Agg:
 		if ex.aggs == nil {
 			return Value{}, errf(-1, "aggregate outside GROUP BY context")
@@ -125,87 +96,78 @@ func (ex *executor) eval(e Expr, sc *scope) (Value, error) {
 	}
 }
 
-func (ex *executor) evalBin(n Bin, sc *scope) (Value, error) {
-	// Short-circuit logical operators.
-	if n.Op == OpAnd || n.Op == OpOr {
-		l, err := ex.eval(n.L, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		if n.Op == OpAnd && !l.Truthy() {
-			return BoolV(false), nil
-		}
-		if n.Op == OpOr && l.Truthy() {
-			return BoolV(true), nil
-		}
-		r, err := ex.eval(n.R, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		return BoolV(r.Truthy()), nil
-	}
-	l, err := ex.eval(n.L, sc)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := ex.eval(n.R, sc)
-	if err != nil {
-		return Value{}, err
-	}
-	switch n.Op {
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		c, err := compareValues(l, r)
-		if err != nil {
-			return Value{}, err
-		}
-		switch n.Op {
-		case OpEq:
-			return BoolV(c == 0), nil
-		case OpNe:
-			return BoolV(c != 0), nil
-		case OpLt:
-			return BoolV(c < 0), nil
-		case OpLe:
-			return BoolV(c <= 0), nil
-		case OpGt:
-			return BoolV(c > 0), nil
-		default:
-			return BoolV(c >= 0), nil
-		}
-	case OpAdd, OpSub, OpMul, OpDiv:
-		if !l.IsNumeric() || !r.IsNumeric() {
-			return Value{}, errf(-1, "arithmetic on non-numeric values")
-		}
-		if l.K == KInt && r.K == KInt {
-			switch n.Op {
-			case OpAdd:
-				return IntV(l.I + r.I), nil
-			case OpSub:
-				return IntV(l.I - r.I), nil
-			case OpMul:
-				return IntV(l.I * r.I), nil
-			default:
-				if r.I == 0 {
-					return Value{}, errf(-1, "integer division by zero")
-				}
-				return IntV(l.I / r.I), nil
-			}
-		}
-		lf, rf := l.AsFloat(), r.AsFloat()
-		switch n.Op {
+// arith applies +, - or /: INT with INT stays INT (integer division), any
+// FLOAT operand makes the result FLOAT.
+func arith(op BinOp, l, r Value) (Value, error) {
+	if l.K == KInt && r.K == KInt {
+		switch op {
 		case OpAdd:
-			return FloatV(lf + rf), nil
+			return IntV(l.I + r.I), nil
 		case OpSub:
-			return FloatV(lf - rf), nil
-		case OpMul:
-			return FloatV(lf * rf), nil
-		default:
-			return FloatV(lf / rf), nil
+			return IntV(l.I - r.I), nil
+		case OpDiv:
+			if r.I == 0 {
+				return Value{}, errf(-1, "integer division by zero")
+			}
+			return IntV(l.I / r.I), nil
 		}
+	}
+	lf, rf := l.AsFloat(), r.AsFloat()
+	switch op {
+	case OpAdd:
+		return FloatV(lf + rf), nil
+	case OpSub:
+		return FloatV(lf - rf), nil
+	case OpDiv:
+		return FloatV(lf / rf), nil
 	default:
-		return Value{}, errf(-1, "unsupported binary operator")
+		return Value{}, errf(-1, "comparison %s used as a value", opText[op])
 	}
 }
+
+// holds evaluates one WHERE conjunct.
+func (ex *executor) holds(p Expr, sc *scope) (bool, error) {
+	if b, ok := p.(Between); ok {
+		v, err := ex.eval(b.E, sc)
+		if err != nil {
+			return false, err
+		}
+		lo, err := ex.eval(b.Lo, sc)
+		if err != nil {
+			return false, err
+		}
+		hi, err := ex.eval(b.Hi, sc)
+		if err != nil {
+			return false, err
+		}
+		return compareValues(v, lo) >= 0 && compareValues(v, hi) <= 0, nil
+	}
+	b, ok := p.(Bin)
+	if !ok {
+		return false, errf(-1, "unsupported predicate %T", p)
+	}
+	l, err := ex.eval(b.L, sc)
+	if err != nil {
+		return false, err
+	}
+	r, err := ex.eval(b.R, sc)
+	if err != nil {
+		return false, err
+	}
+	c := compareValues(l, r)
+	switch b.Op {
+	case OpEq:
+		return c == 0, nil
+	case OpLe:
+		return c <= 0, nil
+	case OpGe:
+		return c >= 0, nil
+	default:
+		return false, errf(-1, "arithmetic %s used as a predicate", opText[b.Op])
+	}
+}
+
+var opText = [...]string{OpAdd: "+", OpSub: "-", OpDiv: "/", OpEq: "=", OpLe: "<=", OpGe: ">="}
 
 // exprKey renders an expression to a canonical string, used to key computed
 // aggregates and to name projection columns.
@@ -217,27 +179,18 @@ func exprKey(e Expr) string {
 		return refName(n.Table, n.Col)
 	case Neg:
 		return "-" + exprKey(n.E)
-	case Not:
-		return "NOT " + exprKey(n.E)
-	case Between:
-		return fmt.Sprintf("%s BETWEEN %s AND %s", exprKey(n.E), exprKey(n.Lo), exprKey(n.Hi))
 	case Bin:
-		ops := map[BinOp]string{
-			OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/",
-			OpEq: "=", OpNe: "<>", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",
-			OpAnd: "AND", OpOr: "OR",
-		}
-		return fmt.Sprintf("(%s %s %s)", exprKey(n.L), ops[n.Op], exprKey(n.R))
+		return fmt.Sprintf("(%s %s %s)", exprKey(n.L), opText[n.Op], exprKey(n.R))
 	case Agg:
-		names := map[AggFn]string{AggCount: "COUNT", AggSum: "SUM", AggMax: "MAX", AggMin: "MIN", AggAvg: "AVG"}
-		if n.Star {
-			return names[n.Fn] + "(*)"
+		switch n.Fn {
+		case AggCount:
+			return "COUNT(*)"
+		case AggSum:
+			return "SUM(" + exprKey(n.Arg) + ")"
+		default:
+			return "MAX(" + exprKey(n.Arg) + ")"
 		}
-		return names[n.Fn] + "(" + exprKey(n.Arg) + ")"
 	case *Subquery:
-		if n.Exists {
-			return "EXISTS(...)"
-		}
 		return "(SELECT ...)"
 	default:
 		return fmt.Sprintf("%T", e)
@@ -252,21 +205,17 @@ func collectAggs(e Expr, out *[]Agg) {
 	case Bin:
 		collectAggs(n.L, out)
 		collectAggs(n.R, out)
-	case Not:
-		collectAggs(n.E, out)
 	case Neg:
 		collectAggs(n.E, out)
-	case Between:
-		collectAggs(n.E, out)
-		collectAggs(n.Lo, out)
-		collectAggs(n.Hi, out)
 	}
 }
 
-// hasAgg reports whether the expression contains an aggregate call.
-func hasAgg(e Expr) bool {
+// hasAgg reports whether any of the expressions contains an aggregate call.
+func hasAgg(list []Expr) bool {
 	var aggs []Agg
-	collectAggs(e, &aggs)
+	for _, e := range list {
+		collectAggs(e, &aggs)
+	}
 	return len(aggs) > 0
 }
 
@@ -280,8 +229,6 @@ func refs(e Expr, out map[string][]string) {
 	case Bin:
 		refs(n.L, out)
 		refs(n.R, out)
-	case Not:
-		refs(n.E, out)
 	case Neg:
 		refs(n.E, out)
 	case Between:
@@ -289,7 +236,7 @@ func refs(e Expr, out map[string][]string) {
 		refs(n.Lo, out)
 		refs(n.Hi, out)
 	case Agg:
-		if !n.Star {
+		if n.Arg != nil {
 			refs(n.Arg, out)
 		}
 	case *Subquery:

@@ -13,8 +13,7 @@ const (
 	sKeyword
 	sInt
 	sFloat
-	sString
-	sSymbol // ( ) , ; * + - / = < > <= >= <> !=  .
+	sSymbol // ( ) , ; * + - / . = <= >=
 )
 
 type sqlTok struct {
@@ -42,13 +41,9 @@ func errf(pos int, format string, args ...any) *SQLError {
 
 var sqlKeywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "ASC": true, "DESC": true,
-	"UNION": true, "ALL": true, "AND": true, "OR": true, "NOT": true,
-	"AS": true, "CREATE": true, "TABLE": true, "DROP": true, "IF": true,
-	"EXISTS": true, "INSERT": true, "INTO": true, "VALUES": true,
-	"INT": true, "FLOAT": true, "TEXT": true, "BETWEEN": true,
-	"COUNT": true, "SUM": true, "MAX": true, "MIN": true, "AVG": true,
-	"DELETE": true, "DISTINCT": true,
+	"ORDER": true, "UNION": true, "ALL": true, "AND": true, "CREATE": true,
+	"TABLE": true, "INSERT": true, "INTO": true, "INT": true, "FLOAT": true,
+	"BETWEEN": true, "COUNT": true, "SUM": true, "MAX": true,
 }
 
 func sqlLex(src string) ([]sqlTok, error) {
@@ -59,63 +54,12 @@ func sqlLex(src string) ([]sqlTok, error) {
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
-		case c == '-' && i+1 < n && src[i+1] == '-':
-			for i < n && src[i] != '\n' {
-				i++
-			}
-		case strings.IndexByte("(),;*+-/.", c) >= 0:
+		case strings.IndexByte("(),;*+-/.=", c) >= 0:
 			toks = append(toks, sqlTok{sSymbol, string(c), i})
 			i++
-		case c == '=':
-			toks = append(toks, sqlTok{sSymbol, "=", i})
-			i++
-		case c == '<':
-			switch {
-			case i+1 < n && src[i+1] == '=':
-				toks = append(toks, sqlTok{sSymbol, "<=", i})
-				i += 2
-			case i+1 < n && src[i+1] == '>':
-				toks = append(toks, sqlTok{sSymbol, "<>", i})
-				i += 2
-			default:
-				toks = append(toks, sqlTok{sSymbol, "<", i})
-				i++
-			}
-		case c == '>':
-			if i+1 < n && src[i+1] == '=' {
-				toks = append(toks, sqlTok{sSymbol, ">=", i})
-				i += 2
-			} else {
-				toks = append(toks, sqlTok{sSymbol, ">", i})
-				i++
-			}
-		case c == '!':
-			if i+1 < n && src[i+1] == '=' {
-				toks = append(toks, sqlTok{sSymbol, "!=", i})
-				i += 2
-			} else {
-				return nil, errf(i, "unexpected '!'")
-			}
-		case c == '\'':
-			j := i + 1
-			var sb strings.Builder
-			for {
-				if j >= n {
-					return nil, errf(i, "unterminated string literal")
-				}
-				if src[j] == '\'' {
-					if j+1 < n && src[j+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						j += 2
-						continue
-					}
-					break
-				}
-				sb.WriteByte(src[j])
-				j++
-			}
-			toks = append(toks, sqlTok{sString, sb.String(), i})
-			i = j + 1
+		case (c == '<' || c == '>') && i+1 < n && src[i+1] == '=':
+			toks = append(toks, sqlTok{sSymbol, src[i : i+2], i})
+			i += 2
 		case c >= '0' && c <= '9':
 			start := i
 			kind := sInt

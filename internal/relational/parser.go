@@ -11,8 +11,7 @@ func ParseScript(src string) ([]Stmt, error) {
 	p := &sqlParser{toks: toks}
 	var stmts []Stmt
 	for {
-		for p.peek().kind == sSymbol && p.peek().text == ";" {
-			p.next()
+		for p.sym(";") {
 		}
 		if p.peek().kind == sEOF {
 			break
@@ -34,9 +33,8 @@ type sqlParser struct {
 	i    int
 }
 
-func (p *sqlParser) peek() sqlTok  { return p.toks[p.i] }
-func (p *sqlParser) peek2() sqlTok { return p.toks[min(p.i+1, len(p.toks)-1)] }
-func (p *sqlParser) next() sqlTok  { t := p.toks[p.i]; p.i++; return t }
+func (p *sqlParser) peek() sqlTok { return p.toks[p.i] }
+func (p *sqlParser) next() sqlTok { t := p.toks[p.i]; p.i++; return t }
 
 func (p *sqlParser) kw(word string) bool {
 	if t := p.peek(); t.kind == sKeyword && t.text == word {
@@ -81,22 +79,15 @@ func (p *sqlParser) ident() (string, error) {
 
 func (p *sqlParser) stmt() (Stmt, error) {
 	t := p.peek()
-	if t.kind != sKeyword {
-		return nil, errf(t.pos, "expected a statement, found %q", t.text)
-	}
-	switch t.text {
-	case "CREATE":
+	switch {
+	case t.kind == sKeyword && t.text == "CREATE":
 		return p.createTable()
-	case "DROP":
-		return p.dropTable()
-	case "INSERT":
+	case t.kind == sKeyword && t.text == "INSERT":
 		return p.insert()
-	case "DELETE":
-		return p.delete()
-	case "SELECT":
+	case t.kind == sKeyword && t.text == "SELECT":
 		return p.selectStmt()
 	default:
-		return nil, errf(t.pos, "unsupported statement %q", t.text)
+		return nil, errf(t.pos, "expected CREATE, INSERT or SELECT, found %q", t.text)
 	}
 }
 
@@ -118,49 +109,24 @@ func (p *sqlParser) createTable() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := p.peek()
 		var k Kind
-		switch {
+		switch t := p.next(); {
 		case t.kind == sKeyword && t.text == "INT":
 			k = KInt
 		case t.kind == sKeyword && t.text == "FLOAT":
 			k = KFloat
-		case t.kind == sKeyword && t.text == "TEXT":
-			k = KText
 		default:
 			return nil, errf(t.pos, "expected a column type, found %q", t.text)
 		}
-		p.next()
 		cols = append(cols, Column{Name: cn, Type: k})
-		if p.sym(",") {
-			continue
+		if !p.sym(",") {
+			break
 		}
-		break
 	}
 	if err := p.expectSym(")"); err != nil {
 		return nil, err
 	}
 	return &CreateTable{Name: name, Cols: cols}, nil
-}
-
-func (p *sqlParser) dropTable() (Stmt, error) {
-	p.next() // DROP
-	if err := p.expectKw("TABLE"); err != nil {
-		return nil, err
-	}
-	d := &DropTable{}
-	if p.kw("IF") {
-		if err := p.expectKw("EXISTS"); err != nil {
-			return nil, err
-		}
-		d.IfExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	d.Name = name
-	return d, nil
 }
 
 func (p *sqlParser) insert() (Stmt, error) {
@@ -172,64 +138,14 @@ func (p *sqlParser) insert() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	ins := &Insert{Table: name}
-	if p.kw("VALUES") {
-		for {
-			if err := p.expectSym("("); err != nil {
-				return nil, err
-			}
-			var row []Expr
-			for {
-				e, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, e)
-				if p.sym(",") {
-					continue
-				}
-				break
-			}
-			if err := p.expectSym(")"); err != nil {
-				return nil, err
-			}
-			ins.Rows = append(ins.Rows, row)
-			if p.sym(",") {
-				continue
-			}
-			break
-		}
-		return ins, nil
-	}
 	sel, err := p.selectStmt()
 	if err != nil {
 		return nil, err
 	}
-	ins.Query = sel.(*Select)
-	return ins, nil
+	return &Insert{Table: name, Query: sel}, nil
 }
 
-func (p *sqlParser) delete() (Stmt, error) {
-	p.next() // DELETE
-	if err := p.expectKw("FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	d := &Delete{Table: name}
-	if p.kw("WHERE") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		d.Where = e
-	}
-	return d, nil
-}
-
-func (p *sqlParser) selectStmt() (Stmt, error) {
+func (p *sqlParser) selectStmt() (*Select, error) {
 	sel, err := p.selectCore()
 	if err != nil {
 		return nil, err
@@ -250,32 +166,9 @@ func (p *sqlParser) selectStmt() (Stmt, error) {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Expr: e}
-			if p.kw("DESC") {
-				item.Desc = true
-			} else {
-				p.kw("ASC")
-			}
-			sel.OrderBy = append(sel.OrderBy, item)
-			if p.sym(",") {
-				continue
-			}
-			break
+		if sel.OrderBy, err = p.ident(); err != nil {
+			return nil, err
 		}
-	}
-	if p.kw("LIMIT") {
-		t := p.peek()
-		if t.kind != sInt {
-			return nil, errf(t.pos, "expected an integer after LIMIT")
-		}
-		p.next()
-		n, _ := strconv.Atoi(t.text)
-		sel.Limit = n
 	}
 	return sel, nil
 }
@@ -284,17 +177,16 @@ func (p *sqlParser) selectCore() (*Select, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
-	sel := &Select{Limit: -1}
+	sel := &Select{}
 	for {
-		item, err := p.selItem()
+		e, err := p.addExpr()
 		if err != nil {
 			return nil, err
 		}
-		sel.List = append(sel.List, item)
-		if p.sym(",") {
-			continue
+		sel.List = append(sel.List, e)
+		if !p.sym(",") {
+			break
 		}
-		break
 	}
 	if err := p.expectKw("FROM"); err != nil {
 		return nil, err
@@ -305,73 +197,33 @@ func (p *sqlParser) selectCore() (*Select, error) {
 			return nil, err
 		}
 		sel.From = append(sel.From, fi)
-		if p.sym(",") {
-			continue
+		if !p.sym(",") {
+			break
 		}
-		break
 	}
 	if p.kw("WHERE") {
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
+		for {
+			e, err := p.pred()
+			if err != nil {
+				return nil, err
+			}
+			sel.Where = append(sel.Where, e)
+			if !p.kw("AND") {
+				break
+			}
 		}
-		sel.Where = e
 	}
 	if p.kw("GROUP") {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			sel.GroupBy = append(sel.GroupBy, e)
-			if p.sym(",") {
-				continue
-			}
-			break
-		}
-	}
-	if p.kw("HAVING") {
-		e, err := p.expr()
+		cr, err := p.colRef()
 		if err != nil {
 			return nil, err
 		}
-		sel.Having = e
+		sel.GroupBy = &cr
 	}
 	return sel, nil
-}
-
-func (p *sqlParser) selItem() (SelItem, error) {
-	if p.sym("*") {
-		return SelItem{Star: true}, nil
-	}
-	// Qualified star: ident . *
-	if p.peek().kind == sIdent && p.peek2().kind == sSymbol && p.peek2().text == "." {
-		save := p.i
-		tab, _ := p.ident()
-		p.next() // .
-		if p.sym("*") {
-			return SelItem{Star: true, Table: tab}, nil
-		}
-		p.i = save
-	}
-	e, err := p.expr()
-	if err != nil {
-		return SelItem{}, err
-	}
-	item := SelItem{Expr: e}
-	if p.kw("AS") {
-		a, err := p.ident()
-		if err != nil {
-			return SelItem{}, err
-		}
-		item.Alias = a
-	} else if p.peek().kind == sIdent {
-		item.Alias = p.next().text
-	}
-	return item, nil
 }
 
 func (p *sqlParser) fromItem() (FromItem, error) {
@@ -383,27 +235,18 @@ func (p *sqlParser) fromItem() (FromItem, error) {
 		if err := p.expectSym(")"); err != nil {
 			return FromItem{}, err
 		}
-		fi := FromItem{Sub: sel.(*Select)}
-		p.kw("AS")
 		a, err := p.ident()
 		if err != nil {
 			return FromItem{}, errf(p.peek().pos, "a subquery in FROM requires an alias")
 		}
-		fi.Alias = a
-		return fi, nil
+		return FromItem{Sub: sel, Alias: a}, nil
 	}
 	name, err := p.ident()
 	if err != nil {
 		return FromItem{}, err
 	}
 	fi := FromItem{Table: name}
-	if p.kw("AS") {
-		a, err := p.ident()
-		if err != nil {
-			return FromItem{}, err
-		}
-		fi.Alias = a
-	} else if p.peek().kind == sIdent {
+	if p.peek().kind == sIdent {
 		fi.Alias = p.next().text
 	}
 	return fi, nil
@@ -411,50 +254,11 @@ func (p *sqlParser) fromItem() (FromItem, error) {
 
 // --- expressions -----------------------------------------------------------
 
-func (p *sqlParser) expr() (Expr, error) { return p.orExpr() }
+var cmpOps = map[string]BinOp{"=": OpEq, "<=": OpLe, ">=": OpGe}
 
-func (p *sqlParser) orExpr() (Expr, error) {
-	l, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.kw("OR") {
-		r, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = Bin{Op: OpOr, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *sqlParser) andExpr() (Expr, error) {
-	l, err := p.notExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.kw("AND") {
-		r, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = Bin{Op: OpAnd, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *sqlParser) notExpr() (Expr, error) {
-	if p.kw("NOT") {
-		e, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		return Not{E: e}, nil
-	}
-	return p.cmpExpr()
-}
-
-func (p *sqlParser) cmpExpr() (Expr, error) {
+// pred parses one WHERE conjunct:  e = e,  e <= e,  e >= e  or
+// e BETWEEN e AND e.
+func (p *sqlParser) pred() (Expr, error) {
 	l, err := p.addExpr()
 	if err != nil {
 		return nil, err
@@ -473,84 +277,53 @@ func (p *sqlParser) cmpExpr() (Expr, error) {
 		}
 		return Between{E: l, Lo: lo, Hi: hi}, nil
 	}
-	t := p.peek()
-	if t.kind == sSymbol {
-		var op BinOp
-		ok := true
-		switch t.text {
-		case "=":
-			op = OpEq
-		case "<>", "!=":
-			op = OpNe
-		case "<":
-			op = OpLt
-		case "<=":
-			op = OpLe
-		case ">":
-			op = OpGt
-		case ">=":
-			op = OpGe
-		default:
-			ok = false
-		}
-		if ok {
-			p.next()
-			r, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			return Bin{Op: op, L: l, R: r}, nil
-		}
+	t := p.next()
+	op, ok := cmpOps[t.text]
+	if t.kind != sSymbol || !ok {
+		return nil, errf(t.pos, "expected =, <=, >= or BETWEEN, found %q", t.text)
 	}
-	return l, nil
+	r, err := p.addExpr()
+	if err != nil {
+		return nil, err
+	}
+	return Bin{Op: op, L: l, R: r}, nil
 }
 
 func (p *sqlParser) addExpr() (Expr, error) {
-	l, err := p.mulExpr()
+	l, err := p.divExpr()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		t := p.peek()
-		if t.kind == sSymbol && (t.text == "+" || t.text == "-") {
-			p.next()
-			r, err := p.mulExpr()
-			if err != nil {
-				return nil, err
-			}
-			op := OpAdd
-			if t.text == "-" {
-				op = OpSub
-			}
-			l = Bin{Op: op, L: l, R: r}
-			continue
+		op := OpAdd
+		switch {
+		case p.sym("+"):
+		case p.sym("-"):
+			op = OpSub
+		default:
+			return l, nil
 		}
-		return l, nil
+		r, err := p.divExpr()
+		if err != nil {
+			return nil, err
+		}
+		l = Bin{Op: op, L: l, R: r}
 	}
 }
 
-func (p *sqlParser) mulExpr() (Expr, error) {
+func (p *sqlParser) divExpr() (Expr, error) {
 	l, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		t := p.peek()
-		if t.kind == sSymbol && (t.text == "*" || t.text == "/") {
-			p.next()
-			r, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			op := OpMul
-			if t.text == "/" {
-				op = OpDiv
-			}
-			l = Bin{Op: op, L: l, R: r}
-			continue
+	for p.sym("/") {
+		r, err := p.unaryExpr()
+		if err != nil {
+			return nil, err
 		}
-		return l, nil
+		l = Bin{Op: OpDiv, L: l, R: r}
 	}
+	return l, nil
 }
 
 func (p *sqlParser) unaryExpr() (Expr, error) {
@@ -564,38 +337,34 @@ func (p *sqlParser) unaryExpr() (Expr, error) {
 	return p.primaryExpr()
 }
 
-var aggNames = map[string]AggFn{
-	"COUNT": AggCount, "SUM": AggSum, "MAX": AggMax, "MIN": AggMin, "AVG": AggAvg,
-}
-
 func (p *sqlParser) primaryExpr() (Expr, error) {
 	t := p.peek()
-	if t.kind == sKeyword {
-		if fn, ok := aggNames[t.text]; ok {
-			p.next()
-			if err := p.expectSym("("); err != nil {
-				return nil, err
-			}
-			if p.sym("*") {
-				if fn != AggCount {
-					return nil, errf(t.pos, "%s(*) is not supported", t.text)
-				}
-				if err := p.expectSym(")"); err != nil {
-					return nil, err
-				}
-				return Agg{Fn: AggCount, Star: true}, nil
-			}
-			arg, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectSym(")"); err != nil {
-				return nil, err
-			}
-			return Agg{Fn: fn, Arg: arg}, nil
-		}
-	}
 	switch {
+	case t.kind == sKeyword && t.text == "COUNT":
+		p.next()
+		for _, s := range []string{"(", "*", ")"} {
+			if err := p.expectSym(s); err != nil {
+				return nil, err
+			}
+		}
+		return Agg{Fn: AggCount}, nil
+	case t.kind == sKeyword && (t.text == "SUM" || t.text == "MAX"):
+		p.next()
+		if err := p.expectSym("("); err != nil {
+			return nil, err
+		}
+		arg, err := p.addExpr()
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expectSym(")"); err != nil {
+			return nil, err
+		}
+		fn := AggSum
+		if t.text == "MAX" {
+			fn = AggMax
+		}
+		return Agg{Fn: fn, Arg: arg}, nil
 	case t.kind == sInt:
 		p.next()
 		v, err := strconv.ParseInt(t.text, 10, 64)
@@ -610,14 +379,8 @@ func (p *sqlParser) primaryExpr() (Expr, error) {
 			return nil, errf(t.pos, "bad float literal %q", t.text)
 		}
 		return Lit{V: FloatV(v)}, nil
-	case t.kind == sString:
+	case t.kind == sSymbol && t.text == "(":
 		p.next()
-		return Lit{V: TextV(t.text)}, nil
-	case t.kind == sKeyword && t.text == "EXISTS":
-		p.next()
-		if err := p.expectSym("("); err != nil {
-			return nil, err
-		}
 		sel, err := p.selectStmt()
 		if err != nil {
 			return nil, err
@@ -625,39 +388,26 @@ func (p *sqlParser) primaryExpr() (Expr, error) {
 		if err := p.expectSym(")"); err != nil {
 			return nil, err
 		}
-		return &Subquery{Sel: sel.(*Select), Exists: true}, nil
-	case t.kind == sSymbol && t.text == "(":
-		p.next()
-		if p.peek().kind == sKeyword && p.peek().text == "SELECT" {
-			sel, err := p.selectStmt()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectSym(")"); err != nil {
-				return nil, err
-			}
-			return &Subquery{Sel: sel.(*Select)}, nil
-		}
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSym(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return &Subquery{Sel: sel}, nil
 	case t.kind == sIdent:
-		p.next()
-		if p.peek().kind == sSymbol && p.peek().text == "." {
-			p.next()
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			return ColRef{Table: t.text, Col: col}, nil
-		}
-		return ColRef{Col: t.text}, nil
+		return p.colRef()
 	default:
 		return nil, errf(t.pos, "expected an expression, found %q", t.text)
 	}
+}
+
+// colRef parses  col  or  table.col.
+func (p *sqlParser) colRef() (ColRef, error) {
+	name, err := p.ident()
+	if err != nil {
+		return ColRef{}, err
+	}
+	if !p.sym(".") {
+		return ColRef{Col: name}, nil
+	}
+	col, err := p.ident()
+	if err != nil {
+		return ColRef{}, err
+	}
+	return ColRef{Table: name, Col: col}, nil
 }

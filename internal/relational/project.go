@@ -1,202 +1,97 @@
 package relational
 
-import "strings"
-
 // projection: plain and grouped result construction.
 
 // projectPlain evaluates the select list per tuple.
-func (ex *executor) projectPlain(sel *Select, binds []binding, tuples []tuple, parent *scope, orderKeys []Expr) (*Result, [][]Value, error) {
-	names, err := outputNames(sel, binds)
-	if err != nil {
-		return nil, nil, err
-	}
-	res := &Result{Cols: names}
-	var keyVals [][]Value
+func (ex *executor) projectPlain(sel *Select, binds []binding, tuples []tuple, parent *scope) (*Result, error) {
+	res := &Result{Cols: outputNames(sel.List)}
 	for _, tp := range tuples {
-		sc := tupleScope(binds, tp, parent)
-		row, err := ex.projectRow(sel.List, binds, tp, sc)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.Rows = append(res.Rows, row)
-		if len(orderKeys) > 0 {
-			keys, err := ex.evalOrderKeys(orderKeys, names, row, sc)
-			if err != nil {
-				return nil, nil, err
-			}
-			keyVals = append(keyVals, keys)
-		}
-	}
-	return res, keyVals, nil
-}
-
-// projectRow builds one output row (stars expand to the bindings' columns).
-func (ex *executor) projectRow(list []SelItem, binds []binding, tp tuple, sc *scope) ([]Value, error) {
-	var row []Value
-	for _, it := range list {
-		if it.Star {
-			for bi, b := range binds {
-				if it.Table != "" && it.Table != b.name {
-					continue
-				}
-				row = append(row, tp[bi]...)
-			}
-			continue
-		}
-		v, err := ex.eval(it.Expr, sc)
+		row, err := ex.projectRow(sel.List, tupleScope(binds, tp, parent))
 		if err != nil {
 			return nil, err
 		}
-		row = append(row, v)
+		res.Rows = append(res.Rows, row)
+	}
+	return res, nil
+}
+
+// projectRow builds one output row.
+func (ex *executor) projectRow(list []Expr, sc *scope) ([]Value, error) {
+	row := make([]Value, len(list))
+	for i, e := range list {
+		v, err := ex.eval(e, sc)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
 	}
 	return row, nil
 }
 
-// outputNames derives the result column names.
-func outputNames(sel *Select, binds []binding) ([]string, error) {
-	var names []string
-	for _, it := range sel.List {
-		if it.Star {
-			for _, b := range binds {
-				if it.Table != "" && it.Table != b.name {
-					continue
-				}
-				for _, c := range b.data.Cols {
-					names = append(names, c.Name)
-				}
-			}
-			continue
-		}
-		switch {
-		case it.Alias != "":
-			names = append(names, it.Alias)
-		default:
-			if cr, ok := it.Expr.(ColRef); ok {
-				names = append(names, cr.Col)
-			} else {
-				names = append(names, exprKey(it.Expr))
-			}
+// outputNames derives the result column names: a column reference keeps its
+// column name, any other expression is named by its canonical text.
+func outputNames(list []Expr) []string {
+	names := make([]string, len(list))
+	for i, e := range list {
+		if cr, ok := e.(ColRef); ok {
+			names[i] = cr.Col
+		} else {
+			names[i] = exprKey(e)
 		}
 	}
-	return names, nil
+	return names
 }
 
-// projectGrouped evaluates GROUP BY / aggregates / HAVING.
-func (ex *executor) projectGrouped(sel *Select, binds []binding, tuples []tuple, parent *scope, orderKeys []Expr) (*Result, [][]Value, error) {
-	for _, it := range sel.List {
-		if it.Star {
-			return nil, nil, errf(-1, "SELECT * cannot be combined with aggregation")
-		}
-	}
-	names, err := outputNames(sel, binds)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Collect all aggregate calls of the select list and HAVING.
+// projectGrouped evaluates GROUP BY and aggregates.
+func (ex *executor) projectGrouped(sel *Select, binds []binding, tuples []tuple, parent *scope) (*Result, error) {
 	var aggs []Agg
-	for _, it := range sel.List {
-		collectAggs(it.Expr, &aggs)
-	}
-	if sel.Having != nil {
-		collectAggs(sel.Having, &aggs)
+	for _, e := range sel.List {
+		collectAggs(e, &aggs)
 	}
 
-	// Group tuples by the GROUP BY key.
-	type group struct {
-		rep    tuple // representative tuple for key-expression evaluation
-		tuples []tuple
-	}
-	groups := map[string]*group{}
-	var order []string
-	for _, tp := range tuples {
-		sc := tupleScope(binds, tp, parent)
-		var key strings.Builder
-		for _, ge := range sel.GroupBy {
-			v, err := ex.eval(ge, sc)
-			if err != nil {
-				return nil, nil, err
-			}
-			key.WriteString(v.K.String())
-			key.WriteString(v.String())
-			key.WriteByte(0)
-		}
-		k := key.String()
-		g := groups[k]
-		if g == nil {
-			g = &group{rep: tp}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.tuples = append(g.tuples, tp)
-	}
+	// Group tuples by the GROUP BY column, groups in first-occurrence order.
 	// With no GROUP BY, aggregates run over all tuples as a single group
 	// (even an empty one).
-	if len(sel.GroupBy) == 0 {
-		groups = map[string]*group{"": {tuples: tuples}}
-		order = []string{""}
-		if len(tuples) > 0 {
-			groups[""].rep = tuples[0]
+	groups := [][]tuple{tuples}
+	if sel.GroupBy != nil {
+		groups = nil
+		index := map[Value]int{}
+		for _, tp := range tuples {
+			k, err := ex.eval(*sel.GroupBy, tupleScope(binds, tp, parent))
+			if err != nil {
+				return nil, err
+			}
+			gi, ok := index[k]
+			if !ok {
+				gi = len(groups)
+				index[k] = gi
+				groups = append(groups, nil)
+			}
+			groups[gi] = append(groups[gi], tp)
 		}
 	}
 
-	res := &Result{Cols: names}
-	var keyVals [][]Value
-	for _, k := range order {
-		g := groups[k]
-		aggVals, err := ex.computeAggs(aggs, binds, g.tuples, parent)
+	res := &Result{Cols: outputNames(sel.List)}
+	for _, g := range groups {
+		aggVals, err := ex.computeAggs(aggs, binds, g, parent)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		var sc *scope
-		if g.rep != nil {
-			sc = tupleScope(binds, g.rep, parent)
-		} else {
-			sc = &scope{parent: parent}
+		// Non-aggregate expressions evaluate on the group's first tuple.
+		sc := &scope{parent: parent}
+		if len(g) > 0 {
+			sc = tupleScope(binds, g[0], parent)
 		}
 		saved := ex.aggs
 		ex.aggs = aggVals
-		ok, row, keys, err := ex.groupRow(sel, names, sc, orderKeys)
+		row, err := ex.projectRow(sel.List, sc)
 		ex.aggs = saved
 		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			continue
+			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
-		if len(orderKeys) > 0 {
-			keyVals = append(keyVals, keys)
-		}
 	}
-	return res, keyVals, nil
-}
-
-// groupRow applies HAVING and projects one group's output row and order
-// keys; ok is false when HAVING rejects the group.
-func (ex *executor) groupRow(sel *Select, names []string, sc *scope, orderKeys []Expr) (bool, []Value, []Value, error) {
-	if sel.Having != nil {
-		hv, err := ex.eval(sel.Having, sc)
-		if err != nil {
-			return false, nil, nil, err
-		}
-		if !hv.Truthy() {
-			return false, nil, nil, nil
-		}
-	}
-	row := make([]Value, 0, len(sel.List))
-	for _, it := range sel.List {
-		v, err := ex.eval(it.Expr, sc)
-		if err != nil {
-			return false, nil, nil, err
-		}
-		row = append(row, v)
-	}
-	keys, err := ex.evalOrderKeys(orderKeys, names, row, sc)
-	if err != nil {
-		return false, nil, nil, err
-	}
-	return true, row, keys, nil
+	return res, nil
 }
 
 // computeAggs evaluates each aggregate over the group's tuples.
@@ -207,82 +102,29 @@ func (ex *executor) computeAggs(aggs []Agg, binds []binding, tuples []tuple, par
 		if _, done := out[key]; done {
 			continue
 		}
-		if a.Star {
+		if a.Fn == AggCount {
 			out[key] = IntV(int64(len(tuples)))
 			continue
 		}
-		count := 0
-		sum := 0.0
-		sumIsInt := true
-		var sumI int64
-		var best Value
-		haveBest := false
-		for _, tp := range tuples {
-			sc := tupleScope(binds, tp, parent)
-			v, err := ex.eval(a.Arg, sc)
+		if a.Fn == AggMax && len(tuples) == 0 {
+			return nil, errf(-1, "MAX over an empty group")
+		}
+		acc := IntV(0) // the SUM of no rows
+		for i, tp := range tuples {
+			v, err := ex.eval(a.Arg, tupleScope(binds, tp, parent))
 			if err != nil {
 				return nil, err
 			}
-			count++
-			switch a.Fn {
-			case AggSum, AggAvg:
-				if !v.IsNumeric() {
-					return nil, errf(-1, "SUM/AVG over non-numeric value")
-				}
-				if v.K == KInt {
-					sumI += v.I
-				} else {
-					sumIsInt = false
-				}
-				sum += v.AsFloat()
-			case AggMax:
-				if !haveBest {
-					best, haveBest = v, true
-					continue
-				}
-				c, err := compareValues(v, best)
-				if err != nil {
+			switch {
+			case a.Fn == AggSum:
+				if acc, err = arith(OpAdd, acc, v); err != nil {
 					return nil, err
 				}
-				if c > 0 {
-					best = v
-				}
-			case AggMin:
-				if !haveBest {
-					best, haveBest = v, true
-					continue
-				}
-				c, err := compareValues(v, best)
-				if err != nil {
-					return nil, err
-				}
-				if c < 0 {
-					best = v
-				}
+			case i == 0 || compareValues(v, acc) > 0:
+				acc = v
 			}
 		}
-		switch a.Fn {
-		case AggCount:
-			out[key] = IntV(int64(count))
-		case AggSum:
-			if count == 0 {
-				out[key] = IntV(0)
-			} else if sumIsInt {
-				out[key] = IntV(sumI)
-			} else {
-				out[key] = FloatV(sum)
-			}
-		case AggAvg:
-			if count == 0 {
-				return nil, errf(-1, "AVG over an empty group")
-			}
-			out[key] = FloatV(sum / float64(count))
-		case AggMax, AggMin:
-			if !haveBest {
-				return nil, errf(-1, "MAX/MIN over an empty group")
-			}
-			out[key] = best
-		}
+		out[key] = acc
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package relational
 
 import (
 	"math"
-
 	"testing"
 )
 
@@ -16,42 +15,75 @@ func mustExec(t *testing.T, db *DB, src string) *Result {
 	return res
 }
 
+// mustInsert bulk-loads rows and fails the test on error.
+func mustInsert(t *testing.T, db *DB, table string, rows [][]Value) {
+	t.Helper()
+	if err := db.InsertRows(table, rows); err != nil {
+		t.Fatalf("InsertRows(%q): %v", table, err)
+	}
+}
+
+// ints is one row of INT values.
+func ints(vs ...int64) []Value {
+	row := make([]Value, len(vs))
+	for i, v := range vs {
+		row[i] = IntV(v)
+	}
+	return row
+}
+
 func seedDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
 	mustExec(t, db, `
-		CREATE TABLE people (id INT, name TEXT, age INT, score FLOAT);
-		INSERT INTO people VALUES
-			(1, 'ann', 30, 1.5),
-			(2, 'bob', 25, 2.5),
-			(3, 'cat', 30, 0.5),
-			(4, 'dan', 40, 4.0);
-		CREATE TABLE pets (owner INT, pet TEXT);
-		INSERT INTO pets VALUES (1, 'dog'), (1, 'cat'), (3, 'fish');
+		CREATE TABLE people (id INT, age INT, score FLOAT);
+		CREATE TABLE pets (owner INT, pet INT);
 	`)
+	mustInsert(t, db, "people", [][]Value{
+		{IntV(1), IntV(30), FloatV(1.5)},
+		{IntV(2), IntV(25), FloatV(2.5)},
+		{IntV(3), IntV(30), FloatV(0.5)},
+		{IntV(4), IntV(40), FloatV(4.0)},
+	})
+	mustInsert(t, db, "pets", [][]Value{ints(1, 10), ints(1, 20), ints(3, 30)})
 	return db
+}
+
+// column returns one column of a result as int64s.
+func column(res *Result, c int) []int64 {
+	out := make([]int64, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = r[c].I
+	}
+	return out
+}
+
+func equalInts(a, b []int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestSelectWhere(t *testing.T) {
 	db := seedDB(t)
-	res := mustExec(t, db, "SELECT name FROM people WHERE age = 30 ORDER BY name")
-	if len(res.Rows) != 2 || res.Rows[0][0].S != "ann" || res.Rows[1][0].S != "cat" {
-		t.Fatalf("rows = %v", res.Rows)
+	res := mustExec(t, db, "SELECT id FROM people WHERE age = 30 ORDER BY id")
+	if got := column(res, 0); !equalInts(got, []int64{1, 3}) {
+		t.Fatalf("ids = %v", got)
 	}
 }
 
-func TestSelectStar(t *testing.T) {
-	db := seedDB(t)
-	res := mustExec(t, db, "SELECT * FROM people WHERE id = 2")
-	if len(res.Cols) != 4 || len(res.Rows) != 1 || res.Rows[0][1].S != "bob" {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
+// TestArithmeticAndAliases: select items carry no aliases, so an expression
+// column is named by its canonical text.
 func TestArithmeticAndAliases(t *testing.T) {
 	db := seedDB(t)
-	res := mustExec(t, db, "SELECT id * 2 + 1 AS k, score / 2 FROM people WHERE id = 4")
-	if res.Cols[0] != "k" {
+	res := mustExec(t, db, "SELECT id + id + 1, score / 2 FROM people WHERE id = 4")
+	if res.Cols[0] != "((id + id) + 1)" || res.Cols[1] != "(score / 2)" {
 		t.Fatalf("cols = %v", res.Cols)
 	}
 	if res.Rows[0][0].I != 9 || res.Rows[0][1].F != 2.0 {
@@ -73,16 +105,10 @@ func TestIntegerDivisionAndNegation(t *testing.T) {
 func TestHashJoin(t *testing.T) {
 	db := seedDB(t)
 	res := mustExec(t, db, `
-		SELECT p.name, q.pet FROM people p, pets q
-		WHERE p.id = q.owner ORDER BY p.name, q.pet`)
-	want := [][2]string{{"ann", "cat"}, {"ann", "dog"}, {"cat", "fish"}}
-	if len(res.Rows) != len(want) {
+		SELECT p.id, q.pet FROM people p, pets q
+		WHERE p.id = q.owner ORDER BY pet`)
+	if !equalInts(column(res, 0), []int64{1, 1, 3}) || !equalInts(column(res, 1), []int64{10, 20, 30}) {
 		t.Fatalf("rows = %v", res.Rows)
-	}
-	for i, w := range want {
-		if res.Rows[i][0].S != w[0] || res.Rows[i][1].S != w[1] {
-			t.Fatalf("row %d = %v, want %v", i, res.Rows[i], w)
-		}
 	}
 }
 
@@ -99,67 +125,47 @@ func TestBetweenRangeJoin(t *testing.T) {
 	mustExec(t, db, `
 		CREATE TABLE series (id INT);
 		CREATE TABLE ivs (beg INT, fin INT, act FLOAT);
-		INSERT INTO ivs VALUES (2, 4, 1.5), (8, 9, 2.5);
 	`)
-	for i := 1; i <= 10; i++ {
-		mustExec(t, db, "INSERT INTO series VALUES ("+itoa(i)+")")
+	mustInsert(t, db, "ivs", [][]Value{
+		{IntV(2), IntV(4), FloatV(1.5)},
+		{IntV(8), IntV(9), FloatV(2.5)},
+	})
+	for i := int64(1); i <= 10; i++ {
+		mustInsert(t, db, "series", [][]Value{ints(i)})
 	}
 	res := mustExec(t, db, `
 		SELECT s.id, l.act FROM series s, ivs l
-		WHERE s.id BETWEEN l.beg AND l.fin ORDER BY s.id`)
-	wantIDs := []int64{2, 3, 4, 8, 9}
-	if len(res.Rows) != len(wantIDs) {
-		t.Fatalf("rows = %v", res.Rows)
+		WHERE s.id BETWEEN l.beg AND l.fin ORDER BY id`)
+	if got := column(res, 0); !equalInts(got, []int64{2, 3, 4, 8, 9}) {
+		t.Fatalf("ids = %v", got)
 	}
-	for i, id := range wantIDs {
-		if res.Rows[i][0].I != id {
-			t.Fatalf("row %d = %v", i, res.Rows[i])
-		}
-	}
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	digits := ""
-	for i > 0 {
-		digits = string(rune('0'+i%10)) + digits
-		i /= 10
-	}
-	return digits
 }
 
 func TestGroupByAggregates(t *testing.T) {
 	db := seedDB(t)
 	res := mustExec(t, db, `
-		SELECT age, COUNT(*) AS n, SUM(score) AS s, MAX(score), MIN(score), AVG(score)
+		SELECT age, COUNT(*), SUM(score), MAX(score)
 		FROM people GROUP BY age ORDER BY age`)
+	if len(res.Cols) != 4 || res.Cols[1] != "COUNT(*)" || res.Cols[2] != "SUM(score)" || res.Cols[3] != "MAX(score)" {
+		t.Fatalf("cols = %v", res.Cols)
+	}
 	// age 25: 1 row; age 30: 2 rows; age 40: 1 row.
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	r30 := res.Rows[1]
-	if r30[0].I != 30 || r30[1].I != 2 || r30[2].F != 2.0 || r30[3].F != 1.5 || r30[4].F != 0.5 || r30[5].F != 1.0 {
+	if r30[0].I != 30 || r30[1].I != 2 || r30[2].F != 2.0 || r30[3].F != 1.5 {
 		t.Fatalf("age-30 row = %v", r30)
-	}
-}
-
-func TestGroupByHaving(t *testing.T) {
-	db := seedDB(t)
-	res := mustExec(t, db, "SELECT age FROM people GROUP BY age HAVING COUNT(*) > 1")
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 30 {
-		t.Fatalf("rows = %v", res.Rows)
 	}
 }
 
 func TestAggregateWithoutGroupBy(t *testing.T) {
 	db := seedDB(t)
-	res := mustExec(t, db, "SELECT COUNT(*), SUM(age) FROM people WHERE age > 100")
+	res := mustExec(t, db, "SELECT COUNT(*), SUM(age) FROM people WHERE age >= 101")
 	if res.Rows[0][0].I != 0 || res.Rows[0][1].I != 0 {
 		t.Fatalf("empty-group row = %v", res.Rows[0])
 	}
-	if _, err := db.Exec("SELECT MAX(age) FROM people WHERE age > 100"); err == nil {
+	if _, err := db.Exec("SELECT MAX(age) FROM people WHERE age >= 101"); err == nil {
 		t.Fatal("MAX over empty group should fail (engine has no NULL)")
 	}
 }
@@ -170,8 +176,8 @@ func TestUnionAll(t *testing.T) {
 		SELECT id FROM people WHERE age = 25
 		UNION ALL SELECT id FROM people WHERE age = 40
 		ORDER BY id`)
-	if len(res.Rows) != 2 || res.Rows[0][0].I != 2 || res.Rows[1][0].I != 4 {
-		t.Fatalf("rows = %v", res.Rows)
+	if got := column(res, 0); !equalInts(got, []int64{2, 4}) {
+		t.Fatalf("ids = %v", got)
 	}
 	if _, err := db.Exec("SELECT id FROM people UNION ALL SELECT id, age FROM people"); err == nil {
 		t.Fatal("mismatched UNION arity should fail")
@@ -181,36 +187,33 @@ func TestUnionAll(t *testing.T) {
 func TestSubqueryInFrom(t *testing.T) {
 	db := seedDB(t)
 	res := mustExec(t, db, `
-		SELECT u.age, COUNT(*) FROM (SELECT age FROM people WHERE score > 1) u
-		GROUP BY u.age ORDER BY u.age`)
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %v", res.Rows)
+		SELECT u.age, COUNT(*) FROM (SELECT age FROM people WHERE score >= 1) u
+		GROUP BY u.age ORDER BY age`)
+	if got := column(res, 0); !equalInts(got, []int64{25, 30, 40}) {
+		t.Fatalf("ages = %v", got)
 	}
 }
 
 func TestScalarSubqueryCorrelated(t *testing.T) {
 	db := seedDB(t)
 	res := mustExec(t, db, `
-		SELECT p.name, (SELECT COUNT(*) FROM pets q WHERE q.owner = p.id) AS n
-		FROM people p ORDER BY p.id`)
-	wantN := []int64{2, 0, 1, 0}
-	for i, w := range wantN {
-		if res.Rows[i][1].I != w {
-			t.Fatalf("row %d = %v, want n=%d", i, res.Rows[i], w)
-		}
+		SELECT p.id, (SELECT COUNT(*) FROM pets q WHERE q.owner = p.id)
+		FROM people p ORDER BY id`)
+	if got := column(res, 1); !equalInts(got, []int64{2, 0, 1, 0}) {
+		t.Fatalf("counts = %v", got)
 	}
 }
 
 func TestFastCountRange(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, "CREATE TABLE g (id INT)")
-	for i := 1; i <= 100; i++ {
+	for i := int64(1); i <= 100; i++ {
 		if i%7 != 0 {
-			mustExec(t, db, "INSERT INTO g VALUES ("+itoa(i)+")")
+			mustInsert(t, db, "g", [][]Value{ints(i)})
 		}
 	}
 	// Fast path: COUNT over range predicates on one column.
-	res := mustExec(t, db, "SELECT (SELECT COUNT(*) FROM g WHERE g.id >= 10 AND g.id < 20) FROM g WHERE g.id = 1")
+	res := mustExec(t, db, "SELECT (SELECT COUNT(*) FROM g WHERE g.id >= 10 AND g.id <= 19) FROM g WHERE g.id = 1")
 	if res.Rows[0][0].I != 9 { // ids 10..19 minus 14
 		t.Fatalf("count = %v", res.Rows[0][0])
 	}
@@ -221,29 +224,31 @@ func TestFastCountRange(t *testing.T) {
 	}
 }
 
+// TestExists: the semi-join and the anti-join (the form sqlgen's until
+// emits) as a correlated COUNT(*) compared in WHERE.
 func TestExists(t *testing.T) {
 	db := seedDB(t)
 	res := mustExec(t, db, `
-		SELECT name FROM people p
-		WHERE EXISTS (SELECT * FROM pets q WHERE q.owner = p.id)
-		ORDER BY name`)
-	if len(res.Rows) != 2 || res.Rows[0][0].S != "ann" || res.Rows[1][0].S != "cat" {
-		t.Fatalf("rows = %v", res.Rows)
+		SELECT p.id FROM people p
+		WHERE (SELECT COUNT(*) FROM pets q WHERE q.owner = p.id) >= 1
+		ORDER BY id`)
+	if got := column(res, 0); !equalInts(got, []int64{1, 3}) {
+		t.Fatalf("with pets = %v", got)
 	}
 	res2 := mustExec(t, db, `
-		SELECT name FROM people p
-		WHERE NOT EXISTS (SELECT * FROM pets q WHERE q.owner = p.id)
-		ORDER BY name`)
-	if len(res2.Rows) != 2 || res2.Rows[0][0].S != "bob" {
-		t.Fatalf("rows = %v", res2.Rows)
+		SELECT p.id FROM people p
+		WHERE (SELECT COUNT(*) FROM pets q WHERE q.owner = p.id) = 0
+		ORDER BY id`)
+	if got := column(res2, 0); !equalInts(got, []int64{2, 4}) {
+		t.Fatalf("without pets = %v", got)
 	}
 }
 
 func TestInsertSelect(t *testing.T) {
 	db := seedDB(t)
 	mustExec(t, db, `
-		CREATE TABLE olds (name TEXT);
-		INSERT INTO olds SELECT name FROM people WHERE age >= 30;
+		CREATE TABLE olds (id INT);
+		INSERT INTO olds SELECT id FROM people WHERE age >= 30;
 	`)
 	res := mustExec(t, db, "SELECT COUNT(*) FROM olds")
 	if res.Rows[0][0].I != 3 {
@@ -251,62 +256,19 @@ func TestInsertSelect(t *testing.T) {
 	}
 }
 
-func TestDeleteAndDrop(t *testing.T) {
-	db := seedDB(t)
-	mustExec(t, db, "DELETE FROM pets WHERE owner = 1")
-	res := mustExec(t, db, "SELECT COUNT(*) FROM pets")
-	if res.Rows[0][0].I != 1 {
-		t.Fatalf("count = %v", res.Rows[0][0])
-	}
-	mustExec(t, db, "DELETE FROM pets")
-	res = mustExec(t, db, "SELECT COUNT(*) FROM pets")
-	if res.Rows[0][0].I != 0 {
-		t.Fatalf("count = %v", res.Rows[0][0])
-	}
-	mustExec(t, db, "DROP TABLE pets")
-	if _, err := db.Exec("SELECT * FROM pets"); err == nil {
-		t.Fatal("dropped table should be gone")
-	}
-	mustExec(t, db, "DROP TABLE IF EXISTS pets")
-	if _, err := db.Exec("DROP TABLE pets"); err == nil {
-		t.Fatal("dropping a missing table without IF EXISTS should fail")
-	}
-}
-
-func TestOrderByDescAndLimit(t *testing.T) {
-	db := seedDB(t)
-	res := mustExec(t, db, "SELECT name FROM people ORDER BY age DESC, name LIMIT 2")
-	if len(res.Rows) != 2 || res.Rows[0][0].S != "dan" || res.Rows[1][0].S != "ann" {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-}
-
 func TestTypeCoercionOnInsert(t *testing.T) {
 	db := NewDB()
-	mustExec(t, db, "CREATE TABLE t (x FLOAT); INSERT INTO t VALUES (3)")
-	res := mustExec(t, db, "SELECT x FROM t")
-	if res.Rows[0][0].K != KFloat || res.Rows[0][0].F != 3 {
-		t.Fatalf("coerced value = %+v", res.Rows[0][0])
+	mustExec(t, db, "CREATE TABLE t (x FLOAT, n INT)")
+	mustInsert(t, db, "t", [][]Value{{IntV(3), FloatV(4)}})
+	res := mustExec(t, db, "SELECT x, n FROM t")
+	if x := res.Rows[0][0]; x.K != KFloat || x.F != 3 {
+		t.Fatalf("coerced x = %+v", x)
 	}
-	if _, err := db.Exec("INSERT INTO t VALUES ('nope')"); err == nil {
-		t.Fatal("TEXT into FLOAT should fail")
+	if n := res.Rows[0][1]; n.K != KInt || n.I != 4 {
+		t.Fatalf("coerced n = %+v", n)
 	}
-}
-
-func TestStringLiteralsAndEscapes(t *testing.T) {
-	db := NewDB()
-	mustExec(t, db, "CREATE TABLE t (s TEXT); INSERT INTO t VALUES ('it''s')")
-	res := mustExec(t, db, "SELECT s FROM t WHERE s = 'it''s'")
-	if len(res.Rows) != 1 || res.Rows[0][0].S != "it's" {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-}
-
-func TestComments(t *testing.T) {
-	db := seedDB(t)
-	res := mustExec(t, db, "SELECT COUNT(*) FROM people -- trailing comment\n WHERE age = 30")
-	if res.Rows[0][0].I != 2 {
-		t.Fatalf("count = %v", res.Rows[0][0])
+	if err := db.InsertRows("t", [][]Value{{FloatV(1), FloatV(2.5)}}); err == nil {
+		t.Fatal("a fractional FLOAT into INT should fail")
 	}
 }
 
@@ -316,16 +278,34 @@ func TestErrors(t *testing.T) {
 		"SELEC 1",
 		"SELECT FROM people",
 		"SELECT nosuch FROM people",
-		"SELECT name FROM nosuch",
-		"CREATE TABLE people (id INT)",      // duplicate table
-		"CREATE TABLE z (a INT, a TEXT)",    // duplicate column
-		"INSERT INTO people VALUES (1)",     // arity mismatch
-		"SELECT * FROM people GROUP BY age", // star with grouping
-		"SELECT 'a' + 1 FROM people",
-		"SELECT name FROM people WHERE name < 30",
+		"SELECT id FROM nosuch",
+		"CREATE TABLE people (id INT)",                // duplicate table
+		"CREATE TABLE z (a INT, a FLOAT)",             // duplicate column
+		"INSERT INTO nosuch SELECT id FROM people",    // missing target
+		"INSERT INTO pets SELECT id FROM people",      // arity mismatch
 		"SELECT (SELECT age FROM people) FROM people", // scalar subquery multi-row
 		"SELECT 1", // missing FROM
-		"SELECT name FROM people UNION SELECT name FROM people", // bare UNION
+		"SELECT id FROM people UNION SELECT id FROM people", // bare UNION
+		"SELECT id FROM people ORDER BY age",                // not an output column
+		"SELECT id FROM people WHERE age",                   // a predicate needs a comparison
+		"SELECT id FROM people WHERE (id = 1)",              // parentheses only open a subquery
+		// Outside the grammar internal/sqlgen emits.
+		"SELECT * FROM people",
+		"SELECT id AS k FROM people",
+		"SELECT id FROM people WHERE age < 30",
+		"SELECT id FROM people WHERE age <> 30",
+		"SELECT id FROM people WHERE age = 30 OR age = 40",
+		"SELECT id * 2 FROM people",
+		"SELECT MIN(age) FROM people",
+		"SELECT COUNT(age) FROM people",
+		"SELECT id FROM people ORDER BY id DESC",
+		"SELECT id FROM people ORDER BY id LIMIT 1",
+		"SELECT id FROM people WHERE id = 'a'",
+		"SELECT id FROM people -- comment",
+		"CREATE TABLE s (x TEXT)",
+		"INSERT INTO pets VALUES (1, 2)",
+		"DELETE FROM pets",
+		"DROP TABLE pets",
 	} {
 		if _, err := db.Exec(src); err == nil {
 			t.Errorf("Exec(%q) should fail", src)
@@ -348,34 +328,20 @@ func TestFloatFormatting(t *testing.T) {
 	if got := IntV(-3).String(); got != "-3" {
 		t.Fatalf("String = %q", got)
 	}
-	if got := BoolV(true).String(); got != "true" {
+	if got := FloatV(1e-7).String(); got != "1e-07" {
 		t.Fatalf("String = %q", got)
-	}
-	if TextV("x").String() != "x" {
-		t.Fatal("text string")
 	}
 }
 
 func TestValueHelpers(t *testing.T) {
-	if !IntV(1).Truthy() || IntV(0).Truthy() || !FloatV(0.1).Truthy() || FloatV(0).Truthy() {
-		t.Fatal("numeric truthiness")
-	}
-	if !TextV("a").Truthy() || TextV("").Truthy() {
-		t.Fatal("text truthiness")
-	}
-	if math.Abs(IntV(3).AsFloat()-3) > 0 {
+	if math.Abs(IntV(3).AsFloat()-3) > 0 || FloatV(2.5).AsFloat() != 2.5 {
 		t.Fatal("AsFloat")
 	}
-	if _, err := compareValues(IntV(1), TextV("1")); err == nil {
-		t.Fatal("int/text comparison should fail")
+	if compareValues(IntV(1), FloatV(1.5)) != -1 || compareValues(FloatV(2), IntV(2)) != 0 || compareValues(IntV(3), IntV(2)) != 1 {
+		t.Fatal("compareValues across INT and FLOAT")
 	}
-}
-
-func TestStats(t *testing.T) {
-	db := seedDB(t)
-	st := db.Stats()
-	if st["people"] != 4 || st["pets"] != 3 {
-		t.Fatalf("stats = %v", st)
+	if KInt.String() != "INT" || KFloat.String() != "FLOAT" {
+		t.Fatal("Kind.String")
 	}
 }
 
@@ -384,10 +350,10 @@ func TestStats(t *testing.T) {
 func TestRangeJoinMatchesNestedLoop(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, "CREATE TABLE a (x INT); CREATE TABLE b (lo INT, hi INT)")
-	for i := 0; i < 30; i++ {
-		mustExec(t, db, "INSERT INTO a VALUES ("+itoa(i)+")")
+	for i := int64(0); i < 30; i++ {
+		mustInsert(t, db, "a", [][]Value{ints(i)})
 	}
-	mustExec(t, db, "INSERT INTO b VALUES (3, 7), (5, 6), (20, 25), (28, 40)")
+	mustInsert(t, db, "b", [][]Value{ints(3, 7), ints(5, 6), ints(20, 25), ints(28, 40)})
 	fast := mustExec(t, db, "SELECT COUNT(*) FROM b, a WHERE a.x >= b.lo AND a.x <= b.hi")
 	slow := mustExec(t, db, "SELECT COUNT(*) FROM b, a WHERE a.x + 0 >= b.lo AND a.x + 0 <= b.hi")
 	if fast.Rows[0][0].I != slow.Rows[0][0].I {

@@ -3,13 +3,13 @@ package relational
 // Subquery evaluation with a fast path for the correlated single-table
 // range-count pattern the HTL translation leans on:
 //
-//	(SELECT COUNT(*) FROM g WHERE g.id >= i.id AND g.id < h.id)
+//	(SELECT COUNT(*) FROM g WHERE g.id <= i.id)
 //
 // which the sorted index answers in O(log n) instead of a full scan per
 // outer row.
 
 func (ex *executor) evalSubquery(sq *Subquery, sc *scope) (Value, error) {
-	if v, ok, err := ex.fastSubquery(sq, sc); err != nil {
+	if v, ok, err := ex.fastSubquery(sq.Sel, sc); err != nil {
 		return Value{}, err
 	} else if ok {
 		return v, nil
@@ -17,9 +17,6 @@ func (ex *executor) evalSubquery(sq *Subquery, sc *scope) (Value, error) {
 	res, err := ex.execSelect(sq.Sel, sc)
 	if err != nil {
 		return Value{}, err
-	}
-	if sq.Exists {
-		return BoolV(len(res.Rows) > 0), nil
 	}
 	if len(res.Cols) != 1 {
 		return Value{}, errf(-1, "scalar subquery returns %d columns", len(res.Cols))
@@ -30,23 +27,16 @@ func (ex *executor) evalSubquery(sq *Subquery, sc *scope) (Value, error) {
 	return res.Rows[0][0], nil
 }
 
-// fastSubquery answers COUNT(*)/EXISTS over one base table whose WHERE is a
-// conjunction of range predicates on a single column (the other sides being
-// outer expressions) via the sorted index.
-func (ex *executor) fastSubquery(sq *Subquery, sc *scope) (Value, bool, error) {
-	sel := sq.Sel
-	if sel.Union != nil || len(sel.GroupBy) > 0 || sel.Having != nil ||
-		len(sel.OrderBy) > 0 || sel.Limit >= 0 || len(sel.From) != 1 || sel.From[0].Sub != nil {
+// fastSubquery answers COUNT(*) over one base table whose WHERE is a
+// conjunction of =, <= and >= predicates on a single column (the other sides
+// being outer expressions) via the sorted index.
+func (ex *executor) fastSubquery(sel *Select, sc *scope) (Value, bool, error) {
+	if sel.Union != nil || sel.GroupBy != nil || sel.OrderBy != "" ||
+		len(sel.From) != 1 || sel.From[0].Sub != nil || len(sel.List) != 1 || len(sel.Where) == 0 {
 		return Value{}, false, nil
 	}
-	if !sq.Exists {
-		if len(sel.List) != 1 || sel.List[0].Star {
-			return Value{}, false, nil
-		}
-		a, ok := sel.List[0].Expr.(Agg)
-		if !ok || a.Fn != AggCount || !a.Star {
-			return Value{}, false, nil
-		}
+	if a, ok := sel.List[0].(Agg); !ok || a.Fn != AggCount {
+		return Value{}, false, nil
 	}
 	t := ex.db.tables[sel.From[0].Table]
 	if t == nil {
@@ -56,9 +46,7 @@ func (ex *executor) fastSubquery(sq *Subquery, sc *scope) (Value, bool, error) {
 
 	// All conjuncts must be  col CMP outerExpr  on one shared column.
 	col := -1
-	var lo, hi *bound
-	eq := false
-	var eqV Value
+	var lo, hi *Value
 	localCol := func(e Expr) int {
 		cr, ok := e.(ColRef)
 		if !ok || (cr.Table != "" && cr.Table != name) {
@@ -87,7 +75,7 @@ func (ex *executor) fastSubquery(sq *Subquery, sc *scope) (Value, bool, error) {
 		}
 		return true
 	}
-	for _, c := range splitAnd(sel.Where) {
+	for _, c := range sel.Where {
 		b, ok := c.(Bin)
 		if !ok {
 			return Value{}, false, nil
@@ -109,39 +97,13 @@ func (ex *executor) fastSubquery(sq *Subquery, sc *scope) (Value, bool, error) {
 		if err != nil {
 			return Value{}, false, err
 		}
-		switch op {
-		case OpEq:
-			eq, eqV = true, v
-		case OpGe:
-			lo = tighterLo(lo, bound{v: v})
-		case OpGt:
-			lo = tighterLo(lo, bound{v: v, excl: true})
-		case OpLe:
-			hi = tighterHi(hi, bound{v: v})
-		case OpLt:
-			hi = tighterHi(hi, bound{v: v, excl: true})
-		default:
-			return Value{}, false, nil
+		// col = v bounds both sides.
+		if op != OpLe {
+			lo = tighterLo(lo, v)
+		}
+		if op != OpGe {
+			hi = tighterHi(hi, v)
 		}
 	}
-	if col == -1 && sel.Where != nil {
-		return Value{}, false, nil
-	}
-	var count int
-	switch {
-	case sel.Where == nil:
-		count = len(t.Rows)
-	case eq:
-		b := bound{v: eqV}
-		// Combine equality with any other bounds by intersecting.
-		lo2 := tighterLo(lo, b)
-		hi2 := tighterHi(hi, b)
-		count = t.rangeCount(col, lo2, hi2)
-	default:
-		count = t.rangeCount(col, lo, hi)
-	}
-	if sq.Exists {
-		return BoolV(count > 0), true, nil
-	}
-	return IntV(int64(count)), true, nil
+	return IntV(int64(t.rangeCount(col, lo, hi))), true, nil
 }

@@ -1,11 +1,13 @@
 // Package relational is an embedded, in-memory SQL engine: lexer, parser,
 // planner and executor. It stands in for the commercial relational system
-// (Sybase) the paper's §4 SQL-based baseline ran on. The engine is a real
-// SQL executor — tables, cross joins with hash/range optimization, WHERE,
-// GROUP BY with aggregates, HAVING, ORDER BY, LIMIT, UNION ALL, subqueries
-// in FROM, and correlated scalar/EXISTS subqueries — scoped to what the
-// HTL-to-SQL translation (internal/sqlgen) and realistic test workloads
-// need.
+// (Sybase) the paper's §4 SQL-based baseline ran on, and its grammar is the
+// SQL internal/sqlgen emits (pinned by sqlgen's testdata/script_golden.txt):
+// CREATE TABLE with INT and FLOAT columns, INSERT INTO … SELECT, and SELECT
+// over aliased base tables and parenthesised UNION ALL subqueries; cross
+// joins with hash and range optimisation; a WHERE that is a conjunction of
+// =, <=, >= and BETWEEN; +, - (binary and unary) and / arithmetic; SUM, MAX
+// and COUNT(*) with a one-column GROUP BY; a one-column ascending ORDER BY;
+// and correlated scalar COUNT(*) subqueries. Anything else is a parse error.
 package relational
 
 import (
@@ -19,21 +21,13 @@ type Kind uint8
 const (
 	KInt Kind = iota
 	KFloat
-	KText
-	KBool // internal: predicate results only, not a column type
 )
 
 func (k Kind) String() string {
-	switch k {
-	case KInt:
+	if k == KInt {
 		return "INT"
-	case KFloat:
-		return "FLOAT"
-	case KText:
-		return "TEXT"
-	default:
-		return "BOOL"
 	}
+	return "FLOAT"
 }
 
 // Value is a runtime SQL value. The engine has no NULLs: every column of
@@ -42,15 +36,11 @@ type Value struct {
 	K Kind
 	I int64
 	F float64
-	S string
-	B bool
 }
 
-// IntV, FloatV, TextV, BoolV construct values.
+// IntV and FloatV construct values.
 func IntV(i int64) Value     { return Value{K: KInt, I: i} }
 func FloatV(f float64) Value { return Value{K: KFloat, F: f} }
-func TextV(s string) Value   { return Value{K: KText, S: s} }
-func BoolV(b bool) Value     { return Value{K: KBool, B: b} }
 
 // AsFloat returns the numeric value as float64.
 func (v Value) AsFloat() float64 {
@@ -60,81 +50,34 @@ func (v Value) AsFloat() float64 {
 	return v.F
 }
 
-// IsNumeric reports whether v is INT or FLOAT.
-func (v Value) IsNumeric() bool { return v.K == KInt || v.K == KFloat }
-
-// Truthy interprets v as a predicate result.
-func (v Value) Truthy() bool {
-	switch v.K {
-	case KBool:
-		return v.B
-	case KInt:
-		return v.I != 0
-	case KFloat:
-		return v.F != 0
-	default:
-		return v.S != ""
-	}
-}
-
 func (v Value) String() string {
-	switch v.K {
-	case KInt:
+	if v.K == KInt {
 		return strconv.FormatInt(v.I, 10)
-	case KFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	case KText:
-		return v.S
-	default:
-		return strconv.FormatBool(v.B)
 	}
+	return strconv.FormatFloat(v.F, 'g', -1, 64)
 }
 
-// compareValues returns -1, 0, 1; an error on incomparable kinds.
-func compareValues(a, b Value) (int, error) {
-	if a.IsNumeric() && b.IsNumeric() {
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+// compareValues returns -1, 0, 1 by numeric value.
+func compareValues(a, b Value) int {
+	af, bf := a.AsFloat(), b.AsFloat()
+	switch {
+	case af < bf:
+		return -1
+	case af > bf:
+		return 1
+	default:
+		return 0
 	}
-	if a.K == KText && b.K == KText {
-		switch {
-		case a.S < b.S:
-			return -1, nil
-		case a.S > b.S:
-			return 1, nil
-		default:
-			return 0, nil
-		}
-	}
-	if a.K == KBool && b.K == KBool {
-		ab, bb := 0, 0
-		if a.B {
-			ab = 1
-		}
-		if b.B {
-			bb = 1
-		}
-		return ab - bb, nil
-	}
-	return 0, fmt.Errorf("relational: cannot compare %s with %s", a.K, b.K)
 }
 
 // coerceTo converts v to a column type for storage.
 func coerceTo(v Value, k Kind) (Value, error) {
-	if v.K == k {
-		return v, nil
-	}
 	switch {
-	case k == KFloat && v.K == KInt:
+	case v.K == k:
+		return v, nil
+	case k == KFloat:
 		return FloatV(float64(v.I)), nil
-	case k == KInt && v.K == KFloat && v.F == float64(int64(v.F)):
+	case v.F == float64(int64(v.F)):
 		return IntV(int64(v.F)), nil
 	default:
 		return Value{}, fmt.Errorf("relational: cannot store %s value %q in %s column", v.K, v.String(), k)

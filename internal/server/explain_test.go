@@ -83,6 +83,9 @@ func TestExplainEndpointErrors(t *testing.T) {
 	if resp, _ := postExplain(t, ts, url.Values{"q": {"M1"}, "exact": {"maybe"}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad exact = %d, want 400", resp.StatusCode)
 	}
+	if resp, _ := postExplain(t, ts, url.Values{"q": {"M1"}, "engine": {"sql"}}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("engine=sql = %d, want 400", resp.StatusCode)
+	}
 	if resp, _ := postExplain(t, ts, url.Values{}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing q = %d, want 400", resp.StatusCode)
 	}

@@ -93,7 +93,9 @@ type errorDoc struct {
 // Handler returns the server's full endpoint set:
 //
 //	GET  /query          evaluate an HTL query (q, level, root, engine, tau,
-//	                     k, timeout, partial, trace parameters; trace=1 adds
+//	                     k, timeout, partial, trace parameters; engine is
+//	                     auto, direct or reference — the §4 SQL baseline is
+//	                     library-only and engine=sql is a 400; trace=1 adds
 //	                     the span tree to the envelope, and an inbound
 //	                     X-Htl-Trace header joins the request into a
 //	                     distributed trace)
@@ -443,8 +445,6 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 		p.Engine = htlvideo.EngineAuto
 	case "direct":
 		p.Engine = htlvideo.EngineDirect
-	case "sql":
-		p.Engine = htlvideo.EngineSQL
 	case "reference":
 		p.Engine = htlvideo.EngineReference
 	default:

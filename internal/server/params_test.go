@@ -3,7 +3,8 @@ package server
 // Regression tests for request-parameter validation: a ?timeout= the server
 // cannot parse must be a 400 with a JSON error body, never a silent fall-back
 // to the default deadline (http.Request.FormValue swallows query-string parse
-// errors, which is exactly the trap).
+// errors, which is exactly the trap). The SQL baseline is a library-only
+// exhibit, so ?engine=sql is refused the same way.
 
 import (
 	"encoding/json"
@@ -33,6 +34,7 @@ func TestTimeoutParseFailuresReturn400(t *testing.T) {
 		"zero":           "/query?q=M1&timeout=0s",
 		"broken escape":  "/query?q=M1&timeout=5%zzs", // FormValue would drop the pair silently
 		"malformed pair": "/query?q=M1&time%zzout=5s",
+		"sql engine":     "/query?q=M1&engine=sql",
 	} {
 		t.Run(name, func(t *testing.T) {
 			rec := httptest.NewRecorder()

@@ -408,18 +408,21 @@ func TestReadyzAndDrain(t *testing.T) {
 
 func TestCoordinatorRejectsBadTimeout(t *testing.T) {
 	// The shared parser gives the coordinator the same hard-400 semantics on
-	// malformed ?timeout= as a single server.
+	// malformed ?timeout= and on the library-only ?engine=sql as a single
+	// server.
 	c := NewNamed(nil)
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
-	var ed struct {
-		Error string `json:"error"`
-	}
-	if code := getDoc(t, ts.URL+"/query?q=M1&timeout=banana", &ed); code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", code)
-	}
-	if ed.Error == "" {
-		t.Fatal("empty error body")
+	for _, target := range []string{"/query?q=M1&timeout=banana", "/query?q=M1&engine=sql"} {
+		var ed struct {
+			Error string `json:"error"`
+		}
+		if code := getDoc(t, ts.URL+target, &ed); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", target, code)
+		}
+		if ed.Error == "" {
+			t.Fatalf("%s: empty error body", target)
+		}
 	}
 }
 

@@ -493,8 +493,6 @@ func engineName(e htlvideo.Engine) string {
 	switch e {
 	case htlvideo.EngineDirect:
 		return "direct"
-	case htlvideo.EngineSQL:
-		return "sql"
 	case htlvideo.EngineReference:
 		return "reference"
 	default:

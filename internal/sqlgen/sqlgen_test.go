@@ -1,7 +1,12 @@
 package sqlgen
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -157,6 +162,25 @@ func TestSQLRandomAgainstDirect(t *testing.T) {
 	}
 }
 
+// TestSQLEmptyOperands feeds the SQL path empty atomic lists, so that base
+// and derived tables (the UNION ALL arms, the until's run tables) come out
+// empty and the executor joins, groups and unions zero rows.
+func TestSQLEmptyOperands(t *testing.T) {
+	empty := simlist.NewList(10)
+	some := simlist.NewList(12, entry(3, 6, 4), entry(9, 9, 12), entry(14, 18, 7))
+	for _, c := range []struct {
+		f      string
+		p1, p2 simlist.List
+	}{
+		{"P1 until P2", empty, some},
+		{"P1 until P2", some, empty},
+		{"P1 and P2", empty, empty},
+		{"eventually P1", empty, some},
+	} {
+		evalBoth(t, 20, c.f, map[string]simlist.List{"P1": c.p1, "P2": c.p2})
+	}
+}
+
 func randomList(rng *rand.Rand, n int, maxSim float64) simlist.List {
 	var entries []simlist.Entry
 	pos := 1
@@ -206,6 +230,112 @@ func TestAtomicUnits(t *testing.T) {
 	if len(got) != 2 || got[0] != "M1" || got[1] != "M2 and M3" {
 		t.Fatalf("units = %v", got)
 	}
+}
+
+// The byte-exact SQL the translator emits for a fixed formula set:
+// TestSQLRandomAgainstDirect's six formulas, Casablanca Query 1 as the store
+// loads it, Fig. 2's until, Tables 5–6's two operations, and one until under
+// a negative threshold printed in exponent form (the only source of unary
+// minus and exponent literals). It is the contract internal/relational
+// serves. Regenerate (only for a deliberate change of the translation) with
+//
+//	go test ./internal/sqlgen -run TestScriptGolden -update
+var update = flag.Bool("update", false, "rewrite testdata/script_golden.txt from the current translator")
+
+const scriptGoldenPath = "testdata/script_golden.txt"
+
+func TestScriptGolden(t *testing.T) {
+	var b bytes.Buffer
+	emit := func(name, f string, tau float64, atoms map[string]simlist.List, tables map[string]string) {
+		t.Helper()
+		tr, err := New(60, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		named := map[string]Atom{}
+		for k, l := range atoms {
+			if err := tr.LoadAtomic(tables[k], l); err != nil {
+				t.Fatal(err)
+			}
+			named[k] = Atom{Table: tables[k], MaxSim: l.MaxSim}
+		}
+		if _, err := tr.Eval(htl.MustParse(f), named); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fmt.Fprintf(&b, "## %s | %s | tau=%s\n%s", name, f, fl(tau), tr.Script.String())
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	random := map[string]simlist.List{
+		"P1": randomList(rng, 60, 10),
+		"P2": randomList(rng, 60, 14),
+		"P3": randomList(rng, 60, 6),
+	}
+	pTables := map[string]string{"P1": "p1", "P2": "p2", "P3": "p3"}
+	for _, f := range []string{
+		"P1 and P2",
+		"P1 until P2",
+		"P1 and next (P2 until P3)",
+		"P1 until (P2 and eventually P3)",
+		"eventually (P1 and P2) and P3",
+		"next (P1 until (P2 and P3))",
+	} {
+		emit("random", f, core.DefaultUntilThreshold, random, pTables)
+	}
+
+	sys, err := casablanca.System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1 := htl.MustParse(casablanca.Query1)
+	q1Atoms, q1Tables := map[string]simlist.List{}, map[string]string{}
+	for i, unit := range AtomicUnits(q1) {
+		tb, err := sys.EvalAtomic(unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q1Atoms[unit.String()] = core.ProjectMax(tb)
+		q1Tables[unit.String()] = fmt.Sprintf("atom_%d", i)
+	}
+	emit("casablanca-query1", q1.String(), core.DefaultUntilThreshold, q1Atoms, q1Tables)
+
+	fig2 := map[string]simlist.List{
+		"P1": simlist.NewList(20, entry(25, 100, 15), entry(200, 250, 15)),
+		"P2": simlist.NewList(20, entry(10, 50, 10), entry(55, 60, 15), entry(90, 110, 12), entry(125, 175, 10)),
+	}
+	emit("figure2", "P1 until P2", 0.5, fig2, pTables)
+
+	perf := map[string]simlist.List{
+		"P1": randomList(rng, 60, 20),
+		"P2": randomList(rng, 60, 20),
+	}
+	emit("table5", "P1 and P2", 0.5, perf, pTables)
+	emit("table6", "P1 until P2", 0.5, perf, pTables)
+	emit("negative-tau", "P1 until P2", -1e-7, perf, pTables)
+
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(scriptGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(scriptGoldenPath, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(scriptGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(b.Bytes(), want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("golden mismatch at line %d:\n got: %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("golden mismatch: %d lines, want %d", len(gotLines), len(wantLines))
 }
 
 func TestScriptIsRecorded(t *testing.T) {
