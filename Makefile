@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle bench bench-short bench-shapes loc
+.PHONY: check vet staticcheck build test race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle bench bench-short bench-shapes bench-bytes loc
 
 check: vet staticcheck build race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check
 
@@ -136,6 +136,17 @@ bench-short:
 # three runs. Not part of `make check`.
 bench-shapes:
 	$(GO) test -run '^$$' -bench StoreColdShape -benchmem -benchtime 20x -count 3 .
+
+# Where one cold MIX6 cycle's bytes go (EXPERIMENTS.md): BenchmarkStoreColdCycle
+# under the memory profiler, then the profile's allocation sites by bytes. The
+# test binary and the profile stay in BYTES_DIR, outside the checkout, for any
+# further `go tool pprof` view (-lines, -cum, -list). Not part of `make check`.
+BYTES_DIR ?= $(or $(TMPDIR),/tmp)/htlvideo-bench-bytes
+bench-bytes:
+	mkdir -p $(BYTES_DIR)
+	$(GO) test -run '^$$' -bench '^BenchmarkStoreColdCycle$$' -benchmem -benchtime 31x -memprofilerate 4096 \
+		-memprofile $(BYTES_DIR)/cycle.mem -o $(BYTES_DIR)/htlvideo.test .
+	$(GO) tool pprof -sample_index=alloc_space -unit MB -top $(BYTES_DIR)/htlvideo.test $(BYTES_DIR)/cycle.mem
 
 # The number ROADMAP's design aim tracks: non-test Go lines of the root
 # module (bench/ is its own module), in total and outside the algorithmic

@@ -9,7 +9,7 @@ import (
 	"htlvideo/internal/simlist"
 )
 
-func entry(beg, end int, act float64) simlist.Entry {
+func entry(beg, end int32, act float64) simlist.Entry {
 	return simlist.Entry{Iv: interval.I{Beg: beg, End: end}, Act: act}
 }
 

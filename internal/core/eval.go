@@ -401,7 +401,7 @@ func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, e
 			}
 			g := rows.find(bindings, ranges)
 			if sim.Act > 0 {
-				hits = append(hits, hit{g, simlist.Entry{Iv: interval.Point(id), Act: sim.Act}})
+				hits = append(hits, hit{g, simlist.Entry{Iv: interval.Point(int32(id)), Act: sim.Act}})
 				rows.count[g]++
 			}
 		}

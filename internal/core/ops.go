@@ -86,7 +86,7 @@ func appendPointwise(dst []simlist.Entry, l1, l2 simlist.List, f AndMode) []siml
 		}
 		// Determine the value of each side at pos and the next boundary.
 		var a, b float64
-		segEnd := math.MaxInt
+		segEnd := int32(math.MaxInt32)
 		if i < len(e1) {
 			if e1[i].Iv.Beg <= pos {
 				a = e1[i].Act
@@ -122,7 +122,7 @@ func appendPointwise(dst []simlist.Entry, l1, l2 simlist.List, f AndMode) []siml
 	return dst
 }
 
-func minBeg(e1, e2 []simlist.Entry) int {
+func minBeg(e1, e2 []simlist.Entry) int32 {
 	switch {
 	case len(e1) == 0 && len(e2) == 0:
 		return 0
@@ -167,7 +167,7 @@ func EventuallyList(l simlist.List) simlist.List {
 // covers from where the first of them began. Each entry is pushed once and
 // popped at most once: O(len(l)), never more pieces than entries.
 func appendEventually(dst []simlist.Entry, l simlist.List) []simlist.Entry {
-	base, beg := len(dst), 1
+	base, beg := len(dst), int32(1)
 	for _, e := range l.Entries {
 		dst, beg = pushSuffixMax(dst, base, beg, e.Iv.End, e.Act)
 	}
@@ -179,7 +179,7 @@ func appendEventually(dst []simlist.Entry, l simlist.List) []simlist.Entry {
 // runs the same scan inside every run of its left operand) and returns the
 // id the next piece begins at. A piece that is empty because the entry ends
 // where its predecessor did still swallows what it dominates.
-func pushSuffixMax(dst []simlist.Entry, base, beg, end int, act float64) ([]simlist.Entry, int) {
+func pushSuffixMax(dst []simlist.Entry, base int, beg, end int32, act float64) ([]simlist.Entry, int32) {
 	for n := len(dst); n > base && dst[n-1].Act <= act; n = len(dst) {
 		beg = dst[n-1].Iv.Beg
 		dst = dst[:n-1]
@@ -233,14 +233,14 @@ func UntilListsPaperRule(lg, lh simlist.List, tau float64) simlist.List {
 // run's end and the one beginning right after it) are looked at again by the
 // next step, so the pass is linear. An h-entry is cut only where a g-run
 // begins or ends; len(lg)+len(lh) pieces is what to expect, not a bound.
-func appendUntil(dst []simlist.Entry, lg, lh simlist.List, tau float64, reach int) []simlist.Entry {
+func appendUntil(dst []simlist.Entry, lg, lh simlist.List, tau float64, reach int32) []simlist.Entry {
 	start := len(dst)
 	g, h := lg.Entries, lh.Entries
 	above := func(e simlist.Entry) bool { return lg.MaxSim > 0 && e.Act/lg.MaxSim >= tau }
 	// Ids below from are decided; h[hi:] are the h-entries not wholly below it.
-	hi, from := 0, math.MinInt
+	hi, from := 0, int32(math.MinInt32)
 	// gap copies the parts of h inside [from, to] and moves from past it.
-	gap := func(to int) {
+	gap := func(to int32) {
 		for ; hi < len(h) && h[hi].Iv.Beg <= to; hi++ {
 			if iv, ok := h[hi].Iv.Intersect(interval.I{Beg: from, End: to}); ok {
 				dst = simlist.AppendEntry(dst, simlist.Entry{Iv: iv, Act: h[hi].Act})
@@ -275,7 +275,7 @@ func appendUntil(dst []simlist.Entry, lg, lh simlist.List, tau float64, reach in
 		}
 		from = I.End + 1
 	}
-	gap(math.MaxInt - 1)
+	gap(interval.MaxID)
 	return dst
 }
 

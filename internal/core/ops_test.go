@@ -10,7 +10,7 @@ import (
 	"htlvideo/internal/simlist"
 )
 
-func entry(beg, end int, act float64) simlist.Entry {
+func entry(beg, end int32, act float64) simlist.Entry {
 	return simlist.Entry{Iv: interval.I{Beg: beg, End: end}, Act: act}
 }
 
@@ -319,7 +319,7 @@ func randomList(rng *rand.Rand, maxSim float64) simlist.List {
 		}
 		act := float64(rng.Intn(int(maxSim*2))) / 2.0
 		if act > 0 {
-			entries = append(entries, entry(pos, pos+ln, act))
+			entries = append(entries, entry(int32(pos), int32(pos+ln), act))
 		}
 		pos += ln + 1
 	}
@@ -433,4 +433,70 @@ func floatsEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// Property: no operator wraps at the top of the id range. Every list operator
+// commutes with translation, except where the sequence begins: `next` drops
+// what reaches id 0, and `eventually` extends its first piece down to id 1.
+// So lists kept off id 1 and translated until their last id is the largest
+// segment id must give the translated results (`eventually` from its
+// operand's first id on).
+func TestOperatorsTranslateToTopOfIDRange(t *testing.T) {
+	shift := func(l simlist.List, d int32) simlist.List {
+		out := simlist.List{MaxSim: l.MaxSim}
+		for _, e := range l.Entries {
+			out.Entries = append(out.Entries, simlist.Entry{Iv: e.Iv.Shift(d), Act: e.Act})
+		}
+		return out
+	}
+	ivsOf := func(l simlist.List) []interval.I {
+		var ivs []interval.I
+		for _, e := range l.Entries {
+			ivs = append(ivs, e.Iv)
+		}
+		return ivs
+	}
+	f := func(seed int64, tauPick uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tau := []float64{0.3, 0.5, 0.9}[int(tauPick)%3]
+		a, b := shift(randomList(rng, 10), 1), shift(randomList(rng, 14), 1)
+		last := int32(2)
+		for _, l := range []simlist.List{a, b} {
+			if sp, ok := l.Span(); ok {
+				last = max(last, sp.End)
+			}
+		}
+		d := interval.MaxID - last
+		ops := []struct {
+			name string
+			op   func(a, b simlist.List) simlist.List
+		}{
+			{"and", func(a, b simlist.List) simlist.List { return AndListsMode(a, b, AndSum) }},
+			{"and (min)", func(a, b simlist.List) simlist.List { return AndListsMode(a, b, AndMin) }},
+			{"until", func(a, b simlist.List) simlist.List { return UntilLists(a, b, tau) }},
+			{"until (paper rule)", func(a, b simlist.List) simlist.List { return UntilListsPaperRule(a, b, tau) }},
+			{"next", func(a, _ simlist.List) simlist.List { return NextList(a) }},
+			{"restrict", func(a, b simlist.List) simlist.List { return ListRestrict(a, ivsOf(b)) }},
+			{"max merge", func(a, b simlist.List) simlist.List { return MaxMergeLists(14, a, b) }},
+			{"eventually", func(a, _ simlist.List) simlist.List {
+				l := EventuallyList(a)
+				if sp, ok := a.Span(); ok {
+					l = ListRestrict(l, []interval.I{{Beg: sp.Beg, End: interval.MaxID}})
+				}
+				return l
+			}},
+		}
+		for _, o := range ops {
+			want := shift(o.op(a, b), d)
+			got := o.op(shift(a, d), shift(b, d))
+			if got.MaxSim != want.MaxSim || !slices.Equal(got.Entries, want.Entries) {
+				t.Logf("%s, translated by %d:\n a %v\n b %v\n got  %v\n want %v", o.name, d, a, b, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
 }

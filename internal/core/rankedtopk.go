@@ -71,7 +71,7 @@ func RankedTopKCtx(ctx context.Context, lists map[int]simlist.List, k int, st *P
 		cs = append(cs, topkCursor{
 			vid:  vid,
 			max:  l.MaxSim,
-			head: Ranked{VideoID: vid, Iv: e.Iv, Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}},
+			head: Ranked{VideoID: vid, Iv: e.Iv.Wide(), Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}},
 			it:   it,
 		})
 	}
@@ -95,7 +95,7 @@ func RankedTopKCtx(ctx context.Context, lists map[int]simlist.List, k int, st *P
 		out = append(out, r)
 		if e, ok := c.it.Pop(); ok {
 			consumed++
-			c.head = Ranked{VideoID: c.vid, Iv: e.Iv, Sim: simlist.Sim{Act: e.Act, Max: c.max}}
+			c.head = Ranked{VideoID: c.vid, Iv: e.Iv.Wide(), Sim: simlist.Sim{Act: e.Act, Max: c.max}}
 			h.siftDown(0)
 		} else {
 			h.removeRoot()

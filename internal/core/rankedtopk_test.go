@@ -24,7 +24,7 @@ func randomLists(rng *rand.Rand, videos int) map[int]simlist.List {
 			if pos+ln > 50 {
 				break
 			}
-			entries = append(entries, entry(pos, pos+ln, float64(1+rng.Intn(6))))
+			entries = append(entries, entry(int32(pos), int32(pos+ln), float64(1+rng.Intn(6))))
 			pos += ln + 2
 		}
 		lists[v] = simlist.NewList(10, entries...)
@@ -93,7 +93,7 @@ func TestRankedTopKPruneStats(t *testing.T) {
 	for v := 1; v <= 4; v++ {
 		var entries []simlist.Entry
 		for i := 0; i < 50; i++ {
-			entries = append(entries, entry(2*i+1, 2*i+1, float64(1+(i+v)%7)))
+			entries = append(entries, entry(int32(2*i+1), int32(2*i+1), float64(1+(i+v)%7)))
 		}
 		total += len(entries)
 		lists[v] = simlist.NewList(10, entries...)

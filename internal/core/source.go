@@ -98,7 +98,8 @@ type Source interface {
 	// sequence.
 	ValueTable(q htl.AttrFn) (*ValueTable, error)
 
-	// Len returns the number of segments in this sequence (ids 1..Len).
+	// Len returns the number of segments in this sequence (ids 1..Len). It
+	// is at most interval.MaxID.
 	Len() int
 
 	// ChildSource returns the Source for the proper sequence of descendants

@@ -524,7 +524,7 @@ func randomValueTable(rng *rand.Rand, qVar string) *ValueTable {
 		}
 		for pos := 1 + rng.Intn(6); pos < denseN && len(vr.Ivs) < 4; pos += 2 + rng.Intn(8) {
 			end := pos + rng.Intn(5)
-			vr.Ivs = append(vr.Ivs, interval.I{Beg: pos, End: end})
+			vr.Ivs = append(vr.Ivs, interval.I{Beg: int32(pos), End: int32(end)})
 			pos = end
 		}
 		vt.Rows = append(vt.Rows, vr)

@@ -7,10 +7,11 @@ import (
 	"htlvideo/internal/simlist"
 )
 
-// Ranked is one run of video segments in a ranked retrieval result.
+// Ranked is one run of video segments in a ranked retrieval result. The run
+// leaves the kernel here, so its interval is in int coordinates.
 type Ranked struct {
 	VideoID int
-	Iv      interval.I
+	Iv      interval.Wide
 	Sim     simlist.Sim
 }
 
@@ -20,7 +21,7 @@ type Ranked struct {
 func RankEntries(videoID int, l simlist.List) []Ranked {
 	out := make([]Ranked, 0, len(l.Entries))
 	for _, e := range l.Entries {
-		out = append(out, Ranked{VideoID: videoID, Iv: e.Iv, Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}})
+		out = append(out, Ranked{VideoID: videoID, Iv: e.Iv.Wide(), Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}})
 	}
 	sortRanked(out)
 	return out
@@ -71,7 +72,7 @@ func TopK(lists map[int]simlist.List, k int) []Ranked {
 	h := make(rankedHeap, 0, n)
 	for vid, l := range lists {
 		for _, e := range l.Entries {
-			h = append(h, Ranked{VideoID: vid, Iv: e.Iv, Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}})
+			h = append(h, Ranked{VideoID: vid, Iv: e.Iv.Wide(), Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}})
 		}
 	}
 	h.init()
@@ -97,7 +98,7 @@ func TopKBySort(lists map[int]simlist.List, k int) []Ranked {
 	var all []Ranked
 	for vid, l := range lists {
 		for _, e := range l.Entries {
-			all = append(all, Ranked{VideoID: vid, Iv: e.Iv, Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}})
+			all = append(all, Ranked{VideoID: vid, Iv: e.Iv.Wide(), Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}})
 		}
 	}
 	sortRanked(all)

@@ -70,7 +70,7 @@ func TestTopKAgainstSortProperty(t *testing.T) {
 				if pos+ln > 40 {
 					break
 				}
-				entries = append(entries, entry(pos, pos+ln, float64(1+rng.Intn(10))))
+				entries = append(entries, entry(int32(pos), int32(pos+ln), float64(1+rng.Intn(10))))
 				pos += ln + 2
 			}
 			lists[v] = simlist.NewList(10, entries...)

@@ -47,7 +47,7 @@ func CasablancaTables() (movingTrain, manWoman, eventually, query1 simlist.List,
 
 // Figure2 reproduces the worked until example of §3.1.
 func Figure2() (l1, l2, out simlist.List) {
-	e := func(beg, end int, act float64) simlist.Entry {
+	e := func(beg, end int32, act float64) simlist.Entry {
 		return simlist.Entry{Iv: interval.I{Beg: beg, End: end}, Act: act}
 	}
 	l1 = simlist.NewList(20, e(25, 100, 15), e(200, 250, 15))

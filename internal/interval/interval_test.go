@@ -35,7 +35,7 @@ func TestPointAndLen(t *testing.T) {
 func TestContains(t *testing.T) {
 	iv := New(10, 20)
 	for _, tc := range []struct {
-		id   int
+		id   int32
 		want bool
 	}{{9, false}, {10, true}, {15, true}, {20, true}, {21, false}} {
 		if got := iv.Contains(tc.id); got != tc.want {
@@ -156,11 +156,11 @@ func TestCoalesceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := int(n%20) + 1
 		ivs := make([]I, k)
-		covered := map[int]bool{}
-		base := 0
+		covered := map[int32]bool{}
+		base := int32(0)
 		for i := range ivs {
-			base += rng.Intn(4) // keep Beg-sorted
-			ln := rng.Intn(5)
+			base += rng.Int31n(4) // keep Beg-sorted
+			ln := rng.Int31n(5)
 			ivs[i] = I{Beg: base, End: base + ln}
 			for id := base; id <= base+ln; id++ {
 				covered[id] = true
@@ -175,7 +175,7 @@ func TestCoalesceProperty(t *testing.T) {
 				return false // should have merged
 			}
 		}
-		got := map[int]bool{}
+		got := map[int32]bool{}
 		for _, iv := range out {
 			for id := iv.Beg; id <= iv.End; id++ {
 				got[id] = true
@@ -199,11 +199,11 @@ func TestCoalesceProperty(t *testing.T) {
 // Property: Intersect agrees with per-id membership.
 func TestIntersectProperty(t *testing.T) {
 	f := func(a, b, c, d int8) bool {
-		lo1, hi1 := int(min(a, b)), int(max(a, b))
-		lo2, hi2 := int(min(c, d)), int(max(c, d))
+		lo1, hi1 := int32(min(a, b)), int32(max(a, b))
+		lo2, hi2 := int32(min(c, d)), int32(max(c, d))
 		v, w := I{lo1, hi1}, I{lo2, hi2}
 		r, ok := v.Intersect(w)
-		for id := -130; id <= 130; id++ {
+		for id := int32(-130); id <= 130; id++ {
 			in := v.Contains(id) && w.Contains(id)
 			if in != (ok && r.Contains(id)) {
 				return false
@@ -213,5 +213,33 @@ func TestIntersectProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSegmentIDRange(t *testing.T) {
+	if err := CheckLen(MaxID); err != nil {
+		t.Fatalf("CheckLen(MaxID) = %v", err)
+	}
+	if err := CheckLen(MaxID + 1); err == nil {
+		t.Fatal("a sequence longer than MaxID should be refused")
+	}
+	for _, tc := range []struct {
+		id   int
+		want bool
+	}{{0, false}, {1, true}, {MaxID, true}, {MaxID + 1, false}} {
+		if got := InRange(tc.id); got != tc.want {
+			t.Errorf("InRange(%d) = %v, want %v", tc.id, got, tc.want)
+		}
+	}
+	// The id after the last one is still an int32.
+	if iv := Point(MaxID); !iv.Adjacent(I{Beg: MaxID + 1, End: MaxID + 1}) {
+		t.Fatal("the id after MaxID wraps")
+	}
+}
+
+func TestWide(t *testing.T) {
+	w := New(MaxID-2, MaxID).Wide()
+	if w.Beg != MaxID-2 || w.End != MaxID || w.Len() != 3 || w.String() != New(MaxID-2, MaxID).String() {
+		t.Fatalf("Wide = %v len %d", w, w.Len())
 	}
 }

@@ -34,6 +34,9 @@ func Write(w io.Writer, l simlist.List) error {
 	if err := l.Validate(); err != nil {
 		return fmt.Errorf("listio: refusing to encode an invalid list: %w", err)
 	}
+	if sp, ok := l.Span(); ok && (sp.Beg < 1 || sp.End > interval.MaxID) {
+		return fmt.Errorf("listio: refusing to encode ids %v outside 1 … %d", sp, interval.MaxID)
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(magic[:]); err != nil {
 		return err
@@ -51,8 +54,8 @@ func Write(w io.Writer, l simlist.List) error {
 	for i, e := range l.Entries {
 		var delta uint64
 		if i == 0 {
-			// First entry: store Beg zig-zagged (ids are usually 1-based but
-			// the format does not assume it).
+			// First entry: store Beg zig-zagged (the layout does not assume
+			// 1-based ids; Write and Read refuse ids outside interval's range).
 			delta = zigzag(int64(e.Iv.Beg))
 		} else {
 			delta = uint64(int64(e.Iv.Beg) - prevEnd - 1)
@@ -122,11 +125,11 @@ func Read(r io.Reader) (simlist.List, error) {
 			return simlist.List{}, fmt.Errorf("listio: entry %d: %w", i, err)
 		}
 		end := beg + int64(lenM1)
-		if beg < math.MinInt32 || end > math.MaxInt32 {
-			return simlist.List{}, fmt.Errorf("listio: entry %d out of range [%d, %d]", i, beg, end)
+		if beg < 1 || end < beg || end > interval.MaxID {
+			return simlist.List{}, fmt.Errorf("listio: entry %d: [%d, %d] is not a run of segment ids", i, beg, end)
 		}
 		l.Entries = append(l.Entries, simlist.Entry{
-			Iv:  interval.I{Beg: int(beg), End: int(end)},
+			Iv:  interval.I{Beg: int32(beg), End: int32(end)},
 			Act: act,
 		})
 		prevEnd = end

@@ -2,6 +2,8 @@ package listio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,7 +14,7 @@ import (
 	"htlvideo/internal/workload"
 )
 
-func entry(beg, end int, act float64) simlist.Entry {
+func entry(beg, end int32, act float64) simlist.Entry {
 	return simlist.Entry{Iv: interval.I{Beg: beg, End: end}, Act: act}
 }
 
@@ -68,6 +70,30 @@ func TestRejectInvalidList(t *testing.T) {
 	bad := simlist.List{MaxSim: 5, Entries: []simlist.Entry{entry(5, 3, 1)}}
 	if err := Write(&bytes.Buffer{}, bad); err == nil {
 		t.Fatal("invalid list should not encode")
+	}
+}
+
+func TestSegmentIDRange(t *testing.T) {
+	for _, e := range []simlist.Entry{entry(0, 2, 1), entry(5, interval.MaxID+1, 1)} {
+		if err := Write(&bytes.Buffer{}, simlist.NewList(5, e)); err == nil {
+			t.Errorf("%v: ids outside 1 … MaxID should not encode", e.Iv)
+		}
+	}
+	top := simlist.NewList(5, entry(interval.MaxID-3, interval.MaxID, 2))
+	if !simlist.Equal(top, roundTrip(t, top)) {
+		t.Fatal("a run ending at MaxID should round-trip")
+	}
+	// Two adjacent one-id entries, the first at MaxID: legal varints, but the
+	// second entry's id is MaxID+1.
+	f64 := func(b []byte, v float64) []byte { return binary.LittleEndian.AppendUint64(b, math.Float64bits(v)) }
+	data := f64(append(magic[:], version), 5)
+	data = binary.AppendUvarint(data, 2)                                  // count
+	data = binary.AppendUvarint(data, zigzag(interval.MaxID))             // first Beg
+	data = f64(binary.AppendUvarint(data, 0), 1)                          // length-1, act
+	data = f64(binary.AppendUvarint(binary.AppendUvarint(data, 0), 0), 2) // adjacent, one id, act
+	buf := bytes.NewBuffer(data)
+	if _, err := Read(buf); err == nil || !strings.Contains(err.Error(), "not a run of segment ids") {
+		t.Fatalf("id MaxID+1 decoded: %v", err)
 	}
 }
 

@@ -822,10 +822,10 @@ func (m *machine) record(lo int) {
 		if score <= 0 {
 			continue
 		}
-		if n := len(r.entries); n > 0 && r.entries[n-1].Iv.Beg == m.id {
+		if n := len(r.entries); n > 0 && int(r.entries[n-1].Iv.Beg) == m.id {
 			r.entries[n-1].Act = max(r.entries[n-1].Act, score)
 		} else {
-			r.entries = append(r.entries, simlist.Entry{Iv: interval.Point(m.id), Act: score})
+			r.entries = append(r.entries, simlist.Entry{Iv: interval.Point(int32(m.id)), Act: score})
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"htlvideo/internal/core"
 	"htlvideo/internal/faultinject"
 	"htlvideo/internal/htl"
+	"htlvideo/internal/interval"
 	"htlvideo/internal/metadata"
 	"htlvideo/internal/obs"
 )
@@ -92,6 +93,9 @@ func NewSystemCtx(ctx context.Context, video *metadata.Video, level int, tax *Ta
 	if len(seq) == 0 {
 		return nil, fmt.Errorf("picture: video %d has no segments at level %d", video.ID, level)
 	}
+	if err := interval.CheckLen(len(seq)); err != nil {
+		return nil, fmt.Errorf("picture: video %d level %d: %w", video.ID, level, err)
+	}
 	return newSystemForSeq(video, seq, tax, w), nil
 }
 
@@ -171,6 +175,9 @@ func (s *System) ChildSource(id int, ref htl.LevelRef) (core.Source, error) {
 		return cached, nil
 	}
 	seq := n.DescendantsAt(target)
+	if err := interval.CheckLen(len(seq)); err != nil {
+		return nil, fmt.Errorf("picture: video %d level %d under segment %d: %w", s.video.ID, target, id, err)
+	}
 	var child *System
 	if len(seq) > 0 {
 		child = newSystemForSeq(s.video, seq, s.tax, s.w)

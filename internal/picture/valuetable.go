@@ -32,7 +32,7 @@ func (s *System) ValueTable(q htl.AttrFn) (*core.ValueTable, error) {
 			if _, seen := runs[k]; !seen {
 				order = append(order, k)
 			}
-			runs[k] = appendIv(runs[k], i+1)
+			runs[k] = appendIv(runs[k], int32(i+1))
 		}
 		for _, k := range order {
 			vt.Rows = append(vt.Rows, core.ValueRow{Value: k.v, Ivs: runs[k]})
@@ -54,7 +54,7 @@ func (s *System) ValueTable(q htl.AttrFn) (*core.ValueTable, error) {
 		for oi := range n.Meta.Objects {
 			o := &n.Meta.Objects[oi]
 			if b := objAttr(o, q.Attr); b.Defined {
-				occ = append(occ, occurrence{simlist.ObjectID(o.ID), b.Val, i + 1})
+				occ = append(occ, occurrence{simlist.ObjectID(o.ID), b.Val, int32(i + 1)})
 			}
 		}
 	}
@@ -107,7 +107,7 @@ func (s *System) ValueTable(q htl.AttrFn) (*core.ValueTable, error) {
 type occurrence struct {
 	obj simlist.ObjectID
 	val core.AttrValue
-	id  int
+	id  int32
 }
 
 // occurrencePool recycles ValueTable's sort buffer: the table is rebuilt per
@@ -128,7 +128,7 @@ func compareAttrValues(a, b core.AttrValue) int {
 
 // appendIv extends the last interval when id is adjacent to it, otherwise
 // starts a new run.
-func appendIv(ivs []interval.I, id int) []interval.I {
+func appendIv(ivs []interval.I, id int32) []interval.I {
 	if n := len(ivs); n > 0 && ivs[n-1].End+1 == id {
 		ivs[n-1].End = id
 		return ivs

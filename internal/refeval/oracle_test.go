@@ -260,7 +260,7 @@ func checkOracleOpts(t *testing.T, seed int64, flavour string, deep bool, opts c
 	}
 	// The efficient path may carry entries past the sequence end (e.g.
 	// `eventually` closes down to id 1 but never up); clip for comparison.
-	clipped := core.ListRestrict(fast, []interval.I{{Beg: 1, End: sys.Len()}})
+	clipped := core.ListRestrict(fast, []interval.I{{Beg: 1, End: int32(sys.Len())}})
 	clipped.MaxSim = fast.MaxSim
 	if !simlist.EqualApprox(clipped, slow, 1e-9) {
 		t.Errorf("seed %d: mismatch on %q\n video: %s\n fast: %v\n slow: %v",

@@ -63,7 +63,8 @@ type QueryResponse struct {
 	Trace *obs.TraceSnapshot `json:"trace,omitempty"`
 }
 
-// RankedDoc is one ranked segment run.
+// RankedDoc is one ranked segment run. Beg and End are segment ids, so they
+// lie in 1 … interval.MaxID; the coordinator refuses a shard's run outside it.
 type RankedDoc struct {
 	Video int     `json:"video"`
 	Beg   int     `json:"beg"`

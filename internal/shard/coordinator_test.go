@@ -185,6 +185,31 @@ func TestPermanentShardErrorNotRetried(t *testing.T) {
 	}
 }
 
+// A shard's ranked run is merged as segment ids; one it cannot be (here an id
+// past the int32 range, which a conversion would wrap to 1) fails that shard.
+func TestShardRunOutsideIDRangeIsShardError(t *testing.T) {
+	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, fakeShardResponse(1))
+	}))
+	defer good.Close()
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"class":"type1","videos":1,"evaluated":1,"top":[{"video":2,"beg":4294967297,"end":4294967297,"sim":2,"frac":1}],"elapsed_ms":0.1}`)
+	}))
+	defer bad.Close()
+
+	c := New([]string{good.URL, bad.URL},
+		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 1}),
+		WithHedgeDelay(0), WithRandSeed(1),
+	)
+	res := c.Query(context.Background(), testParams())
+	if res.ShardsOK != 1 || len(res.ShardErrors) != 1 || !strings.Contains(res.ShardErrors[0].Error(), "not a run of segment ids") {
+		t.Fatalf("ok=%d errors=%v, want the out-of-range shard itemized", res.ShardsOK, res.ShardErrors)
+	}
+	if len(res.Top) != 1 || res.Top[0].Video != 1 {
+		t.Fatalf("top = %+v, want only the healthy shard's run", res.Top)
+	}
+}
+
 func TestHedgesStragglerShards(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -38,7 +38,7 @@ func entriesFromDocs(docs []server.RankedDoc) []mergeEntry {
 		out = append(out, mergeEntry{
 			r: core.Ranked{
 				VideoID: d.Video,
-				Iv:      interval.I{Beg: d.Beg, End: d.End},
+				Iv:      interval.Wide{Beg: d.Beg, End: d.End},
 				Sim:     simlist.Sim{Act: d.Sim},
 			},
 			doc: d,
@@ -57,14 +57,14 @@ func TestMergeMatchesGlobalTopK(t *testing.T) {
 		for vid := 1; vid <= nv; vid++ {
 			n := rnd.Intn(6)
 			var entries []simlist.Entry
-			beg := 1
+			beg := int32(1)
 			for i := 0; i < n; i++ {
-				length := 1 + rnd.Intn(4)
+				length := 1 + rnd.Int31n(4)
 				entries = append(entries, simlist.Entry{
 					Iv:  interval.I{Beg: beg, End: beg + length - 1},
 					Act: float64(rnd.Intn(4)) / 2,
 				})
-				beg += length + rnd.Intn(2)
+				beg += length + rnd.Int31n(2)
 			}
 			lists[vid] = simlist.List{Entries: entries, MaxSim: 2}
 		}

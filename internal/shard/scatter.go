@@ -237,7 +237,7 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 			entries = append(entries, mergeEntry{
 				r: core.Ranked{
 					VideoID: d.Video,
-					Iv:      interval.I{Beg: d.Beg, End: d.End},
+					Iv:      interval.Wide{Beg: d.Beg, End: d.End},
 					Sim:     simlist.Sim{Act: d.Sim},
 				},
 				doc: d,
@@ -484,6 +484,13 @@ func (c *Coordinator) doRequest(ctx context.Context, mb member, q url.Values, tr
 	var resp server.QueryResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		return nil, fmt.Errorf("decoding shard response: %w", err)
+	}
+	// The merge trusts a ranked run to be segment ids: a shard's run outside
+	// them is a broken shard, not a result.
+	for i, d := range resp.Top {
+		if d.Beg > d.End || !interval.InRange(d.Beg) || !interval.InRange(d.End) {
+			return nil, fmt.Errorf("decoding shard response: top[%d] [%d %d] is not a run of segment ids", i, d.Beg, d.End)
+		}
 	}
 	return &resp, nil
 }

@@ -9,7 +9,7 @@ import (
 	"htlvideo/internal/interval"
 )
 
-func iterEntry(beg, end int, act float64) Entry {
+func iterEntry(beg, end int32, act float64) Entry {
 	return Entry{Iv: interval.I{Beg: beg, End: end}, Act: act}
 }
 
@@ -58,7 +58,7 @@ func TestRankIterMatchesSortProperty(t *testing.T) {
 			if pos+ln > 60 {
 				break
 			}
-			entries = append(entries, iterEntry(pos, pos+ln, float64(1+rng.Intn(5))))
+			entries = append(entries, iterEntry(int32(pos), int32(pos+ln), float64(1+rng.Intn(5))))
 			pos += ln + 2
 		}
 		l := NewList(5, entries...)

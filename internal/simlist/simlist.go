@@ -75,7 +75,7 @@ func Empty(maxSim float64) List { return List{MaxSim: maxSim} }
 // Validate checks the list invariants: entries sorted by beginning id,
 // pairwise disjoint intervals, each interval valid, and 0 < Act <= MaxSim.
 func (l List) Validate() error {
-	prevEnd := 0
+	var prevEnd int32
 	first := true
 	for i, e := range l.Entries {
 		if !e.Iv.Valid() {
@@ -107,8 +107,8 @@ func (l List) IsEmpty() bool { return len(l.Entries) == 0 }
 // actual similarity 0.
 func (l List) At(id int) Sim {
 	// Binary search for the first entry ending at or after id.
-	i := sort.Search(len(l.Entries), func(i int) bool { return l.Entries[i].Iv.End >= id })
-	if i < len(l.Entries) && l.Entries[i].Iv.Contains(id) {
+	i := sort.Search(len(l.Entries), func(i int) bool { return int(l.Entries[i].Iv.End) >= id })
+	if i < len(l.Entries) && int(l.Entries[i].Iv.Beg) <= id && id <= int(l.Entries[i].Iv.End) {
 		return Sim{Act: l.Entries[i].Act, Max: l.MaxSim}
 	}
 	return Sim{Act: 0, Max: l.MaxSim}
@@ -217,7 +217,7 @@ func ascending(s []Entry) bool {
 func sweep(s []Entry) []Entry {
 	buf := sweepPool.Get().(*[]Entry)
 	out := (*buf)[:0]
-	heap, next, pos := s[:0], 0, 0
+	heap, next, pos := s[:0], 0, int32(0)
 	for next < len(s) || len(heap) > 0 {
 		if len(heap) == 0 {
 			pos = s[next].Iv.Beg
@@ -363,8 +363,8 @@ func (l List) CanonicalApprox(eps float64) List {
 func (l List) Expand(n int) []float64 {
 	out := make([]float64, n)
 	for _, e := range l.Entries {
-		lo := max(e.Iv.Beg, 1)
-		hi := min(e.Iv.End, n)
+		lo := max(int(e.Iv.Beg), 1)
+		hi := min(int(e.Iv.End), n)
 		for id := lo; id <= hi; id++ {
 			out[id-1] = e.Act
 		}
@@ -390,7 +390,7 @@ func FromDense(maxSim float64, dense []float64) List {
 	l.Entries = make([]Entry, 0, runs)
 	for i, v := range dense {
 		if v > 0 {
-			l.Entries = AppendEntry(l.Entries, Entry{Iv: interval.Point(i + 1), Act: v})
+			l.Entries = AppendEntry(l.Entries, Entry{Iv: interval.Point(int32(i + 1)), Act: v})
 		}
 	}
 	return l

@@ -5,11 +5,12 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"htlvideo/internal/interval"
 )
 
-func entry(beg, end int, act float64) Entry {
+func entry(beg, end int32, act float64) Entry {
 	return Entry{Iv: interval.I{Beg: beg, End: end}, Act: act}
 }
 
@@ -160,9 +161,9 @@ func TestString(t *testing.T) {
 func randomEntries(rng *rand.Rand, n int) []Entry {
 	es := make([]Entry, n)
 	for i := range es {
-		beg := rng.Intn(60) + 1
+		beg := rng.Int31n(60) + 1
 		es[i] = Entry{
-			Iv:  interval.I{Beg: beg, End: beg + rng.Intn(10) - 2},
+			Iv:  interval.I{Beg: beg, End: beg + rng.Int31n(10) - 2},
 			Act: float64(rng.Intn(30)) - 2,
 		}
 	}
@@ -189,7 +190,7 @@ func TestNormalizeProperty(t *testing.T) {
 		for id := 0; id <= 80; id++ {
 			want := 0.0
 			for _, e := range es {
-				if e.Iv.Valid() && e.Iv.Contains(id) && e.Act > 0 {
+				if e.Iv.Valid() && e.Iv.Contains(int32(id)) && e.Act > 0 {
 					want = max(want, min(e.Act, 20))
 				}
 			}
@@ -211,10 +212,10 @@ func TestNormalizeOrderedMatchesSweep(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var es []Entry
-		pos := 0
+		pos := int32(0)
 		for i := 0; i < int(n%40); i++ {
-			beg := pos + 1 + rng.Intn(2) // adjacent to the previous run or one apart
-			end := beg + rng.Intn(3)
+			beg := pos + 1 + rng.Int31n(2) // adjacent to the previous run or one apart
+			end := beg + rng.Int31n(3)
 			es = append(es, Entry{Iv: interval.I{Beg: beg, End: end}, Act: float64(rng.Intn(5)) * 6}) // 0 is dropped, 24 clamped
 			pos = end
 		}
@@ -246,5 +247,16 @@ func TestCanonicalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The width of an entry is what every §3 operator pays per entry written: a
+// field that widens it should fail here, not show up as a benchmark drift.
+func TestEntryWidth(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 16 {
+		t.Errorf("simlist.Entry is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(interval.I{}); got != 8 {
+		t.Errorf("interval.I is %d bytes, want 8", got)
 	}
 }

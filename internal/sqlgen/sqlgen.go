@@ -329,7 +329,7 @@ func fl(v float64) string { return strconv.FormatFloat(v, 'g', 17, 64) }
 func perIDToList(res *relational.Result, maxSim float64) simlist.List {
 	out := simlist.List{MaxSim: maxSim}
 	for _, row := range res.Rows {
-		id := int(row[0].I)
+		id := int32(row[0].I)
 		act := row[1].AsFloat()
 		if act <= 0 {
 			continue

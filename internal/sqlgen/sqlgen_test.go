@@ -17,7 +17,7 @@ import (
 	"htlvideo/internal/simlist"
 )
 
-func entry(beg, end int, act float64) simlist.Entry {
+func entry(beg, end int32, act float64) simlist.Entry {
 	return simlist.Entry{Iv: interval.I{Beg: beg, End: end}, Act: act}
 }
 
@@ -192,7 +192,7 @@ func randomList(rng *rand.Rand, n int, maxSim float64) simlist.List {
 		}
 		act := float64(rng.Intn(int(maxSim*2))) / 2
 		if act > 0 {
-			entries = append(entries, entry(pos, pos+ln, act))
+			entries = append(entries, entry(int32(pos), int32(pos+ln), act))
 		}
 		pos += ln + 2
 	}

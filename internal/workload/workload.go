@@ -13,7 +13,7 @@ import (
 
 // Config parameterizes one generated similarity list.
 type Config struct {
-	// N is the number of shots in the video.
+	// N is the number of shots in the video, at most interval.MaxID.
 	N int
 	// Coverage is the fraction of shots with a non-zero similarity
 	// (the paper's "one tenth" → 0.1).
@@ -59,7 +59,7 @@ func Generate(cfg Config) simlist.List {
 		// canonicalization has work to do.
 		act := float64(1+rng.Intn(int(cfg.MaxSim*4))) / 4
 		out.Entries = append(out.Entries, simlist.Entry{
-			Iv:  interval.I{Beg: pos, End: pos + runLen - 1},
+			Iv:  interval.I{Beg: int32(pos), End: int32(pos + runLen - 1)},
 			Act: act,
 		})
 		pos += runLen

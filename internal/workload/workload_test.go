@@ -12,7 +12,7 @@ func TestGenerateValidAndCovered(t *testing.T) {
 		covered := 0
 		for _, e := range l.Entries {
 			covered += e.Iv.Len()
-			if e.Iv.End > n {
+			if int(e.Iv.End) > n {
 				t.Fatalf("entry %v beyond n=%d", e.Iv, n)
 			}
 		}

@@ -31,13 +31,14 @@ const kernelGoldenPath = "testdata/kernel_golden.txt"
 var mix6Shapes = []struct {
 	name, text string
 	level      int
+	weight     int // slots of MIX6's 12-query cycle (bench/queries.go)
 }{
-	{"type1", casablanca.Query1, 3},
-	{"until", "M1 until M2", 3},
-	{"type2", "exists z . (present(z) and type(z) = 'airplane') and eventually (present(z) and moving(z))", 3},
-	{"conj", "exists z . (present(z) and type(z) = 'airplane') and [h <- height(z)] eventually (present(z) and height(z) > h)", 3},
-	{"extconj", "outdoor = 1 and at-shot-level(M1 until M2)", 2},
-	{"general", "not (M1 until M2)", 3},
+	{"type1", casablanca.Query1, 3, 3},
+	{"until", "M1 until M2", 3, 2},
+	{"type2", "exists z . (present(z) and type(z) = 'airplane') and eventually (present(z) and moving(z))", 3, 2},
+	{"conj", "exists z . (present(z) and type(z) = 'airplane') and [h <- height(z)] eventually (present(z) and height(z) > h)", 3, 2},
+	{"extconj", "outdoor = 1 and at-shot-level(M1 until M2)", 2, 2},
+	{"general", "not (M1 until M2)", 3, 1},
 }
 
 func dumpKernelList(b *bytes.Buffer, l simlist.List) {

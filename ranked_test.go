@@ -12,7 +12,7 @@ import (
 // — by video id, then by interval — now that videos evaluate concurrently
 // and PerVideo map iteration order is randomized.
 func TestRankedTieBreaking(t *testing.T) {
-	entry := func(beg, end int, act float64) simlist.Entry {
+	entry := func(beg, end int32, act float64) simlist.Entry {
 		return simlist.Entry{Iv: interval.I{Beg: beg, End: end}, Act: act}
 	}
 	res := &Results{PerVideo: map[int]SimList{

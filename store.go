@@ -463,13 +463,15 @@ func (s *Store) queryCompiledCtx(ctx context.Context, tr *obs.Trace, cq *Compile
 
 // runQuery evaluates a compiled query over the store's videos, uncached.
 func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig) (*Results, error) {
-	videos := s.meta.Videos()
+	var videos []*Video
 	if cfg.videoID != nil {
 		v := s.meta.Video(*cfg.videoID)
 		if v == nil {
 			return nil, fmt.Errorf("htlvideo: no video with id %d", *cfg.videoID)
 		}
 		videos = []*Video{v}
+	} else {
+		videos = s.meta.Videos()
 	}
 	if len(videos) == 0 {
 		return nil, errors.New("htlvideo: the store has no videos")

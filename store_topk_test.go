@@ -25,7 +25,7 @@ func topkLists(videos, entriesPer int) map[int]SimList {
 		var entries []simlist.Entry
 		for i := 0; i < entriesPer; i++ {
 			entries = append(entries, simlist.Entry{
-				Iv:  interval.I{Beg: 2*i + 1, End: 2*i + 1},
+				Iv:  interval.Point(int32(2*i + 1)),
 				Act: float64(1 + (i*7+v)%9),
 			})
 		}
