@@ -31,10 +31,11 @@ race:
 	$(GO) test -race ./...
 
 # The §3 kernel's allocation budget (allocations and bytes per cold conj and
-# type2 query) and its byte-identity golden, without -race: under the race
-# detector sync.Pool drops puts on purpose and the budget skips itself.
+# type2 query), its byte-identity golden, and the two tests that hold the
+# evaluation arena's reuse invisible, without -race: under the race detector
+# sync.Pool drops puts on purpose, the budget skips itself and reuse is rarer.
 budget:
-	$(GO) test -run '^(TestColdShapeAllocBudget|TestKernelGolden)$$' -count=1 .
+	$(GO) test -run '^(TestColdShapeAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestMemoTablesImmutable)$$' -count=1 . ./internal/core/
 
 # Metrics-conventions lint: every Prometheus exposition the store, server and
 # shard coordinator serve must pass obs.LintExposition (counter/gauge/

@@ -94,25 +94,29 @@ func BenchmarkStoreColdCycle(b *testing.B) {
 }
 
 // coldShapeBudget is what one cold query of a table-heavy MIX6 shape over
-// mix6Corpus(8, 4, 10) allocated when similarity entries became 16 bytes
-// (PR 28): allocations, and bytes (runtime.MemStats.TotalAlloc). Before it,
-// with 24-byte entries in columnar tables (PR 25): conj 763 allocations /
-// 195 KB, type2 537 / 85 KB; with a block per table (PR 23): conj 862 / 345 KB,
-// type2 591 / 133 KB; with a slice per list: conj 8 034, type2 1 975
-// allocations. TestColdShapeAllocBudget fails at one and a half times the
-// allocations and 1.1 times the bytes — measures that hold on any machine
-// (the bytes repeat to about 2 %), and a byte ceiling 24-byte entries do not
-// fit under — the guard of these changes that needs no benchmark harness
-// (`make budget`).
+// mix6Corpus(8, 4, 10) allocated when every table of an evaluation came to be
+// carved from a pooled arena: allocations, and bytes
+// (runtime.MemStats.TotalAlloc) — the most of ten runs, which read conj
+// 41–48 KB and type2 35–38 KB, depending on how often a worker found its P
+// without a grown arena. Before it, with tables allocated per evaluation and
+// 16-byte entries: conj 763 allocations / 168 KB, type2 537 / 71 KB; with
+// 24-byte entries in columnar tables: conj 763 / 195 KB, type2 537 / 85 KB;
+// with a block per table: conj 862 / 345 KB, type2 591 / 133 KB; with a slice
+// per list: conj 8 034, type2 1 975 allocations (EXPERIMENTS.md has each
+// step). TestColdShapeAllocBudget fails at one and a
+// half times the allocations and 1.1 times the bytes — measures that hold on
+// any machine, and a byte ceiling tables allocated per evaluation do not fit
+// under — the guard of these changes that needs no benchmark harness (`make
+// budget`).
 var coldShapeBudget = map[string]struct{ allocs, bytes float64 }{
-	"conj":  {allocs: 763, bytes: 168_000},
-	"type2": {allocs: 537, bytes: 71_300},
+	"conj":  {allocs: 435, bytes: 48_800},
+	"type2": {allocs: 393, bytes: 38_000},
 }
 
 // skipUnlessPoolsKeep skips an allocation-count test under the race
 // detector, whose build makes sync.Pool drop a quarter of all puts on purpose:
-// the picture layer's machine and the sweep's buffer are then regrown at
-// random and the count means nothing.
+// the picture layer's machine, the sweep's buffer and the evaluation arenas
+// are then regrown at random and the count means nothing.
 func skipUnlessPoolsKeep(t *testing.T) {
 	t.Helper()
 	pool := sync.Pool{New: func() any { return new(int) }}

@@ -60,7 +60,7 @@ func benchTables(b *testing.B, query string, subformulas ...string) (*picture.Sy
 
 func BenchmarkFreezeTable(b *testing.B) {
 	sys, ts := benchTables(b, benchConj, benchHigher)
-	vt, err := sys.ValueTable(htl.AttrFn{Attr: "height", Of: "z"})
+	vt, err := sys.ValueTable(htl.AttrFn{Attr: "height", Of: "z"}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -51,9 +51,9 @@ type countingSource struct {
 	calls map[string]int
 }
 
-func (c *countingSource) EvalAtomicNode(n *PNode) (*simlist.Table, error) {
+func (c *countingSource) EvalAtomicNode(n *PNode, a *Arena) (*simlist.Table, error) {
 	c.calls[n.Key]++
-	return c.stubSource.EvalAtomicNode(n)
+	return c.stubSource.EvalAtomicNode(n, a)
 }
 
 // TestEvalPlanMemoizesDuplicates: a formula with a duplicated subtree

@@ -71,11 +71,11 @@ func runSkipCase(t *testing.T, c skipCase, opts Options, combine func(t1, t2 *si
 	if _, ok := n.F.(htl.Freeze); ok {
 		n = n.Kids[0]
 	}
-	t1, err := newPlanEval(src, opts, p.Nodes).eval(t.Context(), n.Kids[0])
+	t1, err := newPlanEval(src, opts, p.Nodes, nil).eval(t.Context(), n.Kids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := newPlanEval(src, opts, p.Nodes).eval(t.Context(), n.Kids[1])
+	t2, err := newPlanEval(src, opts, p.Nodes, nil).eval(t.Context(), n.Kids[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func runSkipCase(t *testing.T, c skipCase, opts Options, combine func(t1, t2 *si
 
 	prof := NewPlanProfile(p, false)
 	opts.Prof = prof
-	got, err := newPlanEval(src, opts, p.Nodes).eval(t.Context(), n)
+	got, err := newPlanEval(src, opts, p.Nodes, nil).eval(t.Context(), n)
 	if err != nil {
 		t.Fatal(err)
 	}

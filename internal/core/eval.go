@@ -68,19 +68,27 @@ func EvalCtx(ctx context.Context, src Source, f htl.Formula, opts Options) (siml
 // EvalPlanCtx evaluates a compiled plan (see CompilePlan) over src's
 // sequence. Structurally identical subformulas share a plan node, so their
 // similarity tables are computed once per evaluation and memo hits are
-// reported through opts.Obs.
+// reported through opts.Obs. Every table is carved from an arena taken from a
+// pool, which goes back once the list has been copied out — on an error or a
+// cancellation too, never after a panic.
 func EvalPlanCtx(ctx context.Context, src Source, p *Plan, opts Options) (simlist.List, error) {
 	if p.Class == htl.ClassGeneral {
 		return simlist.List{}, &ErrNotConjunctive{Formula: p.Root.F, Reason: "negation or quantification over a temporal subformula"}
 	}
-	return newPlanEval(src, opts, p.Nodes).evalPlan(ctx, p)
+	a := arenaPool.Get().(*Arena)
+	l, err := newPlanEval(src, opts, p.Nodes, a).evalPlan(ctx, p)
+	// Not deferred: after a panic the arena is left to the collector, in
+	// whatever state the panic found it.
+	recycle(a)
+	return l, err
 }
 
 // evalPlan evaluates p's matrix and projects its table. A table the kernel
 // built is this evaluation's and is consumed: its entry column is normalized
-// in place. An atomic matrix's table is the source's, and is projected by
-// copy. Either way the list that leaves owns exactly its entries and aliases
-// no column, because Results, the result cache and the shard merge retain it.
+// in place. An atomic matrix's table is projected by copy. Either way the
+// list that leaves is on the heap, owns exactly its entries and aliases no
+// column — no byte of the arena — because Results, the result cache and the
+// shard merge retain it.
 func (e *planEval) evalPlan(ctx context.Context, p *Plan) (simlist.List, error) {
 	// Strip the existential prefix; the final projection maximizes over all
 	// evaluations regardless of the prefix variables (§3.2 part two).
@@ -128,7 +136,7 @@ func EvalTable(src Source, f htl.Formula, opts Options) (*simlist.Table, error) 
 // EvalTableCtx is EvalTable with cooperative cancellation.
 func EvalTableCtx(ctx context.Context, src Source, f htl.Formula, opts Options) (*simlist.Table, error) {
 	p := CompilePlan(f)
-	return newPlanEval(src, opts, p.Nodes).eval(ctx, p.Root)
+	return newPlanEval(src, opts, p.Nodes, nil).eval(ctx, p.Root)
 }
 
 // MaxSimOf returns the maximum possible similarity of f, which depends only
@@ -163,17 +171,16 @@ func MaxSimOf(src Source, f htl.Formula) float64 {
 // memo is indexed by PNode.ID, which is dense within a plan. Tables are
 // immutable once computed, so a memoized table may be handed to several
 // parents (and even to both sides of one join), and its columns to the tables
-// built from it; they die with the planEval.
+// built from it; every table is carved from the arena a, and dies with it.
 type planEval struct {
 	src  Source
 	opts Options
+	a    *Arena
 	memo []*simlist.Table
-	// scratch is where join counts the entries of its lists.
-	scratch []simlist.Entry
 }
 
-func newPlanEval(src Source, opts Options, nodes int) *planEval {
-	return &planEval{src: src, opts: opts, memo: make([]*simlist.Table, nodes)}
+func newPlanEval(src Source, opts Options, nodes int, a *Arena) *planEval {
+	return &planEval{src: src, opts: opts, a: a, memo: a.memoOf(nodes)}
 }
 
 func (e *planEval) eval(ctx context.Context, n *PNode) (*simlist.Table, error) {
@@ -209,7 +216,7 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 	if n.NonTemporal {
 		e.opts.Obs.AtomicEval()
 		e.opts.Prof.AtomicEval(n)
-		return e.src.EvalAtomicNode(n)
+		return e.src.EvalAtomicNode(n, e.a)
 	}
 	switch n.F.(type) {
 	case htl.And:
@@ -227,7 +234,7 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 		if e.opts.And == AndMin && t1.Len() == 0 && len(kr.AttrVars) == 0 {
 			e.opts.Prof.SkipTree(kr)
 			ms := t1.MaxSim + MaxSimOf(e.src, kr.F)
-			return emptyJoin(t1.ObjVars, t1.AttrVars, kr.ObjVars, kr.AttrVars, ms), nil
+			return e.emptyJoin(t1.ObjVars, t1.AttrVars, kr.ObjVars, kr.AttrVars, ms), nil
 		}
 		t2, err := e.eval(ctx, kr)
 		if err != nil {
@@ -252,7 +259,7 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 		// whole subtree is skipped.
 		if th.Len() == 0 && len(kg.AttrVars) == 0 {
 			e.opts.Prof.SkipTree(kg)
-			return emptyJoin(kg.ObjVars, kg.AttrVars, th.ObjVars, th.AttrVars, th.MaxSim), nil
+			return e.emptyJoin(kg.ObjVars, kg.AttrVars, th.ObjVars, th.AttrVars, th.MaxSim), nil
 		}
 		tg, err := e.eval(ctx, kg)
 		if err != nil {
@@ -272,11 +279,11 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 		if err != nil {
 			return nil, err
 		}
-		vt, err := e.src.ValueTable(x.Attr)
+		vt, err := e.src.ValueTable(x.Attr, e.a)
 		if err != nil {
 			return nil, err
 		}
-		return FreezeTable(t1, x.Var, vt, x.Attr.Of), nil
+		return freezeTable(e.a, t1, x.Var, vt, x.Attr.Of), nil
 	case htl.AtLevel:
 		return e.evalAtLevel(ctx, n)
 	case htl.Exists:
@@ -304,13 +311,13 @@ func (e *planEval) mapRows(ctx context.Context, n *PNode, op func([]simlist.Entr
 // operand's binding and range columns; from the first row that goes, it
 // copies the keys of those that stay.
 func (e *planEval) mapTable(n *PNode, t *simlist.Table, op func([]simlist.Entry, simlist.List) []simlist.Entry) *simlist.Table {
-	out := simlist.NewTable(t.ObjVars, t.AttrVars, t.MaxSim)
+	out := e.a.Table(t.ObjVars, t.AttrVars, t.MaxSim)
 	rows, nb, nr := t.Len(), len(t.ObjVars), len(t.AttrVars)
 	if rows == 0 {
 		return out
 	}
-	out.Entries = make([]simlist.Entry, 0, len(t.Entries))
-	out.Off = make([]int32, 1, rows+1)
+	out.Entries = e.a.Entries(len(t.Entries))[:0]
+	out.Off = e.a.Int32s(rows + 1)[:1]
 	shared := true
 	for i := range rows {
 		e.opts.Obs.Merge()
@@ -324,8 +331,8 @@ func (e *planEval) mapTable(n *PNode, t *simlist.Table, op func([]simlist.Entry,
 			out.Off = append(out.Off, int32(len(out.Entries)))
 		} else if shared {
 			shared = false
-			out.Objs = append(make([]simlist.ObjectID, 0, (rows-1)*nb), t.Objs[:i*nb]...)
-			out.Rngs = append(make([]simlist.Range, 0, (rows-1)*nr), t.Rngs[:i*nr]...)
+			out.Objs = append(e.a.Bindings((rows - 1) * nb)[:0], t.Objs[:i*nb]...)
+			out.Rngs = append(e.a.Ranges((rows - 1) * nr)[:0], t.Rngs[:i*nr]...)
 		}
 	}
 	if shared {
@@ -349,19 +356,17 @@ func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, e
 	// A hit is one segment's similarity under one evaluation (a row of the
 	// output): hits arrive by ascending segment, are counted per row, and are
 	// dealt into a carved column afterwards.
-	type hit struct {
-		row int32
-		e   simlist.Entry
-	}
 	var (
-		hits     = make([]hit, 0, e.src.Len())
-		rows     = evalSet{nb: len(objVars), nr: len(attrVars)}
-		bindings = make([]simlist.ObjectID, rows.nb)
-		ranges   = make([]simlist.Range, rows.nr)
+		hitRows  = e.a.Int32s(e.src.Len())[:0]
+		hits     = e.a.Entries(e.src.Len())[:0]
+		rows     = evalSet{a: e.a, nb: len(objVars), nr: len(attrVars)}
+		bindings = e.a.Bindings(rows.nb)
+		ranges   = e.a.Ranges(rows.nr)
 		// Each child sequence is a fresh source with a memo of its own (nodes
-		// still dedupe within the child tree). One evaluator serves them all:
-		// a child's table is read to the end before the next child evaluates.
-		child = &planEval{opts: e.opts, memo: make([]*simlist.Table, len(e.memo))}
+		// still dedupe within the child tree). One evaluator serves them all,
+		// on this evaluation's arena: a child's table is read to the end
+		// before the next child evaluates.
+		child = newPlanEval(nil, e.opts, len(e.memo), e.a)
 	)
 	for id := 1; id <= e.src.Len(); id++ {
 		if err := ctx.Err(); err != nil {
@@ -401,7 +406,8 @@ func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, e
 			}
 			g := rows.find(bindings, ranges)
 			if sim.Act > 0 {
-				hits = append(hits, hit{g, simlist.Entry{Iv: interval.Point(int32(id)), Act: sim.Act}})
+				hitRows = append(room(hitRows, 1, e.a.Int32s), g)
+				hits = append(room(hits, 1, e.a.Entries), simlist.Entry{Iv: interval.Point(int32(id)), Act: sim.Act})
 				rows.count[g]++
 			}
 		}
@@ -411,9 +417,9 @@ func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, e
 		e.opts.Prof.Merge(n)
 	}
 	entries, off := rows.carve()
-	for _, h := range hits {
-		entries[rows.count[h.row]] = h.e
-		rows.count[h.row]++
+	for i, g := range hitRows {
+		entries[rows.count[g]] = hits[i]
+		rows.count[g]++
 	}
 	return rows.table(objVars, attrVars, maxSim, entries, off), nil
 }
@@ -423,8 +429,8 @@ func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, e
 // second operand's extras — the same order makeJoinSchema derives) with no
 // rows. Downstream operators look columns up by name, so a zero-row table
 // with the right names and MaxSim is indistinguishable from the computed one.
-func emptyJoin(obj1, attr1, obj2, attr2 []string, maxSim float64) *simlist.Table {
-	return simlist.NewTable(unionVars(obj1, obj2), unionVars(attr1, attr2), maxSim)
+func (e *planEval) emptyJoin(obj1, attr1, obj2, attr2 []string, maxSim float64) *simlist.Table {
+	return e.a.Table(unionVars(obj1, obj2), unionVars(attr1, attr2), maxSim)
 }
 
 func unionVars(a, b []string) []string {

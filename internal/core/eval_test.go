@@ -48,7 +48,7 @@ func (s stubSource) AtomicMaxSim(f htl.Formula) float64 {
 	}
 }
 
-func (s stubSource) EvalAtomicNode(n *PNode) (*simlist.Table, error) {
+func (s stubSource) EvalAtomicNode(n *PNode, _ *Arena) (*simlist.Table, error) {
 	if t, ok := s.tables[n.Key]; ok {
 		return t, nil
 	}
@@ -58,7 +58,7 @@ func (s stubSource) EvalAtomicNode(n *PNode) (*simlist.Table, error) {
 // ValueTable hands out the scripted table, held to the contract a real source
 // keeps (rows ordered by binding): a test that scripts one FreezeTable would
 // misread fails here instead.
-func (s stubSource) ValueTable(q htl.AttrFn) (*ValueTable, error) {
+func (s stubSource) ValueTable(q htl.AttrFn, _ *Arena) (*ValueTable, error) {
 	if vt, ok := s.values[q.String()]; ok {
 		return vt, vt.Validate()
 	}

@@ -1,14 +1,10 @@
 package core_test
 
 import (
-	"math/rand"
 	"testing"
 
-	"htlvideo/internal/casablanca"
 	"htlvideo/internal/core"
 	"htlvideo/internal/htl"
-	"htlvideo/internal/picture"
-	"htlvideo/internal/workload"
 )
 
 // Memoized tables are immutable. An evaluation hands one table to several
@@ -17,37 +13,14 @@ import (
 // would change a table some other node still reads. For each conjunctive
 // shape of the serving benchmark's MIX6 over its corpus at 8 × 4 × 10 (the
 // root package's mix6Corpus), every subformula's table is first evaluated
-// alone; then the whole plan runs on one evaluator, the in-place projection
-// of the root included, and every table in its memo must print as the lone
+// alone; then the whole plan runs on one evaluator — on an arena sized by an
+// evaluation before, as the serving path's are — the in-place projection of
+// the root included, and every table in its memo must print as the lone
 // evaluation did — all but the matrix's own, which the projection consumes.
 func TestMemoTablesImmutable(t *testing.T) {
-	tax := picture.NewTaxonomy()
-	for _, e := range workload.CorpusTaxonomy {
-		tax.MustAdd(e[0], e[1])
-	}
-	rng := rand.New(rand.NewSource(1))
-	var systems [2][]*picture.System // at scene and at shot level
-	for id := 1; id <= 8; id++ {
-		v := workload.CorpusVideo(rng, id, 4, 10)
-		for i, level := range []int{2, 3} {
-			sys, err := picture.NewSystem(v, level, tax, picture.DefaultWeights())
-			if err != nil {
-				t.Fatal(err)
-			}
-			systems[i] = append(systems[i], sys)
-		}
-	}
+	atScene, atShot := corpusSystems(t, 8, 4, 10, nil)
 	opts := core.DefaultOptions()
-	for _, sh := range []struct {
-		text  string
-		scene bool
-	}{
-		{casablanca.Query1, false},
-		{"M1 until M2", false},
-		{"exists z . (present(z) and type(z) = 'airplane') and eventually (present(z) and moving(z))", false},
-		{"exists z . (present(z) and type(z) = 'airplane') and [h <- height(z)] eventually (present(z) and height(z) > h)", false},
-		{"outdoor = 1 and at-shot-level(M1 until M2)", true},
-	} {
+	for _, sh := range mix6Conjunctive {
 		p := core.CompilePlan(htl.MustParse(sh.text))
 		matrix := p.Root
 		for {
@@ -69,9 +42,9 @@ func TestMemoTablesImmutable(t *testing.T) {
 			}
 		}
 		walk(matrix)
-		sys := systems[1]
+		sys := atShot
 		if sh.scene {
-			sys = systems[0]
+			sys = atScene
 		}
 		for vi, s := range sys {
 			alone := map[*core.PNode]string{}

@@ -82,21 +82,22 @@ func (vt *ValueTable) Validate() error {
 // descendant sequences that level-modal operators descend into.
 type Source interface {
 	// EvalAtomicNode computes the similarity table of a non-temporal plan
-	// node's formula n.F over this sequence. The table's object/attribute
-	// variable columns are exactly the free variables of n.F; a closed
-	// formula yields a table with a single anonymous row (or none, when it
-	// is nowhere satisfied). The source gets the node rather than the
-	// formula so that it can keep a compiled form on it (PNode.Atom): one
-	// query asks for the same node on every video and child sequence.
-	EvalAtomicNode(n *PNode) (*simlist.Table, error)
+	// node's formula n.F over this sequence, carving it from a (the heap
+	// when a is nil). The table's object/attribute variable columns are
+	// exactly the free variables of n.F; a closed formula yields a table
+	// with a single anonymous row (or none, when it is nowhere satisfied).
+	// The source gets the node rather than the formula so that it can keep
+	// a compiled form on it (PNode.Atom): one query asks for the same node
+	// on every video and child sequence.
+	EvalAtomicNode(n *PNode, a *Arena) (*simlist.Table, error)
 
 	// AtomicMaxSim returns the maximum similarity of a non-temporal formula
 	// (a function of the formula only, §2.5).
 	AtomicMaxSim(f htl.Formula) float64
 
 	// ValueTable computes the value table of attribute function q over this
-	// sequence.
-	ValueTable(q htl.AttrFn) (*ValueTable, error)
+	// sequence, carving it from a (the heap when a is nil).
+	ValueTable(q htl.AttrFn, a *Arena) (*ValueTable, error)
 
 	// Len returns the number of segments in this sequence (ids 1..Len). It
 	// is at most interval.MaxID.

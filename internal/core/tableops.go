@@ -16,10 +16,11 @@ import (
 //
 // These run once per and/until/freeze node per video, over tables of mostly
 // one-entry lists, so what they cost is what they allocate. A table is stored
-// by column (simlist.Table), and every operator here allocates its output's
-// entry column once, at its final size: the join and the freeze walk their
-// input twice — count, then fill — and rows and evaluations are found through
-// an open-addressing index of int32s (slots) instead of maps or string keys.
+// by column (simlist.Table), and every operator here carves its output's
+// entry column once, at its final size, from the evaluation's arena: the join
+// and the freeze walk their input twice — count, then fill — and rows and
+// evaluations are found through an open-addressing index of int32s (slots)
+// instead of maps or string keys.
 
 // listCombiner combines the similarity lists of two joined rows.
 type listCombiner func(l1, l2 simlist.List) simlist.List
@@ -151,22 +152,21 @@ func CombineTables(t1, t2 *simlist.Table, op listCombiner, maxSim float64) *siml
 // join is CombineTables for the evaluator: op appends, and the merges it
 // does are n's. A join cannot know its output's size — `and` emits up to
 // 2·(n₁+n₂)−1 pieces for lists of n₁ and n₂ entries — so it walks its pairs
-// twice: the first walk runs op into e.scratch to count the rows and entries
-// that stay, the second writes them into columns of exactly that size. The
-// scratch holds pieces·(n₁+n₂) entries for the longest lists of t1 and t2,
-// and becomes the entry column instead when the column needs at least half
-// of it: a join of two one-row tables then costs one list, not two.
+// twice: the first walk runs op into the arena's scratch to count the rows
+// and entries that stay, the second writes them into columns of exactly that
+// size. The scratch starts with room for pieces·(n₁+n₂) entries for the
+// longest lists of t1 and t2.
 func (e *planEval) join(n *PNode, t1, t2 *simlist.Table, maxSim float64, pieces int, op appendCombiner) *simlist.Table {
 	s := makeJoinSchema(t1, t2)
-	out := simlist.NewTable(s.objVars, s.attrVars, maxSim)
+	out := e.a.Table(s.objVars, s.attrVars, maxSim)
 	n1, n2 := t1.Len(), t2.Len()
 
 	// Chain t2's rows by their shared bindings — the index holds the first
 	// row of a chain, next[i] the row after i, -1 the end — filling from the
 	// back so that every chain ascends. Rows with a wildcard in a shared
 	// column chain on their own; every probe walks them first. The same
-	// allocation holds whether each row has matched.
-	index, rest := makeSlots(n2, 2*n2)
+	// take holds whether each row has matched.
+	index, rest := makeSlots(e.a, n2, 2*n2)
 	next, matched2 := rest[:n2], rest[n2:]
 	wildFirst := int32(-1)
 	for i := n2 - 1; i >= 0; i-- {
@@ -229,15 +229,13 @@ func (e *planEval) join(n *PNode, t1, t2 *simlist.Table, maxSim float64, pieces 
 	}
 
 	rows, entries := 0, 0
-	if need := pieces * (longest(t1) + longest(t2)); cap(e.scratch) < need {
-		e.scratch = make([]simlist.Entry, 0, need)
-	}
+	scratch := e.a.scratchOf(pieces * (longest(t1) + longest(t2)))
 	walk(func(i1, i2 int) {
 		e.opts.Obs.Merge()
 		e.opts.Prof.Merge(n)
 		l1, l2, ranged := lists(i1, i2)
-		list := op(e.scratch[:0], l1, l2)
-		e.scratch = list[:0]
+		list := op((*scratch)[:0], l1, l2)
+		*scratch = list[:0]
 		if keepRow(len(list), ranged) {
 			rows, entries = rows+1, entries+len(list)
 		}
@@ -246,14 +244,10 @@ func (e *planEval) join(n *PNode, t1, t2 *simlist.Table, maxSim float64, pieces 
 		return out
 	}
 
-	out.Objs = make([]simlist.ObjectID, rows*len(s.objVars))
-	out.Rngs = make([]simlist.Range, rows*len(s.attrVars))
-	out.Off = make([]int32, rows+1)
-	if entries <= cap(e.scratch) && 2*entries >= cap(e.scratch) {
-		out.Entries, e.scratch = e.scratch[:entries], nil
-	} else {
-		out.Entries = make([]simlist.Entry, entries)
-	}
+	out.Objs = e.a.Bindings(rows * len(s.objVars))
+	out.Rngs = e.a.Ranges(rows * len(s.attrVars))
+	out.Off = e.a.Int32s(rows + 1)
+	out.Entries = e.a.Entries(entries)
 	r := 0
 	walk(func(i1, i2 int) {
 		l1, l2, ranged := lists(i1, i2)
@@ -303,14 +297,14 @@ func constrained(ranges []simlist.Range) bool {
 // index stands for — and so when two keys are the same — is the caller's.
 type slots []int32
 
-// makeSlots returns the slots for n indices and, in the same allocation,
-// extra int32s for the caller.
-func makeSlots(n, extra int) (slots, []int32) {
+// makeSlots returns the slots for n indices and, in the same take, extra
+// int32s for the caller.
+func makeSlots(a *Arena, n, extra int) (slots, []int32) {
 	size := 4
 	for size < 2*n {
 		size *= 2
 	}
-	buf := make([]int32, size+extra)
+	buf := a.Int32s(size + extra)
 	s := slots(buf[:size])
 	for i := range s {
 		s[i] = -1
@@ -355,6 +349,7 @@ func appendRestrict(dst, entries []simlist.Entry, ivs []interval.I) []simlist.En
 // being grouped, in first-seen order, with a count per evaluation of the
 // entries its group will hold. Its key columns become the grouped table's.
 type evalSet struct {
+	a      *Arena             // where the columns are carved
 	nb, nr int                // columns per evaluation
 	ids    []simlist.ObjectID // evaluation i binds ids[i*nb : (i+1)*nb]
 	rgs    []simlist.Range    // and ranges over rgs[i*nr : (i+1)*nr]
@@ -382,7 +377,7 @@ func evalHash(bindings []simlist.ObjectID, ranges []simlist.Range) uint64 {
 // find returns the position of the evaluation, which it copies in when new.
 func (s *evalSet) find(bindings []simlist.ObjectID, ranges []simlist.Range) int32 {
 	if n := len(s.count); 2*(n+1) > len(s.index) {
-		s.index, _ = makeSlots(2*n, 0)
+		s.index, _ = makeSlots(s.a, 2*n, 0)
 		for i := range n {
 			s.index[s.index.find(evalHash(s.bindings(i), s.ranges(i)), func(int32) bool { return false })] = int32(i)
 		}
@@ -395,9 +390,9 @@ func (s *evalSet) find(bindings []simlist.ObjectID, ranges []simlist.Range) int3
 	}
 	i := int32(len(s.count))
 	s.index[at] = i
-	s.count = append(s.count, 0)
-	s.ids = append(s.ids, bindings...)
-	s.rgs = append(s.rgs, ranges...)
+	s.count = append(room(s.count, 1, s.a.Int32s), 0)
+	s.ids = append(room(s.ids, len(bindings), s.a.Bindings), bindings...)
+	s.rgs = append(room(s.rgs, len(ranges), s.a.Ranges), ranges...)
 	return i
 }
 
@@ -405,12 +400,12 @@ func (s *evalSet) find(bindings []simlist.ObjectID, ranges []simlist.Range) int3
 // count, and turns the counts into the regions' fill marks; off bounds the
 // regions.
 func (s *evalSet) carve() (entries []simlist.Entry, off []int32) {
-	off = make([]int32, len(s.count)+1)
+	off = s.a.Int32s(len(s.count) + 1)
 	for i, n := range s.count {
 		off[i+1] = off[i] + n
 		s.count[i] = off[i]
 	}
-	return make([]simlist.Entry, off[len(s.count)]), off
+	return s.a.Entries(int(off[len(s.count)])), off
 }
 
 // table finishes the table whose row i is evaluation i with the entries in
@@ -418,7 +413,7 @@ func (s *evalSet) carve() (entries []simlist.Entry, off []int32) {
 // it lies and moved down over what the regions before it gave up, and a row
 // keepRow drops gives up its keys the same way.
 func (s *evalSet) table(objVars, attrVars []string, maxSim float64, entries []simlist.Entry, off []int32) *simlist.Table {
-	out := simlist.NewTable(objVars, attrVars, maxSim)
+	out := s.a.Table(objVars, attrVars, maxSim)
 	col, rows, lo := entries[:0], 0, int32(0)
 	own := false // col has moved off entries' array
 	for i := range s.count {
@@ -470,6 +465,11 @@ func fnvMix(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
 // a region per evaluation, the second walk restricts the pairs' lists
 // straight into their regions, and evalSet.table normalizes and compacts.
 func FreezeTable(t1 *simlist.Table, y string, vt *ValueTable, qVar string) *simlist.Table {
+	return freezeTable(nil, t1, y, vt, qVar)
+}
+
+// freezeTable is FreezeTable on an arena.
+func freezeTable(a *Arena, t1 *simlist.Table, y string, vt *ValueTable, qVar string) *simlist.Table {
 	yIdx := t1.AttrIndex(y)
 	zIdx := -1
 	objVars := append([]string(nil), t1.ObjVars...)
@@ -491,8 +491,8 @@ func FreezeTable(t1 *simlist.Table, y string, vt *ValueTable, qVar string) *siml
 		zCol = len(objVars) - 1
 	}
 
-	groups := evalSet{nb: len(objVars), nr: len(attrVars)}
-	bindings, ranges := make([]simlist.ObjectID, groups.nb), make([]simlist.Range, groups.nr)
+	groups := evalSet{a: a, nb: len(objVars), nr: len(attrVars)}
+	bindings, ranges := a.Bindings(groups.nb), a.Ranges(groups.nr)
 	walk := func(visit func(group int32, entries []simlist.Entry, ivs []interval.I)) {
 		// Consecutive rows mostly bind the same object and differ in their
 		// y-range alone: the object's run and the group are kept.
@@ -537,10 +537,10 @@ func FreezeTable(t1 *simlist.Table, y string, vt *ValueTable, qVar string) *siml
 		}
 	}
 
-	var scratch []simlist.Entry
+	scratch := a.scratchOf(0)
 	walk(func(g int32, entries []simlist.Entry, ivs []interval.I) {
-		scratch = appendRestrict(scratch[:0], entries, ivs)
-		groups.count[g] += int32(len(scratch))
+		*scratch = appendRestrict((*scratch)[:0], entries, ivs)
+		groups.count[g] += int32(len(*scratch))
 	})
 	entries, off := groups.carve()
 	walk(func(g int32, list []simlist.Entry, ivs []interval.I) {

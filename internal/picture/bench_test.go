@@ -35,7 +35,7 @@ func BenchmarkEvalAtomic(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tb, err := sys.EvalAtomicNode(n)
+				tb, err := sys.EvalAtomicNode(n, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -67,7 +67,7 @@ func BenchmarkValueTable(b *testing.B) {
 	q := htl.AttrFn{Attr: "height", Of: "z"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		vt, err := sys.ValueTable(q)
+		vt, err := sys.ValueTable(q, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestEvalAtomicAllocationCeiling(t *testing.T) {
 	var perSize []float64
 	for _, scenes := range []int{16, 160} {
 		sys := corpusSystem(t, 1, scenes, 10)
-		tb, err := sys.EvalAtomicNode(n)
+		tb, err := sys.EvalAtomicNode(n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestEvalAtomicAllocationCeiling(t *testing.T) {
 			t.Fatalf("%d scenes: only %d entries; the corpus should tag about one shot per scene", scenes, got)
 		}
 		perSize = append(perSize, testing.AllocsPerRun(50, func() {
-			sinkTable, _ = sys.EvalAtomicNode(n)
+			sinkTable, _ = sys.EvalAtomicNode(n, nil)
 		}))
 	}
 	const ceiling = 20

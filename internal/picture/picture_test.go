@@ -256,7 +256,7 @@ func TestFreezeInsideAtomic(t *testing.T) {
 
 func TestValueTableObjectAttr(t *testing.T) {
 	s := buildSystem(t)
-	vt, err := s.ValueTable(htl.AttrFn{Attr: "height", Of: "z"})
+	vt, err := s.ValueTable(htl.AttrFn{Attr: "height", Of: "z"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestValueTableObjectAttr(t *testing.T) {
 
 func TestValueTableSegmentAttr(t *testing.T) {
 	s := buildSystem(t)
-	vt, err := s.ValueTable(htl.AttrFn{Attr: "genre"})
+	vt, err := s.ValueTable(htl.AttrFn{Attr: "genre"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestProgramIsPerConfiguration(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					got, err := s.EvalAtomicNode(n)
+					got, err := s.EvalAtomicNode(n, nil)
 					if err != nil || !reflect.DeepEqual(got, want) {
 						t.Errorf("node path (Type weight %g): %v, %v; want %v", s.Weights().Type, got, err, want)
 					}
@@ -494,7 +494,7 @@ func TestProgramIsPerConfiguration(t *testing.T) {
 
 func mustTable(t *testing.T, s *System, n *core.PNode) *simlist.Table {
 	t.Helper()
-	tb, err := s.EvalAtomicNode(n)
+	tb, err := s.EvalAtomicNode(n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

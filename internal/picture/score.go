@@ -84,20 +84,20 @@ func (s *System) fireAtomicEval() error {
 }
 
 // EvalAtomic computes the similarity table of a non-temporal formula over
-// the sequence, built through the inverted indices. It compiles f for this
-// one call; the evaluators go through EvalAtomicNode, which compiles once per
-// plan node.
+// the sequence, built through the inverted indices; the table is the
+// caller's. It compiles f for this one call; the evaluators go through
+// EvalAtomicNode, which compiles once per plan node.
 func (s *System) EvalAtomic(f htl.Formula) (*simlist.Table, error) {
-	return s.evalAtomic(s.compileAtomic(f))
+	return s.evalAtomic(s.compileAtomic(f), nil)
 }
 
 // EvalAtomicNode implements core.Source: EvalAtomic of a plan node's
-// formula, through the program kept on the node.
-func (s *System) EvalAtomicNode(n *core.PNode) (*simlist.Table, error) {
-	return s.evalAtomic(s.programFor(n))
+// formula, through the program kept on the node, carved from a.
+func (s *System) EvalAtomicNode(n *core.PNode, a *core.Arena) (*simlist.Table, error) {
+	return s.evalAtomic(s.programFor(n), a)
 }
 
-func (s *System) evalAtomic(p *program) (*simlist.Table, error) {
+func (s *System) evalAtomic(p *program, a *core.Arena) (*simlist.Table, error) {
 	if err := s.fireAtomicEval(); err != nil {
 		return nil, err
 	}
@@ -125,7 +125,7 @@ func (s *System) evalAtomic(p *program) (*simlist.Table, error) {
 	// The rows' keys and entries move out of the scratch into the table's
 	// columns. A row's entries are positive and ascending, one per segment:
 	// clamped and merged as they are copied, they are a canonical list.
-	table := simlist.NewTable(p.freeObj, p.freeAttr, p.maxSim)
+	table := a.Table(p.freeObj, p.freeAttr, p.maxSim)
 	if len(m.rows) == 0 {
 		return table, nil
 	}
@@ -133,10 +133,10 @@ func (s *System) evalAtomic(p *program) (*simlist.Table, error) {
 	for i := range m.rows {
 		nEntries += len(m.rows[i].entries)
 	}
-	table.Objs = append(make([]simlist.ObjectID, 0, len(m.rowObj)), m.rowObj...)
-	table.Rngs = append(make([]simlist.Range, 0, len(m.rowRng)), m.rowRng...)
-	table.Entries = make([]simlist.Entry, 0, nEntries)
-	table.Off = make([]int32, 1, len(m.rows)+1)
+	table.Objs = append(a.Bindings(len(m.rowObj))[:0], m.rowObj...)
+	table.Rngs = append(a.Ranges(len(m.rowRng))[:0], m.rowRng...)
+	table.Entries = a.Entries(nEntries)[:0]
+	table.Off = a.Int32s(len(m.rows) + 1)[:1]
 	for i := range m.rows {
 		list := table.Entries[len(table.Entries):]
 		for _, e := range m.rows[i].entries {

@@ -291,7 +291,7 @@ func TestDataDependentErrors(t *testing.T) {
 			t.Errorf("%s: ScoreAtomicAt at %d = %v, want %q", tc.name, tc.trigger, err, tc.want)
 		}
 		// The table builder visits the triggering segment too.
-		if _, err := tc.sys.EvalAtomicNode(n); !errors.As(err, &unsup) || !strings.Contains(err.Error(), tc.want) {
+		if _, err := tc.sys.EvalAtomicNode(n, nil); !errors.As(err, &unsup) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: EvalAtomicNode = %v, want %q", tc.name, err, tc.want)
 		}
 	}

@@ -13,36 +13,17 @@ import (
 )
 
 // ValueTable implements core.Source: the §3.3 value table of an attribute
-// function q over this sequence. For q(x) there is one row per (object,
-// value) pair with the id intervals where the object is present carrying
-// that value; for a segment attribute, one row per value. The attribute's
-// type (`type(x)`) is exposed like any other attribute.
-func (s *System) ValueTable(q htl.AttrFn) (*core.ValueTable, error) {
-	vt := &core.ValueTable{Var: q.Of}
-	if q.Of == "" {
-		type key struct{ v core.AttrValue }
-		runs := map[key][]interval.I{}
-		var order []key
-		for i, n := range s.seq {
-			v, ok := n.Meta.Attrs[q.Attr]
-			if !ok {
-				continue
-			}
-			k := key{toAttrValue(v)}
-			if _, seen := runs[k]; !seen {
-				order = append(order, k)
-			}
-			runs[k] = appendIv(runs[k], int32(i+1))
-		}
-		for _, k := range order {
-			vt.Rows = append(vt.Rows, core.ValueRow{Value: k.v, Ivs: runs[k]})
-		}
-		return vt, nil
-	}
+// function q over this sequence, carved from a. For q(x) there is one row per
+// (object, value) pair with the id intervals where the object is present
+// carrying that value; for a segment attribute, one row per value, bound to
+// no object. The attribute's type (`type(x)`) is exposed like any other
+// attribute.
+func (s *System) ValueTable(q htl.AttrFn, a *core.Arena) (*core.ValueTable, error) {
+	vt := a.ValueTable(q.Of)
 
-	// Every occurrence of an object that has the attribute, grouped by
-	// sorting: by object, then value, then segment, so that each row's
-	// occurrences are contiguous and ascending.
+	// Every occurrence of the attribute, grouped by sorting: by object, then
+	// value, then segment, so that each row's occurrences are contiguous and
+	// ascending.
 	scratch := occurrencePool.Get().(*[]occurrence)
 	occ := (*scratch)[:0]
 	defer func() {
@@ -51,6 +32,12 @@ func (s *System) ValueTable(q htl.AttrFn) (*core.ValueTable, error) {
 		occurrencePool.Put(scratch)
 	}()
 	for i, n := range s.seq {
+		if q.Of == "" {
+			if v, ok := n.Meta.Attrs[q.Attr]; ok {
+				occ = append(occ, occurrence{core.AnyObject, toAttrValue(v), int32(i + 1)})
+			}
+			continue
+		}
 		for oi := range n.Meta.Objects {
 			o := &n.Meta.Objects[oi]
 			if b := objAttr(o, q.Attr); b.Defined {
@@ -58,12 +45,12 @@ func (s *System) ValueTable(q htl.AttrFn) (*core.ValueTable, error) {
 			}
 		}
 	}
-	slices.SortFunc(occ, func(a, b occurrence) int {
-		return cmp.Or(cmp.Compare(a.obj, b.obj), compareAttrValues(a.val, b.val), cmp.Compare(a.id, b.id))
+	slices.SortFunc(occ, func(x, y occurrence) int {
+		return cmp.Or(cmp.Compare(x.obj, y.obj), compareAttrValues(x.val, y.val), cmp.Compare(x.id, y.id))
 	})
 	// A row per run of one (object, value), an interval per run of adjacent
 	// segments inside it; counted first, so that the rows and all their
-	// intervals are two allocations.
+	// intervals are two takes.
 	startsRow := func(i int) bool { return i == 0 || occ[i].obj != occ[i-1].obj || occ[i].val != occ[i-1].val }
 	startsIv := func(i int) bool { return startsRow(i) || occ[i].id != occ[i-1].id+1 }
 	nRows, nIvs := 0, 0
@@ -78,8 +65,8 @@ func (s *System) ValueTable(q htl.AttrFn) (*core.ValueTable, error) {
 	if nRows == 0 {
 		return vt, nil
 	}
-	vt.Rows = make([]core.ValueRow, 0, nRows)
-	ivs := make([]interval.I, 0, nIvs)
+	vt.Rows = a.ValueRows(nRows)[:0]
+	ivs := a.Intervals(nIvs)[:0]
 	rowStart := 0
 	for i, oc := range occ {
 		if startsRow(i) {
@@ -96,8 +83,8 @@ func (s *System) ValueTable(q htl.AttrFn) (*core.ValueTable, error) {
 	// Rows are ordered by object — core.ValueTable's contract, FreezeTable
 	// finds an object's rows by binary search — and an object's rows by where
 	// its values first appear: a row's first interval begins there.
-	slices.SortFunc(vt.Rows, func(a, b core.ValueRow) int {
-		return cmp.Or(cmp.Compare(a.Binding, b.Binding), cmp.Compare(a.Ivs[0].Beg, b.Ivs[0].Beg), compareAttrValues(a.Value, b.Value))
+	slices.SortFunc(vt.Rows, func(x, y core.ValueRow) int {
+		return cmp.Or(cmp.Compare(x.Binding, y.Binding), cmp.Compare(x.Ivs[0].Beg, y.Ivs[0].Beg), compareAttrValues(x.Value, y.Value))
 	})
 	return vt, nil
 }
@@ -124,16 +111,6 @@ func compareAttrValues(a, b core.AttrValue) int {
 		return 1
 	}
 	return cmp.Or(cmp.Compare(a.Int, b.Int), cmp.Compare(a.Str, b.Str))
-}
-
-// appendIv extends the last interval when id is adjacent to it, otherwise
-// starts a new run.
-func appendIv(ivs []interval.I, id int32) []interval.I {
-	if n := len(ivs); n > 0 && ivs[n-1].End+1 == id {
-		ivs[n-1].End = id
-		return ivs
-	}
-	return append(ivs, interval.Point(id))
 }
 
 // Ensure System satisfies the evaluator's Source contract.

@@ -287,7 +287,7 @@ func validateTables(t *testing.T, what string, src core.Source, n *core.PNode, o
 	}
 	switch x := n.F.(type) {
 	case htl.Freeze:
-		vt, err := src.ValueTable(x.Attr)
+		vt, err := src.ValueTable(x.Attr, nil)
 		if err != nil {
 			t.Errorf("%s: ValueTable(%v): %v", what, x.Attr, err)
 		} else if err := vt.Validate(); err != nil {

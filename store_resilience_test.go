@@ -7,6 +7,7 @@ package htlvideo
 // Makefile's check target runs them so).
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -297,4 +298,66 @@ func TestConcurrentQueriesAreRaceFree(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// An evaluation's arena goes back to the pool when the evaluation returns,
+// with an error or cancelled too, and never after a panic. Either way what
+// the pool hands the next evaluation is invisible in its answer: after a
+// panic in one video's atomic scan under WithPartialResults, and after a
+// query whose deadline passes mid-evaluation, the same query over every video
+// must print exactly what a fresh store answers.
+func TestQueryAfterPanicOrCancelMatchesFreshStore(t *testing.T) {
+	const conj = "exists z . (present(z) and type(z) = 'airplane') and [h <- height(z)] eventually (present(z) and height(z) > h)"
+	answer := func(st *Store) string {
+		var b bytes.Buffer
+		dumpKernelResults(t, &b, st, "conj", conj, AtLevel(3))
+		return b.String()
+	}
+	want := answer(mix6Corpus(t, 8, 4, 10))
+	st := mix6Corpus(t, 8, 4, 10)
+	answer(st) // build the systems
+
+	// Video 3's second atomic scan panics, after its first table was carved.
+	p := armPlan(t, faultinject.NewPlan(5, faultinject.Rule{
+		Site: faultinject.SiteAtomicEval, Key: 3, Prob: 0.5, Kind: faultinject.KindPanic,
+	}))
+	res, err := st.Query(conj, AtLevel(3), WithPartialResults(), WithoutCache(), WithParallelism(1))
+	var pe *PanicError
+	if err != nil || len(res.Errors) != 1 || !errors.As(res.Errors[0], &pe) || len(res.PerVideo) != 7 {
+		t.Fatalf("the panicking query: %v; %d lists, errors %v", err, len(res.PerVideo), res.Errors)
+	}
+	// Two scans per video: one fewer than 16 would be a panic at the first.
+	if calls := p.Calls(faultinject.SiteAtomicEval); calls != 16 {
+		t.Fatalf("%d atomic scans; the panic should have come at video 3's second of two", calls)
+	}
+	faultinject.Disarm()
+	if got := answer(st); got != want {
+		t.Errorf("after a panic the store answers differently from a fresh one:\n%s", firstDiff(got, want))
+	}
+
+	// Every atomic scan stalls past the deadline; the engine notices at the
+	// next node, with tables carved.
+	armPlan(t, faultinject.NewPlan(1, faultinject.Rule{
+		Site: faultinject.SiteAtomicEval, Key: faultinject.KeyAny, Kind: faultinject.KindStall, Stall: 20 * time.Millisecond,
+	}))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := st.QueryCtx(ctx, conj, AtLevel(3), WithoutCache()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("the cancelled query: %v, want DeadlineExceeded", err)
+	}
+	faultinject.Disarm()
+	if got := answer(st); got != want {
+		t.Errorf("after a cancelled query the store answers differently from a fresh one:\n%s", firstDiff(got, want))
+	}
+}
+
+// firstDiff names the first line two dumps differ in.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d: got %s\nwant %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
 }
