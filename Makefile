@@ -39,9 +39,10 @@ budget:
 
 # Metrics-conventions lint: every Prometheus exposition the store, server and
 # shard coordinator serve must pass obs.LintExposition (counter/gauge/
-# histogram naming, cumulative buckets, +Inf terminators, name charset).
+# histogram naming, cumulative buckets, +Inf terminators, name charset), and
+# all three listeners must answer the same ops endpoint set (TestOpsSurface).
 lint-metrics:
-	$(GO) test -run '^TestMetricsConventions$$|^TestLintExposition' -count=1 ./ ./internal/obs/
+	$(GO) test -run '^TestMetricsConventions$$|^TestOpsSurface$$|^TestLintExposition' -count=1 ./ ./internal/obs/
 
 # End-to-end server chaos test: ≥32 concurrent clients against htlserve's
 # handler while faultinject injects build failures, panics and stalls.
@@ -109,8 +110,8 @@ fuzz-wal:
 	$(GO) test -run '^$$' -fuzz=FuzzWALReplay -fuzztime=30s ./internal/wal/
 
 # Short oracle fuzz session (FuzzOracle: on any seed, internal/core's
-# similarity lists equal the reference evaluator's under both conjunction
-# semantics, and every similarity and value table built on the way validates).
+# similarity lists equal the reference evaluator's, and every similarity and
+# value table built on the way validates).
 fuzz-oracle:
 	$(GO) test -run '^$$' -fuzz=FuzzOracle -fuzztime=30s ./internal/refeval/
 

@@ -409,12 +409,9 @@ func serveMetrics(store *htlvideo.Store, addr string) *http.Server {
 	if addr == "" {
 		return nil
 	}
-	// Scrapes of this listener identify the binary: build_info, start time,
-	// uptime, pid.
-	htlvideo.RegisterProcessMetrics(store.Metrics())
 	srv := server.NewHTTPServer(addr, store.DebugHandler())
 	go func() {
-		fmt.Fprintf(os.Stderr, "htlquery: serving /metrics, /debug/slowlog, /debug/pprof on %s\n", addr)
+		fmt.Fprintf(os.Stderr, "htlquery: serving /metrics, /healthz, /readyz, /debug/* on %s\n", addr)
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintf(os.Stderr, "htlquery: metrics listener: %v\n", err)
 		}

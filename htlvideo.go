@@ -157,8 +157,9 @@ func DefaultWeights() Weights { return picture.DefaultWeights() }
 
 // RegisterProcessMetrics adds the standard process-identification gauges
 // (build_info with module/go/vcs versions, start time, uptime, pid) to a
-// metrics registry; long-running listeners call it once so every scrape
-// identifies the serving binary.
+// metrics registry. Every ops surface (Store.DebugHandler, htlserve, the
+// shard coordinator) already appends them to its Prometheus exposition; call
+// this only for a registry exported some other way.
 func RegisterProcessMetrics(reg *MetricsRegistry) { obs.RegisterProcessMetrics(reg) }
 
 // RenderTraceTree writes a trace snapshot as a box-drawing span tree, one

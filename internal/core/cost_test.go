@@ -127,33 +127,19 @@ func TestUntilEmptyGateSkip(t *testing.T) {
 	}
 }
 
-// An empty left AndMin conjunct short-circuits the right one with a table
-// equal to the full combine's, unless the right side has an attribute
-// variable; AndSum keeps one-sided entries, so it evaluates both sides
-// whichever is empty.
+// An empty conjunct short-circuits nothing: the sum keeps the other side's
+// one-sided entries, so both sides evaluate whichever is empty.
 func TestAndEmptySideSkip(t *testing.T) {
 	// The conjuncts must be temporal: a fully non-temporal conjunction is an
 	// atomic unit the picture layer scores whole, bypassing the And branch.
 	const closed = "(eventually A) and (eventually B)"
-	for _, tc := range []struct {
-		mode AndMode
-		skipCase
-	}{
-		{AndMin, skipCase{name: "min-empty-left", query: closed, empty: []string{"A"}, skipped: [2]bool{false, true}}},
-		{AndMin, skipCase{name: "min-empty-right", query: closed, empty: []string{"B"}}},
-		{AndMin, skipCase{name: "min-right-has-attribute-variable",
-			query: "[h <- brightness] ((eventually A) and (eventually brightness > h))",
-			empty: []string{"A"}, markers: true}},
-		{AndSum, skipCase{name: "sum-empty-left", query: closed, empty: []string{"A"}}},
-		{AndSum, skipCase{name: "sum-empty-right", query: closed, empty: []string{"B"}}},
+	for _, c := range []skipCase{
+		{name: "sum-empty-left", query: closed, empty: []string{"A"}},
+		{name: "sum-empty-right", query: closed, empty: []string{"B"}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.And = tc.mode
-			runSkipCase(t, tc.skipCase, opts, func(t1, t2 *simlist.Table) *simlist.Table {
-				return CombineTables(t1, t2, func(l1, l2 simlist.List) simlist.List {
-					return AndListsMode(l1, l2, tc.mode)
-				}, t1.MaxSim+t2.MaxSim)
+		t.Run(c.name, func(t *testing.T) {
+			runSkipCase(t, c, DefaultOptions(), func(t1, t2 *simlist.Table) *simlist.Table {
+				return CombineTables(t1, t2, AndLists, t1.MaxSim+t2.MaxSim)
 			})
 		})
 	}

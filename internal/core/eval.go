@@ -18,9 +18,6 @@ type Options struct {
 	// `until` must reach to count as satisfied while waiting for the right
 	// side (§2.5).
 	UntilThreshold float64
-	// And selects the conjunction similarity function (§5's "other
-	// similarity functions"); the default AndSum is the paper's semantics.
-	And AndMode
 	// Obs receives per-operation work counts (atomic evaluations, temporal
 	// merges, memo hits); nil disables the accounting at no cost.
 	Obs *obs.EngineMetrics
@@ -225,25 +222,12 @@ func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, erro
 		if err != nil {
 			return nil, err
 		}
-		// Empty-side short-circuit, AndMin only: one empty conjunct forces
-		// the minimum fraction to zero everywhere, while AndSum keeps the
-		// other side's one-sided entries. Byte-safe only when the skipped
-		// side cannot contribute constrained attribute ranges — an
-		// empty-list row with a constrained range survives the outer join
-		// as a coverage marker, so such a side must still evaluate.
-		if e.opts.And == AndMin && t1.Len() == 0 && len(kr.AttrVars) == 0 {
-			e.opts.Prof.SkipTree(kr)
-			ms := t1.MaxSim + MaxSimOf(e.src, kr.F)
-			return e.emptyJoin(t1.ObjVars, t1.AttrVars, kr.ObjVars, kr.AttrVars, ms), nil
-		}
 		t2, err := e.eval(ctx, kr)
 		if err != nil {
 			return nil, err
 		}
 		// Lists that interleave make `and` emit most of its bound.
-		return e.join(n, t1, t2, t1.MaxSim+t2.MaxSim, 2, func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry {
-			return appendPointwise(dst, l1, l2, e.opts.And)
-		}), nil
+		return e.join(n, t1, t2, t1.MaxSim+t2.MaxSim, 2, appendAnd), nil
 	case htl.Until:
 		kg, kh := n.Kids[0], n.Kids[1]
 		// h evaluates first: only the right side gates emptiness, and when

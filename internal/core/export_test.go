@@ -13,9 +13,7 @@ import (
 
 func JoinAnd(t1, t2 *simlist.Table) *simlist.Table {
 	e := newPlanEval(nil, DefaultOptions(), 0, nil)
-	return e.join(nil, t1, t2, t1.MaxSim+t2.MaxSim, 2, func(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry {
-		return appendPointwise(dst, l1, l2, AndSum)
-	})
+	return e.join(nil, t1, t2, t1.MaxSim+t2.MaxSim, 2, appendAnd)
 }
 
 func MapEventually(t *simlist.Table) *simlist.Table {

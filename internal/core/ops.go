@@ -28,33 +28,26 @@ import (
 //
 // The implementation is the paper's "modified merge" over the two sorted
 // entry slices and runs in O(len(l1) + len(l2)).
-func AndLists(l1, l2 simlist.List) simlist.List { return AndListsMode(l1, l2, AndSum) }
+func AndLists(l1, l2 simlist.List) simlist.List {
+	dst := make([]simlist.Entry, 0, len(l1.Entries)+len(l2.Entries))
+	return listOf(l1.MaxSim+l2.MaxSim, appendAnd(dst, l1, l2))
+}
 
-// AndMode selects the similarity function for conjunction — the paper's §5
-// names "other similarity functions" as future work; both modes keep
-// m = m1 + m2 so that maxima stay a function of the formula alone.
-type AndMode uint8
+// appendAnd is AndLists in its appending form.
+func appendAnd(dst []simlist.Entry, l1, l2 simlist.List) []simlist.Entry {
+	return appendPointwise(dst, l1, l2, pointwiseSum)
+}
+
+// pointwiseMode selects how appendPointwise combines the two values at an id.
+type pointwiseMode uint8
 
 const (
-	// AndSum is the paper's semantics: actual similarities add, so a
-	// conjunction is partially satisfied even when one side is 0.
-	AndSum AndMode = iota
-	// AndMin is a weakest-link alternative: the fractional similarity of
-	// the conjunction is the minimum of the conjuncts' fractions,
-	// a = min(a1/m1, a2/m2) · (m1+m2). One unsatisfied conjunct zeroes the
-	// whole conjunction.
-	AndMin
+	// pointwiseSum is the conjunction: a1 + a2.
+	pointwiseSum pointwiseMode = iota
 	// pointwiseMax is not a conjunction: max(a1, a2), the existential
 	// collapse of two lists, which shares the merge below.
 	pointwiseMax
 )
-
-// AndListsMode combines two similarity lists under the chosen conjunction
-// semantics.
-func AndListsMode(l1, l2 simlist.List, mode AndMode) simlist.List {
-	dst := make([]simlist.Entry, 0, len(l1.Entries)+len(l2.Entries))
-	return listOf(l1.MaxSim+l2.MaxSim, appendPointwise(dst, l1, l2, mode))
-}
 
 // listOf wraps the entries an operator appended; an empty list holds no slice.
 func listOf(maxSim float64, entries []simlist.Entry) simlist.List {
@@ -68,9 +61,8 @@ func listOf(maxSim float64, entries []simlist.Entry) simlist.List {
 // lists' values there. It can emit up to 2·(len(l1)+len(l2))−1 pieces — every
 // boundary of either list starts one — so len(l1)+len(l2) is the size to
 // expect, not a bound.
-func appendPointwise(dst []simlist.Entry, l1, l2 simlist.List, f AndMode) []simlist.Entry {
+func appendPointwise(dst []simlist.Entry, l1, l2 simlist.List, f pointwiseMode) []simlist.Entry {
 	e1, e2 := l1.Entries, l2.Entries
-	m := l1.MaxSim + l2.MaxSim
 	i, j := 0, 0
 	// pos is the next id not yet emitted.
 	pos := minBeg(e1, e2)
@@ -103,15 +95,8 @@ func appendPointwise(dst []simlist.Entry, l1, l2 simlist.List, f AndMode) []siml
 				segEnd = min(segEnd, e2[j].Iv.Beg-1)
 			}
 		}
-		var v float64
-		switch f {
-		case AndSum:
-			v = a + b
-		case AndMin:
-			if l1.MaxSim > 0 && l2.MaxSim > 0 {
-				v = min(a/l1.MaxSim, b/l2.MaxSim) * m
-			}
-		default:
+		v := a + b
+		if f == pointwiseMax {
 			v = max(a, b)
 		}
 		if v > 0 {

@@ -223,42 +223,6 @@ func TestMaxMergeLists(t *testing.T) {
 	}
 }
 
-func TestAndListsModeMin(t *testing.T) {
-	a := simlist.NewList(10, entry(1, 4, 10), entry(6, 6, 5))
-	b := simlist.NewList(20, entry(3, 8, 10))
-	got := AndListsMode(a, b, AndMin)
-	// ids 1-2: min(1, 0) = 0; ids 3-4: min(1, .5)*30 = 15; 5: 0; 6: min(.5,.5)*30=15; 7-8: 0.
-	want := simlist.NewList(30, entry(3, 4, 15), entry(6, 6, 15))
-	if !simlist.Equal(got, want) {
-		t.Fatalf("got %v", got)
-	}
-	// AndSum mode delegates to the paper's semantics.
-	if !simlist.Equal(AndListsMode(a, b, AndSum), AndLists(a, b)) {
-		t.Fatal("AndSum mode should equal AndLists")
-	}
-}
-
-// Property: AndMin equals the dense min-of-fractions model.
-func TestAndListsModeMinProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, b := randomList(rng, 10), randomList(rng, 14)
-		got := AndListsMode(a, b, AndMin)
-		if !wellFormed(got) || got.MaxSim != 24 {
-			return false
-		}
-		da, db := a.Expand(denseN), b.Expand(denseN)
-		want := make([]float64, denseN)
-		for i := range want {
-			want[i] = min(da[i]/10, db[i]/14) * 24
-		}
-		return floatsEqual(got.Expand(denseN), want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // --- dense reference models -------------------------------------------------
 
 const denseN = 64
@@ -471,8 +435,7 @@ func TestOperatorsTranslateToTopOfIDRange(t *testing.T) {
 			name string
 			op   func(a, b simlist.List) simlist.List
 		}{
-			{"and", func(a, b simlist.List) simlist.List { return AndListsMode(a, b, AndSum) }},
-			{"and (min)", func(a, b simlist.List) simlist.List { return AndListsMode(a, b, AndMin) }},
+			{"and", AndLists},
 			{"until", func(a, b simlist.List) simlist.List { return UntilLists(a, b, tau) }},
 			{"until (paper rule)", func(a, b simlist.List) simlist.List { return UntilListsPaperRule(a, b, tau) }},
 			{"next", func(a, _ simlist.List) simlist.List { return NextList(a) }},

@@ -1,4 +1,7 @@
-// Package dash renders /debug/dash: a self-contained, auto-refreshing HTML
+// Package dash is the ops HTTP surface: the one endpoint set (/metrics,
+// /healthz, /readyz, /debug/...) that the store's DebugHandler, htlserve's
+// Handler and the shard coordinator's Handler each Mount once over their own
+// Sources. Its /debug/dash page is a self-contained, auto-refreshing HTML
 // dashboard over the health rollup, the per-plan-key query statistics, and
 // the timeseries sampler's sparklines. One embedded template, a meta-refresh
 // tag, unicode block sparklines — no JavaScript, no external assets, so it
@@ -7,9 +10,12 @@
 package dash
 
 import (
+	"context"
+	"fmt"
 	"html/template"
 	"math"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -30,22 +36,92 @@ const sparkWidth = 40
 // full set).
 const maxQueryRows = 20
 
-// Sources wires a dashboard to a serving layer's observability. Health and
-// Queries are functions so the page always renders current state; either may
-// be nil (its section is omitted). Sampler may be nil too — sparklines then
-// disappear but the rest of the page still renders.
+// Sources wires the ops surface to one serving layer. Every source is a
+// function read per request, so a layer that swaps what it serves (htlserve's
+// hot reload) keeps serving current state without mounting again.
 type Sources struct {
-	// Title heads the page ("store", "htlserve", "coordinator").
+	// Title heads the dashboard ("htlvideo store", "htlserve", ...).
 	Title string
-	// Refresh is the meta-refresh cadence (DefaultRefresh when not positive).
+	// Refresh is the dashboard's meta-refresh cadence (DefaultRefresh when
+	// not positive).
 	Refresh time.Duration
-	// Health supplies the rollup; Queries the per-plan-key statistics.
-	Health  func() obs.HealthDoc
-	Queries func() querystats.Snapshot
-	// Sampler supplies sparkline histories; Sparks names the counters,
-	// histograms, or gauges to draw (registry names, e.g. "query.total").
+	// Registries and Metrics back /metrics (obs.MetricsHandler): the
+	// registries in the Prometheus text format, the document as JSON.
+	Registries func() []*obs.Registry
+	Metrics    func() any
+	// SlowLog and Traces back /debug/slowlog and /debug/traces.
+	SlowLog func() *obs.SlowLog
+	Traces  func() *obs.TraceRing
+	// Health supplies the rollup. Ready reports why the layer takes no
+	// traffic (/readyz answers 503 with it), or nil; a nil Ready is always
+	// ready.
+	Health func() obs.HealthDoc
+	Ready  func() error
+	// Queries supplies the per-plan-key statistics, and, for a snapshot
+	// merged across a fleet, each shard's status.
+	Queries func(ctx context.Context) (querystats.Snapshot, []querystats.ShardStatus)
+	// Sampler supplies sparkline histories and /debug/timeseries; Sparks
+	// names the counters, histograms, or gauges to draw (registry names,
+	// e.g. "query.total").
 	Sampler *timeseries.Sampler
 	Sparks  []string
+}
+
+// Mount registers the ops endpoint set over src on mux:
+//
+//	GET /metrics           src.Metrics as JSON; the Prometheus text format
+//	                       (0.0.4) via Accept or ?format=prometheus
+//	GET /healthz           liveness: 200 while the process runs
+//	GET /readyz            readiness: 200, or 503 with src.Ready's reason
+//	GET /debug/slowlog     the slowest queries with their full traces
+//	GET /debug/traces      recent traces, most recent first (?id= for one
+//	                       full span tree)
+//	GET /debug/queries     per-plan-key workload statistics
+//	                       (?sort=calls|total|mean, ?limit=N)
+//	GET /debug/timeseries  windowed rates and latency-quantile trends
+//	GET /debug/health      the component health rollup with reasons
+//	GET /debug/dash        the HTML dashboard over the above
+//	GET /debug/pprof/      the standard runtime profiles
+//
+// Every endpoint is read-only and safe to serve while queries run.
+func Mount(mux *http.ServeMux, src Sources) {
+	mux.HandleFunc("/metrics", obs.MetricsHandler(src.Registries, src.Metrics))
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		if src.Ready != nil {
+			if err := src.Ready(); err != nil {
+				obs.WriteError(w, http.StatusServiceUnavailable, err.Error())
+				return
+			}
+		}
+		fmt.Fprintln(w, "ready")
+	})
+	mux.HandleFunc("/debug/slowlog", func(w http.ResponseWriter, _ *http.Request) {
+		entries := src.SlowLog().Snapshot()
+		if entries == nil {
+			entries = []obs.SlowEntry{}
+		}
+		obs.WriteJSON(w, http.StatusOK, entries)
+	})
+	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
+		src.Traces().Handler()(w, r)
+	})
+	mux.HandleFunc("/debug/queries", func(w http.ResponseWriter, r *http.Request) {
+		snap, shards := src.Queries(r.Context())
+		querystats.ServeSnapshot(w, r, snap, shards...)
+	})
+	mux.Handle("/debug/timeseries", src.Sampler)
+	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, _ *http.Request) {
+		obs.WriteHealth(w, src.Health())
+	})
+	mux.Handle("/debug/dash", dashboard(src))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // sparkBlocks are the eight-level unicode sparkline alphabet.
@@ -99,20 +175,18 @@ type page struct {
 	Refresh int
 	At      string
 
-	HasHealth bool
-	Health    obs.HealthDoc
+	Health obs.HealthDoc
 
-	HasQueries bool
-	Queries    []queryRow
-	Totals     querystats.Totals
-	Shapes     int
-	Evicted    uint64
+	Queries []queryRow
+	Totals  querystats.Totals
+	Shapes  int
+	Evicted uint64
 
 	Sparks []sparkRow
 }
 
-// Handler returns the /debug/dash handler over src.
-func Handler(src Sources) http.Handler {
+// dashboard returns the /debug/dash handler over src.
+func dashboard(src Sources) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		refresh := src.Refresh
 		if refresh <= 0 {
@@ -120,32 +194,20 @@ func Handler(src Sources) http.Handler {
 		}
 		p := page{
 			Title:   src.Title,
-			Refresh: int(refresh / time.Second),
+			Refresh: max(int(refresh/time.Second), 1),
 			At:      time.Now().UTC().Format(time.RFC3339),
+			Health:  src.Health(),
 		}
-		if p.Title == "" {
-			p.Title = "htlvideo"
+		snap, _ := src.Queries(r.Context())
+		p.Totals = snap.Totals
+		p.Shapes = len(snap.Entries)
+		p.Evicted = snap.Evicted
+		querystats.SortEntries(snap.Entries, "total")
+		if len(snap.Entries) > maxQueryRows {
+			snap.Entries = snap.Entries[:maxQueryRows]
 		}
-		if p.Refresh < 1 {
-			p.Refresh = 1
-		}
-		if src.Health != nil {
-			p.HasHealth = true
-			p.Health = src.Health()
-		}
-		if src.Queries != nil {
-			snap := src.Queries()
-			p.HasQueries = true
-			p.Totals = snap.Totals
-			p.Shapes = len(snap.Entries)
-			p.Evicted = snap.Evicted
-			querystats.SortEntries(snap.Entries, "total")
-			if len(snap.Entries) > maxQueryRows {
-				snap.Entries = snap.Entries[:maxQueryRows]
-			}
-			for _, e := range snap.Entries {
-				p.Queries = append(p.Queries, queryRow{EntrySnapshot: e, Errors: e.ErrorCount()})
-			}
+		for _, e := range snap.Entries {
+			p.Queries = append(p.Queries, queryRow{EntrySnapshot: e, Errors: e.ErrorCount()})
 		}
 		for _, name := range src.Sparks {
 			vals := src.Sampler.Spark(name, sparkWidth)
@@ -188,13 +250,11 @@ code { background: #eee; padding: 0 0.2rem; }
 </head>
 <body>
 <h1>{{.Title}} <span class="muted">· {{.At}} · refreshes every {{.Refresh}}s</span></h1>
-{{if .HasHealth}}
 <h2>Health: {{if .Health.Degraded}}<span class="bad">degraded</span>{{else}}<span class="ok">ok</span>{{end}}</h2>
 <table>
 <tr><th>component</th><th>state</th><th>detail</th></tr>
 {{range .Health.Components}}<tr><td>{{.Name}}</td><td>{{if .OK}}<span class="ok">ok</span>{{else}}<span class="bad">degraded</span>{{end}}</td><td>{{.Reason}}</td></tr>
 {{end}}</table>
-{{end}}
 {{if .Sparks}}
 <h2>Trends <span class="muted">(per-second rates; gauges raw)</span></h2>
 <table>
@@ -202,14 +262,12 @@ code { background: #eee; padding: 0 0.2rem; }
 {{range .Sparks}}<tr><td>{{.Name}}</td><td class="spark">{{.Line}}</td><td class="num">{{printf "%.2f" .Last}}</td></tr>
 {{end}}</table>
 {{end}}
-{{if .HasQueries}}
 <h2>Query shapes <span class="muted">({{.Shapes}} tracked, {{.Evicted}} evicted · {{.Totals.Calls}} calls, {{.Totals.Errors}} errors all-time)</span></h2>
 <table>
 <tr><th>plan</th><th>class</th><th>engine</th><th>calls</th><th>errs</th><th>total</th><th>mean</th><th>p95</th><th>p99</th><th>cache</th></tr>
 {{range .Queries}}<tr><td><code>{{.PlanKey}}</code></td><td>{{.Class}}</td><td>{{.Engine}}</td><td class="num">{{.Calls}}</td><td class="num">{{.Errors}}</td><td class="num">{{ms .TotalSeconds}}</td><td class="num">{{ms .MeanSeconds}}</td><td class="num">{{ms .P95Seconds}}</td><td class="num">{{ms .P99Seconds}}</td><td class="num">{{pct .CacheHitRatio}}</td></tr>
 {{end}}</table>
 <p class="muted">Full data: <code>/debug/queries</code> · <code>/debug/timeseries</code> · <code>/debug/health</code> · <code>/metrics</code></p>
-{{end}}
 </body>
 </html>
 `))

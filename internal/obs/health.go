@@ -75,5 +75,5 @@ func WriteHealth(w http.ResponseWriter, d HealthDoc) {
 	if d.Components == nil {
 		d.Components = []HealthComponent{}
 	}
-	writeJSON(w, d)
+	WriteJSON(w, http.StatusOK, d)
 }

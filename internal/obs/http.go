@@ -3,57 +3,37 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/pprof"
 )
 
-// Handler serves the observability endpoints over reg and slow:
-//
-//	/metrics        expvar-style JSON: every counter, gauge and histogram,
-//	                plus the stats() value under "stats" when non-nil.
-//	                Content-negotiates the Prometheus text format (0.0.4)
-//	                via Accept or ?format=prometheus (see WantsPrometheus).
-//	/debug/slowlog  the retained slowest queries with their full traces
-//	/debug/traces   the trace ring: recent traces (most recent first), or one
-//	                full span tree with ?id=<trace-id>
-//	/debug/pprof/   the standard runtime profiles
-//
-// Any argument may be nil; its endpoint then serves an empty document. The
-// handler is read-only and safe to serve while queries run.
-func Handler(reg *Registry, slow *SlowLog, ring *TraceRing, stats func() any) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if WantsPrometheus(r) {
-			PrometheusHandler(w, reg)
-			return
-		}
-		doc := struct {
-			Metrics RegistrySnapshot `json:"metrics"`
-			Stats   any              `json:"stats,omitempty"`
-		}{Metrics: reg.Snapshot()}
-		if stats != nil {
-			doc.Stats = stats()
-		}
-		writeJSON(w, doc)
-	})
-	mux.HandleFunc("/debug/slowlog", func(w http.ResponseWriter, r *http.Request) {
-		entries := slow.Snapshot()
-		if entries == nil {
-			entries = []SlowEntry{}
-		}
-		writeJSON(w, entries)
-	})
-	mux.HandleFunc("/debug/traces", ring.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON answers with v as indented JSON under status: every JSON document
+// the ops surface and the query endpoints serve goes through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// WriteError answers with the JSON error document {"error": msg}.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, struct {
+		Error string `json:"error"`
+	}{msg})
+}
+
+// Isolate contains next's panics: onPanic observes each one (to count and
+// log it) with the request path, and the client is answered with a 500
+// instead of losing the connection's goroutine. If the handler had already
+// written, the connection is poisoned and the error body is a no-op.
+func Isolate(next http.Handler, onPanic func(path string, rec any)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				onPanic(r.URL.Path, rec)
+				WriteError(w, http.StatusInternalServerError, "internal error")
+			}
+		}()
+		next.ServeHTTP(w, r)
+	})
 }

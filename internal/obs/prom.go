@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -76,12 +77,20 @@ func WritePrometheus(w io.Writer, snap RegistrySnapshot) {
 	}
 }
 
-// PrometheusHandler serves one or more registries in the text format (later
-// registries append; keep their metric names disjoint).
-func PrometheusHandler(w http.ResponseWriter, regs ...*Registry) {
-	w.Header().Set("Content-Type", PrometheusContentType)
-	for _, reg := range regs {
-		WritePrometheus(w, reg.Snapshot())
+// MetricsHandler serves /metrics: doc as JSON by default, and, to a request
+// that negotiates it (WantsPrometheus), the text format of regs followed by
+// processRegistry (later registries append; keep their metric names
+// disjoint).
+func MetricsHandler(regs func() []*Registry, doc func() any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !WantsPrometheus(r) {
+			WriteJSON(w, http.StatusOK, doc())
+			return
+		}
+		w.Header().Set("Content-Type", PrometheusContentType)
+		for _, reg := range append(regs(), processRegistry()) {
+			WritePrometheus(w, reg.Snapshot())
+		}
 	}
 }
 
@@ -96,8 +105,8 @@ var processStart = time.Now()
 //	process_uptime_seconds   (computed at snapshot time)
 //	process_pid
 //
-// Both long-running listeners (htlserve, htlquery -metrics-addr) call it so
-// every scrape identifies the binary it came from.
+// MetricsHandler appends one process-wide set of them (processRegistry) to
+// every exposition, so every scrape identifies the binary it came from.
 func RegisterProcessMetrics(reg *Registry) {
 	if reg == nil {
 		return
@@ -122,6 +131,14 @@ func RegisterProcessMetrics(reg *Registry) {
 		return int64(time.Since(processStart).Seconds())
 	})
 }
+
+// processRegistry returns the process's one registry of
+// RegisterProcessMetrics gauges.
+var processRegistry = sync.OnceValue(func() *Registry {
+	reg := NewRegistry()
+	RegisterProcessMetrics(reg)
+	return reg
+})
 
 // writeHelp emits a # HELP line when a description was registered. Newlines
 // and backslashes are escaped per the exposition format.

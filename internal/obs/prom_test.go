@@ -278,7 +278,7 @@ func TestWantsPrometheus(t *testing.T) {
 func TestMetricsHandlerNegotiation(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("some.counter").Inc()
-	h := Handler(reg, NewSlowLog(4), nil, nil)
+	h := MetricsHandler(func() []*Registry { return []*Registry{reg} }, func() any { return reg.Snapshot() })
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))

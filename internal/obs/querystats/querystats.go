@@ -21,7 +21,6 @@ package querystats
 
 import (
 	"container/list"
-	"encoding/json"
 	"net/http"
 	"sort"
 	"strconv"
@@ -422,9 +421,20 @@ func mergeHistograms(a, b obs.HistogramSnapshot) obs.HistogramSnapshot {
 	return out
 }
 
+// ShardStatus reports one shard's contribution to a snapshot merged across a
+// fleet.
+type ShardStatus struct {
+	Shard string `json:"shard"`
+	// Entries is how many plan keys the shard reported; Error is set (and
+	// Entries zero) when the shard could not be reached.
+	Entries int    `json:"entries"`
+	Error   string `json:"error,omitempty"`
+}
+
 // ServeSnapshot writes snap as the /debug/queries JSON document, honoring
-// ?sort=calls|total|mean and ?limit=N.
-func ServeSnapshot(w http.ResponseWriter, r *http.Request, snap Snapshot) {
+// ?sort=calls|total|mean and ?limit=N. A snapshot merged across shards is
+// served with each shard's status in a "shards" column.
+func ServeSnapshot(w http.ResponseWriter, r *http.Request, snap Snapshot, shards ...ShardStatus) {
 	if by := r.URL.Query().Get("sort"); by != "" {
 		SortEntries(snap.Entries, by)
 		snap.SortedBy = by
@@ -437,8 +447,8 @@ func ServeSnapshot(w http.ResponseWriter, r *http.Request, snap Snapshot) {
 	if snap.Entries == nil {
 		snap.Entries = []EntrySnapshot{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(snap)
+	obs.WriteJSON(w, http.StatusOK, struct {
+		Snapshot
+		Shards []ShardStatus `json:"shards,omitempty"`
+	}{snap, shards})
 }

@@ -13,7 +13,6 @@
 package timeseries
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -394,8 +393,5 @@ func (s *Sampler) Spark(name string, n int) []float64 {
 // ServeHTTP serves the Trends document as JSON — mount the sampler at
 // /debug/timeseries. A nil sampler serves an empty document.
 func (s *Sampler) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.Trends())
+	obs.WriteJSON(w, http.StatusOK, s.Trends())
 }

@@ -12,7 +12,6 @@ package obs
 // bounded by the ring's capacity (the oldest trace is overwritten).
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -146,18 +145,16 @@ func (r *TraceRing) Handler() http.HandlerFunc {
 		if id := req.URL.Query().Get("id"); id != "" {
 			snap, ok := r.Get(id)
 			if !ok {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusNotFound)
-				_ = json.NewEncoder(w).Encode(map[string]string{"error": "no retained trace with id " + id})
+				WriteError(w, http.StatusNotFound, "no retained trace with id "+id)
 				return
 			}
-			writeJSON(w, snap)
+			WriteJSON(w, http.StatusOK, snap)
 			return
 		}
 		list := r.List()
 		if list == nil {
 			list = []TraceSummary{}
 		}
-		writeJSON(w, list)
+		WriteJSON(w, http.StatusOK, list)
 	}
 }

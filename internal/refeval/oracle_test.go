@@ -217,11 +217,8 @@ func randomFormula(rng *rand.Rand, flavour string) string {
 }
 
 func checkOracle(t *testing.T, seed int64, flavour string, deep bool) {
-	checkOracleOpts(t, seed, flavour, deep, core.DefaultOptions())
-}
-
-func checkOracleOpts(t *testing.T, seed int64, flavour string, deep bool, opts core.Options) {
 	t.Helper()
+	opts := core.DefaultOptions()
 	rng := rand.New(rand.NewSource(seed))
 	v := randomVideo(rng, 4+rng.Intn(8), deep)
 	if err := v.Validate(); err != nil {
@@ -309,20 +306,15 @@ func validateTables(t *testing.T, what string, src core.Source, n *core.PNode, o
 	}
 }
 
-// TestOracleType2Exact runs the matrixOver fragment on fixed seeds, under
-// both conjunction semantics.
+// TestOracleType2Exact runs the matrixOver fragment on fixed seeds.
 func TestOracleType2Exact(t *testing.T) {
-	for _, and := range []core.AndMode{core.AndSum, core.AndMin} {
-		opts := core.DefaultOptions()
-		opts.And = and
-		for seed := int64(0); seed < 100; seed++ {
-			checkOracleOpts(t, 6000+seed, "type2x", false, opts)
-		}
+	for seed := int64(0); seed < 100; seed++ {
+		checkOracle(t, 6000+seed, "type2x", false)
 	}
 }
 
 // FuzzOracle is the oracle suite as a native fuzz target: any seed, flat or
-// deep videos, both conjunction semantics, over the flavours on which the two
+// deep videos, over the flavours on which the two
 // engines agree for every seed and not only for the tests' — with object
 // variables that is matrixOver's fragment, which the type (2) and conjunctive
 // shapes the benchmark serves belong to. It is the first slice of a
@@ -340,11 +332,7 @@ func FuzzOracle(f *testing.F) {
 	}
 	flavours := []string{"type1", "type2x", "freeze", "level"}
 	f.Fuzz(func(t *testing.T, seed int64, flavour uint8, deep bool) {
-		for _, and := range []core.AndMode{core.AndSum, core.AndMin} {
-			opts := core.DefaultOptions()
-			opts.And = and
-			checkOracleOpts(t, seed, flavours[int(flavour)%len(flavours)], deep, opts)
-		}
+		checkOracle(t, seed, flavours[int(flavour)%len(flavours)], deep)
 	})
 }
 
@@ -377,18 +365,5 @@ func TestOracleFreeze(t *testing.T) {
 func TestOracleLevel(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		checkOracle(t, 3000+seed, "level", true)
-	}
-}
-
-// TestOracleAndMin re-runs the type (1)/(2) oracle under the weakest-link
-// conjunction semantics (§5's "other similarity functions").
-func TestOracleAndMin(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.And = core.AndMin
-	for seed := int64(0); seed < 80; seed++ {
-		checkOracleOpts(t, 4000+seed, "type1", false, opts)
-	}
-	for seed := int64(0); seed < 80; seed++ {
-		checkOracleOpts(t, 5000+seed, "type2", false, opts)
 	}
 }

@@ -226,13 +226,6 @@ func (e *Evaluator) simAtUncached(ctx context.Context, n *core.PNode, u int, env
 		if err != nil {
 			return 0, err
 		}
-		if e.opts.And == core.AndMin {
-			ma, mb := e.maxSimOf(n.Kids[0]), e.maxSimOf(n.Kids[1])
-			if ma <= 0 || mb <= 0 {
-				return 0, nil
-			}
-			return min(a/ma, b/mb) * (ma + mb), nil
-		}
 		return a + b, nil
 	case htl.Not:
 		a, err := e.simAt(ctx, n.Kids[0], u, env)

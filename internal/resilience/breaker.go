@@ -9,6 +9,10 @@
 package resilience
 
 import (
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -215,6 +219,49 @@ func (b *Breaker) States() map[int64]BreakerState {
 		out[key] = c.state
 	}
 	return out
+}
+
+// Health is the serving layers' breaker rule for /debug/health: degraded
+// while any circuit is open, naming the open keys ("breaker open for videos
+// 2 5"); healthy otherwise, naming the half-open ones. noun is what a key
+// stands for ("video", "shard"); name renders a key, or returns "" for one
+// no longer served, which the rule ignores. Names sort as numbers when both
+// are numbers, else as strings; past eight, the rest are counted.
+func (b *Breaker) Health(noun string, name func(key int64) string) (ok bool, reason string) {
+	var open, halfOpen []string
+	for key, st := range b.States() {
+		n := name(key)
+		switch {
+		case n == "":
+		case st == StateOpen:
+			open = append(open, n)
+		case st == StateHalfOpen:
+			halfOpen = append(halfOpen, n)
+		}
+	}
+	switch {
+	case len(open) > 0:
+		return false, "breaker open for " + noun + "s " + nameList(open)
+	case len(halfOpen) > 0:
+		return true, "breaker half-open for " + noun + "s " + nameList(halfOpen)
+	}
+	return true, "all " + noun + " circuits closed"
+}
+
+// nameList renders breaker key names sorted, capped at eight.
+func nameList(names []string) string {
+	sort.Slice(names, func(i, j int) bool {
+		a, aErr := strconv.ParseInt(names[i], 10, 64)
+		b, bErr := strconv.ParseInt(names[j], 10, 64)
+		if aErr == nil && bErr == nil {
+			return a < b
+		}
+		return names[i] < names[j]
+	})
+	if len(names) > 8 {
+		return fmt.Sprintf("%s and %d more", strings.Join(names[:8], " "), len(names)-8)
+	}
+	return strings.Join(names, " ")
 }
 
 // State returns key's current state without advancing it (an open circuit

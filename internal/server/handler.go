@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,7 +13,6 @@ import (
 	"htlvideo"
 	"htlvideo/internal/obs"
 	"htlvideo/internal/obs/dash"
-	"htlvideo/internal/obs/querystats"
 )
 
 // NewHTTPServer returns an http.Server hardened against slow clients: header
@@ -86,12 +84,9 @@ type FailDoc struct {
 	Timeout bool   `json:"timeout,omitempty"`
 }
 
-// errorDoc is the JSON error body.
-type errorDoc struct {
-	Error string `json:"error"`
-}
-
-// Handler returns the server's full endpoint set:
+// Handler returns the server's endpoint set: the ops surface (dash.Mount)
+// over the serving registry and the current store, whose /metrics JSON
+// document is {server, store, stats}, plus the server's own routes:
 //
 //	GET  /query          evaluate an HTL query (q, level, root, engine, tau,
 //	                     k, timeout, partial, trace parameters; engine is
@@ -103,53 +98,79 @@ type errorDoc struct {
 //	POST /explain        evaluate with per-plan-node profiling and return the
 //	                     annotated plan (q plus the /query parameters, and
 //	                     exact=true for exact time attribution)
-//	GET  /healthz        liveness: 200 while the process runs
-//	GET  /readyz         readiness: 200 while serving, 503 once draining
 //	POST /-/reload       re-read and swap the store file (durable servers:
 //	                     re-run snapshot + WAL recovery over the data dir)
 //	POST /-/checkpoint   fold the durable store's WAL into a fresh snapshot
-//	GET  /metrics        server + current-store metrics and stats (JSON by
-//	                     default; Prometheus text format via Accept or
-//	                     ?format=prometheus)
-//	GET  /debug/slowlog  the current store's slow-query log
-//	GET  /debug/traces   the current store's recent traces (?id= for one)
-//	GET  /debug/pprof/*  runtime profiles
-//	GET  /debug/queries  per-plan-key workload statistics (?sort=calls|
-//	                     total|mean, ?limit=N)
-//	GET  /debug/timeseries  windowed rates and latency-quantile trends from
-//	                     the background sampler (WithSampleInterval)
-//	GET  /debug/health   the component health rollup with reasons
-//	GET  /debug/dash     self-contained auto-refreshing HTML dashboard
 //
 // Every handler is panic-isolated: a panic is contained, counted, and
 // answered with 500 instead of killing the connection's goroutine.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	dash.Mount(mux, dash.Sources{
+		Title: "htlserve",
+		Registries: func() []*obs.Registry {
+			// Server and store registries share one exposition; their metric
+			// namespaces (server.* and the store's query.*, cache.*, wal.*)
+			// are disjoint.
+			regs := []*obs.Registry{s.m.reg}
+			if st := s.Store(); st != nil {
+				regs = append(regs, st.Metrics())
+			}
+			return regs
+		},
+		Metrics: func() any {
+			doc := struct {
+				Server obs.RegistrySnapshot `json:"server"`
+				Store  obs.RegistrySnapshot `json:"store"`
+				Stats  any                  `json:"stats"`
+			}{Server: s.m.reg.Snapshot()}
+			if st := s.Store(); st != nil {
+				doc.Store = st.Metrics().Snapshot()
+				doc.Stats = st.Stats()
+			}
+			return doc
+		},
+		// The slow log and the trace ring belong to the store being served,
+		// the freshly reloaded one included.
+		SlowLog: func() *obs.SlowLog {
+			if st := s.Store(); st != nil {
+				return st.SlowLog()
+			}
+			return nil
+		},
+		Traces: func() *obs.TraceRing {
+			if st := s.Store(); st != nil {
+				return st.TraceRing()
+			}
+			return nil
+		},
+		Health: s.Health,
+		Ready: func() error {
+			if s.Draining() || s.Store() == nil {
+				return errors.New("draining")
+			}
+			return nil
+		},
+		Queries: s.queryStats,
+		Sampler: s.sampler,
+		Sparks: []string{
+			"server.requests.total", "server.request.latency",
+			"server.requests.in_flight", "query.total", "query.latency",
+		},
+	})
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/explain", s.handleExplain)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if s.Draining() || s.Store() == nil {
-			writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: "draining"})
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ready")
-	})
 	mux.HandleFunc("/-/reload", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, errorDoc{Error: "POST required"})
+			obs.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 			return
 		}
 		if err := s.Reload(); err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorDoc{Error: err.Error()})
+			obs.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, struct {
+		obs.WriteJSON(w, http.StatusOK, struct {
 			Reloaded bool `json:"reloaded"`
 			Videos   int  `json:"videos"`
 		}{true, len(s.Store().Videos())})
@@ -157,92 +178,35 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/-/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, errorDoc{Error: "POST required"})
+			obs.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 			return
 		}
 		if err := s.Checkpoint(); err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorDoc{Error: err.Error()})
+			obs.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, struct {
+		obs.WriteJSON(w, http.StatusOK, struct {
 			Checkpointed bool                  `json:"checkpointed"`
 			Durable      htlvideo.DurableStats `json:"durable"`
 		}{true, s.Store().DurableStats()})
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		st := s.Store()
-		if obs.WantsPrometheus(r) {
-			// Server and store registries share one exposition; their metric
-			// namespaces (server.*, query.*, process/build) are disjoint.
-			regs := []*obs.Registry{s.m.reg}
-			if st != nil {
-				regs = append(regs, st.Metrics())
-			}
-			obs.PrometheusHandler(w, regs...)
-			return
-		}
-		doc := struct {
-			Server obs.RegistrySnapshot `json:"server"`
-			Store  obs.RegistrySnapshot `json:"store"`
-			Stats  any                  `json:"stats"`
-		}{Server: s.m.reg.Snapshot()}
-		if st != nil {
-			doc.Store = st.Metrics().Snapshot()
-			doc.Stats = st.Stats()
-		}
-		writeJSON(w, http.StatusOK, doc)
-	})
-	// The slow log and profiles belong to the current store snapshot; the
-	// indirection keeps them pointing at the freshly reloaded store.
-	debug := func(w http.ResponseWriter, r *http.Request) {
-		if st := s.Store(); st != nil {
-			st.DebugHandler().ServeHTTP(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	}
-	mux.HandleFunc("/debug/slowlog", debug)
-	mux.HandleFunc("/debug/traces", debug)
-	mux.HandleFunc("/debug/pprof/", debug)
-	mux.HandleFunc("/debug/queries", func(w http.ResponseWriter, r *http.Request) {
-		querystats.ServeSnapshot(w, r, s.queryStatsSnapshot())
-	})
-	mux.Handle("/debug/timeseries", s.sampler)
-	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, _ *http.Request) {
-		obs.WriteHealth(w, s.Health())
-	})
-	mux.Handle("/debug/dash", dash.Handler(dash.Sources{
-		Title:   "htlserve",
-		Health:  s.Health,
-		Queries: s.queryStatsSnapshot,
-		Sampler: s.sampler,
-		Sparks: []string{
-			"server.requests.total", "server.request.latency",
-			"server.requests.in_flight", "query.total", "query.latency",
-		},
-	}))
 	return s.instrument(mux)
 }
 
-// instrument wraps the mux with panic isolation and request accounting.
+// instrument wraps the mux with request accounting and panic isolation.
 func (s *Server) instrument(next http.Handler) http.Handler {
+	next = obs.Isolate(next, func(path string, rec any) {
+		s.m.panics.Inc()
+		s.logf("server: panic serving %s: %v", path, rec)
+	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.m.requests.Inc()
 		s.m.inFlight.Inc()
 		start := time.Now()
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.m.panics.Inc()
-				s.logf("server: panic serving %s: %v", r.URL.Path, rec)
-				// Best effort: if the handler already wrote, the connection
-				// is poisoned and the write below is a no-op.
-				writeJSON(w, http.StatusInternalServerError, errorDoc{Error: "internal error"})
-			}
-			s.m.inFlight.Dec()
-			s.m.reqLat.Observe(time.Since(start))
-			s.m.responses.Inc()
-		}()
 		next.ServeHTTP(w, r)
+		s.m.inFlight.Dec()
+		s.m.reqLat.Observe(time.Since(start))
+		s.m.responses.Inc()
 	})
 }
 
@@ -253,17 +217,17 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	st := s.Store()
 	if st == nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: "no store loaded"})
+		obs.WriteError(w, http.StatusServiceUnavailable, "no store loaded")
 		return
 	}
 	if err := s.limiter.acquire(r.Context()); err != nil {
 		if errors.Is(err, errShed) {
 			w.Header().Set("Retry-After", strconv.Itoa(int(s.limiter.retryAfter().Seconds())))
-			writeJSON(w, http.StatusTooManyRequests, errorDoc{Error: "overloaded, retry later"})
+			obs.WriteError(w, http.StatusTooManyRequests, "overloaded, retry later")
 			return
 		}
 		// The client went away while queued; nothing to say to it.
-		writeJSON(w, http.StatusRequestTimeout, errorDoc{Error: err.Error()})
+		obs.WriteError(w, http.StatusRequestTimeout, err.Error())
 		return
 	}
 	defer s.limiter.release()
@@ -271,7 +235,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	p, status, err := s.parseQueryRequest(r)
 	if err != nil {
-		writeJSON(w, status, errorDoc{Error: err.Error()})
+		obs.WriteError(w, status, err.Error())
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.Timeout)
@@ -283,11 +247,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case ctx.Err() != nil && out.Evaluated == 0:
 		// The deadline consumed the whole request.
-		writeJSON(w, http.StatusGatewayTimeout, out)
+		obs.WriteJSON(w, http.StatusGatewayTimeout, out)
 	case !p.Partial && len(out.Failed) > 0:
-		writeJSON(w, http.StatusInternalServerError, out)
+		obs.WriteJSON(w, http.StatusInternalServerError, out)
 	default:
-		writeJSON(w, http.StatusOK, out)
+		obs.WriteJSON(w, http.StatusOK, out)
 	}
 }
 
@@ -299,34 +263,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorDoc{Error: "POST required"})
+		obs.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	st := s.Store()
 	if st == nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: "no store loaded"})
+		obs.WriteError(w, http.StatusServiceUnavailable, "no store loaded")
 		return
 	}
 	if err := s.limiter.acquire(r.Context()); err != nil {
 		if errors.Is(err, errShed) {
 			w.Header().Set("Retry-After", strconv.Itoa(int(s.limiter.retryAfter().Seconds())))
-			writeJSON(w, http.StatusTooManyRequests, errorDoc{Error: "overloaded, retry later"})
+			obs.WriteError(w, http.StatusTooManyRequests, "overloaded, retry later")
 			return
 		}
-		writeJSON(w, http.StatusRequestTimeout, errorDoc{Error: err.Error()})
+		obs.WriteError(w, http.StatusRequestTimeout, err.Error())
 		return
 	}
 	defer s.limiter.release()
 
 	p, status, err := s.parseQueryRequest(r)
 	if err != nil {
-		writeJSON(w, status, errorDoc{Error: err.Error()})
+		obs.WriteError(w, status, err.Error())
 		return
 	}
 	exact := false
 	if v := r.FormValue("exact"); v != "" {
 		if exact, err = strconv.ParseBool(v); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("invalid exact %q", v)})
+			obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid exact %q", v))
 			return
 		}
 	}
@@ -358,10 +322,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			code = http.StatusGatewayTimeout
 		}
-		writeJSON(w, code, errorDoc{Error: truncate(err.Error(), 300)})
+		obs.WriteError(w, code, truncate(err.Error(), 300))
 		return
 	}
-	writeJSON(w, http.StatusOK, er)
+	obs.WriteJSON(w, http.StatusOK, er)
 }
 
 // QueryParams is one parsed and validated /query request. The coordinator
@@ -666,12 +630,4 @@ func truncate(s string, n int) string {
 		return s
 	}
 	return s[:n] + "…"
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

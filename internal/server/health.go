@@ -8,9 +8,9 @@ package server
 // whatever store is serving at each tick.
 
 import (
+	"context"
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"htlvideo/internal/obs"
@@ -46,13 +46,14 @@ func (s *Server) newSampler() *timeseries.Sampler {
 	})
 }
 
-// queryStatsSnapshot snapshots the current store's per-plan-key statistics
-// (empty when no store is loaded).
-func (s *Server) queryStatsSnapshot() querystats.Snapshot {
+// queryStats snapshots the current store's per-plan-key statistics (empty
+// when no store is loaded).
+func (s *Server) queryStats(context.Context) (querystats.Snapshot, []querystats.ShardStatus) {
+	var qs *querystats.Stats
 	if st := s.Store(); st != nil {
-		return st.QueryStats().Snapshot()
+		qs = st.QueryStats()
 	}
-	return querystats.Snapshot{Entries: []querystats.EntrySnapshot{}}
+	return qs.Snapshot(), nil
 }
 
 // Health assembles the serving rollup: drain state, admission pressure,
@@ -75,23 +76,8 @@ func (s *Server) Health() obs.HealthDoc {
 		d.Add("admission", true, fmt.Sprintf("%d in flight, %d queued", s.m.inFlight.Value(), queued))
 	}
 
-	var open, halfOpen []int64
-	for key, st := range s.breaker.States() {
-		switch st {
-		case StateOpen:
-			open = append(open, key)
-		case StateHalfOpen:
-			halfOpen = append(halfOpen, key)
-		}
-	}
-	switch {
-	case len(open) > 0:
-		d.Add("breakers", false, fmt.Sprintf("breaker open for videos %s", keyList(open)))
-	case len(halfOpen) > 0:
-		d.Add("breakers", true, fmt.Sprintf("breaker half-open for videos %s", keyList(halfOpen)))
-	default:
-		d.Add("breakers", true, "all circuits closed")
-	}
+	ok, reason := s.breaker.Health("video", func(key int64) string { return strconv.FormatInt(key, 10) })
+	d.Add("breakers", ok, reason)
 
 	st := s.Store()
 	if st == nil {
@@ -100,21 +86,4 @@ func (s *Server) Health() obs.HealthDoc {
 	}
 	d.Merge(st.Health())
 	return d
-}
-
-// keyList renders breaker keys compactly, sorted, capped at eight.
-func keyList(keys []int64) string {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var b strings.Builder
-	for i, k := range keys {
-		if i == 8 {
-			fmt.Fprintf(&b, " and %d more", len(keys)-i)
-			break
-		}
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d", k)
-	}
-	return b.String()
 }

@@ -218,9 +218,6 @@ func New(st *htlvideo.Store, opts ...Option) *Server {
 		cfg.parallelism = runtime.GOMAXPROCS(0)
 	}
 	m := newServerMetrics()
-	// Scrapes of this server identify the binary: build_info, start time,
-	// uptime, pid. They live in the server registry, which survives reloads.
-	obs.RegisterProcessMetrics(m.reg)
 	s := &Server{cfg: cfg, m: m}
 	if cfg.resultCache.Capacity > 0 {
 		st.EnableResultCache(cfg.resultCache)

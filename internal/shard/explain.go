@@ -11,7 +11,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -243,37 +242,9 @@ func (c *Coordinator) explainShard(ctx context.Context, mb member, p server.Quer
 // doExplainRequest is one POST /explain attempt against one shard.
 func (c *Coordinator) doExplainRequest(ctx context.Context, mb member, form url.Values, traceID string) (*htlvideo.ExplainResult, error) {
 	c.m.requests.Inc()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, mb.url+"/explain",
-		strings.NewReader(form.Encode()))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	if traceID != "" {
-		req.Header.Set(obs.TraceHeader, traceID)
-	}
-	hr, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer hr.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(hr.Body, 16<<20))
-	if err != nil {
-		return nil, err
-	}
-	if hr.StatusCode != http.StatusOK {
-		var ed struct {
-			Error string `json:"error"`
-		}
-		_ = json.Unmarshal(body, &ed)
-		if ed.Error == "" {
-			ed.Error = http.StatusText(hr.StatusCode)
-		}
-		return nil, &httpError{status: hr.StatusCode, msg: ed.Error}
-	}
 	var er htlvideo.ExplainResult
-	if err := json.Unmarshal(body, &er); err != nil {
-		return nil, fmt.Errorf("decoding shard explain: %w", err)
+	if err := c.roundTrip(ctx, http.MethodPost, mb.url+"/explain", form, traceID, &er); err != nil {
+		return nil, err
 	}
 	if er.Plan == nil {
 		return nil, errors.New("shard explain carried no plan")
@@ -427,7 +398,7 @@ func mergedLine(n *MergedNode, showTimes bool) string {
 func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorDoc{Error: "POST required"})
+		obs.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	p, status, err := server.ParseQueryRequest(r, server.ParseDefaults{
@@ -435,13 +406,13 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 		MaxTimeout:     c.cfg.maxTimeout,
 	})
 	if err != nil {
-		writeJSON(w, status, errorDoc{Error: err.Error()})
+		obs.WriteError(w, status, err.Error())
 		return
 	}
 	exact := false
 	if v := r.FormValue("exact"); v != "" {
 		if exact, err = strconv.ParseBool(v); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("invalid exact %q", v)})
+			obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid exact %q", v))
 			return
 		}
 	}
@@ -457,11 +428,11 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 			code = http.StatusGatewayTimeout
 		}
-		writeJSON(w, code, struct {
+		obs.WriteJSON(w, code, struct {
 			Error  string    `json:"error"`
 			Shards ShardsDoc `json:"shards"`
 		}{err.Error(), doc.Shards})
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	obs.WriteJSON(w, http.StatusOK, doc)
 }

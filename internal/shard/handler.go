@@ -51,11 +51,6 @@ type ShardErrorDoc struct {
 	Error string `json:"error"`
 }
 
-// errorDoc is the JSON error body.
-type errorDoc struct {
-	Error string `json:"error"`
-}
-
 // Draining reports whether Drain was called.
 func (c *Coordinator) Draining() bool { return c.draining.Load() }
 
@@ -63,7 +58,11 @@ func (c *Coordinator) Draining() bool { return c.draining.Load() }
 // in-flight queries finish normally.
 func (c *Coordinator) Drain() { c.draining.Store(true) }
 
-// Handler returns the coordinator's endpoint set:
+// Handler returns the coordinator's endpoint set: the ops surface
+// (dash.Mount) over the shard.* registry, whose /metrics JSON document is
+// {coordinator, shards} and whose /debug/queries merges every shard's own
+// bucketwise, with a shards status column; plus the coordinator's own
+// routes:
 //
 //	GET  /query          scatter-gather an HTL query (same parameters as a
 //	                     single server's /query; trace=1 returns the stitched
@@ -71,94 +70,47 @@ func (c *Coordinator) Drain() { c.draining.Store(true) }
 //	POST /explain        distributed EXPLAIN ANALYZE: fan the explain out to
 //	                     every shard and merge the per-node profiles into one
 //	                     tree with per-shard cost attribution
-//	GET  /healthz        liveness: 200 while the process runs
-//	GET  /readyz         readiness: 200 while shards are attached and not
-//	                     draining
-//	GET  /metrics        shard.* metrics (JSON; Prometheus via Accept or
-//	                     ?format=prometheus)
 //	GET  /shards         current membership with breaker states
 //	POST /-/shards       graceful join/leave: {"op":"add","name":...,"url":...}
 //	                     or {"op":"remove","name":...}
-//	GET  /debug/slowlog  the coordinator's slowest queries, linked by trace
-//	                     id and plan key, with dominant-shard attribution
-//	GET  /debug/traces   recent stitched traces (?id= for one full tree)
-//	GET  /debug/queries  fleet-wide per-plan-key workload statistics: every
-//	                     shard's /debug/queries fetched and merged bucketwise
-//	                     (?sort=calls|total|mean, ?limit=N)
-//	GET  /debug/health   the coordinator's health rollup (drain state,
-//	                     membership, per-shard breakers) with reason strings
-//	GET  /debug/timeseries  sampled shard.* metric history with windowed rates
-//	GET  /debug/dash     self-contained HTML dashboard over the above
 //
 // Handlers are panic-isolated like the single server's.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", c.handleQuery)
-	mux.HandleFunc("/explain", c.handleExplain)
-	mux.HandleFunc("/debug/slowlog", func(w http.ResponseWriter, r *http.Request) {
-		entries := c.slow.Snapshot()
-		if entries == nil {
-			entries = []obs.SlowEntry{}
-		}
-		writeJSON(w, http.StatusOK, entries)
-	})
-	mux.HandleFunc("/debug/traces", c.traces.Handler())
-	mux.HandleFunc("/debug/queries", c.handleQueryStats)
-	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, _ *http.Request) {
-		obs.WriteHealth(w, c.Health())
-	})
-	mux.Handle("/debug/timeseries", c.sampler)
-	mux.Handle("/debug/dash", dash.Handler(dash.Sources{
-		Title:   "htlshard coordinator",
+	dash.Mount(mux, dash.Sources{
+		Title:      "htlshard coordinator",
+		Registries: func() []*obs.Registry { return []*obs.Registry{c.reg} },
+		Metrics: func() any {
+			return struct {
+				Coordinator obs.RegistrySnapshot `json:"coordinator"`
+				Shards      []ShardInfo          `json:"shards"`
+			}{c.reg.Snapshot(), c.Shards()}
+		},
+		SlowLog: c.SlowLog,
+		Traces:  c.TraceRing,
 		Health:  c.Health,
-		Queries: c.mergedQueryStats,
+		Ready: func() error {
+			switch {
+			case c.Draining():
+				return errors.New("draining")
+			case len(c.Shards()) == 0:
+				return errors.New("no shards attached")
+			}
+			return nil
+		},
+		Queries: c.QueryStats,
 		Sampler: c.sampler,
 		Sparks:  []string{"shard.queries", "shard.query_latency", "shard.errors", "shard.hedges"},
-	}))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if c.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: "draining"})
-			return
-		}
-		if len(c.Shards()) == 0 {
-			writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: "no shards attached"})
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ready")
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if obs.WantsPrometheus(r) {
-			obs.PrometheusHandler(w, c.reg)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct {
-			Coordinator obs.RegistrySnapshot `json:"coordinator"`
-			Shards      []ShardInfo          `json:"shards"`
-		}{c.reg.Snapshot(), c.Shards()})
-	})
+	mux.HandleFunc("/query", c.handleQuery)
+	mux.HandleFunc("/explain", c.handleExplain)
 	mux.HandleFunc("/shards", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Shards())
+		obs.WriteJSON(w, http.StatusOK, c.Shards())
 	})
 	mux.HandleFunc("/-/shards", c.handleMembership)
-	return c.isolate(mux)
-}
-
-// isolate contains handler panics: counted, logged, answered with 500.
-func (c *Coordinator) isolate(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				c.reg.Counter("shard.panics").Inc()
-				c.cfg.logf("shard: panic serving %s: %v", r.URL.Path, rec)
-				writeJSON(w, http.StatusInternalServerError, errorDoc{Error: "internal error"})
-			}
-		}()
-		next.ServeHTTP(w, r)
+	return obs.Isolate(mux, func(path string, rec any) {
+		c.reg.Counter("shard.panics").Inc()
+		c.cfg.logf("shard: panic serving %s: %v", path, rec)
 	})
 }
 
@@ -173,7 +125,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		MaxTimeout:     c.cfg.maxTimeout,
 	})
 	if err != nil {
-		writeJSON(w, status, errorDoc{Error: err.Error()})
+		obs.WriteError(w, status, err.Error())
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.Timeout)
@@ -201,11 +153,11 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case !res.QuorumMet(c.cfg.minShards):
-		writeJSON(w, http.StatusServiceUnavailable, doc)
+		obs.WriteJSON(w, http.StatusServiceUnavailable, doc)
 	case !p.Partial && (len(res.Failed) > 0 || len(res.ShardErrors) > 0):
-		writeJSON(w, http.StatusInternalServerError, doc)
+		obs.WriteJSON(w, http.StatusInternalServerError, doc)
 	default:
-		writeJSON(w, http.StatusOK, doc)
+		obs.WriteJSON(w, http.StatusOK, doc)
 	}
 }
 
@@ -213,7 +165,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleMembership(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorDoc{Error: "POST required"})
+		obs.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req struct {
@@ -222,37 +174,29 @@ func (c *Coordinator) handleMembership(w http.ResponseWriter, r *http.Request) {
 		URL  string `json:"url"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<10)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("decoding body: %v", err)})
+		obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding body: %v", err))
 		return
 	}
 	if req.Name == "" {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: "missing name"})
+		obs.WriteError(w, http.StatusBadRequest, "missing name")
 		return
 	}
 	var changed bool
 	switch req.Op {
 	case "add":
 		if req.URL == "" {
-			writeJSON(w, http.StatusBadRequest, errorDoc{Error: "missing url"})
+			obs.WriteError(w, http.StatusBadRequest, "missing url")
 			return
 		}
 		changed = c.AddShard(req.Name, req.URL)
 	case "remove":
 		changed = c.RemoveShard(req.Name)
 	default:
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("unknown op %q", req.Op)})
+		obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("unknown op %q", req.Op))
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	obs.WriteJSON(w, http.StatusOK, struct {
 		Changed bool        `json:"changed"`
 		Shards  []ShardInfo `json:"shards"`
 	}{changed, c.Shards()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -2,10 +2,8 @@ package shard
 
 import (
 	"fmt"
-	"strings"
 
 	"htlvideo/internal/obs"
-	"htlvideo/internal/resilience"
 )
 
 // Health assembles the coordinator's rollup for /debug/health: drain state,
@@ -29,23 +27,13 @@ func (c *Coordinator) Health() obs.HealthDoc {
 	}
 	d.Add("membership", true, fmt.Sprintf("%d shards attached (quorum %d)", len(members), c.cfg.minShards))
 
-	states := c.breaker.States()
-	var open, halfOpen []string
-	for _, mb := range members { // members are name-sorted, so reasons are deterministic
-		switch states[mb.ord] {
-		case resilience.StateOpen:
-			open = append(open, mb.name)
-		case resilience.StateHalfOpen:
-			halfOpen = append(halfOpen, mb.name)
-		}
+	names := make(map[int64]string, len(members))
+	for _, mb := range members {
+		names[mb.ord] = mb.name
 	}
-	switch {
-	case len(open) > 0:
-		d.Add("breakers", false, "breaker open for shards "+strings.Join(open, " "))
-	case len(halfOpen) > 0:
-		d.Add("breakers", true, "breaker half-open for shards "+strings.Join(halfOpen, " "))
-	default:
-		d.Add("breakers", true, "all shard circuits closed")
-	}
+	// A shard that left keeps its circuit under an ordinal no member holds;
+	// its name is "", so the rule ignores it.
+	ok, reason := c.breaker.Health("shard", func(ord int64) string { return names[ord] })
+	d.Add("breakers", ok, reason)
 	return d
 }

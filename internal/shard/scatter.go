@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -455,35 +456,9 @@ func shortErr(err error) string {
 // joinable from the shard's side.
 func (c *Coordinator) doRequest(ctx context.Context, mb member, q url.Values, traceID string) (*server.QueryResponse, error) {
 	c.m.requests.Inc()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, mb.url+"/query?"+q.Encode(), nil)
-	if err != nil {
-		return nil, err
-	}
-	if traceID != "" {
-		req.Header.Set(obs.TraceHeader, traceID)
-	}
-	hr, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer hr.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(hr.Body, 16<<20))
-	if err != nil {
-		return nil, err
-	}
-	if hr.StatusCode != http.StatusOK {
-		var ed struct {
-			Error string `json:"error"`
-		}
-		_ = json.Unmarshal(body, &ed)
-		if ed.Error == "" {
-			ed.Error = http.StatusText(hr.StatusCode)
-		}
-		return nil, &httpError{status: hr.StatusCode, msg: ed.Error}
-	}
 	var resp server.QueryResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, fmt.Errorf("decoding shard response: %w", err)
+	if err := c.roundTrip(ctx, http.MethodGet, mb.url+"/query?"+q.Encode(), nil, traceID, &resp); err != nil {
+		return nil, err
 	}
 	// The merge trusts a ranked run to be segment ids: a shard's run outside
 	// them is a broken shard, not a result.
@@ -493,6 +468,50 @@ func (c *Coordinator) doRequest(ctx context.Context, mb member, q url.Values, tr
 		}
 	}
 	return &resp, nil
+}
+
+// roundTrip is one HTTP exchange with a shard: form, when set, is the POST
+// body; the distributed trace id, when set, rides in its header. The response
+// is read up to 16 MiB; a non-200 becomes an *httpError carrying the body's
+// "error" field, and a 200 body decodes into out.
+func (c *Coordinator) roundTrip(ctx context.Context, method, target string, form url.Values, traceID string, out any) error {
+	var body io.Reader
+	if form != nil {
+		body = strings.NewReader(form.Encode())
+	}
+	req, err := http.NewRequestWithContext(ctx, method, target, body)
+	if err != nil {
+		return err
+	}
+	if form != nil {
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	}
+	if traceID != "" {
+		req.Header.Set(obs.TraceHeader, traceID)
+	}
+	hr, err := c.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer hr.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(hr.Body, 16<<20))
+	if err != nil {
+		return err
+	}
+	if hr.StatusCode != http.StatusOK {
+		var ed struct {
+			Error string `json:"error"`
+		}
+		_ = json.Unmarshal(raw, &ed)
+		if ed.Error == "" {
+			ed.Error = http.StatusText(hr.StatusCode)
+		}
+		return &httpError{status: hr.StatusCode, msg: ed.Error}
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("decoding shard response: %w", err)
+	}
+	return nil
 }
 
 // engineName inverts the ?engine= parsing in server.ParseQueryRequest.

@@ -211,7 +211,6 @@ type queryConfig struct {
 	untilThreshold float64
 	engine         Engine
 	videoID        *int
-	andMode        core.AndMode
 	parallelism    int
 	partial        bool
 	noCache        bool
@@ -273,22 +272,6 @@ func WithParallelism(n int) QueryOption { return func(c *queryConfig) { c.parall
 // failures reported in Results.Errors, instead of failing the whole query.
 // Cancellation of the query's context still fails the query as a whole.
 func WithPartialResults() QueryOption { return func(c *queryConfig) { c.partial = true } }
-
-// AndMode selects the conjunction similarity function.
-type AndMode = core.AndMode
-
-// Conjunction similarity functions (§5's "other similarity functions").
-const (
-	// AndSum is the paper's semantics: actual similarities add.
-	AndSum = core.AndSum
-	// AndMin is the weakest-link alternative: the conjunction's fraction is
-	// the minimum of the conjuncts' fractions.
-	AndMin = core.AndMin
-)
-
-// WithAndSemantics selects the conjunction similarity function (default:
-// the paper's additive AndSum). The SQL baseline supports only AndSum.
-func WithAndSemantics(m AndMode) QueryOption { return func(c *queryConfig) { c.andMode = m } }
 
 // WithExactProfile turns on exact per-node time attribution for this query's
 // explain profile. The always-on profiler times each plan node inclusively in
@@ -631,7 +614,7 @@ func (s *Store) queryVideo(ctx context.Context, v *Video, cq *CompiledQuery, cfg
 // engines evaluate the compiled plan, so duplicated subformulas are computed
 // once per video.
 func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQuery, cfg *queryConfig, sp *obs.Span) (SimList, error) {
-	coreOpts := core.Options{UntilThreshold: cfg.untilThreshold, And: cfg.andMode, Obs: &s.obs.coreM, Prof: cfg.prof}
+	coreOpts := core.Options{UntilThreshold: cfg.untilThreshold, Obs: &s.obs.coreM, Prof: cfg.prof}
 	refOpts := coreOpts
 	refOpts.Obs = &s.obs.refM
 	switch cfg.engine {
@@ -643,9 +626,6 @@ func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQu
 		return refeval.New(sys, refOpts).ListPlanCtx(ctx, cq.plan)
 	case EngineSQL:
 		sp.SetTag("engine", "sqlgen")
-		if cfg.andMode != core.AndSum {
-			return SimList{}, errors.New("htlvideo: the SQL baseline supports only the additive conjunction semantics")
-		}
 		return s.evalSQL(ctx, sys, cq, cfg)
 	default:
 		l, err := core.EvalPlanCtx(ctx, sys, cq.plan, coreOpts)

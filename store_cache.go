@@ -123,7 +123,7 @@ func (c *resultCache) finish(key string, fl *resFlight, res *Results, err error,
 func (s *Store) resultKey(cq *CompiledQuery, cfg *queryConfig) string {
 	var b strings.Builder
 	b.Grow(len(cq.plan.Key) + 48)
-	fmt.Fprintf(&b, "g%d|l%d|e%d|a%d|t%g|", s.gen.Load(), cfg.level, cfg.engine, cfg.andMode, cfg.untilThreshold)
+	fmt.Fprintf(&b, "g%d|l%d|e%d|t%g|", s.gen.Load(), cfg.level, cfg.engine, cfg.untilThreshold)
 	if cfg.videoID != nil {
 		fmt.Fprintf(&b, "v%d|", *cfg.videoID)
 	}

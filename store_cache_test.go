@@ -257,7 +257,6 @@ func TestCachedResultsIdentical(t *testing.T) {
 		{"quantified-until", newResilience, "exists x . present(x) until M1", nil},
 		{"at-level", newResilience, "at-shot-level(M1)", []QueryOption{AtRoot()}},
 		{"general-fallback", newResilience, "not eventually M2", nil},
-		{"and-min", newResilience, "M1 and M2", []QueryOption{WithAndSemantics(AndMin)}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

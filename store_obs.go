@@ -6,6 +6,7 @@ package htlvideo
 // the metric names and the mapping from engines and formula classes to them.
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"strings"
@@ -560,30 +561,30 @@ func (s *Store) Sampler() *timeseries.Sampler { return s.obs.sampler }
 // sparklines. Idempotent; Store.Close stops it.
 func (s *Store) StartSampling(interval time.Duration) { s.obs.sampler.Start(interval) }
 
-// DebugHandler serves the store's observability over HTTP: /metrics
-// (expvar-style JSON of the registry plus the Stats snapshot),
-// /debug/slowlog, /debug/traces, /debug/pprof, and the workload-analytics
-// surface — /debug/queries (per-plan-key statistics), /debug/timeseries
-// (windowed rates and quantile trends), /debug/health (the component
-// rollup), and /debug/dash (the self-contained HTML dashboard).
-// cmd/htlquery mounts it behind -metrics-addr.
+// DebugHandler serves the store's ops surface over HTTP (dash.Mount's
+// endpoint set): its /metrics JSON document is {metrics, stats}, the registry
+// snapshot plus the Stats snapshot. cmd/htlquery mounts it behind
+// -metrics-addr.
 func (s *Store) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/", obs.Handler(s.obs.reg, s.obs.slow, s.obs.ring, func() any { return s.Stats() }))
-	mux.HandleFunc("/debug/queries", func(w http.ResponseWriter, r *http.Request) {
-		querystats.ServeSnapshot(w, r, s.obs.qstats.Snapshot())
-	})
-	mux.Handle("/debug/timeseries", s.obs.sampler)
-	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, _ *http.Request) {
-		obs.WriteHealth(w, s.Health())
-	})
-	mux.Handle("/debug/dash", dash.Handler(dash.Sources{
-		Title:   "htlvideo store",
+	dash.Mount(mux, dash.Sources{
+		Title:      "htlvideo store",
+		Registries: func() []*obs.Registry { return []*obs.Registry{s.obs.reg} },
+		Metrics: func() any {
+			return struct {
+				Metrics obs.RegistrySnapshot `json:"metrics"`
+				Stats   Stats                `json:"stats"`
+			}{s.obs.reg.Snapshot(), s.Stats()}
+		},
+		SlowLog: s.SlowLog,
+		Traces:  s.TraceRing,
 		Health:  s.Health,
-		Queries: s.obs.qstats.Snapshot,
+		Queries: func(context.Context) (querystats.Snapshot, []querystats.ShardStatus) {
+			return s.obs.qstats.Snapshot(), nil
+		},
 		Sampler: s.obs.sampler,
 		Sparks:  []string{"query.total", "query.latency", "pool.videos_evaluated", "pool.in_flight"},
-	}))
+	})
 	return mux
 }
 

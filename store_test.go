@@ -251,42 +251,6 @@ func TestAnalyzePipelineThroughFacade(t *testing.T) {
 	}
 }
 
-func TestAndSemanticsOption(t *testing.T) {
-	s := testStore(t)
-	q := "(" + casablanca.ManWomanQuery + ") and eventually (" + casablanca.MovingTrainQuery + ")"
-	sum, err := s.Query(q, OnVideo(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	minimum, err := s.Query(q, OnVideo(1), WithAndSemantics(AndMin))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, lm := sum.PerVideo[1], minimum.PerVideo[1]
-	// Shot 10-44 (1.26 Man-Woman, no train ahead): partial under sum, zero
-	// under weakest-link.
-	if ls.At(20).Act <= 0 || lm.At(20).Act != 0 {
-		t.Fatalf("sum %v vs min %v", ls.At(20), lm.At(20))
-	}
-	// Shot 1 satisfies both conjuncts under either semantics.
-	if lm.At(1).Act <= 0 {
-		t.Fatalf("min at 1: %v", lm.At(1))
-	}
-	// Weakest-link agrees between direct and reference engines (oracle is in
-	// internal/refeval; this exercises the facade wiring).
-	ref, err := s.Query(q, OnVideo(1), WithAndSemantics(AndMin), WithEngine(EngineReference))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !simlist.EqualApprox(lm, ref.PerVideo[1], 1e-9) {
-		t.Fatalf("engines disagree under AndMin:\n %v\n %v", lm, ref.PerVideo[1])
-	}
-	// The SQL baseline only implements the paper's additive semantics.
-	if _, err := s.Query(q, OnVideo(1), WithAndSemantics(AndMin), WithEngine(EngineSQL)); err == nil {
-		t.Fatal("SQL engine should reject AndMin")
-	}
-}
-
 func TestHeterogeneousLevelsSkipped(t *testing.T) {
 	s := testStore(t)
 	// Level 3 exists only in video 2; video 1 (two-level Casablanca) is
