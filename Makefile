@@ -152,14 +152,20 @@ bench-bytes:
 
 # The number ROADMAP's design aim tracks: non-test Go lines of the root
 # module (bench/ is its own module), in total and outside the algorithmic
-# core, then one line per package of the core. A simplicity PR reports it
-# before and after.
+# core, then one line per package of the core, then the root package and the
+# serving packages outside the core (internal/obs with its sub-packages). A
+# simplicity PR reports it before and after.
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
 LOC_PKGS = core simlist interval htl picture relational sqlgen refeval
+LOC_SERVING = obs shard server resilience
 LOC_CORE = ^\./internal/($(subst $() ,|,$(LOC_PKGS)))/
 loc:
 	@echo "non-test Go lines: $$($(LOC_FILES) | xargs cat | wc -l) total," \
 		"$$($(LOC_FILES) | grep -Ev '$(LOC_CORE)' | xargs cat | wc -l) outside internal/{core,simlist,interval,htl,picture,relational,sqlgen,refeval}"
 	@for p in $(LOC_PKGS); do \
 		echo "  internal/$$p: $$($(LOC_FILES) | grep -E "^\./internal/$$p/" | xargs cat | wc -l)"; \
+	done
+	@echo "root package: $$($(LOC_FILES) | grep -E '^\./[^/]+\.go$$' | xargs cat | wc -l)"
+	@for p in $(LOC_SERVING); do \
+		echo "internal/$$p: $$($(LOC_FILES) | grep -E "^\./internal/$$p/" | xargs cat | wc -l)"; \
 	done

@@ -1,11 +1,12 @@
 // Package resilience holds the fault-tolerance primitives shared by every
-// serving layer in the repo: keyed circuit breakers and a full-jitter
-// exponential-backoff retry loop. internal/server uses them per video (a
-// repeatedly failing video is skipped instead of stalling every query);
-// internal/shard uses the same machinery per shard server (a dead shard
-// degrades into a skipped partial result instead of a failed query). Both
-// state machines take injected clocks/random sources so they are pure units
-// under test.
+// serving layer in the repo: keyed circuit breakers, a full-jitter
+// exponential-backoff retry loop, and FanOut, the one guarded per-key loop
+// that drives them. The store fans out over videos with neither; internal/server
+// runs each video behind its breaker with retries (a repeatedly failing video
+// is skipped instead of stalling every query); internal/shard does the same
+// per shard server (a dead shard degrades into a skipped partial result
+// instead of a failed query). Both state machines take injected clocks/random
+// sources so they are pure units under test.
 package resilience
 
 import (

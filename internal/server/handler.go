@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"htlvideo"
 	"htlvideo/internal/obs"
 	"htlvideo/internal/obs/dash"
+	"htlvideo/internal/resilience"
 )
 
 // NewHTTPServer returns an http.Server hardened against slow clients: header
@@ -211,8 +210,8 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 }
 
 // handleQuery evaluates one HTL query under admission control: parse the
-// parameters and the formula, then fan the store's videos out over a bounded
-// pool where each video runs behind its circuit breaker with transient-error
+// parameters and the formula, then fan the store's videos out (evaluate)
+// where each video runs behind its circuit breaker with transient-error
 // retries, and merge whatever survived into a ranked partial result.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	st := s.Store()
@@ -297,29 +296,17 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), p.Timeout)
 	defer cancel()
 
-	opts := []htlvideo.QueryOption{
-		htlvideo.AtLevel(p.Level),
-		htlvideo.WithUntilThreshold(p.Tau),
-		htlvideo.WithEngine(p.Engine),
-	}
-	if p.AtRoot {
-		opts = append(opts, htlvideo.AtRoot())
-	}
+	opts := p.storeOptions()
 	if p.Partial {
 		opts = append(opts, htlvideo.WithPartialResults())
 	}
 	if exact {
 		opts = append(opts, htlvideo.WithExactProfile())
 	}
-	if p.TraceID != "" {
-		// The explain's trace (and so its trace_id field) joins the
-		// coordinator's distributed trace.
-		opts = append(opts, htlvideo.WithTraceID(p.TraceID))
-	}
 	er, err := st.ExplainCtx(ctx, p.Query, opts...)
 	if err != nil {
 		code := http.StatusInternalServerError
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		if resilience.IsContextError(err) {
 			code = http.StatusGatewayTimeout
 		}
 		obs.WriteError(w, code, truncate(err.Error(), 300))
@@ -349,6 +336,24 @@ type QueryParams struct {
 	// with or without ?trace=1 — joins this process's query traces into the
 	// caller's trace id.
 	TraceID string
+}
+
+// storeOptions are the store query options every request's parameters
+// select. An inbound trace id joins the store's traces (and so an explain's
+// trace_id field) into the caller's distributed trace.
+func (p QueryParams) storeOptions() []htlvideo.QueryOption {
+	opts := []htlvideo.QueryOption{
+		htlvideo.AtLevel(p.Level),
+		htlvideo.WithUntilThreshold(p.Tau),
+		htlvideo.WithEngine(p.Engine),
+	}
+	if p.AtRoot {
+		opts = append(opts, htlvideo.AtRoot())
+	}
+	if p.TraceID != "" {
+		opts = append(opts, htlvideo.WithTraceID(p.TraceID))
+	}
+	return opts
 }
 
 // ParseDefaults are the knobs ParseQueryRequest needs from the serving
@@ -454,19 +459,19 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 	return p, http.StatusOK, nil
 }
 
-// evaluate fans the eligible videos out over the per-request pool: each
+// evaluate fans the eligible videos out through resilience.FanOut: each
 // video passes its circuit breaker, runs with transient-error retries, and
 // reports its outcome back to the breaker. The merge mirrors the store's
 // partial-result semantics at the serving layer — a failing or tripped
 // video costs its own results only.
 func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams) *QueryResponse {
 	out := &QueryResponse{Class: fmt.Sprint(htlvideo.Classify(p.Formula))}
-	var eligible []int
+	var eligible []int64
 	for _, v := range st.Videos() {
 		if !v.HasLevel(p.Level) {
 			continue
 		}
-		eligible = append(eligible, v.ID)
+		eligible = append(eligible, int64(v.ID))
 	}
 	out.Videos = len(eligible)
 
@@ -477,6 +482,7 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	// own spans — returned in the envelope for the caller to stitch.
 	var tr *obs.Trace
 	var evalSpan *obs.Span
+	var videoSpans []*obs.Span
 	if p.Trace {
 		tr = obs.NewTrace(p.Query)
 		tr.SetID(p.TraceID)
@@ -484,125 +490,90 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 		tr.SetTag("class", out.Class)
 		tr.SetTag("videos", strconv.Itoa(out.Videos))
 		evalSpan = tr.StartSpan("evaluate")
+		videoSpans = make([]*obs.Span, len(eligible))
 	}
 	out.TraceID = p.TraceID
 
-	opts := []htlvideo.QueryOption{
-		htlvideo.AtLevel(p.Level),
-		htlvideo.WithUntilThreshold(p.Tau),
-		htlvideo.WithEngine(p.Engine),
-	}
-	if p.AtRoot {
-		opts = append(opts, htlvideo.AtRoot())
-	}
-	if p.TraceID != "" {
-		opts = append(opts, htlvideo.WithTraceID(p.TraceID))
+	opts := p.storeOptions()
+	// videoSpan is video i's span, opened at its first use.
+	videoSpan := func(i int) *obs.Span {
+		if videoSpans[i] == nil {
+			videoSpans[i] = evalSpan.StartSpan("video")
+			videoSpans[i].SetTag("video", strconv.FormatInt(eligible[i], 10))
+		}
+		return videoSpans[i]
 	}
 
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		lists    = map[int]htlvideo.SimList{}
-		attempts atomic.Int64
-		sem      = make(chan struct{}, s.cfg.parallelism)
-	)
-	for _, id := range eligible {
-		id := id
-		if !s.breaker.Allow(int64(id)) {
-			s.m.brSkipped.Inc()
-			out.Skipped = append(out.Skipped, SkipDoc{Video: id, Reason: "breaker open"})
+	results := resilience.FanOut(ctx, eligible,
+		resilience.Guard{Limit: s.cfg.parallelism, Breaker: s.breaker, Retry: s.retry, Transient: IsTransient},
+		func(ctx context.Context, i, attempt int) (htlvideo.SimList, error) {
+			id := int(eligible[i])
+			// Copy: concurrent attempts must not share the base slice's
+			// backing array through append.
+			vopts := make([]htlvideo.QueryOption, 0, len(opts)+2)
+			vopts = append(vopts, opts...)
+			vopts = append(vopts, htlvideo.OnVideo(id))
+			var asp *obs.Span
+			var col *obs.TraceCollector
 			if evalSpan != nil {
-				sp := evalSpan.StartSpan("video")
-				sp.SetTag("video", strconv.Itoa(id))
-				sp.SetTag("skipped", "breaker open")
-				sp.End()
+				asp = videoSpan(i).StartSpan("attempt")
+				asp.SetTag("attempt", strconv.Itoa(attempt))
+				col = &obs.TraceCollector{}
+				vopts = append(vopts, htlvideo.WithTrace(col))
 			}
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var vsp *obs.Span
-			if evalSpan != nil {
-				vsp = evalSpan.StartSpan("video")
-				vsp.SetTag("video", strconv.Itoa(id))
-				defer vsp.End()
+			res, err := st.QueryFormulaCtx(ctx, p.Formula, vopts...)
+			if asp != nil {
+				if err != nil {
+					asp.SetTag("outcome", truncate(err.Error(), 120))
+				} else {
+					asp.SetTag("outcome", "ok")
+				}
+				if last := col.Last(); last != nil {
+					// The store's own spans (build/eval/merge) become this
+					// attempt's subtree, same as a shard's remote spans.
+					asp.AttachRemote(last.Snapshot().Spans)
+				}
+				asp.End()
 			}
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				// Never attempted: release the breaker reservation.
-				s.breaker.Cancel(int64(id))
-				vsp.SetTag("outcome", "deadline before start")
-				mu.Lock()
-				out.Failed = append(out.Failed, FailDoc{Video: id, Error: ctx.Err().Error(), Timeout: true})
-				mu.Unlock()
+			if err != nil {
+				return htlvideo.SimList{}, err
+			}
+			return res.PerVideo[id], nil
+		},
+		func(i int, r *resilience.Result[htlvideo.SimList]) {
+			if evalSpan == nil {
 				return
 			}
-			var list htlvideo.SimList
-			attempt := 0
-			err := s.retry.Do(ctx, func() error {
-				attempts.Add(1)
-				attempt++
-				// Copy: concurrent per-video goroutines must not share the
-				// base slice's backing array through append.
-				vopts := make([]htlvideo.QueryOption, 0, len(opts)+2)
-				vopts = append(vopts, opts...)
-				vopts = append(vopts, htlvideo.OnVideo(id))
-				var asp *obs.Span
-				var col *obs.TraceCollector
-				if vsp != nil {
-					asp = vsp.StartSpan("attempt")
-					asp.SetTag("attempt", strconv.Itoa(attempt))
-					col = &obs.TraceCollector{}
-					vopts = append(vopts, htlvideo.WithTrace(col))
-				}
-				res, e := st.QueryFormulaCtx(ctx, p.Formula, vopts...)
-				if asp != nil {
-					if e != nil {
-						asp.SetTag("outcome", truncate(e.Error(), 120))
-					} else {
-						asp.SetTag("outcome", "ok")
-					}
-					if last := col.Last(); last != nil {
-						// The store's own spans (build/eval/merge) become this
-						// attempt's subtree, same as a shard's remote spans.
-						asp.AttachRemote(last.Snapshot().Spans)
-					}
-					asp.End()
-				}
-				if e != nil {
-					return e
-				}
-				list = res.PerVideo[id]
-				return nil
-			}, IsTransient)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				s.breaker.Report(int64(id), false)
-				lists[id] = list
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				// The request's own deadline died, which says nothing about
-				// the video's health.
-				s.breaker.Cancel(int64(id))
-				out.Failed = append(out.Failed, FailDoc{Video: id, Error: err.Error(), Timeout: true})
-			default:
-				s.breaker.Report(int64(id), true)
-				out.Failed = append(out.Failed, FailDoc{Video: id, Error: truncate(err.Error(), 300)})
+			sp := videoSpan(i)
+			switch r.Outcome {
+			case resilience.Skipped:
+				sp.SetTag("skipped", "breaker open")
+			case resilience.NotStarted:
+				sp.SetTag("outcome", "deadline before start")
 			}
-		}()
-	}
-	wg.Wait()
+			sp.End()
+		})
 	evalSpan.End()
 
-	out.Evaluated = len(lists)
-	out.Retries = attempts.Load() - int64(out.Evaluated+len(out.Failed))
-	if out.Retries < 0 {
-		out.Retries = 0
+	lists := map[int]htlvideo.SimList{}
+	for i, r := range results {
+		id := int(eligible[i])
+		out.Retries += int64(max(r.Attempts-1, 0))
+		switch r.Outcome {
+		case resilience.OK:
+			lists[id] = r.Value
+		case resilience.Skipped:
+			s.m.brSkipped.Inc()
+			out.Skipped = append(out.Skipped, SkipDoc{Video: id, Reason: "breaker open"})
+		case resilience.NotStarted, resilience.TimedOut:
+			// The request's own deadline died, which says nothing about the
+			// video's health.
+			out.Failed = append(out.Failed, FailDoc{Video: id, Error: r.Err.Error(), Timeout: true})
+		default:
+			out.Failed = append(out.Failed, FailDoc{Video: id, Error: truncate(r.Err.Error(), 300)})
+		}
 	}
+	out.Evaluated = len(lists)
 	mergeSpan := tr.StartSpan("merge")
 	res := st.NewResults(lists)
 	for _, rk := range res.TopKCtx(ctx, p.K) {

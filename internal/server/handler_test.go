@@ -1,0 +1,96 @@
+package server
+
+// evaluate's per-video fan-out: concurrent attempts must not alias the
+// request's option slice, and the envelope's retries must count exactly the
+// re-attempts the server.retries counter saw.
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"htlvideo"
+	"htlvideo/internal/faultinject"
+)
+
+// TestPerVideoOptionsDoNotAlias guards the copy evaluate makes of the
+// request's option slice for each attempt: with ?root=1 the base slice has
+// spare capacity, so attempts appending OnVideo to it directly would overwrite
+// each other's video. Every one of 30 requests over 8 concurrent videos must
+// answer 200 with the same ranking.
+func TestPerVideoOptionsDoNotAlias(t *testing.T) {
+	s := htlvideo.NewStore(nil, htlvideo.DefaultWeights())
+	for id := 1; id <= 8; id++ {
+		v := htlvideo.NewVideo(id, fmt.Sprintf("clip %d", id), map[string]int{"shot": 2})
+		v.Root.AppendChild(htlvideo.Seg().Attr("M1", htlvideo.Int(1)).Obj(htlvideo.ObjectID(100*id+1), "man").Build())
+		v.Root.AppendChild(htlvideo.Seg().Attr("M2", htlvideo.Int(1)).Build())
+		if err := s.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := New(s, WithParallelism(8)).Handler()
+	var first string
+	for i := 0; i < 30; i++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/query?q=at-shot-level%28M1%29&root=1", nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, w.Code, w.Body.String())
+		}
+		var out QueryResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		top, _ := json.Marshal(out.Top)
+		if i == 0 {
+			if len(out.Top) != 8 {
+				t.Fatalf("top %s, want one root per video", top)
+			}
+			first = string(top)
+		} else if string(top) != first {
+			t.Fatalf("request %d: top %s, want %s as in request 0", i, top, first)
+		}
+	}
+}
+
+// TestRetriesCountsReattemptsOnly: with one video in flight at a time, video
+// 2 fails transiently on both of its attempts, video 3 stalls past the
+// deadline, and video 4 never starts. Only video 2's second attempt is a
+// retry, whatever the failed list holds.
+func TestRetriesCountsReattemptsOnly(t *testing.T) {
+	srv := New(chaosStore(t, 4),
+		WithParallelism(1),
+		WithRetry(RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}),
+		WithRandSeed(1),
+	)
+	faultinject.Arm(faultinject.NewPlan(1,
+		faultinject.Rule{Site: faultinject.SitePictureNewSystem, Key: 2, Kind: faultinject.KindError},
+		faultinject.Rule{Site: faultinject.SitePictureNewSystem, Key: 3, Kind: faultinject.KindStall},
+	))
+	t.Cleanup(faultinject.Disarm)
+
+	before := srv.m.retries.Value()
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/query?q=M1&timeout=100ms", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	var out QueryResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Evaluated != 1 || len(out.Failed) != 3 {
+		t.Fatalf("evaluated %d, failed %+v; want video 1 evaluated and videos 2-4 failed", out.Evaluated, out.Failed)
+	}
+	for i, f := range out.Failed {
+		if f.Video != i+2 || f.Timeout != (f.Video != 2) {
+			t.Fatalf("failed[%d] = %+v, want video %d in id order, timed out unless video 2", i, f, i+2)
+		}
+	}
+	delta := srv.m.retries.Value() - before
+	if delta != 1 || out.Retries != delta {
+		t.Fatalf("envelope retries %d, server.retries grew by %d; want both 1", out.Retries, delta)
+	}
+}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 
 	"htlvideo"
@@ -9,30 +8,17 @@ import (
 	"htlvideo/internal/resilience"
 )
 
-// The breaker and retry state machines are shared with the shard coordinator
-// (internal/shard) and live in internal/resilience; the aliases below keep
-// this package's configuration surface where serving users expect it. What
-// stays here is the serving-specific part: the transient-error classifier,
-// which knows the store's error taxonomy.
+// The breaker, the retry loop and the fan-out that drives them are shared
+// with the store and the shard coordinator and live in internal/resilience;
+// the aliases below keep the server's configuration types where serving users
+// expect them. What stays here is the serving-specific part: the
+// transient-error classifier, which knows the store's error taxonomy.
 
 type (
 	// BreakerConfig tunes the per-video circuit breakers.
 	BreakerConfig = resilience.BreakerConfig
-	// BreakerState is one circuit's state.
-	BreakerState = resilience.BreakerState
-	// Breaker is a keyed set of circuit breakers — one circuit per video id.
-	Breaker = resilience.Breaker
 	// RetryConfig tunes the transient-error retry loop.
 	RetryConfig = resilience.RetryConfig
-)
-
-const (
-	// StateClosed admits everything and tracks the failure rate.
-	StateClosed = resilience.StateClosed
-	// StateOpen rejects everything until OpenFor elapses.
-	StateOpen = resilience.StateOpen
-	// StateHalfOpen admits a bounded number of probes to test recovery.
-	StateHalfOpen = resilience.StateHalfOpen
 )
 
 // DefaultBreakerConfig returns the serving defaults.
@@ -41,10 +27,6 @@ func DefaultBreakerConfig() BreakerConfig { return resilience.DefaultBreakerConf
 // DefaultRetryConfig returns the serving defaults.
 func DefaultRetryConfig() RetryConfig { return resilience.DefaultRetryConfig() }
 
-// NewBreaker builds a keyed breaker. now may be nil (time.Now); onTransition
-// may be nil.
-var NewBreaker = resilience.NewBreaker
-
 // IsTransient classifies an error as retryable. Transient failures are the
 // ones a fresh attempt can plausibly clear: picture-system build failures
 // (evicted from the cache, so a retry rebuilds), injected faults, and
@@ -52,7 +34,7 @@ var NewBreaker = resilience.NewBreaker
 // everything else — parse errors never reach the retry loop, validation and
 // engine-capability errors are deterministic — are not retried.
 func IsTransient(err error) bool {
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if err == nil || resilience.IsContextError(err) {
 		return false
 	}
 	var pe *htlvideo.PanicError

@@ -1,6 +1,6 @@
 // Package server is the retrieval front-end: a long-running, fault-tolerant
 // HTTP query server over an htlvideo.Store. It composes the store's
-// resilience primitives (cancellation, bounded per-query worker pool, panic
+// resilience primitives (cancellation, the bounded per-video fan-out, panic
 // isolation, fault injection) and observability (internal/obs) with the
 // standard serving toolkit:
 //
@@ -169,7 +169,7 @@ type Server struct {
 	store   atomic.Pointer[htlvideo.Store]
 	m       *serverMetrics
 	limiter *limiter
-	breaker *Breaker
+	breaker *resilience.Breaker
 	retry   *resilience.Retrier
 	// sampler keeps the merged server + current-store metrics history
 	// (started only under WithSampleInterval; stopped by Shutdown).
@@ -232,13 +232,13 @@ func New(st *htlvideo.Store, opts ...Option) *Server {
 	}
 	s.limiter = newLimiter(cfg.admission)
 	s.limiter.waiting, s.limiter.shed = m.queued, m.shed
-	s.breaker = NewBreaker(cfg.breaker, cfg.now, func(key int64, from, to BreakerState) {
+	s.breaker = resilience.NewBreaker(cfg.breaker, cfg.now, func(key int64, from, to resilience.BreakerState) {
 		switch to {
-		case StateOpen:
+		case resilience.StateOpen:
 			m.brOpened.Inc()
-		case StateHalfOpen:
+		case resilience.StateHalfOpen:
 			m.brHalfOpen.Inc()
-		case StateClosed:
+		case resilience.StateClosed:
 			m.brClosed.Inc()
 		}
 		s.logf("server: breaker video %d: %v -> %v", key, from, to)

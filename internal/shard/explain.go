@@ -23,6 +23,7 @@ import (
 
 	"htlvideo"
 	"htlvideo/internal/obs"
+	"htlvideo/internal/resilience"
 	"htlvideo/internal/server"
 )
 
@@ -90,18 +91,9 @@ type MergedNode struct {
 // means a mixed-version fleet whose node IDs cannot be joined, and fails the
 // explain.
 func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams, exact bool) (*ExplainDoc, error) {
-	c.m.queries.Inc()
 	start := time.Now()
-	defer func() { c.m.latency.Observe(time.Since(start)) }()
-
-	if _, ok := ctx.Deadline(); !ok && p.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
-		defer cancel()
-	}
-	if p.TraceID == "" {
-		p.TraceID = obs.NewTraceID()
-	}
+	ctx, end := c.begin(ctx, &p)
+	defer end()
 
 	planKey := p.Query
 	if p.Formula != nil {
@@ -114,52 +106,34 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams, exact b
 		Shards: ShardsDoc{Total: len(members), MinRequired: c.cfg.minShards},
 	}
 
-	type partial struct {
-		shard string
-		er    *htlvideo.ExplainResult
-		err   error
-	}
-	parts := make([]partial, len(members))
-	done := make(chan int, len(members))
-	launched := 0
+	keys := make([]int64, len(members))
 	for i, mb := range members {
-		parts[i].shard = mb.name
-		if !c.breaker.Allow(mb.ord) {
-			c.m.skipped.Inc()
-			parts[i].err = ErrBreakerOpen
-			continue
-		}
-		launched++
-		go func(i int, mb member) {
-			defer func() { done <- i }()
-			er, err := c.explainShard(ctx, mb, p, exact)
-			switch {
-			case err == nil:
-				c.breaker.Report(mb.ord, false)
-				parts[i].er = er
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				c.breaker.Cancel(mb.ord)
-				c.m.errors.Inc()
-				parts[i].err = err
-			default:
-				c.breaker.Report(mb.ord, true)
-				c.m.errors.Inc()
-				parts[i].err = err
+		keys[i] = mb.ord
+	}
+	results := resilience.FanOut(ctx, keys, c.guard(),
+		func(ctx context.Context, i, _ int) (*htlvideo.ExplainResult, error) {
+			form := shardQuery(p)
+			form.Del("trace") // the explain result carries trace_id already
+			if exact {
+				form.Set("exact", "true")
 			}
-		}(i, mb)
-	}
-	for ; launched > 0; launched-- {
-		<-done
-	}
+			sctx, cancel, err := c.budget(ctx, form, nil)
+			if err != nil {
+				return nil, err
+			}
+			defer cancel()
+			return c.doExplainRequest(sctx, members[i], form, p.TraceID)
+		},
+		func(_ int, r *resilience.Result[*htlvideo.ExplainResult]) { c.count(r.Outcome) })
 
-	var oks []partial
-	for _, pt := range parts {
-		if pt.err != nil {
-			out.Shards.Errors = append(out.Shards.Errors, ShardErrorDoc{Shard: pt.shard, Error: pt.err.Error()})
+	var oks []int
+	for i, r := range results {
+		if r.Err != nil {
+			out.Shards.Errors = append(out.Shards.Errors, ShardErrorDoc{Shard: members[i].name, Error: r.Err.Error()})
 			continue
 		}
 		out.Shards.OK++
-		oks = append(oks, pt)
+		oks = append(oks, i)
 	}
 	if out.Shards.OK < c.cfg.minShards {
 		c.m.quorumFailures.Inc()
@@ -172,28 +146,22 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams, exact b
 
 	// The merge joins nodes by ID, which is only meaningful if every shard
 	// compiled the same plan.
-	for _, pt := range oks {
-		if pt.er.PlanKey != oks[0].er.PlanKey {
-			return out, fmt.Errorf("explain: plan mismatch: shard %s compiled %q, shard %s %q",
-				oks[0].shard, oks[0].er.PlanKey, pt.shard, pt.er.PlanKey)
-		}
-	}
-	out.PlanKey = oks[0].er.PlanKey
-	out.Class = oks[0].er.Class
-	out.Nodes = oks[0].er.Nodes
-	for _, pt := range oks {
-		out.Videos += pt.er.Videos
-		out.PerShard = append(out.PerShard, ShardExplainDoc{
-			Shard: pt.shard, Videos: pt.er.Videos,
-			Eval: pt.er.EvalTime, Total: pt.er.TotalTime,
-		})
-	}
-
+	first := results[oks[0]].Value
+	out.PlanKey, out.Class, out.Nodes = first.PlanKey, first.Class, first.Nodes
 	names := make([]string, len(oks))
 	trees := make([]*obs.ExplainNode, len(oks))
-	for i, pt := range oks {
-		names[i] = pt.shard
-		trees[i] = pt.er.Plan
+	for j, i := range oks {
+		er := results[i].Value
+		if er.PlanKey != first.PlanKey {
+			return out, fmt.Errorf("explain: plan mismatch: shard %s compiled %q, shard %s %q",
+				members[oks[0]].name, first.PlanKey, members[i].name, er.PlanKey)
+		}
+		out.Videos += er.Videos
+		out.PerShard = append(out.PerShard, ShardExplainDoc{
+			Shard: members[i].name, Videos: er.Videos,
+			Eval: er.EvalTime, Total: er.TotalTime,
+		})
+		names[j], trees[j] = members[i].name, er.Plan
 	}
 	merged, err := mergeExplainTrees(names, trees)
 	if err != nil {
@@ -202,41 +170,6 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams, exact b
 	out.Plan = merged
 	out.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return out, nil
-}
-
-// explainShard posts one shard's /explain under the retry loop.
-func (c *Coordinator) explainShard(ctx context.Context, mb member, p server.QueryParams, exact bool) (*htlvideo.ExplainResult, error) {
-	var er *htlvideo.ExplainResult
-	err := c.retry.Do(ctx, func() error {
-		form := shardQuery(p)
-		form.Del("trace") // the explain result carries trace_id already
-		if exact {
-			form.Set("exact", "true")
-		}
-		sctx := ctx
-		var cancel context.CancelFunc
-		if dl, ok := ctx.Deadline(); ok {
-			budget := time.Duration(float64(time.Until(dl)) * c.cfg.budgetFraction)
-			if budget <= 0 {
-				return context.DeadlineExceeded
-			}
-			form.Set("timeout", budget.String())
-			sctx, cancel = context.WithTimeout(ctx, budget)
-		}
-		if cancel != nil {
-			defer cancel()
-		}
-		r, e := c.doExplainRequest(sctx, mb, form, p.TraceID)
-		if e != nil {
-			return e
-		}
-		er = r
-		return nil
-	}, transientShardError)
-	if err != nil {
-		return nil, err
-	}
-	return er, nil
 }
 
 // doExplainRequest is one POST /explain attempt against one shard.
@@ -425,7 +358,7 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, ErrQuorum):
 			code = http.StatusServiceUnavailable
-		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		case resilience.IsContextError(err):
 			code = http.StatusGatewayTimeout
 		}
 		obs.WriteJSON(w, code, struct {

@@ -12,10 +12,10 @@ package shard
 import (
 	"context"
 	"net/http"
-	"sync"
 	"time"
 
 	"htlvideo/internal/obs/querystats"
+	"htlvideo/internal/resilience"
 )
 
 // queryStatsTimeout bounds the /debug/queries fan-out; stats collection must
@@ -33,22 +33,22 @@ func (c *Coordinator) QueryStats(ctx context.Context) (querystats.Snapshot, []qu
 	ctx, cancel := context.WithTimeout(ctx, queryStatsTimeout)
 	defer cancel()
 	members := c.snapshotMembers()
+	// Without a breaker the keys only count the members.
+	results := resilience.FanOut(ctx, make([]int64, len(members)), resilience.Guard{},
+		func(ctx context.Context, i, _ int) (querystats.Snapshot, error) {
+			var snap querystats.Snapshot
+			err := c.roundTrip(ctx, http.MethodGet, members[i].url+"/debug/queries", nil, "", &snap)
+			return snap, err
+		}, nil)
 	snaps := make([]querystats.Snapshot, len(members))
 	statuses := make([]querystats.ShardStatus, len(members))
-	var wg sync.WaitGroup
-	for i, mb := range members {
-		statuses[i].Shard = mb.name
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var snap querystats.Snapshot
-			if err := c.roundTrip(ctx, http.MethodGet, mb.url+"/debug/queries", nil, "", &snap); err != nil {
-				statuses[i].Error = err.Error()
-				return
-			}
-			snaps[i], statuses[i].Entries = snap, len(snap.Entries)
-		}()
+	for i, r := range results {
+		statuses[i].Shard = members[i].name
+		if r.Err != nil {
+			statuses[i].Error = r.Err.Error()
+			continue
+		}
+		snaps[i], statuses[i].Entries = r.Value, len(r.Value.Entries)
 	}
-	wg.Wait()
 	return querystats.Merge(snaps...), statuses
 }

@@ -11,20 +11,20 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"htlvideo"
 	"htlvideo/internal/core"
 	"htlvideo/internal/interval"
 	"htlvideo/internal/obs"
+	"htlvideo/internal/resilience"
 	"htlvideo/internal/server"
 	"htlvideo/internal/simlist"
 )
 
 // ErrBreakerOpen marks a shard skipped without an attempt because its
 // circuit breaker is open.
-var ErrBreakerOpen = errors.New("breaker open")
+var ErrBreakerOpen = resilience.ErrBreakerOpen
 
 // ErrQuorum marks a query whose successful shard count fell below the
 // configured MinShards.
@@ -41,12 +41,10 @@ type Results struct {
 	Skipped   []server.SkipDoc
 	Failed    []server.FailDoc
 	// Retries counts video-level re-attempts inside the shards; the
-	// coordinator's own shard-level retries are in the shard.retries metric
-	// and per-query in ShardRetries.
-	Retries      int64
-	ShardsTotal  int
-	ShardsOK     int
-	ShardRetries int64
+	// coordinator's own shard-level retries are in the shard.retries metric.
+	Retries     int64
+	ShardsTotal int
+	ShardsOK    int
 	// ShardErrors itemizes each shard that contributed nothing, mirroring
 	// htlvideo Results.Errors one level up: one error per lost shard, each
 	// naming the shard. A query meeting quorum still lists its losses here.
@@ -90,13 +88,10 @@ func (e *httpError) Error() string { return fmt.Sprintf("status %d: %s", e.statu
 
 // transientShardError classifies coordinator-level failures for the retry
 // loop: network-level errors and overload/server-side statuses (429, 5xx)
-// are transient; client errors (4xx) are deterministic and final; the
-// requesting context's own death is never retried.
+// are transient; client errors (4xx) are deterministic and final. The loop
+// never retries the requesting context's own death.
 func transientShardError(err error) bool {
 	if err == nil {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
 	var he *httpError
@@ -117,22 +112,8 @@ func transientShardError(err error) bool {
 // annotated with breaker states, retry/hedge outcomes and per-shard deadline
 // budgets: one cross-process trace of the whole Fig.-1 query path.
 func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results {
-	c.m.queries.Inc()
-	start := time.Now()
-	defer func() { c.m.latency.Observe(time.Since(start)) }()
-
-	if _, ok := ctx.Deadline(); !ok && p.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
-		defer cancel()
-	}
-
-	// Mint the distributed trace id up front: propagation is always on (the
-	// id is one header; shards join their logs to it whether or not anyone
-	// asked for span payloads).
-	if p.TraceID == "" {
-		p.TraceID = obs.NewTraceID()
-	}
+	ctx, end := c.begin(ctx, &p)
+	defer end()
 
 	tr := obs.NewTrace(p.Query)
 	tr.SetID(p.TraceID)
@@ -155,55 +136,37 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 	out := &Results{ShardsTotal: len(members), TraceID: p.TraceID}
 	tr.SetTag("shards", strconv.Itoa(len(members)))
 
+	// Each shard's span opens before its breaker is asked, so the tag shows
+	// the state the request met.
 	scatterSp := tr.StartSpan("scatter")
-	type partial struct {
-		shard   string
-		resp    *server.QueryResponse
-		err     error
-		elapsed time.Duration
-	}
-	parts := make([]partial, len(members))
-	var wg sync.WaitGroup
+	keys := make([]int64, len(members))
+	spans := make([]*obs.Span, len(members))
+	// One attempt counter per shard sub-query, shared by retries and hedges:
+	// every HTTP request the shard saw is numbered in the stitched trace.
+	launches := make([]int64, len(members))
 	for i, mb := range members {
-		parts[i].shard = mb.name
-		sp := scatterSp.StartSpan("shard " + mb.name)
-		sp.SetTag("breaker", c.breaker.State(mb.ord).String())
-		if !c.breaker.Allow(mb.ord) {
-			c.m.skipped.Inc()
-			parts[i].err = ErrBreakerOpen
-			sp.SetTag("outcome", "skipped")
-			sp.End()
-			continue
-		}
-		wg.Add(1)
-		go func(i int, mb member, sp *obs.Span) {
-			defer wg.Done()
-			attemptStart := time.Now()
-			defer func() { parts[i].elapsed = time.Since(attemptStart) }()
-			sp.SetTag("url", mb.url)
-			resp, err := c.queryShard(ctx, mb, p, sp)
-			switch {
-			case err == nil:
-				c.breaker.Report(mb.ord, false)
-				sp.SetTag("outcome", "ok")
-				parts[i].resp = resp
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				// The request's own budget died; that says nothing about the
-				// shard's health.
-				c.breaker.Cancel(mb.ord)
-				c.m.errors.Inc()
-				sp.SetTag("outcome", "timeout")
-				parts[i].err = err
-			default:
-				c.breaker.Report(mb.ord, true)
-				c.m.errors.Inc()
-				sp.SetTag("outcome", "error")
-				parts[i].err = err
-			}
-			sp.End()
-		}(i, mb, sp)
+		keys[i] = mb.ord
+		spans[i] = scatterSp.StartSpan("shard " + mb.name)
+		spans[i].SetTag("breaker", c.breaker.State(mb.ord).String())
 	}
-	wg.Wait()
+	parts := resilience.FanOut(ctx, keys, c.guard(),
+		func(ctx context.Context, i, attempt int) (*server.QueryResponse, error) {
+			mb, sp := members[i], spans[i]
+			if attempt == 1 {
+				sp.SetTag("url", mb.url)
+			}
+			q := shardQuery(p)
+			sctx, cancel, err := c.budget(ctx, q, sp)
+			if err != nil {
+				return nil, err
+			}
+			defer cancel()
+			return c.callHedged(sctx, mb, q, p.TraceID, sp, &launches[i])
+		},
+		func(i int, r *resilience.Result[*server.QueryResponse]) {
+			spans[i].SetTag("outcome", c.count(r.Outcome))
+			spans[i].End()
+		})
 	scatterSp.End()
 
 	// Attribute the scatter's wall time to the slowest sub-query: the shard
@@ -211,9 +174,9 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 	// field, so a slow coordinator query names where the time went.
 	var domShard string
 	var domElapsed time.Duration
-	for _, pt := range parts {
-		if pt.elapsed > domElapsed {
-			domShard, domElapsed = pt.shard, pt.elapsed
+	for i, pt := range parts {
+		if pt.Elapsed > domElapsed {
+			domShard, domElapsed = members[i].name, pt.Elapsed
 		}
 	}
 	if domShard != "" {
@@ -222,13 +185,16 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 
 	mergeSp := tr.StartSpan("merge")
 	var entries []mergeEntry
-	for _, pt := range parts {
-		if pt.err != nil {
-			out.ShardErrors = append(out.ShardErrors, &shardError{shard: pt.shard, err: pt.err})
+	for i, pt := range parts {
+		if pt.Err != nil {
+			out.ShardErrors = append(out.ShardErrors, &shardError{shard: members[i].name, err: pt.Err})
 			continue
 		}
 		out.ShardsOK++
-		r := pt.resp
+		r := pt.Value
+		if out.Class == "" {
+			out.Class = r.Class
+		}
 		out.Videos += r.Videos
 		out.Evaluated += r.Evaluated
 		out.Retries += r.Retries
@@ -251,12 +217,6 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 	sort.Slice(out.Failed, func(i, j int) bool { return out.Failed[i].Video < out.Failed[j].Video })
 
 	out.Top = mergeRanked(entries, p.K)
-	for i := range parts {
-		if parts[i].resp != nil {
-			out.Class = parts[i].resp.Class
-			break
-		}
-	}
 	mergeSp.End()
 	if !out.QuorumMet(c.cfg.minShards) {
 		c.m.quorumFailures.Inc()
@@ -268,6 +228,27 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 		out.Trace = &snap
 	}
 	return out
+}
+
+// begin opens one scatter (a query or an explain): it counts it, applies
+// p.Timeout when ctx carries no deadline, and mints the distributed trace id
+// up front — propagation is always on (the id is one header; shards join
+// their logs to it whether or not anyone asked for span payloads). end
+// releases the deadline and observes the scatter's latency.
+func (c *Coordinator) begin(ctx context.Context, p *server.QueryParams) (_ context.Context, end func()) {
+	c.m.queries.Inc()
+	start := time.Now()
+	cancel := context.CancelFunc(func() {})
+	if _, ok := ctx.Deadline(); !ok && p.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
+	}
+	if p.TraceID == "" {
+		p.TraceID = obs.NewTraceID()
+	}
+	return ctx, func() {
+		cancel()
+		c.m.latency.Observe(time.Since(start))
+	}
 }
 
 // mergeEntry pairs a core.Ranked (for ordering) with the shard's document
@@ -305,41 +286,48 @@ func mergeRanked(entries []mergeEntry, k int) []server.RankedDoc {
 	return out
 }
 
-// queryShard runs one shard sub-query under the retry loop; each attempt is
-// hedged. The shard's budget is a fraction of the time remaining on ctx,
-// forwarded as its own ?timeout= so the shard self-bounds too.
-func (c *Coordinator) queryShard(ctx context.Context, mb member, p server.QueryParams, sp *obs.Span) (*server.QueryResponse, error) {
-	var resp *server.QueryResponse
-	// One attempt counter per shard sub-query, shared by retries and hedges:
-	// every HTTP request the shard saw is numbered in the stitched trace.
-	var attempt int64
-	err := c.retry.Do(ctx, func() error {
-		q := shardQuery(p)
-		sctx := ctx
-		var cancel context.CancelFunc
-		if dl, ok := ctx.Deadline(); ok {
-			budget := time.Duration(float64(time.Until(dl)) * c.cfg.budgetFraction)
-			if budget <= 0 {
-				return context.DeadlineExceeded
-			}
-			q.Set("timeout", budget.String())
-			sp.SetTag("budget", budget.Round(time.Millisecond).String())
-			sctx, cancel = context.WithTimeout(ctx, budget)
-		}
-		if cancel != nil {
-			defer cancel()
-		}
-		r, e := c.callHedged(sctx, mb, q, p.TraceID, sp, &attempt)
-		if e != nil {
-			return e
-		}
-		resp = r
-		return nil
-	}, transientShardError)
-	if err != nil {
-		return nil, err
+// guard is the policy every shard sub-query runs under: all shards at once,
+// each behind its breaker with transient-error retries.
+func (c *Coordinator) guard() resilience.Guard {
+	return resilience.Guard{Breaker: c.breaker, Retry: c.retry, Transient: transientShardError}
+}
+
+// count tallies one shard sub-query's outcome in the shard.* counters and
+// names it for the shard's span.
+func (c *Coordinator) count(o resilience.Outcome) string {
+	switch o {
+	case resilience.OK:
+		return "ok"
+	case resilience.Skipped:
+		c.m.skipped.Inc()
+		return "skipped"
+	case resilience.Failed:
+		c.m.errors.Inc()
+		return "error"
+	default:
+		// The request's own budget died; that says nothing about the shard's
+		// health.
+		c.m.errors.Inc()
+		return "timeout"
 	}
-	return resp, nil
+}
+
+// budget bounds one shard attempt to a fraction of the time remaining on
+// ctx, forwarded as the shard's own ?timeout= so the shard self-bounds too,
+// and tagged on sp. Without a deadline on ctx the attempt runs unbounded.
+func (c *Coordinator) budget(ctx context.Context, q url.Values, sp *obs.Span) (context.Context, context.CancelFunc, error) {
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return ctx, func() {}, nil
+	}
+	budget := time.Duration(float64(time.Until(dl)) * c.cfg.budgetFraction)
+	if budget <= 0 {
+		return nil, nil, context.DeadlineExceeded
+	}
+	q.Set("timeout", budget.String())
+	sp.SetTag("budget", budget.Round(time.Millisecond).String())
+	sctx, cancel := context.WithTimeout(ctx, budget)
+	return sctx, cancel, nil
 }
 
 // shardQuery re-encodes validated parameters for the shard request. Shards

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -22,6 +21,7 @@ import (
 	"htlvideo/internal/picture"
 	"htlvideo/internal/refeval"
 	"htlvideo/internal/relational"
+	"htlvideo/internal/resilience"
 	"htlvideo/internal/sqlgen"
 )
 
@@ -170,7 +170,7 @@ func (s *Store) system(ctx context.Context, v *Video, level int) (*picture.Syste
 		// A waiter can inherit a cancellation error from the context of the
 		// query that initiated the shared build; retry under our own while
 		// it is still live.
-		if ctxErr(e.err) {
+		if resilience.IsContextError(e.err) {
 			if ctx.Err() == nil {
 				continue
 			}
@@ -178,11 +178,6 @@ func (s *Store) system(ctx context.Context, v *Video, level int) (*picture.Syste
 		}
 		return nil, fmt.Errorf("%w: %w", ErrPictureBuild, e.err)
 	}
-}
-
-// ctxErr reports whether err is a context cancellation or deadline error.
-func ctxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Engine selects the evaluation machinery.
@@ -408,12 +403,12 @@ func (s *Store) QueryFormula(f Formula, opts ...QueryOption) (*Results, error) {
 
 // QueryFormulaCtx evaluates a parsed HTL formula under a context.
 //
-// Videos are independent and evaluate concurrently on a bounded worker pool
-// (see WithParallelism). A panic while evaluating one video is contained and
-// surfaces as that video's error; per-video failures are aggregated with
-// errors.Join, so every failed video appears in the returned error. With
-// WithPartialResults, failed videos are skipped and reported in
-// Results.Errors instead.
+// Videos are independent and evaluate concurrently through
+// resilience.FanOut, at most WithParallelism at once. A panic while
+// evaluating one video is contained and surfaces as that video's error;
+// per-video failures are aggregated with errors.Join, so every failed video
+// appears in the returned error. With WithPartialResults, failed videos are
+// skipped and reported in Results.Errors instead.
 func (s *Store) QueryFormulaCtx(ctx context.Context, f Formula, opts ...QueryOption) (*Results, error) {
 	cfg := newQueryConfig(opts)
 	cq := s.compileFormula(f, cfg.noCache)
@@ -483,9 +478,6 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(work) {
-		workers = len(work)
-	}
 	// Always-on explain accounting: one profile per evaluated query, shared
 	// by all video workers (per-node atomic slots, no merging). Result-cache
 	// hits never reach runQuery, so warm repeated queries pay nothing.
@@ -495,68 +487,47 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	o := s.obs
 	evalStage := tr.StartSpan("eval")
 	o.poolQueued.Add(int64(len(work)))
-	var (
-		jobs  = make(chan *Video)
-		wg    sync.WaitGroup
-		resMu sync.Mutex
-		errs  []error
-	)
+	keys := make([]int64, len(work))
+	for i, v := range work {
+		keys[i] = int64(v.ID)
+	}
+	var results []resilience.Result[SimList]
 	// The pprof labels make CPU profiles from /debug/pprof/profile
 	// attributable to query shape: samples inside evaluation carry the
-	// engine, the formula class, and the plan's canonical key. Workers are
-	// spawned inside the labeled region so they inherit the labels.
+	// engine, the formula class, and the plan's canonical key. The loop's
+	// workers are spawned inside the labeled region so they inherit the
+	// labels. They stop promptly on cancellation: every engine checkpoints
+	// the context inside its main loop.
 	pprof.Do(ctx, pprof.Labels(
 		"engine", engineKey(cfg.engine),
 		"class", classKey(cq.class),
 		"query_key", cq.plan.Key,
 	), func(ctx context.Context) {
-		wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				defer wg.Done()
-				for v := range jobs {
-					o.poolQueued.Dec()
-					o.poolInFlight.Inc()
-					vsp := evalStage.StartSpan("video")
-					vsp.SetTag("video", strconv.Itoa(v.ID))
-					start := time.Now()
-					l, err := s.queryVideoIsolated(obs.ContextWithSpan(ctx, vsp), v, cq, cfg)
-					elapsed := time.Since(start)
-					vsp.End()
-					o.poolInFlight.Dec()
-					o.videoLat.Observe(elapsed)
-					resMu.Lock()
-					if err != nil {
-						o.videosFailed.Inc()
-						errs = append(errs, &VideoError{VideoID: v.ID, Elapsed: elapsed, Err: err})
-					} else {
-						o.videosEvaluated.Inc()
-						res.PerVideo[v.ID] = l
-					}
-					resMu.Unlock()
-				}
-			}()
-		}
-		fed := 0
-	feed:
-		for _, v := range work {
-			select {
-			case jobs <- v:
-				fed++
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(jobs)
-		// Workers exit promptly on cancellation: every engine checkpoints the
-		// context inside its main loop, so this wait is bounded by one
-		// checkpoint interval rather than by a full video evaluation.
-		wg.Wait()
-		// Videos never fed to a worker (cancellation cut the feed short) leave
-		// the queue gauge with the pool.
-		o.poolQueued.Add(int64(fed - len(work)))
+		results = resilience.FanOut(ctx, keys, resilience.Guard{Limit: workers},
+			func(ctx context.Context, i, _ int) (SimList, error) {
+				o.poolQueued.Dec()
+				o.poolInFlight.Inc()
+				defer o.poolInFlight.Dec()
+				return s.queryVideoIsolated(ctx, evalStage, work[i], cq, cfg)
+			}, nil)
 	})
 	evalStage.End()
+	var errs []error
+	for i, r := range results {
+		if r.Outcome == resilience.NotStarted {
+			// Never fed to a worker: it leaves the queue gauge with the pool.
+			o.poolQueued.Dec()
+			continue
+		}
+		o.videoLat.Observe(r.Elapsed)
+		if r.Err != nil {
+			o.videosFailed.Inc()
+			errs = append(errs, &VideoError{VideoID: work[i].ID, Elapsed: r.Elapsed, Err: r.Err})
+		} else {
+			o.videosEvaluated.Inc()
+			res.PerVideo[work[i].ID] = r.Value
+		}
+	}
 	// Fold the profile's memo hits into the registry so explain output and
 	// /metrics tell one story (the golden tests assert they match).
 	o.planMemoHits.Add(cfg.prof.MemoHits())
@@ -570,9 +541,6 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	}
 	merge := tr.StartSpan("merge")
 	defer merge.End()
-	sort.Slice(errs, func(i, j int) bool {
-		return errs[i].(*VideoError).VideoID < errs[j].(*VideoError).VideoID
-	})
 	if len(errs) > 0 && !cfg.partial {
 		return nil, errors.Join(errs...)
 	}
@@ -580,23 +548,20 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	return res, nil
 }
 
-// queryVideoIsolated evaluates one video, containing panics so a poisoned
+// queryVideoIsolated evaluates the formula over one video under a "video"
+// span of parent: the picture-system build/cache-lookup stage, then the
+// engine stage, each under its own span. Panics are contained, so a poisoned
 // video fails alone instead of crashing every caller of the store.
-func (s *Store) queryVideoIsolated(ctx context.Context, v *Video, cq *CompiledQuery, cfg *queryConfig) (l SimList, err error) {
+func (s *Store) queryVideoIsolated(ctx context.Context, parent *obs.Span, v *Video, cq *CompiledQuery, cfg *queryConfig) (l SimList, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.obs.panicsRecovered.Inc()
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return s.queryVideo(ctx, v, cq, cfg)
-}
-
-// queryVideo evaluates the formula over one video: the picture-system
-// build/cache-lookup stage, then the engine stage, each under its own span of
-// the per-video trace.
-func (s *Store) queryVideo(ctx context.Context, v *Video, cq *CompiledQuery, cfg *queryConfig) (SimList, error) {
-	vsp := obs.SpanFromContext(ctx)
+	vsp := parent.StartSpan("video")
+	vsp.SetTag("video", strconv.Itoa(v.ID))
+	defer vsp.End()
 	ssp := vsp.StartSpan("system")
 	sys, err := s.system(obs.ContextWithSpan(ctx, ssp), v, cfg.level)
 	ssp.End()

@@ -23,6 +23,7 @@ import (
 
 	"htlvideo/internal/cache"
 	"htlvideo/internal/obs"
+	"htlvideo/internal/resilience"
 )
 
 // DefaultResultCacheCapacity is the result-cache size used when
@@ -159,7 +160,7 @@ func (s *Store) queryCached(ctx context.Context, rc *resultCache, tr *obs.Trace,
 				// The leader may have died of *its* context; that says
 				// nothing about this query — retry under our own while it
 				// is still live.
-				if ctxErr(fl.err) && ctx.Err() == nil {
+				if resilience.IsContextError(fl.err) && ctx.Err() == nil {
 					continue
 				}
 				return nil, fl.err

@@ -76,7 +76,7 @@ func (s *Store) Explain(query string, opts ...QueryOption) (*ExplainResult, erro
 // ExplainCtx parses (through the plan cache), evaluates, and profiles a
 // query. The result cache is bypassed — explain output describes a real
 // evaluation, never a cached one — but the evaluation is otherwise the normal
-// query path: same engines, same worker pool, same metrics and slow-log
+// query path: same engines, same fan-out, same metrics and slow-log
 // accounting. Always-on profiling attributes counts everywhere and inclusive
 // wall time in the similarity-list and SQL engines; add WithExactProfile for
 // per-visit timing in the reference evaluator.

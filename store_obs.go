@@ -20,6 +20,7 @@ import (
 	"htlvideo/internal/obs/dash"
 	"htlvideo/internal/obs/querystats"
 	"htlvideo/internal/obs/timeseries"
+	"htlvideo/internal/resilience"
 )
 
 // storeObs bundles one store's instrumentation. Hot-path counters are cached
@@ -119,7 +120,7 @@ func errorClass(err error) string {
 	}
 	var pe *PanicError
 	switch {
-	case ctxErr(err):
+	case resilience.IsContextError(err):
 		return "context"
 	case errors.Is(err, ErrPictureBuild):
 		return "picture-build"
