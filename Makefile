@@ -31,11 +31,13 @@ race:
 	$(GO) test -race ./...
 
 # The §3 kernel's allocation budget (allocations and bytes per cold conj and
-# type2 query), its byte-identity golden, and the two tests that hold the
-# evaluation arena's reuse invisible, without -race: under the race detector
-# sync.Pool drops puts on purpose, the budget skips itself and reuse is rarer.
+# type2 query), what a one-video store query may allocate beyond its
+# evaluation, the kernel's byte-identity golden, and the two tests that hold
+# the evaluation arena's reuse invisible, without -race: under the race
+# detector sync.Pool drops puts on purpose, the budgets skip themselves and
+# reuse is rarer.
 budget:
-	$(GO) test -run '^(TestColdShapeAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestMemoTablesImmutable)$$' -count=1 . ./internal/core/
+	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestMemoTablesImmutable)$$' -count=1 . ./internal/core/
 
 # Metrics-conventions lint: every Prometheus exposition the store, server and
 # shard coordinator serve must pass obs.LintExposition (counter/gauge/
@@ -135,9 +137,12 @@ bench-short:
 
 # The per-shape table every kernel PR cites (EXPERIMENTS.md): ms, bytes and
 # allocations per cold 64-video query of each MIX6 shape at the Store API,
-# three runs. Not part of `make check`.
+# then per GET /query through the server's handler (one store query per
+# video), cold and against a warm result cache; three runs each. Not part of
+# `make check`.
 bench-shapes:
 	$(GO) test -run '^$$' -bench StoreColdShape -benchmem -benchtime 20x -count 3 .
+	$(GO) test -run '^$$' -bench 'ColdRequest|WarmRequest' -benchmem -benchtime 20x -count 3 ./internal/server/
 
 # Where one cold MIX6 cycle's bytes go (EXPERIMENTS.md): BenchmarkStoreColdCycle
 # under the memory profiler, then the profile's allocation sites by bytes. The

@@ -94,11 +94,13 @@ func BenchmarkStoreColdCycle(b *testing.B) {
 }
 
 // coldShapeBudget is what one cold query of a table-heavy MIX6 shape over
-// mix6Corpus(8, 4, 10) allocated when every table of an evaluation came to be
-// carved from a pooled arena: allocations, and bytes
-// (runtime.MemStats.TotalAlloc) — the most of ten runs, which read conj
-// 41–48 KB and type2 35–38 KB, depending on how often a worker found its P
-// without a grown arena. Before it, with tables allocated per evaluation and
+// mix6Corpus(8, 4, 10) allocated once a query stopped paying for a plan
+// profile, trace tag maps and registry lookups it did not need: allocations,
+// and bytes (runtime.MemStats.TotalAlloc) — the most of ten runs, which read
+// conj 31–38 KB and type2 26–29 KB, depending on how often a worker found its
+// P without a grown arena. Before it, with every table of an evaluation
+// carved from a pooled arena: conj 435 allocations / 48.8 KB, type2 393 /
+// 38 KB; with tables allocated per evaluation and
 // 16-byte entries: conj 763 allocations / 168 KB, type2 537 / 71 KB; with
 // 24-byte entries in columnar tables: conj 763 / 195 KB, type2 537 / 85 KB;
 // with a block per table: conj 862 / 345 KB, type2 591 / 133 KB; with a slice
@@ -109,8 +111,8 @@ func BenchmarkStoreColdCycle(b *testing.B) {
 // under — the guard of these changes that needs no benchmark harness (`make
 // budget`).
 var coldShapeBudget = map[string]struct{ allocs, bytes float64 }{
-	"conj":  {allocs: 435, bytes: 48_800},
-	"type2": {allocs: 393, bytes: 38_000},
+	"conj":  {allocs: 361, bytes: 38_000},
+	"type2": {allocs: 319, bytes: 29_000},
 }
 
 // skipUnlessPoolsKeep skips an allocation-count test under the race

@@ -156,18 +156,6 @@ func (p *PlanProfile) AddSQL(n *PNode, stmts, rows int64) {
 	}
 }
 
-// MemoHits sums memo hits over all nodes.
-func (p *PlanProfile) MemoHits() int64 {
-	if p == nil {
-		return 0
-	}
-	var total int64
-	for i := range p.nodes {
-		total += p.nodes[i].memoHits.Load()
-	}
-	return total
-}
-
 // Stats snapshots n's accumulated statistics.
 func (p *PlanProfile) Stats(n *PNode) obs.NodeStats {
 	s := p.slot(n)

@@ -466,6 +466,16 @@ func (m *EngineMetrics) MemoHit() {
 	}
 }
 
+// Add folds a snapshot of other counters into m (a query's own counters into
+// the store's, once its videos are done).
+func (m *EngineMetrics) Add(s EngineSnapshot) {
+	if m != nil {
+		m.atomicEvals.Add(s.AtomicEvals)
+		m.mergeOps.Add(s.MergeOps)
+		m.memoHits.Add(s.MemoHits)
+	}
+}
+
 // EngineSnapshot is a point-in-time copy of one engine's work counters.
 type EngineSnapshot struct {
 	AtomicEvals int64 `json:"atomic_evals"`

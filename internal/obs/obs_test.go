@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -236,6 +237,29 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 	}
 }
 
+// TestTagsLastWriteWins sets more tags than a trace holds inline and sets
+// some twice, on the trace and on a span: each key snapshots once, with the
+// last value set.
+func TestTagsLastWriteWins(t *testing.T) {
+	tr := NewTrace("q")
+	sp := tr.StartSpan("attempt")
+	want := map[string]string{}
+	for i := range 10 {
+		k, v := fmt.Sprintf("k%d", i%8), fmt.Sprintf("v%d", i)
+		tr.SetTag(k, v)
+		sp.SetTag(k, v)
+		want[k] = v
+	}
+	sp.End()
+	snap := tr.Snapshot()
+	if !reflect.DeepEqual(snap.Tags, want) {
+		t.Errorf("trace tags = %v, want %v", snap.Tags, want)
+	}
+	if got := snap.Spans[0].Tags; !reflect.DeepEqual(got, want) {
+		t.Errorf("span tags = %v, want %v", got, want)
+	}
+}
+
 // TestTraceConcurrentSpans starts/ends spans from many goroutines (the
 // per-video eval pattern); meaningful under -race.
 func TestTraceConcurrentSpans(t *testing.T) {
@@ -266,7 +290,7 @@ func TestTraceConcurrentSpans(t *testing.T) {
 // tests may set the unexported fields directly; production traces get their
 // duration from the monotonic clock).
 func doneTrace(name string, d time.Duration) *Trace {
-	return &Trace{name: name, begin: time.Now(), tags: map[string]string{}, done: true, total: d}
+	return &Trace{name: name, begin: time.Now(), done: true, total: d}
 }
 
 // TestSlowLogKeepsSlowest feeds 50 queries into a 10-entry log and checks it

@@ -27,8 +27,34 @@ type Trace struct {
 	begin time.Time
 	total time.Duration
 	done  bool
-	tags  map[string]string
-	roots []*Span
+	// tags are the query-level tags in first-set order; tagBuf holds the
+	// first six, as many as a store query sets, so they cost no allocation
+	// of their own.
+	tags   []tag
+	tagBuf [6]tag
+	// first and last delimit the top-level spans, linked through Span.next.
+	first, last *Span
+	// remote holds, per span, the span subtrees stitched in from another
+	// process (a shard's response); they render after the span's local
+	// children. Offsets inside a remote subtree are relative to the remote
+	// trace's own start. Only a serving layer's traces have any, so spans do
+	// not carry the field.
+	remote map[*Span][]SpanSnapshot
+}
+
+// tag is one key/value annotation of a trace or span. A trace carries a
+// handful, so a slice searched linearly beats a map on every count.
+type tag struct{ k, v string }
+
+// setTag sets k to v in tags, keeping first-set order.
+func setTag(tags []tag, k, v string) []tag {
+	for i := range tags {
+		if tags[i].k == k {
+			tags[i].v = v
+			return tags
+		}
+	}
+	return append(tags, tag{k, v})
 }
 
 // traceEpoch and traceSeq back the fallback id scheme, used only if the
@@ -90,7 +116,9 @@ func (t *Trace) SetID(id string) {
 
 // NewTrace starts a trace; name is the query text (shown by the slow log).
 func NewTrace(name string) *Trace {
-	return &Trace{name: name, begin: time.Now(), tags: map[string]string{}}
+	t := &Trace{name: name, begin: time.Now()}
+	t.tags = t.tagBuf[:0]
+	return t
 }
 
 // Name returns the traced query text.
@@ -107,7 +135,7 @@ func (t *Trace) SetTag(k, v string) {
 		return
 	}
 	t.mu.Lock()
-	t.tags[k] = v
+	t.tags = setTag(t.tags, k, v)
 	t.mu.Unlock()
 }
 
@@ -116,12 +144,20 @@ func (t *Trace) StartSpan(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	now := time.Now()
-	sp := &Span{t: t, name: name, start: now, offset: now.Sub(t.begin)}
+	sp := &Span{t: t, name: name, offset: time.Since(t.begin)}
 	t.mu.Lock()
-	t.roots = append(t.roots, sp)
+	t.first, t.last = link(t.first, t.last, sp)
 	t.mu.Unlock()
 	return sp
+}
+
+// link appends sp to the sibling list first … last and returns its new ends.
+func link(first, last, sp *Span) (*Span, *Span) {
+	if last == nil {
+		return sp, sp
+	}
+	last.next = sp
+	return first, sp
 }
 
 // Finish fixes the trace's total duration (idempotent; spans still open at
@@ -154,18 +190,15 @@ func (t *Trace) Duration() time.Duration {
 
 // Span is one timed stage (or sub-stage) of a query.
 type Span struct {
-	t        *Trace
-	name     string
-	tags     map[string]string
-	start    time.Time
-	offset   time.Duration // from the trace's begin
-	dur      time.Duration
-	ended    bool
-	children []*Span
-	// remote holds span subtrees stitched in from another process (a shard's
-	// response); they render after the local children. Offsets inside a
-	// remote subtree are relative to the remote trace's own start.
-	remote []SpanSnapshot
+	t      *Trace
+	name   string
+	tags   []tag
+	offset time.Duration // from the trace's begin
+	dur    time.Duration
+	ended  bool
+	// first and last delimit the children, linked through next in start
+	// order; next is this span's following sibling.
+	first, last, next *Span
 }
 
 // StartSpan opens a child span.
@@ -173,10 +206,9 @@ func (s *Span) StartSpan(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	now := time.Now()
-	sp := &Span{t: s.t, name: name, start: now, offset: now.Sub(s.t.begin)}
+	sp := &Span{t: s.t, name: name, offset: time.Since(s.t.begin)}
 	s.t.mu.Lock()
-	s.children = append(s.children, sp)
+	s.first, s.last = link(s.first, s.last, sp)
 	s.t.mu.Unlock()
 	return sp
 }
@@ -187,10 +219,7 @@ func (s *Span) SetTag(k, v string) {
 		return
 	}
 	s.t.mu.Lock()
-	if s.tags == nil {
-		s.tags = map[string]string{}
-	}
-	s.tags[k] = v
+	s.tags = setTag(s.tags, k, v)
 	s.t.mu.Unlock()
 }
 
@@ -204,7 +233,10 @@ func (s *Span) AttachRemote(spans []SpanSnapshot) {
 		return
 	}
 	s.t.mu.Lock()
-	s.remote = append(s.remote, spans...)
+	if s.t.remote == nil {
+		s.t.remote = map[*Span][]SpanSnapshot{}
+	}
+	s.t.remote[s] = append(s.t.remote[s], spans...)
 	s.t.mu.Unlock()
 }
 
@@ -217,7 +249,7 @@ func (s *Span) End() time.Duration {
 	defer s.t.mu.Unlock()
 	if !s.ended {
 		s.ended = true
-		s.dur = time.Since(s.start)
+		s.dur = time.Since(s.t.begin) - s.offset
 	}
 	return s.dur
 }
@@ -251,7 +283,7 @@ func (t *Trace) Snapshot() TraceSnapshot {
 	if !t.done {
 		out.Duration = time.Since(t.begin)
 	}
-	for _, sp := range t.roots {
+	for sp := t.first; sp != nil; sp = sp.next {
 		out.Spans = append(out.Spans, sp.snapshotLocked())
 	}
 	return out
@@ -263,22 +295,22 @@ func (t *Trace) Spans() []SpanSnapshot { return t.Snapshot().Spans }
 func (s *Span) snapshotLocked() SpanSnapshot {
 	out := SpanSnapshot{Name: s.name, Tags: copyTags(s.tags), Offset: s.offset, Duration: s.dur}
 	if !s.ended {
-		out.Duration = time.Since(s.start)
+		out.Duration = time.Since(s.t.begin) - s.offset
 	}
-	for _, c := range s.children {
+	for c := s.first; c != nil; c = c.next {
 		out.Children = append(out.Children, c.snapshotLocked())
 	}
-	out.Children = append(out.Children, s.remote...)
+	out.Children = append(out.Children, s.t.remote[s]...)
 	return out
 }
 
-func copyTags(tags map[string]string) map[string]string {
+func copyTags(tags []tag) map[string]string {
 	if len(tags) == 0 {
 		return nil
 	}
 	out := make(map[string]string, len(tags))
-	for k, v := range tags {
-		out[k] = v
+	for _, t := range tags {
+		out[t.k] = t.v
 	}
 	return out
 }

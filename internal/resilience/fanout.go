@@ -58,66 +58,85 @@ type Result[T any] struct {
 // rest. The calling goroutine is one of the workers; none outlives the call.
 func FanOut[T any](ctx context.Context, keys []int64, g Guard,
 	attempt func(ctx context.Context, i, n int) (T, error), done func(i int, r *Result[T])) []Result[T] {
-	out := make([]Result[T], len(keys))
+	f := &fan[T]{ctx: ctx, keys: keys, g: g, attempt: attempt, done: done, out: make([]Result[T], len(keys))}
+	if g.Retry != nil && g.Transient != nil {
+		f.transient = func(err error) bool { return !IsContextError(err) && g.Transient(err) }
+	}
 	workers := len(keys)
 	for i, key := range keys {
 		if g.Breaker != nil && !g.Breaker.Allow(key) {
-			out[i].Outcome, out[i].Err = Skipped, ErrBreakerOpen
+			f.out[i].Outcome, f.out[i].Err = Skipped, ErrBreakerOpen
 			workers--
 			if done != nil {
-				done(i, &out[i])
-			}
-		}
-	}
-	transient := func(err error) bool { return !IsContextError(err) && g.Transient(err) }
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1) - 1); i < len(keys); i = int(next.Add(1) - 1) {
-			r := &out[i]
-			if r.Outcome == Skipped {
-				continue
-			}
-			if r.Err = ctx.Err(); r.Err != nil {
-				r.Outcome = NotStarted
-			} else {
-				start := time.Now()
-				call := func() (err error) {
-					r.Attempts++
-					r.Value, err = attempt(ctx, i, r.Attempts)
-					return err
-				}
-				if g.Retry != nil && g.Transient != nil {
-					r.Err = g.Retry.Do(ctx, call, transient)
-				} else {
-					r.Err = call()
-				}
-				r.Elapsed = time.Since(start)
-				r.Outcome = outcome(r.Err)
-			}
-			if g.Breaker != nil {
-				settle(g.Breaker, keys[i], r.Outcome)
-			}
-			if done != nil {
-				done(i, r)
+				done(i, &f.out[i])
 			}
 		}
 	}
 	if g.Limit > 0 && g.Limit < workers {
 		workers = g.Limit
 	}
-	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+		f.wg.Add(1)
+		go f.worker()
 	}
 	if workers > 0 {
-		work()
+		f.work()
 	}
-	wg.Wait()
-	return out
+	f.wg.Wait()
+	return f.out
+}
+
+// fan is one FanOut call's shared state, in one allocation: its workers
+// take keys from next until none is left.
+type fan[T any] struct {
+	ctx     context.Context
+	keys    []int64
+	g       Guard
+	attempt func(ctx context.Context, i, n int) (T, error)
+	done    func(i int, r *Result[T])
+	out     []Result[T]
+	// transient is the retrier's classifier, set when the guard retries: the
+	// guard's, never a context error.
+	transient func(error) bool
+	next      atomic.Int64
+	wg        sync.WaitGroup
+}
+
+func (f *fan[T]) worker() {
+	defer f.wg.Done()
+	f.work()
+}
+
+func (f *fan[T]) work() {
+	for i := int(f.next.Add(1) - 1); i < len(f.keys); i = int(f.next.Add(1) - 1) {
+		r := &f.out[i]
+		if r.Outcome == Skipped {
+			continue
+		}
+		if r.Err = f.ctx.Err(); r.Err != nil {
+			r.Outcome = NotStarted
+		} else {
+			start := time.Now()
+			call := func() (err error) {
+				r.Attempts++
+				r.Value, err = f.attempt(f.ctx, i, r.Attempts)
+				return err
+			}
+			if f.transient != nil {
+				r.Err = f.g.Retry.Do(f.ctx, call, f.transient)
+			} else {
+				r.Err = call()
+			}
+			r.Elapsed = time.Since(start)
+			r.Outcome = outcome(r.Err)
+		}
+		if f.g.Breaker != nil {
+			settle(f.g.Breaker, f.keys[i], r.Outcome)
+		}
+		if f.done != nil {
+			f.done(i, r)
+		}
+	}
 }
 
 // outcome classifies a fed key's final error.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -464,8 +465,13 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 // reports its outcome back to the breaker. The merge mirrors the store's
 // partial-result semantics at the serving layer — a failing or tripped
 // video costs its own results only.
+//
+// The formula is compiled and the request labeled for the CPU profiler once,
+// so a per-video store query pays for its evaluation and its own accounting
+// only.
 func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams) *QueryResponse {
-	out := &QueryResponse{Class: fmt.Sprint(htlvideo.Classify(p.Formula))}
+	cq := st.CompileFormula(p.Formula)
+	out := &QueryResponse{Class: cq.Class().String()}
 	var eligible []int64
 	for _, v := range st.Videos() {
 		if !v.HasLevel(p.Level) {
@@ -504,55 +510,60 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 		return videoSpans[i]
 	}
 
-	results := resilience.FanOut(ctx, eligible,
-		resilience.Guard{Limit: s.cfg.parallelism, Breaker: s.breaker, Retry: s.retry, Transient: IsTransient},
-		func(ctx context.Context, i, attempt int) (htlvideo.SimList, error) {
-			id := int(eligible[i])
-			// Copy: concurrent attempts must not share the base slice's
-			// backing array through append.
-			vopts := make([]htlvideo.QueryOption, 0, len(opts)+2)
-			vopts = append(vopts, opts...)
-			vopts = append(vopts, htlvideo.OnVideo(id))
-			var asp *obs.Span
-			var col *obs.TraceCollector
-			if evalSpan != nil {
-				asp = videoSpan(i).StartSpan("attempt")
-				asp.SetTag("attempt", strconv.Itoa(attempt))
-				col = &obs.TraceCollector{}
-				vopts = append(vopts, htlvideo.WithTrace(col))
-			}
-			res, err := st.QueryFormulaCtx(ctx, p.Formula, vopts...)
-			if asp != nil {
+	// The guard's workers are spawned inside the labeled region, so they and
+	// the store queries they run carry the request's profiler labels.
+	var results []resilience.Result[htlvideo.SimList]
+	pprof.Do(ctx, cq.ProfileLabels(p.Engine), func(ctx context.Context) {
+		results = resilience.FanOut(ctx, eligible,
+			resilience.Guard{Limit: s.cfg.parallelism, Breaker: s.breaker, Retry: s.retry, Transient: IsTransient},
+			func(ctx context.Context, i, attempt int) (htlvideo.SimList, error) {
+				id := int(eligible[i])
+				// Copy: concurrent attempts must not share the base slice's
+				// backing array through append.
+				vopts := make([]htlvideo.QueryOption, 0, len(opts)+2)
+				vopts = append(vopts, opts...)
+				vopts = append(vopts, htlvideo.OnVideo(id))
+				var asp *obs.Span
+				var col *obs.TraceCollector
+				if evalSpan != nil {
+					asp = videoSpan(i).StartSpan("attempt")
+					asp.SetTag("attempt", strconv.Itoa(attempt))
+					col = &obs.TraceCollector{}
+					vopts = append(vopts, htlvideo.WithTrace(col))
+				}
+				res, err := cq.QueryCtx(ctx, vopts...)
+				if asp != nil {
+					if err != nil {
+						asp.SetTag("outcome", truncate(err.Error(), 120))
+					} else {
+						asp.SetTag("outcome", "ok")
+					}
+					if last := col.Last(); last != nil {
+						// The store's own spans (build/eval/merge) become this
+						// attempt's subtree, same as a shard's remote spans.
+						asp.AttachRemote(last.Snapshot().Spans)
+					}
+					asp.End()
+				}
 				if err != nil {
-					asp.SetTag("outcome", truncate(err.Error(), 120))
-				} else {
-					asp.SetTag("outcome", "ok")
+					return htlvideo.SimList{}, err
 				}
-				if last := col.Last(); last != nil {
-					// The store's own spans (build/eval/merge) become this
-					// attempt's subtree, same as a shard's remote spans.
-					asp.AttachRemote(last.Snapshot().Spans)
+				return res.PerVideo[id], nil
+			},
+			func(i int, r *resilience.Result[htlvideo.SimList]) {
+				if evalSpan == nil {
+					return
 				}
-				asp.End()
-			}
-			if err != nil {
-				return htlvideo.SimList{}, err
-			}
-			return res.PerVideo[id], nil
-		},
-		func(i int, r *resilience.Result[htlvideo.SimList]) {
-			if evalSpan == nil {
-				return
-			}
-			sp := videoSpan(i)
-			switch r.Outcome {
-			case resilience.Skipped:
-				sp.SetTag("skipped", "breaker open")
-			case resilience.NotStarted:
-				sp.SetTag("outcome", "deadline before start")
-			}
-			sp.End()
-		})
+				sp := videoSpan(i)
+				switch r.Outcome {
+				case resilience.Skipped:
+					sp.SetTag("skipped", "breaker open")
+				case resilience.NotStarted:
+					sp.SetTag("outcome", "deadline before start")
+				}
+				sp.End()
+			})
+	})
 	evalSpan.End()
 
 	lists := map[int]htlvideo.SimList{}

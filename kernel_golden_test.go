@@ -123,7 +123,7 @@ func TestKernelGolden(t *testing.T) {
 		}
 		walk(core.CompilePlan(f).Root)
 		for _, v := range st.Videos() {
-			sys, err := st.system(context.Background(), v, sh.level)
+			sys, err := st.system(context.Background(), nil, v, sh.level)
 			if err != nil {
 				t.Fatal(err)
 			}

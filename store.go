@@ -133,7 +133,10 @@ func (e *PanicError) Error() string {
 // one video's sequence at a level. Concurrent callers for the same key share
 // one build; failed builds are evicted so later queries retry rather than
 // caching the error.
-func (s *Store) system(ctx context.Context, v *Video, level int) (*picture.System, error) {
+//
+// sp, when set, is the span a build records its picture.build span under; a
+// cache hit never looks at it, so it costs no context of its own.
+func (s *Store) system(ctx context.Context, sp *obs.Span, v *Video, level int) (*picture.System, error) {
 	key := [2]int{v.ID, level}
 	o := s.obs
 	for {
@@ -154,7 +157,7 @@ func (s *Store) system(ctx context.Context, v *Video, level int) (*picture.Syste
 			o.cacheDeduped.Inc()
 		}
 		e.once.Do(func() {
-			e.sys, e.err = picture.NewSystemCtx(ctx, v, level, s.tax, s.weights)
+			e.sys, e.err = picture.NewSystemCtx(obs.ContextWithSpan(ctx, sp), v, level, s.tax, s.weights)
 			e.done.Store(true)
 		})
 		if e.err == nil {
@@ -214,23 +217,25 @@ type queryConfig struct {
 	// minted elsewhere (the coordinator, via X-Htl-Trace).
 	traceID string
 	// rec accumulates the per-query facts the workload statistics aggregate
-	// at settle time (queryCompiledCtx allocates it; runQuery and the result
+	// at settle time (queryCompiledCtx labels it; runQuery and the result
 	// cache fill it in).
-	rec *querystats.Record
-	// prof is the query's per-plan-node profile. runQuery allocates one per
-	// evaluated query (always-on explain accounting); ExplainCtx pre-sets it
-	// to keep the handle for rendering.
+	rec querystats.Record
+	// coreM and refM count this query's engine work (memo hits among it);
+	// runQuery folds them into the store's counters when its videos are done.
+	coreM, refM obs.EngineMetrics
+	// prof is the per-plan-node profile ExplainCtx attaches; nil otherwise,
+	// so a plain query pays for no profile.
 	prof *core.PlanProfile
 	// exactProf turns on exact per-visit time attribution in engines whose
-	// always-on timing is count-based (the reference evaluator).
+	// profile timing is count-based (the reference evaluator).
 	exactProf bool
 }
 
 // newQueryConfig applies the options over the defaults.
-func newQueryConfig(opts []QueryOption) queryConfig {
-	cfg := queryConfig{level: 2, untilThreshold: core.DefaultUntilThreshold}
+func newQueryConfig(opts []QueryOption) *queryConfig {
+	cfg := &queryConfig{level: 2, untilThreshold: core.DefaultUntilThreshold}
 	for _, o := range opts {
-		o(&cfg)
+		o(cfg)
 	}
 	if cfg.atRoot {
 		cfg.level = 1
@@ -269,11 +274,11 @@ func WithParallelism(n int) QueryOption { return func(c *queryConfig) { c.parall
 func WithPartialResults() QueryOption { return func(c *queryConfig) { c.partial = true } }
 
 // WithExactProfile turns on exact per-node time attribution for this query's
-// explain profile. The always-on profiler times each plan node inclusively in
-// the similarity-list and SQL engines (cheap: nodes evaluate once per video);
-// the reference evaluator visits nodes once per scan position, so its
-// per-visit timing is off unless this option is set. Expect measurable
-// slowdown on reference-engine queries.
+// explain profile (it does nothing outside Explain). The profiler times each
+// plan node inclusively in the similarity-list and SQL engines (cheap: nodes
+// evaluate once per video); the reference evaluator visits nodes once per
+// scan position, so its per-visit timing is off unless this option is set.
+// Expect measurable slowdown on reference-engine explains.
 func WithExactProfile() QueryOption { return func(c *queryConfig) { c.exactProf = true } }
 
 // OnVideo restricts the query to a single video.
@@ -390,7 +395,7 @@ func (s *Store) QueryCtx(ctx context.Context, query string, opts ...QueryOption)
 	}
 	sp.End()
 	if err != nil {
-		s.obs.endQuery(tr, "", "", err, nil, nil)
+		s.obs.endQuery(tr, err, nil, nil)
 		return nil, err
 	}
 	return s.queryCompiledCtx(ctx, tr, cq, cfg)
@@ -409,6 +414,10 @@ func (s *Store) QueryFormula(f Formula, opts ...QueryOption) (*Results, error) {
 // per-video failures are aggregated with errors.Join, so every failed video
 // appears in the returned error. With WithPartialResults, failed videos are
 // skipped and reported in Results.Errors instead.
+//
+// The formula is printed to find its plan; a caller that evaluates one
+// formula many times compiles it once (CompileFormula) and queries the
+// CompiledQuery instead.
 func (s *Store) QueryFormulaCtx(ctx context.Context, f Formula, opts ...QueryOption) (*Results, error) {
 	cfg := newQueryConfig(opts)
 	cq := s.compileFormula(f, cfg.noCache)
@@ -420,7 +429,7 @@ func (s *Store) QueryFormulaCtx(ctx context.Context, f Formula, opts ...QueryOpt
 // takes — including a result-cache hit — the deferred endQuery settles the
 // per-query accounting: totals, per-engine and per-class counters and
 // latency, the slow log, and the trace sinks.
-func (s *Store) queryCompiledCtx(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, cfg queryConfig) (res *Results, err error) {
+func (s *Store) queryCompiledCtx(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig) (res *Results, err error) {
 	engine := engineKey(cfg.engine)
 	class := classKey(cq.class)
 	tr.SetID(cfg.traceID)
@@ -428,15 +437,13 @@ func (s *Store) queryCompiledCtx(ctx context.Context, tr *obs.Trace, cq *Compile
 	tr.SetTag("class", class)
 	tr.SetTag("level", strconv.Itoa(cfg.level))
 	tr.SetTag("plan_key", cq.plan.Key)
-	// The record is shared by pointer with runQuery and the result cache, so
-	// fields filled mid-query are visible when the deferred settle reads it.
-	cfg.rec = &querystats.Record{PlanKey: cq.plan.Key, Class: class, Engine: engine}
-	defer func() { s.obs.endQuery(tr, engine, class, err, cfg.sink, cfg.rec) }()
+	cfg.rec = querystats.Record{PlanKey: cq.plan.Key, Class: class, Engine: engine}
+	defer func() { s.obs.endQuery(tr, err, cq, cfg) }()
 
 	if rc := s.results.Load(); rc != nil && !cfg.noCache {
-		return s.queryCached(ctx, rc, tr, cq, &cfg)
+		return s.queryCached(ctx, rc, tr, cq, cfg)
 	}
-	return s.runQuery(ctx, tr, cq, &cfg)
+	return s.runQuery(ctx, tr, cq, cfg)
 }
 
 // runQuery evaluates a compiled query over the store's videos, uncached.
@@ -461,9 +468,7 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	for _, v := range videos {
 		if cfg.videoID == nil && !v.HasLevel(cfg.level) {
 			s.obs.videosSkipped.Inc()
-			if cfg.rec != nil {
-				cfg.rec.VideosSkipped++
-			}
+			cfg.rec.VideosSkipped++
 			continue
 		}
 		work = append(work, v)
@@ -478,12 +483,6 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Always-on explain accounting: one profile per evaluated query, shared
-	// by all video workers (per-node atomic slots, no merging). Result-cache
-	// hits never reach runQuery, so warm repeated queries pay nothing.
-	if cfg.prof == nil {
-		cfg.prof = core.NewPlanProfile(cq.plan, cfg.exactProf)
-	}
 	o := s.obs
 	evalStage := tr.StartSpan("eval")
 	o.poolQueued.Add(int64(len(work)))
@@ -492,17 +491,9 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 		keys[i] = int64(v.ID)
 	}
 	var results []resilience.Result[SimList]
-	// The pprof labels make CPU profiles from /debug/pprof/profile
-	// attributable to query shape: samples inside evaluation carry the
-	// engine, the formula class, and the plan's canonical key. The loop's
-	// workers are spawned inside the labeled region so they inherit the
-	// labels. They stop promptly on cancellation: every engine checkpoints
-	// the context inside its main loop.
-	pprof.Do(ctx, pprof.Labels(
-		"engine", engineKey(cfg.engine),
-		"class", classKey(cq.class),
-		"query_key", cq.plan.Key,
-	), func(ctx context.Context) {
+	// The loop's workers stop promptly on cancellation: every engine
+	// checkpoints the context inside its main loop.
+	fan := func(ctx context.Context) {
 		results = resilience.FanOut(ctx, keys, resilience.Guard{Limit: workers},
 			func(ctx context.Context, i, _ int) (SimList, error) {
 				o.poolQueued.Dec()
@@ -510,7 +501,16 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 				defer o.poolInFlight.Dec()
 				return s.queryVideoIsolated(ctx, evalStage, work[i], cq, cfg)
 			}, nil)
-	})
+	}
+	// The pprof labels make CPU profiles from /debug/pprof/profile
+	// attributable to query shape. The workers are spawned inside the
+	// labeled region so they inherit the labels; a caller that labeled the
+	// evaluation already (the server, once per request) is not relabeled.
+	if cq.labeled(ctx, cfg.engine) {
+		fan(ctx)
+	} else {
+		pprof.Do(ctx, cq.ProfileLabels(cfg.engine), fan)
+	}
 	evalStage.End()
 	var errs []error
 	for i, r := range results {
@@ -528,13 +528,15 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 			res.PerVideo[work[i].ID] = r.Value
 		}
 	}
-	// Fold the profile's memo hits into the registry so explain output and
+	// Fold the query's engine work into the store's counters. Memo hits are
+	// counted where explain's profile counts them, so explain output and
 	// /metrics tell one story (the golden tests assert they match).
-	o.planMemoHits.Add(cfg.prof.MemoHits())
-	if cfg.rec != nil {
-		cfg.rec.MemoHits = cfg.prof.MemoHits()
-		cfg.rec.VideosEvaluated = int64(len(res.PerVideo))
-	}
+	coreW, refW := cfg.coreM.Snapshot(), cfg.refM.Snapshot()
+	o.coreM.Add(coreW)
+	o.refM.Add(refW)
+	cfg.rec.MemoHits = coreW.MemoHits + refW.MemoHits
+	o.planMemoHits.Add(cfg.rec.MemoHits)
+	cfg.rec.VideosEvaluated = int64(len(res.PerVideo))
 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("htlvideo: query aborted: %w", err)
@@ -563,14 +565,14 @@ func (s *Store) queryVideoIsolated(ctx context.Context, parent *obs.Span, v *Vid
 	vsp.SetTag("video", strconv.Itoa(v.ID))
 	defer vsp.End()
 	ssp := vsp.StartSpan("system")
-	sys, err := s.system(obs.ContextWithSpan(ctx, ssp), v, cfg.level)
+	sys, err := s.system(ctx, ssp, v, cfg.level)
 	ssp.End()
 	if err != nil {
 		return SimList{}, err
 	}
 	esp := vsp.StartSpan("engine")
 	defer esp.End()
-	return s.evalOne(obs.ContextWithSpan(ctx, esp), sys, cq, cfg, esp)
+	return s.evalOne(ctx, sys, cq, cfg, esp)
 }
 
 // evalOne evaluates the compiled query over one video's sequence with the
@@ -579,9 +581,9 @@ func (s *Store) queryVideoIsolated(ctx context.Context, parent *obs.Span, v *Vid
 // engines evaluate the compiled plan, so duplicated subformulas are computed
 // once per video.
 func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQuery, cfg *queryConfig, sp *obs.Span) (SimList, error) {
-	coreOpts := core.Options{UntilThreshold: cfg.untilThreshold, Obs: &s.obs.coreM, Prof: cfg.prof}
+	coreOpts := core.Options{UntilThreshold: cfg.untilThreshold, Obs: &cfg.coreM, Prof: cfg.prof}
 	refOpts := coreOpts
-	refOpts.Obs = &s.obs.refM
+	refOpts.Obs = &cfg.refM
 	switch cfg.engine {
 	case EngineDirect:
 		sp.SetTag("engine", "core")
@@ -591,7 +593,8 @@ func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQu
 		return refeval.New(sys, refOpts).ListPlanCtx(ctx, cq.plan)
 	case EngineSQL:
 		sp.SetTag("engine", "sqlgen")
-		return s.evalSQL(ctx, sys, cq, cfg)
+		// The translator records a span per generated statement under sp.
+		return s.evalSQL(obs.ContextWithSpan(ctx, sp), sys, cq, cfg)
 	default:
 		l, err := core.EvalPlanCtx(ctx, sys, cq.plan, coreOpts)
 		var notConj *core.ErrNotConjunctive
@@ -685,7 +688,7 @@ func (s *Store) Atomic(videoID, level int, query string) (SimList, error) {
 	if v == nil {
 		return SimList{}, fmt.Errorf("htlvideo: no video with id %d", videoID)
 	}
-	sys, err := s.system(context.Background(), v, level)
+	sys, err := s.system(context.Background(), nil, v, level)
 	if err != nil {
 		return SimList{}, err
 	}

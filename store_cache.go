@@ -17,6 +17,7 @@ package htlvideo
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -123,10 +124,21 @@ func (c *resultCache) finish(key string, fl *resFlight, res *Results, err error,
 // not affect results.
 func (s *Store) resultKey(cq *CompiledQuery, cfg *queryConfig) string {
 	var b strings.Builder
+	var num [24]byte
 	b.Grow(len(cq.plan.Key) + 48)
-	fmt.Fprintf(&b, "g%d|l%d|e%d|t%g|", s.gen.Load(), cfg.level, cfg.engine, cfg.untilThreshold)
+	b.WriteByte('g')
+	b.Write(strconv.AppendInt(num[:0], s.gen.Load(), 10))
+	b.WriteString("|l")
+	b.Write(strconv.AppendInt(num[:0], int64(cfg.level), 10))
+	b.WriteString("|e")
+	b.Write(strconv.AppendUint(num[:0], uint64(cfg.engine), 10))
+	b.WriteString("|t")
+	b.Write(strconv.AppendFloat(num[:0], cfg.untilThreshold, 'g', -1, 64))
+	b.WriteByte('|')
 	if cfg.videoID != nil {
-		fmt.Fprintf(&b, "v%d|", *cfg.videoID)
+		b.WriteByte('v')
+		b.Write(strconv.AppendInt(num[:0], int64(*cfg.videoID), 10))
+		b.WriteByte('|')
 	}
 	if cfg.partial {
 		b.WriteString("p|")
@@ -146,9 +158,7 @@ func (s *Store) queryCached(ctx context.Context, rc *resultCache, tr *obs.Trace,
 		case res != nil:
 			o.resHits.Inc()
 			tr.SetTag("result_cache", "hit")
-			if cfg.rec != nil {
-				cfg.rec.CacheHit = true
-			}
+			cfg.rec.CacheHit = true
 			return res, nil
 		case !leader:
 			select {
@@ -167,9 +177,7 @@ func (s *Store) queryCached(ctx context.Context, rc *resultCache, tr *obs.Trace,
 			}
 			o.resDeduped.Inc()
 			tr.SetTag("result_cache", "hit")
-			if cfg.rec != nil {
-				cfg.rec.CacheHit = true
-			}
+			cfg.rec.CacheHit = true
 			return fl.res, nil
 		default:
 			o.resMisses.Inc()

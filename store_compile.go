@@ -10,6 +10,7 @@ package htlvideo
 
 import (
 	"context"
+	"runtime/pprof"
 
 	"htlvideo/internal/core"
 	"htlvideo/internal/htl"
@@ -48,16 +49,26 @@ func (cq *CompiledQuery) Query(opts ...QueryOption) (*Results, error) {
 	return cq.QueryCtx(context.Background(), opts...)
 }
 
-// QueryCtx evaluates the compiled query under a context. The trace still
-// carries a parse span (tagged plan_cache=hit) so traces from compiled and
-// uncompiled queries have the same stage structure.
+// QueryCtx evaluates the compiled query under a context. Nothing is parsed
+// or looked up, so its trace starts at the eval stage, like QueryFormulaCtx's.
 func (cq *CompiledQuery) QueryCtx(ctx context.Context, opts ...QueryOption) (*Results, error) {
-	cfg := newQueryConfig(opts)
-	tr := obs.NewTrace(cq.text)
-	sp := tr.StartSpan("parse")
-	sp.SetTag("plan_cache", "hit")
-	sp.End()
-	return cq.store.queryCompiledCtx(ctx, tr, cq, cfg)
+	return cq.store.queryCompiledCtx(ctx, obs.NewTrace(cq.text), cq, newQueryConfig(opts))
+}
+
+// ProfileLabels are the pprof labels an evaluation of the query under engine
+// e runs with — engine, formula class and the plan's canonical key — so CPU
+// profiles from /debug/pprof/profile are attributable to query shape. A
+// caller that runs many evaluations of one query (the server, one per video)
+// labels them once with pprof.Do; the store then leaves the labels alone.
+func (cq *CompiledQuery) ProfileLabels(e Engine) pprof.LabelSet {
+	return pprof.Labels("engine", engineKey(e), "class", classKey(cq.class), "query_key", cq.plan.Key)
+}
+
+// labeled reports whether ctx already carries ProfileLabels(e).
+func (cq *CompiledQuery) labeled(ctx context.Context, e Engine) bool {
+	key, _ := pprof.Label(ctx, "query_key")
+	engine, _ := pprof.Label(ctx, "engine")
+	return key == cq.plan.Key && engine == engineKey(e)
 }
 
 // Compile parses, classifies and plans a query, reusing the store's plan

@@ -77,7 +77,7 @@ func (s *Store) Explain(query string, opts ...QueryOption) (*ExplainResult, erro
 // query. The result cache is bypassed — explain output describes a real
 // evaluation, never a cached one — but the evaluation is otherwise the normal
 // query path: same engines, same fan-out, same metrics and slow-log
-// accounting. Always-on profiling attributes counts everywhere and inclusive
+// accounting. The profile attributes counts everywhere and inclusive
 // wall time in the similarity-list and SQL engines; add WithExactProfile for
 // per-visit timing in the reference evaluator.
 func (s *Store) ExplainCtx(ctx context.Context, query string, opts ...QueryOption) (*ExplainResult, error) {
@@ -92,7 +92,7 @@ func (s *Store) ExplainCtx(ctx context.Context, query string, opts ...QueryOptio
 	}
 	sp.End()
 	if err != nil {
-		s.obs.endQuery(tr, "", "", err, nil, nil)
+		s.obs.endQuery(tr, err, nil, nil)
 		return nil, err
 	}
 	prof := core.NewPlanProfile(cq.plan, cfg.exactProf)

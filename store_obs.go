@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"htlvideo/internal/core"
@@ -24,8 +25,8 @@ import (
 )
 
 // storeObs bundles one store's instrumentation. Hot-path counters are cached
-// as fields so queries never take the registry lock; per-engine and per-class
-// metrics go through registry lookups only once per query.
+// as fields so queries never take the registry lock; the per-engine and
+// per-class metrics are looked up once, on first use.
 type storeObs struct {
 	reg  *obs.Registry
 	slow *obs.SlowLog
@@ -44,6 +45,12 @@ type storeObs struct {
 	// through core.Options.
 	coreM obs.EngineMetrics
 	refM  obs.EngineMetrics
+
+	// byEngine and byClass are the per-engine and per-formula-class query
+	// counters and latency histograms, registered on first use (so the
+	// exposition lists only what ran) and then read without the registry.
+	byEngine [EngineReference + 1]atomic.Pointer[keyedMetrics]
+	byClass  [htl.ClassGeneral + 1]atomic.Pointer[keyedMetrics]
 
 	queries     *obs.Counter
 	queryErrors *obs.Counter
@@ -102,6 +109,28 @@ type storeObs struct {
 	checkpointErrors *obs.Counter
 	checkpointSeq    *obs.Gauge
 	checkpointLat    *obs.Histogram
+}
+
+// keyedMetrics are one engine's or one formula class's query count and
+// latency.
+type keyedMetrics struct {
+	count *obs.Counter
+	lat   *obs.Histogram
+}
+
+// keyed returns the metrics in slot, registering query.count.<kind>.<key>
+// and query.latency.<kind>.<key> on first use. Two first uses racing register
+// the same metrics, so either stored pointer is right.
+func (o *storeObs) keyed(slot *atomic.Pointer[keyedMetrics], kind, key string) *keyedMetrics {
+	if m := slot.Load(); m != nil {
+		return m
+	}
+	m := &keyedMetrics{
+		count: o.reg.Counter("query.count." + kind + "." + key),
+		lat:   o.reg.Histogram("query.latency."+kind+"."+key, nil),
+	}
+	slot.Store(m)
+	return m
 }
 
 // errorClasses are the buckets errorClass sorts failed queries into, each
@@ -274,10 +303,10 @@ func (o *storeObs) traceSink() obs.TraceSink {
 // endQuery finishes a query's trace and settles its per-query accounting:
 // totals, error classification, per-engine and per-formula-class counters and
 // latency histograms, the per-plan-key workload statistics, the slow log, and
-// every attached sink. engine/class may be empty (parse failures) to skip the
-// breakdowns; rec may be nil (nothing was compiled, so there is no plan key
-// to aggregate under).
-func (o *storeObs) endQuery(tr *obs.Trace, engine, class string, err error, sink obs.TraceSink, rec *querystats.Record) {
+// every attached sink. cq and cfg are nil when nothing was compiled (a parse
+// failure): there are no breakdowns, no plan key to aggregate under and no
+// per-query sink.
+func (o *storeObs) endQuery(tr *obs.Trace, err error, cq *CompiledQuery, cfg *queryConfig) {
 	d := tr.Finish()
 	o.queries.Inc()
 	ec := errorClass(err)
@@ -289,23 +318,24 @@ func (o *storeObs) endQuery(tr *obs.Trace, engine, class string, err error, sink
 		tr.SetTag("error", truncateErr(err))
 		tr.SetTag("error_class", ec)
 	}
-	o.qstats.Observe(rec, d, ec)
 	o.queryLat.Observe(d)
-	if engine != "" {
-		o.reg.Counter("query.count.engine." + engine).Inc()
-		o.reg.Histogram("query.latency.engine."+engine, nil).Observe(d)
-	}
-	if class != "" {
-		o.reg.Counter("query.count.class." + class).Inc()
-		o.reg.Histogram("query.latency.class."+class, nil).Observe(d)
+	if cq != nil {
+		o.qstats.Observe(&cfg.rec, d, ec)
+		for _, m := range [...]*keyedMetrics{
+			o.keyed(&o.byEngine[engineIndex(cfg.engine)], "engine", engineKey(cfg.engine)),
+			o.keyed(&o.byClass[classIndex(cq.class)], "class", classKey(cq.class)),
+		} {
+			m.count.Inc()
+			m.lat.Observe(d)
+		}
 	}
 	o.slow.ObserveTrace(tr)
 	o.ring.ObserveTrace(tr)
 	if gs := o.traceSink(); gs != nil {
 		gs.ObserveTrace(tr)
 	}
-	if sink != nil {
-		sink.ObserveTrace(tr)
+	if cfg != nil && cfg.sink != nil {
+		cfg.sink.ObserveTrace(tr)
 	}
 }
 
@@ -335,6 +365,18 @@ func engineKey(e Engine) string {
 		return "auto"
 	}
 }
+
+// engineIndex and classIndex place an engine and a formula class in the
+// per-engine and per-class slots; out-of-range values share the slot of the
+// name engineKey and classKey give them.
+func engineIndex(e Engine) Engine {
+	if e > EngineReference {
+		return EngineAuto
+	}
+	return e
+}
+
+func classIndex(c Class) Class { return min(c, htl.ClassGeneral) }
 
 // classKey maps a formula class to its metric/tag name.
 func classKey(c Class) string {
@@ -462,7 +504,6 @@ type EngineStats struct {
 // not include that query yet.
 func (s *Store) Stats() Stats {
 	o := s.obs
-	snap := o.reg.Snapshot()
 	st := Stats{
 		Queries: QueryStats{
 			Total:     o.queries.Value(),
@@ -511,12 +552,14 @@ func (s *Store) Stats() Stats {
 		},
 		Engines: EngineStats{Core: o.coreM.Snapshot(), Reference: o.refM.Snapshot()},
 	}
-	for name, v := range snap.Counters {
-		if key, ok := strings.CutPrefix(name, "query.count.engine."); ok {
-			st.Queries.ByEngine[key] = v
+	for e := range o.byEngine {
+		if m := o.byEngine[e].Load(); m != nil {
+			st.Queries.ByEngine[engineKey(Engine(e))] = m.count.Value()
 		}
-		if key, ok := strings.CutPrefix(name, "query.count.class."); ok {
-			st.Queries.ByClass[key] = v
+	}
+	for c := range o.byClass {
+		if m := o.byClass[c].Load(); m != nil {
+			st.Queries.ByClass[classKey(Class(c))] = m.count.Value()
 		}
 	}
 	return st
