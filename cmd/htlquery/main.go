@@ -32,6 +32,7 @@ import (
 
 	"htlvideo"
 	"htlvideo/internal/casablanca"
+	"htlvideo/internal/obs"
 	"htlvideo/internal/obs/querystats"
 	"htlvideo/internal/server"
 	"htlvideo/internal/shard"
@@ -307,7 +308,7 @@ func runTopQueries(base string, n int, by string) {
 		fmt.Printf("%-7d %-9s %-9s %-9s %-7d %-6s %-8s %s\n",
 			e.Calls,
 			fmtSeconds(e.TotalSeconds), fmtSeconds(e.MeanSeconds), fmtSeconds(e.P95Seconds),
-			e.ErrorCount(), fmtPercent(e.CacheHitRatio()), e.Class, truncateKey(e.PlanKey, 60))
+			e.ErrorCount(), fmtPercent(e.CacheHitRatio()), e.Class, obs.Truncate(e.PlanKey, 60))
 	}
 }
 
@@ -318,14 +319,6 @@ func fmtSeconds(s float64) string {
 
 // fmtPercent renders a 0..1 ratio as a percentage.
 func fmtPercent(r float64) string { return strconv.FormatFloat(r*100, 'f', 0, 64) + "%" }
-
-// truncateKey caps a plan key for one table row.
-func truncateKey(k string, n int) string {
-	if len(k) <= n {
-		return k
-	}
-	return k[:n] + "…"
-}
 
 // remoteExplain posts /explain and renders whichever shape came back: a
 // coordinator's merged cross-shard tree (per-shard attribution + straggler)

@@ -12,9 +12,10 @@ import (
 // evaluation but the list it returns is dead once the evaluation returns, so
 // EvalPlanCtx takes an arena from a pool, carves every column, table header,
 // value table, memo and join index of the evaluation from it, copies the
-// result out, and clears the arena and puts it back. An arena is memory, not
-// a cache: no content survives a release, so a cold query still computes every
-// table.
+// result out, and clears the arena and puts it back. The reference evaluator
+// (internal/refeval) does the same with its per-segment memo rows, through
+// AcquireArena and ReleaseArena. An arena is memory, not a cache: no content
+// survives a release, so a cold query still computes every table.
 //
 // It holds one buffer (a slab) per column type. A take is the next n elements
 // of its slab, zeroed and capped at n, so that an append past them moves to
@@ -37,6 +38,8 @@ type Arena struct {
 	ints    slab[int32]
 	rows    slab[ValueRow]
 	ivs     slab[interval.I]
+	floats  slab[float64]
+	fRows   slab[[]float64]
 	// scratch is where a join runs its list operator to count, and a freeze
 	// its restriction; it holds the longest lists the evaluation has joined.
 	scratch []simlist.Entry
@@ -46,12 +49,29 @@ type Arena struct {
 // that leaves its arena larger drops it. The largest MIX6 evaluation of one
 // video of the serving benchmark's corpus (C10k: 64 videos × 16 scenes × 10
 // shots) takes 61.7 KiB (63 148 bytes, `conj` over video 33's shots;
-// TestArenaSizeOfMIX6), so the bound is about sixteen of those. Without it
+// TestArenaSizeOfMIX6; the reference evaluator's `general` takes 6 528 bytes
+// of float64 rows), so the bound is about sixteen of those. Without it
 // one Table 5-sized evaluation (100 000 shots) would pin megabytes per P for
 // as long as the pool holds the arena.
 const maxPooledArena = 1 << 20
 
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
+
+// AcquireArena takes an arena from the pool EvalPlanCtx uses, for an
+// evaluator outside this package; the evaluation owns it until ReleaseArena.
+func AcquireArena() *Arena { return arenaPool.Get().(*Arena) }
+
+// ReleaseArena clears a and puts it back in the pool, unless it has grown past
+// maxPooledArena. Nothing carved from a may be read after it. Not to be
+// deferred: after a panic the arena is left to the collector, in whatever
+// state the panic found it.
+func ReleaseArena(a *Arena) (kept bool) {
+	if a.release() > maxPooledArena {
+		return false
+	}
+	arenaPool.Put(a)
+	return true
+}
 
 // slab is an arena's buffer of one element type: takes are cut from buf in
 // order, and need is what the evaluation has taken in all, fitted or not.
@@ -87,23 +107,14 @@ func (s *slab[T]) fit() {
 	s.need = 0
 }
 
-// recycle releases a and puts it back in the pool, unless it has grown past
-// maxPooledArena.
-func recycle(a *Arena) (kept bool) {
-	if a.release() > maxPooledArena {
-		return false
-	}
-	arenaPool.Put(a)
-	return true
-}
-
 // release clears the arena and returns the bytes it needs to hold every take
 // of the evaluation just done; it regrows its slabs to that when it is no
 // more than maxPooledArena, and leaves an arena it will not keep as it is.
 func (a *Arena) release() (size int) {
 	clear(a.scratch[:cap(a.scratch)])
 	size = a.tables.reset() + a.values.reset() + a.memo.reset() + a.entries.reset() + a.objs.reset() +
-		a.rngs.reset() + a.ints.reset() + a.rows.reset() + a.ivs.reset() + cap(a.scratch)*int(unsafe.Sizeof(simlist.Entry{}))
+		a.rngs.reset() + a.ints.reset() + a.rows.reset() + a.ivs.reset() + a.floats.reset() + a.fRows.reset() +
+		cap(a.scratch)*int(unsafe.Sizeof(simlist.Entry{}))
 	if size > maxPooledArena {
 		return size
 	}
@@ -116,6 +127,8 @@ func (a *Arena) release() (size int) {
 	a.ints.fit()
 	a.rows.fit()
 	a.ivs.fit()
+	a.floats.fit()
+	a.fRows.fit()
 	return size
 }
 
@@ -185,6 +198,22 @@ func (a *Arena) Intervals(n int) []interval.I {
 		return make([]interval.I, n)
 	}
 	return a.ivs.take(n)
+}
+
+// Float64s returns n zero float64s: a row of per-segment similarities.
+func (a *Arena) Float64s(n int) []float64 {
+	if a == nil {
+		return make([]float64, n)
+	}
+	return a.floats.take(n)
+}
+
+// Float64Rows returns n nil float64 rows: the header of a per-node memo.
+func (a *Arena) Float64Rows(n int) [][]float64 {
+	if a == nil {
+		return make([][]float64, n)
+	}
+	return a.fRows.take(n)
 }
 
 // memoOf returns an evaluation's memo, a table per plan node.

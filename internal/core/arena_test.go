@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"htlvideo/internal/htl"
 	"htlvideo/internal/metadata"
 	"htlvideo/internal/picture"
+	"htlvideo/internal/refeval"
 	"htlvideo/internal/simlist"
 	"htlvideo/internal/workload"
 )
@@ -32,6 +34,9 @@ var mix6Conjunctive = []shape{
 	{"exists z . (present(z) and type(z) = 'airplane') and [h <- height(z)] eventually (present(z) and height(z) > h)", false},
 	{"outdoor = 1 and at-shot-level(M1 until M2)", true},
 }
+
+// mix6General is MIX6's general shape, which the reference evaluator serves.
+var mix6General = shape{"not (M1 until M2)", false}
 
 // corpusSystems builds the picture systems of videos corpus videos (the root
 // package's mix6Corpus) over their scenes and over their shots; edit, when
@@ -144,6 +149,100 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 	}
 }
 
+// Reusing an arena changes nothing the reference evaluator returns either.
+// One arena serves interleaved evaluations of general formulas — closed
+// negation, an inner ∃ over a temporal subformula, negation over a freeze, and
+// a level-modal descent into a negation, which builds child evaluators — each
+// followed by a core evaluation of `M1 until M2`, and is released after each.
+// One evaluator per sequence serves every formula over it, each twice. Every
+// list must equal, byte for byte, the one a fresh evaluator returns on the
+// heap, and every list kept from an earlier evaluation must still equal
+// itself once later evaluations have reused the arena.
+func TestReferenceArenaReuseIsInvisible(t *testing.T) {
+	atScene, atShot := corpusSystems(t, 8, 4, 10, nil)
+	shapes := []shape{
+		mix6General,
+		{"M1 and exists z . (present(z) and type(z) = 'airplane' and eventually (present(z) and moving(z)))", false},
+		{"exists z . present(z) and not ([h <- height(z)] eventually (present(z) and height(z) > h))", false},
+		{"at-shot-level(not (M1 until M2))", true},
+	}
+	plans := make([]*core.Plan, len(shapes))
+	for i, sh := range shapes {
+		plans[i] = core.CompilePlan(htl.MustParse(sh.text))
+		if plans[i].Class != htl.ClassGeneral {
+			t.Fatalf("%q is %v, not general", sh.text, plans[i].Class)
+		}
+	}
+	until := core.CompilePlan(htl.MustParse(mix6Conjunctive[1].text))
+	ctx, opts := context.Background(), core.DefaultOptions()
+	a := new(core.Arena)
+	type kept struct {
+		what string
+		list simlist.List
+		want string
+	}
+	var lists []kept
+	matched := make([]int, len(shapes)) // lists of each shape that are not empty
+	keep := func(what string, got, want simlist.List) {
+		t.Helper()
+		if dumpList(got) != dumpList(want) {
+			t.Errorf("%s: on the arena %s, on the heap %s", what, dumpList(got), dumpList(want))
+		}
+		lists = append(lists, kept{what, got, dumpList(want)})
+		for _, k := range lists {
+			if got := dumpList(k.list); got != k.want {
+				t.Fatalf("%s changed after %s reused the arena: %s, was %s", k.what, what, got, k.want)
+			}
+		}
+	}
+	for vi := range atShot {
+		evals := map[*picture.System]*refeval.Evaluator{}
+		for i, sh := range shapes {
+			src := atShot[vi]
+			if sh.scene {
+				src = atScene[vi]
+			}
+			if evals[src] == nil {
+				evals[src] = refeval.New(src, opts)
+			}
+			what := fmt.Sprintf("%q video %d", sh.text, vi+1)
+			want, err := refeval.New(src, opts).ListPlanOn(ctx, plans[i], nil)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			// Twice: the evaluator keeps nothing of the first call's arena.
+			for range 2 {
+				got, err := evals[src].ListPlanOn(ctx, plans[i], a)
+				if err != nil {
+					t.Fatalf("%s on the arena: %v", what, err)
+				}
+				a.Release()
+				keep(what, got, want)
+			}
+			if !want.IsEmpty() {
+				matched[i]++
+			}
+
+			what = fmt.Sprintf("%q video %d after it", mix6Conjunctive[1].text, vi+1)
+			want, _, err = core.EvalPlanOn(nil, atShot[vi], until, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := core.EvalPlanOn(a, atShot[vi], until, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Release()
+			keep(what, got, want)
+		}
+	}
+	for i, n := range matched {
+		if n == 0 {
+			t.Errorf("%q matches nothing on any video", shapes[i].text)
+		}
+	}
+}
+
 // A use after release is loud: release clears what the evaluation took, so
 // the columns of a table kept past it read 0-0 entries, which Validate
 // refuses.
@@ -183,11 +282,12 @@ func TestArenaUseAfterReleaseIsLoud(t *testing.T) {
 // The largest evaluation of a MIX6 shape over one video of the serving
 // benchmark's corpus (C10k: 64 videos × 16 scenes × 10 shots) leaves an arena
 // of at most a sixteenth of what the pool keeps (maxPooledArena's comment
-// states the figure this logs).
+// states the figure this logs). The general shape runs on the reference
+// evaluator, whose memo rows are the arena's float64 slab.
 func TestArenaSizeOfMIX6(t *testing.T) {
 	atScene, atShot := corpusSystems(t, 64, 16, 10, nil)
 	largest, what := 0, ""
-	for _, sh := range mix6Conjunctive {
+	for _, sh := range append(slices.Clone(mix6Conjunctive), mix6General) {
 		p := core.CompilePlan(htl.MustParse(sh.text))
 		systems := atShot
 		if sh.scene {
@@ -195,7 +295,13 @@ func TestArenaSizeOfMIX6(t *testing.T) {
 		}
 		for vi, src := range systems {
 			a := new(core.Arena)
-			if _, _, err := core.EvalPlanOn(a, src, p, core.DefaultOptions()); err != nil {
+			var err error
+			if p.Class == htl.ClassGeneral {
+				_, err = refeval.New(src, core.DefaultOptions()).ListPlanOn(context.Background(), p, a)
+			} else {
+				_, _, err = core.EvalPlanOn(a, src, p, core.DefaultOptions())
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			if size := a.Release(); size > largest {

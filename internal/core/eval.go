@@ -72,11 +72,9 @@ func EvalPlanCtx(ctx context.Context, src Source, p *Plan, opts Options) (simlis
 	if p.Class == htl.ClassGeneral {
 		return simlist.List{}, &ErrNotConjunctive{Formula: p.Root.F, Reason: "negation or quantification over a temporal subformula"}
 	}
-	a := arenaPool.Get().(*Arena)
+	a := AcquireArena()
 	l, err := newPlanEval(src, opts, p.Nodes, a).evalPlan(ctx, p)
-	// Not deferred: after a panic the arena is left to the collector, in
-	// whatever state the panic found it.
-	recycle(a)
+	ReleaseArena(a) // not deferred
 	return l, err
 }
 

@@ -22,7 +22,7 @@ func TestRecycleKeepsOnlyBoundedArenas(t *testing.T) {
 	} {
 		a := new(Arena)
 		a.Entries(c.entries)
-		if kept := recycle(a); kept != c.keep {
+		if kept := ReleaseArena(a); kept != c.keep {
 			t.Errorf("an arena that took %d entries: kept %v, want %v", c.entries, kept, c.keep)
 		}
 		if grown := len(a.entries.buf) == c.entries; grown != c.keep {

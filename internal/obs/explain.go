@@ -119,7 +119,7 @@ func nodeLine(n *ExplainNode, total time.Duration, showTimes bool) string {
 	b.WriteString(n.Op)
 	if n.Op == "atomic" {
 		b.WriteString(" ")
-		b.WriteString(truncateFormula(n.Formula, 56))
+		b.WriteString(`"` + Truncate(n.Formula, 56) + `"`)
 	}
 	if n.Shared {
 		b.WriteString(" (shared)")
@@ -148,12 +148,4 @@ func nodeLine(n *ExplainNode, total time.Duration, showTimes bool) string {
 	stat("sql_stmts", n.Stats.SQLStmts)
 	stat("sql_rows", n.Stats.SQLRows)
 	return b.String()
-}
-
-// truncateFormula quotes and caps a formula for one tree line.
-func truncateFormula(s string, n int) string {
-	if len(s) > n {
-		s = s[:n] + "…"
-	}
-	return `"` + s + `"`
 }

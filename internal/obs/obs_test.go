@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 // --- histogram ---------------------------------------------------------------
@@ -348,5 +349,37 @@ func TestSlowLogConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := len(l.Snapshot()); got != 8 {
 		t.Fatalf("entries = %d, want 8", got)
+	}
+}
+
+// --- truncation --------------------------------------------------------------
+
+// Every cut the serving surfaces make — the explain tree's formula (56 bytes),
+// htlquery's plan key (60), a SQL span tag (96), the server's outcome tag (120)
+// and error documents (300), a store trace's error tag (160) — is at a rune
+// boundary: a formula whose 'é' straddles the cut (HTL accepts non-ASCII
+// literals) loses the whole rune, never half of it. ASCII cuts at n exactly.
+func TestTruncateAtRuneBoundary(t *testing.T) {
+	const prefix = "type(x) = '"
+	for _, n := range []int{56, 60, 96, 120, 160, 300} {
+		f := prefix + strings.Repeat("a", n-1-len(prefix)) + "é'"
+		got := Truncate(f, n)
+		if !utf8.ValidString(got) {
+			t.Errorf("cut at %d: %q is not valid UTF-8", n, got)
+		}
+		if want := f[:n-1] + "…"; got != want {
+			t.Errorf("cut at %d: %q, want %q", n, got, want)
+		}
+		ascii := strings.Repeat("a", n+1)
+		if got, want := Truncate(ascii, n), ascii[:n]+"…"; got != want {
+			t.Errorf("ASCII cut at %d: %q, want %q", n, got, want)
+		}
+		if got := Truncate(ascii[:n], n); got != ascii[:n] {
+			t.Errorf("a string of %d bytes is cut at %d: %q", n, n, got)
+		}
+	}
+	line := nodeLine(&ExplainNode{Op: "atomic", Formula: prefix + strings.Repeat("a", 55-len(prefix)) + "é'"}, 0, false)
+	if !utf8.ValidString(line) {
+		t.Errorf("explain line %q is not valid UTF-8", line)
 	}
 }

@@ -11,7 +11,21 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
+
+// Truncate caps s at n bytes for a tag, an error document or a display line,
+// marking a cut with "…". It cuts at a rune boundary at or before n, so a
+// non-ASCII literal of a formula is never split into invalid UTF-8.
+func Truncate(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
+	}
+	return s[:n] + "…"
+}
 
 // Trace is one query's structured timing record: a tree of spans plus
 // query-level tags (engine, formula class, level, video count). All methods

@@ -18,6 +18,14 @@
 // the quantifier assignments and O(n²) temporal rescans that dominate the
 // brute-force cost.
 //
+// ListPlanCtx owns its memory per evaluation the way core.EvalPlanCtx does:
+// it takes an arena from core's pool (core.AcquireArena) and carves every
+// memo row, the maxSim row, the memo header and the dense output row from it;
+// the child evaluator of a level-modal descent carves its memo from the same
+// arena. The list is copied out exactly sized, the evaluator drops every
+// cache (it is unbound), and only then is the arena released; nothing carved
+// from it survives into a later call. SimAt keeps its memo on the heap.
+//
 // Extension semantics beyond the paper: the similarity of ¬f is
 // maxsim(f) − sim(f), consistent with the picture layer's treatment of
 // negated terms inside atomic formulas.
@@ -51,17 +59,21 @@ type Evaluator struct {
 	// visits a node per (subformula, segment) pair, so checking the context
 	// on every call would dominate small evaluations.
 	ops uint
-	// plan is the plan the three caches below are for. memo and maxSim are
-	// indexed by PNode.ID, which is dense within one plan and means nothing in
-	// another: bind drops them when the evaluator is handed another plan.
+	// plan is the plan the three caches below are for, and a the arena memo
+	// and maxSim are carved from (nil: the heap). memo and maxSim are indexed
+	// by PNode.ID, which is dense within one plan and means nothing in
+	// another: bind replaces them when the evaluator is handed a plan, and
+	// unbind drops them before the arena is released.
 	plan *core.Plan
+	a    *core.Arena
 	// memo[n.ID][u-1] caches the similarity of closed subformula n at
 	// segment u — its value cannot depend on the evaluation environment. A
 	// node's row is made when the node is first scored; NaN marks a segment
 	// not scored yet.
 	memo [][]float64
 	// maxSim[n.ID] caches core.MaxSimOf (NaN until asked for) — the
-	// And/Not/Until cases consult it on every visit.
+	// And/Not/Until cases consult it on every visit. It depends on the
+	// formula only, so child evaluators share their parent's.
 	maxSim []float64
 	// children caches one child evaluator per (segment, level), so repeated
 	// level-modal descents reuse the child's memo instead of rebuilding it.
@@ -73,21 +85,27 @@ func New(sys *picture.System, opts core.Options) *Evaluator {
 	return &Evaluator{sys: sys, opts: opts}
 }
 
-// bind readies the evaluator for p's nodes, dropping what it cached for
-// another plan's.
-func (e *Evaluator) bind(p *core.Plan) {
-	if e.plan == p {
-		return
-	}
-	e.plan = p
-	e.memo = make([][]float64, p.Nodes)
-	e.maxSim = unscored(p.Nodes)
+// The arena pair of ListPlanCtx: core's pool (a test wraps it to count).
+var acquireArena, releaseArena = core.AcquireArena, core.ReleaseArena
+
+// bind readies the evaluator for p's nodes, on arena a (nil: the heap),
+// dropping what it cached for another plan's.
+func (e *Evaluator) bind(p *core.Plan, a *core.Arena) {
+	e.plan, e.a = p, a
+	e.memo = a.Float64Rows(p.Nodes)
+	e.maxSim = unscored(a, p.Nodes)
 	e.children = nil
 }
 
-// unscored returns n NaNs.
-func unscored(n int) []float64 {
-	s := make([]float64, n)
+// unbind drops every cache, so that nothing carved from the arena outlives
+// the evaluation.
+func (e *Evaluator) unbind() {
+	e.plan, e.a, e.memo, e.maxSim, e.children = nil, nil, nil, nil, nil
+}
+
+// unscored returns n NaNs carved from a.
+func unscored(a *core.Arena, n int) []float64 {
+	s := a.Float64s(n)
 	for i := range s {
 		s[i] = math.NaN()
 	}
@@ -109,28 +127,42 @@ func (e *Evaluator) ListCtx(ctx context.Context, f htl.Formula) (simlist.List, e
 	return e.ListPlanCtx(ctx, core.CompilePlan(f))
 }
 
-// ListPlanCtx evaluates a compiled plan over the sequence, id by id.
+// ListPlanCtx evaluates a compiled plan over the sequence, id by id, on an
+// arena from core's pool, which goes back once the list has been copied out —
+// on an error or a cancellation too, never after a panic.
 func (e *Evaluator) ListPlanCtx(ctx context.Context, p *core.Plan) (simlist.List, error) {
-	e.bind(p)
+	a := acquireArena()
+	l, err := e.ListPlanOn(ctx, p, a)
+	releaseArena(a) // not deferred
+	return l, err
+}
+
+// ListPlanOn is ListPlanCtx on arena a (nil: the heap), which it leaves to
+// its caller unreleased. The list it returns owns its entries and holds no
+// byte of a, and the evaluator keeps no reference to a once it returns.
+func (e *Evaluator) ListPlanOn(ctx context.Context, p *core.Plan, a *core.Arena) (simlist.List, error) {
+	e.bind(p, a)
+	defer e.unbind()
 	maxSim := e.maxSimOf(p.Root)
-	dense := make([]float64, e.sys.Len())
+	dense := a.Float64s(e.sys.Len())
 	for u := 1; u <= e.sys.Len(); u++ {
 		if err := ctx.Err(); err != nil {
 			return simlist.List{}, err
 		}
-		a, err := e.simAt(ctx, p.Root, u, picture.Env{})
+		v, err := e.simAt(ctx, p.Root, u, picture.Env{})
 		if err != nil {
 			return simlist.List{}, err
 		}
-		dense[u-1] = a
+		dense[u-1] = v
 	}
 	return simlist.FromDense(maxSim, dense), nil
 }
 
-// SimAt returns the actual similarity of f at segment u under env.
+// SimAt returns the actual similarity of f at segment u under env; its memo
+// is on the heap and lives until the next call.
 func (e *Evaluator) SimAt(f htl.Formula, u int, env picture.Env) (float64, error) {
 	p := core.CompilePlan(f)
-	e.bind(p)
+	e.bind(p, nil)
 	return e.simAt(context.Background(), p.Root, u, env)
 }
 
@@ -182,7 +214,7 @@ func (e *Evaluator) simAt(ctx context.Context, n *core.PNode, u int, env picture
 	e.opts.Prof.AddSim(n)
 	if useMemo {
 		if e.memo[n.ID] == nil {
-			e.memo[n.ID] = unscored(e.sys.Len())
+			e.memo[n.ID] = unscored(e.a, e.sys.Len())
 		}
 		e.memo[n.ID][u-1] = v
 	}
@@ -309,7 +341,7 @@ func (e *Evaluator) simAtUncached(ctx context.Context, n *core.PNode, u int, env
 // segment u's descendant sequence at the given level, or nil when there is
 // none. Caching the evaluator keeps the child's memo alive across the
 // repeated descents of enclosing temporal scans; a child evaluates nodes of
-// its parent's plan.
+// its parent's plan and carves its memo from its parent's arena.
 func (e *Evaluator) childAt(u int, ref htl.LevelRef) (*Evaluator, error) {
 	k := childKey{u: u, ref: ref}
 	if child, ok := e.children[k]; ok {
@@ -325,8 +357,7 @@ func (e *Evaluator) childAt(u int, ref htl.LevelRef) (*Evaluator, error) {
 		if !ok {
 			return nil, fmt.Errorf("refeval: child source is %T, not a picture system", src)
 		}
-		child = New(cs, e.opts)
-		child.bind(e.plan)
+		child = &Evaluator{sys: cs, opts: e.opts, plan: e.plan, a: e.a, memo: e.a.Float64Rows(e.plan.Nodes), maxSim: e.maxSim}
 	}
 	if e.children == nil {
 		e.children = map[childKey]*Evaluator{}

@@ -1,6 +1,7 @@
 package refeval
 
 import (
+	"context"
 	"testing"
 
 	"htlvideo/internal/core"
@@ -146,5 +147,62 @@ func TestAtLevelFromRoot(t *testing.T) {
 	}
 	if a != 4 {
 		t.Fatalf("at root: %g", a)
+	}
+}
+
+// panicAt is a context whose Err panics on its at-th call: an evaluation that
+// panics partway, with its arena taken and its memo half filled.
+type panicAt struct {
+	context.Context
+	calls, at int
+}
+
+func (c *panicAt) Err() error {
+	if c.calls++; c.calls == c.at {
+		panic("evaluation panics")
+	}
+	return nil
+}
+
+// ListPlanCtx takes one arena from the pool per evaluation and puts it back
+// after a list or an error, but not after a panic: the arena is then left to
+// the collector, and the evaluator holds nothing of it.
+func TestListPlanCtxArenaLifetime(t *testing.T) {
+	acquire, release := acquireArena, releaseArena
+	t.Cleanup(func() { acquireArena, releaseArena = acquire, release })
+	var taken, returned []*core.Arena
+	acquireArena = func() *core.Arena {
+		a := acquire()
+		taken = append(taken, a)
+		return a
+	}
+	releaseArena = func(a *core.Arena) bool {
+		returned = append(returned, a)
+		return release(a)
+	}
+	sys := smallSystem(t)
+	p := core.CompilePlan(htl.MustParse("not eventually (exists z . present(z) and moving(z))"))
+	e := New(sys, core.DefaultOptions())
+	if _, err := e.ListPlanCtx(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.ListPlanCtx(cancelled, p); err == nil {
+		t.Fatal("a cancelled evaluation returned no error")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the evaluation did not panic")
+			}
+		}()
+		e.ListPlanCtx(&panicAt{Context: context.Background(), at: 3}, p)
+	}()
+	if len(taken) != 3 || len(returned) != 2 || returned[0] != taken[0] || returned[1] != taken[1] {
+		t.Fatalf("took %d arenas and returned %d; want 3 taken, the first two returned", len(taken), len(returned))
+	}
+	if e.plan != nil || e.a != nil || e.memo != nil || e.maxSim != nil {
+		t.Fatal("the evaluator still holds its arena after the panic")
 	}
 }

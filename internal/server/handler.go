@@ -310,7 +310,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		if resilience.IsContextError(err) {
 			code = http.StatusGatewayTimeout
 		}
-		obs.WriteError(w, code, truncate(err.Error(), 300))
+		obs.WriteError(w, code, obs.Truncate(err.Error(), 300))
 		return
 	}
 	obs.WriteJSON(w, http.StatusOK, er)
@@ -534,7 +534,7 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 				res, err := cq.QueryCtx(ctx, vopts...)
 				if asp != nil {
 					if err != nil {
-						asp.SetTag("outcome", truncate(err.Error(), 120))
+						asp.SetTag("outcome", obs.Truncate(err.Error(), 120))
 					} else {
 						asp.SetTag("outcome", "ok")
 					}
@@ -581,7 +581,7 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 			// video's health.
 			out.Failed = append(out.Failed, FailDoc{Video: id, Error: r.Err.Error(), Timeout: true})
 		default:
-			out.Failed = append(out.Failed, FailDoc{Video: id, Error: truncate(r.Err.Error(), 300)})
+			out.Failed = append(out.Failed, FailDoc{Video: id, Error: obs.Truncate(r.Err.Error(), 300)})
 		}
 	}
 	out.Evaluated = len(lists)
@@ -605,11 +605,4 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 		st.TraceRing().ObserveTrace(tr)
 	}
 	return out
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "…"
 }

@@ -152,7 +152,7 @@ func (tr *Translator) run(ctx context.Context, sql string) (*relational.Result, 
 	}
 	sp := obs.SpanFromContext(ctx).StartSpan("sql")
 	defer sp.End()
-	sp.SetTag("stmt", truncate(sql, 96))
+	sp.SetTag("stmt", obs.Truncate(sql, 96))
 	tr.Script.WriteString(sql)
 	tr.Script.WriteString(";\n")
 	res, err := tr.DB.Exec(sql)
@@ -160,14 +160,6 @@ func (tr *Translator) run(ctx context.Context, sql string) (*relational.Result, 
 		return nil, fmt.Errorf("sqlgen: %w\nstatement: %s", err, sql)
 	}
 	return res, nil
-}
-
-// truncate caps a statement for span tagging.
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "…"
 }
 
 func (tr *Translator) fresh(prefix string) string {

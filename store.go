@@ -577,9 +577,9 @@ func (s *Store) queryVideoIsolated(ctx context.Context, parent *obs.Span, v *Vid
 
 // evalOne evaluates the compiled query over one video's sequence with the
 // selected engine, tagging sp with the engine that actually ran (the auto
-// engine may fall back to the reference evaluator). The direct and reference
-// engines evaluate the compiled plan, so duplicated subformulas are computed
-// once per video.
+// engine falls back to the reference evaluator for a general plan). The
+// direct and reference engines evaluate the compiled plan, so duplicated
+// subformulas are computed once per video.
 func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQuery, cfg *queryConfig, sp *obs.Span) (SimList, error) {
 	coreOpts := core.Options{UntilThreshold: cfg.untilThreshold, Obs: &cfg.coreM, Prof: cfg.prof}
 	refOpts := coreOpts
@@ -596,16 +596,15 @@ func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQu
 		// The translator records a span per generated statement under sp.
 		return s.evalSQL(obs.ContextWithSpan(ctx, sp), sys, cq, cfg)
 	default:
-		l, err := core.EvalPlanCtx(ctx, sys, cq.plan, coreOpts)
-		var notConj *core.ErrNotConjunctive
-		if errors.As(err, &notConj) {
+		// The plan's class is the test EvalPlanCtx would refuse it by.
+		if cq.plan.Class == htl.ClassGeneral {
 			s.obs.fallbacks.Inc()
 			sp.SetTag("engine", "refeval")
 			sp.SetTag("fallback", "true")
 			return refeval.New(sys, refOpts).ListPlanCtx(ctx, cq.plan)
 		}
 		sp.SetTag("engine", "core")
-		return l, err
+		return core.EvalPlanCtx(ctx, sys, cq.plan, coreOpts)
 	}
 }
 

@@ -339,15 +339,13 @@ func (o *storeObs) endQuery(tr *obs.Trace, err error, cq *CompiledQuery, cfg *qu
 	}
 }
 
+// truncateErr is err's first line, capped for the trace's error tag.
 func truncateErr(err error) string {
 	msg := err.Error()
 	if i := strings.IndexByte(msg, '\n'); i >= 0 {
 		msg = msg[:i]
 	}
-	if len(msg) > 160 {
-		msg = msg[:160] + "…"
-	}
-	return msg
+	return obs.Truncate(msg, 160)
 }
 
 // engineKey maps an engine selector to its metric/tag name: the §4

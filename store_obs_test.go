@@ -276,10 +276,21 @@ func TestQueryBreakdowns(t *testing.T) {
 }
 
 // TestFallbackCounter: a general formula under the auto engine falls back to
-// the reference evaluator and is counted.
+// the reference evaluator, is counted, and every video's engine span says so;
+// a conjunctive one runs on core and does not fall back.
 func TestFallbackCounter(t *testing.T) {
 	s := resilienceStore(t, 1)
-	res, err := s.Query("not eventually M2")
+	engineTags := func(tr *Trace) (tags []map[string]string) {
+		for _, v := range tr.Snapshot().Spans[1].Children { // eval → video
+			tags = append(tags, v.Children[1].Tags) // system, engine
+		}
+		if len(tags) == 0 {
+			t.Fatal("the trace has no video spans")
+		}
+		return tags
+	}
+	var tc TraceCollector
+	res, err := s.Query("not eventually M2", WithTrace(&tc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +302,22 @@ func TestFallbackCounter(t *testing.T) {
 	}
 	if got := s.Stats().Engines.Reference.AtomicEvals; got == 0 {
 		t.Fatal("reference engine did no atomic evaluations after fallback")
+	}
+	for _, tags := range engineTags(tc.Last()) {
+		if tags["engine"] != "refeval" || tags["fallback"] != "true" {
+			t.Errorf("general formula's engine span tags = %v, want engine=refeval fallback=true", tags)
+		}
+	}
+	if _, err := s.Query("eventually M2", WithTrace(&tc)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Queries.Fallbacks; got != 1 {
+		t.Fatalf("Fallbacks = %d after a conjunctive query, want 1", got)
+	}
+	for _, tags := range engineTags(tc.Last()) {
+		if tags["engine"] != "core" || tags["fallback"] != "" {
+			t.Errorf("conjunctive formula's engine span tags = %v, want engine=core", tags)
+		}
 	}
 }
 
