@@ -90,11 +90,13 @@ repro-smoke:
 # This one vets and tests the harness, then runs one workload of it for real
 # on the -quick corpus with one-second rounds — the shortest that still
 # completes a unit — so that a harness that no longer builds, fails its oracle
-# or sheds requests fails the gate. Nothing under bench/ is written except
-# the git-ignored bench/out/.
+# or sheds requests fails the gate. The second run drives the coordinator,
+# whose /query document the harness decodes too. Nothing under bench/ is
+# written except the git-ignored bench/out/.
 bench-e2e-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -quick -only serve_cold_mix -seconds 1
+	bash bench/run.sh -quick -only shard4_cold_mix -seconds 1
 
 # Short parser fuzz session (FuzzParse: parse → print → re-parse is total).
 fuzz:

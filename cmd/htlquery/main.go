@@ -192,26 +192,11 @@ type remoteParams struct {
 	exact   bool
 }
 
-// remoteQueryDoc decodes both response shapes: a single server's /query and
-// a coordinator's (whose extra shards section is nil for the former).
-type remoteQueryDoc struct {
-	Class     string             `json:"class"`
-	Videos    int                `json:"videos"`
-	Evaluated int                `json:"evaluated"`
-	Top       []server.RankedDoc `json:"top"`
-	Skipped   []server.SkipDoc   `json:"skipped"`
-	Failed    []server.FailDoc   `json:"failed"`
-	Shards    *shard.ShardsDoc   `json:"shards"`
-	ElapsedMS float64            `json:"elapsed_ms"`
-	TraceID   string             `json:"trace_id"`
-	Trace     *htlvideo.TraceSnapshot
-}
-
 // runRemote sends the query to a running htlserve — single server or
-// coordinator, the response shapes line up — and renders the result; with
-// -trace the server's span tree (for a coordinator: the stitched
-// cross-process trace, every shard subtree under the coordinator's trace id)
-// renders on stderr.
+// coordinator, which answers the same document plus a shards section — and
+// renders the result; with -trace the server's span tree (for a coordinator:
+// the stitched cross-process trace, every shard subtree under the
+// coordinator's trace id) renders on stderr.
 func runRemote(p remoteParams) {
 	vals := url.Values{}
 	vals.Set("q", p.query)
@@ -248,7 +233,7 @@ func runRemote(p remoteParams) {
 	if resp.StatusCode != http.StatusOK {
 		fatalf("remote query: %s: %s", resp.Status, errorOf(body))
 	}
-	var doc remoteQueryDoc
+	var doc server.QueryResponse
 	if err := json.Unmarshal(body, &doc); err != nil {
 		fatalf("decoding remote response: %v", err)
 	}
@@ -320,9 +305,9 @@ func fmtSeconds(s float64) string {
 // fmtPercent renders a 0..1 ratio as a percentage.
 func fmtPercent(r float64) string { return strconv.FormatFloat(r*100, 'f', 0, 64) + "%" }
 
-// remoteExplain posts /explain and renders whichever shape came back: a
-// coordinator's merged cross-shard tree (per-shard attribution + straggler)
-// or a single server's ExplainResult.
+// remoteExplain posts /explain and renders the document a server or a
+// coordinator (merged cross-shard tree with per-shard attribution and
+// straggler) answers.
 func remoteExplain(base string, vals url.Values, exact bool) {
 	if exact {
 		vals.Set("exact", "true")
@@ -336,25 +321,11 @@ func remoteExplain(base string, vals url.Values, exact bool) {
 	if resp.StatusCode != http.StatusOK {
 		fatalf("remote explain: %s: %s", resp.Status, errorOf(body))
 	}
-	// A coordinator document carries a shards section; a single server's
-	// ExplainResult does not.
-	var probe struct {
-		Shards *shard.ShardsDoc `json:"shards"`
-	}
-	_ = json.Unmarshal(body, &probe)
-	if probe.Shards != nil {
-		var doc shard.ExplainDoc
-		if err := json.Unmarshal(body, &doc); err != nil {
-			fatalf("decoding coordinator explain: %v", err)
-		}
-		doc.Render(os.Stdout, true)
-		return
-	}
-	var er htlvideo.ExplainResult
-	if err := json.Unmarshal(body, &er); err != nil {
+	var doc shard.ExplainDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
 		fatalf("decoding explain: %v", err)
 	}
-	er.Render(os.Stdout, true)
+	doc.Render(os.Stdout, true)
 }
 
 func readBody(resp *http.Response) []byte {

@@ -9,6 +9,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"time"
 )
@@ -47,6 +48,21 @@ type NodeStats struct {
 	Time time.Duration `json:"time_ns"`
 }
 
+// Add sums o into s field by field: the merge of two disjoint sets of
+// videos' accounting at the same plan node.
+func (s *NodeStats) Add(o NodeStats) {
+	s.Visits += o.Visits
+	s.MemoHits += o.MemoHits
+	s.AtomicEvals += o.AtomicEvals
+	s.MergeOps += o.MergeOps
+	s.Rows += o.Rows
+	s.Entries += o.Entries
+	s.SQLStmts += o.SQLStmts
+	s.SQLRows += o.SQLRows
+	s.Skipped += o.Skipped
+	s.Time += o.Time
+}
+
 // ExplainNode is one plan node annotated with its stats. A subformula shared
 // by several parents (one interned plan node) renders under each of them,
 // carrying the same accumulated stats and Shared=true.
@@ -68,6 +84,11 @@ type ExplainNode struct {
 	Shared      bool `json:"shared,omitempty"`
 	// Stats is the node's accumulated accounting.
 	Stats NodeStats `json:"stats"`
+	// PerShard and Straggler are set on a coordinator's merged tree only:
+	// Stats broken down by shard name, and the shard with the largest
+	// inclusive time at this node (empty when no shard recorded time here).
+	PerShard  map[string]NodeStats `json:"per_shard,omitempty"`
+	Straggler string               `json:"straggler,omitempty"`
 	// Children are the operand nodes in syntactic order.
 	Children []*ExplainNode `json:"children,omitempty"`
 }
@@ -93,7 +114,8 @@ func (n *ExplainNode) MemoHitTotal() int64 {
 // RenderTree writes the annotated plan tree, one node per line, children
 // indented with box-drawing connectors. total scales the per-node time
 // percentages (0 disables them); showTimes=false replaces every duration
-// with "-" so golden files stay byte-stable across runs.
+// with "-" so golden files stay byte-stable across runs; it also hides the
+// straggler, which derives from wall time.
 func RenderTree(w io.Writer, root *ExplainNode, total time.Duration, showTimes bool) {
 	if root == nil {
 		return
@@ -113,7 +135,8 @@ func renderNode(w io.Writer, n *ExplainNode, head, tail string, total time.Durat
 }
 
 // nodeLine formats one node: operator, truncated formula for atomic units,
-// then the non-zero stats.
+// the non-zero stats, then on a merged tree the per-shard visits (sorted by
+// shard name) and, when times are shown, the straggler.
 func nodeLine(n *ExplainNode, total time.Duration, showTimes bool) string {
 	var b strings.Builder
 	b.WriteString(n.Op)
@@ -147,5 +170,23 @@ func nodeLine(n *ExplainNode, total time.Duration, showTimes bool) string {
 	stat("skipped", n.Stats.Skipped)
 	stat("sql_stmts", n.Stats.SQLStmts)
 	stat("sql_rows", n.Stats.SQLRows)
+	if len(n.PerShard) > 0 {
+		names := make([]string, 0, len(n.PerShard))
+		for name := range n.PerShard {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		b.WriteString(" [")
+		for i, name := range names {
+			if i > 0 {
+				b.WriteString(" ")
+			}
+			fmt.Fprintf(&b, "%s=%d", name, n.PerShard[name].Visits)
+		}
+		b.WriteString("]")
+	}
+	if showTimes && n.Straggler != "" {
+		fmt.Fprintf(&b, " straggler=%s", n.Straggler)
+	}
 	return b.String()
 }

@@ -48,17 +48,35 @@ type QueryResponse struct {
 	Failed []FailDoc `json:"failed,omitempty"`
 	// Retries counts extra evaluation attempts spent on transient errors.
 	Retries int64 `json:"retries,omitempty"`
+	// Shards is the fan-out section a coordinator adds to the same document;
+	// a single server leaves it nil.
+	Shards *ShardsDoc `json:"shards,omitempty"`
 	// ElapsedMS is the server-side wall time of the request.
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// TraceID is the distributed trace id the request ran under: the inbound
 	// X-Htl-Trace value when one was propagated, or a freshly minted id when
-	// the request asked for a trace.
+	// the request asked for a trace. A coordinator always has one, minted
+	// when none came in, and forwards it to every shard.
 	TraceID string `json:"trace_id,omitempty"`
 	// Trace is the request's span tree (per-video evaluation with the store's
 	// own spans stitched under each attempt), present with ?trace=1. A
-	// coordinator stitches it under its scatter spans to build the
-	// cross-process trace.
+	// coordinator stitches it under its scatter spans and answers the
+	// cross-process trace here.
 	Trace *obs.TraceSnapshot `json:"trace,omitempty"`
+}
+
+// ShardsDoc summarizes a coordinator's fan-out behind one response.
+type ShardsDoc struct {
+	Total       int             `json:"total"`
+	OK          int             `json:"ok"`
+	MinRequired int             `json:"min_required"`
+	Errors      []ShardErrorDoc `json:"errors,omitempty"`
+}
+
+// ShardErrorDoc is one lost shard.
+type ShardErrorDoc struct {
+	Shard string `json:"shard"`
+	Error string `json:"error"`
 }
 
 // RankedDoc is one ranked segment run. Beg and End are segment ids, so they
@@ -233,7 +251,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.limiter.release()
 
 	start := time.Now()
-	p, status, err := s.parseQueryRequest(r)
+	p, status, err := ParseQueryRequest(r, s.parseDefaults())
 	if err != nil {
 		obs.WriteError(w, status, err.Error())
 		return
@@ -282,17 +300,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.limiter.release()
 
-	p, status, err := s.parseQueryRequest(r)
+	p, exact, status, err := ParseExplainRequest(r, s.parseDefaults())
 	if err != nil {
 		obs.WriteError(w, status, err.Error())
 		return
-	}
-	exact := false
-	if v := r.FormValue("exact"); v != "" {
-		if exact, err = strconv.ParseBool(v); err != nil {
-			obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid exact %q", v))
-			return
-		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.Timeout)
 	defer cancel()
@@ -366,12 +377,9 @@ type ParseDefaults struct {
 	MaxTimeout     time.Duration
 }
 
-// parseQueryRequest validates the request against the server's configuration.
-func (s *Server) parseQueryRequest(r *http.Request) (QueryParams, int, error) {
-	return ParseQueryRequest(r, ParseDefaults{
-		DefaultTimeout: s.cfg.defaultTimeout,
-		MaxTimeout:     s.cfg.maxTimeout,
-	})
+// parseDefaults are the server's request-parsing defaults.
+func (s *Server) parseDefaults() ParseDefaults {
+	return ParseDefaults{DefaultTimeout: s.cfg.defaultTimeout, MaxTimeout: s.cfg.maxTimeout}
 }
 
 // ParseQueryRequest validates a /query-shaped request. Parse and validation
@@ -458,6 +466,21 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 	}
 	p.TraceID = r.Header.Get(obs.TraceHeader)
 	return p, http.StatusOK, nil
+}
+
+// ParseExplainRequest validates an /explain request: the /query parameters
+// plus exact=true for exact per-visit time attribution. The server and the
+// coordinator both parse with it.
+func ParseExplainRequest(r *http.Request, d ParseDefaults) (p QueryParams, exact bool, status int, err error) {
+	if p, status, err = ParseQueryRequest(r, d); err != nil {
+		return p, false, status, err
+	}
+	if v := r.Form.Get("exact"); v != "" {
+		if exact, err = strconv.ParseBool(v); err != nil {
+			return p, false, http.StatusBadRequest, fmt.Errorf("invalid exact %q", v)
+		}
+	}
+	return p, exact, http.StatusOK, nil
 }
 
 // evaluate fans the eligible videos out through resilience.FanOut: each

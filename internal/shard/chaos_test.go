@@ -210,7 +210,7 @@ func TestShardChaosMultiProcess(t *testing.T) {
 	// A traced query right after the kill: the stitched cross-process trace
 	// records the dead shard's failed attempts while the survivors' subtrees
 	// ride under the coordinator's trace id.
-	var killed QueryDoc
+	var killed server.QueryResponse
 	if code := getDoc(t, ct.URL+"/query?q=M1&k=5&trace=1", &killed); code != http.StatusOK {
 		t.Fatalf("traced query after kill: status %d", code)
 	}
@@ -295,7 +295,7 @@ func TestShardChaosMultiProcess(t *testing.T) {
 	// Poll rather than single-shot: breakers tripped during the storm (the
 	// faulty shard's, or a survivor's after a burst of shed requests) need
 	// their 200ms cool-down to half-open and re-admit the healthy shards.
-	var chaosDoc QueryDoc
+	var chaosDoc server.QueryResponse
 	partialDeadline := time.Now().Add(5 * time.Second)
 	for {
 		if code := getDoc(t, ct.URL+"/query?q=M1&k=5", &chaosDoc); code == http.StatusOK &&
@@ -323,7 +323,7 @@ func TestShardChaosMultiProcess(t *testing.T) {
 	// a trace catches it open.
 	breakerDeadline := time.Now().Add(5 * time.Second)
 	for {
-		var traced QueryDoc
+		var traced server.QueryResponse
 		if code := getDoc(t, ct.URL+"/query?q=M1&k=5&trace=1", &traced); code == http.StatusOK && traced.Trace != nil {
 			if sc := findSpan(traced.Trace.Spans, "scatter"); sc != nil {
 				if sh := findSpan(sc.Children, "shard shard-3"); sh != nil &&
@@ -386,7 +386,7 @@ func TestShardChaosMultiProcess(t *testing.T) {
 	resp.Body.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var rec QueryDoc
+		var rec server.QueryResponse
 		if code := getDoc(t, ct.URL+"/query?q=M1&k=5", &rec); code == http.StatusOK &&
 			rec.Shards.OK == nShards-1 && len(rec.Failed) == 0 {
 			break
@@ -407,7 +407,7 @@ func TestShardChaosMultiProcess(t *testing.T) {
 	resp.Body.Close()
 	hedgeDeadline := time.Now().Add(5 * time.Second)
 	for {
-		var traced QueryDoc
+		var traced server.QueryResponse
 		if code := getDoc(t, ct.URL+"/query?q=M1&k=5&trace=1", &traced); code == http.StatusOK && traced.Trace != nil {
 			if sc := findSpan(traced.Trace.Spans, "scatter"); sc != nil {
 				// The storm may have left shard-1's breaker open; retry until

@@ -34,6 +34,7 @@ import (
 	"htlvideo/internal/obs/timeseries"
 	"htlvideo/internal/resilience"
 	"htlvideo/internal/ring"
+	"htlvideo/internal/server"
 )
 
 // Coordinator fans queries out to shard servers and merges their rankings.
@@ -76,8 +77,7 @@ type ShardInfo struct {
 type config struct {
 	minShards      int
 	hedgeDelay     time.Duration
-	defaultTimeout time.Duration
-	maxTimeout     time.Duration
+	parse          server.ParseDefaults
 	budgetFraction float64
 	breaker        resilience.BreakerConfig
 	retry          resilience.RetryConfig
@@ -104,10 +104,12 @@ func WithMinShards(n int) Option { return func(c *config) { c.minShards = n } }
 func WithHedgeDelay(d time.Duration) Option { return func(c *config) { c.hedgeDelay = d } }
 
 // WithDefaultTimeout sets the budget for requests that name no ?timeout=.
-func WithDefaultTimeout(d time.Duration) Option { return func(c *config) { c.defaultTimeout = d } }
+func WithDefaultTimeout(d time.Duration) Option {
+	return func(c *config) { c.parse.DefaultTimeout = d }
+}
 
 // WithMaxTimeout caps the budget a client may request.
-func WithMaxTimeout(d time.Duration) Option { return func(c *config) { c.maxTimeout = d } }
+func WithMaxTimeout(d time.Duration) Option { return func(c *config) { c.parse.MaxTimeout = d } }
 
 // WithBreakerConfig tunes the per-shard circuit breakers.
 func WithBreakerConfig(cfg resilience.BreakerConfig) Option {
@@ -182,8 +184,7 @@ func NewNamed(shards map[string]string, opts ...Option) *Coordinator {
 	cfg := config{
 		minShards:      1,
 		hedgeDelay:     100 * time.Millisecond,
-		defaultTimeout: 5 * time.Second,
-		maxTimeout:     60 * time.Second,
+		parse:          server.ParseDefaults{DefaultTimeout: 5 * time.Second, MaxTimeout: 60 * time.Second},
 		budgetFraction: 0.9,
 		breaker:        resilience.DefaultBreakerConfig(),
 		retry:          resilience.DefaultRetryConfig(),

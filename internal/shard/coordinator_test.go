@@ -153,8 +153,8 @@ func TestRetriesTransientShardFailures(t *testing.T) {
 		WithRandSeed(1),
 	)
 	res := c.Query(context.Background(), testParams())
-	if res.ShardsOK != 1 || len(res.ShardErrors) != 0 {
-		t.Fatalf("ok=%d errors=%v, want one healthy shard", res.ShardsOK, res.ShardErrors)
+	if res.Shards.OK != 1 || len(res.ShardErrors) != 0 {
+		t.Fatalf("ok=%d errors=%v, want one healthy shard", res.Shards.OK, res.ShardErrors)
 	}
 	if got := c.Metrics().Counter("shard.retries").Value(); got != 1 {
 		t.Errorf("shard.retries = %d, want 1", got)
@@ -177,8 +177,8 @@ func TestPermanentShardErrorNotRetried(t *testing.T) {
 		WithHedgeDelay(0), WithRandSeed(1),
 	)
 	res := c.Query(context.Background(), testParams())
-	if res.ShardsOK != 0 || len(res.ShardErrors) != 1 {
-		t.Fatalf("ok=%d errors=%v, want the one shard failed", res.ShardsOK, res.ShardErrors)
+	if res.Shards.OK != 0 || len(res.ShardErrors) != 1 {
+		t.Fatalf("ok=%d errors=%v, want the one shard failed", res.Shards.OK, res.ShardErrors)
 	}
 	if calls.Load() != 1 {
 		t.Errorf("shard saw %d calls, want 1 (4xx is deterministic)", calls.Load())
@@ -202,8 +202,8 @@ func TestShardRunOutsideIDRangeIsShardError(t *testing.T) {
 		WithHedgeDelay(0), WithRandSeed(1),
 	)
 	res := c.Query(context.Background(), testParams())
-	if res.ShardsOK != 1 || len(res.ShardErrors) != 1 || !strings.Contains(res.ShardErrors[0].Error(), "not a run of segment ids") {
-		t.Fatalf("ok=%d errors=%v, want the out-of-range shard itemized", res.ShardsOK, res.ShardErrors)
+	if res.Shards.OK != 1 || len(res.ShardErrors) != 1 || !strings.Contains(res.ShardErrors[0].Error(), "not a run of segment ids") {
+		t.Fatalf("ok=%d errors=%v, want the out-of-range shard itemized", res.Shards.OK, res.ShardErrors)
 	}
 	if len(res.Top) != 1 || res.Top[0].Video != 1 {
 		t.Fatalf("top = %+v, want only the healthy shard's run", res.Top)
@@ -230,8 +230,8 @@ func TestHedgesStragglerShards(t *testing.T) {
 	)
 	start := time.Now()
 	res := c.Query(context.Background(), testParams())
-	if res.ShardsOK != 1 {
-		t.Fatalf("ok=%d errors=%v, want hedged success", res.ShardsOK, res.ShardErrors)
+	if res.Shards.OK != 1 {
+		t.Fatalf("ok=%d errors=%v, want hedged success", res.Shards.OK, res.ShardErrors)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("hedged query took %v; the straggler was not cut off", elapsed)
@@ -269,8 +269,8 @@ func TestBreakerTripsSkipsAndRecovers(t *testing.T) {
 
 	// Two failing queries reach MinVolume at 100% failure: the breaker opens.
 	for i := 0; i < 2; i++ {
-		if res := c.Query(context.Background(), testParams()); res.ShardsOK != 0 {
-			t.Fatalf("query %d: expected failure, got ok=%d", i, res.ShardsOK)
+		if res := c.Query(context.Background(), testParams()); res.Shards.OK != 0 {
+			t.Fatalf("query %d: expected failure, got ok=%d", i, res.Shards.OK)
 		}
 	}
 	if got := c.Metrics().Counter("shard.breaker.opened").Value(); got != 1 {
@@ -293,8 +293,8 @@ func TestBreakerTripsSkipsAndRecovers(t *testing.T) {
 	fail.Store(false)
 	advance(2 * time.Minute)
 	res = c.Query(context.Background(), testParams())
-	if res.ShardsOK != 1 || len(res.ShardErrors) != 0 {
-		t.Fatalf("recovery: ok=%d errors=%v", res.ShardsOK, res.ShardErrors)
+	if res.Shards.OK != 1 || len(res.ShardErrors) != 0 {
+		t.Fatalf("recovery: ok=%d errors=%v", res.Shards.OK, res.ShardErrors)
 	}
 	if got := c.Metrics().Counter("shard.breaker.closed").Value(); got != 1 {
 		t.Errorf("shard.breaker.closed = %d, want 1", got)
@@ -321,7 +321,7 @@ func TestQuorumSemantics(t *testing.T) {
 	}
 	st := httptest.NewServer(strict.Handler())
 	defer st.Close()
-	var doc503 QueryDoc
+	var doc503 server.QueryResponse
 	if code := getDoc(t, st.URL+"/query?q=M1", &doc503); code != http.StatusServiceUnavailable {
 		t.Fatalf("below-quorum status = %d, want 503", code)
 	}
@@ -332,8 +332,8 @@ func TestQuorumSemantics(t *testing.T) {
 	// MinShards 1: the survivors' merged top-k is served as a partial.
 	lax := New(urls, WithMinShards(1), retry, WithHedgeDelay(0), WithRandSeed(1))
 	res = lax.Query(context.Background(), testParams())
-	if !res.QuorumMet(1) || res.ShardsOK != 2 {
-		t.Fatalf("ok=%d errors=%v, want 2 survivors", res.ShardsOK, res.ShardErrors)
+	if !res.QuorumMet(1) || res.Shards.OK != 2 {
+		t.Fatalf("ok=%d errors=%v, want 2 survivors", res.Shards.OK, res.ShardErrors)
 	}
 	if len(res.Top) == 0 {
 		t.Fatal("partial result carries no ranking")
@@ -353,7 +353,7 @@ func TestShardJoinLeave(t *testing.T) {
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
 
-	var partial QueryDoc
+	var partial server.QueryResponse
 	if code := getDoc(t, ts.URL+"/query?q=M1", &partial); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -379,7 +379,7 @@ func TestShardJoinLeave(t *testing.T) {
 		t.Fatalf("join: code=%d out=%+v", code, out)
 	}
 
-	var full QueryDoc
+	var full server.QueryResponse
 	if code := getDoc(t, ts.URL+"/query?q=M1", &full); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -394,7 +394,7 @@ func TestShardJoinLeave(t *testing.T) {
 	if code != http.StatusOK || !out.Changed || len(out.Shards) != 1 {
 		t.Fatalf("leave: code=%d out=%+v", code, out)
 	}
-	var again QueryDoc
+	var again server.QueryResponse
 	getDoc(t, ts.URL+"/query?q=M1", &again)
 	if again.Videos != partial.Videos {
 		t.Fatalf("after leave videos=%d, want %d", again.Videos, partial.Videos)

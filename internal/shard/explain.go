@@ -16,9 +16,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"htlvideo"
@@ -27,30 +24,17 @@ import (
 	"htlvideo/internal/server"
 )
 
-// ExplainDoc is the coordinator's /explain payload: the single-store
-// ExplainResult shape lifted to the fleet, with per-shard attribution.
+// ExplainDoc is the /explain document of a server or a coordinator: the
+// single store's ExplainResult, whose Plan on a coordinator is the merged
+// tree with per-shard stats and stragglers at each node, plus the fan-out
+// sections a coordinator adds. A coordinator's TotalTime is its own wall
+// time and its EvalTime the slowest shard's.
 type ExplainDoc struct {
-	Query   string `json:"query"`
-	PlanKey string `json:"plan_key"`
-	// TraceID is the distributed trace id the explain ran under; each
-	// shard-local explain joined it, so per-shard slow logs correlate.
-	TraceID string `json:"trace_id"`
-	Class   string `json:"class"`
-	Engine  string `json:"engine"`
-	Level   int    `json:"level"`
-	Exact   bool   `json:"exact"`
-	// Nodes is the shared plan DAG's size; Videos sums the shards' evaluated
-	// videos.
-	Nodes  int `json:"nodes"`
-	Videos int `json:"videos"`
-	// Shards is the fan-out accounting; PerShard the per-shard evaluation
-	// summaries (sorted by name), from which the straggler column derives.
-	Shards   ShardsDoc         `json:"shards"`
+	htlvideo.ExplainResult
+	// Shards is the fan-out accounting (nil from a single server); PerShard
+	// the per-shard evaluation summaries, sorted by name.
+	Shards   *server.ShardsDoc `json:"shards,omitempty"`
 	PerShard []ShardExplainDoc `json:"per_shard,omitempty"`
-	// Plan is the merged tree: summed stats per node plus the per-shard
-	// breakdown and the straggler (slowest shard by inclusive time) at each.
-	Plan      *MergedNode `json:"plan"`
-	ElapsedMS float64     `json:"elapsed_ms"`
 }
 
 // ShardExplainDoc summarizes one shard's explain evaluation.
@@ -59,28 +43,6 @@ type ShardExplainDoc struct {
 	Videos int           `json:"videos"`
 	Eval   time.Duration `json:"eval_time_ns"`
 	Total  time.Duration `json:"total_time_ns"`
-}
-
-// MergedNode is one plan node of a cross-shard explain: the single-store
-// ExplainNode annotated with where the work landed. A subformula shared by
-// several parents appears under each (Shared=true), carrying the same
-// accumulated stats, mirroring the plan DAG.
-type MergedNode struct {
-	ID          int    `json:"id"`
-	Op          string `json:"op"`
-	Formula     string `json:"formula"`
-	NonTemporal bool   `json:"non_temporal,omitempty"`
-	Closed      bool   `json:"closed,omitempty"`
-	Shared      bool   `json:"shared,omitempty"`
-	// Stats sums the per-shard stats; videos partition disjointly, so the
-	// sums equal a single unsharded store's counts.
-	Stats obs.NodeStats `json:"stats"`
-	// PerShard breaks Stats down by shard name.
-	PerShard map[string]obs.NodeStats `json:"per_shard,omitempty"`
-	// Straggler names the shard with the largest inclusive time at this node
-	// (empty when no shard recorded time here).
-	Straggler string        `json:"straggler,omitempty"`
-	Children  []*MergedNode `json:"children,omitempty"`
 }
 
 // Explain fans a profiled evaluation out to every shard and merges the
@@ -101,9 +63,11 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams, exact b
 	}
 	members := c.snapshotMembers()
 	out := &ExplainDoc{
-		Query: p.Query, PlanKey: planKey, TraceID: p.TraceID,
-		Engine: engineName(p.Engine), Level: p.Level, Exact: exact,
-		Shards: ShardsDoc{Total: len(members), MinRequired: c.cfg.minShards},
+		ExplainResult: htlvideo.ExplainResult{
+			Query: p.Query, PlanKey: planKey, TraceID: p.TraceID,
+			Engine: engineName(p.Engine), Level: p.Level, Exact: exact,
+		},
+		Shards: &server.ShardsDoc{Total: len(members), MinRequired: c.cfg.minShards},
 	}
 
 	keys := make([]int64, len(members))
@@ -129,7 +93,7 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams, exact b
 	var oks []int
 	for i, r := range results {
 		if r.Err != nil {
-			out.Shards.Errors = append(out.Shards.Errors, ShardErrorDoc{Shard: members[i].name, Error: r.Err.Error()})
+			out.Shards.Errors = append(out.Shards.Errors, server.ShardErrorDoc{Shard: members[i].name, Error: r.Err.Error()})
 			continue
 		}
 		out.Shards.OK++
@@ -157,6 +121,7 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams, exact b
 				members[oks[0]].name, first.PlanKey, members[i].name, er.PlanKey)
 		}
 		out.Videos += er.Videos
+		out.EvalTime = max(out.EvalTime, er.EvalTime)
 		out.PerShard = append(out.PerShard, ShardExplainDoc{
 			Shard: members[i].name, Videos: er.Videos,
 			Eval: er.EvalTime, Total: er.TotalTime,
@@ -168,7 +133,7 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams, exact b
 		return out, err
 	}
 	out.Plan = merged
-	out.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	out.TotalTime = time.Since(start)
 	return out, nil
 }
 
@@ -189,12 +154,12 @@ func (c *Coordinator) doExplainRequest(ctx context.Context, mb member, form url.
 // lockstep and sums their stats per node ID. JSON decoding expanded each
 // shard's plan DAG into a tree (shared nodes duplicated under each parent,
 // carrying identical accumulated stats), so the walk memoizes by ID: each
-// shared node gets one MergedNode, its stats summed once, reused under every
-// parent — exactly the shape Tree() produces locally.
-func mergeExplainTrees(names []string, trees []*obs.ExplainNode) (*MergedNode, error) {
-	built := map[int]*MergedNode{}
-	var walk func(nodes []*obs.ExplainNode) (*MergedNode, error)
-	walk = func(nodes []*obs.ExplainNode) (*MergedNode, error) {
+// shared node gets one merged node, its stats summed once, reused under
+// every parent — exactly the shape Tree() produces locally.
+func mergeExplainTrees(names []string, trees []*obs.ExplainNode) (*obs.ExplainNode, error) {
+	built := map[int]*obs.ExplainNode{}
+	var walk func(nodes []*obs.ExplainNode) (*obs.ExplainNode, error)
+	walk = func(nodes []*obs.ExplainNode) (*obs.ExplainNode, error) {
 		first := nodes[0]
 		for _, n := range nodes[1:] {
 			if n == nil || n.ID != first.ID || n.Formula != first.Formula || len(n.Children) != len(first.Children) {
@@ -204,7 +169,7 @@ func mergeExplainTrees(names []string, trees []*obs.ExplainNode) (*MergedNode, e
 		if m, ok := built[first.ID]; ok {
 			return m, nil
 		}
-		m := &MergedNode{
+		m := &obs.ExplainNode{
 			ID: first.ID, Op: first.Op, Formula: first.Formula,
 			NonTemporal: first.NonTemporal, Closed: first.Closed, Shared: first.Shared,
 			PerShard: map[string]obs.NodeStats{},
@@ -213,7 +178,7 @@ func mergeExplainTrees(names []string, trees []*obs.ExplainNode) (*MergedNode, e
 		var stragglerTime time.Duration
 		for i, n := range nodes {
 			m.PerShard[names[i]] = n.Stats
-			m.Stats = addNodeStats(m.Stats, n.Stats)
+			m.Stats.Add(n.Stats)
 			if n.Stats.Time > stragglerTime {
 				stragglerTime = n.Stats.Time
 				m.Straggler = names[i]
@@ -235,29 +200,24 @@ func mergeExplainTrees(names []string, trees []*obs.ExplainNode) (*MergedNode, e
 	return walk(trees)
 }
 
-// addNodeStats sums two stat blocks field by field.
-func addNodeStats(a, b obs.NodeStats) obs.NodeStats {
-	a.Visits += b.Visits
-	a.MemoHits += b.MemoHits
-	a.AtomicEvals += b.AtomicEvals
-	a.MergeOps += b.MergeOps
-	a.Rows += b.Rows
-	a.Entries += b.Entries
-	a.SQLStmts += b.SQLStmts
-	a.SQLRows += b.SQLRows
-	a.Time += b.Time
-	return a
-}
-
-// Render writes the merged explain as text: a header of query-level facts, a
-// per-shard summary, then the annotated tree with per-shard visit counts and
-// (with showTimes) a straggler column per node. showTimes=false blanks every
-// duration and the straggler — both derive from wall time — so golden files
-// stay byte-stable.
+// Render writes the document as text. A single server's renders as
+// htlvideo.ExplainResult.Render does; a coordinator's adds the shard count
+// to the header and a per-shard summary above the merged tree, whose nodes
+// carry per-shard visit counts and (with showTimes) the straggler.
+// showTimes=false blanks every duration and the straggler — both derive
+// from wall time — so golden files stay byte-stable.
 func (d *ExplainDoc) Render(w io.Writer, showTimes bool) {
+	if d.Shards == nil {
+		d.ExplainResult.Render(w, showTimes)
+		return
+	}
 	fmt.Fprintf(w, "query: %s\n", d.Query)
 	fmt.Fprintf(w, "class: %s  engine: %s  level: %d  plan nodes: %d  videos: %d  shards: %d/%d\n",
 		d.Class, d.Engine, d.Level, d.Nodes, d.Videos, d.Shards.OK, d.Shards.Total)
+	if showTimes {
+		fmt.Fprintf(w, "eval: %s  total: %s  trace: %s\n",
+			d.EvalTime.Round(time.Microsecond), d.TotalTime.Round(time.Microsecond), d.TraceID)
+	}
 	for _, s := range d.PerShard {
 		if showTimes {
 			fmt.Fprintf(w, "shard %s: videos=%d eval=%s total=%s\n",
@@ -266,88 +226,23 @@ func (d *ExplainDoc) Render(w io.Writer, showTimes bool) {
 			fmt.Fprintf(w, "shard %s: videos=%d\n", s.Shard, s.Videos)
 		}
 	}
-	renderMerged(w, d.Plan, "", "", showTimes)
+	// Merged times sum over shards that ran in parallel, so no share of the
+	// eval time is printed.
+	obs.RenderTree(w, d.Plan, 0, showTimes)
 }
 
-func renderMerged(w io.Writer, n *MergedNode, head, tail string, showTimes bool) {
-	if n == nil {
-		return
-	}
-	fmt.Fprintf(w, "%s%s\n", head, mergedLine(n, showTimes))
-	for i, c := range n.Children {
-		if i == len(n.Children)-1 {
-			renderMerged(w, c, tail+"└─ ", tail+"   ", showTimes)
-		} else {
-			renderMerged(w, c, tail+"├─ ", tail+"│  ", showTimes)
-		}
-	}
-}
-
-// mergedLine formats one node: operator, summed stats, the per-shard visit
-// breakdown (sorted by shard name), and the straggler when times are shown.
-func mergedLine(n *MergedNode, showTimes bool) string {
-	var b strings.Builder
-	b.WriteString(n.Op)
-	if n.Op == "atomic" {
-		formula := n.Formula
-		if len(formula) > 56 {
-			formula = formula[:56] + "…"
-		}
-		b.WriteString(" \"" + formula + "\"")
-	}
-	if n.Shared {
-		b.WriteString(" (shared)")
-	}
-	b.WriteString("  ")
-	if showTimes {
-		fmt.Fprintf(&b, "time=%s", n.Stats.Time.Round(time.Microsecond))
-	} else {
-		b.WriteString("time=-")
-	}
-	fmt.Fprintf(&b, " visits=%d", n.Stats.Visits)
-	names := make([]string, 0, len(n.PerShard))
-	for name := range n.PerShard {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) > 0 {
-		b.WriteString(" [")
-		for i, name := range names {
-			if i > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "%s=%d", name, n.PerShard[name].Visits)
-		}
-		b.WriteString("]")
-	}
-	if showTimes && n.Straggler != "" {
-		fmt.Fprintf(&b, " straggler=%s", n.Straggler)
-	}
-	return b.String()
-}
-
-// handleExplain serves the coordinator's POST /explain: the shared validator
-// (plus ?exact=), then the distributed explain.
+// handleExplain serves the coordinator's POST /explain: the shared validator,
+// then the distributed explain.
 func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		obs.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	p, status, err := server.ParseQueryRequest(r, server.ParseDefaults{
-		DefaultTimeout: c.cfg.defaultTimeout,
-		MaxTimeout:     c.cfg.maxTimeout,
-	})
+	p, exact, status, err := server.ParseExplainRequest(r, c.cfg.parse)
 	if err != nil {
 		obs.WriteError(w, status, err.Error())
 		return
-	}
-	exact := false
-	if v := r.FormValue("exact"); v != "" {
-		if exact, err = strconv.ParseBool(v); err != nil {
-			obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid exact %q", v))
-			return
-		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.Timeout)
 	defer cancel()
@@ -362,8 +257,8 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusGatewayTimeout
 		}
 		obs.WriteJSON(w, code, struct {
-			Error  string    `json:"error"`
-			Shards ShardsDoc `json:"shards"`
+			Error  string            `json:"error"`
+			Shards *server.ShardsDoc `json:"shards"`
 		}{err.Error(), doc.Shards})
 		return
 	}

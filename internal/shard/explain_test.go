@@ -41,6 +41,9 @@ var distributedExplainCases = []struct {
 	{"atomic", "M1"},
 	{"until", "M1 until M2"},
 	{"eventually", "eventually M2"},
+	// No segment carries M3, so until's gate is empty and M1's subtree is
+	// skipped on every video: the merged tree must sum skipped counts too.
+	{"until_skipped", "M1 until M3"},
 }
 
 func TestDistributedExplainMatchesSingleStore(t *testing.T) {
@@ -80,9 +83,9 @@ func TestDistributedExplainMatchesSingleStore(t *testing.T) {
 
 			// Node-by-node: the summed per-shard counts equal the single-store
 			// profile, and the per-shard breakdown is internally consistent.
-			seen := map[*MergedNode]bool{}
-			var walk func(m *MergedNode, n *obs.ExplainNode)
-			walk = func(m *MergedNode, n *obs.ExplainNode) {
+			seen := map[*obs.ExplainNode]bool{}
+			var walk func(m *obs.ExplainNode, n *obs.ExplainNode)
+			walk = func(m *obs.ExplainNode, n *obs.ExplainNode) {
 				if m.ID != n.ID || m.Op != n.Op || m.Formula != n.Formula {
 					t.Fatalf("node mismatch: merged %d/%s/%q vs single %d/%s/%q",
 						m.ID, m.Op, m.Formula, n.ID, n.Op, n.Formula)
@@ -94,6 +97,10 @@ func TestDistributedExplainMatchesSingleStore(t *testing.T) {
 				if m.Stats.AtomicEvals != n.Stats.AtomicEvals {
 					t.Errorf("node %d: summed atomic evals %d != %d",
 						m.ID, m.Stats.AtomicEvals, n.Stats.AtomicEvals)
+				}
+				if m.Stats.Skipped != n.Stats.Skipped {
+					t.Errorf("node %d: summed skipped %d != %d",
+						m.ID, m.Stats.Skipped, n.Stats.Skipped)
 				}
 				var perShard int64
 				for _, st := range m.PerShard {
@@ -117,6 +124,44 @@ func TestDistributedExplainMatchesSingleStore(t *testing.T) {
 				}
 			}
 			walk(merged.Plan, ref.Plan)
+		})
+	}
+}
+
+// TestDistributedExplainRendersLikeSingleStore: stripped of its per-shard
+// breakdown and stragglers, the merged tree renders byte for byte as the
+// single unsharded store's — every stat column summed, none dropped.
+func TestDistributedExplainRendersLikeSingleStore(t *testing.T) {
+	doc := fixtureDoc(9)
+	single, err := doc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := New(startShardServers(t, doc, 3), WithRandSeed(1))
+	for _, c := range distributedExplainCases {
+		t.Run(c.name, func(t *testing.T) {
+			merged, err := coord.Explain(context.Background(), explainParams(c.query), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := single.Explain(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var strip func(n *obs.ExplainNode)
+			strip = func(n *obs.ExplainNode) {
+				n.PerShard, n.Straggler = nil, ""
+				for _, c := range n.Children {
+					strip(c)
+				}
+			}
+			strip(merged.Plan)
+			var got, want bytes.Buffer
+			obs.RenderTree(&got, merged.Plan, 0, false)
+			obs.RenderTree(&want, ref.Plan, 0, false)
+			if got.String() != want.String() {
+				t.Errorf("merged tree renders differently:\n--- merged ---\n%s--- single store ---\n%s", got.String(), want.String())
+			}
 		})
 	}
 }
@@ -217,6 +262,49 @@ func TestCoordinatorExplainHTTP(t *testing.T) {
 	}
 }
 
+// TestCoordinatorAnswerIsServerDocument: the coordinator's /query and
+// /explain bodies are the single server's documents — every key decodes
+// into server.QueryResponse and ExplainDoc, none is left over.
+func TestCoordinatorAnswerIsServerDocument(t *testing.T) {
+	doc := fixtureDoc(6)
+	coord := New(startShardServers(t, doc, 2), WithRandSeed(1))
+	ct := httptest.NewServer(coord.Handler())
+	defer ct.Close()
+
+	decodeStrict := func(resp *http.Response, err error, out any) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		dec := json.NewDecoder(resp.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var q server.QueryResponse
+	resp, err := http.Get(ct.URL + "/query?q=M1+until+M2&trace=1")
+	decodeStrict(resp, err, &q)
+	if q.Shards == nil || q.Shards.OK != 2 || q.Shards.Total != 2 || len(q.Top) == 0 || q.Trace == nil {
+		t.Fatalf("query doc = %+v", q)
+	}
+
+	var e ExplainDoc
+	resp, err = http.Post(ct.URL+"/explain", "application/x-www-form-urlencoded", strings.NewReader("q=M1+until+M2"))
+	decodeStrict(resp, err, &e)
+	if e.Shards == nil || e.Shards.OK != 2 || len(e.PerShard) != 2 || e.Plan == nil {
+		t.Fatalf("explain doc = %+v", e)
+	}
+	if e.TotalTime <= 0 || e.EvalTime <= 0 || e.EvalTime > e.TotalTime {
+		t.Fatalf("eval %v total %v, want the slowest shard's eval within the coordinator's wall time", e.EvalTime, e.TotalTime)
+	}
+}
+
 func TestCoordinatorExplainQuorum(t *testing.T) {
 	doc := fixtureDoc(4)
 	urls := startShardServers(t, doc, 2)
@@ -238,8 +326,8 @@ func TestCoordinatorExplainQuorum(t *testing.T) {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
 	var ed struct {
-		Error  string    `json:"error"`
-		Shards ShardsDoc `json:"shards"`
+		Error  string           `json:"error"`
+		Shards server.ShardsDoc `json:"shards"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&ed); err != nil {
 		t.Fatal(err)

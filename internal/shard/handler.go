@@ -13,44 +13,6 @@ import (
 	"htlvideo/internal/server"
 )
 
-// QueryDoc is the coordinator's /query payload: the single-server response
-// shape plus a shard-level section. The video-level fields (class, top,
-// skipped, failed, ...) are wire-compatible with internal/server's /query,
-// so clients need not know whether they talk to one store or a fleet.
-type QueryDoc struct {
-	Class     string             `json:"class"`
-	Videos    int                `json:"videos"`
-	Evaluated int                `json:"evaluated"`
-	Top       []server.RankedDoc `json:"top"`
-	Skipped   []server.SkipDoc   `json:"skipped,omitempty"`
-	Failed    []server.FailDoc   `json:"failed,omitempty"`
-	Retries   int64              `json:"retries,omitempty"`
-	Shards    ShardsDoc          `json:"shards"`
-	ElapsedMS float64            `json:"elapsed_ms"`
-	// TraceID is the distributed trace id the query ran under — minted by the
-	// coordinator (or joined from an inbound X-Htl-Trace) and forwarded to
-	// every shard, so per-shard slow logs and trace rings correlate.
-	TraceID string `json:"trace_id,omitempty"`
-	// Trace is the stitched cross-process span tree, present with ?trace=1:
-	// the coordinator's scatter/merge spans with each shard's own spans
-	// attached under its numbered attempts.
-	Trace *obs.TraceSnapshot `json:"trace,omitempty"`
-}
-
-// ShardsDoc summarizes the fan-out behind one response.
-type ShardsDoc struct {
-	Total       int             `json:"total"`
-	OK          int             `json:"ok"`
-	MinRequired int             `json:"min_required"`
-	Errors      []ShardErrorDoc `json:"errors,omitempty"`
-}
-
-// ShardErrorDoc is one lost shard.
-type ShardErrorDoc struct {
-	Shard string `json:"shard"`
-	Error string `json:"error"`
-}
-
 // Draining reports whether Drain was called.
 func (c *Coordinator) Draining() bool { return c.draining.Load() }
 
@@ -116,14 +78,12 @@ func (c *Coordinator) Handler() http.Handler {
 
 // handleQuery parses with the shared validator (identical 400 semantics to a
 // single server, including the hard 400 on malformed ?timeout=), runs the
-// scatter-gather, and maps quorum to status: below MinShards the query
-// failed as a whole.
+// scatter-gather, and answers with the single server's document: below
+// MinShards the query failed as a whole (503), and without partial= a lost
+// shard or video fails it (500).
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	p, status, err := server.ParseQueryRequest(r, server.ParseDefaults{
-		DefaultTimeout: c.cfg.defaultTimeout,
-		MaxTimeout:     c.cfg.maxTimeout,
-	})
+	p, status, err := server.ParseQueryRequest(r, c.cfg.parse)
 	if err != nil {
 		obs.WriteError(w, status, err.Error())
 		return
@@ -132,33 +92,15 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	res := c.Query(ctx, p)
-	doc := QueryDoc{
-		Class: res.Class, Videos: res.Videos, Evaluated: res.Evaluated,
-		Top: res.Top, Skipped: res.Skipped, Failed: res.Failed,
-		Retries: res.Retries, TraceID: res.TraceID, Trace: res.Trace,
-		Shards: ShardsDoc{
-			Total: res.ShardsTotal, OK: res.ShardsOK,
-			MinRequired: c.cfg.minShards,
-		},
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	for _, se := range res.ShardErrors {
-		d := ShardErrorDoc{Error: se.Error()}
-		var sh *shardError
-		if errors.As(se, &sh) {
-			d.Shard = sh.shard
-			d.Error = sh.err.Error()
-		}
-		doc.Shards.Errors = append(doc.Shards.Errors, d)
-	}
+	res.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	code := http.StatusOK
 	switch {
 	case !res.QuorumMet(c.cfg.minShards):
-		obs.WriteJSON(w, http.StatusServiceUnavailable, doc)
+		code = http.StatusServiceUnavailable
 	case !p.Partial && (len(res.Failed) > 0 || len(res.ShardErrors) > 0):
-		obs.WriteJSON(w, http.StatusInternalServerError, doc)
-	default:
-		obs.WriteJSON(w, http.StatusOK, doc)
+		code = http.StatusInternalServerError
 	}
+	obs.WriteJSON(w, code, &res.QueryResponse)
 }
 
 // handleMembership serves graceful join/leave.

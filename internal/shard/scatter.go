@@ -30,53 +30,25 @@ var ErrBreakerOpen = resilience.ErrBreakerOpen
 // configured MinShards.
 var ErrQuorum = errors.New("quorum not met")
 
-// Results is one scatter-gather query's outcome. Video-level fields
-// aggregate what the surviving shards reported; shard-level fields describe
-// the fan-out itself.
+// Results is one scatter-gather query's outcome: the single server's /query
+// document, whose video-level fields aggregate what the surviving shards
+// reported and whose Shards section describes the fan-out, plus the lost
+// shards as errors. Retries counts video-level re-attempts inside the
+// shards; the coordinator's own shard-level retries are in the
+// shard.retries metric.
 type Results struct {
-	Class     string
-	Videos    int
-	Evaluated int
-	Top       []server.RankedDoc
-	Skipped   []server.SkipDoc
-	Failed    []server.FailDoc
-	// Retries counts video-level re-attempts inside the shards; the
-	// coordinator's own shard-level retries are in the shard.retries metric.
-	Retries     int64
-	ShardsTotal int
-	ShardsOK    int
+	server.QueryResponse
 	// ShardErrors itemizes each shard that contributed nothing, mirroring
 	// htlvideo Results.Errors one level up: one error per lost shard, each
 	// naming the shard. A query meeting quorum still lists its losses here.
 	ShardErrors []error
-	// TraceID is the distributed trace id the query ran under: inbound
-	// context when the caller propagated one, minted here otherwise. Every
-	// shard request carried it, so each shard's slow log and trace ring
-	// correlate with the coordinator's stitched trace.
-	TraceID string
-	// Trace is the stitched cross-process span tree (scatter spans with each
-	// shard's own spans attached under its attempts, then the merge), present
-	// when the request asked for it.
-	Trace *obs.TraceSnapshot
 }
 
 // QuorumMet reports whether at least min shards answered; min is clamped to
 // at least 1.
 func (r *Results) QuorumMet(min int) bool {
-	if min < 1 {
-		min = 1
-	}
-	return r.ShardsOK >= min
+	return r.Shards.OK >= max(min, 1)
 }
-
-// shardError is one failed shard sub-query.
-type shardError struct {
-	shard string
-	err   error
-}
-
-func (e *shardError) Error() string { return fmt.Sprintf("shard %s: %v", e.shard, e.err) }
-func (e *shardError) Unwrap() error { return e.err }
 
 // httpError is a non-200 shard response.
 type httpError struct {
@@ -133,7 +105,10 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 	}()
 
 	members := c.snapshotMembers()
-	out := &Results{ShardsTotal: len(members), TraceID: p.TraceID}
+	out := &Results{QueryResponse: server.QueryResponse{
+		TraceID: p.TraceID,
+		Shards:  &server.ShardsDoc{Total: len(members), MinRequired: c.cfg.minShards},
+	}}
 	tr.SetTag("shards", strconv.Itoa(len(members)))
 
 	// Each shard's span opens before its breaker is asked, so the tag shows
@@ -187,10 +162,12 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 	var entries []mergeEntry
 	for i, pt := range parts {
 		if pt.Err != nil {
-			out.ShardErrors = append(out.ShardErrors, &shardError{shard: members[i].name, err: pt.Err})
+			name := members[i].name
+			out.ShardErrors = append(out.ShardErrors, fmt.Errorf("shard %s: %w", name, pt.Err))
+			out.Shards.Errors = append(out.Shards.Errors, server.ShardErrorDoc{Shard: name, Error: pt.Err.Error()})
 			continue
 		}
-		out.ShardsOK++
+		out.Shards.OK++
 		r := pt.Value
 		if out.Class == "" {
 			out.Class = r.Class
@@ -221,7 +198,7 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 	if !out.QuorumMet(c.cfg.minShards) {
 		c.m.quorumFailures.Inc()
 	}
-	tr.SetTag("shards_ok", strconv.Itoa(out.ShardsOK))
+	tr.SetTag("shards_ok", strconv.Itoa(out.Shards.OK))
 	if p.Trace {
 		tr.Finish()
 		snap := tr.Snapshot()
@@ -389,7 +366,7 @@ func (c *Coordinator) callHedged(ctx context.Context, mb member, q url.Values, t
 				// Usually the losing side of a settled hedge pair.
 				asp.SetTag("outcome", "cancelled")
 			default:
-				asp.SetTag("outcome", shortErr(err))
+				asp.SetTag("outcome", obs.Truncate(err.Error(), 120))
 			}
 			asp.End()
 			ch <- result{r, err}
@@ -428,15 +405,6 @@ func (c *Coordinator) callHedged(ctx context.Context, mb member, q url.Values, t
 			}
 		}
 	}
-}
-
-// shortErr caps an error message for a span tag.
-func shortErr(err error) string {
-	msg := err.Error()
-	if len(msg) > 120 {
-		msg = msg[:120] + "…"
-	}
-	return msg
 }
 
 // doRequest is one HTTP attempt against one shard. The distributed trace id

@@ -16,9 +16,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"htlvideo/internal/obs"
 	"htlvideo/internal/resilience"
+	"htlvideo/internal/server"
 )
 
 // findSpan returns the first span with the given name at this level.
@@ -38,7 +40,7 @@ func TestStitchedTraceCarriesCoordinatorID(t *testing.T) {
 	ct := httptest.NewServer(coord.Handler())
 	defer ct.Close()
 
-	var out QueryDoc
+	var out server.QueryResponse
 	if code := getDoc(t, ct.URL+"/query?q=M1&trace=1", &out); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -117,8 +119,8 @@ func TestTraceRetryAttemptsSpans(t *testing.T) {
 	p := testParams()
 	p.Trace = true
 	res := c.Query(context.Background(), p)
-	if res.ShardsOK != 1 || res.Trace == nil {
-		t.Fatalf("ok=%d trace=%v", res.ShardsOK, res.Trace)
+	if res.Shards.OK != 1 || res.Trace == nil {
+		t.Fatalf("ok=%d trace=%v", res.Shards.OK, res.Trace)
 	}
 	sh := findSpan(findSpan(res.Trace.Spans, "scatter").Children, "shard shard-0")
 	if sh == nil {
@@ -141,6 +143,35 @@ func TestTraceRetryAttemptsSpans(t *testing.T) {
 	}
 }
 
+// TestAttemptOutcomeCutAtRune: a failed attempt's outcome tag is the
+// shard's error cut to 120 bytes, never inside a rune.
+func TestAttemptOutcomeCutAtRune(t *testing.T) {
+	// "status 400: " is 12 bytes, so the é occupies bytes 119 and 120.
+	msg := strings.Repeat("x", 107) + "é and more"
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadRequest)
+		fmt.Fprintf(w, `{"error":%q}`, msg)
+	}))
+	defer ts.Close()
+
+	c := New([]string{ts.URL}, WithHedgeDelay(0), WithRandSeed(1))
+	p := testParams()
+	p.Trace = true
+	res := c.Query(context.Background(), p)
+	if res.Shards.OK != 0 || res.Trace == nil {
+		t.Fatalf("ok=%d trace=%v", res.Shards.OK, res.Trace)
+	}
+	sh := findSpan(findSpan(res.Trace.Spans, "scatter").Children, "shard shard-0")
+	att := findSpan(sh.Children, "attempt")
+	if att == nil {
+		t.Fatalf("no attempt span: %+v", sh)
+	}
+	out := att.Tags["outcome"]
+	if !utf8.ValidString(out) || !strings.HasPrefix(out, "status 400: xxx") {
+		t.Fatalf("outcome tag %q, want a valid UTF-8 cut of the 400", out)
+	}
+}
+
 func TestTraceHedgeSpans(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -160,8 +191,8 @@ func TestTraceHedgeSpans(t *testing.T) {
 	p := testParams()
 	p.Trace = true
 	res := c.Query(context.Background(), p)
-	if res.ShardsOK != 1 || res.Trace == nil {
-		t.Fatalf("ok=%d trace=%v", res.ShardsOK, res.Trace)
+	if res.Shards.OK != 1 || res.Trace == nil {
+		t.Fatalf("ok=%d trace=%v", res.Shards.OK, res.Trace)
 	}
 	sh := findSpan(findSpan(res.Trace.Spans, "scatter").Children, "shard shard-0")
 	if sh.Tags["hedged"] != "true" {
@@ -227,7 +258,7 @@ func TestCoordinatorSlowLogAndTraceEndpoints(t *testing.T) {
 	ct := httptest.NewServer(coord.Handler())
 	defer ct.Close()
 
-	var out QueryDoc
+	var out server.QueryResponse
 	if code := getDoc(t, ct.URL+"/query?q=M1+until+M2&trace=1", &out); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -285,7 +316,7 @@ func TestCoordinatorSlowLogAndTraceEndpoints(t *testing.T) {
 
 	// An untraced query still mints and retains a trace: propagation and
 	// retention are always on; ?trace=1 only adds the response payload.
-	var plain QueryDoc
+	var plain server.QueryResponse
 	if code := getDoc(t, ct.URL+"/query?q=M1", &plain); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
