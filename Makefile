@@ -159,9 +159,9 @@ bench-bytes:
 
 # The number ROADMAP's design aim tracks: non-test Go lines of the root
 # module (bench/ is its own module), in total and outside the algorithmic
-# core, then one line per package of the core, then the root package and the
-# serving packages outside the core (internal/obs with its sub-packages). A
-# simplicity PR reports it before and after.
+# core, then one line per package of the core, then the root package, the
+# serving packages outside the core (internal/obs with its sub-packages) and
+# each binary under cmd/. A simplicity PR reports it before and after.
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
 LOC_PKGS = core simlist interval htl picture relational sqlgen refeval
 LOC_SERVING = obs shard server resilience
@@ -175,4 +175,7 @@ loc:
 	@echo "root package: $$($(LOC_FILES) | grep -E '^\./[^/]+\.go$$' | xargs cat | wc -l)"
 	@for p in $(LOC_SERVING); do \
 		echo "internal/$$p: $$($(LOC_FILES) | grep -E "^\./internal/$$p/" | xargs cat | wc -l)"; \
+	done
+	@for p in $$(ls cmd); do \
+		echo "cmd/$$p: $$($(LOC_FILES) | grep -E "^\./cmd/$$p/" | xargs cat | wc -l)"; \
 	done

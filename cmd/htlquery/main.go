@@ -70,14 +70,18 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	query := flag.Arg(0)
-
+	eng, err := server.ParseEngine(*engine)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	// One request for both modes: remote mode sends its Values, local mode
+	// runs its StoreOptions.
+	p := server.QueryParams{
+		Query: flag.Arg(0), Level: *level, AtRoot: *atRoot, Engine: eng, Tau: *tau, K: *k,
+		Timeout: *timeout, Partial: *partial, Trace: *trace, Exact: *exact,
+	}
 	if *remote != "" {
-		runRemote(remoteParams{
-			base: *remote, query: query, level: *level, atRoot: *atRoot,
-			k: *k, engine: *engine, tau: *tau, timeout: *timeout,
-			partial: *partial, trace: *trace, explain: *explain, exact: *exact,
-		})
+		runRemote(strings.TrimRight(*remote, "/"), p, *explain)
 		return
 	}
 
@@ -88,33 +92,10 @@ func main() {
 
 	srv := serveMetrics(store, *metricsAddr)
 
-	opts := []htlvideo.QueryOption{
-		htlvideo.AtLevel(*level),
-		htlvideo.WithUntilThreshold(*tau),
-	}
-	if *atRoot {
-		opts = append(opts, htlvideo.AtRoot())
-	}
-	if *partial {
-		opts = append(opts, htlvideo.WithPartialResults())
-	}
-	if *exact {
-		opts = append(opts, htlvideo.WithExactProfile())
-	}
+	opts := p.StoreOptions()
 	var traces htlvideo.TraceCollector
 	if *trace {
 		opts = append(opts, htlvideo.WithTrace(&traces))
-	}
-	switch *engine {
-	case "auto":
-	case "direct":
-		opts = append(opts, htlvideo.WithEngine(htlvideo.EngineDirect))
-	case "sql":
-		opts = append(opts, htlvideo.WithEngine(htlvideo.EngineSQL))
-	case "reference":
-		opts = append(opts, htlvideo.WithEngine(htlvideo.EngineReference))
-	default:
-		fatalf("unknown engine %q", *engine)
 	}
 
 	ctx := context.Background()
@@ -124,7 +105,7 @@ func main() {
 		defer cancel()
 	}
 	if *explain {
-		er, err := store.ExplainCtx(ctx, query, opts...)
+		er, err := store.ExplainCtx(ctx, p.Query, opts...)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -132,7 +113,7 @@ func main() {
 		serveForever(srv, *metricsAddr)
 		return
 	}
-	res, err := store.QueryCtx(ctx, query, opts...)
+	res, err := store.QueryCtx(ctx, p.Query, opts...)
 	if *trace {
 		if t := traces.Last(); t != nil {
 			htlvideo.RenderTraceTree(os.Stderr, t.Snapshot())
@@ -176,56 +157,17 @@ func main() {
 	serveForever(srv, *metricsAddr)
 }
 
-// remoteParams carries the flag subset remote mode uses.
-type remoteParams struct {
-	base    string
-	query   string
-	level   int
-	atRoot  bool
-	k       int
-	engine  string
-	tau     float64
-	timeout time.Duration
-	partial bool
-	trace   bool
-	explain bool
-	exact   bool
-}
-
 // runRemote sends the query to a running htlserve — single server or
 // coordinator, which answers the same document plus a shards section — and
 // renders the result; with -trace the server's span tree (for a coordinator:
 // the stitched cross-process trace, every shard subtree under the
 // coordinator's trace id) renders on stderr.
-func runRemote(p remoteParams) {
-	vals := url.Values{}
-	vals.Set("q", p.query)
-	vals.Set("level", strconv.Itoa(p.level))
-	if p.atRoot {
-		vals.Set("root", "true")
-	}
-	if p.engine != "auto" {
-		vals.Set("engine", p.engine)
-	}
-	vals.Set("tau", strconv.FormatFloat(p.tau, 'g', -1, 64))
-	vals.Set("k", strconv.Itoa(p.k))
-	if p.timeout != 0 {
-		vals.Set("timeout", p.timeout.String())
-	}
-	if p.partial {
-		vals.Set("partial", "true")
-	}
-	base := strings.TrimRight(p.base, "/")
-
-	if p.explain {
-		remoteExplain(base, vals, p.exact)
+func runRemote(base string, p server.QueryParams, explain bool) {
+	if explain {
+		remoteExplain(base, p)
 		return
 	}
-
-	if p.trace {
-		vals.Set("trace", "true")
-	}
-	resp, err := http.Get(base + "/query?" + vals.Encode())
+	resp, err := http.Get(base + "/query?" + p.Values().Encode())
 	if err != nil {
 		fatalf("remote query: %v", err)
 	}
@@ -258,7 +200,7 @@ func runRemote(p remoteParams) {
 				fmt.Sprintf("[%d,%d]", d.Beg, d.End), d.Sim, d.Frac)
 		}
 	}
-	if p.trace && doc.Trace != nil {
+	if p.Trace && doc.Trace != nil {
 		htlvideo.RenderTraceTree(os.Stderr, *doc.Trace)
 	}
 }
@@ -308,12 +250,9 @@ func fmtPercent(r float64) string { return strconv.FormatFloat(r*100, 'f', 0, 64
 // remoteExplain posts /explain and renders the document a server or a
 // coordinator (merged cross-shard tree with per-shard attribution and
 // straggler) answers.
-func remoteExplain(base string, vals url.Values, exact bool) {
-	if exact {
-		vals.Set("exact", "true")
-	}
+func remoteExplain(base string, p server.QueryParams) {
 	resp, err := http.Post(base+"/explain", "application/x-www-form-urlencoded",
-		strings.NewReader(vals.Encode()))
+		strings.NewReader(p.Values().Encode()))
 	if err != nil {
 		fatalf("remote explain: %v", err)
 	}

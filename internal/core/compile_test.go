@@ -81,9 +81,9 @@ func TestEvalPlanMemoizesDuplicates(t *testing.T) {
 	}
 
 	src := newSrc()
-	var m obs.EngineMetrics
+	var hits obs.Counter
 	opts := DefaultOptions()
-	opts.Obs = &m
+	opts.MemoHits = &hits
 	dup, err := EvalCtx(t.Context(), src, mustParse(t, "(A until B) and (A until B)"), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestEvalPlanMemoizesDuplicates(t *testing.T) {
 			t.Errorf("atom %s evaluated %d times, want 1", atom, src.calls[atom])
 		}
 	}
-	if hits := m.Snapshot().MemoHits; hits == 0 {
+	if hits.Value() == 0 {
 		t.Error("no memo hits recorded for the duplicated subtree")
 	}
 

@@ -18,9 +18,10 @@ type Options struct {
 	// `until` must reach to count as satisfied while waiting for the right
 	// side (§2.5).
 	UntilThreshold float64
-	// Obs receives per-operation work counts (atomic evaluations, temporal
-	// merges, memo hits); nil disables the accounting at no cost.
-	Obs *obs.EngineMetrics
+	// MemoHits counts subformula evaluations answered from the plan-node
+	// memo; nil disables the count at no cost. The per-node work counts
+	// live in Prof.
+	MemoHits *obs.Counter
 	// Prof receives per-plan-node accounting (visits, memo hits, rows,
 	// inclusive wall time) for EXPLAIN ANALYZE; nil disables it. Prof must
 	// have been built for the plan under evaluation (NewPlanProfile) — nodes
@@ -65,7 +66,7 @@ func EvalCtx(ctx context.Context, src Source, f htl.Formula, opts Options) (siml
 // EvalPlanCtx evaluates a compiled plan (see CompilePlan) over src's
 // sequence. Structurally identical subformulas share a plan node, so their
 // similarity tables are computed once per evaluation and memo hits are
-// reported through opts.Obs. Every table is carved from an arena taken from a
+// counted in opts.MemoHits. Every table is carved from an arena taken from a
 // pool, which goes back once the list has been copied out — on an error or a
 // cancellation too, never after a panic.
 func EvalPlanCtx(ctx context.Context, src Source, p *Plan, opts Options) (simlist.List, error) {
@@ -184,7 +185,7 @@ func (e *planEval) eval(ctx context.Context, n *PNode) (*simlist.Table, error) {
 	}
 	e.opts.Prof.Visit(n)
 	if t := e.memo[n.ID]; t != nil {
-		e.opts.Obs.MemoHit()
+		e.opts.MemoHits.Inc()
 		e.opts.Prof.MemoHit(n)
 		return t, nil
 	}
@@ -209,7 +210,6 @@ func (e *planEval) eval(ctx context.Context, n *PNode) (*simlist.Table, error) {
 
 func (e *planEval) evalNode(ctx context.Context, n *PNode) (*simlist.Table, error) {
 	if n.NonTemporal {
-		e.opts.Obs.AtomicEval()
 		e.opts.Prof.AtomicEval(n)
 		return e.src.EvalAtomicNode(n, e.a)
 	}
@@ -302,7 +302,6 @@ func (e *planEval) mapTable(n *PNode, t *simlist.Table, op func([]simlist.Entry,
 	out.Off = e.a.Int32s(rows + 1)[:1]
 	shared := true
 	for i := range rows {
-		e.opts.Obs.Merge()
 		e.opts.Prof.Merge(n)
 		at := len(out.Entries)
 		out.Entries = append(out.Entries, op(out.Entries[at:], t.List(i))...) // onto itself
@@ -395,7 +394,6 @@ func (e *planEval) evalAtLevel(ctx context.Context, n *PNode) (*simlist.Table, e
 		}
 	}
 	for range rows.count {
-		e.opts.Obs.Merge()
 		e.opts.Prof.Merge(n)
 	}
 	entries, off := rows.carve()

@@ -231,7 +231,6 @@ func (e *planEval) join(n *PNode, t1, t2 *simlist.Table, maxSim float64, pieces 
 	rows, entries := 0, 0
 	scratch := e.a.scratchOf(pieces * (longest(t1) + longest(t2)))
 	walk(func(i1, i2 int) {
-		e.opts.Obs.Merge()
 		e.opts.Prof.Merge(n)
 		l1, l2, ranged := lists(i1, i2)
 		list := op((*scratch)[:0], l1, l2)

@@ -7,8 +7,8 @@
 // where query time goes (direct similarity-list algorithms vs. the SQL
 // baseline); obs makes that comparison observable on live queries. Every
 // primitive is safe for concurrent use and nil-safe — a nil *Counter, *Gauge,
-// *Histogram, *Span, *Trace or *EngineMetrics accepts the full method set as
-// no-ops, so instrumented hot paths never branch on "is observability on".
+// *Histogram, *Span or *Trace accepts the full method set as no-ops, so
+// instrumented hot paths never branch on "is observability on".
 package obs
 
 import (
@@ -429,68 +429,4 @@ func MergeSnapshots(snaps ...RegistrySnapshot) RegistrySnapshot {
 		}
 	}
 	return out
-}
-
-// EngineMetrics are the nil-safe per-engine work counters the evaluation
-// engines increment on their hot paths (cheap atomic adds; a nil receiver is
-// free). They back the per-formula-class cost accounting of the §4
-// comparison: how many atomic evaluations and list merges a query class
-// costs on each engine.
-type EngineMetrics struct {
-	atomicEvals Counter
-	mergeOps    Counter
-	memoHits    Counter
-}
-
-// AtomicEval counts one atomic (non-temporal) formula evaluation.
-func (m *EngineMetrics) AtomicEval() {
-	if m != nil {
-		m.atomicEvals.Inc()
-	}
-}
-
-// Merge counts one temporal list/table merge operation (and, until, next,
-// eventually, level-modal aggregation).
-func (m *EngineMetrics) Merge() {
-	if m != nil {
-		m.mergeOps.Inc()
-	}
-}
-
-// MemoHit counts one subformula evaluation avoided entirely because a
-// structurally identical subtree had already been computed in the same
-// evaluation (plan-node memoization).
-func (m *EngineMetrics) MemoHit() {
-	if m != nil {
-		m.memoHits.Inc()
-	}
-}
-
-// Add folds a snapshot of other counters into m (a query's own counters into
-// the store's, once its videos are done).
-func (m *EngineMetrics) Add(s EngineSnapshot) {
-	if m != nil {
-		m.atomicEvals.Add(s.AtomicEvals)
-		m.mergeOps.Add(s.MergeOps)
-		m.memoHits.Add(s.MemoHits)
-	}
-}
-
-// EngineSnapshot is a point-in-time copy of one engine's work counters.
-type EngineSnapshot struct {
-	AtomicEvals int64 `json:"atomic_evals"`
-	MergeOps    int64 `json:"merge_ops"`
-	MemoHits    int64 `json:"memo_hits"`
-}
-
-// Snapshot copies the counters.
-func (m *EngineMetrics) Snapshot() EngineSnapshot {
-	if m == nil {
-		return EngineSnapshot{}
-	}
-	return EngineSnapshot{
-		AtomicEvals: m.atomicEvals.Value(),
-		MergeOps:    m.mergeOps.Value(),
-		MemoHits:    m.memoHits.Value(),
-	}
 }

@@ -144,12 +144,6 @@ func TestNilSafety(t *testing.T) {
 	if h.Snapshot().Count != 0 {
 		t.Error("nil histogram counted")
 	}
-	var m *EngineMetrics
-	m.AtomicEval()
-	m.Merge()
-	if m.Snapshot() != (EngineSnapshot{}) {
-		t.Error("nil engine metrics counted")
-	}
 	var tr *Trace
 	tr.SetTag("k", "v")
 	sp := tr.StartSpan("x")

@@ -190,7 +190,7 @@ func (e *Evaluator) simAt(ctx context.Context, n *core.PNode, u int, env picture
 	useMemo := n.Closed && u >= 1 && u <= e.sys.Len()
 	if useMemo && e.memo[n.ID] != nil {
 		if v := e.memo[n.ID][u-1]; v == v {
-			e.opts.Obs.MemoHit()
+			e.opts.MemoHits.Inc()
 			e.opts.Prof.MemoHit(n)
 			return v, nil
 		}
@@ -223,7 +223,6 @@ func (e *Evaluator) simAt(ctx context.Context, n *core.PNode, u int, env picture
 
 func (e *Evaluator) simAtUncached(ctx context.Context, n *core.PNode, u int, env picture.Env) (float64, error) {
 	if n.NonTemporal {
-		e.opts.Obs.AtomicEval()
 		e.opts.Prof.AtomicEval(n)
 		sim, err := e.sys.ScoreAtomicAt(n, u, env)
 		if err == nil {
@@ -242,7 +241,6 @@ func (e *Evaluator) simAtUncached(ctx context.Context, n *core.PNode, u int, env
 	}
 	switch x := n.F.(type) {
 	case htl.True, htl.Present, htl.Cmp, htl.Pred:
-		e.opts.Obs.AtomicEval()
 		e.opts.Prof.AtomicEval(n)
 		sim, err := e.sys.ScoreAtomicAt(n, u, env)
 		if err != nil {
@@ -271,7 +269,6 @@ func (e *Evaluator) simAtUncached(ctx context.Context, n *core.PNode, u int, env
 		}
 		return e.simAt(ctx, n.Kids[0], u+1, env)
 	case htl.Eventually:
-		e.opts.Obs.Merge()
 		e.opts.Prof.Merge(n)
 		// ceil bounds every remaining scan position (similarity never
 		// exceeds the subformula's maximum), so reaching it ends the scan
@@ -290,7 +287,6 @@ func (e *Evaluator) simAtUncached(ctx context.Context, n *core.PNode, u int, env
 		}
 		return best, nil
 	case htl.Until:
-		e.opts.Obs.Merge()
 		e.opts.Prof.Merge(n)
 		gMax := e.maxSimOf(n.Kids[0])
 		ceil := e.maxSimOf(n.Kids[1])

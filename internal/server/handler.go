@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime/pprof"
 	"strconv"
 	"time"
@@ -300,7 +301,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.limiter.release()
 
-	p, exact, status, err := ParseExplainRequest(r, s.parseDefaults())
+	p, status, err := ParseExplainRequest(r, s.parseDefaults())
 	if err != nil {
 		obs.WriteError(w, status, err.Error())
 		return
@@ -308,14 +309,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), p.Timeout)
 	defer cancel()
 
-	opts := p.storeOptions()
-	if p.Partial {
-		opts = append(opts, htlvideo.WithPartialResults())
-	}
-	if exact {
-		opts = append(opts, htlvideo.WithExactProfile())
-	}
-	er, err := st.ExplainCtx(ctx, p.Query, opts...)
+	er, err := st.ExplainCtx(ctx, p.Query, p.StoreOptions()...)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if resilience.IsContextError(err) {
@@ -327,9 +321,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, http.StatusOK, er)
 }
 
-// QueryParams is one parsed and validated /query request. The coordinator
-// (internal/shard) parses with the same function, so validation — including
-// the hard 400 on malformed ?timeout= — behaves identically at every layer.
+// QueryParams is one parsed and validated /query or /explain request: the
+// one request codec of the serving layer. ParseQueryRequest and
+// ParseExplainRequest decode it, Values encodes it back, and StoreOptions
+// turns it into store query options, so the server, the coordinator (which
+// parses with the same function and forwards Values to its shards) and
+// htlquery (which builds one from its flags) agree on every parameter —
+// including the hard 400 on a malformed ?timeout=.
 type QueryParams struct {
 	Query   string
 	Formula htlvideo.Formula
@@ -348,22 +346,94 @@ type QueryParams struct {
 	// with or without ?trace=1 — joins this process's query traces into the
 	// caller's trace id.
 	TraceID string
+	// Exact asks an explain for exact per-visit time attribution
+	// (?exact=true; /explain only).
+	Exact bool
 }
 
-// storeOptions are the store query options every request's parameters
-// select. An inbound trace id joins the store's traces (and so an explain's
+// engineNames is the ?engine= vocabulary, shared by the request codec and
+// htlquery's -engine flag.
+var engineNames = []struct {
+	name   string
+	engine htlvideo.Engine
+}{
+	{"auto", htlvideo.EngineAuto},
+	{"direct", htlvideo.EngineDirect},
+	{"reference", htlvideo.EngineReference},
+	{"sql", htlvideo.EngineSQL},
+}
+
+// ParseEngine maps an engine name (auto, direct, reference or sql; empty
+// means auto) to its selector.
+func ParseEngine(name string) (htlvideo.Engine, error) {
+	if name == "" {
+		return htlvideo.EngineAuto, nil
+	}
+	for _, e := range engineNames {
+		if e.name == name {
+			return e.engine, nil
+		}
+	}
+	return htlvideo.EngineAuto, fmt.Errorf("unknown engine %q", name)
+}
+
+// engineName is ParseEngine's inverse.
+func engineName(e htlvideo.Engine) string {
+	for _, n := range engineNames {
+		if n.engine == e {
+			return n.name
+		}
+	}
+	return "auto"
+}
+
+// Values encodes p as the request parameters ParseQueryRequest and
+// ParseExplainRequest decode back into p. The trace id travels in the
+// obs.TraceHeader header, not here, and timeout is sent only when positive.
+func (p QueryParams) Values() url.Values {
+	v := url.Values{}
+	v.Set("q", p.Query)
+	v.Set("level", strconv.Itoa(p.Level))
+	if p.AtRoot {
+		v.Set("root", "true")
+	}
+	v.Set("engine", engineName(p.Engine))
+	v.Set("tau", strconv.FormatFloat(p.Tau, 'g', -1, 64))
+	v.Set("k", strconv.Itoa(p.K))
+	if p.Timeout > 0 {
+		v.Set("timeout", p.Timeout.String())
+	}
+	v.Set("partial", strconv.FormatBool(p.Partial))
+	if p.Trace {
+		v.Set("trace", "true")
+	}
+	if p.Exact {
+		v.Set("exact", "true")
+	}
+	return v
+}
+
+// StoreOptions are the store query options of the whole query p describes.
+// An inbound trace id joins the store's traces (and so an explain's
 // trace_id field) into the caller's distributed trace.
-func (p QueryParams) storeOptions() []htlvideo.QueryOption {
-	opts := []htlvideo.QueryOption{
+func (p QueryParams) StoreOptions() []htlvideo.QueryOption {
+	opts := make([]htlvideo.QueryOption, 0, 7)
+	opts = append(opts,
 		htlvideo.AtLevel(p.Level),
 		htlvideo.WithUntilThreshold(p.Tau),
 		htlvideo.WithEngine(p.Engine),
-	}
+	)
 	if p.AtRoot {
 		opts = append(opts, htlvideo.AtRoot())
 	}
 	if p.TraceID != "" {
 		opts = append(opts, htlvideo.WithTraceID(p.TraceID))
+	}
+	if p.Partial {
+		opts = append(opts, htlvideo.WithPartialResults())
+	}
+	if p.Exact {
+		opts = append(opts, htlvideo.WithExactProfile())
 	}
 	return opts
 }
@@ -384,7 +454,7 @@ func (s *Server) parseDefaults() ParseDefaults {
 
 // ParseQueryRequest validates a /query-shaped request. Parse and validation
 // failures are terminal — they are deterministic and are never retried — and
-// answer 400.
+// answer 400. The SQL baseline is library-only, so engine=sql is one of them.
 //
 // Unlike http.Request.FormValue, a malformed query string (a broken percent
 // escape, say) or a present-but-unparseable ?timeout= is a hard 400, never a
@@ -419,14 +489,8 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 	if p.AtRoot {
 		p.Level = 1
 	}
-	switch v := r.Form.Get("engine"); v {
-	case "", "auto":
-		p.Engine = htlvideo.EngineAuto
-	case "direct":
-		p.Engine = htlvideo.EngineDirect
-	case "reference":
-		p.Engine = htlvideo.EngineReference
-	default:
+	v := r.Form.Get("engine")
+	if p.Engine, err = ParseEngine(v); err != nil || p.Engine == htlvideo.EngineSQL {
 		return p, http.StatusBadRequest, fmt.Errorf("unknown engine %q", v)
 	}
 	if v := r.Form.Get("tau"); v != "" {
@@ -471,16 +535,16 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 // ParseExplainRequest validates an /explain request: the /query parameters
 // plus exact=true for exact per-visit time attribution. The server and the
 // coordinator both parse with it.
-func ParseExplainRequest(r *http.Request, d ParseDefaults) (p QueryParams, exact bool, status int, err error) {
+func ParseExplainRequest(r *http.Request, d ParseDefaults) (p QueryParams, status int, err error) {
 	if p, status, err = ParseQueryRequest(r, d); err != nil {
-		return p, false, status, err
+		return p, status, err
 	}
 	if v := r.Form.Get("exact"); v != "" {
-		if exact, err = strconv.ParseBool(v); err != nil {
-			return p, false, http.StatusBadRequest, fmt.Errorf("invalid exact %q", v)
+		if p.Exact, err = strconv.ParseBool(v); err != nil {
+			return p, http.StatusBadRequest, fmt.Errorf("invalid exact %q", v)
 		}
 	}
-	return p, exact, http.StatusOK, nil
+	return p, http.StatusOK, nil
 }
 
 // evaluate fans the eligible videos out through resilience.FanOut: each
@@ -523,7 +587,11 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	}
 	out.TraceID = p.TraceID
 
-	opts := p.storeOptions()
+	// Each video runs as a one-video query without WithPartialResults, so
+	// its failure comes back as an error the breaker and the retries see.
+	whole := p
+	whole.Partial = false
+	opts := whole.StoreOptions()
 	// videoSpan is video i's span, opened at its first use.
 	videoSpan := func(i int) *obs.Span {
 		if videoSpans[i] == nil {
@@ -538,7 +606,7 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	var results []resilience.Result[htlvideo.SimList]
 	pprof.Do(ctx, cq.ProfileLabels(p.Engine), func(ctx context.Context) {
 		results = resilience.FanOut(ctx, eligible,
-			resilience.Guard{Limit: s.cfg.parallelism, Breaker: s.breaker, Retry: s.retry, Transient: IsTransient},
+			resilience.Guard{Limit: s.cfg.parallelism, Breaker: s.breaker, Retry: s.retry, Transient: htlvideo.IsTransient},
 			func(ctx context.Context, i, attempt int) (htlvideo.SimList, error) {
 				id := int(eligible[i])
 				// Copy: concurrent attempts must not share the base slice's

@@ -13,6 +13,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"htlvideo"
+	"htlvideo/internal/obs"
 )
 
 func paramsServer(t *testing.T) *Server {
@@ -92,5 +95,59 @@ func TestParseQueryRequestReadsPostForms(t *testing.T) {
 	_, status, err := ParseQueryRequest(req, ParseDefaults{DefaultTimeout: time.Second, MaxTimeout: time.Second})
 	if err == nil || status != http.StatusBadRequest {
 		t.Fatalf("bad form timeout: status=%d err=%v, want 400", status, err)
+	}
+}
+
+// TestQueryParamsRoundTrip: Values is the exact inverse of the parsers, so
+// whatever a coordinator or htlquery encodes, a server decodes back into the
+// same request — partial=false included. The SQL baseline encodes but is
+// refused like any unknown engine.
+func TestQueryParamsRoundTrip(t *testing.T) {
+	d := ParseDefaults{MaxTimeout: time.Minute} // no default: an absent timeout stays 0
+	decode := func(p QueryParams) (QueryParams, int, error) {
+		req := httptest.NewRequest(http.MethodPost, "/explain", strings.NewReader(p.Values().Encode()))
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		if p.TraceID != "" {
+			req.Header.Set(obs.TraceHeader, p.TraceID)
+		}
+		return ParseExplainRequest(req, d)
+	}
+	want, err := htlvideo.Parse("M1 until M2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []htlvideo.Engine{htlvideo.EngineAuto, htlvideo.EngineDirect, htlvideo.EngineReference} {
+		for _, root := range []bool{false, true} {
+			for _, flags := range []bool{false, true} {
+				for _, timeout := range []time.Duration{0, 250 * time.Millisecond} {
+					p := QueryParams{
+						Query: "M1 until M2", Level: 3, AtRoot: root, Engine: engine,
+						Tau: 0.25, K: 7, Timeout: timeout,
+						Partial: flags, Trace: !flags, Exact: flags,
+					}
+					if root {
+						p.Level = 1
+					}
+					if flags {
+						p.TraceID = "0123456789abcdef0123456789abcdef"
+					}
+					got, status, err := decode(p)
+					if err != nil || status != http.StatusOK {
+						t.Fatalf("%+v: status %d: %v", p, status, err)
+					}
+					if got.Formula == nil || got.Formula.String() != want.String() {
+						t.Errorf("formula = %v, want %v", got.Formula, want)
+					}
+					got.Formula = nil
+					if got != p {
+						t.Errorf("round trip:\n got %+v\nwant %+v", got, p)
+					}
+				}
+			}
+		}
+	}
+	_, status, err := decode(QueryParams{Query: "M1", Level: 2, Engine: htlvideo.EngineSQL, Tau: 0.5, K: 1})
+	if status != http.StatusBadRequest || err == nil || err.Error() != `unknown engine "sql"` {
+		t.Fatalf("engine=sql: status %d, err %v; want 400 unknown engine \"sql\"", status, err)
 	}
 }

@@ -219,13 +219,7 @@ func New(st *htlvideo.Store, opts ...Option) *Server {
 	}
 	m := newServerMetrics()
 	s := &Server{cfg: cfg, m: m}
-	if cfg.resultCache.Capacity > 0 {
-		st.EnableResultCache(cfg.resultCache)
-	}
-	if cfg.queryStatsCapacity > 0 {
-		st.SetQueryStatsCapacity(cfg.queryStatsCapacity)
-	}
-	s.store.Store(st)
+	s.install(st)
 	s.sampler = s.newSampler()
 	if cfg.sampleInterval > 0 {
 		s.sampler.Start(cfg.sampleInterval)
@@ -278,6 +272,22 @@ func OpenDir(dir string, dopts []htlvideo.DurableOption, opts ...Option) (*Serve
 	return s, nil
 }
 
+// install makes st the served store. The configured result cache and
+// statistics capacity are applied before it becomes visible; replacing a
+// store leaves the old one's cached results behind with it, which counts as
+// one result-cache invalidation.
+func (s *Server) install(st *htlvideo.Store) {
+	if s.cfg.resultCache.Capacity > 0 {
+		st.EnableResultCache(s.cfg.resultCache)
+	}
+	if s.cfg.queryStatsCapacity > 0 {
+		st.SetQueryStatsCapacity(s.cfg.queryStatsCapacity)
+	}
+	if old := s.store.Swap(st); old != nil && s.cfg.resultCache.Capacity > 0 {
+		s.m.cacheInval.Inc()
+	}
+}
+
 // Store returns the current store snapshot. Queries in flight keep the
 // snapshot they started with across reloads.
 func (s *Server) Store() *htlvideo.Store { return s.store.Load() }
@@ -327,14 +337,7 @@ func (s *Server) Reload() error {
 		s.logf("server: reload %s failed: %v", s.storePath, err)
 		return fmt.Errorf("server: reloading %s: %w", s.storePath, err)
 	}
-	if s.cfg.resultCache.Capacity > 0 {
-		st.EnableResultCache(s.cfg.resultCache)
-		s.m.cacheInval.Inc()
-	}
-	if s.cfg.queryStatsCapacity > 0 {
-		st.SetQueryStatsCapacity(s.cfg.queryStatsCapacity)
-	}
-	s.store.Store(st)
+	s.install(st)
 	s.m.reloads.Inc()
 	s.logf("server: reloaded %s (%d videos)", s.storePath, len(st.Videos()))
 	return nil
@@ -362,14 +365,7 @@ func (s *Server) reloadDurable() error {
 		s.logf("server: recovering %s failed (serving the previous snapshot read-only): %v", s.dataDir, err)
 		return fmt.Errorf("server: recovering %s: %w", s.dataDir, err)
 	}
-	if s.cfg.resultCache.Capacity > 0 {
-		st.EnableResultCache(s.cfg.resultCache)
-		s.m.cacheInval.Inc()
-	}
-	if s.cfg.queryStatsCapacity > 0 {
-		st.SetQueryStatsCapacity(s.cfg.queryStatsCapacity)
-	}
-	s.store.Store(st)
+	s.install(st)
 	s.m.reloads.Inc()
 	ds := st.DurableStats()
 	s.logf("server: recovered %s (%d videos, seq %d)", s.dataDir, len(st.Videos()), ds.Seq)

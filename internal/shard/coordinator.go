@@ -33,7 +33,6 @@ import (
 	"htlvideo/internal/obs"
 	"htlvideo/internal/obs/timeseries"
 	"htlvideo/internal/resilience"
-	"htlvideo/internal/ring"
 	"htlvideo/internal/server"
 )
 
@@ -46,7 +45,6 @@ type Coordinator struct {
 	retry   *resilience.Retrier
 
 	mu      sync.RWMutex
-	ring    *ring.Ring
 	members map[string]*member
 	nextOrd int64
 
@@ -84,8 +82,6 @@ type config struct {
 	rand           func(n int64) int64
 	now            func() time.Time
 	logf           func(format string, args ...any)
-	sink           obs.TraceSink
-	clientOverride *http.Client
 	traceBuf       int
 	sampleInterval time.Duration
 }
@@ -131,15 +127,6 @@ func WithClock(now func() time.Time) Option { return func(c *config) { c.now = n
 func WithLogger(logf func(format string, args ...any)) Option {
 	return func(c *config) { c.logf = logf }
 }
-
-// WithHTTPClient replaces the shard-facing HTTP client.
-func WithHTTPClient(client *http.Client) Option {
-	return func(c *config) { c.clientOverride = client }
-}
-
-// WithTraceSink registers a sink receiving one finished trace per query,
-// with a child span per shard attempt.
-func WithTraceSink(sink obs.TraceSink) Option { return func(c *config) { c.sink = sink } }
 
 // WithTraceBufferSize sets how many recent query traces the coordinator's
 // /debug/traces ring retains (default obs.DefaultTraceRingSize).
@@ -200,16 +187,12 @@ func NewNamed(shards map[string]string, opts ...Option) *Coordinator {
 
 	c := &Coordinator{
 		cfg:     cfg,
-		client:  cfg.clientOverride,
-		ring:    ring.New(nil, 0),
+		client:  &http.Client{},
 		members: map[string]*member{},
 		reg:     obs.NewRegistry(),
 		slow:    obs.NewSlowLog(obs.DefaultSlowLogSize),
 	}
 	c.traces = obs.NewTraceRing(cfg.traceBuf)
-	if c.client == nil {
-		c.client = &http.Client{}
-	}
 	c.m = metrics{
 		queries:        c.reg.Counter("shard.queries"),
 		requests:       c.reg.Counter("shard.requests"),
@@ -288,8 +271,8 @@ func (c *Coordinator) nameOfOrd(ord int64) string {
 	return fmt.Sprintf("ord-%d", ord)
 }
 
-// AddShard joins a shard to the ring (replacing the URL if the name already
-// exists) and reports whether membership changed.
+// AddShard joins a shard (replacing the URL if the name already exists) and
+// reports whether membership changed.
 func (c *Coordinator) AddShard(name, url string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -299,14 +282,12 @@ func (c *Coordinator) AddShard(name, url string) bool {
 	}
 	c.nextOrd++
 	c.members[name] = &member{name: name, url: url, ord: c.nextOrd}
-	c.ring.Add(name)
 	c.cfg.logf("shard: joined %s (%s)", name, url)
 	return true
 }
 
-// RemoveShard leaves a shard from the ring and reports whether it was a
-// member. Queries in flight finish their calls; new queries no longer fan
-// out to it.
+// RemoveShard removes a shard and reports whether it was a member. Queries
+// in flight finish their calls; new queries no longer fan out to it.
 func (c *Coordinator) RemoveShard(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -314,7 +295,6 @@ func (c *Coordinator) RemoveShard(name string) bool {
 		return false
 	}
 	delete(c.members, name)
-	c.ring.Remove(name)
 	c.cfg.logf("shard: left %s", name)
 	return true
 }

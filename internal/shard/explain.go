@@ -52,7 +52,7 @@ type ShardExplainDoc struct {
 // requires the surviving shards to agree on the plan key — disagreement
 // means a mixed-version fleet whose node IDs cannot be joined, and fails the
 // explain.
-func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams, exact bool) (*ExplainDoc, error) {
+func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams) (*ExplainDoc, error) {
 	start := time.Now()
 	ctx, end := c.begin(ctx, &p)
 	defer end()
@@ -65,7 +65,7 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams, exact b
 	out := &ExplainDoc{
 		ExplainResult: htlvideo.ExplainResult{
 			Query: p.Query, PlanKey: planKey, TraceID: p.TraceID,
-			Engine: engineName(p.Engine), Level: p.Level, Exact: exact,
+			Level: p.Level, Exact: p.Exact,
 		},
 		Shards: &server.ShardsDoc{Total: len(members), MinRequired: c.cfg.minShards},
 	}
@@ -76,11 +76,8 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams, exact b
 	}
 	results := resilience.FanOut(ctx, keys, c.guard(),
 		func(ctx context.Context, i, _ int) (*htlvideo.ExplainResult, error) {
-			form := shardQuery(p)
+			form := p.Values()
 			form.Del("trace") // the explain result carries trace_id already
-			if exact {
-				form.Set("exact", "true")
-			}
 			sctx, cancel, err := c.budget(ctx, form, nil)
 			if err != nil {
 				return nil, err
@@ -109,9 +106,10 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams, exact b
 	}
 
 	// The merge joins nodes by ID, which is only meaningful if every shard
-	// compiled the same plan.
+	// compiled the same plan. Class and engine are the shards' own words, in
+	// the vocabulary a single store's explain uses.
 	first := results[oks[0]].Value
-	out.PlanKey, out.Class, out.Nodes = first.PlanKey, first.Class, first.Nodes
+	out.PlanKey, out.Class, out.Engine, out.Nodes = first.PlanKey, first.Class, first.Engine, first.Nodes
 	names := make([]string, len(oks))
 	trees := make([]*obs.ExplainNode, len(oks))
 	for j, i := range oks {
@@ -239,7 +237,7 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	p, exact, status, err := server.ParseExplainRequest(r, c.cfg.parse)
+	p, status, err := server.ParseExplainRequest(r, c.cfg.parse)
 	if err != nil {
 		obs.WriteError(w, status, err.Error())
 		return
@@ -247,7 +245,7 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), p.Timeout)
 	defer cancel()
 
-	doc, err := c.Explain(ctx, p, exact)
+	doc, err := c.Explain(ctx, p)
 	if err != nil {
 		code := http.StatusInternalServerError
 		switch {

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"testing"
 
+	"htlvideo"
 	"htlvideo/internal/obs"
 	"htlvideo/internal/resilience"
 	"htlvideo/internal/server"
@@ -56,76 +57,95 @@ func TestDistributedExplainMatchesSingleStore(t *testing.T) {
 
 	for _, c := range distributedExplainCases {
 		t.Run(c.name, func(t *testing.T) {
-			merged, err := coord.Explain(context.Background(), explainParams(c.query), false)
-			if err != nil {
-				t.Fatal(err)
+			for _, eng := range []struct {
+				name   string
+				engine htlvideo.Engine
+			}{{"auto", htlvideo.EngineAuto}, {"direct", htlvideo.EngineDirect}, {"reference", htlvideo.EngineReference}} {
+				t.Run(eng.name, func(t *testing.T) {
+					p := explainParams(c.query)
+					p.Engine = eng.engine
+					checkMergedExplain(t, coord, single, p)
+				})
 			}
-			ref, err := single.Explain(c.query)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if merged.Shards.OK != 3 || merged.Shards.Total != 3 {
-				t.Fatalf("shards = %+v, want 3/3", merged.Shards)
-			}
-			if merged.PlanKey != ref.PlanKey {
-				t.Fatalf("plan key %q != single store's %q", merged.PlanKey, ref.PlanKey)
-			}
-			if merged.Class != ref.Class || merged.Nodes != ref.Nodes {
-				t.Fatalf("class/nodes = %s/%d, want %s/%d", merged.Class, merged.Nodes, ref.Class, ref.Nodes)
-			}
-			if merged.Videos != ref.Videos {
-				t.Fatalf("videos = %d, want the single store's %d", merged.Videos, ref.Videos)
-			}
-			if len(merged.TraceID) != 32 {
-				t.Fatalf("trace id %q", merged.TraceID)
-			}
-
-			// Node-by-node: the summed per-shard counts equal the single-store
-			// profile, and the per-shard breakdown is internally consistent.
-			seen := map[*obs.ExplainNode]bool{}
-			var walk func(m *obs.ExplainNode, n *obs.ExplainNode)
-			walk = func(m *obs.ExplainNode, n *obs.ExplainNode) {
-				if m.ID != n.ID || m.Op != n.Op || m.Formula != n.Formula {
-					t.Fatalf("node mismatch: merged %d/%s/%q vs single %d/%s/%q",
-						m.ID, m.Op, m.Formula, n.ID, n.Op, n.Formula)
-				}
-				if m.Stats.Visits != n.Stats.Visits {
-					t.Errorf("node %d (%s): summed visits %d != single-store %d",
-						m.ID, m.Op, m.Stats.Visits, n.Stats.Visits)
-				}
-				if m.Stats.AtomicEvals != n.Stats.AtomicEvals {
-					t.Errorf("node %d: summed atomic evals %d != %d",
-						m.ID, m.Stats.AtomicEvals, n.Stats.AtomicEvals)
-				}
-				if m.Stats.Skipped != n.Stats.Skipped {
-					t.Errorf("node %d: summed skipped %d != %d",
-						m.ID, m.Stats.Skipped, n.Stats.Skipped)
-				}
-				var perShard int64
-				for _, st := range m.PerShard {
-					perShard += st.Visits
-				}
-				if perShard != m.Stats.Visits {
-					t.Errorf("node %d: per-shard visits sum %d != merged %d", m.ID, perShard, m.Stats.Visits)
-				}
-				if len(m.PerShard) != 3 {
-					t.Errorf("node %d: %d shard entries, want 3", m.ID, len(m.PerShard))
-				}
-				if len(m.Children) != len(n.Children) {
-					t.Fatalf("node %d: %d children vs %d", m.ID, len(m.Children), len(n.Children))
-				}
-				if seen[m] {
-					return // a shared node: already checked under another parent
-				}
-				seen[m] = true
-				for i := range m.Children {
-					walk(m.Children[i], n.Children[i])
-				}
-			}
-			walk(merged.Plan, ref.Plan)
 		})
 	}
+}
+
+// checkMergedExplain explains p through the coordinator and on the single
+// store and holds the merged document to the single store's: the same plan,
+// class, engine and video count, and node by node the same summed counts.
+func checkMergedExplain(t *testing.T, coord *Coordinator, single *htlvideo.Store, p server.QueryParams) {
+	t.Helper()
+	merged, err := coord.Explain(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := single.Explain(p.Query, htlvideo.WithEngine(p.Engine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Engine != ref.Engine {
+		t.Fatalf("engine = %q, want the single store's %q", merged.Engine, ref.Engine)
+	}
+	if merged.Shards.OK != 3 || merged.Shards.Total != 3 {
+		t.Fatalf("shards = %+v, want 3/3", merged.Shards)
+	}
+	if merged.PlanKey != ref.PlanKey {
+		t.Fatalf("plan key %q != single store's %q", merged.PlanKey, ref.PlanKey)
+	}
+	if merged.Class != ref.Class || merged.Nodes != ref.Nodes {
+		t.Fatalf("class/nodes = %s/%d, want %s/%d", merged.Class, merged.Nodes, ref.Class, ref.Nodes)
+	}
+	if merged.Videos != ref.Videos {
+		t.Fatalf("videos = %d, want the single store's %d", merged.Videos, ref.Videos)
+	}
+	if len(merged.TraceID) != 32 {
+		t.Fatalf("trace id %q", merged.TraceID)
+	}
+
+	// Node-by-node: the summed per-shard counts equal the single-store
+	// profile, and the per-shard breakdown is internally consistent.
+	seen := map[*obs.ExplainNode]bool{}
+	var walk func(m *obs.ExplainNode, n *obs.ExplainNode)
+	walk = func(m *obs.ExplainNode, n *obs.ExplainNode) {
+		if m.ID != n.ID || m.Op != n.Op || m.Formula != n.Formula {
+			t.Fatalf("node mismatch: merged %d/%s/%q vs single %d/%s/%q",
+				m.ID, m.Op, m.Formula, n.ID, n.Op, n.Formula)
+		}
+		if m.Stats.Visits != n.Stats.Visits {
+			t.Errorf("node %d (%s): summed visits %d != single-store %d",
+				m.ID, m.Op, m.Stats.Visits, n.Stats.Visits)
+		}
+		if m.Stats.AtomicEvals != n.Stats.AtomicEvals {
+			t.Errorf("node %d: summed atomic evals %d != %d",
+				m.ID, m.Stats.AtomicEvals, n.Stats.AtomicEvals)
+		}
+		if m.Stats.Skipped != n.Stats.Skipped {
+			t.Errorf("node %d: summed skipped %d != %d",
+				m.ID, m.Stats.Skipped, n.Stats.Skipped)
+		}
+		var perShard int64
+		for _, st := range m.PerShard {
+			perShard += st.Visits
+		}
+		if perShard != m.Stats.Visits {
+			t.Errorf("node %d: per-shard visits sum %d != merged %d", m.ID, perShard, m.Stats.Visits)
+		}
+		if len(m.PerShard) != 3 {
+			t.Errorf("node %d: %d shard entries, want 3", m.ID, len(m.PerShard))
+		}
+		if len(m.Children) != len(n.Children) {
+			t.Fatalf("node %d: %d children vs %d", m.ID, len(m.Children), len(n.Children))
+		}
+		if seen[m] {
+			return // a shared node: already checked under another parent
+		}
+		seen[m] = true
+		for i := range m.Children {
+			walk(m.Children[i], n.Children[i])
+		}
+	}
+	walk(merged.Plan, ref.Plan)
 }
 
 // TestDistributedExplainRendersLikeSingleStore: stripped of its per-shard
@@ -140,7 +160,7 @@ func TestDistributedExplainRendersLikeSingleStore(t *testing.T) {
 	coord := New(startShardServers(t, doc, 3), WithRandSeed(1))
 	for _, c := range distributedExplainCases {
 		t.Run(c.name, func(t *testing.T) {
-			merged, err := coord.Explain(context.Background(), explainParams(c.query), false)
+			merged, err := coord.Explain(context.Background(), explainParams(c.query))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +196,7 @@ func TestDistributedExplainGolden(t *testing.T) {
 	coord := New(startShardServers(t, doc, 3), WithRandSeed(1))
 	for _, c := range distributedExplainCases {
 		t.Run(c.name, func(t *testing.T) {
-			merged, err := coord.Explain(context.Background(), explainParams(c.query), false)
+			merged, err := coord.Explain(context.Background(), explainParams(c.query))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +359,7 @@ func TestCoordinatorExplainQuorum(t *testing.T) {
 	// Quorum 1: the two survivors still merge.
 	lax := New(urls, WithMinShards(1),
 		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 1}), WithRandSeed(1))
-	merged, err := lax.Explain(context.Background(), explainParams("M1"), false)
+	merged, err := lax.Explain(context.Background(), explainParams("M1"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"htlvideo"
 	"htlvideo/internal/core"
 	"htlvideo/internal/interval"
 	"htlvideo/internal/obs"
@@ -73,9 +72,9 @@ func transientShardError(err error) bool {
 	return true // transport-level: connection refused, reset, EOF, ...
 }
 
-// Query runs one scatter-gather retrieval: fan p out to every shard on the
-// ring, each behind its breaker with retries and hedging, then merge the
-// ranked partials. If ctx carries no deadline, p.Timeout is applied.
+// Query runs one scatter-gather retrieval: fan p out to every member shard,
+// each behind its breaker with retries and hedging, then merge the ranked
+// partials. If ctx carries no deadline, p.Timeout is applied.
 //
 // Every shard request carries the query's distributed trace id (inbound via
 // p.TraceID or minted here) in the X-Htl-Trace header — retries and hedges
@@ -99,9 +98,6 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 		tr.Finish()
 		c.slow.ObserveTrace(tr)
 		c.traces.ObserveTrace(tr)
-		if c.cfg.sink != nil {
-			c.cfg.sink.ObserveTrace(tr)
-		}
 	}()
 
 	members := c.snapshotMembers()
@@ -130,7 +126,10 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 			if attempt == 1 {
 				sp.SetTag("url", mb.url)
 			}
-			q := shardQuery(p)
+			// Shards evaluate the same k as the coordinator: per-shard top-k
+			// prefixes are exactly what the merge needs for an exact global
+			// top k.
+			q := p.Values()
 			sctx, cancel, err := c.budget(ctx, q, sp)
 			if err != nil {
 				return nil, err
@@ -307,27 +306,6 @@ func (c *Coordinator) budget(ctx context.Context, q url.Values, sp *obs.Span) (c
 	return sctx, cancel, nil
 }
 
-// shardQuery re-encodes validated parameters for the shard request. Shards
-// evaluate the same k as the coordinator: per-shard top-k prefixes are
-// exactly what the merge needs for an exact global top k.
-func shardQuery(p server.QueryParams) url.Values {
-	q := url.Values{}
-	q.Set("q", p.Query)
-	q.Set("level", strconv.Itoa(p.Level))
-	if p.AtRoot {
-		q.Set("root", "true")
-	}
-	q.Set("engine", engineName(p.Engine))
-	q.Set("tau", strconv.FormatFloat(p.Tau, 'g', -1, 64))
-	q.Set("k", strconv.Itoa(p.K))
-	q.Set("partial", strconv.FormatBool(p.Partial))
-	if p.Trace {
-		// The shard returns its span tree for stitching.
-		q.Set("trace", "true")
-	}
-	return q
-}
-
 // callHedged issues the request, and if the shard stays quiet past the
 // hedge delay, a duplicate; the first success wins and the loser is
 // cancelled. A failure of the only outstanding request returns immediately
@@ -468,16 +446,4 @@ func (c *Coordinator) roundTrip(ctx context.Context, method, target string, form
 		return fmt.Errorf("decoding shard response: %w", err)
 	}
 	return nil
-}
-
-// engineName inverts the ?engine= parsing in server.ParseQueryRequest.
-func engineName(e htlvideo.Engine) string {
-	switch e {
-	case htlvideo.EngineDirect:
-		return "direct"
-	case htlvideo.EngineReference:
-		return "reference"
-	default:
-		return "auto"
-	}
 }

@@ -129,6 +129,21 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("htlvideo: panic during evaluation: %v\n%s", e.Value, e.Stack)
 }
 
+// IsTransient reports whether a fresh attempt can plausibly clear err:
+// picture-system build failures (evicted from the cache, so a retry
+// rebuilds), contained evaluation panics and injected faults. Context
+// cancellation and deadlines, and the deterministic parse, validation and
+// engine-capability errors, are not transient. It is the store's own error
+// classification (the query.errors.<class> counters), so a serving layer
+// retries exactly what the store counts as transient.
+func IsTransient(err error) bool {
+	switch errorClass(err) {
+	case "picture-build", "panic", "transient":
+		return true
+	}
+	return false
+}
+
 // system returns (building and caching if needed) the picture system over
 // one video's sequence at a level. Concurrent callers for the same key share
 // one build; failed builds are evicted so later queries retry rather than
@@ -220,9 +235,9 @@ type queryConfig struct {
 	// at settle time (queryCompiledCtx labels it; runQuery and the result
 	// cache fill it in).
 	rec querystats.Record
-	// coreM and refM count this query's engine work (memo hits among it);
-	// runQuery folds them into the store's counters when its videos are done.
-	coreM, refM obs.EngineMetrics
+	// memoHits counts this query's memo hits in either engine; runQuery
+	// folds it into the store's counter when its videos are done.
+	memoHits obs.Counter
 	// prof is the per-plan-node profile ExplainCtx attaches; nil otherwise,
 	// so a plain query pays for no profile.
 	prof *core.PlanProfile
@@ -528,13 +543,10 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 			res.PerVideo[work[i].ID] = r.Value
 		}
 	}
-	// Fold the query's engine work into the store's counters. Memo hits are
-	// counted where explain's profile counts them, so explain output and
-	// /metrics tell one story (the golden tests assert they match).
-	coreW, refW := cfg.coreM.Snapshot(), cfg.refM.Snapshot()
-	o.coreM.Add(coreW)
-	o.refM.Add(refW)
-	cfg.rec.MemoHits = coreW.MemoHits + refW.MemoHits
+	// Fold the query's memo hits into the store's counter. They are counted
+	// where explain's profile counts them, so explain output and /metrics
+	// tell one story (the golden tests assert they match).
+	cfg.rec.MemoHits = cfg.memoHits.Value()
 	o.planMemoHits.Add(cfg.rec.MemoHits)
 	cfg.rec.VideosEvaluated = int64(len(res.PerVideo))
 
@@ -581,16 +593,14 @@ func (s *Store) queryVideoIsolated(ctx context.Context, parent *obs.Span, v *Vid
 // direct and reference engines evaluate the compiled plan, so duplicated
 // subformulas are computed once per video.
 func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQuery, cfg *queryConfig, sp *obs.Span) (SimList, error) {
-	coreOpts := core.Options{UntilThreshold: cfg.untilThreshold, Obs: &cfg.coreM, Prof: cfg.prof}
-	refOpts := coreOpts
-	refOpts.Obs = &cfg.refM
+	opts := core.Options{UntilThreshold: cfg.untilThreshold, MemoHits: &cfg.memoHits, Prof: cfg.prof}
 	switch cfg.engine {
 	case EngineDirect:
 		sp.SetTag("engine", "core")
-		return core.EvalPlanCtx(ctx, sys, cq.plan, coreOpts)
+		return core.EvalPlanCtx(ctx, sys, cq.plan, opts)
 	case EngineReference:
 		sp.SetTag("engine", "refeval")
-		return refeval.New(sys, refOpts).ListPlanCtx(ctx, cq.plan)
+		return refeval.New(sys, opts).ListPlanCtx(ctx, cq.plan)
 	case EngineSQL:
 		sp.SetTag("engine", "sqlgen")
 		// The translator records a span per generated statement under sp.
@@ -601,10 +611,10 @@ func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQu
 			s.obs.fallbacks.Inc()
 			sp.SetTag("engine", "refeval")
 			sp.SetTag("fallback", "true")
-			return refeval.New(sys, refOpts).ListPlanCtx(ctx, cq.plan)
+			return refeval.New(sys, opts).ListPlanCtx(ctx, cq.plan)
 		}
 		sp.SetTag("engine", "core")
-		return core.EvalPlanCtx(ctx, sys, cq.plan, coreOpts)
+		return core.EvalPlanCtx(ctx, sys, cq.plan, opts)
 	}
 }
 

@@ -41,11 +41,6 @@ type storeObs struct {
 	mu   sync.Mutex
 	sink obs.TraceSink // store-wide sink, nil when unset
 
-	// coreM and refM are handed to the similarity-list and reference engines
-	// through core.Options.
-	coreM obs.EngineMetrics
-	refM  obs.EngineMetrics
-
 	// byEngine and byClass are the per-engine and per-formula-class query
 	// counters and latency histograms, registered on first use (so the
 	// exposition lists only what ran) and then read without the registry.
@@ -401,7 +396,6 @@ type Stats struct {
 	Pool        PoolStats        `json:"pool"`
 	TopK        TopKStats        `json:"topk"`
 	SQL         SQLStats         `json:"sql"`
-	Engines     EngineStats      `json:"engines"`
 }
 
 // TopKStats describes the threshold-style pruned top-k scans (Results.TopK).
@@ -491,12 +485,6 @@ type SQLStats struct {
 	StmtLatency obs.HistogramSnapshot `json:"stmt_latency"`
 }
 
-// EngineStats carries the evaluation engines' work counters.
-type EngineStats struct {
-	Core      obs.EngineSnapshot `json:"core"`
-	Reference obs.EngineSnapshot `json:"reference"`
-}
-
 // Stats snapshots the store's instrumentation. Safe to call concurrently
 // with queries; counters settle per query, so a snapshot taken mid-query may
 // not include that query yet.
@@ -548,7 +536,6 @@ func (s *Store) Stats() Stats {
 			Rows:        o.sqlRows.Value(),
 			StmtLatency: o.sqlStmtLat.Snapshot(),
 		},
-		Engines: EngineStats{Core: o.coreM.Snapshot(), Reference: o.refM.Snapshot()},
 	}
 	for e := range o.byEngine {
 		if m := o.byEngine[e].Load(); m != nil {

@@ -361,3 +361,28 @@ func firstDiff(got, want string) string {
 	}
 	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
 }
+
+// TestIsTransientClassification: a serving layer retries exactly the errors
+// the store's own classification calls transient — build failures, contained
+// panics and injected faults — and never a dead context or a deterministic
+// error.
+func TestIsTransientClassification(t *testing.T) {
+	pe := &PanicError{Value: "boom"}
+	for _, tc := range []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"nil", nil, false},
+		{"injected", fmt.Errorf("%w: flaky", faultinject.ErrInjected), true},
+		{"build", fmt.Errorf("%w: disk hiccup", ErrPictureBuild), true},
+		{"panic", fmt.Errorf("video 2: %w", pe), true},
+		{"cancel", context.Canceled, false},
+		{"deadline", fmt.Errorf("aborted: %w", context.DeadlineExceeded), false},
+		{"validation", errors.New("unknown engine"), false},
+	} {
+		if got := IsTransient(tc.err); got != tc.want {
+			t.Errorf("%s: IsTransient(%v) = %v, want %v", tc.name, tc.err, got, tc.want)
+		}
+	}
+}
