@@ -86,7 +86,7 @@ type (
 	TraceSnapshot = obs.TraceSnapshot
 	// SpanSnapshot is the JSON-ready copy of one trace span.
 	SpanSnapshot = obs.SpanSnapshot
-	// TraceSink receives completed query traces (WithTrace, SetTraceSink).
+	// TraceSink receives completed query traces (WithTrace).
 	TraceSink = obs.TraceSink
 	// TraceCollector is a TraceSink retaining every trace, for inspection.
 	TraceCollector = obs.TraceCollector

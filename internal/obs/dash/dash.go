@@ -60,9 +60,9 @@ type Sources struct {
 	// Queries supplies the per-plan-key statistics, and, for a snapshot
 	// merged across a fleet, each shard's status.
 	Queries func(ctx context.Context) (querystats.Snapshot, []querystats.ShardStatus)
-	// Sampler supplies sparkline histories and /debug/timeseries; Sparks
-	// names the counters, histograms, or gauges to draw (registry names,
-	// e.g. "query.total").
+	// Sampler supplies sparkline histories and /debug/timeseries (a nil
+	// Sampler serves the empty document); Sparks names the counters,
+	// histograms, or gauges to draw (registry names, e.g. "query.total").
 	Sampler *timeseries.Sampler
 	Sparks  []string
 }

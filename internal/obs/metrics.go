@@ -222,9 +222,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return out
 }
 
-// Logger is the pluggable logging interface; the slow-query log emits one
-// line per over-threshold query through it. Implementations must be safe for
-// concurrent use ((*log.Logger).Printf qualifies via LoggerFunc).
+// Logger is the pluggable logging interface; the server logs reload, drain
+// and shed events through it. Implementations must be safe for concurrent
+// use ((*log.Logger).Printf qualifies via LoggerFunc).
 type Logger interface {
 	Logf(format string, args ...any)
 }

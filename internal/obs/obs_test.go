@@ -160,7 +160,6 @@ func TestNilSafety(t *testing.T) {
 	_ = reg.Snapshot()
 	var sl *SlowLog
 	sl.ObserveTrace(NewTrace("q"))
-	sl.SetLogger(nil, 0)
 	if sl.Snapshot() != nil {
 		t.Error("nil slowlog has entries")
 	}
@@ -308,23 +307,6 @@ func TestSlowLogKeepsSlowest(t *testing.T) {
 	l.Reset()
 	if len(l.Snapshot()) != 0 {
 		t.Error("Reset left entries behind")
-	}
-}
-
-// TestSlowLogLogger: the pluggable Logger fires only at or above threshold.
-func TestSlowLogLogger(t *testing.T) {
-	l := NewSlowLog(4)
-	var mu sync.Mutex
-	var lines []string
-	l.SetLogger(LoggerFunc(func(format string, args ...any) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}), 10*time.Millisecond)
-	l.ObserveTrace(doneTrace("fast", time.Millisecond))
-	l.ObserveTrace(doneTrace("slow", 20*time.Millisecond))
-	if len(lines) != 1 || !strings.Contains(lines[0], "slow") {
-		t.Fatalf("logged lines = %q, want one line naming the slow query", lines)
 	}
 }
 

@@ -27,14 +27,11 @@ type SlowEntry struct {
 
 // SlowLog retains the N slowest queries seen, with their full traces — the
 // backing store of /debug/slowlog. It implements TraceSink, so it plugs
-// directly into the store's query path. An optional Logger emits one line
-// per over-threshold query as it happens.
+// directly into the store's query path.
 type SlowLog struct {
-	mu        sync.Mutex
-	cap       int
-	entries   []SlowEntry // sorted by descending duration
-	logger    Logger
-	threshold time.Duration
+	mu      sync.Mutex
+	cap     int
+	entries []SlowEntry // sorted by descending duration
 }
 
 // DefaultSlowLogSize is the retained-query count of a fresh slow log.
@@ -48,18 +45,6 @@ func NewSlowLog(n int) *SlowLog {
 	return &SlowLog{cap: n}
 }
 
-// SetLogger installs a logger invoked for every query at or above threshold;
-// nil disables logging again.
-func (l *SlowLog) SetLogger(lg Logger, threshold time.Duration) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.logger = lg
-	l.threshold = threshold
-	l.mu.Unlock()
-}
-
 // ObserveTrace implements TraceSink: a finished query enters the log if it is
 // among the slowest seen.
 func (l *SlowLog) ObserveTrace(t *Trace) {
@@ -68,31 +53,26 @@ func (l *SlowLog) ObserveTrace(t *Trace) {
 	}
 	d := t.Duration()
 	l.mu.Lock()
-	lg, threshold := l.logger, l.threshold
+	defer l.mu.Unlock()
 	if len(l.entries) == l.cap && d <= l.entries[len(l.entries)-1].Duration {
-		l.mu.Unlock()
-	} else {
-		snap := t.Snapshot()
-		e := SlowEntry{
-			Query:    t.Name(),
-			Duration: d,
-			When:     time.Now(),
-			TraceID:  snap.ID,
-			PlanKey:  snap.Tags["plan_key"],
-			Shard:    snap.Tags["dominant_shard"],
-			Trace:    snap,
-		}
-		i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].Duration < d })
-		l.entries = append(l.entries, SlowEntry{})
-		copy(l.entries[i+1:], l.entries[i:])
-		l.entries[i] = e
-		if len(l.entries) > l.cap {
-			l.entries = l.entries[:l.cap]
-		}
-		l.mu.Unlock()
+		return
 	}
-	if lg != nil && d >= threshold {
-		lg.Logf("slow query (%v): %s", d, t.Name())
+	snap := t.Snapshot()
+	e := SlowEntry{
+		Query:    t.Name(),
+		Duration: d,
+		When:     time.Now(),
+		TraceID:  snap.ID,
+		PlanKey:  snap.Tags["plan_key"],
+		Shard:    snap.Tags["dominant_shard"],
+		Trace:    snap,
+	}
+	i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].Duration < d })
+	l.entries = append(l.entries, SlowEntry{})
+	copy(l.entries[i+1:], l.entries[i:])
+	l.entries[i] = e
+	if len(l.entries) > l.cap {
+		l.entries = l.entries[:l.cap]
 	}
 }
 

@@ -1,10 +1,10 @@
 package obs
 
-// Trace retention: a bounded sampling ring buffer of recent query traces,
-// the backing store of /debug/traces on the single server and on the
-// scatter-gather coordinator. Slow-log entries link into it by trace id, so
-// "why was this slow" goes from a log line to the full (possibly
-// cross-process) span tree without re-running the query.
+// Trace retention: a bounded ring buffer of recent query traces, the backing
+// store of /debug/traces on the single server and on the scatter-gather
+// coordinator. Slow-log entries link into it by trace id, so "why was this
+// slow" goes from a log line to the full (possibly cross-process) span tree
+// without re-running the query.
 //
 // The ring retains *Trace pointers, not snapshots: observing a finished
 // trace costs one lock and one pointer store on the query path, and the
@@ -21,14 +21,12 @@ import (
 const DefaultTraceRingSize = 64
 
 // TraceRing is a TraceSink retaining the most recent traces in a bounded
-// ring, optionally sampled. Safe for concurrent use.
+// ring. Safe for concurrent use.
 type TraceRing struct {
 	mu      sync.Mutex
 	entries []ringEntry // ring storage, len == capacity
 	next    int         // next write position
 	total   int         // traces retained so far (saturates at capacity)
-	seen    int64       // traces offered, for sampling
-	every   int64       // retain one in every N offered traces (>= 1)
 }
 
 type ringEntry struct {
@@ -37,44 +35,25 @@ type ringEntry struct {
 }
 
 // NewTraceRing retains the n most recent traces (DefaultTraceRingSize when
-// n < 1); every trace offered is retained until SetSampleEvery says
-// otherwise.
+// n < 1).
 func NewTraceRing(n int) *TraceRing {
 	if n < 1 {
 		n = DefaultTraceRingSize
 	}
-	return &TraceRing{entries: make([]ringEntry, n), every: 1}
+	return &TraceRing{entries: make([]ringEntry, n)}
 }
 
-// SetSampleEvery retains only one in every n offered traces (n <= 1 keeps
-// all) — the knob that bounds retention cost on hot stores where even a
-// pointer store per query is worth shaving.
-func (r *TraceRing) SetSampleEvery(n int) {
-	if r == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	r.mu.Lock()
-	r.every = int64(n)
-	r.mu.Unlock()
-}
-
-// ObserveTrace implements TraceSink: the trace enters the ring (evicting the
-// oldest) if the sampler selects it.
+// ObserveTrace implements TraceSink: the trace enters the ring, evicting the
+// oldest.
 func (r *TraceRing) ObserveTrace(t *Trace) {
 	if r == nil || t == nil {
 		return
 	}
 	r.mu.Lock()
-	r.seen++
-	if r.seen%r.every == 0 {
-		r.entries[r.next] = ringEntry{t: t, when: time.Now()}
-		r.next = (r.next + 1) % len(r.entries)
-		if r.total < len(r.entries) {
-			r.total++
-		}
+	r.entries[r.next] = ringEntry{t: t, when: time.Now()}
+	r.next = (r.next + 1) % len(r.entries)
+	if r.total < len(r.entries) {
+		r.total++
 	}
 	r.mu.Unlock()
 }

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,17 +36,15 @@ type Store struct {
 	// obs is the store's instrumentation (see store_obs.go); always non-nil.
 	obs *storeObs
 
-	// mu guards the system cache; queries across many videos build and read
-	// it concurrently.
-	mu sync.Mutex
-	// systems caches one picture-system build slot per (video, level).
-	systems map[[2]int]*sysEntry
+	// systems caches the picture system of each (video, level); unbounded,
+	// and concurrent queries on one key share its build (see system).
+	systems *cache.LRU[[2]int, *picture.System]
 
 	// plans caches compiled queries by text (see store_compile.go).
 	plans *cache.LRU[string, *CompiledQuery]
 	// results is the opt-in whole-result cache (see store_cache.go); nil
 	// until EnableResultCache.
-	results atomic.Pointer[resultCache]
+	results atomic.Pointer[cache.LRU[string, *Results]]
 	// gen is the store's content generation: bumped by Add, part of every
 	// result-cache key, so cached results can never outlive the contents
 	// they were computed over.
@@ -55,18 +53,6 @@ type Store struct {
 	// durable is the disk side of a durable store (see store_durable.go);
 	// nil for in-memory stores.
 	durable *durableState
-}
-
-// sysEntry is one singleflight-style slot of the picture-system cache:
-// concurrent queries on the same (video, level) share a single build instead
-// of racing to construct duplicates and letting the last writer win.
-type sysEntry struct {
-	once sync.Once
-	// done flips after the shared build completes, distinguishing a cache
-	// hit from a concurrent lookup that joined an in-flight build.
-	done atomic.Bool
-	sys  *picture.System
-	err  error
 }
 
 // NewStore creates an empty store. tax may be nil (types then only match
@@ -80,7 +66,7 @@ func NewStore(tax *Taxonomy, w Weights) *Store {
 		tax:     tax,
 		weights: w,
 		obs:     newStoreObs(),
-		systems: map[[2]int]*sysEntry{},
+		systems: cache.New[[2]int, *picture.System](math.MaxInt, 0),
 		plans:   cache.New[string, *CompiledQuery](DefaultPlanCacheCapacity, 0),
 	}
 }
@@ -146,56 +132,32 @@ func IsTransient(err error) bool {
 
 // system returns (building and caching if needed) the picture system over
 // one video's sequence at a level. Concurrent callers for the same key share
-// one build; failed builds are evicted so later queries retry rather than
-// caching the error.
+// one build; failed builds are not cached, so later queries retry.
 //
 // sp, when set, is the span a build records its picture.build span under; a
 // cache hit never looks at it, so it costs no context of its own.
 func (s *Store) system(ctx context.Context, sp *obs.Span, v *Video, level int) (*picture.System, error) {
-	key := [2]int{v.ID, level}
 	o := s.obs
-	for {
-		s.mu.Lock()
-		e, ok := s.systems[key]
-		if !ok {
-			e = &sysEntry{}
-			s.systems[key] = e
-			o.cacheSize.Set(int64(len(s.systems)))
-		}
-		s.mu.Unlock()
-		switch {
-		case !ok:
-			o.cacheMisses.Inc()
-		case e.done.Load():
-			o.cacheHits.Inc()
-		default:
-			o.cacheDeduped.Inc()
-		}
-		e.once.Do(func() {
-			e.sys, e.err = picture.NewSystemCtx(obs.ContextWithSpan(ctx, sp), v, level, s.tax, s.weights)
-			e.done.Store(true)
-		})
-		if e.err == nil {
-			return e.sys, nil
-		}
-		s.mu.Lock()
-		if s.systems[key] == e {
-			delete(s.systems, key)
+	sys, oc, err := s.systems.Load(ctx, [2]int{v.ID, level}, func() (*picture.System, error) {
+		o.cacheMisses.Inc()
+		sys, err := picture.NewSystemCtx(obs.ContextWithSpan(ctx, sp), v, level, s.tax, s.weights)
+		if err != nil {
 			o.cacheEvicted.Inc()
-			o.cacheSize.Set(int64(len(s.systems)))
 		}
-		s.mu.Unlock()
-		// A waiter can inherit a cancellation error from the context of the
-		// query that initiated the shared build; retry under our own while
-		// it is still live.
-		if resilience.IsContextError(e.err) {
-			if ctx.Err() == nil {
-				continue
-			}
-			return nil, e.err
-		}
-		return nil, fmt.Errorf("%w: %w", ErrPictureBuild, e.err)
+		return sys, err
+	}, nil)
+	switch oc {
+	case cache.Hit:
+		o.cacheHits.Inc()
+	case cache.Joined:
+		o.cacheDeduped.Inc()
+	case cache.Loaded:
+		o.cacheSize.Set(int64(s.systems.Len()))
 	}
+	if err != nil && !resilience.IsContextError(err) {
+		return nil, fmt.Errorf("%w: %w", ErrPictureBuild, err)
+	}
+	return sys, err
 }
 
 // Engine selects the evaluation machinery.
@@ -400,9 +362,21 @@ func (s *Store) Query(query string, opts ...QueryOption) (*Results, error) {
 // kept, tagged plan_cache=hit, so trace structure is stable).
 func (s *Store) QueryCtx(ctx context.Context, query string, opts ...QueryOption) (*Results, error) {
 	cfg := newQueryConfig(opts)
+	tr, cq, err := s.parse(query, cfg.noCache)
+	if err != nil {
+		return nil, err
+	}
+	return s.queryCompiledCtx(ctx, tr, cq, cfg)
+}
+
+// parse is the parse stage of QueryCtx and ExplainCtx: it starts the query's
+// trace and compiles the text through the plan cache (bypassed when noCache)
+// under a parse span tagged plan_cache=hit or miss. A parse failure settles
+// the query's accounting here.
+func (s *Store) parse(query string, noCache bool) (*obs.Trace, *CompiledQuery, error) {
 	tr := obs.NewTrace(query)
 	sp := tr.StartSpan("parse")
-	cq, hit, err := s.compile(query, cfg.noCache)
+	cq, hit, err := s.compile(query, noCache)
 	if hit {
 		sp.SetTag("plan_cache", "hit")
 	} else {
@@ -411,9 +385,8 @@ func (s *Store) QueryCtx(ctx context.Context, query string, opts ...QueryOption)
 	sp.End()
 	if err != nil {
 		s.obs.endQuery(tr, err, nil, nil)
-		return nil, err
 	}
-	return s.queryCompiledCtx(ctx, tr, cq, cfg)
+	return tr, cq, err
 }
 
 // QueryFormula evaluates a parsed HTL formula.

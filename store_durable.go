@@ -496,10 +496,8 @@ func (s *Store) checkpointLocked(d *durableState) error {
 // Close shuts a durable store's disk side down: pending log bytes are
 // flushed, the background flusher (SyncInterval) stopped, and the log file
 // closed. Queries keep working on the in-memory state; Add and Checkpoint
-// fail after Close. On any store — in-memory included — Close also stops the
-// metrics sampler started by StartSampling.
+// fail after Close. Close on an in-memory store does nothing.
 func (s *Store) Close() error {
-	s.obs.sampler.Close()
 	d := s.durable
 	if d == nil {
 		return nil

@@ -82,17 +82,8 @@ func (s *Store) Explain(query string, opts ...QueryOption) (*ExplainResult, erro
 // per-visit timing in the reference evaluator.
 func (s *Store) ExplainCtx(ctx context.Context, query string, opts ...QueryOption) (*ExplainResult, error) {
 	cfg := newQueryConfig(opts)
-	tr := obs.NewTrace(query)
-	sp := tr.StartSpan("parse")
-	cq, hit, err := s.compile(query, false)
-	if hit {
-		sp.SetTag("plan_cache", "hit")
-	} else {
-		sp.SetTag("plan_cache", "miss")
-	}
-	sp.End()
+	tr, cq, err := s.parse(query, false)
 	if err != nil {
-		s.obs.endQuery(tr, err, nil, nil)
 		return nil, err
 	}
 	prof := core.NewPlanProfile(cq.plan, cfg.exactProf)

@@ -1,8 +1,8 @@
 package htlvideo
 
 // Store-level observability: the metrics the query path maintains, the typed
-// Stats() snapshot, the per-query trace plumbing (WithTrace, SetTraceSink),
-// and the slow-query log. The primitives live in internal/obs; this file owns
+// Stats() snapshot, the per-query trace plumbing (WithTrace), and the
+// slow-query log. The primitives live in internal/obs; this file owns
 // the metric names and the mapping from engines and formula classes to them.
 
 import (
@@ -10,9 +10,7 @@ import (
 	"errors"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"htlvideo/internal/core"
 	"htlvideo/internal/faultinject"
@@ -20,7 +18,6 @@ import (
 	"htlvideo/internal/obs"
 	"htlvideo/internal/obs/dash"
 	"htlvideo/internal/obs/querystats"
-	"htlvideo/internal/obs/timeseries"
 	"htlvideo/internal/resilience"
 )
 
@@ -33,13 +30,8 @@ type storeObs struct {
 	ring *obs.TraceRing
 
 	// qstats aggregates per-plan-key workload statistics (the /debug/queries
-	// document); sampler keeps the registry's recent history for windowed
-	// rates and the dashboard (started on demand, stopped by Store.Close).
-	qstats  *querystats.Stats
-	sampler *timeseries.Sampler
-
-	mu   sync.Mutex
-	sink obs.TraceSink // store-wide sink, nil when unset
+	// document).
+	qstats *querystats.Stats
 
 	// byEngine and byClass are the per-engine and per-formula-class query
 	// counters and latency histograms, registered on first use (so the
@@ -271,7 +263,6 @@ func newStoreObs() *storeObs {
 		checkpointSeq:    reg.Gauge("checkpoint.seq"),
 		checkpointLat:    reg.Histogram("checkpoint.latency", nil),
 	}
-	o.sampler = timeseries.New(reg.Snapshot)
 	return o
 }
 
@@ -288,17 +279,10 @@ func (o *storeObs) observeTopK(st core.PruneStats, planKey string) {
 	}
 }
 
-// traceSink returns the store-wide sink, or nil.
-func (o *storeObs) traceSink() obs.TraceSink {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.sink
-}
-
 // endQuery finishes a query's trace and settles its per-query accounting:
 // totals, error classification, per-engine and per-formula-class counters and
-// latency histograms, the per-plan-key workload statistics, the slow log, and
-// every attached sink. cq and cfg are nil when nothing was compiled (a parse
+// latency histograms, the per-plan-key workload statistics, the slow log, the
+// trace ring and the query's own sink. cq and cfg are nil when nothing was compiled (a parse
 // failure): there are no breakdowns, no plan key to aggregate under and no
 // per-query sink.
 func (o *storeObs) endQuery(tr *obs.Trace, err error, cq *CompiledQuery, cfg *queryConfig) {
@@ -326,9 +310,6 @@ func (o *storeObs) endQuery(tr *obs.Trace, err error, cq *CompiledQuery, cfg *qu
 	}
 	o.slow.ObserveTrace(tr)
 	o.ring.ObserveTrace(tr)
-	if gs := o.traceSink(); gs != nil {
-		gs.ObserveTrace(tr)
-	}
 	if cfg != nil && cfg.sink != nil {
 		cfg.sink.ObserveTrace(tr)
 	}
@@ -555,21 +536,12 @@ func (s *Store) Stats() Stats {
 func (s *Store) Metrics() *obs.Registry { return s.obs.reg }
 
 // SlowLog exposes the store's slow-query log: the N slowest queries seen,
-// with their full traces. Attach a logger via SlowLog().SetLogger to emit a
-// line per over-threshold query.
+// with their full traces.
 func (s *Store) SlowLog() *obs.SlowLog { return s.obs.slow }
 
 // TraceRing exposes the store's bounded ring of recent query traces (the
 // /debug/traces backing store). Slow-log entries link into it by trace id.
 func (s *Store) TraceRing() *obs.TraceRing { return s.obs.ring }
-
-// SetTraceSink installs a store-wide trace sink receiving every query's
-// finished trace (nil removes it). Per-query sinks attach with WithTrace.
-func (s *Store) SetTraceSink(sink obs.TraceSink) {
-	s.obs.mu.Lock()
-	s.obs.sink = sink
-	s.obs.mu.Unlock()
-}
 
 // QueryStats exposes the store's per-plan-key workload statistics — the
 // pg_stat_statements analogue behind GET /debug/queries. Always on; bound its
@@ -580,19 +552,10 @@ func (s *Store) QueryStats() *querystats.Stats { return s.obs.qstats }
 // < 1 selects querystats.DefaultCapacity). All-time totals survive eviction.
 func (s *Store) SetQueryStatsCapacity(capacity int) { s.obs.qstats.SetCapacity(capacity) }
 
-// Sampler exposes the store's timeseries sampler (the /debug/timeseries
-// backing store). It holds no history until StartSampling.
-func (s *Store) Sampler() *timeseries.Sampler { return s.obs.sampler }
-
-// StartSampling launches the background metrics sampler: the registry is
-// snapshotted every interval (timeseries.DefaultInterval when non-positive)
-// into a bounded ring, feeding windowed rates and the dashboard's
-// sparklines. Idempotent; Store.Close stops it.
-func (s *Store) StartSampling(interval time.Duration) { s.obs.sampler.Start(interval) }
-
 // DebugHandler serves the store's ops surface over HTTP (dash.Mount's
 // endpoint set): its /metrics JSON document is {metrics, stats}, the registry
-// snapshot plus the Stats snapshot. cmd/htlquery mounts it behind
+// snapshot plus the Stats snapshot. The store keeps no metrics history, so
+// /debug/timeseries serves the empty document. cmd/htlquery mounts it behind
 // -metrics-addr.
 func (s *Store) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
@@ -611,8 +574,6 @@ func (s *Store) DebugHandler() http.Handler {
 		Queries: func(context.Context) (querystats.Snapshot, []querystats.ShardStatus) {
 			return s.obs.qstats.Snapshot(), nil
 		},
-		Sampler: s.obs.sampler,
-		Sparks:  []string{"query.total", "query.latency", "pool.videos_evaluated", "pool.in_flight"},
 	})
 	return mux
 }

@@ -363,30 +363,6 @@ func TestSlowLogRecordsQueries(t *testing.T) {
 	}
 }
 
-// TestStoreTraceSink: a store-wide sink receives every query's trace, and
-// removing it stops delivery.
-func TestStoreTraceSink(t *testing.T) {
-	s := resilienceStore(t, 1)
-	var tc TraceCollector
-	s.SetTraceSink(&tc)
-	if _, err := s.Query("M1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Query("M2"); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tc.Traces()); got != 2 {
-		t.Fatalf("sink received %d traces, want 2", got)
-	}
-	s.SetTraceSink(nil)
-	if _, err := s.Query("M1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tc.Traces()); got != 2 {
-		t.Fatalf("sink received %d traces after removal, want 2", got)
-	}
-}
-
 // TestDebugHandler: the /metrics and /debug/slowlog endpoints serve valid
 // JSON reflecting the store's counters.
 func TestDebugHandler(t *testing.T) {
@@ -440,7 +416,6 @@ func TestStatsConcurrentWithQueries(t *testing.T) {
 	srv := httptest.NewServer(s.DebugHandler())
 	defer srv.Close()
 	var tc TraceCollector
-	s.SetTraceSink(&tc)
 	queries := []string{"M1", "M2", "M1 until M2", "eventually M2"}
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
@@ -448,7 +423,7 @@ func TestStatsConcurrentWithQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Query(q, WithParallelism(2)); err != nil {
+			if _, err := s.Query(q, WithParallelism(2), WithTrace(&tc)); err != nil {
 				t.Errorf("query %q: %v", q, err)
 			}
 		}()

@@ -242,6 +242,72 @@ func TestFailedBuildsAreRetried(t *testing.T) {
 	}
 }
 
+// TestSystemBuildWaiterHonoursDeadline: a query that joins another query's
+// stalled picture-system build leaves when its own deadline ends, not when
+// the shared build does.
+func TestSystemBuildWaiterHonoursDeadline(t *testing.T) {
+	s := resilienceStore(t, 1)
+	p := armPlan(t, faultinject.NewPlan(1, faultinject.Rule{
+		Site:  faultinject.SitePictureNewSystem,
+		Key:   faultinject.KeyAny,
+		Kind:  faultinject.KindStall,
+		Stall: 1500 * time.Millisecond,
+	}))
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		_, _ = s.QueryCtx(leaderCtx, "M1")
+	}()
+	for p.Calls(faultinject.SitePictureNewSystem) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	const deadline = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err := s.QueryCtx(ctx, "M1")
+	elapsed := time.Since(start)
+	cancelLeader()
+	<-leaderDone
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if elapsed > deadline+400*time.Millisecond {
+		t.Fatalf("waiter returned after %v, want about its %v deadline", elapsed, deadline)
+	}
+	if got := s.Stats().Cache.Deduped; got != 1 {
+		t.Fatalf("cache.deduped = %d, want 1 (the waiter joined the build)", got)
+	}
+}
+
+// TestSystemBuildPanicIsNotCached: a picture-system build that panics fails
+// its query, and the next query on the same video rebuilds and succeeds.
+func TestSystemBuildPanicIsNotCached(t *testing.T) {
+	s := resilienceStore(t, 1)
+	armPlan(t, faultinject.NewPlan(1, faultinject.Rule{
+		Site: faultinject.SitePictureNewSystem,
+		Key:  1,
+		Kind: faultinject.KindPanic,
+	}))
+	var pe *PanicError
+	if _, err := s.Query("M1"); !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a contained *PanicError", err)
+	}
+	faultinject.Disarm()
+	res, err := s.Query("M1")
+	if err != nil {
+		t.Fatalf("query after a panicked build: %v", err)
+	}
+	if res.PerVideo[1].IsEmpty() {
+		t.Fatal("rebuilt system produced an empty result")
+	}
+	if st := s.Stats().Cache; st.Misses != 2 || st.Size != 1 {
+		t.Fatalf("cache stats = %+v, want 2 misses (the panicked build and the rebuild) and size 1", st)
+	}
+}
+
 // TestWithParallelismOne: a sequential pool is still correct and honors
 // cancellation between videos.
 func TestWithParallelismOne(t *testing.T) {

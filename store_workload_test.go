@@ -5,8 +5,8 @@ package htlvideo
 // the query.errors.<class> counters, the store health rollup (including the
 // durable components under injected WAL failures), and the extended debug
 // HTTP surface — /debug/queries, /debug/health, /debug/timeseries,
-// /debug/dash. All race-clean; the concurrency test drives queries, sampler
-// scrapes and snapshots together.
+// /debug/dash. All race-clean; the concurrency test drives queries and
+// snapshots together.
 
 import (
 	"context"
@@ -236,8 +236,6 @@ func TestDebugWorkloadEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Sampler().Scrape()
-	s.Sampler().Scrape()
 	h := s.DebugHandler()
 
 	rec := httptest.NewRecorder()
@@ -271,9 +269,6 @@ func TestDebugWorkloadEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &ts); err != nil {
 		t.Fatal(err)
 	}
-	if ts.Samples != 2 {
-		t.Fatalf("timeseries samples = %d, want 2", ts.Samples)
-	}
 
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/dash", nil))
@@ -288,14 +283,13 @@ func TestDebugWorkloadEndpoints(t *testing.T) {
 	}
 }
 
-// TestWorkloadConcurrency drives queries, registry snapshots, sampler
-// scrapes, query-stats snapshots and health rollups from many goroutines at
-// once — the -race proof for the whole analytics path — then checks the
-// sampler goroutine is gone after Close.
+// TestWorkloadConcurrency drives queries, registry snapshots, query-stats
+// snapshots and health rollups from many goroutines at once — the -race
+// proof for the whole analytics path — then checks no goroutine outlives
+// Close.
 func TestWorkloadConcurrency(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := resilienceStore(t, 3)
-	s.StartSampling(200 * time.Microsecond)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -316,7 +310,6 @@ func TestWorkloadConcurrency(t *testing.T) {
 				_ = s.Metrics().Snapshot()
 				_ = s.QueryStats().Snapshot()
 				_ = s.Health()
-				_ = s.Sampler().Trends()
 			}
 		}()
 	}
