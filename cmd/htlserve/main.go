@@ -109,7 +109,6 @@ func main() {
 	shards := flag.String("shards", "", "comma-separated shard base URLs; non-empty switches to scatter-gather coordinator mode (no local store)")
 	minShards := flag.Int("min-shards", 1, "coordinator quorum: shards that must answer for a query to succeed")
 	hedgeDelay := flag.Duration("hedge-delay", 100*time.Millisecond, "coordinator: quiet period before a straggling shard is sent a duplicate request (0 disables)")
-	traceBuf := flag.Int("trace-buffer", 0, "coordinator: recent stitched traces retained for /debug/traces (0 = default)")
 	queryStats := flag.Int("querystats", 512, "plan keys tracked in per-query-shape workload statistics (/debug/queries; 0 = default capacity)")
 	sampleInterval := flag.Duration("sample-interval", 5*time.Second, "metrics-history sampling cadence for /debug/timeseries and /debug/dash (0 disables)")
 	flag.Parse()
@@ -122,7 +121,7 @@ func main() {
 			minShards: *minShards, hedgeDelay: *hedgeDelay,
 			defaultTimeout: *defaultTimeout, maxTimeout: *maxTimeout,
 			drainTimeout: *drainTimeout, retries: *retries,
-			breakerOpenFor: *breakerOpenFor, traceBuf: *traceBuf,
+			breakerOpenFor: *breakerOpenFor,
 			sampleInterval: *sampleInterval, logger: logger,
 		})
 		return
@@ -241,7 +240,6 @@ type coordinatorConfig struct {
 	drainTimeout   time.Duration
 	retries        int
 	breakerOpenFor time.Duration
-	traceBuf       int
 	sampleInterval time.Duration
 	logger         obs.LoggerFunc
 }
@@ -270,7 +268,6 @@ func runCoordinator(cfg coordinatorConfig) {
 		shard.WithMaxTimeout(cfg.maxTimeout),
 		shard.WithRetryConfig(retryCfg),
 		shard.WithBreakerConfig(breakerCfg),
-		shard.WithTraceBufferSize(cfg.traceBuf),
 		shard.WithSampleInterval(cfg.sampleInterval),
 		shard.WithLogger(cfg.logger.Logf),
 	)

@@ -60,7 +60,7 @@ func (c *LRU[K, V]) SetClock(now func() time.Time) {
 
 // SetOnEvict installs a callback invoked (outside any promotion, but under
 // the cache lock) whenever an entry leaves the cache by capacity eviction
-// or TTL expiry — not by Remove or Purge.
+// or TTL expiry — not by Remove.
 func (c *LRU[K, V]) SetOnEvict(fn func(K, V)) {
 	c.mu.Lock()
 	c.onEvict = fn
@@ -124,14 +124,6 @@ func (c *LRU[K, V]) Remove(key K) {
 		c.unlink(e)
 		delete(c.items, key)
 	}
-}
-
-// Purge empties the cache (no eviction callbacks).
-func (c *LRU[K, V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.items)
-	c.head, c.tail = nil, nil
 }
 
 // Outcome reports how Load produced its value.

@@ -44,10 +44,8 @@ func TestLRUReplaceAndRemove(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("removed key still present")
 	}
-	c.Add("b", 2)
-	c.Purge()
 	if c.Len() != 0 {
-		t.Fatalf("Len after Purge = %d, want 0", c.Len())
+		t.Fatalf("Len after Remove = %d, want 0", c.Len())
 	}
 }
 

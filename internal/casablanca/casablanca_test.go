@@ -1,6 +1,7 @@
 package casablanca
 
 import (
+	"math"
 	"testing"
 
 	"htlvideo/internal/core"
@@ -88,7 +89,7 @@ func TestTable4Query1(t *testing.T) {
 
 	// The paper presents the result ranked by similarity: 12.382, 11.047,
 	// 11.047, 9.787, 9.787, 9.787, 6.26, 1.26.
-	ranked := core.RankEntries(1, got)
+	ranked := core.TopKBySort(map[int]simlist.List{1: got}, math.MaxInt)
 	wantOrder := []float64{12.382, 11.047, 11.047, 9.787, 9.787, 9.787, 6.26, 1.26}
 	if len(ranked) != len(wantOrder) {
 		t.Fatalf("ranked rows = %d, want %d", len(ranked), len(wantOrder))

@@ -35,9 +35,6 @@ type Plan struct {
 	byKey map[string]*PNode
 }
 
-// NodeList returns every plan node in ID order (the profiler's index order).
-func (p *Plan) NodeList() []*PNode { return p.nodes }
-
 // Node returns the plan node whose canonical text is key, or nil. The SQL
 // translator attributes statements to nodes through it.
 func (p *Plan) Node(key string) *PNode { return p.byKey[key] }

@@ -126,13 +126,8 @@ func (e *planEval) evalPlan(ctx context.Context, p *Plan) (simlist.List, error) 
 // conjunctive formula over src's sequence; exposed for the SQL baseline and
 // for tests.
 func EvalTable(src Source, f htl.Formula, opts Options) (*simlist.Table, error) {
-	return EvalTableCtx(context.Background(), src, f, opts)
-}
-
-// EvalTableCtx is EvalTable with cooperative cancellation.
-func EvalTableCtx(ctx context.Context, src Source, f htl.Formula, opts Options) (*simlist.Table, error) {
 	p := CompilePlan(f)
-	return newPlanEval(src, opts, p.Nodes, nil).eval(ctx, p.Root)
+	return newPlanEval(src, opts, p.Nodes, nil).eval(context.Background(), p.Root)
 }
 
 // MaxSimOf returns the maximum possible similarity of f, which depends only

@@ -51,7 +51,7 @@ func TestRankedTopKMatchesSortProperty(t *testing.T) {
 }
 
 // Equal similarities must order by video id, then beginning segment — the
-// same tie-break SortRanked applies — even when the tied entries sit in
+// same tie-break RankedLess applies — even when the tied entries sit in
 // different per-video lists.
 func TestRankedTopKTieBreaks(t *testing.T) {
 	lists := map[int]simlist.List{

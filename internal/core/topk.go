@@ -15,30 +15,11 @@ type Ranked struct {
 	Sim     simlist.Sim
 }
 
-// RankEntries orders a similarity list's entries by descending actual
-// similarity (ties by beginning id) — the presentation used by the paper's
-// Table 4.
-func RankEntries(videoID int, l simlist.List) []Ranked {
-	out := make([]Ranked, 0, len(l.Entries))
-	for _, e := range l.Entries {
-		out = append(out, Ranked{VideoID: videoID, Iv: e.Iv.Wide(), Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}})
-	}
-	sortRanked(out)
-	return out
-}
-
-// SortRanked orders runs by descending actual similarity with fully
-// deterministic tie-breaks — equal similarities order by video id, then by
-// beginning segment — so ranked output is stable run to run regardless of
-// the (concurrent, nondeterministic) order results were produced in.
-func SortRanked(rs []Ranked) { sortRanked(rs) }
-
-func sortRanked(rs []Ranked) {
-	sort.SliceStable(rs, func(i, j int) bool { return rankedLess(rs[i], rs[j]) })
-}
-
 // RankedLess reports whether a orders before b under the retrieval ordering
-// — the comparison SortRanked and the top-k heap share. The scatter-gather
+// — descending actual similarity with fully deterministic tie-breaks: equal
+// similarities order by video id, then by beginning segment, so ranked
+// output is stable run to run regardless of the (concurrent,
+// nondeterministic) order results were produced in. The scatter-gather
 // coordinator merges per-shard ranked streams with this same function, which
 // is what makes a merged ranking identical to a single-store run.
 func RankedLess(a, b Ranked) bool { return rankedLess(a, b) }
@@ -101,7 +82,7 @@ func TopKBySort(lists map[int]simlist.List, k int) []Ranked {
 			all = append(all, Ranked{VideoID: vid, Iv: e.Iv.Wide(), Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}})
 		}
 	}
-	sortRanked(all)
+	sort.SliceStable(all, func(i, j int) bool { return rankedLess(all[i], all[j]) })
 	var out []Ranked
 	remaining := k
 	for _, r := range all {

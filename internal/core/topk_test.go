@@ -43,17 +43,6 @@ func TestTopKEdgeCases(t *testing.T) {
 	}
 }
 
-func TestRankEntriesOrder(t *testing.T) {
-	l := simlist.NewList(20, entry(1, 1, 5), entry(2, 2, 9), entry(3, 3, 9))
-	r := RankEntries(7, l)
-	if r[0].Sim.Act != 9 || r[0].Iv.Beg != 2 || r[1].Iv.Beg != 3 || r[2].Sim.Act != 5 {
-		t.Fatalf("ranked: %v", r)
-	}
-	if r[0].VideoID != 7 || r[0].Sim.Max != 20 {
-		t.Fatalf("metadata: %+v", r[0])
-	}
-}
-
 // Property: heap-based and sort-based top-k agree on the returned segment
 // multiset and its total similarity mass.
 func TestTopKAgainstSortProperty(t *testing.T) {

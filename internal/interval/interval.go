@@ -72,9 +72,6 @@ func (v I) Valid() bool { return v.Beg <= v.End }
 // Contains reports whether id lies in v.
 func (v I) Contains(id int32) bool { return v.Beg <= id && id <= v.End }
 
-// Intersects reports whether v and w share at least one id.
-func (v I) Intersects(w I) bool { return v.Beg <= w.End && w.Beg <= v.End }
-
 // Intersect returns the common part of v and w. ok is false when they are
 // disjoint, in which case the returned interval is the zero value.
 func (v I) Intersect(w I) (r I, ok bool) {
@@ -104,18 +101,6 @@ func (v I) ClampLow(lo int32) (I, bool) {
 	return v, true
 }
 
-// ClampHigh returns the part of v at or below hi. ok is false if no id of v
-// is <= hi.
-func (v I) ClampHigh(hi int32) (I, bool) {
-	if v.Beg > hi {
-		return I{}, false
-	}
-	if v.End > hi {
-		v.End = hi
-	}
-	return v, true
-}
-
 // String renders v in the paper's "[beg end]" notation.
 func (v I) String() string { return fmt.Sprintf("[%d %d]", v.Beg, v.End) }
 
@@ -135,55 +120,3 @@ func (w Wide) Len() int { return w.End - w.Beg + 1 }
 
 // String renders w like I.String.
 func (w Wide) String() string { return fmt.Sprintf("[%d %d]", w.Beg, w.End) }
-
-// Disjoint reports whether the intervals in ivs (which must be sorted by Beg)
-// are pairwise disjoint.
-func Disjoint(ivs []I) bool {
-	for i := 1; i < len(ivs); i++ {
-		if ivs[i].Beg <= ivs[i-1].End {
-			return false
-		}
-	}
-	return true
-}
-
-// Sorted reports whether ivs is sorted by Beg (ties allowed).
-func Sorted(ivs []I) bool {
-	for i := 1; i < len(ivs); i++ {
-		if ivs[i].Beg < ivs[i-1].Beg {
-			return false
-		}
-	}
-	return true
-}
-
-// Coalesce merges adjacent or overlapping intervals of a Beg-sorted slice and
-// returns a minimal sorted disjoint cover of the same id set. The input slice
-// is not modified.
-func Coalesce(ivs []I) []I {
-	if len(ivs) == 0 {
-		return nil
-	}
-	out := make([]I, 0, len(ivs))
-	cur := ivs[0]
-	for _, iv := range ivs[1:] {
-		if iv.Beg <= cur.End+1 {
-			if iv.End > cur.End {
-				cur.End = iv.End
-			}
-			continue
-		}
-		out = append(out, cur)
-		cur = iv
-	}
-	return append(out, cur)
-}
-
-// CoverLen returns the total number of ids covered by a sorted disjoint slice.
-func CoverLen(ivs []I) int {
-	n := 0
-	for _, iv := range ivs {
-		n += iv.Len()
-	}
-	return n
-}

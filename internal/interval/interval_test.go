@@ -1,7 +1,6 @@
 package interval
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -44,27 +43,6 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestIntersects(t *testing.T) {
-	for _, tc := range []struct {
-		a, b I
-		want bool
-	}{
-		{New(1, 5), New(5, 9), true},
-		{New(1, 5), New(6, 9), false},
-		{New(1, 9), New(3, 4), true},
-		{New(3, 4), New(1, 9), true},
-		{Point(7), Point(7), true},
-		{Point(7), Point(8), false},
-	} {
-		if got := tc.a.Intersects(tc.b); got != tc.want {
-			t.Errorf("%v.Intersects(%v) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-		if got := tc.b.Intersects(tc.a); got != tc.want {
-			t.Errorf("Intersects not symmetric for %v, %v", tc.a, tc.b)
-		}
-	}
-}
-
 func TestIntersect(t *testing.T) {
 	r, ok := New(25, 100).Intersect(New(90, 110))
 	if !ok || r != New(90, 100) {
@@ -102,97 +80,6 @@ func TestClampLow(t *testing.T) {
 	}
 	if _, ok := New(5, 10).ClampLow(11); ok {
 		t.Fatal("ClampLow past end should fail")
-	}
-}
-
-func TestClampHigh(t *testing.T) {
-	if r, ok := New(5, 10).ClampHigh(7); !ok || r != New(5, 7) {
-		t.Fatalf("ClampHigh = %v %v", r, ok)
-	}
-	if _, ok := New(5, 10).ClampHigh(4); ok {
-		t.Fatal("ClampHigh before beg should fail")
-	}
-}
-
-func TestCoalesce(t *testing.T) {
-	got := Coalesce([]I{New(1, 3), New(4, 6), New(8, 9), New(8, 12), New(20, 20)})
-	want := []I{New(1, 6), New(8, 12), New(20, 20)}
-	if len(got) != len(want) {
-		t.Fatalf("Coalesce = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Coalesce = %v, want %v", got, want)
-		}
-	}
-	if Coalesce(nil) != nil {
-		t.Fatal("Coalesce(nil) should be nil")
-	}
-}
-
-func TestSortedDisjoint(t *testing.T) {
-	ivs := []I{New(1, 3), New(5, 7)}
-	if !Sorted(ivs) || !Disjoint(ivs) {
-		t.Fatal("sorted disjoint slice misreported")
-	}
-	if Disjoint([]I{New(1, 5), New(5, 7)}) {
-		t.Fatal("overlapping slice reported disjoint")
-	}
-	if Sorted([]I{New(5, 7), New(1, 3)}) {
-		t.Fatal("unsorted slice reported sorted")
-	}
-}
-
-func TestCoverLen(t *testing.T) {
-	if got := CoverLen([]I{New(1, 3), New(10, 10)}); got != 4 {
-		t.Fatalf("CoverLen = %d, want 4", got)
-	}
-}
-
-// Property: Coalesce preserves the covered id set and yields a sorted,
-// disjoint, non-adjacent slice.
-func TestCoalesceProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := int(n%20) + 1
-		ivs := make([]I, k)
-		covered := map[int32]bool{}
-		base := int32(0)
-		for i := range ivs {
-			base += rng.Int31n(4) // keep Beg-sorted
-			ln := rng.Int31n(5)
-			ivs[i] = I{Beg: base, End: base + ln}
-			for id := base; id <= base+ln; id++ {
-				covered[id] = true
-			}
-		}
-		out := Coalesce(ivs)
-		if !Sorted(out) || !Disjoint(out) {
-			return false
-		}
-		for i := 1; i < len(out); i++ {
-			if out[i-1].Adjacent(out[i]) {
-				return false // should have merged
-			}
-		}
-		got := map[int32]bool{}
-		for _, iv := range out {
-			for id := iv.Beg; id <= iv.End; id++ {
-				got[id] = true
-			}
-		}
-		if len(got) != len(covered) {
-			return false
-		}
-		for id := range covered {
-			if !got[id] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

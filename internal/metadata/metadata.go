@@ -128,23 +128,6 @@ func (n *Node) AppendChild(meta SegmentMeta) *Node {
 	return c
 }
 
-// FirstDescendantAt returns the first descendant of n at the given level
-// (following first children), or nil when n has no descendant that deep or
-// level is not strictly below n. For level == n.Level it returns n itself.
-func (n *Node) FirstDescendantAt(level int) *Node {
-	cur := n
-	for cur != nil && cur.Level < level {
-		if len(cur.Children) == 0 {
-			return nil
-		}
-		cur = cur.Children[0]
-	}
-	if cur != nil && cur.Level == level {
-		return cur
-	}
-	return nil
-}
-
 // DescendantsAt returns all descendants of n at the given level in temporal
 // order — the paper's "proper sequence". For level == n.Level it returns
 // [n].
@@ -183,7 +166,7 @@ type Video struct {
 }
 
 // NewVideo creates a video with a fresh root node (level 1). levelNames may
-// be nil; names can also be registered later with NameLevel.
+// be nil.
 func NewVideo(id int, name string, levelNames map[string]int) *Video {
 	ln := map[string]int{}
 	for k, v := range levelNames {
@@ -196,9 +179,6 @@ func NewVideo(id int, name string, levelNames map[string]int) *Video {
 		LevelNames: ln,
 	}
 }
-
-// NameLevel registers a symbolic name for a level number.
-func (v *Video) NameLevel(name string, level int) { v.LevelNames[name] = level }
 
 // Level resolves a symbolic level name.
 func (v *Video) Level(name string) (int, bool) {

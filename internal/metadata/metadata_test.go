@@ -42,24 +42,6 @@ func TestHierarchyNumbering(t *testing.T) {
 	}
 }
 
-func TestFirstDescendantAt(t *testing.T) {
-	v := buildThreeLevel(t)
-	fd := v.Root.FirstDescendantAt(3)
-	if fd == nil || fd.Meta.Objects[0].ID != 1 {
-		t.Fatalf("FirstDescendantAt(3) = %+v", fd)
-	}
-	if v.Root.FirstDescendantAt(1) != v.Root {
-		t.Fatal("FirstDescendantAt(own level) should return the node")
-	}
-	if v.Root.FirstDescendantAt(9) != nil {
-		t.Fatal("too-deep level should return nil")
-	}
-	leaf := v.Sequence(3)[0]
-	if leaf.FirstDescendantAt(2) != nil {
-		t.Fatal("upward level should return nil")
-	}
-}
-
 func TestDescendantsAtEdge(t *testing.T) {
 	v := buildThreeLevel(t)
 	if got := v.Root.DescendantsAt(0); got != nil {
@@ -174,9 +156,9 @@ func TestLevelName(t *testing.T) {
 	if _, ok := v.Level("frame"); ok {
 		t.Fatal("unknown level name should miss")
 	}
-	v.NameLevel("frame", 4)
+	v.LevelNames["frame"] = 4
 	if l, _ := v.Level("frame"); l != 4 {
-		t.Fatal("NameLevel did not register")
+		t.Fatal("a level name set after construction did not resolve")
 	}
 }
 

@@ -258,19 +258,10 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Describe records a metric's one-line description, emitted as the # HELP
-// line in Prometheus exposition. The name is the registry name (dotted, no
-// type suffix); describing the same name again replaces the text.
-func (r *Registry) Describe(name, help string) {
-	if r == nil || help == "" {
-		return
-	}
-	r.mu.Lock()
-	r.help[name] = help
-	r.mu.Unlock()
-}
-
-// DescribeAll records a batch of metric descriptions.
+// DescribeAll records metric descriptions, each emitted as the # HELP line
+// in Prometheus exposition. A name is the registry name (dotted, no type
+// suffix); describing the same name again replaces the text, and an empty
+// text is ignored.
 func (r *Registry) DescribeAll(help map[string]string) {
 	if r == nil {
 		return
@@ -350,7 +341,7 @@ type RegistrySnapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-	// Help carries the registered metric descriptions (see Describe); the
+	// Help carries the registered metric descriptions (see DescribeAll); the
 	// Prometheus exposition renders them as # HELP lines. Omitted from the
 	// JSON form, which is self-describing by name.
 	Help map[string]string `json:"-"`

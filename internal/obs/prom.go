@@ -42,7 +42,7 @@ func WantsPrometheus(r *http.Request) bool {
 // Metric names are sanitized to the Prometheus charset (dots become
 // underscores); counters gain a _total suffix (pre-labeled names take it
 // before their label block), histograms are exported in seconds with
-// cumulative le buckets and +Inf. Described metrics (Registry.Describe) get
+// cumulative le buckets and +Inf. Described metrics (Registry.DescribeAll) get
 // a # HELP line before their # TYPE line. Output is sorted by name, so equal
 // snapshots render byte-identically.
 func WritePrometheus(w io.Writer, snap RegistrySnapshot) {

@@ -127,9 +127,11 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	for _, d := range []time.Duration{10 * time.Microsecond, 300 * time.Microsecond, 80 * time.Millisecond, time.Minute} {
 		h.Observe(d)
 	}
-	reg.Describe("query.total", "Queries issued, including failed ones.")
-	reg.Describe("query.latency", "Whole-query latency.\nSecond line.")
-	reg.Describe("pool.in_flight", "Videos evaluating right now.")
+	reg.DescribeAll(map[string]string{
+		"query.total":    "Queries issued, including failed ones.",
+		"query.latency":  "Whole-query latency.\nSecond line.",
+		"pool.in_flight": "Videos evaluating right now.",
+	})
 
 	var b strings.Builder
 	WritePrometheus(&b, reg.Snapshot())

@@ -113,23 +113,18 @@ func unscored(a *core.Arena, n int) []float64 {
 }
 
 // List computes the similarity list of a closed formula over the sequence,
-// id by id.
+// id by id. It compiles f on the fly; callers evaluating one formula
+// repeatedly should compile once and use ListPlanCtx.
 func (e *Evaluator) List(f htl.Formula) (simlist.List, error) {
-	return e.ListCtx(context.Background(), f)
-}
-
-// ListCtx is List with cooperative cancellation: the recursion checks ctx at
-// every segment of the outer scan and periodically inside the O(n²) temporal
-// scans, so a deadline stops a brute-force evaluation mid-video. It compiles
-// f on the fly; callers evaluating one formula repeatedly should compile
-// once and use ListPlanCtx.
-func (e *Evaluator) ListCtx(ctx context.Context, f htl.Formula) (simlist.List, error) {
-	return e.ListPlanCtx(ctx, core.CompilePlan(f))
+	return e.ListPlanCtx(context.Background(), core.CompilePlan(f))
 }
 
 // ListPlanCtx evaluates a compiled plan over the sequence, id by id, on an
 // arena from core's pool, which goes back once the list has been copied out —
-// on an error or a cancellation too, never after a panic.
+// on an error or a cancellation too, never after a panic. The recursion
+// checks ctx at every segment of the outer scan and periodically inside the
+// O(n²) temporal scans, so a deadline stops a brute-force evaluation
+// mid-video.
 func (e *Evaluator) ListPlanCtx(ctx context.Context, p *core.Plan) (simlist.List, error) {
 	a := acquireArena()
 	l, err := e.ListPlanOn(ctx, p, a)

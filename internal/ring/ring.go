@@ -119,19 +119,6 @@ func (r *Ring) Remove(member string) bool {
 	return true
 }
 
-// Has reports whether member is on the ring.
-func (r *Ring) Has(member string) bool { return r.members[member] }
-
-// Members returns the member names, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 

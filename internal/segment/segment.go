@@ -17,18 +17,6 @@ func HistDiff(a, b []float64) float64 {
 	return d
 }
 
-// DetectCuts returns the indices i such that a cut falls between frame i-1
-// and frame i, using a fixed histogram-difference threshold.
-func DetectCuts(hists [][]float64, threshold float64) []int {
-	var cuts []int
-	for i := 1; i < len(hists); i++ {
-		if HistDiff(hists[i-1], hists[i]) > threshold {
-			cuts = append(cuts, i)
-		}
-	}
-	return cuts
-}
-
 // DetectCutsAdaptive thresholds the frame-to-frame differences at
 // median + k·MAD (median absolute deviation, scaled to the normal σ). The
 // robust estimator tracks the footage's noise floor without being masked by

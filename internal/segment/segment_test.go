@@ -24,17 +24,6 @@ func TestHistDiff(t *testing.T) {
 	}
 }
 
-func TestDetectCutsFixed(t *testing.T) {
-	frames := [][]float64{hist(0), hist(0), hist(3), hist(3), hist(3), hist(5)}
-	cuts := DetectCuts(frames, 0.5)
-	if !reflect.DeepEqual(cuts, []int{2, 5}) {
-		t.Fatalf("cuts = %v", cuts)
-	}
-	if DetectCuts(frames[:1], 0.5) != nil {
-		t.Fatal("single frame should yield no cuts")
-	}
-}
-
 func TestDetectCutsAdaptive(t *testing.T) {
 	var frames [][]float64
 	for i := 0; i < 10; i++ {

@@ -82,7 +82,6 @@ type config struct {
 	rand           func(n int64) int64
 	now            func() time.Time
 	logf           func(format string, args ...any)
-	traceBuf       int
 	sampleInterval time.Duration
 }
 
@@ -127,10 +126,6 @@ func WithClock(now func() time.Time) Option { return func(c *config) { c.now = n
 func WithLogger(logf func(format string, args ...any)) Option {
 	return func(c *config) { c.logf = logf }
 }
-
-// WithTraceBufferSize sets how many recent query traces the coordinator's
-// /debug/traces ring retains (default obs.DefaultTraceRingSize).
-func WithTraceBufferSize(n int) Option { return func(c *config) { c.traceBuf = n } }
 
 // WithSampleInterval starts the coordinator's background metrics sampler at
 // the given cadence, feeding /debug/timeseries and the dashboard's
@@ -191,8 +186,8 @@ func NewNamed(shards map[string]string, opts ...Option) *Coordinator {
 		members: map[string]*member{},
 		reg:     obs.NewRegistry(),
 		slow:    obs.NewSlowLog(obs.DefaultSlowLogSize),
+		traces:  obs.NewTraceRing(obs.DefaultTraceRingSize),
 	}
-	c.traces = obs.NewTraceRing(cfg.traceBuf)
 	c.m = metrics{
 		queries:        c.reg.Counter("shard.queries"),
 		requests:       c.reg.Counter("shard.requests"),

@@ -39,35 +39,6 @@ func NewRankIter(l List) *RankIter {
 	return it
 }
 
-// Remaining counts entries not yet yielded.
-func (it *RankIter) Remaining() int { return len(it.src) - it.consumed }
-
-// UpperBound returns an upper bound on the actual similarity of every entry
-// the iterator has not yet yielded (yields are non-increasing in Act), or 0
-// when the iterator is exhausted. This is the per-list bound a threshold
-// top-k scan compares against its current k-th result.
-func (it *RankIter) UpperBound() float64 {
-	if e, ok := it.Peek(); ok {
-		return e.Act
-	}
-	return 0
-}
-
-// Peek returns the best entry not yet yielded.
-func (it *RankIter) Peek() (Entry, bool) {
-	if it.consumed == 0 {
-		if it.head < 0 {
-			return Entry{}, false
-		}
-		return it.src[it.head], true
-	}
-	it.ensureHeap()
-	if len(it.heap) == 0 {
-		return Entry{}, false
-	}
-	return it.heap[0], true
-}
-
 // Pop yields the best entry not yet yielded.
 func (it *RankIter) Pop() (Entry, bool) {
 	if it.consumed == 0 {
@@ -138,16 +109,4 @@ func entrySiftDown(h []Entry, i int) {
 		h[i], h[best] = h[best], h[i]
 		i = best
 	}
-}
-
-// MaxAct returns the greatest actual similarity in the list — its tight
-// upper bound (0 for an empty list; at most MaxSim by the list invariant).
-func (l List) MaxAct() float64 {
-	best := 0.0
-	for _, e := range l.Entries {
-		if e.Act > best {
-			best = e.Act
-		}
-	}
-	return best
 }

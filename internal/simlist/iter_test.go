@@ -90,9 +90,6 @@ func TestRankIterLazyAndNonMutating(t *testing.T) {
 	if it.heap != nil || it.built {
 		t.Fatal("heap built at construction")
 	}
-	if ub := it.UpperBound(); ub != 7 {
-		t.Fatalf("UpperBound = %g, want 7", ub)
-	}
 	if e, ok := it.Pop(); !ok || e.Act != 7 {
 		t.Fatalf("head pop = %+v, %v", e, ok)
 	}
@@ -105,8 +102,11 @@ func TestRankIterLazyAndNonMutating(t *testing.T) {
 	if !it.built {
 		t.Fatal("heap not built after advancing past the head")
 	}
-	if it.Remaining() != 1 {
-		t.Fatalf("Remaining = %d, want 1", it.Remaining())
+	if e, ok := it.Pop(); !ok || e.Act != 3 {
+		t.Fatalf("third pop = %+v, %v", e, ok)
+	}
+	if _, ok := it.Pop(); ok {
+		t.Fatal("pop past the last entry")
 	}
 	for i, e := range l.Entries {
 		if e != orig[i] {
@@ -117,23 +117,7 @@ func TestRankIterLazyAndNonMutating(t *testing.T) {
 
 func TestRankIterEmpty(t *testing.T) {
 	it := NewRankIter(Empty(5))
-	if _, ok := it.Peek(); ok {
-		t.Fatal("peek on empty list")
-	}
 	if _, ok := it.Pop(); ok {
 		t.Fatal("pop on empty list")
-	}
-	if ub := it.UpperBound(); ub != 0 {
-		t.Fatalf("UpperBound = %g, want 0", ub)
-	}
-}
-
-func TestMaxAct(t *testing.T) {
-	if got := Empty(5).MaxAct(); got != 0 {
-		t.Fatalf("empty MaxAct = %g", got)
-	}
-	l := NewList(10, iterEntry(1, 1, 3), iterEntry(3, 3, 7))
-	if got := l.MaxAct(); got != 7 {
-		t.Fatalf("MaxAct = %g, want 7", got)
 	}
 }

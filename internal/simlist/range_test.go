@@ -178,21 +178,6 @@ func TestTableValidateColumns(t *testing.T) {
 	}
 }
 
-func TestTableSortRows(t *testing.T) {
-	tb := NewTable([]string{"x"}, nil, 20)
-	tb.MustAddRow([]ObjectID{9}, nil, Empty(20))
-	tb.MustAddRow([]ObjectID{2}, nil, Empty(20))
-	tb.MustAddRow([]ObjectID{5}, nil, Empty(20))
-	tb.SortRows()
-	var got []ObjectID
-	for i := range tb.Len() {
-		got = append(got, tb.Bindings(i)[0])
-	}
-	if got[0] != 2 || got[1] != 5 || got[2] != 9 {
-		t.Fatalf("SortRows order = %v", got)
-	}
-}
-
 func TestMustAddRowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -59,7 +59,8 @@ type List struct {
 }
 
 // NewList builds a list from entries that are already sorted and disjoint.
-// It panics if the invariants do not hold; use Normalize for untrusted input.
+// It panics if the invariants do not hold; use NormalizeInPlace for
+// untrusted input.
 func NewList(maxSim float64, entries ...Entry) List {
 	l := List{MaxSim: maxSim, Entries: entries}
 	if err := l.Validate(); err != nil {
@@ -158,18 +159,12 @@ func AppendEntry(dst []Entry, e Entry) []Entry {
 	return append(dst, e)
 }
 
-// Normalize builds a valid list from arbitrary entries: it drops non-positive
-// similarities, sorts by beginning id, resolves overlaps by keeping the
-// maximum similarity on the overlap, clamps Act to maxSim, and merges equal
-// adjacent runs. It is intended for ingesting untrusted or generator data,
-// and leaves entries as they are.
-func Normalize(maxSim float64, entries []Entry) List {
-	return List{MaxSim: maxSim, Entries: NormalizeInPlace(maxSim, slices.Clone(entries))}
-}
-
-// NormalizeInPlace is Normalize for a caller that owns entries and gives
-// them up: the result is built in their storage — reordered, overwritten —
-// and is nil when nothing remains. Entries that come ascending and disjoint
+// NormalizeInPlace builds the entries of a valid list from arbitrary ones: it
+// drops non-positive similarities, sorts by beginning id, resolves overlaps
+// by keeping the maximum similarity on the overlap, clamps Act to maxSim, and
+// merges equal adjacent runs. The caller owns entries and gives them up: the
+// result is built in their storage — reordered, overwritten — and is nil
+// when nothing remains. Entries that come ascending and disjoint
 // (what the picture layer and the level-modal aggregation produce) cost one
 // pass; disjoint ones in any order a sort on top; only overlapping ones, which
 // can split into more runs than there were entries, move to a new slice.

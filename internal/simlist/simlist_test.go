@@ -84,8 +84,13 @@ func TestCanonicalMergesEqualAdjacent(t *testing.T) {
 	}
 }
 
+// normalized is NormalizeInPlace on a copy of entries, as a list.
+func normalized(maxSim float64, entries []Entry) List {
+	return List{MaxSim: maxSim, Entries: NormalizeInPlace(maxSim, slices.Clone(entries))}
+}
+
 func TestNormalize(t *testing.T) {
-	l := Normalize(20, []Entry{
+	l := normalized(20, []Entry{
 		entry(5, 10, 7),
 		entry(8, 15, 9),                          // overlap: max wins on [8,10]
 		entry(20, 25, 0),                         // dropped
@@ -170,21 +175,14 @@ func randomEntries(rng *rand.Rand, n int) []Entry {
 	return es
 }
 
-// Property: Normalize always yields a valid list, and its per-id values are
+// Property: NormalizeInPlace always yields a valid list, and its per-id values are
 // bounded by the max over the input entries covering that id.
 func TestNormalizeProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		es := randomEntries(rng, int(n%25))
-		orig := slices.Clone(es)
-		l := Normalize(20, es)
-		if l.Validate() != nil || !slices.Equal(es, orig) {
-			return false // Normalize does not own its input
-		}
-		// NormalizeInPlace does, and builds the same list where the input lay
-		// unless overlaps split it into more runs than there were entries.
-		in := NormalizeInPlace(20, slices.Clone(es))
-		if !slices.Equal(in, l.Entries) || !slices.Equal(l.Entries, l.Canonical().Entries) {
+		l := normalized(20, es)
+		if l.Validate() != nil || !slices.Equal(l.Entries, l.Canonical().Entries) {
 			return false
 		}
 		for id := 0; id <= 80; id++ {
@@ -221,7 +219,7 @@ func TestNormalizeOrderedMatchesSweep(t *testing.T) {
 		}
 		rev := slices.Clone(es)
 		slices.Reverse(rev)
-		a, b := Normalize(20, es), Normalize(20, rev)
+		a, b := normalized(20, es), normalized(20, rev)
 		return a.Validate() == nil && a.MaxSim == b.MaxSim && slices.Equal(a.Entries, b.Entries)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -233,7 +231,7 @@ func TestNormalizeOrderedMatchesSweep(t *testing.T) {
 func TestCanonicalProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		l := Normalize(20, randomEntries(rng, int(n%25)))
+		l := normalized(20, randomEntries(rng, int(n%25)))
 		c := l.Canonical()
 		if c.Validate() != nil {
 			return false

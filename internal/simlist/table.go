@@ -2,7 +2,6 @@ package simlist
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -161,38 +160,6 @@ func (t *Table) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortRows orders rows deterministically (by bindings, then ranges) so that
-// tables computed along different paths compare reproducibly. It rebuilds
-// the columns.
-func (t *Table) SortRows() {
-	order := make([]int, t.Len())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		ab, bb := t.Bindings(a), t.Bindings(b)
-		for k := range ab {
-			if ab[k] != bb[k] {
-				return ab[k] < bb[k]
-			}
-		}
-		ar, br := t.Ranges(a), t.Ranges(b)
-		for k := range ar {
-			as, bs := ar[k].String(), br[k].String()
-			if as != bs {
-				return as < bs
-			}
-		}
-		return false
-	})
-	sorted := NewTable(t.ObjVars, t.AttrVars, t.MaxSim)
-	for _, i := range order {
-		sorted.MustAddRow(t.Bindings(i), t.Ranges(i), t.List(i))
-	}
-	*t = *sorted
 }
 
 // String renders the table for diagnostics.

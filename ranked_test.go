@@ -1,9 +1,14 @@
 package htlvideo
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
+	"testing/quick"
 
+	"htlvideo/internal/casablanca"
+	"htlvideo/internal/core"
 	"htlvideo/internal/interval"
 	"htlvideo/internal/simlist"
 )
@@ -78,5 +83,73 @@ func TestRankedStableAcrossConcurrentRuns(t *testing.T) {
 			(a.VideoID == b.VideoID && a.Iv.Beg >= b.Iv.Beg)) {
 			t.Fatalf("tie at %d broken nondeterministically: %v before %v", i, a, b)
 		}
+	}
+}
+
+// rankedBySortingTwice is how Results.Ranked ranked before it became the
+// top-k scan with no cut: each video's entries sorted on their own, then
+// every run sorted again. It is the reference TestRankedMatchesSortingTwice
+// holds Ranked to.
+func rankedBySortingTwice(perVideo map[int]SimList) []Ranked {
+	var out []Ranked
+	for id, l := range perVideo {
+		runs := make([]Ranked, 0, len(l.Entries))
+		for _, e := range l.Entries {
+			runs = append(runs, Ranked{VideoID: id, Iv: e.Iv.Wide(), Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}})
+		}
+		sort.SliceStable(runs, func(i, j int) bool { return core.RankedLess(runs[i], runs[j]) })
+		out = append(out, runs...)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return core.RankedLess(out[i], out[j]) })
+	return out
+}
+
+// TestRankedMatchesSortingTwice: Ranked is the reference ranking, run for
+// run, on the MIX6 shapes over a generated corpus, on Casablanca's three
+// queries, and on random lists whose similarities tie within and across
+// videos.
+func TestRankedMatchesSortingTwice(t *testing.T) {
+	check := func(what string, res *Results) {
+		t.Helper()
+		got, want := res.Ranked(), rankedBySortingTwice(res.PerVideo)
+		if len(want) == 0 {
+			t.Errorf("%s: no ranked runs to compare", what)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Ranked differs from the reference:\n got  %v\n want %v", what, got, want)
+		}
+	}
+	mix6 := mix6Corpus(t, 8, 4, 10)
+	for _, sh := range mix6Shapes {
+		res, err := mix6.Query(sh.text, AtLevel(sh.level))
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		check("mix6/"+sh.name, res)
+	}
+	cb := casablancaStore(t)
+	for _, q := range []string{casablanca.MovingTrainQuery, casablanca.ManWomanQuery, casablanca.Query1} {
+		res, err := cb.Query(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		check("casablanca/"+q, res)
+	}
+
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		perVideo := map[int]SimList{}
+		for v := 1 + rng.Intn(6); v > 0; v-- {
+			var es []simlist.Entry
+			for beg := int32(1 + rng.Intn(3)); beg < 60; beg += int32(2 + rng.Intn(6)) {
+				es = append(es, simlist.Entry{Iv: interval.I{Beg: beg, End: beg + int32(rng.Intn(2))}, Act: float64(1 + rng.Intn(4))})
+			}
+			perVideo[1+rng.Intn(20)] = simlist.NewList(5, es...)
+		}
+		res := &Results{PerVideo: perVideo}
+		return reflect.DeepEqual(res.Ranked(), rankedBySortingTwice(perVideo))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -336,18 +336,12 @@ func (r *Results) TopKCtx(ctx context.Context, k int) []Ranked {
 // Ranked returns every non-zero run ordered by descending similarity — the
 // presentation of the paper's Table 4. Equal similarities order
 // deterministically by video id, then by beginning segment, so the ranking
-// is identical run to run even though videos evaluate concurrently.
-func (r *Results) Ranked() []Ranked {
-	var out []Ranked
-	for id, l := range r.PerVideo {
-		out = append(out, core.RankEntries(id, l)...)
-	}
-	core.SortRanked(out)
-	return out
-}
+// is identical run to run even though videos evaluate concurrently. It is
+// the top-k scan with no cut, and it records no pruning statistics.
+func (r *Results) Ranked() []Ranked { return core.RankedTopK(r.PerVideo, math.MaxInt, nil) }
 
 // Query parses and evaluates an HTL query over every stored video (use
-// OnVideo to restrict it). See QueryFormula for evaluating a pre-parsed
+// OnVideo to restrict it). See QueryFormulaCtx for evaluating a pre-parsed
 // formula.
 func (s *Store) Query(query string, opts ...QueryOption) (*Results, error) {
 	return s.QueryCtx(context.Background(), query, opts...)
@@ -387,11 +381,6 @@ func (s *Store) parse(query string, noCache bool) (*obs.Trace, *CompiledQuery, e
 		s.obs.endQuery(tr, err, nil, nil)
 	}
 	return tr, cq, err
-}
-
-// QueryFormula evaluates a parsed HTL formula.
-func (s *Store) QueryFormula(f Formula, opts ...QueryOption) (*Results, error) {
-	return s.QueryFormulaCtx(context.Background(), f, opts...)
 }
 
 // QueryFormulaCtx evaluates a parsed HTL formula under a context.

@@ -54,9 +54,6 @@ func (s *Store) EnableResultCache(cfg ResultCacheConfig) {
 	s.obs.resSize.Set(0)
 }
 
-// DisableResultCache switches result caching off and drops the cache.
-func (s *Store) DisableResultCache() { s.results.Store(nil) }
-
 // WithoutCache makes one query bypass both the plan cache and the result
 // cache: it parses, plans and evaluates from scratch and leaves no cached
 // result behind. This is the cold path for benchmarks and for callers that
