@@ -31,13 +31,14 @@ race:
 	$(GO) test -race ./...
 
 # The allocation budget (allocations and bytes per cold conj, type2 and
-# general query), what a one-video store query may allocate beyond its
-# evaluation, the kernel's byte-identity golden, and the three tests that hold
-# the evaluation arena's reuse invisible to both engines, without -race: under
-# the race detector sync.Pool drops puts on purpose, the budgets skip
-# themselves and reuse is rarer.
+# general query, for full lists and WithTopK(10)), what a one-video store
+# query may allocate beyond its evaluation, the kernel's byte-identity golden,
+# the three tests that hold the evaluation arena's reuse invisible to both
+# engines, and the proof that a WithTopK(k) query ranks exactly as the full
+# lists do, without -race: under the race detector sync.Pool drops puts on
+# purpose, the budgets skip themselves and reuse is rarer.
 budget:
-	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable)$$' -count=1 . ./internal/core/
+	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/
 
 # Metrics-conventions lint: every Prometheus exposition the store, server and
 # shard coordinator serve must pass obs.LintExposition (counter/gauge/

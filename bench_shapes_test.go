@@ -2,6 +2,7 @@ package htlvideo
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -63,8 +64,9 @@ func BenchmarkStoreColdShape(b *testing.B) {
 
 // BenchmarkStoreColdCycle is one cold MIX6 cycle per iteration: the twelve
 // queries of the serving mix in its weights (3/2/2/2/2/1), every cache
-// bypassed, ranked to the top 10. Its memory profile is EXPERIMENTS.md's "where
-// the bytes went" table, by operator (`make bench-bytes`).
+// bypassed, evaluated WithTopK(10) and ranked to the top 10, as the server
+// serves them. Its memory profile is EXPERIMENTS.md's "where the bytes went"
+// table, by operator (`make bench-bytes`).
 func BenchmarkStoreColdCycle(b *testing.B) {
 	videos, scenes := 64, 16
 	if testing.Short() {
@@ -81,7 +83,7 @@ func BenchmarkStoreColdCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, sh := range mix6Shapes {
 			for range sh.weight {
-				res, err := st.QueryCtx(context.Background(), sh.text, AtLevel(sh.level), WithUntilThreshold(0.5), WithoutCache())
+				res, err := st.QueryCtx(context.Background(), sh.text, AtLevel(sh.level), WithUntilThreshold(0.5), WithTopK(10), WithoutCache())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -113,10 +115,45 @@ func BenchmarkStoreColdCycle(b *testing.B) {
 // hold on any machine, and a byte ceiling tables allocated per evaluation do
 // not fit under — the guard of these changes that needs no benchmark harness
 // (`make budget`).
+//
+// The "k=10" rows are the same queries evaluated WithTopK(10), as the server
+// runs them: each video copies out only its best runs covering ten segments.
+// Their runs read type2 249 allocations / 17.7–18.1 KB, conj 291–352 /
+// 22–31.5 KB and general 121 / 9.8–10.7 KB, against type2 310 / 25.6–28.8 KB,
+// conj 352 / 31.9–34.2 KB and general 121 / 10.2–10.8 KB for full lists on the
+// same machine.
 var coldShapeBudget = map[string]struct{ allocs, bytes float64 }{
-	"conj":    {allocs: 361, bytes: 38_000},
-	"type2":   {allocs: 319, bytes: 29_000},
-	"general": {allocs: 121, bytes: 10_600},
+	"conj":         {allocs: 361, bytes: 38_000},
+	"type2":        {allocs: 319, bytes: 29_000},
+	"general":      {allocs: 121, bytes: 10_600},
+	"conj k=10":    {allocs: 352, bytes: 32_000},
+	"type2 k=10":   {allocs: 249, bytes: 18_000},
+	"general k=10": {allocs: 121, bytes: 10_000},
+}
+
+// coldShapeRow is one budgeted query: a MIX6 shape, evaluated WithTopK(k)
+// (0: full lists), under its coldShapeBudget name.
+type coldShapeRow struct {
+	name, text string
+	level, k   int
+	landed     struct{ allocs, bytes float64 }
+}
+
+// coldShapeRows lists the budgeted rows in MIX6 order, full lists first.
+func coldShapeRows() []coldShapeRow {
+	var rows []coldShapeRow
+	for _, k := range []int{0, 10} {
+		for _, sh := range mix6Shapes {
+			name := sh.name
+			if k > 0 {
+				name = fmt.Sprintf("%s k=%d", sh.name, k)
+			}
+			if landed, ok := coldShapeBudget[name]; ok {
+				rows = append(rows, coldShapeRow{name: name, text: sh.text, level: sh.level, k: k, landed: landed})
+			}
+		}
+	}
+	return rows
 }
 
 // skipUnlessPoolsKeep skips an allocation-count test under the race
@@ -139,14 +176,15 @@ func skipUnlessPoolsKeep(t *testing.T) {
 func TestColdShapeAllocBudget(t *testing.T) {
 	skipUnlessPoolsKeep(t)
 	st := mix6Corpus(t, 8, 4, 10)
-	for _, sh := range mix6Shapes {
-		landed, ok := coldShapeBudget[sh.name]
-		if !ok {
-			continue
+	for _, row := range coldShapeRows() {
+		landed := row.landed
+		// One worker: the count must not depend on how many the machine has.
+		opts := []QueryOption{AtLevel(row.level), WithoutCache(), WithParallelism(1)}
+		if row.k > 0 {
+			opts = append(opts, WithTopK(row.k))
 		}
 		query := func() {
-			// One worker: the count must not depend on how many the machine has.
-			if _, err := st.Query(sh.text, AtLevel(sh.level), WithoutCache(), WithParallelism(1)); err != nil {
+			if _, err := st.Query(row.text, opts...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -160,12 +198,12 @@ func TestColdShapeAllocBudget(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-		t.Logf("%s: %.0f allocations, %.0f bytes per cold query (landed %.0f, %.0f)", sh.name, allocs, bytes, landed.allocs, landed.bytes)
+		t.Logf("%s: %.0f allocations, %.0f bytes per cold query (landed %.0f, %.0f)", row.name, allocs, bytes, landed.allocs, landed.bytes)
 		if allocs > 1.5*landed.allocs {
-			t.Errorf("%s: %.0f allocations per cold query, budget %.0f (1.5 × the %.0f landed)", sh.name, allocs, 1.5*landed.allocs, landed.allocs)
+			t.Errorf("%s: %.0f allocations per cold query, budget %.0f (1.5 × the %.0f landed)", row.name, allocs, 1.5*landed.allocs, landed.allocs)
 		}
 		if bytes > 1.1*landed.bytes {
-			t.Errorf("%s: %.0f bytes per cold query, budget %.0f (1.1 × the %.0f landed)", sh.name, bytes, 1.1*landed.bytes, landed.bytes)
+			t.Errorf("%s: %.0f bytes per cold query, budget %.0f (1.1 × the %.0f landed)", row.name, bytes, 1.1*landed.bytes, landed.bytes)
 		}
 	}
 }

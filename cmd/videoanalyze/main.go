@@ -61,7 +61,7 @@ func main() {
 		os.Exit(1)
 	}
 	const q = "(exists x . present(x) and type(x) = 'man') and eventually (exists t . present(t) and type(t) = 'train' and moving(t))"
-	res, err := store.Query(q)
+	res, err := store.Query(q, htlvideo.WithTopK(5))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "videoanalyze: %v\n", err)
 		os.Exit(1)

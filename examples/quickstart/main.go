@@ -50,7 +50,9 @@ func main() {
 		           and present(y) and type(y) = 'woman')
 		and eventually (exists t . present(t) and type(t) = 'train' and moving(t))`
 
-	res, err := store.Query(query)
+	// WithTopK(5): only the runs the top five segments need leave the
+	// evaluation.
+	res, err := store.Query(query, htlvideo.WithTopK(5))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -81,10 +81,11 @@ func dumpList(l simlist.List) string {
 // Reusing an arena changes nothing an evaluation returns. One arena (not the
 // pool, which the race detector's build drops puts from) serves interleaved
 // evaluations of the conjunctive MIX6 shapes and of a freeze of a string
-// attribute, over scenes and shots of corpus videos, and is released after
-// each. Every list must equal, byte for byte, the one the same evaluation
-// returns on the heap — and every list kept from an earlier evaluation must
-// still equal itself once later evaluations have reused the arena.
+// attribute, over scenes and shots of corpus videos, for full lists and for a
+// top 3 (Options.TopK), and is released after each. Every list must equal,
+// byte for byte, the one the same evaluation returns on the heap — and every
+// list kept from an earlier evaluation must still equal itself once later
+// evaluations have reused the arena.
 func TestArenaReuseIsInvisible(t *testing.T) {
 	genres := []string{"noir", "western", "musical"}
 	rng := rand.New(rand.NewSource(2))
@@ -105,7 +106,10 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 	for i, sh := range shapes {
 		plans[i] = core.CompilePlan(htl.MustParse(sh.text))
 	}
-	opts := core.DefaultOptions()
+	// Each evaluation runs for full lists and for a top 3, whose runs are
+	// chosen on the arena.
+	full, top3 := core.DefaultOptions(), core.DefaultOptions()
+	top3.TopK = 3
 	a := new(core.Arena)
 	type kept struct {
 		what string
@@ -115,7 +119,12 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 	var lists []kept
 	frozen := 0 // lists of the freezes that are not empty
 	for vi := range atShot {
-		for i, sh := range shapes {
+		for j := range 2 * len(shapes) {
+			i, opts := j/2, full
+			if j%2 == 1 {
+				opts = top3
+			}
+			sh := shapes[i]
 			src := atShot[vi]
 			if sh.scene {
 				src = atScene[vi]
@@ -129,7 +138,7 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 				t.Fatalf("%q video %d on the arena: %v", sh.text, vi+1, err)
 			}
 			a.Release()
-			what := fmt.Sprintf("%q video %d", sh.text, vi+1)
+			what := fmt.Sprintf("%q video %d top %d", sh.text, vi+1, opts.TopK)
 			if dumpList(got) != dumpList(want) {
 				t.Errorf("%s: on the arena %s, on the heap %s", what, dumpList(got), dumpList(want))
 			}
@@ -154,10 +163,11 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 // negation, an inner ∃ over a temporal subformula, negation over a freeze, and
 // a level-modal descent into a negation, which builds child evaluators — each
 // followed by a core evaluation of `M1 until M2`, and is released after each.
-// One evaluator per sequence serves every formula over it, each twice. Every
-// list must equal, byte for byte, the one a fresh evaluator returns on the
-// heap, and every list kept from an earlier evaluation must still equal
-// itself once later evaluations have reused the arena.
+// One evaluator per sequence serves every formula over it, each twice, and a
+// fresh one evaluates it for a top 3 (Options.TopK). Every list must equal,
+// byte for byte, the one a fresh evaluator returns on the heap, and every
+// list kept from an earlier evaluation must still equal itself once later
+// evaluations have reused the arena.
 func TestReferenceArenaReuseIsInvisible(t *testing.T) {
 	atScene, atShot := corpusSystems(t, 8, 4, 10, nil)
 	shapes := []shape{
@@ -222,13 +232,26 @@ func TestReferenceArenaReuseIsInvisible(t *testing.T) {
 			if !want.IsEmpty() {
 				matched[i]++
 			}
+			// A top 3 is chosen from the dense row on the arena.
+			top3 := opts
+			top3.TopK = 3
+			want, err = refeval.New(src, top3).ListPlanOn(ctx, plans[i], nil)
+			if err != nil {
+				t.Fatalf("%s top 3: %v", what, err)
+			}
+			got, err := refeval.New(src, top3).ListPlanOn(ctx, plans[i], a)
+			if err != nil {
+				t.Fatalf("%s top 3 on the arena: %v", what, err)
+			}
+			a.Release()
+			keep(what+" top 3", got, want)
 
 			what = fmt.Sprintf("%q video %d after it", mix6Conjunctive[1].text, vi+1)
 			want, _, err = core.EvalPlanOn(nil, atShot[vi], until, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := core.EvalPlanOn(a, atShot[vi], until, opts)
+			got, _, err = core.EvalPlanOn(a, atShot[vi], until, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

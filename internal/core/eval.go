@@ -27,6 +27,10 @@ type Options struct {
 	// have been built for the plan under evaluation (NewPlanProfile) — nodes
 	// of other plans are ignored.
 	Prof *PlanProfile
+	// TopK, when positive, keeps of the evaluated list only the video's best
+	// runs covering TopK segments (CopyTopK): the rest is ranked away while
+	// the list is still in the arena, and never copied out of it.
+	TopK int
 }
 
 // DefaultOptions returns the library defaults.
@@ -81,10 +85,11 @@ func EvalPlanCtx(ctx context.Context, src Source, p *Plan, opts Options) (simlis
 
 // evalPlan evaluates p's matrix and projects its table. A table the kernel
 // built is this evaluation's and is consumed: its entry column is normalized
-// in place. An atomic matrix's table is projected by copy. Either way the
-// list that leaves is on the heap, owns exactly its entries and aliases no
-// column — no byte of the arena — because Results, the result cache and the
-// shard merge retain it.
+// in place. An atomic matrix's table is the source's, so its entries are
+// first copied into the arena. Either way the list that leaves is on the
+// heap, owns exactly its entries and aliases no column — no byte of the
+// arena — because Results, the result cache and the shard merge retain it.
+// With opts.TopK set, only the runs CopyTopK keeps leave.
 func (e *planEval) evalPlan(ctx context.Context, p *Plan) (simlist.List, error) {
 	// Strip the existential prefix; the final projection maximizes over all
 	// evaluations regardless of the prefix variables (§3.2 part two).
@@ -116,10 +121,11 @@ func (e *planEval) evalPlan(ctx context.Context, p *Plan) (simlist.List, error) 
 			opts.Prof.AddTime(n, d)
 		}
 	}
+	entries := t.Entries
 	if g.NonTemporal {
-		return ProjectMax(t), nil
+		entries = append(e.a.Entries(len(entries))[:0], entries...)
 	}
-	return simlist.List{MaxSim: t.MaxSim, Entries: owned(simlist.NormalizeInPlace(t.MaxSim, t.Entries))}, nil
+	return simlist.List{MaxSim: t.MaxSim, Entries: CopyTopK(e.a, simlist.NormalizeInPlace(t.MaxSim, entries), opts.TopK)}, nil
 }
 
 // EvalTable computes the similarity table of a (possibly open) extended

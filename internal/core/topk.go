@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"htlvideo/internal/interval"
@@ -96,6 +97,106 @@ func TopKBySort(lists map[int]simlist.List, k int) []Ranked {
 		out = append(out, r)
 	}
 	return out
+}
+
+// CopyTopK copies out of an evaluation's arena a the best runs of entries, a
+// normalized list of one video, that cover k segments: the runs the global
+// ranking can take from this video. They are chosen in RankedLess's order
+// restricted to one video (descending similarity, then ascending beginning
+// segment), the last is truncated to the segments still needed as TopKBySort
+// truncates, and they come out in beginning order, so the result is a list
+// again. k <= 0 copies every entry. The copy is exactly sized, nil for none,
+// and holds no byte of a.
+//
+// The choice is exact for any global top k' <= k: a video's runs rank among
+// themselves as they rank globally, so the global ranking takes from each
+// video a prefix of that video's ranked runs covering at most k segments —
+// a prefix of what is kept here.
+//
+// The candidates wait in a heap of entry indices carved from a, worst at the
+// root, which holds the fewest best runs seen so far that cover k segments:
+// O(n log k) for n entries, and a run that cannot place is rejected by one
+// compare against the root.
+func CopyTopK(a *Arena, entries []simlist.Entry, k int) []simlist.Entry {
+	if k <= 0 || len(entries) == 0 {
+		return owned(entries)
+	}
+	width := func(i int32) int { return entries[i].Iv.Wide().Len() }
+	h := runHeap{entries: entries, idx: a.Int32s(min(k+1, len(entries)))[:0]}
+	covered := 0
+	for i := range int32(len(entries)) {
+		if covered >= k && !h.better(i, h.idx[0]) {
+			continue
+		}
+		h.push(i)
+		covered += width(i)
+		// The worst run goes while the others still cover k.
+		for covered-width(h.idx[0]) >= k {
+			covered -= width(h.idx[0])
+			h.pop()
+		}
+	}
+	// The root is the last run the ranking takes; it keeps what is needed.
+	last := h.idx[0]
+	need := width(last) - (covered - k)
+	slices.Sort(h.idx)
+	out := make([]simlist.Entry, len(h.idx))
+	for j, i := range h.idx {
+		out[j] = entries[i]
+		if i == last && covered > k {
+			out[j].Iv.End = out[j].Iv.Beg + int32(need) - 1
+		}
+	}
+	return out
+}
+
+// runHeap is a binary heap of indices into one video's entries with the
+// worst-ranked run at the root.
+type runHeap struct {
+	entries []simlist.Entry
+	idx     []int32
+}
+
+// better reports whether entry i ranks before entry j: higher similarity,
+// then the earlier run, which is the lower index of a normalized list.
+func (h *runHeap) better(i, j int32) bool {
+	if a, b := h.entries[i].Act, h.entries[j].Act; a != b {
+		return a > b
+	}
+	return i < j
+}
+
+func (h *runHeap) push(i int32) {
+	h.idx = append(h.idx, i)
+	for c := len(h.idx) - 1; c > 0; {
+		p := (c - 1) / 2
+		if !h.better(h.idx[p], h.idx[c]) {
+			break
+		}
+		h.idx[p], h.idx[c] = h.idx[c], h.idx[p]
+		c = p
+	}
+}
+
+func (h *runHeap) pop() {
+	n := len(h.idx) - 1
+	h.idx[0] = h.idx[n]
+	h.idx = h.idx[:n]
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		worst := i
+		if l < n && h.better(h.idx[worst], h.idx[l]) {
+			worst = l
+		}
+		if r < n && h.better(h.idx[worst], h.idx[r]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h.idx[i], h.idx[worst] = h.idx[worst], h.idx[i]
+		i = worst
+	}
 }
 
 // rankedHeap is a typed binary min-heap under rankedLess (so the best run is

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"htlvideo/internal/interval"
 	"htlvideo/internal/simlist"
 )
 
@@ -106,5 +109,76 @@ func TestMaxSimOfStructure(t *testing.T) {
 		if got != want {
 			t.Errorf("MaxSimOf(%q) = %g, want %g", q, got, want)
 		}
+	}
+}
+
+// copyTopKBySort is CopyTopK's oracle: rank every run of one video's list by
+// sorting (TopKBySort over a one-video corpus), then put what it takes back
+// in segment order.
+func copyTopKBySort(l simlist.List, k int) []simlist.Entry {
+	var out []simlist.Entry
+	for _, r := range TopKBySort(map[int]simlist.List{1: l}, k) {
+		out = append(out, simlist.Entry{Iv: interval.I{Beg: int32(r.Iv.Beg), End: int32(r.Iv.End)}, Act: r.Sim.Act})
+	}
+	slices.SortFunc(out, func(a, b simlist.Entry) int { return cmp.Compare(a.Iv.Beg, b.Iv.Beg) })
+	return out
+}
+
+// Property: the in-arena selector keeps exactly the runs sorting ranks first
+// — same runs, same truncation of the last — in segment order, on the heap
+// and on an arena reused across calls, and what it returns is a valid list
+// that aliases neither its input nor the arena.
+func TestCopyTopKMatchesSorting(t *testing.T) {
+	a := new(Arena)
+	f := func(seed int64, kRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		k := int(kRaw%40) + 1
+		l := randomLists(rng, 1)[1]
+		want := copyTopKBySort(l, k)
+		in := slices.Clone(l.Entries)
+		for _, arena := range []*Arena{nil, a} {
+			got := CopyTopK(arena, in, k)
+			a.Release()
+			if !slices.Equal(got, want) || !slices.Equal(in, l.Entries) {
+				t.Logf("k=%d list %v: got %v, want %v", k, l, got, want)
+				return false
+			}
+			if err := (simlist.List{MaxSim: l.MaxSim, Entries: got}).Validate(); err != nil {
+				t.Logf("k=%d: %v", k, err)
+				return false
+			}
+			if len(got) > 0 && &got[0] == &in[0] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCopyTopKEdgeCases(t *testing.T) {
+	l := simlist.NewList(10, entry(1, 4, 5), entry(6, 6, 9), entry(8, 12, 5), entry(14, 14, 9))
+	for _, c := range []struct {
+		k    int
+		want []simlist.Entry
+	}{
+		{0, l.Entries}, // no cut
+		{-1, l.Entries},
+		{1, []simlist.Entry{entry(6, 6, 9)}},
+		{2, []simlist.Entry{entry(6, 6, 9), entry(14, 14, 9)}},
+		// Equal similarities: the earlier run first; the last truncated.
+		{4, []simlist.Entry{entry(1, 2, 5), entry(6, 6, 9), entry(14, 14, 9)}},
+		{7, []simlist.Entry{entry(1, 4, 5), entry(6, 6, 9), entry(8, 8, 5), entry(14, 14, 9)}},
+		{11, l.Entries},
+		{100, l.Entries},
+	} {
+		if got := CopyTopK(nil, l.Entries, c.k); !slices.Equal(got, c.want) {
+			t.Errorf("k=%d: %v, want %v", c.k, got, c.want)
+		}
+	}
+	if got := CopyTopK(nil, nil, 3); got != nil {
+		t.Errorf("empty list: %v", got)
 	}
 }

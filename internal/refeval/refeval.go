@@ -134,7 +134,9 @@ func (e *Evaluator) ListPlanCtx(ctx context.Context, p *core.Plan) (simlist.List
 
 // ListPlanOn is ListPlanCtx on arena a (nil: the heap), which it leaves to
 // its caller unreleased. The list it returns owns its entries and holds no
-// byte of a, and the evaluator keeps no reference to a once it returns.
+// byte of a, and the evaluator keeps no reference to a once it returns. With
+// opts.TopK set, the dense row's runs are cut to the best covering TopK
+// segments (core.CopyTopK) in the arena, and only those are copied out.
 func (e *Evaluator) ListPlanOn(ctx context.Context, p *core.Plan, a *core.Arena) (simlist.List, error) {
 	e.bind(p, a)
 	defer e.unbind()
@@ -149,6 +151,10 @@ func (e *Evaluator) ListPlanOn(ctx context.Context, p *core.Plan, a *core.Arena)
 			return simlist.List{}, err
 		}
 		dense[u-1] = v
+	}
+	if k := e.opts.TopK; k > 0 {
+		runs := simlist.AppendDense(a.Entries(len(dense))[:0], dense)
+		return simlist.List{MaxSim: maxSim, Entries: core.CopyTopK(a, runs, k)}, nil
 	}
 	return simlist.FromDense(maxSim, dense), nil
 }

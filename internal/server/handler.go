@@ -415,13 +415,15 @@ func (p QueryParams) Values() url.Values {
 
 // StoreOptions are the store query options of the whole query p describes.
 // An inbound trace id joins the store's traces (and so an explain's
-// trace_id field) into the caller's distributed trace.
+// trace_id field) into the caller's distributed trace. K becomes WithTopK:
+// a query keeps only the runs its top k can take (an explain ignores it).
 func (p QueryParams) StoreOptions() []htlvideo.QueryOption {
-	opts := make([]htlvideo.QueryOption, 0, 7)
+	opts := make([]htlvideo.QueryOption, 0, 8)
 	opts = append(opts,
 		htlvideo.AtLevel(p.Level),
 		htlvideo.WithUntilThreshold(p.Tau),
 		htlvideo.WithEngine(p.Engine),
+		htlvideo.WithTopK(p.K),
 	)
 	if p.AtRoot {
 		opts = append(opts, htlvideo.AtRoot())
@@ -588,7 +590,9 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	out.TraceID = p.TraceID
 
 	// Each video runs as a one-video query without WithPartialResults, so
-	// its failure comes back as an error the breaker and the retries see.
+	// its failure comes back as an error the breaker and the retries see,
+	// and under WithTopK(p.K): the merged top k lies in the union of the
+	// per-video top k, so each video copies out only its own.
 	whole := p
 	whole.Partial = false
 	opts := whole.StoreOptions()

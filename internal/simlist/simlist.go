@@ -382,13 +382,20 @@ func FromDense(maxSim float64, dense []float64) List {
 	if runs == 0 {
 		return l
 	}
-	l.Entries = make([]Entry, 0, runs)
+	l.Entries = AppendDense(make([]Entry, 0, runs), dense)
+	return l
+}
+
+// AppendDense appends to dst the runs of a dense row — dense[i] the
+// similarity at segment i+1, zero where it does not hold — and returns the
+// extended slice; dst must hold no entry at or after segment 1.
+func AppendDense(dst []Entry, dense []float64) []Entry {
 	for i, v := range dense {
 		if v > 0 {
-			l.Entries = AppendEntry(l.Entries, Entry{Iv: interval.Point(int32(i + 1)), Act: v})
+			dst = AppendEntry(dst, Entry{Iv: interval.Point(int32(i + 1)), Act: v})
 		}
 	}
-	return l
+	return dst
 }
 
 // String renders the list in the paper's notation, e.g.

@@ -189,6 +189,7 @@ type queryConfig struct {
 	parallelism    int
 	partial        bool
 	noCache        bool
+	topK           int
 	sink           obs.TraceSink
 	// traceID, when set, joins the query's trace into a distributed trace
 	// minted elsewhere (the coordinator, via X-Htl-Trace).
@@ -258,6 +259,15 @@ func WithPartialResults() QueryOption { return func(c *queryConfig) { c.partial 
 // Expect measurable slowdown on reference-engine explains.
 func WithExactProfile() QueryOption { return func(c *queryConfig) { c.exactProf = true } }
 
+// WithTopK(k) evaluates for a top-k answer: while a video's similarity list
+// is still in its evaluation's memory, only the video's best runs covering k
+// segments are kept (highest similarity first, then earliest; the last run
+// cut to the segments still needed), and the rest is never copied out.
+// Results.TopK(k') is then exact for every k' <= k and returns the top k for
+// a larger k'; Results.PerVideo and Results.Ranked hold only the kept runs.
+// k < 1 keeps full lists, the default. Explain always evaluates full lists.
+func WithTopK(k int) QueryOption { return func(c *queryConfig) { c.topK = k } }
+
 // OnVideo restricts the query to a single video.
 func OnVideo(id int) QueryOption { return func(c *queryConfig) { c.videoID = &id } }
 
@@ -287,7 +297,9 @@ type Results struct {
 	Formula Formula
 	// Class is the formula's class.
 	Class Class
-	// PerVideo maps video id to its similarity list over segment ids.
+	// PerVideo maps video id to its similarity list over segment ids. Under
+	// WithTopK(k) a list holds only that video's best runs covering k
+	// segments, not every segment where the query holds.
 	PerVideo map[int]SimList
 	// Errors lists per-video failures when the query ran with
 	// WithPartialResults(): one *VideoError per failed video, ordered by
@@ -301,6 +313,9 @@ type Results struct {
 	// from already-evaluated lists (NewResults).
 	obs     *storeObs
 	planKey string
+	// cut is the k of WithTopK the lists were evaluated for; 0 for full
+	// lists.
+	cut int
 }
 
 // NewResults wraps already-evaluated per-video similarity lists in a Results
@@ -316,12 +331,16 @@ func (s *Store) NewResults(perVideo map[int]SimList) *Results {
 // unseen entry can still displace the k-th run, and the entries skipped that
 // way feed the store's query.topk.* counters. The ranking is byte-identical
 // to sorting every entry (core.TopKBySort is the oracle the tests hold it
-// to).
+// to). Results of a WithTopK(k) query rank at most k segments: a larger k
+// returns the top k, the most the kept runs answer exactly.
 func (r *Results) TopK(k int) []Ranked { return r.TopKCtx(context.Background(), k) }
 
 // TopKCtx is TopK under a context: cancellation stops the scan promptly and
 // yields no ranking (a cancelled caller has no use for a partial one).
 func (r *Results) TopKCtx(ctx context.Context, k int) []Ranked {
+	if r.cut > 0 {
+		k = min(k, r.cut)
+	}
 	var st core.PruneStats
 	out, err := core.RankedTopKCtx(ctx, r.PerVideo, k, &st)
 	if err != nil {
@@ -337,7 +356,9 @@ func (r *Results) TopKCtx(ctx context.Context, k int) []Ranked {
 // presentation of the paper's Table 4. Equal similarities order
 // deterministically by video id, then by beginning segment, so the ranking
 // is identical run to run even though videos evaluate concurrently. It is
-// the top-k scan with no cut, and it records no pruning statistics.
+// the top-k scan with no cut, and it records no pruning statistics. Under
+// WithTopK(k) it ranks only the kept runs, which may cover more than k
+// segments across videos; TopK(k) is the exact answer.
 func (r *Results) Ranked() []Ranked { return core.RankedTopK(r.PerVideo, math.MaxInt, nil) }
 
 // Query parses and evaluates an HTL query over every stored video (use
@@ -451,7 +472,7 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 		work = append(work, v)
 	}
 	tr.SetTag("videos", strconv.Itoa(len(work)))
-	res := &Results{Formula: cq.f, Class: cq.class, PerVideo: map[int]SimList{}, obs: s.obs, planKey: cq.plan.Key}
+	res := &Results{Formula: cq.f, Class: cq.class, PerVideo: map[int]SimList{}, obs: s.obs, planKey: cq.plan.Key, cut: max(cfg.topK, 0)}
 	if len(work) == 0 {
 		return res, nil
 	}
@@ -555,7 +576,7 @@ func (s *Store) queryVideoIsolated(ctx context.Context, parent *obs.Span, v *Vid
 // direct and reference engines evaluate the compiled plan, so duplicated
 // subformulas are computed once per video.
 func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQuery, cfg *queryConfig, sp *obs.Span) (SimList, error) {
-	opts := core.Options{UntilThreshold: cfg.untilThreshold, MemoHits: &cfg.memoHits, Prof: cfg.prof}
+	opts := core.Options{UntilThreshold: cfg.untilThreshold, MemoHits: &cfg.memoHits, Prof: cfg.prof, TopK: cfg.topK}
 	switch cfg.engine {
 	case EngineDirect:
 		sp.SetTag("engine", "core")
@@ -566,7 +587,13 @@ func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQu
 	case EngineSQL:
 		sp.SetTag("engine", "sqlgen")
 		// The translator records a span per generated statement under sp.
-		return s.evalSQL(obs.ContextWithSpan(ctx, sp), sys, cq, cfg)
+		l, err := s.evalSQL(obs.ContextWithSpan(ctx, sp), sys, cq, cfg)
+		if err == nil && cfg.topK > 0 {
+			// The baseline builds its list outside any arena; cut it all
+			// the same, so every engine answers WithTopK alike.
+			l.Entries = core.CopyTopK(nil, l.Entries, cfg.topK)
+		}
+		return l, err
 	default:
 		// The plan's class is the test EvalPlanCtx would refuse it by.
 		if cq.plan.Class == htl.ClassGeneral {

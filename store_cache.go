@@ -61,7 +61,8 @@ func (s *Store) EnableResultCache(cfg ResultCacheConfig) {
 func WithoutCache() QueryOption { return func(c *queryConfig) { c.noCache = true } }
 
 // resultKey builds the cache identity of one query: the store generation, the
-// options that change the answer, and the formula's canonical text.
+// options that change the answer (WithTopK's k among them: its lists are cut),
+// and the formula's canonical text.
 // Parallelism, tracing and cache options are deliberately absent — they do
 // not affect results.
 func (s *Store) resultKey(cq *CompiledQuery, cfg *queryConfig) string {
@@ -84,6 +85,11 @@ func (s *Store) resultKey(cq *CompiledQuery, cfg *queryConfig) string {
 	}
 	if cfg.partial {
 		b.WriteString("p|")
+	}
+	if cfg.topK > 0 {
+		b.WriteByte('k')
+		b.Write(strconv.AppendInt(num[:0], int64(cfg.topK), 10))
+		b.WriteByte('|')
 	}
 	b.WriteString(cq.plan.Key)
 	return b.String()

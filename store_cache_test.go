@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"htlvideo/internal/casablanca"
+	"htlvideo/internal/core"
 )
 
 // TestCompileSharesPlans: compiling the same query twice — or textual
@@ -282,5 +283,49 @@ func TestCachedResultsIdentical(t *testing.T) {
 				t.Fatalf("cached result differs from uncached:\n cached: %s\n fresh:  %s", gf, wf)
 			}
 		})
+	}
+}
+
+// TestResultCacheKeysOnTopK: WithTopK's k is part of the result-cache key —
+// the same query with no k, with k=5 and with k=10 makes three entries, each
+// answers its own k exactly, and each is a hit when asked again.
+func TestResultCacheKeysOnTopK(t *testing.T) {
+	s := mix6Corpus(t, 8, 4, 10)
+	s.EnableResultCache(ResultCacheConfig{Capacity: 16})
+	const q = "M1 until M2"
+	full, err := s.Query(q, AtLevel(3), WithoutCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		opts []QueryOption
+		k    int // the ranking asked of the answer
+	}{
+		{nil, 10},
+		{[]QueryOption{WithTopK(5)}, 5},
+		{[]QueryOption{WithTopK(10)}, 10},
+	}
+	first := make([]*Results, len(cases))
+	for round := range 2 {
+		for i, c := range cases {
+			res, err := s.Query(q, append([]QueryOption{AtLevel(3)}, c.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rankedBytes(res.TopK(c.k)), rankedBytes(core.TopKBySort(full.PerVideo, c.k)); got != want {
+				t.Errorf("case %d round %d:\ngot  %s\nwant %s", i, round, got, want)
+			}
+			if round == 0 {
+				first[i] = res
+			} else if res != first[i] {
+				t.Errorf("case %d: the second query was not answered by its own entry", i)
+			}
+		}
+	}
+	if got, want := resultFingerprint(t, first[0]), resultFingerprint(t, full); got != want {
+		t.Error("the cached answer with no k holds other lists than an uncached query")
+	}
+	if rc := s.Stats().ResultCache; rc.Misses != 3 || rc.Hits != 3 || rc.Size != 3 {
+		t.Fatalf("result cache = %+v, want 3 misses, 3 hits, size 3", rc)
 	}
 }

@@ -89,6 +89,7 @@ func (s *Store) ExplainCtx(ctx context.Context, query string, opts ...QueryOptio
 	prof := core.NewPlanProfile(cq.plan, cfg.exactProf)
 	cfg.prof = prof
 	cfg.noCache = true // a cached result has no execution to attribute
+	cfg.topK = 0       // the profile describes the evaluation of full lists
 	res, err := s.queryCompiledCtx(ctx, tr, cq, cfg)
 	if err != nil {
 		return nil, err

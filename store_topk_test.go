@@ -6,11 +6,15 @@ package htlvideo
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"htlvideo/internal/casablanca"
 	"htlvideo/internal/core"
 	"htlvideo/internal/faultinject"
 	"htlvideo/internal/interval"
@@ -117,5 +121,195 @@ func TestTopKCancellationNoLeak(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("goroutines leaked: %d -> %d\n%s", before, after, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// rankedBytes prints a ranking exactly: similarities as %b.
+func rankedBytes(rs []Ranked) string {
+	var b strings.Builder
+	for _, r := range rs {
+		fmt.Fprintf(&b, "%d %d-%d %b/%b;", r.VideoID, r.Iv.Beg, r.Iv.End, r.Sim.Act, r.Sim.Max)
+	}
+	return b.String()
+}
+
+// segments counts the segments lists cover.
+func segments(lists map[int]SimList) int {
+	n := 0
+	for _, l := range lists {
+		for _, e := range l.Entries {
+			n += int(e.Iv.End-e.Iv.Beg) + 1
+		}
+	}
+	return n
+}
+
+// cutFacts reports whether a ranking of full lists truncates its last run,
+// and whether two runs it ranks tie on similarity across videos.
+func cutFacts(full map[int]SimList, want []Ranked) (truncated, crossTie bool) {
+	if n := len(want); n > 0 {
+		last := want[n-1]
+		for _, e := range full[last.VideoID].Entries {
+			if int(e.Iv.Beg) == last.Iv.Beg && int(e.Iv.End) != last.Iv.End {
+				truncated = true
+			}
+		}
+	}
+	for i := 1; i < len(want); i++ {
+		if want[i].Sim.Act == want[i-1].Sim.Act && want[i].VideoID != want[i-1].VideoID {
+			crossTie = true
+		}
+	}
+	return truncated, crossTie
+}
+
+// TestWithTopKMatchesFullRanking: a query evaluated WithTopK(k), each video
+// keeping only its best runs covering k segments, ranks to the top k exactly
+// as sorting every entry of the full lists does, byte for byte — over MIX6's
+// shapes on a corpus of its videos, Casablanca's queries (the atomic
+// predicates project on the arena) and random lists cut by core.CopyTopK,
+// under every engine that evaluates them (the SQL baseline: type (1) only), for k from one segment to more than
+// the lists cover; no video keeps more than k segments. The cases include
+// ties across videos and a truncated last run.
+func TestWithTopKMatchesFullRanking(t *testing.T) {
+	type query struct {
+		name, text string
+		level      int
+	}
+	var mix []query
+	for _, sh := range mix6Shapes {
+		mix = append(mix, query{sh.name, sh.text, sh.level})
+	}
+	corpora := []struct {
+		name    string
+		st      *Store
+		queries []query
+	}{
+		{"MIX6", mix6Corpus(t, 8, 4, 10), mix},
+		{"Casablanca", casablancaStore(t), []query{
+			{"query1", casablanca.Query1, 2},
+			{"man-woman", casablanca.ManWomanQuery, 2},
+			{"moving-train", casablanca.MovingTrainQuery, 2},
+		}},
+	}
+	ks := []int{1, 2, 3, 7, 10, 64}
+	var truncated, crossTies, sqlRuns int
+	check := func(what string, full map[int]SimList, k int, got []Ranked) {
+		t.Helper()
+		want := core.TopKBySort(full, k)
+		if rankedBytes(got) != rankedBytes(want) {
+			t.Errorf("%s k=%d:\ngot  %s\nwant %s", what, k, rankedBytes(got), rankedBytes(want))
+		}
+		tr, tie := cutFacts(full, want)
+		if tr {
+			truncated++
+		}
+		if tie {
+			crossTies++
+		}
+	}
+	for _, c := range corpora {
+		for _, q := range c.queries {
+			for _, e := range []Engine{EngineAuto, EngineDirect, EngineReference, EngineSQL} {
+				what := fmt.Sprintf("%s %s engine %d", c.name, q.name, e)
+				full, err := c.st.Query(q.text, AtLevel(q.level), WithEngine(e), WithoutCache())
+				if e == EngineDirect && q.name == "general" {
+					if err == nil {
+						t.Fatalf("%s: the direct engine evaluated a general formula", what)
+					}
+					continue
+				}
+				if e == EngineSQL {
+					if err != nil {
+						continue // the SQL baseline implements type (1) only
+					}
+					sqlRuns++
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				for _, k := range append(ks, segments(full.PerVideo)+1) {
+					res, err := c.st.Query(q.text, AtLevel(q.level), WithEngine(e), WithTopK(k), WithoutCache())
+					if err != nil {
+						t.Fatalf("%s k=%d: %v", what, k, err)
+					}
+					check(what, full.PerVideo, k, res.TopK(k))
+					for v, l := range res.PerVideo {
+						if n := segments(map[int]SimList{v: l}); n > k {
+							t.Errorf("%s k=%d: video %d keeps %d segments", what, k, v, n)
+						}
+					}
+				}
+			}
+		}
+	}
+	if sqlRuns == 0 {
+		t.Fatal("the SQL baseline evaluated none of the queries")
+	}
+	if truncated == 0 || crossTies == 0 {
+		t.Fatalf("the store cases rank %d truncated last runs and %d ties across videos; want some of each", truncated, crossTies)
+	}
+
+	s := NewStore(nil, DefaultWeights())
+	rng := rand.New(rand.NewSource(3))
+	for seed := range 50 {
+		full := map[int]SimList{}
+		for v := 1; v <= 1+rng.Intn(5); v++ {
+			var entries []simlist.Entry
+			for pos := int32(1 + rng.Intn(3)); pos < 60; pos += int32(2 + rng.Intn(3)) {
+				end := pos + int32(rng.Intn(4))
+				entries = append(entries, simlist.Entry{Iv: interval.I{Beg: pos, End: end}, Act: float64(1 + rng.Intn(4))})
+				pos = end
+			}
+			full[v] = simlist.NewList(10, entries...)
+		}
+		for _, k := range append(ks, segments(full)+1) {
+			cut := map[int]SimList{}
+			for v, l := range full {
+				cut[v] = SimList{MaxSim: l.MaxSim, Entries: core.CopyTopK(nil, l.Entries, k)}
+			}
+			check(fmt.Sprintf("random lists %d", seed), full, k, s.NewResults(cut).TopK(k))
+		}
+	}
+}
+
+// TestWithTopKRemembersItsCut: the results of a WithTopK(k) query hold only
+// each video's kept runs, answer a larger k with the top k rather than a
+// wrong ranking, and an explain ignores the option and profiles full lists.
+func TestWithTopKRemembersItsCut(t *testing.T) {
+	s := mix6Corpus(t, 8, 4, 10)
+	const q, k = "M1 until M2", 3
+	full, err := s.Query(q, AtLevel(3), WithoutCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Query(q, AtLevel(3), WithTopK(k), WithoutCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rankedBytes(core.TopKBySort(full.PerVideo, k))
+	for _, kk := range []int{k, k + 1, 100} {
+		if got := rankedBytes(res.TopK(kk)); got != want {
+			t.Errorf("TopK(%d) of a top-%d query:\ngot  %s\nwant %s", kk, k, got, want)
+		}
+	}
+	if n := segments(full.PerVideo); n <= k {
+		t.Fatalf("the full lists cover %d segments: nothing to cut", n)
+	}
+	for v, l := range res.PerVideo {
+		if n := segments(map[int]SimList{v: l}); n > k {
+			t.Errorf("video %d keeps %d segments, more than %d", v, n, k)
+		}
+	}
+	if got, all := len(res.Ranked()), len(full.Ranked()); got >= all {
+		t.Errorf("Ranked holds %d runs of a top-%d query, the full lists %d", got, k, all)
+	}
+
+	er, err := s.Explain(q, AtLevel(3), WithTopK(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := segments(er.Results.PerVideo), segments(full.PerVideo); got != want {
+		t.Errorf("an explain WithTopK(%d) kept %d segments, the full lists cover %d", k, got, want)
 	}
 }
