@@ -32,13 +32,15 @@ race:
 
 # The allocation budget (allocations and bytes per cold conj, type2 and
 # general query, for full lists and WithTopK(10)), what a one-video store
-# query may allocate beyond its evaluation, the kernel's byte-identity golden,
-# the three tests that hold the evaluation arena's reuse invisible to both
-# engines, and the proof that a WithTopK(k) query ranks exactly as the full
-# lists do, without -race: under the race detector sync.Pool drops puts on
-# purpose, the budgets skip themselves and reuse is rarer.
+# query may allocate beyond its evaluation (traced and unsampled), what one
+# cold GET /query of each MIX6 shape allocates through the server's handler,
+# the kernel's byte-identity golden, the three tests that hold the evaluation
+# arena's reuse invisible to both engines, and the proof that a WithTopK(k)
+# query ranks exactly as the full lists do, without -race: under the race
+# detector sync.Pool drops puts on purpose, the budgets skip themselves and
+# reuse is rarer.
 budget:
-	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/
+	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestColdRequestAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/ ./internal/server/
 
 # Metrics-conventions lint: every Prometheus exposition the store, server and
 # shard coordinator serve must pass obs.LintExposition (counter/gauge/

@@ -50,7 +50,10 @@
 //	GET  /debug/health   coordinator health rollup (membership, breakers)
 //
 // Both modes answer ?trace=1 on /query with a span tree in the envelope, and
-// join an inbound X-Htl-Trace header into a distributed trace.
+// join an inbound X-Htl-Trace header into a distributed trace. A single
+// server traces the store queries of those requests and of every 64th other
+// one; /debug/traces shows those, and /debug/slowlog keeps a span tree only
+// for them.
 package main
 
 import (

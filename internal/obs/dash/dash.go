@@ -73,7 +73,7 @@ type Sources struct {
 //	                       (0.0.4) via Accept or ?format=prometheus
 //	GET /healthz           liveness: 200 while the process runs
 //	GET /readyz            readiness: 200, or 503 with src.Ready's reason
-//	GET /debug/slowlog     the slowest queries with their full traces
+//	GET /debug/slowlog     the slowest queries, each traced one with its trace
 //	GET /debug/traces      recent traces, most recent first (?id= for one
 //	                       full span tree)
 //	GET /debug/queries     per-plan-key workload statistics

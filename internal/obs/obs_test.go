@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -325,6 +326,61 @@ func TestSlowLogConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := len(l.Snapshot()); got != 8 {
 		t.Fatalf("entries = %d, want 8", got)
+	}
+}
+
+// TestSlowLogEntryKinds: a traced query's entry keeps its snapshot, takes id,
+// plan key and dominant shard from it, and encodes exactly as an entry did
+// when every entry held its snapshot by value; an untraced query's entry
+// keeps the name, plan key, trace id and duration it was admitted with and
+// encodes no "trace" key. Both kinds rank together by duration.
+func TestSlowLogEntryKinds(t *testing.T) {
+	l := NewSlowLog(4)
+	tr := doneTrace("M1 until M2", 2*time.Millisecond)
+	tr.SetID("abc")
+	tr.SetTag("plan_key", "(M1 until M2)")
+	tr.SetTag("dominant_shard", "shard-1")
+	tr.StartSpan("eval").End()
+	l.ObserveTrace(tr)
+	l.Observe("M1", "M1", "def", 3*time.Millisecond, nil)
+	got := l.Snapshot()
+	if len(got) != 2 {
+		t.Fatalf("entries = %d, want 2", len(got))
+	}
+	untraced, traced := got[0], got[1]
+	if untraced.Query != "M1" || untraced.PlanKey != "M1" || untraced.TraceID != "def" ||
+		untraced.Duration != 3*time.Millisecond || untraced.Trace != nil {
+		t.Errorf("untraced entry = %+v", untraced)
+	}
+	if traced.Query != "M1 until M2" || traced.TraceID != "abc" || traced.PlanKey != "(M1 until M2)" ||
+		traced.Shard != "shard-1" || traced.Trace == nil || len(traced.Trace.Spans) != 1 {
+		t.Fatalf("traced entry = %+v", traced)
+	}
+
+	enc, err := json.Marshal(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byValue, err := json.Marshal(struct {
+		Query    string        `json:"query"`
+		Duration time.Duration `json:"duration_ns"`
+		When     time.Time     `json:"when"`
+		TraceID  string        `json:"trace_id,omitempty"`
+		PlanKey  string        `json:"plan_key,omitempty"`
+		Shard    string        `json:"shard,omitempty"`
+		Trace    TraceSnapshot `json:"trace"`
+	}{traced.Query, traced.Duration, traced.When, traced.TraceID, traced.PlanKey, traced.Shard, tr.Snapshot()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(enc) != string(byValue) {
+		t.Errorf("traced entry encodes as\n%s\nwant\n%s", enc, byValue)
+	}
+	if enc, err = json.Marshal(untraced); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(enc), `"trace"`) {
+		t.Errorf("untraced entry encodes a trace: %s", enc)
 	}
 }
 

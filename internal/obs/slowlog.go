@@ -21,12 +21,14 @@ type SlowEntry struct {
 	// Shard names the shard whose sub-query dominated a scatter-gather's
 	// wall time (the trace's dominant_shard tag) — on coordinator slow logs
 	// it points at where the time actually went.
-	Shard string        `json:"shard,omitempty"`
-	Trace TraceSnapshot `json:"trace"`
+	Shard string `json:"shard,omitempty"`
+	// Trace is the query's span tree, absent for a query that was not
+	// traced (an HTTP request the server did not sample).
+	Trace *TraceSnapshot `json:"trace,omitempty"`
 }
 
-// SlowLog retains the N slowest queries seen, with their full traces — the
-// backing store of /debug/slowlog. It implements TraceSink, so it plugs
+// SlowLog retains the N slowest queries seen, each traced one with its full
+// trace — the backing store of /debug/slowlog. It implements TraceSink, so it plugs
 // directly into the store's query path.
 type SlowLog struct {
 	mu      sync.Mutex
@@ -47,25 +49,25 @@ func NewSlowLog(n int) *SlowLog {
 
 // ObserveTrace implements TraceSink: a finished query enters the log if it is
 // among the slowest seen.
-func (l *SlowLog) ObserveTrace(t *Trace) {
-	if l == nil || t == nil {
+func (l *SlowLog) ObserveTrace(t *Trace) { l.Observe(t.Name(), "", "", t.Duration(), t) }
+
+// Observe admits a finished query if it is among the slowest seen. A traced
+// query passes its trace t, whose snapshot the entry keeps and whose id,
+// plan_key and dominant_shard tags fill the entry's fields; an untraced one
+// passes nil and is logged by name, plan key, trace id and duration alone.
+func (l *SlowLog) Observe(query, planKey, traceID string, d time.Duration, t *Trace) {
+	if l == nil {
 		return
 	}
-	d := t.Duration()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.entries) == l.cap && d <= l.entries[len(l.entries)-1].Duration {
 		return
 	}
-	snap := t.Snapshot()
-	e := SlowEntry{
-		Query:    t.Name(),
-		Duration: d,
-		When:     time.Now(),
-		TraceID:  snap.ID,
-		PlanKey:  snap.Tags["plan_key"],
-		Shard:    snap.Tags["dominant_shard"],
-		Trace:    snap,
+	e := SlowEntry{Query: query, Duration: d, When: time.Now(), TraceID: traceID, PlanKey: planKey}
+	if t != nil {
+		snap := t.Snapshot()
+		e.TraceID, e.PlanKey, e.Shard, e.Trace = snap.ID, snap.Tags["plan_key"], snap.Tags["dominant_shard"], &snap
 	}
 	i := sort.Search(len(l.entries), func(i int) bool { return l.entries[i].Duration < d })
 	l.entries = append(l.entries, SlowEntry{})

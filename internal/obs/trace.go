@@ -303,9 +303,6 @@ func (t *Trace) Snapshot() TraceSnapshot {
 	return out
 }
 
-// Spans returns the top-level stage snapshots in start order.
-func (t *Trace) Spans() []SpanSnapshot { return t.Snapshot().Spans }
-
 func (s *Span) snapshotLocked() SpanSnapshot {
 	out := SpanSnapshot{Name: s.name, Tags: copyTags(s.tags), Offset: s.offset, Duration: s.dur}
 	if !s.ended {

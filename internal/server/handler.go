@@ -574,7 +574,14 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	// trace into the caller's id (they surface in this process's slow log and
 	// trace ring under it); ?trace=1 additionally builds a request-level span
 	// tree — one span per video, each attempt a child carrying the store's
-	// own spans — returned in the envelope for the caller to stitch.
+	// own spans — returned in the envelope for the caller to stitch, and
+	// mints the id here when none came in, so the store traces share it.
+	// Any other request's store queries are traced only if it is the
+	// server's every storeTraceSampleEvery-th; the rest build no trace.
+	sampled := p.Trace || p.TraceID != "" || s.untraced.Add(1)%storeTraceSampleEvery == 1
+	if p.Trace && p.TraceID == "" {
+		p.TraceID = obs.NewTraceID()
+	}
 	var tr *obs.Trace
 	var evalSpan *obs.Span
 	var videoSpans []*obs.Span
@@ -596,6 +603,9 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	whole := p
 	whole.Partial = false
 	opts := whole.StoreOptions()
+	if !sampled {
+		opts = append(opts, htlvideo.Unsampled())
+	}
 	// videoSpan is video i's span, opened at its first use.
 	videoSpan := func(i int) *obs.Span {
 		if videoSpans[i] == nil {

@@ -161,6 +161,13 @@ func newServerMetrics() *serverMetrics {
 	}
 }
 
+// storeTraceSampleEvery is the server's trace sampling rate: of the /query
+// requests that neither ask for a trace (?trace=1) nor join one
+// (X-Htl-Trace), one in this many has its per-video store queries traced, so
+// /debug/traces and the slow log's span trees keep showing live traffic
+// while the rest pay for no trace.
+const storeTraceSampleEvery = 64
+
 // Server is the fault-tolerant query server. Create one with New (an
 // in-memory store) or Open (a store file, enabling hot reload), mount
 // Handler on a listener via Serve, and stop with Shutdown.
@@ -190,6 +197,11 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	draining   atomic.Bool
+
+	// untraced counts the /query requests that asked for no trace; every
+	// storeTraceSampleEvery-th of them, the first included, is traced all
+	// the same.
+	untraced atomic.Uint64
 
 	httpMu  sync.Mutex
 	httpSrv *http.Server

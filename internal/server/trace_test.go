@@ -9,9 +9,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"htlvideo/internal/obs"
+	"htlvideo/internal/obs/querystats"
 )
 
 func traceTestServer(t *testing.T) *httptest.Server {
@@ -182,5 +184,101 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	}
 	if snap.ID != propagated {
 		t.Fatalf("fetched trace id = %q, want %q", snap.ID, propagated)
+	}
+}
+
+// A ?trace=1 request without X-Htl-Trace mints its id once, before the
+// fan-out: every store trace it leaves in the slow log and the trace ring
+// carries the response's trace_id, not an id of its own.
+func TestTraceParamJoinsStoreTraces(t *testing.T) {
+	srv := New(chaosStore(t, 3), WithRandSeed(1))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	code, out := getTraced(t, ts.URL+"/query?q=M1&trace=1", "")
+	if code != http.StatusOK || out.TraceID == "" {
+		t.Fatalf("status %d, trace_id %q", code, out.TraceID)
+	}
+	st := srv.Store()
+	slow := st.SlowLog().Snapshot()
+	if len(slow) != 3 {
+		t.Fatalf("slow log holds %d entries, want one per video", len(slow))
+	}
+	for _, e := range slow {
+		if e.TraceID != out.TraceID || e.Trace == nil || e.Trace.ID != out.TraceID {
+			t.Errorf("slow-log entry under %q, want the response's %q", e.TraceID, out.TraceID)
+		}
+	}
+	ring := st.TraceRing().List()
+	if len(ring) != 4 {
+		t.Fatalf("ring holds %d traces, want three store traces and the request's", len(ring))
+	}
+	for _, s := range ring {
+		if s.ID != out.TraceID {
+			t.Errorf("ring trace %q (%v) under %q, want the response's %q", s.Name, s.Tags, s.ID, out.TraceID)
+		}
+	}
+}
+
+// The server samples store traces per request: of the requests that ask for
+// no trace, the 1st, the 65th and the 129th leave their store queries' traces
+// in the ring, and a ?trace=1 or X-Htl-Trace request always does, without
+// moving that count. Sampled or not, every request adds the same to the
+// store's query counters, its latency histogram and /debug/queries' totals.
+func TestStoreTracesSampledPerRequest(t *testing.T) {
+	const videos = 3
+	srv := New(chaosStore(t, videos), WithRandSeed(1))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	st := srv.Store()
+	type counts struct{ total, engine, class, latency, calls int64 }
+	read := func() counts {
+		stats := st.Stats()
+		var q querystats.Snapshot
+		resp, err := http.Get(ts.URL + "/debug/queries")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&q); err != nil {
+			t.Fatal(err)
+		}
+		return counts{stats.Queries.Total, stats.Queries.ByEngine["auto"], stats.Queries.ByClass["type1"],
+			stats.Queries.Latency.Count, int64(q.Totals.Calls)}
+	}
+	// request sends one query and reports how many traces it left in the
+	// ring, checking the accounting it added.
+	request := func(query, header string) int {
+		t.Helper()
+		ring, before := st.TraceRing().Len(), read()
+		if code, _ := getTraced(t, ts.URL+query, header); code != http.StatusOK {
+			t.Fatalf("%s: status %d", query, code)
+		}
+		after := read()
+		want := counts{before.total + videos, before.engine + videos, before.class + videos, before.latency + videos, before.calls + videos}
+		if after != want {
+			t.Fatalf("%s: accounting went %+v -> %+v, want %+v", query, before, after, want)
+		}
+		return st.TraceRing().Len() - ring
+	}
+	var sampled []int
+	for i := 1; i <= 130; i++ {
+		if n := request("/query?q=M1", ""); n > 0 {
+			if n != videos {
+				t.Fatalf("untraced request %d left %d traces, want %d", i, n, videos)
+			}
+			sampled = append(sampled, i)
+		}
+		switch i {
+		case 2, 64:
+			if n := request("/query?q=M1&trace=1", ""); n != videos+1 {
+				t.Fatalf("?trace=1 after request %d left %d traces, want %d and the request's", i, n, videos)
+			}
+			if n := request("/query?q=M1", "0123456789abcdef0123456789abcdef"); n != videos {
+				t.Fatalf("X-Htl-Trace after request %d left %d traces, want %d", i, n, videos)
+			}
+		}
+	}
+	if !reflect.DeepEqual(sampled, []int{1, 65, 129}) {
+		t.Fatalf("untraced requests that left store traces: %v, want [1 65 129]", sampled)
 	}
 }

@@ -182,18 +182,18 @@ type QueryOption func(*queryConfig)
 
 type queryConfig struct {
 	level          int
-	atRoot         bool
 	untilThreshold float64
-	engine         Engine
 	videoID        *int
 	parallelism    int
-	partial        bool
-	noCache        bool
 	topK           int
 	sink           obs.TraceSink
 	// traceID, when set, joins the query's trace into a distributed trace
 	// minted elsewhere (the coordinator, via X-Htl-Trace).
 	traceID string
+	// name and begin are the query's text and start (since queryClock),
+	// which its accounting reads when no trace records them.
+	name  string
+	begin time.Duration
 	// rec accumulates the per-query facts the workload statistics aggregate
 	// at settle time (queryCompiledCtx labels it; runQuery and the result
 	// cache fill it in).
@@ -204,9 +204,17 @@ type queryConfig struct {
 	// prof is the per-plan-node profile ExplainCtx attaches; nil otherwise,
 	// so a plain query pays for no profile.
 	prof *core.PlanProfile
+	// The one-byte fields share one word of the per-query allocation.
+	engine  Engine
+	atRoot  bool
+	partial bool
+	noCache bool
 	// exactProf turns on exact per-visit time attribution in engines whose
 	// profile timing is count-based (the reference evaluator).
 	exactProf bool
+	// unsampled (Unsampled) leaves the query without a trace unless a sink,
+	// a trace id or an explain asks for one.
+	unsampled bool
 }
 
 // newQueryConfig applies the options over the defaults.
@@ -219,6 +227,21 @@ func newQueryConfig(opts []QueryOption) *queryConfig {
 		cfg.level = 1
 	}
 	return cfg
+}
+
+// queryClock is the origin of queryConfig.begin: a monotonic offset from it
+// takes 8 bytes of the per-query config, where a time.Time takes 24.
+var queryClock = time.Now()
+
+// startTrace starts the query's clock under name and returns its trace, or
+// nil for an unsampled query: every obs method is nil-safe, so an untraced
+// query builds no span and formats no tag.
+func (c *queryConfig) startTrace(name string) *obs.Trace {
+	c.name, c.begin = name, time.Since(queryClock)
+	if c.unsampled && c.sink == nil && c.traceID == "" {
+		return nil
+	}
+	return obs.NewTrace(name)
 }
 
 // AtLevel asserts the formula on each video's proper sequence at the given
@@ -377,7 +400,7 @@ func (s *Store) Query(query string, opts ...QueryOption) (*Results, error) {
 // kept, tagged plan_cache=hit, so trace structure is stable).
 func (s *Store) QueryCtx(ctx context.Context, query string, opts ...QueryOption) (*Results, error) {
 	cfg := newQueryConfig(opts)
-	tr, cq, err := s.parse(query, cfg.noCache)
+	tr, cq, err := s.parse(query, cfg.noCache, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -385,11 +408,11 @@ func (s *Store) QueryCtx(ctx context.Context, query string, opts ...QueryOption)
 }
 
 // parse is the parse stage of QueryCtx and ExplainCtx: it starts the query's
-// trace and compiles the text through the plan cache (bypassed when noCache)
-// under a parse span tagged plan_cache=hit or miss. A parse failure settles
-// the query's accounting here.
-func (s *Store) parse(query string, noCache bool) (*obs.Trace, *CompiledQuery, error) {
-	tr := obs.NewTrace(query)
+// clock and trace (cfg.startTrace) and compiles the text through the plan
+// cache (bypassed when noCache) under a parse span tagged plan_cache=hit or
+// miss. A parse failure settles the query's accounting here.
+func (s *Store) parse(query string, noCache bool, cfg *queryConfig) (*obs.Trace, *CompiledQuery, error) {
+	tr := cfg.startTrace(query)
 	sp := tr.StartSpan("parse")
 	cq, hit, err := s.compile(query, noCache)
 	if hit {
@@ -399,7 +422,7 @@ func (s *Store) parse(query string, noCache bool) (*obs.Trace, *CompiledQuery, e
 	}
 	sp.End()
 	if err != nil {
-		s.obs.endQuery(tr, err, nil, nil)
+		s.obs.endQuery(tr, err, nil, cfg)
 	}
 	return tr, cq, err
 }
@@ -419,22 +442,24 @@ func (s *Store) parse(query string, noCache bool) (*obs.Trace, *CompiledQuery, e
 func (s *Store) QueryFormulaCtx(ctx context.Context, f Formula, opts ...QueryOption) (*Results, error) {
 	cfg := newQueryConfig(opts)
 	cq := s.compileFormula(f, cfg.noCache)
-	return s.queryCompiledCtx(ctx, obs.NewTrace(cq.plan.Key), cq, cfg)
+	return s.queryCompiledCtx(ctx, cfg.startTrace(cq.plan.Key), cq, cfg)
 }
 
-// queryCompiledCtx runs a compiled query under an already-started trace
-// (QueryCtx adds the parse stage before calling it). Whatever path the query
-// takes — including a result-cache hit — the deferred endQuery settles the
-// per-query accounting: totals, per-engine and per-class counters and
-// latency, the slow log, and the trace sinks.
+// queryCompiledCtx runs a compiled query under an already-started trace, nil
+// when the query is unsampled (QueryCtx adds the parse stage before calling
+// it). Whatever path the query takes — including a result-cache hit — the
+// deferred endQuery settles the per-query accounting: totals, per-engine and
+// per-class counters and latency, the slow log, and the trace sinks.
 func (s *Store) queryCompiledCtx(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig) (res *Results, err error) {
 	engine := engineKey(cfg.engine)
 	class := classKey(cq.class)
-	tr.SetID(cfg.traceID)
-	tr.SetTag("engine", engine)
-	tr.SetTag("class", class)
-	tr.SetTag("level", strconv.Itoa(cfg.level))
-	tr.SetTag("plan_key", cq.plan.Key)
+	if tr != nil {
+		tr.SetID(cfg.traceID)
+		tr.SetTag("engine", engine)
+		tr.SetTag("class", class)
+		tr.SetTag("level", strconv.Itoa(cfg.level))
+		tr.SetTag("plan_key", cq.plan.Key)
+	}
 	cfg.rec = querystats.Record{PlanKey: cq.plan.Key, Class: class, Engine: engine}
 	defer func() { s.obs.endQuery(tr, err, cq, cfg) }()
 
@@ -471,7 +496,9 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 		}
 		work = append(work, v)
 	}
-	tr.SetTag("videos", strconv.Itoa(len(work)))
+	if tr != nil {
+		tr.SetTag("videos", strconv.Itoa(len(work)))
+	}
 	res := &Results{Formula: cq.f, Class: cq.class, PerVideo: map[int]SimList{}, obs: s.obs, planKey: cq.plan.Key, cut: max(cfg.topK, 0)}
 	if len(work) == 0 {
 		return res, nil
@@ -557,7 +584,9 @@ func (s *Store) queryVideoIsolated(ctx context.Context, parent *obs.Span, v *Vid
 		}
 	}()
 	vsp := parent.StartSpan("video")
-	vsp.SetTag("video", strconv.Itoa(v.ID))
+	if vsp != nil {
+		vsp.SetTag("video", strconv.Itoa(v.ID))
+	}
 	defer vsp.End()
 	ssp := vsp.StartSpan("system")
 	sys, err := s.system(ctx, ssp, v, cfg.level)

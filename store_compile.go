@@ -14,7 +14,6 @@ import (
 
 	"htlvideo/internal/core"
 	"htlvideo/internal/htl"
-	"htlvideo/internal/obs"
 )
 
 // DefaultPlanCacheCapacity bounds the store's compiled-query cache.
@@ -52,7 +51,8 @@ func (cq *CompiledQuery) Query(opts ...QueryOption) (*Results, error) {
 // QueryCtx evaluates the compiled query under a context. Nothing is parsed
 // or looked up, so its trace starts at the eval stage, like QueryFormulaCtx's.
 func (cq *CompiledQuery) QueryCtx(ctx context.Context, opts ...QueryOption) (*Results, error) {
-	return cq.store.queryCompiledCtx(ctx, obs.NewTrace(cq.text), cq, newQueryConfig(opts))
+	cfg := newQueryConfig(opts)
+	return cq.store.queryCompiledCtx(ctx, cfg.startTrace(cq.text), cq, cfg)
 }
 
 // ProfileLabels are the pprof labels an evaluation of the query under engine

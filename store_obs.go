@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"htlvideo/internal/core"
 	"htlvideo/internal/faultinject"
@@ -282,11 +283,17 @@ func (o *storeObs) observeTopK(st core.PruneStats, planKey string) {
 // endQuery finishes a query's trace and settles its per-query accounting:
 // totals, error classification, per-engine and per-formula-class counters and
 // latency histograms, the per-plan-key workload statistics, the slow log, the
-// trace ring and the query's own sink. cq and cfg are nil when nothing was compiled (a parse
-// failure): there are no breakdowns, no plan key to aggregate under and no
-// per-query sink.
+// trace ring and the query's own sink. cq is nil when nothing was compiled (a
+// parse failure): there are no breakdowns, no plan key to aggregate under and
+// no per-query sink. tr is nil for an unsampled query, which is timed from
+// cfg.begin, enters the slow log without a span tree and leaves the ring alone.
 func (o *storeObs) endQuery(tr *obs.Trace, err error, cq *CompiledQuery, cfg *queryConfig) {
-	d := tr.Finish()
+	var d time.Duration
+	if tr != nil {
+		d = tr.Finish()
+	} else {
+		d = time.Since(queryClock) - cfg.begin
+	}
 	o.queries.Inc()
 	ec := errorClass(err)
 	if err != nil {
@@ -294,11 +301,15 @@ func (o *storeObs) endQuery(tr *obs.Trace, err error, cq *CompiledQuery, cfg *qu
 		if c := o.errClass[ec]; c != nil {
 			c.Inc()
 		}
-		tr.SetTag("error", truncateErr(err))
-		tr.SetTag("error_class", ec)
+		if tr != nil {
+			tr.SetTag("error", truncateErr(err))
+			tr.SetTag("error_class", ec)
+		}
 	}
 	o.queryLat.Observe(d)
+	planKey := ""
 	if cq != nil {
+		planKey = cq.plan.Key
 		o.qstats.Observe(&cfg.rec, d, ec)
 		for _, m := range [...]*keyedMetrics{
 			o.keyed(&o.byEngine[engineIndex(cfg.engine)], "engine", engineKey(cfg.engine)),
@@ -308,9 +319,9 @@ func (o *storeObs) endQuery(tr *obs.Trace, err error, cq *CompiledQuery, cfg *qu
 			m.lat.Observe(d)
 		}
 	}
-	o.slow.ObserveTrace(tr)
+	o.slow.Observe(cfg.name, planKey, cfg.traceID, d, tr)
 	o.ring.ObserveTrace(tr)
-	if cfg != nil && cfg.sink != nil {
+	if cq != nil && cfg.sink != nil {
 		cfg.sink.ObserveTrace(tr)
 	}
 }
@@ -536,7 +547,7 @@ func (s *Store) Stats() Stats {
 func (s *Store) Metrics() *obs.Registry { return s.obs.reg }
 
 // SlowLog exposes the store's slow-query log: the N slowest queries seen,
-// with their full traces.
+// each with its trace when the query was traced (see Unsampled).
 func (s *Store) SlowLog() *obs.SlowLog { return s.obs.slow }
 
 // TraceRing exposes the store's bounded ring of recent query traces (the
@@ -585,6 +596,14 @@ func (s *Store) DebugHandler() http.Handler {
 func WithTrace(sink obs.TraceSink) QueryOption {
 	return func(c *queryConfig) { c.sink = sink }
 }
+
+// Unsampled leaves the query untraced: it builds no trace, so neither the
+// trace ring nor a sink sees it, while its metrics and workload statistics
+// are settled as for any query and the slow log still admits it by duration,
+// without a span tree. WithTrace, WithTraceID and Explain trace a query
+// regardless. The server passes it to the per-video queries of a request it
+// did not sample.
+func Unsampled() QueryOption { return func(c *queryConfig) { c.unsampled = true } }
 
 // WithTraceID joins this query's trace into a distributed trace minted
 // elsewhere: the trace adopts id instead of allocating its own, so slow-log

@@ -363,6 +363,59 @@ func TestSlowLogRecordsQueries(t *testing.T) {
 	}
 }
 
+// TestUnsampledQuery: an Unsampled query, a parse failure included, leaves
+// nothing in the trace ring and enters the slow log by name, plan key and
+// duration with no span tree, while the query counters and the latency
+// histogram count it; WithTrace, WithTraceID and Explain trace it regardless.
+func TestUnsampledQuery(t *testing.T) {
+	s := resilienceStore(t, 2)
+	if _, err := s.Query("M1 until M2", Unsampled()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Query("M1 until (", Unsampled()); err == nil {
+		t.Fatal("a malformed query parsed")
+	}
+	if n := s.TraceRing().Len(); n != 0 {
+		t.Fatalf("unsampled queries left %d traces in the ring", n)
+	}
+	slow := s.SlowLog().Snapshot()
+	if len(slow) != 2 {
+		t.Fatalf("slow log holds %d entries, want 2", len(slow))
+	}
+	for _, e := range slow {
+		if e.Trace != nil || e.Duration <= 0 {
+			t.Errorf("slow-log entry %+v, want a duration and no trace", e)
+		}
+		if e.Query == "M1 until M2" && e.PlanKey == "" {
+			t.Errorf("slow-log entry %+v has no plan key", e)
+		}
+	}
+	if q := s.Stats().Queries; q.Total != 2 || q.Errors != 1 || q.Latency.Count != 2 || q.ByClass["type1"] != 1 {
+		t.Fatalf("query stats = %+v, want both queries counted", q)
+	}
+
+	var tc TraceCollector
+	if _, err := s.Query("M1", Unsampled(), WithTrace(&tc)); err != nil || tc.Last() == nil {
+		t.Fatalf("Unsampled with WithTrace: err %v, no trace delivered", err)
+	}
+	if _, err := s.Query("M2", Unsampled(), WithTraceID("0123456789abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.TraceRing().Get("0123456789abcdef"); !ok {
+		t.Fatal("Unsampled with WithTraceID left no trace under the id")
+	}
+	ex, err := s.Explain("M1", Unsampled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.TraceID == "" || ex.TotalTime <= 0 {
+		t.Fatalf("Unsampled explain: trace id %q, total %v", ex.TraceID, ex.TotalTime)
+	}
+	if n := s.TraceRing().Len(); n != 3 {
+		t.Fatalf("ring holds %d traces, want the three forced ones", n)
+	}
+}
+
 // TestDebugHandler: the /metrics and /debug/slowlog endpoints serve valid
 // JSON reflecting the store's counters.
 func TestDebugHandler(t *testing.T) {

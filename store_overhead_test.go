@@ -16,13 +16,16 @@ import (
 // lookups had left the path: allocations and bytes, unlabeled and under a
 // caller's ProfileLabels (the server's case, where the store does not
 // relabel). Before, the same query allocated 52 times and 4 312 bytes
-// beyond its evaluation.
+// beyond its evaluation. The "unsampled" row is the labeled query under
+// Unsampled, as the server sends it for a request it does not trace: no
+// trace, no span and no formatted tag, 13 allocations and 1 080 bytes.
 // TestStoreQueryOverheadBudget fails at 1.1 times either figure (`make
 // budget`): the server sends one such query per video per request, so every
 // byte here is paid 64 times a request on the serving benchmark's corpus.
 var storeQueryOverhead = map[string]struct{ allocs, bytes float64 }{
 	"unlabeled": {allocs: 26, bytes: 2232},
 	"labeled":   {allocs: 22, bytes: 1968},
+	"unsampled": {allocs: 13, bytes: 1080},
 }
 
 func TestStoreQueryOverheadBudget(t *testing.T) {
@@ -46,17 +49,32 @@ func TestStoreQueryOverheadBudget(t *testing.T) {
 			}
 		}
 	}
-	query := func(ctx context.Context) func() {
+	query := func(ctx context.Context, unsampled bool) func() {
 		return func() {
-			if _, err := cq.QueryCtx(ctx, OnVideo(1), AtLevel(3), WithParallelism(1)); err != nil {
+			var err error
+			if unsampled {
+				_, err = cq.QueryCtx(ctx, OnVideo(1), AtLevel(3), WithParallelism(1), Unsampled())
+			} else {
+				_, err = cq.QueryCtx(ctx, OnVideo(1), AtLevel(3), WithParallelism(1))
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	labeled := pprof.WithLabels(context.Background(), cq.ProfileLabels(EngineAuto))
-	for name, ctx := range map[string]context.Context{"unlabeled": context.Background(), "labeled": labeled} {
-		allocs := testing.AllocsPerRun(50, query(ctx)) - testing.AllocsPerRun(50, evalOnly(ctx))
-		bytes := bytesPerRun(50, query(ctx)) - bytesPerRun(50, evalOnly(ctx))
+	for _, row := range []struct {
+		name      string
+		ctx       context.Context
+		unsampled bool
+	}{
+		{"unlabeled", context.Background(), false},
+		{"labeled", labeled, false},
+		{"unsampled", labeled, true},
+	} {
+		name, ctx := row.name, row.ctx
+		allocs := testing.AllocsPerRun(50, query(ctx, row.unsampled)) - testing.AllocsPerRun(50, evalOnly(ctx))
+		bytes := bytesPerRun(50, query(ctx, row.unsampled)) - bytesPerRun(50, evalOnly(ctx))
 		budget := storeQueryOverhead[name]
 		t.Logf("%s: %.0f allocations, %.0f bytes beyond the evaluation (landed %.0f, %.0f)", name, allocs, bytes, budget.allocs, budget.bytes)
 		if allocs > 1.1*budget.allocs {
