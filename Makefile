@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle bench bench-short bench-shapes bench-bytes loc
+.PHONY: check vet staticcheck build test race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle fuzz-topk bench bench-short bench-shapes bench-bytes loc
 
 check: vet staticcheck build race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check
 
@@ -121,6 +121,12 @@ fuzz-wal:
 # value table built on the way validates).
 fuzz-oracle:
 	$(GO) test -run '^$$' -fuzz=FuzzOracle -fuzztime=30s ./internal/refeval/
+
+# Short top-k fuzz session (FuzzTopK: on any per-video lists and k, the
+# selection equals the full-sort oracle, and so does ranking each video's
+# CopyTopK(k) cut).
+fuzz-topk:
+	$(GO) test -run '^$$' -fuzz=FuzzTopK -fuzztime=30s ./internal/core/
 
 # Benchmarks plus BENCH_obs.json (per-engine query latency from the store's
 # own metrics histograms), BENCH_perf.json (compilation/caching ns/op,

@@ -43,7 +43,7 @@ func TestWriteBenchPerf(t *testing.T) {
 		// WarmSpeedup = RepeatedQueryCold / RepeatedQueryWarm ns/op.
 		WarmSpeedup float64 `json:"warm_speedup"`
 		// TopKSpeedup = RankedTopKColdFull / RankedTopKColdPruned ns/op:
-		// the threshold-style pruned scan against full materialization.
+		// the top-k selection against full materialization.
 		TopKSpeedup float64 `json:"topk_speedup"`
 	}{Query: "M1 until M2", Benchmarks: map[string]result{}}
 
@@ -72,11 +72,11 @@ func TestWriteBenchPerf(t *testing.T) {
 	full := report.Benchmarks["RankedTopKColdFull"].NsPerOp
 	pruned := report.Benchmarks["RankedTopKColdPruned"].NsPerOp
 	if pruned <= 0 {
-		t.Fatal("pruned top-k benchmark reported non-positive ns/op")
+		t.Fatal("the top-k selection benchmark reported non-positive ns/op")
 	}
 	report.TopKSpeedup = float64(full) / float64(pruned)
 	if report.TopKSpeedup <= 1 {
-		t.Fatalf("pruned cold top-k is not faster than full materialization: %.2fx", report.TopKSpeedup)
+		t.Fatalf("the cold top-k selection is not faster than full materialization: %.2fx", report.TopKSpeedup)
 	}
 
 	buf, err := json.MarshalIndent(report, "", "  ")

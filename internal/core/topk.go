@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"sort"
 
+	"htlvideo/internal/faultinject"
 	"htlvideo/internal/interval"
 	"htlvideo/internal/simlist"
 )
@@ -25,7 +27,7 @@ type Ranked struct {
 // is what makes a merged ranking identical to a single-store run.
 func RankedLess(a, b Ranked) bool { return rankedLess(a, b) }
 
-// rankedLess is the single ordering shared by the sort and the heap: best
+// rankedLess is the single ordering shared by the sorts and the heap: best
 // first, deterministic tie-breaks.
 func rankedLess(a, b Ranked) bool {
 	if a.Sim.Act != b.Sim.Act {
@@ -39,40 +41,70 @@ func rankedLess(a, b Ranked) bool {
 
 // TopK returns the k highest-similarity video segments across per-video
 // similarity lists (§1: "the top k video segments that have the highest
-// similarity values ... will be retrieved"). Runs of equal-similarity
-// segments stay as one Ranked entry; the last run is truncated so that the
-// total number of segments returned is exactly min(k, covered). A heap keeps
-// the cost at O(n + r log n) for n entries and r emitted runs.
-func TopK(lists map[int]simlist.List, k int) []Ranked {
+// similarity values ... will be retrieved"), ordered by RankedLess. Runs of
+// equal-similarity segments stay as one Ranked entry; the last run is
+// truncated so that the total number of segments returned is exactly
+// min(k, covered). k = math.MaxInt ranks every entry.
+//
+// It is CopyTopK's selection one level up: a heap with the worst run at the
+// root holds the fewest best runs seen so far that cover k segments, and an
+// entry that cannot place is rejected by comparing its similarity with the
+// root's before a Ranked is built for it. skipped counts those rejections.
+// The kept runs are the same whatever order the videos are visited in, so
+// the ranking is deterministic; skipped is not. The lists are not modified.
+// The context is checked, and faultinject.SiteTopKScan fired, once per video.
+func TopK(ctx context.Context, lists map[int]simlist.List, k int) (top []Ranked, skipped int64, err error) {
 	if k <= 0 {
-		return nil
+		return nil, 0, nil
 	}
 	n := 0
 	for _, l := range lists {
 		n += len(l.Entries)
 	}
-	h := make(rankedHeap, 0, n)
+	if n == 0 {
+		return nil, 0, nil
+	}
+	h := keptRuns(make([]Ranked, 0, min(k, n-1)+1))
+	covered := 0
 	for vid, l := range lists {
+		if err := faultinject.Fire(ctx, faultinject.SiteTopKScan, int64(vid)); err != nil {
+			return nil, 0, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
+		}
 		for _, e := range l.Entries {
-			h = append(h, Ranked{VideoID: vid, Iv: e.Iv.Wide(), Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}})
+			if covered >= k && (e.Act < h[0].Sim.Act || e.Act == h[0].Sim.Act && rankedLess(h[0], lift(vid, l.MaxSim, e))) {
+				skipped++
+				continue
+			}
+			r := lift(vid, l.MaxSim, e)
+			h.push(r)
+			covered += r.Iv.Len()
+			// The worst run goes while the others still cover k.
+			for covered-h[0].Iv.Len() >= k {
+				covered -= h[0].Iv.Len()
+				h.pop()
+			}
 		}
 	}
-	h.init()
-	var out []Ranked
-	remaining := k
-	for remaining > 0 && len(h) > 0 {
-		r := h.pop()
-		if r.Iv.Len() > remaining {
-			r.Iv.End = r.Iv.Beg + remaining - 1
+	slices.SortFunc(h, func(a, b Ranked) int {
+		if rankedLess(a, b) {
+			return -1
 		}
-		remaining -= r.Iv.Len()
-		out = append(out, r)
+		if rankedLess(b, a) {
+			return 1
+		}
+		return 0
+	})
+	if last := &h[len(h)-1]; covered > k {
+		last.Iv.End -= covered - k
 	}
-	return out
+	return h, skipped, nil
 }
 
-// TopKBySort is the naive alternative that fully sorts all entries; kept for
-// the ablation benchmark.
+// TopKBySort is the naive alternative that fully sorts all entries: the
+// oracle TopK is held to.
 func TopKBySort(lists map[int]simlist.List, k int) []Ranked {
 	if k <= 0 {
 		return nil
@@ -80,7 +112,7 @@ func TopKBySort(lists map[int]simlist.List, k int) []Ranked {
 	var all []Ranked
 	for vid, l := range lists {
 		for _, e := range l.Entries {
-			all = append(all, Ranked{VideoID: vid, Iv: e.Iv.Wide(), Sim: simlist.Sim{Act: e.Act, Max: l.MaxSim}})
+			all = append(all, lift(vid, l.MaxSim, e))
 		}
 	}
 	sort.SliceStable(all, func(i, j int) bool { return rankedLess(all[i], all[j]) })
@@ -122,7 +154,7 @@ func CopyTopK(a *Arena, entries []simlist.Entry, k int) []simlist.Entry {
 		return owned(entries)
 	}
 	width := func(i int32) int { return entries[i].Iv.Wide().Len() }
-	h := runHeap{entries: entries, idx: a.Int32s(min(k+1, len(entries)))[:0]}
+	h := runHeap{entries: entries, idx: a.Int32s(min(k, len(entries)-1) + 1)[:0]}
 	covered := 0
 	for i := range int32(len(entries)) {
 		if covered >= k && !h.better(i, h.idx[0]) {
@@ -199,46 +231,46 @@ func (h *runHeap) pop() {
 	}
 }
 
-// rankedHeap is a typed binary min-heap under rankedLess (so the best run is
-// at the root). It is hand-rolled rather than built on container/heap: the
-// interface-based heap boxes every Ranked through `any` on Push/Pop, which
-// costs an allocation per element on the retrieval hot path.
-type rankedHeap []Ranked
-
-// init establishes the heap invariant in O(n).
-func (h rankedHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
+// lift is entry e of video vid, whose list's bound is max, as a ranked run.
+func lift(vid int, max float64, e simlist.Entry) Ranked {
+	return Ranked{VideoID: vid, Iv: e.Iv.Wide(), Sim: simlist.Sim{Act: e.Act, Max: max}}
 }
 
-// pop removes and returns the best element.
-func (h *rankedHeap) pop() Ranked {
+// keptRuns is a binary heap of runs with the worst-ranked at the root.
+type keptRuns []Ranked
+
+func (h *keptRuns) push(r Ranked) {
+	s := append(*h, r)
+	for c := len(s) - 1; c > 0; {
+		p := (c - 1) / 2
+		if !rankedLess(s[p], s[c]) {
+			break
+		}
+		s[p], s[c] = s[c], s[p]
+		c = p
+	}
+	*h = s
+}
+
+func (h *keptRuns) pop() {
 	s := *h
-	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
 	s = s[:n]
 	*h = s
-	s.siftDown(0)
-	return top
-}
-
-func (h rankedHeap) siftDown(i int) {
-	n := len(h)
-	for {
+	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && rankedLess(h[l], h[best]) {
-			best = l
+		worst := i
+		if l < n && rankedLess(s[worst], s[l]) {
+			worst = l
 		}
-		if r < n && rankedLess(h[r], h[best]) {
-			best = r
+		if r < n && rankedLess(s[worst], s[r]) {
+			worst = r
 		}
-		if best == i {
+		if worst == i {
 			return
 		}
-		h[i], h[best] = h[best], h[i]
-		i = best
+		s[i], s[worst] = s[worst], s[i]
+		i = worst
 	}
 }

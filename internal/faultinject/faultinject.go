@@ -38,9 +38,9 @@ const (
 	// executes; the key is the statement's ordinal in the database's
 	// lifetime (0-based).
 	SiteRelationalExec Site = "relational.Exec"
-	// SiteTopKScan fires inside a threshold top-k scan, once per video
-	// whose list is being bounded or advanced; the key is the video id.
-	// Stall rules there block the scan until its context is cancelled.
+	// SiteTopKScan fires inside the top-k selection (core.TopK), once per
+	// video before its list is read; the key is the video id. Stall rules
+	// there block the selection until its context is cancelled.
 	SiteTopKScan Site = "core.TopKScan"
 	// SiteWALAppend fires before each write-ahead-log frame write; the key
 	// is the file offset the frame would start at. It is an IO site

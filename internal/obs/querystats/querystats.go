@@ -177,8 +177,8 @@ func (s *Stats) Observe(rec *Record, d time.Duration, errClass string) {
 	s.totals.Calls++
 }
 
-// ObserveTopK attributes entries skipped by a pruned top-k scan to the plan
-// key that produced the results. The totals accumulate even when the entry
+// ObserveTopK attributes the entries a top-k selection rejected, never
+// ranked, to the plan key that produced the results. The totals accumulate even when the entry
 // has been evicted in the meantime.
 func (s *Stats) ObserveTopK(planKey string, skipped int64) {
 	if s == nil || planKey == "" || skipped <= 0 {

@@ -260,10 +260,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), p.Timeout)
 	defer cancel()
 
-	out := s.evaluate(ctx, st, p)
+	out, err := s.evaluate(ctx, st, p)
 	out.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 
 	switch {
+	case err != nil:
+		// The merge did not complete: an empty top would read as "nothing
+		// matched".
+		code := http.StatusInternalServerError
+		if errors.Is(err, context.DeadlineExceeded) {
+			code = http.StatusGatewayTimeout
+		}
+		obs.WriteError(w, code, obs.Truncate("ranking: "+err.Error(), 300))
 	case ctx.Err() != nil && out.Evaluated == 0:
 		// The deadline consumed the whole request.
 		obs.WriteJSON(w, http.StatusGatewayTimeout, out)
@@ -558,7 +566,7 @@ func ParseExplainRequest(r *http.Request, d ParseDefaults) (p QueryParams, statu
 // The formula is compiled and the request labeled for the CPU profiler once,
 // so a per-video store query pays for its evaluation and its own accounting
 // only.
-func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams) *QueryResponse {
+func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams) (*QueryResponse, error) {
 	cq := st.CompileFormula(p.Formula)
 	out := &QueryResponse{Class: cq.Class().String()}
 	var eligible []int64
@@ -671,7 +679,7 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	})
 	evalSpan.End()
 
-	lists := map[int]htlvideo.SimList{}
+	lists := make(map[int]htlvideo.SimList, len(eligible))
 	for i, r := range results {
 		id := int(eligible[i])
 		out.Retries += int64(max(r.Attempts-1, 0))
@@ -691,12 +699,22 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	}
 	out.Evaluated = len(lists)
 	mergeSpan := tr.StartSpan("merge")
-	res := st.NewResults(lists)
-	for _, rk := range res.TopKCtx(ctx, p.K) {
+	// The deadline ends work not yet done. A fan-out it cut short still ranks
+	// its survivors, the partial answer; a deadline reached during the
+	// ranking fails the request (504 in handleQuery).
+	mctx := ctx
+	if ctx.Err() != nil {
+		mctx = context.WithoutCancel(ctx)
+	}
+	top, err := st.NewResults(lists).TopKCtx(mctx, p.K)
+	for _, rk := range top {
 		out.Top = append(out.Top, RankedDoc{
 			Video: rk.VideoID, Beg: rk.Iv.Beg, End: rk.Iv.End,
 			Sim: rk.Sim.Act, Frac: rk.Sim.Frac(),
 		})
+	}
+	if err != nil {
+		mergeSpan.SetTag("error", obs.Truncate(err.Error(), 120))
 	}
 	mergeSpan.End()
 	if tr != nil {
@@ -709,5 +727,5 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 		// traces, so /debug/traces on this process shows the stitched view.
 		st.TraceRing().ObserveTrace(tr)
 	}
-	return out
+	return out, err
 }

@@ -94,3 +94,51 @@ func TestRetriesCountsReattemptsOnly(t *testing.T) {
 		t.Fatalf("envelope retries %d, server.retries grew by %d; want both 1", out.Retries, delta)
 	}
 }
+
+// TestMergeFailureIsNotEmptyAnswer: when the cross-video ranking does not
+// complete, /query must not answer 200 with every video evaluated and an
+// empty top, which a client cannot tell from "nothing matched". A ranking
+// stalled until the request's deadline answers 504; one that fails answers
+// 500. A deadline that ends the fan-out instead still ranks the videos that
+// finished.
+func TestMergeFailureIsNotEmptyAnswer(t *testing.T) {
+	for _, c := range []struct {
+		kind faultinject.Kind
+		want int
+	}{
+		{faultinject.KindStall, http.StatusGatewayTimeout},
+		{faultinject.KindError, http.StatusInternalServerError},
+	} {
+		srv := New(chaosStore(t, 4), WithRandSeed(1))
+		faultinject.Arm(faultinject.NewPlan(1,
+			faultinject.Rule{Site: faultinject.SiteTopKScan, Key: faultinject.KeyAny, Kind: c.kind},
+		))
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/query?q=M1&timeout=100ms", nil))
+		faultinject.Disarm()
+		if w.Code != c.want {
+			t.Errorf("ranking fault %d: status %d, want %d: %s", c.kind, w.Code, c.want, w.Body.String())
+		}
+		var doc struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil || doc.Error == "" {
+			t.Errorf("ranking fault %d: body %s, want an error document", c.kind, w.Body.String())
+		}
+	}
+
+	srv := New(chaosStore(t, 4), WithParallelism(1), WithRandSeed(1))
+	faultinject.Arm(faultinject.NewPlan(1,
+		faultinject.Rule{Site: faultinject.SitePictureNewSystem, Key: 3, Kind: faultinject.KindStall},
+	))
+	t.Cleanup(faultinject.Disarm)
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/query?q=M1&timeout=100ms", nil))
+	var out QueryResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != http.StatusOK || out.Evaluated != 2 || len(out.Top) == 0 {
+		t.Fatalf("a deadline ending the fan-out: status %d, evaluated %d, top %+v; want 200 ranking videos 1 and 2", w.Code, out.Evaluated, out.Top)
+	}
+}

@@ -7,6 +7,7 @@ package shard
 // the correctness core of scatter-gather retrieval.
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -69,7 +70,7 @@ func TestMergeMatchesGlobalTopK(t *testing.T) {
 			lists[vid] = simlist.List{Entries: entries, MaxSim: 2}
 		}
 		k := 1 + rnd.Intn(15)
-		want := docsFromRanked(core.TopK(lists, k))
+		want := docsFromRanked(core.TopKBySort(lists, k))
 
 		// Random partition: each video lands on exactly one of m shards.
 		m := 1 + rnd.Intn(4)
@@ -84,7 +85,11 @@ func TestMergeMatchesGlobalTopK(t *testing.T) {
 		// Each shard computes its own local top-k; the coordinator merges.
 		var entries []mergeEntry
 		for _, pl := range parts {
-			entries = append(entries, entriesFromDocs(docsFromRanked(core.TopK(pl, k)))...)
+			top, _, err := core.TopK(context.Background(), pl, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries = append(entries, entriesFromDocs(docsFromRanked(top))...)
 		}
 		got := mergeRanked(entries, k)
 

@@ -349,40 +349,46 @@ func (s *Store) NewResults(perVideo map[int]SimList) *Results {
 }
 
 // TopK returns the k highest-similarity segment runs across all videos
-// (§1's "top k video segments ... will be retrieved"). It runs the
-// threshold-style pruned scan: per-video sorted access stops as soon as no
-// unseen entry can still displace the k-th run, and the entries skipped that
-// way feed the store's query.topk.* counters. The ranking is byte-identical
-// to sorting every entry (core.TopKBySort is the oracle the tests hold it
-// to). Results of a WithTopK(k) query rank at most k segments: a larger k
-// returns the top k, the most the kept runs answer exactly.
-func (r *Results) TopK(k int) []Ranked { return r.TopKCtx(context.Background(), k) }
+// (§1's "top k video segments ... will be retrieved"): one selection over
+// every list (core.TopK) keeps the fewest best runs covering k segments, and
+// the entries it rejects on sight feed the store's query.topk.* counters.
+// The ranking is byte-identical to sorting every entry (core.TopKBySort is
+// the oracle the tests hold it to). Results of a WithTopK(k) query rank at
+// most k segments: a larger k returns the top k, the most the kept runs
+// answer exactly.
+func (r *Results) TopK(k int) []Ranked {
+	top, _ := r.TopKCtx(context.Background(), k)
+	return top
+}
 
-// TopKCtx is TopK under a context: cancellation stops the scan promptly and
-// yields no ranking (a cancelled caller has no use for a partial one).
-func (r *Results) TopKCtx(ctx context.Context, k int) []Ranked {
+// TopKCtx is TopK under a context: cancellation stops the selection between
+// videos and returns the context's error and no ranking (a cancelled caller
+// has no use for a partial one).
+func (r *Results) TopKCtx(ctx context.Context, k int) ([]Ranked, error) {
 	if r.cut > 0 {
 		k = min(k, r.cut)
 	}
-	var st core.PruneStats
-	out, err := core.RankedTopKCtx(ctx, r.PerVideo, k, &st)
+	top, skipped, err := core.TopK(ctx, r.PerVideo, k)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	if r.obs != nil {
-		r.obs.observeTopK(st, r.planKey)
+		r.obs.observeTopK(skipped, r.planKey)
 	}
-	return out
+	return top, nil
 }
 
 // Ranked returns every non-zero run ordered by descending similarity — the
 // presentation of the paper's Table 4. Equal similarities order
 // deterministically by video id, then by beginning segment, so the ranking
 // is identical run to run even though videos evaluate concurrently. It is
-// the top-k scan with no cut, and it records no pruning statistics. Under
+// the top-k selection with no cut, and it records no statistics. Under
 // WithTopK(k) it ranks only the kept runs, which may cover more than k
 // segments across videos; TopK(k) is the exact answer.
-func (r *Results) Ranked() []Ranked { return core.RankedTopK(r.PerVideo, math.MaxInt, nil) }
+func (r *Results) Ranked() []Ranked {
+	top, _, _ := core.TopK(context.Background(), r.PerVideo, math.MaxInt)
+	return top
+}
 
 // Query parses and evaluates an HTL query over every stored video (use
 // OnVideo to restrict it). See QueryFormulaCtx for evaluating a pre-parsed
@@ -499,7 +505,7 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	if tr != nil {
 		tr.SetTag("videos", strconv.Itoa(len(work)))
 	}
-	res := &Results{Formula: cq.f, Class: cq.class, PerVideo: map[int]SimList{}, obs: s.obs, planKey: cq.plan.Key, cut: max(cfg.topK, 0)}
+	res := &Results{Formula: cq.f, Class: cq.class, PerVideo: make(map[int]SimList, len(work)), obs: s.obs, planKey: cq.plan.Key, cut: max(cfg.topK, 0)}
 	if len(work) == 0 {
 		return res, nil
 	}

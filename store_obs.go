@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"htlvideo/internal/core"
 	"htlvideo/internal/faultinject"
 	"htlvideo/internal/htl"
 	"htlvideo/internal/obs"
@@ -176,8 +175,8 @@ func newStoreObs() *storeObs {
 		"query.plan_cache.misses":       "Queries compiled fresh.",
 		"query.plan_cache.size":         "Cached compiled plans.",
 		"query.plan.memo_hits":          "Plan-node evaluations answered from the per-video memo.",
-		"query.topk.early_terminations": "Pruned top-k scans that stopped before consuming every entry.",
-		"query.topk.entries_skipped":    "Similarity-list entries top-k pruning proved irrelevant unread.",
+		"query.topk.early_terminations": "Top-k selections that rejected some entry on sight.",
+		"query.topk.entries_skipped":    "Similarity-list entries top-k selections rejected on sight, never ranked.",
 		"query.cache.hits":              "Result-cache hits.",
 		"query.cache.misses":            "Result-cache misses.",
 		"query.cache.deduped":           "Queries that joined a concurrent identical evaluation.",
@@ -267,16 +266,14 @@ func newStoreObs() *storeObs {
 	return o
 }
 
-// observeTopK settles one pruned top-k scan's accounting, attributing the
-// skipped entries to the plan key that produced the results (empty for
-// results built outside a query, e.g. the coordinator's merged lists).
-func (o *storeObs) observeTopK(st core.PruneStats, planKey string) {
-	if st.EarlyTerminated {
+// observeTopK settles one top-k selection's accounting, attributing the
+// entries it rejected to the plan key that produced the results (empty for
+// results built outside a query, e.g. the server's merged lists).
+func (o *storeObs) observeTopK(skipped int64, planKey string) {
+	if skipped > 0 {
 		o.topkEarlyTerm.Inc()
-	}
-	if st.EntriesSkipped > 0 {
-		o.topkSkipped.Add(st.EntriesSkipped)
-		o.qstats.ObserveTopK(planKey, st.EntriesSkipped)
+		o.topkSkipped.Add(skipped)
+		o.qstats.ObserveTopK(planKey, skipped)
 	}
 }
 
@@ -390,11 +387,11 @@ type Stats struct {
 	SQL         SQLStats         `json:"sql"`
 }
 
-// TopKStats describes the threshold-style pruned top-k scans (Results.TopK).
+// TopKStats describes the top-k selections (Results.TopK).
 type TopKStats struct {
-	// EarlyTerminations counts scans that stopped before consuming every
-	// entry; EntriesSkipped the similarity-list entries those scans proved
-	// irrelevant without reading.
+	// EarlyTerminations counts selections that rejected some entry;
+	// EntriesSkipped the similarity-list entries they rejected on sight,
+	// never taken into the ranking.
 	EarlyTerminations int64 `json:"early_terminations"`
 	EntriesSkipped    int64 `json:"entries_skipped"`
 }

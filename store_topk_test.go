@@ -1,11 +1,12 @@
 package htlvideo
 
-// Store-level top-k tests: the pruned Results.TopK against the full-sort
-// oracle, the query.topk.* counter plumbing, and cancellation of a stalled
-// threshold scan (via faultinject) without goroutine leaks.
+// Store-level top-k tests: Results.TopK against the full-sort oracle, the
+// query.topk.* counter plumbing, and cancellation of a stalled selection (via
+// faultinject) without goroutine leaks.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -38,9 +39,9 @@ func topkLists(videos, entriesPer int) map[int]SimList {
 	return lists
 }
 
-// TestResultsTopKMatchesOracle: the pruned store-level TopK is byte-identical
-// to the full-sort oracle and feeds the query.topk.* counters, visible in the
-// typed Stats snapshot and the metric registry alike.
+// TestResultsTopKMatchesOracle: the store-level TopK is byte-identical to the
+// full-sort oracle and feeds the query.topk.* counters, visible in the typed
+// Stats snapshot and the metric registry alike.
 func TestResultsTopKMatchesOracle(t *testing.T) {
 	s := NewStore(nil, DefaultWeights())
 	lists := topkLists(6, 40)
@@ -50,13 +51,13 @@ func TestResultsTopKMatchesOracle(t *testing.T) {
 		got := res.TopK(k)
 		want := core.TopKBySort(lists, k)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("k=%d: pruned TopK diverges from oracle:\ngot  %+v\nwant %+v", k, got, want)
+			t.Fatalf("k=%d: TopK diverges from oracle:\ngot  %+v\nwant %+v", k, got, want)
 		}
 	}
 
 	st := s.Stats().TopK
 	if st.EarlyTerminations == 0 || st.EntriesSkipped == 0 {
-		t.Fatalf("no pruning accounted: %+v", st)
+		t.Fatalf("no skipped entries accounted: %+v", st)
 	}
 	snap := s.Metrics().Snapshot()
 	if snap.Counters["query.topk.early_terminations"] != st.EarlyTerminations {
@@ -86,9 +87,9 @@ func TestQueryTopKEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTopKCancellationNoLeak: a threshold scan stalled mid-flight (injected
-// at core.TopKScan) must unblock promptly when its context is cancelled and
-// leave no goroutine behind — acceptance for the lazy evaluation path.
+// TestTopKCancellationNoLeak: a selection stalled mid-flight (injected at
+// core.TopKScan) must unblock promptly when its context is cancelled, return
+// context.Canceled and no ranking, and leave no goroutine behind.
 func TestTopKCancellationNoLeak(t *testing.T) {
 	s := NewStore(nil, DefaultWeights())
 	res := s.NewResults(topkLists(4, 25))
@@ -100,18 +101,25 @@ func TestTopKCancellationNoLeak(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan []Ranked, 1)
-	go func() { done <- res.TopKCtx(ctx, 5) }()
+	type answer struct {
+		top []Ranked
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		top, err := res.TopKCtx(ctx, 5)
+		done <- answer{top, err}
+	}()
 
-	time.Sleep(20 * time.Millisecond) // let the scan reach the stall
+	time.Sleep(20 * time.Millisecond) // let the selection reach the stall
 	cancel()
 	select {
-	case out := <-done:
-		if out != nil {
-			t.Fatalf("cancelled scan returned a ranking: %+v", out)
+	case a := <-done:
+		if a.top != nil || !errors.Is(a.err, context.Canceled) {
+			t.Fatalf("cancelled selection returned %+v, %v; want no ranking and context.Canceled", a.top, a.err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled top-k scan did not return")
+		t.Fatal("cancelled top-k selection did not return")
 	}
 
 	deadline := time.Now().Add(2 * time.Second)
