@@ -74,6 +74,9 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	if !server.ValidTau(*tau) {
+		fatalf("invalid -tau %v: want a fraction in [0, 1]", *tau)
+	}
 	// One request for both modes: remote mode sends its Values, local mode
 	// runs its StoreOptions.
 	p := server.QueryParams{

@@ -50,10 +50,13 @@
 //	GET  /debug/health   coordinator health rollup (membership, breakers)
 //
 // Both modes answer ?trace=1 on /query with a span tree in the envelope, and
-// join an inbound X-Htl-Trace header into a distributed trace. A single
-// server traces the store queries of those requests and of every 64th other
-// one; /debug/traces shows those, and /debug/slowlog keeps a span tree only
-// for them.
+// answer under an inbound X-Htl-Trace id. Both trace the requests that ask
+// (?trace=1), those that join a sampled trace (a bare X-Htl-Trace id) and
+// every 64th one that carries neither; /debug/traces shows those, and
+// /debug/slowlog keeps a span tree only for them. The coordinator forwards
+// its decision to every shard on X-Htl-Trace, flagging the id unsampled
+// (<id>;sampled=0) for a query it does not trace, so a shard traces exactly
+// the queries its coordinator keeps.
 package main
 
 import (

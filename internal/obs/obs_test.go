@@ -279,6 +279,54 @@ func TestTraceConcurrentSpans(t *testing.T) {
 	}
 }
 
+// TestTraceHeader: an X-Htl-Trace value is a trace id, bare (sampled) or
+// flagged unsampled; anything else — empty, oversized, a byte outside
+// [0-9A-Za-z-], an unknown flag — is absent. Every id NewTraceID mints, its
+// fallback form included, survives FormatTraceHeader and ParseTraceHeader
+// with its flag.
+func TestTraceHeader(t *testing.T) {
+	const id = "0123456789abcdef0123456789abcdef"
+	max := strings.Repeat("a", 64)
+	for _, c := range []struct {
+		name, v, id string
+		sampled     bool
+	}{
+		{"bare id", id, id, true},
+		{"flagged id", id + ";sampled=0", id, false},
+		{"fallback id", "17a2b3c4d5e6f708-2a", "17a2b3c4d5e6f708-2a", true},
+		{"64 bytes", max, max, true},
+		{"64 bytes flagged", max + ";sampled=0", max, false},
+		{"empty", "", "", false},
+		{"flag alone", ";sampled=0", "", false},
+		{"oversized", max + "a", "", false},
+		{"oversized flagged", max + "a;sampled=0", "", false},
+		{"space", "abc def", "", false},
+		{"newline", "abc\ndef", "", false},
+		{"underscore", "abc_def", "", false},
+		{"non-ASCII", "abcé", "", false},
+		{"unknown flag", id + ";sampled=1", "", false},
+		{"two flags", id + ";sampled=0;sampled=0", "", false},
+	} {
+		gotID, gotSampled := ParseTraceHeader(c.v)
+		if gotID != c.id || gotSampled != c.sampled {
+			t.Errorf("%s: ParseTraceHeader(%q) = %q, %v; want %q, %v", c.name, c.v, gotID, gotSampled, c.id, c.sampled)
+		}
+	}
+
+	fallback := fmt.Sprintf("%x-%x", traceEpoch, traceSeq.Load()+1)
+	for _, id := range []string{NewTraceID(), fallback, max} {
+		for _, sampled := range []bool{true, false} {
+			v := FormatTraceHeader(id, sampled)
+			if sampled && v != id {
+				t.Errorf("FormatTraceHeader(%q, true) = %q, want the bare id", id, v)
+			}
+			if gotID, gotSampled := ParseTraceHeader(v); gotID != id || gotSampled != sampled {
+				t.Errorf("ParseTraceHeader(FormatTraceHeader(%q, %v)) = %q, %v", id, sampled, gotID, gotSampled)
+			}
+		}
+	}
+}
+
 // --- slow log ----------------------------------------------------------------
 
 // doneTrace fabricates a finished trace with a fixed duration (in-package
@@ -332,8 +380,8 @@ func TestSlowLogConcurrent(t *testing.T) {
 // TestSlowLogEntryKinds: a traced query's entry keeps its snapshot, takes id,
 // plan key and dominant shard from it, and encodes exactly as an entry did
 // when every entry held its snapshot by value; an untraced query's entry
-// keeps the name, plan key, trace id and duration it was admitted with and
-// encodes no "trace" key. Both kinds rank together by duration.
+// keeps the name, plan key, trace id, dominant shard and duration it was
+// admitted with and encodes no "trace" key. Both kinds rank together by duration.
 func TestSlowLogEntryKinds(t *testing.T) {
 	l := NewSlowLog(4)
 	tr := doneTrace("M1 until M2", 2*time.Millisecond)
@@ -342,14 +390,14 @@ func TestSlowLogEntryKinds(t *testing.T) {
 	tr.SetTag("dominant_shard", "shard-1")
 	tr.StartSpan("eval").End()
 	l.ObserveTrace(tr)
-	l.Observe("M1", "M1", "def", 3*time.Millisecond, nil)
+	l.Observe(SlowEntry{Query: "M1", PlanKey: "M1", TraceID: "def", Shard: "shard-0", Duration: 3 * time.Millisecond}, nil)
 	got := l.Snapshot()
 	if len(got) != 2 {
 		t.Fatalf("entries = %d, want 2", len(got))
 	}
 	untraced, traced := got[0], got[1]
-	if untraced.Query != "M1" || untraced.PlanKey != "M1" || untraced.TraceID != "def" ||
-		untraced.Duration != 3*time.Millisecond || untraced.Trace != nil {
+	if untraced.Query != "M1" || untraced.PlanKey != "M1" || untraced.TraceID != "def" || untraced.Shard != "shard-0" ||
+		untraced.When.IsZero() || untraced.Duration != 3*time.Millisecond || untraced.Trace != nil {
 		t.Errorf("untraced entry = %+v", untraced)
 	}
 	if traced.Query != "M1 until M2" || traced.TraceID != "abc" || traced.PlanKey != "(M1 until M2)" ||

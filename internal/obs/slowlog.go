@@ -49,22 +49,25 @@ func NewSlowLog(n int) *SlowLog {
 
 // ObserveTrace implements TraceSink: a finished query enters the log if it is
 // among the slowest seen.
-func (l *SlowLog) ObserveTrace(t *Trace) { l.Observe(t.Name(), "", "", t.Duration(), t) }
+func (l *SlowLog) ObserveTrace(t *Trace) {
+	l.Observe(SlowEntry{Query: t.Name(), Duration: t.Duration()}, t)
+}
 
-// Observe admits a finished query if it is among the slowest seen. A traced
-// query passes its trace t, whose snapshot the entry keeps and whose id,
-// plan_key and dominant_shard tags fill the entry's fields; an untraced one
-// passes nil and is logged by name, plan key, trace id and duration alone.
-func (l *SlowLog) Observe(query, planKey, traceID string, d time.Duration, t *Trace) {
+// Observe admits a finished query, e (its When set here), if it is among the
+// slowest seen. A traced query passes its trace t, whose snapshot the entry
+// keeps and whose id, plan_key and dominant_shard tags fill the entry's
+// fields; an untraced one passes nil and is logged by the fields of e alone.
+func (l *SlowLog) Observe(e SlowEntry, t *Trace) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	d := e.Duration
 	if len(l.entries) == l.cap && d <= l.entries[len(l.entries)-1].Duration {
 		return
 	}
-	e := SlowEntry{Query: query, Duration: d, When: time.Now(), TraceID: traceID, PlanKey: planKey}
+	e.When = time.Now()
 	if t != nil {
 		snap := t.Snapshot()
 		e.TraceID, e.PlanKey, e.Shard, e.Trace = snap.ID, snap.Tags["plan_key"], snap.Tags["dominant_shard"], &snap

@@ -81,8 +81,53 @@ var (
 
 // TraceHeader is the HTTP header carrying distributed trace context: the
 // coordinator sets it on every shard request (retries and hedges included),
-// and a server joins its query trace into the id it finds there.
+// and a server answers under the id it finds there. The value is a trace id
+// (FormatTraceHeader, ParseTraceHeader): bare, the caller keeps the query's
+// trace and the server traces it too; with the unsampled flag, the caller
+// only propagates the id and the server builds no trace for it.
 const TraceHeader = "X-Htl-Trace"
+
+// traceUnsampled is the unsampled flag of a TraceHeader value. It follows
+// the id behind a ';', a byte no trace id contains.
+const traceUnsampled = ";sampled=0"
+
+// maxTraceIDLen bounds an inbound trace id: NewTraceID's are 32 bytes, its
+// fallback at most 33.
+const maxTraceIDLen = 64
+
+// FormatTraceHeader is the TraceHeader value carrying id, flagged unsampled
+// unless sampled.
+func FormatTraceHeader(id string, sampled bool) string {
+	if sampled {
+		return id
+	}
+	return id + traceUnsampled
+}
+
+// ParseTraceHeader is FormatTraceHeader's inverse. A value that is no trace
+// id — empty, longer than 64 bytes, or holding a byte outside [0-9A-Za-z-] —
+// is absent: it returns "" and sampled false, so a caller's header can
+// neither grow the retained traces nor echo arbitrary bytes back.
+func ParseTraceHeader(v string) (id string, sampled bool) {
+	id, sampled = v, true
+	if i := strings.IndexByte(v, ';'); i >= 0 {
+		if v[i:] != traceUnsampled {
+			return "", false
+		}
+		id, sampled = v[:i], false
+	}
+	if id == "" || len(id) > maxTraceIDLen {
+		return "", false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case '0' <= c && c <= '9', 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '-':
+		default:
+			return "", false
+		}
+	}
+	return id, sampled
+}
 
 // NewTraceID returns a fresh globally unique trace identifier: 128 random
 // bits, hex-encoded. Global (not merely process-level) uniqueness is what

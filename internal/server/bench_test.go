@@ -12,6 +12,7 @@ import (
 
 	"htlvideo"
 	"htlvideo/internal/casablanca"
+	"htlvideo/internal/obs"
 	"htlvideo/internal/workload"
 )
 
@@ -74,13 +75,17 @@ func BenchmarkWarmRequest(b *testing.B) {
 }
 
 // getShape returns a function that sends h one GET /query of the MIX6 shape
-// sh with k=10, as the serving benchmark does, and fails tb unless it answers
-// 200.
-func getShape(tb testing.TB, h http.Handler, sh coldShape) func() {
+// sh with k=10, as the serving benchmark does, with trace as its X-Htl-Trace
+// header when set, and fails tb unless it answers 200.
+func getShape(tb testing.TB, h http.Handler, sh coldShape, trace string) func() {
 	target := "/query?" + url.Values{"q": {sh.text}, "level": {strconv.Itoa(sh.level)}, "k": {"10"}}.Encode()
 	return func() {
 		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+		r := httptest.NewRequest(http.MethodGet, target, nil)
+		if trace != "" {
+			r.Header.Set(obs.TraceHeader, trace)
+		}
+		h.ServeHTTP(w, r)
 		if w.Code != http.StatusOK {
 			tb.Fatalf("%s: status %d: %s", sh.name, w.Code, w.Body)
 		}
@@ -90,7 +95,7 @@ func getShape(tb testing.TB, h http.Handler, sh coldShape) func() {
 func benchRequests(b *testing.B, srv *Server) {
 	h := srv.Handler()
 	for _, sh := range coldShapes {
-		get := getShape(b, h, sh)
+		get := getShape(b, h, sh, "")
 		b.Run(sh.name, func(b *testing.B) {
 			get()
 			b.ReportAllocs()
@@ -114,7 +119,10 @@ func benchRequests(b *testing.B, srv *Server) {
 // sorted-access iterator per video: type1 281 / 35.9 KB, until 199 / 27.1 KB,
 // type2 272 / 32.5 KB, conj 293 / 35.3 KB, extconj 209 / 24.8 KB, general
 // 195 / 21.7 KB. TestColdRequestAllocBudget fails at 1.1 times either figure
-// (`make budget`).
+// (`make budget`), and holds a shard request to the same: one whose
+// X-Htl-Trace id a coordinator flagged unsampled, so none of its 64 requests
+// is traced. The same request under a bare id, traced every time, is logged
+// and not bounded.
 var coldRequestBudget = map[string]struct{ allocs, bytes float64 }{
 	"type1":   {allocs: 263, bytes: 33_300},
 	"until":   {allocs: 184, bytes: 25_000},
@@ -127,17 +135,30 @@ var coldRequestBudget = map[string]struct{ allocs, bytes float64 }{
 func TestColdRequestAllocBudget(t *testing.T) {
 	skipUnlessPoolsKeep(t)
 	h := corpusServer(t, 8, 4, WithParallelism(1)).Handler()
+	const id = "0123456789abcdef0123456789abcdef"
 	for _, sh := range coldShapes {
-		get := getShape(t, h, sh)
-		get() // build the per-video systems
-		allocs, bytes := perRun(64, get)
 		budget := coldRequestBudget[sh.name]
-		t.Logf("%s: %.0f allocations, %.0f bytes per request (landed %.0f, %.0f)", sh.name, allocs, bytes, budget.allocs, budget.bytes)
-		if allocs > 1.1*budget.allocs {
-			t.Errorf("%s: %.0f allocations per request, budget %.0f", sh.name, allocs, 1.1*budget.allocs)
-		}
-		if bytes > 1.1*budget.bytes {
-			t.Errorf("%s: %.0f bytes per request, budget %.0f", sh.name, bytes, 1.1*budget.bytes)
+		getShape(t, h, sh, "")() // build the per-video systems
+		for _, req := range []struct {
+			name, trace string
+			bounded     bool
+		}{
+			{sh.name, "", true},
+			{sh.name + " unsampled shard request", obs.FormatTraceHeader(id, false), true},
+			{sh.name + " traced shard request", id, false},
+		} {
+			allocs, bytes := perRun(64, getShape(t, h, sh, req.trace))
+			if !req.bounded {
+				t.Logf("%s: %.0f allocations, %.0f bytes per request (not bounded)", req.name, allocs, bytes)
+				continue
+			}
+			t.Logf("%s: %.0f allocations, %.0f bytes per request (landed %.0f, %.0f)", req.name, allocs, bytes, budget.allocs, budget.bytes)
+			if allocs > 1.1*budget.allocs {
+				t.Errorf("%s: %.0f allocations per request, budget %.0f", req.name, allocs, 1.1*budget.allocs)
+			}
+			if bytes > 1.1*budget.bytes {
+				t.Errorf("%s: %.0f bytes per request, budget %.0f", req.name, bytes, 1.1*budget.bytes)
+			}
 		}
 	}
 }

@@ -111,9 +111,10 @@ type FailDoc struct {
 //	                     k, timeout, partial, trace parameters; engine is
 //	                     auto, direct or reference — the §4 SQL baseline is
 //	                     library-only and engine=sql is a 400; trace=1 adds
-//	                     the span tree to the envelope, and an inbound
-//	                     X-Htl-Trace header joins the request into a
-//	                     distributed trace)
+//	                     the span tree to the envelope, and the request
+//	                     answers under an inbound X-Htl-Trace id, tracing
+//	                     its store queries unless the id came flagged
+//	                     unsampled)
 //	POST /explain        evaluate with per-plan-node profiling and return the
 //	                     annotated plan (q plus the /query parameters, and
 //	                     exact=true for exact time attribution)
@@ -350,10 +351,13 @@ type QueryParams struct {
 	// envelope (?trace=1).
 	Trace bool
 	// TraceID is inbound distributed trace context (the X-Htl-Trace header),
-	// empty when the request starts a trace of its own. Its presence alone —
-	// with or without ?trace=1 — joins this process's query traces into the
-	// caller's trace id.
+	// empty when the request starts a trace of its own. The request answers
+	// under it, and a sampled one traces its queries under it.
 	TraceID string
+	// TraceUnsampled is set when TraceID came flagged unsampled: the caller
+	// propagates the id but keeps no trace, so neither does this process,
+	// unless the request asks for one (?trace=1).
+	TraceUnsampled bool
 	// Exact asks an explain for exact per-visit time attribution
 	// (?exact=true; /explain only).
 	Exact bool
@@ -504,7 +508,7 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 		return p, http.StatusBadRequest, fmt.Errorf("unknown engine %q", v)
 	}
 	if v := r.Form.Get("tau"); v != "" {
-		if p.Tau, err = strconv.ParseFloat(v, 64); err != nil || p.Tau < 0 || p.Tau > 1 {
+		if p.Tau, err = strconv.ParseFloat(v, 64); err != nil || !ValidTau(p.Tau) {
 			return p, http.StatusBadRequest, fmt.Errorf("invalid tau %q", v)
 		}
 	}
@@ -538,9 +542,15 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 			return p, http.StatusBadRequest, fmt.Errorf("invalid trace %q", v)
 		}
 	}
-	p.TraceID = r.Header.Get(obs.TraceHeader)
+	var sampled bool
+	p.TraceID, sampled = obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
+	p.TraceUnsampled = p.TraceID != "" && !sampled
 	return p, http.StatusOK, nil
 }
+
+// ValidTau reports whether tau is an until threshold, a fraction in [0, 1];
+// NaN is none.
+func ValidTau(tau float64) bool { return tau >= 0 && tau <= 1 }
 
 // ParseExplainRequest validates an /explain request: the /query parameters
 // plus exact=true for exact per-visit time attribution. The server and the
@@ -578,15 +588,15 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	}
 	out.Videos = len(eligible)
 
-	// Trace context: an inbound X-Htl-Trace alone joins every per-video store
-	// trace into the caller's id (they surface in this process's slow log and
+	// Trace context: a sampled request (TraceSampler) joins every per-video
+	// store trace into its id (they surface in this process's slow log and
 	// trace ring under it); ?trace=1 additionally builds a request-level span
 	// tree — one span per video, each attempt a child carrying the store's
 	// own spans — returned in the envelope for the caller to stitch, and
-	// mints the id here when none came in, so the store traces share it.
-	// Any other request's store queries are traced only if it is the
-	// server's every storeTraceSampleEvery-th; the rest build no trace.
-	sampled := p.Trace || p.TraceID != "" || s.untraced.Add(1)%storeTraceSampleEvery == 1
+	// mints the id here when none came in, so the store traces share it. An
+	// unsampled request's store queries build no trace; it still answers
+	// under an inbound id.
+	sampled := s.sampling.Sampled(p)
 	if p.Trace && p.TraceID == "" {
 		p.TraceID = obs.NewTraceID()
 	}
@@ -610,6 +620,9 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	// per-video top k, so each video copies out only its own.
 	whole := p
 	whole.Partial = false
+	if !sampled {
+		whole.TraceID = "" // WithTraceID would trace the query regardless
+	}
 	opts := whole.StoreOptions()
 	if !sampled {
 		opts = append(opts, htlvideo.Unsampled())

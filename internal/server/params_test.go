@@ -4,7 +4,8 @@ package server
 // cannot parse must be a 400 with a JSON error body, never a silent fall-back
 // to the default deadline (http.Request.FormValue swallows query-string parse
 // errors, which is exactly the trap). The SQL baseline is a library-only
-// exhibit, so ?engine=sql is refused the same way.
+// exhibit, so ?engine=sql is refused the same way, as is a ?tau= outside
+// [0, 1], NaN included.
 
 import (
 	"encoding/json"
@@ -38,6 +39,8 @@ func TestTimeoutParseFailuresReturn400(t *testing.T) {
 		"broken escape":  "/query?q=M1&timeout=5%zzs", // FormValue would drop the pair silently
 		"malformed pair": "/query?q=M1&time%zzout=5s",
 		"sql engine":     "/query?q=M1&engine=sql",
+		"tau NaN":        "/query?q=M1+until+M2&tau=NaN", // fails both tau < 0 and tau > 1
+		"tau above one":  "/query?q=M1+until+M2&tau=1.5",
 	} {
 		t.Run(name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
@@ -62,9 +65,10 @@ func TestTimeoutValidValuesStillAccepted(t *testing.T) {
 	srv := paramsServer(t)
 	h := srv.Handler()
 	for _, target := range []string{
-		"/query?q=M1",               // no timeout: default deadline
-		"/query?q=M1&timeout=250ms", // explicit budget
-		"/query?q=M1&timeout=10s",   // over max: capped, not rejected
+		"/query?q=M1",                 // no timeout: default deadline
+		"/query?q=M1&timeout=250ms",   // explicit budget
+		"/query?q=M1&timeout=10s",     // over max: capped, not rejected
+		"/query?q=M1+until+M2&tau=-0", // negative zero is zero
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))

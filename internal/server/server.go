@@ -161,12 +161,36 @@ func newServerMetrics() *serverMetrics {
 	}
 }
 
-// storeTraceSampleEvery is the server's trace sampling rate: of the /query
-// requests that neither ask for a trace (?trace=1) nor join one
-// (X-Htl-Trace), one in this many has its per-video store queries traced, so
+// storeTraceSampleEvery is the trace sampling rate of a server and of a
+// coordinator: of the /query requests that neither ask for a trace
+// (?trace=1) nor carry an id (X-Htl-Trace), one in this many is traced, so
 // /debug/traces and the slow log's span trees keep showing live traffic
 // while the rest pay for no trace.
 const storeTraceSampleEvery = 64
+
+// TraceSampler makes a serving process's one trace decision per /query
+// request. The server and the coordinator each hold one; the coordinator
+// forwards its decision to its shards on the X-Htl-Trace header, so a
+// fleet traces a query everywhere or nowhere.
+type TraceSampler struct {
+	// untraced counts the requests that asked for no trace and carried no id.
+	untraced atomic.Uint64
+}
+
+// Sampled reports whether the request p describes is traced: on ?trace=1,
+// on an inbound id without the unsampled flag, and otherwise for every
+// storeTraceSampleEvery-th request that carried no id, the first included.
+// A request whose id came flagged unsampled is untraced and leaves that
+// count alone.
+func (s *TraceSampler) Sampled(p QueryParams) bool {
+	switch {
+	case p.Trace:
+		return true
+	case p.TraceID != "":
+		return !p.TraceUnsampled
+	}
+	return s.untraced.Add(1)%storeTraceSampleEvery == 1
+}
 
 // Server is the fault-tolerant query server. Create one with New (an
 // in-memory store) or Open (a store file, enabling hot reload), mount
@@ -198,10 +222,8 @@ type Server struct {
 	baseCancel context.CancelFunc
 	draining   atomic.Bool
 
-	// untraced counts the /query requests that asked for no trace; every
-	// storeTraceSampleEvery-th of them, the first included, is traced all
-	// the same.
-	untraced atomic.Uint64
+	// sampling decides which /query requests trace their store queries.
+	sampling TraceSampler
 
 	httpMu  sync.Mutex
 	httpSrv *http.Server

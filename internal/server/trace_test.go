@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"htlvideo/internal/obs"
@@ -222,8 +223,10 @@ func TestTraceParamJoinsStoreTraces(t *testing.T) {
 // The server samples store traces per request: of the requests that ask for
 // no trace, the 1st, the 65th and the 129th leave their store queries' traces
 // in the ring, and a ?trace=1 or X-Htl-Trace request always does, without
-// moving that count. Sampled or not, every request adds the same to the
-// store's query counters, its latency histogram and /debug/queries' totals.
+// moving that count. An X-Htl-Trace id flagged unsampled leaves none, does
+// not move the count either, and is echoed in trace_id. Sampled or not, every
+// request adds the same to the store's query counters, its latency histogram
+// and /debug/queries' totals.
 func TestStoreTracesSampledPerRequest(t *testing.T) {
 	const videos = 3
 	srv := New(chaosStore(t, videos), WithRandSeed(1))
@@ -276,9 +279,20 @@ func TestStoreTracesSampledPerRequest(t *testing.T) {
 			if n := request("/query?q=M1", "0123456789abcdef0123456789abcdef"); n != videos {
 				t.Fatalf("X-Htl-Trace after request %d left %d traces, want %d", i, n, videos)
 			}
+			if n := request("/query?q=M1", obs.FormatTraceHeader("fedcba9876543210fedcba9876543210", false)); n != 0 {
+				t.Fatalf("unsampled X-Htl-Trace after request %d left %d traces, want none", i, n)
+			}
 		}
 	}
 	if !reflect.DeepEqual(sampled, []int{1, 65, 129}) {
 		t.Fatalf("untraced requests that left store traces: %v, want [1 65 129]", sampled)
+	}
+	const id = "0123456789abcdef"
+	if code, out := getTraced(t, ts.URL+"/query?q=M1", obs.FormatTraceHeader(id, false)); code != http.StatusOK || out.TraceID != id || out.Trace != nil {
+		t.Fatalf("unsampled X-Htl-Trace: status %d, trace_id %q, trace %v; want 200 under %q, no trace", code, out.TraceID, out.Trace, id)
+	}
+	// A header that is no trace id is absent: nothing echoes it.
+	if code, out := getTraced(t, ts.URL+"/query?q=M1", strings.Repeat("x", 65)); code != http.StatusOK || out.TraceID != "" {
+		t.Fatalf("oversized X-Htl-Trace: status %d, trace_id %q; want 200 under no id", code, out.TraceID)
 	}
 }

@@ -51,6 +51,7 @@ type Coordinator struct {
 	reg      *obs.Registry
 	slow     *obs.SlowLog
 	traces   *obs.TraceRing
+	sampling server.TraceSampler
 	sampler  *timeseries.Sampler
 	m        metrics
 	draining atomic.Bool

@@ -433,12 +433,12 @@ func TestReadyzAndDrain(t *testing.T) {
 
 func TestCoordinatorRejectsBadTimeout(t *testing.T) {
 	// The shared parser gives the coordinator the same hard-400 semantics on
-	// malformed ?timeout= and on the library-only ?engine=sql as a single
-	// server.
+	// malformed ?timeout=, on the library-only ?engine=sql and on a ?tau=
+	// outside [0, 1], NaN included, as a single server.
 	c := NewNamed(nil)
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
-	for _, target := range []string{"/query?q=M1&timeout=banana", "/query?q=M1&engine=sql"} {
+	for _, target := range []string{"/query?q=M1&timeout=banana", "/query?q=M1&engine=sql", "/query?q=M1+until+M2&tau=NaN"} {
 		var ed struct {
 			Error string `json:"error"`
 		}

@@ -83,7 +83,8 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams) (*Expla
 				return nil, err
 			}
 			defer cancel()
-			return c.doExplainRequest(sctx, members[i], form, p.TraceID)
+			// An explain is always traced: its id goes out sampled.
+			return c.doExplainRequest(sctx, members[i], form, obs.FormatTraceHeader(p.TraceID, true))
 		},
 		func(_ int, r *resilience.Result[*htlvideo.ExplainResult]) { c.count(r.Outcome) })
 
@@ -136,10 +137,10 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams) (*Expla
 }
 
 // doExplainRequest is one POST /explain attempt against one shard.
-func (c *Coordinator) doExplainRequest(ctx context.Context, mb member, form url.Values, traceID string) (*htlvideo.ExplainResult, error) {
+func (c *Coordinator) doExplainRequest(ctx context.Context, mb member, form url.Values, trace string) (*htlvideo.ExplainResult, error) {
 	c.m.requests.Inc()
 	var er htlvideo.ExplainResult
-	if err := c.roundTrip(ctx, http.MethodPost, mb.url+"/explain", form, traceID, &er); err != nil {
+	if err := c.roundTrip(ctx, http.MethodPost, mb.url+"/explain", form, trace, &er); err != nil {
 		return nil, err
 	}
 	if er.Plan == nil {

@@ -78,27 +78,45 @@ func transientShardError(err error) bool {
 //
 // Every shard request carries the query's distributed trace id (inbound via
 // p.TraceID or minted here) in the X-Htl-Trace header — retries and hedges
-// included, each its own attempt span. With p.Trace the shards return their
-// span trees and the coordinator stitches them under its scatter span,
-// annotated with breaker states, retry/hedge outcomes and per-shard deadline
-// budgets: one cross-process trace of the whole Fig.-1 query path.
+// included — flagged unsampled unless the coordinator's TraceSampler keeps
+// the query. Only a sampled query is traced, here and on every shard: its
+// trace holds an attempt span per request, and with p.Trace the shards
+// return their span trees and the coordinator stitches them under its
+// scatter span, annotated with breaker states, retry/hedge outcomes and
+// per-shard deadline budgets: one cross-process trace of the whole Fig.-1
+// query path. An unsampled query enters the slow log by its id, plan key,
+// dominant shard and duration.
 func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results {
+	sampled := c.sampling.Sampled(p)
 	ctx, end := c.begin(ctx, &p)
-	defer end()
-
-	tr := obs.NewTrace(p.Query)
-	tr.SetID(p.TraceID)
-	tr.SetTag("layer", "coordinator")
+	// The canonical text is the plan key every shard compiles under, so the
+	// coordinator's slow log links to the same key without compiling.
+	var planKey string
 	if p.Formula != nil {
-		// The canonical text is the plan key every shard compiles under, so
-		// the coordinator's slow log links to the same key without compiling.
-		tr.SetTag("plan_key", p.Formula.String())
+		planKey = p.Formula.String()
 	}
+	var tr *obs.Trace
+	if sampled {
+		tr = obs.NewTrace(p.Query)
+		tr.SetID(p.TraceID)
+		tr.SetTag("layer", "coordinator")
+		if planKey != "" {
+			tr.SetTag("plan_key", planKey)
+		}
+	}
+	// domShard is the shard whose sub-query bounded the scatter's wall time.
+	var domShard string
 	defer func() {
+		d := end()
+		if tr == nil {
+			c.slow.Observe(obs.SlowEntry{Query: p.Query, PlanKey: planKey, TraceID: p.TraceID, Shard: domShard, Duration: d}, nil)
+			return
+		}
 		tr.Finish()
 		c.slow.ObserveTrace(tr)
 		c.traces.ObserveTrace(tr)
 	}()
+	trace := obs.FormatTraceHeader(p.TraceID, sampled)
 
 	members := c.snapshotMembers()
 	out := &Results{QueryResponse: server.QueryResponse{
@@ -117,8 +135,10 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 	launches := make([]int64, len(members))
 	for i, mb := range members {
 		keys[i] = mb.ord
-		spans[i] = scatterSp.StartSpan("shard " + mb.name)
-		spans[i].SetTag("breaker", c.breaker.State(mb.ord).String())
+		if scatterSp != nil {
+			spans[i] = scatterSp.StartSpan("shard " + mb.name)
+			spans[i].SetTag("breaker", c.breaker.State(mb.ord).String())
+		}
 	}
 	parts := resilience.FanOut(ctx, keys, c.guard(),
 		func(ctx context.Context, i, attempt int) (*server.QueryResponse, error) {
@@ -135,7 +155,7 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 				return nil, err
 			}
 			defer cancel()
-			return c.callHedged(sctx, mb, q, p.TraceID, sp, &launches[i])
+			return c.callHedged(sctx, mb, q, trace, sp, &launches[i])
 		},
 		func(i int, r *resilience.Result[*server.QueryResponse]) {
 			spans[i].SetTag("outcome", c.count(r.Outcome))
@@ -144,9 +164,8 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 	scatterSp.End()
 
 	// Attribute the scatter's wall time to the slowest sub-query: the shard
-	// that bounded the whole fan-out. The tag rides into the slow log's Shard
+	// that bounded the whole fan-out. It rides into the slow log's Shard
 	// field, so a slow coordinator query names where the time went.
-	var domShard string
 	var domElapsed time.Duration
 	for i, pt := range parts {
 		if pt.Elapsed > domElapsed {
@@ -208,10 +227,10 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 
 // begin opens one scatter (a query or an explain): it counts it, applies
 // p.Timeout when ctx carries no deadline, and mints the distributed trace id
-// up front — propagation is always on (the id is one header; shards join
-// their logs to it whether or not anyone asked for span payloads). end
-// releases the deadline and observes the scatter's latency.
-func (c *Coordinator) begin(ctx context.Context, p *server.QueryParams) (_ context.Context, end func()) {
+// up front — propagation is always on (the id is one header; shards answer
+// under it whether or not the query is traced). end releases the deadline,
+// observes the scatter's latency and returns it.
+func (c *Coordinator) begin(ctx context.Context, p *server.QueryParams) (_ context.Context, end func() time.Duration) {
 	c.m.queries.Inc()
 	start := time.Now()
 	cancel := context.CancelFunc(func() {})
@@ -221,9 +240,11 @@ func (c *Coordinator) begin(ctx context.Context, p *server.QueryParams) (_ conte
 	if p.TraceID == "" {
 		p.TraceID = obs.NewTraceID()
 	}
-	return ctx, func() {
+	return ctx, func() time.Duration {
 		cancel()
-		c.m.latency.Observe(time.Since(start))
+		d := time.Since(start)
+		c.m.latency.Observe(d)
+		return d
 	}
 }
 
@@ -301,7 +322,9 @@ func (c *Coordinator) budget(ctx context.Context, q url.Values, sp *obs.Span) (c
 		return nil, nil, context.DeadlineExceeded
 	}
 	q.Set("timeout", budget.String())
-	sp.SetTag("budget", budget.Round(time.Millisecond).String())
+	if sp != nil {
+		sp.SetTag("budget", budget.Round(time.Millisecond).String())
+	}
 	sctx, cancel := context.WithTimeout(ctx, budget)
 	return sctx, cancel, nil
 }
@@ -313,9 +336,10 @@ func (c *Coordinator) budget(ctx context.Context, q url.Values, sp *obs.Span) (c
 // wins only after both lose.
 //
 // Each launch — original or hedge — is one numbered attempt span under the
-// shard's span, carrying the trace id on the wire; a successful attempt that
-// returned span payload gets the shard's subtree stitched under it.
-func (c *Coordinator) callHedged(ctx context.Context, mb member, q url.Values, traceID string, sp *obs.Span, attempt *int64) (*server.QueryResponse, error) {
+// shard's span (none when sp is nil: the query is unsampled), carrying trace,
+// the X-Htl-Trace value, on the wire; a successful attempt that returned span
+// payload gets the shard's subtree stitched under it.
+func (c *Coordinator) callHedged(ctx context.Context, mb member, q url.Values, trace string, sp *obs.Span, attempt *int64) (*server.QueryResponse, error) {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
@@ -333,7 +357,7 @@ func (c *Coordinator) callHedged(ctx context.Context, mb member, q url.Values, t
 			asp.SetTag("hedge", "true")
 		}
 		go func() {
-			r, err := c.doRequest(hctx, mb, q, traceID)
+			r, err := c.doRequest(hctx, mb, q, trace)
 			switch {
 			case err == nil:
 				asp.SetTag("outcome", "ok")
@@ -388,10 +412,10 @@ func (c *Coordinator) callHedged(ctx context.Context, mb member, q url.Values, t
 // doRequest is one HTTP attempt against one shard. The distributed trace id
 // travels on every attempt, so even a failed or abandoned request is
 // joinable from the shard's side.
-func (c *Coordinator) doRequest(ctx context.Context, mb member, q url.Values, traceID string) (*server.QueryResponse, error) {
+func (c *Coordinator) doRequest(ctx context.Context, mb member, q url.Values, trace string) (*server.QueryResponse, error) {
 	c.m.requests.Inc()
 	var resp server.QueryResponse
-	if err := c.roundTrip(ctx, http.MethodGet, mb.url+"/query?"+q.Encode(), nil, traceID, &resp); err != nil {
+	if err := c.roundTrip(ctx, http.MethodGet, mb.url+"/query?"+q.Encode(), nil, trace, &resp); err != nil {
 		return nil, err
 	}
 	// The merge trusts a ranked run to be segment ids: a shard's run outside
@@ -405,10 +429,11 @@ func (c *Coordinator) doRequest(ctx context.Context, mb member, q url.Values, tr
 }
 
 // roundTrip is one HTTP exchange with a shard: form, when set, is the POST
-// body; the distributed trace id, when set, rides in its header. The response
-// is read up to 16 MiB; a non-200 becomes an *httpError carrying the body's
-// "error" field, and a 200 body decodes into out.
-func (c *Coordinator) roundTrip(ctx context.Context, method, target string, form url.Values, traceID string, out any) error {
+// body; trace, when set, is its X-Htl-Trace value, the distributed trace id
+// as obs.FormatTraceHeader flags it. The response is read up to 16 MiB; a
+// non-200 becomes an *httpError carrying the body's "error" field, and a 200
+// body decodes into out.
+func (c *Coordinator) roundTrip(ctx context.Context, method, target string, form url.Values, trace string, out any) error {
 	var body io.Reader
 	if form != nil {
 		body = strings.NewReader(form.Encode())
@@ -420,8 +445,8 @@ func (c *Coordinator) roundTrip(ctx context.Context, method, target string, form
 	if form != nil {
 		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 	}
-	if traceID != "" {
-		req.Header.Set(obs.TraceHeader, traceID)
+	if trace != "" {
+		req.Header.Set(obs.TraceHeader, trace)
 	}
 	hr, err := c.client.Do(req)
 	if err != nil {

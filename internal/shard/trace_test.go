@@ -9,9 +9,12 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -325,5 +328,111 @@ func TestCoordinatorSlowLogAndTraceEndpoints(t *testing.T) {
 	}
 	if code := getDoc(t, ct.URL+"/debug/traces?id="+plain.TraceID, &snap); code != http.StatusOK {
 		t.Fatalf("untraced query not retained (status %d)", code)
+	}
+}
+
+// TestFleetSamplesAtTheCoordinator: the coordinator makes the one trace
+// decision per query and its shards follow it. Of plain coordinator queries
+// the 1st, the 65th and the 129th are traced — on the coordinator and, under
+// the same id, on every shard — and no shard keeps a trace under any other
+// plain query's id. ?trace=1 and an inbound bare X-Htl-Trace id trace every
+// shard and leave that count alone. The coordinator's slow log still names
+// an unsampled query's id, plan key and dominant shard.
+func TestFleetSamplesAtTheCoordinator(t *testing.T) {
+	urls := startShardServers(t, fixtureDoc(4), 2)
+	coord := New(urls, WithHedgeDelay(0), WithRandSeed(1))
+	ct := httptest.NewServer(coord.Handler())
+	defer ct.Close()
+
+	// query sends one coordinator query and returns its trace id.
+	query := func(path, header string) string {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ct.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if header != "" {
+			req.Header.Set(obs.TraceHeader, header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out server.QueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", path, resp.StatusCode, err)
+		}
+		if out.TraceID == "" {
+			t.Fatalf("%s: no trace id", path)
+		}
+		return out.TraceID
+	}
+	// traced lists the ids the ring at base holds traces under.
+	traced := func(base string) map[string]bool {
+		t.Helper()
+		var list []obs.TraceSummary
+		if code := getDoc(t, base+"/debug/traces", &list); code != http.StatusOK {
+			t.Fatalf("%s/debug/traces: status %d", base, code)
+		}
+		ids := map[string]bool{}
+		for _, s := range list {
+			ids[s.ID] = true
+		}
+		return ids
+	}
+
+	plain := map[string]int{} // trace id → the plain query's number
+	forced := map[string]bool{}
+	const inbound = "0123456789abcdef0123456789abcdef"
+	for i := 1; i <= 130; i++ {
+		plain[query("/query?q=M1", "")] = i
+		if i == 2 || i == 64 {
+			forced[query("/query?q=M1&trace=1", "")] = true
+			forced[query("/query?q=M1", inbound)] = true
+		}
+	}
+	if len(forced) != 3 || !forced[inbound] {
+		t.Fatalf("forced ids = %v, want two minted and the inbound %s", forced, inbound)
+	}
+	for _, base := range append([]string{ct.URL}, urls...) {
+		var sampled []int
+		for id := range traced(base) {
+			switch n, ok := plain[id]; {
+			case ok:
+				sampled = append(sampled, n)
+			case !forced[id]:
+				t.Errorf("%s holds a trace under %q, an id no query ran under", base, id)
+			}
+		}
+		sort.Ints(sampled)
+		if !reflect.DeepEqual(sampled, []int{1, 65, 129}) {
+			t.Errorf("%s traced plain queries %v, want [1 65 129]", base, sampled)
+		}
+		for id := range forced {
+			if code := getDoc(t, base+"/debug/traces?id="+id, nil); code != http.StatusOK {
+				t.Errorf("%s holds no trace under the forced id %s (status %d)", base, id, code)
+			}
+		}
+	}
+
+	var slow []obs.SlowEntry
+	if code := getDoc(t, ct.URL+"/debug/slowlog", &slow); code != http.StatusOK {
+		t.Fatalf("slowlog status %d", code)
+	}
+	unsampled := 0
+	for _, e := range slow {
+		if n, ok := plain[e.TraceID]; e.Trace != nil || !ok || n%64 == 1 {
+			continue
+		}
+		unsampled++
+		if e.Query != "M1" || e.PlanKey == "" || (e.Shard != "shard-0" && e.Shard != "shard-1") || e.Duration <= 0 {
+			t.Errorf("unsampled slow-log entry = %+v, want query, plan key, dominant shard and duration", e)
+		}
+	}
+	// Besides them, only the seven traced queries can rank among the 32
+	// slowest of 134.
+	if unsampled < len(slow)-7 {
+		t.Fatalf("slow log holds %d unsampled plain queries of %d entries", unsampled, len(slow))
 	}
 }

@@ -316,7 +316,7 @@ func (o *storeObs) endQuery(tr *obs.Trace, err error, cq *CompiledQuery, cfg *qu
 			m.lat.Observe(d)
 		}
 	}
-	o.slow.Observe(cfg.name, planKey, cfg.traceID, d, tr)
+	o.slow.Observe(obs.SlowEntry{Query: cfg.name, PlanKey: planKey, TraceID: cfg.traceID, Duration: d}, tr)
 	o.ring.ObserveTrace(tr)
 	if cq != nil && cfg.sink != nil {
 		cfg.sink.ObserveTrace(tr)
