@@ -94,12 +94,15 @@ repro-smoke:
 # on the -quick corpus with one-second rounds — the shortest that still
 # completes a unit — so that a harness that no longer builds, fails its oracle
 # or sheds requests fails the gate. The second run drives the coordinator,
-# whose /query document the harness decodes too. Nothing under bench/ is
-# written except the git-ignored bench/out/.
+# whose /query document the harness decodes too; the third the store
+# directly, the one workload with the write-ahead log, a checkpoint and
+# recovery verification. Nothing under bench/ is written except the
+# git-ignored bench/out/.
 bench-e2e-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -quick -only serve_cold_mix -seconds 1
 	bash bench/run.sh -quick -only shard4_cold_mix -seconds 1
+	bash bench/run.sh -quick -only store_ingest_query -seconds 1
 
 # Short parser fuzz session (FuzzParse: parse → print → re-parse is total).
 fuzz:

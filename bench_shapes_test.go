@@ -122,6 +122,11 @@ func BenchmarkStoreColdCycle(b *testing.B) {
 // 22–31.5 KB and general 121 / 9.8–10.7 KB, against type2 310 / 25.6–28.8 KB,
 // conj 352 / 31.9–34.2 KB and general 121 / 10.2–10.8 KB for full lists on the
 // same machine.
+//
+// Each budgeted query is traced (WithTraceID), as every direct query was when
+// these figures landed; the store now samples one in 64 plain ones, and a
+// budget that met the sampled query in some rows only would move with the
+// rows' order.
 var coldShapeBudget = map[string]struct{ allocs, bytes float64 }{
 	"conj":         {allocs: 361, bytes: 38_000},
 	"type2":        {allocs: 319, bytes: 29_000},
@@ -179,7 +184,7 @@ func TestColdShapeAllocBudget(t *testing.T) {
 	for _, row := range coldShapeRows() {
 		landed := row.landed
 		// One worker: the count must not depend on how many the machine has.
-		opts := []QueryOption{AtLevel(row.level), WithoutCache(), WithParallelism(1)}
+		opts := []QueryOption{AtLevel(row.level), WithoutCache(), WithParallelism(1), WithTraceID(budgetTraceID)}
 		if row.k > 0 {
 			opts = append(opts, WithTopK(row.k))
 		}

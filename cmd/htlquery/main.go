@@ -74,7 +74,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if !server.ValidTau(*tau) {
+	if !htlvideo.ValidUntilThreshold(*tau) {
 		fatalf("invalid -tau %v: want a fraction in [0, 1]", *tau)
 	}
 	// One request for both modes: remote mode sends its Values, local mode

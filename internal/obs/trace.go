@@ -79,6 +79,36 @@ var (
 	traceSeq   atomic.Int64
 )
 
+// TraceSampleEvery is the one trace sampling rate of every root that decides
+// whether a query is traced (a Store's direct queries, a server's and a
+// coordinator's /query requests): of the queries nobody forces or declines a
+// trace for, one in this many is traced, so /debug/traces and the slow log's
+// span trees keep showing live traffic while the rest pay for no trace.
+const TraceSampleEvery = 64
+
+// TraceSampler makes a root's one trace decision per query. The zero value
+// is ready; one sampler counts for one root (a store, a server, a
+// coordinator), so its 1-in-TraceSampleEvery share holds per root.
+type TraceSampler struct {
+	// free counts the queries that were neither forced nor declined.
+	free atomic.Uint64
+}
+
+// Sampled reports whether a query is traced: always when forced (the caller
+// asked for a trace or joins one), never when declined (the caller decided
+// already, as an unsampled inbound id does), and otherwise for every
+// TraceSampleEvery-th such query, the first included. A forced or declined
+// query leaves the count alone.
+func (s *TraceSampler) Sampled(forced, declined bool) bool {
+	switch {
+	case forced:
+		return true
+	case declined:
+		return false
+	}
+	return s.free.Add(1)%TraceSampleEvery == 1
+}
+
 // TraceHeader is the HTTP header carrying distributed trace context: the
 // coordinator sets it on every shard request (retries and hedges included),
 // and a server answers under the id it finds there. The value is a trace id

@@ -508,7 +508,7 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 		return p, http.StatusBadRequest, fmt.Errorf("unknown engine %q", v)
 	}
 	if v := r.Form.Get("tau"); v != "" {
-		if p.Tau, err = strconv.ParseFloat(v, 64); err != nil || !ValidTau(p.Tau) {
+		if p.Tau, err = strconv.ParseFloat(v, 64); err != nil || !htlvideo.ValidUntilThreshold(p.Tau) {
 			return p, http.StatusBadRequest, fmt.Errorf("invalid tau %q", v)
 		}
 	}
@@ -548,10 +548,6 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 	return p, http.StatusOK, nil
 }
 
-// ValidTau reports whether tau is an until threshold, a fraction in [0, 1];
-// NaN is none.
-func ValidTau(tau float64) bool { return tau >= 0 && tau <= 1 }
-
 // ParseExplainRequest validates an /explain request: the /query parameters
 // plus exact=true for exact per-visit time attribution. The server and the
 // coordinator both parse with it.
@@ -588,16 +584,18 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	}
 	out.Videos = len(eligible)
 
-	// Trace context: a sampled request (TraceSampler) joins every per-video
-	// store trace into its id (they surface in this process's slow log and
-	// trace ring under it); ?trace=1 additionally builds a request-level span
-	// tree — one span per video, each attempt a child carrying the store's
-	// own spans — returned in the envelope for the caller to stitch, and
-	// mints the id here when none came in, so the store traces share it. An
-	// unsampled request's store queries build no trace; it still answers
-	// under an inbound id.
-	sampled := s.sampling.Sampled(p)
-	if p.Trace && p.TraceID == "" {
+	// Trace context: a sampled request (QueryParams.Sampled) joins every
+	// per-video store trace into its id, minted here when none came in (they
+	// surface in this process's slow log and trace ring under it, and
+	// WithTraceID makes each store trace its query); ?trace=1 additionally
+	// builds a request-level span tree — one span per video, each attempt a
+	// child carrying the store's own spans — returned in the envelope for
+	// the caller to stitch. Only ?trace=1 echoes a minted id. An unsampled
+	// request's store queries build no trace; it still answers under an
+	// inbound id.
+	sampled := p.Sampled(&s.sampling)
+	out.TraceID = p.TraceID
+	if sampled && p.TraceID == "" {
 		p.TraceID = obs.NewTraceID()
 	}
 	var tr *obs.Trace
@@ -612,7 +610,6 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 		evalSpan = tr.StartSpan("evaluate")
 		videoSpans = make([]*obs.Span, len(eligible))
 	}
-	out.TraceID = p.TraceID
 
 	// Each video runs as a one-video query without WithPartialResults, so
 	// its failure comes back as an error the breaker and the retries see,

@@ -161,35 +161,15 @@ func newServerMetrics() *serverMetrics {
 	}
 }
 
-// storeTraceSampleEvery is the trace sampling rate of a server and of a
-// coordinator: of the /query requests that neither ask for a trace
-// (?trace=1) nor carry an id (X-Htl-Trace), one in this many is traced, so
-// /debug/traces and the slow log's span trees keep showing live traffic
-// while the rest pay for no trace.
-const storeTraceSampleEvery = 64
-
-// TraceSampler makes a serving process's one trace decision per /query
-// request. The server and the coordinator each hold one; the coordinator
-// forwards its decision to its shards on the X-Htl-Trace header, so a
-// fleet traces a query everywhere or nowhere.
-type TraceSampler struct {
-	// untraced counts the requests that asked for no trace and carried no id.
-	untraced atomic.Uint64
-}
-
-// Sampled reports whether the request p describes is traced: on ?trace=1,
-// on an inbound id without the unsampled flag, and otherwise for every
-// storeTraceSampleEvery-th request that carried no id, the first included.
-// A request whose id came flagged unsampled is untraced and leaves that
-// count alone.
-func (s *TraceSampler) Sampled(p QueryParams) bool {
-	switch {
-	case p.Trace:
-		return true
-	case p.TraceID != "":
-		return !p.TraceUnsampled
-	}
-	return s.untraced.Add(1)%storeTraceSampleEvery == 1
+// Sampled makes the request's one trace decision on s: it is traced on
+// ?trace=1, on an inbound id without the unsampled flag, and otherwise when s
+// samples it (obs.TraceSampleEvery). A request whose id came flagged
+// unsampled is untraced and leaves s's count alone. The server and the
+// coordinator each hold one sampler; the coordinator forwards its decision to
+// its shards on the X-Htl-Trace header, so a fleet traces a query everywhere
+// or nowhere.
+func (p QueryParams) Sampled(s *obs.TraceSampler) bool {
+	return s.Sampled(p.Trace || p.TraceID != "" && !p.TraceUnsampled, p.TraceUnsampled)
 }
 
 // Server is the fault-tolerant query server. Create one with New (an
@@ -223,7 +203,7 @@ type Server struct {
 	draining   atomic.Bool
 
 	// sampling decides which /query requests trace their store queries.
-	sampling TraceSampler
+	sampling obs.TraceSampler
 
 	httpMu  sync.Mutex
 	httpSrv *http.Server

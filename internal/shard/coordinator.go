@@ -51,7 +51,7 @@ type Coordinator struct {
 	reg      *obs.Registry
 	slow     *obs.SlowLog
 	traces   *obs.TraceRing
-	sampling server.TraceSampler
+	sampling obs.TraceSampler
 	sampler  *timeseries.Sampler
 	m        metrics
 	draining atomic.Bool

@@ -78,7 +78,7 @@ func transientShardError(err error) bool {
 //
 // Every shard request carries the query's distributed trace id (inbound via
 // p.TraceID or minted here) in the X-Htl-Trace header — retries and hedges
-// included — flagged unsampled unless the coordinator's TraceSampler keeps
+// included — flagged unsampled unless the coordinator's sampler keeps
 // the query. Only a sampled query is traced, here and on every shard: its
 // trace holds an attempt span per request, and with p.Trace the shards
 // return their span trees and the coordinator stitches them under its
@@ -87,7 +87,7 @@ func transientShardError(err error) bool {
 // query path. An unsampled query enters the slow log by its id, plan key,
 // dominant shard and duration.
 func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results {
-	sampled := c.sampling.Sampled(p)
+	sampled := p.Sampled(&c.sampling)
 	ctx, end := c.begin(ctx, &p)
 	// The canonical text is the plan key every shard compiles under, so the
 	// coordinator's slow log links to the same key without compiling.

@@ -212,8 +212,10 @@ type queryConfig struct {
 	// exactProf turns on exact per-visit time attribution in engines whose
 	// profile timing is count-based (the reference evaluator).
 	exactProf bool
-	// unsampled (Unsampled) leaves the query without a trace unless a sink,
-	// a trace id or an explain asks for one.
+	// explain (ExplainCtx) forces the query's trace, as a sink or a trace id
+	// does; unsampled (Unsampled) declines it otherwise. A query with
+	// neither is sampled by its store (storeObs.startTrace).
+	explain   bool
 	unsampled bool
 }
 
@@ -233,17 +235,6 @@ func newQueryConfig(opts []QueryOption) *queryConfig {
 // takes 8 bytes of the per-query config, where a time.Time takes 24.
 var queryClock = time.Now()
 
-// startTrace starts the query's clock under name and returns its trace, or
-// nil for an unsampled query: every obs method is nil-safe, so an untraced
-// query builds no span and formats no tag.
-func (c *queryConfig) startTrace(name string) *obs.Trace {
-	c.name, c.begin = name, time.Since(queryClock)
-	if c.unsampled && c.sink == nil && c.traceID == "" {
-		return nil
-	}
-	return obs.NewTrace(name)
-}
-
 // AtLevel asserts the formula on each video's proper sequence at the given
 // level (default 2 — the children of the root, matching §3's two-level
 // arrangement).
@@ -254,10 +245,16 @@ func AtLevel(level int) QueryOption { return func(c *queryConfig) { c.level = le
 func AtRoot() QueryOption { return func(c *queryConfig) { c.atRoot = true } }
 
 // WithUntilThreshold overrides the fractional-similarity threshold of the
-// until operator (default 0.5).
+// until operator (default 0.5). A tau that is not a ValidUntilThreshold fails
+// the query before it evaluates, with a validation error.
 func WithUntilThreshold(tau float64) QueryOption {
 	return func(c *queryConfig) { c.untilThreshold = tau }
 }
+
+// ValidUntilThreshold reports whether tau is an until threshold, a fraction
+// in [0, 1]; NaN is none. The query path, the server's ?tau= and htlquery's
+// -tau all check with it.
+func ValidUntilThreshold(tau float64) bool { return tau >= 0 && tau <= 1 }
 
 // WithEngine selects the evaluation engine.
 func WithEngine(e Engine) QueryOption { return func(c *queryConfig) { c.engine = e } }
@@ -414,11 +411,11 @@ func (s *Store) QueryCtx(ctx context.Context, query string, opts ...QueryOption)
 }
 
 // parse is the parse stage of QueryCtx and ExplainCtx: it starts the query's
-// clock and trace (cfg.startTrace) and compiles the text through the plan
+// clock and trace (storeObs.startTrace) and compiles the text through the plan
 // cache (bypassed when noCache) under a parse span tagged plan_cache=hit or
 // miss. A parse failure settles the query's accounting here.
 func (s *Store) parse(query string, noCache bool, cfg *queryConfig) (*obs.Trace, *CompiledQuery, error) {
-	tr := cfg.startTrace(query)
+	tr := s.obs.startTrace(cfg, query)
 	sp := tr.StartSpan("parse")
 	cq, hit, err := s.compile(query, noCache)
 	if hit {
@@ -448,7 +445,7 @@ func (s *Store) parse(query string, noCache bool, cfg *queryConfig) (*obs.Trace,
 func (s *Store) QueryFormulaCtx(ctx context.Context, f Formula, opts ...QueryOption) (*Results, error) {
 	cfg := newQueryConfig(opts)
 	cq := s.compileFormula(f, cfg.noCache)
-	return s.queryCompiledCtx(ctx, cfg.startTrace(cq.plan.Key), cq, cfg)
+	return s.queryCompiledCtx(ctx, s.obs.startTrace(cfg, cq.plan.Key), cq, cfg)
 }
 
 // queryCompiledCtx runs a compiled query under an already-started trace, nil
@@ -468,6 +465,10 @@ func (s *Store) queryCompiledCtx(ctx context.Context, tr *obs.Trace, cq *Compile
 	}
 	cfg.rec = querystats.Record{PlanKey: cq.plan.Key, Class: class, Engine: engine}
 	defer func() { s.obs.endQuery(tr, err, cq, cfg) }()
+
+	if !ValidUntilThreshold(cfg.untilThreshold) {
+		return nil, fmt.Errorf("htlvideo: until threshold %v is not in [0, 1]", cfg.untilThreshold)
+	}
 
 	if rc := s.results.Load(); rc != nil && !cfg.noCache {
 		return s.queryCached(ctx, rc, tr, cq, cfg)

@@ -52,7 +52,7 @@ func (cq *CompiledQuery) Query(opts ...QueryOption) (*Results, error) {
 // or looked up, so its trace starts at the eval stage, like QueryFormulaCtx's.
 func (cq *CompiledQuery) QueryCtx(ctx context.Context, opts ...QueryOption) (*Results, error) {
 	cfg := newQueryConfig(opts)
-	return cq.store.queryCompiledCtx(ctx, cfg.startTrace(cq.text), cq, cfg)
+	return cq.store.queryCompiledCtx(ctx, cq.store.obs.startTrace(cfg, cq.text), cq, cfg)
 }
 
 // ProfileLabels are the pprof labels an evaluation of the query under engine

@@ -82,7 +82,7 @@ func (s *Store) Explain(query string, opts ...QueryOption) (*ExplainResult, erro
 // per-visit timing in the reference evaluator.
 func (s *Store) ExplainCtx(ctx context.Context, query string, opts ...QueryOption) (*ExplainResult, error) {
 	cfg := newQueryConfig(opts)
-	cfg.unsampled = false // the result reads the query's own trace
+	cfg.explain = true // the result reads the query's own trace
 	tr, cq, err := s.parse(query, false, cfg)
 	if err != nil {
 		return nil, err

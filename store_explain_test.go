@@ -287,8 +287,8 @@ func TestExplainSlowLogLinkage(t *testing.T) {
 	if !found {
 		t.Fatalf("no slow-log entry with trace id %q", er.TraceID)
 	}
-	// The same linkage must hold for plain queries, not just explains.
-	if _, err := s.Query("M1 until M2"); err == nil {
+	// The same linkage must hold for traced plain queries, not just explains.
+	if _, err := s.Query("M1 until M2", WithTrace(&TraceCollector{})); err == nil {
 		for _, e := range s.SlowLog().Snapshot() {
 			if e.Query == "M1 until M2" && (e.TraceID == "" || e.PlanKey == "") {
 				t.Fatalf("plain query entry missing linkage: %+v", e)

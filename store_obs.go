@@ -28,6 +28,8 @@ type storeObs struct {
 	reg  *obs.Registry
 	slow *obs.SlowLog
 	ring *obs.TraceRing
+	// sampling decides which of the store's direct queries are traced.
+	sampling obs.TraceSampler
 
 	// qstats aggregates per-plan-key workload statistics (the /debug/queries
 	// document).
@@ -275,6 +277,20 @@ func (o *storeObs) observeTopK(skipped int64, planKey string) {
 		o.topkSkipped.Add(skipped)
 		o.qstats.ObserveTopK(planKey, skipped)
 	}
+}
+
+// startTrace starts the query's clock under name and returns its trace, or
+// nil for an untraced query: every obs method is nil-safe, so an untraced
+// query builds no span and formats no tag. The store is the root of its
+// direct queries' sampling: WithTrace, WithTraceID and Explain force a trace,
+// Unsampled declines one, and o.sampling keeps one in obs.TraceSampleEvery
+// of the rest.
+func (o *storeObs) startTrace(cfg *queryConfig, name string) *obs.Trace {
+	cfg.name, cfg.begin = name, time.Since(queryClock)
+	if !o.sampling.Sampled(cfg.explain || cfg.sink != nil || cfg.traceID != "", cfg.unsampled) {
+		return nil
+	}
+	return obs.NewTrace(name)
 }
 
 // endQuery finishes a query's trace and settles its per-query accounting:

@@ -10,14 +10,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"htlvideo/internal/faultinject"
+	"htlvideo/internal/obs"
 )
 
 // TestCacheCountersWarmCold proves the picture-system cache counters across a
@@ -340,12 +343,12 @@ func TestSQLStats(t *testing.T) {
 	}
 }
 
-// TestSlowLogRecordsQueries: every query lands in the slow log with its full
-// trace, slowest first.
+// TestSlowLogRecordsQueries: every traced query lands in the slow log with
+// its full trace, slowest first.
 func TestSlowLogRecordsQueries(t *testing.T) {
 	s := resilienceStore(t, 2)
 	for _, q := range []string{"M1", "M2", "M1 until M2"} {
-		if _, err := s.Query(q); err != nil {
+		if _, err := s.Query(q, WithTrace(&TraceCollector{})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -413,6 +416,73 @@ func TestUnsampledQuery(t *testing.T) {
 	}
 	if n := s.TraceRing().Len(); n != 3 {
 		t.Fatalf("ring holds %d traces, want the three forced ones", n)
+	}
+}
+
+// TestDirectQueriesSampled: the store samples its own direct queries. Of 130
+// plain queries, exactly the 1st, 65th and 129th leave a trace in the ring;
+// WithTrace, WithTraceID and Explain, interleaved, always trace and leave the
+// count alone, Unsampled never traces; and the slow log admits all 130 plain
+// queries by duration, only the sampled ones with a span tree.
+func TestDirectQueriesSampled(t *testing.T) {
+	s := resilienceStore(t, 2)
+	s.obs.slow = obs.NewSlowLog(256) // room for every query below
+	// traces runs one query and reports how many traces it left in the ring.
+	traces := func(run func() error) int {
+		t.Helper()
+		before := s.TraceRing().Len()
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		return s.TraceRing().Len() - before
+	}
+	query := func(opts ...QueryOption) func() error {
+		return func() error {
+			_, err := s.Query("M1", opts...)
+			return err
+		}
+	}
+	var sampled []int
+	for i := 1; i <= 130; i++ {
+		if n := traces(query()); n > 0 {
+			sampled = append(sampled, i)
+		}
+		if i != 2 && i != 64 {
+			continue
+		}
+		if n := traces(query(WithTrace(&TraceCollector{}))); n != 1 {
+			t.Fatalf("WithTrace after query %d left %d traces, want 1", i, n)
+		}
+		if n := traces(query(WithTraceID(fmt.Sprintf("direct-%d", i)))); n != 1 {
+			t.Fatalf("WithTraceID after query %d left %d traces, want 1", i, n)
+		}
+		if n := traces(func() error { _, err := s.Explain("M1"); return err }); n != 1 {
+			t.Fatalf("Explain after query %d left %d traces, want 1", i, n)
+		}
+		if n := traces(query(Unsampled())); n != 0 {
+			t.Fatalf("Unsampled after query %d left %d traces, want none", i, n)
+		}
+	}
+	if !reflect.DeepEqual(sampled, []int{1, 65, 129}) {
+		t.Fatalf("plain queries that left a trace: %v, want [1 65 129]", sampled)
+	}
+	// Besides the 130 plain queries, each of the two forced rounds adds three
+	// traced entries and one unsampled one.
+	entries := s.SlowLog().Snapshot()
+	if want := 130 + 2*4; len(entries) != want {
+		t.Fatalf("slow log holds %d entries, want %d", len(entries), want)
+	}
+	var withTree int
+	for _, e := range entries {
+		if e.Query != "M1" || e.Duration <= 0 || e.PlanKey == "" {
+			t.Fatalf("slow-log entry %+v, want M1 with a duration and a plan key", e)
+		}
+		if e.Trace != nil {
+			withTree++
+		}
+	}
+	if want := 3 + 2*3; withTree != want {
+		t.Fatalf("slow log holds %d entries with a span tree, want %d", withTree, want)
 	}
 }
 

@@ -19,6 +19,8 @@ import (
 // beyond its evaluation. The "unsampled" row is the labeled query under
 // Unsampled, as the server sends it for a request it does not trace: no
 // trace, no span and no formatted tag, 13 allocations and 1 080 bytes.
+// The other two rows trace their query under WithTraceID, as the server
+// sends it for a request it samples.
 // TestStoreQueryOverheadBudget fails at 1.1 times either figure (`make
 // budget`): the server sends one such query per video per request, so every
 // byte here is paid 64 times a request on the serving benchmark's corpus.
@@ -27,6 +29,9 @@ var storeQueryOverhead = map[string]struct{ allocs, bytes float64 }{
 	"labeled":   {allocs: 22, bytes: 1968},
 	"unsampled": {allocs: 13, bytes: 1080},
 }
+
+// budgetTraceID is the trace id the traced rows join.
+const budgetTraceID = "0123456789abcdef0123456789abcdef"
 
 func TestStoreQueryOverheadBudget(t *testing.T) {
 	skipUnlessPoolsKeep(t)
@@ -55,7 +60,7 @@ func TestStoreQueryOverheadBudget(t *testing.T) {
 			if unsampled {
 				_, err = cq.QueryCtx(ctx, OnVideo(1), AtLevel(3), WithParallelism(1), Unsampled())
 			} else {
-				_, err = cq.QueryCtx(ctx, OnVideo(1), AtLevel(3), WithParallelism(1))
+				_, err = cq.QueryCtx(ctx, OnVideo(1), AtLevel(3), WithParallelism(1), WithTraceID(budgetTraceID))
 			}
 			if err != nil {
 				t.Fatal(err)

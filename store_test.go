@@ -1,7 +1,9 @@
 package htlvideo
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -375,6 +377,56 @@ func TestClassifyExport(t *testing.T) {
 	} {
 		if got := Classify(MustParse(q)); got != want {
 			t.Errorf("Classify(%q) = %v, want %v", q, got, want)
+		}
+	}
+}
+
+// TestUntilThresholdValidated: a tau outside [0, 1], NaN included, fails the
+// query with a validation error before any video evaluates, whether the
+// query is parsed (QueryCtx), explained or compiled; a tau in range answers.
+func TestUntilThresholdValidated(t *testing.T) {
+	s := resilienceStore(t, 2)
+	cq, err := s.Compile("M1 until M2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []struct {
+		name string
+		run  func(opts ...QueryOption) error
+	}{
+		{"QueryCtx", func(opts ...QueryOption) error {
+			_, err := s.QueryCtx(context.Background(), "M1 until M2", opts...)
+			return err
+		}},
+		{"Explain", func(opts ...QueryOption) error {
+			_, err := s.Explain("M1 until M2", opts...)
+			return err
+		}},
+		{"CompiledQuery.QueryCtx", func(opts ...QueryOption) error {
+			_, err := cq.QueryCtx(context.Background(), opts...)
+			return err
+		}},
+	}
+	for _, tc := range []struct {
+		tau float64
+		ok  bool
+	}{
+		{math.NaN(), false}, {-0.1, false}, {1.5, false},
+		{0, true}, {0.5, true}, {1, true},
+	} {
+		for _, p := range paths {
+			evaluated := s.obs.videosEvaluated.Value()
+			err := p.run(WithUntilThreshold(tc.tau))
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%s, tau %v: %v", p.name, tc.tau, err)
+			case !tc.ok && err == nil:
+				t.Errorf("%s, tau %v: answered, want refused", p.name, tc.tau)
+			case !tc.ok && errorClass(err) != "validation":
+				t.Errorf("%s, tau %v: error %q classed %q, want validation", p.name, tc.tau, err, errorClass(err))
+			case !tc.ok && s.obs.videosEvaluated.Value() != evaluated:
+				t.Errorf("%s, tau %v: refused after evaluating videos", p.name, tc.tau)
+			}
 		}
 	}
 }
