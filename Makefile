@@ -32,7 +32,8 @@ race:
 
 # The allocation budget (allocations and bytes per cold conj, type2 and
 # general query, for full lists and WithTopK(10)), what a one-video store
-# query may allocate beyond its evaluation (traced and unsampled), what one
+# query may allocate beyond its evaluation (traced and unsampled) and that it
+# allocates the same on a store of one video or of 64, what one
 # cold GET /query of each MIX6 shape allocates through the server's handler,
 # the kernel's byte-identity golden, the three tests that hold the evaluation
 # arena's reuse invisible to both engines, and the proof that a WithTopK(k)
@@ -40,7 +41,7 @@ race:
 # detector sync.Pool drops puts on purpose, the budgets skip themselves and
 # reuse is rarer.
 budget:
-	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestColdRequestAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/ ./internal/server/
+	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestVideoQueryCostIndependentOfStoreSize|TestColdRequestAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/ ./internal/server/
 
 # Metrics-conventions lint: every Prometheus exposition the store, server and
 # shard coordinator serve must pass obs.LintExposition (counter/gauge/
@@ -96,13 +97,15 @@ repro-smoke:
 # or sheds requests fails the gate. The second run drives the coordinator,
 # whose /query document the harness decodes too; the third the store
 # directly, the one workload with the write-ahead log, a checkpoint and
-# recovery verification. Nothing under bench/ is written except the
-# git-ignored bench/out/.
+# recovery verification; the fourth the server against its result cache, the
+# one workload whose per-video store queries hit it. Nothing under bench/ is
+# written except the git-ignored bench/out/.
 bench-e2e-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -quick -only serve_cold_mix -seconds 1
 	bash bench/run.sh -quick -only shard4_cold_mix -seconds 1
 	bash bench/run.sh -quick -only store_ingest_query -seconds 1
+	bash bench/run.sh -quick -only serve_zipf -seconds 1
 
 # Short parser fuzz session (FuzzParse: parse → print → re-parse is total).
 fuzz:

@@ -120,19 +120,22 @@ func benchRequests(b *testing.B, srv *Server) {
 // type2 272 / 32.5 KB, conj 293 / 35.3 KB, extconj 209 / 24.8 KB, general
 // 195 / 21.7 KB. While the JSON answer was indented by an encoder made per
 // call: type1 263 / 33.3 KB, until 184 / 25.0 KB, type2 254 / 29.7 KB, conj
-// 277 / 32.8 KB, extconj 195 / 23.4 KB, general 184 / 20.9 KB.
+// 277 / 32.8 KB, extconj 195 / 23.4 KB, general 184 / 20.9 KB. While each
+// video's store query built a Results, a one-entry map and a one-key
+// fan-out of its own: type1 254 / 29.9 KB, until 175 / 21.6 KB, type2 244 /
+// 26.3 KB, conj 266 / 29.3 KB, extconj 187 / 21.5 KB, general 177 / 19.8 KB.
 // TestColdRequestAllocBudget fails at 1.1 times either figure
 // (`make budget`), and holds a shard request to the same: one whose
 // X-Htl-Trace id a coordinator flagged unsampled, so none of its 64 requests
 // is traced. The same request under a bare id, traced every time, is logged
 // and not bounded.
 var coldRequestBudget = map[string]struct{ allocs, bytes float64 }{
-	"type1":   {allocs: 254, bytes: 29_900},
-	"until":   {allocs: 175, bytes: 21_600},
-	"type2":   {allocs: 244, bytes: 26_300},
-	"conj":    {allocs: 266, bytes: 29_300},
-	"extconj": {allocs: 187, bytes: 21_500},
-	"general": {allocs: 177, bytes: 19_800},
+	"type1":   {allocs: 166, bytes: 22_500},
+	"until":   {allocs: 87, bytes: 14_200},
+	"type2":   {allocs: 156, bytes: 18_900},
+	"conj":    {allocs: 178, bytes: 21_900},
+	"extconj": {allocs: 99, bytes: 14_100},
+	"general": {allocs: 89, bytes: 12_400},
 }
 
 func TestColdRequestAllocBudget(t *testing.T) {

@@ -611,10 +611,11 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 		videoSpans = make([]*obs.Span, len(eligible))
 	}
 
-	// Each video runs as a one-video query without WithPartialResults, so
-	// its failure comes back as an error the breaker and the retries see,
-	// and under WithTopK(p.K): the merged top k lies in the union of the
-	// per-video top k, so each video copies out only its own.
+	// Each video runs as a one-video query (QueryVideoCtx) without
+	// WithPartialResults, so its failure comes back as an error the breaker
+	// and the retries see, and under WithTopK(p.K): the merged top k lies in
+	// the union of the per-video top k, so each video copies out only its
+	// own. Every attempt shares opts; only a ?trace=1 attempt extends it.
 	whole := p
 	whole.Partial = false
 	if !sampled {
@@ -640,21 +641,18 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 		results = resilience.FanOut(ctx, eligible,
 			resilience.Guard{Limit: s.cfg.parallelism, Breaker: s.breaker, Retry: s.retry, Transient: htlvideo.IsTransient},
 			func(ctx context.Context, i, attempt int) (htlvideo.SimList, error) {
-				id := int(eligible[i])
-				// Copy: concurrent attempts must not share the base slice's
-				// backing array through append.
-				vopts := make([]htlvideo.QueryOption, 0, len(opts)+2)
-				vopts = append(vopts, opts...)
-				vopts = append(vopts, htlvideo.OnVideo(id))
+				vopts := opts
 				var asp *obs.Span
 				var col *obs.TraceCollector
 				if evalSpan != nil {
 					asp = videoSpan(i).StartSpan("attempt")
 					asp.SetTag("attempt", strconv.Itoa(attempt))
 					col = &obs.TraceCollector{}
-					vopts = append(vopts, htlvideo.WithTrace(col))
+					// Copy: concurrent attempts must not share the base
+					// slice's backing array through append.
+					vopts = append(opts[:len(opts):len(opts)], htlvideo.WithTrace(col))
 				}
-				res, err := cq.QueryCtx(ctx, vopts...)
+				l, err := cq.QueryVideoCtx(ctx, int(eligible[i]), vopts...)
 				if asp != nil {
 					if err != nil {
 						asp.SetTag("outcome", obs.Truncate(err.Error(), 120))
@@ -668,10 +666,7 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 					}
 					asp.End()
 				}
-				if err != nil {
-					return htlvideo.SimList{}, err
-				}
-				return res.PerVideo[id], nil
+				return l, err
 			},
 			func(i int, r *resilience.Result[htlvideo.SimList]) {
 				if evalSpan == nil {

@@ -17,9 +17,10 @@ import (
 )
 
 // TestPerVideoOptionsDoNotAlias guards the copy evaluate makes of the
-// request's option slice for each attempt: with ?root=1 the base slice has
-// spare capacity, so attempts appending OnVideo to it directly would overwrite
-// each other's video. Every one of 30 requests over 8 concurrent videos must
+// request's option slice for each ?trace=1 attempt: with ?root=1 the base
+// slice has spare capacity, so attempts appending their WithTrace to it
+// directly would overwrite each other's collector (a race under -race). Every
+// one of 30 requests over 8 concurrent videos, every other one traced, must
 // answer 200 with the same ranking.
 func TestPerVideoOptionsDoNotAlias(t *testing.T) {
 	s := htlvideo.NewStore(nil, htlvideo.DefaultWeights())
@@ -35,7 +36,11 @@ func TestPerVideoOptionsDoNotAlias(t *testing.T) {
 	var first string
 	for i := 0; i < 30; i++ {
 		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest("GET", "/query?q=at-shot-level%28M1%29&root=1", nil))
+		target := "/query?q=at-shot-level%28M1%29&root=1"
+		if i%2 == 1 {
+			target += "&trace=1"
+		}
+		h.ServeHTTP(w, httptest.NewRequest("GET", target, nil))
 		if w.Code != http.StatusOK {
 			t.Fatalf("request %d: status %d: %s", i, w.Code, w.Body.String())
 		}

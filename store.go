@@ -7,7 +7,6 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -183,7 +182,6 @@ type QueryOption func(*queryConfig)
 type queryConfig struct {
 	level          int
 	untilThreshold float64
-	videoID        *int
 	parallelism    int
 	topK           int
 	sink           obs.TraceSink
@@ -195,10 +193,10 @@ type queryConfig struct {
 	name  string
 	begin time.Duration
 	// rec accumulates the per-query facts the workload statistics aggregate
-	// at settle time (queryCompiledCtx labels it; runQuery and the result
+	// at settle time (beginQuery labels it; the evaluation and the result
 	// cache fill it in).
 	rec querystats.Record
-	// memoHits counts this query's memo hits in either engine; runQuery
+	// memoHits counts this query's memo hits in either engine; settleVideos
 	// folds it into the store's counter when its videos are done.
 	memoHits obs.Counter
 	// prof is the per-plan-node profile ExplainCtx attaches; nil otherwise,
@@ -287,9 +285,6 @@ func WithExactProfile() QueryOption { return func(c *queryConfig) { c.exactProf 
 // a larger k'; Results.PerVideo and Results.Ranked hold only the kept runs.
 // k < 1 keeps full lists, the default. Explain always evaluates full lists.
 func WithTopK(k int) QueryOption { return func(c *queryConfig) { c.topK = k } }
-
-// OnVideo restricts the query to a single video.
-func OnVideo(id int) QueryOption { return func(c *queryConfig) { c.videoID = &id } }
 
 // VideoError records the failure of one video's evaluation within a
 // multi-video query. Use errors.As to recover the video id from a joined
@@ -387,9 +382,9 @@ func (r *Results) Ranked() []Ranked {
 	return top
 }
 
-// Query parses and evaluates an HTL query over every stored video (use
-// OnVideo to restrict it). See QueryFormulaCtx for evaluating a pre-parsed
-// formula.
+// Query parses and evaluates an HTL query over every stored video. See
+// QueryFormulaCtx for evaluating a pre-parsed formula, and
+// CompiledQuery.QueryVideoCtx for evaluating one video.
 func (s *Store) Query(query string, opts ...QueryOption) (*Results, error) {
 	return s.QueryCtx(context.Background(), query, opts...)
 }
@@ -448,12 +443,57 @@ func (s *Store) QueryFormulaCtx(ctx context.Context, f Formula, opts ...QueryOpt
 	return s.queryCompiledCtx(ctx, s.obs.startTrace(cfg, cq.plan.Key), cq, cfg)
 }
 
-// queryCompiledCtx runs a compiled query under an already-started trace, nil
-// when the query is unsampled (QueryCtx adds the parse stage before calling
-// it). Whatever path the query takes — including a result-cache hit — the
-// deferred endQuery settles the per-query accounting: totals, per-engine and
-// per-class counters and latency, the slow log, and the trace sinks.
+// queryCompiledCtx runs a compiled query over every video under an
+// already-started trace, nil when the query is unsampled (QueryCtx adds the
+// parse stage before calling it). Whatever path the query takes — including
+// a result-cache hit — the deferred endQuery settles the per-query
+// accounting: totals, per-engine and per-class counters and latency, the
+// slow log, and the trace sinks.
 func (s *Store) queryCompiledCtx(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig) (res *Results, err error) {
+	defer func() { s.obs.endQuery(tr, err, cq, cfg) }()
+	rc, err := s.beginQuery(tr, cq, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if rc != nil {
+		return s.queryCached(ctx, rc, tr, cq, cfg, nil)
+	}
+	return s.runQuery(ctx, tr, cq, cfg)
+}
+
+// QueryVideoCtx evaluates the compiled query over the one video id and
+// returns its similarity list: exactly Results.PerVideo[id] of the query over
+// every video, with the same accounting, sampling and result cache, but no
+// Results, map or fan-out. A missing video, one without the queried level and
+// a failed evaluation (a *VideoError) are errors. The server asks for each
+// video's list this way.
+func (cq *CompiledQuery) QueryVideoCtx(ctx context.Context, id int, opts ...QueryOption) (l SimList, err error) {
+	s, cfg := cq.store, newQueryConfig(opts)
+	tr := s.obs.startTrace(cfg, cq.text)
+	defer func() { s.obs.endQuery(tr, err, cq, cfg) }()
+	rc, err := s.beginQuery(tr, cq, cfg)
+	if err != nil {
+		return SimList{}, err
+	}
+	v := s.meta.Video(id)
+	if v == nil {
+		return SimList{}, fmt.Errorf("htlvideo: no video with id %d", id)
+	}
+	if rc == nil {
+		return s.runVideo(ctx, tr, cq, cfg, v)
+	}
+	res, err := s.queryCached(ctx, rc, tr, cq, cfg, v)
+	if err != nil {
+		return SimList{}, err
+	}
+	return res.PerVideo[id], nil
+}
+
+// beginQuery is the preamble of every compiled query once its trace is
+// started: the trace's tags, the workload-statistics record and the until
+// threshold's check. It returns the result cache the query goes through, nil
+// when the store has none or the query bypasses it.
+func (s *Store) beginQuery(tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig) (*cache.LRU[string, *Results], error) {
 	engine := engineKey(cfg.engine)
 	class := classKey(cq.class)
 	if tr != nil {
@@ -464,39 +504,27 @@ func (s *Store) queryCompiledCtx(ctx context.Context, tr *obs.Trace, cq *Compile
 		tr.SetTag("plan_key", cq.plan.Key)
 	}
 	cfg.rec = querystats.Record{PlanKey: cq.plan.Key, Class: class, Engine: engine}
-	defer func() { s.obs.endQuery(tr, err, cq, cfg) }()
-
 	if !ValidUntilThreshold(cfg.untilThreshold) {
 		return nil, fmt.Errorf("htlvideo: until threshold %v is not in [0, 1]", cfg.untilThreshold)
 	}
-
-	if rc := s.results.Load(); rc != nil && !cfg.noCache {
-		return s.queryCached(ctx, rc, tr, cq, cfg)
+	if cfg.noCache {
+		return nil, nil
 	}
-	return s.runQuery(ctx, tr, cq, cfg)
+	return s.results.Load(), nil
 }
 
 // runQuery evaluates a compiled query over the store's videos, uncached.
 func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig) (*Results, error) {
-	var videos []*Video
-	if cfg.videoID != nil {
-		v := s.meta.Video(*cfg.videoID)
-		if v == nil {
-			return nil, fmt.Errorf("htlvideo: no video with id %d", *cfg.videoID)
-		}
-		videos = []*Video{v}
-	} else {
-		videos = s.meta.Videos()
-	}
+	videos := s.meta.Videos()
 	if len(videos) == 0 {
 		return nil, errors.New("htlvideo: the store has no videos")
 	}
 	// A heterogeneous store may hold videos without the queried level; they
-	// simply contribute no segments. An explicitly targeted video still
-	// errors, below in queryVideo.
+	// simply contribute no segments. A video queried by itself still errors
+	// (runVideo).
 	var work []*Video
 	for _, v := range videos {
-		if cfg.videoID == nil && !v.HasLevel(cfg.level) {
+		if !v.HasLevel(cfg.level) {
 			s.obs.videosSkipped.Inc()
 			cfg.rec.VideosSkipped++
 			continue
@@ -524,51 +552,32 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	}
 	var results []resilience.Result[SimList]
 	// The loop's workers stop promptly on cancellation: every engine
-	// checkpoints the context inside its main loop.
-	fan := func(ctx context.Context) {
+	// checkpoints the context inside its main loop. They are spawned inside
+	// the labeled region, so they inherit the profiler labels.
+	cq.labeledDo(ctx, cfg.engine, func(ctx context.Context) {
 		results = resilience.FanOut(ctx, keys, resilience.Guard{Limit: workers},
 			func(ctx context.Context, i, _ int) (SimList, error) {
 				o.poolQueued.Dec()
-				o.poolInFlight.Inc()
-				defer o.poolInFlight.Dec()
 				return s.queryVideoIsolated(ctx, evalStage, work[i], cq, cfg)
 			}, nil)
-	}
-	// The pprof labels make CPU profiles from /debug/pprof/profile
-	// attributable to query shape. The workers are spawned inside the
-	// labeled region so they inherit the labels; a caller that labeled the
-	// evaluation already (the server, once per request) is not relabeled.
-	if cq.labeled(ctx, cfg.engine) {
-		fan(ctx)
-	} else {
-		pprof.Do(ctx, cq.ProfileLabels(cfg.engine), fan)
-	}
+	})
 	evalStage.End()
 	var errs []error
 	for i, r := range results {
-		if r.Outcome == resilience.NotStarted {
+		switch {
+		case r.Outcome == resilience.NotStarted:
 			// Never fed to a worker: it leaves the queue gauge with the pool.
 			o.poolQueued.Dec()
-			continue
-		}
-		o.videoLat.Observe(r.Elapsed)
-		if r.Err != nil {
-			o.videosFailed.Inc()
-			errs = append(errs, &VideoError{VideoID: work[i].ID, Elapsed: r.Elapsed, Err: r.Err})
-		} else {
-			o.videosEvaluated.Inc()
+		case r.Err != nil:
+			errs = append(errs, r.Err)
+		default:
 			res.PerVideo[work[i].ID] = r.Value
 		}
 	}
-	// Fold the query's memo hits into the store's counter. They are counted
-	// where explain's profile counts them, so explain output and /metrics
-	// tell one story (the golden tests assert they match).
-	cfg.rec.MemoHits = cfg.memoHits.Value()
-	o.planMemoHits.Add(cfg.rec.MemoHits)
-	cfg.rec.VideosEvaluated = int64(len(res.PerVideo))
+	s.settleVideos(cfg, len(res.PerVideo))
 
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("htlvideo: query aborted: %w", err)
+		return nil, aborted(err)
 	}
 	merge := tr.StartSpan("merge")
 	defer merge.End()
@@ -579,15 +588,71 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	return res, nil
 }
 
-// queryVideoIsolated evaluates the formula over one video under a "video"
-// span of parent: the picture-system build/cache-lookup stage, then the
-// engine stage, each under its own span. Panics are contained, so a poisoned
-// video fails alone instead of crashing every caller of the store.
+// runVideo evaluates a compiled query over one video, uncached: runQuery's
+// spans and accounting around one evaluation. A video without the queried
+// level is evaluated, and fails, where a whole-store query skips it.
+func (s *Store) runVideo(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig, v *Video) (l SimList, err error) {
+	// A query whose context ended first never starts its video, as the
+	// fan-out would not.
+	if err := ctx.Err(); err != nil {
+		return SimList{}, aborted(err)
+	}
+	if tr != nil {
+		tr.SetTag("videos", "1")
+	}
+	evalStage := tr.StartSpan("eval")
+	cq.labeledDo(ctx, cfg.engine, func(ctx context.Context) {
+		l, err = s.queryVideoIsolated(ctx, evalStage, v, cq, cfg)
+	})
+	evalStage.End()
+	evaluated := 0
+	if err == nil {
+		evaluated = 1
+	}
+	s.settleVideos(cfg, evaluated)
+	if cerr := ctx.Err(); cerr != nil {
+		return SimList{}, aborted(cerr)
+	}
+	return l, err
+}
+
+// settleVideos records a query's evaluated videos and folds its memo hits
+// into the store's counter. They are counted where explain's profile counts
+// them, so explain output and /metrics tell one story (the golden tests
+// assert they match).
+func (s *Store) settleVideos(cfg *queryConfig, evaluated int) {
+	cfg.rec.MemoHits = cfg.memoHits.Value()
+	s.obs.planMemoHits.Add(cfg.rec.MemoHits)
+	cfg.rec.VideosEvaluated = int64(evaluated)
+}
+
+// aborted is the error of a query whose context ended.
+func aborted(err error) error { return fmt.Errorf("htlvideo: query aborted: %w", err) }
+
+// queryVideoIsolated evaluates the formula over one video of a query under a
+// "video" span of parent: the picture-system build/cache-lookup stage, then
+// the engine stage, each under its own span. Meanwhile it holds the pool's
+// in-flight gauge; then it observes the video's latency and counts it
+// evaluated or failed, a failure being a *VideoError. Panics are contained,
+// so a poisoned video fails alone instead of crashing every caller of the
+// store.
 func (s *Store) queryVideoIsolated(ctx context.Context, parent *obs.Span, v *Video, cq *CompiledQuery, cfg *queryConfig) (l SimList, err error) {
+	o := s.obs
+	o.poolInFlight.Inc()
+	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			s.obs.panicsRecovered.Inc()
+			o.panicsRecovered.Inc()
 			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+		elapsed := time.Since(start)
+		o.poolInFlight.Dec()
+		o.videoLat.Observe(elapsed)
+		if err != nil {
+			o.videosFailed.Inc()
+			l, err = SimList{}, &VideoError{VideoID: v.ID, Elapsed: elapsed, Err: err}
+		} else {
+			o.videosEvaluated.Inc()
 		}
 	}()
 	vsp := parent.StartSpan("video")

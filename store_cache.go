@@ -16,7 +16,6 @@ package htlvideo
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -62,10 +61,11 @@ func WithoutCache() QueryOption { return func(c *queryConfig) { c.noCache = true
 
 // resultKey builds the cache identity of one query: the store generation, the
 // options that change the answer (WithTopK's k among them: its lists are cut),
-// and the formula's canonical text.
+// the one video v of QueryVideoCtx (nil for every video), and the formula's
+// canonical text.
 // Parallelism, tracing and cache options are deliberately absent — they do
 // not affect results.
-func (s *Store) resultKey(cq *CompiledQuery, cfg *queryConfig) string {
+func (s *Store) resultKey(cq *CompiledQuery, cfg *queryConfig, v *Video) string {
 	var b strings.Builder
 	var num [24]byte
 	b.Grow(len(cq.plan.Key) + 48)
@@ -78,9 +78,9 @@ func (s *Store) resultKey(cq *CompiledQuery, cfg *queryConfig) string {
 	b.WriteString("|t")
 	b.Write(strconv.AppendFloat(num[:0], cfg.untilThreshold, 'g', -1, 64))
 	b.WriteByte('|')
-	if cfg.videoID != nil {
+	if v != nil {
 		b.WriteByte('v')
-		b.Write(strconv.AppendInt(num[:0], int64(*cfg.videoID), 10))
+		b.Write(strconv.AppendInt(num[:0], int64(v.ID), 10))
 		b.WriteByte('|')
 	}
 	if cfg.partial {
@@ -95,14 +95,23 @@ func (s *Store) resultKey(cq *CompiledQuery, cfg *queryConfig) string {
 	return b.String()
 }
 
-// queryCached wraps runQuery with the result cache: hit → shared result;
-// in-flight duplicate → wait for the leader; miss → evaluate and publish.
-func (s *Store) queryCached(ctx context.Context, rc *cache.LRU[string, *Results], tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig) (*Results, error) {
+// queryCached wraps runQuery, or runVideo for the one video v, with the
+// result cache: hit → shared result; in-flight duplicate → wait for the
+// leader; miss → evaluate and publish. v's list is cached as a Results
+// holding it alone.
+func (s *Store) queryCached(ctx context.Context, rc *cache.LRU[string, *Results], tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig, v *Video) (*Results, error) {
 	o := s.obs
-	res, oc, err := rc.Load(ctx, s.resultKey(cq, cfg), func() (*Results, error) {
+	res, oc, err := rc.Load(ctx, s.resultKey(cq, cfg, v), func() (*Results, error) {
 		o.resMisses.Inc()
 		tr.SetTag("result_cache", "miss")
-		return s.runQuery(ctx, tr, cq, cfg)
+		if v == nil {
+			return s.runQuery(ctx, tr, cq, cfg)
+		}
+		l, err := s.runVideo(ctx, tr, cq, cfg, v)
+		if err != nil {
+			return nil, err
+		}
+		return &Results{PerVideo: map[int]SimList{v.ID: l}}, nil
 	}, complete)
 	switch {
 	case oc == cache.Loaded:
@@ -111,7 +120,7 @@ func (s *Store) queryCached(ctx context.Context, rc *cache.LRU[string, *Results]
 	case err != nil:
 		if err == ctx.Err() {
 			// This query left the flight on its own context.
-			return nil, fmt.Errorf("htlvideo: query aborted: %w", err)
+			return nil, aborted(err)
 		}
 		return nil, err
 	case oc == cache.Hit:

@@ -58,8 +58,9 @@ func (cq *CompiledQuery) QueryCtx(ctx context.Context, opts ...QueryOption) (*Re
 // ProfileLabels are the pprof labels an evaluation of the query under engine
 // e runs with — engine, formula class and the plan's canonical key — so CPU
 // profiles from /debug/pprof/profile are attributable to query shape. A
-// caller that runs many evaluations of one query (the server, one per video)
-// labels them once with pprof.Do; the store then leaves the labels alone.
+// caller that runs many evaluations of one query (the server, one
+// QueryVideoCtx per video) labels them once with pprof.Do; the store then
+// leaves the labels alone.
 func (cq *CompiledQuery) ProfileLabels(e Engine) pprof.LabelSet {
 	return pprof.Labels("engine", engineKey(e), "class", classKey(cq.class), "query_key", cq.plan.Key)
 }
@@ -69,6 +70,16 @@ func (cq *CompiledQuery) labeled(ctx context.Context, e Engine) bool {
 	key, _ := pprof.Label(ctx, "query_key")
 	engine, _ := pprof.Label(ctx, "engine")
 	return key == cq.plan.Key && engine == engineKey(e)
+}
+
+// labeledDo runs f under ProfileLabels(e), or under ctx as it is when a
+// caller labeled the evaluation already.
+func (cq *CompiledQuery) labeledDo(ctx context.Context, e Engine, f func(context.Context)) {
+	if cq.labeled(ctx, e) {
+		f(ctx)
+		return
+	}
+	pprof.Do(ctx, cq.ProfileLabels(e), f)
 }
 
 // Compile parses, classifies and plans a query, reusing the store's plan

@@ -44,6 +44,16 @@ func testStore(t *testing.T) *Store {
 	return s
 }
 
+// queryVideo evaluates query over the one video id
+// (CompiledQuery.QueryVideoCtx).
+func queryVideo(s *Store, query string, id int, opts ...QueryOption) (SimList, error) {
+	cq, err := s.Compile(query)
+	if err != nil {
+		return SimList{}, err
+	}
+	return cq.QueryVideoCtx(context.Background(), id, opts...)
+}
+
 func TestQueryAcrossVideos(t *testing.T) {
 	s := testStore(t)
 	res, err := s.Query("exists x . present(x) and type(x) = 'man'")
@@ -61,13 +71,12 @@ func TestQueryAcrossVideos(t *testing.T) {
 
 func TestQueryAtDeeperLevel(t *testing.T) {
 	s := testStore(t)
-	res, err := s.Query(
+	l, err := queryVideo(s,
 		"(exists x, y . fires_at(x, y)) and eventually (exists z . on_floor(z))",
-		AtLevel(3), OnVideo(2))
+		2, AtLevel(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := res.PerVideo[2]
 	// Shot 2 (global position 2 at level 3) has the shooting with the fall
 	// after it.
 	if l.At(2).Act <= l.At(1).Act {
@@ -80,11 +89,11 @@ func TestEnginesAgree(t *testing.T) {
 	q := "(exists x . present(x) and type(x) = 'man') and eventually (exists t . present(t) and type(t) = 'train' and moving(t))"
 	var lists []SimList
 	for _, e := range []Engine{EngineDirect, EngineSQL, EngineReference, EngineAuto} {
-		res, err := s.Query(q, WithEngine(e), OnVideo(1))
+		l, err := queryVideo(s, q, 1, WithEngine(e))
 		if err != nil {
 			t.Fatalf("engine %d: %v", e, err)
 		}
-		lists = append(lists, res.PerVideo[1])
+		lists = append(lists, l)
 	}
 	for i := 1; i < len(lists); i++ {
 		if !simlist.EqualApprox(lists[0], lists[i], 1e-9) {
@@ -115,11 +124,11 @@ func TestTopKAcrossVideos(t *testing.T) {
 
 func TestRankedPresentation(t *testing.T) {
 	s := testStore(t)
-	res, err := s.Query(casablanca.Query1, OnVideo(1))
+	l, err := queryVideo(s, casablanca.Query1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked := res.Ranked()
+	ranked := s.NewResults(map[int]SimList{1: l}).Ranked()
 	if len(ranked) == 0 || ranked[0].Sim.Act < ranked[len(ranked)-1].Sim.Act {
 		t.Fatalf("ranked = %v", ranked)
 	}
@@ -132,20 +141,23 @@ func TestGeneralFormulaFallsBackToReference(t *testing.T) {
 	s := testStore(t)
 	// Negation over a temporal subformula: general HTL.
 	q := "not eventually (exists t . present(t) and type(t) = 'train' and moving(t))"
-	res, err := s.Query(q, OnVideo(1))
+	cq, err := s.Compile(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Class != ClassGeneral {
-		t.Fatalf("class = %v", res.Class)
+	if cq.Class() != ClassGeneral {
+		t.Fatalf("class = %v", cq.Class())
 	}
-	l := res.PerVideo[1]
+	l, err := cq.QueryVideoCtx(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Shots after the train (10..50) satisfy the negation fully.
 	if l.At(15).Act != l.MaxSim || l.At(5).Act == l.MaxSim {
 		t.Fatalf("list = %v", l)
 	}
 	// EngineDirect must refuse it.
-	if _, err := s.Query(q, OnVideo(1), WithEngine(EngineDirect)); err == nil {
+	if _, err := cq.QueryVideoCtx(context.Background(), 1, WithEngine(EngineDirect)); err == nil {
 		t.Fatal("EngineDirect should reject general formulas")
 	}
 }
@@ -153,13 +165,12 @@ func TestGeneralFormulaFallsBackToReference(t *testing.T) {
 func TestAtRootBrowsing(t *testing.T) {
 	s := testStore(t)
 	// Browsing query (§2.1): genre at the root plus a level-modal descent.
-	res, err := s.Query(
+	l, err := queryVideo(s,
 		"genre = 'western' and at-level(3, eventually (exists x, y . fires_at(x, y)))",
-		AtRoot(), OnVideo(2))
+		2, AtRoot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := res.PerVideo[2]
 	if l.At(1).Act <= 0 {
 		t.Fatalf("root similarity = %v", l)
 	}
@@ -170,17 +181,17 @@ func TestQueryOptionsAndErrors(t *testing.T) {
 	if _, err := s.Query("((("); err == nil {
 		t.Fatal("parse error should surface")
 	}
-	if _, err := s.Query("M1", OnVideo(9)); err == nil {
+	if _, err := queryVideo(s, "M1", 9); err == nil {
 		t.Fatal("unknown video should fail")
 	}
 	if _, err := NewStore(nil, DefaultWeights()).Query("M1"); err == nil {
 		t.Fatal("empty store should fail")
 	}
-	if _, err := s.Query("M1", AtLevel(9), OnVideo(1)); err == nil {
+	if _, err := queryVideo(s, "M1", 1, AtLevel(9)); err == nil {
 		t.Fatal("level without segments should fail")
 	}
 	// SQL engine is restricted to type (1).
-	if _, err := s.Query("exists x . present(x) until M1", WithEngine(EngineSQL), OnVideo(1)); err == nil ||
+	if _, err := queryVideo(s, "exists x . present(x) until M1", 1, WithEngine(EngineSQL)); err == nil ||
 		!strings.Contains(err.Error(), "type (1)") {
 		t.Fatalf("err = %v", err)
 	}
@@ -191,15 +202,14 @@ func TestUntilThresholdOption(t *testing.T) {
 	// With τ = 1.0 only exact matches carry the until; the partial 1.26-run
 	// cannot bridge to the train.
 	q := "(" + casablanca.ManWomanQuery + ") until (" + casablanca.MovingTrainQuery + ")"
-	strict, err := s.Query(q, OnVideo(1), WithUntilThreshold(1.0))
+	ls, err := queryVideo(s, q, 1, WithUntilThreshold(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := s.Query(q, OnVideo(1), WithUntilThreshold(0.1))
+	ll, err := queryVideo(s, q, 1, WithUntilThreshold(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, ll := strict.PerVideo[1], loose.PerVideo[1]
 	// Loosely, shot 8's partial match bridges to the train at 9; strictly,
 	// nothing does and only the train itself remains.
 	if ll.At(8).Act <= 0 || ls.At(8).Act != 0 {
@@ -268,7 +278,7 @@ func TestHeterogeneousLevelsSkipped(t *testing.T) {
 		t.Fatalf("video 2 list: %v", res.PerVideo[2])
 	}
 	// Explicit targeting still surfaces the problem.
-	if _, err := s.Query("M1", AtLevel(3), OnVideo(1)); err == nil {
+	if _, err := queryVideo(s, "M1", 1, AtLevel(3)); err == nil {
 		t.Fatal("explicitly targeted missing level should fail")
 	}
 }
@@ -352,11 +362,13 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			q := queries[i%len(queries)]
-			opts := []QueryOption{}
+			var err error
 			if q == queries[2] {
-				opts = append(opts, AtRoot(), OnVideo(2))
+				_, err = queryVideo(s, q, 2, AtRoot())
+			} else {
+				_, err = s.Query(q)
 			}
-			if _, err := s.Query(q, opts...); err != nil {
+			if err != nil {
 				errs <- fmt.Errorf("%q: %w", q, err)
 			}
 		}(i)
@@ -383,7 +395,8 @@ func TestClassifyExport(t *testing.T) {
 
 // TestUntilThresholdValidated: a tau outside [0, 1], NaN included, fails the
 // query with a validation error before any video evaluates, whether the
-// query is parsed (QueryCtx), explained or compiled; a tau in range answers.
+// query is parsed (QueryCtx), explained, compiled, or asked of one video; a
+// tau in range answers.
 func TestUntilThresholdValidated(t *testing.T) {
 	s := resilienceStore(t, 2)
 	cq, err := s.Compile("M1 until M2")
@@ -404,6 +417,10 @@ func TestUntilThresholdValidated(t *testing.T) {
 		}},
 		{"CompiledQuery.QueryCtx", func(opts ...QueryOption) error {
 			_, err := cq.QueryCtx(context.Background(), opts...)
+			return err
+		}},
+		{"CompiledQuery.QueryVideoCtx", func(opts ...QueryOption) error {
+			_, err := cq.QueryVideoCtx(context.Background(), 1, opts...)
 			return err
 		}},
 	}
