@@ -81,12 +81,17 @@ explain-smoke:
 	echo "$$out" | grep -q '^until' || { echo "explain-smoke: no until node in output" >&2; exit 1; }; \
 	echo "$$out" | grep -q 'visits=' || { echo "explain-smoke: no per-node stats in output" >&2; exit 1; }
 
-# Tables 5–6 smoke: the direct-vs-SQL comparison at small sizes, through the
-# binary that regenerates the paper's tables. experiments.Compare fails the
-# run when the direct and SQL similarity lists differ.
+# §4 smoke, through the binary that regenerates the paper's tables: Table 4,
+# which fails unless the SQL baseline computes Casablanca's Query 1 as the
+# direct engine does (§4.1's "identical"), and the direct-vs-SQL comparison of
+# Tables 5–6 at small sizes (experiments.Compare fails the run when the two
+# similarity lists differ); then the Casablanca example, which prints Table 4
+# both ways.
 repro-smoke:
+	$(GO) run ./cmd/reprotables -table 4
 	$(GO) run ./cmd/reprotables -sizes 200,1000 -table 5
 	$(GO) run ./cmd/reprotables -sizes 200,1000 -table 6
+	$(GO) run ./examples/casablanca
 
 # The end-to-end benchmark harness is its own module (bench/, so that the root
 # `go build ./... && go test ./...` do not see it), which also means an

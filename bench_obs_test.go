@@ -26,7 +26,6 @@ func TestWriteBenchObs(t *testing.T) {
 		e    Engine
 	}{
 		{"core", EngineDirect},
-		{"sqlgen", EngineSQL},
 		{"refeval", EngineReference},
 	}
 	const iters = 40

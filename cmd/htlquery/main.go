@@ -10,7 +10,6 @@
 //
 //	htlquery -demo "exists x, y . present(x) and type(x) = 'man' and present(y) and type(y) = 'woman'"
 //	htlquery -store videos.json -level 3 -k 5 "M1 until M2"
-//	htlquery -demo -engine sql "..."                  # local only; a -remote server refuses it
 //	htlquery -demo -trace -metrics-addr :8080 "..."   # trace to stderr, then serve /metrics
 //	htlquery -demo -explain "M1 until M2"             # annotated plan tree with per-node stats
 package main
@@ -45,7 +44,7 @@ func main() {
 	level := flag.Int("level", 2, "hierarchy level the query is asserted on")
 	atRoot := flag.Bool("root", false, "assert the query at the video root (level 1)")
 	k := flag.Int("k", 10, "number of top segments to print")
-	engine := flag.String("engine", "auto", "evaluation engine: auto, direct, reference, or sql (local only; a -remote server refuses it)")
+	engine := flag.String("engine", "auto", "evaluation engine: auto, direct or reference")
 	tau := flag.Float64("tau", 0.5, "until threshold on fractional similarity")
 	timeout := flag.Duration("timeout", 0, "overall query deadline, e.g. 200ms or 2s (0 = none)")
 	partial := flag.Bool("partial", false, "return partial results: failed videos are skipped and summarized")

@@ -20,7 +20,7 @@ const (
 	benchType2 = "exists z . (present(z) and type(z) = 'airplane') and eventually (present(z) and moving(z))"
 	benchConj  = "exists z . (present(z) and type(z) = 'airplane') and [h <- height(z)] eventually (present(z) and height(z) > h)"
 
-	// Subformulas of the two, by their canonical text (core.Plan.Node).
+	// Subformulas of the two, by their canonical text.
 	benchAirplane = "present(z) and type(z) = 'airplane'"
 	benchMoving   = "eventually (present(z) and moving(z))"
 	benchHigher   = "eventually (present(z) and height(z) > h)"
@@ -28,6 +28,19 @@ const (
 )
 
 var benchSink any
+
+// findNode returns the node under n whose canonical text is key, or nil.
+func findNode(n *core.PNode, key string) *core.PNode {
+	if n.Key == key {
+		return n
+	}
+	for _, k := range n.Kids {
+		if m := findNode(k, key); m != nil {
+			return m
+		}
+	}
+	return nil
+}
 
 // benchTables evaluates subformulas of query over the corpus video's shots.
 func benchTables(b *testing.B, query string, subformulas ...string) (*picture.System, []*simlist.Table) {
@@ -47,7 +60,7 @@ func benchTables(b *testing.B, query string, subformulas ...string) (*picture.Sy
 	plan := core.CompilePlan(htl.MustParse(query))
 	tables := make([]*simlist.Table, len(subformulas))
 	for i, key := range subformulas {
-		n := plan.Node(key)
+		n := findNode(plan.Root, key)
 		if n == nil {
 			b.Fatalf("%q is no subformula of %q", key, query)
 		}

@@ -29,15 +29,10 @@ type Plan struct {
 	// Nodes counts distinct subformulas (the DAG's size, not the tree's).
 	Nodes int
 
-	// nodes lists every PNode in ID order; byKey indexes them by canonical
-	// text. Both back the per-node execution profiler (profile.go).
+	// nodes lists every PNode in ID order, backing the per-node execution
+	// profiler (profile.go).
 	nodes []*PNode
-	byKey map[string]*PNode
 }
-
-// Node returns the plan node whose canonical text is key, or nil. The SQL
-// translator attributes statements to nodes through it.
-func (p *Plan) Node(key string) *PNode { return p.byKey[key] }
 
 // PNode is one interned subformula. Two structurally identical subtrees of
 // a plan share one PNode, so evaluators can memoize by node pointer.
@@ -94,7 +89,6 @@ func CompilePlan(f htl.Formula) *Plan {
 		Class: htl.Classify(f),
 		Nodes: len(c.seen),
 		nodes: c.list,
-		byKey: c.seen,
 	}
 }
 

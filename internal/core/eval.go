@@ -129,8 +129,7 @@ func (e *planEval) evalPlan(ctx context.Context, p *Plan) (simlist.List, error) 
 }
 
 // EvalTable computes the similarity table of a (possibly open) extended
-// conjunctive formula over src's sequence; exposed for the SQL baseline and
-// for tests.
+// conjunctive formula over src's sequence; exposed for tests.
 func EvalTable(src Source, f htl.Formula, opts Options) (*simlist.Table, error) {
 	p := CompilePlan(f)
 	return newPlanEval(src, opts, p.Nodes, nil).eval(context.Background(), p.Root)

@@ -35,8 +35,6 @@ type nodeProf struct {
 	mergeOps    atomic.Int64
 	rows        atomic.Int64
 	entries     atomic.Int64
-	sqlStmts    atomic.Int64
-	sqlRows     atomic.Int64
 	timeNs      atomic.Int64
 	skipped     atomic.Int64
 }
@@ -147,15 +145,6 @@ func (p *PlanProfile) SkipTree(n *PNode) {
 	walk(n)
 }
 
-// AddSQL accounts SQL statements issued (and rows they returned or affected)
-// while computing n.
-func (p *PlanProfile) AddSQL(n *PNode, stmts, rows int64) {
-	if s := p.slot(n); s != nil {
-		s.sqlStmts.Add(stmts)
-		s.sqlRows.Add(rows)
-	}
-}
-
 // Stats snapshots n's accumulated statistics.
 func (p *PlanProfile) Stats(n *PNode) obs.NodeStats {
 	s := p.slot(n)
@@ -169,8 +158,6 @@ func (p *PlanProfile) Stats(n *PNode) obs.NodeStats {
 		MergeOps:    s.mergeOps.Load(),
 		Rows:        s.rows.Load(),
 		Entries:     s.entries.Load(),
-		SQLStmts:    s.sqlStmts.Load(),
-		SQLRows:     s.sqlRows.Load(),
 		Skipped:     s.skipped.Load(),
 		Time:        time.Duration(s.timeNs.Load()),
 	}

@@ -17,6 +17,7 @@ import (
 	"htlvideo/internal/htl"
 	"htlvideo/internal/interval"
 	"htlvideo/internal/listio"
+	"htlvideo/internal/picture"
 	"htlvideo/internal/simlist"
 	"htlvideo/internal/sqlgen"
 	"htlvideo/internal/workload"
@@ -24,7 +25,8 @@ import (
 
 // CasablancaTables computes the four tables of §4.1 through the real
 // pipeline (picture system over the 50-shot store, then the similarity-list
-// generator).
+// generator). It fails unless the SQL baseline (EvalSQL) computes Query 1
+// identically, as §4.1 reports.
 func CasablancaTables() (movingTrain, manWoman, eventually, query1 simlist.List, err error) {
 	sys, err := casablanca.System()
 	if err != nil {
@@ -41,8 +43,38 @@ func CasablancaTables() (movingTrain, manWoman, eventually, query1 simlist.List,
 	}
 	manWoman = core.ProjectMax(mw)
 	eventually = core.EventuallyList(movingTrain)
-	query1, err = core.Eval(sys, htl.MustParse(casablanca.Query1), core.DefaultOptions())
+	q1 := htl.MustParse(casablanca.Query1)
+	if query1, err = core.Eval(sys, q1, core.DefaultOptions()); err != nil {
+		return
+	}
+	viaSQL, err := EvalSQL(sys, q1, core.DefaultUntilThreshold)
+	if err == nil && !simlist.EqualApprox(query1, viaSQL, 1e-9) {
+		err = fmt.Errorf("experiments: direct and SQL results differ on Casablanca Query 1:\n %v\n %v", query1, viaSQL)
+	}
 	return
+}
+
+// EvalSQL evaluates a type (1) formula over one video's sequence through the
+// §4 SQL baseline: the picture system scores each maximal non-temporal
+// subformula, the scores are loaded as interval relations, and the formula's
+// temporal skeleton runs as the translator's statement sequence.
+func EvalSQL(sys *picture.System, f htl.Formula, tau float64) (simlist.List, error) {
+	units := sqlgen.AtomicUnits(f)
+	names := make([]string, len(units))
+	lists := make(map[string]simlist.List, len(units))
+	for i, unit := range units {
+		tb, err := sys.EvalAtomic(unit)
+		if err != nil {
+			return simlist.List{}, err
+		}
+		names[i] = unit.String()
+		lists[names[i]] = core.ProjectMax(tb)
+	}
+	tr, atoms, err := loadSQL(sys.Len(), tau, names, lists)
+	if err != nil {
+		return simlist.List{}, err
+	}
+	return tr.Eval(f, atoms)
 }
 
 // Figure2 reproduces the worked until example of §3.1.
@@ -175,17 +207,24 @@ func RunDirectStored(op Op, encoded map[string][]byte, tau float64) (simlist.Lis
 // PrepareSQL builds the translator and loads the atomic interval tables —
 // the untimed setup of a SQL run.
 func PrepareSQL(op Op, in PerfInput, tau float64) (*sqlgen.Translator, map[string]sqlgen.Atom, error) {
-	tr, err := sqlgen.New(in.Size, tau)
+	return loadSQL(in.Size, tau, op.Atoms(), in.Lists)
+}
+
+// loadSQL builds a translator over n segments and loads the list of each
+// name, in order, as the interval relation p1, p2, …; the atoms it returns
+// map each name to its relation.
+func loadSQL(n int, tau float64, names []string, lists map[string]simlist.List) (*sqlgen.Translator, map[string]sqlgen.Atom, error) {
+	tr, err := sqlgen.New(n, tau)
 	if err != nil {
 		return nil, nil, err
 	}
-	atoms := map[string]sqlgen.Atom{}
-	for i, name := range op.Atoms() {
+	atoms := make(map[string]sqlgen.Atom, len(names))
+	for i, name := range names {
 		table := fmt.Sprintf("p%d", i+1)
-		if err := tr.LoadAtomic(table, in.Lists[name]); err != nil {
+		if err := tr.LoadAtomic(table, lists[name]); err != nil {
 			return nil, nil, err
 		}
-		atoms[name] = sqlgen.Atom{Table: table, MaxSim: in.Lists[name].MaxSim}
+		atoms[name] = sqlgen.Atom{Table: table, MaxSim: lists[name].MaxSim}
 	}
 	return tr, atoms, nil
 }

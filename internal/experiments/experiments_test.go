@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"htlvideo/internal/casablanca"
+	"htlvideo/internal/core"
+	"htlvideo/internal/htl"
 	"htlvideo/internal/interval"
 	"htlvideo/internal/simlist"
 )
@@ -28,6 +32,43 @@ func TestCasablancaTables(t *testing.T) {
 	}
 	if q1.At(6).Act-11.047 > 1e-9 || 11.047-q1.At(6).Act > 1e-9 {
 		t.Fatalf("table 4 = %v", q1)
+	}
+}
+
+// TestEvalSQLAgreesWithDirect: over Casablanca's picture system, the SQL
+// baseline computes what the direct engine does on type (1) formulas whose
+// atomic units are quantified, and refuses a formula outside type (1).
+func TestEvalSQLAgreesWithDirect(t *testing.T) {
+	sys, err := casablanca.System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	until := "(" + casablanca.ManWomanQuery + ") until (" + casablanca.MovingTrainQuery + ")"
+	for _, tc := range []struct {
+		q   string
+		tau float64
+	}{
+		{"(exists x . present(x) and type(x) = 'man') and eventually (exists t . present(t) and type(t) = 'train' and moving(t))", 0.5},
+		{casablanca.Query1, 0.5},
+		{"next (" + casablanca.ManWomanQuery + ")", 0.5},
+		{until, 0.5},
+		{until, 1},
+	} {
+		f := htl.MustParse(tc.q)
+		want, err := core.Eval(sys, f, core.Options{UntilThreshold: tc.tau})
+		if err != nil {
+			t.Fatalf("%s: direct: %v", tc.q, err)
+		}
+		got, err := EvalSQL(sys, f, tc.tau)
+		if err != nil {
+			t.Fatalf("%s: SQL: %v", tc.q, err)
+		}
+		if !simlist.EqualApprox(want, got, 1e-9) {
+			t.Fatalf("%s, tau %v: SQL disagrees with direct:\n %v\n %v", tc.q, tc.tau, got, want)
+		}
+	}
+	if _, err := EvalSQL(sys, htl.MustParse("exists x . present(x) until M1"), 0.5); err == nil || !strings.Contains(err.Error(), "type (1)") {
+		t.Fatalf("non-type (1) formula: err = %v", err)
 	}
 }
 

@@ -34,10 +34,6 @@ const (
 	// SiteAtomicEval fires on each atomic (non-temporal) formula evaluation
 	// over a sequence; the key is the video id.
 	SiteAtomicEval Site = "picture.EvalAtomic"
-	// SiteRelationalExec fires once per SQL statement the relational engine
-	// executes; the key is the statement's ordinal in the database's
-	// lifetime (0-based).
-	SiteRelationalExec Site = "relational.Exec"
 	// SiteTopKScan fires inside the top-k selection (core.TopK), once per
 	// video before its list is read; the key is the video id. Stall rules
 	// there block the selection until its context is cancelled.

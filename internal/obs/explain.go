@@ -33,16 +33,12 @@ type NodeStats struct {
 	// similarity-list entries inside them (the paper's list sizes).
 	Rows    int64 `json:"rows,omitempty"`
 	Entries int64 `json:"entries,omitempty"`
-	// SQLStmts and SQLRows count the statements the SQL baseline issued for
-	// the node and the rows they returned or affected.
-	SQLStmts int64 `json:"sql_stmts,omitempty"`
-	SQLRows  int64 `json:"sql_rows,omitempty"`
 	// Skipped counts short-circuited evaluations: a sibling's empty table
 	// proved this node's result unnecessary, so it was never computed (per
 	// video, so one query can both visit and skip a node).
 	Skipped int64 `json:"skipped,omitempty"`
 	// Time is the node's inclusive wall time (children included). The
-	// similarity-list and SQL engines record it always; the reference
+	// similarity-list engine records it always; the reference
 	// evaluator only in exact-attribution mode, where the per-visit clock
 	// reads are worth paying.
 	Time time.Duration `json:"time_ns"`
@@ -57,8 +53,6 @@ func (s *NodeStats) Add(o NodeStats) {
 	s.MergeOps += o.MergeOps
 	s.Rows += o.Rows
 	s.Entries += o.Entries
-	s.SQLStmts += o.SQLStmts
-	s.SQLRows += o.SQLRows
 	s.Skipped += o.Skipped
 	s.Time += o.Time
 }
@@ -168,8 +162,6 @@ func nodeLine(n *ExplainNode, total time.Duration, showTimes bool) string {
 	stat("rows", n.Stats.Rows)
 	stat("entries", n.Stats.Entries)
 	stat("skipped", n.Stats.Skipped)
-	stat("sql_stmts", n.Stats.SQLStmts)
-	stat("sql_rows", n.Stats.SQLRows)
 	if len(n.PerShard) > 0 {
 		names := make([]string, 0, len(n.PerShard))
 		for name := range n.PerShard {

@@ -4,8 +4,7 @@
 // handler exposing them (/metrics, /debug/slowlog, /debug/pprof).
 //
 // The package exists because the paper's §4 evaluation is entirely about
-// where query time goes (direct similarity-list algorithms vs. the SQL
-// baseline); obs makes that comparison observable on live queries. Every
+// where query time goes; obs makes that observable on live queries. Every
 // primitive is safe for concurrent use and nil-safe — a nil *Counter, *Gauge,
 // *Histogram, *Span or *Trace accepts the full method set as no-ops, so
 // instrumented hot paths never branch on "is observability on".
@@ -76,7 +75,7 @@ func (g *Gauge) Value() int64 {
 
 // DefaultLatencyBuckets are the fixed histogram boundaries: roughly
 // logarithmic from 25µs to 10s, bracketing everything from one atomic eval on
-// a short video to a full SQL-baseline until query at the paper's sizes.
+// a short video to a reference-engine query over a long one.
 func DefaultLatencyBuckets() []time.Duration {
 	return []time.Duration{
 		25 * time.Microsecond, 50 * time.Microsecond, 100 * time.Microsecond,

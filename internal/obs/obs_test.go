@@ -435,8 +435,8 @@ func TestSlowLogEntryKinds(t *testing.T) {
 // --- truncation --------------------------------------------------------------
 
 // Every cut the serving surfaces make — the explain tree's formula (56 bytes),
-// htlquery's plan key (60), a SQL span tag (96), the server's outcome tag (120)
-// and error documents (300), a store trace's error tag (160) — is at a rune
+// htlquery's plan key (60), the server's outcome tag (120) and error documents
+// (300), a store trace's error tag (160), and a width of 96 — is at a rune
 // boundary: a formula whose 'é' straddles the cut (HTL accepts non-ASCII
 // literals) loses the whole rune, never half of it. ASCII cuts at n exactly.
 func TestTruncateAtRuneBoundary(t *testing.T) {

@@ -486,9 +486,8 @@ func (c *TraceCollector) Last() *Trace {
 }
 
 // spanKey carries the active span through a context, so deeper layers
-// (picture-system builds, generated SQL statements) attach child spans to
-// whatever per-video span the store opened, without plumbing obs types
-// through every signature.
+// (picture-system builds) attach child spans to whatever per-video span the
+// store opened, without plumbing obs types through every signature.
 type spanKey struct{}
 
 // ContextWithSpan returns ctx carrying sp as the active span.

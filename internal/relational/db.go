@@ -1,11 +1,6 @@
 package relational
 
-import (
-	"sort"
-	"time"
-
-	"htlvideo/internal/faultinject"
-)
+import "sort"
 
 // TableData is a stored relation.
 type TableData struct {
@@ -89,36 +84,9 @@ func (t *TableData) rangeCount(col int, lo, hi *Value) int {
 	return end - start
 }
 
-// StmtInfo describes one executed statement, for observability hooks: what
-// kind of statement it was, how many rows it touched, and how long it took.
-// The §4 comparison ("quite large intermediate relations") becomes visible on
-// live queries through these per-statement row counts.
-type StmtInfo struct {
-	// Kind is the statement keyword: "select", "insert", "create".
-	Kind string
-	// Rows is the number of rows returned (SELECT) or inserted (INSERT);
-	// zero for DDL.
-	Rows int
-	// Duration is the statement's execution wall time.
-	Duration time.Duration
-	// Err reports whether the statement failed.
-	Err bool
-}
-
 // DB is an in-memory SQL database.
 type DB struct {
 	tables map[string]*TableData
-	// stmts counts statements executed over the database's lifetime; it
-	// keys the fault-injection hook so tests can target one statement.
-	stmts int64
-	// affected is the row count of the most recent INSERT, for OnStmt
-	// reporting.
-	affected int
-
-	// OnStmt, when set, observes every statement executed through ExecStmt.
-	// Set it before issuing statements; the DB is not safe for concurrent
-	// use, so the hook is called sequentially.
-	OnStmt func(StmtInfo)
 }
 
 // NewDB returns an empty database.
@@ -139,7 +107,7 @@ func (db *DB) Exec(src string) (*Result, error) {
 	}
 	var last *Result
 	for _, st := range stmts {
-		r, err := db.ExecStmt(st)
+		r, err := db.execStmt(st)
 		if err != nil {
 			return nil, err
 		}
@@ -150,44 +118,8 @@ func (db *DB) Exec(src string) (*Result, error) {
 	return last, nil
 }
 
-// ExecStmt executes one parsed statement.
-func (db *DB) ExecStmt(st Stmt) (*Result, error) {
-	if db.OnStmt == nil {
-		return db.execStmt(st)
-	}
-	start := time.Now()
-	db.affected = 0
-	res, err := db.execStmt(st)
-	info := StmtInfo{Kind: stmtKind(st), Duration: time.Since(start), Err: err != nil}
-	if res != nil {
-		info.Rows = len(res.Rows)
-	} else {
-		info.Rows = db.affected
-	}
-	db.OnStmt(info)
-	return res, err
-}
-
-// stmtKind names a statement for observability.
-func stmtKind(st Stmt) string {
-	switch st.(type) {
-	case *CreateTable:
-		return "create"
-	case *Insert:
-		return "insert"
-	default:
-		return "select"
-	}
-}
-
+// execStmt executes one parsed statement.
 func (db *DB) execStmt(st Stmt) (*Result, error) {
-	if faultinject.Enabled() {
-		n := db.stmts
-		db.stmts++
-		if err := faultinject.Fire(nil, faultinject.SiteRelationalExec, n); err != nil {
-			return nil, err
-		}
-	}
 	switch s := st.(type) {
 	case *CreateTable:
 		return nil, db.CreateTableData(s.Name, s.Cols)
@@ -246,6 +178,5 @@ func (db *DB) InsertRows(name string, rows [][]Value) error {
 		t.Rows = append(t.Rows, stored)
 	}
 	t.version++
-	db.affected += len(rows)
 	return nil
 }

@@ -172,12 +172,14 @@ func (ex *executor) joinAll(binds []binding, conjs []Expr, parent *scope) ([]tup
 		var out []tuple
 		var err error
 		switch {
+		case len(equis) > 0 && len(ranges) > 0:
+			return nil, nil, errf(-1, "join of %q on both an equality and a range is not supported", inner.name)
 		case len(equis) > 0:
-			out, err = ex.hashJoin(binds[:k+1], tuples, inner, equis, append(rangesToFilters(ranges, inner), filters...), parent)
+			out, err = ex.hashJoin(binds[:k+1], tuples, inner, equis, filters, parent)
 		case len(ranges) > 0:
 			out, err = ex.rangeJoin(binds[:k+1], tuples, inner, ranges, filters, parent)
 		default:
-			out, err = ex.nestedJoin(binds[:k+1], tuples, inner, filters, parent)
+			return nil, nil, errf(-1, "join of %q needs an equality or a range on its column (col <= expr, col >= expr, col BETWEEN); cross joins are not supported", inner.name)
 		}
 		if err != nil {
 			return nil, nil, err
@@ -195,7 +197,8 @@ func (ex *executor) joinAll(binds []binding, conjs []Expr, parent *scope) ([]tup
 }
 
 // classifyJoinConds partitions the newly-bound conjuncts into equi-join
-// keys, range bounds on inner columns, and plain join filters.
+// keys, range bounds on inner columns (the column on the left of <= or >=,
+// or bounded by BETWEEN), and plain join filters.
 func classifyJoinConds(conjs []Expr, consumed []bool, inner binding, prevNames, names []string, colsOf func(string) []Column) ([]equiCond, []rangeCond, []Expr) {
 	innerOnly := func(e Expr) bool { return boundBy(e, []string{inner.name}, colsOf) }
 	outerOnly := func(e Expr) bool { return boundBy(e, prevNames, colsOf) }
@@ -241,10 +244,6 @@ func classifyJoinConds(conjs []Expr, consumed []bool, inner binding, prevNames, 
 					ranges = append(ranges, rangeCond{col: ci, op: n.Op, outer: n.R})
 					continue
 				}
-				if ci := innerCol(n.R); ci >= 0 && outerOnly(n.L) {
-					ranges = append(ranges, rangeCond{col: ci, op: flipBin(n.Op), outer: n.L})
-					continue
-				}
 			}
 		case Between:
 			if ci := innerCol(n.E); ci >= 0 && outerOnly(n.Lo) && outerOnly(n.Hi) {
@@ -257,21 +256,6 @@ func classifyJoinConds(conjs []Expr, consumed []bool, inner binding, prevNames, 
 		filters = append(filters, c)
 	}
 	return equis, ranges, filters
-}
-
-// rangeFilter turns a range condition back into an ordinary predicate.
-func rangeFilter(rc rangeCond, inner binding) Expr {
-	return Bin{Op: rc.op, L: ColRef{Table: inner.name, Col: inner.data.Cols[rc.col].Name}, R: rc.outer}
-}
-
-// rangesToFilters turns unused range conditions back into ordinary
-// predicates (when a hash join is chosen instead).
-func rangesToFilters(ranges []rangeCond, inner binding) []Expr {
-	out := make([]Expr, 0, len(ranges))
-	for _, rc := range ranges {
-		out = append(out, rangeFilter(rc, inner))
-	}
-	return out
 }
 
 func (ex *executor) hashJoin(binds []binding, tuples []tuple, inner binding, equis []equiCond, filters []Expr, parent *scope) ([]tuple, error) {
@@ -327,16 +311,16 @@ func (ex *executor) joinKey(sc *scope, equis []equiCond, outer bool) (string, er
 
 func (ex *executor) rangeJoin(binds []binding, tuples []tuple, inner binding, ranges []rangeCond, filters []Expr, parent *scope) ([]tuple, error) {
 	col := ranges[0].col
+	for _, rc := range ranges {
+		if rc.col != col {
+			return nil, errf(-1, "range join of %q on more than one column is not supported", inner.name)
+		}
+	}
 	var out []tuple
 	for _, tp := range tuples {
 		outerSc := tupleScope(binds[:len(binds)-1], tp, parent)
 		var lo, hi *Value
-		var extra []Expr
 		for _, rc := range ranges {
-			if rc.col != col {
-				extra = append(extra, rangeFilter(rc, inner))
-				continue
-			}
 			v, err := ex.eval(rc.outer, outerSc)
 			if err != nil {
 				return nil, err
@@ -347,25 +331,8 @@ func (ex *executor) rangeJoin(binds []binding, tuples []tuple, inner binding, ra
 				hi = tighterHi(hi, v)
 			}
 		}
-		allFilters := append(extra, filters...)
 		for _, ri := range inner.data.rangeRows(col, lo, hi) {
-			ntp, ok, err := ex.extendTuple(binds, tp, inner.data.Rows[ri], allFilters, parent)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, ntp)
-			}
-		}
-	}
-	return out, nil
-}
-
-func (ex *executor) nestedJoin(binds []binding, tuples []tuple, inner binding, filters []Expr, parent *scope) ([]tuple, error) {
-	var out []tuple
-	for _, tp := range tuples {
-		for _, row := range inner.data.Rows {
-			ntp, ok, err := ex.extendTuple(binds, tp, row, filters, parent)
+			ntp, ok, err := ex.extendTuple(binds, tp, inner.data.Rows[ri], filters, parent)
 			if err != nil {
 				return nil, err
 			}
@@ -390,18 +357,6 @@ func (ex *executor) extendTuple(binds []binding, tp tuple, row []Value, filters 
 		return nil, false, err
 	}
 	return ntp, ok, nil
-}
-
-// flipBin mirrors a comparison: a <= b is b >= a.
-func flipBin(op BinOp) BinOp {
-	switch op {
-	case OpLe:
-		return OpGe
-	case OpGe:
-		return OpLe
-	default:
-		return op
-	}
 }
 
 func tighterLo(cur *Value, v Value) *Value {

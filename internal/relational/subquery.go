@@ -28,8 +28,8 @@ func (ex *executor) evalSubquery(sq *Subquery, sc *scope) (Value, error) {
 }
 
 // fastSubquery answers COUNT(*) over one base table whose WHERE is a
-// conjunction of =, <= and >= predicates on a single column (the other sides
-// being outer expressions) via the sorted index.
+// conjunction of =, <= and >= predicates with a single column on the left
+// (the right sides being outer expressions) via the sorted index.
 func (ex *executor) fastSubquery(sel *Select, sc *scope) (Value, bool, error) {
 	if sel.Union != nil || sel.GroupBy != nil || sel.OrderBy != "" ||
 		len(sel.From) != 1 || sel.From[0].Sub != nil || len(sel.List) != 1 || len(sel.Where) == 0 {
@@ -80,12 +80,8 @@ func (ex *executor) fastSubquery(sel *Select, sc *scope) (Value, bool, error) {
 		if !ok {
 			return Value{}, false, nil
 		}
-		ci, op, outer := -1, b.Op, Expr(nil)
-		if i := localCol(b.L); i >= 0 && isOuter(b.R) {
-			ci, outer = i, b.R
-		} else if i := localCol(b.R); i >= 0 && isOuter(b.L) {
-			ci, op, outer = i, flipBin(b.Op), b.L
-		} else {
+		ci, op, outer := localCol(b.L), b.Op, b.R
+		if ci < 0 || !isOuter(outer) {
 			return Value{}, false, nil
 		}
 		if col == -1 {

@@ -37,15 +37,6 @@ func TestFastSubqueryMatchesGeneric(t *testing.T) {
 			"SELECT p.pid, (SELECT COUNT(*) FROM g WHERE g.id = p.lo) FROM probe p ORDER BY pid",
 			"SELECT p.pid, (SELECT COUNT(*) FROM g WHERE g.id + 0 = p.lo) FROM probe p ORDER BY pid",
 		},
-		{
-			// The outer side on the left: the fast path mirrors the operator.
-			"SELECT p.pid, (SELECT COUNT(*) FROM g WHERE p.hi >= g.id AND p.lo <= g.id) FROM probe p ORDER BY pid",
-			"SELECT p.pid, (SELECT COUNT(*) FROM g WHERE p.hi >= g.id + 0 AND p.lo <= g.id + 0) FROM probe p ORDER BY pid",
-		},
-		{
-			"SELECT p.pid, (SELECT COUNT(*) FROM g WHERE p.lo = g.id) FROM probe p ORDER BY pid",
-			"SELECT p.pid, (SELECT COUNT(*) FROM g WHERE p.lo = g.id + 0) FROM probe p ORDER BY pid",
-		},
 	}
 	for i, f := range forms {
 		fast := mustExec(t, db, f.fast)

@@ -109,12 +109,10 @@ type FailDoc struct {
 //
 //	GET  /query          evaluate an HTL query (q, level, root, engine, tau,
 //	                     k, timeout, partial, trace parameters; engine is
-//	                     auto, direct or reference — the §4 SQL baseline is
-//	                     library-only and engine=sql is a 400; trace=1 adds
-//	                     the span tree to the envelope, and the request
-//	                     answers under an inbound X-Htl-Trace id, tracing
-//	                     its store queries unless the id came flagged
-//	                     unsampled)
+//	                     auto, direct or reference; trace=1 adds the span
+//	                     tree to the envelope, and the request answers
+//	                     under an inbound X-Htl-Trace id, tracing its store
+//	                     queries unless the id came flagged unsampled)
 //	POST /explain        evaluate with per-plan-node profiling and return the
 //	                     annotated plan (q plus the /query parameters, and
 //	                     exact=true for exact time attribution)
@@ -372,11 +370,10 @@ var engineNames = []struct {
 	{"auto", htlvideo.EngineAuto},
 	{"direct", htlvideo.EngineDirect},
 	{"reference", htlvideo.EngineReference},
-	{"sql", htlvideo.EngineSQL},
 }
 
-// ParseEngine maps an engine name (auto, direct, reference or sql; empty
-// means auto) to its selector.
+// ParseEngine maps an engine name (auto, direct or reference; empty means
+// auto) to its selector.
 func ParseEngine(name string) (htlvideo.Engine, error) {
 	if name == "" {
 		return htlvideo.EngineAuto, nil
@@ -468,7 +465,7 @@ func (s *Server) parseDefaults() ParseDefaults {
 
 // ParseQueryRequest validates a /query-shaped request. Parse and validation
 // failures are terminal — they are deterministic and are never retried — and
-// answer 400. The SQL baseline is library-only, so engine=sql is one of them.
+// answer 400.
 //
 // Unlike http.Request.FormValue, a malformed query string (a broken percent
 // escape, say) or a present-but-unparseable ?timeout= is a hard 400, never a
@@ -504,8 +501,8 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 		p.Level = 1
 	}
 	v := r.Form.Get("engine")
-	if p.Engine, err = ParseEngine(v); err != nil || p.Engine == htlvideo.EngineSQL {
-		return p, http.StatusBadRequest, fmt.Errorf("unknown engine %q", v)
+	if p.Engine, err = ParseEngine(v); err != nil {
+		return p, http.StatusBadRequest, err
 	}
 	if v := r.Form.Get("tau"); v != "" {
 		if p.Tau, err = strconv.ParseFloat(v, 64); err != nil || !htlvideo.ValidUntilThreshold(p.Tau) {

@@ -3,9 +3,8 @@ package server
 // Regression tests for request-parameter validation: a ?timeout= the server
 // cannot parse must be a 400 with a JSON error body, never a silent fall-back
 // to the default deadline (http.Request.FormValue swallows query-string parse
-// errors, which is exactly the trap). The SQL baseline is a library-only
-// exhibit, so ?engine=sql is refused the same way, as is a ?tau= outside
-// [0, 1], NaN included.
+// errors, which is exactly the trap). An unknown ?engine= such as sql is
+// refused the same way, as is a ?tau= outside [0, 1], NaN included.
 
 import (
 	"encoding/json"
@@ -104,8 +103,8 @@ func TestParseQueryRequestReadsPostForms(t *testing.T) {
 
 // TestQueryParamsRoundTrip: Values is the exact inverse of the parsers, so
 // whatever a coordinator or htlquery encodes, a server decodes back into the
-// same request — partial=false included. The SQL baseline encodes but is
-// refused like any unknown engine.
+// same request — partial=false included. engine=sql is refused like any
+// unknown engine.
 func TestQueryParamsRoundTrip(t *testing.T) {
 	d := ParseDefaults{MaxTimeout: time.Minute} // no default: an absent timeout stays 0
 	decode := func(p QueryParams) (QueryParams, int, error) {
@@ -150,7 +149,11 @@ func TestQueryParamsRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	_, status, err := decode(QueryParams{Query: "M1", Level: 2, Engine: htlvideo.EngineSQL, Tau: 0.5, K: 1})
+	v := QueryParams{Query: "M1", Level: 2, Tau: 0.5, K: 1}.Values()
+	v.Set("engine", "sql")
+	req := httptest.NewRequest(http.MethodPost, "/explain", strings.NewReader(v.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	_, status, err := ParseExplainRequest(req, d)
 	if status != http.StatusBadRequest || err == nil || err.Error() != `unknown engine "sql"` {
 		t.Fatalf("engine=sql: status %d, err %v; want 400 unknown engine \"sql\"", status, err)
 	}

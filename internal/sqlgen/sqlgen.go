@@ -22,15 +22,12 @@
 package sqlgen
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"htlvideo/internal/htl"
 	"htlvideo/internal/interval"
-	"htlvideo/internal/obs"
 	"htlvideo/internal/relational"
 	"htlvideo/internal/simlist"
 )
@@ -42,18 +39,7 @@ type Translator struct {
 	N   int
 	Tau float64
 
-	// OnNode, when set, observes each translated subformula after its
-	// statement sequence completes: key is the subformula's canonical text;
-	// stmts and rows count the statements issued and the rows they returned
-	// or affected while computing it (nested subformulas included); d is the
-	// inclusive wall time. Explain output joins key against the compiled
-	// plan's nodes.
-	OnNode func(key string, stmts, rows int64, d time.Duration)
-
 	next int
-	// stmts and rows accumulate per-statement accounting (via a chained
-	// DB.OnStmt) so OnNode can report inclusive deltas per subformula.
-	stmts, rows int64
 	// Script accumulates the generated SQL of the most recent Eval, for
 	// inspection and tests.
 	Script strings.Builder
@@ -104,35 +90,15 @@ func (tr *Translator) LoadAtomic(name string, l simlist.List) error {
 // text (String()) of each maximal non-temporal subformula to the name of a
 // previously loaded interval relation and its maximum similarity.
 func (tr *Translator) Eval(f htl.Formula, atoms map[string]Atom) (simlist.List, error) {
-	return tr.EvalCtx(context.Background(), f, atoms)
-}
-
-// EvalCtx is Eval with cooperative cancellation: the translator checks ctx
-// before every generated statement, so a deadline aborts a statement
-// sequence mid-query instead of running it to completion.
-func (tr *Translator) EvalCtx(ctx context.Context, f htl.Formula, atoms map[string]Atom) (simlist.List, error) {
 	if c := htl.Classify(f); c != htl.ClassType1 {
 		return simlist.List{}, fmt.Errorf("sqlgen: formula %q is %v; the SQL baseline implements type (1)", f, c)
 	}
 	tr.Script.Reset()
-	if tr.OnNode != nil {
-		// Chain (don't replace) any DB.OnStmt the caller installed for
-		// whole-query metrics; restore it when the evaluation ends.
-		prev := tr.DB.OnStmt
-		tr.DB.OnStmt = func(info relational.StmtInfo) {
-			tr.stmts++
-			tr.rows += int64(info.Rows)
-			if prev != nil {
-				prev(info)
-			}
-		}
-		defer func() { tr.DB.OnStmt = prev }()
-	}
-	name, maxSim, err := tr.translate(ctx, f, atoms)
+	name, maxSim, err := tr.translate(f, atoms)
 	if err != nil {
 		return simlist.List{}, err
 	}
-	res, err := tr.run(ctx, fmt.Sprintf("SELECT id, act FROM %s ORDER BY id", name))
+	res, err := tr.run(fmt.Sprintf("SELECT id, act FROM %s ORDER BY id", name))
 	if err != nil {
 		return simlist.List{}, err
 	}
@@ -146,13 +112,7 @@ type Atom struct {
 }
 
 // run executes one generated statement, logging it to the script.
-func (tr *Translator) run(ctx context.Context, sql string) (*relational.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sp := obs.SpanFromContext(ctx).StartSpan("sql")
-	defer sp.End()
-	sp.SetTag("stmt", obs.Truncate(sql, 96))
+func (tr *Translator) run(sql string) (*relational.Result, error) {
 	tr.Script.WriteString(sql)
 	tr.Script.WriteString(";\n")
 	res, err := tr.DB.Exec(sql)
@@ -167,36 +127,18 @@ func (tr *Translator) fresh(prefix string) string {
 	return fmt.Sprintf("%s_%d", prefix, tr.next)
 }
 
-// translate wraps translateNode with per-subformula accounting for OnNode:
-// the statement/row counters and the clock are read before and after, so the
-// reported deltas are inclusive of nested subformulas — mirroring the
-// inclusive per-node times of the direct engines.
-func (tr *Translator) translate(ctx context.Context, f htl.Formula, atoms map[string]Atom) (string, float64, error) {
-	if tr.OnNode == nil {
-		return tr.translateNode(ctx, f, atoms)
-	}
-	s0, r0 := tr.stmts, tr.rows
-	start := time.Now()
-	name, maxSim, err := tr.translateNode(ctx, f, atoms)
-	if err != nil {
-		return "", 0, err
-	}
-	tr.OnNode(f.String(), tr.stmts-s0, tr.rows-r0, time.Since(start))
-	return name, maxSim, nil
-}
-
-// translateNode returns the per-id relation holding f's similarity values and
+// translate returns the per-id relation holding f's similarity values and
 // f's maximum similarity. A subformula present in the atoms map is treated
 // as atomic even when a larger enclosing subformula is also non-temporal, so
 // callers control the unit granularity (the paper's §4.2 experiments feed
 // P1 ∧ P2 the tables of P1 and P2).
-func (tr *Translator) translateNode(ctx context.Context, f htl.Formula, atoms map[string]Atom) (string, float64, error) {
+func (tr *Translator) translate(f htl.Formula, atoms map[string]Atom) (string, float64, error) {
 	if a, ok := atoms[f.String()]; ok {
 		out := tr.fresh("exp")
-		if _, err := tr.run(ctx, fmt.Sprintf("CREATE TABLE %s (id INT, act FLOAT)", out)); err != nil {
+		if _, err := tr.run(fmt.Sprintf("CREATE TABLE %s (id INT, act FLOAT)", out)); err != nil {
 			return "", 0, err
 		}
-		_, err := tr.run(ctx, fmt.Sprintf(
+		_, err := tr.run(fmt.Sprintf(
 			"INSERT INTO %s SELECT s.id, l.act FROM %s l, series s WHERE s.id BETWEEN l.beg AND l.fin",
 			out, a.Table))
 		if err != nil {
@@ -206,19 +148,19 @@ func (tr *Translator) translateNode(ctx context.Context, f htl.Formula, atoms ma
 	}
 	switch n := f.(type) {
 	case htl.And:
-		ln, lm, err := tr.translate(ctx, n.L, atoms)
+		ln, lm, err := tr.translate(n.L, atoms)
 		if err != nil {
 			return "", 0, err
 		}
-		rn, rm, err := tr.translate(ctx, n.R, atoms)
+		rn, rm, err := tr.translate(n.R, atoms)
 		if err != nil {
 			return "", 0, err
 		}
 		out := tr.fresh("conj")
-		if _, err := tr.run(ctx, fmt.Sprintf("CREATE TABLE %s (id INT, act FLOAT)", out)); err != nil {
+		if _, err := tr.run(fmt.Sprintf("CREATE TABLE %s (id INT, act FLOAT)", out)); err != nil {
 			return "", 0, err
 		}
-		_, err = tr.run(ctx, fmt.Sprintf(
+		_, err = tr.run(fmt.Sprintf(
 			"INSERT INTO %s SELECT u.id, SUM(u.act) FROM (SELECT id, act FROM %s UNION ALL SELECT id, act FROM %s) u GROUP BY u.id",
 			out, ln, rn))
 		if err != nil {
@@ -226,30 +168,30 @@ func (tr *Translator) translateNode(ctx context.Context, f htl.Formula, atoms ma
 		}
 		return out, lm + rm, nil
 	case htl.Next:
-		in, m, err := tr.translate(ctx, n.F, atoms)
+		in, m, err := tr.translate(n.F, atoms)
 		if err != nil {
 			return "", 0, err
 		}
 		out := tr.fresh("nxt")
-		if _, err := tr.run(ctx, fmt.Sprintf("CREATE TABLE %s (id INT, act FLOAT)", out)); err != nil {
+		if _, err := tr.run(fmt.Sprintf("CREATE TABLE %s (id INT, act FLOAT)", out)); err != nil {
 			return "", 0, err
 		}
-		_, err = tr.run(ctx, fmt.Sprintf(
+		_, err = tr.run(fmt.Sprintf(
 			"INSERT INTO %s SELECT t.id - 1, t.act FROM %s t WHERE t.id - 1 >= 1", out, in))
 		if err != nil {
 			return "", 0, err
 		}
 		return out, m, nil
 	case htl.Eventually:
-		in, m, err := tr.translate(ctx, n.F, atoms)
+		in, m, err := tr.translate(n.F, atoms)
 		if err != nil {
 			return "", 0, err
 		}
 		out := tr.fresh("evt")
-		if _, err := tr.run(ctx, fmt.Sprintf("CREATE TABLE %s (id INT, act FLOAT)", out)); err != nil {
+		if _, err := tr.run(fmt.Sprintf("CREATE TABLE %s (id INT, act FLOAT)", out)); err != nil {
 			return "", 0, err
 		}
-		_, err = tr.run(ctx, fmt.Sprintf(
+		_, err = tr.run(fmt.Sprintf(
 			"INSERT INTO %s SELECT s.id, MAX(h.act) FROM series s, %s h WHERE h.id >= s.id GROUP BY s.id",
 			out, in))
 		if err != nil {
@@ -257,7 +199,7 @@ func (tr *Translator) translateNode(ctx context.Context, f htl.Formula, atoms ma
 		}
 		return out, m, nil
 	case htl.Until:
-		return tr.translateUntil(ctx, n, atoms)
+		return tr.translateUntil(n, atoms)
 	default:
 		if htl.NonTemporal(f) {
 			return "", 0, fmt.Errorf("sqlgen: no similarity table supplied for atomic subformula %q", f)
@@ -267,12 +209,12 @@ func (tr *Translator) translateNode(ctx context.Context, f htl.Formula, atoms ma
 }
 
 // translateUntil emits the run-decomposition translation of g until h.
-func (tr *Translator) translateUntil(ctx context.Context, n htl.Until, atoms map[string]Atom) (string, float64, error) {
-	gn, gm, err := tr.translate(ctx, n.L, atoms)
+func (tr *Translator) translateUntil(n htl.Until, atoms map[string]Atom) (string, float64, error) {
+	gn, gm, err := tr.translate(n.L, atoms)
 	if err != nil {
 		return "", 0, err
 	}
-	hn, hm, err := tr.translate(ctx, n.R, atoms)
+	hn, hm, err := tr.translate(n.R, atoms)
 	if err != nil {
 		return "", 0, err
 	}
@@ -306,7 +248,7 @@ func (tr *Translator) translateUntil(ctx context.Context, n htl.Until, atoms map
 			out, within, outside),
 	}
 	for _, s := range stmts {
-		if _, err := tr.run(ctx, s); err != nil {
+		if _, err := tr.run(s); err != nil {
 			return "", 0, err
 		}
 	}

@@ -19,9 +19,7 @@ import (
 	"htlvideo/internal/obs/querystats"
 	"htlvideo/internal/picture"
 	"htlvideo/internal/refeval"
-	"htlvideo/internal/relational"
 	"htlvideo/internal/resilience"
-	"htlvideo/internal/sqlgen"
 )
 
 // Store is a video database: the meta-data store plus the picture-retrieval
@@ -170,8 +168,6 @@ const (
 	// EngineDirect forces the §3 algorithms (errors outside the extended
 	// conjunctive class).
 	EngineDirect
-	// EngineSQL forces the SQL-translation baseline of §4 (type (1) only).
-	EngineSQL
 	// EngineReference forces the brute-force reference evaluator.
 	EngineReference
 )
@@ -254,7 +250,8 @@ func WithUntilThreshold(tau float64) QueryOption {
 // -tau all check with it.
 func ValidUntilThreshold(tau float64) bool { return tau >= 0 && tau <= 1 }
 
-// WithEngine selects the evaluation engine.
+// WithEngine selects the evaluation engine. An engine outside the three
+// declared ones fails the query before it evaluates, with a validation error.
 func WithEngine(e Engine) QueryOption { return func(c *queryConfig) { c.engine = e } }
 
 // WithParallelism bounds the number of videos evaluated concurrently by one
@@ -271,8 +268,8 @@ func WithPartialResults() QueryOption { return func(c *queryConfig) { c.partial 
 
 // WithExactProfile turns on exact per-node time attribution for this query's
 // explain profile (it does nothing outside Explain). The profiler times each
-// plan node inclusively in the similarity-list and SQL engines (cheap: nodes
-// evaluate once per video); the reference evaluator visits nodes once per
+// plan node inclusively in the similarity-list engine (cheap: nodes evaluate
+// once per video); the reference evaluator visits nodes once per
 // scan position, so its per-visit timing is off unless this option is set.
 // Expect measurable slowdown on reference-engine explains.
 func WithExactProfile() QueryOption { return func(c *queryConfig) { c.exactProf = true } }
@@ -490,9 +487,9 @@ func (cq *CompiledQuery) QueryVideoCtx(ctx context.Context, id int, opts ...Quer
 }
 
 // beginQuery is the preamble of every compiled query once its trace is
-// started: the trace's tags, the workload-statistics record and the until
-// threshold's check. It returns the result cache the query goes through, nil
-// when the store has none or the query bypasses it.
+// started: the trace's tags, the workload-statistics record and the checks of
+// the engine and the until threshold. It returns the result cache the query
+// goes through, nil when the store has none or the query bypasses it.
 func (s *Store) beginQuery(tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig) (*cache.LRU[string, *Results], error) {
 	engine := engineKey(cfg.engine)
 	class := classKey(cq.class)
@@ -504,6 +501,9 @@ func (s *Store) beginQuery(tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig) (
 		tr.SetTag("plan_key", cq.plan.Key)
 	}
 	cfg.rec = querystats.Record{PlanKey: cq.plan.Key, Class: class, Engine: engine}
+	if cfg.engine > EngineReference {
+		return nil, fmt.Errorf("htlvideo: unknown engine %d", cfg.engine)
+	}
 	if !ValidUntilThreshold(cfg.untilThreshold) {
 		return nil, fmt.Errorf("htlvideo: until threshold %v is not in [0, 1]", cfg.untilThreshold)
 	}
@@ -685,16 +685,6 @@ func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQu
 	case EngineReference:
 		sp.SetTag("engine", "refeval")
 		return refeval.New(sys, opts).ListPlanCtx(ctx, cq.plan)
-	case EngineSQL:
-		sp.SetTag("engine", "sqlgen")
-		// The translator records a span per generated statement under sp.
-		l, err := s.evalSQL(obs.ContextWithSpan(ctx, sp), sys, cq, cfg)
-		if err == nil && cfg.topK > 0 {
-			// The baseline builds its list outside any arena; cut it all
-			// the same, so every engine answers WithTopK alike.
-			l.Entries = core.CopyTopK(nil, l.Entries, cfg.topK)
-		}
-		return l, err
 	default:
 		// The plan's class is the test EvalPlanCtx would refuse it by.
 		if cq.plan.Class == htl.ClassGeneral {
@@ -706,62 +696,6 @@ func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQu
 		sp.SetTag("engine", "core")
 		return core.EvalPlanCtx(ctx, sys, cq.plan, opts)
 	}
-}
-
-// evalSQL runs the §4 SQL baseline: atomic units are evaluated by the
-// picture system, loaded as interval relations, and the formula's temporal
-// skeleton is translated into a SQL statement sequence.
-func (s *Store) evalSQL(ctx context.Context, sys *picture.System, cq *CompiledQuery, cfg *queryConfig) (SimList, error) {
-	f := cq.f
-	tr, err := sqlgen.New(sys.Len(), cfg.untilThreshold)
-	if err != nil {
-		return SimList{}, err
-	}
-	// Per-statement row counts and timings make the §4 direct-vs-SQL
-	// comparison observable on live queries, not just in benchmarks.
-	o := s.obs
-	tr.DB.OnStmt = func(info relational.StmtInfo) {
-		o.sqlStmts.Inc()
-		o.sqlRows.Add(int64(info.Rows))
-		o.sqlStmtLat.Observe(info.Duration)
-	}
-	// Per-subformula attribution: the translator reports inclusive statement
-	// and row deltas per subformula; its canonical-text keys join against the
-	// compiled plan's interned nodes.
-	if p := cfg.prof; p != nil {
-		tr.OnNode = func(key string, stmts, rows int64, d time.Duration) {
-			n := cq.plan.Node(key)
-			p.Visit(n)
-			p.AddSQL(n, stmts, rows)
-			p.AddTime(n, d)
-		}
-	}
-	atoms := map[string]sqlgen.Atom{}
-	for i, unit := range sqlgen.AtomicUnits(f) {
-		if err := ctx.Err(); err != nil {
-			return SimList{}, err
-		}
-		start := time.Now()
-		tb, err := sys.EvalAtomic(unit)
-		if err != nil {
-			return SimList{}, err
-		}
-		if p := cfg.prof; p != nil {
-			// The atomic relation loads are the baseline's picture-layer
-			// inputs; attribute their evaluation to the matching plan node.
-			n := cq.plan.Node(unit.String())
-			p.Visit(n)
-			p.AtomicEval(n)
-			p.Record(n, time.Since(start), tb)
-		}
-		list := core.ProjectMax(tb)
-		name := fmt.Sprintf("atom_%d", i)
-		if err := tr.LoadAtomic(name, list); err != nil {
-			return SimList{}, err
-		}
-		atoms[unit.String()] = sqlgen.Atom{Table: name, MaxSim: list.MaxSim}
-	}
-	return tr.EvalCtx(ctx, f, atoms)
 }
 
 // LeafSpans maps every segment of a video's level to the range of leaf

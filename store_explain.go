@@ -2,8 +2,8 @@ package htlvideo
 
 // EXPLAIN ANALYZE: ExplainCtx evaluates a query for real (caches bypassed)
 // with a per-plan-node profile attached and returns the annotated plan tree —
-// where inside the formula the time, rows, similarity-list entries, memo hits
-// and (SQL engine) statements went. This is the paper's §3 per-class cost
+// where inside the formula the time, rows, similarity-list entries and memo
+// hits went. This is the paper's §3 per-class cost
 // story made inspectable on a live store: each operator's contribution is
 // visible instead of folded into one whole-query span.
 
@@ -78,7 +78,7 @@ func (s *Store) Explain(query string, opts ...QueryOption) (*ExplainResult, erro
 // evaluation, never a cached one — but the evaluation is otherwise the normal
 // query path: same engines, same fan-out, same metrics and slow-log
 // accounting. The profile attributes counts everywhere and inclusive
-// wall time in the similarity-list and SQL engines; add WithExactProfile for
+// wall time in the similarity-list engine; add WithExactProfile for
 // per-visit timing in the reference evaluator.
 func (s *Store) ExplainCtx(ctx context.Context, query string, opts ...QueryOption) (*ExplainResult, error) {
 	cfg := newQueryConfig(opts)

@@ -195,16 +195,14 @@ func TestExplainMemoHitsShared(t *testing.T) {
 	}
 }
 
-// TestExplainEngines: the three engines all produce an annotated tree for a
-// type (1) query, each leaving its signature stats — merge ops and entries on
-// the similarity-list engines, statements on the SQL baseline — and the SQL
-// tree's statement total matches the store's sql.statements counter.
+// TestExplainEngines: both engines produce an annotated tree for a type (1)
+// query, each attributing work to its root.
 func TestExplainEngines(t *testing.T) {
 	q := "(" + casablanca.ManWomanQuery + ") until (" + casablanca.MovingTrainQuery + ")"
 	for _, eng := range []struct {
 		name   string
 		engine Engine
-	}{{"direct", EngineDirect}, {"sql", EngineSQL}, {"reference", EngineReference}} {
+	}{{"direct", EngineDirect}, {"reference", EngineReference}} {
 		t.Run(eng.name, func(t *testing.T) {
 			s := casablancaStore(t)
 			er, err := s.Explain(q, WithEngine(eng.engine))
@@ -214,32 +212,8 @@ func TestExplainEngines(t *testing.T) {
 			if er.Plan == nil || len(er.Plan.Children) != 2 {
 				t.Fatalf("tree = %+v", er.Plan)
 			}
-			switch eng.engine {
-			case EngineSQL:
-				if er.Plan.Stats.SQLStmts == 0 {
-					t.Fatal("SQL engine attributed no statements to the root")
-				}
-				var sum func(n *ExplainNode) int64
-				seen := map[*ExplainNode]bool{}
-				sum = func(n *ExplainNode) int64 {
-					if n == nil || seen[n] {
-						return 0
-					}
-					seen[n] = true
-					// Root time is inclusive; only the root's count is the
-					// total (children already folded in), so take the root.
-					return n.Stats.SQLStmts
-				}
-				// Inclusive attribution: the root's statement count covers
-				// the children. The store counter additionally includes the
-				// final ranked SELECT, issued outside any plan node.
-				if root, all := sum(er.Plan), s.Stats().SQL.Statements; root > all {
-					t.Fatalf("root sql_stmts %d exceeds store total %d", root, all)
-				}
-			default:
-				if er.Plan.Stats.MergeOps == 0 && er.Plan.Stats.Visits == 0 {
-					t.Fatalf("no work attributed to the root: %+v", er.Plan.Stats)
-				}
+			if er.Plan.Stats.MergeOps == 0 && er.Plan.Stats.Visits == 0 {
+				t.Fatalf("no work attributed to the root: %+v", er.Plan.Stats)
 			}
 		})
 	}

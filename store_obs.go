@@ -78,10 +78,6 @@ type storeObs struct {
 	videosFailed    *obs.Counter
 	videosSkipped   *obs.Counter
 
-	sqlStmts   *obs.Counter
-	sqlRows    *obs.Counter
-	sqlStmtLat *obs.Histogram
-
 	// Durable-mode instrumentation (all zero on in-memory stores): the
 	// write-ahead log's appends and fsyncs, recovery's replay accounting,
 	// and the checkpointer.
@@ -190,9 +186,6 @@ func newStoreObs() *storeObs {
 		"pool.videos_evaluated":         "Videos evaluated successfully.",
 		"pool.videos_failed":            "Videos whose evaluation failed.",
 		"pool.videos_skipped":           "Videos skipped for lacking the queried level.",
-		"sql.statements":                "SQL-baseline statements executed.",
-		"sql.rows":                      "Rows produced by SQL-baseline statements.",
-		"sql.stmt.latency":              "Per-statement SQL-baseline latency.",
 		"wal.appends":                   "WAL records appended.",
 		"wal.append_errors":             "WAL append failures.",
 		"wal.bytes":                     "Bytes appended to the WAL.",
@@ -246,10 +239,6 @@ func newStoreObs() *storeObs {
 		videosEvaluated: reg.Counter("pool.videos_evaluated"),
 		videosFailed:    reg.Counter("pool.videos_failed"),
 		videosSkipped:   reg.Counter("pool.videos_skipped"),
-
-		sqlStmts:   reg.Counter("sql.statements"),
-		sqlRows:    reg.Counter("sql.rows"),
-		sqlStmtLat: reg.Histogram("sql.stmt.latency", nil),
 
 		walAppends:       reg.Counter("wal.appends"),
 		walAppendErrors:  reg.Counter("wal.append_errors"),
@@ -348,15 +337,12 @@ func truncateErr(err error) string {
 	return obs.Truncate(msg, 160)
 }
 
-// engineKey maps an engine selector to its metric/tag name: the §4
-// comparison's vocabulary (core = direct similarity-list algorithms, sqlgen =
-// SQL baseline, refeval = brute-force reference).
+// engineKey maps an engine selector to its metric/tag name (core = direct
+// similarity-list algorithms, refeval = brute-force reference).
 func engineKey(e Engine) string {
 	switch e {
 	case EngineDirect:
 		return "core"
-	case EngineSQL:
-		return "sqlgen"
 	case EngineReference:
 		return "refeval"
 	default:
@@ -366,7 +352,8 @@ func engineKey(e Engine) string {
 
 // engineIndex and classIndex place an engine and a formula class in the
 // per-engine and per-class slots; out-of-range values share the slot of the
-// name engineKey and classKey give them.
+// name engineKey and classKey give them (an out-of-range engine only ever
+// counts a refused query).
 func engineIndex(e Engine) Engine {
 	if e > EngineReference {
 		return EngineAuto
@@ -400,7 +387,6 @@ type Stats struct {
 	ResultCache ResultCacheStats `json:"result_cache"`
 	Pool        PoolStats        `json:"pool"`
 	TopK        TopKStats        `json:"topk"`
-	SQL         SQLStats         `json:"sql"`
 }
 
 // TopKStats describes the top-k selections (Results.TopK).
@@ -421,7 +407,7 @@ type QueryStats struct {
 	Errors    int64 `json:"errors"`
 	Fallbacks int64 `json:"fallbacks"`
 	// ByEngine and ByClass break Total down by requested engine (core,
-	// sqlgen, refeval, auto) and by formula class (type1, type2, conjunctive,
+	// refeval, auto) and by formula class (type1, type2, conjunctive,
 	// extended, general) — the per-formula-class cost accounting of §4.
 	ByEngine map[string]int64 `json:"by_engine,omitempty"`
 	ByClass  map[string]int64 `json:"by_class,omitempty"`
@@ -483,13 +469,6 @@ type PoolStats struct {
 	VideosSkipped   int64 `json:"videos_skipped"`
 }
 
-// SQLStats describes the relational engine's work under the SQL baseline.
-type SQLStats struct {
-	Statements  int64                 `json:"statements"`
-	Rows        int64                 `json:"rows"`
-	StmtLatency obs.HistogramSnapshot `json:"stmt_latency"`
-}
-
 // Stats snapshots the store's instrumentation. Safe to call concurrently
 // with queries; counters settle per query, so a snapshot taken mid-query may
 // not include that query yet.
@@ -535,11 +514,6 @@ func (s *Store) Stats() Stats {
 		TopK: TopKStats{
 			EarlyTerminations: o.topkEarlyTerm.Value(),
 			EntriesSkipped:    o.topkSkipped.Value(),
-		},
-		SQL: SQLStats{
-			Statements:  o.sqlStmts.Value(),
-			Rows:        o.sqlRows.Value(),
-			StmtLatency: o.sqlStmtLat.Snapshot(),
 		},
 	}
 	for e := range o.byEngine {

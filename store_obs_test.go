@@ -2,8 +2,8 @@ package htlvideo
 
 // Store-level observability tests: cache hit/miss accounting across warm and
 // cold runs, panic-recovery and per-video failure counters, trace structure
-// and timing consistency, per-engine/per-class query breakdowns, SQL
-// statement stats, and the debug HTTP surface — all proven with
+// and timing consistency, per-engine/per-class query breakdowns, and the
+// debug HTTP surface — all proven with
 // internal/faultinject scenarios and kept clean under `go test -race`.
 
 import (
@@ -318,28 +318,6 @@ func TestFallbackCounter(t *testing.T) {
 		if tags["engine"] != "core" || tags["fallback"] != "" {
 			t.Errorf("conjunctive formula's engine span tags = %v, want engine=core", tags)
 		}
-	}
-}
-
-// TestSQLStats: the SQL baseline reports per-statement counts, row totals and
-// latencies.
-func TestSQLStats(t *testing.T) {
-	s := resilienceStore(t, 2)
-	if _, err := s.Query("M1 until M2", WithEngine(EngineSQL)); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats().SQL
-	if st.Statements == 0 {
-		t.Fatal("SQL engine recorded no statements")
-	}
-	if st.Rows == 0 {
-		t.Fatal("SQL engine recorded no rows")
-	}
-	if st.StmtLatency.Count != st.Statements {
-		t.Fatalf("statement latency count = %d, want %d", st.StmtLatency.Count, st.Statements)
-	}
-	if s.Stats().Queries.ByEngine["sqlgen"] != 1 {
-		t.Fatalf("ByEngine = %v, want sqlgen: 1", s.Stats().Queries.ByEngine)
 	}
 }
 

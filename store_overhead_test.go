@@ -18,12 +18,12 @@ import (
 // it for a request it does not trace: no trace, no span and no formatted
 // tag, which leaves the query's config (192 bytes) and the AtLevel option's
 // closure. The other two rows trace their query under WithTraceID, as the
-// server sends it for a request it samples. While the same query was a
-// whole-store query restricted by OnVideo, building a Results, its map, a
-// key slice and a one-key fan-out: unlabeled 26 / 2 232 B, labeled 22 /
-// 1 968 B, unsampled 13 / 1 080 B; before the per-query plan profile, the
-// trace's tag maps and the per-query registry lookups left the path, 52 /
-// 4 312 B.
+// server sends it for a request it samples. While a one-video query ran as a
+// whole-store query restricted to its video, building a Results, its map, a
+// key slice and a one-key fan-out, it cost: unlabeled 26 / 2 232 B, labeled
+// 22 / 1 968 B, unsampled 13 / 1 080 B; before the per-query plan profile,
+// the trace's tag maps and the per-query registry lookups left the path,
+// 52 / 4 312 B.
 // TestStoreQueryOverheadBudget fails at 1.1 times either figure (`make
 // budget`): the server sends one such query per video per request, so every
 // byte here is paid 64 times a request on the serving benchmark's corpus.

@@ -171,25 +171,6 @@ func TestCancellationStopsMidEvaluation(t *testing.T) {
 	}
 }
 
-// TestRelationalEngineFault: an injected failure inside the relational
-// engine surfaces through the SQL baseline as a per-video error.
-func TestRelationalEngineFault(t *testing.T) {
-	s := resilienceStore(t, 1)
-	armPlan(t, faultinject.NewPlan(1, faultinject.Rule{
-		Site: faultinject.SiteRelationalExec,
-		Key:  faultinject.KeyAny,
-		Kind: faultinject.KindError,
-	}))
-	_, err := s.Query("M1 until M2", WithEngine(EngineSQL))
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	var ve *VideoError
-	if !errors.As(err, &ve) || ve.VideoID != 1 {
-		t.Fatalf("err = %v, want *VideoError for video 1", err)
-	}
-}
-
 // TestSystemBuildDeduplication: concurrent queries on the same (video,
 // level) share one picture-system build (singleflight), observed through the
 // fault-injection call counter at the build site.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
@@ -88,7 +87,7 @@ func TestEnginesAgree(t *testing.T) {
 	s := testStore(t)
 	q := "(exists x . present(x) and type(x) = 'man') and eventually (exists t . present(t) and type(t) = 'train' and moving(t))"
 	var lists []SimList
-	for _, e := range []Engine{EngineDirect, EngineSQL, EngineReference, EngineAuto} {
+	for _, e := range []Engine{EngineDirect, EngineReference, EngineAuto} {
 		l, err := queryVideo(s, q, 1, WithEngine(e))
 		if err != nil {
 			t.Fatalf("engine %d: %v", e, err)
@@ -189,11 +188,6 @@ func TestQueryOptionsAndErrors(t *testing.T) {
 	}
 	if _, err := queryVideo(s, "M1", 1, AtLevel(9)); err == nil {
 		t.Fatal("level without segments should fail")
-	}
-	// SQL engine is restricted to type (1).
-	if _, err := queryVideo(s, "exists x . present(x) until M1", 1, WithEngine(EngineSQL)); err == nil ||
-		!strings.Contains(err.Error(), "type (1)") {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -393,10 +387,11 @@ func TestClassifyExport(t *testing.T) {
 	}
 }
 
-// TestUntilThresholdValidated: a tau outside [0, 1], NaN included, fails the
-// query with a validation error before any video evaluates, whether the
-// query is parsed (QueryCtx), explained, compiled, or asked of one video; a
-// tau in range answers.
+// TestUntilThresholdValidated: a tau outside [0, 1], NaN included, or an
+// engine outside the declared three fails the query with a validation error
+// before any video evaluates, whether the query is parsed (QueryCtx),
+// explained, compiled, or asked of one video; a tau in range and a declared
+// engine answer.
 func TestUntilThresholdValidated(t *testing.T) {
 	s := resilienceStore(t, 2)
 	cq, err := s.Compile("M1 until M2")
@@ -425,24 +420,31 @@ func TestUntilThresholdValidated(t *testing.T) {
 		}},
 	}
 	for _, tc := range []struct {
-		tau float64
-		ok  bool
+		name string
+		opt  QueryOption
+		ok   bool
 	}{
-		{math.NaN(), false}, {-0.1, false}, {1.5, false},
-		{0, true}, {0.5, true}, {1, true},
+		{"tau NaN", WithUntilThreshold(math.NaN()), false},
+		{"tau -0.1", WithUntilThreshold(-0.1), false},
+		{"tau 1.5", WithUntilThreshold(1.5), false},
+		{"tau 0", WithUntilThreshold(0), true},
+		{"tau 0.5", WithUntilThreshold(0.5), true},
+		{"tau 1", WithUntilThreshold(1), true},
+		{"engine 9", WithEngine(Engine(9)), false},
+		{"engine reference", WithEngine(EngineReference), true},
 	} {
 		for _, p := range paths {
 			evaluated := s.obs.videosEvaluated.Value()
-			err := p.run(WithUntilThreshold(tc.tau))
+			err := p.run(tc.opt)
 			switch {
 			case tc.ok && err != nil:
-				t.Errorf("%s, tau %v: %v", p.name, tc.tau, err)
+				t.Errorf("%s, %s: %v", p.name, tc.name, err)
 			case !tc.ok && err == nil:
-				t.Errorf("%s, tau %v: answered, want refused", p.name, tc.tau)
+				t.Errorf("%s, %s: answered, want refused", p.name, tc.name)
 			case !tc.ok && errorClass(err) != "validation":
-				t.Errorf("%s, tau %v: error %q classed %q, want validation", p.name, tc.tau, err, errorClass(err))
+				t.Errorf("%s, %s: error %q classed %q, want validation", p.name, tc.name, err, errorClass(err))
 			case !tc.ok && s.obs.videosEvaluated.Value() != evaluated:
-				t.Errorf("%s, tau %v: refused after evaluating videos", p.name, tc.tau)
+				t.Errorf("%s, %s: refused after evaluating videos", p.name, tc.name)
 			}
 		}
 	}

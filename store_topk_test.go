@@ -176,7 +176,7 @@ func cutFacts(full map[int]SimList, want []Ranked) (truncated, crossTie bool) {
 // as sorting every entry of the full lists does, byte for byte — over MIX6's
 // shapes on a corpus of its videos, Casablanca's queries (the atomic
 // predicates project on the arena) and random lists cut by core.CopyTopK,
-// under every engine that evaluates them (the SQL baseline: type (1) only), for k from one segment to more than
+// under every engine that evaluates them, for k from one segment to more than
 // the lists cover; no video keeps more than k segments. The cases include
 // ties across videos and a truncated last run.
 func TestWithTopKMatchesFullRanking(t *testing.T) {
@@ -201,7 +201,7 @@ func TestWithTopKMatchesFullRanking(t *testing.T) {
 		}},
 	}
 	ks := []int{1, 2, 3, 7, 10, 64}
-	var truncated, crossTies, sqlRuns int
+	var truncated, crossTies int
 	check := func(what string, full map[int]SimList, k int, got []Ranked) {
 		t.Helper()
 		want := core.TopKBySort(full, k)
@@ -218,7 +218,7 @@ func TestWithTopKMatchesFullRanking(t *testing.T) {
 	}
 	for _, c := range corpora {
 		for _, q := range c.queries {
-			for _, e := range []Engine{EngineAuto, EngineDirect, EngineReference, EngineSQL} {
+			for _, e := range []Engine{EngineAuto, EngineDirect, EngineReference} {
 				what := fmt.Sprintf("%s %s engine %d", c.name, q.name, e)
 				full, err := c.st.Query(q.text, AtLevel(q.level), WithEngine(e), WithoutCache())
 				if e == EngineDirect && q.name == "general" {
@@ -226,12 +226,6 @@ func TestWithTopKMatchesFullRanking(t *testing.T) {
 						t.Fatalf("%s: the direct engine evaluated a general formula", what)
 					}
 					continue
-				}
-				if e == EngineSQL {
-					if err != nil {
-						continue // the SQL baseline implements type (1) only
-					}
-					sqlRuns++
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
@@ -250,9 +244,6 @@ func TestWithTopKMatchesFullRanking(t *testing.T) {
 				}
 			}
 		}
-	}
-	if sqlRuns == 0 {
-		t.Fatal("the SQL baseline evaluated none of the queries")
 	}
 	if truncated == 0 || crossTies == 0 {
 		t.Fatalf("the store cases rank %d truncated last runs and %d ties across videos; want some of each", truncated, crossTies)

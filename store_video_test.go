@@ -16,9 +16,8 @@ import (
 // exactly Results.PerVideo[id] of the same query over every video, for every
 // MIX6 shape, under each engine, for full lists and WithTopK(10), with the
 // result cache off and on (asked twice: a miss, then a hit). Where a whole
-// query fails (the SQL baseline outside type (1), the §3 algorithms on a
-// general formula), each video's call fails with its video's part of that
-// error.
+// query fails (the §3 algorithms on a general formula), each video's call
+// fails with its video's part of that error.
 func TestQueryVideoMatchesWholeStore(t *testing.T) {
 	const videos = 4
 	cached := mix6Corpus(t, videos, 2, 10)
@@ -28,7 +27,7 @@ func TestQueryVideoMatchesWholeStore(t *testing.T) {
 		st   *Store
 	}{{"cache off", mix6Corpus(t, videos, 2, 10)}, {"cache on", cached}}
 	for _, sh := range mix6Shapes {
-		for _, e := range []Engine{EngineAuto, EngineDirect, EngineReference, EngineSQL} {
+		for _, e := range []Engine{EngineAuto, EngineDirect, EngineReference} {
 			for _, k := range []int{0, 10} {
 				for _, s := range stores {
 					name := sh.name + "/" + engineKey(e) + "/" + s.name
