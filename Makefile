@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle fuzz-topk bench bench-short bench-shapes bench-bytes loc
+.PHONY: check vet staticcheck build test race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle fuzz-topk fuzz-valuetable bench bench-short bench-shapes bench-bytes loc
 
 check: vet staticcheck build race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check
 
@@ -32,7 +32,8 @@ race:
 
 # The allocation budget (allocations and bytes per cold conj, type2 and
 # general query, for full lists and WithTopK(10)), what a one-video store
-# query may allocate beyond its evaluation (traced and unsampled) and that it
+# query may allocate beyond its evaluation (traced, unsampled, and with a
+# ?trace=1 attempt's collector: nothing unsampled) and that it
 # allocates the same on a store of one video or of 64, what one
 # cold GET /query of each MIX6 shape allocates through the server's handler,
 # the kernel's byte-identity golden, the three tests that hold the evaluation
@@ -134,10 +135,16 @@ fuzz-oracle:
 	$(GO) test -run '^$$' -fuzz=FuzzOracle -fuzztime=30s ./internal/refeval/
 
 # Short top-k fuzz session (FuzzTopK: on any per-video lists and k, the
-# selection equals the full-sort oracle, and so does ranking each video's
-# CopyTopK(k) cut).
+# selection, fed from a map or from a slice, equals the full-sort oracle, and
+# so does ranking each video's CopyTopK(k) cut).
 fuzz-topk:
 	$(GO) test -run '^$$' -fuzz=FuzzTopK -fuzztime=30s ./internal/core/
+
+# Short value-table fuzz session (FuzzValueTable: on videos decoded from the
+# fuzzer's bytes, ValueTable's linear builder equals the sort-based oracle it
+# replaced, row for row and interval for interval).
+fuzz-valuetable:
+	$(GO) test -run '^$$' -fuzz=FuzzValueTable -fuzztime=30s ./internal/picture/
 
 # Benchmarks plus BENCH_obs.json (per-engine query latency from the store's
 # own metrics histograms), BENCH_perf.json (compilation/caching ns/op,

@@ -221,18 +221,15 @@ func TestColdShapeAllocBudget(t *testing.T) {
 }
 
 // A query on one video costs the same whatever else the store holds: the
-// server asks for every video by itself (QueryVideoCtx), so a per-query cost
-// in the store's size is paid once per video per request.
+// server asks for every video by itself (BoundQuery.QueryVideoCtx), so a
+// per-query cost in the store's size is paid once per video per request.
 func TestVideoQueryCostIndependentOfStoreSize(t *testing.T) {
 	skipUnlessPoolsKeep(t)
 	allocs := func(videos int) float64 {
 		st := mix6Corpus(t, videos, 4, 10) // video 1 is the same in both
-		cq, err := st.Compile("M1 until M2")
-		if err != nil {
-			t.Fatal(err)
-		}
+		bq := bind(t, st, "M1 until M2", WithoutCache())
 		query := func() {
-			if _, err := cq.QueryVideoCtx(context.Background(), 1, WithoutCache()); err != nil {
+			if _, err := bq.QueryVideoCtx(context.Background(), 1, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -240,6 +237,6 @@ func TestVideoQueryCostIndependentOfStoreSize(t *testing.T) {
 		return testing.AllocsPerRun(20, query)
 	}
 	if one, many := allocs(1), allocs(64); one != many {
-		t.Errorf("one QueryVideoCtx call allocates %.0f times on a 1-video store and %.0f on a 64-video store", one, many)
+		t.Errorf("one BoundQuery.QueryVideoCtx call allocates %.0f times on a 1-video store and %.0f on a 64-video store", one, many)
 	}
 }

@@ -273,7 +273,7 @@ func BenchmarkAblationTopK(b *testing.B) {
 	b.Run("heap", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _, _ = core.TopK(context.Background(), lists, 10)
+			_, _, _ = core.TopK(context.Background(), core.MapLists(lists), 10)
 		}
 	})
 	b.Run("sort", func(b *testing.B) {
@@ -372,7 +372,7 @@ func benchRankedTopKPruned(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = core.TopK(context.Background(), lists, 10)
+		_, _, _ = core.TopK(context.Background(), core.MapLists(lists), 10)
 	}
 }
 

@@ -78,6 +78,9 @@ type (
 	Sim = simlist.Sim
 	// Ranked is one run of segments in a ranked result.
 	Ranked = core.Ranked
+	// VideoLists yields video ids with their similarity lists, to be ranked
+	// (BoundQuery.TopKCtx).
+	VideoLists = core.VideoLists
 
 	// Trace is one query's structured timing record: a tree of stage spans
 	// plus query-level tags (see WithTrace and Store.SlowLog).

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"htlvideo/internal/htl"
-	"htlvideo/internal/obs"
 	"htlvideo/internal/simlist"
 )
 
@@ -81,10 +80,7 @@ func TestEvalPlanMemoizesDuplicates(t *testing.T) {
 	}
 
 	src := newSrc()
-	var hits obs.Counter
-	opts := DefaultOptions()
-	opts.MemoHits = &hits
-	dup, err := EvalCtx(t.Context(), src, mustParse(t, "(A until B) and (A until B)"), opts)
+	dup, hits, err := EvalPlanHits(t.Context(), src, CompilePlan(mustParse(t, "(A until B) and (A until B)")), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +89,7 @@ func TestEvalPlanMemoizesDuplicates(t *testing.T) {
 			t.Errorf("atom %s evaluated %d times, want 1", atom, src.calls[atom])
 		}
 	}
-	if hits.Value() == 0 {
+	if hits == 0 {
 		t.Error("no memo hits recorded for the duplicated subtree")
 	}
 

@@ -8,7 +8,6 @@ import (
 
 	"htlvideo/internal/htl"
 	"htlvideo/internal/interval"
-	"htlvideo/internal/obs"
 	"htlvideo/internal/simlist"
 )
 
@@ -18,10 +17,6 @@ type Options struct {
 	// `until` must reach to count as satisfied while waiting for the right
 	// side (§2.5).
 	UntilThreshold float64
-	// MemoHits counts subformula evaluations answered from the plan-node
-	// memo; nil disables the count at no cost. The per-node work counts
-	// live in Prof.
-	MemoHits *obs.Counter
 	// Prof receives per-plan-node accounting (visits, memo hits, rows,
 	// inclusive wall time) for EXPLAIN ANALYZE; nil disables it. Prof must
 	// have been built for the plan under evaluation (NewPlanProfile) — nodes
@@ -69,18 +64,27 @@ func EvalCtx(ctx context.Context, src Source, f htl.Formula, opts Options) (siml
 
 // EvalPlanCtx evaluates a compiled plan (see CompilePlan) over src's
 // sequence. Structurally identical subformulas share a plan node, so their
-// similarity tables are computed once per evaluation and memo hits are
-// counted in opts.MemoHits. Every table is carved from an arena taken from a
-// pool, which goes back once the list has been copied out — on an error or a
-// cancellation too, never after a panic.
+// similarity tables are computed once per evaluation. Every table is carved
+// from an arena taken from a pool, which goes back once the list has been
+// copied out — on an error or a cancellation too, never after a panic.
 func EvalPlanCtx(ctx context.Context, src Source, p *Plan, opts Options) (simlist.List, error) {
+	l, _, err := EvalPlanHits(ctx, src, p, opts)
+	return l, err
+}
+
+// EvalPlanHits is EvalPlanCtx that also returns the evaluation's memo hits:
+// the subformula evaluations its plan-node memo answered. The count is
+// returned, not added to a caller's counter, so that nothing of the caller's
+// is stored into the evaluation.
+func EvalPlanHits(ctx context.Context, src Source, p *Plan, opts Options) (simlist.List, int64, error) {
 	if p.Class == htl.ClassGeneral {
-		return simlist.List{}, &ErrNotConjunctive{Formula: p.Root.F, Reason: "negation or quantification over a temporal subformula"}
+		return simlist.List{}, 0, &ErrNotConjunctive{Formula: p.Root.F, Reason: "negation or quantification over a temporal subformula"}
 	}
 	a := AcquireArena()
-	l, err := newPlanEval(src, opts, p.Nodes, a).evalPlan(ctx, p)
+	e := newPlanEval(src, opts, p.Nodes, a)
+	l, err := e.evalPlan(ctx, p)
 	ReleaseArena(a) // not deferred
-	return l, err
+	return l, e.memoHits, err
 }
 
 // evalPlan evaluates p's matrix and projects its table. A table the kernel
@@ -173,6 +177,8 @@ type planEval struct {
 	opts Options
 	a    *Arena
 	memo []*simlist.Table
+	// memoHits counts the evaluations memo answered.
+	memoHits int64
 }
 
 func newPlanEval(src Source, opts Options, nodes int, a *Arena) *planEval {
@@ -185,7 +191,7 @@ func (e *planEval) eval(ctx context.Context, n *PNode) (*simlist.Table, error) {
 	}
 	e.opts.Prof.Visit(n)
 	if t := e.memo[n.ID]; t != nil {
-		e.opts.MemoHits.Inc()
+		e.memoHits++
 		e.opts.Prof.MemoHit(n)
 		return t, nil
 	}

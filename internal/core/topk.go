@@ -39,6 +39,23 @@ func rankedLess(a, b Ranked) bool {
 	return a.Iv.Beg < b.Iv.Beg
 }
 
+// VideoLists yields each video's id with its similarity list, once per
+// video, to TopK: iter.Seq2[int, simlist.List] spelled out, since the
+// module's go directive predates the iter package. MapLists yields a map's;
+// the server yields its fan-out's results in video order.
+type VideoLists = func(yield func(int, simlist.List) bool)
+
+// MapLists yields the lists of a map from video id, in map order.
+func MapLists(lists map[int]simlist.List) VideoLists {
+	return func(yield func(int, simlist.List) bool) {
+		for vid, l := range lists {
+			if !yield(vid, l) {
+				return
+			}
+		}
+	}
+}
+
 // TopK returns the k highest-similarity video segments across per-video
 // similarity lists (§1: "the top k video segments that have the highest
 // similarity values ... will be retrieved"), ordered by RankedLess. Runs of
@@ -51,42 +68,55 @@ func rankedLess(a, b Ranked) bool {
 // entry that cannot place is rejected by comparing its similarity with the
 // root's before a Ranked is built for it. skipped counts those rejections.
 // The kept runs are the same whatever order the videos are visited in, so
-// the ranking is deterministic; skipped is not. The lists are not modified.
-// The context is checked, and faultinject.SiteTopKScan fired, once per video.
-func TopK(ctx context.Context, lists map[int]simlist.List, k int) (top []Ranked, skipped int64, err error) {
+// the ranking is deterministic; skipped depends on the order. The lists are
+// not modified. The context is checked, and faultinject.SiteTopKScan fired,
+// once per video.
+func TopK(ctx context.Context, lists VideoLists, k int) (top []Ranked, skipped int64, err error) {
 	if k <= 0 {
 		return nil, 0, nil
 	}
-	n := 0
-	for _, l := range lists {
-		n += len(l.Entries)
+	// What the visit of each video shares with this frame. The visit escapes
+	// into lists, so this is one allocation rather than one per variable.
+	var sel struct {
+		h       keptRuns
+		covered int
+		skipped int64
+		err     error
 	}
-	if n == 0 {
-		return nil, 0, nil
-	}
-	h := keptRuns(make([]Ranked, 0, min(k, n-1)+1))
-	covered := 0
-	for vid, l := range lists {
-		if err := faultinject.Fire(ctx, faultinject.SiteTopKScan, int64(vid)); err != nil {
-			return nil, 0, err
+	lists(func(vid int, l simlist.List) bool {
+		if sel.err = faultinject.Fire(ctx, faultinject.SiteTopKScan, int64(vid)); sel.err != nil {
+			return false
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+		if sel.err = ctx.Err(); sel.err != nil {
+			return false
 		}
 		for _, e := range l.Entries {
-			if covered >= k && (e.Act < h[0].Sim.Act || e.Act == h[0].Sim.Act && rankedLess(h[0], lift(vid, l.MaxSim, e))) {
-				skipped++
+			if sel.covered >= k && (e.Act < sel.h[0].Sim.Act || e.Act == sel.h[0].Sim.Act && rankedLess(sel.h[0], lift(vid, l.MaxSim, e))) {
+				sel.skipped++
 				continue
 			}
+			if sel.h == nil {
+				// At most k+1 runs are ever kept; a larger k grows the heap
+				// as it needs.
+				sel.h = make(keptRuns, 0, min(k, topKInitialRuns)+1)
+			}
 			r := lift(vid, l.MaxSim, e)
-			h.push(r)
-			covered += r.Iv.Len()
+			sel.h.push(r)
+			sel.covered += r.Iv.Len()
 			// The worst run goes while the others still cover k.
-			for covered-h[0].Iv.Len() >= k {
-				covered -= h[0].Iv.Len()
-				h.pop()
+			for sel.covered-sel.h[0].Iv.Len() >= k {
+				sel.covered -= sel.h[0].Iv.Len()
+				sel.h.pop()
 			}
 		}
+		return true
+	})
+	h, covered := sel.h, sel.covered
+	if sel.err != nil {
+		return nil, 0, sel.err
+	}
+	if len(h) == 0 {
+		return nil, sel.skipped, nil
 	}
 	slices.SortFunc(h, func(a, b Ranked) int {
 		if rankedLess(a, b) {
@@ -100,8 +130,12 @@ func TopK(ctx context.Context, lists map[int]simlist.List, k int) (top []Ranked,
 	if last := &h[len(h)-1]; covered > k {
 		last.Iv.End -= covered - k
 	}
-	return h, skipped, nil
+	return h, sel.skipped, nil
 }
+
+// topKInitialRuns caps the heap TopK first makes: a ranking of every entry
+// (k = math.MaxInt) starts there and grows.
+const topKInitialRuns = 15
 
 // TopKBySort is the naive alternative that fully sorts all entries: the
 // oracle TopK is held to.

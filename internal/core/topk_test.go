@@ -37,10 +37,11 @@ func randomLists(rng *rand.Rand, videos int) map[int]simlist.List {
 	return lists
 }
 
-// topK is TopK under a background context, failing the test on an error.
+// topK is TopK over a map under a background context, failing the test on
+// an error.
 func topK(t testing.TB, lists map[int]simlist.List, k int) ([]Ranked, int64) {
 	t.Helper()
-	top, skipped, err := TopK(context.Background(), lists, k)
+	top, skipped, err := TopK(context.Background(), MapLists(lists), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestTopKCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	lists := map[int]simlist.List{1: simlist.NewList(10, entry(1, 1, 5))}
-	top, _, err := TopK(ctx, lists, 3)
+	top, _, err := TopK(ctx, MapLists(lists), 3)
 	if !errors.Is(err, context.Canceled) || top != nil {
 		t.Fatalf("top=%v err=%v, want nil, context.Canceled", top, err)
 	}
@@ -252,7 +253,8 @@ func decodeLists(data []byte) map[int]simlist.List {
 }
 
 // FuzzTopK holds the selection to the full-sort oracle on any lists and k
-// (a kRaw of 250 or more is k = math.MaxInt), and so the union argument
+// (a kRaw of 250 or more is k = math.MaxInt), fed from a map and, as the
+// server feeds it, from a slice in video order, and so the union argument
 // WithTopK rests on: ranking each video's CopyTopK(k) cut ranks exactly as
 // sorting the full lists does.
 func FuzzTopK(f *testing.F) {
@@ -275,6 +277,13 @@ func FuzzTopK(f *testing.F) {
 		if top, _ := topK(t, lists, k); fmt.Sprint(top) != want {
 			t.Fatalf("k=%d lists %v:\ngot  %v\nwant %s", k, lists, top, want)
 		}
+		top, _, err := TopK(context.Background(), inVideoOrder(lists), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(top) != want {
+			t.Fatalf("k=%d lists %v fed from a slice:\ngot  %v\nwant %s", k, lists, top, want)
+		}
 		cut := map[int]simlist.List{}
 		for v, l := range lists {
 			cut[v] = simlist.List{MaxSim: l.MaxSim, Entries: CopyTopK(nil, l.Entries, k)}
@@ -283,6 +292,27 @@ func FuzzTopK(f *testing.F) {
 			t.Fatalf("k=%d over the cut lists %v:\ngot  %v\nwant %s", k, cut, top, want)
 		}
 	})
+}
+
+// inVideoOrder yields lists from a slice in ascending video order, the way
+// the server ranks its fan-out's results.
+func inVideoOrder(lists map[int]simlist.List) VideoLists {
+	type video struct {
+		id int
+		l  simlist.List
+	}
+	var s []video
+	for id, l := range lists {
+		s = append(s, video{id, l})
+	}
+	slices.SortFunc(s, func(a, b video) int { return cmp.Compare(a.id, b.id) })
+	return func(yield func(int, simlist.List) bool) {
+		for _, v := range s {
+			if !yield(v.id, v.l) {
+				return
+			}
+		}
+	}
 }
 
 func TestMaxSimOfStructure(t *testing.T) {

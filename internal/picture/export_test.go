@@ -8,4 +8,5 @@ var (
 	RandomPictureVideo = randomPictureVideo
 	CorpusVideo        = corpusVideo
 	CorpusTaxonomy     = corpusTaxonomy
+	ValueTableDiff     = valueTableDiff
 )

@@ -214,6 +214,26 @@ type goldenSystem struct {
 	sys  *picture.System
 }
 
+// TestValueTableMatchesSortBuilder: ValueTable builds, row for row and
+// interval for interval, the table the sort-based builder it replaced builds
+// (the oracle in valuetable_test.go), on the heap and on an arena, over
+// Casablanca, the six-shot system, three random picture videos and a corpus
+// video at both levels, for every object attribute, every segment attribute
+// and type.
+func TestValueTableMatchesSortBuilder(t *testing.T) {
+	a := new(core.Arena)
+	for _, sys := range goldenSystems(t) {
+		for _, q := range []htl.AttrFn{
+			{Attr: "height", Of: "z"}, {Attr: "name", Of: "z"}, {Attr: "type", Of: "z"}, {Attr: "nothing", Of: "z"},
+			{Attr: "genre"}, {Attr: "content"}, {Attr: "outdoor"}, {Attr: "M1"}, {Attr: "nothing"},
+		} {
+			if d := picture.ValueTableDiff(sys.sys, q, a); d != "" {
+				t.Errorf("%s: %s", sys.name, d)
+			}
+		}
+	}
+}
+
 func goldenSystems(t *testing.T) []goldenSystem {
 	t.Helper()
 	cas, err := casablanca.System()

@@ -78,6 +78,9 @@ type Evaluator struct {
 	// children caches one child evaluator per (segment, level), so repeated
 	// level-modal descents reuse the child's memo instead of rebuilding it.
 	children map[childKey]*Evaluator
+	// memoHits counts the scores memo answered since the last bind; unbind
+	// folds the child evaluators' into it.
+	memoHits int64
 }
 
 // New builds an evaluator over the picture system's sequence.
@@ -91,15 +94,21 @@ var acquireArena, releaseArena = core.AcquireArena, core.ReleaseArena
 // bind readies the evaluator for p's nodes, on arena a (nil: the heap),
 // dropping what it cached for another plan's.
 func (e *Evaluator) bind(p *core.Plan, a *core.Arena) {
-	e.plan, e.a = p, a
+	e.plan, e.a, e.memoHits = p, a, 0
 	e.memo = a.Float64Rows(p.Nodes)
 	e.maxSim = unscored(a, p.Nodes)
 	e.children = nil
 }
 
 // unbind drops every cache, so that nothing carved from the arena outlives
-// the evaluation.
+// the evaluation, and folds its child evaluators' memo hits into its own.
 func (e *Evaluator) unbind() {
+	for _, c := range e.children {
+		if c != nil {
+			c.unbind()
+			e.memoHits += c.memoHits
+		}
+	}
 	e.plan, e.a, e.memo, e.maxSim, e.children = nil, nil, nil, nil, nil
 }
 
@@ -126,10 +135,17 @@ func (e *Evaluator) List(f htl.Formula) (simlist.List, error) {
 // O(n²) temporal scans, so a deadline stops a brute-force evaluation
 // mid-video.
 func (e *Evaluator) ListPlanCtx(ctx context.Context, p *core.Plan) (simlist.List, error) {
+	l, _, err := e.ListPlanHits(ctx, p)
+	return l, err
+}
+
+// ListPlanHits is ListPlanCtx that also returns the evaluation's memo hits,
+// as core.EvalPlanHits does.
+func (e *Evaluator) ListPlanHits(ctx context.Context, p *core.Plan) (simlist.List, int64, error) {
 	a := acquireArena()
 	l, err := e.ListPlanOn(ctx, p, a)
 	releaseArena(a) // not deferred
-	return l, err
+	return l, e.memoHits, err
 }
 
 // ListPlanOn is ListPlanCtx on arena a (nil: the heap), which it leaves to
@@ -191,7 +207,7 @@ func (e *Evaluator) simAt(ctx context.Context, n *core.PNode, u int, env picture
 	useMemo := n.Closed && u >= 1 && u <= e.sys.Len()
 	if useMemo && e.memo[n.ID] != nil {
 		if v := e.memo[n.ID][u-1]; v == v {
-			e.opts.MemoHits.Inc()
+			e.memoHits++
 			e.opts.Prof.MemoHit(n)
 			return v, nil
 		}

@@ -566,9 +566,10 @@ func ParseExplainRequest(r *http.Request, d ParseDefaults) (p QueryParams, statu
 // partial-result semantics at the serving layer — a failing or tripped
 // video costs its own results only.
 //
-// The formula is compiled and the request labeled for the CPU profiler once,
-// so a per-video store query pays for its evaluation and its own accounting
-// only.
+// The formula is compiled, its options bound and the request labeled for the
+// CPU profiler once, so a per-video store query pays for its evaluation and
+// its own accounting only, and the ranking reads the fan-out's results where
+// they lie.
 func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams) (*QueryResponse, error) {
 	cq := st.CompileFormula(p.Formula)
 	out := &QueryResponse{Class: cq.Class().String()}
@@ -608,11 +609,13 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 		videoSpans = make([]*obs.Span, len(eligible))
 	}
 
-	// Each video runs as a one-video query (QueryVideoCtx) without
-	// WithPartialResults, so its failure comes back as an error the breaker
-	// and the retries see, and under WithTopK(p.K): the merged top k lies in
-	// the union of the per-video top k, so each video copies out only its
-	// own. Every attempt shares opts; only a ?trace=1 attempt extends it.
+	// Each video runs as a one-video query (BoundQuery.QueryVideoCtx)
+	// without WithPartialResults, so its failure comes back as an error the
+	// breaker and the retries see, and under WithTopK(p.K): the merged top k
+	// lies in the union of the per-video top k, so each video copies out
+	// only its own. Every attempt shares the bound options; a ?trace=1
+	// attempt passes its own collector. ParseQueryRequest has checked the
+	// engine and tau, so Bind refuses nothing it parsed.
 	whole := p
 	whole.Partial = false
 	if !sampled {
@@ -621,6 +624,10 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	opts := whole.StoreOptions()
 	if !sampled {
 		opts = append(opts, htlvideo.Unsampled())
+	}
+	bq, err := cq.Bind(opts...)
+	if err != nil {
+		return out, err
 	}
 	// videoSpan is video i's span, opened at its first use.
 	videoSpan := func(i int) *obs.Span {
@@ -638,31 +645,24 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 		results = resilience.FanOut(ctx, eligible,
 			resilience.Guard{Limit: s.cfg.parallelism, Breaker: s.breaker, Retry: s.retry, Transient: htlvideo.IsTransient},
 			func(ctx context.Context, i, attempt int) (htlvideo.SimList, error) {
-				vopts := opts
-				var asp *obs.Span
-				var col *obs.TraceCollector
-				if evalSpan != nil {
-					asp = videoSpan(i).StartSpan("attempt")
-					asp.SetTag("attempt", strconv.Itoa(attempt))
-					col = &obs.TraceCollector{}
-					// Copy: concurrent attempts must not share the base
-					// slice's backing array through append.
-					vopts = append(opts[:len(opts):len(opts)], htlvideo.WithTrace(col))
+				if evalSpan == nil {
+					return bq.QueryVideoCtx(ctx, int(eligible[i]), nil)
 				}
-				l, err := cq.QueryVideoCtx(ctx, int(eligible[i]), vopts...)
-				if asp != nil {
-					if err != nil {
-						asp.SetTag("outcome", obs.Truncate(err.Error(), 120))
-					} else {
-						asp.SetTag("outcome", "ok")
-					}
-					if last := col.Last(); last != nil {
-						// The store's own spans (build/eval/merge) become this
-						// attempt's subtree, same as a shard's remote spans.
-						asp.AttachRemote(last.Snapshot().Spans)
-					}
-					asp.End()
+				asp := videoSpan(i).StartSpan("attempt")
+				asp.SetTag("attempt", strconv.Itoa(attempt))
+				col := &obs.TraceCollector{}
+				l, err := bq.QueryVideoCtx(ctx, int(eligible[i]), col)
+				if err != nil {
+					asp.SetTag("outcome", obs.Truncate(err.Error(), 120))
+				} else {
+					asp.SetTag("outcome", "ok")
 				}
+				if last := col.Last(); last != nil {
+					// The store's own spans (build/eval/merge) become this
+					// attempt's subtree, same as a shard's remote spans.
+					asp.AttachRemote(last.Snapshot().Spans)
+				}
+				asp.End()
 				return l, err
 			},
 			func(i int, r *resilience.Result[htlvideo.SimList]) {
@@ -681,13 +681,12 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	})
 	evalSpan.End()
 
-	lists := make(map[int]htlvideo.SimList, len(eligible))
 	for i, r := range results {
 		id := int(eligible[i])
 		out.Retries += int64(max(r.Attempts-1, 0))
 		switch r.Outcome {
 		case resilience.OK:
-			lists[id] = r.Value
+			out.Evaluated++
 		case resilience.Skipped:
 			s.m.brSkipped.Inc()
 			out.Skipped = append(out.Skipped, SkipDoc{Video: id, Reason: "breaker open"})
@@ -699,7 +698,6 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 			out.Failed = append(out.Failed, FailDoc{Video: id, Error: obs.Truncate(r.Err.Error(), 300)})
 		}
 	}
-	out.Evaluated = len(lists)
 	mergeSpan := tr.StartSpan("merge")
 	// The deadline ends work not yet done. A fan-out it cut short still ranks
 	// its survivors, the partial answer; a deadline reached during the
@@ -708,7 +706,13 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 	if ctx.Err() != nil {
 		mctx = context.WithoutCancel(ctx)
 	}
-	top, err := st.NewResults(lists).TopKCtx(mctx, p.K)
+	top, err := bq.TopKCtx(mctx, func(yield func(int, htlvideo.SimList) bool) {
+		for i, r := range results {
+			if r.Outcome == resilience.OK && !yield(int(eligible[i]), r.Value) {
+				return
+			}
+		}
+	}, p.K)
 	for _, rk := range top {
 		out.Top = append(out.Top, RankedDoc{
 			Video: rk.VideoID, Beg: rk.Iv.Beg, End: rk.Iv.End,

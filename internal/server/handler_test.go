@@ -1,8 +1,8 @@
 package server
 
-// evaluate's per-video fan-out: concurrent attempts must not alias the
-// request's option slice, and the envelope's retries must count exactly the
-// re-attempts the server.retries counter saw.
+// evaluate's per-video fan-out: concurrent attempts share the request's
+// bound query without interfering, and the envelope's retries must count
+// exactly the re-attempts the server.retries counter saw.
 
 import (
 	"encoding/json"
@@ -16,12 +16,13 @@ import (
 	"htlvideo/internal/faultinject"
 )
 
-// TestPerVideoOptionsDoNotAlias guards the copy evaluate makes of the
-// request's option slice for each ?trace=1 attempt: with ?root=1 the base
-// slice has spare capacity, so attempts appending their WithTrace to it
-// directly would overwrite each other's collector (a race under -race). Every
-// one of 30 requests over 8 concurrent videos, every other one traced, must
-// answer 200 with the same ranking.
+// TestPerVideoOptionsDoNotAlias guards what concurrent attempts share: one
+// bound query per request, every ?trace=1 attempt passing its own collector
+// beside it. Attempts that shared one collector, or wrote their trace sink
+// into the shared options (as appending WithTrace to an option slice with
+// spare capacity, which ?root=1 gives, once did), would see each other's
+// traces (a race under -race). Every one of 30 requests over 8 concurrent
+// videos, every other one traced, must answer 200 with the same ranking.
 func TestPerVideoOptionsDoNotAlias(t *testing.T) {
 	s := htlvideo.NewStore(nil, htlvideo.DefaultWeights())
 	for id := 1; id <= 8; id++ {

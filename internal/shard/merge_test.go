@@ -85,7 +85,7 @@ func TestMergeMatchesGlobalTopK(t *testing.T) {
 		// Each shard computes its own local top-k; the coordinator merges.
 		var entries []mergeEntry
 		for _, pl := range parts {
-			top, _, err := core.TopK(context.Background(), pl, k)
+			top, _, err := core.TopK(context.Background(), core.MapLists(pl), k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -175,6 +175,8 @@ const (
 // QueryOption tweaks query evaluation.
 type QueryOption func(*queryConfig)
 
+// queryConfig is a query's options, read-only once bound (bind), so that a
+// BoundQuery shares one across its evaluations.
 type queryConfig struct {
 	level          int
 	untilThreshold float64
@@ -184,21 +186,9 @@ type queryConfig struct {
 	// traceID, when set, joins the query's trace into a distributed trace
 	// minted elsewhere (the coordinator, via X-Htl-Trace).
 	traceID string
-	// name and begin are the query's text and start (since queryClock),
-	// which its accounting reads when no trace records them.
-	name  string
-	begin time.Duration
-	// rec accumulates the per-query facts the workload statistics aggregate
-	// at settle time (beginQuery labels it; the evaluation and the result
-	// cache fill it in).
-	rec querystats.Record
-	// memoHits counts this query's memo hits in either engine; settleVideos
-	// folds it into the store's counter when its videos are done.
-	memoHits obs.Counter
 	// prof is the per-plan-node profile ExplainCtx attaches; nil otherwise,
 	// so a plain query pays for no profile.
-	prof *core.PlanProfile
-	// The one-byte fields share one word of the per-query allocation.
+	prof    *core.PlanProfile
 	engine  Engine
 	atRoot  bool
 	partial bool
@@ -213,20 +203,62 @@ type queryConfig struct {
 	unsampled bool
 }
 
-// newQueryConfig applies the options over the defaults.
-func newQueryConfig(opts []QueryOption) *queryConfig {
-	cfg := &queryConfig{level: 2, untilThreshold: core.DefaultUntilThreshold}
+// bind sets c to opts over the defaults and validates it, for every query:
+// an unknown engine or a tau outside [0, 1] is refused, c complete anyway.
+func (c *queryConfig) bind(opts []QueryOption) error {
+	*c = queryConfig{level: 2, untilThreshold: core.DefaultUntilThreshold}
 	for _, o := range opts {
-		o(cfg)
+		o(c)
 	}
-	if cfg.atRoot {
-		cfg.level = 1
+	if c.atRoot {
+		c.level = 1
 	}
-	return cfg
+	if c.engine > EngineReference {
+		return fmt.Errorf("htlvideo: unknown engine %d", c.engine)
+	}
+	if !ValidUntilThreshold(c.untilThreshold) {
+		return fmt.Errorf("htlvideo: until threshold %v is not in [0, 1]", c.untilThreshold)
+	}
+	return nil
 }
 
-// queryClock is the origin of queryConfig.begin: a monotonic offset from it
-// takes 8 bytes of the per-query config, where a time.Time takes 24.
+// queryRun is what one evaluation of a query accumulates. A one-video query
+// keeps it on its stack (BoundQuery.QueryVideoCtx); nothing points into it
+// from the heap, which is why the engines return their memo hits.
+type queryRun struct {
+	// cq is nil for a query refused before it evaluates (admit).
+	cq  *CompiledQuery
+	cfg *queryConfig
+	// tr is the query's trace, nil when unsampled; sink receives it.
+	tr   *obs.Trace
+	sink obs.TraceSink
+	// name and begin are the query's text and start (since queryClock),
+	// which its accounting reads when no trace records them.
+	name  string
+	begin time.Duration
+	// rec accumulates the per-query facts the workload statistics aggregate
+	// at settle time (beginQuery labels it; the evaluation and the result
+	// cache fill it in).
+	rec querystats.Record
+	// memoHits sums the engines' memo hits (a whole-store query's videos add
+	// concurrently) until settleVideos folds it into rec.
+	memoHits atomic.Int64
+}
+
+// newRun binds opts for a whole-store query, options and run in one
+// allocation, and returns bind's error for the query to settle.
+func newRun(opts []QueryOption) (*queryRun, error) {
+	q := new(struct {
+		cfg queryConfig
+		run queryRun
+	})
+	err := q.cfg.bind(opts)
+	q.run.cfg, q.run.sink = &q.cfg, q.cfg.sink
+	return &q.run, err
+}
+
+// queryClock is the origin of queryRun.begin: a monotonic offset from it
+// takes 8 bytes of the run, where a time.Time takes 24.
 var queryClock = time.Now()
 
 // AtLevel asserts the formula on each video's proper sequence at the given
@@ -319,22 +351,13 @@ type Results struct {
 	// WithPartialResults any failure fails the query instead.
 	Errors []error
 
-	// obs reports top-k pruning back to the originating store's counters;
-	// nil for results built outside a store. planKey attributes that pruning
-	// to the query shape in the workload statistics; empty for results built
-	// from already-evaluated lists (NewResults).
+	// obs counts top-k pruning under the query shape planKey; nil outside a
+	// store.
 	obs     *storeObs
 	planKey string
 	// cut is the k of WithTopK the lists were evaluated for; 0 for full
 	// lists.
 	cut int
-}
-
-// NewResults wraps already-evaluated per-video similarity lists in a Results
-// bound to the store's observability, so layers that merge lists themselves
-// (the shard coordinator) still feed the top-k pruning counters.
-func (s *Store) NewResults(perVideo map[int]SimList) *Results {
-	return &Results{PerVideo: perVideo, obs: s.obs}
 }
 
 // TopK returns the k highest-similarity segment runs across all videos
@@ -354,15 +377,21 @@ func (r *Results) TopK(k int) []Ranked {
 // videos and returns the context's error and no ranking (a cancelled caller
 // has no use for a partial one).
 func (r *Results) TopKCtx(ctx context.Context, k int) ([]Ranked, error) {
-	if r.cut > 0 {
-		k = min(k, r.cut)
+	return rankTopK(ctx, r.obs, r.planKey, r.cut, core.MapLists(r.PerVideo), k)
+}
+
+// rankTopK ranks for Results.TopKCtx and BoundQuery.TopKCtx: at most cut
+// segments when the lists were cut, with o, when set, counting the pruning.
+func rankTopK(ctx context.Context, o *storeObs, planKey string, cut int, lists VideoLists, k int) ([]Ranked, error) {
+	if cut > 0 {
+		k = min(k, cut)
 	}
-	top, skipped, err := core.TopK(ctx, r.PerVideo, k)
+	top, skipped, err := core.TopK(ctx, lists, k)
 	if err != nil {
 		return nil, err
 	}
-	if r.obs != nil {
-		r.obs.observeTopK(skipped, r.planKey)
+	if o != nil {
+		o.observeTopK(skipped, planKey)
 	}
 	return top, nil
 }
@@ -375,13 +404,13 @@ func (r *Results) TopKCtx(ctx context.Context, k int) ([]Ranked, error) {
 // WithTopK(k) it ranks only the kept runs, which may cover more than k
 // segments across videos; TopK(k) is the exact answer.
 func (r *Results) Ranked() []Ranked {
-	top, _, _ := core.TopK(context.Background(), r.PerVideo, math.MaxInt)
+	top, _, _ := core.TopK(context.Background(), core.MapLists(r.PerVideo), math.MaxInt)
 	return top
 }
 
 // Query parses and evaluates an HTL query over every stored video. See
-// QueryFormulaCtx for evaluating a pre-parsed formula, and
-// CompiledQuery.QueryVideoCtx for evaluating one video.
+// QueryFormulaCtx for evaluating a pre-parsed formula, and CompiledQuery.Bind
+// for evaluating one video at a time.
 func (s *Store) Query(query string, opts ...QueryOption) (*Results, error) {
 	return s.QueryCtx(context.Background(), query, opts...)
 }
@@ -394,21 +423,20 @@ func (s *Store) Query(query string, opts ...QueryOption) (*Results, error) {
 // skips parsing, classification and plan construction (the parse span is
 // kept, tagged plan_cache=hit, so trace structure is stable).
 func (s *Store) QueryCtx(ctx context.Context, query string, opts ...QueryOption) (*Results, error) {
-	cfg := newQueryConfig(opts)
-	tr, cq, err := s.parse(query, cfg.noCache, cfg)
-	if err != nil {
+	r, refused := newRun(opts)
+	if err := s.parse(r, query, r.cfg.noCache, refused); err != nil {
 		return nil, err
 	}
-	return s.queryCompiledCtx(ctx, tr, cq, cfg)
+	return s.queryCompiledCtx(ctx, r)
 }
 
 // parse is the parse stage of QueryCtx and ExplainCtx: it starts the query's
 // clock and trace (storeObs.startTrace) and compiles the text through the plan
 // cache (bypassed when noCache) under a parse span tagged plan_cache=hit or
-// miss. A parse failure settles the query's accounting here.
-func (s *Store) parse(query string, noCache bool, cfg *queryConfig) (*obs.Trace, *CompiledQuery, error) {
-	tr := s.obs.startTrace(cfg, query)
-	sp := tr.StartSpan("parse")
+// miss. A parse failure, or else refused options, fails the query (admit).
+func (s *Store) parse(r *queryRun, query string, noCache bool, refused error) error {
+	s.obs.startTrace(r, query)
+	sp := r.tr.StartSpan("parse")
 	cq, hit, err := s.compile(query, noCache)
 	if hit {
 		sp.SetTag("plan_cache", "hit")
@@ -416,10 +444,21 @@ func (s *Store) parse(query string, noCache bool, cfg *queryConfig) (*obs.Trace,
 		sp.SetTag("plan_cache", "miss")
 	}
 	sp.End()
-	if err != nil {
-		s.obs.endQuery(tr, err, nil, cfg)
+	if err == nil {
+		err = refused
 	}
-	return tr, cq, err
+	return s.admit(r, cq, err)
+}
+
+// admit gives the started run r its query, or settles it failed by err (a
+// parse failure or refused options) under no engine, class or workload record.
+func (s *Store) admit(r *queryRun, cq *CompiledQuery, err error) error {
+	if err != nil {
+		s.obs.endQuery(r, err)
+		return err
+	}
+	r.cq = cq
+	return nil
 }
 
 // QueryFormulaCtx evaluates a parsed HTL formula under a context.
@@ -435,90 +474,119 @@ func (s *Store) parse(query string, noCache bool, cfg *queryConfig) (*obs.Trace,
 // formula many times compiles it once (CompileFormula) and queries the
 // CompiledQuery instead.
 func (s *Store) QueryFormulaCtx(ctx context.Context, f Formula, opts ...QueryOption) (*Results, error) {
-	cfg := newQueryConfig(opts)
-	cq := s.compileFormula(f, cfg.noCache)
-	return s.queryCompiledCtx(ctx, s.obs.startTrace(cfg, cq.plan.Key), cq, cfg)
-}
-
-// queryCompiledCtx runs a compiled query over every video under an
-// already-started trace, nil when the query is unsampled (QueryCtx adds the
-// parse stage before calling it). Whatever path the query takes — including
-// a result-cache hit — the deferred endQuery settles the per-query
-// accounting: totals, per-engine and per-class counters and latency, the
-// slow log, and the trace sinks.
-func (s *Store) queryCompiledCtx(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig) (res *Results, err error) {
-	defer func() { s.obs.endQuery(tr, err, cq, cfg) }()
-	rc, err := s.beginQuery(tr, cq, cfg)
-	if err != nil {
+	r, refused := newRun(opts)
+	cq := s.compileFormula(f, r.cfg.noCache)
+	s.obs.startTrace(r, cq.plan.Key)
+	if err := s.admit(r, cq, refused); err != nil {
 		return nil, err
 	}
-	if rc != nil {
-		return s.queryCached(ctx, rc, tr, cq, cfg, nil)
-	}
-	return s.runQuery(ctx, tr, cq, cfg)
+	return s.queryCompiledCtx(ctx, r)
 }
 
-// QueryVideoCtx evaluates the compiled query over the one video id and
-// returns its similarity list: exactly Results.PerVideo[id] of the query over
-// every video, with the same accounting, sampling and result cache, but no
-// Results, map or fan-out. A missing video, one without the queried level and
-// a failed evaluation (a *VideoError) are errors. The server asks for each
-// video's list this way.
-func (cq *CompiledQuery) QueryVideoCtx(ctx context.Context, id int, opts ...QueryOption) (l SimList, err error) {
-	s, cfg := cq.store, newQueryConfig(opts)
-	tr := s.obs.startTrace(cfg, cq.text)
-	defer func() { s.obs.endQuery(tr, err, cq, cfg) }()
-	rc, err := s.beginQuery(tr, cq, cfg)
-	if err != nil {
-		return SimList{}, err
+// queryCompiledCtx runs a compiled query over every video under its started
+// run (QueryCtx adds the parse stage before calling it). Whatever path the
+// query takes — including a result-cache hit — the deferred endQuery settles
+// the per-query accounting: totals, per-engine and per-class counters and
+// latency, the slow log, and the trace sinks.
+func (s *Store) queryCompiledCtx(ctx context.Context, r *queryRun) (res *Results, err error) {
+	defer func() { s.obs.endQuery(r, err) }()
+	if rc := s.beginQuery(r); rc != nil {
+		return s.queryCached(ctx, rc, r, nil, func() (*Results, error) { return s.runQuery(ctx, r) })
 	}
+	return s.runQuery(ctx, r)
+}
+
+// BoundQuery is a compiled query under options applied and validated once
+// (CompiledQuery.Bind); immutable and safe for concurrent use, so a caller
+// asking for many videos one at a time pays for its options once.
+type BoundQuery struct {
+	cq  *CompiledQuery
+	cfg queryConfig
+}
+
+// Bind applies and validates opts once. Options Store.Query refuses (an
+// unknown engine, a tau outside [0, 1]) are refused here, settled as one
+// failed query, as a parse failure is.
+func (cq *CompiledQuery) Bind(opts ...QueryOption) (*BoundQuery, error) {
+	b := &BoundQuery{cq: cq}
+	if err := b.cfg.bind(opts); err != nil {
+		r := queryRun{cfg: &b.cfg, sink: b.cfg.sink}
+		cq.store.obs.startTrace(&r, cq.text)
+		return nil, cq.store.admit(&r, cq, err)
+	}
+	return b, nil
+}
+
+// QueryVideoCtx evaluates the bound query over the one video id and returns
+// its similarity list: exactly Results.PerVideo[id] of the query over every
+// video, with the same accounting, sampling and result cache, but no
+// Results, map or fan-out, and untraced and uncached no allocation beyond
+// its evaluation. col, when set, receives the trace, as WithTrace(col) would
+// for this call. A missing video, one without the queried level and a failed
+// evaluation (a *VideoError) are errors. The server asks for lists this way.
+func (b *BoundQuery) QueryVideoCtx(ctx context.Context, id int, col *TraceCollector) (l SimList, err error) {
+	s := b.cq.store
+	r := queryRun{cq: b.cq, cfg: &b.cfg, sink: b.cfg.sink}
+	if col != nil {
+		r.sink = col
+	}
+	s.obs.startTrace(&r, b.cq.text)
+	defer func() { s.obs.endQuery(&r, err) }()
+	rc := s.beginQuery(&r)
 	v := s.meta.Video(id)
 	if v == nil {
 		return SimList{}, fmt.Errorf("htlvideo: no video with id %d", id)
 	}
 	if rc == nil {
-		return s.runVideo(ctx, tr, cq, cfg, v)
+		return s.runVideo(ctx, &r, v)
 	}
-	res, err := s.queryCached(ctx, rc, tr, cq, cfg, v)
+	res, err := s.queryCached(ctx, rc, &r, v, func() (*Results, error) {
+		l, err := s.runVideo(ctx, &r, v)
+		if err != nil {
+			return nil, err
+		}
+		return &Results{PerVideo: map[int]SimList{v.ID: l}}, nil
+	})
 	if err != nil {
 		return SimList{}, err
 	}
 	return res.PerVideo[id], nil
 }
 
-// beginQuery is the preamble of every compiled query once its trace is
-// started: the trace's tags, the workload-statistics record and the checks of
-// the engine and the until threshold. It returns the result cache the query
-// goes through, nil when the store has none or the query bypasses it.
-func (s *Store) beginQuery(tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig) (*cache.LRU[string, *Results], error) {
+// TopKCtx ranks lists QueryVideoCtx returned, by video id, as
+// Results.TopKCtx ranks a whole-store query's.
+func (b *BoundQuery) TopKCtx(ctx context.Context, lists VideoLists, k int) ([]Ranked, error) {
+	return rankTopK(ctx, b.cq.store.obs, b.cq.plan.Key, b.cfg.topK, lists, k)
+}
+
+// beginQuery is the preamble of every admitted query: the trace's tags and
+// the workload-statistics record. It returns the result cache the query goes
+// through, nil when there is none to use.
+func (s *Store) beginQuery(r *queryRun) *cache.LRU[string, *Results] {
+	cq, cfg := r.cq, r.cfg
 	engine := engineKey(cfg.engine)
 	class := classKey(cq.class)
-	if tr != nil {
+	if tr := r.tr; tr != nil {
 		tr.SetID(cfg.traceID)
 		tr.SetTag("engine", engine)
 		tr.SetTag("class", class)
 		tr.SetTag("level", strconv.Itoa(cfg.level))
 		tr.SetTag("plan_key", cq.plan.Key)
 	}
-	cfg.rec = querystats.Record{PlanKey: cq.plan.Key, Class: class, Engine: engine}
-	if cfg.engine > EngineReference {
-		return nil, fmt.Errorf("htlvideo: unknown engine %d", cfg.engine)
-	}
-	if !ValidUntilThreshold(cfg.untilThreshold) {
-		return nil, fmt.Errorf("htlvideo: until threshold %v is not in [0, 1]", cfg.untilThreshold)
-	}
+	r.rec = querystats.Record{PlanKey: cq.plan.Key, Class: class, Engine: engine}
 	if cfg.noCache {
-		return nil, nil
+		return nil
 	}
-	return s.results.Load(), nil
+	return s.results.Load()
 }
 
 // runQuery evaluates a compiled query over the store's videos, uncached.
-func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig) (*Results, error) {
+func (s *Store) runQuery(ctx context.Context, r *queryRun) (*Results, error) {
 	videos := s.meta.Videos()
 	if len(videos) == 0 {
 		return nil, errors.New("htlvideo: the store has no videos")
 	}
+	cq, cfg, tr := r.cq, r.cfg, r.tr
 	// A heterogeneous store may hold videos without the queried level; they
 	// simply contribute no segments. A video queried by itself still errors
 	// (runVideo).
@@ -526,7 +594,7 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 	for _, v := range videos {
 		if !v.HasLevel(cfg.level) {
 			s.obs.videosSkipped.Inc()
-			cfg.rec.VideosSkipped++
+			r.rec.VideosSkipped++
 			continue
 		}
 		work = append(work, v)
@@ -558,23 +626,23 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 		results = resilience.FanOut(ctx, keys, resilience.Guard{Limit: workers},
 			func(ctx context.Context, i, _ int) (SimList, error) {
 				o.poolQueued.Dec()
-				return s.queryVideoIsolated(ctx, evalStage, work[i], cq, cfg)
+				return s.queryVideoIsolated(ctx, r, evalStage, work[i])
 			}, nil)
 	})
 	evalStage.End()
 	var errs []error
-	for i, r := range results {
+	for i, vr := range results {
 		switch {
-		case r.Outcome == resilience.NotStarted:
+		case vr.Outcome == resilience.NotStarted:
 			// Never fed to a worker: it leaves the queue gauge with the pool.
 			o.poolQueued.Dec()
-		case r.Err != nil:
-			errs = append(errs, r.Err)
+		case vr.Err != nil:
+			errs = append(errs, vr.Err)
 		default:
-			res.PerVideo[work[i].ID] = r.Value
+			res.PerVideo[work[i].ID] = vr.Value
 		}
 	}
-	s.settleVideos(cfg, len(res.PerVideo))
+	s.settleVideos(r, len(res.PerVideo))
 
 	if err := ctx.Err(); err != nil {
 		return nil, aborted(err)
@@ -591,25 +659,25 @@ func (s *Store) runQuery(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 // runVideo evaluates a compiled query over one video, uncached: runQuery's
 // spans and accounting around one evaluation. A video without the queried
 // level is evaluated, and fails, where a whole-store query skips it.
-func (s *Store) runVideo(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig, v *Video) (l SimList, err error) {
+func (s *Store) runVideo(ctx context.Context, r *queryRun, v *Video) (l SimList, err error) {
 	// A query whose context ended first never starts its video, as the
 	// fan-out would not.
 	if err := ctx.Err(); err != nil {
 		return SimList{}, aborted(err)
 	}
-	if tr != nil {
-		tr.SetTag("videos", "1")
+	if r.tr != nil {
+		r.tr.SetTag("videos", "1")
 	}
-	evalStage := tr.StartSpan("eval")
-	cq.labeledDo(ctx, cfg.engine, func(ctx context.Context) {
-		l, err = s.queryVideoIsolated(ctx, evalStage, v, cq, cfg)
+	evalStage := r.tr.StartSpan("eval")
+	r.cq.labeledDo(ctx, r.cfg.engine, func(ctx context.Context) {
+		l, err = s.queryVideoIsolated(ctx, r, evalStage, v)
 	})
 	evalStage.End()
 	evaluated := 0
 	if err == nil {
 		evaluated = 1
 	}
-	s.settleVideos(cfg, evaluated)
+	s.settleVideos(r, evaluated)
 	if cerr := ctx.Err(); cerr != nil {
 		return SimList{}, aborted(cerr)
 	}
@@ -620,10 +688,10 @@ func (s *Store) runVideo(ctx context.Context, tr *obs.Trace, cq *CompiledQuery, 
 // into the store's counter. They are counted where explain's profile counts
 // them, so explain output and /metrics tell one story (the golden tests
 // assert they match).
-func (s *Store) settleVideos(cfg *queryConfig, evaluated int) {
-	cfg.rec.MemoHits = cfg.memoHits.Value()
-	s.obs.planMemoHits.Add(cfg.rec.MemoHits)
-	cfg.rec.VideosEvaluated = int64(evaluated)
+func (s *Store) settleVideos(r *queryRun, evaluated int) {
+	r.rec.MemoHits = r.memoHits.Load()
+	s.obs.planMemoHits.Add(r.rec.MemoHits)
+	r.rec.VideosEvaluated = int64(evaluated)
 }
 
 // aborted is the error of a query whose context ended.
@@ -636,14 +704,14 @@ func aborted(err error) error { return fmt.Errorf("htlvideo: query aborted: %w",
 // evaluated or failed, a failure being a *VideoError. Panics are contained,
 // so a poisoned video fails alone instead of crashing every caller of the
 // store.
-func (s *Store) queryVideoIsolated(ctx context.Context, parent *obs.Span, v *Video, cq *CompiledQuery, cfg *queryConfig) (l SimList, err error) {
+func (s *Store) queryVideoIsolated(ctx context.Context, r *queryRun, parent *obs.Span, v *Video) (l SimList, err error) {
 	o := s.obs
 	o.poolInFlight.Inc()
 	start := time.Now()
 	defer func() {
-		if r := recover(); r != nil {
+		if rec := recover(); rec != nil {
 			o.panicsRecovered.Inc()
-			err = &PanicError{Value: r, Stack: debug.Stack()}
+			err = &PanicError{Value: rec, Stack: debug.Stack()}
 		}
 		elapsed := time.Since(start)
 		o.poolInFlight.Dec()
@@ -661,41 +729,41 @@ func (s *Store) queryVideoIsolated(ctx context.Context, parent *obs.Span, v *Vid
 	}
 	defer vsp.End()
 	ssp := vsp.StartSpan("system")
-	sys, err := s.system(ctx, ssp, v, cfg.level)
+	sys, err := s.system(ctx, ssp, v, r.cfg.level)
 	ssp.End()
 	if err != nil {
 		return SimList{}, err
 	}
 	esp := vsp.StartSpan("engine")
 	defer esp.End()
-	return s.evalOne(ctx, sys, cq, cfg, esp)
+	return s.evalOne(ctx, r, sys, esp)
 }
 
-// evalOne evaluates the compiled query over one video's sequence with the
-// selected engine, tagging sp with the engine that actually ran (the auto
-// engine falls back to the reference evaluator for a general plan). The
-// direct and reference engines evaluate the compiled plan, so duplicated
-// subformulas are computed once per video.
-func (s *Store) evalOne(ctx context.Context, sys *picture.System, cq *CompiledQuery, cfg *queryConfig, sp *obs.Span) (SimList, error) {
-	opts := core.Options{UntilThreshold: cfg.untilThreshold, MemoHits: &cfg.memoHits, Prof: cfg.prof, TopK: cfg.topK}
-	switch cfg.engine {
-	case EngineDirect:
-		sp.SetTag("engine", "core")
-		return core.EvalPlanCtx(ctx, sys, cq.plan, opts)
-	case EngineReference:
+// evalOne evaluates the query over one video's sequence with the selected
+// engine, tagging sp with the engine that actually ran (the auto engine falls
+// back to the reference evaluator for a general plan). The engines evaluate
+// the compiled plan, so duplicated subformulas are computed once per video.
+func (s *Store) evalOne(ctx context.Context, r *queryRun, sys *picture.System, sp *obs.Span) (SimList, error) {
+	cfg, plan := r.cfg, r.cq.plan
+	opts := core.Options{UntilThreshold: cfg.untilThreshold, Prof: cfg.prof, TopK: cfg.topK}
+	// The plan's class is the test EvalPlanHits would refuse it by.
+	reference := cfg.engine == EngineReference || cfg.engine == EngineAuto && plan.Class == htl.ClassGeneral
+	var l SimList
+	var hits int64
+	var err error
+	if reference {
 		sp.SetTag("engine", "refeval")
-		return refeval.New(sys, opts).ListPlanCtx(ctx, cq.plan)
-	default:
-		// The plan's class is the test EvalPlanCtx would refuse it by.
-		if cq.plan.Class == htl.ClassGeneral {
+		if cfg.engine == EngineAuto {
 			s.obs.fallbacks.Inc()
-			sp.SetTag("engine", "refeval")
 			sp.SetTag("fallback", "true")
-			return refeval.New(sys, opts).ListPlanCtx(ctx, cq.plan)
 		}
+		l, hits, err = refeval.New(sys, opts).ListPlanHits(ctx, plan)
+	} else {
 		sp.SetTag("engine", "core")
-		return core.EvalPlanCtx(ctx, sys, cq.plan, opts)
+		l, hits, err = core.EvalPlanHits(ctx, sys, plan, opts)
 	}
+	r.memoHits.Add(hits)
+	return l, err
 }
 
 // LeafSpans maps every segment of a video's level to the range of leaf

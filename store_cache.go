@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"htlvideo/internal/cache"
-	"htlvideo/internal/obs"
 )
 
 // DefaultResultCacheCapacity is the result-cache size used when
@@ -61,8 +60,8 @@ func WithoutCache() QueryOption { return func(c *queryConfig) { c.noCache = true
 
 // resultKey builds the cache identity of one query: the store generation, the
 // options that change the answer (WithTopK's k among them: its lists are cut),
-// the one video v of QueryVideoCtx (nil for every video), and the formula's
-// canonical text.
+// the one video v of BoundQuery.QueryVideoCtx (nil for every video), and the
+// formula's canonical text.
 // Parallelism, tracing and cache options are deliberately absent — they do
 // not affect results.
 func (s *Store) resultKey(cq *CompiledQuery, cfg *queryConfig, v *Video) string {
@@ -95,23 +94,17 @@ func (s *Store) resultKey(cq *CompiledQuery, cfg *queryConfig, v *Video) string 
 	return b.String()
 }
 
-// queryCached wraps runQuery, or runVideo for the one video v, with the
-// result cache: hit → shared result; in-flight duplicate → wait for the
-// leader; miss → evaluate and publish. v's list is cached as a Results
-// holding it alone.
-func (s *Store) queryCached(ctx context.Context, rc *cache.LRU[string, *Results], tr *obs.Trace, cq *CompiledQuery, cfg *queryConfig, v *Video) (*Results, error) {
+// queryCached wraps eval — runQuery, or runVideo for the one video v, whose
+// list is cached as a Results holding it alone — with the result cache: hit
+// → shared result; in-flight duplicate → wait for the leader; miss →
+// evaluate and publish. eval is the caller's closure, so that a one-video
+// query's run stays on its caller's stack.
+func (s *Store) queryCached(ctx context.Context, rc *cache.LRU[string, *Results], r *queryRun, v *Video, eval func() (*Results, error)) (*Results, error) {
 	o := s.obs
-	res, oc, err := rc.Load(ctx, s.resultKey(cq, cfg, v), func() (*Results, error) {
+	res, oc, err := rc.Load(ctx, s.resultKey(r.cq, r.cfg, v), func() (*Results, error) {
 		o.resMisses.Inc()
-		tr.SetTag("result_cache", "miss")
-		if v == nil {
-			return s.runQuery(ctx, tr, cq, cfg)
-		}
-		l, err := s.runVideo(ctx, tr, cq, cfg, v)
-		if err != nil {
-			return nil, err
-		}
-		return &Results{PerVideo: map[int]SimList{v.ID: l}}, nil
+		r.tr.SetTag("result_cache", "miss")
+		return eval()
 	}, complete)
 	switch {
 	case oc == cache.Loaded:
@@ -128,8 +121,8 @@ func (s *Store) queryCached(ctx context.Context, rc *cache.LRU[string, *Results]
 	default:
 		o.resDeduped.Inc()
 	}
-	tr.SetTag("result_cache", "hit")
-	cfg.rec.CacheHit = true
+	r.tr.SetTag("result_cache", "hit")
+	r.rec.CacheHit = true
 	return res, nil
 }
 

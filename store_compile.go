@@ -51,16 +51,21 @@ func (cq *CompiledQuery) Query(opts ...QueryOption) (*Results, error) {
 // QueryCtx evaluates the compiled query under a context. Nothing is parsed
 // or looked up, so its trace starts at the eval stage, like QueryFormulaCtx's.
 func (cq *CompiledQuery) QueryCtx(ctx context.Context, opts ...QueryOption) (*Results, error) {
-	cfg := newQueryConfig(opts)
-	return cq.store.queryCompiledCtx(ctx, cq.store.obs.startTrace(cfg, cq.text), cq, cfg)
+	s := cq.store
+	r, refused := newRun(opts)
+	s.obs.startTrace(r, cq.text)
+	if err := s.admit(r, cq, refused); err != nil {
+		return nil, err
+	}
+	return s.queryCompiledCtx(ctx, r)
 }
 
 // ProfileLabels are the pprof labels an evaluation of the query under engine
 // e runs with — engine, formula class and the plan's canonical key — so CPU
 // profiles from /debug/pprof/profile are attributable to query shape. A
 // caller that runs many evaluations of one query (the server, one
-// QueryVideoCtx per video) labels them once with pprof.Do; the store then
-// leaves the labels alone.
+// BoundQuery.QueryVideoCtx per video) labels them once with pprof.Do; the
+// store then leaves the labels alone.
 func (cq *CompiledQuery) ProfileLabels(e Engine) pprof.LabelSet {
 	return pprof.Labels("engine", engineKey(e), "class", classKey(cq.class), "query_key", cq.plan.Key)
 }

@@ -81,21 +81,22 @@ func (s *Store) Explain(query string, opts ...QueryOption) (*ExplainResult, erro
 // wall time in the similarity-list engine; add WithExactProfile for
 // per-visit timing in the reference evaluator.
 func (s *Store) ExplainCtx(ctx context.Context, query string, opts ...QueryOption) (*ExplainResult, error) {
-	cfg := newQueryConfig(opts)
+	r, refused := newRun(opts)
+	cfg := r.cfg
 	cfg.explain = true // the result reads the query's own trace
-	tr, cq, err := s.parse(query, false, cfg)
-	if err != nil {
+	if err := s.parse(r, query, false, refused); err != nil {
 		return nil, err
 	}
+	cq := r.cq
 	prof := core.NewPlanProfile(cq.plan, cfg.exactProf)
 	cfg.prof = prof
 	cfg.noCache = true // a cached result has no execution to attribute
 	cfg.topK = 0       // the profile describes the evaluation of full lists
-	res, err := s.queryCompiledCtx(ctx, tr, cq, cfg)
+	res, err := s.queryCompiledCtx(ctx, r)
 	if err != nil {
 		return nil, err
 	}
-	snap := tr.Snapshot()
+	snap := r.tr.Snapshot()
 	out := &ExplainResult{
 		Query:     query,
 		PlanKey:   cq.plan.Key,

@@ -268,33 +268,33 @@ func (o *storeObs) observeTopK(skipped int64, planKey string) {
 	}
 }
 
-// startTrace starts the query's clock under name and returns its trace, or
-// nil for an untraced query: every obs method is nil-safe, so an untraced
-// query builds no span and formats no tag. The store is the root of its
-// direct queries' sampling: WithTrace, WithTraceID and Explain force a trace,
+// startTrace starts the run's clock under name and its trace, left nil for
+// an untraced query: every obs method is nil-safe, so an untraced query
+// builds no span and formats no tag. The store is the root of its direct
+// queries' sampling: WithTrace, WithTraceID and Explain force a trace,
 // Unsampled declines one, and o.sampling keeps one in obs.TraceSampleEvery
 // of the rest.
-func (o *storeObs) startTrace(cfg *queryConfig, name string) *obs.Trace {
-	cfg.name, cfg.begin = name, time.Since(queryClock)
-	if !o.sampling.Sampled(cfg.explain || cfg.sink != nil || cfg.traceID != "", cfg.unsampled) {
-		return nil
+func (o *storeObs) startTrace(r *queryRun, name string) {
+	r.name, r.begin = name, time.Since(queryClock)
+	if o.sampling.Sampled(r.cfg.explain || r.sink != nil || r.cfg.traceID != "", r.cfg.unsampled) {
+		r.tr = obs.NewTrace(name)
 	}
-	return obs.NewTrace(name)
 }
 
 // endQuery finishes a query's trace and settles its per-query accounting:
 // totals, error classification, per-engine and per-formula-class counters and
 // latency histograms, the per-plan-key workload statistics, the slow log, the
-// trace ring and the query's own sink. cq is nil when nothing was compiled (a
-// parse failure): there are no breakdowns, no plan key to aggregate under and
-// no per-query sink. tr is nil for an unsampled query, which is timed from
-// cfg.begin, enters the slow log without a span tree and leaves the ring alone.
-func (o *storeObs) endQuery(tr *obs.Trace, err error, cq *CompiledQuery, cfg *queryConfig) {
+// trace ring and the query's own sink. A query refused before it evaluated
+// (r.cq nil: a parse failure or refused options) has no breakdowns, no
+// workload record and no per-query sink. An unsampled query (r.tr nil) is
+// timed from r.begin, enters the slow log without a span tree and leaves the
+// ring alone.
+func (o *storeObs) endQuery(r *queryRun, err error) {
 	var d time.Duration
-	if tr != nil {
-		d = tr.Finish()
+	if r.tr != nil {
+		d = r.tr.Finish()
 	} else {
-		d = time.Since(queryClock) - cfg.begin
+		d = time.Since(queryClock) - r.begin
 	}
 	o.queries.Inc()
 	ec := errorClass(err)
@@ -303,28 +303,28 @@ func (o *storeObs) endQuery(tr *obs.Trace, err error, cq *CompiledQuery, cfg *qu
 		if c := o.errClass[ec]; c != nil {
 			c.Inc()
 		}
-		if tr != nil {
-			tr.SetTag("error", truncateErr(err))
-			tr.SetTag("error_class", ec)
+		if r.tr != nil {
+			r.tr.SetTag("error", truncateErr(err))
+			r.tr.SetTag("error_class", ec)
 		}
 	}
 	o.queryLat.Observe(d)
 	planKey := ""
-	if cq != nil {
+	if cq := r.cq; cq != nil {
 		planKey = cq.plan.Key
-		o.qstats.Observe(&cfg.rec, d, ec)
+		o.qstats.Observe(&r.rec, d, ec)
 		for _, m := range [...]*keyedMetrics{
-			o.keyed(&o.byEngine[engineIndex(cfg.engine)], "engine", engineKey(cfg.engine)),
-			o.keyed(&o.byClass[classIndex(cq.class)], "class", classKey(cq.class)),
+			o.keyed(&o.byEngine[r.cfg.engine], "engine", engineKey(r.cfg.engine)),
+			o.keyed(&o.byClass[cq.class], "class", classKey(cq.class)),
 		} {
 			m.count.Inc()
 			m.lat.Observe(d)
 		}
 	}
-	o.slow.Observe(obs.SlowEntry{Query: cfg.name, PlanKey: planKey, TraceID: cfg.traceID, Duration: d}, tr)
-	o.ring.ObserveTrace(tr)
-	if cq != nil && cfg.sink != nil {
-		cfg.sink.ObserveTrace(tr)
+	o.slow.Observe(obs.SlowEntry{Query: r.name, PlanKey: planKey, TraceID: r.cfg.traceID, Duration: d}, r.tr)
+	o.ring.ObserveTrace(r.tr)
+	if r.cq != nil && r.sink != nil {
+		r.sink.ObserveTrace(r.tr)
 	}
 }
 
@@ -349,19 +349,6 @@ func engineKey(e Engine) string {
 		return "auto"
 	}
 }
-
-// engineIndex and classIndex place an engine and a formula class in the
-// per-engine and per-class slots; out-of-range values share the slot of the
-// name engineKey and classKey give them (an out-of-range engine only ever
-// counts a refused query).
-func engineIndex(e Engine) Engine {
-	if e > EngineReference {
-		return EngineAuto
-	}
-	return e
-}
-
-func classIndex(c Class) Class { return min(c, htl.ClassGeneral) }
 
 // classKey maps a formula class to its metric/tag name.
 func classKey(c Class) string {

@@ -44,13 +44,31 @@ func testStore(t *testing.T) *Store {
 }
 
 // queryVideo evaluates query over the one video id
-// (CompiledQuery.QueryVideoCtx).
+// (BoundQuery.QueryVideoCtx).
 func queryVideo(s *Store, query string, id int, opts ...QueryOption) (SimList, error) {
 	cq, err := s.Compile(query)
 	if err != nil {
 		return SimList{}, err
 	}
-	return cq.QueryVideoCtx(context.Background(), id, opts...)
+	bq, err := cq.Bind(opts...)
+	if err != nil {
+		return SimList{}, err
+	}
+	return bq.QueryVideoCtx(context.Background(), id, nil)
+}
+
+// bind compiles query on s and binds opts, failing tb on an error.
+func bind(tb testing.TB, s *Store, query string, opts ...QueryOption) *BoundQuery {
+	tb.Helper()
+	cq, err := s.Compile(query)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bq, err := cq.Bind(opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bq
 }
 
 func TestQueryAcrossVideos(t *testing.T) {
@@ -127,7 +145,7 @@ func TestRankedPresentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked := s.NewResults(map[int]SimList{1: l}).Ranked()
+	ranked := (&Results{PerVideo: map[int]SimList{1: l}}).Ranked()
 	if len(ranked) == 0 || ranked[0].Sim.Act < ranked[len(ranked)-1].Sim.Act {
 		t.Fatalf("ranked = %v", ranked)
 	}
@@ -147,7 +165,7 @@ func TestGeneralFormulaFallsBackToReference(t *testing.T) {
 	if cq.Class() != ClassGeneral {
 		t.Fatalf("class = %v", cq.Class())
 	}
-	l, err := cq.QueryVideoCtx(context.Background(), 1)
+	l, err := queryVideo(s, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +174,7 @@ func TestGeneralFormulaFallsBackToReference(t *testing.T) {
 		t.Fatalf("list = %v", l)
 	}
 	// EngineDirect must refuse it.
-	if _, err := cq.QueryVideoCtx(context.Background(), 1, WithEngine(EngineDirect)); err == nil {
+	if _, err := queryVideo(s, q, 1, WithEngine(EngineDirect)); err == nil {
 		t.Fatal("EngineDirect should reject general formulas")
 	}
 }
@@ -414,8 +432,12 @@ func TestUntilThresholdValidated(t *testing.T) {
 			_, err := cq.QueryCtx(context.Background(), opts...)
 			return err
 		}},
-		{"CompiledQuery.QueryVideoCtx", func(opts ...QueryOption) error {
-			_, err := cq.QueryVideoCtx(context.Background(), 1, opts...)
+		{"CompiledQuery.Bind", func(opts ...QueryOption) error {
+			bq, err := cq.Bind(opts...)
+			if err != nil {
+				return err
+			}
+			_, err = bq.QueryVideoCtx(context.Background(), 1, nil)
 			return err
 		}},
 	}
@@ -445,6 +467,65 @@ func TestUntilThresholdValidated(t *testing.T) {
 				t.Errorf("%s, %s: error %q classed %q, want validation", p.name, tc.name, err, errorClass(err))
 			case !tc.ok && s.obs.videosEvaluated.Value() != evaluated:
 				t.Errorf("%s, %s: refused after evaluating videos", p.name, tc.name)
+			}
+		}
+	}
+}
+
+// TestRefusedOptionsSettleLikeParseFailures: a query whose options are
+// refused (an unknown engine, an until threshold outside [0, 1]) settles as
+// a parse failure does, on every path that binds options: it counts in the
+// totals and in query.errors.validation, under no engine and no class, with
+// no workload-statistics record, and evaluates nothing.
+func TestRefusedOptionsSettleLikeParseFailures(t *testing.T) {
+	for _, opt := range []struct {
+		name string
+		opt  QueryOption
+	}{
+		{"engine 9", WithEngine(Engine(9))},
+		{"tau 1.5", WithUntilThreshold(1.5)},
+	} {
+		for _, path := range []struct {
+			name string
+			run  func(s *Store, opt QueryOption) error
+		}{
+			{"Query", func(s *Store, opt QueryOption) error {
+				_, err := s.Query("M1 until M2", opt)
+				return err
+			}},
+			{"QueryFormulaCtx", func(s *Store, opt QueryOption) error {
+				_, err := s.QueryFormulaCtx(context.Background(), MustParse("M1 until M2"), opt)
+				return err
+			}},
+			{"Explain", func(s *Store, opt QueryOption) error {
+				_, err := s.Explain("M1 until M2", opt)
+				return err
+			}},
+			{"Bind", func(s *Store, opt QueryOption) error {
+				cq, err := s.Compile("M1 until M2")
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = cq.Bind(opt)
+				return err
+			}},
+		} {
+			s := resilienceStore(t, 2)
+			if err := path.run(s, opt.opt); errorClass(err) != "validation" {
+				t.Fatalf("%s, %s: error %v, want a validation error", path.name, opt.name, err)
+			}
+			st := s.Stats().Queries
+			if st.Total != 1 || st.Errors != 1 || s.obs.errClass["validation"].Value() != 1 {
+				t.Errorf("%s, %s: total %d, errors %d, validation errors %d; want 1 each", path.name, opt.name, st.Total, st.Errors, s.obs.errClass["validation"].Value())
+			}
+			if len(st.ByEngine) != 0 || len(st.ByClass) != 0 {
+				t.Errorf("%s, %s: counted by engine %v and by class %v, want neither", path.name, opt.name, st.ByEngine, st.ByClass)
+			}
+			if qs := s.QueryStats().Snapshot(); len(qs.Entries) != 0 || qs.Totals.Calls != 0 {
+				t.Errorf("%s, %s: workload statistics %+v, want no record", path.name, opt.name, qs)
+			}
+			if n := s.obs.videosEvaluated.Value() + s.obs.videosFailed.Value(); n != 0 {
+				t.Errorf("%s, %s: %d videos evaluated", path.name, opt.name, n)
 			}
 		}
 	}

@@ -45,7 +45,7 @@ func topkLists(videos, entriesPer int) map[int]SimList {
 func TestResultsTopKMatchesOracle(t *testing.T) {
 	s := NewStore(nil, DefaultWeights())
 	lists := topkLists(6, 40)
-	res := s.NewResults(lists)
+	res := &Results{PerVideo: lists, obs: s.obs}
 
 	for _, k := range []int{1, 3, 10, 1000} {
 		got := res.TopK(k)
@@ -92,7 +92,7 @@ func TestQueryTopKEndToEnd(t *testing.T) {
 // context.Canceled and no ranking, and leave no goroutine behind.
 func TestTopKCancellationNoLeak(t *testing.T) {
 	s := NewStore(nil, DefaultWeights())
-	res := s.NewResults(topkLists(4, 25))
+	res := &Results{PerVideo: topkLists(4, 25), obs: s.obs}
 	armPlan(t, faultinject.NewPlan(1, faultinject.Rule{
 		Site: faultinject.SiteTopKScan,
 		Key:  faultinject.KeyAny,
@@ -177,8 +177,11 @@ func cutFacts(full map[int]SimList, want []Ranked) (truncated, crossTie bool) {
 // shapes on a corpus of its videos, Casablanca's queries (the atomic
 // predicates project on the arena) and random lists cut by core.CopyTopK,
 // under every engine that evaluates them, for k from one segment to more than
-// the lists cover; no video keeps more than k segments. The cases include
-// ties across videos and a truncated last run.
+// the lists cover; no video keeps more than k segments. The store cases rank
+// both ways: a whole-store query's Results, and the server's way, each video
+// asked for by itself through a query bound WithTopK(k) and the lists ranked
+// through it in video order. The cases include ties across videos and a
+// truncated last run.
 func TestWithTopKMatchesFullRanking(t *testing.T) {
 	type query struct {
 		name, text string
@@ -236,6 +239,8 @@ func TestWithTopKMatchesFullRanking(t *testing.T) {
 						t.Fatalf("%s k=%d: %v", what, k, err)
 					}
 					check(what, full.PerVideo, k, res.TopK(k))
+					bq := bind(t, c.st, q.text, AtLevel(q.level), WithEngine(e), WithTopK(k), WithoutCache())
+					check(what+" one video at a time", full.PerVideo, k, rankVideos(t, c.st, bq, k))
 					for v, l := range res.PerVideo {
 						if n := segments(map[int]SimList{v: l}); n > k {
 							t.Errorf("%s k=%d: video %d keeps %d segments", what, k, v, n)
@@ -249,7 +254,7 @@ func TestWithTopKMatchesFullRanking(t *testing.T) {
 		t.Fatalf("the store cases rank %d truncated last runs and %d ties across videos; want some of each", truncated, crossTies)
 	}
 
-	s := NewStore(nil, DefaultWeights())
+	s := mix6Corpus(t, 1, 1, 1)
 	rng := rand.New(rand.NewSource(3))
 	for seed := range 50 {
 		full := map[int]SimList{}
@@ -267,9 +272,70 @@ func TestWithTopKMatchesFullRanking(t *testing.T) {
 			for v, l := range full {
 				cut[v] = SimList{MaxSim: l.MaxSim, Entries: core.CopyTopK(nil, l.Entries, k)}
 			}
-			check(fmt.Sprintf("random lists %d", seed), full, k, s.NewResults(cut).TopK(k))
+			top, err := bind(t, s, "M1", WithTopK(k)).TopKCtx(context.Background(), core.MapLists(cut), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("random lists %d", seed), full, k, top)
 		}
 	}
+}
+
+// rankVideos asks bq for the list of each of s's videos with the queried
+// level, one video at a time, and ranks them through bq to the top k from a
+// slice in video order, as the server does.
+func rankVideos(t *testing.T, s *Store, bq *BoundQuery, k int) []Ranked {
+	t.Helper()
+	type video struct {
+		id int
+		l  SimList
+	}
+	var lists []video
+	for _, v := range s.Videos() {
+		if !v.HasLevel(bq.cfg.level) {
+			continue
+		}
+		l, err := bq.QueryVideoCtx(context.Background(), v.ID, nil)
+		if err != nil {
+			t.Fatalf("video %d: %v", v.ID, err)
+		}
+		lists = append(lists, video{v.ID, l})
+	}
+	top, err := bq.TopKCtx(context.Background(), func(yield func(int, SimList) bool) {
+		for _, v := range lists {
+			if !yield(v.id, v.l) {
+				return
+			}
+		}
+	}, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
+// TestBoundTopKCountsUnderPlanKey: ranking per-video lists through a bound
+// query, as the server ranks its fan-out's results, counts the entries the
+// selection rejects in the store's top-k counters and under the query's plan
+// key in the workload statistics.
+func TestBoundTopKCountsUnderPlanKey(t *testing.T) {
+	s := mix6Corpus(t, 8, 4, 10)
+	bq := bind(t, s, "M1 until M2", AtLevel(3))
+	rankVideos(t, s, bq, 1)
+	skipped := s.Stats().TopK.EntriesSkipped
+	if skipped == 0 {
+		t.Fatal("a top 1 over eight videos rejected no entry")
+	}
+	for _, e := range s.QueryStats().Snapshot().Entries {
+		if e.PlanKey != bq.cq.Key() {
+			continue
+		}
+		if e.TopKSkipped != uint64(skipped) {
+			t.Errorf("plan key %q counts %d entries skipped, the store %d", e.PlanKey, e.TopKSkipped, skipped)
+		}
+		return
+	}
+	t.Errorf("no workload statistics under %q", bq.cq.Key())
 }
 
 // TestWithTopKRemembersItsCut: the results of a WithTopK(k) query hold only

@@ -12,8 +12,8 @@ import (
 	"htlvideo/internal/resilience"
 )
 
-// TestQueryVideoMatchesWholeStore: CompiledQuery.QueryVideoCtx returns
-// exactly Results.PerVideo[id] of the same query over every video, for every
+// TestQueryVideoMatchesWholeStore: BoundQuery.QueryVideoCtx returns exactly
+// Results.PerVideo[id] of the same query over every video, for every
 // MIX6 shape, under each engine, for full lists and WithTopK(10), with the
 // result cache off and on (asked twice: a miss, then a hit). Where a whole
 // query fails (the §3 algorithms on a general formula), each video's call
@@ -37,10 +37,14 @@ func TestQueryVideoMatchesWholeStore(t *testing.T) {
 						t.Fatal(err)
 					}
 					whole, werr := cq.Query(opts...)
+					bq, err := cq.Bind(opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
 					for id := 1; id <= videos; id++ {
 						for call := range 2 {
 							hits := s.st.obs.resHits.Value()
-							l, err := cq.QueryVideoCtx(context.Background(), id, opts...)
+							l, err := bq.QueryVideoCtx(context.Background(), id, nil)
 							switch {
 							case s.st == cached && werr == nil && (s.st.obs.resHits.Value() > hits) != (call == 1):
 								t.Fatalf("%s k=%d video %d: call %d hit the result cache %d times", name, k, id, call, s.st.obs.resHits.Value()-hits)
@@ -103,12 +107,9 @@ func TestQueryVideoErrors(t *testing.T) {
 			if ctx == nil {
 				ctx = context.Background()
 			}
-			cq, err := s.Compile(tc.query)
-			if err != nil {
-				t.Fatal(err)
-			}
+			bq := bind(t, s, tc.query, tc.opts...)
 			evaluated, failed := s.obs.videosEvaluated.Value(), s.obs.videosFailed.Value()
-			_, err = cq.QueryVideoCtx(ctx, tc.id, tc.opts...)
+			_, err := bq.QueryVideoCtx(ctx, tc.id, nil)
 			if err == nil {
 				t.Fatal("answered, want an error")
 			}
