@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle fuzz-topk fuzz-valuetable bench bench-short bench-shapes bench-bytes loc
+.PHONY: check vet staticcheck build test race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle fuzz-topk fuzz-valuetable fuzz-atomic bench bench-short bench-shapes bench-bytes loc
 
 check: vet staticcheck build race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check
 
@@ -36,13 +36,14 @@ race:
 # ?trace=1 attempt's collector: nothing unsampled) and that it
 # allocates the same on a store of one video or of 64, what one
 # cold GET /query of each MIX6 shape allocates through the server's handler,
+# the resident bytes per shot of the picture systems a serving store builds,
 # the kernel's byte-identity golden, the three tests that hold the evaluation
 # arena's reuse invisible to both engines, and the proof that a WithTopK(k)
 # query ranks exactly as the full lists do, without -race: under the race
 # detector sync.Pool drops puts on purpose, the budgets skip themselves and
 # reuse is rarer.
 budget:
-	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestVideoQueryCostIndependentOfStoreSize|TestColdRequestAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/ ./internal/server/
+	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestSystemResidentBytes|TestVideoQueryCostIndependentOfStoreSize|TestColdRequestAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/ ./internal/server/
 
 # Metrics-conventions lint: every Prometheus exposition the store, server and
 # shard coordinator serve must pass obs.LintExposition (counter/gauge/
@@ -145,6 +146,12 @@ fuzz-topk:
 # replaced, row for row and interval for interval).
 fuzz-valuetable:
 	$(GO) test -run '^$$' -fuzz=FuzzValueTable -fuzztime=30s ./internal/picture/
+
+# Short atomic-program fuzz session (FuzzAtomicProgram: on any system and
+# atomic formula, EvalAtomic's table and ScoreAtomicAt equal a naive scorer
+# that reads the segments' meta-data maps, at every segment and evaluation).
+fuzz-atomic:
+	$(GO) test -run '^$$' -fuzz=FuzzAtomicProgram -fuzztime=30s ./internal/picture/
 
 # Benchmarks plus BENCH_obs.json (per-engine query latency from the store's
 # own metrics histograms), BENCH_perf.json (compilation/caching ns/op,

@@ -73,11 +73,11 @@ func TestShotAggregation(t *testing.T) {
 	if len(shots) != 3 {
 		t.Fatalf("shots = %d (same-palette sub-shots should merge)", len(shots))
 	}
-	man := shots[0].Meta.FindObject(1)
-	if man == nil || man.Certainty != 0.95 || !man.Props["holds_gun"] {
-		t.Fatalf("aggregated man = %+v", man)
+	i := shots[0].Meta.ObjectIndex(1)
+	if i < 0 || shots[0].Meta.Objects[i].Certainty != 0.95 || !shots[0].Meta.Objects[i].Props["holds_gun"] {
+		t.Fatalf("aggregated man = %+v", shots[0].Meta.Objects)
 	}
-	if shots[0].Meta.FindObject(2) == nil {
+	if shots[0].Meta.ObjectIndex(2) < 0 {
 		t.Fatal("woman lost in aggregation")
 	}
 }

@@ -87,24 +87,14 @@ type SegmentMeta struct {
 	Attrs map[string]Value
 }
 
-// FindObject returns the occurrence of id in the segment, or nil.
-func (m *SegmentMeta) FindObject(id ObjectID) *Object {
+// ObjectIndex returns the position of id's occurrence in Objects, or -1.
+func (m *SegmentMeta) ObjectIndex(id ObjectID) int {
 	for i := range m.Objects {
 		if m.Objects[i].ID == id {
-			return &m.Objects[i]
+			return i
 		}
 	}
-	return nil
-}
-
-// HasRel reports whether the segment records relationship name(subj, obj).
-func (m *SegmentMeta) HasRel(name string, subj, obj ObjectID) bool {
-	for _, r := range m.Rels {
-		if r.Name == name && r.Subject == subj && r.Object == obj {
-			return true
-		}
-	}
-	return false
+	return -1
 }
 
 // Node is one video segment in the hierarchy.

@@ -1,6 +1,7 @@
 package metadata
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -105,14 +106,14 @@ func TestSegmentMetaLookups(t *testing.T) {
 		Obj(2, "man").
 		Rel("fires_at", 1, 2).
 		Build()
-	if o := m.FindObject(1); o == nil || !o.Props["holds_gun"] || o.Attrs["name"] != Str("JohnWayne") {
-		t.Fatalf("FindObject(1) = %+v", m.FindObject(1))
+	if i := m.ObjectIndex(1); i != 0 || !m.Objects[i].Props["holds_gun"] || m.Objects[i].Attrs["name"] != Str("JohnWayne") {
+		t.Fatalf("ObjectIndex(1) = %d", i)
 	}
-	if m.FindObject(7) != nil {
-		t.Fatal("absent object should be nil")
+	if m.ObjectIndex(2) != 1 || m.ObjectIndex(7) != -1 {
+		t.Fatal("ObjectIndex of the second and of an absent object")
 	}
-	if !m.HasRel("fires_at", 1, 2) || m.HasRel("fires_at", 2, 1) {
-		t.Fatal("HasRel wrong")
+	if !slices.Contains(m.Rels, Relationship{"fires_at", 1, 2}) || slices.Contains(m.Rels, Relationship{"fires_at", 2, 1}) {
+		t.Fatal("relationship wrong")
 	}
 }
 

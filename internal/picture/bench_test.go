@@ -62,6 +62,29 @@ func BenchmarkScoreAtomicAt(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSystem builds what the serving warm-up builds for one video of
+// the corpus: its shot-level and scene-level system and the shot-level child
+// system under each of its 16 scenes.
+func BenchmarkNewSystem(b *testing.B) {
+	v := corpusVideo(1, 16, 10)
+	tax := corpusTaxonomy()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSystem(v, 3, tax, DefaultWeights()); err != nil {
+			b.Fatal(err)
+		}
+		scenes, err := NewSystem(v, 2, tax, DefaultWeights())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for id := 1; id <= scenes.Len(); id++ {
+			if _, err := scenes.ChildSource(id, htl.LevelRef{NextLevel: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkValueTable(b *testing.B) {
 	sys := corpusSystem(b, 1, 16, 10)
 	q := htl.AttrFn{Attr: "height", Of: "z"}

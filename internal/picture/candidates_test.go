@@ -92,7 +92,9 @@ func TestCandidatePruningIsComplete(t *testing.T) {
 
 // candidateIDs drains the candidate iteration of a formula.
 func candidateIDs(s *System, src string) []int {
-	c := s.candidates(s.compileAtomic(htl.MustParse(src)), nil)
+	m := newMachine(s.compileAtomic(htl.MustParse(src)), s)
+	defer m.release()
+	c := m.candidates()
 	var ids []int
 	for id, ok := c.Next(); ok; id, ok = c.Next() {
 		ids = append(ids, id)

@@ -14,11 +14,17 @@ package picture
 // external bindings to the absent wildcard, which makes the reference
 // evaluator and the SQL baseline agree with the table builder's pruning.
 
-// compatible reports whether an object of the given type can be assigned to
-// a variable with the given positive type constraints.
-func compatible(cons []simTable, objType string) bool {
-	for _, sim := range cons {
-		if sim[objType] <= 0 {
+// compatible reports whether the object at position j of the current segment
+// can be assigned to v: whether every type v is asserted to have gives the
+// object's type a non-zero similarity, read from the machine's resolved
+// similarity vectors.
+func (m *machine) compatible(v *objVar, j int32) bool {
+	if len(v.cons) == 0 {
+		return true
+	}
+	typ := m.typeOf(j)
+	for _, t := range v.cons {
+		if m.typeSim[t*m.nTypes+typ] <= 0 {
 			return false
 		}
 	}

@@ -174,20 +174,10 @@ func goldenUnits(t *testing.T) []htl.Formula {
 			out = append(out, f)
 		}
 	}
-	// A query's atomic units are its maximal non-temporal subformulas — the
-	// nodes both evaluators hand to the picture layer.
-	var units func(n *core.PNode)
-	units = func(n *core.PNode) {
-		if n.NonTemporal {
-			add(n.F)
-			return
-		}
-		for _, k := range n.Kids {
-			units(k)
-		}
-	}
 	for _, q := range benchQueries() {
-		units(core.CompilePlan(htl.MustParse(q)).Root)
+		for _, u := range atomicUnits(htl.MustParse(q)) {
+			add(u)
+		}
 	}
 	for _, u := range testFormulas {
 		f := htl.MustParse(u.text)

@@ -13,7 +13,7 @@ import (
 	"htlvideo/internal/simlist"
 )
 
-func testTaxonomy(t *testing.T) *Taxonomy {
+func testTaxonomy(t testing.TB) *Taxonomy {
 	t.Helper()
 	tax := NewTaxonomy()
 	tax.MustAdd("person", "entity")
@@ -83,7 +83,7 @@ func TestTaxonomyRelated(t *testing.T) {
 //	shot 4: empty, genre=western
 //	shot 5: man#1 (1.0, height 15)
 //	shot 6: woman#2 (0.5, on_floor)
-func buildSystem(t *testing.T) *System {
+func buildSystem(t testing.TB) *System {
 	t.Helper()
 	v := metadata.NewVideo(1, "test", map[string]int{"shot": 2})
 	v.Root.AppendChild(metadata.Seg().

@@ -3,6 +3,7 @@ package picture
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"htlvideo/internal/core"
 	"htlvideo/internal/htl"
@@ -13,7 +14,10 @@ import (
 // (free and freeze-bound) become numbered slots, every term carries its
 // weight, every type predicate its taxonomy similarities per object type,
 // every quantified variable the type constraints that prune its assignments,
-// and the posting lists whose union is the candidate set are named. Both
+// and the posting lists whose union is the candidate set are named. Every
+// name the formula uses (a tag, a predicate, an attribute) is numbered in
+// the program and resolved against a system's dictionary once per
+// evaluation, never per segment. Both
 // entry points — EvalAtomic, which builds the similarity table over a whole
 // sequence, and ScoreAtomicAt, which scores one segment under one evaluation
 // — run that program on a machine (score.go), so they cannot diverge.
@@ -21,8 +25,9 @@ import (
 // A program depends on the formula, the taxonomy and the weights, and on no
 // video data, which is what lets one be kept on the plan node
 // (core.PNode.Atom) and shared by every video, child sequence and segment a
-// query touches. Nothing derived from a video is ever kept: tables are
-// rebuilt per evaluation, exactly as before.
+// query touches. Nothing derived from a video is kept on it: its names are
+// resolved against each system by the machine, and tables are rebuilt per
+// evaluation.
 
 // program is a compiled non-temporal formula.
 type program struct {
@@ -31,6 +36,9 @@ type program struct {
 	tax        *Taxonomy
 	taxVersion int
 	w          Weights
+	// serial names the program to the machines that resolve it (see
+	// machine.resolved).
+	serial uint64
 
 	// temporal marks a formula with a temporal or level-modal operator;
 	// err is any other static rejection. Neither has a root.
@@ -51,11 +59,26 @@ type program struct {
 
 	root *expr
 
+	// names are the names the program reads (its expressions', then those
+	// only its postings read), each with the kind of the system's dictionary
+	// it is resolved in. sims are the similarity tables of its type
+	// predicates. Expressions refer to both by position.
+	names []nameRef
+	sims  []simTable
+
 	// all is set when some term cannot be pruned through the inverted
 	// indices (true, a negation, a freeze); otherwise the candidate
-	// segments are the union of postings.
-	all      bool
-	postings []posting
+	// segments are the union of the posting lists of the names marked post
+	// and of every type some table of sims relates to its queried type.
+	all bool
+}
+
+// nameRef is a name a program reads; post marks one whose posting list is
+// part of the program's candidate segments.
+type nameRef struct {
+	kind nameKind
+	post bool
+	name string
 }
 
 // builtFor reports whether p can run on s.
@@ -68,20 +91,25 @@ func (p *program) builtFor(s *System) bool {
 type objVar struct {
 	name string
 	slot int
-	// cons holds the similarity table of every type positively asserted of
-	// the variable's name: an object is a candidate assignment only when
-	// every one of them gives its type a non-zero similarity (see
-	// constraints.go).
-	cons []simTable
+	// cons holds the similarity table (in program.sims) of every type
+	// positively asserted of the variable's name: an object is a candidate
+	// assignment only when every one of them gives its type a non-zero
+	// similarity (see constraints.go).
+	cons []int
 	// distinct lists the slots whose objects this variable may not repeat:
 	// distinct variables of one atomic formula bind distinct objects,
 	// following the assignment semantics of the picture matchers [27].
 	distinct []int
 }
 
-// simTable maps an object type to its similarity to one queried type, for
-// every type the taxonomy relates to it; a type not in the table scores 0.
-type simTable map[string]float64
+// simTable lists, ascending by type, every type the taxonomy relates to one
+// queried type with its similarity; a type not in the table scores 0.
+type simTable []typeSim
+
+type typeSim struct {
+	typ string
+	sim float64
+}
 
 type exprKind uint8
 
@@ -104,9 +132,9 @@ const (
 type expr struct {
 	kind exprKind
 	w    float64 // a term's weight; exprNot: the operand's maximum similarity
-	name string  // predicate name
+	name int     // tag, prop, rel: the predicate's name (in program.names)
 	x, y int     // object slots of present, prop, rel (x, y) and type
-	sim  simTable
+	sim  int     // type: the queried type's table (in program.sims)
 
 	op   htl.CmpOp
 	l, r operandSpec
@@ -123,8 +151,9 @@ type operandKind uint8
 const (
 	operandLit     operandKind = iota
 	operandAttrVar             // attribute variable (slot)
-	operandSegAttr             // segment attribute (attr)
-	operandObjAttr             // attribute of an object (slot, attr); "type" is its type
+	operandSegAttr             // segment attribute (name)
+	operandObjAttr             // attribute of an object (slot, name)
+	operandObjType             // the type of an object (slot)
 )
 
 // operandSpec is one side of a comparison, or a frozen attribute function.
@@ -132,36 +161,22 @@ type operandSpec struct {
 	kind operandKind
 	val  core.AttrValue
 	slot int
-	attr string
-}
-
-type postingKind uint8
-
-const (
-	postNonEmpty postingKind = iota
-	postType
-	postProp
-	postRel
-	postObjAttr
-	postSegAttr
-	postTag
-)
-
-// posting names one list of a system's inverted indices.
-type posting struct {
-	kind postingKind
-	key  string
+	name int // in program.names
 }
 
 // compiler carries the state of one compilation.
 type compiler struct {
 	p *program
+	// names collects program.names.
+	names []nameRef
 	// vars collects every enumerated variable so that type constraints,
 	// which are gathered by name over the whole formula, can be attached
 	// once the walk is complete.
-	vars     []*objVar
-	typeLits map[string][]simTable
-	sims     map[string]simTable
+	vars []*objVar
+	// typeLits (the tables asserted of each variable name) and sims (each
+	// queried type's table) are made by the first type predicate.
+	typeLits map[string][]int
+	sims     map[string]int
 }
 
 // scope maps the variable names visible at one point of the formula to
@@ -204,7 +219,7 @@ func (sc scope) visible() []int {
 // It always returns a program; one for a formula outside the atomic fragment
 // carries the error every evaluation of it returns.
 func (s *System) compileAtomic(f htl.Formula) *program {
-	p := &program{tax: s.tax, taxVersion: s.tax.version, w: s.w, f: f}
+	p := &program{tax: s.tax, taxVersion: s.tax.version, w: s.w, serial: serials.Add(1), f: f}
 	if !htl.NonTemporal(f) {
 		p.temporal = true
 		return p
@@ -220,7 +235,7 @@ func (s *System) compileAtomic(f htl.Formula) *program {
 	p.objNames = append([]string(nil), freeObj...)
 	p.attrNames = append([]string(nil), freeAttr...)
 
-	c := &compiler{p: p, typeLits: map[string][]simTable{}, sims: map[string]simTable{}}
+	c := &compiler{p: p}
 	top := scope{obj: map[string]int{}, attr: map[string]int{}}
 	p.free = make([]objVar, len(freeObj))
 	for i, v := range freeObj {
@@ -237,6 +252,7 @@ func (s *System) compileAtomic(f htl.Formula) *program {
 		v.cons = c.typeLits[v.name]
 	}
 	c.postingsOf(f)
+	p.names = c.names
 	return p
 }
 
@@ -249,17 +265,39 @@ func seq(lo, hi int) []int {
 	return out
 }
 
-// simTableOf resolves the taxonomy for one queried type, once per program.
-func (c *compiler) simTableOf(want string) simTable {
-	if t, ok := c.sims[want]; ok {
-		return t
+// simTableOf resolves the taxonomy for one queried type, once per program,
+// and returns the table's position in program.sims.
+func (c *compiler) simTableOf(want string) int {
+	if i, ok := c.sims[want]; ok {
+		return i
 	}
-	t := simTable{}
-	for _, typ := range c.p.tax.Related(want) {
-		t[typ] = c.p.tax.Sim(want, typ)
+	related := c.p.tax.Related(want)
+	t := make(simTable, len(related))
+	for i, typ := range related {
+		t[i] = typeSim{typ, c.p.tax.Sim(want, typ)}
 	}
-	c.sims[want] = t
-	return t
+	slices.SortFunc(t, func(a, b typeSim) int { return strings.Compare(a.typ, b.typ) })
+	i := len(c.p.sims)
+	c.p.sims = append(c.p.sims, t)
+	if c.sims == nil {
+		c.sims, c.typeLits = map[string]int{}, map[string][]int{}
+	}
+	c.sims[want] = i
+	return i
+}
+
+// name numbers a name the program reads, once per (kind, name).
+func (c *compiler) name(kind nameKind, name string) int {
+	for i, n := range c.names {
+		if n.kind == kind && n.name == name {
+			return i
+		}
+	}
+	if c.names == nil {
+		c.names = make([]nameRef, 0, 2) // a tag or a property, and its posting
+	}
+	c.names = append(c.names, nameRef{kind: kind, name: name})
+	return len(c.names) - 1
 }
 
 // objSlot resolves an object variable. Every name of a well-formed formula
@@ -285,11 +323,11 @@ func (c *compiler) expr(f htl.Formula, sc scope) *expr {
 	case htl.Pred:
 		switch len(n.Args) {
 		case 0:
-			return &expr{kind: exprTag, w: w.SegPred, name: n.Name}
+			return &expr{kind: exprTag, w: w.SegPred, name: c.name(kindSegAttr, n.Name)}
 		case 1:
-			return &expr{kind: exprProp, w: w.Prop, name: n.Name, x: c.objSlot(n.Args[0].(htl.Var).Name, sc)}
+			return &expr{kind: exprProp, w: w.Prop, name: c.name(kindProp, n.Name), x: c.objSlot(n.Args[0].(htl.Var).Name, sc)}
 		default:
-			return &expr{kind: exprRel, w: w.Rel, name: n.Name,
+			return &expr{kind: exprRel, w: w.Rel, name: c.name(kindRel, n.Name),
 				x: c.objSlot(n.Args[0].(htl.Var).Name, sc), y: c.objSlot(n.Args[1].(htl.Var).Name, sc)}
 		}
 	case htl.Cmp:
@@ -362,10 +400,13 @@ func (c *compiler) operand(t htl.Term, sc scope) operandSpec {
 		}
 		return operandSpec{kind: operandAttrVar, slot: slot}
 	case htl.AttrFn:
-		if x.Of == "" {
-			return operandSpec{kind: operandSegAttr, attr: x.Attr}
+		switch {
+		case x.Of == "":
+			return operandSpec{kind: operandSegAttr, name: c.name(kindSegAttr, x.Attr)}
+		case x.Attr == typeAttr:
+			return operandSpec{kind: operandObjType, slot: c.objSlot(x.Of, sc)}
 		}
-		return operandSpec{kind: operandObjAttr, slot: c.objSlot(x.Of, sc), attr: x.Attr}
+		return operandSpec{kind: operandObjAttr, slot: c.objSlot(x.Of, sc), name: c.name(kindObjAttr, x.Attr)}
 	default:
 		c.fail(fmt.Sprintf("comparison operand %s", t))
 		return operandSpec{}
@@ -373,31 +414,25 @@ func (c *compiler) operand(t htl.Term, sc scope) operandSpec {
 }
 
 // postingsOf picks the posting lists whose union covers every segment where
-// f can score above zero.
+// f can score above zero. A formula that cannot be pruned reads no posting,
+// and the names only its postings would have read are dropped.
 func (c *compiler) postingsOf(f htl.Formula) {
-	p := c.p
-	add := func(kind postingKind, key string) {
-		if pt := (posting{kind, key}); !slices.Contains(p.postings, pt) {
-			p.postings = append(p.postings, pt)
-		}
-	}
+	p, read := c.p, len(c.names)
+	add := func(kind nameKind, name string) { c.names[c.name(kind, name)].post = true }
 	side := func(n htl.Cmp, t, other htl.Term) {
 		a, ok := t.(htl.AttrFn)
 		switch {
 		case !ok:
 		case a.Of == "":
-			add(postSegAttr, a.Attr)
+			add(kindSegAttr, a.Attr)
 		case a.Attr != typeAttr:
-			add(postObjAttr, a.Attr)
+			add(kindObjAttr, a.Attr)
 		default:
-			// Expand the queried type through the taxonomy; type(x) !=
-			// '...' and friends match almost anything.
-			if lit, ok := other.(htl.StrLit); ok && n.Op == htl.OpEq {
-				for typ := range c.simTableOf(lit.S) {
-					add(postType, typ)
-				}
-			} else {
-				add(postNonEmpty, "")
+			// A graded type predicate posts the types its table (one of
+			// program.sims) relates; type(x) != '...' and friends match
+			// almost anything.
+			if _, ok := other.(htl.StrLit); !ok || n.Op != htl.OpEq {
+				add(kindObjects, "")
 			}
 		}
 	}
@@ -409,10 +444,15 @@ func (c *compiler) postingsOf(f htl.Formula) {
 		case htl.Freeze:
 			p.all = true // frozen values may make otherwise-unmatched terms true
 		case htl.Present:
-			add(postNonEmpty, "")
+			add(kindObjects, "")
 		case htl.Pred:
-			add([]postingKind{postTag, postProp, postRel}[len(n.Args)], n.Name)
+			add([]nameKind{kindTag, kindProp, kindRel}[len(n.Args)], n.Name)
 		case htl.Cmp:
+			_, l := n.L.(htl.AttrFn)
+			_, r := n.R.(htl.AttrFn)
+			if !l && !r {
+				p.all = true // 0 = 0 holds wherever it is asked
+			}
 			side(n, n.L, n.R)
 			side(n, n.R, n.L)
 		case htl.And:
@@ -424,7 +464,10 @@ func (c *compiler) postingsOf(f htl.Formula) {
 	}
 	walk(f)
 	if p.all {
-		p.postings = nil
+		c.names = c.names[:read]
+		for i := range c.names {
+			c.names[i].post = false
+		}
 	}
 }
 

@@ -107,15 +107,15 @@ func (s *System) evalAtomic(p *program, a *core.Arena) (*simlist.Table, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
-	m := newMachine(p)
+	m := newMachine(p, s)
 	defer m.release()
-	cands := s.candidates(p, m.lists)
+	cands := m.candidates()
 	for {
 		id, ok := cands.Next()
 		if !ok {
 			break
 		}
-		m.id, m.node = id, s.seq[id-1]
+		m.at(id)
 		if err := m.enumerate(p.free, 0, p.root, true); err != nil {
 			return nil, err
 		}
@@ -169,9 +169,9 @@ func (s *System) ScoreAtomicAt(n *core.PNode, id int, env Env) (simlist.Sim, err
 	if id < 1 || id > len(s.seq) {
 		return simlist.Sim{Max: p.maxSim}, nil
 	}
-	m := newMachine(p)
+	m := newMachine(p, s)
 	defer m.release()
-	m.node = s.seq[id-1]
+	m.at(id)
 	// Only the formula's own free variables are read from env: bindings of
 	// unrelated outer variables must not participate in this unit's
 	// distinct-objects rule.
@@ -181,14 +181,14 @@ func (s *System) ScoreAtomicAt(n *core.PNode, id int, env Env) (simlist.Sim, err
 		if !ok {
 			continue
 		}
-		o := findObj(m.node, oid)
+		j := position(m.node, oid)
 		// A concrete binding to an object of a type the formula rules out
 		// scores as the absent one, which is how the table builder prunes
 		// assignments.
-		if o != nil && !compatible(v.cons, o.Type) {
-			oid, o = core.AnyObject, nil
+		if j >= 0 && !m.compatible(v, j) {
+			oid, j = core.AnyObject, -1
 		}
-		m.bind(v.slot, oid, o)
+		m.bind(v.slot, oid, j)
 	}
 	for i, v := range p.freeAttr {
 		m.attr[i], m.bound[i] = env.Attr[v]
@@ -210,7 +210,7 @@ func (s *System) ScoreAtomicAt(n *core.PNode, id int, env Env) (simlist.Sim, err
 func (m *machine) scoreVariants(from int, best *float64) error {
 	nFree := len(m.p.free)
 	for i := from; i < nFree; i++ {
-		id, o := m.obj[i], m.objp[i]
+		id, j := m.obj[i], m.pos[i]
 		if id == core.AnyObject || id == missingObject {
 			continue
 		}
@@ -225,11 +225,11 @@ func (m *machine) scoreVariants(from int, best *float64) error {
 		}
 		group = append(group, i)
 		for _, keep := range group {
-			for _, j := range group {
-				if j == keep {
-					m.bind(j, id, o)
+			for _, g := range group {
+				if g == keep {
+					m.bind(g, id, j)
 				} else {
-					m.bind(j, core.AnyObject, nil)
+					m.bind(g, core.AnyObject, -1)
 				}
 			}
 			// The kept slot now holds id alone, so the rest of the scan
@@ -238,8 +238,8 @@ func (m *machine) scoreVariants(from int, best *float64) error {
 				return err
 			}
 		}
-		for _, j := range group {
-			m.bind(j, id, o)
+		for _, g := range group {
+			m.bind(g, id, j)
 		}
 		return nil
 	}
@@ -273,73 +273,143 @@ const missingObject simlist.ObjectID = -1
 // position means the alternative does not constrain that variable.
 type machine struct {
 	p    *program
+	s    *System
 	k    int
-	node *metadata.Node
+	id   int            // the current segment
+	node *metadata.Node // and its meta-data
+	seg  int32          // and its row in s's index
+	segf []fact         // and that row's facts
 
 	obj   []simlist.ObjectID
-	objp  []*metadata.Object // the slot's object in node, nil when absent
+	pos   []int32 // the slot's object's position in the segment, -1 when absent
 	attr  []BoundAttr
 	bound []bool // whether the attribute slot holds a value (or is free)
+
+	// The program's names and types resolved against s: ids[i] is the id of
+	// p.names[i] in s's dictionary (-1 when s lacks it), and typeSim[t*nTypes+j]
+	// the similarity p.sims[t] gives s's j-th type. They depend on p and s
+	// alone, both immutable, so a machine keeps them across releases with the
+	// serials of the pair they were resolved for: the reference evaluator
+	// scores one program at segment after segment of one system, and resolves
+	// it once. Serials, not pointers, so that a pooled machine keeps neither
+	// the program nor the system alive.
+	ids      []int32
+	typeSim  []float64
+	nTypes   int
+	resolved [2]uint64
 
 	score []float64
 	rng   []simlist.Range
 
-	lists [][]int
+	lists [][]int32
 
 	// Table building (EvalAtomic): the rows in first-seen order, their keys
 	// — row i binds the free object variables to rowObj[i*nFree:(i+1)*nFree]
 	// and ranges the free attribute variables over rowRng[i*k:(i+1)*k] — and
-	// their index by key hash.
-	id     int
-	rows   []row
-	rowObj []simlist.ObjectID
-	rowRng []simlist.Range
-	index  map[uint64]int32
+	// their index: buckets[h&(len(buckets)-1)] starts the chain of rows whose
+	// key hashes to h. Between scans every bucket is -1.
+	rows    []row
+	rowObj  []simlist.ObjectID
+	rowRng  []simlist.Range
+	buckets []int32
 }
 
 // row accumulates one row of the table being built.
 type row struct {
 	entries []simlist.Entry // one point entry per segment, ascending
-	next    int32           // next row with the same key hash, or -1
+	hash    uint64          // of the row's key
+	next    int32           // next row in the bucket's chain, or -1
 }
 
-var machinePool = sync.Pool{New: func() any { return &machine{index: map[uint64]int32{}} }}
+var machinePool = sync.Pool{New: func() any { return new(machine) }}
 
-// newMachine takes a machine from the pool and sizes it for p.
-func newMachine(p *program) *machine {
+// newMachine takes a machine from the pool, sizes it for p and resolves the
+// names p's expressions read and p's types against s.
+func newMachine(p *program, s *System) *machine {
 	m := machinePool.Get().(*machine)
-	m.p, m.k = p, len(p.freeAttr)
-	m.obj = m.obj[:0]
-	m.objp = m.objp[:0]
+	m.p, m.s, m.k = p, s, len(p.freeAttr)
+	m.obj, m.pos = m.obj[:0], m.pos[:0]
 	for range p.objNames {
 		m.obj = append(m.obj, missingObject)
-		m.objp = append(m.objp, nil)
+		m.pos = append(m.pos, -1)
 	}
-	m.attr = m.attr[:0]
-	m.bound = m.bound[:0]
+	m.attr, m.bound = m.attr[:0], m.bound[:0]
 	for i := range p.attrNames {
 		m.attr = append(m.attr, BoundAttr{})
 		m.bound = append(m.bound, i >= m.k)
 	}
 	m.score, m.rng = m.score[:0], m.rng[:0]
+	if m.resolved == [2]uint64{p.serial, s.serial} {
+		return m
+	}
+	m.ids = m.ids[:0]
+	for _, nm := range p.names {
+		m.ids = append(m.ids, s.id(nm.kind, nm.name))
+	}
+	types := s.names[s.kinds[kindType]:s.kinds[kindType+1]]
+	m.nTypes = len(types)
+	m.typeSim = m.typeSim[:0]
+	for _, t := range p.sims {
+		m.typeSim = t.appendTo(m.typeSim, types)
+	}
+	m.resolved = [2]uint64{p.serial, s.serial}
 	return m
+}
+
+// appendTo appends the similarity the table gives each of types (ascending).
+func (t simTable) appendTo(dst []float64, types []string) []float64 {
+	i := 0
+	for _, typ := range types {
+		for i < len(t) && t[i].typ < typ {
+			i++
+		}
+		sim := 0.0
+		if i < len(t) && t[i].typ == typ {
+			sim = t[i].sim
+		}
+		dst = append(dst, sim)
+	}
+	return dst
 }
 
 // release returns the machine to the pool; every buffer keeps its capacity
 // for the next scan, and nothing in them reaches a table.
 func (m *machine) release() {
-	m.p, m.node = nil, nil
-	clear(m.objp)
+	for i := range m.rows {
+		m.buckets[m.rows[i].hash&uint64(len(m.buckets)-1)] = -1
+	}
+	m.p, m.s, m.node, m.segf = nil, nil, nil, nil
 	clear(m.lists[:cap(m.lists)])
 	m.rows, m.rowObj, m.rowRng = m.rows[:0], m.rowObj[:0], m.rowRng[:0]
-	clear(m.index)
 	machinePool.Put(m)
 }
 
-// bind puts object id (o in the current segment, nil when it is not there)
-// into a slot.
-func (m *machine) bind(slot int, id simlist.ObjectID, o *metadata.Object) {
-	m.obj[slot], m.objp[slot] = id, o
+// at moves the machine to segment id.
+func (m *machine) at(id int) {
+	m.id, m.node, m.seg = id, m.s.seq[id-1], m.s.segRow[id-1]
+	m.segf = m.s.rowFacts(m.seg)
+}
+
+// bind puts object id (at position j of the current segment, -1 when it is
+// not there) into a slot.
+func (m *machine) bind(slot int, id simlist.ObjectID, j int32) {
+	m.obj[slot], m.pos[slot] = id, j
+}
+
+// object returns the slot's object in the current segment, with its facts;
+// nil when the slot's object is absent.
+func (m *machine) object(slot int) (*metadata.Object, []fact) {
+	j := m.pos[slot]
+	if j < 0 {
+		return nil, nil
+	}
+	return &m.node.Meta.Objects[j], m.s.rowFacts(objectRow(m.seg, j))
+}
+
+// typeOf is the position among the system's types of the type of the object
+// at position j of the current segment.
+func (m *machine) typeOf(j int32) int {
+	return int(m.s.facts[m.s.rowAt[objectRow(m.seg, j)]].name - m.s.kinds[kindType])
 }
 
 // push adds an alternative that constrains no attribute variable.
@@ -383,34 +453,38 @@ func (m *machine) eval(e *expr) error {
 			return &UnsupportedError{fmt.Sprintf("object variable %q missing from evaluation", m.p.objNames[e.x])}
 		}
 		score := 0.0
-		if o := m.objp[e.x]; o != nil {
+		if o, _ := m.object(e.x); o != nil {
 			score = e.w * o.Certainty
 		}
 		m.push(score)
 	case exprTag:
 		score := 0.0
-		if v, ok := m.node.Meta.Attrs[e.name]; ok && v == metadata.Int(1) {
+		// A tag is a segment attribute set to 1, which a fact holds inline.
+		if v, ok := lookup(m.segf, m.ids[e.name]); ok && v == 1 {
 			score = e.w
 		}
 		m.push(score)
 	case exprProp:
 		score := 0.0
-		if o := m.objp[e.x]; o != nil && o.Props[e.name] {
-			score = e.w * o.Certainty
+		if o, facts := m.object(e.x); o != nil {
+			if _, ok := lookup(facts, m.ids[e.name]); ok {
+				score = e.w * o.Certainty
+			}
 		}
 		m.push(score)
 	case exprRel:
 		score := 0.0
-		ox, oy := m.objp[e.x], m.objp[e.y]
-		if ox != nil && oy != nil && m.node.Meta.HasRel(e.name, ox.ID, oy.ID) {
+		ox, facts := m.object(e.x)
+		oy, _ := m.object(e.y)
+		if ox != nil && oy != nil && slices.Contains(facts, fact{m.ids[e.name], m.pos[e.y]}) {
 			score = e.w * min(ox.Certainty, oy.Certainty)
 		}
 		m.push(score)
 	case exprType:
 		// Graded: type(x) = 'T' scores the taxonomy similarity.
 		score := 0.0
-		if o := m.objp[e.x]; o != nil {
-			score = e.w * e.sim[o.Type] * o.Certainty
+		if o, _ := m.object(e.x); o != nil {
+			score = e.w * m.typeSim[e.sim*m.nTypes+m.typeOf(m.pos[e.x])] * o.Certainty
 		}
 		m.push(score)
 	case exprCmp:
@@ -472,18 +546,16 @@ func (m *machine) enumerate(vars []objVar, i int, body *expr, emit bool) error {
 	}
 	v := &vars[i]
 	// Absent assignment: the variable matches nothing in this segment.
-	m.bind(v.slot, core.AnyObject, nil)
+	m.bind(v.slot, core.AnyObject, -1)
 	if err := m.enumerate(vars, i+1, body, emit); err != nil {
 		return err
 	}
-	objects := m.node.Meta.Objects
-	for oi := range objects {
-		o := &objects[oi]
-		id := simlist.ObjectID(o.ID)
-		if m.taken(v.distinct, id) || !compatible(v.cons, o.Type) {
+	for j := range m.node.Meta.Objects {
+		id := simlist.ObjectID(m.node.Meta.Objects[j].ID)
+		if m.taken(v.distinct, id) || !m.compatible(v, int32(j)) {
 			continue
 		}
-		m.bind(v.slot, id, o)
+		m.bind(v.slot, id, int32(j))
 		if err := m.enumerate(vars, i+1, body, emit); err != nil {
 			return err
 		}
@@ -578,39 +650,16 @@ func (m *machine) resolve(sp operandSpec) operand {
 // attribute, 0 for an absent object).
 func (m *machine) attrFn(sp operandSpec) (BoundAttr, float64) {
 	if sp.kind == operandSegAttr {
-		return segAttr(m.node, sp.attr), 1
+		return m.s.attr(m.segf, m.ids[sp.name]), 1
 	}
-	o := m.objp[sp.slot]
+	o, facts := m.object(sp.slot)
 	if o == nil {
 		return BoundAttr{}, 0
 	}
-	return objAttr(o, sp.attr), o.Certainty
-}
-
-func segAttr(node *metadata.Node, attr string) BoundAttr {
-	if v, ok := node.Meta.Attrs[attr]; ok {
-		return BoundAttr{Defined: true, Val: toAttrValue(v)}
+	if sp.kind == operandObjType {
+		return BoundAttr{Defined: true, Val: core.AttrValue{Str: m.s.typeName(facts)}}, o.Certainty
 	}
-	return BoundAttr{}
-}
-
-// objAttr reads an attribute of an object occurrence; the reserved attribute
-// "type" is the object's type.
-func objAttr(o *metadata.Object, attr string) BoundAttr {
-	if attr == typeAttr {
-		return BoundAttr{Defined: true, Val: core.AttrValue{Str: o.Type}}
-	}
-	if v, ok := o.Attrs[attr]; ok {
-		return BoundAttr{Defined: true, Val: toAttrValue(v)}
-	}
-	return BoundAttr{}
-}
-
-func toAttrValue(v metadata.Value) core.AttrValue {
-	if v.Kind == metadata.IntValue {
-		return core.AttrValue{IsInt: true, Int: v.Int}
-	}
-	return core.AttrValue{Str: v.Str}
+	return m.s.attr(facts, m.ids[sp.name]), o.Certainty
 }
 
 func (m *machine) evalCmp(e *expr) error {
@@ -732,44 +781,33 @@ func compareValues(op htl.CmpOp, a, b core.AttrValue) (bool, error) {
 	}
 }
 
-// posting resolves a named posting list against this system's indices.
-func (s *System) posting(p posting) []int {
-	switch p.kind {
-	case postType:
-		return s.byType[p.key]
-	case postProp:
-		return s.byProp[p.key]
-	case postRel:
-		return s.byRel[p.key]
-	case postObjAttr:
-		return s.byObjAttr[p.key]
-	case postSegAttr:
-		return s.bySegAttr[p.key]
-	case postTag:
-		return s.byTag[p.key]
-	default:
-		return s.nonEmpty
-	}
-}
-
 // candidates iterates, ascending and each once, over the ids of the segments
 // where a program can score above zero: the union of its posting lists, or
 // every segment of the sequence when one of its terms cannot be pruned.
 type candidates struct {
-	lists [][]int // remaining tails of the posting lists
-	next  int     // all: the next id; 0 when pruning through lists
+	lists [][]int32 // remaining tails of the posting lists
+	next  int       // all: the next id; 0 when pruning through lists
 	n     int
 }
 
-// candidates starts the iteration of p's candidate segments, reusing buf.
-func (s *System) candidates(p *program, buf [][]int) candidates {
+// candidates starts the iteration of the program's candidate segments,
+// reusing the machine's list buffer.
+func (m *machine) candidates() candidates {
+	s, p := m.s, m.p
 	if p.all {
-		return candidates{next: 1, n: len(s.seq), lists: buf[:0]}
+		return candidates{next: 1, n: len(s.seq), lists: m.lists[:0]}
 	}
-	lists := buf[:0]
-	for _, pt := range p.postings {
-		if l := s.posting(pt); len(l) > 0 {
-			lists = append(lists, l)
+	lists := m.lists[:0]
+	for i, nm := range p.names {
+		if id := m.ids[i]; nm.post && id >= 0 {
+			lists = append(lists, s.posting(id))
+		}
+	}
+	// A type predicate's segments hold some type its table relates.
+	first := s.kinds[kindType]
+	for j, sim := range m.typeSim {
+		if sim > 0 {
+			lists = append(lists, s.posting(first+int32(j%m.nTypes)))
 		}
 	}
 	return candidates{lists: lists}
@@ -786,7 +824,7 @@ func (c *candidates) Next() (int, bool) {
 	}
 	// A k-way union of sorted lists: the smallest head is next, and every
 	// list holding it moves past it. k is the handful of terms of a formula.
-	const none = int(^uint(0) >> 1)
+	const none = int32(^uint32(0) >> 1)
 	id := none
 	for _, l := range c.lists {
 		if len(l) > 0 && l[0] < id {
@@ -801,7 +839,7 @@ func (c *candidates) Next() (int, bool) {
 			c.lists[i] = l[1:]
 		}
 	}
-	return id, true
+	return int(id), true
 }
 
 // record files the alternatives from lo up as rows of the current segment
@@ -840,17 +878,16 @@ func (m *machine) row(bindings []simlist.ObjectID, ranges []simlist.Range) *row 
 	for _, r := range ranges {
 		h = rangeHash(h, r)
 	}
-	head, ok := m.index[h]
-	if !ok {
-		head = -1
+	if len(m.rows) >= len(m.buckets) {
+		m.growBuckets()
 	}
+	b := &m.buckets[h&uint64(len(m.buckets)-1)]
 	nFree, k := len(bindings), len(ranges)
-	for i := int(head); i >= 0; i = int(m.rows[i].next) {
-		if slices.Equal(m.rowObj[i*nFree:(i+1)*nFree], bindings) && slices.Equal(m.rowRng[i*k:(i+1)*k], ranges) {
+	for i := int(*b); i >= 0; i = int(m.rows[i].next) {
+		if m.rows[i].hash == h && slices.Equal(m.rowObj[i*nFree:(i+1)*nFree], bindings) && slices.Equal(m.rowRng[i*k:(i+1)*k], ranges) {
 			return &m.rows[i]
 		}
 	}
-	m.index[h] = int32(len(m.rows))
 	m.rowObj = append(m.rowObj, bindings...)
 	m.rowRng = append(m.rowRng, ranges...)
 	if len(m.rows) < cap(m.rows) {
@@ -859,8 +896,24 @@ func (m *machine) row(bindings []simlist.ObjectID, ranges []simlist.Range) *row 
 		m.rows = append(m.rows, row{})
 	}
 	r := &m.rows[len(m.rows)-1]
-	r.entries, r.next = r.entries[:0], head
+	r.entries, r.hash, r.next = r.entries[:0], h, *b
+	*b = int32(len(m.rows) - 1)
 	return r
+}
+
+// growBuckets doubles the row index (to 16 buckets at first) and rechains
+// the rows by their stored hashes.
+func (m *machine) growBuckets() {
+	n := max(16, 2*len(m.buckets))
+	m.buckets = slices.Grow(m.buckets[:0], n)[:n]
+	for i := range m.buckets {
+		m.buckets[i] = -1
+	}
+	mask := uint64(n - 1)
+	for i := range m.rows {
+		b := &m.buckets[m.rows[i].hash&mask]
+		m.rows[i].next, *b = *b, int32(i)
+	}
 }
 
 // rangeHash folds an attribute range into a row hash.
@@ -877,13 +930,6 @@ func rangeHash(h uint64, r simlist.Range) uint64 {
 // mix is one FNV-1a step over a 64-bit word.
 func mix(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
 
-func findObj(node *metadata.Node, id simlist.ObjectID) *metadata.Object {
-	if id == core.AnyObject {
-		return nil
-	}
-	return node.Meta.FindObject(metadata.ObjectID(id))
-}
-
 // AttrValueAt evaluates an attribute function at segment id under env —
 // the freeze operator's frozen value (Defined is false when the attribute
 // has no value there).
@@ -891,14 +937,19 @@ func (s *System) AttrValueAt(q htl.AttrFn, id int, env Env) BoundAttr {
 	if id < 1 || id > len(s.seq) {
 		return BoundAttr{}
 	}
-	node := s.seq[id-1]
+	seg := s.segRow[id-1]
 	if q.Of == "" {
-		return segAttr(node, q.Attr)
+		return s.attr(s.rowFacts(seg), s.id(kindSegAttr, q.Attr))
 	}
-	if o := findObj(node, env.Obj[q.Of]); o != nil {
-		return objAttr(o, q.Attr)
+	j := position(s.seq[id-1], env.Obj[q.Of])
+	if j < 0 {
+		return BoundAttr{}
 	}
-	return BoundAttr{}
+	facts := s.rowFacts(objectRow(seg, j))
+	if q.Attr == typeAttr {
+		return BoundAttr{Defined: true, Val: core.AttrValue{Str: s.typeName(facts)}}
+	}
+	return s.attr(facts, s.id(kindObjAttr, q.Attr))
 }
 
 // ObjectIDs returns the distinct ids of all objects occurring anywhere in

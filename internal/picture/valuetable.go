@@ -1,7 +1,6 @@
 package picture
 
 import (
-	"cmp"
 	"slices"
 	"sync"
 
@@ -20,33 +19,53 @@ import (
 // attribute.
 //
 // Rows are ordered by object — core.ValueTable's contract, FreezeTable finds
-// an object's rows by binary search — and an object's rows by where its
-// values first appear (two values first seen in one segment, which only an
-// object listed twice in it gives, by compareAttrValues). The build is
-// linear in the occurrences: they are met in segment order, so a row's
-// intervals come out ascending, and only the distinct objects are sorted.
+// an object's rows by binary search — and an object's rows by where their
+// values first appear (an object has one value per segment: NewSystem
+// refuses a video listing an object twice in one). The build reads the
+// index, only the segments posted for the attribute, and is linear in the
+// occurrences: they are met in segment order, so a row's intervals come out
+// ascending, and only the distinct objects are sorted.
 func (s *System) ValueTable(q htl.AttrFn, a *core.Arena) (*core.ValueTable, error) {
 	vt := a.ValueTable(q.Of)
 	b := valueTableBuilders.Get().(*valueTableBuilder)
 	defer b.release()
-	for i, n := range s.seq {
-		if q.Of == "" {
-			if v, ok := n.Meta.Attrs[q.Attr]; ok {
-				b.occ = append(b.occ, occurrence{core.AnyObject, toAttrValue(v), int32(i + 1)})
+	switch {
+	case q.Of == "":
+		if name := s.id(kindSegAttr, q.Attr); name >= 0 {
+			for _, id := range s.posting(name) {
+				v, _ := lookup(s.rowFacts(s.segRow[id-1]), name)
+				b.occ = append(b.occ, occurrence{core.AnyObject, v, id})
 			}
-			continue
 		}
-		for oi := range n.Meta.Objects {
-			o := &n.Meta.Objects[oi]
-			if bv := objAttr(o, q.Attr); bv.Defined {
-				b.occ = append(b.occ, occurrence{simlist.ObjectID(o.ID), bv.Val, int32(i + 1)})
+	default:
+		// Every object has a type, its first fact, whose "value" is its id
+		// in the dictionary.
+		b.types = q.Attr == typeAttr
+		name, posted := s.id(kindObjAttr, q.Attr), s.id(kindObjects, "")
+		if !b.types {
+			posted = name
+		}
+		if posted < 0 {
+			break
+		}
+		for _, id := range s.posting(posted) {
+			seg := s.segRow[id-1]
+			for j, o := range s.seq[id-1].Meta.Objects {
+				facts := s.rowFacts(objectRow(seg, int32(j)))
+				v, ok := facts[0].name, b.types
+				if !ok {
+					v, ok = lookup(facts, name)
+				}
+				if ok {
+					b.occ = append(b.occ, occurrence{simlist.ObjectID(o.ID), v, id})
+				}
 			}
 		}
 	}
 	if len(b.occ) == 0 {
 		return vt, nil
 	}
-	nIvs := b.rowsInFirstAppearance()
+	nIvs := b.rowsInFirstAppearance(s)
 	b.orderByObject()
 	// The rows and all their intervals are two takes; each row's intervals
 	// are its share of the second, filled in segment order.
@@ -69,10 +88,11 @@ func (s *System) ValueTable(q htl.AttrFn, a *core.Arena) (*core.ValueTable, erro
 }
 
 // occurrence is one segment where an object carries a value of the attribute
-// a value table is being built for.
+// a value table is being built for: the value as a fact holds it, or the
+// type's name id.
 type occurrence struct {
 	obj simlist.ObjectID
-	val core.AttrValue
+	val int32
 	id  int32
 }
 
@@ -85,25 +105,18 @@ type valueRow struct {
 	ivs         int
 }
 
-// strKey identifies a row of a string value; a row of an integer value is
-// found by its object and value as a [2]int64, which hashes in one step.
-type strKey struct {
-	obj simlist.ObjectID
-	val string
-}
-
 // valueTableBuilder is ValueTable's scratch. It is pooled and keeps nothing
 // of a build but its capacity: the table is rebuilt per query per video for
 // every freeze, and none of the scratch reaches it.
 type valueTableBuilder struct {
-	occ []occurrence
+	occ   []occurrence
+	types bool // occ holds type name ids, not value ids
 	// rows are in creation order, the order their values first appear in;
-	// rowOfOcc is each occurrence's row, and intRow and strRow find a row by
-	// its object and value.
+	// rowOfOcc is each occurrence's row, and rowOf finds a row by its object
+	// and value id.
 	rows     []valueRow
 	rowOfOcc []int32
-	intRow   map[[2]int64]int32
-	strRow   map[strKey]int32
+	rowOf    map[[2]int64]int32
 	// pos is each row's place in the table; order is the inverse, the rows
 	// in table order. objs, objAt and start sort the rows by object.
 	pos, order []int32
@@ -113,16 +126,16 @@ type valueTableBuilder struct {
 }
 
 var valueTableBuilders = sync.Pool{New: func() any {
-	return &valueTableBuilder{intRow: map[[2]int64]int32{}, strRow: map[strKey]int32{}, objAt: map[simlist.ObjectID]int32{}}
+	return &valueTableBuilder{rowOf: map[[2]int64]int32{}, objAt: map[simlist.ObjectID]int32{}}
 }}
 
 // release clears what holds a value string or an object and pools b.
 func (b *valueTableBuilder) release() {
 	clear(b.occ)
 	clear(b.rows)
-	clear(b.intRow)
-	clear(b.strRow)
+	clear(b.rowOf)
 	clear(b.objAt)
+	b.types = false
 	b.occ, b.rows, b.rowOfOcc = b.occ[:0], b.rows[:0], b.rowOfOcc[:0]
 	b.pos, b.order, b.objs, b.start = b.pos[:0], b.order[:0], b.objs[:0], b.start[:0]
 	valueTableBuilders.Put(b)
@@ -131,26 +144,21 @@ func (b *valueTableBuilder) release() {
 // rowsInFirstAppearance makes a row per (object, value) in the order the
 // occurrences meet them, points every occurrence at its row, and counts each
 // row's intervals, a run of adjacent segments each; it returns their total.
-func (b *valueTableBuilder) rowsInFirstAppearance() int {
+func (b *valueTableBuilder) rowsInFirstAppearance(s *System) int {
 	total := 0
 	for _, oc := range b.occ {
-		var r int32
-		var ok bool
-		if oc.val.IsInt {
-			k := [2]int64{int64(oc.obj), oc.val.Int}
-			if r, ok = b.intRow[k]; !ok {
-				r = int32(len(b.rows))
-				b.intRow[k] = r
-			}
-		} else {
-			k := strKey{oc.obj, oc.val.Str}
-			if r, ok = b.strRow[k]; !ok {
-				r = int32(len(b.rows))
-				b.strRow[k] = r
-			}
-		}
+		k := [2]int64{int64(oc.obj), int64(oc.val)}
+		r, ok := b.rowOf[k]
 		if !ok {
-			b.rows = append(b.rows, valueRow{obj: oc.obj, val: oc.val, first: oc.id})
+			r = int32(len(b.rows))
+			b.rowOf[k] = r
+			var val core.AttrValue
+			if b.types {
+				val = core.AttrValue{Str: s.names[oc.val]}
+			} else {
+				val = s.value(oc.val)
+			}
+			b.rows = append(b.rows, valueRow{obj: oc.obj, val: val, first: oc.id})
 		}
 		row := &b.rows[r]
 		if !ok || oc.id != row.last+1 {
@@ -165,8 +173,7 @@ func (b *valueTableBuilder) rowsInFirstAppearance() int {
 
 // orderByObject places the rows (pos, order): by object, each object's rows
 // keeping their creation order — a counting sort over the sorted distinct
-// objects — and then ordering the rows of one object first seen in one
-// segment by value.
+// objects.
 func (b *valueTableBuilder) orderByObject() {
 	n := len(b.rows)
 	b.pos, b.order = slices.Grow(b.pos, n)[:n], slices.Grow(b.order, n)[:n]
@@ -193,31 +200,9 @@ func (b *valueTableBuilder) orderByObject() {
 		b.order[b.start[i]] = int32(c)
 		b.start[i]++
 	}
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && b.rows[b.order[hi]].obj == b.rows[b.order[lo]].obj && b.rows[b.order[hi]].first == b.rows[b.order[lo]].first {
-			hi++
-		}
-		if hi-lo > 1 {
-			slices.SortFunc(b.order[lo:hi], func(x, y int32) int { return compareAttrValues(b.rows[x].val, b.rows[y].val) })
-		}
-		lo = hi
-	}
 	for p, c := range b.order {
 		b.pos[c] = int32(p)
 	}
-}
-
-// compareAttrValues is a total order on attribute values (strings before
-// integers), for grouping equal values by sorting.
-func compareAttrValues(a, b core.AttrValue) int {
-	if a.IsInt != b.IsInt {
-		if b.IsInt {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Or(cmp.Compare(a.Int, b.Int), cmp.Compare(a.Str, b.Str))
 }
 
 // Ensure System satisfies the evaluator's Source contract.

@@ -41,7 +41,7 @@ type Store struct {
 	plans *cache.LRU[string, *CompiledQuery]
 	// results is the opt-in whole-result cache (see store_cache.go); nil
 	// until EnableResultCache.
-	results atomic.Pointer[cache.LRU[string, *Results]]
+	results atomic.Pointer[cache.LRU[string, cached]]
 	// gen is the store's content generation: bumped by Add, part of every
 	// result-cache key, so cached results can never outlive the contents
 	// they were computed over.
@@ -491,7 +491,11 @@ func (s *Store) QueryFormulaCtx(ctx context.Context, f Formula, opts ...QueryOpt
 func (s *Store) queryCompiledCtx(ctx context.Context, r *queryRun) (res *Results, err error) {
 	defer func() { s.obs.endQuery(r, err) }()
 	if rc := s.beginQuery(r); rc != nil {
-		return s.queryCached(ctx, rc, r, nil, func() (*Results, error) { return s.runQuery(ctx, r) })
+		c, err := s.queryCached(ctx, rc, r, nil, func() (cached, error) {
+			res, err := s.runQuery(ctx, r)
+			return cached{res: res}, err
+		})
+		return c.res, err
 	}
 	return s.runQuery(ctx, r)
 }
@@ -540,17 +544,11 @@ func (b *BoundQuery) QueryVideoCtx(ctx context.Context, id int, col *TraceCollec
 	if rc == nil {
 		return s.runVideo(ctx, &r, v)
 	}
-	res, err := s.queryCached(ctx, rc, &r, v, func() (*Results, error) {
+	c, err := s.queryCached(ctx, rc, &r, v, func() (cached, error) {
 		l, err := s.runVideo(ctx, &r, v)
-		if err != nil {
-			return nil, err
-		}
-		return &Results{PerVideo: map[int]SimList{v.ID: l}}, nil
+		return cached{list: l}, err
 	})
-	if err != nil {
-		return SimList{}, err
-	}
-	return res.PerVideo[id], nil
+	return c.list, err
 }
 
 // TopKCtx ranks lists QueryVideoCtx returned, by video id, as
@@ -562,7 +560,7 @@ func (b *BoundQuery) TopKCtx(ctx context.Context, lists VideoLists, k int) ([]Ra
 // beginQuery is the preamble of every admitted query: the trace's tags and
 // the workload-statistics record. It returns the result cache the query goes
 // through, nil when there is none to use.
-func (s *Store) beginQuery(r *queryRun) *cache.LRU[string, *Results] {
+func (s *Store) beginQuery(r *queryRun) *cache.LRU[string, cached] {
 	cq, cfg := r.cq, r.cfg
 	engine := engineKey(cfg.engine)
 	class := classKey(cq.class)

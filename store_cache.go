@@ -46,8 +46,8 @@ func (s *Store) EnableResultCache(cfg ResultCacheConfig) {
 	if cfg.Capacity < 1 {
 		cfg.Capacity = DefaultResultCacheCapacity
 	}
-	rc := cache.New[string, *Results](cfg.Capacity, cfg.TTL)
-	rc.SetOnEvict(func(string, *Results) { s.obs.resEvicted.Inc() })
+	rc := cache.New[string, cached](cfg.Capacity, cfg.TTL)
+	rc.SetOnEvict(func(string, cached) { s.obs.resEvicted.Inc() })
 	s.results.Store(rc)
 	s.obs.resSize.Set(0)
 }
@@ -94,14 +94,20 @@ func (s *Store) resultKey(cq *CompiledQuery, cfg *queryConfig, v *Video) string 
 	return b.String()
 }
 
-// queryCached wraps eval — runQuery, or runVideo for the one video v, whose
-// list is cached as a Results holding it alone — with the result cache: hit
-// → shared result; in-flight duplicate → wait for the leader; miss →
-// evaluate and publish. eval is the caller's closure, so that a one-video
-// query's run stays on its caller's stack.
-func (s *Store) queryCached(ctx context.Context, rc *cache.LRU[string, *Results], r *queryRun, v *Video, eval func() (*Results, error)) (*Results, error) {
+// cached is one result-cache entry: the Results of a query over every video,
+// or the list of the one video of BoundQuery.QueryVideoCtx, held as it is.
+type cached struct {
+	res  *Results
+	list SimList
+}
+
+// queryCached wraps eval — runQuery, or runVideo for the one video v — with
+// the result cache: hit → shared result; in-flight duplicate → wait for the
+// leader; miss → evaluate and publish. eval is the caller's closure, so that
+// a one-video query's run stays on its caller's stack.
+func (s *Store) queryCached(ctx context.Context, rc *cache.LRU[string, cached], r *queryRun, v *Video, eval func() (cached, error)) (cached, error) {
 	o := s.obs
-	res, oc, err := rc.Load(ctx, s.resultKey(r.cq, r.cfg, v), func() (*Results, error) {
+	res, oc, err := rc.Load(ctx, s.resultKey(r.cq, r.cfg, v), func() (cached, error) {
 		o.resMisses.Inc()
 		r.tr.SetTag("result_cache", "miss")
 		return eval()
@@ -113,9 +119,9 @@ func (s *Store) queryCached(ctx context.Context, rc *cache.LRU[string, *Results]
 	case err != nil:
 		if err == ctx.Err() {
 			// This query left the flight on its own context.
-			return nil, aborted(err)
+			return cached{}, aborted(err)
 		}
-		return nil, err
+		return cached{}, err
 	case oc == cache.Hit:
 		o.resHits.Inc()
 	default:
@@ -128,4 +134,4 @@ func (s *Store) queryCached(ctx context.Context, rc *cache.LRU[string, *Results]
 
 // complete reports whether a result may be cached: only complete successes
 // are, since partial results must re-evaluate (the failure may be transient).
-func complete(res *Results) bool { return len(res.Errors) == 0 }
+func complete(c cached) bool { return c.res == nil || len(c.res.Errors) == 0 }

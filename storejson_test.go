@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,16 +53,24 @@ func TestLoadStoreJSON(t *testing.T) {
 	if len(shots) != 2 {
 		t.Fatalf("shots: %d", len(shots))
 	}
-	john := shots[0].Meta.FindObject(7)
-	if john == nil || john.Certainty != 0.9 || !john.Props["holds_gun"] ||
+	i := shots[0].Meta.ObjectIndex(7)
+	if i < 0 {
+		t.Fatalf("object 7 lost: %+v", shots[0].Meta.Objects)
+	}
+	john := &shots[0].Meta.Objects[i]
+	if john.Certainty != 0.9 || !john.Props["holds_gun"] ||
 		john.Attrs["height"] != Int(180) || john.Attrs["name"] != Str("John") {
 		t.Fatalf("john: %+v", john)
 	}
 	// Default certainty is 1 when omitted.
-	if shots[0].Meta.FindObject(8).Certainty != 1 {
+	i = shots[0].Meta.ObjectIndex(8)
+	if i < 0 {
+		t.Fatalf("object 8 lost: %+v", shots[0].Meta.Objects)
+	}
+	if shots[0].Meta.Objects[i].Certainty != 1 {
 		t.Fatal("default certainty")
 	}
-	if !shots[0].Meta.HasRel("fires_at", 7, 8) {
+	if !slices.Contains(shots[0].Meta.Rels, Relationship{Name: "fires_at", Subject: 7, Object: 8}) {
 		t.Fatal("relationship lost")
 	}
 
