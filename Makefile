@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle fuzz-topk fuzz-valuetable fuzz-atomic bench bench-short bench-shapes bench-bytes loc
+.PHONY: check vet staticcheck build test race budget fanin lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle fuzz-topk fuzz-valuetable fuzz-atomic bench bench-short bench-shapes bench-bytes loc
 
-check: vet staticcheck build race budget lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check
+check: vet staticcheck build race budget fanin lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check
 
 vet:
 	$(GO) vet ./...
@@ -44,6 +44,12 @@ race:
 # reuse is rarer.
 budget:
 	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestSystemResidentBytes|TestVideoQueryCostIndependentOfStoreSize|TestColdRequestAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/ ./internal/server/
+
+# The prove-or-remove gate alone and verbose: every exported function or
+# method of the module has a non-test caller, resolved by go/types, or an
+# allowlist entry with its reason (fanin_test.go); a failure lists each name.
+fanin:
+	$(GO) test -run '^(TestExportedFuncsHaveCallers|TestFanInRuleSeesThroughNames)$$' -count=1 -v .
 
 # Metrics-conventions lint: every Prometheus exposition the store, server and
 # shard coordinator serve must pass obs.LintExposition (counter/gauge/

@@ -13,6 +13,8 @@ import (
 	"os"
 	"strconv"
 	"testing"
+
+	"htlvideo/internal/obs"
 )
 
 func TestWriteBenchObs(t *testing.T) {
@@ -83,7 +85,7 @@ func BenchmarkTracePropagationWarm(b *testing.B) {
 	s.EnableResultCache(ResultCacheConfig{Capacity: 16})
 	ids := make([]string, 512)
 	for i := range ids {
-		ids[i] = NewTraceID()
+		ids[i] = obs.NewTraceID()
 	}
 	if _, err := s.Query("M1 until M2", WithTraceID(ids[0])); err != nil {
 		b.Fatal(err)

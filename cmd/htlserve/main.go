@@ -6,8 +6,8 @@
 //
 // With -shards it runs as a scatter-gather coordinator (internal/shard)
 // instead: no local store, queries fan out to the listed shard servers —
-// each itself an htlserve over one document of htlvideo.SplitDoc — and the
-// ranked partials are merged.
+// each itself an htlserve over one disjoint part of the videos, such as a
+// document of htlvideo.SplitDoc — and the ranked partials are merged.
 //
 // Usage:
 //

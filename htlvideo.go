@@ -91,7 +91,7 @@ type (
 	SpanSnapshot = obs.SpanSnapshot
 	// TraceSink receives completed query traces (WithTrace).
 	TraceSink = obs.TraceSink
-	// TraceCollector is a TraceSink retaining every trace, for inspection.
+	// TraceCollector is a TraceSink keeping the most recent trace, for inspection.
 	TraceCollector = obs.TraceCollector
 	// MetricsRegistry is the store's named metric collection (Store.Metrics).
 	MetricsRegistry = obs.Registry
@@ -158,23 +158,10 @@ func NewTaxonomy() *Taxonomy { return picture.NewTaxonomy() }
 // DefaultWeights weights every scoring term kind equally.
 func DefaultWeights() Weights { return picture.DefaultWeights() }
 
-// RegisterProcessMetrics adds the standard process-identification gauges
-// (build_info with module/go/vcs versions, start time, uptime, pid) to a
-// metrics registry. Every ops surface (Store.DebugHandler, htlserve, the
-// shard coordinator) already appends them to its Prometheus exposition; call
-// this only for a registry exported some other way.
-func RegisterProcessMetrics(reg *MetricsRegistry) { obs.RegisterProcessMetrics(reg) }
-
 // RenderTraceTree writes a trace snapshot as a box-drawing span tree, one
 // span per line with duration and tags — the human-readable form of a query
 // trace, including stitched cross-process traces from a coordinator.
 func RenderTraceTree(w io.Writer, snap TraceSnapshot) { obs.RenderSpanTree(w, snap) }
-
-// NewTraceID mints a globally unique (128-bit random) trace identifier, the
-// form WithTraceID and the X-Htl-Trace header carry. Callers embedding the
-// store behind their own RPC layer mint one per request and propagate it to
-// every store call the request fans out to.
-func NewTraceID() string { return obs.NewTraceID() }
 
 // Parse parses an HTL query.
 func Parse(query string) (Formula, error) { return htl.Parse(query) }

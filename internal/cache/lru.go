@@ -116,16 +116,6 @@ func (c *LRU[K, V]) add(key K, val V) {
 	}
 }
 
-// Remove deletes key if present (no eviction callback).
-func (c *LRU[K, V]) Remove(key K) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[key]; ok {
-		c.unlink(e)
-		delete(c.items, key)
-	}
-}
-
 // Outcome reports how Load produced its value.
 type Outcome uint8
 

@@ -143,7 +143,7 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 				t.Errorf("%s: on the arena %s, on the heap %s", what, dumpList(got), dumpList(want))
 			}
 			lists = append(lists, kept{what, got, dumpList(want)})
-			if i >= len(mix6Conjunctive) && !got.IsEmpty() {
+			if i >= len(mix6Conjunctive) && len(got.Entries) != 0 {
 				frozen++
 			}
 			for _, k := range lists {
@@ -229,7 +229,7 @@ func TestReferenceArenaReuseIsInvisible(t *testing.T) {
 				a.Release()
 				keep(what, got, want)
 			}
-			if !want.IsEmpty() {
+			if len(want.Entries) != 0 {
 				matched[i]++
 			}
 			// A top 3 is chosen from the dense row on the arena.

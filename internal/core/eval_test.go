@@ -212,8 +212,7 @@ func TestEvalAtLevelBindingsFlow(t *testing.T) {
 	}
 	byObj := map[simlist.ObjectID]simlist.List{}
 	for ri := range tb.Len() {
-		r := tb.Row(ri)
-		byObj[r.Bindings[0]] = r.List
+		byObj[tb.Bindings(ri)[0]] = tb.List(ri)
 	}
 	if byObj[7].At(1).Act != 2 || byObj[7].At(3).Act != 4 || byObj[8].At(2).Act != 3 {
 		t.Fatalf("grouped lists: %v", tb)
@@ -238,13 +237,12 @@ func TestCombineTablesTwoSharedVars(t *testing.T) {
 		t.Fatalf("rows: %v", out)
 	}
 	for ri := range out.Len() {
-		r := out.Row(ri)
-		if r.Bindings[0] == 1 && r.Bindings[1] == 2 {
-			if r.List.At(1).Act != 10 {
-				t.Fatalf("joined: %v", r.List)
+		if out.Bindings(ri)[0] == 1 && out.Bindings(ri)[1] == 2 {
+			if out.List(ri).At(1).Act != 10 {
+				t.Fatalf("joined: %v", out.List(ri))
 			}
-		} else if r.List.At(2).Act != 4 {
-			t.Fatalf("outer: %v", r.List)
+		} else if out.List(ri).At(2).Act != 4 {
+			t.Fatalf("outer: %v", out.List(ri))
 		}
 	}
 }
@@ -288,7 +286,7 @@ func TestEvalTableExposesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Len() != 1 || tb.Row(0).Bindings[0] != 1 {
+	if tb.Len() != 1 || tb.Bindings(0)[0] != 1 {
 		t.Fatalf("table: %v", tb)
 	}
 }

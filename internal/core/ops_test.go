@@ -128,7 +128,7 @@ func TestUntilEmptyInputs(t *testing.T) {
 	if got := UntilLists(simlist.Empty(10), lh, 0.5); !simlist.Equal(got, lh) {
 		t.Fatalf("empty g: %v", got)
 	}
-	if got := UntilLists(lh, simlist.Empty(20), 0.5); !got.IsEmpty() || got.MaxSim != 20 {
+	if got := UntilLists(lh, simlist.Empty(20), 0.5); len(got.Entries) != 0 || got.MaxSim != 20 {
 		t.Fatalf("empty h: %v", got)
 	}
 }
@@ -169,7 +169,7 @@ func TestAndListsEmpty(t *testing.T) {
 	if !simlist.Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	if got := AndLists(simlist.Empty(5), simlist.Empty(7)); !got.IsEmpty() || got.MaxSim != 12 {
+	if got := AndLists(simlist.Empty(5), simlist.Empty(7)); len(got.Entries) != 0 || got.MaxSim != 12 {
 		t.Fatalf("both empty: %v", got)
 	}
 }
@@ -182,7 +182,7 @@ func TestNextList(t *testing.T) {
 	if !simlist.Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	if got := NextList(simlist.NewList(4, entry(1, 1, 2))); !got.IsEmpty() {
+	if got := NextList(simlist.NewList(4, entry(1, 1, 2))); len(got.Entries) != 0 {
 		t.Fatalf("entry at id 1 should vanish, got %v", got)
 	}
 }
@@ -204,7 +204,7 @@ func TestEventuallyListStaircase(t *testing.T) {
 	if !simlist.Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	if got := EventuallyList(simlist.Empty(5)); !got.IsEmpty() {
+	if got := EventuallyList(simlist.Empty(5)); len(got.Entries) != 0 {
 		t.Fatalf("empty: %v", got)
 	}
 }

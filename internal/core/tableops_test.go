@@ -32,7 +32,7 @@ func TestCombineTablesSharedVarJoin(t *testing.T) {
 	}
 	byBinding := map[simlist.ObjectID]simlist.List{}
 	for ri := range out.Len() {
-		r := out.Row(ri)
+		r := rowOf(out, ri)
 		byBinding[r.Bindings[0]] = r.List
 	}
 	if got := byBinding[1].At(2).Act; got != 8 {
@@ -69,13 +69,13 @@ func TestCombineTablesEmptySides(t *testing.T) {
 
 	// t1 empty: t2's row survives as an outer row under AND.
 	out := CombineTables(t1, t2, AndLists, 10)
-	if out.Len() != 1 || out.Row(0).Bindings[0] != 3 || out.Row(0).List.At(1).Act != 5 {
+	if out.Len() != 1 || rowOf(out, 0).Bindings[0] != 3 || rowOf(out, 0).List.At(1).Act != 5 {
 		t.Fatalf("out: %v", out)
 	}
 	// Under UNTIL the unmatched right side keeps h pointwise.
 	until := func(a, b simlist.List) simlist.List { return UntilLists(a, b, 0.5) }
 	out2 := CombineTables(t1, t2, until, 6)
-	if out2.Len() != 1 || out2.Row(0).List.At(1).Act != 5 {
+	if out2.Len() != 1 || rowOf(out2, 0).List.At(1).Act != 5 {
 		t.Fatalf("until out: %v", out2)
 	}
 	// Unmatched LEFT side under UNTIL yields an empty list and is dropped.
@@ -97,7 +97,7 @@ func TestCombineTablesWildcardMatchesEverything(t *testing.T) {
 		t.Fatalf("wildcard join rows: %v", out)
 	}
 	for ri := range out.Len() {
-		r := out.Row(ri)
+		r := rowOf(out, ri)
 		if r.Bindings[0] == AnyObject {
 			t.Fatalf("joined binding should be concrete: %v", r)
 		}
@@ -117,14 +117,14 @@ func TestCombineTablesRangeIntersection(t *testing.T) {
 	// the first t2 row, so only the second t2 row is unmatched.
 	var joined, outer int
 	for ri := range out.Len() {
-		r := out.Row(ri)
-		if r.Ranges[0].Equal(simlist.IntRange(5, 10)) {
+		r := rowOf(out, ri)
+		if r.Ranges[0] == simlist.IntRange(5, 10) {
 			joined++
 			if r.List.At(2).Act != 5 {
 				t.Fatalf("joined row: %v", r)
 			}
 		}
-		if r.Ranges[0].Equal(simlist.IntAtLeast(11)) {
+		if r.Ranges[0] == simlist.IntAtLeast(11) {
 			outer++
 			if r.List.At(2).Act != 1 {
 				t.Fatalf("outer row: %v", r)
@@ -171,7 +171,7 @@ func TestListRestrict(t *testing.T) {
 	if !simlist.Equal(got, want) {
 		t.Fatalf("got %v", got)
 	}
-	if got := ListRestrict(l, nil); !got.IsEmpty() {
+	if got := ListRestrict(l, nil); len(got.Entries) != 0 {
 		t.Fatalf("restrict to nothing: %v", got)
 	}
 }
@@ -194,7 +194,7 @@ func TestFreezeTableJoinsValues(t *testing.T) {
 	if out.Len() != 1 {
 		t.Fatalf("rows: %v", out)
 	}
-	l := out.Row(0).List
+	l := rowOf(out, 0).List
 	// ids 1-2: h=10 lands in the <20 row (8); ids 3-4: h=30 lands in the
 	// >=20 row (4); id 5: height undefined -> 0.
 	for id, want := range map[int]float64{1: 8, 2: 8, 3: 4, 4: 4, 5: 0} {
@@ -257,11 +257,11 @@ func TestFreezeTableAddsVarColumn(t *testing.T) {
 	if len(out.ObjVars) != 1 || out.ObjVars[0] != "z" {
 		t.Fatalf("schema: %v", out.ObjVars)
 	}
-	if out.Len() != 1 || out.Row(0).Bindings[0] != 9 {
+	if out.Len() != 1 || rowOf(out, 0).Bindings[0] != 9 {
 		t.Fatalf("rows: %v", out)
 	}
-	if got := out.Row(0).List.At(2).Act; got != 2 {
-		t.Fatalf("restricted: %v", out.Row(0).List)
+	if got := rowOf(out, 0).List.At(2).Act; got != 2 {
+		t.Fatalf("restricted: %v", rowOf(out, 0).List)
 	}
 }
 
@@ -276,7 +276,7 @@ func TestFreezeTableStringValues(t *testing.T) {
 	if out.Len() != 1 {
 		t.Fatalf("rows: %v", out)
 	}
-	if got := out.Row(0).List; got.At(2).Act != 5 || got.At(5).Act != 0 {
+	if got := rowOf(out, 0).List; got.At(2).Act != 5 || got.At(5).Act != 0 {
 		t.Fatalf("list: %v", got)
 	}
 }
@@ -290,7 +290,7 @@ func TestProjectMax(t *testing.T) {
 	if !simlist.Equal(got, want) {
 		t.Fatalf("got %v", got)
 	}
-	if got := ProjectMax(simlist.NewTable(nil, nil, 5)); !got.IsEmpty() || got.MaxSim != 5 {
+	if got := ProjectMax(simlist.NewTable(nil, nil, 5)); len(got.Entries) != 0 || got.MaxSim != 5 {
 		t.Fatalf("empty table: %v", got)
 	}
 }
@@ -335,13 +335,13 @@ func freezeTableNaive(t1 *simlist.Table, y string, vt *ValueTable, qVar string) 
 	}
 	out := simlist.NewTable(objVars, attrVars, t1.MaxSim)
 	type acc struct {
-		row   simlist.Row
+		row   tableRow
 		lists []simlist.List
 	}
 	groups := map[string]*acc{}
 	var order []string
 	for ri := range t1.Len() {
-		r1 := t1.Row(ri)
+		r1 := rowOf(t1, ri)
 		for _, vr := range vt.Rows {
 			if zIdx >= 0 && r1.Bindings[zIdx] != AnyObject && r1.Bindings[zIdx] != vr.Binding {
 				continue
@@ -363,7 +363,7 @@ func freezeTableNaive(t1 *simlist.Table, y string, vt *ValueTable, qVar string) 
 			}
 			k := fmt.Sprint(bindings, ranges)
 			if groups[k] == nil {
-				groups[k] = &acc{row: simlist.Row{Bindings: bindings, Ranges: ranges}}
+				groups[k] = &acc{row: tableRow{Bindings: bindings, Ranges: ranges}}
 				order = append(order, k)
 			}
 			groups[k].lists = append(groups[k].lists, ListRestrict(r1.List, vr.Ivs))
@@ -372,7 +372,7 @@ func freezeTableNaive(t1 *simlist.Table, y string, vt *ValueTable, qVar string) 
 	for _, k := range order {
 		row := groups[k].row
 		l := MaxMergeLists(t1.MaxSim, groups[k].lists...)
-		if l.Len() > 0 || constrained(row.Ranges) {
+		if len(l.Entries) > 0 || constrained(row.Ranges) {
 			out.MustAddRow(row.Bindings, row.Ranges, l)
 		}
 	}
@@ -387,12 +387,12 @@ func combineTablesNaive(t1, t2 *simlist.Table, op listCombiner, maxSim float64) 
 	out := simlist.NewTable(objVars, attrVars, maxSim)
 	// row joins r1 and r2 (either may be nil: an outer row); ok is false on
 	// a conflicting shared binding or an empty shared range.
-	row := func(r1, r2 *simlist.Row) (bindings []simlist.ObjectID, ranges []simlist.Range, ok bool) {
+	row := func(r1, r2 *tableRow) (bindings []simlist.ObjectID, ranges []simlist.Range, ok bool) {
 		for _, v := range objVars {
 			b := AnyObject
 			for _, side := range []struct {
 				t *simlist.Table
-				r *simlist.Row
+				r *tableRow
 			}{{t1, r1}, {t2, r2}} {
 				if c := side.t.ObjIndex(v); c >= 0 && side.r != nil {
 					switch o := side.r.Bindings[c]; {
@@ -420,7 +420,7 @@ func combineTablesNaive(t1, t2 *simlist.Table, op listCombiner, maxSim float64) 
 		}
 		return bindings, ranges, true
 	}
-	emit := func(r1, r2 *simlist.Row) bool {
+	emit := func(r1, r2 *tableRow) bool {
 		bindings, ranges, ok := row(r1, r2)
 		if !ok {
 			return false
@@ -432,12 +432,12 @@ func combineTablesNaive(t1, t2 *simlist.Table, op listCombiner, maxSim float64) 
 		if r2 != nil {
 			l2 = r2.List
 		}
-		if l := op(l1, l2); l.Len() > 0 || constrained(ranges) {
+		if l := op(l1, l2); len(l.Entries) > 0 || constrained(ranges) {
 			out.MustAddRow(bindings, ranges, simlist.List{MaxSim: maxSim, Entries: l.Entries})
 		}
 		return true
 	}
-	wild := func(t *simlist.Table, r simlist.Row, other *simlist.Table) bool {
+	wild := func(t *simlist.Table, r tableRow, other *simlist.Table) bool {
 		for c, v := range t.ObjVars {
 			if other.ObjIndex(v) >= 0 && r.Bindings[c] == AnyObject {
 				return true
@@ -447,12 +447,12 @@ func combineTablesNaive(t1, t2 *simlist.Table, op listCombiner, maxSim float64) 
 	}
 	matched2 := make([]bool, t2.Len())
 	for i1 := range t1.Len() {
-		r1 := t1.Row(i1)
+		r1 := rowOf(t1, i1)
 		wild1 := wild(t1, r1, t2)
 		matched1 := false
 		for _, wildPass := range []bool{true, false} {
 			for i2 := range t2.Len() {
-				r2 := t2.Row(i2)
+				r2 := rowOf(t2, i2)
 				if !wild1 && wild(t2, r2, t1) != wildPass {
 					continue
 				}
@@ -470,7 +470,7 @@ func combineTablesNaive(t1, t2 *simlist.Table, op listCombiner, maxSim float64) 
 	}
 	for i2 := range t2.Len() {
 		if !matched2[i2] {
-			r2 := t2.Row(i2)
+			r2 := rowOf(t2, i2)
 			emit(nil, &r2)
 		}
 	}
@@ -619,4 +619,15 @@ func TestValueTableValidate(t *testing.T) {
 			t.Errorf("%s: Validate accepted it", name)
 		}
 	}
+}
+
+// tableRow is one row of a table as a value, for the naive references.
+type tableRow struct {
+	Bindings []simlist.ObjectID
+	Ranges   []simlist.Range
+	List     simlist.List
+}
+
+func rowOf(t *simlist.Table, i int) tableRow {
+	return tableRow{t.Bindings(i), t.Ranges(i), t.List(i)}
 }

@@ -24,7 +24,7 @@ func TestCasablancaTables(t *testing.T) {
 	if !simlist.EqualApprox(mt, simlist.NewList(10, entry(9, 9, 9.787)), 1e-9) {
 		t.Fatalf("table 1 = %v", mt)
 	}
-	if mw.Len() != 5 || mw.At(47).Act != 6.26 {
+	if len(mw.Entries) != 5 || mw.At(47).Act != 6.26 {
 		t.Fatalf("table 2 = %v", mw)
 	}
 	if !simlist.EqualApprox(ev, simlist.NewList(10, entry(1, 9, 9.787)), 1e-9) {

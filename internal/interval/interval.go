@@ -42,24 +42,6 @@ func CheckLen(n int) error {
 // InRange reports whether id is a segment id: 1 <= id <= MaxID.
 func InRange(id int) bool { return 1 <= id && id <= MaxID }
 
-// New returns the interval [beg, end]. It panics if beg > end; callers that
-// construct intervals from untrusted input should use TryNew.
-func New(beg, end int32) I {
-	iv, err := TryNew(beg, end)
-	if err != nil {
-		panic(err)
-	}
-	return iv
-}
-
-// TryNew returns the interval [beg, end], or an error if beg > end.
-func TryNew(beg, end int32) (I, error) {
-	if beg > end {
-		return I{}, fmt.Errorf("interval: beg %d > end %d", beg, end)
-	}
-	return I{Beg: beg, End: end}, nil
-}
-
 // Point returns the single-id interval [id, id].
 func Point(id int32) I { return I{Beg: id, End: id} }
 
@@ -68,9 +50,6 @@ func (v I) Len() int { return int(v.End) - int(v.Beg) + 1 }
 
 // Valid reports whether v.Beg <= v.End.
 func (v I) Valid() bool { return v.Beg <= v.End }
-
-// Contains reports whether id lies in v.
-func (v I) Contains(id int32) bool { return v.Beg <= id && id <= v.End }
 
 // Intersect returns the common part of v and w. ok is false when they are
 // disjoint, in which case the returned interval is the zero value.

@@ -41,7 +41,7 @@ func TestRoundTripBasic(t *testing.T) {
 
 func TestRoundTripEmpty(t *testing.T) {
 	back := roundTrip(t, simlist.Empty(7))
-	if !back.IsEmpty() || back.MaxSim != 7 {
+	if len(back.Entries) != 0 || back.MaxSim != 7 {
 		t.Fatalf("empty round trip: %v", back)
 	}
 }

@@ -43,9 +43,6 @@ func Int(v int64) Value { return Value{Kind: IntValue, Int: v} }
 // Str returns a string value.
 func Str(s string) Value { return Value{Kind: StrValue, Str: s} }
 
-// Equal reports whether two values are identical.
-func (v Value) Equal(o Value) bool { return v == o }
-
 // String renders the value for diagnostics.
 func (v Value) String() string {
 	if v.Kind == StrValue {
@@ -359,11 +356,4 @@ func (s *Store) Videos() []*Video {
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Len returns the number of videos in the store.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.videos)
 }

@@ -87,24 +87,6 @@ type ExplainNode struct {
 	Children []*ExplainNode `json:"children,omitempty"`
 }
 
-// MemoHitTotal sums memo hits over the DAG (each shared node counted once).
-func (n *ExplainNode) MemoHitTotal() int64 {
-	seen := map[*ExplainNode]bool{}
-	var walk func(*ExplainNode) int64
-	walk = func(n *ExplainNode) int64 {
-		if n == nil || seen[n] {
-			return 0
-		}
-		seen[n] = true
-		t := n.Stats.MemoHits
-		for _, c := range n.Children {
-			t += walk(c)
-		}
-		return t
-	}
-	return walk(n)
-}
-
 // RenderTree writes the annotated plan tree, one node per line, children
 // indented with box-drawing connectors. total scales the per-node time
 // percentages (0 disables them); showTimes=false replaces every duration

@@ -90,13 +90,3 @@ func (l *SlowLog) Snapshot() []SlowEntry {
 	defer l.mu.Unlock()
 	return append([]SlowEntry(nil), l.entries...)
 }
-
-// Reset empties the log.
-func (l *SlowLog) Reset() {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.entries = nil
-	l.mu.Unlock()
-}

@@ -454,35 +454,25 @@ type TraceSink interface {
 	ObserveTrace(t *Trace)
 }
 
-// TraceCollector is a TraceSink that retains every trace, for tests and
-// one-shot CLI inspection.
+// TraceCollector is a TraceSink that keeps the most recent trace, for tests,
+// one-shot CLI inspection and a ?trace=1 attempt.
 type TraceCollector struct {
-	mu     sync.Mutex
-	traces []*Trace
+	mu   sync.Mutex
+	last *Trace
 }
 
 // ObserveTrace implements TraceSink.
 func (c *TraceCollector) ObserveTrace(t *Trace) {
 	c.mu.Lock()
-	c.traces = append(c.traces, t)
+	c.last = t
 	c.mu.Unlock()
-}
-
-// Traces returns the collected traces in arrival order.
-func (c *TraceCollector) Traces() []*Trace {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*Trace(nil), c.traces...)
 }
 
 // Last returns the most recent trace, or nil.
 func (c *TraceCollector) Last() *Trace {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.traces) == 0 {
-		return nil
-	}
-	return c.traces[len(c.traces)-1]
+	return c.last
 }
 
 // spanKey carries the active span through a context, so deeper layers

@@ -58,16 +58,6 @@ func (r *TraceRing) ObserveTrace(t *Trace) {
 	r.mu.Unlock()
 }
 
-// Len reports the number of retained traces.
-func (r *TraceRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // TraceSummary is one retained trace's listing entry.
 type TraceSummary struct {
 	ID       string            `json:"id"`

@@ -213,7 +213,8 @@ func checkAgainstNaive(t *testing.T, s *picture.System, f htl.Formula) {
 		}
 		return
 	}
-	ns := naiveScorer{tax: s.Taxonomy(), w: s.Weights(), cons: typeConstraints(f)}
+	tax, w := picture.SystemScoring(s)
+	ns := naiveScorer{tax: tax, w: w, cons: typeConstraints(f)}
 	maxSim := ns.maxSim(f)
 	rows := map[string]simlist.List{}
 	if tableErr == nil {
@@ -221,8 +222,7 @@ func checkAgainstNaive(t *testing.T, s *picture.System, f htl.Formula) {
 			t.Fatalf("%s: EvalAtomic's maximum %v, naive %v", f, tb.MaxSim, maxSim)
 		}
 		for ri := range tb.Len() {
-			r := tb.Row(ri)
-			rows[fmt.Sprint(r.Bindings)] = r.List
+			rows[fmt.Sprint(tb.Bindings(ri))] = tb.List(ri)
 		}
 	}
 	naiveErr := false
@@ -242,7 +242,7 @@ func checkAgainstNaive(t *testing.T, s *picture.System, f htl.Formula) {
 		}
 		row := rows[fmt.Sprint(binding)]
 		for id := 1; id <= s.Len(); id++ {
-			want, werr := ns.scoreAt(f, s.Node(id), freeObj, binding)
+			want, werr := ns.scoreAt(f, picture.SystemNode(s, id), freeObj, binding)
 			got, gerr := s.ScoreAtomicAt(n, id, env)
 			if (werr != nil) != (gerr != nil) {
 				t.Fatalf("%s at %d under %v: ScoreAtomicAt error %v, naive error %v", f, id, env.Obj, gerr, werr)
@@ -258,8 +258,8 @@ func checkAgainstNaive(t *testing.T, s *picture.System, f htl.Formula) {
 				continue
 			}
 			want = 0
-			if ns.rowOf(s.Node(id), freeObj, binding) {
-				want, _ = ns.score(f, s.Node(id), ns.env(freeObj, binding))
+			if ns.rowOf(picture.SystemNode(s, id), freeObj, binding) {
+				want, _ = ns.score(f, picture.SystemNode(s, id), ns.env(freeObj, binding))
 			}
 			if got := row.At(id).Act; got != want {
 				t.Fatalf("%s at %d: EvalAtomic's row %v scores %v, naive %v", f, id, binding, got, want)

@@ -114,7 +114,7 @@ func TestEvalAtomicAllocationCeiling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(tb.Row(0).List.Entries); got < scenes/2 {
+		if got := len(tb.List(0).Entries); got < scenes/2 {
 			t.Fatalf("%d scenes: only %d entries; the corpus should tag about one shot per scene", scenes, got)
 		}
 		perSize = append(perSize, testing.AllocsPerRun(50, func() {

@@ -1,5 +1,7 @@
 package picture
 
+import "htlvideo/internal/metadata"
+
 // Helpers of the package's internal tests that the external golden test
 // (package picture_test — it imports internal/casablanca, which imports this
 // package) needs too.
@@ -10,3 +12,10 @@ var (
 	CorpusTaxonomy     = corpusTaxonomy
 	ValueTableDiff     = valueTableDiff
 )
+
+// SystemScoring returns what a naive scorer needs of s: its taxonomy and
+// weights.
+func SystemScoring(s *System) (*Taxonomy, Weights) { return s.tax, s.w }
+
+// SystemNode returns the id-th (1-based) segment of s's sequence.
+func SystemNode(s *System, id int) *metadata.Node { return s.seq[id-1] }

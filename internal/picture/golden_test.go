@@ -275,13 +275,12 @@ func dumpRange(b *bytes.Buffer, r simlist.Range) {
 func dumpTable(b *bytes.Buffer, tb *simlist.Table) {
 	fmt.Fprintf(b, "obj=%q attr=%q max=%b rows=%d\n", tb.ObjVars, tb.AttrVars, tb.MaxSim, tb.Len())
 	for ri := range tb.Len() {
-		r := tb.Row(ri)
-		fmt.Fprintf(b, "  b=%v r=[", r.Bindings)
-		for _, rg := range r.Ranges {
+		fmt.Fprintf(b, "  b=%v r=[", tb.Bindings(ri))
+		for _, rg := range tb.Ranges(ri) {
 			dumpRange(b, rg)
 		}
-		fmt.Fprintf(b, " ] max=%b e=[", r.List.MaxSim)
-		for _, e := range r.List.Entries {
+		fmt.Fprintf(b, " ] max=%b e=[", tb.List(ri).MaxSim)
+		for _, e := range tb.List(ri).Entries {
 			fmt.Fprintf(b, " %d-%d:%b", e.Iv.Beg, e.Iv.End, e.Act)
 		}
 		b.WriteString(" ]\n")

@@ -234,8 +234,7 @@ func TestAttrVarRanges(t *testing.T) {
 	// Row with range h < 20 (i.e. (-inf, 19]) must cover shot 2 at full 4.
 	found := false
 	for ri := range tb.Len() {
-		r := tb.Row(ri)
-		if r.Ranges[0].ContainsInt(19) && !r.Ranges[0].ContainsInt(20) && r.List.At(2).Act == 4 {
+		if tb.Ranges(ri)[0].ContainsInt(19) && !tb.Ranges(ri)[0].ContainsInt(20) && tb.List(ri).At(2).Act == 4 {
 			found = true
 		}
 	}
@@ -331,13 +330,12 @@ func checkScoreMatchesTable(t *testing.T, s *System, f htl.Formula) {
 		for id := 1; id <= s.Len(); id++ {
 			want := 0.0
 			for ri := range tb.Len() {
-				r := tb.Row(ri)
 				selected := true
-				for c, b := range r.Bindings {
+				for c, b := range tb.Bindings(ri) {
 					selected = selected && (b == core.AnyObject || b == binding[c])
 				}
 				if selected {
-					want = max(want, r.List.At(id).Act)
+					want = max(want, tb.List(ri).At(id).Act)
 				}
 			}
 			got, err := s.ScoreAtomicAt(n, id, env)
@@ -447,7 +445,7 @@ func TestNewSystemEmptyLevel(t *testing.T) {
 func TestProgramIsPerConfiguration(t *testing.T) {
 	f := htl.MustParse("exists x . present(x) and type(x) = 'android'")
 	n := atom(f)
-	v := buildSystem(t).Video()
+	v := buildSystem(t).video
 	tax := testTaxonomy(t)
 	heavy := DefaultWeights()
 	heavy.Type = 5
@@ -474,7 +472,7 @@ func TestProgramIsPerConfiguration(t *testing.T) {
 					}
 					got, err := s.EvalAtomicNode(n, nil)
 					if err != nil || !reflect.DeepEqual(got, want) {
-						t.Errorf("node path (Type weight %g): %v, %v; want %v", s.Weights().Type, got, err, want)
+						t.Errorf("node path (Type weight %g): %v, %v; want %v", s.w.Type, got, err, want)
 					}
 				}()
 			}
@@ -482,12 +480,12 @@ func TestProgramIsPerConfiguration(t *testing.T) {
 		wg.Wait()
 	}
 	check() // nothing is an android yet
-	if l := core.ProjectMax(mustTable(t, systems[0], n)); !l.IsEmpty() {
+	if l := core.ProjectMax(mustTable(t, systems[0], n)); len(l.Entries) != 0 {
 		t.Fatalf("before the taxonomy knows androids: %v", l)
 	}
 	tax.MustAdd("android", "person") // men and women now partially match
 	check()
-	if l := core.ProjectMax(mustTable(t, systems[0], n)); l.IsEmpty() {
+	if l := core.ProjectMax(mustTable(t, systems[0], n)); len(l.Entries) == 0 {
 		t.Fatal("the program kept on the node ignored the extended taxonomy")
 	}
 }

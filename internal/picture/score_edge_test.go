@@ -51,8 +51,7 @@ func TestAttrVarRangeTable(t *testing.T) {
 	}
 	sawMarker := false
 	for ri := range tb.Len() {
-		r := tb.Row(ri)
-		if r.List.IsEmpty() {
+		if len(tb.List(ri).Entries) == 0 {
 			sawMarker = true
 		}
 	}
@@ -70,8 +69,7 @@ func TestStringAttrVarEquality(t *testing.T) {
 	}
 	found := false
 	for ri := range tb.Len() {
-		r := tb.Row(ri)
-		if r.Ranges[0].ContainsStr("John") && r.List.At(2).Act == 4 {
+		if tb.Ranges(ri)[0].ContainsStr("John") && tb.List(ri).At(2).Act == 4 {
 			found = true
 		}
 	}
@@ -127,9 +125,8 @@ func TestMergeRangesConflict(t *testing.T) {
 	// h in [4, 9] with score 4.
 	best := 0.0
 	for ri := range tb2.Len() {
-		r := tb2.Row(ri)
-		if r.Ranges[0].ContainsInt(5) {
-			best = math.Max(best, r.List.At(1).Act)
+		if tb2.Ranges(ri)[0].ContainsInt(5) {
+			best = math.Max(best, tb2.List(ri).At(1).Act)
 		}
 	}
 	if best != 4 {
@@ -198,16 +195,7 @@ func TestExportedHelpers(t *testing.T) {
 	if s.AttrValueAt(htl.AttrFn{Attr: "height", Of: "z"}, 99, Env{}).Defined {
 		t.Fatal("out-of-range segment should be undefined")
 	}
-	if s.Taxonomy() == nil || s.Video() == nil {
-		t.Fatal("accessors")
-	}
-	if s.Weights().Present != 2 {
-		t.Fatal("weights accessor")
-	}
-	if s.Node(1) == nil {
-		t.Fatal("node accessor")
-	}
-	edges := s.Taxonomy().Edges()
+	edges := s.tax.Edges()
 	if len(edges) == 0 || edges[0][0] > edges[len(edges)-1][0] {
 		t.Fatalf("edges = %v", edges)
 	}

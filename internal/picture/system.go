@@ -416,10 +416,6 @@ func position(n *metadata.Node, id simlist.ObjectID) int32 {
 // Len implements core.Source.
 func (s *System) Len() int { return len(s.seq) }
 
-// Node returns the idx-th (1-based) segment of the sequence; exposed for the
-// reference evaluator and tests.
-func (s *System) Node(id int) *metadata.Node { return s.seq[id-1] }
-
 // ChildSource implements core.Source: the picture system over the descendant
 // sequence of segment id at the level designated by ref. Child systems are
 // cached per (segment, level); the cache is safe for concurrent queries.

@@ -7,7 +7,6 @@ import (
 	"htlvideo/internal/core"
 	"htlvideo/internal/htl"
 	"htlvideo/internal/interval"
-	"htlvideo/internal/metadata"
 	"htlvideo/internal/simlist"
 )
 
@@ -207,12 +206,3 @@ func (b *valueTableBuilder) orderByObject() {
 
 // Ensure System satisfies the evaluator's Source contract.
 var _ core.Source = (*System)(nil)
-
-// Taxonomy returns the system's type taxonomy (shared with child sources).
-func (s *System) Taxonomy() *Taxonomy { return s.tax }
-
-// Weights returns the system's scoring weights.
-func (s *System) Weights() Weights { return s.w }
-
-// Video returns the underlying video.
-func (s *System) Video() *metadata.Video { return s.video }

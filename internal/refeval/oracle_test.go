@@ -1,6 +1,7 @@
 package refeval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -251,7 +252,7 @@ func checkOracle(t *testing.T, seed int64, flavour string, deep bool) {
 		matrix = matrix.Kids[0]
 	}
 	validateTables(t, fmt.Sprintf("seed %d: %q", seed, src), sys, matrix, opts)
-	slow, err := New(sys, opts).List(f)
+	slow, err := New(sys, opts).ListPlanCtx(context.Background(), core.CompilePlan(f))
 	if err != nil {
 		t.Fatalf("seed %d: refeval(%q): %v", seed, src, err)
 	}

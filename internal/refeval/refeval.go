@@ -121,13 +121,6 @@ func unscored(a *core.Arena, n int) []float64 {
 	return s
 }
 
-// List computes the similarity list of a closed formula over the sequence,
-// id by id. It compiles f on the fly; callers evaluating one formula
-// repeatedly should compile once and use ListPlanCtx.
-func (e *Evaluator) List(f htl.Formula) (simlist.List, error) {
-	return e.ListPlanCtx(context.Background(), core.CompilePlan(f))
-}
-
 // ListPlanCtx evaluates a compiled plan over the sequence, id by id, on an
 // arena from core's pool, which goes back once the list has been copied out —
 // on an error or a cancellation too, never after a panic. The recursion

@@ -112,7 +112,7 @@ func TestListMatchesSimAt(t *testing.T) {
 	sys := smallSystem(t)
 	q := htl.MustParse("eventually (exists z . present(z) and moving(z))")
 	e := New(sys, core.DefaultOptions())
-	l, err := e.List(q)
+	l, err := e.ListPlanCtx(context.Background(), core.CompilePlan(q))
 	if err != nil {
 		t.Fatal(err)
 	}

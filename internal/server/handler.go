@@ -228,6 +228,23 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	})
 }
 
+// admit takes a place for r under admission control, or answers it: 429
+// with Retry-After when the request is shed, 408 when its client went away
+// while it queued. An admitted request releases its place when it is done.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
+	err := s.limiter.acquire(r.Context())
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, errShed):
+		w.Header().Set("Retry-After", strconv.Itoa(int(s.limiter.retryAfter().Seconds())))
+		obs.WriteError(w, http.StatusTooManyRequests, "overloaded, retry later")
+	default:
+		obs.WriteError(w, http.StatusRequestTimeout, err.Error())
+	}
+	return false
+}
+
 // handleQuery evaluates one HTL query under admission control: parse the
 // parameters and the formula, then fan the store's videos out (evaluate)
 // where each video runs behind its circuit breaker with transient-error
@@ -238,14 +255,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, http.StatusServiceUnavailable, "no store loaded")
 		return
 	}
-	if err := s.limiter.acquire(r.Context()); err != nil {
-		if errors.Is(err, errShed) {
-			w.Header().Set("Retry-After", strconv.Itoa(int(s.limiter.retryAfter().Seconds())))
-			obs.WriteError(w, http.StatusTooManyRequests, "overloaded, retry later")
-			return
-		}
-		// The client went away while queued; nothing to say to it.
-		obs.WriteError(w, http.StatusRequestTimeout, err.Error())
+	if !s.admit(w, r) {
 		return
 	}
 	defer s.limiter.release()
@@ -297,13 +307,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, http.StatusServiceUnavailable, "no store loaded")
 		return
 	}
-	if err := s.limiter.acquire(r.Context()); err != nil {
-		if errors.Is(err, errShed) {
-			w.Header().Set("Retry-After", strconv.Itoa(int(s.limiter.retryAfter().Seconds())))
-			obs.WriteError(w, http.StatusTooManyRequests, "overloaded, retry later")
-			return
-		}
-		obs.WriteError(w, http.StatusRequestTimeout, err.Error())
+	if !s.admit(w, r) {
 		return
 	}
 	defer s.limiter.release()

@@ -252,7 +252,7 @@ func TestStoreTracesSampledPerRequest(t *testing.T) {
 	// ring, checking the accounting it added.
 	request := func(query, header string) int {
 		t.Helper()
-		ring, before := st.TraceRing().Len(), read()
+		ring, before := len(st.TraceRing().List()), read()
 		if code, _ := getTraced(t, ts.URL+query, header); code != http.StatusOK {
 			t.Fatalf("%s: status %d", query, code)
 		}
@@ -261,7 +261,7 @@ func TestStoreTracesSampledPerRequest(t *testing.T) {
 		if after != want {
 			t.Fatalf("%s: accounting went %+v -> %+v, want %+v", query, before, after, want)
 		}
-		return st.TraceRing().Len() - ring
+		return len(st.TraceRing().List()) - ring
 	}
 	var sampled []int
 	for i := 1; i <= 130; i++ {

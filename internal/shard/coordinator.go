@@ -1,8 +1,8 @@
 // Package shard implements scatter-gather retrieval over N shard servers.
 //
-// A deployment splits its store by consistent hashing on video id
-// (htlvideo.SplitDoc / internal/ring), runs one internal/server process per
-// shard document, and puts this package's Coordinator in front. The
+// A deployment splits its store into disjoint shard documents by video id
+// (htlvideo.SplitDoc), runs one internal/server process per shard document,
+// and puts this package's Coordinator in front. The
 // coordinator parses and compiles each HTL query once (the same
 // server.ParseQueryRequest validation every layer uses), fans it out to all
 // shards in parallel, and k-way-merges the ranked partial results under
@@ -151,9 +151,9 @@ type metrics struct {
 }
 
 // New builds a coordinator over the given shard base URLs, named
-// "shard-0" ... "shard-<n-1>" in order — the canonical names SplitDoc
-// partitions under, so shard i must serve the i-th document of
-// SplitDoc(doc, n).
+// "shard-0" ... "shard-<n-1>" in order. Every query goes to every shard, so
+// any disjoint split of the videos ranks alike; the i-th document of
+// SplitDoc(doc, n) is the usual one for shard i.
 func New(shardURLs []string, opts ...Option) *Coordinator {
 	named := map[string]string{}
 	for i, u := range shardURLs {
@@ -321,10 +321,6 @@ func (c *Coordinator) SlowLog() *obs.SlowLog { return c.slow }
 // TraceRing returns the coordinator's bounded ring of recent stitched traces
 // (the /debug/traces backing store).
 func (c *Coordinator) TraceRing() *obs.TraceRing { return c.traces }
-
-// Sampler returns the coordinator's metrics-history sampler (the
-// /debug/timeseries backing store; empty until sampling starts).
-func (c *Coordinator) Sampler() *timeseries.Sampler { return c.sampler }
 
 // Close stops the coordinator's background work (the metrics sampler).
 // Idempotent; in-flight queries are unaffected.

@@ -80,7 +80,7 @@ func checkMergedExplain(t *testing.T, coord *Coordinator, single *htlvideo.Store
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := single.Explain(p.Query, htlvideo.WithEngine(p.Engine))
+	ref, err := single.ExplainCtx(context.Background(), p.Query, htlvideo.WithEngine(p.Engine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestDistributedExplainRendersLikeSingleStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := single.Explain(c.query)
+			ref, err := single.ExplainCtx(context.Background(), c.query)
 			if err != nil {
 				t.Fatal(err)
 			}

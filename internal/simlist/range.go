@@ -123,9 +123,6 @@ func (r Range) Intersect(o Range) Range {
 	}
 }
 
-// Equal reports structural equality of two ranges.
-func (r Range) Equal(o Range) bool { return r == o }
-
 // String renders the range for diagnostics.
 func (r Range) String() string {
 	switch r.Kind {

@@ -52,7 +52,7 @@ func TestRangeIntersect(t *testing.T) {
 		{StrEq("a"), IntEq(1), EmptyRange()},
 		{EmptyRange(), AnyRange(), EmptyRange()},
 	} {
-		if got := tc.a.Intersect(tc.b); !got.Equal(tc.want) {
+		if got := tc.a.Intersect(tc.b); got != tc.want {
 			t.Errorf("%v ∩ %v = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
 	}

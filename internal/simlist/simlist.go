@@ -98,12 +98,6 @@ func (l List) Validate() error {
 	return nil
 }
 
-// Len returns the number of entries (the paper's length(L)).
-func (l List) Len() int { return len(l.Entries) }
-
-// IsEmpty reports whether the list has no entries.
-func (l List) IsEmpty() bool { return len(l.Entries) == 0 }
-
 // At returns the similarity value at segment id. Ids outside every entry get
 // actual similarity 0.
 func (l List) At(id int) Sim {
@@ -122,13 +116,6 @@ func (l List) Span() (interval.I, bool) {
 		return interval.I{}, false
 	}
 	return interval.I{Beg: l.Entries[0].Iv.Beg, End: l.Entries[len(l.Entries)-1].Iv.End}, true
-}
-
-// Clone returns a deep copy of the list.
-func (l List) Clone() List {
-	out := List{MaxSim: l.MaxSim}
-	out.Entries = append([]Entry(nil), l.Entries...)
-	return out
 }
 
 // Canonical returns an equivalent list in canonical form: entries sorted,

@@ -67,7 +67,7 @@ func TestAt(t *testing.T) {
 func TestSpan(t *testing.T) {
 	l := NewList(20, entry(10, 50, 10), entry(90, 110, 12))
 	sp, ok := l.Span()
-	if !ok || sp != interval.New(10, 110) {
+	if !ok || sp != (interval.I{Beg: 10, End: 110}) {
 		t.Fatalf("Span = %v %v", sp, ok)
 	}
 	if _, ok := Empty(5).Span(); ok {
@@ -188,7 +188,7 @@ func TestNormalizeProperty(t *testing.T) {
 		for id := 0; id <= 80; id++ {
 			want := 0.0
 			for _, e := range es {
-				if e.Iv.Valid() && e.Iv.Contains(int32(id)) && e.Act > 0 {
+				if e.Iv.Valid() && int(e.Iv.Beg) <= id && id <= int(e.Iv.End) && e.Act > 0 {
 					want = max(want, min(e.Act, 20))
 				}
 			}

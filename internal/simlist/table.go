@@ -10,16 +10,6 @@ import (
 // object in different pictures is given the same id").
 type ObjectID int64
 
-// Row is one row of a similarity table as a value: an evaluation of the
-// formula's free variables together with the similarity list that holds
-// under it. Bindings are aligned with the owning table's ObjVars, Ranges with
-// its AttrVars. Table.Row returns one; its slices are the table's columns.
-type Row struct {
-	Bindings []ObjectID
-	Ranges   []Range
-	List     List
-}
-
 // Table is a similarity table (paper §3.2–3.3): the first columns name the
 // free object variables, the next the free attribute variables (constrained
 // to ranges), and the last column is a similarity list per row.
@@ -72,11 +62,6 @@ func (t *Table) List(i int) List {
 		return List{MaxSim: t.MaxSim}
 	}
 	return List{MaxSim: t.MaxSim, Entries: t.Entries[lo:hi:hi]}
-}
-
-// Row returns row i as a value.
-func (t *Table) Row(i int) Row {
-	return Row{Bindings: t.Bindings(i), Ranges: t.Ranges(i), List: t.List(i)}
 }
 
 // AddRow appends a row after checking that its shape matches the schema.

@@ -459,20 +459,6 @@ func (w *Writer) undoTorn() {
 	}
 }
 
-// Sync forces an fsync now regardless of policy (checkpoints call it before
-// trusting the log's contents).
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("wal: writer is closed")
-	}
-	if w.failed != nil {
-		return w.failed
-	}
-	return w.syncLocked()
-}
-
 func (w *Writer) syncLocked() error {
 	var err error
 	if flt := faultinject.FireIO(faultinject.SiteWALSync, w.size, 0); flt != nil {
@@ -527,14 +513,6 @@ func (w *Writer) Size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.size
-}
-
-// LastSeq is the sequence number of the last acknowledged record (the
-// recovered one at open, before any appends).
-func (w *Writer) LastSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastSeq
 }
 
 // Close flushes pending bytes (best effort under a failed writer), stops

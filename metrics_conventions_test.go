@@ -51,7 +51,7 @@ func lintText(t *testing.T, scope, text string) {
 
 func TestMetricsConventions(t *testing.T) {
 	store := lintedStore(t)
-	htlvideo.RegisterProcessMetrics(store.Metrics())
+	obs.RegisterProcessMetrics(store.Metrics())
 
 	var buf bytes.Buffer
 	obs.WritePrometheus(&buf, store.Metrics().Snapshot())

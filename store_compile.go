@@ -32,33 +32,9 @@ type CompiledQuery struct {
 	plan  *core.Plan
 }
 
-// Formula returns the parsed formula.
-func (cq *CompiledQuery) Formula() Formula { return cq.f }
-
 // Class returns the formula's class (fixed at compile time; queries skip
 // re-classification).
 func (cq *CompiledQuery) Class() Class { return cq.class }
-
-// Key returns the formula's canonical text — the identity under which the
-// plan and result caches index this query.
-func (cq *CompiledQuery) Key() string { return cq.plan.Key }
-
-// Query evaluates the compiled query over the store (see Store.Query).
-func (cq *CompiledQuery) Query(opts ...QueryOption) (*Results, error) {
-	return cq.QueryCtx(context.Background(), opts...)
-}
-
-// QueryCtx evaluates the compiled query under a context. Nothing is parsed
-// or looked up, so its trace starts at the eval stage, like QueryFormulaCtx's.
-func (cq *CompiledQuery) QueryCtx(ctx context.Context, opts ...QueryOption) (*Results, error) {
-	s := cq.store
-	r, refused := newRun(opts)
-	s.obs.startTrace(r, cq.text)
-	if err := s.admit(r, cq, refused); err != nil {
-		return nil, err
-	}
-	return s.queryCompiledCtx(ctx, r)
-}
 
 // ProfileLabels are the pprof labels an evaluation of the query under engine
 // e runs with — engine, formula class and the plan's canonical key — so CPU

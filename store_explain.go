@@ -50,10 +50,6 @@ type ExplainResult struct {
 	Results *Results `json:"-"`
 }
 
-// MemoHits sums memo hits over the plan (each shared node once) — the number
-// reflected into the query.plan.memo_hits counter.
-func (r *ExplainResult) MemoHits() int64 { return r.Plan.MemoHitTotal() }
-
 // Render writes the result as text: a header of query-level facts, then the
 // annotated tree. showTimes=false blanks durations (stable golden output).
 func (r *ExplainResult) Render(w io.Writer, showTimes bool) {
@@ -65,12 +61,6 @@ func (r *ExplainResult) Render(w io.Writer, showTimes bool) {
 			r.EvalTime.Round(time.Microsecond), r.TotalTime.Round(time.Microsecond), r.TraceID)
 	}
 	obs.RenderTree(w, r.Plan, r.EvalTime, showTimes)
-}
-
-// Explain evaluates a query with per-plan-node profiling and returns the
-// annotated plan (see ExplainCtx).
-func (s *Store) Explain(query string, opts ...QueryOption) (*ExplainResult, error) {
-	return s.ExplainCtx(context.Background(), query, opts...)
 }
 
 // ExplainCtx parses (through the plan cache), evaluates, and profiles a

@@ -8,6 +8,7 @@ package htlvideo
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ func TestExplainGolden(t *testing.T) {
 	for _, c := range explainGoldenCases {
 		t.Run(c.name, func(t *testing.T) {
 			s := casablancaStore(t)
-			er, err := s.Explain(c.query, c.opts...)
+			er, err := s.ExplainCtx(context.Background(), c.query, c.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +102,7 @@ func TestExplainIndependentOfHistory(t *testing.T) {
 		return s
 	}
 	render := func(s *Store) string {
-		er, err := s.Explain(q)
+		er, err := s.ExplainCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestExplainConsistency(t *testing.T) {
 	for _, c := range explainGoldenCases {
 		t.Run(c.name, func(t *testing.T) {
 			s := casablancaStore(t)
-			er, err := s.Explain(c.query, c.opts...)
+			er, err := s.ExplainCtx(context.Background(), c.query, c.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +165,7 @@ func TestExplainConsistency(t *testing.T) {
 				}
 			}
 			walk(er.Plan)
-			if got, want := er.MemoHits(), s.Stats().PlanCache.MemoHits; got != want {
+			if got, want := memoHitTotal(er.Plan), s.Stats().PlanCache.MemoHits; got != want {
 				t.Errorf("tree memo hits = %d, query.plan.memo_hits = %d", got, want)
 			}
 		})
@@ -177,7 +178,7 @@ func TestExplainConsistency(t *testing.T) {
 func TestExplainMemoHitsShared(t *testing.T) {
 	s := casablancaStore(t)
 	q := "(eventually (" + casablanca.MovingTrainQuery + ")) and (eventually (" + casablanca.MovingTrainQuery + "))"
-	er, err := s.Explain(q)
+	er, err := s.ExplainCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +188,10 @@ func TestExplainMemoHitsShared(t *testing.T) {
 	if !er.Plan.Children[0].Shared {
 		t.Fatal("repeated child not marked shared")
 	}
-	if er.MemoHits() == 0 {
+	if memoHitTotal(er.Plan) == 0 {
 		t.Fatal("no memo hit recorded for the repeated subformula")
 	}
-	if got, want := er.MemoHits(), s.Stats().PlanCache.MemoHits; got != want {
+	if got, want := memoHitTotal(er.Plan), s.Stats().PlanCache.MemoHits; got != want {
 		t.Fatalf("tree memo hits = %d, counter = %d", got, want)
 	}
 }
@@ -205,7 +206,7 @@ func TestExplainEngines(t *testing.T) {
 	}{{"direct", EngineDirect}, {"reference", EngineReference}} {
 		t.Run(eng.name, func(t *testing.T) {
 			s := casablancaStore(t)
-			er, err := s.Explain(q, WithEngine(eng.engine))
+			er, err := s.ExplainCtx(context.Background(), q, WithEngine(eng.engine))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +224,7 @@ func TestExplainEngines(t *testing.T) {
 // time per node; the default mode leaves its durations at zero (counts only).
 func TestExplainExactProfile(t *testing.T) {
 	s := casablancaStore(t)
-	er, err := s.Explain(casablanca.MovingTrainQuery, WithEngine(EngineReference), WithExactProfile())
+	er, err := s.ExplainCtx(context.Background(), casablanca.MovingTrainQuery, WithEngine(EngineReference), WithExactProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestExplainExactProfile(t *testing.T) {
 // an operator can go from a slow-log entry to its plan breakdown and back.
 func TestExplainSlowLogLinkage(t *testing.T) {
 	s := casablancaStore(t)
-	er, err := s.Explain(casablanca.Query1)
+	er, err := s.ExplainCtx(context.Background(), casablanca.Query1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +281,30 @@ func TestExplainBypassesResultCache(t *testing.T) {
 	if _, err := s.Query(casablanca.Query1); err != nil {
 		t.Fatal(err)
 	}
-	er, err := s.Explain(casablanca.Query1)
+	er, err := s.ExplainCtx(context.Background(), casablanca.Query1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if er.Plan.Stats.Visits == 0 {
 		t.Fatal("explain was answered from the result cache: no visits attributed")
 	}
+}
+
+// memoHitTotal sums memo hits over the plan DAG, each shared node once: the
+// figure the query.plan.memo_hits counter must reflect.
+func memoHitTotal(root *ExplainNode) int64 {
+	seen := map[*ExplainNode]bool{}
+	var walk func(*ExplainNode) int64
+	walk = func(n *ExplainNode) int64 {
+		if n == nil || seen[n] {
+			return 0
+		}
+		seen[n] = true
+		t := n.Stats.MemoHits
+		for _, c := range n.Children {
+			t += walk(c)
+		}
+		return t
+	}
+	return walk(root)
 }

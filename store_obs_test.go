@@ -16,6 +16,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -356,7 +357,7 @@ func TestUnsampledQuery(t *testing.T) {
 	if _, err := s.Query("M1 until (", Unsampled()); err == nil {
 		t.Fatal("a malformed query parsed")
 	}
-	if n := s.TraceRing().Len(); n != 0 {
+	if n := len(s.TraceRing().List()); n != 0 {
 		t.Fatalf("unsampled queries left %d traces in the ring", n)
 	}
 	slow := s.SlowLog().Snapshot()
@@ -385,14 +386,14 @@ func TestUnsampledQuery(t *testing.T) {
 	if _, ok := s.TraceRing().Get("0123456789abcdef"); !ok {
 		t.Fatal("Unsampled with WithTraceID left no trace under the id")
 	}
-	ex, err := s.Explain("M1", Unsampled())
+	ex, err := s.ExplainCtx(context.Background(), "M1", Unsampled())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ex.TraceID == "" || ex.TotalTime <= 0 {
 		t.Fatalf("Unsampled explain: trace id %q, total %v", ex.TraceID, ex.TotalTime)
 	}
-	if n := s.TraceRing().Len(); n != 3 {
+	if n := len(s.TraceRing().List()); n != 3 {
 		t.Fatalf("ring holds %d traces, want the three forced ones", n)
 	}
 }
@@ -408,11 +409,11 @@ func TestDirectQueriesSampled(t *testing.T) {
 	// traces runs one query and reports how many traces it left in the ring.
 	traces := func(run func() error) int {
 		t.Helper()
-		before := s.TraceRing().Len()
+		before := len(s.TraceRing().List())
 		if err := run(); err != nil {
 			t.Fatal(err)
 		}
-		return s.TraceRing().Len() - before
+		return len(s.TraceRing().List()) - before
 	}
 	query := func(opts ...QueryOption) func() error {
 		return func() error {
@@ -434,7 +435,7 @@ func TestDirectQueriesSampled(t *testing.T) {
 		if n := traces(query(WithTraceID(fmt.Sprintf("direct-%d", i)))); n != 1 {
 			t.Fatalf("WithTraceID after query %d left %d traces, want 1", i, n)
 		}
-		if n := traces(func() error { _, err := s.Explain("M1"); return err }); n != 1 {
+		if n := traces(func() error { _, err := s.ExplainCtx(context.Background(), "M1"); return err }); n != 1 {
 			t.Fatalf("Explain after query %d left %d traces, want 1", i, n)
 		}
 		if n := traces(query(Unsampled())); n != 0 {
@@ -516,7 +517,7 @@ func TestStatsConcurrentWithQueries(t *testing.T) {
 	s := resilienceStore(t, 4)
 	srv := httptest.NewServer(s.DebugHandler())
 	defer srv.Close()
-	var tc TraceCollector
+	var tc countingSink
 	queries := []string{"M1", "M2", "M1 until M2", "eventually M2"}
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
@@ -545,7 +546,12 @@ func TestStatsConcurrentWithQueries(t *testing.T) {
 	if got := s.Stats().Queries.Total; got != 12 {
 		t.Fatalf("query total = %d, want 12", got)
 	}
-	if got := len(tc.Traces()); got != 12 {
+	if got := tc.n.Load(); got != 12 {
 		t.Fatalf("sink received %d traces, want 12", got)
 	}
 }
+
+// countingSink is a TraceSink that counts the traces it receives.
+type countingSink struct{ n atomic.Int64 }
+
+func (c *countingSink) ObserveTrace(*Trace) { c.n.Add(1) }

@@ -145,7 +145,7 @@ func TestProfileLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := pprof.WithLabels(context.Background(), cq.ProfileLabels(EngineDirect))
-	for label, want := range map[string]string{"engine": "core", "class": "type1", "query_key": cq.Key()} {
+	for label, want := range map[string]string{"engine": "core", "class": "type1", "query_key": cq.plan.Key} {
 		if got, _ := pprof.Label(ctx, label); got != want {
 			t.Errorf("label %s = %q, want %q", label, got, want)
 		}
@@ -186,7 +186,7 @@ func TestResultKeyMatchesFormat(t *testing.T) {
 			if cfg.partial {
 				want += "p|"
 			}
-			want += cq.Key()
+			want += cq.plan.Key
 			if got := st.resultKey(cq, cfg, row.v); got != want {
 				t.Errorf("resultKey = %q, want %q", got, want)
 			}

@@ -82,7 +82,7 @@ func TestPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partial query failed outright: %v", err)
 	}
-	if len(res.PerVideo) != 2 || res.PerVideo[1].IsEmpty() || res.PerVideo[3].IsEmpty() {
+	if len(res.PerVideo) != 2 || len(res.PerVideo[1].Entries) == 0 || len(res.PerVideo[3].Entries) == 0 {
 		t.Fatalf("surviving results = %v, want videos 1 and 3", res.PerVideo)
 	}
 	if _, ok := res.PerVideo[2]; ok {
@@ -142,7 +142,7 @@ func TestErrorAggregation(t *testing.T) {
 	if first == nil || second == nil || first.VideoID != 1 || second.VideoID != 3 {
 		t.Fatalf("Errors = [%v, %v], want videos 1 and 3 in order", res.Errors[0], res.Errors[1])
 	}
-	if len(res.PerVideo) != 1 || res.PerVideo[2].IsEmpty() {
+	if len(res.PerVideo) != 1 || len(res.PerVideo[2].Entries) == 0 {
 		t.Fatalf("PerVideo = %v, want only video 2", res.PerVideo)
 	}
 }
@@ -218,7 +218,7 @@ func TestFailedBuildsAreRetried(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query after injected build failure: %v", err)
 	}
-	if res.PerVideo[1].IsEmpty() {
+	if len(res.PerVideo[1].Entries) == 0 {
 		t.Fatal("retried build produced an empty result")
 	}
 }
@@ -281,7 +281,7 @@ func TestSystemBuildPanicIsNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query after a panicked build: %v", err)
 	}
-	if res.PerVideo[1].IsEmpty() {
+	if len(res.PerVideo[1].Entries) == 0 {
 		t.Fatal("rebuilt system produced an empty result")
 	}
 	if st := s.Stats().Cache; st.Misses != 2 || st.Size != 1 {

@@ -80,7 +80,7 @@ func TestQueryAcrossVideos(t *testing.T) {
 	if len(res.PerVideo) != 2 {
 		t.Fatalf("videos = %d", len(res.PerVideo))
 	}
-	if res.PerVideo[1].IsEmpty() || !res.PerVideo[2].IsEmpty() {
+	if len(res.PerVideo[1].Entries) == 0 || len(res.PerVideo[2].Entries) != 0 {
 		// Video 2's level 2 is scenes, which carry no objects.
 		t.Fatalf("unexpected lists: v1=%v v2=%v", res.PerVideo[1], res.PerVideo[2])
 	}
@@ -238,7 +238,7 @@ func TestAtomicInspection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Len() != 1 || l.Entries[0].Iv.Beg != 9 {
+	if len(l.Entries) != 1 || l.Entries[0].Iv.Beg != 9 {
 		t.Fatalf("moving train = %v", l)
 	}
 	if _, err := s.Atomic(1, 2, "next M1"); err == nil {
@@ -286,7 +286,7 @@ func TestHeterogeneousLevelsSkipped(t *testing.T) {
 	if _, has := res.PerVideo[1]; has {
 		t.Fatal("video without the level should be absent from the results")
 	}
-	if res.PerVideo[2].IsEmpty() {
+	if len(res.PerVideo[2].Entries) == 0 {
 		t.Fatalf("video 2 list: %v", res.PerVideo[2])
 	}
 	// Explicit targeting still surfaces the problem.
@@ -424,12 +424,8 @@ func TestUntilThresholdValidated(t *testing.T) {
 			_, err := s.QueryCtx(context.Background(), "M1 until M2", opts...)
 			return err
 		}},
-		{"Explain", func(opts ...QueryOption) error {
-			_, err := s.Explain("M1 until M2", opts...)
-			return err
-		}},
-		{"CompiledQuery.QueryCtx", func(opts ...QueryOption) error {
-			_, err := cq.QueryCtx(context.Background(), opts...)
+		{"ExplainCtx", func(opts ...QueryOption) error {
+			_, err := s.ExplainCtx(context.Background(), "M1 until M2", opts...)
 			return err
 		}},
 		{"CompiledQuery.Bind", func(opts ...QueryOption) error {
@@ -497,8 +493,8 @@ func TestRefusedOptionsSettleLikeParseFailures(t *testing.T) {
 				_, err := s.QueryFormulaCtx(context.Background(), MustParse("M1 until M2"), opt)
 				return err
 			}},
-			{"Explain", func(s *Store, opt QueryOption) error {
-				_, err := s.Explain("M1 until M2", opt)
+			{"ExplainCtx", func(s *Store, opt QueryOption) error {
+				_, err := s.ExplainCtx(context.Background(), "M1 until M2", opt)
 				return err
 			}},
 			{"Bind", func(s *Store, opt QueryOption) error {

@@ -327,7 +327,7 @@ func TestBoundTopKCountsUnderPlanKey(t *testing.T) {
 		t.Fatal("a top 1 over eight videos rejected no entry")
 	}
 	for _, e := range s.QueryStats().Snapshot().Entries {
-		if e.PlanKey != bq.cq.Key() {
+		if e.PlanKey != bq.cq.plan.Key {
 			continue
 		}
 		if e.TopKSkipped != uint64(skipped) {
@@ -335,7 +335,7 @@ func TestBoundTopKCountsUnderPlanKey(t *testing.T) {
 		}
 		return
 	}
-	t.Errorf("no workload statistics under %q", bq.cq.Key())
+	t.Errorf("no workload statistics under %q", bq.cq.plan.Key)
 }
 
 // TestWithTopKRemembersItsCut: the results of a WithTopK(k) query hold only
@@ -370,7 +370,7 @@ func TestWithTopKRemembersItsCut(t *testing.T) {
 		t.Errorf("Ranked holds %d runs of a top-%d query, the full lists %d", got, k, all)
 	}
 
-	er, err := s.Explain(q, AtLevel(3), WithTopK(k))
+	er, err := s.ExplainCtx(context.Background(), q, AtLevel(3), WithTopK(k))
 	if err != nil {
 		t.Fatal(err)
 	}

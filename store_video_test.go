@@ -36,7 +36,7 @@ func TestQueryVideoMatchesWholeStore(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					whole, werr := cq.Query(opts...)
+					whole, werr := s.st.Query(sh.text, opts...)
 					bq, err := cq.Bind(opts...)
 					if err != nil {
 						t.Fatal(err)

@@ -1,34 +1,24 @@
 package htlvideo
 
-import (
-	"fmt"
+import "fmt"
 
-	"htlvideo/internal/ring"
-)
-
-// SplitDoc partitions a store document into n shard documents by consistent
-// hashing on video id, using the canonical shard names "shard-0" ...
-// "shard-<n-1>" (ring.MemberNames). Every video lands in exactly one shard
-// document; the taxonomy is replicated into each, because subtype matching
-// (§3.2) is evaluated independently on every shard.
+// SplitDoc partitions a store document into n shard documents by video id:
+// video id goes to shard id mod n (taken non-negative), so consecutive ids
+// spread evenly and shard sizes differ by at most one on a run of ids. Every
+// video lands in exactly one shard document; the taxonomy is replicated into
+// each, because subtype matching (§3.2) is evaluated independently on every
+// shard.
 //
-// The split is deterministic — a pure function of the video ids and n — and
-// agrees with a coordinator ring built over the same member names, so a
-// store.json split for an N-shard deployment routes exactly the way the
-// coordinator expects. Within each shard, videos keep their original
-// document order.
+// The split is deterministic, a pure function of the video ids and n; any
+// disjoint split ranks alike, because the coordinator asks every shard and
+// merges their per-video lists. Within each shard, videos keep their
+// original document order.
 func SplitDoc(doc StoreDoc, n int) ([]StoreDoc, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("htlvideo: SplitDoc: shard count %d < 1", n)
 	}
 	if err := doc.Validate(); err != nil {
 		return nil, err
-	}
-	names := ring.MemberNames(n)
-	r := ring.New(names, 0)
-	index := make(map[string]int, n)
-	for i, name := range names {
-		index[name] = i
 	}
 	out := make([]StoreDoc, n)
 	for i := range out {
@@ -37,7 +27,7 @@ func SplitDoc(doc StoreDoc, n int) ([]StoreDoc, error) {
 		out[i].Taxonomy = append([]TaxEdgeDoc(nil), doc.Taxonomy...)
 	}
 	for _, vd := range doc.Videos {
-		i := index[r.OwnerOfVideo(vd.ID)]
+		i := (vd.ID%n + n) % n
 		out[i].Videos = append(out[i].Videos, vd)
 	}
 	return out, nil

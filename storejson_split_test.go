@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"htlvideo/internal/ring"
 )
 
 // splitFixtureDoc builds a document with n videos carrying distinguishable
@@ -74,21 +72,26 @@ func TestSplitDocRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSplitDocAgreesWithRing(t *testing.T) {
-	// The partitioner and a coordinator ring over the same member names must
-	// agree on ownership — that is the whole contract.
-	const n = 3
-	shards, err := SplitDoc(splitFixtureDoc(30), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := ring.New(ring.MemberNames(n), 0)
-	for i, sd := range shards {
-		want := fmt.Sprintf("shard-%d", i)
-		for _, vd := range sd.Videos {
-			if owner := r.OwnerOfVideo(vd.ID); owner != want {
-				t.Errorf("video %d placed in %s but ring says %s", vd.ID, want, owner)
+func TestSplitDocPlacesByIDModN(t *testing.T) {
+	// Video id goes to shard id mod n, and a run of consecutive ids leaves
+	// shard sizes at most one apart.
+	doc := splitFixtureDoc(30)
+	for n := 1; n <= 8; n++ {
+		shards, err := SplitDoc(doc, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least, most := len(doc.Videos), 0
+		for i, sd := range shards {
+			for _, vd := range sd.Videos {
+				if vd.ID%n != i {
+					t.Errorf("n=%d: video %d placed in shard %d, want %d", n, vd.ID, i, vd.ID%n)
+				}
 			}
+			least, most = min(least, len(sd.Videos)), max(most, len(sd.Videos))
+		}
+		if most-least > 1 {
+			t.Errorf("n=%d: shard sizes range %d..%d, want at most 1 apart", n, least, most)
 		}
 	}
 }
