@@ -35,7 +35,8 @@ race:
 # query may allocate beyond its evaluation (traced, unsampled, and with a
 # ?trace=1 attempt's collector: nothing unsampled) and that it
 # allocates the same on a store of one video or of 64, what one
-# cold GET /query of each MIX6 shape allocates through the server's handler,
+# cold GET /query of each MIX6 shape allocates through the server's handler
+# and through a coordinator over four shard servers on loopback,
 # the resident bytes per shot of the picture systems a serving store builds,
 # the kernel's byte-identity golden, the three tests that hold the evaluation
 # arena's reuse invisible to both engines, and the proof that a WithTopK(k)
@@ -43,7 +44,7 @@ race:
 # detector sync.Pool drops puts on purpose, the budgets skip themselves and
 # reuse is rarer.
 budget:
-	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestSystemResidentBytes|TestVideoQueryCostIndependentOfStoreSize|TestColdRequestAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/ ./internal/server/
+	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestSystemResidentBytes|TestVideoQueryCostIndependentOfStoreSize|TestColdRequestAllocBudget|TestFleetRequestAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/ ./internal/server/ ./internal/shard/
 
 # The prove-or-remove gate alone and verbose: every exported function or
 # method of the module has a non-test caller, resolved by go/types, or an
@@ -180,11 +181,13 @@ bench-short:
 # The per-shape table every kernel PR cites (EXPERIMENTS.md): ms, bytes and
 # allocations per cold 64-video query of each MIX6 shape at the Store API,
 # then per GET /query through the server's handler (one store query per
-# video), cold and against a warm result cache; three runs each. Not part of
-# `make check`.
+# video), cold and against a warm result cache, then per cold GET /query
+# through a coordinator over four shard servers on loopback (the shards'
+# bytes included); three runs each. Not part of `make check`.
 bench-shapes:
 	$(GO) test -run '^$$' -bench StoreColdShape -benchmem -benchtime 20x -count 3 .
 	$(GO) test -run '^$$' -bench 'ColdRequest|WarmRequest' -benchmem -benchtime 20x -count 3 ./internal/server/
+	$(GO) test -run '^$$' -bench FleetColdRequest -benchmem -benchtime 20x -count 3 ./internal/shard/
 
 # Where one cold MIX6 cycle's bytes go (EXPERIMENTS.md): BenchmarkStoreColdCycle
 # under the memory profiler, then the profile's allocation sites by bytes. The

@@ -3,7 +3,6 @@ package htlvideo
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -25,11 +24,8 @@ func mix6Corpus(tb testing.TB, videos, scenes, shots int) *Store {
 		tax.MustAdd(e[0], e[1])
 	}
 	st := NewStore(tax, DefaultWeights())
-	rng := rand.New(rand.NewSource(1))
-	for id := 1; id <= videos; id++ {
-		if err := st.Add(workload.CorpusVideo(rng, id, scenes, shots)); err != nil {
-			tb.Fatal(err)
-		}
+	if err := workload.Corpus(videos, scenes, shots, st.Add); err != nil {
+		tb.Fatal(err)
 	}
 	return st
 }
@@ -41,16 +37,16 @@ func BenchmarkStoreColdShape(b *testing.B) {
 	}
 	st := mix6Corpus(b, videos, scenes, 10)
 	for _, sh := range mix6Shapes {
-		b.Run(sh.name, func(b *testing.B) {
+		b.Run(sh.Name, func(b *testing.B) {
 			// Build the per-video systems outside the timed loop, as the
 			// serving benchmark's warm-up does.
-			if _, err := st.Query(sh.text, AtLevel(sh.level), WithoutCache()); err != nil {
+			if _, err := st.Query(sh.Text, AtLevel(sh.Level), WithoutCache()); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := st.QueryCtx(context.Background(), sh.text, AtLevel(sh.level), WithUntilThreshold(0.5), WithoutCache())
+				res, err := st.QueryCtx(context.Background(), sh.Text, AtLevel(sh.Level), WithUntilThreshold(0.5), WithoutCache())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -74,7 +70,7 @@ func BenchmarkStoreColdCycle(b *testing.B) {
 	}
 	st := mix6Corpus(b, videos, scenes, 10)
 	for _, sh := range mix6Shapes {
-		if _, err := st.Query(sh.text, AtLevel(sh.level), WithoutCache()); err != nil {
+		if _, err := st.Query(sh.Text, AtLevel(sh.Level), WithoutCache()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,8 +78,8 @@ func BenchmarkStoreColdCycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sh := range mix6Shapes {
-			for range sh.weight {
-				res, err := st.QueryCtx(context.Background(), sh.text, AtLevel(sh.level), WithUntilThreshold(0.5), WithTopK(10), WithoutCache())
+			for range sh.Weight {
+				res, err := st.QueryCtx(context.Background(), sh.Text, AtLevel(sh.Level), WithUntilThreshold(0.5), WithTopK(10), WithoutCache())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -149,12 +145,12 @@ func coldShapeRows() []coldShapeRow {
 	var rows []coldShapeRow
 	for _, k := range []int{0, 10} {
 		for _, sh := range mix6Shapes {
-			name := sh.name
+			name := sh.Name
 			if k > 0 {
-				name = fmt.Sprintf("%s k=%d", sh.name, k)
+				name = fmt.Sprintf("%s k=%d", sh.Name, k)
 			}
 			if landed, ok := coldShapeBudget[name]; ok {
-				rows = append(rows, coldShapeRow{name: name, text: sh.text, level: sh.level, k: k, landed: landed})
+				rows = append(rows, coldShapeRow{name: name, text: sh.Text, level: sh.Level, k: k, landed: landed})
 			}
 		}
 	}

@@ -49,7 +49,7 @@ var uncalledExported = map[string]string{
 	"core.ValueTable.Validate":    "safety check: the value-table invariants FuzzOracle checks",
 	"metadata.SegBuilder.Rel":     "test seam: relationships in the fuzz and oracle corpora",
 	"faultinject.Plan.Calls":      "test seam: how often a fault site fired",
-	"workload.CorpusVideo":        "test corpora",
+	"workload.Corpus":             "test corpora",
 	"wal.FrameSize":               "crash-offset arithmetic in the crash tests",
 	"wal.HeaderSize":              "crash-offset arithmetic in the crash tests",
 	"htlvideo.WithParallelism":    "the library's bound on one query's concurrent videos; tests pin it",

@@ -47,16 +47,14 @@ func corpusSystems(t testing.TB, videos, scenes, shots int, edit func(*metadata.
 	for _, e := range workload.CorpusTaxonomy {
 		tax.MustAdd(e[0], e[1])
 	}
-	rng := rand.New(rand.NewSource(1))
-	for id := 1; id <= videos; id++ {
-		v := workload.CorpusVideo(rng, id, scenes, shots)
+	err := workload.Corpus(videos, scenes, shots, func(v *metadata.Video) error {
 		if edit != nil {
 			edit(v)
 		}
 		for _, level := range []int{2, 3} {
 			sys, err := picture.NewSystem(v, level, tax, picture.DefaultWeights())
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
 			if level == 2 {
 				atScene = append(atScene, sys)
@@ -64,6 +62,10 @@ func corpusSystems(t testing.TB, videos, scenes, shots int, edit func(*metadata.
 				atShot = append(atShot, sys)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return atScene, atShot
 }

@@ -5,29 +5,33 @@ import (
 	"testing"
 )
 
+// parseSeeds are FuzzParse's seed corpus: well-formed queries of every
+// production, malformed ones, and deep nesting.
+var parseSeeds = []string{
+	"true",
+	"exists x . present(x) and type(x) = 'man'",
+	"exists x, y . fires_at(x, y)",
+	"M1 until M2",
+	"next eventually genre = 'western'",
+	"[y <- color(x)] eventually color(x) = y",
+	"at-shot-level(exists x . present(x))",
+	"at-level(3, M1 until M2)",
+	"at-next-level(not holds_gun(x))",
+	"not (M1 and M2)",
+	"(((true)))",
+	"exists x . present(x",
+	"a = ",
+	"[y <- ] true",
+	strings.Repeat("(", 64) + "true" + strings.Repeat(")", 64),
+	strings.Repeat("not ", 64) + "M1",
+}
+
 // FuzzParse asserts that parsing is total: any input either fails with a
 // parse error or yields a formula whose printed form parses back without
 // panicking, and printing is a fixed point (print → parse → print is
 // stable).
 func FuzzParse(f *testing.F) {
-	for _, seed := range []string{
-		"true",
-		"exists x . present(x) and type(x) = 'man'",
-		"exists x, y . fires_at(x, y)",
-		"M1 until M2",
-		"next eventually genre = 'western'",
-		"[y <- color(x)] eventually color(x) = y",
-		"at-shot-level(exists x . present(x))",
-		"at-level(3, M1 until M2)",
-		"at-next-level(not holds_gun(x))",
-		"not (M1 and M2)",
-		"(((true)))",
-		"exists x . present(x",
-		"a = ",
-		"[y <- ] true",
-		strings.Repeat("(", 64) + "true" + strings.Repeat(")", 64),
-		strings.Repeat("not ", 64) + "M1",
-	} {
+	for _, seed := range parseSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -76,10 +76,10 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("htl: syntax error at offset %d: %s", e.Pos, e.Msg)
 }
 
-// lex tokenizes src. Identifiers admit letters, digits, '_' and interior '-'
-// immediately followed by a letter, so `at-scene-level` is a single token.
-func lex(src string) ([]token, error) {
-	var toks []token
+// lex tokenizes src, appending to toks. Identifiers admit letters, digits,
+// '_' and interior '-' immediately followed by a letter, so `at-scene-level`
+// is a single token.
+func lex(toks []token, src string) ([]token, error) {
 	i := 0
 	n := len(src)
 	for i < n {
@@ -113,7 +113,7 @@ func lex(src string) ([]token, error) {
 				toks = append(toks, token{tokNe, "!=", i})
 				i += 2
 			} else {
-				return nil, &SyntaxError{i, "unexpected '!'"}
+				return toks, &SyntaxError{i, "unexpected '!'"}
 			}
 		case c == '<':
 			switch {
@@ -138,7 +138,7 @@ func lex(src string) ([]token, error) {
 		case c == '\'':
 			j := strings.IndexByte(src[i+1:], '\'')
 			if j < 0 {
-				return nil, &SyntaxError{i, "unterminated string literal"}
+				return toks, &SyntaxError{i, "unterminated string literal"}
 			}
 			toks = append(toks, token{tokStr, src[i+1 : i+1+j], i})
 			i += j + 2
@@ -147,7 +147,7 @@ func lex(src string) ([]token, error) {
 			if c == '-' {
 				i++
 				if i >= n || src[i] < '0' || src[i] > '9' {
-					return nil, &SyntaxError{start, "unexpected '-'"}
+					return toks, &SyntaxError{start, "unexpected '-'"}
 				}
 			}
 			for i < n && src[i] >= '0' && src[i] <= '9' {
@@ -171,7 +171,7 @@ func lex(src string) ([]token, error) {
 			}
 			toks = append(toks, token{tokIdent, src[start:i], start})
 		default:
-			return nil, &SyntaxError{i, fmt.Sprintf("unexpected character %q", c)}
+			return toks, &SyntaxError{i, fmt.Sprintf("unexpected character %q", c)}
 		}
 	}
 	toks = append(toks, token{tokEOF, "", n})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Parse parses an HTL query and resolves variable binding. The result is a
@@ -11,11 +12,14 @@ import (
 // attribute variable by a freeze operator; unbound identifiers compared with
 // `=`/`<`/... are read as segment-level attributes (e.g. `genre = 'western'`).
 func Parse(src string) (Formula, error) {
-	toks, err := lex(src)
+	buf := tokenPool.Get().(*[]token)
+	defer releaseTokens(buf)
+	toks, err := lex((*buf)[:0], src)
+	*buf = toks
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := parser{toks: toks}
 	f, err := p.formula()
 	if err != nil {
 		return nil, err
@@ -24,6 +28,28 @@ func Parse(src string) (Formula, error) {
 		return nil, &SyntaxError{p.peek().pos, fmt.Sprintf("unexpected %s after formula", p.peek().kind)}
 	}
 	return bind(f, map[string]VarKind{})
+}
+
+// maxPooledTokens caps the token buffers Parse keeps for reuse: a buffer a
+// long query grew past it is dropped, so one hostile query does not stay
+// pinned in the pool.
+const maxPooledTokens = 1024
+
+// tokenPool holds Parse's token buffers; the formula Parse returns holds
+// substrings of the source, never a token.
+var tokenPool = sync.Pool{New: func() any { return new([]token) }}
+
+// releaseTokens clears buf's tokens, whose texts are substrings of the
+// source, and returns it to tokenPool unless it grew past maxPooledTokens.
+// It reports whether it pooled buf.
+func releaseTokens(buf *[]token) bool {
+	if cap(*buf) > maxPooledTokens {
+		return false
+	}
+	clear(*buf)
+	*buf = (*buf)[:0]
+	tokenPool.Put(buf)
+	return true
 }
 
 // MustParse is Parse that panics on error; for statically known queries in

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -11,27 +10,9 @@ import (
 	"testing"
 
 	"htlvideo"
-	"htlvideo/internal/casablanca"
 	"htlvideo/internal/obs"
 	"htlvideo/internal/workload"
 )
-
-// coldShape is one MIX6 query shape at its level.
-type coldShape struct {
-	name, text string
-	level      int
-}
-
-// coldShapes are the six query shapes of the serving benchmark's MIX6
-// (bench/queries.go) with their levels.
-var coldShapes = []coldShape{
-	{"type1", casablanca.Query1, 3},
-	{"until", "M1 until M2", 3},
-	{"type2", "exists z . (present(z) and type(z) = 'airplane') and eventually (present(z) and moving(z))", 3},
-	{"conj", "exists z . (present(z) and type(z) = 'airplane') and [h <- height(z)] eventually (present(z) and height(z) > h)", 3},
-	{"extconj", "outdoor = 1 and at-shot-level(M1 until M2)", 2},
-	{"general", "not (M1 until M2)", 3},
-}
 
 // corpusServer serves a store shaped like the serving benchmark's C10k
 // corpus, videos × scenes × 10 shots.
@@ -42,11 +23,8 @@ func corpusServer(tb testing.TB, videos, scenes int, opts ...Option) *Server {
 		tax.MustAdd(e[0], e[1])
 	}
 	st := htlvideo.NewStore(tax, htlvideo.DefaultWeights())
-	rng := rand.New(rand.NewSource(1))
-	for id := 1; id <= videos; id++ {
-		if err := st.Add(workload.CorpusVideo(rng, id, scenes, 10)); err != nil {
-			tb.Fatal(err)
-		}
+	if err := workload.Corpus(videos, scenes, 10, st.Add); err != nil {
+		tb.Fatal(err)
 	}
 	return New(st, append([]Option{WithRandSeed(1)}, opts...)...)
 }
@@ -77,8 +55,8 @@ func BenchmarkWarmRequest(b *testing.B) {
 // getShape returns a function that sends h one GET /query of the MIX6 shape
 // sh with k=10, as the serving benchmark does, with trace as its X-Htl-Trace
 // header when set, and fails tb unless it answers 200.
-func getShape(tb testing.TB, h http.Handler, sh coldShape, trace string) func() {
-	target := "/query?" + url.Values{"q": {sh.text}, "level": {strconv.Itoa(sh.level)}, "k": {"10"}}.Encode()
+func getShape(tb testing.TB, h http.Handler, sh workload.Shape, trace string) func() {
+	target := "/query?" + url.Values{"q": {sh.Text}, "level": {strconv.Itoa(sh.Level)}, "k": {"10"}}.Encode()
 	return func() {
 		w := httptest.NewRecorder()
 		r := httptest.NewRequest(http.MethodGet, target, nil)
@@ -87,16 +65,16 @@ func getShape(tb testing.TB, h http.Handler, sh coldShape, trace string) func() 
 		}
 		h.ServeHTTP(w, r)
 		if w.Code != http.StatusOK {
-			tb.Fatalf("%s: status %d: %s", sh.name, w.Code, w.Body)
+			tb.Fatalf("%s: status %d: %s", sh.Name, w.Code, w.Body)
 		}
 	}
 }
 
 func benchRequests(b *testing.B, srv *Server) {
 	h := srv.Handler()
-	for _, sh := range coldShapes {
+	for _, sh := range workload.MIX6 {
 		get := getShape(b, h, sh, "")
-		b.Run(sh.name, func(b *testing.B) {
+		b.Run(sh.Name, func(b *testing.B) {
 			get()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -127,35 +105,39 @@ func benchRequests(b *testing.B, srv *Server) {
 // While each video's store query applied the request's options into a
 // config of its own and the ranking copied the lists into a map: type1 166 /
 // 22.5 KB, until 87 / 14.2 KB, type2 156 / 18.9 KB, conj 178 / 21.9 KB,
-// extconj 99 / 14.1 KB, general 89 / 12.4 KB.
+// extconj 99 / 14.1 KB, general 89 / 12.4 KB. While the parser lexed into a
+// token slice grown from nil, the handler compiled by the printed formula,
+// and the eligible videos and the answer's runs were appended one by one:
+// type1 161 / 21.2 KB, until 82 / 12.9 KB, type2 151 / 17.6 KB, conj 174 /
+// 20.6 KB, extconj 94 / 12.8 KB, general 84 / 11.1 KB.
 // TestColdRequestAllocBudget fails at 1.1 times either figure
 // (`make budget`), and holds a shard request to the same: one whose
 // X-Htl-Trace id a coordinator flagged unsampled, so none of its 64 requests
 // is traced. The same request under a bare id, traced every time, is logged
 // and not bounded.
 var coldRequestBudget = map[string]struct{ allocs, bytes float64 }{
-	"type1":   {allocs: 161, bytes: 21_200},
-	"until":   {allocs: 82, bytes: 12_900},
-	"type2":   {allocs: 151, bytes: 17_600},
-	"conj":    {allocs: 174, bytes: 20_600},
-	"extconj": {allocs: 94, bytes: 12_800},
-	"general": {allocs: 84, bytes: 11_100},
+	"type1":   {allocs: 121, bytes: 14_900},
+	"until":   {allocs: 71, bytes: 11_800},
+	"type2":   {allocs: 125, bytes: 14_100},
+	"conj":    {allocs: 145, bytes: 14_700},
+	"extconj": {allocs: 79, bytes: 11_300},
+	"general": {allocs: 73, bytes: 10_500},
 }
 
 func TestColdRequestAllocBudget(t *testing.T) {
 	skipUnlessPoolsKeep(t)
 	h := corpusServer(t, 8, 4, WithParallelism(1)).Handler()
 	const id = "0123456789abcdef0123456789abcdef"
-	for _, sh := range coldShapes {
-		budget := coldRequestBudget[sh.name]
+	for _, sh := range workload.MIX6 {
+		budget := coldRequestBudget[sh.Name]
 		getShape(t, h, sh, "")() // build the per-video systems
 		for _, req := range []struct {
 			name, trace string
 			bounded     bool
 		}{
-			{sh.name, "", true},
-			{sh.name + " unsampled shard request", obs.FormatTraceHeader(id, false), true},
-			{sh.name + " traced shard request", id, false},
+			{sh.Name, "", true},
+			{sh.Name + " unsampled shard request", obs.FormatTraceHeader(id, false), true},
+			{sh.Name + " traced shard request", id, false},
 		} {
 			allocs, bytes := perRun(64, getShape(t, h, sh, req.trace))
 			if !req.bounded {

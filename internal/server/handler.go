@@ -570,15 +570,20 @@ func ParseExplainRequest(r *http.Request, d ParseDefaults) (p QueryParams, statu
 // partial-result semantics at the serving layer — a failing or tripped
 // video costs its own results only.
 //
-// The formula is compiled, its options bound and the request labeled for the
+// The query is compiled, its options bound and the request labeled for the
 // CPU profiler once, so a per-video store query pays for its evaluation and
 // its own accounting only, and the ranking reads the fan-out's results where
-// they lie.
+// they lie. It compiles by the request's text, as the store's plan cache is
+// keyed: a hit neither parses nor prints the formula.
 func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams) (*QueryResponse, error) {
-	cq := st.CompileFormula(p.Formula)
+	cq, err := st.Compile(p.Query)
+	if err != nil {
+		return &QueryResponse{}, err
+	}
 	out := &QueryResponse{Class: cq.Class().String()}
-	var eligible []int64
-	for _, v := range st.Videos() {
+	videos := st.Videos()
+	eligible := make([]int64, 0, len(videos))
+	for _, v := range videos {
 		if !v.HasLevel(p.Level) {
 			continue
 		}
@@ -717,11 +722,14 @@ func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams
 			}
 		}
 	}, p.K)
-	for _, rk := range top {
-		out.Top = append(out.Top, RankedDoc{
+	if len(top) > 0 { // no runs answer "top": null, as they always have
+		out.Top = make([]RankedDoc, len(top))
+	}
+	for i, rk := range top {
+		out.Top[i] = RankedDoc{
 			Video: rk.VideoID, Beg: rk.Iv.Beg, End: rk.Iv.End,
 			Sim: rk.Sim.Act, Frac: rk.Sim.Frac(),
-		})
+		}
 	}
 	if err != nil {
 		mergeSpan.SetTag("error", obs.Truncate(err.Error(), 120))

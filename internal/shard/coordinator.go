@@ -3,14 +3,17 @@
 // A deployment splits its store into disjoint shard documents by video id
 // (htlvideo.SplitDoc), runs one internal/server process per shard document,
 // and puts this package's Coordinator in front. The
-// coordinator parses and compiles each HTL query once (the same
-// server.ParseQueryRequest validation every layer uses), fans it out to all
-// shards in parallel, and k-way-merges the ranked partial results under
-// core.RankedLess — the same ordering the single-store top-k uses, so a
-// healthy merged ranking is identical to a single-store run.
+// coordinator validates each HTL query with the same
+// server.ParseQueryRequest every layer uses, so a malformed one is refused
+// before any shard hears of it, encodes its parameters once, and fans it out
+// to all shards in parallel; each shard parses and compiles the text again,
+// under its own plan cache. The ranked partial results are merged by one
+// stable sort under core.RankedLess — the same ordering the single-store
+// top-k uses, so a healthy merged ranking is identical to a single-store
+// run.
 //
 // In the paper's Fig. 1 architecture the coordinator plays the query
-// processor over a partitioned video database: parsing and ranking stay
+// processor over a partitioned video database: validation and ranking stay
 // global, picture-system evaluation happens where the videos live.
 //
 // Robustness mirrors internal/server one level up, with shards in place of

@@ -451,6 +451,42 @@ func TestCoordinatorRejectsBadTimeout(t *testing.T) {
 	}
 }
 
+// TestCoordinatorHugeK sends k far beyond any shard's answer: the
+// coordinator must not size a shard reply by the client's k (k=1<<40 once
+// panicked making that slice, in a goroutine nothing recovers), and answers
+// the whole ranking, as the single store does.
+func TestCoordinatorHugeK(t *testing.T) {
+	doc := fixtureDoc(12)
+	st, err := doc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := httptest.NewServer(server.New(st, server.WithRandSeed(1)).Handler())
+	defer single.Close()
+	ct := httptest.NewServer(New(startShardServers(t, doc, 3), WithRandSeed(1)).Handler())
+	defer ct.Close()
+
+	type answer struct {
+		Top    json.RawMessage `json:"top"`
+		Shards struct {
+			Errors []json.RawMessage `json:"errors"`
+		} `json:"shards"`
+	}
+	for _, k := range []int64{1 << 40, 1<<63 - 1} {
+		target := fmt.Sprintf("/query?q=M1&k=%d", k)
+		var want, got answer
+		if code := getDoc(t, single.URL+target, &want); code != http.StatusOK {
+			t.Fatalf("single k=%d: status %d", k, code)
+		}
+		if code := getDoc(t, ct.URL+target, &got); code != http.StatusOK {
+			t.Fatalf("coordinator k=%d: status %d", k, code)
+		}
+		if string(got.Top) != string(want.Top) || len(got.Shards.Errors) != 0 {
+			t.Errorf("k=%d: coordinator top %s (shard errors %s), single store %s", k, got.Top, got.Shards.Errors, want.Top)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	doc := fixtureDoc(4)
 	c := New(startShardServers(t, doc, 2), WithRandSeed(1))

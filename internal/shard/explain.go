@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
 
 	"htlvideo"
@@ -74,17 +73,19 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams) (*Expla
 	for i, mb := range members {
 		keys[i] = mb.ord
 	}
+	// The explain result carries trace_id already, so trace= is not sent.
+	ep := p
+	ep.Trace = false
+	form := encodeParams(ep)
 	results := resilience.FanOut(ctx, keys, c.guard(),
 		func(ctx context.Context, i, _ int) (*htlvideo.ExplainResult, error) {
-			form := p.Values()
-			form.Del("trace") // the explain result carries trace_id already
-			sctx, cancel, err := c.budget(ctx, form, nil)
+			sctx, cancel, budget, err := c.budget(ctx, nil)
 			if err != nil {
 				return nil, err
 			}
 			defer cancel()
 			// An explain is always traced: its id goes out sampled.
-			return c.doExplainRequest(sctx, members[i], form, obs.FormatTraceHeader(p.TraceID, true))
+			return c.doExplainRequest(sctx, members[i], withTimeout(form, budget), obs.FormatTraceHeader(p.TraceID, true))
 		},
 		func(_ int, r *resilience.Result[*htlvideo.ExplainResult]) { c.count(r.Outcome) })
 
@@ -137,7 +138,7 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams) (*Expla
 }
 
 // doExplainRequest is one POST /explain attempt against one shard.
-func (c *Coordinator) doExplainRequest(ctx context.Context, mb member, form url.Values, trace string) (*htlvideo.ExplainResult, error) {
+func (c *Coordinator) doExplainRequest(ctx context.Context, mb member, form, trace string) (*htlvideo.ExplainResult, error) {
 	c.m.requests.Inc()
 	var er htlvideo.ExplainResult
 	if err := c.roundTrip(ctx, http.MethodPost, mb.url+"/explain", form, trace, &er); err != nil {

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"htlvideo"
+	"htlvideo/internal/casablanca"
 	"htlvideo/internal/obs"
 	"htlvideo/internal/resilience"
 	"htlvideo/internal/server"
@@ -365,5 +366,59 @@ func TestCoordinatorExplainQuorum(t *testing.T) {
 	}
 	if merged.Shards.OK != 2 || merged.Plan == nil || len(merged.Plan.PerShard) != 2 {
 		t.Fatalf("partial explain = %+v", merged)
+	}
+}
+
+// TestEmptyShardExplain: Casablanca's one video over four shards leaves
+// three of them empty. An empty shard's /explain answers the plan with no
+// videos and no visits, as its /query answers videos: 0, so the
+// coordinator's explains lose no shard and open no breaker, and the query
+// after them is not partial.
+func TestEmptyShardExplain(t *testing.T) {
+	st := htlvideo.NewStore(casablanca.Taxonomy(), casablanca.Weights())
+	if err := st.Add(casablanca.Video()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc htlvideo.StoreDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	coord := New(startShardServers(t, doc, 4), WithRandSeed(1))
+	ct := httptest.NewServer(coord.Handler())
+	defer ct.Close()
+
+	// Enough explains to open a breaker the shards' errors would trip
+	// (resilience.DefaultBreakerConfig: four outcomes, half of them failed).
+	form := url.Values{"q": {casablanca.Query1}}
+	for i := 0; i < 4; i++ {
+		resp, err := http.PostForm(ct.URL+"/explain", form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ed ExplainDoc
+		err = json.NewDecoder(resp.Body).Decode(&ed)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain %d: status %d, shard errors %+v", i, resp.StatusCode, ed.Shards)
+		}
+		if ed.Shards.OK != 4 || len(ed.Shards.Errors) != 0 || ed.Videos != 1 {
+			t.Fatalf("explain %d: %d of 4 shards, errors %+v, %d videos; want 4, none, 1", i, ed.Shards.OK, ed.Shards.Errors, ed.Videos)
+		}
+	}
+
+	var qr server.QueryResponse
+	if code := getDoc(t, ct.URL+"/query?"+form.Encode(), &qr); code != http.StatusOK {
+		t.Fatalf("query: status %d", code)
+	}
+	if qr.Shards.OK != 4 || len(qr.Shards.Errors) != 0 || qr.Videos != 1 || len(qr.Top) == 0 {
+		t.Fatalf("query after the explains: %d of 4 shards, errors %+v, %d videos, %d runs; want 4, none, 1, some",
+			qr.Shards.OK, qr.Shards.Errors, qr.Videos, len(qr.Top))
 	}
 }

@@ -1,6 +1,6 @@
 package shard
 
-// Property test for the k-way ranked merge: for random per-video similarity
+// Property test for the ranked merge: for random per-video similarity
 // lists and a random partition of the videos into shards, merging the
 // shards' local top-k prefixes must reproduce the global top-k over the
 // unpartitioned lists exactly — ties included, truncation included. This is
@@ -26,23 +26,6 @@ func docsFromRanked(rs []core.Ranked) []server.RankedDoc {
 		out = append(out, server.RankedDoc{
 			Video: rk.VideoID, Beg: rk.Iv.Beg, End: rk.Iv.End,
 			Sim: rk.Sim.Act, Frac: rk.Sim.Frac(),
-		})
-	}
-	return out
-}
-
-// entriesFromDocs converts wire docs back to merge inputs the same way the
-// coordinator does when it decodes a shard response.
-func entriesFromDocs(docs []server.RankedDoc) []mergeEntry {
-	var out []mergeEntry
-	for _, d := range docs {
-		out = append(out, mergeEntry{
-			r: core.Ranked{
-				VideoID: d.Video,
-				Iv:      interval.Wide{Beg: d.Beg, End: d.End},
-				Sim:     simlist.Sim{Act: d.Sim},
-			},
-			doc: d,
 		})
 	}
 	return out
@@ -82,16 +65,17 @@ func TestMergeMatchesGlobalTopK(t *testing.T) {
 			parts[rnd.Intn(m)][vid] = l
 		}
 
-		// Each shard computes its own local top-k; the coordinator merges.
-		var entries []mergeEntry
+		// Each shard computes its own local top-k; the coordinator
+		// concatenates the shards' runs and merges.
+		var docs []server.RankedDoc
 		for _, pl := range parts {
 			top, _, err := core.TopK(context.Background(), core.MapLists(pl), k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			entries = append(entries, entriesFromDocs(docsFromRanked(top))...)
+			docs = append(docs, docsFromRanked(top)...)
 		}
-		got := mergeRanked(entries, k)
+		got := mergeRanked(docs, k)
 
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (videos=%d shards=%d k=%d): merged top-k diverges\n got: %+v\nwant: %+v",
@@ -101,11 +85,14 @@ func TestMergeMatchesGlobalTopK(t *testing.T) {
 }
 
 func TestMergeRankedTruncatesLastRun(t *testing.T) {
-	entries := entriesFromDocs([]server.RankedDoc{
-		{Video: 1, Beg: 1, End: 4, Sim: 2, Frac: 1},     // 4 segments
-		{Video: 2, Beg: 10, End: 13, Sim: 1, Frac: 0.5}, // 4 more
-	})
-	got := mergeRanked(entries, 6)
+	// mergeRanked consumes its input, so each call gets a fresh slice.
+	docs := func() []server.RankedDoc {
+		return []server.RankedDoc{
+			{Video: 1, Beg: 1, End: 4, Sim: 2, Frac: 1},     // 4 segments
+			{Video: 2, Beg: 10, End: 13, Sim: 1, Frac: 0.5}, // 4 more
+		}
+	}
+	got := mergeRanked(docs(), 6)
 	want := []server.RankedDoc{
 		{Video: 1, Beg: 1, End: 4, Sim: 2, Frac: 1},
 		{Video: 2, Beg: 10, End: 11, Sim: 1, Frac: 0.5}, // cut to 2 segments
@@ -113,7 +100,7 @@ func TestMergeRankedTruncatesLastRun(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
-	if mergeRanked(entries, 0) != nil {
+	if mergeRanked(docs(), 0) != nil {
 		t.Fatal("k=0 must yield nil")
 	}
 }

@@ -37,7 +37,7 @@ func (c *Coordinator) QueryStats(ctx context.Context) (querystats.Snapshot, []qu
 	results := resilience.FanOut(ctx, make([]int64, len(members)), resilience.Guard{},
 		func(ctx context.Context, i, _ int) (querystats.Snapshot, error) {
 			var snap querystats.Snapshot
-			err := c.roundTrip(ctx, http.MethodGet, members[i].url+"/debug/queries", nil, "", &snap)
+			err := c.roundTrip(ctx, http.MethodGet, members[i].url+"/debug/queries", "", "", &snap)
 			return snap, err
 		}, nil)
 	snaps := make([]querystats.Snapshot, len(members))

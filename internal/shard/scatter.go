@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,9 +9,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"htlvideo/internal/core"
@@ -140,22 +143,22 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 			spans[i].SetTag("breaker", c.breaker.State(mb.ord).String())
 		}
 	}
+	// Shards evaluate the same k as the coordinator: per-shard top-k
+	// prefixes are exactly what the merge needs for an exact global top k.
+	// The parameters are encoded once; each attempt adds its own budget.
+	query := encodeParams(p)
 	parts := resilience.FanOut(ctx, keys, c.guard(),
 		func(ctx context.Context, i, attempt int) (*server.QueryResponse, error) {
 			mb, sp := members[i], spans[i]
 			if attempt == 1 {
 				sp.SetTag("url", mb.url)
 			}
-			// Shards evaluate the same k as the coordinator: per-shard top-k
-			// prefixes are exactly what the merge needs for an exact global
-			// top k.
-			q := p.Values()
-			sctx, cancel, err := c.budget(ctx, q, sp)
+			sctx, cancel, budget, err := c.budget(ctx, sp)
 			if err != nil {
 				return nil, err
 			}
 			defer cancel()
-			return c.callHedged(sctx, mb, q, trace, sp, &launches[i])
+			return c.callHedged(sctx, mb, withTimeout(query, budget), p.K, trace, sp, &launches[i])
 		},
 		func(i int, r *resilience.Result[*server.QueryResponse]) {
 			spans[i].SetTag("outcome", c.count(r.Outcome))
@@ -177,7 +180,13 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 	}
 
 	mergeSp := tr.StartSpan("merge")
-	var entries []mergeEntry
+	n := 0
+	for _, pt := range parts {
+		if pt.Err == nil {
+			n += len(pt.Value.Top)
+		}
+	}
+	docs := make([]server.RankedDoc, 0, n)
 	for i, pt := range parts {
 		if pt.Err != nil {
 			name := members[i].name
@@ -195,23 +204,14 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 		out.Retries += r.Retries
 		out.Skipped = append(out.Skipped, r.Skipped...)
 		out.Failed = append(out.Failed, r.Failed...)
-		for _, d := range r.Top {
-			entries = append(entries, mergeEntry{
-				r: core.Ranked{
-					VideoID: d.Video,
-					Iv:      interval.Wide{Beg: d.Beg, End: d.End},
-					Sim:     simlist.Sim{Act: d.Sim},
-				},
-				doc: d,
-			})
-		}
+		docs = append(docs, r.Top...)
 	}
 	// Scatter order is name-sorted, so ShardErrors is already deterministic;
 	// the video-level aggregates need a sort because they interleave shards.
 	sort.Slice(out.Skipped, func(i, j int) bool { return out.Skipped[i].Video < out.Skipped[j].Video })
 	sort.Slice(out.Failed, func(i, j int) bool { return out.Failed[i].Video < out.Failed[j].Video })
 
-	out.Top = mergeRanked(entries, p.K)
+	out.Top = mergeRanked(docs, p.K)
 	mergeSp.End()
 	if !out.QuorumMet(c.cfg.minShards) {
 		c.m.quorumFailures.Inc()
@@ -248,39 +248,45 @@ func (c *Coordinator) begin(ctx context.Context, p *server.QueryParams) (_ conte
 	}
 }
 
-// mergeEntry pairs a core.Ranked (for ordering) with the shard's document
-// (carrying frac, which depends on the shard-local max similarity).
-type mergeEntry struct {
-	r   core.Ranked
-	doc server.RankedDoc
-}
-
-// mergeRanked k-way-merges per-shard ranked streams into the global top k
-// segments. The ordering is core.RankedLess and the truncation mirrors
-// core.TopK (k counts segments; the last run is cut to fit), which together
-// make the merge of per-shard top-k prefixes identical to a single-store
-// top-k: an entry among the global top k has fewer than k segments ahead of
-// it globally, hence fewer than k ahead of it on its own shard — so every
-// needed entry, and enough of every needed run, is present in the partials.
-func mergeRanked(entries []mergeEntry, k int) []server.RankedDoc {
-	if k <= 0 || len(entries) == 0 {
+// mergeRanked merges the shards' ranked runs, concatenated in docs, into
+// the global top k segments, in place: it sorts docs, cuts the last run it
+// keeps and returns a prefix of docs, so the caller's slice is consumed. The
+// ordering is core.RankedLess (a stable sort over the runs of every shard)
+// and the truncation mirrors core.TopK (k counts segments; the last run is
+// cut to fit), which together make the merge of per-shard top-k prefixes
+// identical to a single-store top-k: an entry among the global top k has
+// fewer than k segments ahead of it globally, hence fewer than k ahead of it
+// on its own shard — so every needed entry, and enough of every needed run,
+// is present in the partials. The ordering reads Sim.Act, never frac, which
+// depends on the shard-local max similarity.
+func mergeRanked(docs []server.RankedDoc, k int) []server.RankedDoc {
+	if k <= 0 || len(docs) == 0 {
 		return nil
 	}
-	sort.SliceStable(entries, func(i, j int) bool { return core.RankedLess(entries[i].r, entries[j].r) })
-	var out []server.RankedDoc
-	remaining := k
-	for _, e := range entries {
-		if remaining <= 0 {
-			break
+	slices.SortStableFunc(docs, func(a, b server.RankedDoc) int {
+		switch ra, rb := rankedOf(a), rankedOf(b); {
+		case core.RankedLess(ra, rb):
+			return -1
+		case core.RankedLess(rb, ra):
+			return 1
 		}
-		d := e.doc
-		if n := d.End - d.Beg + 1; n > remaining {
+		return 0
+	})
+	n, remaining := 0, k
+	for n < len(docs) && remaining > 0 {
+		d := &docs[n]
+		if run := d.End - d.Beg + 1; run > remaining {
 			d.End = d.Beg + remaining - 1
 		}
 		remaining -= d.End - d.Beg + 1
-		out = append(out, d)
+		n++
 	}
-	return out
+	return docs[:n]
+}
+
+// rankedOf is the part of a shard's run that core.RankedLess orders by.
+func rankedOf(d server.RankedDoc) core.Ranked {
+	return core.Ranked{VideoID: d.Video, Iv: interval.Wide{Beg: d.Beg, End: d.End}, Sim: simlist.Sim{Act: d.Sim}}
 }
 
 // guard is the policy every shard sub-query runs under: all shards at once,
@@ -310,23 +316,40 @@ func (c *Coordinator) count(o resilience.Outcome) string {
 }
 
 // budget bounds one shard attempt to a fraction of the time remaining on
-// ctx, forwarded as the shard's own ?timeout= so the shard self-bounds too,
-// and tagged on sp. Without a deadline on ctx the attempt runs unbounded.
-func (c *Coordinator) budget(ctx context.Context, q url.Values, sp *obs.Span) (context.Context, context.CancelFunc, error) {
+// ctx, tagged on sp and returned for the caller to forward as the shard's
+// own ?timeout= (withTimeout), so the shard self-bounds too. Without a
+// deadline on ctx the attempt runs unbounded and the budget is zero.
+func (c *Coordinator) budget(ctx context.Context, sp *obs.Span) (context.Context, context.CancelFunc, time.Duration, error) {
 	dl, ok := ctx.Deadline()
 	if !ok {
-		return ctx, func() {}, nil
+		return ctx, func() {}, 0, nil
 	}
 	budget := time.Duration(float64(time.Until(dl)) * c.cfg.budgetFraction)
 	if budget <= 0 {
-		return nil, nil, context.DeadlineExceeded
+		return nil, nil, 0, context.DeadlineExceeded
 	}
-	q.Set("timeout", budget.String())
 	if sp != nil {
 		sp.SetTag("budget", budget.Round(time.Millisecond).String())
 	}
 	sctx, cancel := context.WithTimeout(ctx, budget)
-	return sctx, cancel, nil
+	return sctx, cancel, budget, nil
+}
+
+// encodeParams encodes p as a shard request's parameters, without its
+// timeout: every attempt sends its own budget instead (withTimeout).
+func encodeParams(p server.QueryParams) string {
+	v := p.Values()
+	v.Del("timeout")
+	return v.Encode()
+}
+
+// withTimeout appends budget to the encoded parameters as the shard's
+// ?timeout=; a zero budget, an attempt without deadline, adds nothing.
+func withTimeout(params string, budget time.Duration) string {
+	if budget <= 0 {
+		return params
+	}
+	return params + "&timeout=" + url.QueryEscape(budget.String())
 }
 
 // callHedged issues the request, and if the shard stays quiet past the
@@ -339,7 +362,7 @@ func (c *Coordinator) budget(ctx context.Context, q url.Values, sp *obs.Span) (c
 // shard's span (none when sp is nil: the query is unsampled), carrying trace,
 // the X-Htl-Trace value, on the wire; a successful attempt that returned span
 // payload gets the shard's subtree stitched under it.
-func (c *Coordinator) callHedged(ctx context.Context, mb member, q url.Values, trace string, sp *obs.Span, attempt *int64) (*server.QueryResponse, error) {
+func (c *Coordinator) callHedged(ctx context.Context, mb member, query string, k int, trace string, sp *obs.Span, attempt *int64) (*server.QueryResponse, error) {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
@@ -357,7 +380,7 @@ func (c *Coordinator) callHedged(ctx context.Context, mb member, q url.Values, t
 			asp.SetTag("hedge", "true")
 		}
 		go func() {
-			r, err := c.doRequest(hctx, mb, q, trace)
+			r, err := c.doRequest(hctx, mb, query, k, trace)
 			switch {
 			case err == nil:
 				asp.SetTag("outcome", "ok")
@@ -409,13 +432,20 @@ func (c *Coordinator) callHedged(ctx context.Context, mb member, q url.Values, t
 	}
 }
 
-// doRequest is one HTTP attempt against one shard. The distributed trace id
+// maxPresizedTop caps the room doRequest makes for a shard's ranked runs
+// before decoding: k is the client's, unbounded, and a reply holds at most
+// as many runs as the shard has, so a larger top is grown by the decoder.
+const maxPresizedTop = 64
+
+// doRequest is one HTTP attempt against one shard with the encoded
+// parameters query; its ranked runs are decoded into room for the k the
+// shard returns at most, up to maxPresizedTop. The distributed trace id
 // travels on every attempt, so even a failed or abandoned request is
 // joinable from the shard's side.
-func (c *Coordinator) doRequest(ctx context.Context, mb member, q url.Values, trace string) (*server.QueryResponse, error) {
+func (c *Coordinator) doRequest(ctx context.Context, mb member, query string, k int, trace string) (*server.QueryResponse, error) {
 	c.m.requests.Inc()
-	var resp server.QueryResponse
-	if err := c.roundTrip(ctx, http.MethodGet, mb.url+"/query?"+q.Encode(), nil, trace, &resp); err != nil {
+	resp := server.QueryResponse{Top: make([]server.RankedDoc, 0, min(k, maxPresizedTop))}
+	if err := c.roundTrip(ctx, http.MethodGet, mb.url+"/query?"+query, "", trace, &resp); err != nil {
 		return nil, err
 	}
 	// The merge trusts a ranked run to be segment ids: a shard's run outside
@@ -428,21 +458,30 @@ func (c *Coordinator) doRequest(ctx context.Context, mb member, q url.Values, tr
 	return &resp, nil
 }
 
-// roundTrip is one HTTP exchange with a shard: form, when set, is the POST
-// body; trace, when set, is its X-Htl-Trace value, the distributed trace id
-// as obs.FormatTraceHeader flags it. The response is read up to 16 MiB; a
-// non-200 becomes an *httpError carrying the body's "error" field, and a 200
-// body decodes into out.
-func (c *Coordinator) roundTrip(ctx context.Context, method, target string, form url.Values, trace string, out any) error {
+// maxPooledBody caps the response buffers roundTrip keeps for reuse: a
+// buffer a large reply (an explain's plan, a statistics snapshot) grew past
+// it is dropped, so the pool holds only what a query's reply needs.
+const maxPooledBody = 64 << 10
+
+// bodyPool holds roundTrip's response buffers. json.Unmarshal copies what it
+// decodes, so nothing decoded aliases a pooled buffer.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// roundTrip is one HTTP exchange with a shard: form, when set, is the
+// encoded POST body; trace, when set, is its X-Htl-Trace value, the
+// distributed trace id as obs.FormatTraceHeader flags it. The response is
+// read up to 16 MiB into a pooled buffer; a non-200 becomes an *httpError
+// carrying the body's "error" field, and a 200 body decodes into out.
+func (c *Coordinator) roundTrip(ctx context.Context, method, target, form, trace string, out any) error {
 	var body io.Reader
-	if form != nil {
-		body = strings.NewReader(form.Encode())
+	if form != "" {
+		body = strings.NewReader(form)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, target, body)
 	if err != nil {
 		return err
 	}
-	if form != nil {
+	if form != "" {
 		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 	}
 	if trace != "" {
@@ -453,10 +492,17 @@ func (c *Coordinator) roundTrip(ctx context.Context, method, target string, form
 		return err
 	}
 	defer hr.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(hr.Body, 16<<20))
-	if err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyPool.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(io.LimitReader(hr.Body, 16<<20)); err != nil {
 		return err
 	}
+	raw := buf.Bytes()
 	if hr.StatusCode != http.StatusOK {
 		var ed struct {
 			Error string `json:"error"`

@@ -22,6 +22,39 @@ var CorpusTaxonomy = [][2]string{
 
 var corpusTypes = []string{"man", "woman", "train", "airplane", "car"}
 
+// Shape is one query shape of the serving benchmark's MIX6 (bench/queries.go)
+// at the level the benchmark asks it at.
+type Shape struct {
+	Name, Text string
+	Level      int
+	Weight     int // slots of MIX6's 12-query cycle
+}
+
+// MIX6 is the serving benchmark's query mix, one shape per formula class of
+// the paper plus M1 until M2; type1 is Casablanca's Query 1
+// (casablanca.Query1, which this package cannot import).
+var MIX6 = []Shape{
+	{"type1", "(exists x, y . present(x) and type(x) = 'man' and present(y) and type(y) = 'woman') and eventually (exists t . present(t) and type(t) = 'train' and moving(t))", 3, 3},
+	{"until", "M1 until M2", 3, 2},
+	{"type2", "exists z . (present(z) and type(z) = 'airplane') and eventually (present(z) and moving(z))", 3, 2},
+	{"conj", "exists z . (present(z) and type(z) = 'airplane') and [h <- height(z)] eventually (present(z) and height(z) > h)", 3, 2},
+	{"extconj", "outdoor = 1 and at-shot-level(M1 until M2)", 2, 2},
+	{"general", "not (M1 until M2)", 3, 1},
+}
+
+// Corpus generates a corpus of videos × scenes × shots, the benchmark's C10k
+// at 64 × 16 × 10: videos 1 … videos, drawn by CorpusVideo from one random
+// source seeded 1, handed to add in id order. It stops at add's first error.
+func Corpus(videos, scenes, shots int, add func(*metadata.Video) error) error {
+	rng := rand.New(rand.NewSource(1))
+	for id := 1; id <= videos; id++ {
+		if err := add(CorpusVideo(rng, id, scenes, shots)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CorpusVideo generates one video of the corpus: every shot is tagged M1 and
 // M2 with probability 0.1 each (the paper's "one tenth"); every scene has an
 // outdoor flag and a cast of four objects of random type, of which each shot

@@ -1,6 +1,18 @@
 package workload
 
-import "testing"
+import (
+	"testing"
+
+	"htlvideo/internal/casablanca"
+)
+
+// TestMIX6Type1IsCasablancaQuery1 keeps MIX6's copy of Query 1 in step with
+// the case study's.
+func TestMIX6Type1IsCasablancaQuery1(t *testing.T) {
+	if MIX6[0].Name != "type1" || MIX6[0].Text != casablanca.Query1 {
+		t.Errorf("MIX6[0] = %+v, want type1 with casablanca.Query1 %q", MIX6[0], casablanca.Query1)
+	}
+}
 
 func TestGenerateValidAndCovered(t *testing.T) {
 	for _, n := range []int{100, 10000} {

@@ -14,6 +14,7 @@ import (
 	"htlvideo/internal/experiments"
 	"htlvideo/internal/htl"
 	"htlvideo/internal/simlist"
+	"htlvideo/internal/workload"
 )
 
 // The characterisation golden of the §3 kernel: every per-video similarity
@@ -28,18 +29,8 @@ import (
 //	go test -run TestKernelGolden -update .
 const kernelGoldenPath = "testdata/kernel_golden.txt"
 
-var mix6Shapes = []struct {
-	name, text string
-	level      int
-	weight     int // slots of MIX6's 12-query cycle (bench/queries.go)
-}{
-	{"type1", casablanca.Query1, 3, 3},
-	{"until", "M1 until M2", 3, 2},
-	{"type2", "exists z . (present(z) and type(z) = 'airplane') and eventually (present(z) and moving(z))", 3, 2},
-	{"conj", "exists z . (present(z) and type(z) = 'airplane') and [h <- height(z)] eventually (present(z) and height(z) > h)", 3, 2},
-	{"extconj", "outdoor = 1 and at-shot-level(M1 until M2)", 2, 2},
-	{"general", "not (M1 until M2)", 3, 1},
-}
+// mix6Shapes are the serving benchmark's MIX6 shapes (bench/queries.go).
+var mix6Shapes = workload.MIX6
 
 func dumpKernelList(b *bytes.Buffer, l simlist.List) {
 	fmt.Fprintf(b, "max=%b e=[", l.MaxSim)
@@ -92,8 +83,8 @@ func TestKernelGolden(t *testing.T) {
 	var b bytes.Buffer
 	st := mix6Corpus(t, 8, 4, 10)
 	for _, sh := range mix6Shapes {
-		dumpKernelResults(t, &b, st, "mix6 "+sh.name, sh.text, AtLevel(sh.level))
-		f := htl.MustParse(sh.text)
+		dumpKernelResults(t, &b, st, "mix6 "+sh.Name, sh.Text, AtLevel(sh.Level))
+		f := htl.MustParse(sh.Text)
 		if htl.Classify(f) == htl.ClassGeneral {
 			continue
 		}
@@ -123,7 +114,7 @@ func TestKernelGolden(t *testing.T) {
 		}
 		walk(core.CompilePlan(f).Root)
 		for _, v := range st.Videos() {
-			sys, err := st.system(context.Background(), nil, v, sh.level)
+			sys, err := st.system(context.Background(), nil, v, sh.Level)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +123,7 @@ func TestKernelGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dumpKernelTable(t, &b, fmt.Sprintf("mix6 %s | video %d | table of %s", sh.name, v.ID, n.Key), tb)
+				dumpKernelTable(t, &b, fmt.Sprintf("mix6 %s | video %d | table of %s", sh.Name, v.ID, n.Key), tb)
 			}
 		}
 	}

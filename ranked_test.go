@@ -121,11 +121,11 @@ func TestRankedMatchesSortingTwice(t *testing.T) {
 	}
 	mix6 := mix6Corpus(t, 8, 4, 10)
 	for _, sh := range mix6Shapes {
-		res, err := mix6.Query(sh.text, AtLevel(sh.level))
+		res, err := mix6.Query(sh.Text, AtLevel(sh.Level))
 		if err != nil {
-			t.Fatalf("%s: %v", sh.name, err)
+			t.Fatalf("%s: %v", sh.Name, err)
 		}
-		check("mix6/"+sh.name, res)
+		check("mix6/"+sh.Name, res)
 	}
 	cb := casablancaStore(t)
 	for _, q := range []string{casablanca.MovingTrainQuery, casablanca.ManWomanQuery, casablanca.Query1} {

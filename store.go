@@ -471,7 +471,7 @@ func (s *Store) admit(r *queryRun, cq *CompiledQuery, err error) error {
 // skipped and reported in Results.Errors instead.
 //
 // The formula is printed to find its plan; a caller that evaluates one
-// formula many times compiles it once (CompileFormula) and queries the
+// query many times compiles its text once (Compile) and queries the
 // CompiledQuery instead.
 func (s *Store) QueryFormulaCtx(ctx context.Context, f Formula, opts ...QueryOption) (*Results, error) {
 	r, refused := newRun(opts)
@@ -581,10 +581,13 @@ func (s *Store) beginQuery(r *queryRun) *cache.LRU[string, cached] {
 // runQuery evaluates a compiled query over the store's videos, uncached.
 func (s *Store) runQuery(ctx context.Context, r *queryRun) (*Results, error) {
 	videos := s.meta.Videos()
-	if len(videos) == 0 {
+	cq, cfg, tr := r.cq, r.cfg, r.tr
+	// A query of an empty store is an error; an explain of one is the plan,
+	// no node visited (a shard may hold no videos, and its explain must
+	// answer like its /query, which counts videos: 0).
+	if len(videos) == 0 && !cfg.explain {
 		return nil, errors.New("htlvideo: the store has no videos")
 	}
-	cq, cfg, tr := r.cq, r.cfg, r.tr
 	// A heterogeneous store may hold videos without the queried level; they
 	// simply contribute no segments. A video queried by itself still errors
 	// (runVideo).

@@ -70,11 +70,6 @@ func (s *Store) Compile(query string) (*CompiledQuery, error) {
 	return cq, err
 }
 
-// CompileFormula compiles an already-parsed formula (see Compile).
-func (s *Store) CompileFormula(f Formula) *CompiledQuery {
-	return s.compileFormula(f, false)
-}
-
 // compile resolves query text to a compiled query, through the plan cache
 // unless noCache. The boolean reports a cache hit (the parse was skipped).
 // Parse errors are returned uncached: a store hammered with malformed input

@@ -189,7 +189,7 @@ func TestWithTopKMatchesFullRanking(t *testing.T) {
 	}
 	var mix []query
 	for _, sh := range mix6Shapes {
-		mix = append(mix, query{sh.name, sh.text, sh.level})
+		mix = append(mix, query{sh.Name, sh.Text, sh.Level})
 	}
 	corpora := []struct {
 		name    string

@@ -30,13 +30,13 @@ func TestQueryVideoMatchesWholeStore(t *testing.T) {
 		for _, e := range []Engine{EngineAuto, EngineDirect, EngineReference} {
 			for _, k := range []int{0, 10} {
 				for _, s := range stores {
-					name := sh.name + "/" + engineKey(e) + "/" + s.name
-					opts := []QueryOption{AtLevel(sh.level), WithEngine(e), WithTopK(k)}
-					cq, err := s.st.Compile(sh.text)
+					name := sh.Name + "/" + engineKey(e) + "/" + s.name
+					opts := []QueryOption{AtLevel(sh.Level), WithEngine(e), WithTopK(k)}
+					cq, err := s.st.Compile(sh.Text)
 					if err != nil {
 						t.Fatal(err)
 					}
-					whole, werr := s.st.Query(sh.text, opts...)
+					whole, werr := s.st.Query(sh.Text, opts...)
 					bq, err := cq.Bind(opts...)
 					if err != nil {
 						t.Fatal(err)
