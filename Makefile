@@ -37,14 +37,15 @@ race:
 # allocates the same on a store of one video or of 64, what one
 # cold GET /query of each MIX6 shape allocates through the server's handler
 # and through a coordinator over four shard servers on loopback,
-# the resident bytes per shot of the picture systems a serving store builds,
+# the resident bytes per shot of the picture systems a serving store builds
+# and of the meta-data a store loaded from JSON keeps,
 # the kernel's byte-identity golden, the three tests that hold the evaluation
 # arena's reuse invisible to both engines, and the proof that a WithTopK(k)
 # query ranks exactly as the full lists do, without -race: under the race
 # detector sync.Pool drops puts on purpose, the budgets skip themselves and
 # reuse is rarer.
 budget:
-	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestSystemResidentBytes|TestVideoQueryCostIndependentOfStoreSize|TestColdRequestAllocBudget|TestFleetRequestAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/ ./internal/server/ ./internal/shard/
+	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestSystemResidentBytes|TestVideoResidentBytes|TestVideoQueryCostIndependentOfStoreSize|TestColdRequestAllocBudget|TestFleetRequestAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/ ./internal/server/ ./internal/shard/
 
 # The prove-or-remove gate alone and verbose: every exported function or
 # method of the module has a non-test caller, resolved by go/types, or an

@@ -90,10 +90,10 @@ func script(shots, frames int) []htlvideo.ShotSpec {
 		case 1:
 			spec.Objects = []htlvideo.Object{
 				{ID: 1, Type: "man", Certainty: 0.8},
-				{ID: 2, Type: "train", Certainty: 1, Props: map[string]bool{"moving": true}},
+				{ID: 2, Type: "train", Certainty: 1, Props: htlvideo.Props{"moving"}},
 			}
 		default:
-			spec.Attrs = map[string]htlvideo.Value{"content": htlvideo.Str("scenery")}
+			spec.Attrs = htlvideo.Attrs{{Name: "content", Val: htlvideo.Str("scenery")}}
 		}
 		specs = append(specs, spec)
 	}

@@ -2,6 +2,7 @@ package htlvideo_test
 
 import (
 	"fmt"
+	"strings"
 
 	"htlvideo"
 )
@@ -26,6 +27,24 @@ func Example() {
 	}
 	// Output:
 	// video 1 shots [1 1] similarity 4/4
+}
+
+// ExampleLoadStore reads a segment's meta-data back: attributes and
+// properties are sorted sets, read with Get and Has.
+func ExampleLoadStore() {
+	store, err := htlvideo.LoadStore(strings.NewReader(`{"videos": [{"id": 1, "segments": [
+		{"attrs": {"M1": 1}, "objects": [{"id": 7, "type": "man",
+			"props": ["on_floor", "holds_gun", "holds_gun"], "attrs": {"name": "John", "height": 180}}]}]}]}`))
+	if err != nil {
+		panic(err)
+	}
+	seg := store.Video(1).Root.Children[0].Meta
+	john := seg.Objects[0]
+	height, _ := john.Attrs.Get("height")
+	_, hasAge := john.Attrs.Get("age")
+	fmt.Println(seg.Attrs, john.Props, height, hasAge, john.Props.Has("holds_gun"))
+	// Output:
+	// [{M1 1}] [holds_gun on_floor] 180 false true
 }
 
 // ExampleStore_Query demonstrates a temporal query with partial similarity:

@@ -17,14 +17,14 @@ func main() {
 	// only appears in the middle shot.
 	specs := []htlvideo.ShotSpec{
 		{Frames: 6, Palette: 1, Objects: []htlvideo.Object{
-			{ID: 9, Type: "airplane", Certainty: 1, Attrs: map[string]htlvideo.Value{"height": htlvideo.Int(100)}},
+			{ID: 9, Type: "airplane", Certainty: 1, Attrs: htlvideo.Attrs{{Name: "height", Val: htlvideo.Int(100)}}},
 		}},
 		{Frames: 6, Palette: 2, Objects: []htlvideo.Object{
-			{ID: 9, Type: "airplane", Certainty: 1, Attrs: map[string]htlvideo.Value{"height": htlvideo.Int(250)}},
-			{ID: 4, Type: "airplane", Certainty: 0.8, Attrs: map[string]htlvideo.Value{"height": htlvideo.Int(500)}},
+			{ID: 9, Type: "airplane", Certainty: 1, Attrs: htlvideo.Attrs{{Name: "height", Val: htlvideo.Int(250)}}},
+			{ID: 4, Type: "airplane", Certainty: 0.8, Attrs: htlvideo.Attrs{{Name: "height", Val: htlvideo.Int(500)}}},
 		}},
 		{Frames: 6, Palette: 3, Objects: []htlvideo.Object{
-			{ID: 9, Type: "airplane", Certainty: 0.95, Attrs: map[string]htlvideo.Value{"height": htlvideo.Int(400)}},
+			{ID: 9, Type: "airplane", Certainty: 0.95, Attrs: htlvideo.Attrs{{Name: "height", Val: htlvideo.Int(400)}}},
 		}},
 	}
 	frames := htlvideo.RenderFrames(specs, 0.01, 11)
@@ -41,7 +41,8 @@ func main() {
 	for i, shot := range video.Sequence(2) {
 		fmt.Printf("shot %d:", i+1)
 		for _, o := range shot.Meta.Objects {
-			fmt.Printf("  %s#%d h=%v", o.Type, o.ID, o.Attrs["height"])
+			h, _ := o.Attrs.Get("height")
+			fmt.Printf("  %s#%d h=%v", o.Type, o.ID, h)
 		}
 		fmt.Println()
 	}

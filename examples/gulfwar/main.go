@@ -65,7 +65,7 @@ func buildVideo() *htlvideo.Video {
 	v := htlvideo.NewVideo(1, "Gulf war coverage", map[string]int{
 		"sub-plot": 2, "scene": 3, "shot": 4,
 	})
-	v.Root.Meta.Attrs = map[string]htlvideo.Value{"type": htlvideo.Str("military operation")}
+	v.Root.Meta.Attrs = htlvideo.Attrs{{Name: "type", Val: htlvideo.Str("military operation")}}
 
 	bombing := v.Root.AppendChild(htlvideo.Seg().Attr("title", htlvideo.Str("bombing of positions")).Build())
 	c2 := bombing.AppendChild(htlvideo.Seg().Attr("title", htlvideo.Str("command and control centers")).Build())

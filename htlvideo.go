@@ -54,6 +54,12 @@ type (
 	Relationship = metadata.Relationship
 	// Value is an attribute value (integer or string).
 	Value = metadata.Value
+	// Attr is one named attribute value.
+	Attr = metadata.Attr
+	// Attrs is a segment's or an object's attributes, sorted by name.
+	Attrs = metadata.Attrs
+	// Props is an object's unary properties, sorted.
+	Props = metadata.Props
 	// LeafSpan is a segment's covered range of leaf (frame) positions.
 	LeafSpan = metadata.LeafSpan
 	// SegBuilder assembles segment meta-data fluently.

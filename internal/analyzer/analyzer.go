@@ -9,6 +9,7 @@ package analyzer
 
 import (
 	"fmt"
+	"slices"
 
 	"htlvideo/internal/metadata"
 	"htlvideo/internal/segment"
@@ -104,14 +105,14 @@ func aggregateShot(frames []videogen.Frame) metadata.SegmentMeta {
 	var order []metadata.ObjectID
 	relSeen := map[metadata.Relationship]bool{}
 	var rels []metadata.Relationship
-	attrs := map[string]metadata.Value{}
+	var attrs metadata.Attrs
 	for _, fr := range frames {
 		for _, o := range fr.Objects {
 			cur := objs[o.ID]
 			if cur == nil {
 				cp := o
-				cp.Attrs = copyVals(o.Attrs)
-				cp.Props = copyProps(o.Props)
+				cp.Attrs = slices.Clone(o.Attrs)
+				cp.Props = slices.Clone(o.Props)
 				objs[o.ID] = &cp
 				order = append(order, o.ID)
 				continue
@@ -119,17 +120,11 @@ func aggregateShot(frames []videogen.Frame) metadata.SegmentMeta {
 			if o.Certainty > cur.Certainty {
 				cur.Certainty = o.Certainty
 			}
-			for p := range o.Props {
-				if cur.Props == nil {
-					cur.Props = map[string]bool{}
-				}
-				cur.Props[p] = true
+			for _, p := range o.Props {
+				cur.Props = cur.Props.Add(p)
 			}
-			for a, val := range o.Attrs {
-				if cur.Attrs == nil {
-					cur.Attrs = map[string]metadata.Value{}
-				}
-				cur.Attrs[a] = val
+			for _, a := range o.Attrs {
+				cur.Attrs = cur.Attrs.Set(a.Name, a.Val)
 			}
 		}
 		for _, r := range fr.Rels {
@@ -138,14 +133,11 @@ func aggregateShot(frames []videogen.Frame) metadata.SegmentMeta {
 				rels = append(rels, r)
 			}
 		}
-		for a, val := range fr.Attrs {
-			attrs[a] = val
+		for _, a := range fr.Attrs {
+			attrs = attrs.Set(a.Name, a.Val)
 		}
 	}
-	meta := metadata.SegmentMeta{Rels: rels}
-	if len(attrs) > 0 {
-		meta.Attrs = attrs
-	}
+	meta := metadata.SegmentMeta{Rels: rels, Attrs: attrs}
 	for _, id := range order {
 		meta.Objects = append(meta.Objects, *objs[id])
 	}
@@ -153,34 +145,9 @@ func aggregateShot(frames []videogen.Frame) metadata.SegmentMeta {
 }
 
 func frameMeta(fr videogen.Frame) metadata.SegmentMeta {
-	meta := metadata.SegmentMeta{
+	return metadata.SegmentMeta{
 		Objects: append([]metadata.Object(nil), fr.Objects...),
 		Rels:    append([]metadata.Relationship(nil), fr.Rels...),
+		Attrs:   slices.Clone(fr.Attrs),
 	}
-	if len(fr.Attrs) > 0 {
-		meta.Attrs = copyVals(fr.Attrs)
-	}
-	return meta
-}
-
-func copyVals(m map[string]metadata.Value) map[string]metadata.Value {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]metadata.Value, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyProps(m map[string]bool) map[string]bool {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

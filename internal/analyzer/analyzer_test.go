@@ -25,7 +25,7 @@ func script() []videogen.ShotSpec {
 		{
 			Frames: 8, Palette: 2,
 			Objects: []metadata.Object{
-				{ID: 3, Type: "train", Certainty: 1, Props: map[string]bool{"moving": true}},
+				{ID: 3, Type: "train", Certainty: 1, Props: metadata.Props{"moving"}},
 			},
 		},
 		{
@@ -60,7 +60,7 @@ func TestShotAggregation(t *testing.T) {
 	extra := videogen.ShotSpec{
 		Frames: 6, Palette: 1,
 		Objects: []metadata.Object{
-			{ID: 1, Type: "man", Certainty: 0.95, Props: map[string]bool{"holds_gun": true}},
+			{ID: 1, Type: "man", Certainty: 0.95, Props: metadata.Props{"holds_gun"}},
 		},
 	}
 	specs = append([]videogen.ShotSpec{specs[0], extra}, specs[1:]...)
@@ -74,7 +74,7 @@ func TestShotAggregation(t *testing.T) {
 		t.Fatalf("shots = %d (same-palette sub-shots should merge)", len(shots))
 	}
 	i := shots[0].Meta.ObjectIndex(1)
-	if i < 0 || shots[0].Meta.Objects[i].Certainty != 0.95 || !shots[0].Meta.Objects[i].Props["holds_gun"] {
+	if i < 0 || shots[0].Meta.Objects[i].Certainty != 0.95 || !shots[0].Meta.Objects[i].Props.Has("holds_gun") {
 		t.Fatalf("aggregated man = %+v", shots[0].Meta.Objects)
 	}
 	if shots[0].Meta.ObjectIndex(2) < 0 {

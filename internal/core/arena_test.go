@@ -94,10 +94,7 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 	atScene, atShot := corpusSystems(t, 8, 4, 10, func(v *metadata.Video) {
 		for _, level := range []int{2, 3} {
 			for _, n := range v.Sequence(level) {
-				if n.Meta.Attrs == nil {
-					n.Meta.Attrs = map[string]metadata.Value{}
-				}
-				n.Meta.Attrs["genre"] = metadata.Str(genres[rng.Intn(len(genres))])
+				n.Meta.Attrs = n.Meta.Attrs.Set("genre", metadata.Str(genres[rng.Intn(len(genres))]))
 			}
 		}
 	})

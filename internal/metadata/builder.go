@@ -9,12 +9,9 @@ type SegBuilder struct {
 // Seg starts a new segment-meta builder.
 func Seg() *SegBuilder { return &SegBuilder{} }
 
-// Attr sets a segment-level attribute.
+// Attr sets a segment-level attribute; set twice, it keeps the last value.
 func (b *SegBuilder) Attr(name string, v Value) *SegBuilder {
-	if b.meta.Attrs == nil {
-		b.meta.Attrs = map[string]Value{}
-	}
-	b.meta.Attrs[name] = v
+	b.meta.Attrs = b.meta.Attrs.Set(name, v)
 	return b
 }
 
@@ -38,23 +35,19 @@ func (b *SegBuilder) last() *Object {
 	return &b.meta.Objects[len(b.meta.Objects)-1]
 }
 
-// Prop marks a unary property of the most recently added object.
+// Prop marks a unary property of the most recently added object; marked
+// twice, it is kept once.
 func (b *SegBuilder) Prop(name string) *SegBuilder {
 	o := b.last()
-	if o.Props == nil {
-		o.Props = map[string]bool{}
-	}
-	o.Props[name] = true
+	o.Props = o.Props.Add(name)
 	return b
 }
 
-// OAttr sets an attribute of the most recently added object.
+// OAttr sets an attribute of the most recently added object; set twice, it
+// keeps the last value.
 func (b *SegBuilder) OAttr(name string, v Value) *SegBuilder {
 	o := b.last()
-	if o.Attrs == nil {
-		o.Attrs = map[string]Value{}
-	}
-	o.Attrs[name] = v
+	o.Attrs = o.Attrs.Set(name, v)
 	return b
 }
 

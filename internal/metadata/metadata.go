@@ -12,7 +12,9 @@ package metadata
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -51,6 +53,59 @@ func (v Value) String() string {
 	return fmt.Sprint(v.Int)
 }
 
+// Attr is one named attribute value.
+type Attr struct {
+	Name string
+	Val  Value
+}
+
+// Attrs is a set of attribute values: sorted by name, one value per name.
+// A slice rather than a map because a segment or an object holds one or two
+// attributes, and a one-entry map costs ten times the bytes (DESIGN.md).
+type Attrs []Attr
+
+// Get returns the value of the named attribute.
+func (a Attrs) Get(name string) (Value, bool) {
+	if i, ok := a.search(name); ok {
+		return a[i].Val, true
+	}
+	return Value{}, false
+}
+
+// Set returns a with the named attribute set to v: a repeated name keeps
+// its last value, as a map would. It may modify a's array.
+func (a Attrs) Set(name string, v Value) Attrs {
+	i, ok := a.search(name)
+	if ok {
+		a[i].Val = v
+		return a
+	}
+	return slices.Insert(a, i, Attr{name, v})
+}
+
+func (a Attrs) search(name string) (int, bool) {
+	return slices.BinarySearchFunc(a, name, func(x Attr, name string) int { return strings.Compare(x.Name, name) })
+}
+
+// Props is a set of unary property names, sorted and duplicate-free.
+type Props []string
+
+// Has reports whether the set holds the named property.
+func (p Props) Has(name string) bool {
+	_, ok := slices.BinarySearch(p, name)
+	return ok
+}
+
+// Add returns p with the named property in it, once. It may modify p's
+// array.
+func (p Props) Add(name string) Props {
+	i, ok := slices.BinarySearch(p, name)
+	if ok {
+		return p
+	}
+	return slices.Insert(p, i, name)
+}
+
 // Object is an object occurrence within one video segment.
 type Object struct {
 	ID ObjectID
@@ -62,10 +117,10 @@ type Object struct {
 	Certainty float64
 	// Attrs holds per-occurrence attribute values, e.g. height(x) in this
 	// frame.
-	Attrs map[string]Value
+	Attrs Attrs
 	// Props holds unary predicates true of the object in this segment,
 	// e.g. "holds_gun", "on_floor".
-	Props map[string]bool
+	Props Props
 }
 
 // Relationship is a (possibly spatial) binary predicate between two objects
@@ -81,7 +136,7 @@ type SegmentMeta struct {
 	Objects []Object
 	Rels    []Relationship
 	// Attrs holds segment-level attributes: title, genre ("type"), etc.
-	Attrs map[string]Value
+	Attrs Attrs
 }
 
 // ObjectIndex returns the position of id's occurrence in Objects, or -1.
@@ -257,6 +312,7 @@ func (v *Video) Validate() error {
 		return fmt.Errorf("metadata: root level is %d, want 1", v.Root.Level)
 	}
 	leafDepth := -1
+	var seen map[ObjectID]bool // SegmentMeta.validate's scratch, made at most once
 	var walk func(n *Node) error
 	walk = func(n *Node) error {
 		if len(n.Children) == 0 {
@@ -266,23 +322,8 @@ func (v *Video) Validate() error {
 				return fmt.Errorf("metadata: leaves at different depths (%d and %d)", leafDepth, n.Level)
 			}
 		}
-		seen := map[ObjectID]bool{}
-		for _, o := range n.Meta.Objects {
-			if o.ID <= 0 {
-				return fmt.Errorf("metadata: object id %d is not positive (0 is reserved)", o.ID)
-			}
-			if o.Certainty <= 0 || o.Certainty > 1 {
-				return fmt.Errorf("metadata: object %d has certainty %g outside (0,1]", o.ID, o.Certainty)
-			}
-			if seen[o.ID] {
-				return fmt.Errorf("metadata: object %d occurs twice in one segment", o.ID)
-			}
-			seen[o.ID] = true
-		}
-		for _, r := range n.Meta.Rels {
-			if !seen[r.Subject] || !seen[r.Object] {
-				return fmt.Errorf("metadata: relationship %s(%d,%d) references an absent object", r.Name, r.Subject, r.Object)
-			}
+		if err := n.Meta.validate(&seen); err != nil {
+			return err
 		}
 		for i, c := range n.Children {
 			if c.Level != n.Level+1 {
@@ -309,6 +350,80 @@ func (v *Video) Validate() error {
 		}
 	}
 	return nil
+}
+
+// pairwiseObjects is the most objects a segment may hold for validate
+// to compare their ids pairwise; a larger segment uses a map.
+const pairwiseObjects = 16
+
+// validate checks the segment's objects (positive ids and certainties,
+// distinct ids), that its relationships name them, and that its attribute
+// and property sets are sorted and duplicate-free. A segment holds a few
+// objects, compared pairwise without allocating; one of more than
+// pairwiseObjects uses *seen, made once per Validate and cleared per segment.
+func (m *SegmentMeta) validate(seen *map[ObjectID]bool) error {
+	large := len(m.Objects) > pairwiseObjects
+	if large {
+		if *seen == nil {
+			*seen = map[ObjectID]bool{}
+		}
+		clear(*seen)
+	}
+	present := func(id ObjectID, among []Object) bool {
+		if large {
+			return (*seen)[id]
+		}
+		for i := range among {
+			if among[i].ID == id {
+				return true
+			}
+		}
+		return false
+	}
+	for i, o := range m.Objects {
+		if o.ID <= 0 {
+			return fmt.Errorf("metadata: object id %d is not positive (0 is reserved)", o.ID)
+		}
+		if o.Certainty <= 0 || o.Certainty > 1 {
+			return fmt.Errorf("metadata: object %d has certainty %g outside (0,1]", o.ID, o.Certainty)
+		}
+		if present(o.ID, m.Objects[:i]) {
+			return fmt.Errorf("metadata: object %d occurs twice in one segment", o.ID)
+		}
+		if large {
+			(*seen)[o.ID] = true
+		}
+	}
+	for _, r := range m.Rels {
+		if !present(r.Subject, m.Objects) || !present(r.Object, m.Objects) {
+			return fmt.Errorf("metadata: relationship %s(%d,%d) references an absent object", r.Name, r.Subject, r.Object)
+		}
+	}
+	if name, ok := unsortedAttr(m.Attrs); ok {
+		return fmt.Errorf("metadata: segment attribute %q out of order or repeated", name)
+	}
+	for _, o := range m.Objects {
+		if name, ok := unsortedAttr(o.Attrs); ok {
+			return fmt.Errorf("metadata: object %d attribute %q out of order or repeated", o.ID, name)
+		}
+		for i := 1; i < len(o.Props); i++ {
+			if o.Props[i-1] >= o.Props[i] {
+				return fmt.Errorf("metadata: object %d property %q out of order or repeated", o.ID, o.Props[i])
+			}
+		}
+	}
+	return nil
+}
+
+// unsortedAttr returns the first name of a that does not follow its
+// predecessor strictly in order.
+func unsortedAttr(a Attrs) (string, bool) {
+	for i := 1; i < len(a); i++ {
+		if a[i-1].Name >= a[i].Name {
+			return a[i].Name, true
+		}
+	}
+	return "", false
 }
 
 // Store is a collection of videos — the meta-data database of Fig. 1.

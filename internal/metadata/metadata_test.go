@@ -1,6 +1,8 @@
 package metadata
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -106,7 +108,7 @@ func TestSegmentMetaLookups(t *testing.T) {
 		Obj(2, "man").
 		Rel("fires_at", 1, 2).
 		Build()
-	if i := m.ObjectIndex(1); i != 0 || !m.Objects[i].Props["holds_gun"] || m.Objects[i].Attrs["name"] != Str("JohnWayne") {
+	if i := m.ObjectIndex(1); i != 0 || !m.Objects[i].Props.Has("holds_gun") || !slices.Equal(m.Objects[i].Attrs, Attrs{{"name", Str("JohnWayne")}}) {
 		t.Fatalf("ObjectIndex(1) = %d", i)
 	}
 	if m.ObjectIndex(2) != 1 || m.ObjectIndex(7) != -1 {
@@ -185,4 +187,103 @@ func TestBuilderPanicsWithoutObject(t *testing.T) {
 		}
 	}()
 	Seg().Prop("holds_gun")
+}
+
+// TestBuilderRepeats holds the builder to a map's semantics: an attribute
+// set twice keeps its last value, a property marked twice is kept once, and
+// both sets come out sorted by name.
+func TestBuilderRepeats(t *testing.T) {
+	m := Seg().Attr("title", Str("a")).Attr("genre", Str("noir")).Attr("title", Str("b")).
+		Obj(1, "man").Prop("moving").Prop("holds_gun").Prop("moving").
+		OAttr("height", Int(1)).OAttr("age", Int(40)).OAttr("height", Int(2)).
+		Build()
+	if want := (Attrs{{"genre", Str("noir")}, {"title", Str("b")}}); !slices.Equal(m.Attrs, want) {
+		t.Errorf("segment attrs = %v, want %v", m.Attrs, want)
+	}
+	o := m.Objects[0]
+	if want := (Props{"holds_gun", "moving"}); !slices.Equal(o.Props, want) {
+		t.Errorf("props = %v, want %v", o.Props, want)
+	}
+	if want := (Attrs{{"age", Int(40)}, {"height", Int(2)}}); !slices.Equal(o.Attrs, want) {
+		t.Errorf("object attrs = %v, want %v", o.Attrs, want)
+	}
+	if v, ok := o.Attrs.Get("height"); !ok || v != Int(2) {
+		t.Errorf("Get(height) = %v, %v", v, ok)
+	}
+	if _, ok := o.Attrs.Get("weight"); ok || o.Props.Has("on_floor") || !o.Props.Has("holds_gun") {
+		t.Error("lookup of an absent or present name wrong")
+	}
+}
+
+// TestValidateMessages holds Validate's errors word for word, on segments
+// compared pairwise and on one large enough for the map, and rejects
+// attribute and property sets that are not sorted and duplicate-free.
+func TestValidateMessages(t *testing.T) {
+	large := func(dupAt int) *SegBuilder {
+		b := Seg()
+		for i := 1; i <= pairwiseObjects+4; i++ {
+			b.Obj(ObjectID(i), "man")
+		}
+		if dupAt > 0 {
+			b.Obj(ObjectID(dupAt), "woman").Obj(ObjectID(dupAt+1), "woman")
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		meta SegmentMeta
+		want string
+	}{
+		{"duplicate", Seg().Obj(1, "man").Obj(2, "man").Obj(2, "woman").Obj(1, "woman").Build(),
+			"metadata: object 2 occurs twice in one segment"},
+		{"duplicate-large", large(3).Build(), "metadata: object 3 occurs twice in one segment"},
+		{"certainty-before-duplicate", Seg().Obj(1, "man").ObjC(1, "man", 2).Build(),
+			"metadata: object 1 has certainty 2 outside (0,1]"},
+		{"absent", Seg().Obj(1, "man").Rel("fires_at", 1, 99).Build(),
+			"metadata: relationship fires_at(1,99) references an absent object"},
+		{"absent-large", large(0).Rel("fires_at", 99, 1).Build(),
+			"metadata: relationship fires_at(99,1) references an absent object"},
+		{"present-large", large(0).Rel("fires_at", 20, 1).Build(), ""},
+		{"attrs", SegmentMeta{Attrs: Attrs{{"b", Int(1)}, {"a", Int(1)}}},
+			`metadata: segment attribute "a" out of order or repeated`},
+		{"object-attrs", SegmentMeta{Objects: []Object{{ID: 4, Type: "man", Certainty: 1, Attrs: Attrs{{"h", Int(1)}, {"h", Int(2)}}}}},
+			`metadata: object 4 attribute "h" out of order or repeated`},
+		{"props", SegmentMeta{Objects: []Object{{ID: 4, Type: "man", Certainty: 1, Props: Props{"moving", "holds_gun"}}}},
+			`metadata: object 4 property "holds_gun" out of order or repeated`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v := NewVideo(1, "v", nil)
+			v.Root.AppendChild(SegmentMeta{})
+			v.Root.AppendChild(c.meta) // after a valid segment
+			err := v.Validate()
+			if got := fmt.Sprint(err); (c.want == "" && err != nil) || (c.want != "" && got != c.want) {
+				t.Fatalf("Validate = %v, want %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestSegmentsHoldNoMaps: no map type is reachable from a segment, so a
+// stored video's segments cost what their slices and strings cost.
+func TestSegmentsHoldNoMaps(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ.Kind() {
+		case reflect.Map:
+			t.Errorf("%s is a map (%s)", path, typ)
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeFor[Node](), "Node")
 }

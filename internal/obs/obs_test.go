@@ -355,6 +355,25 @@ func TestSlowLogKeepsSlowest(t *testing.T) {
 	}
 }
 
+// TestSlowLogKeyedPrintsOnlyKept: ObserveKeyed asks for the plan key only
+// of an entry the log keeps, and the entry holds it.
+func TestSlowLogKeyedPrintsOnlyKept(t *testing.T) {
+	l := NewSlowLog(2)
+	prints := 0
+	key := func() string { prints++; return "(M1 until M2)" }
+	for _, ms := range []time.Duration{5, 7, 1, 6} {
+		l.ObserveKeyed(SlowEntry{Query: "M1 until M2", Duration: ms * time.Millisecond}, key)
+	}
+	if prints != 3 {
+		t.Errorf("plan key printed %d times, want 3 (the 1 ms query is not kept)", prints)
+	}
+	for _, e := range l.Snapshot() {
+		if e.PlanKey != "(M1 until M2)" {
+			t.Errorf("entry %+v lacks its plan key", e)
+		}
+	}
+}
+
 func TestSlowLogConcurrent(t *testing.T) {
 	l := NewSlowLog(8)
 	var wg sync.WaitGroup

@@ -57,7 +57,13 @@ func (l *SlowLog) ObserveTrace(t *Trace) {
 // slowest seen. A traced query passes its trace t, whose snapshot the entry
 // keeps and whose id, plan_key and dominant_shard tags fill the entry's
 // fields; an untraced one passes nil and is logged by the fields of e alone.
-func (l *SlowLog) Observe(e SlowEntry, t *Trace) {
+func (l *SlowLog) Observe(e SlowEntry, t *Trace) { l.observe(e, t, nil) }
+
+// ObserveKeyed is Observe for an untraced query whose plan key costs a
+// print: planKey runs only if the entry is kept, and fills its PlanKey.
+func (l *SlowLog) ObserveKeyed(e SlowEntry, planKey func() string) { l.observe(e, nil, planKey) }
+
+func (l *SlowLog) observe(e SlowEntry, t *Trace, planKey func() string) {
 	if l == nil {
 		return
 	}
@@ -68,6 +74,9 @@ func (l *SlowLog) Observe(e SlowEntry, t *Trace) {
 		return
 	}
 	e.When = time.Now()
+	if planKey != nil {
+		e.PlanKey = planKey()
+	}
 	if t != nil {
 		snap := t.Snapshot()
 		e.TraceID, e.PlanKey, e.Shard, e.Trace = snap.ID, snap.Tags["plan_key"], snap.Tags["dominant_shard"], &snap

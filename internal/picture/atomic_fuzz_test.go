@@ -517,11 +517,11 @@ func (ns *naiveScorer) score(f htl.Formula, seg *metadata.Node, env naiveEnv) (f
 	case htl.Pred:
 		switch len(n.Args) {
 		case 0:
-			if seg.Meta.Attrs[n.Name] == metadata.Int(1) {
+			if v, _ := seg.Meta.Attrs.Get(n.Name); v == metadata.Int(1) {
 				return ns.w.SegPred, nil
 			}
 		case 1:
-			if o := object(n.Args[0].(htl.Var).Name); o != nil && o.Props[n.Name] {
+			if o := object(n.Args[0].(htl.Var).Name); o != nil && o.Props.Has(n.Name) {
 				return ns.w.Prop * o.Certainty, nil
 			}
 		default:
@@ -623,7 +623,7 @@ func (ns *naiveScorer) operand(t htl.Term, seg *metadata.Node, env naiveEnv, obj
 		return env.attr[x.Name], 1
 	case htl.AttrFn:
 		if x.Of == "" {
-			if v, ok := seg.Meta.Attrs[x.Attr]; ok {
+			if v, ok := seg.Meta.Attrs.Get(x.Attr); ok {
 				return value(v), 1
 			}
 			return picture.BoundAttr{}, 1
@@ -635,7 +635,7 @@ func (ns *naiveScorer) operand(t htl.Term, seg *metadata.Node, env naiveEnv, obj
 		case x.Attr == "type":
 			return picture.BoundAttr{Defined: true, Val: core.AttrValue{Str: o.Type}}, o.Certainty
 		}
-		if v, ok := o.Attrs[x.Attr]; ok {
+		if v, ok := o.Attrs.Get(x.Attr); ok {
 			return value(v), o.Certainty
 		}
 		return picture.BoundAttr{}, o.Certainty

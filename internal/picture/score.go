@@ -149,13 +149,38 @@ func (s *System) evalAtomic(p *program, a *core.Arena) (*simlist.Table, error) {
 	return table, nil
 }
 
+// Scorer scores the atoms of one plan on one system segment by segment for
+// one evaluation: the reference evaluator's access pattern, atom after atom
+// at segment after segment. It holds one machine from its first score to
+// Release, and the machine resolves each plan node's names against the
+// system once, where a machine taken per score would resolve them again
+// whenever the atom differs from the last scored. A Scorer is not safe for
+// concurrent use.
+type Scorer struct {
+	s *System
+	m *machine
+}
+
+// Scorer returns a scorer over s; Release returns its machine to the pool.
+func (s *System) Scorer() Scorer { return Scorer{s: s} }
+
+// Release returns the scorer's machine to the pool; the scorer may score
+// again after it, on a fresh machine.
+func (sc *Scorer) Release() {
+	if sc.m != nil {
+		sc.m.release()
+		sc.m = nil
+	}
+}
+
 // ScoreAtomicAt scores a plan node's non-temporal formula at one segment
 // under a full evaluation (every free object and attribute variable bound);
 // the maximum over any remaining internal choices (nested ∃) is returned.
 // This is the entry point the reference evaluator shares with the table
 // builder: it runs the same program, so the two paths cannot diverge on
 // atomic scoring.
-func (s *System) ScoreAtomicAt(n *core.PNode, id int, env Env) (simlist.Sim, error) {
+func (sc *Scorer) ScoreAtomicAt(n *core.PNode, id int, env Env) (simlist.Sim, error) {
+	s := sc.s
 	if err := s.fireAtomicEval(); err != nil {
 		return simlist.Sim{}, err
 	}
@@ -169,8 +194,11 @@ func (s *System) ScoreAtomicAt(n *core.PNode, id int, env Env) (simlist.Sim, err
 	if id < 1 || id > len(s.seq) {
 		return simlist.Sim{Max: p.maxSim}, nil
 	}
-	m := newMachine(p, s)
-	defer m.release()
+	if sc.m == nil {
+		sc.m = machinePool.Get().(*machine)
+	}
+	m := sc.m
+	m.prepare(p, s, n.ID)
 	m.at(id)
 	// Only the formula's own free variables are read from env: bindings of
 	// unrelated outer variables must not participate in this unit's
@@ -287,16 +315,14 @@ type machine struct {
 
 	// The program's names and types resolved against s: ids[i] is the id of
 	// p.names[i] in s's dictionary (-1 when s lacks it), and typeSim[t*nTypes+j]
-	// the similarity p.sims[t] gives s's j-th type. They depend on p and s
-	// alone, both immutable, so a machine keeps them across releases with the
-	// serials of the pair they were resolved for: the reference evaluator
-	// scores one program at segment after segment of one system, and resolves
-	// it once. Serials, not pointers, so that a pooled machine keeps neither
-	// the program nor the system alive.
-	ids      []int32
-	typeSim  []float64
-	nTypes   int
-	resolved [2]uint64
+	// the similarity p.sims[t] gives s's j-th type. They are the current
+	// program's entry of res.
+	ids     []int32
+	typeSim []float64
+	nTypes  int
+	// res keeps resolutions across scores and releases, one per slot: a
+	// Scorer's per plan node, every other scan's slot 0.
+	res []resolution
 
 	score []float64
 	rng   []simlist.Range
@@ -323,10 +349,32 @@ type row struct {
 
 var machinePool = sync.Pool{New: func() any { return new(machine) }}
 
-// newMachine takes a machine from the pool, sizes it for p and resolves the
-// names p's expressions read and p's types against s.
+// resolution is a program's names and types resolved against a system.
+// They depend on the two alone, both immutable, so a machine keeps them with
+// the serials of the pair they were resolved for — serials, not pointers, so
+// that a pooled machine keeps neither the program nor the system alive.
+type resolution struct {
+	key     [2]uint64
+	ids     []int32
+	typeSim []float64
+	nTypes  int
+}
+
+// maxResolutions bounds the resolutions a pooled machine keeps: a plan of
+// more nodes gives up its machine's on release.
+const maxResolutions = 64
+
+// newMachine takes a machine from the pool and prepares it for p on s.
 func newMachine(p *program, s *System) *machine {
 	m := machinePool.Get().(*machine)
+	m.prepare(p, s, 0)
+	return m
+}
+
+// prepare sizes the machine for p and resolves the names p's expressions
+// read and p's types against s, unless the resolution in slot already is
+// theirs.
+func (m *machine) prepare(p *program, s *System, slot int) {
 	m.p, m.s, m.k = p, s, len(p.freeAttr)
 	m.obj, m.pos = m.obj[:0], m.pos[:0]
 	for range p.objNames {
@@ -339,21 +387,24 @@ func newMachine(p *program, s *System) *machine {
 		m.bound = append(m.bound, i >= m.k)
 	}
 	m.score, m.rng = m.score[:0], m.rng[:0]
-	if m.resolved == [2]uint64{p.serial, s.serial} {
-		return m
+	for len(m.res) <= slot {
+		m.res = append(m.res, resolution{})
 	}
-	m.ids = m.ids[:0]
-	for _, nm := range p.names {
-		m.ids = append(m.ids, s.id(nm.kind, nm.name))
+	r := &m.res[slot]
+	if key := [2]uint64{p.serial, s.serial}; r.key != key {
+		r.ids = r.ids[:0]
+		for _, nm := range p.names {
+			r.ids = append(r.ids, s.id(nm.kind, nm.name))
+		}
+		types := s.names[s.kinds[kindType]:s.kinds[kindType+1]]
+		r.nTypes = len(types)
+		r.typeSim = r.typeSim[:0]
+		for _, t := range p.sims {
+			r.typeSim = t.appendTo(r.typeSim, types)
+		}
+		r.key = key
 	}
-	types := s.names[s.kinds[kindType]:s.kinds[kindType+1]]
-	m.nTypes = len(types)
-	m.typeSim = m.typeSim[:0]
-	for _, t := range p.sims {
-		m.typeSim = t.appendTo(m.typeSim, types)
-	}
-	m.resolved = [2]uint64{p.serial, s.serial}
-	return m
+	m.ids, m.typeSim, m.nTypes = r.ids, r.typeSim, r.nTypes
 }
 
 // appendTo appends the similarity the table gives each of types (ascending).
@@ -379,6 +430,9 @@ func (m *machine) release() {
 		m.buckets[m.rows[i].hash&uint64(len(m.buckets)-1)] = -1
 	}
 	m.p, m.s, m.node, m.segf = nil, nil, nil, nil
+	if len(m.res) > maxResolutions {
+		m.res = nil
+	}
 	clear(m.lists[:cap(m.lists)])
 	m.rows, m.rowObj, m.rowRng = m.rows[:0], m.rowObj[:0], m.rowRng[:0]
 	machinePool.Put(m)

@@ -283,11 +283,11 @@ func (b *indexBuilder) build(x *index, seq []*metadata.Node) {
 		id := int32(i + 1)
 		b.segs = append(b.segs, int32(len(b.rows)))
 		b.rows = append(b.rows, int32(len(b.facts)))
-		for a, v := range n.Meta.Attrs {
-			name := b.post(kindSegAttr, a, id)
-			b.facts = append(b.facts, fact{name, b.valueID(v)})
-			if v == metadata.Int(1) {
-				b.post(kindTag, a, id)
+		for _, a := range n.Meta.Attrs {
+			name := b.post(kindSegAttr, a.Name, id)
+			b.facts = append(b.facts, fact{name, b.valueID(a.Val)})
+			if a.Val == metadata.Int(1) {
+				b.post(kindTag, a.Name, id)
 			}
 		}
 		if len(n.Meta.Objects) > 0 {
@@ -296,11 +296,11 @@ func (b *indexBuilder) build(x *index, seq []*metadata.Node) {
 		for _, o := range n.Meta.Objects {
 			b.rows = append(b.rows, int32(len(b.facts)))
 			b.facts = append(b.facts, fact{name: b.post(kindType, o.Type, id)})
-			for p := range o.Props {
+			for _, p := range o.Props {
 				b.facts = append(b.facts, fact{name: b.post(kindProp, p, id)})
 			}
-			for a, v := range o.Attrs {
-				b.facts = append(b.facts, fact{b.post(kindObjAttr, a, id), b.valueID(v)})
+			for _, a := range o.Attrs {
+				b.facts = append(b.facts, fact{b.post(kindObjAttr, a.Name, id), b.valueID(a.Val)})
 			}
 			for _, r := range n.Meta.Rels {
 				if r.Subject == o.ID {

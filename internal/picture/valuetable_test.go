@@ -33,7 +33,7 @@ func sortValueTable(s *System, q htl.AttrFn) *core.ValueTable {
 	var occ []occurrence
 	for i, n := range s.seq {
 		if q.Of == "" {
-			if v, ok := n.Meta.Attrs[q.Attr]; ok {
+			if v, ok := n.Meta.Attrs.Get(q.Attr); ok {
 				occ = append(occ, occurrence{core.AnyObject, value(v), int32(i + 1)})
 			}
 			continue
@@ -41,7 +41,7 @@ func sortValueTable(s *System, q htl.AttrFn) *core.ValueTable {
 		for _, o := range n.Meta.Objects {
 			if q.Attr == "type" {
 				occ = append(occ, occurrence{simlist.ObjectID(o.ID), core.AttrValue{Str: o.Type}, int32(i + 1)})
-			} else if v, ok := o.Attrs[q.Attr]; ok {
+			} else if v, ok := o.Attrs.Get(q.Attr); ok {
 				occ = append(occ, occurrence{simlist.ObjectID(o.ID), value(v), int32(i + 1)})
 			}
 		}
@@ -111,7 +111,7 @@ func valueTableVideo(data []byte) *metadata.Video {
 		if seg == nil || place&0x80 == 0 {
 			seg = v.Root.AppendChild(metadata.Seg().Build())
 			if genre%3 != 0 {
-				seg.Meta.Attrs = map[string]metadata.Value{"genre": metadata.Str([]string{"western", "news"}[genre%2])}
+				seg.Meta.Attrs = metadata.Attrs{{Name: "genre", Val: metadata.Str([]string{"western", "news"}[genre%2])}}
 			}
 		}
 		o := metadata.Object{ID: metadata.ObjectID(place%4 + 1), Type: []string{"man", "woman"}[genre%2], Certainty: 1}
@@ -120,7 +120,7 @@ func valueTableVideo(data []byte) *metadata.Video {
 			if height%2 == 0 {
 				h = metadata.Str(fmt.Sprint(height % 3))
 			}
-			o.Attrs = map[string]metadata.Value{"height": h}
+			o.Attrs = metadata.Attrs{{Name: "height", Val: h}}
 		}
 		seg.Meta.Objects = append(seg.Meta.Objects, o)
 	}

@@ -81,6 +81,9 @@ type Evaluator struct {
 	// memoHits counts the scores memo answered since the last bind; unbind
 	// folds the child evaluators' into it.
 	memoHits int64
+	// atoms scores the plan's atoms on sys from bind to unbind, resolving
+	// each atom's names once per evaluation.
+	atoms picture.Scorer
 }
 
 // New builds an evaluator over the picture system's sequence.
@@ -95,6 +98,7 @@ var acquireArena, releaseArena = core.AcquireArena, core.ReleaseArena
 // dropping what it cached for another plan's.
 func (e *Evaluator) bind(p *core.Plan, a *core.Arena) {
 	e.plan, e.a, e.memoHits = p, a, 0
+	e.atoms = e.sys.Scorer()
 	e.memo = a.Float64Rows(p.Nodes)
 	e.maxSim = unscored(a, p.Nodes)
 	e.children = nil
@@ -109,6 +113,7 @@ func (e *Evaluator) unbind() {
 			e.memoHits += c.memoHits
 		}
 	}
+	e.atoms.Release()
 	e.plan, e.a, e.memo, e.maxSim, e.children = nil, nil, nil, nil, nil
 }
 
@@ -169,10 +174,11 @@ func (e *Evaluator) ListPlanOn(ctx context.Context, p *core.Plan, a *core.Arena)
 }
 
 // SimAt returns the actual similarity of f at segment u under env; its memo
-// is on the heap and lives until the next call.
+// is on the heap and lives for the call.
 func (e *Evaluator) SimAt(f htl.Formula, u int, env picture.Env) (float64, error) {
 	p := core.CompilePlan(f)
 	e.bind(p, nil)
+	defer e.unbind()
 	return e.simAt(context.Background(), p.Root, u, env)
 }
 
@@ -234,7 +240,7 @@ func (e *Evaluator) simAt(ctx context.Context, n *core.PNode, u int, env picture
 func (e *Evaluator) simAtUncached(ctx context.Context, n *core.PNode, u int, env picture.Env) (float64, error) {
 	if n.NonTemporal {
 		e.opts.Prof.AtomicEval(n)
-		sim, err := e.sys.ScoreAtomicAt(n, u, env)
+		sim, err := e.atoms.ScoreAtomicAt(n, u, env)
 		if err == nil {
 			return sim.Act, nil
 		}
@@ -252,7 +258,7 @@ func (e *Evaluator) simAtUncached(ctx context.Context, n *core.PNode, u int, env
 	switch x := n.F.(type) {
 	case htl.True, htl.Present, htl.Cmp, htl.Pred:
 		e.opts.Prof.AtomicEval(n)
-		sim, err := e.sys.ScoreAtomicAt(n, u, env)
+		sim, err := e.atoms.ScoreAtomicAt(n, u, env)
 		if err != nil {
 			return 0, err
 		}
@@ -363,7 +369,7 @@ func (e *Evaluator) childAt(u int, ref htl.LevelRef) (*Evaluator, error) {
 		if !ok {
 			return nil, fmt.Errorf("refeval: child source is %T, not a picture system", src)
 		}
-		child = &Evaluator{sys: cs, opts: e.opts, plan: e.plan, a: e.a, memo: e.a.Float64Rows(e.plan.Nodes), maxSim: e.maxSim}
+		child = &Evaluator{sys: cs, opts: e.opts, plan: e.plan, a: e.a, memo: e.a.Float64Rows(e.plan.Nodes), maxSim: e.maxSim, atoms: cs.Scorer()}
 	}
 	if e.children == nil {
 		e.children = map[childKey]*Evaluator{}

@@ -93,18 +93,21 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 	sampled := p.Sampled(&c.sampling)
 	ctx, end := c.begin(ctx, &p)
 	// The canonical text is the plan key every shard compiles under, so the
-	// coordinator's slow log links to the same key without compiling.
-	var planKey string
-	if p.Formula != nil {
-		planKey = p.Formula.String()
+	// coordinator's slow log links to the same key without compiling. It is
+	// printed only for a trace or a slow-log entry that keeps it.
+	planKey := func() string {
+		if p.Formula == nil {
+			return ""
+		}
+		return p.Formula.String()
 	}
 	var tr *obs.Trace
 	if sampled {
 		tr = obs.NewTrace(p.Query)
 		tr.SetID(p.TraceID)
 		tr.SetTag("layer", "coordinator")
-		if planKey != "" {
-			tr.SetTag("plan_key", planKey)
+		if key := planKey(); key != "" {
+			tr.SetTag("plan_key", key)
 		}
 	}
 	// domShard is the shard whose sub-query bounded the scatter's wall time.
@@ -112,7 +115,7 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 	defer func() {
 		d := end()
 		if tr == nil {
-			c.slow.Observe(obs.SlowEntry{Query: p.Query, PlanKey: planKey, TraceID: p.TraceID, Shard: domShard, Duration: d}, nil)
+			c.slow.ObserveKeyed(obs.SlowEntry{Query: p.Query, TraceID: p.TraceID, Shard: domShard, Duration: d}, planKey)
 			return
 		}
 		tr.Finish()

@@ -29,8 +29,8 @@ type Detection struct {
 	// Certainty is the detection confidence in (0, 1].
 	Certainty float64
 	// Attrs and Props carry through to the assigned object.
-	Attrs map[string]metadata.Value
-	Props map[string]bool
+	Attrs metadata.Attrs
+	Props metadata.Props
 }
 
 // Config tunes the tracker.

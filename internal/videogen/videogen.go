@@ -23,7 +23,7 @@ type Frame struct {
 	Hist    [HistBins]float64
 	Objects []metadata.Object
 	Rels    []metadata.Relationship
-	Attrs   map[string]metadata.Value
+	Attrs   metadata.Attrs
 }
 
 // ShotSpec scripts one shot of the synthetic video.
@@ -37,7 +37,7 @@ type ShotSpec struct {
 	// every frame of the shot.
 	Objects []metadata.Object
 	Rels    []metadata.Relationship
-	Attrs   map[string]metadata.Value
+	Attrs   metadata.Attrs
 }
 
 // Render produces the frame stream of the scripted shots. noise controls

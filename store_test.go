@@ -21,7 +21,7 @@ func testStore(t *testing.T) *Store {
 	}
 
 	western := NewVideo(2, "High Noon Practice", map[string]int{"scene": 2, "shot": 3})
-	western.Root.Meta.Attrs = map[string]Value{"genre": Str("western")}
+	western.Root.Meta.Attrs = Attrs{{Name: "genre", Val: Str("western")}}
 	sc1 := western.Root.AppendChild(Seg().Attr("title", Str("duel")).Build())
 	sc1.AppendChild(Seg().
 		ObjC(501, "man", 0.9).Prop("holds_gun").OAttr("name", Str("JohnWayne")).
@@ -252,7 +252,7 @@ func TestAtomicInspection(t *testing.T) {
 func TestAnalyzePipelineThroughFacade(t *testing.T) {
 	specs := []ShotSpec{
 		{Frames: 10, Palette: 1, Objects: []Object{{ID: 1, Type: "man", Certainty: 1}}},
-		{Frames: 10, Palette: 2, Objects: []Object{{ID: 2, Type: "train", Certainty: 1, Props: map[string]bool{"moving": true}}}},
+		{Frames: 10, Palette: 2, Objects: []Object{{ID: 2, Type: "train", Certainty: 1, Props: Props{"moving"}}}},
 	}
 	frames := RenderFrames(specs, 0.01, 3)
 	v, cuts, err := AnalyzeFrames(frames, AnalyzeOptions{VideoID: 5, Name: "synthetic"})
@@ -317,9 +317,9 @@ func TestLeafSpansThroughStore(t *testing.T) {
 func TestTrackedPipelineMatchesGroundTruth(t *testing.T) {
 	specs := []ShotSpec{
 		{Frames: 4, Palette: 1, Objects: []Object{
-			{ID: 9, Type: "airplane", Certainty: 1, Attrs: map[string]Value{"height": Int(100)}}}},
+			{ID: 9, Type: "airplane", Certainty: 1, Attrs: Attrs{{Name: "height", Val: Int(100)}}}}},
 		{Frames: 4, Palette: 2, Objects: []Object{
-			{ID: 9, Type: "airplane", Certainty: 1, Attrs: map[string]Value{"height": Int(300)}}}},
+			{ID: 9, Type: "airplane", Certainty: 1, Attrs: Attrs{{Name: "height", Val: Int(300)}}}}},
 	}
 	frames := RenderFrames(specs, 0.01, 3)
 

@@ -6,7 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 
 	"htlvideo/internal/metadata"
 	"htlvideo/internal/wal"
@@ -155,13 +156,16 @@ func (s *Store) SaveFile(path string) error {
 // state.
 func (d StoreDoc) Validate() error {
 	seen := make(map[int]bool, len(d.Videos))
+	var v docValidator
 	for _, vd := range d.Videos {
 		if seen[vd.ID] {
 			return fmt.Errorf("htlvideo: duplicate video id %d in store document", vd.ID)
 		}
 		seen[vd.ID] = true
+		v.video = vd.ID
 		for i, sd := range vd.Segments {
-			if err := validateSegmentDoc(sd, fmt.Sprintf("video %d: segment %d", vd.ID, i+1)); err != nil {
+			v.path = append(v.path[:0], i+1)
+			if err := v.segment(sd); err != nil {
 				return err
 			}
 		}
@@ -169,22 +173,67 @@ func (d StoreDoc) Validate() error {
 	return nil
 }
 
-// validateSegmentDoc rejects duplicate object ids within one segment, then
-// recurses; path names the segment in document coordinates.
-func validateSegmentDoc(sd SegmentDoc, path string) error {
-	seen := make(map[int64]bool, len(sd.Objects))
-	for _, od := range sd.Objects {
-		if seen[od.ID] {
-			return fmt.Errorf("htlvideo: %s: duplicate object id %d", path, od.ID)
-		}
-		seen[od.ID] = true
+// docValidator walks one document's segments, naming a failure by its
+// video id and segment path ("video 3: segment 2.1"), formatted only then.
+type docValidator struct {
+	video int
+	path  []int // 1-based positions from the video's top-level segment down
+	// seen is the scratch of a segment of more than pairwiseObjects
+	// objects, made at most once; smaller ones are checked pairwise.
+	seen map[int64]bool
+}
+
+// pairwiseObjects is the most objects a segment may hold for its ids to be
+// compared pairwise rather than through a map.
+const pairwiseObjects = 16
+
+// segment rejects duplicate object ids within one segment, then recurses.
+func (v *docValidator) segment(sd SegmentDoc) error {
+	if id, ok := v.repeatedID(sd.Objects); ok {
+		return fmt.Errorf("htlvideo: %s: duplicate object id %d", v.pathString(), id)
 	}
 	for i, cd := range sd.Children {
-		if err := validateSegmentDoc(cd, fmt.Sprintf("%s.%d", path, i+1)); err != nil {
+		v.path = append(v.path, i+1)
+		if err := v.segment(cd); err != nil {
 			return err
 		}
+		v.path = v.path[:len(v.path)-1]
 	}
 	return nil
+}
+
+// repeatedID returns the first object id of objs that repeats an earlier
+// one.
+func (v *docValidator) repeatedID(objs []ObjectDoc) (int64, bool) {
+	if len(objs) <= pairwiseObjects {
+		for i := 1; i < len(objs); i++ {
+			for j := range i {
+				if objs[j].ID == objs[i].ID {
+					return objs[i].ID, true
+				}
+			}
+		}
+		return 0, false
+	}
+	if v.seen == nil {
+		v.seen = make(map[int64]bool, len(objs))
+	}
+	clear(v.seen)
+	for _, od := range objs {
+		if v.seen[od.ID] {
+			return od.ID, true
+		}
+		v.seen[od.ID] = true
+	}
+	return 0, false
+}
+
+func (v *docValidator) pathString() string {
+	s := fmt.Sprintf("video %d: segment %d", v.video, v.path[0])
+	for _, p := range v.path[1:] {
+		s += fmt.Sprintf(".%d", p)
+	}
+	return s
 }
 
 // Build constructs a store from the document.
@@ -215,13 +264,14 @@ func (d StoreDoc) Build() (*Store, error) {
 // both whole-document loads and WAL add_video records replay through.
 func videoFromDoc(vd VideoDoc) (*Video, error) {
 	v := NewVideo(vd.ID, vd.Name, vd.Levels)
+	in := interner{}
 	var err error
-	v.Root.Meta.Attrs, err = attrsFromDoc(vd.Attrs)
+	v.Root.Meta.Attrs, err = in.attrs(vd.Attrs)
 	if err != nil {
 		return nil, fmt.Errorf("video %d: %w", vd.ID, err)
 	}
 	for _, sd := range vd.Segments {
-		if err := addSegmentDoc(v.Root, sd); err != nil {
+		if err := in.addSegment(v.Root, sd); err != nil {
 			return nil, fmt.Errorf("video %d: %w", vd.ID, err)
 		}
 	}
@@ -259,15 +309,10 @@ func segmentToDoc(n *Node) SegmentDoc {
 		Attrs: attrsToDoc(n.Meta.Attrs),
 	}
 	for _, o := range n.Meta.Objects {
-		od := ObjectDoc{
+		sd.Objects = append(sd.Objects, ObjectDoc{
 			ID: int64(o.ID), Type: o.Type, Certainty: o.Certainty,
-			Attrs: attrsToDoc(o.Attrs),
-		}
-		for p := range o.Props {
-			od.Props = append(od.Props, p)
-		}
-		sort.Strings(od.Props)
-		sd.Objects = append(sd.Objects, od)
+			Props: o.Props, Attrs: attrsToDoc(o.Attrs),
+		})
 	}
 	for _, r := range n.Meta.Rels {
 		sd.Rels = append(sd.Rels, RelDoc{Name: r.Name, Subject: int64(r.Subject), Object: int64(r.Object)})
@@ -278,82 +323,114 @@ func segmentToDoc(n *Node) SegmentDoc {
 	return sd
 }
 
-func addSegmentDoc(parent *Node, sd SegmentDoc) error {
+// interner is one video's load: the decoder gives every name in the
+// document its own string, and the video keeps one copy of each attribute
+// name, property name, object type, relationship name and string value.
+type interner map[string]string
+
+func (in interner) str(s string) string {
+	if c, ok := in[s]; ok {
+		return c
+	}
+	in[s] = s
+	return s
+}
+
+func (in interner) addSegment(parent *Node, sd SegmentDoc) error {
 	meta := SegmentMeta{}
 	var err error
-	meta.Attrs, err = attrsFromDoc(sd.Attrs)
+	meta.Attrs, err = in.attrs(sd.Attrs)
 	if err != nil {
 		return err
+	}
+	if len(sd.Objects) > 0 {
+		meta.Objects = make([]Object, 0, len(sd.Objects))
 	}
 	for _, od := range sd.Objects {
 		cert := od.Certainty
 		if cert == 0 {
 			cert = 1
 		}
-		obj := Object{ID: ObjectID(od.ID), Type: od.Type, Certainty: cert}
-		if len(od.Props) > 0 {
-			obj.Props = map[string]bool{}
-			for _, p := range od.Props {
-				obj.Props[p] = true
-			}
-		}
-		obj.Attrs, err = attrsFromDoc(od.Attrs)
+		obj := Object{ID: ObjectID(od.ID), Type: in.str(od.Type), Certainty: cert}
+		obj.Props = in.props(od.Props)
+		obj.Attrs, err = in.attrs(od.Attrs)
 		if err != nil {
 			return fmt.Errorf("object %d: %w", od.ID, err)
 		}
 		meta.Objects = append(meta.Objects, obj)
 	}
+	if len(sd.Rels) > 0 {
+		meta.Rels = make([]Relationship, 0, len(sd.Rels))
+	}
 	for _, rd := range sd.Rels {
 		meta.Rels = append(meta.Rels, Relationship{
-			Name: rd.Name, Subject: ObjectID(rd.Subject), Object: ObjectID(rd.Object),
+			Name: in.str(rd.Name), Subject: ObjectID(rd.Subject), Object: ObjectID(rd.Object),
 		})
 	}
 	node := parent.AppendChild(meta)
 	for _, cd := range sd.Children {
-		if err := addSegmentDoc(node, cd); err != nil {
+		if err := in.addSegment(node, cd); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func attrsFromDoc(raw map[string]any) (map[string]Value, error) {
+// props returns the document's property list as a set: sorted, each name
+// once.
+func (in interner) props(raw []string) metadata.Props {
+	if len(raw) == 0 {
+		return nil
+	}
+	out := make(metadata.Props, 0, len(raw))
+	for _, p := range raw {
+		out = append(out, in.str(p))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// attrs converts the document's attribute map, sorted by name.
+func (in interner) attrs(raw map[string]any) (metadata.Attrs, error) {
 	if len(raw) == 0 {
 		return nil, nil
 	}
-	out := make(map[string]Value, len(raw))
+	out := make(metadata.Attrs, 0, len(raw))
 	for name, rv := range raw {
+		var v Value
 		switch x := rv.(type) {
 		case string:
-			out[name] = Str(x)
+			v = Str(in.str(x))
 		case float64:
 			if x != float64(int64(x)) {
 				return nil, fmt.Errorf("attribute %q: non-integer numeric value %v", name, x)
 			}
-			out[name] = Int(int64(x))
+			v = Int(int64(x))
 		case json.Number:
 			i, err := x.Int64()
 			if err != nil {
 				return nil, fmt.Errorf("attribute %q: %w", name, err)
 			}
-			out[name] = Int(i)
+			v = Int(i)
 		default:
 			return nil, fmt.Errorf("attribute %q: unsupported value type %T", name, rv)
 		}
+		out = append(out, metadata.Attr{Name: in.str(name), Val: v})
 	}
+	slices.SortFunc(out, func(a, b metadata.Attr) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }
 
-func attrsToDoc(attrs map[string]Value) map[string]any {
+func attrsToDoc(attrs metadata.Attrs) map[string]any {
 	if len(attrs) == 0 {
 		return nil
 	}
 	out := make(map[string]any, len(attrs))
-	for name, v := range attrs {
-		if v.Kind == metadata.StrValue {
-			out[name] = v.Str
+	for _, a := range attrs {
+		if a.Val.Kind == metadata.StrValue {
+			out[a.Name] = a.Val.Str
 		} else {
-			out[name] = v.Int
+			out[a.Name] = a.Val.Int
 		}
 	}
 	return out

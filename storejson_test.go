@@ -2,6 +2,7 @@ package htlvideo
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -46,7 +47,7 @@ func TestLoadStoreJSON(t *testing.T) {
 	if v == nil || v.Name != "clip" || v.Depth() != 3 {
 		t.Fatalf("video: %+v", v)
 	}
-	if v.Root.Meta.Attrs["genre"] != Str("western") {
+	if !slices.Equal(v.Root.Meta.Attrs, Attrs{{Name: "genre", Val: Str("western")}}) {
 		t.Fatal("root attrs lost")
 	}
 	shots := v.Sequence(3)
@@ -58,8 +59,8 @@ func TestLoadStoreJSON(t *testing.T) {
 		t.Fatalf("object 7 lost: %+v", shots[0].Meta.Objects)
 	}
 	john := &shots[0].Meta.Objects[i]
-	if john.Certainty != 0.9 || !john.Props["holds_gun"] ||
-		john.Attrs["height"] != Int(180) || john.Attrs["name"] != Str("John") {
+	if john.Certainty != 0.9 || !slices.Equal(john.Props, Props{"holds_gun"}) ||
+		!slices.Equal(john.Attrs, Attrs{{Name: "height", Val: Int(180)}, {Name: "name", Val: Str("John")}}) {
 		t.Fatalf("john: %+v", john)
 	}
 	// Default certainty is 1 when omitted.
@@ -178,6 +179,29 @@ func TestStoreDocValidateNamesCoordinates(t *testing.T) {
 	}
 }
 
+// TestStoreDocValidateMessages holds the document-level errors word for
+// word: a nested segment's path, and a segment large enough that its ids
+// are checked through a map.
+func TestStoreDocValidateMessages(t *testing.T) {
+	var objs []string
+	for id := 1; id <= pairwiseObjects+2; id++ {
+		objs = append(objs, fmt.Sprintf(`{"id":%d,"type":"man"}`, id))
+	}
+	large := strings.Join(append(objs, `{"id":5,"type":"man"}`, `{"id":2,"type":"man"}`), ",")
+	for _, c := range []struct{ doc, want string }{
+		{`{"videos":[{"id":1,"segments":[{}]},{"id":3,"segments":[{},{"children":[{"children":[{}]},{"children":[{},{"objects":[{"id":9,"type":"man"},{"id":8,"type":"man"},{"id":8,"type":"man"}]}]}]}]}]}`,
+			"htlvideo: video 3: segment 2.2.2: duplicate object id 8"},
+		{`{"videos":[{"id":7,"segments":[{"objects":[` + large + `]}]}]}`,
+			"htlvideo: video 7: segment 1: duplicate object id 5"},
+		{`{"videos":[{"id":4,"segments":[{}]},{"id":4,"segments":[{}]}]}`,
+			"htlvideo: duplicate video id 4 in store document"},
+	} {
+		if _, err := LoadStore(strings.NewReader(c.doc)); fmt.Sprint(err) != c.want {
+			t.Errorf("err = %v, want %q", err, c.want)
+		}
+	}
+}
+
 func TestSaveFileLoadFile(t *testing.T) {
 	s, err := LoadStore(strings.NewReader(sampleStoreJSON))
 	if err != nil {
@@ -262,6 +286,8 @@ func FuzzLoadStore(f *testing.F) {
 		f.Errorf("reading corpus seed: %v", err)
 	}
 	f.Add(`{"videos":[]}`)
+	f.Add(repeatedPropsJSON)
+	f.Add(repeatedAttrsJSON)
 	f.Add(`{"taxonomy":[{"child":"a","parent":"b"}],"videos":[{"id":1,"segments":[{"objects":[{"id":1,"type":"a"}]}]}]}`)
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := LoadStore(strings.NewReader(src))
