@@ -49,14 +49,16 @@ budget:
 
 # The prove-or-remove gate alone and verbose: every exported function or
 # method of the module has a non-test caller, resolved by go/types, or an
-# allowlist entry with its reason (fanin_test.go); a failure lists each name.
+# allowlist entry with its reason (fanin_test.go), and an entry kept as a test
+# seam is named by some test of the module; a failure lists each name.
 fanin:
 	$(GO) test -run '^(TestExportedFuncsHaveCallers|TestFanInRuleSeesThroughNames)$$' -count=1 -v .
 
-# Metrics-conventions lint: every Prometheus exposition the store, server and
-# shard coordinator serve must pass obs.LintExposition (counter/gauge/
-# histogram naming, cumulative buckets, +Inf terminators, name charset), and
-# all three listeners must answer the same ops endpoint set (TestOpsSurface).
+# Metrics-conventions lint: the store's registry and every Prometheus
+# exposition the server and the shard coordinator serve must pass
+# obs.LintExposition (counter/gauge/histogram naming, cumulative buckets, +Inf
+# terminators, name charset), and both listeners must answer the same ops
+# endpoint set (TestOpsSurface).
 lint-metrics:
 	$(GO) test -run '^TestMetricsConventions$$|^TestOpsSurface$$|^TestLintExposition' -count=1 ./ ./internal/obs/
 
@@ -157,7 +159,8 @@ fuzz-valuetable:
 
 # Short atomic-program fuzz session (FuzzAtomicProgram: on any system and
 # atomic formula, EvalAtomic's table and ScoreAtomicAt equal a naive scorer
-# that reads the segments' meta-data maps, at every segment and evaluation).
+# that walks the formula over the segments' meta-data, at every segment and
+# evaluation).
 fuzz-atomic:
 	$(GO) test -run '^$$' -fuzz=FuzzAtomicProgram -fuzztime=30s ./internal/picture/
 

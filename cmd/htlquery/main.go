@@ -49,7 +49,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "overall query deadline, e.g. 200ms or 2s (0 = none)")
 	partial := flag.Bool("partial", false, "return partial results: failed videos are skipped and summarized")
 	trace := flag.Bool("trace", false, "render the query's span tree on stderr (with -remote: the stitched cross-process tree)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/slowlog, /debug/traces and /debug/pprof on this address; the process then stays alive until interrupted")
+	metricsAddr := flag.String("metrics-addr", "", "serve the store through the query server's handler (/query, /explain, /metrics, /healthz, /readyz, /debug/*) on this address; the process then stays alive until interrupted")
 	explain := flag.Bool("explain", false, "evaluate the query with per-plan-node profiling and print the annotated plan tree")
 	exact := flag.Bool("exact", false, "with -explain: exact per-visit time attribution (slower; affects the reference evaluator)")
 	remote := flag.String("remote", "", "base URL of a running htlserve (single server or coordinator); the query runs there instead of locally")
@@ -306,17 +306,18 @@ func printSummary(store *htlvideo.Store, res *htlvideo.Results) {
 	}
 }
 
-// serveMetrics starts the observability listener, or returns nil. The
-// server comes from internal/server's hardened constructor: an unbounded
-// ReadHeaderTimeout would let a single slow client (Slowloris) pin the
-// listener's goroutines for good.
+// serveMetrics starts the observability listener, or returns nil. It serves
+// the store through internal/server's handler, the ops surface htlserve
+// mounts (with /query and /explain beside it), from that package's hardened
+// constructor: an unbounded ReadHeaderTimeout would let a single slow client
+// (Slowloris) pin the listener's goroutines for good.
 func serveMetrics(store *htlvideo.Store, addr string) *http.Server {
 	if addr == "" {
 		return nil
 	}
-	srv := server.NewHTTPServer(addr, store.DebugHandler())
+	srv := server.NewHTTPServer(addr, server.New(store).Handler())
 	go func() {
-		fmt.Fprintf(os.Stderr, "htlquery: serving /metrics, /healthz, /readyz, /debug/* on %s\n", addr)
+		fmt.Fprintf(os.Stderr, "htlquery: serving /query, /explain, /metrics, /healthz, /readyz, /debug/* on %s\n", addr)
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintf(os.Stderr, "htlquery: metrics listener: %v\n", err)
 		}

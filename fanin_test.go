@@ -15,6 +15,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,7 +27,8 @@ import (
 // (DESIGN.md §6). Anything exported that neither a library, command,
 // example or bench/ caller nor an entry here accounts for fails
 // TestExportedFuncsHaveCallers, and so does an entry that has gained a
-// caller or gone.
+// caller or gone, and one whose reason begins "test seam" that no test
+// names.
 var uncalledExported = map[string]string{
 	"core.TopKBySort":             "the sort-everything oracle the production top-k is held to",
 	"simlist.List.Expand":         "the dense oracle lists are checked against",
@@ -58,7 +60,6 @@ var uncalledExported = map[string]string{
 	"faultinject.Disarm":          "test seam: fault plans",
 	"resilience.Retrier.SetSleep": "test seam: retries without waiting",
 	"server.WithParallelism":      "test seam: the chaos suite bounds a request's concurrent videos",
-	"server.WithClock":            "test seam: a hand-advanced clock",
 	"shard.WithClock":             "test seam: a hand-advanced breaker clock",
 	"timeseries.WithClock":        "test seam: a hand-advanced clock",
 	"cache.LRU.SetClock":          "test seam: TTL expiry under a hand-advanced clock",
@@ -72,7 +73,8 @@ var uncalledExported = map[string]string{
 // the module resolves to it, outside its own body, or when it implements an
 // interface method the module calls. bench/ is its own, frozen module: every
 // use in it counts, its tests included, and so do the examples of
-// example_test.go; bench/'s own declarations are not checked.
+// example_test.go; bench/'s own declarations are not checked. A test seam
+// stays only while some test of the module names it.
 func TestExportedFuncsHaveCallers(t *testing.T) {
 	found, err := uncalledFuncs(".", "htlvideo", func(rel string) bool {
 		return strings.HasPrefix(rel, "bench/") || rel == "example_test.go"
@@ -86,39 +88,50 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 			unlisted = append(unlisted, key)
 		}
 	}
-	for key := range uncalledExported {
-		if !found[key] {
+	var untested []string
+	for key, reason := range uncalledExported {
+		named, ok := found[key]
+		switch {
+		case !ok:
 			stale = append(stale, key)
+		case !named && strings.HasPrefix(reason, "test seam"):
+			untested = append(untested, key)
 		}
 	}
 	sort.Strings(unlisted)
 	sort.Strings(stale)
+	sort.Strings(untested)
 	for _, key := range unlisted {
 		t.Errorf("%s is exported but no non-test file calls it: find it a caller or delete it", key)
 	}
 	for _, key := range stale {
 		t.Errorf("%s is listed in uncalledExported but has a caller or is gone: drop the entry", key)
 	}
+	for _, key := range untested {
+		t.Errorf("%s is listed as a test seam but no test names it: delete it", key)
+	}
 }
 
 // TestFanInRuleSeesThroughNames runs the rule on testdata/fanin, where A.Len
-// is called and B.Len is not, and C.Size is reached only through an
-// interface: a rule that counted bare names would pass B.Len because A.Len
-// shares its name, and one that counted resolved uses alone would flag
-// C.Size.
+// is called and B.Len and D.Len are not, C.Size is reached only through an
+// interface, and only a test names B.Len: a rule that counted bare names
+// would pass B.Len and D.Len because A.Len shares their name, one that
+// counted resolved uses alone would flag C.Size, and one that read the
+// tests by name would take D.Len for named.
 func TestFanInRuleSeesThroughNames(t *testing.T) {
 	found, err := uncalledFuncs(filepath.Join("testdata", "fanin"), "fixture", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := map[string]bool{"fixture.B.Len": true}; !maps.Equal(found, want) {
+	if want := map[string]bool{"fixture.B.Len": true, "fixture.D.Len": false}; !maps.Equal(found, want) {
 		t.Errorf("uncalled = %v, want %v", found, want)
 	}
 }
 
 // uncalledFuncs type-checks the non-test packages of the module at root
 // (module path mod) and returns the keys (pkg.Func or pkg.Type.Method) of its
-// exported functions and methods that nothing calls. Files for which frozen
+// exported functions and methods that nothing calls, each mapped to whether a
+// use in some test file of the module resolves to it. Files for which frozen
 // reports true (slash paths relative to root) are read whether or not they
 // are tests, and count as callers only: their declarations are not checked.
 //
@@ -142,6 +155,7 @@ func uncalledFuncs(root, mod string, frozen func(rel string) bool) (map[string]b
 	}
 	var decls []decl
 	std := map[string]bool{}
+	tests := map[string][]*ast.File{} // by package path, as l.files
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -158,7 +172,7 @@ func uncalledFuncs(root, mod string, frozen func(rel string) bool) (map[string]b
 			return nil
 		}
 		callerOnly := frozen != nil && frozen(rel)
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") && !callerOnly {
+		if !strings.HasSuffix(rel, ".go") {
 			return nil
 		}
 		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
@@ -175,12 +189,16 @@ func uncalledFuncs(root, mod string, frozen func(rel string) bool) (map[string]b
 		if strings.HasSuffix(f.Name.Name, "_test") {
 			pkgPath += "_test"
 		}
-		l.files[pkgPath] = append(l.files[pkgPath], f)
 		for _, imp := range f.Imports {
 			if p, _ := strconv.Unquote(imp.Path.Value); !l.inModule(p) {
 				std[p] = true
 			}
 		}
+		if strings.HasSuffix(rel, "_test.go") && !callerOnly {
+			tests[pkgPath] = append(tests[pkgPath], f)
+			return nil
+		}
+		l.files[pkgPath] = append(l.files[pkgPath], f)
 		for _, d := range f.Decls {
 			if fn, ok := d.(*ast.FuncDecl); ok && !callerOnly && fn.Name.IsExported() {
 				key := f.Name.Name + "."
@@ -263,15 +281,72 @@ func uncalledFuncs(root, mod string, frozen func(rel string) bool) (map[string]b
 		}
 	}
 
+	named, err := l.checkTests(tests)
+	if err != nil {
+		return nil, err
+	}
 	found := map[string]bool{}
 	for _, d := range decls {
 		f := l.info.Defs[d.fn.Name].(*types.Func)
 		if !called[f] && !implementsCalled(f, ifaces[f.Name()]) {
-			found[d.key] = true
+			found[d.key] = named[d.key]
 		}
 	}
 	return found, nil
 }
+
+// checkTests type-checks the module's test files and returns the keys of the
+// functions and methods a use in them resolves to. Each package is checked
+// again with its own test files, as a copy; an external test package imports
+// that copy (so it sees what export_test.go declares) and every other
+// package as the first pass checked it. The copy and the package others
+// import are then distinct types, which the checker reports and this
+// ignores: uses resolve all the same.
+func (l *faninLoader) checkTests(tests map[string][]*ast.File) (map[string]bool, error) {
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	ignore := func(error) {}
+	withTests := map[string]*types.Package{}
+	for p, files := range tests {
+		if !strings.HasSuffix(p, "_test") {
+			conf := types.Config{Importer: l, Error: ignore}
+			withTests[p], _ = conf.Check(p, l.fset, append(slices.Clone(l.files[p]), files...), info)
+		}
+	}
+	for p, files := range tests {
+		if base, ok := strings.CutSuffix(p, "_test"); ok {
+			conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+				if pkg := withTests[path]; path == base && pkg != nil {
+					return pkg, nil
+				}
+				return l.Import(path)
+			}), Error: ignore}
+			conf.Check(p, l.fset, append(slices.Clone(l.files[p]), files...), info)
+		}
+	}
+	named := map[string]bool{}
+	for id, obj := range info.Uses {
+		f, ok := obj.(*types.Func)
+		if !ok || f.Pkg() == nil || !strings.HasSuffix(l.fset.File(id.Pos()).Name(), "_test.go") {
+			continue
+		}
+		key := f.Pkg().Name() + "."
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if n, ok := t.(*types.Named); ok {
+				key += n.Obj().Name() + "."
+			}
+		}
+		named[key+f.Name()] = true
+	}
+	return named, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // implementsCalled reports whether method f's receiver type, or a pointer to
 // it, implements one of ifaces.

@@ -1,7 +1,7 @@
 // Package dash is the ops HTTP surface: the one endpoint set (/metrics,
-// /healthz, /readyz, /debug/...) that the store's DebugHandler, htlserve's
-// Handler and the shard coordinator's Handler each Mount once over their own
-// Sources. Its /debug/dash page is a self-contained, auto-refreshing HTML
+// /healthz, /readyz, /debug/...) that the two serving tiers, htlserve's
+// Handler and the shard coordinator's Handler, each Mount once over their
+// own Sources. Its /debug/dash page is a self-contained, auto-refreshing HTML
 // dashboard over the health rollup, the per-plan-key query statistics, and
 // the timeseries sampler's sparklines. One embedded template, a meta-refresh
 // tag, unicode block sparklines — no JavaScript, no external assets, so it

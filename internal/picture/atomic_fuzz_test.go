@@ -16,7 +16,7 @@ import (
 
 // FuzzAtomicProgram holds the compiled atomic program — EvalAtomic's table and
 // ScoreAtomicAt's direct score — to naiveScorer, a tree-walking scorer that
-// reads the segments' meta-data maps directly, at every segment and under
+// reads the segments' meta-data directly, at every segment and under
 // every evaluation of the formula's free object variables. The input is a
 // system (one decoded from data, Casablanca, the six-shot system or a corpus
 // video), an HTL text and a number of binders to peel off it; a temporal

@@ -15,6 +15,7 @@ var (
 	CorpusVideo        = corpusVideo
 	CorpusTaxonomy     = corpusTaxonomy
 	ValueTableDiff     = valueTableDiff
+	AtomicRejections   = atomicRejections
 )
 
 // SystemScoring returns what a naive scorer needs of s: its taxonomy and

@@ -177,6 +177,11 @@ type compiler struct {
 	// queried type's table) are made by the first type predicate.
 	typeLits map[string][]int
 	sims     map[string]int
+	// badOperand describes the first comparison operand that cannot be
+	// lowered: in a hand-built formula, an attribute variable no binder
+	// reaches (its kind disagrees with its use) or a missing term. It is
+	// reported only when the formula breaks no rule of the fragment.
+	badOperand string
 }
 
 // scope maps the variable names visible at one point of the formula to
@@ -224,9 +229,6 @@ func (s *System) compileAtomic(f htl.Formula) *program {
 		p.temporal = true
 		return p
 	}
-	if p.err = validateAtomic(f); p.err != nil {
-		return p
-	}
 	p.maxSim = atomicMaxSim(s.w, f)
 	freeObj, freeAttr := htl.FreeVars(f)
 	// The schema slices end up in every table built from the program;
@@ -247,7 +249,14 @@ func (s *System) compileAtomic(f htl.Formula) *program {
 	for i, v := range freeAttr {
 		top.attr[v] = i
 	}
-	p.root = c.expr(f, top)
+	root := c.expr(f, top)
+	if p.err == nil && c.badOperand != "" {
+		p.err = &UnsupportedError{c.badOperand}
+	}
+	if p.err != nil {
+		return p
+	}
+	p.root = root
 	for _, v := range c.vars {
 		v.cons = c.typeLits[v.name]
 	}
@@ -321,6 +330,14 @@ func (c *compiler) expr(f htl.Formula, sc scope) *expr {
 	case htl.Present:
 		return &expr{kind: exprPresent, w: w.Present, x: c.objSlot(n.X.Name, sc)}
 	case htl.Pred:
+		if len(n.Args) > 2 {
+			return c.fail(fmt.Sprintf("predicate %s has arity %d (at most 2 supported)", n.Name, len(n.Args)))
+		}
+		for _, a := range n.Args {
+			if _, ok := a.(htl.Var); !ok {
+				return c.fail(fmt.Sprintf("argument %s of %s must be an object variable", a, n.Name))
+			}
+		}
 		switch len(n.Args) {
 		case 0:
 			return &expr{kind: exprTag, w: w.SegPred, name: c.name(kindSegAttr, n.Name)}
@@ -337,6 +354,16 @@ func (c *compiler) expr(f htl.Formula, sc scope) *expr {
 			c.typeLits[fn.Of] = append(c.typeLits[fn.Of], t)
 			return &expr{kind: exprType, w: w.Type, x: c.objSlot(fn.Of, sc), sim: t}
 		}
+		lv, lIsVar := n.L.(htl.Var)
+		rv, rIsVar := n.R.(htl.Var)
+		if lIsVar && lv.Kind == htl.ObjectVar || rIsVar && rv.Kind == htl.ObjectVar {
+			return c.fail("object variables cannot be compared; compare their attributes")
+		}
+		// A variable bound by an enclosing freeze is a concrete value here;
+		// two free attribute variables cannot both be ranged.
+		if lIsVar && rIsVar && c.freeAttr(lv.Name, sc) && c.freeAttr(rv.Name, sc) {
+			return c.fail("comparison of two attribute variables")
+		}
 		e := &expr{kind: exprCmp, w: w.SegAttr, op: n.Op, l: c.operand(n.L, sc), r: c.operand(n.R, sc)}
 		if objAttrInvolved(n) {
 			e.w = w.Attr
@@ -345,6 +372,14 @@ func (c *compiler) expr(f htl.Formula, sc scope) *expr {
 	case htl.And:
 		return &expr{kind: exprAnd, a: c.expr(n.L, sc), b: c.expr(n.R, sc)}
 	case htl.Not:
+		// Negation over object variables breaks the monotonicity that makes
+		// wildcard rows sound lower bounds (a row for "x absent" would
+		// over-report ¬P(x) for present objects); only segment-level scopes
+		// are negatable here. Full HTL negation is the reference
+		// evaluator's job.
+		if usesObjects(n.F) {
+			return c.fail("negation over a subformula with object variables (conjunctive formulas admit no negation; segment-level scopes only)")
+		}
 		return &expr{kind: exprNot, w: atomicMaxSim(w, n.F), a: c.expr(n.F, sc)}
 	case htl.Exists:
 		e := &expr{kind: exprExists, vars: make([]objVar, len(n.Vars))}
@@ -365,17 +400,27 @@ func (c *compiler) expr(f htl.Formula, sc scope) *expr {
 		c.p.attrNames = append(c.p.attrNames, n.Var)
 		return &expr{kind: exprFreeze, attr: slot, frozen: c.operand(n.Attr, sc), a: c.expr(n.F, sc.bindAttr(n.Var, slot))}
 	default:
-		c.fail(fmt.Sprintf("temporal operator %T inside an atomic formula", f))
-		return &expr{kind: exprTrue}
+		return c.fail(fmt.Sprintf("temporal operator %T inside an atomic formula", f))
 	}
 }
 
-// fail records the first static rejection found while lowering; the walk
-// goes on so that it needs no error plumbing, and the result is discarded.
-func (c *compiler) fail(msg string) {
+// fail records the first rejection of the atomic fragment's rules found while
+// lowering, which walks the formula left to right; the walk goes on so that
+// it needs no error plumbing, and compileAtomic drops the root. It returns a
+// placeholder for the rejected node.
+func (c *compiler) fail(msg string) *expr {
 	if c.p.err == nil {
 		c.p.err = &UnsupportedError{msg}
 	}
+	return &expr{kind: exprTrue}
+}
+
+// freeAttr reports whether the attribute variable name is free in the
+// formula being compiled where sc is visible, rather than bound by a freeze
+// inside it.
+func (c *compiler) freeAttr(name string, sc scope) bool {
+	slot, ok := sc.attr[name]
+	return !ok || slot < len(c.p.freeAttr)
 }
 
 // typeCmpSides splits a graded type predicate (isTypeCmp) into its attribute
@@ -394,11 +439,9 @@ func (c *compiler) operand(t htl.Term, sc scope) operandSpec {
 	case htl.StrLit:
 		return operandSpec{kind: operandLit, val: core.AttrValue{Str: x.S}}
 	case htl.Var:
-		slot, ok := sc.attr[x.Name]
-		if !ok {
-			c.fail(fmt.Sprintf("comparison operand %s", t))
+		if slot, ok := sc.attr[x.Name]; ok {
+			return operandSpec{kind: operandAttrVar, slot: slot}
 		}
-		return operandSpec{kind: operandAttrVar, slot: slot}
 	case htl.AttrFn:
 		switch {
 		case x.Of == "":
@@ -407,10 +450,11 @@ func (c *compiler) operand(t htl.Term, sc scope) operandSpec {
 			return operandSpec{kind: operandObjType, slot: c.objSlot(x.Of, sc)}
 		}
 		return operandSpec{kind: operandObjAttr, slot: c.objSlot(x.Of, sc), name: c.name(kindObjAttr, x.Attr)}
-	default:
-		c.fail(fmt.Sprintf("comparison operand %s", t))
-		return operandSpec{}
 	}
+	if c.badOperand == "" {
+		c.badOperand = fmt.Sprintf("comparison operand %s", t)
+	}
+	return operandSpec{}
 }
 
 // postingsOf picks the posting lists whose union covers every segment where
@@ -538,65 +582,6 @@ func objAttrInvolved(n htl.Cmp) bool {
 		return true
 	}
 	return false
-}
-
-// validateAtomic statically rejects formulas outside the supported atomic
-// fragment, independent of whether any segment is a candidate.
-func validateAtomic(f htl.Formula) error { return validateAtomicIn(f, map[string]bool{}) }
-
-func validateAtomicIn(f htl.Formula, frozen map[string]bool) error {
-	switch n := f.(type) {
-	case htl.True, htl.Present:
-		return nil
-	case htl.Cmp:
-		lv, lIsVar := n.L.(htl.Var)
-		rv, rIsVar := n.R.(htl.Var)
-		if (lIsVar && lv.Kind == htl.ObjectVar) || (rIsVar && rv.Kind == htl.ObjectVar) {
-			return &UnsupportedError{"object variables cannot be compared; compare their attributes"}
-		}
-		// A variable bound by an enclosing freeze is a concrete value here;
-		// two *free* attribute variables cannot both be ranged.
-		if lIsVar && rIsVar && !frozen[lv.Name] && !frozen[rv.Name] {
-			return &UnsupportedError{"comparison of two attribute variables"}
-		}
-		return nil
-	case htl.Pred:
-		if len(n.Args) > 2 {
-			return &UnsupportedError{fmt.Sprintf("predicate %s has arity %d (at most 2 supported)", n.Name, len(n.Args))}
-		}
-		for _, a := range n.Args {
-			if _, ok := a.(htl.Var); !ok {
-				return &UnsupportedError{fmt.Sprintf("argument %s of %s must be an object variable", a, n.Name)}
-			}
-		}
-		return nil
-	case htl.And:
-		if err := validateAtomicIn(n.L, frozen); err != nil {
-			return err
-		}
-		return validateAtomicIn(n.R, frozen)
-	case htl.Not:
-		// Negation over object variables breaks the monotonicity that makes
-		// wildcard rows sound lower bounds (a row for "x absent" would
-		// over-report ¬P(x) for present objects); only segment-level scopes
-		// are negatable here. Full HTL negation is the reference
-		// evaluator's job.
-		if usesObjects(n.F) {
-			return &UnsupportedError{"negation over a subformula with object variables (conjunctive formulas admit no negation; segment-level scopes only)"}
-		}
-		return validateAtomicIn(n.F, frozen)
-	case htl.Exists:
-		return validateAtomicIn(n.F, frozen)
-	case htl.Freeze:
-		inner := make(map[string]bool, len(frozen)+1)
-		for k := range frozen {
-			inner[k] = true
-		}
-		inner[n.Var] = true
-		return validateAtomicIn(n.F, inner)
-	default:
-		return &UnsupportedError{fmt.Sprintf("temporal operator %T inside an atomic formula", f)}
-	}
 }
 
 // usesObjects reports whether f mentions any object variable or quantifier.

@@ -296,18 +296,106 @@ func TestDataDependentErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := htl.Var{Name: "a", Kind: htl.AttrVar}, htl.Var{Name: "b", Kind: htl.AttrVar}
-	for want, f := range map[string]htl.Formula{
-		"arity 3": htl.Pred{Name: "p", Args: []htl.Term{htl.Var{Name: "x"}, htl.Var{Name: "y"}, htl.Var{Name: "z"}}},
-		"negation over a subformula with object variables": peel("exists x . not moving(x)", 1),
-		"comparison of two attribute variables":            htl.Cmp{Op: htl.OpLt, L: a, R: b},
-		"non-temporal formula":                             htl.And{L: htl.True{}, R: htl.Next{F: htl.True{}}},
-	} {
-		if _, err := se.EvalAtomic(f); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("EvalAtomic(%s) = %v, want an error about %s", f, err, want)
+	temporal := htl.And{L: htl.True{}, R: htl.Next{F: htl.True{}}}
+	if _, err := se.EvalAtomic(temporal); err == nil || !strings.Contains(err.Error(), "non-temporal formula") {
+		t.Errorf("EvalAtomic(%s) = %v, want an error about a non-temporal formula", temporal, err)
+	}
+	if _, err := se.ScoreAtomicAt(atom(temporal), 1, Env{}); err == nil {
+		t.Errorf("ScoreAtomicAt(%s) should fail statically", temporal)
+	}
+}
+
+// atomicRejections are the atomic fragment's static rejections, which the
+// compiler raises where it lowers the offending node, each with the exact
+// text of its UnsupportedError ("" for a formula the fragment accepts). A
+// row with a query is that query's first atomic unit; a hand-built row (no
+// query) reaches the picture layer only from a caller that builds formulas.
+// TestAtomicRejections runs every row through EvalAtomic and
+// Scorer.ScoreAtomicAt, and TestAtomicRejectionsThroughStore every query
+// through a Store.
+var atomicRejections = []struct {
+	Name, Query string
+	F           htl.Formula // hand-built rows only
+	Want        string
+}{
+	{Name: "object variables compared", Query: "exists x . present(x) and x = 3",
+		Want: "object variables cannot be compared; compare their attributes"},
+	{Name: "two free attribute variables compared", Query: "[a <- M1] [b <- M2] next (a < b)",
+		Want: "comparison of two attribute variables"},
+	{Name: "frozen against free attribute variable", Query: "[a <- M1] next [b <- M2] (a < b)"},
+	{Name: "predicate of arity 3", Query: "exists x, y, z . p(x, y, z)",
+		Want: "predicate p has arity 3 (at most 2 supported)"},
+	{Name: "predicate argument not a variable", Query: "p(3)",
+		Want: "argument 3 of p must be an object variable"},
+	{Name: "negation over object variables", Query: "exists x . not moving(x)",
+		Want: "negation over a subformula with object variables (conjunctive formulas admit no negation; segment-level scopes only)"},
+	// Two rules broken: the walk reports the enclosing node's, then the
+	// leftmost.
+	{Name: "negation over a predicate of arity 3", Query: "exists x . not p(x, x, x)",
+		Want: "negation over a subformula with object variables (conjunctive formulas admit no negation; segment-level scopes only)"},
+	{Name: "arity 3, then object variables compared", Query: "exists x . p(x, x, x) and x = 3",
+		Want: "predicate p has arity 3 (at most 2 supported)"},
+	{Name: "object variables compared, then arity 3", Query: "exists x . x = 3 and p(x, x, x)",
+		Want: "object variables cannot be compared; compare their attributes"},
+	// An attribute variable named like the object variable bound around
+	// it: no binder reaches it, and a broken rule elsewhere wins.
+	{Name: "attribute variable no binder reaches",
+		F:    htl.Exists{Vars: []string{"x"}, F: htl.Cmp{Op: htl.OpEq, L: htl.Var{Name: "x", Kind: htl.AttrVar}, R: htl.IntLit{V: 3}}},
+		Want: "comparison operand x"},
+	{Name: "unreached attribute variable, then arity 3",
+		F: htl.Exists{Vars: []string{"x"}, F: htl.And{
+			L: htl.Cmp{Op: htl.OpEq, L: htl.Var{Name: "x", Kind: htl.AttrVar}, R: htl.IntLit{V: 3}},
+			R: htl.Pred{Name: "p", Args: []htl.Term{htl.Var{Name: "x"}, htl.Var{Name: "x"}, htl.Var{Name: "x"}}},
+		}},
+		Want: "predicate p has arity 3 (at most 2 supported)"},
+}
+
+// TestAtomicRejections: each rejection is static — it fires over a
+// sequence where no segment is a candidate — and both entry points report
+// it word for word.
+func TestAtomicRejections(t *testing.T) {
+	empty := metadata.NewVideo(1, "empty", nil)
+	empty.Root.AppendChild(metadata.Seg().Build())
+	s, err := NewSystem(empty, 2, NewTaxonomy(), DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range atomicRejections {
+		f := r.F
+		if r.Query != "" {
+			f = htl.MustParse(r.Query)
 		}
-		if _, err := se.ScoreAtomicAt(atom(f), 1, Env{}); err == nil {
-			t.Errorf("ScoreAtomicAt(%s) should fail statically", f)
+		n := firstAtom(core.CompilePlan(f).Root)
+		env := Env{Attr: map[string]BoundAttr{}}
+		for _, v := range n.AttrVars {
+			env.Attr[v] = BoundAttr{Defined: true, Val: core.AttrValue{IsInt: true, Int: 1}}
+		}
+		_, evalErr := s.EvalAtomic(n.F)
+		_, scoreErr := s.ScoreAtomicAt(n, 1, env)
+		for _, got := range []struct {
+			entry string
+			err   error
+		}{{"EvalAtomic", evalErr}, {"ScoreAtomicAt", scoreErr}} {
+			var unsup *UnsupportedError
+			switch {
+			case r.Want == "" && got.err != nil:
+				t.Errorf("%s: %s = %v, want it accepted", r.Name, got.entry, got.err)
+			case r.Want != "" && (!errors.As(got.err, &unsup) || unsup.Msg != r.Want):
+				t.Errorf("%s: %s = %v, want %q", r.Name, got.entry, got.err, r.Want)
+			}
 		}
 	}
+}
+
+// firstAtom returns the first atomic unit of a plan, in preorder.
+func firstAtom(n *core.PNode) *core.PNode {
+	if n.NonTemporal {
+		return n
+	}
+	for _, k := range n.Kids {
+		if a := firstAtom(k); a != nil {
+			return a
+		}
+	}
+	return nil
 }

@@ -65,7 +65,6 @@ type config struct {
 	queryStatsCapacity int
 	// sampleInterval, when positive, starts the background metrics sampler.
 	sampleInterval time.Duration
-	now            func() time.Time
 	rand           func(n int64) int64
 	logger         obs.Logger
 }
@@ -100,9 +99,6 @@ func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n 
 func WithResultCache(rc htlvideo.ResultCacheConfig) Option {
 	return func(c *config) { c.resultCache = rc }
 }
-
-// WithClock injects the time source (tests).
-func WithClock(now func() time.Time) Option { return func(c *config) { c.now = now } }
 
 // WithRandSeed seeds the retry jitter deterministically (tests).
 func WithRandSeed(seed int64) Option {
@@ -220,7 +216,6 @@ func New(st *htlvideo.Store, opts ...Option) *Server {
 		maxTimeout:     30 * time.Second,
 		drainTimeout:   10 * time.Second,
 		parallelism:    runtime.GOMAXPROCS(0),
-		now:            time.Now,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -240,7 +235,7 @@ func New(st *htlvideo.Store, opts ...Option) *Server {
 	}
 	s.limiter = newLimiter(cfg.admission)
 	s.limiter.waiting, s.limiter.shed = m.queued, m.shed
-	s.breaker = resilience.NewBreaker(cfg.breaker, cfg.now, func(key int64, from, to resilience.BreakerState) {
+	s.breaker = resilience.NewBreaker(cfg.breaker, time.Now, func(key int64, from, to resilience.BreakerState) {
 		switch to {
 		case resilience.StateOpen:
 			m.brOpened.Inc()

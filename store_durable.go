@@ -25,9 +25,11 @@ package htlvideo
 // merely replays records the snapshot filter discards.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -337,9 +339,16 @@ func latestSnapshot(dir string) (uint64, string, error) {
 // the replay half of the commit protocol, shared with nothing else so the
 // apply path is identical on the live store and during recovery.
 func (s *Store) applyWALRecord(payload []byte) error {
+	// As json.Unmarshal, but keeping attribute numbers as written (see
+	// LoadStore): one value, and nothing but white space after it.
 	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.UseNumber()
+	if err := dec.Decode(&rec); err != nil {
 		return fmt.Errorf("decoding record: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decoding record: data after the record")
 	}
 	switch rec.Op {
 	case walOpAddVideo:

@@ -1,6 +1,8 @@
 package htlvideo
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -106,6 +109,68 @@ func TestDurableOpenAddReopen(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rankedOf(t, r), referenceRanked(t, 4)) {
 		t.Fatal("recovered ranking differs from the in-memory reference")
+	}
+}
+
+// TestDurableExactIntegers: an integer attribute beyond float64's exact
+// range (2^53+1) survives recovery digit for digit, whether the store comes
+// back by replaying the log or by loading a checkpoint.
+func TestDurableExactIntegers(t *testing.T) {
+	const big = 9007199254740993
+	for _, checkpoint := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := OpenDurable(dir, WithCheckpointEvery(0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := NewVideo(1, "clip", map[string]int{"shot": 2})
+		v.Root.AppendChild(Seg().Attr("frame", Int(big)).Obj(1, "man").OAttr("frame", Int(-big)).Build())
+		if err := s.Add(v); err != nil {
+			t.Fatal(err)
+		}
+		var live bytes.Buffer
+		if err := s.Save(&live); err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenDurable(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recovered bytes.Buffer
+		if err := r.Save(&recovered); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		if !bytes.Contains(live.Bytes(), []byte("9007199254740993")) || !bytes.Equal(recovered.Bytes(), live.Bytes()) {
+			t.Errorf("checkpoint=%v: recovered store saves\n%s\nthe live one\n%s", checkpoint, recovered.String(), live.String())
+		}
+	}
+}
+
+// TestWALRecordRefusesTrailingData: a record is one JSON value, which white
+// space may follow and nothing else.
+func TestWALRecordRefusesTrailingData(t *testing.T) {
+	doc := videoToDoc(durableTestVideo(1))
+	rec, err := json.Marshal(walRecord{Op: walOpAddVideo, Video: &doc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{" x", "{}", `"more"`} {
+		if err := NewStore(nil, DefaultWeights()).applyWALRecord(append(slices.Clip(rec), tail...)); err == nil {
+			t.Errorf("record followed by %q applied", tail)
+		}
+	}
+	s := NewStore(nil, DefaultWeights())
+	if err := s.applyWALRecord(append(slices.Clip(rec), " \n\t"...)); err != nil || len(s.Videos()) != 1 {
+		t.Errorf("record followed by white space: %v, %d videos", err, len(s.Videos()))
 	}
 }
 

@@ -6,9 +6,7 @@ package htlvideo
 // the metric names and the mapping from engines and formula classes to them.
 
 import (
-	"context"
 	"errors"
-	"net/http"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -16,7 +14,6 @@ import (
 	"htlvideo/internal/faultinject"
 	"htlvideo/internal/htl"
 	"htlvideo/internal/obs"
-	"htlvideo/internal/obs/dash"
 	"htlvideo/internal/obs/querystats"
 	"htlvideo/internal/resilience"
 )
@@ -536,32 +533,6 @@ func (s *Store) QueryStats() *querystats.Stats { return s.obs.qstats }
 // SetQueryStatsCapacity rebounds the per-plan-key statistics LRU (capacity
 // < 1 selects querystats.DefaultCapacity). All-time totals survive eviction.
 func (s *Store) SetQueryStatsCapacity(capacity int) { s.obs.qstats.SetCapacity(capacity) }
-
-// DebugHandler serves the store's ops surface over HTTP (dash.Mount's
-// endpoint set): its /metrics JSON document is {metrics, stats}, the registry
-// snapshot plus the Stats snapshot. The store keeps no metrics history, so
-// /debug/timeseries serves the empty document. cmd/htlquery mounts it behind
-// -metrics-addr.
-func (s *Store) DebugHandler() http.Handler {
-	mux := http.NewServeMux()
-	dash.Mount(mux, dash.Sources{
-		Title:      "htlvideo store",
-		Registries: func() []*obs.Registry { return []*obs.Registry{s.obs.reg} },
-		Metrics: func() any {
-			return struct {
-				Metrics obs.RegistrySnapshot `json:"metrics"`
-				Stats   Stats                `json:"stats"`
-			}{s.obs.reg.Snapshot(), s.Stats()}
-		},
-		SlowLog: s.SlowLog,
-		Traces:  s.TraceRing,
-		Health:  s.Health,
-		Queries: func(context.Context) (querystats.Snapshot, []querystats.ShardStatus) {
-			return s.obs.qstats.Snapshot(), nil
-		},
-	})
-	return mux
-}
 
 // WithTrace attaches a per-query trace sink: the query records a span per
 // pipeline stage (parse → picture-system build/cache lookup → per-video eval

@@ -2,21 +2,17 @@ package htlvideo
 
 // Store-level observability tests: cache hit/miss accounting across warm and
 // cold runs, panic-recovery and per-video failure counters, trace structure
-// and timing consistency, per-engine/per-class query breakdowns, and the
-// debug HTTP surface — all proven with
-// internal/faultinject scenarios and kept clean under `go test -race`.
+// and timing consistency, and per-engine/per-class query breakdowns — all
+// proven with internal/faultinject scenarios and kept clean under
+// `go test -race`. The HTTP surface over them is the serving tiers' (see
+// ops_surface_test.go).
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -464,94 +460,3 @@ func TestDirectQueriesSampled(t *testing.T) {
 		t.Fatalf("slow log holds %d entries with a span tree, want %d", withTree, want)
 	}
 }
-
-// TestDebugHandler: the /metrics and /debug/slowlog endpoints serve valid
-// JSON reflecting the store's counters.
-func TestDebugHandler(t *testing.T) {
-	s := resilienceStore(t, 2)
-	if _, err := s.Query("M1"); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s.DebugHandler())
-	defer srv.Close()
-
-	var metrics struct {
-		Metrics struct {
-			Counters map[string]int64 `json:"counters"`
-		} `json:"metrics"`
-		Stats Stats `json:"stats"`
-	}
-	getJSON(t, srv.URL+"/metrics", &metrics)
-	if metrics.Metrics.Counters["cache.misses"] != 2 {
-		t.Fatalf("/metrics cache.misses = %d, want 2", metrics.Metrics.Counters["cache.misses"])
-	}
-	if metrics.Stats.Queries.Total != 1 {
-		t.Fatalf("/metrics stats total = %d, want 1", metrics.Stats.Queries.Total)
-	}
-
-	var slow []SlowEntry
-	getJSON(t, srv.URL+"/debug/slowlog", &slow)
-	if len(slow) != 1 || slow[0].Query != "M1" {
-		t.Fatalf("/debug/slowlog = %+v, want the one query", slow)
-	}
-}
-
-func getJSON(t *testing.T, url string, into any) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("GET %s: %s", url, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-}
-
-// TestStatsConcurrentWithQueries hammers queries, Stats, the slow log and the
-// HTTP handler concurrently; meaningful under -race.
-func TestStatsConcurrentWithQueries(t *testing.T) {
-	s := resilienceStore(t, 4)
-	srv := httptest.NewServer(s.DebugHandler())
-	defer srv.Close()
-	var tc countingSink
-	queries := []string{"M1", "M2", "M1 until M2", "eventually M2"}
-	var wg sync.WaitGroup
-	for i := 0; i < 12; i++ {
-		q := queries[i%len(queries)]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.Query(q, WithParallelism(2), WithTrace(&tc)); err != nil {
-				t.Errorf("query %q: %v", q, err)
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = s.Stats()
-			_ = s.SlowLog().Snapshot()
-			resp, err := srv.Client().Get(srv.URL + "/metrics")
-			if err != nil {
-				t.Errorf("GET /metrics: %v", err)
-				return
-			}
-			resp.Body.Close()
-		}()
-	}
-	wg.Wait()
-	if got := s.Stats().Queries.Total; got != 12 {
-		t.Fatalf("query total = %d, want 12", got)
-	}
-	if got := tc.n.Load(); got != 12 {
-		t.Fatalf("sink received %d traces, want 12", got)
-	}
-}
-
-// countingSink is a TraceSink that counts the traces it receives.
-type countingSink struct{ n atomic.Int64 }
-
-func (c *countingSink) ObserveTrace(*Trace) { c.n.Add(1) }

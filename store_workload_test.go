@@ -3,16 +3,13 @@ package htlvideo
 // Workload-analytics tests: the per-plan-key query statistics fed from the
 // settle hook (calls, error classes, cache hits, memo hits, per-video work),
 // the query.errors.<class> counters, the store health rollup (including the
-// durable components under injected WAL failures), and the extended debug
-// HTTP surface — /debug/queries, /debug/health, /debug/timeseries,
-// /debug/dash. All race-clean; the concurrency test drives queries and
-// snapshots together.
+// durable components under injected WAL failures). All race-clean; the
+// concurrency test drives queries and snapshots together. The endpoints that
+// serve them are tested in ops_surface_test.go.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,7 +17,6 @@ import (
 	"time"
 
 	"htlvideo/internal/faultinject"
-	"htlvideo/internal/obs"
 	"htlvideo/internal/obs/querystats"
 )
 
@@ -223,63 +219,6 @@ func TestStoreHealthWALFailures(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("wal-io not degraded with reason: %+v", d.Components)
-	}
-}
-
-// TestDebugWorkloadEndpoints: the extended debug surface serves query stats
-// (sortable), the health document, the timeseries document, and the HTML
-// dashboard.
-func TestDebugWorkloadEndpoints(t *testing.T) {
-	s := resilienceStore(t, 3)
-	for i := 0; i < 2; i++ {
-		if _, err := s.Query("M1"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h := s.DebugHandler()
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/queries?sort=total", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/debug/queries: %d", rec.Code)
-	}
-	var qs querystats.Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &qs); err != nil {
-		t.Fatal(err)
-	}
-	if qs.SortedBy != "total" || len(qs.Entries) != 1 || qs.Entries[0].Calls != 2 {
-		t.Fatalf("queries doc: %+v", qs)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/health", nil))
-	var hd obs.HealthDoc
-	if err := json.Unmarshal(rec.Body.Bytes(), &hd); err != nil {
-		t.Fatal(err)
-	}
-	if hd.Status != obs.HealthOK || len(hd.Components) == 0 {
-		t.Fatalf("health doc: %+v", hd)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/timeseries", nil))
-	var ts struct {
-		Samples int `json:"samples"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &ts); err != nil {
-		t.Fatal(err)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/dash", nil))
-	body := rec.Body.String()
-	if rec.Code != 200 || !strings.Contains(body, "<html") {
-		t.Fatalf("/debug/dash: %d", rec.Code)
-	}
-	for _, want := range []string{"Health", "Query shapes", "M1"} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("dashboard missing %q", want)
-		}
 	}
 }
 

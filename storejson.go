@@ -80,10 +80,12 @@ type RelDoc struct {
 	Object  int64  `json:"object"`
 }
 
-// LoadStore reads a JSON store document.
+// LoadStore reads a JSON store document. Attribute numbers are decoded as
+// written, so an integer keeps every digit.
 func LoadStore(r io.Reader) (*Store, error) {
 	var doc StoreDoc
 	dec := json.NewDecoder(r)
+	dec.UseNumber()
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("htlvideo: decoding store: %w", err)
 	}
@@ -270,6 +272,9 @@ func videoFromDoc(vd VideoDoc) (*Video, error) {
 	if err != nil {
 		return nil, fmt.Errorf("video %d: %w", vd.ID, err)
 	}
+	if len(vd.Segments) > 0 {
+		v.Root.Children = make([]*Node, 0, len(vd.Segments))
+	}
 	for _, sd := range vd.Segments {
 		if err := in.addSegment(v.Root, sd); err != nil {
 			return nil, fmt.Errorf("video %d: %w", vd.ID, err)
@@ -368,6 +373,9 @@ func (in interner) addSegment(parent *Node, sd SegmentDoc) error {
 		})
 	}
 	node := parent.AppendChild(meta)
+	if len(sd.Children) > 0 {
+		node.Children = make([]*Node, 0, len(sd.Children))
+	}
 	for _, cd := range sd.Children {
 		if err := in.addSegment(node, cd); err != nil {
 			return err
@@ -397,6 +405,19 @@ func (in interner) attrs(raw map[string]any) (metadata.Attrs, error) {
 	}
 	out := make(metadata.Attrs, 0, len(raw))
 	for name, rv := range raw {
+		// A decoded integer literal is read exactly; any other number (3.0,
+		// 1e3) as the float64 it denotes, which must hold an integer.
+		if n, ok := rv.(json.Number); ok {
+			if i, err := n.Int64(); err == nil {
+				out = append(out, metadata.Attr{Name: in.str(name), Val: Int(i)})
+				continue
+			}
+			f, err := n.Float64()
+			if err != nil {
+				return nil, fmt.Errorf("attribute %q: %w", name, err)
+			}
+			rv = f
+		}
 		var v Value
 		switch x := rv.(type) {
 		case string:
@@ -406,12 +427,6 @@ func (in interner) attrs(raw map[string]any) (metadata.Attrs, error) {
 				return nil, fmt.Errorf("attribute %q: non-integer numeric value %v", name, x)
 			}
 			v = Int(int64(x))
-		case json.Number:
-			i, err := x.Int64()
-			if err != nil {
-				return nil, fmt.Errorf("attribute %q: %w", name, err)
-			}
-			v = Int(i)
 		default:
 			return nil, fmt.Errorf("attribute %q: unsupported value type %T", name, rv)
 		}

@@ -164,6 +164,43 @@ func TestLoadStoreErrors(t *testing.T) {
 	}
 }
 
+// TestLoadStoreExactIntegers: LoadStore reads an integer attribute literal
+// exactly, beyond float64's exact range too, so Save writes it back digit for
+// digit; any other number is read as the float64 it denotes, which must hold
+// an integer.
+func TestLoadStoreExactIntegers(t *testing.T) {
+	doc := func(lit string) string {
+		return `{"videos":[{"id":1,"segments":[{"attrs":{"x":` + lit + `},"objects":[{"id":1,"type":"man","attrs":{"y":` + lit + `}}]}]}]}`
+	}
+	for _, tc := range []struct{ lit, want string }{
+		{"9007199254740993", "9007199254740993"},
+		{"-9007199254740993", "-9007199254740993"},
+		{"9223372036854775807", "9223372036854775807"},
+		{"-9223372036854775808", "-9223372036854775808"},
+		{"3.0", "3"},
+		{"1e3", "1000"},
+	} {
+		s, err := LoadStore(strings.NewReader(doc(tc.lit)))
+		if err != nil {
+			t.Errorf("%s: %v", tc.lit, err)
+			continue
+		}
+		var b bytes.Buffer
+		if err := s.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, attr := range []string{`"x": `, `"y": `} {
+			if !strings.Contains(b.String(), attr+tc.want+"\n") {
+				t.Errorf("%s: saved as\n%s\nwant %s%s", tc.lit, b.String(), attr, tc.want)
+			}
+		}
+	}
+	_, err := LoadStore(strings.NewReader(doc("3.5")))
+	if want := `attribute "x": non-integer numeric value 3.5`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("3.5: %v, want an error containing %q", err, want)
+	}
+}
+
 // TestStoreDocValidateNamesCoordinates: duplicate ids are rejected at the
 // document level with errors naming document coordinates, before any store
 // construction.
@@ -289,6 +326,7 @@ func FuzzLoadStore(f *testing.F) {
 	f.Add(repeatedPropsJSON)
 	f.Add(repeatedAttrsJSON)
 	f.Add(`{"taxonomy":[{"child":"a","parent":"b"}],"videos":[{"id":1,"segments":[{"objects":[{"id":1,"type":"a"}]}]}]}`)
+	f.Add(`{"videos":[{"id":1,"segments":[{"attrs":{"frame":9007199254740993}}]}]}`)
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := LoadStore(strings.NewReader(src))
 		if err != nil {

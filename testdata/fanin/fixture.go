@@ -1,5 +1,6 @@
 // Package fixture is the fan-in rule's own test case (fanin_test.go): A.Len
-// is called and B.Len is not, and C.Size is reached only through Sizer.
+// is called and B.Len and D.Len are not, C.Size is reached only through
+// Sizer, and only fixture_test.go names B.Len.
 package fixture
 
 type A struct{}
@@ -20,3 +21,7 @@ func total() int {
 	var s Sizer = C{}
 	return A{}.Len() + s.Size()
 }
+
+type D struct{}
+
+func (D) Len() int { return 3 }
