@@ -36,8 +36,8 @@ race:
 # ?trace=1 attempt's collector: nothing unsampled) and that it
 # allocates the same on a store of one video or of 64, what one
 # cold GET /query of each MIX6 shape allocates through the server's handler
-# and through a coordinator over four shard servers on loopback,
-# the resident bytes per shot of the picture systems a serving store builds
+# and through a coordinator over four shard servers on loopback, what one
+# Parse of each MIX6 text allocates (internal/htl), the resident bytes per shot of the picture systems a serving store builds
 # and of the meta-data a store loaded from JSON keeps,
 # the kernel's byte-identity golden, the three tests that hold the evaluation
 # arena's reuse invisible to both engines, and the proof that a WithTopK(k)
@@ -45,7 +45,7 @@ race:
 # detector sync.Pool drops puts on purpose, the budgets skip themselves and
 # reuse is rarer.
 budget:
-	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestSystemResidentBytes|TestVideoResidentBytes|TestVideoQueryCostIndependentOfStoreSize|TestColdRequestAllocBudget|TestFleetRequestAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking)$$' -count=1 . ./internal/core/ ./internal/server/ ./internal/shard/
+	$(GO) test -run '^(TestColdShapeAllocBudget|TestStoreQueryOverheadBudget|TestSystemResidentBytes|TestVideoResidentBytes|TestVideoQueryCostIndependentOfStoreSize|TestColdRequestAllocBudget|TestFleetRequestAllocBudget|TestKernelGolden|TestArenaReuseIsInvisible|TestReferenceArenaReuseIsInvisible|TestMemoTablesImmutable|TestWithTopKMatchesFullRanking|TestParseAllocBudget)$$' -count=1 . ./internal/core/ ./internal/server/ ./internal/shard/ ./internal/htl/
 
 # The prove-or-remove gate alone and verbose: every exported function or
 # method of the module has a non-test caller, resolved by go/types, or an

@@ -42,7 +42,7 @@ type Term interface {
 	String() string
 }
 
-// Var is a variable occurrence. Kind is filled in by the binding pass.
+// Var is a variable occurrence. The parser fills in Kind where it reads it.
 type Var struct {
 	Name string
 	Kind VarKind

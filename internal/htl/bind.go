@@ -7,197 +7,53 @@ type BindError struct{ Msg string }
 
 func (e *BindError) Error() string { return "htl: " + e.Msg }
 
-// bind resolves variable occurrences against the binding environment,
-// labelling each Var with its sort. Identifiers used where an object is
-// required (present, predicate arguments, attribute-function arguments) must
-// be bound by `exists`; an unbound identifier appearing as a bare comparison
-// operand is reinterpreted as a segment-level attribute reference.
-func bind(f Formula, env map[string]VarKind) (Formula, error) {
-	switch n := f.(type) {
-	case True:
-		return n, nil
-	case Present:
-		v, err := bindObjVar(n.X, env)
-		if err != nil {
-			return nil, err
+// binding is one name a binder in scope introduced, with its sort.
+type binding struct {
+	name string
+	kind VarKind
+}
+
+// lookup returns the sort of name's innermost binding at the parser's
+// position.
+func (p *parser) lookup(name string) (VarKind, bool) {
+	for i := len(p.scope) - 1; i >= 0; i-- {
+		if p.scope[i].name == name {
+			return p.scope[i].kind, true
 		}
-		return Present{X: v}, nil
-	case Cmp:
-		l, err := bindTerm(n.L, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bindTerm(n.R, env)
-		if err != nil {
-			return nil, err
-		}
-		return Cmp{Op: n.Op, L: l, R: r}, nil
-	case Pred:
-		if len(n.Args) == 0 {
-			return Pred{Name: n.Name}, nil
-		}
-		args := make([]Term, len(n.Args))
-		for i, a := range n.Args {
-			switch t := a.(type) {
-			case Var:
-				v, err := bindObjVar(t, env)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = v
-			case StrLit, IntLit:
-				args[i] = t
-			case AttrFn:
-				if err := checkAttrFn(t, env); err != nil {
-					return nil, err
-				}
-				args[i] = t
-			default:
-				return nil, &BindError{fmt.Sprintf("unsupported predicate argument %s", a)}
-			}
-		}
-		return Pred{Name: n.Name, Args: args}, nil
-	case And:
-		l, err := bind(n.L, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bind(n.R, env)
-		if err != nil {
-			return nil, err
-		}
-		return And{L: l, R: r}, nil
-	case Not:
-		g, err := bind(n.F, env)
-		if err != nil {
-			return nil, err
-		}
-		return Not{F: g}, nil
-	case Next:
-		g, err := bind(n.F, env)
-		if err != nil {
-			return nil, err
-		}
-		return Next{F: g}, nil
-	case Eventually:
-		g, err := bind(n.F, env)
-		if err != nil {
-			return nil, err
-		}
-		return Eventually{F: g}, nil
-	case Until:
-		l, err := bind(n.L, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bind(n.R, env)
-		if err != nil {
-			return nil, err
-		}
-		return Until{L: l, R: r}, nil
-	case Exists:
-		// Shadowing an outer binding is allowed; duplicating a name within
-		// one quantifier is not.
-		if err := checkDistinct(n.Vars); err != nil {
-			return nil, err
-		}
-		inner := cloneEnv(env)
-		for _, v := range n.Vars {
-			inner[v] = ObjectVar
-		}
-		g, err := bind(n.F, inner)
-		if err != nil {
-			return nil, err
-		}
-		return Exists{Vars: n.Vars, F: g}, nil
-	case Freeze:
-		if err := checkAttrFn(n.Attr, env); err != nil {
-			return nil, err
-		}
-		inner := cloneEnv(env)
-		inner[n.Var] = AttrVar
-		g, err := bind(n.F, inner)
-		if err != nil {
-			return nil, err
-		}
-		return Freeze{Var: n.Var, Attr: n.Attr, F: g}, nil
-	case AtLevel:
-		g, err := bind(n.F, env)
-		if err != nil {
-			return nil, err
-		}
-		return AtLevel{Level: n.Level, F: g}, nil
-	default:
-		return nil, &BindError{fmt.Sprintf("unsupported formula node %T", f)}
+	}
+	return 0, false
+}
+
+// bindFail records a binding error unless an earlier one is recorded.
+func (p *parser) bindFail(format string, args ...any) {
+	if p.bindErr == nil {
+		p.bindErr = &BindError{fmt.Sprintf(format, args...)}
 	}
 }
 
-// bindTerm resolves a comparison operand.
-func bindTerm(t Term, env map[string]VarKind) (Term, error) {
-	switch x := t.(type) {
-	case IntLit, StrLit:
-		return x, nil
-	case AttrFn:
-		if err := checkAttrFn(x, env); err != nil {
-			return nil, err
-		}
-		return x, nil
-	case Var:
-		if k, ok := env[x.Name]; ok {
-			return Var{Name: x.Name, Kind: k}, nil
-		}
-		// Unbound bare identifier in a comparison: a segment attribute,
-		// e.g. `genre = 'western'`.
-		return AttrFn{Attr: x.Name}, nil
-	default:
-		return nil, &BindError{fmt.Sprintf("unsupported term %s", t)}
+// object requires name, read where an object is required (present, a
+// predicate argument), to be bound as an object variable.
+func (p *parser) object(name string) {
+	switch k, ok := p.lookup(name); {
+	case !ok:
+		p.bindFail("unbound object variable %q", name)
+	case k != ObjectVar:
+		p.bindFail("%q is an attribute variable, but an object variable is required", name)
 	}
 }
 
-// bindObjVar requires v to be bound as an object variable.
-func bindObjVar(v Var, env map[string]VarKind) (Var, error) {
-	k, ok := env[v.Name]
-	if !ok {
-		return Var{}, &BindError{fmt.Sprintf("unbound object variable %q", v.Name)}
-	}
-	if k != ObjectVar {
-		return Var{}, &BindError{fmt.Sprintf("%q is an attribute variable, but an object variable is required", v.Name)}
-	}
-	return Var{Name: v.Name, Kind: ObjectVar}, nil
-}
-
-// checkAttrFn validates the object argument of an attribute function.
-func checkAttrFn(a AttrFn, env map[string]VarKind) error {
+// attrFn requires the object of an attribute function to be bound as an
+// object variable.
+func (p *parser) attrFn(a AttrFn) {
 	if a.Of == "" {
-		return nil
+		return
 	}
-	k, ok := env[a.Of]
-	if !ok {
-		return &BindError{fmt.Sprintf("unbound object variable %q in %s", a.Of, a)}
+	switch k, ok := p.lookup(a.Of); {
+	case !ok:
+		p.bindFail("unbound object variable %q in %s", a.Of, a)
+	case k != ObjectVar:
+		p.bindFail("%q in %s is an attribute variable, but an object variable is required", a.Of, a)
 	}
-	if k != ObjectVar {
-		return &BindError{fmt.Sprintf("%q in %s is an attribute variable, but an object variable is required", a.Of, a)}
-	}
-	return nil
-}
-
-func checkDistinct(vars []string) error {
-	seen := map[string]bool{}
-	for _, v := range vars {
-		if seen[v] {
-			return &BindError{fmt.Sprintf("variable %q bound twice by one quantifier", v)}
-		}
-		seen[v] = true
-	}
-	return nil
-}
-
-func cloneEnv(env map[string]VarKind) map[string]VarKind {
-	out := make(map[string]VarKind, len(env)+1)
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
 }
 
 // FreeVars returns the free object and attribute variables of f, in first-
@@ -206,25 +62,26 @@ func cloneEnv(env map[string]VarKind) map[string]VarKind {
 func FreeVars(f Formula) (obj, attr []string) {
 	var ob, at []string
 	seenO, seenA := map[string]bool{}, map[string]bool{}
-	bound := map[string]int{} // name -> nesting count
+	// name -> nesting count of the exists and of the freeze binders around
+	boundO, boundA := map[string]int{}, map[string]int{}
+	addObj := func(name string) {
+		if boundO[name] == 0 && !seenO[name] {
+			seenO[name] = true
+			ob = append(ob, name)
+		}
+	}
 	addTerm := func(t Term) {
 		switch x := t.(type) {
 		case Var:
-			if bound[x.Name] > 0 {
-				return
-			}
-			if x.Kind == ObjectVar && !seenO[x.Name] {
-				seenO[x.Name] = true
-				ob = append(ob, x.Name)
-			}
-			if x.Kind == AttrVar && !seenA[x.Name] {
+			if x.Kind == ObjectVar {
+				addObj(x.Name)
+			} else if boundA[x.Name] == 0 && !seenA[x.Name] {
 				seenA[x.Name] = true
 				at = append(at, x.Name)
 			}
 		case AttrFn:
-			if x.Of != "" && bound[x.Of] == 0 && !seenO[x.Of] {
-				seenO[x.Of] = true
-				ob = append(ob, x.Of)
+			if x.Of != "" {
+				addObj(x.Of)
 			}
 		}
 	}
@@ -256,17 +113,17 @@ func FreeVars(f Formula) (obj, attr []string) {
 			walk(n.F)
 		case Exists:
 			for _, v := range n.Vars {
-				bound[v]++
+				boundO[v]++
 			}
 			walk(n.F)
 			for _, v := range n.Vars {
-				bound[v]--
+				boundO[v]--
 			}
 		case Freeze:
 			addTerm(n.Attr)
-			bound[n.Var]++
+			boundA[n.Var]++
 			walk(n.F)
-			bound[n.Var]--
+			boundA[n.Var]--
 		}
 	}
 	walk(f)

@@ -6,7 +6,7 @@ import (
 )
 
 // parseSeeds are FuzzParse's seed corpus: well-formed queries of every
-// production, malformed ones, and deep nesting.
+// production, malformed ones, binding errors, and deep nesting.
 var parseSeeds = []string{
 	"true",
 	"exists x . present(x) and type(x) = 'man'",
@@ -24,6 +24,10 @@ var parseSeeds = []string{
 	"[y <- ] true",
 	strings.Repeat("(", 64) + "true" + strings.Repeat(")", 64),
 	strings.Repeat("not ", 64) + "M1",
+	"present(x) and (M1",                // a syntax error after a binding error
+	"P1(x) and [h <- q(y)] present(h)",  // two binding errors
+	"[h <- height(z)] eventually h > 1", // a freeze's attribute function names an unbound object
+	"P()",
 }
 
 // FuzzParse asserts that parsing is total: any input either fails with a

@@ -2,15 +2,20 @@ package htl
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// Parse parses an HTL query and resolves variable binding. The result is a
-// closed formula: every object variable is bound by `exists` and every
-// attribute variable by a freeze operator; unbound identifiers compared with
-// `=`/`<`/... are read as segment-level attributes (e.g. `genre = 'western'`).
+// Parse parses an HTL query, resolving each variable where it reads it, in
+// one left-to-right pass that builds every node once. The result is a closed
+// formula: every object variable is bound by `exists` and every attribute
+// variable by a freeze operator, a name referring to its innermost binder;
+// unbound identifiers compared with `=`/`<`/... are read as segment-level
+// attributes (e.g. `genre = 'western'`). A syntax error anywhere wins over
+// any binding error; of the binding errors, the first in the text is
+// reported.
 func Parse(src string) (Formula, error) {
 	buf := tokenPool.Get().(*[]token)
 	defer releaseTokens(buf)
@@ -27,7 +32,10 @@ func Parse(src string) (Formula, error) {
 	if p.peek().kind != tokEOF {
 		return nil, &SyntaxError{p.peek().pos, fmt.Sprintf("unexpected %s after formula", p.peek().kind)}
 	}
-	return bind(f, map[string]VarKind{})
+	if p.bindErr != nil {
+		return nil, p.bindErr
+	}
+	return f, nil
 }
 
 // maxPooledTokens caps the token buffers Parse keeps for reuse: a buffer a
@@ -64,14 +72,18 @@ func MustParse(src string) Formula {
 
 // maxParseDepth bounds formula nesting so hostile or malformed inputs
 // produce a parse error instead of overflowing the goroutine stack; it also
-// bounds the recursion of the later bind/print/classify passes, which walk
-// the tree the parser built.
+// bounds the recursion of the later print/classify passes, which walk the
+// tree the parser built.
 const maxParseDepth = 1024
 
 type parser struct {
 	toks  []token
 	i     int
 	depth int
+	scope []binding // the names bound at the current position, innermost last
+	// bindErr is the first binding error in the text; Parse reports it only
+	// once the whole input has parsed, so that a later syntax error wins.
+	bindErr *BindError
 }
 
 // enter guards every recursive production; callers must pair it with leave.
@@ -194,6 +206,9 @@ func (p *parser) exists() (Formula, error) {
 		if reserved[id.text] {
 			return nil, &SyntaxError{id.pos, fmt.Sprintf("%q is reserved", id.text)}
 		}
+		if slices.Contains(vars, id.text) {
+			p.bindFail("variable %q bound twice by one quantifier", id.text)
+		}
 		vars = append(vars, id.text)
 		if p.peek().kind == tokComma {
 			p.next()
@@ -204,15 +219,20 @@ func (p *parser) exists() (Formula, error) {
 	if _, err := p.expect(tokDot); err != nil {
 		return nil, err
 	}
+	outer := len(p.scope)
+	for _, v := range vars {
+		p.scope = append(p.scope, binding{v, ObjectVar})
+	}
 	f, err := p.formula()
 	if err != nil {
 		return nil, err
 	}
+	p.scope = p.scope[:outer]
 	return Exists{Vars: vars, F: f}, nil
 }
 
 // freeze parses `[y <- attr(x)] f` after the opening bracket; the scope is a
-// prefix-level formula.
+// prefix-level formula, and attr(x) is resolved outside it.
 func (p *parser) freeze() (Formula, error) {
 	v, err := p.expect(tokIdent)
 	if err != nil {
@@ -228,13 +248,16 @@ func (p *parser) freeze() (Formula, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.attrFn(attr)
 	if _, err := p.expect(tokRBracket); err != nil {
 		return nil, err
 	}
+	p.scope = append(p.scope, binding{v.text, AttrVar})
 	f, err := p.unary()
 	if err != nil {
 		return nil, err
 	}
+	p.scope = p.scope[:len(p.scope)-1]
 	return Freeze{Var: v.text, Attr: attr, F: f}, nil
 }
 
@@ -334,7 +357,8 @@ func (p *parser) primary() (Formula, error) {
 		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		return Present{X: Var{Name: x.text}}, nil
+		p.object(x.text)
+		return Present{X: Var{Name: x.text, Kind: ObjectVar}}, nil
 	case t.kind == tokIdent || t.kind == tokInt || t.kind == tokStr:
 		return p.atom()
 	default:
@@ -346,39 +370,48 @@ func (p *parser) primary() (Formula, error) {
 // arguments) is a named predicate; a comparison yields a Cmp.
 func (p *parser) atom() (Formula, error) {
 	start := p.peek()
-	l, args, err := p.termOrCall()
+	lit, args, err := p.termOrCall()
 	if err != nil {
 		return nil, err
 	}
 	if op, ok := p.cmpOp(); ok {
-		lt, err := callToTerm(l, args, start)
+		l, err := p.operand(start, lit, args, start)
 		if err != nil {
 			return nil, err
 		}
-		r, rargs, err := p.termOrCall()
+		rt := p.peek()
+		rlit, rargs, err := p.termOrCall()
 		if err != nil {
 			return nil, err
 		}
-		rt, err := callToTerm(r, rargs, start)
+		r, err := p.operand(rt, rlit, rargs, start)
 		if err != nil {
 			return nil, err
 		}
-		return Cmp{Op: op, L: lt, R: rt}, nil
+		return Cmp{Op: op, L: l, R: r}, nil
 	}
-	// Not a comparison: must be a named predicate.
-	v, isVar := l.(Var)
-	if !isVar {
+	// Not a comparison: must be a named predicate, over objects.
+	if lit != nil {
 		return nil, &SyntaxError{start.pos, "expected a comparison after literal"}
 	}
-	if args == nil {
-		return Pred{Name: v.Name}, nil
+	if len(args) == 0 {
+		return Pred{Name: start.text}, nil
 	}
-	return Pred{Name: v.Name, Args: args}, nil
+	for _, a := range args {
+		switch a := a.(type) {
+		case Var:
+			p.object(a.Name)
+		case AttrFn:
+			p.attrFn(a)
+		}
+	}
+	return Pred{Name: start.text, Args: args}, nil
 }
 
-// termOrCall parses one term. For `ident(args...)` it returns the head
-// identifier as a Var and the argument terms (non-nil, possibly empty);
-// plain terms return args == nil.
+// termOrCall parses one term, whose first token the caller has peeked at. It
+// returns a literal built; a name it leaves to the caller, which resolves it
+// where it knows the name's place, and for `ident(args...)` it returns the
+// argument terms (non-nil, possibly empty).
 func (p *parser) termOrCall() (Term, []Term, error) {
 	if err := p.enter(); err != nil {
 		return nil, nil, err
@@ -399,21 +432,22 @@ func (p *parser) termOrCall() (Term, []Term, error) {
 			return nil, nil, &SyntaxError{t.pos, fmt.Sprintf("%q is reserved", t.text)}
 		}
 		if p.peek().kind != tokLParen {
-			return Var{Name: t.text}, nil, nil
+			return nil, nil, nil
 		}
 		p.next()
 		args := []Term{}
 		if p.peek().kind != tokRParen {
 			for {
-				a, sub, err := p.termOrCall()
+				at := p.peek()
+				lit, sub, err := p.termOrCall()
 				if err != nil {
 					return nil, nil, err
 				}
-				at, err := callToTerm(a, sub, t)
+				a, err := callToTerm(at, lit, sub, t)
 				if err != nil {
 					return nil, nil, err
 				}
-				args = append(args, at)
+				args = append(args, a)
 				if p.peek().kind == tokComma {
 					p.next()
 					continue
@@ -424,30 +458,46 @@ func (p *parser) termOrCall() (Term, []Term, error) {
 		if _, err := p.expect(tokRParen); err != nil {
 			return nil, nil, err
 		}
-		return Var{Name: t.text}, args, nil
+		return nil, args, nil
 	default:
 		return nil, nil, &SyntaxError{t.pos, fmt.Sprintf("expected a term, found %s %q", t.kind, t.text)}
 	}
 }
 
-// callToTerm converts a termOrCall result into a plain term: `ident(x)`
-// becomes the attribute function ident applied to x.
-func callToTerm(head Term, args []Term, at token) (Term, error) {
-	if args == nil {
-		return head, nil
+// operand builds a comparison operand from termOrCall's result for the term
+// that begins at head: a name bound here is that variable, with its sort; any
+// other bare name is a segment attribute (`genre = 'western'`).
+func (p *parser) operand(head token, lit Term, args []Term, at token) (Term, error) {
+	if lit == nil && args == nil {
+		if k, ok := p.lookup(head.text); ok {
+			return Var{Name: head.text, Kind: k}, nil
+		}
+		return AttrFn{Attr: head.text}, nil
 	}
-	h, ok := head.(Var)
-	if !ok {
-		return nil, &SyntaxError{at.pos, "literal cannot be applied to arguments"}
+	t, err := callToTerm(head, lit, args, at)
+	if a, ok := t.(AttrFn); ok && err == nil {
+		p.attrFn(a)
 	}
-	if len(args) != 1 {
-		return nil, &SyntaxError{at.pos, fmt.Sprintf("attribute function %s takes one object variable, got %d arguments", h.Name, len(args))}
+	return t, err
+}
+
+// callToTerm builds a plain term from termOrCall's result for the term that
+// begins at head: a literal, an unresolved name, or, for `ident(x)`, the
+// attribute function ident applied to x. Its errors stand at at.
+func callToTerm(head token, lit Term, args []Term, at token) (Term, error) {
+	switch {
+	case lit != nil:
+		return lit, nil
+	case args == nil:
+		return Var{Name: head.text}, nil
+	case len(args) != 1:
+		return nil, &SyntaxError{at.pos, fmt.Sprintf("attribute function %s takes one object variable, got %d arguments", head.text, len(args))}
 	}
 	arg, ok := args[0].(Var)
 	if !ok {
-		return nil, &SyntaxError{at.pos, fmt.Sprintf("attribute function %s requires an object variable argument", h.Name)}
+		return nil, &SyntaxError{at.pos, fmt.Sprintf("attribute function %s requires an object variable argument", head.text)}
 	}
-	return AttrFn{Attr: h.Name, Of: arg.Name}, nil
+	return AttrFn{Attr: head.text, Of: arg.Name}, nil
 }
 
 // cmpOp consumes a comparison operator if present.

@@ -133,36 +133,40 @@ func TestParseComparisonForms(t *testing.T) {
 	}
 }
 
+// parseErrorCases are TestParseErrors' inputs, each with a substring its
+// error must hold ("" for an input that must parse).
+var parseErrorCases = []struct {
+	src, wantSub string
+}{
+	{"", "expected a formula"},
+	{"M1 and", "expected a formula"},
+	{"(M1", "expected ')'"},
+	{"M1)", "unexpected ')'"},
+	{"exists . M1", "expected identifier"},
+	{"exists x M1", "expected '.'"},
+	{"present(x)", "unbound object variable"},
+	{"P1(x)", "unbound object variable"},
+	{"[h <- q] (h > 5 and present(h))", "attribute variable"},
+	{"exists x, x . present(x)", "bound twice"},
+	{"exists until . M1", "reserved"},
+	{"'lit'", "expected a comparison after literal"},
+	{"P1('a' < 1)", "expected ')'"},
+	{"height(x, y) > 5", "one object variable"},
+	{"height(5) > 5", "requires an object variable"},
+	{"at-level(0, M1)", "invalid level"},
+	{"at-level(x, M1)", "expected integer"},
+	{"exists x . present(x) and 'a' = !b", "unexpected '!'"},
+	{"M1 and 'unterminated", "unterminated string"},
+	{"M1 # M2", "unexpected character"},
+	{"[y <- q(x)] M1", "unbound object variable"},
+	{"M1 and -", "unexpected '-'"},
+	{"exists x . x = 5", ""},                  // bound object var in comparison parses; semantic layers reject later
+	{"exists x . [x <- q(x)] rating > x", ""}, // freeze may shadow an object variable
+	{"exists x . height(x) > h", ""},          // unbound bare comparand reads as segment attribute h
+}
+
 func TestParseErrors(t *testing.T) {
-	for _, tc := range []struct {
-		src, wantSub string
-	}{
-		{"", "expected a formula"},
-		{"M1 and", "expected a formula"},
-		{"(M1", "expected ')'"},
-		{"M1)", "unexpected ')'"},
-		{"exists . M1", "expected identifier"},
-		{"exists x M1", "expected '.'"},
-		{"present(x)", "unbound object variable"},
-		{"P1(x)", "unbound object variable"},
-		{"[h <- q] (h > 5 and present(h))", "attribute variable"},
-		{"exists x, x . present(x)", "bound twice"},
-		{"exists until . M1", "reserved"},
-		{"'lit'", "expected a comparison after literal"},
-		{"P1('a' < 1)", "expected ')'"},
-		{"height(x, y) > 5", "one object variable"},
-		{"height(5) > 5", "requires an object variable"},
-		{"at-level(0, M1)", "invalid level"},
-		{"at-level(x, M1)", "expected integer"},
-		{"exists x . present(x) and 'a' = !b", "unexpected '!'"},
-		{"M1 and 'unterminated", "unterminated string"},
-		{"M1 # M2", "unexpected character"},
-		{"[y <- q(x)] M1", "unbound object variable"},
-		{"M1 and -", "unexpected '-'"},
-		{"exists x . x = 5", ""},                  // bound object var in comparison parses; semantic layers reject later
-		{"exists x . [x <- q(x)] rating > x", ""}, // freeze may shadow an object variable
-		{"exists x . height(x) > h", ""},          // unbound bare comparand reads as segment attribute h
-	} {
+	for _, tc := range parseErrorCases {
 		_, err := Parse(tc.src)
 		if tc.wantSub == "" {
 			if err != nil {
@@ -189,18 +193,21 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("((")
 }
 
+// roundTripTexts are TestRoundTrip's inputs.
+var roundTripTexts = []string{
+	formulaA,
+	formulaB,
+	formulaC,
+	"genre = 'western' and at-frame-level(exists x . present(x))",
+	"at-level(4, M1 until M2 until M3)",
+	"not M1 and not (M1 and M2)",
+	"true until next eventually M2",
+	"exists x . present(x) and at-next-level(type(x) = 'plane')",
+	"[y <- duration] (len > 5 and next rating >= y)",
+}
+
 func TestRoundTrip(t *testing.T) {
-	for _, src := range []string{
-		formulaA,
-		formulaB,
-		formulaC,
-		"genre = 'western' and at-frame-level(exists x . present(x))",
-		"at-level(4, M1 until M2 until M3)",
-		"not M1 and not (M1 and M2)",
-		"true until next eventually M2",
-		"exists x . present(x) and at-next-level(type(x) = 'plane')",
-		"[y <- duration] (len > 5 and next rating >= y)",
-	} {
+	for _, src := range roundTripTexts {
 		f := MustParse(src)
 		back, err := Parse(f.String())
 		if err != nil {
@@ -235,6 +242,16 @@ func TestFreeVars(t *testing.T) {
 	obj, attr = FreeVars(frz)
 	if len(obj) != 1 || len(attr) != 0 {
 		t.Fatalf("freeze free vars = %v %v", obj, attr)
+	}
+	// A binder binds names of its own sort only: an exists leaves an
+	// attribute variable of its name free, and a freeze an object.
+	obj, attr = FreeVars(Exists{Vars: []string{"x"}, F: Cmp{Op: OpEq, L: Var{Name: "x", Kind: AttrVar}, R: IntLit{V: 3}}})
+	if len(obj) != 0 || len(attr) != 1 || attr[0] != "x" {
+		t.Fatalf("exists around attribute variable x: free vars = %v %v", obj, attr)
+	}
+	obj, attr = FreeVars(Freeze{Var: "h", Attr: AttrFn{Attr: "height"}, F: Present{X: Var{Name: "h", Kind: ObjectVar}}})
+	if len(obj) != 1 || obj[0] != "h" || len(attr) != 0 {
+		t.Fatalf("freeze around object variable h: free vars = %v %v", obj, attr)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -339,16 +338,9 @@ func latestSnapshot(dir string) (uint64, string, error) {
 // the replay half of the commit protocol, shared with nothing else so the
 // apply path is identical on the live store and during recovery.
 func (s *Store) applyWALRecord(payload []byte) error {
-	// As json.Unmarshal, but keeping attribute numbers as written (see
-	// LoadStore): one value, and nothing but white space after it.
 	var rec walRecord
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.UseNumber()
-	if err := dec.Decode(&rec); err != nil {
+	if err := decodeOne(bytes.NewReader(payload), &rec); err != nil {
 		return fmt.Errorf("decoding record: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("decoding record: data after the record")
 	}
 	switch rec.Op {
 	case walOpAddVideo:

@@ -155,22 +155,39 @@ func TestDurableExactIntegers(t *testing.T) {
 	}
 }
 
-// TestWALRecordRefusesTrailingData: a record is one JSON value, which white
-// space may follow and nothing else.
+// TestWALRecordRefusesTrailingData: a WAL record and a store document are
+// each one JSON value, which white space may follow and nothing else — a
+// second document included. Both entry points read through decodeOne.
 func TestWALRecordRefusesTrailingData(t *testing.T) {
 	doc := videoToDoc(durableTestVideo(1))
 	rec, err := json.Marshal(walRecord{Op: walOpAddVideo, Video: &doc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tail := range []string{" x", "{}", `"more"`} {
-		if err := NewStore(nil, DefaultWeights()).applyWALRecord(append(slices.Clip(rec), tail...)); err == nil {
-			t.Errorf("record followed by %q applied", tail)
-		}
+	store, err := json.Marshal(StoreDoc{Videos: []VideoDoc{doc}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := NewStore(nil, DefaultWeights())
-	if err := s.applyWALRecord(append(slices.Clip(rec), " \n\t"...)); err != nil || len(s.Videos()) != 1 {
-		t.Errorf("record followed by white space: %v, %d videos", err, len(s.Videos()))
+	for _, entry := range []struct {
+		name string
+		doc  []byte
+		load func([]byte) (*Store, error)
+	}{
+		{"applyWALRecord", rec, func(b []byte) (*Store, error) {
+			s := NewStore(nil, DefaultWeights())
+			return s, s.applyWALRecord(b)
+		}},
+		{"LoadStore", store, func(b []byte) (*Store, error) { return LoadStore(bytes.NewReader(b)) }},
+	} {
+		for _, tail := range []string{" x", "{}", `"more"`, " " + string(entry.doc)} {
+			if _, err := entry.load(append(slices.Clip(entry.doc), tail...)); err == nil {
+				t.Errorf("%s: a document followed by %q loaded", entry.name, tail)
+			}
+		}
+		s, err := entry.load(append(slices.Clip(entry.doc), " \n\t"...))
+		if err != nil || len(s.Videos()) != 1 {
+			t.Errorf("%s: a document followed by white space: %v", entry.name, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package htlvideo
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -80,16 +81,31 @@ type RelDoc struct {
 	Object  int64  `json:"object"`
 }
 
-// LoadStore reads a JSON store document. Attribute numbers are decoded as
-// written, so an integer keeps every digit.
+// LoadStore reads a JSON store document: one document, and nothing but white
+// space after it. Attribute numbers are decoded as written, so an integer
+// keeps every digit.
 func LoadStore(r io.Reader) (*Store, error) {
 	var doc StoreDoc
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
-	if err := dec.Decode(&doc); err != nil {
+	if err := decodeOne(r, &doc); err != nil {
 		return nil, fmt.Errorf("htlvideo: decoding store: %w", err)
 	}
 	return doc.Build()
+}
+
+// decodeOne decodes the one JSON value r holds into v, as json.Unmarshal
+// does but keeping numbers as written (json.Number): anything but white
+// space after the value is an error. LoadStore and WAL replay both read
+// through it.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.UseNumber()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the value")
+	}
+	return nil
 }
 
 // LoadFile reads a JSON store document from a file.

@@ -327,6 +327,7 @@ func FuzzLoadStore(f *testing.F) {
 	f.Add(repeatedAttrsJSON)
 	f.Add(`{"taxonomy":[{"child":"a","parent":"b"}],"videos":[{"id":1,"segments":[{"objects":[{"id":1,"type":"a"}]}]}]}`)
 	f.Add(`{"videos":[{"id":1,"segments":[{"attrs":{"frame":9007199254740993}}]}]}`)
+	f.Add(`{"videos":[{"id":1,"segments":[{}]}]} {"videos":[{"id":2,"segments":[{}]}]}`)
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := LoadStore(strings.NewReader(src))
 		if err != nil {
