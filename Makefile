@@ -4,9 +4,14 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race budget fanin lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle fuzz-topk fuzz-valuetable fuzz-atomic bench bench-short bench-shapes bench-bytes loc
+.PHONY: check fmt vet staticcheck build test race budget fanin lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check fuzz fuzz-store fuzz-wal fuzz-oracle fuzz-topk fuzz-valuetable fuzz-atomic bench bench-short bench-shapes bench-bytes loc
 
-check: vet staticcheck build race budget fanin lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check
+check: fmt vet staticcheck build race budget fanin lint-metrics chaos chaos-shard crash explain-smoke repro-smoke bench-e2e-check
+
+# Formatting gate: fails, listing every file gofmt would rewrite (the
+# bench/ module included).
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -133,14 +133,10 @@ func main() {
 		return
 	}
 
-	retryCfg := server.DefaultRetryConfig()
-	retryCfg.MaxAttempts = *retries
-	breakerCfg := server.DefaultBreakerConfig()
-	breakerCfg.OpenFor = *breakerOpenFor
 	opts := []server.Option{
 		server.WithAdmission(admission(*maxConcurrent, *queueLen, *queueWait)),
-		server.WithRetry(retryCfg),
-		server.WithBreaker(breakerCfg),
+		server.WithRetry(server.RetryConfig{MaxAttempts: *retries}),
+		server.WithBreaker(server.BreakerConfig{OpenFor: *breakerOpenFor}),
 		server.WithDefaultTimeout(*defaultTimeout),
 		server.WithMaxTimeout(*maxTimeout),
 		server.WithDrainTimeout(*drainTimeout),
@@ -256,24 +252,25 @@ type coordinatorConfig struct {
 func runCoordinator(cfg coordinatorConfig) {
 	urls := make([]string, 0, len(cfg.shardURLs))
 	for _, u := range cfg.shardURLs {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/"))
+		if strings.TrimSpace(u) == "" {
+			continue
 		}
+		base, err := shard.BaseURL(u)
+		if err != nil {
+			fatalf("-shards: %v", err)
+		}
+		urls = append(urls, base)
 	}
 	if len(urls) == 0 {
 		fatalf("-shards given but no shard URLs parsed")
 	}
-	retryCfg := server.DefaultRetryConfig()
-	retryCfg.MaxAttempts = cfg.retries
-	breakerCfg := server.DefaultBreakerConfig()
-	breakerCfg.OpenFor = cfg.breakerOpenFor
 	coord := shard.New(urls,
 		shard.WithMinShards(cfg.minShards),
 		shard.WithHedgeDelay(cfg.hedgeDelay),
 		shard.WithDefaultTimeout(cfg.defaultTimeout),
 		shard.WithMaxTimeout(cfg.maxTimeout),
-		shard.WithRetryConfig(retryCfg),
-		shard.WithBreakerConfig(breakerCfg),
+		shard.WithRetryConfig(server.RetryConfig{MaxAttempts: cfg.retries}),
+		shard.WithBreakerConfig(server.BreakerConfig{OpenFor: cfg.breakerOpenFor}),
 		shard.WithSampleInterval(cfg.sampleInterval),
 		shard.WithLogger(cfg.logger.Logf),
 	)

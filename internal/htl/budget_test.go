@@ -1,11 +1,10 @@
-package htl_test
+package htl
 
 import (
 	"runtime"
 	"sync"
 	"testing"
 
-	"htlvideo/internal/htl"
 	"htlvideo/internal/workload"
 )
 
@@ -16,7 +15,7 @@ func BenchmarkParse(b *testing.B) {
 		b.Run(sh.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := htl.Parse(sh.Text); err != nil {
+				if _, err := Parse(sh.Text); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -46,7 +45,7 @@ func TestParseAllocBudget(t *testing.T) {
 	for _, sh := range workload.MIX6 {
 		budget := parseBudget[sh.Name]
 		allocs, bytes := perRun(64, func() {
-			if _, err := htl.Parse(sh.Text); err != nil {
+			if _, err := Parse(sh.Text); err != nil {
 				t.Fatal(err)
 			}
 		})

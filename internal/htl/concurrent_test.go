@@ -1,16 +1,15 @@
-package htl_test
+package htl
 
 import (
 	"sync"
 	"testing"
 
-	"htlvideo/internal/htl"
 	"htlvideo/internal/workload"
 )
 
 // parseOutcome is what one Parse printed: the formula, or the error.
 func parseOutcome(src string) string {
-	f, err := htl.Parse(src)
+	f, err := Parse(src)
 	if err != nil {
 		return "error: " + err.Error()
 	}
@@ -26,7 +25,7 @@ func TestParseConcurrentMatchesSerial(t *testing.T) {
 	for _, sh := range workload.MIX6 {
 		srcs = append(srcs, sh.Text)
 	}
-	srcs = append(append(srcs, htl.ParseSeeds...), htl.LongQuery)
+	srcs = append(append(srcs, parseSeeds...), longQuery)
 	want := make([]string, len(srcs))
 	for i, src := range srcs {
 		want[i] = parseOutcome(src)

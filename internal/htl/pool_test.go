@@ -8,10 +8,6 @@ import (
 // longQuery lexes to more tokens than a pooled buffer may hold.
 var longQuery = "M1" + strings.Repeat(" and M1", maxPooledTokens)
 
-// ParseSeeds and LongQuery are inputs of TestParseConcurrentMatchesSerial,
-// which runs in package htl_test to read MIX6 from internal/workload.
-var ParseSeeds, LongQuery = parseSeeds, longQuery
-
 // TestTokenPoolDropsLongBuffers holds the pool's cap: a buffer grown past
 // maxPooledTokens is not returned to the pool, one within it is returned
 // cleared, and after a long query's parse no buffer the pool hands out is

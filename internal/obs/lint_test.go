@@ -12,7 +12,7 @@ func TestLintExpositionClean(t *testing.T) {
 	reg.Counter("query.total").Inc()
 	reg.Counter("query.class.type1").Inc()
 	reg.Gauge("pool.in_flight").Set(3)
-	h := reg.Histogram("query.latency", nil)
+	h := reg.Histogram("query.latency")
 	h.Observe(5 * time.Millisecond)
 	h.Observe(2 * time.Second)
 

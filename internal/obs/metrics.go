@@ -1,6 +1,6 @@
 // Package obs is the repo's zero-dependency instrumentation layer: atomic
-// counters and gauges, lock-striped latency histograms with fixed bucket
-// boundaries, a monotonic-clock span tracer, a slow-query log, and the HTTP
+// counters and gauges, latency histograms over one fixed bucket layout, a
+// monotonic-clock span tracer, a slow-query log, and the HTTP
 // handler exposing them (/metrics, /debug/slowlog, /debug/pprof).
 //
 // The package exists because the paper's §4 evaluation is entirely about
@@ -73,84 +73,41 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// DefaultLatencyBuckets are the fixed histogram boundaries: roughly
-// logarithmic from 25µs to 10s, bracketing everything from one atomic eval on
-// a short video to a reference-engine query over a long one.
-func DefaultLatencyBuckets() []time.Duration {
-	return []time.Duration{
-		25 * time.Microsecond, 50 * time.Microsecond, 100 * time.Microsecond,
-		250 * time.Microsecond, 500 * time.Microsecond,
-		time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond,
-		10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
-		100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond,
-		time.Second, 2500 * time.Millisecond, 5 * time.Second, 10 * time.Second,
-	}
+// latencyBuckets are every histogram's upper bounds: roughly logarithmic
+// from 25µs to 10s, bracketing everything from one atomic eval on a short
+// video to a reference-engine query over a long one.
+var latencyBuckets = [...]time.Duration{
+	25 * time.Microsecond, 50 * time.Microsecond, 100 * time.Microsecond,
+	250 * time.Microsecond, 500 * time.Microsecond,
+	time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond,
+	10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
+	100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond,
+	time.Second, 2500 * time.Millisecond, 5 * time.Second, 10 * time.Second,
 }
 
-// histStripes is the number of independently updated copies of a histogram's
-// hot fields. Observations scatter across stripes, so concurrent observers
-// rarely contend on one cache line; a power of two keeps selection a mask.
-const histStripes = 8
-
-// histStripe is one stripe: its own bucket counts, total, and sum. The
-// padding keeps stripes on separate cache lines.
-type histStripe struct {
-	counts []atomic.Int64
+// Histogram is a latency histogram over latencyBuckets. Observations are
+// lock-free: three atomic adds.
+type Histogram struct {
+	counts [len(latencyBuckets) + 1]atomic.Int64 // the last is +Inf
 	n      atomic.Int64
 	sum    atomic.Int64 // nanoseconds
-	_      [4]int64
 }
 
-// Histogram is a fixed-bucket latency histogram. Observations are lock-free:
-// the only synchronization is atomic adds on a stripe chosen by hashing the
-// observed duration.
-type Histogram struct {
-	bounds  []time.Duration // sorted upper bounds; counts[len(bounds)] is +Inf
-	stripes [histStripes]histStripe
-}
+// NewHistogram builds an empty histogram.
+func NewHistogram() *Histogram { return &Histogram{} }
 
-// NewHistogram builds a histogram over the given sorted upper bounds
-// (DefaultLatencyBuckets if nil).
-func NewHistogram(bounds []time.Duration) *Histogram {
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets()
-	}
-	h := &Histogram{bounds: append([]time.Duration(nil), bounds...)}
-	for i := range h.stripes {
-		h.stripes[i].counts = make([]atomic.Int64, len(bounds)+1)
-	}
-	return h
-}
-
-// Observe records one duration (negative durations count as zero).
+// Observe records one duration (negative durations count as zero). The
+// bucket is the first whose upper bound is >= d (the overflow bucket if
+// none): boundary values land in the bucket they bound, like Prometheus's
+// `le`.
 func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
-	s := &h.stripes[stripeOf(uint64(d))]
-	s.counts[h.bucketOf(d)].Add(1)
-	s.n.Add(1)
-	s.sum.Add(int64(d))
-}
-
-// bucketOf returns the index of the first bucket whose upper bound is >= d
-// (the overflow bucket if none): boundary values land in the bucket they
-// bound, i.e. buckets are "less than or equal" like Prometheus's `le`.
-func (h *Histogram) bucketOf(d time.Duration) int {
-	return sort.Search(len(h.bounds), func(i int) bool { return d <= h.bounds[i] })
-}
-
-// stripeOf mixes the observed value into a stripe index. Distinct latencies
-// (which differ at nanosecond granularity in practice) spread across stripes
-// with no shared selection state.
-func stripeOf(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return x & (histStripes - 1)
+	d = max(d, 0)
+	h.counts[sort.Search(len(latencyBuckets), func(i int) bool { return d <= latencyBuckets[i] })].Add(1)
+	h.n.Add(1)
+	h.sum.Add(int64(d))
 }
 
 // HistogramBucket is one bucket of a snapshot.
@@ -161,7 +118,7 @@ type HistogramBucket struct {
 	Count      int64         `json:"count"`
 }
 
-// HistogramSnapshot is a point-in-time merge of all stripes.
+// HistogramSnapshot is a point-in-time copy of a histogram.
 type HistogramSnapshot struct {
 	Count   int64             `json:"count"`
 	Sum     time.Duration     `json:"sum_ns"`
@@ -200,22 +157,21 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return s.Buckets[len(s.Buckets)-1].UpperBound
 }
 
-// Snapshot merges the stripes. Concurrent observers may land between stripe
+// Snapshot copies the counters. Concurrent observers may land between the
 // reads; the snapshot is consistent to within those in-flight observations.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	out := HistogramSnapshot{Buckets: make([]HistogramBucket, len(h.bounds)+1)}
-	for i, b := range h.bounds {
-		out.Buckets[i].UpperBound = b
+	out := HistogramSnapshot{
+		Count:   h.n.Load(),
+		Sum:     time.Duration(h.sum.Load()),
+		Buckets: make([]HistogramBucket, len(h.counts)),
 	}
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		out.Count += s.n.Load()
-		out.Sum += time.Duration(s.sum.Load())
-		for j := range s.counts {
-			out.Buckets[j].Count += s.counts[j].Load()
+	for i := range h.counts {
+		out.Buckets[i].Count = h.counts[i].Load()
+		if i < len(latencyBuckets) {
+			out.Buckets[i].UpperBound = latencyBuckets[i]
 		}
 	}
 	return out
@@ -317,10 +273,8 @@ func (r *Registry) GaugeFunc(name string, f func() int64) {
 	r.mu.Unlock()
 }
 
-// Histogram returns (creating if needed) the named histogram over the given
-// bounds (DefaultLatencyBuckets if nil). The bounds of the first creation
-// win.
-func (r *Registry) Histogram(name string, bounds []time.Duration) *Histogram {
+// Histogram returns (creating if needed) the named histogram.
+func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -328,7 +282,7 @@ func (r *Registry) Histogram(name string, bounds []time.Duration) *Histogram {
 	defer r.mu.Unlock()
 	h := r.histograms[name]
 	if h == nil {
-		h = NewHistogram(bounds)
+		h = NewHistogram()
 		r.histograms[name] = h
 	}
 	return h

@@ -13,62 +13,71 @@ import (
 
 // --- histogram ---------------------------------------------------------------
 
-// TestHistogramBucketBoundaries pins the bucket semantics: an observation
-// exactly on a boundary lands in the bucket it bounds (`le` semantics), one
-// nanosecond above it lands in the next, and observations beyond the largest
-// bound land in the overflow bucket.
+// TestHistogramBucketBoundaries pins the bucket layout and its semantics:
+// the upper bounds run from 25µs to 10s, an observation exactly on a
+// boundary lands in the bucket it bounds (`le` semantics), one nanosecond
+// above it lands in the next, and observations beyond the largest bound land
+// in the overflow bucket.
 func TestHistogramBucketBoundaries(t *testing.T) {
-	bounds := []time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond}
-	h := NewHistogram(bounds)
-	h.Observe(time.Millisecond)      // boundary: bucket 0
-	h.Observe(time.Millisecond + 1)  // just above: bucket 1
-	h.Observe(10 * time.Millisecond) // boundary: bucket 1
-	h.Observe(50 * time.Millisecond) // interior: bucket 2
-	h.Observe(time.Second)           // beyond all bounds: overflow
+	h := NewHistogram()
+	h.Observe(time.Millisecond)      // boundary: the 1ms bucket (5)
+	h.Observe(time.Millisecond + 1)  // just above: the 2.5ms bucket (6)
+	h.Observe(10 * time.Millisecond) // boundary: the 10ms bucket (8)
+	h.Observe(7 * time.Millisecond)  // interior: the 10ms bucket (8)
+	h.Observe(time.Minute)           // beyond all bounds: overflow (18)
 	h.Observe(-time.Second)          // negative clamps to zero: bucket 0
 	snap := h.Snapshot()
 	if snap.Count != 6 {
 		t.Fatalf("Count = %d, want 6", snap.Count)
 	}
-	wantCounts := []int64{2, 2, 1, 1}
-	if len(snap.Buckets) != len(wantCounts) {
-		t.Fatalf("buckets = %d, want %d", len(snap.Buckets), len(wantCounts))
+	wantBounds := []time.Duration{
+		25 * time.Microsecond, 50 * time.Microsecond, 100 * time.Microsecond,
+		250 * time.Microsecond, 500 * time.Microsecond,
+		time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond,
+		10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
+		100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond,
+		time.Second, 2500 * time.Millisecond, 5 * time.Second, 10 * time.Second,
+		0, // +Inf
 	}
-	for i, want := range wantCounts {
-		if snap.Buckets[i].Count != want {
-			t.Errorf("bucket %d count = %d, want %d", i, snap.Buckets[i].Count, want)
+	if len(snap.Buckets) != len(wantBounds) {
+		t.Fatalf("buckets = %d, want %d", len(snap.Buckets), len(wantBounds))
+	}
+	wantCounts := map[int]int64{0: 1, 5: 1, 6: 1, 8: 2, 18: 1}
+	for i, b := range snap.Buckets {
+		if b.UpperBound != wantBounds[i] {
+			t.Errorf("bucket %d bound = %v, want %v", i, b.UpperBound, wantBounds[i])
+		}
+		if b.Count != wantCounts[i] {
+			t.Errorf("bucket %d count = %d, want %d", i, b.Count, wantCounts[i])
 		}
 	}
-	if snap.Buckets[3].UpperBound != 0 {
-		t.Errorf("overflow bucket bound = %v, want 0 (+Inf)", snap.Buckets[3].UpperBound)
-	}
 	wantSum := time.Millisecond + (time.Millisecond + 1) + 10*time.Millisecond +
-		50*time.Millisecond + time.Second
+		7*time.Millisecond + time.Minute
 	if snap.Sum != wantSum {
 		t.Errorf("Sum = %v, want %v", snap.Sum, wantSum)
 	}
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond})
+	h := NewHistogram()
 	for i := 0; i < 90; i++ {
-		h.Observe(500 * time.Microsecond)
+		h.Observe(400 * time.Microsecond)
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(50 * time.Millisecond)
+		h.Observe(40 * time.Millisecond)
 	}
 	snap := h.Snapshot()
-	if q := snap.Quantile(0.5); q != time.Millisecond {
-		t.Errorf("p50 = %v, want %v", q, time.Millisecond)
+	if q := snap.Quantile(0.5); q != 500*time.Microsecond {
+		t.Errorf("p50 = %v, want %v", q, 500*time.Microsecond)
 	}
-	if q := snap.Quantile(0.99); q != 100*time.Millisecond {
-		t.Errorf("p99 = %v, want %v", q, 100*time.Millisecond)
+	if q := snap.Quantile(0.99); q != 50*time.Millisecond {
+		t.Errorf("p99 = %v, want %v", q, 50*time.Millisecond)
 	}
 	// Observations beyond every bound report the largest finite bound.
-	h2 := NewHistogram([]time.Duration{time.Millisecond})
-	h2.Observe(time.Second)
-	if q := h2.Snapshot().Quantile(0.5); q != time.Millisecond {
-		t.Errorf("overflow quantile = %v, want %v", q, time.Millisecond)
+	h2 := NewHistogram()
+	h2.Observe(time.Minute)
+	if q := h2.Snapshot().Quantile(0.5); q != 10*time.Second {
+		t.Errorf("overflow quantile = %v, want %v", q, 10*time.Second)
 	}
 	if q := (HistogramSnapshot{}).Quantile(0.5); q != 0 {
 		t.Errorf("empty quantile = %v, want 0", q)
@@ -78,7 +87,7 @@ func TestHistogramQuantile(t *testing.T) {
 // TestHistogramConcurrent hammers one histogram from many goroutines; the
 // counts must be exact (meaningful under -race).
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram()
 	const workers, per = 16, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -157,7 +166,7 @@ func TestNilSafety(t *testing.T) {
 	var reg *Registry
 	reg.Counter("a").Inc()
 	reg.Gauge("b").Set(1)
-	reg.Histogram("c", nil).Observe(time.Second)
+	reg.Histogram("c").Observe(time.Second)
 	_ = reg.Snapshot()
 	var sl *SlowLog
 	sl.ObserveTrace(NewTrace("q"))
@@ -175,7 +184,7 @@ func TestRegistrySnapshot(t *testing.T) {
 		t.Fatal("Counter is not get-or-create")
 	}
 	r.Gauge("b").Set(-2)
-	r.Histogram("c", nil).Observe(time.Millisecond)
+	r.Histogram("c").Observe(time.Millisecond)
 	snap := r.Snapshot()
 	if snap.Counters["a"] != 5 || snap.Gauges["b"] != -2 || snap.Histograms["c"].Count != 1 {
 		t.Fatalf("snapshot = %+v", snap)

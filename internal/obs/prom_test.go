@@ -123,7 +123,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	reg.Counter(`query.class.type1{shard="weird"}`).Add(7) // pre-labeled name
 	reg.Gauge("pool.in_flight").Set(3)
 	reg.GaugeFunc("computed.gauge", func() int64 { return 99 })
-	h := reg.Histogram("query.latency", nil)
+	h := reg.Histogram("query.latency")
 	for _, d := range []time.Duration{10 * time.Microsecond, 300 * time.Microsecond, 80 * time.Millisecond, time.Minute} {
 		h.Observe(d)
 	}

@@ -21,6 +21,7 @@ package querystats
 
 import (
 	"container/list"
+	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
@@ -146,7 +147,7 @@ func (s *Stats) Observe(rec *Record, d time.Duration, errClass string) {
 		e = &entry{
 			planKey:   rec.PlanKey,
 			errors:    map[string]uint64{},
-			lat:       obs.NewHistogram(nil),
+			lat:       obs.NewHistogram(),
 			firstSeen: now,
 		}
 		e.elem = s.lru.PushFront(e)
@@ -315,7 +316,7 @@ func copyCounts(m map[string]uint64) map[string]uint64 {
 }
 
 // SortEntries orders entries by the named column, descending — "calls",
-// "total" (total time), or "mean" (mean latency); unknown columns sort by
+// "total" (total time), or "mean" (mean latency); any other column sorts by
 // calls. Ties break on plan key so equal snapshots render identically.
 func SortEntries(entries []EntrySnapshot, by string) {
 	less := func(i, j int) bool { return entries[i].Calls > entries[j].Calls }
@@ -335,9 +336,9 @@ func SortEntries(entries []EntrySnapshot, by string) {
 
 // Merge combines per-shard snapshots into one document keyed by plan key:
 // counts sum, error maps sum, first/last seen take the min/max, and latency
-// histograms merge bucketwise (identical bucket bounds everywhere — every
-// store uses DefaultLatencyBuckets) so the derived quantiles are exact over
-// the union. Mismatched bucket layouts degrade to count/sum-only merging.
+// histograms merge bucketwise (every obs histogram has the same bucket
+// bounds) so the derived quantiles are exact over the union. Mismatched
+// bucket layouts degrade to count/sum-only merging.
 func Merge(snaps ...Snapshot) Snapshot {
 	out := Snapshot{Entries: []EntrySnapshot{}}
 	byKey := map[string]*EntrySnapshot{}
@@ -432,17 +433,27 @@ type ShardStatus struct {
 }
 
 // ServeSnapshot writes snap as the /debug/queries JSON document, honoring
-// ?sort=calls|total|mean and ?limit=N. A snapshot merged across shards is
+// ?sort=calls|total|mean and ?limit=N. Any other column, or a limit that is
+// not a non-negative integer, is a 400. A snapshot merged across shards is
 // served with each shard's status in a "shards" column.
 func ServeSnapshot(w http.ResponseWriter, r *http.Request, snap Snapshot, shards ...ShardStatus) {
-	if by := r.URL.Query().Get("sort"); by != "" {
+	q := r.URL.Query()
+	switch by := q.Get("sort"); by {
+	case "":
+	case "calls", "total", "mean":
 		SortEntries(snap.Entries, by)
 		snap.SortedBy = by
+	default:
+		obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid sort %q (calls, total or mean)", by))
+		return
 	}
-	if ls := r.URL.Query().Get("limit"); ls != "" {
-		if n, err := strconv.Atoi(ls); err == nil && n >= 0 && n < len(snap.Entries) {
-			snap.Entries = snap.Entries[:n]
+	if ls := q.Get("limit"); ls != "" {
+		n, err := strconv.Atoi(ls)
+		if err != nil || n < 0 {
+			obs.WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid limit %q", ls))
+			return
 		}
+		snap.Entries = snap.Entries[:min(n, len(snap.Entries))]
 	}
 	if snap.Entries == nil {
 		snap.Entries = []EntrySnapshot{}

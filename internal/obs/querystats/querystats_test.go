@@ -3,6 +3,7 @@ package querystats
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -149,6 +150,47 @@ func TestSortAndServe(t *testing.T) {
 	}
 	if out.SortedBy != "total" || len(out.Entries) != 1 || out.Entries[0].PlanKey != "slow" {
 		t.Fatalf("served: sorted_by=%s entries=%d", out.SortedBy, len(out.Entries))
+	}
+}
+
+// TestServeSnapshotParams holds /debug/queries to the request rule the query
+// endpoints keep: an unknown sort column or a malformed or negative limit is
+// a 400, never silently ignored or echoed back as the sort applied.
+func TestServeSnapshotParams(t *testing.T) {
+	s := New(8)
+	obsN(s, "hot", 10, time.Millisecond, "")
+	obsN(s, "slow", 2, 500*time.Millisecond, "")
+	cases := []struct {
+		query   string
+		status  int
+		sorted  string
+		entries int
+	}{
+		{"", http.StatusOK, "calls", 2},
+		{"sort=mean&limit=0", http.StatusOK, "mean", 0},
+		{"limit=9", http.StatusOK, "calls", 2},
+		{"sort=bogus", http.StatusBadRequest, "", 0},
+		{"limit=x", http.StatusBadRequest, "", 0},
+		{"limit=-1", http.StatusBadRequest, "", 0},
+		{"sort=total&limit=1.5", http.StatusBadRequest, "", 0},
+	}
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		ServeSnapshot(rec, httptest.NewRequest("GET", "/debug/queries?"+c.query, nil), s.Snapshot())
+		if rec.Code != c.status {
+			t.Errorf("?%s: status %d, want %d (%s)", c.query, rec.Code, c.status, rec.Body)
+			continue
+		}
+		if c.status != http.StatusOK {
+			continue
+		}
+		var out Snapshot
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.SortedBy != c.sorted || len(out.Entries) != c.entries {
+			t.Errorf("?%s: sorted_by=%s entries=%d, want %s and %d", c.query, out.SortedBy, len(out.Entries), c.sorted, c.entries)
+		}
 	}
 }
 

@@ -317,8 +317,8 @@ func windowBase(samples []sample, latest time.Time, span time.Duration) (*sample
 }
 
 // diffHistogram subtracts base from cur bucketwise, yielding the
-// observations that happened inside the window. A base with mismatched
-// buckets (a histogram created mid-window) counts as empty.
+// observations that happened inside the window. A base without buckets (a
+// histogram created mid-window) counts as empty.
 func diffHistogram(cur, base obs.HistogramSnapshot) obs.HistogramSnapshot {
 	out := obs.HistogramSnapshot{
 		Count:   cur.Count - base.Count,
@@ -326,11 +326,6 @@ func diffHistogram(cur, base obs.HistogramSnapshot) obs.HistogramSnapshot {
 		Buckets: append([]obs.HistogramBucket(nil), cur.Buckets...),
 	}
 	if len(base.Buckets) == len(cur.Buckets) {
-		for i := range out.Buckets {
-			if out.Buckets[i].UpperBound != base.Buckets[i].UpperBound {
-				return out
-			}
-		}
 		for i := range out.Buckets {
 			out.Buckets[i].Count -= base.Buckets[i].Count
 		}

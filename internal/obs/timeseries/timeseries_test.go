@@ -39,7 +39,7 @@ func TestTrendsWindowedRates(t *testing.T) {
 	reg := obs.NewRegistry()
 	qs := reg.Counter("query.total")
 	inFlight := reg.Gauge("pool.in_flight")
-	lat := reg.Histogram("query.latency", nil)
+	lat := reg.Histogram("query.latency")
 
 	clock := newFakeClock()
 	s := New(reg.Snapshot, WithClock(clock.Now))
@@ -162,7 +162,7 @@ func TestSpark(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("c")
 	g := reg.Gauge("g")
-	h := reg.Histogram("h", nil)
+	h := reg.Histogram("h")
 	clock := newFakeClock()
 	s := New(reg.Snapshot, WithClock(clock.Now))
 
@@ -228,7 +228,7 @@ func TestStartCloseLifecycle(t *testing.T) {
 func TestConcurrentScrape(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("c")
-	h := reg.Histogram("h", nil)
+	h := reg.Histogram("h")
 	s := New(reg.Snapshot)
 	s.Start(100 * time.Microsecond)
 	defer s.Close()

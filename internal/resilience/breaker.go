@@ -18,35 +18,25 @@ import (
 	"time"
 )
 
+// Every circuit remembers its last breakerWindow outcomes and opens once it
+// has seen at least breakerMinVolume of them (so a single failure on a cold
+// key cannot trip it) with at least breakerFailureRate of them failed.
+const (
+	breakerWindow      = 16
+	breakerMinVolume   = 4
+	breakerFailureRate = 0.5
+)
+
 // BreakerConfig tunes the keyed circuit breakers.
 type BreakerConfig struct {
-	// Window is how many recent outcomes each circuit remembers (a ring).
-	Window int
-	// MinVolume is the minimum number of recorded outcomes before the
-	// failure rate is evaluated; below it the circuit never opens, so a
-	// single failure on a cold key cannot trip it.
-	MinVolume int
-	// FailureRate opens the circuit when failures/outcomes within the
-	// window reaches it (0 < rate <= 1).
-	FailureRate float64
 	// OpenFor is how long an open circuit rejects before moving to
-	// half-open and letting probes through.
+	// half-open and admitting one probe.
 	OpenFor time.Duration
-	// HalfOpenProbes is both the number of concurrent probes a half-open
-	// circuit admits and the number of consecutive probe successes that
-	// close it again. A probe failure re-opens immediately.
-	HalfOpenProbes int
 }
 
 // DefaultBreakerConfig returns the serving defaults.
 func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{
-		Window:         16,
-		MinVolume:      4,
-		FailureRate:    0.5,
-		OpenFor:        time.Second,
-		HalfOpenProbes: 1,
-	}
+	return BreakerConfig{OpenFor: time.Second}
 }
 
 // BreakerState is one circuit's state.
@@ -57,7 +47,7 @@ const (
 	StateClosed BreakerState = iota
 	// StateOpen rejects everything until OpenFor elapses.
 	StateOpen
-	// StateHalfOpen admits a bounded number of probes to test recovery.
+	// StateHalfOpen admits one probe to test recovery.
 	StateHalfOpen
 )
 
@@ -93,40 +83,23 @@ type Breaker struct {
 // circuit is one key's state: an outcome ring plus the state machine.
 type circuit struct {
 	state    BreakerState
-	outcomes []bool // true = failure
-	n        int    // filled slots, <= len(outcomes)
-	idx      int    // next write position
+	outcomes [breakerWindow]bool // true = failure
+	n        int                 // filled slots, <= breakerWindow
+	idx      int                 // next write position
 	failures int
 	openedAt time.Time
-	probes   int // in-flight half-open probes
-	probeOK  int // consecutive half-open successes
+	probing  bool // a half-open probe is in flight
 }
 
-// NewBreaker builds a keyed breaker. now may be nil (time.Now); onTransition
-// may be nil.
+// NewBreaker builds a keyed breaker; onTransition may be nil.
 func NewBreaker(cfg BreakerConfig, now func() time.Time, onTransition func(key int64, from, to BreakerState)) *Breaker {
-	if cfg.Window < 1 {
-		cfg.Window = DefaultBreakerConfig().Window
-	}
-	if cfg.MinVolume < 1 {
-		cfg.MinVolume = 1
-	}
-	if cfg.FailureRate <= 0 || cfg.FailureRate > 1 {
-		cfg.FailureRate = DefaultBreakerConfig().FailureRate
-	}
-	if cfg.HalfOpenProbes < 1 {
-		cfg.HalfOpenProbes = 1
-	}
-	if now == nil {
-		now = time.Now
-	}
 	return &Breaker{cfg: cfg, now: now, onTransition: onTransition, circuits: map[int64]*circuit{}}
 }
 
 func (b *Breaker) circuit(key int64) *circuit {
 	c := b.circuits[key]
 	if c == nil {
-		c = &circuit{outcomes: make([]bool, b.cfg.Window)}
+		c = &circuit{}
 		b.circuits[key] = c
 	}
 	return c
@@ -141,9 +114,8 @@ func (b *Breaker) transition(key int64, c *circuit, to BreakerState) {
 }
 
 // Allow reports whether work on key may proceed. A half-open circuit admits
-// at most HalfOpenProbes concurrent probes; every Allow()==true must be
-// matched by exactly one Report (or Cancel) so probe accounting stays
-// balanced.
+// one probe at a time; every Allow()==true must be matched by exactly one
+// Report (or Cancel) so the probe is settled.
 func (b *Breaker) Allow(key int64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -154,17 +126,15 @@ func (b *Breaker) Allow(key int64) bool {
 			return false
 		}
 		b.transition(key, c, StateHalfOpen)
-		c.probes, c.probeOK = 1, 0
-		return true
 	case StateHalfOpen:
-		if c.probes >= b.cfg.HalfOpenProbes {
+		if c.probing {
 			return false
 		}
-		c.probes++
-		return true
 	default:
 		return true
 	}
+	c.probing = true
+	return true
 }
 
 // Report records the outcome of work admitted by Allow.
@@ -174,26 +144,22 @@ func (b *Breaker) Report(key int64, failure bool) {
 	c := b.circuit(key)
 	switch c.state {
 	case StateClosed:
-		b.record(c, failure)
-		if c.n >= b.cfg.MinVolume && float64(c.failures) >= b.cfg.FailureRate*float64(c.n) {
+		c.record(failure)
+		if c.n >= breakerMinVolume && float64(c.failures) >= breakerFailureRate*float64(c.n) {
 			b.transition(key, c, StateOpen)
 			c.openedAt = b.now()
 		}
 	case StateHalfOpen:
-		if c.probes > 0 {
-			c.probes--
-		}
+		c.probing = false
 		if failure {
 			b.transition(key, c, StateOpen)
 			c.openedAt = b.now()
-			c.probes, c.probeOK = 0, 0
 			return
 		}
-		c.probeOK++
-		if c.probeOK >= b.cfg.HalfOpenProbes {
-			b.transition(key, c, StateClosed)
-			b.reset(c)
-		}
+		// Recovery starts from a clean window, not the failures that
+		// opened the circuit.
+		b.transition(key, c, StateClosed)
+		*c = circuit{}
 	case StateOpen:
 		// A straggler from before the circuit opened; its outcome is stale.
 	}
@@ -205,21 +171,9 @@ func (b *Breaker) Cancel(key int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c := b.circuit(key)
-	if c.state == StateHalfOpen && c.probes > 0 {
-		c.probes--
+	if c.state == StateHalfOpen {
+		c.probing = false
 	}
-}
-
-// States returns every tracked circuit's current state without advancing
-// any — the health rollup's view of the whole breaker.
-func (b *Breaker) States() map[int64]BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[int64]BreakerState, len(b.circuits))
-	for key, c := range b.circuits {
-		out[key] = c.state
-	}
-	return out
 }
 
 // Health is the serving layers' breaker rule for /debug/health: degraded
@@ -229,8 +183,16 @@ func (b *Breaker) States() map[int64]BreakerState {
 // no longer served, which the rule ignores. Names sort as numbers when both
 // are numbers, else as strings; past eight, the rest are counted.
 func (b *Breaker) Health(noun string, name func(key int64) string) (ok bool, reason string) {
+	// The states are copied first: name runs outside the lock, since it
+	// may take the caller's own.
+	b.mu.Lock()
+	states := make(map[int64]BreakerState, len(b.circuits))
+	for key, c := range b.circuits {
+		states[key] = c.state
+	}
+	b.mu.Unlock()
 	var open, halfOpen []string
-	for key, st := range b.States() {
+	for key, st := range states {
 		n := name(key)
 		switch {
 		case n == "":
@@ -277,8 +239,8 @@ func (b *Breaker) State(key int64) BreakerState {
 }
 
 // record pushes one outcome into the ring.
-func (b *Breaker) record(c *circuit, failure bool) {
-	if c.n == len(c.outcomes) {
+func (c *circuit) record(failure bool) {
+	if c.n == breakerWindow {
 		if c.outcomes[c.idx] {
 			c.failures--
 		}
@@ -289,19 +251,5 @@ func (b *Breaker) record(c *circuit, failure bool) {
 	if failure {
 		c.failures++
 	}
-	c.idx = (c.idx + 1) % len(c.outcomes)
-}
-
-// resetRing clears the ring after a close, so recovery starts from a clean
-// window instead of the failures that opened the circuit.
-func (c *circuit) resetRing() {
-	for i := range c.outcomes {
-		c.outcomes[i] = false
-	}
-	c.n, c.idx, c.failures = 0, 0, 0
-}
-
-func (b *Breaker) reset(c *circuit) {
-	c.resetRing()
-	c.probes, c.probeOK = 0, 0
+	c.idx = (c.idx + 1) % breakerWindow
 }

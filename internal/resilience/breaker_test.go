@@ -29,14 +29,26 @@ func testBreaker(t *testing.T) (*Breaker, *fakeClock, *transitionLog) {
 	t.Helper()
 	clk := newFakeClock()
 	log := &transitionLog{}
-	b := NewBreaker(BreakerConfig{
-		Window:         8,
-		MinVolume:      4,
-		FailureRate:    0.5,
-		OpenFor:        10 * time.Second,
-		HalfOpenProbes: 2,
-	}, clk.now, log.record)
+	b := NewBreaker(BreakerConfig{OpenFor: 10 * time.Second}, clk.now, log.record)
 	return b, clk, log
+}
+
+// TestShippedPolicy pins the values production runs: the breaker's and the
+// retrier's defaults and the fixed policy behind them.
+func TestShippedPolicy(t *testing.T) {
+	if got := DefaultBreakerConfig(); got != (BreakerConfig{OpenFor: time.Second}) {
+		t.Errorf("DefaultBreakerConfig() = %+v, want OpenFor 1s", got)
+	}
+	if got := DefaultRetryConfig(); got != (RetryConfig{MaxAttempts: 3}) {
+		t.Errorf("DefaultRetryConfig() = %+v, want MaxAttempts 3", got)
+	}
+	if breakerWindow != 16 || breakerMinVolume != 4 || breakerFailureRate != 0.5 {
+		t.Errorf("breaker window/min volume/failure rate = %d/%d/%v, want 16/4/0.5",
+			breakerWindow, breakerMinVolume, breakerFailureRate)
+	}
+	if retryBaseDelay != 5*time.Millisecond || retryMaxDelay != 100*time.Millisecond {
+		t.Errorf("retry backoff base/cap = %v/%v, want 5ms/100ms", retryBaseDelay, retryMaxDelay)
+	}
 }
 
 func TestBreakerStaysClosedBelowMinVolume(t *testing.T) {
@@ -103,18 +115,14 @@ func TestBreakerHalfOpenAfterCooldown(t *testing.T) {
 	if got := b.State(1); got != StateHalfOpen {
 		t.Fatalf("state = %v, want half-open", got)
 	}
-	// HalfOpenProbes = 2: one more probe fits, the third is rejected.
-	if !b.Allow(1) {
-		t.Fatal("second probe rejected")
-	}
+	// One probe at a time: a second concurrent one is rejected.
 	if b.Allow(1) {
-		t.Fatal("third concurrent probe admitted, want at most 2")
+		t.Fatal("second concurrent probe admitted, want at most 1")
 	}
-	// Both probes succeed: the circuit closes with a clean window.
-	b.Report(1, false)
+	// The probe succeeds: the circuit closes with a clean window.
 	b.Report(1, false)
 	if got := b.State(1); got != StateClosed {
-		t.Fatalf("state = %v after successful probes, want closed", got)
+		t.Fatalf("state = %v after a successful probe, want closed", got)
 	}
 	want := []string{"closed->open", "open->half-open", "half-open->closed"}
 	if len(log.entries) != len(want) {
@@ -162,8 +170,8 @@ func TestBreakerCancelReleasesProbe(t *testing.T) {
 		b.Report(1, true)
 	}
 	clk.advance(10 * time.Second)
-	if !b.Allow(1) || !b.Allow(1) {
-		t.Fatal("probes rejected")
+	if !b.Allow(1) {
+		t.Fatal("probe rejected")
 	}
 	if b.Allow(1) {
 		t.Fatal("probe budget exceeded")
@@ -178,20 +186,20 @@ func TestBreakerCancelReleasesProbe(t *testing.T) {
 
 func TestBreakerWindowSlides(t *testing.T) {
 	b, _, _ := testBreaker(t)
-	// Fill the window (8) with successes, then add failures: the ring
-	// forgets the oldest successes, so 4 failures out of the last 8 trip it.
-	for i := 0; i < 8; i++ {
+	// Fill the window (16) with successes, then add failures: the ring
+	// forgets the oldest successes, so 8 failures out of the last 16 trip it.
+	for i := 0; i < 16; i++ {
 		b.Report(1, false)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 7; i++ {
 		b.Report(1, true)
 	}
 	if got := b.State(1); got != StateClosed {
-		t.Fatalf("state = %v at 3/8 failures, want closed", got)
+		t.Fatalf("state = %v at 7/16 failures, want closed", got)
 	}
 	b.Report(1, true)
 	if got := b.State(1); got != StateOpen {
-		t.Fatalf("state = %v at 4/8 failures in the window, want open", got)
+		t.Fatalf("state = %v at 8/16 failures in the window, want open", got)
 	}
 }
 

@@ -16,22 +16,23 @@ import (
 	"time"
 )
 
-// strictBreaker opens a circuit on its first reported failure and keeps it
-// open for a second of the fake clock, admitting one half-open probe.
+// strictBreaker keeps an open circuit open for a second of the fake clock.
 func strictBreaker() (*Breaker, *fakeClock) {
 	clk := newFakeClock()
-	return NewBreaker(BreakerConfig{Window: 4, MinVolume: 1, FailureRate: 0.5, OpenFor: time.Second, HalfOpenProbes: 1}, clk.now, nil), clk
+	return NewBreaker(BreakerConfig{OpenFor: time.Second}, clk.now, nil), clk
 }
 
-// openCircuit trips key's circuit.
+// openCircuit trips key's circuit: breakerMinVolume failures.
 func openCircuit(t *testing.T, b *Breaker, key int64) {
 	t.Helper()
-	if !b.Allow(key) {
-		t.Fatalf("key %d already refused", key)
+	for range breakerMinVolume {
+		if !b.Allow(key) {
+			t.Fatalf("key %d already refused", key)
+		}
+		b.Report(key, true)
 	}
-	b.Report(key, true)
 	if b.State(key) != StateOpen {
-		t.Fatalf("key %d: state %v after a failure, want open", key, b.State(key))
+		t.Fatalf("key %d: state %v after %d failures, want open", key, b.State(key), breakerMinVolume)
 	}
 }
 
@@ -135,6 +136,11 @@ func TestFanOutCancellationReleasesUnfedKeys(t *testing.T) {
 	b, clk := strictBreaker()
 	openCircuit(t, b, 2)
 	clk.advance(2 * time.Second) // key 2's next Allow is its half-open probe
+	// Key 1 is one failure short of opening, so its cancelled attempt would
+	// open it if it were reported as a failure.
+	for range breakerMinVolume - 1 {
+		b.Report(1, true)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	out := FanOut(ctx, []int64{1, 2, 3}, Guard{Limit: 1, Breaker: b},
@@ -162,14 +168,17 @@ func TestFanOutCancellationReleasesUnfedKeys(t *testing.T) {
 }
 
 // A context error is neither retried, even when the classifier would accept
-// it, nor reported to the breaker as a failure.
+// it, nor reported to the breaker as a failure: breakerMinVolume of them
+// leave the circuit closed.
 func TestFanOutContextErrorsNotRetriedNorFailures(t *testing.T) {
-	b, _ := strictBreaker()
 	for _, err := range []error{context.DeadlineExceeded, fmt.Errorf("wrapped: %w", context.Canceled)} {
-		out := FanOut(context.Background(), []int64{1}, Guard{Breaker: b, Retry: noSleepRetrier(5), Transient: func(error) bool { return true }},
-			func(context.Context, int, int) (struct{}, error) { return struct{}{}, err }, nil)
-		if r := out[0]; r.Outcome != TimedOut || r.Attempts != 1 || r.Err != err {
-			t.Fatalf("%v: result %+v, want TimedOut after one attempt", err, r)
+		b, _ := strictBreaker()
+		for range breakerMinVolume {
+			out := FanOut(context.Background(), []int64{1}, Guard{Breaker: b, Retry: noSleepRetrier(5), Transient: func(error) bool { return true }},
+				func(context.Context, int, int) (struct{}, error) { return struct{}{}, err }, nil)
+			if r := out[0]; r.Outcome != TimedOut || r.Attempts != 1 || r.Err != err {
+				t.Fatalf("%v: result %+v, want TimedOut after one attempt", err, r)
+			}
 		}
 		if b.State(1) != StateClosed {
 			t.Fatalf("%v: reported as a failure; the circuit is %v", err, b.State(1))
@@ -177,45 +186,52 @@ func TestFanOutContextErrorsNotRetriedNorFailures(t *testing.T) {
 	}
 }
 
+// Each key's outcome reaches the breaker once per fan-out: after
+// breakerMinVolume fan-outs the keys that failed are open, the one that
+// recovered on its retry is not.
 func TestFanOutRetriesTransientOnly(t *testing.T) {
 	b, _ := strictBreaker()
 	errPermanent := errors.New("permanent")
-	var mu sync.Mutex
-	seen := map[int][]int{}
-	out := FanOut(context.Background(), []int64{1, 2, 3}, Guard{Breaker: b, Retry: noSleepRetrier(3), Transient: transient},
-		func(_ context.Context, i, n int) (int, error) {
-			mu.Lock()
-			seen[i] = append(seen[i], n)
-			mu.Unlock()
-			switch {
-			case i == 0: // transient every time
-				return 0, errFlaky
-			case i == 1 && n == 1: // transient once, then fine
-				return 0, errFlaky
-			case i == 2: // permanent
-				return 0, errPermanent
-			}
-			return n, nil
-		}, nil)
 	want := []struct {
 		outcome  Outcome
 		attempts int
 		state    BreakerState
 	}{{Failed, 3, StateOpen}, {OK, 2, StateClosed}, {Failed, 1, StateOpen}}
+	for range breakerMinVolume {
+		var mu sync.Mutex
+		seen := map[int][]int{}
+		out := FanOut(context.Background(), []int64{1, 2, 3}, Guard{Breaker: b, Retry: noSleepRetrier(3), Transient: transient},
+			func(_ context.Context, i, n int) (int, error) {
+				mu.Lock()
+				seen[i] = append(seen[i], n)
+				mu.Unlock()
+				switch {
+				case i == 0: // transient every time
+					return 0, errFlaky
+				case i == 1 && n == 1: // transient once, then fine
+					return 0, errFlaky
+				case i == 2: // permanent
+					return 0, errPermanent
+				}
+				return n, nil
+			}, nil)
+		for i, w := range want {
+			r := out[i]
+			if r.Outcome != w.outcome || r.Attempts != w.attempts {
+				t.Fatalf("key %d = %+v, want outcome %d after %d attempts", i, r, w.outcome, w.attempts)
+			}
+			if got := fmt.Sprint(seen[i]); got != fmt.Sprint([]int{1, 2, 3}[:w.attempts]) {
+				t.Fatalf("key %d: attempt numbers %s", i, got)
+			}
+		}
+		if out[1].Value != 2 {
+			t.Fatalf("the retried key's value = %d, want its second attempt's", out[1].Value)
+		}
+	}
 	for i, w := range want {
-		r := out[i]
-		if r.Outcome != w.outcome || r.Attempts != w.attempts {
-			t.Fatalf("key %d = %+v, want outcome %d after %d attempts", i, r, w.outcome, w.attempts)
-		}
-		if got := fmt.Sprint(seen[i]); got != fmt.Sprint([]int{1, 2, 3}[:w.attempts]) {
-			t.Fatalf("key %d: attempt numbers %s", i, got)
-		}
 		if st := b.State(int64(i + 1)); st != w.state {
 			t.Fatalf("key %d: circuit %v, want %v", i, st, w.state)
 		}
-	}
-	if out[1].Value != 2 {
-		t.Fatalf("the retried key's value = %d, want its second attempt's", out[1].Value)
 	}
 }
 

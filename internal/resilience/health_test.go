@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// trip opens key's circuit: four failures reach MinVolume at rate 1.
+// trip opens key's circuit: breakerMinVolume failures, at rate 1.
 func trip(b *Breaker, key int64) {
-	for range 4 {
+	for range breakerMinVolume {
 		b.Report(key, true)
 	}
 }

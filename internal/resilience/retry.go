@@ -7,23 +7,23 @@ import (
 	"time"
 )
 
+// The backoff before re-attempt n is drawn uniformly from
+// [0, min(retryMaxDelay, retryBaseDelay·2^(n-1))] — "full jitter", which
+// decorrelates retry storms across concurrent clients.
+const (
+	retryBaseDelay = 5 * time.Millisecond
+	retryMaxDelay  = 100 * time.Millisecond
+)
+
 // RetryConfig tunes the transient-error retry loop.
 type RetryConfig struct {
 	// MaxAttempts is the total number of attempts including the first;
-	// 1 disables retries.
+	// 1 (or less) disables retries.
 	MaxAttempts int
-	// BaseDelay seeds the exponential backoff: the attempt-n delay is drawn
-	// uniformly from [0, min(MaxDelay, BaseDelay·2^(n-1))] — "full jitter",
-	// which decorrelates retry storms across concurrent clients.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff ceiling.
-	MaxDelay time.Duration
 }
 
 // DefaultRetryConfig returns the serving defaults.
-func DefaultRetryConfig() RetryConfig {
-	return RetryConfig{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
-}
+func DefaultRetryConfig() RetryConfig { return RetryConfig{MaxAttempts: 3} }
 
 // Retrier runs a function with exponential backoff and full jitter. The
 // random source and the sleep function are injected so the loop is a
@@ -39,15 +39,6 @@ type Retrier struct {
 // NewRetrier builds a retry loop. rnd may be nil (a time-seeded locked
 // source); onAttempt may be nil.
 func NewRetrier(cfg RetryConfig, rnd func(n int64) int64, onAttempt func(int, error)) *Retrier {
-	if cfg.MaxAttempts < 1 {
-		cfg.MaxAttempts = 1
-	}
-	if cfg.BaseDelay < 0 {
-		cfg.BaseDelay = 0
-	}
-	if cfg.MaxDelay < cfg.BaseDelay {
-		cfg.MaxDelay = cfg.BaseDelay
-	}
 	if rnd == nil {
 		rnd = SeededRand(time.Now().UnixNano())
 	}
@@ -72,7 +63,7 @@ func (r *Retrier) Do(ctx context.Context, fn func() error, transient func(error)
 		if r.onAttempt != nil {
 			r.onAttempt(attempt, err)
 		}
-		if serr := r.sleep(ctx, r.Delay(attempt)); serr != nil {
+		if serr := r.sleep(ctx, r.delay(attempt)); serr != nil {
 			// The deadline died while backing off; the caller sees the
 			// failure that prompted the retry, not the backoff's demise.
 			return err
@@ -80,19 +71,13 @@ func (r *Retrier) Do(ctx context.Context, fn func() error, transient func(error)
 	}
 }
 
-// Delay draws the full-jitter backoff for the given (1-based) attempt.
-func (r *Retrier) Delay(attempt int) time.Duration {
-	ceil := r.cfg.BaseDelay
-	for i := 1; i < attempt && ceil < r.cfg.MaxDelay; i++ {
+// delay draws the full-jitter backoff for the given (1-based) attempt.
+func (r *Retrier) delay(attempt int) time.Duration {
+	ceil := retryBaseDelay
+	for i := 1; i < attempt && ceil < retryMaxDelay; i++ {
 		ceil *= 2
 	}
-	if ceil > r.cfg.MaxDelay {
-		ceil = r.cfg.MaxDelay
-	}
-	if ceil <= 0 {
-		return 0
-	}
-	return time.Duration(r.rand(int64(ceil) + 1))
+	return time.Duration(r.rand(int64(min(ceil, retryMaxDelay)) + 1))
 }
 
 // timerSleep blocks for d or until ctx is done.

@@ -48,7 +48,7 @@ func testRetrier(cfg RetryConfig, seed int64) (*Retrier, *fakeSleeper) {
 }
 
 func TestRetrySucceedsFirstTry(t *testing.T) {
-	r, fs := testRetrier(RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond}, 1)
+	r, fs := testRetrier(RetryConfig{MaxAttempts: 3}, 1)
 	calls := 0
 	err := r.Do(context.Background(), func() error { calls++; return nil }, transient)
 	if err != nil || calls != 1 || len(fs.delays) != 0 {
@@ -57,7 +57,7 @@ func TestRetrySucceedsFirstTry(t *testing.T) {
 }
 
 func TestRetryTransientUntilSuccess(t *testing.T) {
-	r, fs := testRetrier(RetryConfig{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond}, 1)
+	r, fs := testRetrier(RetryConfig{MaxAttempts: 4}, 1)
 	calls := 0
 	err := r.Do(context.Background(), func() error {
 		calls++
@@ -72,7 +72,7 @@ func TestRetryTransientUntilSuccess(t *testing.T) {
 }
 
 func TestRetryExhaustsAttempts(t *testing.T) {
-	r, fs := testRetrier(RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond}, 1)
+	r, fs := testRetrier(RetryConfig{MaxAttempts: 3}, 1)
 	calls := 0
 	err := r.Do(context.Background(), func() error { calls++; return errFlaky }, transient)
 	if !errors.Is(err, errFlaky) || calls != 3 || len(fs.delays) != 2 {
@@ -87,7 +87,7 @@ func TestRetryNeverRetriesPermanentErrors(t *testing.T) {
 		"deadline":   context.DeadlineExceeded,
 		"wrapped":    fmt.Errorf("video 3: %w", context.DeadlineExceeded),
 	} {
-		r, fs := testRetrier(RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}, 1)
+		r, fs := testRetrier(RetryConfig{MaxAttempts: 5}, 1)
 		calls := 0
 		got := r.Do(context.Background(), func() error { calls++; return err }, transient)
 		if got != err || calls != 1 || len(fs.delays) != 0 {
@@ -97,14 +97,13 @@ func TestRetryNeverRetriesPermanentErrors(t *testing.T) {
 }
 
 func TestRetryBackoffIsBoundedFullJitter(t *testing.T) {
-	cfg := RetryConfig{MaxAttempts: 6, BaseDelay: 4 * time.Millisecond, MaxDelay: 10 * time.Millisecond}
-	r, fs := testRetrier(cfg, 42)
+	r, fs := testRetrier(RetryConfig{MaxAttempts: 8}, 42)
 	_ = r.Do(context.Background(), func() error { return errFlaky }, transient)
-	if len(fs.delays) != 5 {
-		t.Fatalf("sleeps = %d, want 5", len(fs.delays))
+	if len(fs.delays) != 7 {
+		t.Fatalf("sleeps = %d, want 7", len(fs.delays))
 	}
-	// Full jitter: attempt n draws from [0, min(MaxDelay, Base·2^(n-1))].
-	ceils := []time.Duration{4, 8, 10, 10, 10}
+	// Full jitter: attempt n draws from [0, min(100ms, 5ms·2^(n-1))].
+	ceils := []time.Duration{5, 10, 20, 40, 80, 100, 100}
 	for i, d := range fs.delays {
 		if d < 0 || d > ceils[i]*time.Millisecond {
 			t.Fatalf("delay %d = %v outside [0, %v]", i+1, d, ceils[i]*time.Millisecond)
@@ -114,7 +113,7 @@ func TestRetryBackoffIsBoundedFullJitter(t *testing.T) {
 
 func TestRetryDeterministicUnderSeed(t *testing.T) {
 	run := func() []time.Duration {
-		r, fs := testRetrier(RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 64 * time.Millisecond}, 7)
+		r, fs := testRetrier(RetryConfig{MaxAttempts: 5}, 7)
 		_ = r.Do(context.Background(), func() error { return errFlaky }, transient)
 		return fs.delays
 	}
@@ -130,7 +129,7 @@ func TestRetryDeterministicUnderSeed(t *testing.T) {
 }
 
 func TestRetryStopsWhenContextDiesDuringBackoff(t *testing.T) {
-	r, fs := testRetrier(RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}, 1)
+	r, fs := testRetrier(RetryConfig{MaxAttempts: 5}, 1)
 	fs.err, fs.errAt = context.DeadlineExceeded, 2
 	calls := 0
 	err := r.Do(context.Background(), func() error { calls++; return errFlaky }, transient)

@@ -58,8 +58,8 @@ func TestServerChaos(t *testing.T) {
 	}
 	srv, err := Open(path,
 		WithAdmission(AdmissionConfig{MaxConcurrent: 4, QueueLen: 2, QueueWait: 20 * time.Millisecond}),
-		WithRetry(RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}),
-		WithBreaker(BreakerConfig{Window: 8, MinVolume: 3, FailureRate: 0.5, OpenFor: 150 * time.Millisecond, HalfOpenProbes: 1}),
+		WithRetry(RetryConfig{MaxAttempts: 2}),
+		WithBreaker(BreakerConfig{OpenFor: 150 * time.Millisecond}),
 		WithDefaultTimeout(time.Second),
 		WithMaxTimeout(2*time.Second),
 		WithDrainTimeout(3*time.Second),

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"htlvideo"
 	"htlvideo/internal/faultinject"
@@ -68,7 +67,7 @@ func TestPerVideoOptionsDoNotAlias(t *testing.T) {
 func TestRetriesCountsReattemptsOnly(t *testing.T) {
 	srv := New(chaosStore(t, 4),
 		WithParallelism(1),
-		WithRetry(RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}),
+		WithRetry(RetryConfig{MaxAttempts: 2}),
 		WithRandSeed(1),
 	)
 	faultinject.Arm(faultinject.NewPlan(1,

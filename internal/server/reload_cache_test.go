@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"htlvideo"
+	"htlvideo/internal/obs"
 )
 
 // saveChaosStore writes an n-video store file and returns its path.
@@ -182,5 +183,43 @@ func TestConcurrentQueriesAcrossReload(t *testing.T) {
 		if got := queryEvaluated(t, ts); got != 3 {
 			t.Fatalf("final query evaluated %d videos, want 3", got)
 		}
+	}
+}
+
+// breakersHealth returns the breakers component of the server's rollup.
+func breakersHealth(t *testing.T, srv *Server) obs.HealthComponent {
+	t.Helper()
+	for _, c := range srv.Health().Components {
+		if c.Name == "breakers" {
+			return c
+		}
+	}
+	t.Fatal("no breakers component in the health rollup")
+	return obs.HealthComponent{}
+}
+
+// TestHealthForgetsReloadedAwayVideo: an open circuit of a video that a
+// reload removed degrades /debug/health no longer. No query asks for that
+// video again, so its circuit never leaves open; only the videos the current
+// store holds are named.
+func TestHealthForgetsReloadedAwayVideo(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.json")
+	saveChaosStore(t, path, 3)
+	srv, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 4 { // the breaker's minimum volume, all failed
+		srv.breaker.Report(3, true)
+	}
+	if c := breakersHealth(t, srv); c.OK || c.Reason != "breaker open for videos 3" {
+		t.Fatalf("breakers = %+v, want degraded naming video 3", c)
+	}
+	saveChaosStore(t, path, 2)
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if c := breakersHealth(t, srv); !c.OK || c.Reason != "all video circuits closed" {
+		t.Fatalf("breakers after video 3 left = %+v, want all circuits closed", c)
 	}
 }

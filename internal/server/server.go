@@ -143,7 +143,7 @@ func newServerMetrics() *serverMetrics {
 		panics:     reg.Counter("server.panics_recovered"),
 		inFlight:   reg.Gauge("server.requests.in_flight"),
 		queued:     reg.Gauge("server.requests.queued"),
-		reqLat:     reg.Histogram("server.request.latency", nil),
+		reqLat:     reg.Histogram("server.request.latency"),
 		retries:    reg.Counter("server.retries"),
 		brOpened:   reg.Counter("server.breaker.opened"),
 		brHalfOpen: reg.Counter("server.breaker.half_open"),

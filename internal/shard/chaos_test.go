@@ -46,7 +46,7 @@ func TestShardHelperProcess(t *testing.T) {
 	}
 	srv, err := server.Open(storePath,
 		server.WithRandSeed(1),
-		server.WithRetry(server.RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}),
+		server.WithRetry(server.RetryConfig{MaxAttempts: 2}),
 		server.WithDefaultTimeout(2*time.Second),
 		server.WithMaxTimeout(5*time.Second),
 		// Provisioned for the storm: with the GOMAXPROCS-sized defaults the
@@ -170,8 +170,8 @@ func TestShardChaosMultiProcess(t *testing.T) {
 
 	coord := New(urls,
 		WithMinShards(1),
-		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}),
-		WithBreakerConfig(resilience.BreakerConfig{Window: 8, MinVolume: 3, FailureRate: 0.5, OpenFor: 200 * time.Millisecond, HalfOpenProbes: 1}),
+		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 2}),
+		WithBreakerConfig(resilience.BreakerConfig{OpenFor: 200 * time.Millisecond}),
 		WithHedgeDelay(50*time.Millisecond),
 		WithRandSeed(1),
 	)

@@ -28,7 +28,9 @@ package shard
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,7 +205,7 @@ func NewNamed(shards map[string]string, opts ...Option) *Coordinator {
 		brOpened:       c.reg.Counter("shard.breaker.opened"),
 		brHalfOpen:     c.reg.Counter("shard.breaker.half_open"),
 		brClosed:       c.reg.Counter("shard.breaker.closed"),
-		latency:        c.reg.Histogram("shard.query_latency", nil),
+		latency:        c.reg.Histogram("shard.query_latency"),
 	}
 	c.reg.GaugeFunc("shard.shards", func() int64 {
 		c.mu.RLock()
@@ -268,6 +270,19 @@ func (c *Coordinator) nameOfOrd(ord int64) string {
 		}
 	}
 	return fmt.Sprintf("ord-%d", ord)
+}
+
+// BaseURL is a shard URL as the coordinator joins request paths to it: raw
+// without surrounding space or trailing slashes, so that "/query" never
+// becomes "//query". Anything but an absolute http or https URL with a host
+// and no query or fragment is refused.
+func BaseURL(raw string) (string, error) {
+	base := strings.TrimRight(strings.TrimSpace(raw), "/")
+	u, err := url.Parse(base)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" || u.RawQuery != "" || u.Fragment != "" {
+		return "", fmt.Errorf("shard url %q: want an absolute http(s) URL", raw)
+	}
+	return base, nil
 }
 
 // AddShard joins a shard (replacing the URL if the name already exists) and

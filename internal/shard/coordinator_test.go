@@ -148,7 +148,7 @@ func TestRetriesTransientShardFailures(t *testing.T) {
 	defer ts.Close()
 
 	c := New([]string{ts.URL},
-		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}),
+		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 3}),
 		WithHedgeDelay(0),
 		WithRandSeed(1),
 	)
@@ -173,7 +173,7 @@ func TestPermanentShardErrorNotRetried(t *testing.T) {
 	defer ts.Close()
 
 	c := New([]string{ts.URL},
-		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}),
+		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 3}),
 		WithHedgeDelay(0), WithRandSeed(1),
 	)
 	res := c.Query(context.Background(), testParams())
@@ -259,16 +259,14 @@ func TestBreakerTripsSkipsAndRecovers(t *testing.T) {
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
 	c := New([]string{ts.URL},
-		WithBreakerConfig(resilience.BreakerConfig{
-			Window: 4, MinVolume: 2, FailureRate: 0.5,
-			OpenFor: time.Minute, HalfOpenProbes: 1,
-		}),
+		WithBreakerConfig(resilience.BreakerConfig{OpenFor: time.Minute}),
 		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 1}),
 		WithHedgeDelay(0), WithClock(clock), WithRandSeed(1),
 	)
 
-	// Two failing queries reach MinVolume at 100% failure: the breaker opens.
-	for i := 0; i < 2; i++ {
+	// Four failing queries reach the breaker's minimum volume at 100%
+	// failure: the breaker opens.
+	for i := 0; i < 4; i++ {
 		if res := c.Query(context.Background(), testParams()); res.Shards.OK != 0 {
 			t.Fatalf("query %d: expected failure, got ok=%d", i, res.Shards.OK)
 		}
@@ -405,6 +403,56 @@ func TestShardJoinLeave(t *testing.T) {
 		if code, _ := join(body); code != http.StatusBadRequest {
 			t.Errorf("body %q: code %d, want 400", body, code)
 		}
+	}
+}
+
+// TestJoinNormalisesShardURL: a shard joined over POST /-/shards as
+// "http://host:port/" is served as "http://host:port", so the coordinator's
+// POST /explain reaches its "/explain" (not "//explain", which the shard's
+// mux redirects and the client retries as a GET) and the shard takes part;
+// a URL that is not an absolute http(s) URL is refused with 400.
+func TestJoinNormalisesShardURL(t *testing.T) {
+	urls := startShardServers(t, fixtureDoc(6), 2)
+	c := NewNamed(map[string]string{"shard-0": urls[0]}, WithRandSeed(1),
+		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 1}), WithHedgeDelay(0))
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	join := func(name, u string) int {
+		t.Helper()
+		body, _ := json.Marshal(map[string]string{"op": "add", "name": name, "url": u})
+		resp, err := http.Post(ts.URL+"/-/shards", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := join("shard-1", urls[1]+"/"); code != http.StatusOK {
+		t.Fatalf("join with a trailing slash: status %d", code)
+	}
+	if got := c.Shards()[1].URL; got != urls[1] {
+		t.Errorf("joined URL = %q, want %q", got, urls[1])
+	}
+	resp, err := http.Post(ts.URL+"/explain", "application/x-www-form-urlencoded", strings.NewReader("q=M1+until+M2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e ExplainDoc
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || e.Shards == nil || e.Shards.OK != 2 {
+		t.Errorf("explain: status %d, shards %+v; want both shards", resp.StatusCode, e.Shards)
+	}
+
+	for _, bad := range []string{"", "ftp://" + strings.TrimPrefix(urls[1], "http://"), strings.TrimPrefix(urls[1], "http://"), "/query", urls[1] + "/?x=1"} {
+		if code := join("shard-2", bad); code != http.StatusBadRequest {
+			t.Errorf("join %q: status %d, want 400", bad, code)
+		}
+	}
+	if n := len(c.Shards()); n != 2 {
+		t.Errorf("%d shards after refused joins, want 2", n)
 	}
 }
 

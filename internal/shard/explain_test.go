@@ -392,7 +392,7 @@ func TestEmptyShardExplain(t *testing.T) {
 	defer ct.Close()
 
 	// Enough explains to open a breaker the shards' errors would trip
-	// (resilience.DefaultBreakerConfig: four outcomes, half of them failed).
+	// (the breakers' minimum volume: four outcomes, half of them failed).
 	form := url.Values{"q": {casablanca.Query1}}
 	for i := 0; i < 4; i++ {
 		resp, err := http.PostForm(ct.URL+"/explain", form)

@@ -126,11 +126,12 @@ func (c *Coordinator) handleMembership(w http.ResponseWriter, r *http.Request) {
 	var changed bool
 	switch req.Op {
 	case "add":
-		if req.URL == "" {
-			obs.WriteError(w, http.StatusBadRequest, "missing url")
+		base, err := BaseURL(req.URL)
+		if err != nil {
+			obs.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		changed = c.AddShard(req.Name, req.URL)
+		changed = c.AddShard(req.Name, base)
 	case "remove":
 		changed = c.RemoveShard(req.Name)
 	default:

@@ -116,7 +116,7 @@ func TestTraceRetryAttemptsSpans(t *testing.T) {
 	defer ts.Close()
 
 	c := New([]string{ts.URL},
-		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}),
+		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 3}),
 		WithHedgeDelay(0), WithRandSeed(1),
 	)
 	p := testParams()
@@ -229,14 +229,12 @@ func TestTraceBreakerOpenAnnotation(t *testing.T) {
 	defer ts.Close()
 
 	c := New([]string{ts.URL},
-		WithBreakerConfig(resilience.BreakerConfig{
-			Window: 4, MinVolume: 2, FailureRate: 0.5,
-			OpenFor: time.Minute, HalfOpenProbes: 1,
-		}),
+		WithBreakerConfig(resilience.BreakerConfig{OpenFor: time.Minute}),
 		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 1}),
 		WithHedgeDelay(0), WithRandSeed(1),
 	)
-	for i := 0; i < 2; i++ {
+	// Four failures reach the breaker's minimum volume: it opens.
+	for i := 0; i < 4; i++ {
 		c.Query(context.Background(), testParams())
 	}
 

@@ -9,6 +9,7 @@ package htlvideo_test
 import (
 	"bytes"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"htlvideo"
@@ -49,6 +50,35 @@ func lintText(t *testing.T, scope, text string) {
 	}
 }
 
+// latencyLe is every latency histogram's le labels, in exposition order:
+// the one bucket layout of internal/obs, which dashboards and alerts key on.
+const latencyLe = "2.5e-05 5e-05 0.0001 0.00025 0.0005 0.001 0.0025 0.005 0.01 0.025 0.05 0.1 0.25 0.5 1 2.5 5 10 +Inf"
+
+// checkLatencyBuckets holds every histogram of an exposition to latencyLe
+// and requires the named histograms to be there.
+func checkLatencyBuckets(t *testing.T, scope, text string, want ...string) {
+	t.Helper()
+	les := map[string][]string{}
+	for _, line := range strings.Split(text, "\n") {
+		name, rest, ok := strings.Cut(line, `_bucket{le="`)
+		if !ok {
+			continue
+		}
+		le, _, _ := strings.Cut(rest, `"`)
+		les[name] = append(les[name], le)
+	}
+	for _, name := range want {
+		if les[name] == nil {
+			t.Errorf("%s: no histogram %s", scope, name)
+		}
+	}
+	for name, le := range les {
+		if got := strings.Join(le, " "); got != latencyLe {
+			t.Errorf("%s: %s buckets le=%s, want %s", scope, name, got, latencyLe)
+		}
+	}
+}
+
 func TestMetricsConventions(t *testing.T) {
 	store := lintedStore(t)
 	obs.RegisterProcessMetrics(store.Metrics())
@@ -56,15 +86,18 @@ func TestMetricsConventions(t *testing.T) {
 	var buf bytes.Buffer
 	obs.WritePrometheus(&buf, store.Metrics().Snapshot())
 	lintText(t, "store", buf.String())
+	checkLatencyBuckets(t, "store", buf.String(), "query_latency_seconds", "video_latency_seconds")
 
 	srv := server.New(lintedStore(t))
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
 	lintText(t, "server", rec.Body.String())
+	checkLatencyBuckets(t, "server", rec.Body.String(), "server_request_latency_seconds")
 
 	coord := shard.New(nil)
 	defer coord.Close()
 	rec = httptest.NewRecorder()
 	coord.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
 	lintText(t, "coordinator", rec.Body.String())
+	checkLatencyBuckets(t, "coordinator", rec.Body.String(), "shard_query_latency_seconds")
 }

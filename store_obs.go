@@ -109,7 +109,7 @@ func (o *storeObs) keyed(slot *atomic.Pointer[keyedMetrics], kind, key string) *
 	}
 	m := &keyedMetrics{
 		count: o.reg.Counter("query.count." + kind + "." + key),
-		lat:   o.reg.Histogram("query.latency."+kind+"."+key, nil),
+		lat:   o.reg.Histogram("query.latency." + kind + "." + key),
 	}
 	slot.Store(m)
 	return m
@@ -207,8 +207,8 @@ func newStoreObs() *storeObs {
 		queries:     reg.Counter("query.total"),
 		queryErrors: reg.Counter("query.errors"),
 		fallbacks:   reg.Counter("query.fallbacks"),
-		queryLat:    reg.Histogram("query.latency", nil),
-		videoLat:    reg.Histogram("video.latency", nil),
+		queryLat:    reg.Histogram("query.latency"),
+		videoLat:    reg.Histogram("video.latency"),
 
 		cacheHits:    reg.Counter("cache.hits"),
 		cacheMisses:  reg.Counter("cache.misses"),
@@ -249,7 +249,7 @@ func newStoreObs() *storeObs {
 		checkpoints:      reg.Counter("checkpoint.total"),
 		checkpointErrors: reg.Counter("checkpoint.errors"),
 		checkpointSeq:    reg.Gauge("checkpoint.seq"),
-		checkpointLat:    reg.Histogram("checkpoint.latency", nil),
+		checkpointLat:    reg.Histogram("checkpoint.latency"),
 	}
 	return o
 }
