@@ -213,11 +213,12 @@ bench-bytes:
 # module (bench/ is its own module), in total and outside the algorithmic
 # core, then one line per package of the core, then the root package, the
 # packages outside the core that serve it (internal/obs with its
-# sub-packages, and internal/cache, the store's caches) and each binary under
+# sub-packages, internal/cache, the store's caches, internal/metadata, the
+# meta-data and its one validator, and internal/wal) and each binary under
 # cmd/. A simplicity PR reports it before and after.
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
 LOC_PKGS = core simlist interval htl picture relational sqlgen refeval
-LOC_SERVING = obs shard server resilience cache
+LOC_SERVING = obs shard server resilience cache metadata wal
 LOC_CORE = ^\./internal/($(subst $() ,|,$(LOC_PKGS)))/
 loc:
 	@echo "non-test Go lines: $$($(LOC_FILES) | xargs cat | wc -l) total," \

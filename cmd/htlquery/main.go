@@ -73,14 +73,14 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if !htlvideo.ValidUntilThreshold(*tau) {
-		fatalf("invalid -tau %v: want a fraction in [0, 1]", *tau)
-	}
 	// One request for both modes: remote mode sends its Values, local mode
 	// runs its StoreOptions.
 	p := server.QueryParams{
-		Query: flag.Arg(0), Level: *level, AtRoot: *atRoot, Engine: eng, Tau: *tau, K: *k,
+		Query: flag.Arg(0), Level: *level, Engine: eng, Tau: *tau, K: *k,
 		Timeout: *timeout, Partial: *partial, Trace: *trace, Exact: *exact,
+	}
+	if *atRoot {
+		p.Level = 1
 	}
 	if *remote != "" {
 		runRemote(strings.TrimRight(*remote, "/"), p, *explain)
@@ -140,11 +140,7 @@ func main() {
 	for _, r := range top {
 		sp, ok := spans[r.VideoID]
 		if !ok {
-			lv := *level
-			if *atRoot {
-				lv = 1
-			}
-			sp, err = store.LeafSpans(r.VideoID, lv)
+			sp, err = store.LeafSpans(r.VideoID, p.Level)
 			if err != nil {
 				fatalf("%v", err)
 			}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -303,13 +304,14 @@ func (v *Video) LeafSpans(level int) []LeafSpan {
 // Validate checks the structural invariants of the hierarchy: correct level
 // and index numbering, parent links, uniform leaf depth (paper §2.1: "all the
 // leaves in the tree lie at the same level"), positive object certainties and
-// distinct object ids per segment.
+// distinct object ids per segment. Every error names the video, and one found
+// at a segment that segment's path (segmentError).
 func (v *Video) Validate() error {
 	if v.Root == nil {
 		return fmt.Errorf("metadata: video %d has no root", v.ID)
 	}
 	if v.Root.Level != 1 {
-		return fmt.Errorf("metadata: root level is %d, want 1", v.Root.Level)
+		return fmt.Errorf("metadata: video %d: root level is %d, want 1", v.ID, v.Root.Level)
 	}
 	leafDepth := -1
 	var seen map[ObjectID]bool // SegmentMeta.validate's scratch, made at most once
@@ -319,21 +321,21 @@ func (v *Video) Validate() error {
 			if leafDepth == -1 {
 				leafDepth = n.Level
 			} else if n.Level != leafDepth {
-				return fmt.Errorf("metadata: leaves at different depths (%d and %d)", leafDepth, n.Level)
+				return v.segmentError(n, fmt.Errorf("leaves at different depths (%d and %d)", leafDepth, n.Level))
 			}
 		}
 		if err := n.Meta.validate(&seen); err != nil {
-			return err
+			return v.segmentError(n, err)
 		}
 		for i, c := range n.Children {
 			if c.Level != n.Level+1 {
-				return fmt.Errorf("metadata: child level %d under level %d", c.Level, n.Level)
+				return v.segmentError(n, fmt.Errorf("child %d at level %d under level %d", i+1, c.Level, n.Level))
 			}
 			if c.Index != i+1 {
-				return fmt.Errorf("metadata: child index %d at position %d", c.Index, i+1)
+				return v.segmentError(n, fmt.Errorf("child index %d at position %d", c.Index, i+1))
 			}
 			if c.Parent != n {
-				return fmt.Errorf("metadata: broken parent link at level %d index %d", c.Level, c.Index)
+				return v.segmentError(n, fmt.Errorf("broken parent link of child %d", i+1))
 			}
 			if err := walk(c); err != nil {
 				return err
@@ -346,10 +348,25 @@ func (v *Video) Validate() error {
 	}
 	for name, l := range v.LevelNames {
 		if l < 1 {
-			return fmt.Errorf("metadata: level name %q maps to invalid level %d", name, l)
+			return fmt.Errorf("metadata: video %d: level name %q maps to invalid level %d", v.ID, name, l)
 		}
 	}
 	return nil
+}
+
+// segmentError names err's segment n by the video and n's dotted 1-based
+// path from the video's top-level segments down ("video 3: segment 2.2.2:
+// ..."; the root has none). Validate reached n from the root through checked
+// links, so the indices up to the root spell the path.
+func (v *Video) segmentError(n *Node, err error) error {
+	path := ""
+	for ; n != v.Root; n = n.Parent {
+		path = "." + strconv.Itoa(n.Index) + path
+	}
+	if path == "" {
+		return fmt.Errorf("metadata: video %d: %w", v.ID, err)
+	}
+	return fmt.Errorf("metadata: video %d: segment %s: %w", v.ID, path[1:], err)
 }
 
 // pairwiseObjects is the most objects a segment may hold for validate
@@ -382,13 +399,13 @@ func (m *SegmentMeta) validate(seen *map[ObjectID]bool) error {
 	}
 	for i, o := range m.Objects {
 		if o.ID <= 0 {
-			return fmt.Errorf("metadata: object id %d is not positive (0 is reserved)", o.ID)
+			return fmt.Errorf("object id %d is not positive (0 is reserved)", o.ID)
 		}
 		if o.Certainty <= 0 || o.Certainty > 1 {
-			return fmt.Errorf("metadata: object %d has certainty %g outside (0,1]", o.ID, o.Certainty)
+			return fmt.Errorf("object %d has certainty %g outside (0,1]", o.ID, o.Certainty)
 		}
 		if present(o.ID, m.Objects[:i]) {
-			return fmt.Errorf("metadata: object %d occurs twice in one segment", o.ID)
+			return fmt.Errorf("duplicate object id %d", o.ID)
 		}
 		if large {
 			(*seen)[o.ID] = true
@@ -396,19 +413,19 @@ func (m *SegmentMeta) validate(seen *map[ObjectID]bool) error {
 	}
 	for _, r := range m.Rels {
 		if !present(r.Subject, m.Objects) || !present(r.Object, m.Objects) {
-			return fmt.Errorf("metadata: relationship %s(%d,%d) references an absent object", r.Name, r.Subject, r.Object)
+			return fmt.Errorf("relationship %s(%d,%d) references an absent object", r.Name, r.Subject, r.Object)
 		}
 	}
 	if name, ok := unsortedAttr(m.Attrs); ok {
-		return fmt.Errorf("metadata: segment attribute %q out of order or repeated", name)
+		return fmt.Errorf("segment attribute %q out of order or repeated", name)
 	}
 	for _, o := range m.Objects {
 		if name, ok := unsortedAttr(o.Attrs); ok {
-			return fmt.Errorf("metadata: object %d attribute %q out of order or repeated", o.ID, name)
+			return fmt.Errorf("object %d attribute %q out of order or repeated", o.ID, name)
 		}
 		for i := 1; i < len(o.Props); i++ {
 			if o.Props[i-1] >= o.Props[i] {
-				return fmt.Errorf("metadata: object %d property %q out of order or repeated", o.ID, o.Props[i])
+				return fmt.Errorf("object %d property %q out of order or repeated", o.ID, o.Props[i])
 			}
 		}
 	}

@@ -215,8 +215,8 @@ func TestBuilderRepeats(t *testing.T) {
 	}
 }
 
-// TestValidateMessages holds Validate's errors word for word, on segments
-// compared pairwise and on one large enough for the map, and rejects
+// TestValidateMessages holds Validate's errors word for word, each naming
+// the video and the segment's path, on segments compared pairwise and on one large enough for the map, and rejects
 // attribute and property sets that are not sorted and duplicate-free.
 func TestValidateMessages(t *testing.T) {
 	large := func(dupAt int) *SegBuilder {
@@ -235,21 +235,21 @@ func TestValidateMessages(t *testing.T) {
 		want string
 	}{
 		{"duplicate", Seg().Obj(1, "man").Obj(2, "man").Obj(2, "woman").Obj(1, "woman").Build(),
-			"metadata: object 2 occurs twice in one segment"},
-		{"duplicate-large", large(3).Build(), "metadata: object 3 occurs twice in one segment"},
+			"metadata: video 1: segment 2: duplicate object id 2"},
+		{"duplicate-large", large(3).Build(), "metadata: video 1: segment 2: duplicate object id 3"},
 		{"certainty-before-duplicate", Seg().Obj(1, "man").ObjC(1, "man", 2).Build(),
-			"metadata: object 1 has certainty 2 outside (0,1]"},
+			"metadata: video 1: segment 2: object 1 has certainty 2 outside (0,1]"},
 		{"absent", Seg().Obj(1, "man").Rel("fires_at", 1, 99).Build(),
-			"metadata: relationship fires_at(1,99) references an absent object"},
+			"metadata: video 1: segment 2: relationship fires_at(1,99) references an absent object"},
 		{"absent-large", large(0).Rel("fires_at", 99, 1).Build(),
-			"metadata: relationship fires_at(99,1) references an absent object"},
+			"metadata: video 1: segment 2: relationship fires_at(99,1) references an absent object"},
 		{"present-large", large(0).Rel("fires_at", 20, 1).Build(), ""},
 		{"attrs", SegmentMeta{Attrs: Attrs{{"b", Int(1)}, {"a", Int(1)}}},
-			`metadata: segment attribute "a" out of order or repeated`},
+			`metadata: video 1: segment 2: segment attribute "a" out of order or repeated`},
 		{"object-attrs", SegmentMeta{Objects: []Object{{ID: 4, Type: "man", Certainty: 1, Attrs: Attrs{{"h", Int(1)}, {"h", Int(2)}}}}},
-			`metadata: object 4 attribute "h" out of order or repeated`},
+			`metadata: video 1: segment 2: object 4 attribute "h" out of order or repeated`},
 		{"props", SegmentMeta{Objects: []Object{{ID: 4, Type: "man", Certainty: 1, Props: Props{"moving", "holds_gun"}}}},
-			`metadata: object 4 property "holds_gun" out of order or repeated`},
+			`metadata: video 1: segment 2: object 4 property "holds_gun" out of order or repeated`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			v := NewVideo(1, "v", nil)

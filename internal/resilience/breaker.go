@@ -96,15 +96,6 @@ func NewBreaker(cfg BreakerConfig, now func() time.Time, onTransition func(key i
 	return &Breaker{cfg: cfg, now: now, onTransition: onTransition, circuits: map[int64]*circuit{}}
 }
 
-func (b *Breaker) circuit(key int64) *circuit {
-	c := b.circuits[key]
-	if c == nil {
-		c = &circuit{}
-		b.circuits[key] = c
-	}
-	return c
-}
-
 func (b *Breaker) transition(key int64, c *circuit, to BreakerState) {
 	from := c.state
 	c.state = to
@@ -119,7 +110,11 @@ func (b *Breaker) transition(key int64, c *circuit, to BreakerState) {
 func (b *Breaker) Allow(key int64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	c := b.circuit(key)
+	c := b.circuits[key]
+	if c == nil {
+		c = &circuit{}
+		b.circuits[key] = c
+	}
 	switch c.state {
 	case StateOpen:
 		if b.now().Sub(c.openedAt) < b.cfg.OpenFor {
@@ -137,11 +132,15 @@ func (b *Breaker) Allow(key int64) bool {
 	return true
 }
 
-// Report records the outcome of work admitted by Allow.
+// Report records the outcome of work admitted by Allow. A key without a
+// circuit (one Forget dropped while its work ran) records nothing.
 func (b *Breaker) Report(key int64, failure bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	c := b.circuit(key)
+	c := b.circuits[key]
+	if c == nil {
+		return
+	}
 	switch c.state {
 	case StateClosed:
 		c.record(failure)
@@ -170,10 +169,17 @@ func (b *Breaker) Report(key int64, failure bool) {
 func (b *Breaker) Cancel(key int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	c := b.circuit(key)
-	if c.state == StateHalfOpen {
+	if c := b.circuits[key]; c != nil && c.state == StateHalfOpen {
 		c.probing = false
 	}
+}
+
+// Forget drops the circuit of a key no longer served. Work on it still in
+// flight reports to no circuit; a later Allow starts a fresh one.
+func (b *Breaker) Forget(key int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	delete(b.circuits, key)
 }
 
 // Health is the serving layers' breaker rule for /debug/health: degraded

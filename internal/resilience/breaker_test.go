@@ -25,6 +25,12 @@ func (l *transitionLog) record(key int64, from, to BreakerState) {
 	l.entries = append(l.entries, from.String()+"->"+to.String())
 }
 
+// record admits one call on key and reports its outcome, as FanOut does.
+func record(b *Breaker, key int64, failure bool) {
+	b.Allow(key)
+	b.Report(key, failure)
+}
+
 func testBreaker(t *testing.T) (*Breaker, *fakeClock, *transitionLog) {
 	t.Helper()
 	clk := newFakeClock()
@@ -67,13 +73,13 @@ func TestBreakerStaysClosedBelowMinVolume(t *testing.T) {
 func TestBreakerOpensAtFailureRate(t *testing.T) {
 	b, _, log := testBreaker(t)
 	// 2 successes + 2 failures = rate 0.5 at volume 4: exactly the threshold.
-	b.Report(1, false)
-	b.Report(1, false)
-	b.Report(1, true)
+	record(b, 1, false)
+	record(b, 1, false)
+	record(b, 1, true)
 	if got := b.State(1); got != StateClosed {
 		t.Fatalf("state = %v at volume 3, want closed", got)
 	}
-	b.Report(1, true)
+	record(b, 1, true)
 	if got := b.State(1); got != StateOpen {
 		t.Fatalf("state = %v at 2/4 failures, want open", got)
 	}
@@ -87,9 +93,7 @@ func TestBreakerOpensAtFailureRate(t *testing.T) {
 
 func TestBreakerKeysAreIndependent(t *testing.T) {
 	b, _, _ := testBreaker(t)
-	for i := 0; i < 4; i++ {
-		b.Report(7, true)
-	}
+	trip(b, 7)
 	if b.Allow(7) {
 		t.Fatal("key 7 should be open")
 	}
@@ -100,9 +104,7 @@ func TestBreakerKeysAreIndependent(t *testing.T) {
 
 func TestBreakerHalfOpenAfterCooldown(t *testing.T) {
 	b, clk, log := testBreaker(t)
-	for i := 0; i < 4; i++ {
-		b.Report(1, true)
-	}
+	trip(b, 1)
 	clk.advance(9 * time.Second)
 	if b.Allow(1) {
 		t.Fatal("breaker admitted work before OpenFor elapsed")
@@ -142,9 +144,7 @@ func TestBreakerHalfOpenAfterCooldown(t *testing.T) {
 
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	b, clk, _ := testBreaker(t)
-	for i := 0; i < 4; i++ {
-		b.Report(1, true)
-	}
+	trip(b, 1)
 	clk.advance(10 * time.Second)
 	if !b.Allow(1) {
 		t.Fatal("probe rejected")
@@ -166,9 +166,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 
 func TestBreakerCancelReleasesProbe(t *testing.T) {
 	b, clk, _ := testBreaker(t)
-	for i := 0; i < 4; i++ {
-		b.Report(1, true)
-	}
+	trip(b, 1)
 	clk.advance(10 * time.Second)
 	if !b.Allow(1) {
 		t.Fatal("probe rejected")
@@ -189,15 +187,15 @@ func TestBreakerWindowSlides(t *testing.T) {
 	// Fill the window (16) with successes, then add failures: the ring
 	// forgets the oldest successes, so 8 failures out of the last 16 trip it.
 	for i := 0; i < 16; i++ {
-		b.Report(1, false)
+		record(b, 1, false)
 	}
 	for i := 0; i < 7; i++ {
-		b.Report(1, true)
+		record(b, 1, true)
 	}
 	if got := b.State(1); got != StateClosed {
 		t.Fatalf("state = %v at 7/16 failures, want closed", got)
 	}
-	b.Report(1, true)
+	record(b, 1, true)
 	if got := b.State(1); got != StateOpen {
 		t.Fatalf("state = %v at 8/16 failures in the window, want open", got)
 	}
@@ -205,9 +203,7 @@ func TestBreakerWindowSlides(t *testing.T) {
 
 func TestBreakerStaleReportWhileOpenIgnored(t *testing.T) {
 	b, clk, _ := testBreaker(t)
-	for i := 0; i < 4; i++ {
-		b.Report(1, true)
-	}
+	trip(b, 1)
 	// A straggler that was admitted before the circuit opened reports late;
 	// it must not distort the open state or the cool-down.
 	b.Report(1, false)
@@ -217,5 +213,31 @@ func TestBreakerStaleReportWhileOpenIgnored(t *testing.T) {
 	clk.advance(10 * time.Second)
 	if !b.Allow(1) {
 		t.Fatal("cool-down broken by stale report")
+	}
+}
+
+// TestBreakerForget: a forgotten key's circuit is gone, work admitted before
+// Forget settles without bringing it back, and the key's next Allow starts a
+// fresh circuit.
+func TestBreakerForget(t *testing.T) {
+	b, _, _ := testBreaker(t)
+	trip(b, 1)
+	record(b, 2, true)
+	if !b.Allow(3) {
+		t.Fatal("fresh key 3 refused")
+	}
+	b.Forget(1)
+	b.Forget(3)
+	b.Report(3, true) // key 3's in-flight work settles
+	b.Cancel(3)
+	b.Report(1, true)
+	if _, ok := b.circuits[2]; len(b.circuits) != 1 || !ok {
+		t.Fatalf("circuits after Forget(1), Forget(3) and late outcomes: %v, want key 2's alone", b.circuits)
+	}
+	if got := b.State(1); got != StateClosed {
+		t.Fatalf("forgotten key 1 reads %v, want closed", got)
+	}
+	if !b.Allow(1) {
+		t.Fatal("forgotten key 1 refused, want a fresh circuit")
 	}
 }

@@ -139,7 +139,7 @@ func TestFanOutCancellationReleasesUnfedKeys(t *testing.T) {
 	// Key 1 is one failure short of opening, so its cancelled attempt would
 	// open it if it were reported as a failure.
 	for range breakerMinVolume - 1 {
-		b.Report(1, true)
+		record(b, 1, true)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

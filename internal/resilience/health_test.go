@@ -9,7 +9,7 @@ import (
 // trip opens key's circuit: breakerMinVolume failures, at rate 1.
 func trip(b *Breaker, key int64) {
 	for range breakerMinVolume {
-		b.Report(key, true)
+		record(b, key, true)
 	}
 }
 

@@ -246,7 +246,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // handleQuery evaluates one HTL query under admission control: parse the
-// parameters and the formula, then fan the store's videos out (evaluate)
+// parameters, compile the query through the plan cache (a hit, keyed by the
+// text as sent, parses nothing), then fan the store's videos out (evaluate)
 // where each video runs behind its circuit breaker with transient-error
 // retries, and merge whatever survived into a ranked partial result.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -266,10 +267,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, status, err.Error())
 		return
 	}
+	cq, err := st.Compile(p.Query)
+	if err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "parsing query: "+err.Error())
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.Timeout)
 	defer cancel()
 
-	out, err := s.evaluate(ctx, st, p)
+	out, err := s.evaluate(ctx, st, cq, p)
 	out.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 
 	switch {
@@ -317,6 +323,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, status, err.Error())
 		return
 	}
+	// Compiled first, a malformed query answers 400, as on /query.
+	if _, err := st.Compile(p.Query); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "parsing query: "+err.Error())
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.Timeout)
 	defer cancel()
 
@@ -340,10 +351,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // htlquery (which builds one from its flags) agree on every parameter —
 // including the hard 400 on a malformed ?timeout=.
 type QueryParams struct {
+	// Query is the HTL text, unparsed: the store's plan cache compiles it.
 	Query   string
-	Formula htlvideo.Formula
 	Level   int
-	AtRoot  bool
 	Engine  htlvideo.Engine
 	Tau     float64
 	K       int
@@ -407,9 +417,6 @@ func (p QueryParams) Values() url.Values {
 	v := url.Values{}
 	v.Set("q", p.Query)
 	v.Set("level", strconv.Itoa(p.Level))
-	if p.AtRoot {
-		v.Set("root", "true")
-	}
 	v.Set("engine", engineName(p.Engine))
 	v.Set("tau", strconv.FormatFloat(p.Tau, 'g', -1, 64))
 	v.Set("k", strconv.Itoa(p.K))
@@ -438,9 +445,6 @@ func (p QueryParams) StoreOptions() []htlvideo.QueryOption {
 		htlvideo.WithEngine(p.Engine),
 		htlvideo.WithTopK(p.K),
 	)
-	if p.AtRoot {
-		opts = append(opts, htlvideo.AtRoot())
-	}
 	if p.TraceID != "" {
 		opts = append(opts, htlvideo.WithTraceID(p.TraceID))
 	}
@@ -467,9 +471,9 @@ func (s *Server) parseDefaults() ParseDefaults {
 	return ParseDefaults{DefaultTimeout: s.cfg.defaultTimeout, MaxTimeout: s.cfg.maxTimeout}
 }
 
-// ParseQueryRequest validates a /query-shaped request. Parse and validation
-// failures are terminal — they are deterministic and are never retried — and
-// answer 400.
+// ParseQueryRequest validates a /query-shaped request's parameters, the
+// query text aside (the store's plan cache parses it). Its failures are
+// terminal — they are deterministic and are never retried — and answer 400.
 //
 // Unlike http.Request.FormValue, a malformed query string (a broken percent
 // escape, say) or a present-but-unparseable ?timeout= is a hard 400, never a
@@ -488,21 +492,19 @@ func ParseQueryRequest(r *http.Request, d ParseDefaults) (p QueryParams, status 
 		return p, http.StatusBadRequest, errors.New("missing q parameter")
 	}
 	p.Query = q
-	if p.Formula, err = htlvideo.Parse(q); err != nil {
-		return p, http.StatusBadRequest, fmt.Errorf("parsing query: %w", err)
-	}
 	if v := r.Form.Get("level"); v != "" {
 		if p.Level, err = strconv.Atoi(v); err != nil || p.Level < 1 {
 			return p, http.StatusBadRequest, fmt.Errorf("invalid level %q", v)
 		}
 	}
 	if v := r.Form.Get("root"); v != "" {
-		if p.AtRoot, err = strconv.ParseBool(v); err != nil {
+		root, err := strconv.ParseBool(v)
+		if err != nil {
 			return p, http.StatusBadRequest, fmt.Errorf("invalid root %q", v)
 		}
-	}
-	if p.AtRoot {
-		p.Level = 1
+		if root {
+			p.Level = 1
+		}
 	}
 	v := r.Form.Get("engine")
 	if p.Engine, err = ParseEngine(v); err != nil {
@@ -570,16 +572,11 @@ func ParseExplainRequest(r *http.Request, d ParseDefaults) (p QueryParams, statu
 // partial-result semantics at the serving layer — a failing or tripped
 // video costs its own results only.
 //
-// The query is compiled, its options bound and the request labeled for the
-// CPU profiler once, so a per-video store query pays for its evaluation and
-// its own accounting only, and the ranking reads the fan-out's results where
-// they lie. It compiles by the request's text, as the store's plan cache is
-// keyed: a hit neither parses nor prints the formula.
-func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, p QueryParams) (*QueryResponse, error) {
-	cq, err := st.Compile(p.Query)
-	if err != nil {
-		return &QueryResponse{}, err
-	}
+// The query comes compiled, its options are bound and the request labeled
+// for the CPU profiler once, so a per-video store query pays for its
+// evaluation and its own accounting only, and the ranking reads the
+// fan-out's results where they lie.
+func (s *Server) evaluate(ctx context.Context, st *htlvideo.Store, cq *htlvideo.CompiledQuery, p QueryParams) (*QueryResponse, error) {
 	out := &QueryResponse{Class: cq.Class().String()}
 	videos := st.Videos()
 	eligible := make([]int64, 0, len(videos))

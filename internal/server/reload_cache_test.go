@@ -201,7 +201,8 @@ func breakersHealth(t *testing.T, srv *Server) obs.HealthComponent {
 // TestHealthForgetsReloadedAwayVideo: an open circuit of a video that a
 // reload removed degrades /debug/health no longer. No query asks for that
 // video again, so its circuit never leaves open; only the videos the current
-// store holds are named.
+// store holds are named. The reload drops that circuit, so the video comes
+// back with a later reload under a fresh one.
 func TestHealthForgetsReloadedAwayVideo(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.json")
 	saveChaosStore(t, path, 3)
@@ -210,6 +211,7 @@ func TestHealthForgetsReloadedAwayVideo(t *testing.T) {
 		t.Fatal(err)
 	}
 	for range 4 { // the breaker's minimum volume, all failed
+		srv.breaker.Allow(3)
 		srv.breaker.Report(3, true)
 	}
 	if c := breakersHealth(t, srv); c.OK || c.Reason != "breaker open for videos 3" {
@@ -221,5 +223,12 @@ func TestHealthForgetsReloadedAwayVideo(t *testing.T) {
 	}
 	if c := breakersHealth(t, srv); !c.OK || c.Reason != "all video circuits closed" {
 		t.Fatalf("breakers after video 3 left = %+v, want all circuits closed", c)
+	}
+	saveChaosStore(t, path, 3)
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if c := breakersHealth(t, srv); !c.OK || c.Reason != "all video circuits closed" {
+		t.Fatalf("breakers after video 3 came back = %+v, want its circuit gone", c)
 	}
 }

@@ -284,7 +284,8 @@ func OpenDir(dir string, dopts []htlvideo.DurableOption, opts ...Option) (*Serve
 // install makes st the served store. The configured result cache and
 // statistics capacity are applied before it becomes visible; replacing a
 // store leaves the old one's cached results behind with it, which counts as
-// one result-cache invalidation.
+// one result-cache invalidation, and drops the circuit of every video the
+// new store lacks: one that comes back later starts afresh.
 func (s *Server) install(st *htlvideo.Store) {
 	if s.cfg.resultCache.Capacity > 0 {
 		st.EnableResultCache(s.cfg.resultCache)
@@ -292,8 +293,17 @@ func (s *Server) install(st *htlvideo.Store) {
 	if s.cfg.queryStatsCapacity > 0 {
 		st.SetQueryStatsCapacity(s.cfg.queryStatsCapacity)
 	}
-	if old := s.store.Swap(st); old != nil && s.cfg.resultCache.Capacity > 0 {
+	old := s.store.Swap(st)
+	if old == nil {
+		return
+	}
+	if s.cfg.resultCache.Capacity > 0 {
 		s.m.cacheInval.Inc()
+	}
+	for _, v := range old.Videos() {
+		if st.Video(v.ID) == nil {
+			s.breaker.Forget(int64(v.ID))
+		}
 	}
 }
 

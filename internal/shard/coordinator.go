@@ -3,11 +3,12 @@
 // A deployment splits its store into disjoint shard documents by video id
 // (htlvideo.SplitDoc), runs one internal/server process per shard document,
 // and puts this package's Coordinator in front. The
-// coordinator validates each HTL query with the same
-// server.ParseQueryRequest every layer uses, so a malformed one is refused
-// before any shard hears of it, encodes its parameters once, and fans it out
-// to all shards in parallel; each shard parses and compiles the text again,
-// under its own plan cache. The ranked partial results are merged by one
+// coordinator validates each request with the same
+// server.ParseQueryRequest every layer uses and parses its HTL text once, so
+// a malformed one is refused before any shard hears of it, encodes its
+// parameters once, and fans it out to all shards in parallel; each shard
+// compiles the text through its own plan cache, which parses it only on a
+// miss. The ranked partial results are merged by one
 // stable sort under core.RankedLess — the same ordering the single-store
 // top-k uses, so a healthy merged ranking is identical to a single-store
 // run.
@@ -158,17 +159,9 @@ type metrics struct {
 // New builds a coordinator over the given shard base URLs, named
 // "shard-0" ... "shard-<n-1>" in order. Every query goes to every shard, so
 // any disjoint split of the videos ranks alike; the i-th document of
-// SplitDoc(doc, n) is the usual one for shard i.
+// SplitDoc(doc, n) is the usual one for shard i. It panics on a URL
+// AddShard refuses: htlserve checks its -shards with BaseURL first.
 func New(shardURLs []string, opts ...Option) *Coordinator {
-	named := map[string]string{}
-	for i, u := range shardURLs {
-		named[fmt.Sprintf("shard-%d", i)] = u
-	}
-	return NewNamed(named, opts...)
-}
-
-// NewNamed builds a coordinator over explicitly named shards.
-func NewNamed(shards map[string]string, opts ...Option) *Coordinator {
 	cfg := config{
 		minShards:      1,
 		hedgeDelay:     100 * time.Millisecond,
@@ -234,14 +227,10 @@ func NewNamed(shards map[string]string, opts ...Option) *Coordinator {
 	c.breaker = resilience.NewBreaker(cfg.breaker, cfg.now, c.onBreakerTransition)
 	c.retry = resilience.NewRetrier(cfg.retry, cfg.rand, func(int, error) { c.m.retries.Inc() })
 
-	// Deterministic ordinal assignment: sorted names.
-	names := make([]string, 0, len(shards))
-	for name := range shards {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c.AddShard(name, shards[name])
+	for i, u := range shardURLs {
+		if _, err := c.AddShard(fmt.Sprintf("shard-%d", i), u); err != nil {
+			panic("shard: " + err.Error())
+		}
 	}
 	return c
 }
@@ -285,30 +274,37 @@ func BaseURL(raw string) (string, error) {
 	return base, nil
 }
 
-// AddShard joins a shard (replacing the URL if the name already exists) and
-// reports whether membership changed.
-func (c *Coordinator) AddShard(name, url string) bool {
+// AddShard joins a shard at url as BaseURL normalises it (a known name takes
+// the new URL) and reports whether membership changed, or BaseURL's refusal.
+func (c *Coordinator) AddShard(name, url string) (bool, error) {
+	base, err := BaseURL(url)
+	if err != nil {
+		return false, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if m, ok := c.members[name]; ok {
-		m.url = url
-		return false
+		m.url = base
+		return false, nil
 	}
 	c.nextOrd++
-	c.members[name] = &member{name: name, url: url, ord: c.nextOrd}
-	c.cfg.logf("shard: joined %s (%s)", name, url)
-	return true
+	c.members[name] = &member{name: name, url: base, ord: c.nextOrd}
+	c.cfg.logf("shard: joined %s (%s)", name, base)
+	return true, nil
 }
 
 // RemoveShard removes a shard and reports whether it was a member. Queries
-// in flight finish their calls; new queries no longer fan out to it.
+// in flight finish their calls; new queries no longer fan out to it, and its
+// circuit goes.
 func (c *Coordinator) RemoveShard(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.members[name]; !ok {
+	m, ok := c.members[name]
+	if !ok {
 		return false
 	}
 	delete(c.members, name)
+	c.breaker.Forget(m.ord)
 	c.cfg.logf("shard: left %s", name)
 	return true
 }

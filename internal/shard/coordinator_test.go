@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -346,7 +347,7 @@ func TestShardJoinLeave(t *testing.T) {
 	urls := startShardServers(t, doc, 2)
 
 	// Start with only shard-0 attached; shard-1 joins over HTTP.
-	c := NewNamed(map[string]string{"shard-0": urls[0]}, WithRandSeed(1),
+	c := New([]string{urls[0]}, WithRandSeed(1),
 		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 1}), WithHedgeDelay(0))
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
@@ -413,7 +414,7 @@ func TestShardJoinLeave(t *testing.T) {
 // a URL that is not an absolute http(s) URL is refused with 400.
 func TestJoinNormalisesShardURL(t *testing.T) {
 	urls := startShardServers(t, fixtureDoc(6), 2)
-	c := NewNamed(map[string]string{"shard-0": urls[0]}, WithRandSeed(1),
+	c := New([]string{urls[0]}, WithRandSeed(1),
 		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 1}), WithHedgeDelay(0))
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
@@ -456,8 +457,38 @@ func TestJoinNormalisesShardURL(t *testing.T) {
 	}
 }
 
+// TestNewNormalisesShardURL: a library caller's "http://host:port/" is
+// normalised as a join over POST /-/shards is, so the coordinator explains
+// through that shard, and AddShard refuses a URL that is not an absolute
+// http(s) URL, changing nothing.
+func TestNewNormalisesShardURL(t *testing.T) {
+	urls := startShardServers(t, fixtureDoc(4), 1)
+	c := New([]string{urls[0] + "/"}, WithRandSeed(1),
+		WithRetryConfig(resilience.RetryConfig{MaxAttempts: 1}), WithHedgeDelay(0))
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/explain", "application/x-www-form-urlencoded", strings.NewReader("q=M1+until+M2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e ExplainDoc
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || e.Shards == nil || e.Shards.OK != 1 {
+		t.Errorf("explain: status %d, shards %+v; want the one shard", resp.StatusCode, e.Shards)
+	}
+	if changed, err := c.AddShard("shard-1", "/query"); changed || err == nil {
+		t.Errorf("AddShard of a relative URL = %v, %v; want refused", changed, err)
+	}
+	if got := c.Shards(); len(got) != 1 || got[0].URL != urls[0] {
+		t.Errorf("shards = %+v, want shard-0 at %q alone", got, urls[0])
+	}
+}
+
 func TestReadyzAndDrain(t *testing.T) {
-	empty := NewNamed(nil)
+	empty := New(nil)
 	ts := httptest.NewServer(empty.Handler())
 	defer ts.Close()
 	if code := getDoc(t, ts.URL+"/readyz", nil); code != http.StatusServiceUnavailable {
@@ -467,7 +498,7 @@ func TestReadyzAndDrain(t *testing.T) {
 		t.Fatalf("healthz = %d, want 200", code)
 	}
 
-	c := NewNamed(map[string]string{"shard-0": "http://127.0.0.1:1"})
+	c := New([]string{"http://127.0.0.1:1"})
 	ts2 := httptest.NewServer(c.Handler())
 	defer ts2.Close()
 	if code := getDoc(t, ts2.URL+"/readyz", nil); code != http.StatusOK {
@@ -479,11 +510,54 @@ func TestReadyzAndDrain(t *testing.T) {
 	}
 }
 
+// TestMalformedQueryAnswers400: a query text that does not parse answers
+// 400 "parsing query: ..." from a single server's /query and /explain and
+// from a coordinator's, which refuses it before any shard hears of it.
+func TestMalformedQueryAnswers400(t *testing.T) {
+	doc := fixtureDoc(4)
+	st, err := doc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := httptest.NewServer(server.New(st, server.WithRandSeed(1)).Handler())
+	defer single.Close()
+	c := New(startShardServers(t, doc, 2), WithRandSeed(1))
+	coord := httptest.NewServer(c.Handler())
+	defer coord.Close()
+	for _, base := range []string{single.URL, coord.URL} {
+		for _, q := range []string{"M1 until", "(M1 and M2", "exists x . present(y)"} {
+			form := url.Values{"q": {q}}.Encode()
+			get, err := http.Get(base + "/query?" + form)
+			if err != nil {
+				t.Fatal(err)
+			}
+			post, err := http.Post(base+"/explain", "application/x-www-form-urlencoded", strings.NewReader(form))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, resp := range []*http.Response{get, post} {
+				var ed struct {
+					Error string `json:"error"`
+				}
+				derr := json.NewDecoder(resp.Body).Decode(&ed)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest || derr != nil || !strings.HasPrefix(ed.Error, "parsing query: ") {
+					t.Errorf("%s %s %q: status %d, error %q (%v); want 400 parsing query",
+						resp.Request.Method, resp.Request.URL.Path, q, resp.StatusCode, ed.Error, derr)
+				}
+			}
+		}
+	}
+	if n := c.Metrics().Snapshot().Counters["shard.requests"]; n != 0 {
+		t.Errorf("shard.requests = %d after malformed queries only, want 0", n)
+	}
+}
+
 func TestCoordinatorRejectsBadTimeout(t *testing.T) {
 	// The shared parser gives the coordinator the same hard-400 semantics on
 	// malformed ?timeout=, on the library-only ?engine=sql and on a ?tau=
 	// outside [0, 1], NaN included, as a single server.
-	c := NewNamed(nil)
+	c := New(nil)
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
 	for _, target := range []string{"/query?q=M1&timeout=banana", "/query?q=M1&engine=sql", "/query?q=M1+until+M2&tau=NaN"} {

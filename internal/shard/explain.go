@@ -56,14 +56,10 @@ func (c *Coordinator) Explain(ctx context.Context, p server.QueryParams) (*Expla
 	ctx, end := c.begin(ctx, &p)
 	defer end()
 
-	planKey := p.Query
-	if p.Formula != nil {
-		planKey = p.Formula.String()
-	}
 	members := c.snapshotMembers()
 	out := &ExplainDoc{
 		ExplainResult: htlvideo.ExplainResult{
-			Query: p.Query, PlanKey: planKey, TraceID: p.TraceID,
+			Query: p.Query, TraceID: p.TraceID,
 			Level: p.Level, Exact: p.Exact,
 		},
 		Shards: &server.ShardsDoc{Total: len(members), MinRequired: c.cfg.minShards},
@@ -231,8 +227,9 @@ func (d *ExplainDoc) Render(w io.Writer, showTimes bool) {
 	obs.RenderTree(w, d.Plan, 0, showTimes)
 }
 
-// handleExplain serves the coordinator's POST /explain: the shared validator,
-// then the distributed explain.
+// handleExplain serves the coordinator's POST /explain: the shared validator
+// and one parse of the query text, as handleQuery, then the distributed
+// explain.
 func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -242,6 +239,10 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 	p, status, err := server.ParseExplainRequest(r, c.cfg.parse)
 	if err != nil {
 		obs.WriteError(w, status, err.Error())
+		return
+	}
+	if _, err := htlvideo.Parse(p.Query); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "parsing query: "+err.Error())
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.Timeout)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"htlvideo"
 	"htlvideo/internal/obs"
 	"htlvideo/internal/obs/dash"
 	"htlvideo/internal/server"
@@ -76,8 +77,8 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 }
 
-// handleQuery parses with the shared validator (identical 400 semantics to a
-// single server, including the hard 400 on malformed ?timeout=), runs the
+// handleQuery parses with the shared validator and parses the query text
+// once (a single server's 400s, before any shard hears of it), runs the
 // scatter-gather, and answers with the single server's document: below
 // MinShards the query failed as a whole (503), and without partial= a lost
 // shard or video fails it (500).
@@ -86,6 +87,10 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	p, status, err := server.ParseQueryRequest(r, c.cfg.parse)
 	if err != nil {
 		obs.WriteError(w, status, err.Error())
+		return
+	}
+	if _, err := htlvideo.Parse(p.Query); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "parsing query: "+err.Error())
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.Timeout)
@@ -126,12 +131,11 @@ func (c *Coordinator) handleMembership(w http.ResponseWriter, r *http.Request) {
 	var changed bool
 	switch req.Op {
 	case "add":
-		base, err := BaseURL(req.URL)
-		if err != nil {
+		var err error
+		if changed, err = c.AddShard(req.Name, req.URL); err != nil {
 			obs.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		changed = c.AddShard(req.Name, base)
 	case "remove":
 		changed = c.RemoveShard(req.Name)
 	default:

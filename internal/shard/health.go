@@ -31,8 +31,8 @@ func (c *Coordinator) Health() obs.HealthDoc {
 	for _, mb := range members {
 		names[mb.ord] = mb.name
 	}
-	// A shard that left keeps its circuit under an ordinal no member holds;
-	// its name is "", so the rule ignores it.
+	// A shard that left has no circuit, unless a query that began before it
+	// left has made one since; its name is "", so the rule ignores it.
 	ok, reason := c.breaker.Health("shard", func(ord int64) string { return names[ord] })
 	d.Add("breakers", ok, reason)
 	return d

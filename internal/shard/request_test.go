@@ -72,11 +72,11 @@ func TestShardRequestParams(t *testing.T) {
 	})
 	t.Run("query_all_set", func(t *testing.T) {
 		p := testParams()
-		p.Level, p.AtRoot, p.Engine, p.Tau, p.K = 1, true, htlvideo.EngineReference, 0.25, 3
+		p.Level, p.Engine, p.Tau, p.K = 1, htlvideo.EngineReference, 0.25, 3
 		p.Partial, p.Trace, p.TraceID = false, true, "0123456789abcdef0123456789abcdef"
 		c.Query(context.Background(), p)
 		check(t, map[string]string{
-			"q": "M1", "level": "1", "root": "true", "engine": "reference", "tau": "0.25",
+			"q": "M1", "level": "1", "engine": "reference", "tau": "0.25",
 			"k": "3", "partial": "false", "trace": "true",
 		}, p.Timeout)
 		mu.Lock()

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"htlvideo"
 	"htlvideo/internal/core"
 	"htlvideo/internal/interval"
 	"htlvideo/internal/obs"
@@ -93,13 +94,14 @@ func (c *Coordinator) Query(ctx context.Context, p server.QueryParams) *Results 
 	sampled := p.Sampled(&c.sampling)
 	ctx, end := c.begin(ctx, &p)
 	// The canonical text is the plan key every shard compiles under, so the
-	// coordinator's slow log links to the same key without compiling. It is
-	// printed only for a trace or a slow-log entry that keeps it.
+	// coordinator's slow log links to the same key. It is parsed and printed
+	// only for a trace or a slow-log entry that keeps it.
 	planKey := func() string {
-		if p.Formula == nil {
+		f, err := htlvideo.Parse(p.Query)
+		if err != nil {
 			return ""
 		}
-		return p.Formula.String()
+		return f.String()
 	}
 	var tr *obs.Trace
 	if sampled {

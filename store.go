@@ -190,7 +190,6 @@ type queryConfig struct {
 	// so a plain query pays for no profile.
 	prof    *core.PlanProfile
 	engine  Engine
-	atRoot  bool
 	partial bool
 	noCache bool
 	// exactProf turns on exact per-visit time attribution in engines whose
@@ -209,9 +208,6 @@ func (c *queryConfig) bind(opts []QueryOption) error {
 	*c = queryConfig{level: 2, untilThreshold: core.DefaultUntilThreshold}
 	for _, o := range opts {
 		o(c)
-	}
-	if c.atRoot {
-		c.level = 1
 	}
 	if c.engine > EngineReference {
 		return fmt.Errorf("htlvideo: unknown engine %d", c.engine)
@@ -268,7 +264,7 @@ func AtLevel(level int) QueryOption { return func(c *queryConfig) { c.level = le
 
 // AtRoot asserts the formula at the root, on the one-element sequence of
 // §2.3 — queries then typically begin with level-modal operators.
-func AtRoot() QueryOption { return func(c *queryConfig) { c.atRoot = true } }
+func AtRoot() QueryOption { return AtLevel(1) }
 
 // WithUntilThreshold overrides the fractional-similarity threshold of the
 // until operator (default 0.5). A tau that is not a ValidUntilThreshold fails

@@ -166,99 +166,10 @@ func (s *Store) SaveFile(path string) error {
 	return nil
 }
 
-// Validate checks document-level invariants before any store construction:
-// video ids must be unique across the document and object ids unique within
-// each segment. The same conditions are enforced again structurally when
-// videos are added to the store; checking them here yields errors that name
-// document coordinates (video ids, segment paths) instead of half-built
-// state.
-func (d StoreDoc) Validate() error {
-	seen := make(map[int]bool, len(d.Videos))
-	var v docValidator
-	for _, vd := range d.Videos {
-		if seen[vd.ID] {
-			return fmt.Errorf("htlvideo: duplicate video id %d in store document", vd.ID)
-		}
-		seen[vd.ID] = true
-		v.video = vd.ID
-		for i, sd := range vd.Segments {
-			v.path = append(v.path[:0], i+1)
-			if err := v.segment(sd); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// docValidator walks one document's segments, naming a failure by its
-// video id and segment path ("video 3: segment 2.1"), formatted only then.
-type docValidator struct {
-	video int
-	path  []int // 1-based positions from the video's top-level segment down
-	// seen is the scratch of a segment of more than pairwiseObjects
-	// objects, made at most once; smaller ones are checked pairwise.
-	seen map[int64]bool
-}
-
-// pairwiseObjects is the most objects a segment may hold for its ids to be
-// compared pairwise rather than through a map.
-const pairwiseObjects = 16
-
-// segment rejects duplicate object ids within one segment, then recurses.
-func (v *docValidator) segment(sd SegmentDoc) error {
-	if id, ok := v.repeatedID(sd.Objects); ok {
-		return fmt.Errorf("htlvideo: %s: duplicate object id %d", v.pathString(), id)
-	}
-	for i, cd := range sd.Children {
-		v.path = append(v.path, i+1)
-		if err := v.segment(cd); err != nil {
-			return err
-		}
-		v.path = v.path[:len(v.path)-1]
-	}
-	return nil
-}
-
-// repeatedID returns the first object id of objs that repeats an earlier
-// one.
-func (v *docValidator) repeatedID(objs []ObjectDoc) (int64, bool) {
-	if len(objs) <= pairwiseObjects {
-		for i := 1; i < len(objs); i++ {
-			for j := range i {
-				if objs[j].ID == objs[i].ID {
-					return objs[i].ID, true
-				}
-			}
-		}
-		return 0, false
-	}
-	if v.seen == nil {
-		v.seen = make(map[int64]bool, len(objs))
-	}
-	clear(v.seen)
-	for _, od := range objs {
-		if v.seen[od.ID] {
-			return od.ID, true
-		}
-		v.seen[od.ID] = true
-	}
-	return 0, false
-}
-
-func (v *docValidator) pathString() string {
-	s := fmt.Sprintf("video %d: segment %d", v.video, v.path[0])
-	for _, p := range v.path[1:] {
-		s += fmt.Sprintf(".%d", p)
-	}
-	return s
-}
-
-// Build constructs a store from the document.
+// Build constructs a store from the document. Each video is checked as
+// Store.Add checks it, so an error names the video and, for a segment rule,
+// the segment's path ("video 3: segment 2.1: ...").
 func (d StoreDoc) Build() (*Store, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
 	tax := NewTaxonomy()
 	for _, e := range d.Taxonomy {
 		if err := tax.Add(e.Child, e.Parent); err != nil {
@@ -272,7 +183,7 @@ func (d StoreDoc) Build() (*Store, error) {
 			return nil, err
 		}
 		if err := store.Add(v); err != nil {
-			return nil, fmt.Errorf("video %d: %w", vd.ID, err)
+			return nil, err
 		}
 	}
 	return store, nil

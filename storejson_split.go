@@ -17,8 +17,12 @@ func SplitDoc(doc StoreDoc, n int) ([]StoreDoc, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("htlvideo: SplitDoc: shard count %d < 1", n)
 	}
-	if err := doc.Validate(); err != nil {
-		return nil, err
+	seen := make(map[int]bool, len(doc.Videos))
+	for _, vd := range doc.Videos {
+		if seen[vd.ID] {
+			return nil, fmt.Errorf("htlvideo: duplicate video id %d in store document", vd.ID)
+		}
+		seen[vd.ID] = true
 	}
 	out := make([]StoreDoc, n)
 	for i := range out {

@@ -201,9 +201,8 @@ func TestLoadStoreExactIntegers(t *testing.T) {
 	}
 }
 
-// TestStoreDocValidateNamesCoordinates: duplicate ids are rejected at the
-// document level with errors naming document coordinates, before any store
-// construction.
+// TestStoreDocValidateNamesCoordinates: duplicate ids are rejected with
+// errors naming document coordinates: the video id and the segment's path.
 func TestStoreDocValidateNamesCoordinates(t *testing.T) {
 	_, err := LoadStore(strings.NewReader(
 		`{"videos":[{"id":3,"segments":[{},{"children":[]},{"objects":[{"id":9,"type":"man"},{"id":9,"type":"man"}]}]}]}`))
@@ -216,22 +215,24 @@ func TestStoreDocValidateNamesCoordinates(t *testing.T) {
 	}
 }
 
-// TestStoreDocValidateMessages holds the document-level errors word for
-// word: a nested segment's path, and a segment large enough that its ids
-// are checked through a map.
+// TestStoreDocValidateMessages holds the load's errors word for word: a
+// nested segment's path, a leaf at the wrong depth, and a segment of more objects than the meta-data
+// validator compares pairwise, so that its ids are checked through a map.
 func TestStoreDocValidateMessages(t *testing.T) {
 	var objs []string
-	for id := 1; id <= pairwiseObjects+2; id++ {
+	for id := 1; id <= 18; id++ {
 		objs = append(objs, fmt.Sprintf(`{"id":%d,"type":"man"}`, id))
 	}
 	large := strings.Join(append(objs, `{"id":5,"type":"man"}`, `{"id":2,"type":"man"}`), ",")
 	for _, c := range []struct{ doc, want string }{
-		{`{"videos":[{"id":1,"segments":[{}]},{"id":3,"segments":[{},{"children":[{"children":[{}]},{"children":[{},{"objects":[{"id":9,"type":"man"},{"id":8,"type":"man"},{"id":8,"type":"man"}]}]}]}]}]}`,
-			"htlvideo: video 3: segment 2.2.2: duplicate object id 8"},
+		{`{"videos":[{"id":1,"segments":[{}]},{"id":3,"segments":[{"children":[{"children":[{}]}]},{"children":[{"children":[{}]},{"children":[{},{"objects":[{"id":9,"type":"man"},{"id":8,"type":"man"},{"id":8,"type":"man"}]}]}]}]}]}`,
+			"metadata: video 3: segment 2.2.2: duplicate object id 8"},
+		{`{"videos":[{"id":3,"segments":[{},{"children":[{"children":[{}]}]}]}]}`,
+			"metadata: video 3: segment 2.1.1: leaves at different depths (2 and 4)"},
 		{`{"videos":[{"id":7,"segments":[{"objects":[` + large + `]}]}]}`,
-			"htlvideo: video 7: segment 1: duplicate object id 5"},
+			"metadata: video 7: segment 1: duplicate object id 5"},
 		{`{"videos":[{"id":4,"segments":[{}]},{"id":4,"segments":[{}]}]}`,
-			"htlvideo: duplicate video id 4 in store document"},
+			"metadata: duplicate video id 4"},
 	} {
 		if _, err := LoadStore(strings.NewReader(c.doc)); fmt.Sprint(err) != c.want {
 			t.Errorf("err = %v, want %q", err, c.want)
@@ -328,6 +329,7 @@ func FuzzLoadStore(f *testing.F) {
 	f.Add(`{"taxonomy":[{"child":"a","parent":"b"}],"videos":[{"id":1,"segments":[{"objects":[{"id":1,"type":"a"}]}]}]}`)
 	f.Add(`{"videos":[{"id":1,"segments":[{"attrs":{"frame":9007199254740993}}]}]}`)
 	f.Add(`{"videos":[{"id":1,"segments":[{}]}]} {"videos":[{"id":2,"segments":[{}]}]}`)
+	f.Add(`{"videos":[{"id":1,"segments":[{"children":[{},{"objects":[{"id":2,"type":"man"},{"id":2,"type":"woman"}]}]}]}]}`)
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := LoadStore(strings.NewReader(src))
 		if err != nil {
